@@ -2,6 +2,13 @@
 //! timesteps and degree-of-freedom updates of the three tsunami models,
 //! evaluated at the reference parameters `θ = (0, 0)`.
 //!
+//! "DOF updates" counts the cell updates actually performed: two stage
+//! sweeps per step, plus — on the limited levels — the cells of the
+//! dependency cone the incremental MOOD fallback recomputes around its
+//! troubled cells (DESIGN.md §1.2). Until ISSUE 13 the fallback redid the
+//! whole step, and this column read ≈ 3.5 instead of ≈ 2.0 sweeps per step
+//! on levels 1 and 2.
+//!
 //! Run with `--paper` for the paper's 25/79/241 grids (level 2 takes
 //! ~1 min); defaults to the reduced grids.
 

@@ -745,46 +745,58 @@ mod tests {
         }
     }
 
+    /// A [`HeavyRank`] that also notes which thread polled it.
+    struct TracedRank {
+        heavy: HeavyRank,
+        polled_by: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl VirtualRank<TestMsg> for TracedRank {
+        type Output = usize;
+        fn poll(&mut self, ctx: &mut VCtx<'_, TestMsg>) -> Poll<TestMsg, usize> {
+            if self.heavy.spins > 0 {
+                let me = std::thread::current().id();
+                self.polled_by.lock().expect("no poisoning").push(me);
+            }
+            self.heavy.poll(ctx)
+        }
+    }
+
     #[test]
     fn work_stealing_rescues_a_skewed_pinning() {
         // all the heavy ranks are homed on worker 0 (rank % 4 == 0), the
         // rest exit immediately: without stealing, worker 0 would run the
-        // entire spin workload serially while three workers idle
+        // entire spin workload serially while three workers idle.
+        //
+        // The mechanism is asserted, not the speed-up: `elapsed < ¾·serial`
+        // failed on 2-vCPU hosts, where `available_parallelism() >= 2` is
+        // no evidence of two idle cores. That was the only assertion on
+        // measured time in `crates/*/src` and `tests/tests` (what remains
+        // of `Instant` there are hang guards of 10 s and more); the timing
+        // claim lives in the benchmark (`runtime.strong_eff_w2`).
         let n = 64usize;
         let n_workers = 4usize;
-        let spins = 300_000u32;
-        // calibrate one heavy unit single-threaded
-        let t0 = std::time::Instant::now();
-        let mut x = 0.4f64;
-        for _ in 0..spins {
-            x = (x + 1.3).sin();
-        }
-        std::hint::black_box(x);
-        let unit = t0.elapsed();
-        let heavy_count = n / n_workers; // ranks 0, 4, 8, …
-        let serial = unit * heavy_count as u32;
-
-        let t1 = std::time::Instant::now();
+        let polled_by = Arc::new(Mutex::new(Vec::new()));
         let run = Runtime::new(n_workers).run(n, |rank, _| {
-            Box::new(HeavyRank {
-                spins: if rank % n_workers == 0 { spins } else { 0 },
+            Box::new(TracedRank {
+                heavy: HeavyRank {
+                    spins: if rank % n_workers == 0 { 300_000 } else { 0 },
+                },
+                polled_by: Arc::clone(&polled_by),
             }) as Machine
         });
-        let elapsed = t1.elapsed();
         assert_eq!(run.results.iter().sum::<usize>(), n);
-        // idle workers must actually have stolen from the hot one
+        // idle workers must actually have stolen from the hot one …
         assert!(run.stats.steals > 0, "stats {:?}", run.stats);
-        // bounded overhead: the skewed pinning must finish well below the
-        // hot worker's serial bound (only asserted when the machine can
-        // physically run two workers at once; the generous factor absorbs
-        // noisy-neighbor CI variance)
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        if cores >= 2 {
-            assert!(
-                elapsed < serial * 3 / 4,
-                "stealing should beat the hot-worker serial bound: {elapsed:?} vs {serial:?}"
-            );
-        }
+        // … and what they stole was the heavy work: every heavy rank ran
+        // once, and not all of them on their one home worker
+        let polled_by = polled_by.lock().expect("no poisoning");
+        assert_eq!(polled_by.len(), n / n_workers);
+        assert!(
+            polled_by.iter().any(|&thread| thread != polled_by[0]),
+            "all heavy ranks ran on their home worker, stats {:?}",
+            run.stats
+        );
     }
 
     #[test]

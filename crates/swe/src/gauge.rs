@@ -11,6 +11,8 @@ pub struct Gauge {
     pub name: String,
     pub x: f64,
     pub y: f64,
+    /// Cell the gauge sits in, fixed when it is calibrated.
+    cell: usize,
     /// Reference surface elevation subtracted from readings.
     reference: f64,
     /// Recorded `(time, ssha)` series.
@@ -23,21 +25,24 @@ impl Gauge {
             name: name.into(),
             x,
             y,
+            cell: 0,
             reference: 0.0,
             series: Vec::new(),
         }
     }
 
-    /// Capture the undisturbed surface as the zero reference.
+    /// Locate the gauge on the solver's grid and capture the undisturbed
+    /// surface as the zero reference.
     pub fn calibrate(&mut self, solver: &SweSolver) {
         let (i, j) = solver.grid().locate(self.x, self.y);
-        self.reference = solver.surface(solver.grid().idx(i, j));
+        self.cell = solver.grid().idx(i, j);
+        self.reference = solver.surface(self.cell);
     }
 
-    /// Record the current sea-surface height anomaly.
+    /// Record the current sea-surface height anomaly (of the solver the
+    /// gauge was calibrated on).
     pub fn record(&mut self, solver: &SweSolver) {
-        let (i, j) = solver.grid().locate(self.x, self.y);
-        let eta = solver.surface(solver.grid().idx(i, j));
+        let eta = solver.surface(self.cell);
         self.series.push((solver.time(), eta - self.reference));
     }
 
@@ -65,15 +70,13 @@ impl Gauge {
 /// `[max_height_1, max_height_2, t_max_1, t_max_2]` with times in
 /// **minutes** (matching the magnitudes of Table 1's `μ`).
 pub fn observation_vector(gauges: &[Gauge]) -> Vec<f64> {
-    let mut heights = Vec::with_capacity(gauges.len());
-    let mut times = Vec::with_capacity(gauges.len());
-    for g in gauges {
+    let mut obs = vec![0.0; 2 * gauges.len()];
+    for (k, g) in gauges.iter().enumerate() {
         let (h, t) = g.max_height_and_time();
-        heights.push(h);
-        times.push(t / 60.0);
+        obs[k] = h;
+        obs[gauges.len() + k] = t / 60.0;
     }
-    heights.extend_from_slice(&times);
-    heights
+    obs
 }
 
 #[cfg(test)]

@@ -82,13 +82,13 @@ pub struct RunStats {
     pub limited_cells: u64,
 }
 
-/// One level of the tsunami forward-model hierarchy.
+/// One level of the tsunami forward-model hierarchy. The model owns its
+/// solver and gauges; every `forward` rewinds them to the lake at rest.
 pub struct TsunamiModel {
     level: usize,
-    grid: Grid2d,
-    bathy: Vec<f64>,
-    scheme: Scheme,
+    solver: SweSolver,
     rest_state: SweState,
+    gauges: Vec<Gauge>,
     evaluations: usize,
     last_stats: RunStats,
     /// When set, `forward` retains the full gauge series of the last run.
@@ -113,12 +113,19 @@ impl TsunamiModel {
         };
         let bathy = bathymetry::tabulate(&grid, fidelity);
         let rest_state = SweState::lake_at_rest(&bathy, 0.0);
+        let solver = SweSolver::new(grid, bathy, rest_state.clone(), scheme, Boundary::Outflow);
+        let mut gauges: Vec<Gauge> = constants::BUOYS
+            .iter()
+            .map(|&(name, x, y)| Gauge::new(name, x, y))
+            .collect();
+        for g in &mut gauges {
+            g.calibrate(&solver);
+        }
         Self {
             level,
-            grid,
-            bathy,
-            scheme,
+            solver,
             rest_state,
+            gauges,
             evaluations: 0,
             last_stats: RunStats::default(),
             record_series: false,
@@ -131,7 +138,7 @@ impl TsunamiModel {
     }
 
     pub fn grid(&self) -> &Grid2d {
-        &self.grid
+        self.solver.grid()
     }
 
     pub fn evaluations(&self) -> usize {
@@ -145,7 +152,7 @@ impl TsunamiModel {
 
     /// Whether the scheme uses the a-posteriori limiter.
     pub fn uses_limiter(&self) -> bool {
-        matches!(self.scheme, Scheme::SecondOrder { limiter: true })
+        self.solver.scheme() == Scheme::SecondOrder { limiter: true }
     }
 
     /// Physical source center for parameters `theta` (km offsets).
@@ -174,27 +181,16 @@ impl TsunamiModel {
         assert_eq!(theta.len(), 2, "TsunamiModel::forward: theta is 2-D");
         let (sx, sy) = Self::source_center(theta);
         let (rx, ry) = constants::UPLIFT_RADII;
-        let mut solver = SweSolver::new(
-            self.grid.clone(),
-            self.bathy.clone(),
-            self.rest_state.clone(),
-            self.scheme,
-            Boundary::Outflow,
-        );
-        let mut gauges: Vec<Gauge> = constants::BUOYS
-            .iter()
-            .map(|&(name, x, y)| Gauge::new(name, x, y))
-            .collect();
-        for g in &mut gauges {
-            g.calibrate(&solver);
-        }
+        let (solver, gauges) = (&mut self.solver, &mut self.gauges);
+        solver.reset(&self.rest_state);
+        gauges.iter_mut().for_each(Gauge::clear);
         solver.displace_surface(|x, y| {
             let dx = (x - sx) / rx;
             let dy = (y - sy) / ry;
             constants::UPLIFT_AMPLITUDE * (-dx * dx - dy * dy).exp()
         });
         solver.run(constants::T_END, |s| {
-            for g in &mut gauges {
+            for g in gauges.iter_mut() {
                 g.record(s);
             }
         });
@@ -207,7 +203,7 @@ impl TsunamiModel {
         if self.record_series {
             self.last_series = gauges.iter().map(|g| g.series().to_vec()).collect();
         }
-        observation_vector(&gauges)
+        observation_vector(gauges)
     }
 }
 
