@@ -52,20 +52,24 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uq_mlmcmc::ledger::PairingMode;
 use uq_mlmcmc::store::{fnv1a, ChainCkpt, Codec, Dec, Enc, RunSnapshot, RunStore, StoreError};
+use uq_mlmcmc::wire::{frame_decode, frame_encode, frame_read, FrameFormat};
 use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
-/// [`Msg`] or [`Frame`] encodings — the committed golden frame fixture
-/// (`tests/fixtures/golden_frame_v1.bin`) trips when the bytes drift
-/// without a bump.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
+/// golden frame fixture (`tests/fixtures/golden_frame_v2.bin`) trips
+/// when the bytes drift without a bump. Exactly one version is spoken:
+/// v1 (FNV-1a trailer) is rejected as `BadVersion`, never dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 2;
 
-/// Frame magic (8 bytes), distinct from the snapshot store's
-/// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot.
-const NET_MAGIC: &[u8; 8] = b"UQNETFR\0";
-
-/// Refuse frames claiming more than this payload (corrupt length field).
-const MAX_FRAME_LEN: u64 = 1 << 30;
+/// The net wire: a magic distinct from the snapshot store's
+/// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and
+/// a 1 GiB payload cap (a longer claim is a corrupt length field).
+const NET_FORMAT: FrameFormat = FrameFormat {
+    magic: b"UQNETFR\0",
+    version: PROTOCOL_VERSION,
+    max_len: 1 << 30,
+};
 
 // ---------------------------------------------------------------------
 // Msg wire codec
@@ -444,66 +448,17 @@ impl Codec for Frame {
     }
 }
 
-/// Encode one frame into its full on-wire byte form:
-/// `magic(8) ‖ version(4, LE) ‖ payload_len(8, LE) ‖ payload ‖ fnv1a(8, LE)`
-/// with the checksum taken over everything before it.
+/// Encode one frame into its full on-wire byte form
+/// ([`uq_mlmcmc::wire::frame_encode`] under `NET_FORMAT`).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut enc = Enc::new();
-    frame.encode(&mut enc);
-    let payload = enc.into_bytes();
-    let mut out = Vec::with_capacity(28 + payload.len());
-    out.extend_from_slice(NET_MAGIC);
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let sum = fnv1a(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    frame_encode(&NET_FORMAT, frame)
 }
 
 /// Decode one full on-wire frame (the exact inverse of
 /// [`encode_frame`]); rejects bad magic, version skew, length lies,
 /// checksum mismatches and trailing bytes.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, StoreError> {
-    if bytes.len() < 28 {
-        return Err(StoreError::Truncated {
-            needed: 28,
-            available: bytes.len(),
-        });
-    }
-    if &bytes[..8] != NET_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != PROTOCOL_VERSION {
-        return Err(StoreError::BadVersion { found: version });
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    if len > MAX_FRAME_LEN {
-        return Err(StoreError::Corrupt("frame length exceeds cap"));
-    }
-    let total = 28 + len as usize;
-    if bytes.len() < total {
-        return Err(StoreError::Truncated {
-            needed: total,
-            available: bytes.len(),
-        });
-    }
-    if bytes.len() > total {
-        return Err(StoreError::TrailingBytes(bytes.len() - total));
-    }
-    let body = &bytes[..20 + len as usize];
-    let expected = fnv1a(body);
-    let found = u64::from_le_bytes(bytes[total - 8..].try_into().unwrap());
-    if expected != found {
-        return Err(StoreError::ChecksumMismatch { expected, found });
-    }
-    let mut dec = Dec::new(&bytes[20..20 + len as usize]);
-    let frame = Frame::decode(&mut dec)?;
-    if dec.remaining() != 0 {
-        return Err(StoreError::TrailingBytes(dec.remaining()));
-    }
-    Ok(frame)
+    frame_decode(&NET_FORMAT, bytes)
 }
 
 /// Write one frame to a stream, counting it in the tracer.
@@ -515,43 +470,14 @@ fn write_frame(w: &mut impl Write, frame: &Frame, tracer: &Tracer) -> io::Result
     Ok(())
 }
 
-fn io_corrupt(err: StoreError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, err.to_string())
-}
-
 /// Read one frame from a stream, counting it in the tracer. Corruption
-/// (bad magic/version/checksum) surfaces as `InvalidData`.
+/// (bad magic/version/checksum) surfaces as `InvalidData`, a stream
+/// that ends — even at a frame boundary — as `UnexpectedEof`: a peer
+/// says `Bye` before it closes.
 fn read_frame(r: &mut impl Read, tracer: &Tracer) -> io::Result<Frame> {
-    let mut header = [0u8; 20];
-    r.read_exact(&mut header)?;
-    if &header[..8] != NET_MAGIC {
-        return Err(io_corrupt(StoreError::BadMagic));
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if version != PROTOCOL_VERSION {
-        return Err(io_corrupt(StoreError::BadVersion { found: version }));
-    }
-    let len = u64::from_le_bytes(header[12..20].try_into().unwrap());
-    if len > MAX_FRAME_LEN {
-        return Err(io_corrupt(StoreError::Corrupt("frame length exceeds cap")));
-    }
-    let mut rest = vec![0u8; len as usize + 8];
-    r.read_exact(&mut rest)?;
-    let mut body = Vec::with_capacity(20 + len as usize);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&rest[..len as usize]);
-    let expected = fnv1a(&body);
-    let found = u64::from_le_bytes(rest[len as usize..].try_into().unwrap());
-    if expected != found {
-        return Err(io_corrupt(StoreError::ChecksumMismatch { expected, found }));
-    }
-    let mut dec = Dec::new(&rest[..len as usize]);
-    let frame = Frame::decode(&mut dec).map_err(io_corrupt)?;
-    if dec.remaining() != 0 {
-        return Err(io_corrupt(StoreError::TrailingBytes(dec.remaining())));
-    }
+    let (frame, wire_len) = frame_read(&NET_FORMAT, r)?.ok_or(io::ErrorKind::UnexpectedEof)?;
     tracer.incr(Counter::NetFramesIn);
-    tracer.add(Counter::NetBytesIn, 28 + len);
+    tracer.add(Counter::NetBytesIn, wire_len as u64);
     Ok(frame)
 }
 

@@ -41,7 +41,7 @@ use std::time::Instant;
 use uq_mcmc::SamplingProblem;
 use uq_mlmcmc::counting::{CountingProblem, EvalCounter};
 use uq_mlmcmc::coupled::{CoarseSample, MlChain, PendingCoarseSource, StepOutcome};
-use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats, PairingMode};
+use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats};
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
 
@@ -1123,28 +1123,14 @@ impl<'a> ControllerRank<'a> {
             return;
         }
         if self.producing {
-            let fine_qoi = self.chain.state().qoi.clone();
-            let paired = match self.config.base.pairing {
-                PairingMode::Proposal => self.chain.last_coarse(),
-                PairingMode::Ledger => self.chain.last_pairing(),
-            };
-            let y = match paired {
-                None => fine_qoi.clone(),
-                Some(c) => fine_qoi.iter().zip(&c.qoi).map(|(f, cq)| f - cq).collect(),
-            };
-            // the recorded pair always shows the proposal coupling
-            let coarse_qoi = self.chain.last_coarse().map(|c| c.qoi.clone());
-            let shards = self.config.collector_shards;
-            self.shard_rr = (self.shard_rr + 1) % shards;
+            // the recorded triple travels only when recorded (`Msg::correction`)
+            let base = &self.config.base;
+            let correction =
+                Msg::correction(self.level, &self.chain, base.pairing, base.record_samples);
+            self.shard_rr = (self.shard_rr + 1) % self.config.collector_shards;
             ctx.send(
                 self.config.collector_rank(self.level, self.shard_rr),
-                Msg::Correction {
-                    level: self.level,
-                    y,
-                    theta: self.chain.state().theta.clone(),
-                    fine_qoi,
-                    coarse_qoi,
-                },
+                correction,
             );
         }
     }

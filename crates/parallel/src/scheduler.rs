@@ -88,7 +88,11 @@ pub enum Msg {
     Poison,
     /// Controller → phonebook: a fresh subsampled state is available.
     SampleReady { level: usize },
-    /// Controller → collector: one telescoping-term sample.
+    /// Controller → collector: one telescoping-term sample. Only `y`
+    /// enters the estimator; the recorded triple (`theta`, `fine_qoi`,
+    /// `coarse_qoi`) travels only when it is recorded — without
+    /// `config.record_samples` it is empty / `None` (`Msg::correction`
+    /// builds this variant for both role bodies).
     Correction {
         level: usize,
         y: Vec<f64>,
@@ -149,6 +153,40 @@ pub enum Msg {
     /// re-hosts it elsewhere and rewires routes before anyone may send
     /// to it again (see `crate::net`).
     Retire,
+}
+
+impl Msg {
+    /// The [`Msg::Correction`] for `chain`'s just-completed producing
+    /// step: `y` is the fine QOI minus the paired coarse one (the bare
+    /// QOI on level 0); the recorded triple is filled only under
+    /// `record`, and its pair always shows the proposal coupling.
+    pub(crate) fn correction(
+        level: usize,
+        chain: &MlChain,
+        pairing: PairingMode,
+        record: bool,
+    ) -> Msg {
+        let state = chain.state();
+        let paired = match pairing {
+            PairingMode::Proposal => chain.last_coarse(),
+            PairingMode::Ledger => chain.last_pairing(),
+        };
+        let y = match paired {
+            None => state.qoi.clone(),
+            Some(c) => state.qoi.iter().zip(&c.qoi).map(|(f, cq)| f - cq).collect(),
+        };
+        let recorded = |v: &Vec<f64>| if record { v.clone() } else { Vec::new() };
+        Msg::Correction {
+            level,
+            y,
+            theta: recorded(&state.theta),
+            fine_qoi: recorded(&state.qoi),
+            coarse_qoi: chain
+                .last_coarse()
+                .filter(|_| record)
+                .map(|c| c.qoi.clone()),
+        }
+    }
 }
 
 /// Post-snapshot hook for the parallel backends, called with
@@ -1209,28 +1247,9 @@ pub(crate) fn controller_role(
                 if stop.load(Ordering::Relaxed) {
                     break 'levels;
                 }
-                let fine_qoi = chain.state().qoi.clone();
-                let paired = match config.pairing {
-                    PairingMode::Proposal => chain.last_coarse(),
-                    PairingMode::Ledger => chain.last_pairing(),
-                };
-                let y = match paired {
-                    None => fine_qoi.clone(),
-                    Some(c) => fine_qoi.iter().zip(&c.qoi).map(|(f, cq)| f - cq).collect(),
-                };
-                // the recorded pair always shows the proposal coupling
-                let coarse_qoi = chain.last_coarse().map(|c| c.qoi.clone());
-                let c = shared.lock();
-                c.send(
-                    collector_rank(level),
-                    Msg::Correction {
-                        level,
-                        y,
-                        theta: chain.state().theta.clone(),
-                        fine_qoi,
-                        coarse_qoi,
-                    },
-                );
+                let correction =
+                    Msg::correction(level, &chain, config.pairing, config.record_samples);
+                shared.lock().send(collector_rank(level), correction);
             } else {
                 // idle: block for the next message (handled next iteration)
                 let env = {

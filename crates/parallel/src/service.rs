@@ -47,7 +47,7 @@
 //! isolation/preemption-exactness argument.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,6 +58,7 @@ use std::time::{Duration, Instant};
 use uq_mlmcmc::allocate::fair_share_split;
 use uq_mlmcmc::ledger::tenant_seed;
 use uq_mlmcmc::store::{fnv1a, Codec, Dec, Enc, RunStore, StoreError};
+use uq_mlmcmc::wire::{frame_decode, frame_encode, frame_read, FrameFormat};
 use uq_mlmcmc::LevelFactory;
 
 use crate::des::{simulate, DesConfig};
@@ -68,15 +69,17 @@ use crate::runtime::Runtime;
 use crate::scheduler::ParallelCheckpoint;
 
 /// Version stamped into every service frame header. Bump on any change
-/// to the [`ServiceFrame`] encoding.
-pub const SERVICE_PROTOCOL_VERSION: u32 = 1;
+/// to the [`ServiceFrame`] encoding or to the shared frame layout.
+pub const SERVICE_PROTOCOL_VERSION: u32 = 2;
 
-/// Service frame magic (8 bytes), distinct from the net transport's
-/// `b"UQNETFR\0"` and the snapshot store's `b"UQSNAP\0\0"`.
-const SVC_MAGIC: &[u8; 8] = b"UQSVCFR\0";
-
-/// Refuse frames claiming more than this payload (corrupt length field).
-const MAX_FRAME_LEN: u64 = 1 << 24;
+/// The service wire: a magic distinct from the net transport's
+/// `b"UQNETFR\0"` and the snapshot store's `b"UQSNAP\0\0"`, and a 16 MiB
+/// payload cap (a longer claim is a corrupt length field).
+const SVC_FORMAT: FrameFormat = FrameFormat {
+    magic: b"UQSVCFR\0",
+    version: SERVICE_PROTOCOL_VERSION,
+    max_len: 1 << 24,
+};
 
 /// Bootstrap per-level evaluation time fed to the admission DES until a
 /// completed dispatch provides a measured value (seconds).
@@ -1003,54 +1006,20 @@ impl Codec for ServiceFrame {
     }
 }
 
-/// Encode a frame in the shared wire layout: magic, version, payload
-/// length, payload, FNV-1a checksum over everything before it.
+/// Encode a frame in the shared wire layout
+/// ([`uq_mlmcmc::wire::frame_encode`] under `SVC_FORMAT`).
 pub fn encode_service_frame(frame: &ServiceFrame) -> Vec<u8> {
-    let mut enc = Enc::new();
-    frame.encode(&mut enc);
-    let payload = enc.into_bytes();
-    let mut out = Vec::with_capacity(28 + payload.len());
-    out.extend_from_slice(SVC_MAGIC);
-    out.extend_from_slice(&SERVICE_PROTOCOL_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    frame_encode(&SVC_FORMAT, frame)
 }
 
 /// Decode one service frame, validating magic, version, length and
-/// checksum.
+/// checksum — the same typed error ladder as the net wire.
 pub fn decode_service_frame(bytes: &[u8]) -> Result<ServiceFrame, StoreError> {
-    if bytes.len() < 28 {
-        return Err(StoreError::Corrupt("service frame too short"));
-    }
-    if &bytes[..8] != SVC_MAGIC {
-        return Err(StoreError::Corrupt("bad service frame magic"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != SERVICE_PROTOCOL_VERSION {
-        return Err(StoreError::Corrupt("service protocol version mismatch"));
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    if len > MAX_FRAME_LEN || bytes.len() as u64 != 28 + len {
-        return Err(StoreError::Corrupt("service frame length mismatch"));
-    }
-    let body_end = bytes.len() - 8;
-    let stated = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    if fnv1a(&bytes[..body_end]) != stated {
-        return Err(StoreError::Corrupt("service frame checksum mismatch"));
-    }
-    let mut dec = Dec::new(&bytes[20..body_end]);
-    let frame = ServiceFrame::decode(&mut dec)?;
-    if dec.remaining() != 0 {
-        return Err(StoreError::Corrupt("service frame trailing bytes"));
-    }
-    Ok(frame)
+    frame_decode(&SVC_FORMAT, bytes)
 }
 
 fn corrupt(err: StoreError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("{err:?}"))
+    io::Error::new(io::ErrorKind::InvalidData, err)
 }
 
 fn write_frame(stream: &mut TcpStream, frame: &ServiceFrame) -> io::Result<()> {
@@ -1059,32 +1028,7 @@ fn write_frame(stream: &mut TcpStream, frame: &ServiceFrame) -> io::Result<()> {
 
 /// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
 fn read_frame(stream: &mut TcpStream) -> io::Result<Option<ServiceFrame>> {
-    let mut header = [0u8; 20];
-    match stream.read(&mut header)? {
-        0 => return Ok(None),
-        mut n => {
-            while n < header.len() {
-                let m = stream.read(&mut header[n..])?;
-                if m == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "torn service frame header",
-                    ));
-                }
-                n += m;
-            }
-        }
-    }
-    let len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(corrupt(StoreError::Corrupt("service frame length")));
-    }
-    let mut rest = vec![0u8; len as usize + 8];
-    stream.read_exact(&mut rest)?;
-    let mut bytes = Vec::with_capacity(28 + len as usize);
-    bytes.extend_from_slice(&header);
-    bytes.extend_from_slice(&rest);
-    decode_service_frame(&bytes).map(Some).map_err(corrupt)
+    Ok(frame_read(&SVC_FORMAT, stream)?.map(|(frame, _)| frame))
 }
 
 fn accept_loop(listener: &TcpListener, inner: &Arc<ServiceInner>) {
@@ -1349,14 +1293,31 @@ mod tests {
     #[test]
     fn torn_and_flipped_service_frames_are_rejected() {
         let bytes = encode_service_frame(&ServiceFrame::Submit(Box::new(spec())));
-        assert!(decode_service_frame(&bytes[..bytes.len() - 1]).is_err());
+        assert!(matches!(
+            decode_service_frame(&bytes[..bytes.len() - 1]),
+            Err(StoreError::Truncated { .. })
+        ));
+        // magic, version, length, payload, trailer: the net wire's ladder
         for i in [0, 9, 15, 25, bytes.len() - 3] {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
+            let err = decode_service_frame(&bad).expect_err("flipped byte must not decode");
             assert!(
-                decode_service_frame(&bad).is_err(),
-                "flipped byte {i} must not decode"
+                matches!(
+                    (i, &err),
+                    (0, StoreError::BadMagic)
+                        | (9, StoreError::BadVersion { .. })
+                        | (15, StoreError::Corrupt("frame length exceeds cap"))
+                        | (25.., StoreError::ChecksumMismatch { .. })
+                ),
+                "flipped byte {i}: {err:?}"
             );
         }
+        // same layout, other wire: refused at the magic
+        let net_frame = crate::net::encode_frame(&crate::net::Frame::Ready);
+        assert!(matches!(
+            decode_service_frame(&net_frame),
+            Err(StoreError::BadMagic)
+        ));
     }
 }

@@ -1,22 +1,26 @@
 //! Protocol-version compatibility guard for the net wire format
 //! (`uq_parallel::net`), alongside `golden_snapshot_guard.rs`: a frame
-//! committed to the repository at `PROTOCOL_VERSION = 1` must keep
-//! decoding — bit-for-bit — on every future revision of the codec. Any
-//! change to the `Msg`/`Frame` encodings or the frame header must
-//! either keep these bytes valid or bump `net::PROTOCOL_VERSION` (and
-//! add a new golden alongside this one); silently re-interpreting
-//! frames across a version skew is the failure mode this test catches.
+//! committed to the repository at the current `PROTOCOL_VERSION` must
+//! keep decoding — bit-for-bit — on every future revision of the codec.
+//! Any change to the `Msg`/`Frame` encodings, the frame header or the
+//! frame check must either keep these bytes valid or bump
+//! `net::PROTOCOL_VERSION`, add a new golden alongside this one, and
+//! turn the old one into a rejection fixture; silently re-interpreting
+//! frames across a version skew is the failure mode this suite catches.
+//! Frames are ephemeral, so exactly one version is ever decoded:
+//! `golden_frame_v1.bin` (FNV-1a trailer) is kept to prove v1 is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
 //! `UQ_WRITE_GOLDEN=1 cargo test -p uq-tests --test golden_frame_guard`
 
 use uq_mlmcmc::coupled::{ChainState, CoarseSample};
 use uq_mlmcmc::ledger::{LedgerLease, ServeOutcome};
-use uq_mlmcmc::store::ChainCkpt;
+use uq_mlmcmc::store::{ChainCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v1.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v2.bin");
+const GOLDEN_V1_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v1.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
@@ -119,7 +123,7 @@ fn committed_golden_frame_still_decodes() {
         "committed frame header version differs from net::PROTOCOL_VERSION"
     );
     let frame = decode_frame(&bytes)
-        .expect("protocol break: the committed v1 golden frame no longer decodes");
+        .expect("protocol break: the committed v2 golden frame no longer decodes");
     // Frame carries no PartialEq (Msg is not comparable); byte equality
     // after re-encode is the invariant the transport relies on anyway
     assert_eq!(
@@ -131,4 +135,21 @@ fn committed_golden_frame_still_decodes() {
         expected, bytes,
         "the codec now encodes the golden frame differently — bump PROTOCOL_VERSION"
     );
+}
+
+/// The v1 fixture is the same `Assign` under the old layout. It must be
+/// refused at the version field — before its FNV-1a trailer or a single
+/// payload byte is looked at — never decoded into a frame.
+#[test]
+fn committed_v1_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V1_PATH).expect("committed v1 frame missing");
+    assert!(matches!(
+        decode_frame(&bytes),
+        Err(StoreError::BadVersion { found: 1 })
+    ));
+    // same payload, so the two fixtures differ in the version and the
+    // trailing check alone
+    let v2 = std::fs::read(GOLDEN_PATH).expect("committed golden frame missing");
+    assert_eq!(bytes.len(), v2.len());
+    assert_eq!(bytes[12..bytes.len() - 8], v2[12..v2.len() - 8]);
 }

@@ -3,6 +3,12 @@
 //! primitives, and torn, bit-flipped or padded frames must be rejected
 //! with a clear error — never mis-decoded into a plausible message.
 //!
+//! The frame check is this repo's own (`uq_mlmcmc::wire::frame_check`,
+//! which replaced FNV-1a at `PROTOCOL_VERSION = 2`), so the bottom of
+//! this file shows what it detects on the frame that dominates net
+//! traffic — exhaustively where that is cheap (every single-bit flip of
+//! a 26 KB correction frame), by dense sampling where it is not.
+//!
 //! Round-trips are asserted by re-encode byte equality (`Msg` has no
 //! `PartialEq`, and byte equality is the property the transport
 //! actually relies on: the driver's digest checks compare runs whose
@@ -12,7 +18,7 @@
 use proptest::prelude::*;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample};
 use uq_mlmcmc::ledger::{LedgerLease, LedgerState, LedgerStats, ServeOutcome, SessionState};
-use uq_mlmcmc::store::{ChainCkpt, Codec, CollectorCkpt, Dec, Enc};
+use uq_mlmcmc::store::{ChainCkpt, Codec, CollectorCkpt, Dec, Enc, StoreError};
 use uq_parallel::roles::PhonebookStats;
 use uq_parallel::scheduler::{CollectorData, Msg};
 use uq_parallel::{decode_frame, encode_frame, Frame, PROTOCOL_VERSION};
@@ -308,4 +314,158 @@ fn oversized_length_claims_are_rejected() {
     bytes[12..20].copy_from_slice(&(u64::MAX).to_le_bytes());
     assert!(decode_frame(&bytes).is_err());
     let _ = PROTOCOL_VERSION;
+}
+
+/// The frame that dominates net traffic: one correction on the
+/// 1089-point QOI of the Poisson problems. `recorded` adds the triple a
+/// controller fills under `record_samples` — the QOI three times over,
+/// ≈ 26 KB, the frame the benchmark ladder times.
+fn correction_frame(recorded: bool) -> Vec<u8> {
+    let qoi: Vec<f64> = (0..1089).map(|i| 1.0 + i as f64 * 1e-3).collect();
+    let or_empty = |v: &[f64]| if recorded { v.to_vec() } else { Vec::new() };
+    encode_frame(&Frame::Data {
+        to: 3,
+        from: 5,
+        msg: Msg::Correction {
+            level: 1,
+            theta: or_empty(&[0.25; 24]),
+            fine_qoi: or_empty(&qoi),
+            coarse_qoi: recorded.then(|| qoi.clone()),
+            y: qoi,
+        },
+    })
+}
+
+/// Exhaustive: all ≈ 208 k single-bit flips of the frame — header,
+/// payload and trailer — are rejected. Within the payload that is a
+/// guarantee of the check's construction (each word step is a
+/// bijection), not a matter of probability.
+#[test]
+fn every_single_bit_flip_of_a_correction_frame_is_rejected() {
+    let mut bytes = correction_frame(true);
+    assert!(bytes.len() > 26_000);
+    for bit in 0..bytes.len() * 8 {
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        assert!(decode_frame(&bytes).is_err(), "bit {bit} flipped unnoticed");
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+    decode_frame(&bytes).expect("the restored frame decodes");
+}
+
+/// Swapping two aligned 8-byte words is invisible to a plain sum or xor
+/// of words. Every word is swapped with each of its 8 successors (same
+/// lane and neighbouring lanes) and with 8 far partners.
+#[test]
+fn swapped_words_of_a_correction_frame_are_rejected() {
+    let mut bytes = correction_frame(true);
+    let n_words = bytes.len() / 8;
+    let swap = |bytes: &mut [u8], i: usize, j: usize| {
+        for k in 0..8 {
+            bytes.swap(8 * i + k, 8 * j + k);
+        }
+    };
+    let mut tried = 0;
+    for i in 0..n_words {
+        let near = (1..=8).map(|d| i + d);
+        let far = (1..=8).map(|k| (i + k * 397) % n_words);
+        for j in near.chain(far).filter(|&j| j < n_words) {
+            if bytes[8 * i..8 * i + 8] == bytes[8 * j..8 * j + 8] {
+                continue; // equal words: the swap is the identity
+            }
+            swap(&mut bytes, i, j);
+            assert!(decode_frame(&bytes).is_err(), "words {i} and {j}");
+            swap(&mut bytes, i, j);
+            tried += 1;
+        }
+    }
+    assert!(tried > 40_000, "only {tried} distinct swaps tried");
+}
+
+/// Short by 1..=32 bytes, padded with 1..=32 zeros, or a length field
+/// that lies in either direction: each has its own error, and none
+/// reaches the payload decoder.
+#[test]
+fn resized_and_length_lying_correction_frames_are_rejected() {
+    let bytes = correction_frame(true);
+    for cut in 1..=32 {
+        assert!(matches!(
+            decode_frame(&bytes[..bytes.len() - cut]),
+            Err(StoreError::Truncated { .. })
+        ));
+    }
+    for pad in 1..=32 {
+        let mut padded = bytes.clone();
+        padded.resize(bytes.len() + pad, 0);
+        assert!(matches!(
+            decode_frame(&padded),
+            Err(StoreError::TrailingBytes(n)) if n == pad
+        ));
+    }
+    let stated = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    for (lie, shorter) in [(stated - 8, true), (stated - 1, true), (stated + 1, false)] {
+        let mut lied = bytes.clone();
+        lied[12..20].copy_from_slice(&lie.to_le_bytes());
+        assert_eq!(
+            matches!(decode_frame(&lied), Err(StoreError::TrailingBytes(_))),
+            shorter
+        );
+        assert_eq!(
+            matches!(decode_frame(&lied), Err(StoreError::Truncated { .. })),
+            !shorter
+        );
+        // the lie made consistent — payload resized to match, trailer
+        // kept — fails the check instead: the length field is under it
+        let mut consistent = bytes[..bytes.len() - 8].to_vec();
+        consistent.resize(20 + lie as usize, 0);
+        consistent[12..20].copy_from_slice(&lie.to_le_bytes());
+        consistent.extend_from_slice(&bytes[bytes.len() - 8..]);
+        assert!(matches!(
+            decode_frame(&consistent),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
+    }
+}
+
+/// A correction built without `record_samples` (the default, and every
+/// benchmark workload) carries `y` alone: a third of the bytes.
+#[test]
+fn an_unrecorded_correction_frame_is_a_third_of_a_recorded_one() {
+    let lean = correction_frame(false);
+    assert!(lean.len() * 3 < correction_frame(true).len() + 300);
+    assert!(matches!(
+        decode_frame(&lean),
+        Ok(Frame::Data {
+            msg: Msg::Correction {
+                coarse_qoi: None,
+                ..
+            },
+            ..
+        })
+    ));
+}
+
+/// `leftovers` migrate whatever sat in a rank's channel. The protocol
+/// only ever queues controller-bound messages there, but the codec
+/// makes no such assumption: corrections — lean and recorded — travel
+/// in a `Bye` like any other message.
+#[test]
+fn leftovers_carrying_corrections_roundtrip() {
+    let lean = Msg::Correction {
+        level: 0,
+        y: vec![0.5, -1.5],
+        theta: Vec::new(),
+        fine_qoi: Vec::new(),
+        coarse_qoi: None,
+    };
+    let recorded = msg(6, 1, 0, 9, true, &[0.25, f64::NAN], -0.0);
+    let bytes = encode_frame(&Frame::Bye {
+        leftovers: vec![(4, 5, lean), (4, 5, recorded), (5, 0, Msg::Checkpoint)],
+    });
+    match decode_frame(&bytes).expect("decodes") {
+        Frame::Bye { leftovers } => {
+            assert_eq!(leftovers.len(), 3);
+            assert_eq!(encode_frame(&Frame::Bye { leftovers }), bytes);
+        }
+        f => panic!("wrong frame decoded: {f:?}"),
+    }
 }

@@ -119,10 +119,10 @@ fn worker() -> NetWorkerOptions {
     }
 }
 
-#[test]
-fn net_two_workers_is_bit_identical_to_in_process() {
-    let config = config(300, 100, 2_2026);
-    let thread_digest = levels_digest(&run_parallel(&Ridge, &config, &Tracer::disabled()).levels);
+/// Digest of the two in-process backends on `config` (asserted equal:
+/// they must agree before a net run means anything).
+fn in_process_digest(config: &ParallelConfig) -> u64 {
+    let thread_digest = levels_digest(&run_parallel(&Ridge, config, &Tracer::disabled()).levels);
     let mut rt_config = RuntimeConfig::new(
         config.samples_per_level.clone(),
         config.chains_per_level.clone(),
@@ -139,28 +139,104 @@ fn net_two_workers_is_bit_identical_to_in_process() {
         thread_digest, runtime_digest,
         "in-process backends must agree before the net run means anything"
     );
+    thread_digest
+}
 
-    let opts = NetDriverOptions {
-        workers: 2,
-        every: 0,
-        store: None,
-        config_hash: 0,
-    };
-    let (net, worker_reports) = run_net(&config, opts, vec![worker(), worker()]);
-    assert_eq!(
-        levels_digest(&net.report.levels),
-        thread_digest,
-        "net run over loopback TCP diverged from the in-process backends"
-    );
-    assert_eq!(net.report.n_ranks, config.n_ranks());
-    assert_eq!(net.migrations, 0);
-    let mut hosted: Vec<usize> = worker_reports
+/// `(mean, variance)` per level, to the bit.
+fn moment_bits(levels: &[uq_parallel::scheduler::ParallelLevelReport]) -> Vec<Vec<u64>> {
+    levels
         .iter()
-        .flat_map(|r| r.ranks.clone())
-        .collect();
-    hosted.sort_unstable();
-    assert_eq!(hosted, vec![4, 5], "each worker hosts one controller rank");
-    assert!(worker_reports.iter().all(|r| !r.retired));
+        .map(|l| {
+            let moments = l.mean_correction.iter().chain(&l.var_correction);
+            moments.map(|x| x.to_bits()).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn net_two_workers_is_bit_identical_to_in_process() {
+    // with `record_samples` on, every correction carries its recorded
+    // triple over the wire and `theta_samples` / `correction_pairs`
+    // arrive in the digest; off, a correction is `y` alone and the
+    // digest covers the collectors' moments
+    let mut moments = Vec::new();
+    for record in [true, false] {
+        let mut config = config(300, 100, 2_2026);
+        config.record_samples = record;
+        let thread_digest = in_process_digest(&config);
+
+        let opts = NetDriverOptions {
+            workers: 2,
+            every: 0,
+            store: None,
+            config_hash: 0,
+        };
+        let (net, worker_reports) = run_net(&config, opts, vec![worker(), worker()]);
+        assert_eq!(
+            levels_digest(&net.report.levels),
+            thread_digest,
+            "net run over loopback TCP diverged from the in-process backends \
+             (record_samples = {record})"
+        );
+        assert_eq!(net.report.n_ranks, config.n_ranks());
+        assert_eq!(net.migrations, 0);
+        let mut hosted: Vec<usize> = worker_reports
+            .iter()
+            .flat_map(|r| r.ranks.clone())
+            .collect();
+        hosted.sort_unstable();
+        assert_eq!(hosted, vec![4, 5], "each worker hosts one controller rank");
+        assert!(worker_reports.iter().all(|r| !r.retired));
+        for level in &net.report.levels {
+            assert_eq!(
+                level.theta_samples.len(),
+                if record { level.n_samples } else { 0 }
+            );
+        }
+        assert_eq!(net.report.levels[1].correction_pairs.is_empty(), !record);
+        moments.push(moment_bits(&net.report.levels));
+    }
+    assert_eq!(
+        moments[0], moments[1],
+        "recording must not move the collectors' moments"
+    );
+}
+
+/// One worker departs at the first checkpoint barrier, its rank is
+/// re-hosted on the driver from the barrier's snapshot. The leaver's
+/// last pre-pause corrections are still on the wire when it quiesces
+/// (the `CheckpointFlush` behind them is what the collector waits for),
+/// so this is the path where a dropped or re-ordered correction would
+/// show: the run must stay bit-identical to the in-process backends,
+/// with the recorded triple travelling and without.
+#[test]
+fn net_elastic_leave_is_bit_identical_with_and_without_recording() {
+    for record in [true, false] {
+        let dir =
+            std::env::temp_dir().join(format!("uq-net-leave-{}-{record}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(RunStore::open(&dir).expect("open store"));
+        let mut config = config(600, 120, 11_2026);
+        config.record_samples = record;
+        let expected = in_process_digest(&config);
+        let opts = NetDriverOptions {
+            workers: 2,
+            every: 25,
+            store: Some(store),
+            config_hash: 0x14_e37,
+        };
+        let mut leaver = worker();
+        leaver.leave_at_barrier = Some(1);
+        let (net, worker_reports) = run_net(&config, opts, vec![leaver, worker()]);
+        assert_eq!(net.migrations, 1, "the leaver's one rank is re-hosted");
+        assert!(worker_reports[0].retired && !worker_reports[1].retired);
+        assert_eq!(
+            levels_digest(&net.report.levels),
+            expected,
+            "elastic leave diverged from the in-process backends (record_samples = {record})"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
