@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use uq_bench::pipeline_bench::{theta_chain, LegacyForward};
+use uq_bench::pipeline_bench::theta_chain;
 use uq_fem::PoissonModel;
 use uq_randfield::circulant::Circulant2d;
 use uq_randfield::KlField2d;
@@ -28,28 +28,6 @@ fn bench_poisson_forward(c: &mut Criterion) {
                 let theta = &thetas[k % thetas.len()];
                 k += 1;
                 black_box(model.forward(theta))
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The pre-PR-2 pipeline (see [`LegacyForward`]) for comparison with
-/// `poisson_forward`, driven by the same θ chain.
-fn bench_poisson_forward_legacy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("poisson_forward_legacy");
-    group.sample_size(10);
-    let field = KlField2d::new(0.15, 1.0, 113);
-    let thetas = theta_chain(1, 113, 16);
-    for n in [16usize, 64] {
-        let model = PoissonModel::new(n, &field);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            let mut legacy = LegacyForward::new(&model);
-            let mut k = 0;
-            b.iter(|| {
-                let theta = &thetas[k % thetas.len()];
-                k += 1;
-                black_box(legacy.step(&model, theta))
             });
         });
     }
@@ -119,7 +97,6 @@ fn bench_randfield(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_poisson_forward,
-    bench_poisson_forward_legacy,
     bench_swe_step,
     bench_tsunami_forward,
     bench_randfield

@@ -12,17 +12,15 @@
 //! * `ssor_apply_n64` / `vcycle_n64` — one preconditioner application;
 //! * `cg_ssor_n*` / `cg_mg_n*` — full cold-start solves at `rel_tol
 //!   1e-8`, with iteration counts recorded per mesh level;
-//! * `forward_legacy_n*` / `forward_n*` — the Poisson forward map
-//!   through the old (assemble + allocating CG + SSOR) and new
-//!   (refill + workspace CG + MG) pipelines, driven by a correlated
-//!   θ chain so warm starts help as in MCMC but every timed iteration
-//!   performs a genuine solve.
+//! * `forward_n*` — the Poisson forward map (refill + workspace CG +
+//!   MG), driven by a correlated θ chain so warm starts help as in MCMC
+//!   but every timed iteration performs a genuine solve. The pre-PR-2
+//!   pipeline it replaced is recorded in the committed
+//!   `results/BENCH_PR2.json` / `BENCH_PR7.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use uq_bench::pipeline_bench::{
-    bench_hierarchy as hierarchy, bench_kappa, theta_chain, LegacyForward,
-};
+use uq_bench::pipeline_bench::{bench_hierarchy as hierarchy, bench_kappa, theta_chain};
 use uq_fem::assembly::assemble;
 use uq_fem::{PoissonModel, StiffnessOperator, StructuredGrid};
 use uq_linalg::solvers::{cg, Preconditioner, SolverOptions, SsorPrecond};
@@ -128,28 +126,18 @@ fn main() {
         }
     }
 
-    eprintln!("perf_baseline: Poisson forward map (legacy vs pipeline)");
+    eprintln!("perf_baseline: Poisson forward map");
     let field = KlField2d::new(0.15, 1.0, 113);
     let thetas = theta_chain(1, 113, 16);
-    let mut forwards: Vec<(usize, f64, f64)> = Vec::new();
     for n in [16usize, 64] {
         let mut model = PoissonModel::new(n, &field);
         let mut k = 0usize;
-        let new_ns = time_ns(|| {
+        let ns = time_ns(|| {
             let theta = &thetas[k % thetas.len()];
             k += 1;
             std::hint::black_box(model.forward(theta));
         });
-        let mut legacy = LegacyForward::new(&model);
-        let mut k = 0usize;
-        let legacy_ns = time_ns(|| {
-            let theta = &thetas[k % thetas.len()];
-            k += 1;
-            std::hint::black_box(legacy.step(&model, theta));
-        });
-        kernels.push((format!("forward_n{n}_ns"), new_ns));
-        kernels.push((format!("forward_legacy_n{n}_ns"), legacy_ns));
-        forwards.push((n, legacy_ns, new_ns));
+        kernels.push((format!("forward_n{n}_ns"), ns));
     }
 
     // hand-rolled JSON (no serde in the offline environment)
@@ -170,17 +158,6 @@ fn main() {
         let comma = if pi == 1 { "" } else { "," };
         writeln!(json, "    }}{comma}").unwrap();
     }
-    json.push_str("  },\n  \"forward\": {\n");
-    for (i, (n, legacy_ns, new_ns)) in forwards.iter().enumerate() {
-        let comma = if i + 1 == forwards.len() { "" } else { "," };
-        writeln!(
-            json,
-            "    \"n{n}\": {{ \"legacy_ns\": {legacy_ns:.1}, \"new_ns\": {new_ns:.1}, \
-             \"speedup\": {:.2} }}{comma}",
-            legacy_ns / new_ns
-        )
-        .unwrap();
-    }
     json.push_str("  }\n}\n");
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
@@ -191,8 +168,4 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write baseline json");
     println!("{json}");
     eprintln!("perf_baseline: wrote {out_path}");
-
-    let n64 = forwards.iter().find(|(n, _, _)| *n == 64).unwrap();
-    let speedup = n64.1 / n64.2;
-    eprintln!("perf_baseline: n = 64 forward speedup {speedup:.2}x (target ≥ 3x)");
 }

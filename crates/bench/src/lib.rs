@@ -296,18 +296,15 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Shared fixtures for the forward-solve-pipeline benchmarks, used by
 /// both the criterion harnesses (`benches/kernels.rs`,
 /// `benches/models.rs`) and the `perf_baseline` binary so all of them
-/// measure the same κ field, multigrid hierarchy, θ chain and legacy
-/// pipeline — a tweak in one place cannot silently diverge from the
-/// others.
+/// measure the same κ field, multigrid hierarchy and θ chain — a tweak
+/// in one place cannot silently diverge from the others.
 pub mod pipeline_bench {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use uq_fem::assembly::assemble;
     use uq_fem::poisson::build_mg_hierarchy;
-    use uq_fem::{PoissonModel, StructuredGrid};
+    use uq_fem::StructuredGrid;
     use uq_linalg::mg::GmgHierarchy;
     use uq_linalg::prob::standard_normal_vec;
-    use uq_linalg::solvers::{cg, SolverOptions, SsorPrecond};
 
     /// Deterministic mildly varying diffusion field for kernel benches.
     pub fn bench_kappa(grid: &StructuredGrid) -> Vec<f64> {
@@ -347,55 +344,6 @@ pub mod pipeline_bench {
             states.push(current.clone());
         }
         states
-    }
-
-    /// The pre-PR-2 forward pipeline, reconstructed for comparison:
-    /// per-solve COO assembly + sort, an SSOR preconditioner over the
-    /// freshly built matrix, and the allocating CG driver (warm start
-    /// kept, as before). The old `SsorPrecond` additionally cloned the
-    /// whole matrix per solve, which this reconstruction does not — so
-    /// legacy timings are a conservative lower bound on the old cost
-    /// and measured speedups understate the real ones.
-    pub struct LegacyForward {
-        grid: StructuredGrid,
-        obs: Vec<(f64, f64)>,
-        opts: SolverOptions,
-        warm: Option<Vec<f64>>,
-    }
-
-    impl LegacyForward {
-        /// Set up for the same grid/observation points as `model`.
-        pub fn new(model: &PoissonModel) -> Self {
-            Self {
-                grid: model.grid().clone(),
-                obs: model.observation_points().to_vec(),
-                opts: SolverOptions {
-                    rel_tol: 1e-8,
-                    ..Default::default()
-                },
-                warm: None,
-            }
-        }
-
-        /// One legacy forward evaluation (κ via `model`, then assemble +
-        /// SSOR-CG + interpolate).
-        ///
-        /// # Panics
-        /// Panics if CG stalls.
-        pub fn step(&mut self, model: &PoissonModel, theta: &[f64]) -> Vec<f64> {
-            let kappa = model.kappa_elements(theta);
-            let sys = assemble(&self.grid, &kappa);
-            let pre = SsorPrecond::new(&sys.matrix, 1.0);
-            let r = cg(&sys.matrix, &sys.rhs, self.warm.as_deref(), &pre, self.opts);
-            assert!(r.converged, "legacy pipeline: CG stalled");
-            let out: Vec<f64> = self
-                .obs
-                .iter()
-                .map(|&(x, y)| self.grid.interpolate(&r.x, x, y))
-                .collect();
-            self.warm = Some(r.x);
-            out
-        }
     }
 }
 

@@ -120,10 +120,9 @@ pub struct SourceState {
 /// Where a coupled chain gets its coarse proposals from.
 ///
 /// Sequential MLMCMC uses [`ChainCoarseSource`] (an in-process recursive
-/// chain with the rewind rule); the parallel thread scheduler substitutes
-/// a proxy that requests samples from remote controllers via the
-/// phonebook, and the cooperative runtime in `uq-parallel` uses a purely
-/// pending source so a controller can suspend mid-step.
+/// chain with the rewind rule); the parallel controllers in `uq-parallel`
+/// use a purely pending source ([`PendingCoarseSource`]) so a controller
+/// can suspend mid-step while its request travels via the phonebook.
 pub trait CoarseProposalSource: Send {
     /// Begin acquiring the next coarse proposal. `anchor` is the coarse
     /// state associated with the requesting chain's current state; exact

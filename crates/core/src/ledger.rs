@@ -365,9 +365,8 @@ pub struct LedgerState {
 
 /// The phonebook's per-requester session registry — the rewind ledger
 /// plus its speculation store. Keyed by `(requester rank, coarse
-/// level)`; both parallel phonebooks (thread scheduler and cooperative
-/// runtime) drive the same book, which is what keeps their serves
-/// comparable bit-for-bit.
+/// level)`; the phonebook drives this one book under every executor,
+/// which is what keeps their serves comparable bit-for-bit.
 ///
 /// ## Speculation protocol
 ///

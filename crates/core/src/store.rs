@@ -292,9 +292,7 @@ pub struct ChainCkpt {
     pub producing: bool,
     /// Levels whose `StopProducing` this controller has observed.
     pub done_levels: Vec<bool>,
-    /// Round-robin cursor over the level's collector shards (cooperative
-    /// runtime; the thread scheduler has one collector per level and
-    /// reports 0).
+    /// Round-robin cursor over the level's collector shards.
     pub shard_rr: usize,
     /// xoshiro256++ state words of the controller's own stream.
     pub rng: [u64; 4],

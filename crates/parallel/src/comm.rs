@@ -1,11 +1,14 @@
 //! In-process rank substrate: the MPI stand-in.
 //!
 //! A [`Universe`] owns one unbounded channel per rank; each rank runs on
-//! its own OS thread with a [`RankCtx`] handle providing point-to-point
-//! `send`, blocking `recv`, predicate-matching `recv_match` (the analogue
-//! of tagged `MPI_Recv`, with out-of-order messages buffered) and
-//! non-blocking `try_recv`.
+//! its own OS thread with a [`RankCtx`] handle: point-to-point `send`,
+//! blocking `recv`, non-blocking `try_recv`, and `drive` — the **blocking
+//! executor**, which runs a [`VirtualRank`] state machine on the rank's
+//! thread and parks it on the channel whenever the machine waits for a
+//! message matching a predicate (the analogue of tagged `MPI_Recv`, with
+//! out-of-order messages buffered).
 
+use crate::runtime::{Poll, Port, VCtx, VirtualRank};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,16 +43,60 @@ impl<M> Clone for Outbox<M> {
     }
 }
 
+/// Count a send that reached nobody (`why` names the reason) in
+/// `dropped`, the executor's tally. Debug builds surface the first loss
+/// per run: teardown legitimately drops a handful, the count tells the
+/// rest.
+pub(crate) fn note_drop(dropped: &AtomicUsize, from: usize, to: usize, why: &str) {
+    let prev = dropped.fetch_add(1, Ordering::Relaxed);
+    #[cfg(debug_assertions)]
+    if prev == 0 {
+        eprintln!(
+            "uq-parallel: dropping send from rank {from} to {why} rank {to} \
+             (further drops counted silently)"
+        );
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = (prev, from, to, why);
+}
+
+/// A rank's channel endpoints, apart from its receive buffer so a
+/// [`VCtx`] can borrow the two side by side.
+struct Link<M> {
+    rx: Receiver<Envelope<M>>,
+    txs: Vec<Outbox<M>>,
+    /// Universe-wide tally of sends to already-exited ranks.
+    dropped_sends: Arc<AtomicUsize>,
+}
+
+impl<M: Send> Port<M> for Link<M> {
+    fn send(&self, to: usize, env: Envelope<M>) {
+        let from = env.from;
+        let Some(outbox) = self.txs.get(to) else {
+            note_drop(&self.dropped_sends, from, to, "out-of-range");
+            return;
+        };
+        let lost = match outbox {
+            Outbox::Local(tx) => tx.send(env).is_err(),
+            Outbox::Relay(tx) => tx.send((to, env)).is_err(),
+        };
+        if lost {
+            note_drop(&self.dropped_sends, from, to, "exited");
+        }
+    }
+
+    fn pull(&self, _rank: usize, buffer: &mut VecDeque<Envelope<M>>) {
+        buffer.extend(self.rx.try_iter());
+    }
+}
+
 /// Per-rank communication handle.
 pub struct RankCtx<M: Send> {
     rank: usize,
     size: usize,
-    rx: Receiver<Envelope<M>>,
-    txs: Vec<Outbox<M>>,
-    /// Messages received but not yet matched by `recv_match`.
+    link: Link<M>,
+    /// Messages received but not yet consumed, in arrival order.
     buffer: VecDeque<Envelope<M>>,
-    /// Universe-wide tally of sends to already-exited ranks.
-    dropped_sends: Arc<AtomicUsize>,
 }
 
 impl<M: Send> RankCtx<M> {
@@ -65,10 +112,12 @@ impl<M: Send> RankCtx<M> {
         Self {
             rank,
             size,
-            rx,
-            txs,
+            link: Link {
+                rx,
+                txs,
+                dropped_sends,
+            },
             buffer: VecDeque::new(),
-            dropped_sends,
         }
     }
 
@@ -89,42 +138,18 @@ impl<M: Send> RankCtx<M> {
     /// debug builds), so message loss is observable via
     /// [`Universe::run_counted`] instead of silent.
     pub fn send(&self, to: usize, msg: M) {
-        if to >= self.txs.len() {
-            self.note_drop(to, "out-of-range");
-            return;
-        }
-        let env = Envelope {
-            from: self.rank,
-            msg,
-        };
-        let lost = match &self.txs[to] {
-            Outbox::Local(tx) => tx.send(env).is_err(),
-            Outbox::Relay(tx) => tx.send((to, env)).is_err(),
-        };
-        if lost {
-            self.note_drop(to, "exited");
-        }
-    }
-
-    fn note_drop(&self, to: usize, why: &str) {
-        let prev = self.dropped_sends.fetch_add(1, Ordering::Relaxed);
-        // debug builds surface the first loss per universe (teardown
-        // legitimately drops a handful; the count tells the rest)
-        #[cfg(debug_assertions)]
-        if prev == 0 {
-            eprintln!(
-                "uq-parallel comm: dropping send from rank {} to {why} rank {to} \
-                 (further drops counted silently)",
-                self.rank
-            );
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = (prev, to, why);
+        self.link.send(
+            to,
+            Envelope {
+                from: self.rank,
+                msg,
+            },
+        );
     }
 
     /// Sends to exited ranks observed universe-wide so far.
     pub fn dropped_sends(&self) -> usize {
-        self.dropped_sends.load(Ordering::Relaxed)
+        self.link.dropped_sends.load(Ordering::Relaxed)
     }
 
     /// Blocking receive of the next message (buffered first).
@@ -132,25 +157,10 @@ impl<M: Send> RankCtx<M> {
         if let Some(env) = self.buffer.pop_front() {
             return env;
         }
-        self.rx.recv().expect("RankCtx::recv: universe torn down")
-    }
-
-    /// Blocking receive of the first message satisfying `pred`;
-    /// non-matching messages are buffered in arrival order.
-    pub fn recv_match(&mut self, mut pred: impl FnMut(&Envelope<M>) -> bool) -> Envelope<M> {
-        if let Some(pos) = self.buffer.iter().position(&mut pred) {
-            return self.buffer.remove(pos).unwrap();
-        }
-        loop {
-            let env = self
-                .rx
-                .recv()
-                .expect("RankCtx::recv_match: universe torn down");
-            if pred(&env) {
-                return env;
-            }
-            self.buffer.push_back(env);
-        }
+        self.link
+            .rx
+            .recv()
+            .expect("RankCtx::recv: universe torn down")
     }
 
     /// Non-blocking receive (buffered first).
@@ -158,7 +168,7 @@ impl<M: Send> RankCtx<M> {
         if let Some(env) = self.buffer.pop_front() {
             return Some(env);
         }
-        self.rx.try_recv().ok()
+        self.link.rx.try_recv().ok()
     }
 
     /// Drain everything currently queued without blocking.
@@ -170,10 +180,40 @@ impl<M: Send> RankCtx<M> {
         out
     }
 
-    /// Put a message back at the front of the buffer (it will be the next
-    /// one returned by `recv`/`try_recv`).
-    pub fn unrecv(&mut self, env: Envelope<M>) {
-        self.buffer.push_front(env);
+    /// The blocking executor: poll `machine` on this rank's own thread
+    /// until it exits, parking on the channel whenever it waits — the
+    /// pool's ([`crate::runtime::Runtime`]) contract with one worker per
+    /// rank. Non-matching arrivals stay buffered in arrival order, and
+    /// the buffer is checked before parking, so a match that raced in
+    /// ahead of the `Wait` is never slept through. The handle comes
+    /// back with whatever the machine left unconsumed still in it
+    /// ([`drain`](Self::drain) returns it in order).
+    ///
+    /// # Panics
+    /// Panics if every sender is gone while the machine still waits.
+    pub(crate) fn drive<V>(mut self, machine: &mut V) -> (V::Output, Self)
+    where
+        V: VirtualRank<M> + ?Sized,
+    {
+        loop {
+            let mut ctx = VCtx::new(self.rank, self.size, &self.link, &mut self.buffer);
+            match machine.poll(&mut ctx) {
+                Poll::Ready => {}
+                Poll::Wait(mut pred) => {
+                    let mut matched = self.buffer.iter().any(&mut pred);
+                    while !matched {
+                        let env = self
+                            .link
+                            .rx
+                            .recv()
+                            .expect("RankCtx::drive: universe torn down");
+                        matched = pred(&env);
+                        self.buffer.push_back(env);
+                    }
+                }
+                Poll::Exit(out) => return (out, self),
+            }
+        }
     }
 }
 
@@ -258,6 +298,25 @@ mod tests {
         Data(Vec<f64>),
     }
 
+    /// A machine from a closure: the tests below state each rank's
+    /// behaviour inline and run it under [`RankCtx::drive`].
+    struct FnRank<F>(F);
+
+    impl<M: Send, R, F: FnMut(&mut VCtx<'_, M>) -> Poll<M, R>> VirtualRank<M> for FnRank<F> {
+        type Output = R;
+        fn poll(&mut self, ctx: &mut VCtx<'_, M>) -> Poll<M, R> {
+            (self.0)(ctx)
+        }
+    }
+
+    /// Drive the closure machine `f` to exit on `ctx`'s thread.
+    fn drive<M: Send, R>(
+        ctx: RankCtx<M>,
+        f: impl FnMut(&mut VCtx<'_, M>) -> Poll<M, R>,
+    ) -> (R, RankCtx<M>) {
+        ctx.drive(&mut FnRank(f))
+    }
+
     #[test]
     fn ring_pass() {
         // each rank sends its rank to the next; everyone receives prev
@@ -271,27 +330,6 @@ mod tests {
             }
         });
         assert_eq!(results, vec![4, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn recv_match_buffers_out_of_order() {
-        let results = Universe::run(2, |mut ctx: RankCtx<TestMsg>| {
-            if ctx.rank() == 0 {
-                // send Pong first, then Ping
-                ctx.send(1, TestMsg::Pong(7));
-                ctx.send(1, TestMsg::Ping(3));
-                0
-            } else {
-                // wait for the Ping first even though Pong arrives earlier
-                let ping = ctx.recv_match(|e| matches!(e.msg, TestMsg::Ping(_)));
-                let pong = ctx.recv();
-                match (ping.msg, pong.msg) {
-                    (TestMsg::Ping(a), TestMsg::Pong(b)) => a + b,
-                    _ => panic!("wrong order"),
-                }
-            }
-        });
-        assert_eq!(results[1], 10);
     }
 
     #[test]
@@ -330,26 +368,6 @@ mod tests {
         assert!(results[0] && results[1]);
     }
 
-    #[test]
-    fn unrecv_requeues_at_front() {
-        let results = Universe::run(2, |mut ctx: RankCtx<TestMsg>| {
-            if ctx.rank() == 0 {
-                ctx.send(1, TestMsg::Ping(1));
-                ctx.send(1, TestMsg::Ping(2));
-                0
-            } else {
-                let first = ctx.recv();
-                ctx.unrecv(first);
-                let again = ctx.recv();
-                match again.msg {
-                    TestMsg::Ping(v) => v,
-                    _ => panic!(),
-                }
-            }
-        });
-        assert_eq!(results[1], 1);
-    }
-
     /// Messages for the interleaving tests, mirroring the scheduler's
     /// control-vs-data split.
     #[derive(Clone, Debug, PartialEq)]
@@ -360,11 +378,15 @@ mod tests {
         Shutdown,
     }
 
+    fn is_sample(e: &Envelope<CtlMsg>) -> bool {
+        matches!(e.msg, CtlMsg::Sample(_))
+    }
+
     #[test]
     fn multiple_pending_predicates_preserve_arrival_order() {
-        // two different predicates pull their matches out of order; the
-        // skipped messages must re-deliver in the original arrival order
-        let results = Universe::run(2, |mut ctx: RankCtx<CtlMsg>| {
+        // a predicate pulls its matches out of order; the skipped
+        // messages must re-deliver in the original arrival order
+        let results = Universe::run(2, |ctx: RankCtx<CtlMsg>| {
             if ctx.rank() == 1 {
                 for m in [
                     CtlMsg::Data(0),
@@ -378,28 +400,36 @@ mod tests {
                 return Vec::new();
             }
             let mut order = Vec::new();
-            // predicate A: samples, twice (buffers the Data around them)
-            for _ in 0..2 {
-                let env = ctx.recv_match(|e| matches!(e.msg, CtlMsg::Sample(_)));
-                if let CtlMsg::Sample(v) = env.msg {
-                    order.push(v);
+            drive(ctx, |v| {
+                // predicate A: samples, twice (buffers the Data around them)
+                while order.len() < 2 {
+                    match v.try_recv_match(is_sample) {
+                        Some(env) => order.push(env.msg),
+                        None => return Poll::Wait(Box::new(is_sample)),
+                    }
                 }
-            }
-            // predicate B (plain recv): the buffered Data, arrival order
-            for _ in 0..3 {
-                if let CtlMsg::Data(v) = ctx.recv().msg {
-                    order.push(v);
+                // predicate B (anything): the buffered Data, arrival order
+                while order.len() < 5 {
+                    match v.try_recv() {
+                        Some(env) => order.push(env.msg),
+                        None => return Poll::Wait(Box::new(|_| true)),
+                    }
                 }
-            }
-            order
+                Poll::Exit(std::mem::take(&mut order))
+            })
+            .0
         });
-        assert_eq!(results[0], vec![10, 11, 0, 1, 2]);
+        use CtlMsg::{Data, Sample};
+        assert_eq!(
+            results[0],
+            vec![Sample(10), Sample(11), Data(0), Data(1), Data(2)]
+        );
     }
 
     #[test]
     fn buffered_redelivery_interleaves_with_live_arrivals() {
-        // a pending predicate buffers early messages; a later recv_match
-        // with a *different* predicate must still see buffered messages
+        // a wait predicate buffers early messages; a later receive with
+        // a *different* predicate must still see buffered messages
         // before newer channel arrivals
         let results = Universe::run(2, |mut ctx: RankCtx<CtlMsg>| {
             if ctx.rank() == 1 {
@@ -409,26 +439,38 @@ mod tests {
                 // first two were processed
                 let _ = ctx.recv();
                 ctx.send(0, CtlMsg::Data(8));
-                0
-            } else {
-                let s = ctx.recv_match(|e| matches!(e.msg, CtlMsg::Sample(_)));
-                assert_eq!(s.msg, CtlMsg::Sample(1)); // Data(7) now buffered
-                ctx.send(1, CtlMsg::Data(0)); // ack
-                let first = ctx.recv_match(|e| matches!(e.msg, CtlMsg::Data(_)));
-                let second = ctx.recv_match(|e| matches!(e.msg, CtlMsg::Data(_)));
-                assert_eq!(first.msg, CtlMsg::Data(7), "buffered must win");
-                assert_eq!(second.msg, CtlMsg::Data(8));
-                1
+                return Vec::new();
             }
+            let is_data = |e: &Envelope<CtlMsg>| matches!(e.msg, CtlMsg::Data(_));
+            let mut got = Vec::new();
+            drive(ctx, |v| {
+                if got.is_empty() {
+                    let Some(s) = v.try_recv_match(is_sample) else {
+                        return Poll::Wait(Box::new(is_sample));
+                    };
+                    got.push(s.msg); // Data(7) now buffered
+                    v.send(1, CtlMsg::Data(0)); // ack
+                }
+                while got.len() < 3 {
+                    match v.try_recv_match(is_data) {
+                        Some(env) => got.push(env.msg),
+                        None => return Poll::Wait(Box::new(is_data)),
+                    }
+                }
+                Poll::Exit(std::mem::take(&mut got))
+            })
+            .0
         });
-        assert_eq!(results[0], 1);
+        // buffered Data(7) wins over the live Data(8)
+        use CtlMsg::{Data, Sample};
+        assert_eq!(results[0], vec![Sample(1), Data(7), Data(8)]);
     }
 
     #[test]
     fn poison_and_shutdown_never_starved_behind_buffered_data() {
-        // a teardown-matching receive must find Poison/Shutdown no matter
+        // a teardown-matching wait must find Poison/Shutdown no matter
         // how much unconsumed data is buffered ahead of them
-        let results = Universe::run(2, |mut ctx: RankCtx<CtlMsg>| {
+        let results = Universe::run(2, |ctx: RankCtx<CtlMsg>| {
             if ctx.rank() == 1 {
                 for i in 0..50 {
                     ctx.send(0, CtlMsg::Data(i));
@@ -438,28 +480,58 @@ mod tests {
                     ctx.send(0, CtlMsg::Data(i));
                 }
                 ctx.send(0, CtlMsg::Shutdown);
-                0
-            } else {
-                // force everything into the out-of-order buffer first
-                let teardown =
-                    |e: &Envelope<CtlMsg>| matches!(e.msg, CtlMsg::Poison | CtlMsg::Shutdown);
-                let first = ctx.recv_match(teardown);
-                assert_eq!(first.msg, CtlMsg::Poison, "first teardown in order");
-                let second = ctx.recv_match(teardown);
-                assert_eq!(second.msg, CtlMsg::Shutdown);
-                // the 100 data messages are all still there, in order
-                let mut n = 0usize;
-                for expect in 0..100 {
-                    let CtlMsg::Data(v) = ctx.recv().msg else {
-                        panic!("expected data")
-                    };
-                    assert_eq!(v, expect);
-                    n += 1;
-                }
-                n
+                return 0;
             }
+            let teardown =
+                |e: &Envelope<CtlMsg>| matches!(e.msg, CtlMsg::Poison | CtlMsg::Shutdown);
+            let mut seen = Vec::new();
+            let (_, mut ctx) = drive(ctx, |v| {
+                // forces everything into the out-of-order buffer first
+                while seen.len() < 2 {
+                    match v.try_recv_match(teardown) {
+                        Some(env) => seen.push(env.msg),
+                        None => return Poll::Wait(Box::new(teardown)),
+                    }
+                }
+                Poll::Exit(())
+            });
+            assert_eq!(
+                seen,
+                [CtlMsg::Poison, CtlMsg::Shutdown],
+                "teardown in order"
+            );
+            // `Exit` hands the context back with the 100 data messages
+            // all still there, in order (the elastic leftover path)
+            let data = ctx.drain();
+            for (expect, env) in data.iter().enumerate() {
+                assert_eq!(env.msg, CtlMsg::Data(expect));
+            }
+            data.len()
         });
         assert_eq!(results[0], 100);
+    }
+
+    #[test]
+    fn already_buffered_match_does_not_block() {
+        // a machine may return `Wait` for a message it left buffered:
+        // the executor must re-poll at once, not sleep on the channel —
+        // nothing else is ever sent, so a lost wakeup hangs this test
+        let results = Universe::run(1, |ctx: RankCtx<CtlMsg>| {
+            ctx.send(0, CtlMsg::Data(1));
+            ctx.send(0, CtlMsg::Sample(2));
+            let mut polls = 0;
+            drive(ctx, |v| {
+                polls += 1;
+                if polls == 1 {
+                    // pulls both, consumes one, waits on the other
+                    assert_eq!(v.try_recv().expect("data").msg, CtlMsg::Data(1));
+                    return Poll::Wait(Box::new(is_sample));
+                }
+                Poll::Exit(v.try_recv_match(is_sample).is_some() && polls == 2)
+            })
+            .0
+        });
+        assert!(results[0]);
     }
 
     #[test]
@@ -498,18 +570,25 @@ mod tests {
 
     #[test]
     fn drain_collects_pending() {
-        let results = Universe::run(3, |mut ctx: RankCtx<TestMsg>| {
-            if ctx.rank() == 0 {
-                // wait until both messages are in, then drain
-                let a = ctx.recv();
-                let b = ctx.recv();
-                ctx.unrecv(b);
-                ctx.unrecv(a);
-                ctx.drain().len()
-            } else {
-                ctx.send(0, TestMsg::Ping(ctx.rank()));
-                0
+        let results = Universe::run(3, |ctx: RankCtx<TestMsg>| {
+            if ctx.rank() != 0 {
+                ctx.send(0, TestMsg::Pong(ctx.rank()));
+                return 0;
             }
+            // wait until both messages are in (consuming neither), then
+            // drain what the executor hands back
+            let mut waited = false;
+            let (_, mut ctx) = drive(ctx, |_| {
+                if std::mem::replace(&mut waited, true) {
+                    return Poll::Exit(());
+                }
+                let mut arrived = 0;
+                Poll::Wait(Box::new(move |_| {
+                    arrived += 1;
+                    arrived == 2
+                }))
+            });
+            ctx.drain().len()
         });
         assert_eq!(results[0], 2);
     }

@@ -4,32 +4,36 @@
 //! rebuilt on an in-process rank substrate:
 //!
 //! * [`comm`] — the message-passing layer standing in for MPI: ranks are
-//!   threads, point-to-point sends are channels, and `recv_match` gives
-//!   the tag-matching receive semantics the role protocols need. The
-//!   substitution is documented in DESIGN.md: Rust MPI bindings are thin
-//!   and no cluster is available, but the scheduling logic and
-//!   communication pattern — the paper's contribution — are preserved.
-//! * [`scheduler`] — the process architecture of paper Fig. 8: one
-//!   **root**, one **phonebook** (sample routing + dynamic load
-//!   balancing), per-level **collectors** (distributed moment
-//!   accumulation) and chain groups (**controllers**) running the coupled
-//!   kernels from `uq-mlmcmc`, with coarse proposals requested across
-//!   controllers through the phonebook.
-//! * [`runtime`] — the cooperative virtual-rank runtime: suspendable
-//!   state machines multiplexed over a small worker pool, so
-//!   hundreds-to-thousands of ranks run **live** on a handful of cores.
-//! * [`roles`] — the same role protocols ported onto the runtime, with
-//!   batched phonebook routing and per-level sharded collectors
-//!   (`run_runtime` is the drop-in peer of `run_parallel`).
+//!   threads, point-to-point sends are channels, and the blocking
+//!   executor (`RankCtx::drive`) parks a rank's thread on a wait
+//!   predicate — the tag-matching receive semantics the role protocols
+//!   need. The substitution is documented in DESIGN.md: Rust MPI
+//!   bindings are thin and no cluster is available, but the scheduling
+//!   logic and communication pattern — the paper's contribution — are
+//!   preserved.
+//! * [`scheduler`] — the vocabulary of the process architecture of paper
+//!   Fig. 8 (messages, configuration, reports, rank layout) and
+//!   `run_parallel`, its one-thread-per-rank entry point.
+//! * [`roles`] — the architecture itself, written once as suspendable
+//!   state machines: one **root**, one **phonebook** (sample routing +
+//!   dynamic load balancing), per-level **collectors** (distributed
+//!   moment accumulation, optionally sharded) and chain groups
+//!   (**controllers**) running the coupled kernels from `uq-mlmcmc`,
+//!   with coarse proposals requested across controllers through the
+//!   phonebook. `run_runtime` is the worker-pool peer of `run_parallel`.
+//! * [`runtime`] — the cooperative virtual-rank runtime: the machines
+//!   multiplexed over a small worker pool, so hundreds-to-thousands of
+//!   ranks run **live** on a handful of cores.
 //! * [`obs`] — the observability layer: per-rank activity spans (the data
 //!   behind the paper's Fig. 9 Gantt chart), counters and histograms,
-//!   shared by all three backends and exportable as Chrome trace JSON
-//!   and metrics snapshots. Zero-cost when disabled, and recording
-//!   never perturbs the computation (bit-parity pinned by tests).
+//!   shared by the sequential driver and every executor and exportable
+//!   as Chrome trace JSON and metrics snapshots. Zero-cost when
+//!   disabled, and recording never perturbs the computation (bit-parity
+//!   pinned by tests).
 //! * [`des`] — a discrete-event simulator replaying the same scheduling
 //!   policy in virtual time, used to reproduce the strong/weak scaling
 //!   studies (Figs. 11–12) beyond any hardware.
-//! * [`net`] — the multi-process TCP transport: the same role protocols
+//! * [`net`] — the multi-process TCP transport: the same role machines
 //!   over length-prefixed, checksummed frames, assembling one logical
 //!   universe from a driver plus N worker processes, with elastic
 //!   join/leave at checkpoint barriers via phonebook session migration.

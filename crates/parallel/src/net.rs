@@ -2,15 +2,15 @@
 //!
 //! One **driver** process hosts the fixed ranks (root, phonebook,
 //! collectors) plus any controller remainder; each **worker** process
-//! hosts a contiguous block of controller ranks. Every process runs the
-//! exact same role functions as the in-process thread scheduler — the
+//! hosts a contiguous block of controller ranks. Every process drives
+//! the [`crate::roles`] machines of its ranks with one thread each, as
+//! [`crate::scheduler::run_parallel`] does in one process — the
 //! transport only replaces channel delivery with length-prefixed,
 //! checksummed frames over per-peer sockets, so a net run in the
-//! deterministic regime is bit-for-bit digest-identical to
-//! [`crate::scheduler::run_parallel`] (pinned by
-//! `tests/net_conformance.rs`).
+//! deterministic regime is bit-for-bit digest-identical to the
+//! in-process runs (pinned by `tests/net_conformance.rs`).
 //!
-//! Ordering is the load-bearing invariant: the scheduler relies on
+//! Ordering is the load-bearing invariant: the role protocol relies on
 //! per-destination FIFO *and* on one cross-destination program-order
 //! guarantee (a server's `ServeDone` to the phonebook is sent before the
 //! requester's `CoarseSample`, so a session write-back always lands
@@ -35,11 +35,13 @@
 
 use crate::comm::{Envelope, Outbox, RankCtx};
 use crate::obs::{Counter, Tracer};
-use crate::roles::PhonebookStats;
+use crate::roles::{
+    drive_controller, CollectorRank, ElasticOps, PhonebookRank, PhonebookStats, RootRank, Run,
+    RuntimeConfig,
+};
 use crate::scheduler::{
-    collector_rank, collector_role, controller_role, phonebook_role, root_role, CollectorData,
-    ElasticOps, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
-    LEVEL, PHONEBOOK, ROOT,
+    CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
+    PHONEBOOK, ROOT,
 };
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -51,7 +53,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uq_mlmcmc::ledger::PairingMode;
-use uq_mlmcmc::store::{fnv1a, ChainCkpt, Codec, Dec, Enc, RunSnapshot, RunStore, StoreError};
+use uq_mlmcmc::store::{
+    fnv1a, Backend, ChainCkpt, Codec, Dec, Enc, RunSnapshot, RunStore, StoreError,
+};
 use uq_mlmcmc::wire::{frame_decode, frame_encode, frame_read, FrameFormat};
 use uq_mlmcmc::LevelFactory;
 
@@ -571,7 +575,7 @@ struct DriverShared {
 struct DriverCtx {
     sh: Arc<DriverShared>,
     factory: Arc<dyn LevelFactory>,
-    config: ParallelConfig,
+    config: RuntimeConfig,
     /// Outbox template for every rank hosted here: fixed ranks
     /// short-circuit through channels, all controller ranks relay
     /// through the router (so migrations only touch the route table).
@@ -623,7 +627,6 @@ fn spawn_controller_thread(
     std::thread::Builder::new()
         .name(format!("uq-net-ctrl-{rank}"))
         .spawn(move || {
-            LEVEL.with(|l| l.set(None));
             let ctx = RankCtx::from_parts(
                 rank,
                 dc.n_ranks,
@@ -631,15 +634,11 @@ fn spawn_controller_thread(
                 dc.template.clone(),
                 Arc::clone(&dc.sh.dropped),
             );
-            let level = resume
-                .as_ref()
-                .map_or_else(|| dc.config.initial_level(rank), |c| c.level);
-            controller_role(
+            drive_controller(
                 ctx,
                 &*dc.factory,
                 &dc.config,
                 &dc.sh.tracer,
-                level,
                 resume.as_ref(),
             )
         })
@@ -819,7 +818,7 @@ fn rehost_barrier(dc: &Arc<DriverCtx>, snap: &RunSnapshot) {
             &Frame::Assign {
                 n_ranks: dc.n_ranks,
                 ranks: ranks.clone(),
-                config: dc.config.clone(),
+                config: dc.config.base.clone(),
                 ckpts,
                 leftovers,
             },
@@ -914,9 +913,10 @@ impl NetDriver {
         opts: &NetDriverOptions,
         tracer: &Tracer,
     ) -> NetReport {
-        let n_ranks = config.n_ranks();
-        let first_ctrl = config.first_controller_rank();
-        let n_ctrl = n_ranks - first_ctrl;
+        let rt_config = RuntimeConfig::blocking(config.clone());
+        let n_ranks = rt_config.n_ranks();
+        let first_ctrl = rt_config.first_controller_rank();
+        let n_ctrl = rt_config.n_controllers();
         assert!(opts.workers >= 1, "net driver: need at least one worker");
         assert!(
             opts.workers <= n_ctrl,
@@ -1017,7 +1017,7 @@ impl NetDriver {
         let dc = Arc::new(DriverCtx {
             sh: Arc::clone(&sh),
             factory,
-            config: config.clone(),
+            config: rt_config,
             template,
             n_ranks,
             first_ctrl,
@@ -1063,42 +1063,32 @@ impl NetDriver {
 
         let ckpt_every = if opts.store.is_some() { opts.every } else { 0 };
         let mut fixed_handles = Vec::new();
-        {
-            let rx = fixed_rxs[PHONEBOOK].take().unwrap();
+        for rank in PHONEBOOK..first_ctrl {
+            let rx = fixed_rxs[rank].take().unwrap();
             let dc2 = Arc::clone(&dc);
+            let level = rank.checked_sub(dc.config.collector_rank(0, 0));
             fixed_handles.push(
                 std::thread::Builder::new()
-                    .name("uq-net-phonebook".into())
+                    .name(level.map_or_else(
+                        || "uq-net-phonebook".into(),
+                        |level| format!("uq-net-collector-{level}"),
+                    ))
                     .spawn(move || {
-                        let mut ctx = RankCtx::from_parts(
-                            PHONEBOOK,
+                        let ctx = RankCtx::from_parts(
+                            rank,
                             dc2.n_ranks,
                             rx,
                             dc2.template.clone(),
                             Arc::clone(&dc2.sh.dropped),
                         );
-                        phonebook_role(&mut ctx, &dc2.config, &dc2.sh.tracer, None);
+                        let (config, tracer) = (&dc2.config, &dc2.sh.tracer);
+                        match level {
+                            None => ctx.drive(&mut PhonebookRank::new(config, tracer, None)),
+                            Some(level) => ctx
+                                .drive(&mut CollectorRank::new(config, level, 0, ckpt_every, None)),
+                        };
                     })
-                    .expect("net driver: phonebook thread spawn failed"),
-            );
-        }
-        for level in 0..config.n_levels() {
-            let rx = fixed_rxs[collector_rank(level)].take().unwrap();
-            let dc2 = Arc::clone(&dc);
-            fixed_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("uq-net-collector-{level}"))
-                    .spawn(move || {
-                        let mut ctx = RankCtx::from_parts(
-                            collector_rank(level),
-                            dc2.n_ranks,
-                            rx,
-                            dc2.template.clone(),
-                            Arc::clone(&dc2.sh.dropped),
-                        );
-                        collector_role(&mut ctx, level, &dc2.config, ckpt_every, None);
-                    })
-                    .expect("net driver: collector thread spawn failed"),
+                    .expect("net driver: fixed rank thread spawn failed"),
             );
         }
         for rank in first_ctrl + opts.workers * per..n_ranks {
@@ -1109,7 +1099,7 @@ impl NetDriver {
         }
 
         // the root runs on this thread so the elastic hooks can borrow
-        let mut root_ctx = RankCtx::from_parts(
+        let root_ctx = RankCtx::from_parts(
             ROOT,
             n_ranks,
             fixed_rxs[ROOT].take().unwrap(),
@@ -1117,7 +1107,7 @@ impl NetDriver {
             Arc::clone(&dropped),
         );
         let store_arc = opts.store.clone();
-        let report = {
+        let (report, root_ctx) = {
             let ckpt = store_arc.as_ref().map(|s| ParallelCheckpoint {
                 store: s,
                 config_hash: opts.config_hash,
@@ -1138,14 +1128,18 @@ impl NetDriver {
                 rehost: &rehost,
             };
             let elastic_opt = if ckpt.is_some() { Some(&elastic) } else { None };
-            root_role(
-                &mut root_ctx,
-                config,
+            // snapshots carry the thread stamp: a net run's cut is one
+            // `run_parallel_ckpt` resumes
+            let mut root = RootRank::new(
+                &dc.config,
                 start,
                 tracer,
                 ckpt.as_ref(),
+                Backend::Thread,
                 elastic_opt,
-            )
+            );
+            let (out, root_ctx) = root_ctx.drive(&mut root);
+            (Run::root_output([out]).0, root_ctx)
         };
 
         // teardown: reap local ranks, then the wire machinery
@@ -1341,7 +1335,7 @@ pub fn run_net_worker(
             .expect("net worker: downlink thread spawn failed")
     };
 
-    let config = Arc::new(config);
+    let config = Arc::new(RuntimeConfig::blocking(config));
     let mut rank_threads = Vec::new();
     for (rank, rx) in local_rxs {
         let factory = Arc::clone(&factory);
@@ -1354,12 +1348,8 @@ pub fn run_net_worker(
             std::thread::Builder::new()
                 .name(format!("uq-net-ctrl-{rank}"))
                 .spawn(move || {
-                    LEVEL.with(|l| l.set(None));
                     let ctx = RankCtx::from_parts(rank, n_ranks, rx, template, dropped);
-                    let level = resume
-                        .as_ref()
-                        .map_or_else(|| config.initial_level(rank), |c| c.level);
-                    controller_role(ctx, &*factory, &config, &tracer, level, resume.as_ref())
+                    drive_controller(ctx, &*factory, &config, &tracer, resume.as_ref())
                 })
                 .expect("net worker: rank thread spawn failed"),
         );

@@ -1,6 +1,7 @@
-//! Unified observability: spans, counters and histograms across all
-//! three backends (sequential estimator, thread scheduler, cooperative
-//! runtime), the ledger/phonebook and the checkpoint barrier.
+//! Unified observability: spans, counters and histograms across the
+//! sequential estimator and the role machines under every executor
+//! (one thread per rank, worker pool, net), the ledger/phonebook and the
+//! checkpoint barrier.
 //!
 //! Grown from the skeletal per-rank tracer behind the paper's Fig. 9
 //! Gantt chart into a common sink for everything the scheduling stack

@@ -1,17 +1,20 @@
-//! The MLMCMC role protocols (paper Fig. 8) ported onto the cooperative
-//! [`runtime`](crate::runtime): the **same scheduling policy** as the
-//! thread scheduler in [`crate::scheduler`], executed by suspendable
-//! state machines so paper-scale rank counts run live on a few cores.
-//!
-//! Differences from the thread scheduler — all mechanical, none of
-//! policy:
+//! The MLMCMC role protocols (paper Fig. 8): the scheduling policy —
+//! root, phonebook, collectors, controllers — written **once**, as
+//! suspendable state machines, and run by whichever executor the entry
+//! point picks: one OS thread per rank ([`crate::run_parallel`], the
+//! blocking executor `RankCtx::drive`), a worker pool
+//! ([`run_runtime`], [`crate::runtime`]) so paper-scale rank counts run
+//! live on a few cores, or threads spread over processes
+//! ([`crate::net`]). The executor is never a statistical actor: on a
+//! deterministic configuration all of them produce the same digest.
 //!
 //! * **Suspendable controllers.** A controller's coupled chain uses
 //!   [`PendingCoarseSource`], so a step that needs a coarse proposal
 //!   suspends at `StepOutcome::NeedCoarse`; the controller sends the
-//!   `CoarseRequest` itself, parks on a wait predicate and finishes the
+//!   `CoarseRequest` itself, returns a wait predicate and finishes the
 //!   step via `MlChain::resume_step` when the sample (or a teardown
-//!   poison) arrives. No OS thread ever blocks on a chain's behalf.
+//!   poison) arrives. Under the pool no OS thread blocks on a chain's
+//!   behalf; under the blocking executor the rank's own thread parks.
 //! * **Batched phonebook routing.** The phonebook drains *every* queued
 //!   message per wakeup and routes the whole batch in one pass; batch
 //!   sizes are reported in [`PhonebookStats`] (the `BENCH_PR3` routing
@@ -20,19 +23,15 @@
 //!   ranks; controllers scatter corrections round-robin, shards absorb a
 //!   quota of `N_l / shards` each and the root merges their streaming
 //!   moments (Chan's parallel combination) at shutdown, so no single
-//!   collector rank serializes a fast level.
-//!
-//! With `collector_shards == 1` the rank layout is identical to the
-//! thread scheduler's (root 0, phonebook 1, collectors `2..2+L+1`,
-//! controllers after) and controllers derive the same per-rank RNG
-//! streams, which is what the `scaling_live` experiment's estimate
-//! cross-check relies on.
+//!   collector rank serializes a fast level. The thread and net entry
+//!   points run one shard per level.
 
+use crate::comm::RankCtx;
 use crate::obs::{Counter, Hist, SpanKind, Tracer};
 use crate::runtime::{Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
 use crate::scheduler::{
-    controller_seed, poison_sample, CollectorData, Msg, ParallelCheckpoint, ParallelConfig,
-    ParallelLevelReport, ParallelReport,
+    collector_rank, controller_seed, poison_sample, CollectorData, Msg, ParallelCheckpoint,
+    ParallelConfig, ParallelLevelReport, ParallelReport, PHONEBOOK, ROOT,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,19 +44,16 @@ use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats}
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
 
-const ROOT: usize = 0;
-const PHONEBOOK: usize = 1;
-
-/// Configuration of a cooperative-runtime run: the thread scheduler's
-/// [`ParallelConfig`] plus the runtime's worker-pool and sharding knobs.
+/// Configuration of a cooperative-runtime run: the policy inputs
+/// ([`ParallelConfig`]) plus the pool's worker-count and sharding knobs.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// The scheduling policy inputs (targets, burn-in, chains, seed, …).
     pub base: ParallelConfig,
     /// OS threads driving the virtual ranks.
     pub n_workers: usize,
-    /// Collector shards per level (`1` reproduces the thread scheduler's
-    /// rank layout exactly).
+    /// Collector shards per level (`1` is [`ParallelConfig`]'s own rank
+    /// layout, the one the thread and net entry points run).
     pub collector_shards: usize,
 }
 
@@ -70,6 +66,16 @@ impl RuntimeConfig {
         }
     }
 
+    /// The configuration [`crate::run_parallel`] and [`crate::net`] run
+    /// `base` under: one thread per rank, one collector per level.
+    pub(crate) fn blocking(base: ParallelConfig) -> Self {
+        Self {
+            n_workers: base.n_ranks(),
+            collector_shards: 1,
+            base,
+        }
+    }
+
     pub fn n_levels(&self) -> usize {
         self.base.n_levels()
     }
@@ -77,28 +83,24 @@ impl RuntimeConfig {
     /// Total virtual ranks: root + phonebook + `shards` collectors per
     /// level + one rank per chain.
     pub fn n_ranks(&self) -> usize {
-        2 + self.n_levels() * self.collector_shards
-            + self.base.chains_per_level.iter().sum::<usize>()
+        self.base.n_ranks_sharded(self.collector_shards)
     }
 
-    fn first_controller_rank(&self) -> usize {
-        2 + self.n_levels() * self.collector_shards
+    pub(crate) fn first_controller_rank(&self) -> usize {
+        self.base.first_controller_rank(self.collector_shards)
     }
 
-    fn collector_rank(&self, level: usize, shard: usize) -> usize {
-        2 + level * self.collector_shards + shard
+    pub(crate) fn n_controllers(&self) -> usize {
+        self.n_ranks() - self.first_controller_rank()
+    }
+
+    pub(crate) fn collector_rank(&self, level: usize, shard: usize) -> usize {
+        collector_rank(level, shard, self.collector_shards)
     }
 
     /// Initial level of the controller at `rank`.
     fn initial_level(&self, rank: usize) -> usize {
-        let mut offset = rank - self.first_controller_rank();
-        for (level, &count) in self.base.chains_per_level.iter().enumerate() {
-            if offset < count {
-                return level;
-            }
-            offset -= count;
-        }
-        unreachable!("rank beyond controller range")
+        self.base.initial_level(rank, self.collector_shards)
     }
 
     /// Correction quota of `shard` on `level`: `N_l` split as evenly as
@@ -143,8 +145,8 @@ impl PhonebookStats {
 /// Results of a cooperative-runtime run.
 #[derive(Clone, Debug)]
 pub struct RuntimeReport {
-    /// The assembled estimator report — same shape as the thread
-    /// scheduler's, so downstream analysis is backend-agnostic.
+    /// The assembled estimator report — the shape [`crate::run_parallel`]
+    /// returns, so downstream analysis is executor-agnostic.
     pub report: ParallelReport,
     pub phonebook: PhonebookStats,
     /// Runtime counters (polls, wakeups, dropped shutdown sends).
@@ -156,10 +158,29 @@ pub struct RuntimeReport {
     pub preempted: bool,
 }
 
-/// Per-rank outputs collected by the runtime.
-enum RoleOut {
+/// What a role machine exits with.
+pub(crate) enum RoleOut {
+    /// The root's `(report, phonebook stats, preempted)`.
     Root(Box<(ParallelReport, PhonebookStats, bool)>),
     Quiet,
+    /// A controller told to [`Msg::Retire`]: it is being re-hosted, not
+    /// shut down, so it sent no poisons and no report — the transport
+    /// takes its channel back with whatever is still queued in it.
+    Retired,
+}
+
+/// Transport hooks for elastic membership (used by `crate::net`): at
+/// every completed checkpoint barrier the root asks the transport which
+/// ranks must retire (`plan`), sends each a [`Msg::Retire`], and blocks
+/// in `rehost` until the transport has re-hosted those ranks elsewhere
+/// from the just-persisted snapshot and rewired its routes. Only then
+/// is `CheckpointDone` broadcast and stepping resumed — the barrier
+/// window (every chain paused at a clean boundary, ledger drained, no
+/// messages in flight toward controllers) is what makes migration a
+/// plain data move.
+pub(crate) struct ElasticOps<'a> {
+    pub plan: &'a (dyn Fn(&RunSnapshot) -> Vec<usize> + Sync),
+    pub rehost: &'a (dyn Fn(&RunSnapshot, &[usize]) + Sync),
 }
 
 // ---------------------------------------------------------------------
@@ -175,7 +196,7 @@ enum RootPhase {
     Gather,
 }
 
-struct RootRank<'a> {
+pub(crate) struct RootRank<'a> {
     config: &'a RuntimeConfig,
     start: Instant,
     phase: RootPhase,
@@ -199,15 +220,21 @@ struct RootRank<'a> {
     coll_ckpts: Vec<CollectorCkpt>,
     /// Set when [`ParallelCheckpoint::stop`] fired at a barrier.
     preempted: bool,
+    /// Executor stamp written into every snapshot (resume refuses a
+    /// snapshot stamped by another executor).
+    backend: Backend,
+    elastic: Option<&'a ElasticOps<'a>>,
     tracer: Tracer,
 }
 
 impl<'a> RootRank<'a> {
-    fn new(
+    pub(crate) fn new(
         config: &'a RuntimeConfig,
         start: Instant,
         tracer: &Tracer,
         ckpt: Option<&'a ParallelCheckpoint<'a>>,
+        backend: Backend,
+        elastic: Option<&'a ElasticOps<'a>>,
     ) -> Self {
         let n_levels = config.n_levels();
         Self {
@@ -230,6 +257,8 @@ impl<'a> RootRank<'a> {
             chain_ckpts: Vec::new(),
             coll_ckpts: Vec::new(),
             preempted: false,
+            backend,
+            elastic,
         }
     }
 
@@ -237,14 +266,16 @@ impl<'a> RootRank<'a> {
     /// flushed, ask the phonebook for the ledger export (the final piece
     /// of the cut).
     fn maybe_request_ledger(&self, ctx: &VCtx<'_, Msg>) {
-        let n_controllers = self.config.n_ranks() - self.config.first_controller_rank();
         let n_collectors = self.config.n_levels() * self.config.collector_shards;
-        if self.chain_ckpts.len() == n_controllers && self.coll_ckpts.len() == n_collectors {
+        if self.chain_ckpts.len() == self.config.n_controllers()
+            && self.coll_ckpts.len() == n_collectors
+        {
             ctx.send(PHONEBOOK, Msg::Checkpoint);
         }
     }
 
-    /// Assemble the consistent cut, persist it, resume the controllers.
+    /// Assemble the consistent cut, persist it, then stop (preemption),
+    /// or move ranks (elastic membership) and resume the controllers.
     fn complete_checkpoint(&mut self, ctx: &VCtx<'_, Msg>, ledger: LedgerState) {
         let spec = self
             .ckpt
@@ -259,7 +290,7 @@ impl<'a> RootRank<'a> {
             .map(|c| c.count)
             .sum();
         let snapshot = RunSnapshot {
-            backend: Backend::Runtime,
+            backend: self.backend,
             seed: self.config.base.seed,
             samples_done,
             chains: std::mem::take(&mut self.chain_ckpts),
@@ -289,8 +320,21 @@ impl<'a> RootRank<'a> {
                 *done = true;
             }
         } else {
+            // elastic membership (net transport): retire and re-host
+            // ranks while the barrier still holds every chain paused
+            // and the ledger drained — no message can race the move
+            let retiring = self.elastic.map_or_else(Vec::new, |e| (e.plan)(&snapshot));
+            if let Some(e) = self.elastic.filter(|_| !retiring.is_empty()) {
+                for &rank in &retiring {
+                    ctx.send(rank, Msg::Retire);
+                }
+                (e.rehost)(&snapshot, &retiring);
+            }
             for rank in self.config.first_controller_rank()..self.config.n_ranks() {
-                ctx.send(rank, Msg::CheckpointDone);
+                // a re-hosted rank resumes unpaused; it needs no Done
+                if !retiring.contains(&rank) {
+                    ctx.send(rank, Msg::CheckpointDone);
+                }
             }
         }
         self.tracer.record(
@@ -374,7 +418,6 @@ impl VirtualRank<Msg> for RootRank<'_> {
     fn poll(&mut self, ctx: &mut VCtx<'_, Msg>) -> Poll<Msg, RoleOut> {
         let config = self.config;
         let n_levels = config.n_levels();
-        let n_controllers = config.n_ranks() - config.first_controller_rank();
         loop {
             match self.phase {
                 RootPhase::Levels => {
@@ -505,7 +548,7 @@ impl VirtualRank<Msg> for RootRank<'_> {
                         }
                     }
                     if self.collector_reports == n_levels * config.collector_shards
-                        && self.controller_reports == n_controllers
+                        && self.controller_reports == config.n_controllers()
                     {
                         let report = self.assemble();
                         let stats = self.phonebook_stats;
@@ -523,7 +566,7 @@ impl VirtualRank<Msg> for RootRank<'_> {
 // phonebook
 // ---------------------------------------------------------------------
 
-struct PhonebookRank<'a> {
+pub(crate) struct PhonebookRank<'a> {
     config: &'a RuntimeConfig,
     tracer: &'a Tracer,
     /// Controllers of level `l` announcing serve availability.
@@ -536,8 +579,7 @@ struct PhonebookRank<'a> {
     level_of: std::collections::HashMap<usize, usize>,
     done: Vec<bool>,
     stats: PhonebookStats,
-    // reassignment rate limiting at the model-runtime timescale (same
-    // policy as the thread scheduler's phonebook)
+    // reassignment rate limiting at the model-runtime timescale
     last_ready_at: Vec<f64>,
     ema_interval: Vec<f64>,
     last_reassign_at: f64,
@@ -550,7 +592,11 @@ struct PhonebookRank<'a> {
 }
 
 impl<'a> PhonebookRank<'a> {
-    fn new(config: &'a RuntimeConfig, tracer: &'a Tracer, resume: Option<&LedgerState>) -> Self {
+    pub(crate) fn new(
+        config: &'a RuntimeConfig,
+        tracer: &'a Tracer,
+        resume: Option<&LedgerState>,
+    ) -> Self {
         let n_levels = config.n_levels();
         Self {
             config,
@@ -797,15 +843,14 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
 // collector shard
 // ---------------------------------------------------------------------
 
-struct CollectorRank {
+pub(crate) struct CollectorRank {
     level: usize,
     shard: usize,
     quota: usize,
     record_samples: bool,
     /// Chains assigned to this level (each sends one `CheckpointFlush`).
     producers: usize,
-    /// Checkpoint pacing interval; this shard ticks the root when it is
-    /// the pacing shard (top level, shard 0) and `ckpt_every > 0`.
+    /// Checkpoint pacing interval, for the pacing shard (`ticker`).
     ckpt_every: usize,
     ticker: bool,
     flushes: usize,
@@ -817,23 +862,24 @@ struct CollectorRank {
 }
 
 impl CollectorRank {
-    fn new(
+    /// Collector `shard` of `level`. `ckpt_every > 0` makes the pacing
+    /// shard (top level, shard 0) tick the root every that many recorded
+    /// corrections.
+    pub(crate) fn new(
+        config: &RuntimeConfig,
         level: usize,
         shard: usize,
-        quota: usize,
-        record_samples: bool,
-        producers: usize,
-        tick_every: Option<usize>,
+        ckpt_every: usize,
         resume: Option<&CollectorCkpt>,
     ) -> Self {
         Self {
             level,
             shard,
-            quota,
-            record_samples,
-            producers,
-            ckpt_every: tick_every.unwrap_or(0),
-            ticker: tick_every.is_some(),
+            quota: config.shard_quota(level, shard),
+            record_samples: config.base.record_samples,
+            producers: config.base.chains_per_level[level],
+            ckpt_every,
+            ticker: ckpt_every > 0 && level + 1 == config.n_levels() && shard == 0,
             flushes: 0,
             moments: resume
                 .and_then(|r| r.moments.as_deref())
@@ -976,7 +1022,7 @@ enum Await {
     ServeStep,
 }
 
-struct ControllerRank<'a> {
+pub(crate) struct ControllerRank<'a> {
     factory: &'a dyn LevelFactory,
     config: &'a RuntimeConfig,
     tracer: &'a Tracer,
@@ -1006,7 +1052,7 @@ struct ControllerRank<'a> {
 }
 
 impl<'a> ControllerRank<'a> {
-    fn new(
+    pub(crate) fn new(
         factory: &'a dyn LevelFactory,
         config: &'a RuntimeConfig,
         tracer: &'a Tracer,
@@ -1101,8 +1147,8 @@ impl<'a> ControllerRank<'a> {
         self.factory.subsampling_rate(self.level).max(1)
     }
 
-    /// Trace span for the next chain step — burn-in steps must show up
-    /// as `Burnin` like the thread scheduler's (Fig. 9's yellow boxes).
+    /// Trace span for the next chain step — burn-in steps show up as
+    /// `Burnin` (Fig. 9's yellow boxes).
     fn span_kind(&self) -> SpanKind {
         if self.burnin_left > 0 {
             SpanKind::Burnin { level: self.level }
@@ -1115,8 +1161,7 @@ impl<'a> ControllerRank<'a> {
         self.level + 1 >= self.config.n_levels()
     }
 
-    /// Bookkeeping after a completed chain step (mirrors the thread
-    /// scheduler's post-step block).
+    /// Bookkeeping after a completed chain step.
     fn post_step(&mut self, ctx: &VCtx<'_, Msg>) {
         if self.burnin_left > 0 {
             self.burnin_left -= 1;
@@ -1316,13 +1361,18 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
 
     fn poll(&mut self, ctx: &mut VCtx<'_, Msg>) -> Poll<Msg, RoleOut> {
         // 1. control messages. While a coarse request or a serve job is
-        //    in flight, `Reassign` stays buffered (the thread scheduler
-        //    likewise finishes in-flight work before rebuilding).
+        //    in flight, `Reassign` and `Checkpoint` stay buffered:
+        //    in-flight work finishes before the chain is rebuilt or
+        //    captured.
         let busy = self.awaiting != Await::None || self.serve_job.is_some();
         while let Some(env) = ctx.try_recv_match(|e| {
             matches!(
                 e.msg,
-                Msg::Serve { .. } | Msg::StopProducing { .. } | Msg::Shutdown | Msg::CheckpointDone
+                Msg::Serve { .. }
+                    | Msg::StopProducing { .. }
+                    | Msg::Shutdown
+                    | Msg::CheckpointDone
+                    | Msg::Retire
             ) || (!busy && matches!(e.msg, Msg::Reassign { .. } | Msg::Checkpoint))
         }) {
             match env.msg {
@@ -1342,11 +1392,10 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                 Msg::Checkpoint => {
                     // `!busy` gates this arm: no own step or serve job is
                     // mid-flight, so the chain sits at a clean boundary
-                    // and the rng between draws. Unlike the thread
-                    // scheduler this point can be mid-burn-in — the real
-                    // `burnin_left` is captured. Flush markers trail our
-                    // last Correction to every shard (FIFO per
-                    // destination).
+                    // and the rng between draws. This point can be
+                    // mid-burn-in — the real `burnin_left` is captured.
+                    // Flush markers trail our last Correction to every
+                    // shard (FIFO per destination).
                     for shard in 0..self.config.collector_shards {
                         ctx.send(
                             self.config.collector_rank(self.level, shard),
@@ -1394,6 +1443,18 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                     self.reset_level_state();
                 }
                 Msg::Shutdown => return self.teardown(ctx),
+                Msg::Retire => {
+                    // only ever sent while a barrier holds: our state is
+                    // already in the snapshot and no serve can be in
+                    // flight toward us. Anything still buffered stays in
+                    // the context for the transport to carry along.
+                    debug_assert!(self.paused, "Retire outside a checkpoint barrier");
+                    debug_assert!(
+                        self.pending_serves.is_empty() && !busy,
+                        "Retire with serves pending"
+                    );
+                    return Poll::Exit(RoleOut::Retired);
+                }
                 _ => unreachable!(),
             }
         }
@@ -1527,8 +1588,166 @@ fn coarse_wait_pred(want_level: usize) -> crate::runtime::WaitPred<Msg> {
 // driver
 // ---------------------------------------------------------------------
 
-/// Run parallel MLMCMC on the cooperative runtime: the thread scheduler's
-/// policy with virtual ranks, batched routing and sharded collectors.
+/// Drive the controller machine of `ctx`'s rank to exit on the calling
+/// thread (the blocking executor). Returns the context only when the
+/// rank was told to [`Msg::Retire`]: the net transport takes the channel
+/// back, with anything still queued in it, and re-hosts the rank
+/// elsewhere from the barrier snapshot.
+pub(crate) fn drive_controller(
+    ctx: RankCtx<Msg>,
+    factory: &dyn LevelFactory,
+    config: &RuntimeConfig,
+    tracer: &Tracer,
+    resume: Option<&ChainCkpt>,
+) -> Option<RankCtx<Msg>> {
+    let mut machine = ControllerRank::new(factory, config, tracer, ctx.rank(), resume);
+    let (out, ctx) = ctx.drive(&mut machine);
+    matches!(out, RoleOut::Retired).then_some(ctx)
+}
+
+/// One in-process run as every executor sees it: the validated inputs
+/// and the machine of each rank. Which executor polls the machines is
+/// the entry point's choice; `backend` only stamps the snapshots, so a
+/// snapshot resumes under the executor that wrote it and durable bytes
+/// never depend on this module's internals.
+pub(crate) struct Run<'a> {
+    factory: &'a dyn LevelFactory,
+    config: &'a RuntimeConfig,
+    tracer: &'a Tracer,
+    checkpoint: Option<&'a ParallelCheckpoint<'a>>,
+    resume: Option<&'a RunSnapshot>,
+    backend: Backend,
+    start: Instant,
+}
+
+impl<'a> Run<'a> {
+    /// # Panics
+    /// Panics on an inconsistent configuration (levels beyond the
+    /// factory, levels without chains, zero shards, checkpointing with
+    /// load balancing on) and on a `resume` snapshot that does not
+    /// belong to this configuration and executor.
+    pub(crate) fn new(
+        factory: &'a dyn LevelFactory,
+        config: &'a RuntimeConfig,
+        tracer: &'a Tracer,
+        checkpoint: Option<&'a ParallelCheckpoint<'a>>,
+        resume: Option<&'a RunSnapshot>,
+        backend: Backend,
+    ) -> Self {
+        assert!(
+            config.n_levels() <= factory.n_levels(),
+            "parallel run: more levels configured than the factory provides"
+        );
+        assert!(
+            config.base.chains_per_level.iter().all(|&c| c >= 1),
+            "parallel run: every level needs at least one chain"
+        );
+        assert!(
+            config.collector_shards >= 1,
+            "parallel run: need >= 1 shard"
+        );
+        assert!(
+            !config.base.load_balancing || (checkpoint.is_none() && resume.is_none()),
+            "parallel run: checkpoint/resume requires load_balancing = false \
+             (snapshots pin each chain to a level)"
+        );
+        if let Some(snap) = resume {
+            assert!(
+                snap.backend == backend,
+                "parallel run: snapshot was taken by the {} backend, this is the {backend} one",
+                snap.backend
+            );
+            assert_eq!(
+                snap.seed, config.base.seed,
+                "parallel run: snapshot seed mismatch"
+            );
+            assert_eq!(
+                snap.chains.len(),
+                config.n_controllers(),
+                "parallel run: snapshot chain count mismatch"
+            );
+            assert_eq!(
+                snap.collectors.len(),
+                config.n_levels() * config.collector_shards,
+                "parallel run: snapshot collector count mismatch"
+            );
+            // `machine` indexes both by rank offset
+            for (i, c) in snap.chains.iter().enumerate() {
+                assert_eq!(
+                    c.rank,
+                    config.first_controller_rank() + i,
+                    "parallel run: snapshot chain ranks inconsistent"
+                );
+            }
+        }
+        Self {
+            factory,
+            config,
+            tracer,
+            checkpoint,
+            resume,
+            backend,
+            start: Instant::now(),
+        }
+    }
+
+    /// The role machine of `rank`.
+    pub(crate) fn machine(
+        &self,
+        rank: usize,
+    ) -> Box<dyn VirtualRank<Msg, Output = RoleOut> + Send + 'a> {
+        let Self {
+            factory,
+            config,
+            tracer,
+            resume,
+            ..
+        } = *self;
+        if rank == ROOT {
+            Box::new(RootRank::new(
+                config,
+                self.start,
+                tracer,
+                self.checkpoint,
+                self.backend,
+                None,
+            ))
+        } else if rank == PHONEBOOK {
+            let ledger = resume.and_then(|s| s.ledger.as_ref());
+            Box::new(PhonebookRank::new(config, tracer, ledger))
+        } else if rank < config.first_controller_rank() {
+            // snapshot collectors are sorted by (level, shard), which is
+            // rank order
+            let slot = rank - collector_rank(0, 0, config.collector_shards);
+            Box::new(CollectorRank::new(
+                config,
+                slot / config.collector_shards,
+                slot % config.collector_shards,
+                self.checkpoint.map_or(0, |c| c.every),
+                resume.map(|s| &s.collectors[slot]),
+            ))
+        } else {
+            let chain = resume.map(|s| &s.chains[rank - config.first_controller_rank()]);
+            Box::new(ControllerRank::new(factory, config, tracer, rank, chain))
+        }
+    }
+
+    /// The root's `(report, phonebook stats, preempted)` out of the
+    /// per-rank outputs of a finished run.
+    pub(crate) fn root_output(
+        outs: impl IntoIterator<Item = RoleOut>,
+    ) -> (ParallelReport, PhonebookStats, bool) {
+        outs.into_iter()
+            .find_map(|out| match out {
+                RoleOut::Root(boxed) => Some(*boxed),
+                _ => None,
+            })
+            .expect("root must produce a report")
+    }
+}
+
+/// Run parallel MLMCMC on the cooperative runtime: the role machines as
+/// virtual ranks on a worker pool, with sharded collectors.
 ///
 /// # Panics
 /// Panics on inconsistent configuration (levels beyond the factory,
@@ -1591,45 +1810,14 @@ pub fn run_runtime_ckpt_on(
     checkpoint: Option<&ParallelCheckpoint<'_>>,
     resume: Option<&RunSnapshot>,
 ) -> RuntimeReport {
-    assert!(
-        config.n_levels() <= factory.n_levels(),
-        "run_runtime: more levels configured than the factory provides"
+    let run = Run::new(
+        factory,
+        config,
+        tracer,
+        checkpoint,
+        resume,
+        Backend::Runtime,
     );
-    assert!(
-        config.base.chains_per_level.iter().all(|&c| c >= 1),
-        "run_runtime: every level needs at least one chain"
-    );
-    assert!(config.collector_shards >= 1, "run_runtime: need >= 1 shard");
-    if checkpoint.is_some() || resume.is_some() {
-        assert!(
-            !config.base.load_balancing,
-            "run_runtime: checkpoint/resume requires load_balancing = false \
-             (snapshots pin each chain to a level)"
-        );
-    }
-    let first_controller = config.first_controller_rank();
-    if let Some(snap) = resume {
-        assert!(
-            matches!(snap.backend, Backend::Runtime),
-            "run_runtime: snapshot was taken by the {} backend",
-            snap.backend
-        );
-        assert_eq!(
-            snap.seed, config.base.seed,
-            "run_runtime: snapshot seed mismatch"
-        );
-        assert_eq!(
-            snap.chains.len(),
-            config.n_ranks() - first_controller,
-            "run_runtime: snapshot chain count mismatch"
-        );
-        assert_eq!(
-            snap.collectors.len(),
-            config.n_levels() * config.collector_shards,
-            "run_runtime: snapshot collector count mismatch"
-        );
-    }
-    let ckpt_every = checkpoint.map_or(0, |c| c.every);
     // observe work steals as spans on the stolen rank's timeline. The
     // probe runs on the thief's idle path only (after the victim queue
     // lock is released), so installing it cannot perturb scheduling.
@@ -1640,83 +1828,50 @@ pub fn run_runtime_ckpt_on(
             t.mark(rank, SpanKind::Steal { victim });
         })));
     }
-    let start = Instant::now();
-    let run = runtime.run(
-        config.n_ranks(),
-        |rank, _| -> Box<dyn VirtualRank<Msg, Output = RoleOut> + Send + '_> {
-            if rank == ROOT {
-                Box::new(RootRank::new(config, start, tracer, checkpoint))
-            } else if rank == PHONEBOOK {
-                Box::new(PhonebookRank::new(
-                    config,
-                    tracer,
-                    resume.and_then(|s| s.ledger.as_ref()),
-                ))
-            } else if rank < first_controller {
-                let level = (rank - 2) / config.collector_shards;
-                let shard = (rank - 2) % config.collector_shards;
-                Box::new(CollectorRank::new(
-                    level,
-                    shard,
-                    config.shard_quota(level, shard),
-                    config.base.record_samples,
-                    config.base.chains_per_level[level],
-                    // pacing shard: snapshot collectors are sorted by
-                    // (level, shard), so index == rank - 2
-                    (ckpt_every > 0 && level + 1 == config.n_levels() && shard == 0)
-                        .then_some(ckpt_every),
-                    resume.map(|s| &s.collectors[rank - 2]),
-                ))
-            } else {
-                Box::new(ControllerRank::new(
-                    factory,
-                    config,
-                    tracer,
-                    rank,
-                    resume.map(|s| &s.chains[rank - first_controller]),
-                ))
-            }
-        },
-    );
+    let pool_run = runtime.run(config.n_ranks(), |rank, _| run.machine(rank));
     if probe_installed {
         runtime.set_steal_probe(None);
     }
-    let mut report = None;
-    for out in run.results {
-        if let RoleOut::Root(boxed) = out {
-            report = Some(*boxed);
-        }
-    }
-    let (report, phonebook, preempted) = report.expect("root must produce a report");
+    let (report, phonebook, preempted) = Run::root_output(pool_run.results);
     RuntimeReport {
         report,
         phonebook,
-        runtime: run.stats,
+        runtime: pool_run.stats,
         n_workers: runtime.n_workers(),
         preempted,
     }
 }
 
+/// The policy tests, each a function of the executor it runs under:
+/// `scheduler::tests` calls them with [`Exec::Blocking`](policy::Exec),
+/// `tests` below with the pool, so one fixture and one set of
+/// assertions covers every way the machines are driven.
 #[cfg(test)]
-mod tests {
+pub(crate) mod policy {
     use super::*;
+    use crate::scheduler::{run_parallel_ckpt, ParallelCheckpoint};
     use uq_linalg::prob::isotropic_gaussian_logpdf;
     use uq_mcmc::proposal::GaussianRandomWalk;
     use uq_mcmc::Proposal;
 
-    /// Analytic Gaussian hierarchy (same targets as the scheduler tests).
-    struct GaussianHierarchy {
+    /// Analytic Gaussian hierarchy (same targets as the core test suite).
+    pub(crate) struct GaussianHierarchy {
         means: Vec<f64>,
         sds: Vec<f64>,
-        rho: usize,
     }
 
     impl GaussianHierarchy {
-        fn three_level() -> Self {
+        pub(crate) fn two_level() -> Self {
+            Self {
+                means: vec![0.5, 1.0],
+                sds: vec![0.6, 0.5],
+            }
+        }
+
+        pub(crate) fn three_level() -> Self {
             Self {
                 means: vec![0.6, 0.9, 1.0],
                 sds: vec![0.65, 0.55, 0.5],
-                rho: 3,
             }
         }
     }
@@ -1749,51 +1904,256 @@ mod tests {
             Box::new(GaussianRandomWalk::new(0.8))
         }
         fn subsampling_rate(&self, _level: usize) -> usize {
-            self.rho
+            3
         }
         fn starting_point(&self, _level: usize) -> Vec<f64> {
             vec![0.0]
         }
     }
 
+    /// The executor a policy test drives the machines with.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Exec {
+        /// One OS thread per rank ([`crate::run_parallel`]).
+        Blocking,
+        /// [`run_runtime`] on `workers` pool threads, `shards` collector
+        /// ranks per level.
+        Pool { workers: usize, shards: usize },
+    }
+
+    /// The pools every shared policy test runs under.
+    pub(crate) const POOLS: [Exec; 2] = [
+        Exec::Pool {
+            workers: 1,
+            shards: 1,
+        },
+        Exec::Pool {
+            workers: 2,
+            shards: 1,
+        },
+    ];
+
+    impl Exec {
+        fn run(self, h: &GaussianHierarchy, config: &ParallelConfig) -> ParallelReport {
+            self.run_ckpt(h, config, &Tracer::disabled(), None, None)
+        }
+
+        fn run_ckpt(
+            self,
+            h: &GaussianHierarchy,
+            config: &ParallelConfig,
+            tracer: &Tracer,
+            checkpoint: Option<&ParallelCheckpoint<'_>>,
+            resume: Option<&RunSnapshot>,
+        ) -> ParallelReport {
+            match self {
+                Exec::Blocking => run_parallel_ckpt(h, config, tracer, checkpoint, resume),
+                Exec::Pool { workers, shards } => {
+                    let config = RuntimeConfig {
+                        base: config.clone(),
+                        n_workers: workers,
+                        collector_shards: shards,
+                    };
+                    run_runtime_ckpt(h, &config, tracer, checkpoint, resume).report
+                }
+            }
+        }
+    }
+
+    pub(crate) fn two_level_run_completes(exec: Exec) {
+        let config = ParallelConfig::new(vec![2000, 800], vec![1, 1]);
+        let report = exec.run(&GaussianHierarchy::two_level(), &config);
+        assert_eq!(report.levels[0].n_samples, 2000, "{exec:?}");
+        assert_eq!(report.levels[1].n_samples, 800, "{exec:?}");
+        assert!(report.total_evaluations() >= 2800, "{exec:?}");
+    }
+
+    pub(crate) fn three_level_estimate_matches_truth(exec: Exec) {
+        let mut config = ParallelConfig::new(vec![30_000, 4_000, 1_500], vec![2, 2, 1]);
+        config.burn_in = vec![300, 100, 50];
+        let report = exec.run(&GaussianHierarchy::three_level(), &config);
+        let est = report.expectation()[0];
+        assert!(
+            (est - 1.0).abs() < 0.08,
+            "{exec:?}: telescoping estimate {est}"
+        );
+        // correction means per level
+        assert!((report.levels[0].mean_correction[0] - 0.6).abs() < 0.08);
+        assert!((report.levels[1].mean_correction[0] - 0.3).abs() < 0.1);
+    }
+
+    pub(crate) fn load_balancer_disabled_still_completes(exec: Exec) {
+        let mut config = ParallelConfig::new(vec![3000, 600, 200], vec![1, 1, 1]);
+        config.load_balancing = false;
+        let report = exec.run(&GaussianHierarchy::three_level(), &config);
+        assert_eq!(report.reassignments, 0, "{exec:?}");
+        assert_eq!(report.levels[2].n_samples, 200, "{exec:?}");
+    }
+
+    pub(crate) fn recording_returns_samples_and_pairs(exec: Exec) {
+        let mut config = ParallelConfig::new(vec![400, 150, 60], vec![1, 1, 1]);
+        config.record_samples = true;
+        let report = exec.run(&GaussianHierarchy::three_level(), &config);
+        assert_eq!(report.levels[0].theta_samples.len(), 400, "{exec:?}");
+        assert_eq!(report.levels[1].correction_pairs.len(), 150, "{exec:?}");
+        assert!(report.levels[0].correction_pairs.is_empty());
+        // accepted coarse proposals appear as identical pairs
+        let identical = report.levels[1]
+            .correction_pairs
+            .iter()
+            .filter(|(c, f)| c == f)
+            .count();
+        assert!(identical > 0, "{exec:?}");
+    }
+
+    pub(crate) fn tracer_captures_burnin_and_evals(exec: Exec) {
+        let mut config = ParallelConfig::new(vec![300, 100, 40], vec![1, 1, 1]);
+        config.burn_in = vec![50, 20, 10];
+        let tracer = Tracer::new();
+        let h = GaussianHierarchy::three_level();
+        let _ = exec.run_ckpt(&h, &config, &tracer, None, None);
+        let events = tracer.events();
+        let has = |pred: fn(&SpanKind) -> bool| events.iter().any(|e| pred(&e.kind));
+        assert!(has(|k| matches!(k, SpanKind::Burnin { .. })), "{exec:?}");
+        assert!(has(|k| matches!(k, SpanKind::Eval { .. })), "{exec:?}");
+    }
+
+    /// Bit-level equality of everything deterministic in a report
+    /// (evaluation counts are excluded: a resumed run rebuilds its
+    /// chains, so wall-clock/eval bookkeeping legitimately differs).
+    fn assert_reports_identical(a: &ParallelReport, b: &ParallelReport) {
+        assert_eq!(a.levels.len(), b.levels.len());
+        for (la, lb) in a.levels.iter().zip(&b.levels) {
+            assert_eq!(la.n_samples, lb.n_samples);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&la.mean_correction), bits(&lb.mean_correction));
+            assert_eq!(bits(&la.var_correction), bits(&lb.var_correction));
+            assert_eq!(la.theta_samples, lb.theta_samples);
+            assert_eq!(la.correction_pairs, lb.correction_pairs);
+        }
+    }
+
+    /// On a configuration where `exec` is deterministic: a run repeats
+    /// to the bit, checkpointing every `every` top-level corrections
+    /// does not perturb it, and resuming from each snapshot written
+    /// reproduces it.
+    pub(crate) fn resume_from_every_snapshot_is_bit_identical(
+        exec: Exec,
+        h: &GaussianHierarchy,
+        mut config: ParallelConfig,
+        every: usize,
+    ) {
+        use std::sync::Mutex;
+        use uq_mlmcmc::store::RunStore;
+
+        config.load_balancing = false;
+        config.record_samples = true;
+        let baseline = exec.run(h, &config);
+        assert_reports_identical(&baseline, &exec.run(h, &config));
+
+        let dir = std::env::temp_dir().join(format!("uq-ckpt-{exec:?}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RunStore::open(&dir).unwrap();
+        let hashes: Mutex<Vec<String>> = Mutex::new(Vec::new());
+        let hook = |_done: usize, hash: &str| hashes.lock().unwrap().push(hash.to_string());
+        let spec = ParallelCheckpoint {
+            store: &store,
+            config_hash: 99,
+            every,
+            on_snapshot: Some(&hook),
+            stop: None,
+        };
+        let off = Tracer::disabled();
+        let checkpointed = exec.run_ckpt(h, &config, &off, Some(&spec), None);
+        // checkpointing itself must not perturb the run
+        assert_reports_identical(&baseline, &checkpointed);
+
+        let hashes = hashes.into_inner().unwrap();
+        assert!(
+            hashes.len() >= 3,
+            "expected several snapshots, got {}",
+            hashes.len()
+        );
+        for hash in &hashes {
+            let (snap, cfg) = store.get_snapshot(hash).unwrap();
+            assert_eq!(cfg, 99);
+            let resumed = exec.run_ckpt(h, &config, &off, None, Some(&snap));
+            assert_reports_identical(&baseline, &resumed);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::policy::{Exec, GaussianHierarchy, POOLS};
+    use super::*;
+
     #[test]
     fn two_level_runtime_run_completes() {
-        let h = GaussianHierarchy {
-            means: vec![0.5, 1.0],
-            sds: vec![0.6, 0.5],
-            rho: 3,
-        };
-        let mut config = RuntimeConfig::new(vec![2000, 800], vec![1, 1]);
-        config.n_workers = 2;
-        let r = run_runtime(&h, &config, &Tracer::disabled());
-        assert_eq!(r.report.levels[0].n_samples, 2000);
-        assert_eq!(r.report.levels[1].n_samples, 800);
-        assert!(r.report.total_evaluations() >= 2800);
-        assert!(r.phonebook.messages > 0);
+        POOLS.into_iter().for_each(policy::two_level_run_completes);
     }
 
     #[test]
     fn three_level_estimate_matches_truth() {
-        let h = GaussianHierarchy::three_level();
-        let mut config = RuntimeConfig::new(vec![30_000, 4_000, 1_500], vec![2, 2, 1]);
-        config.base.burn_in = vec![300, 100, 50];
-        config.n_workers = 4;
-        let r = run_runtime(&h, &config, &Tracer::disabled());
-        let est = r.report.expectation()[0];
-        assert!(
-            (est - 1.0).abs() < 0.08,
-            "runtime telescoping estimate {est}"
+        POOLS
+            .into_iter()
+            .for_each(policy::three_level_estimate_matches_truth);
+    }
+
+    #[test]
+    fn load_balancer_disabled_still_completes() {
+        POOLS
+            .into_iter()
+            .for_each(policy::load_balancer_disabled_still_completes);
+    }
+
+    #[test]
+    fn recording_returns_samples_and_pairs() {
+        POOLS
+            .into_iter()
+            .for_each(policy::recording_returns_samples_and_pairs);
+        // shards merge their recorded samples at the root
+        policy::recording_returns_samples_and_pairs(Exec::Pool {
+            workers: 2,
+            shards: 2,
+        });
+    }
+
+    #[test]
+    fn tracer_captures_eval_spans() {
+        POOLS
+            .into_iter()
+            .for_each(policy::tracer_captures_burnin_and_evals);
+    }
+
+    #[test]
+    fn runtime_resume_from_every_snapshot_is_bit_identical() {
+        // a single pool worker is deterministic even on three levels
+        // (one cooperative scheduler, deterministic poll order), so the
+        // full hierarchy is exercised here — including checkpoints that
+        // land mid-burn-in on slow levels
+        let mut config = ParallelConfig::new(vec![300, 120, 50], vec![1, 1, 1]);
+        config.burn_in = vec![30, 20, 10];
+        policy::resume_from_every_snapshot_is_bit_identical(
+            POOLS[0],
+            &GaussianHierarchy::three_level(),
+            config,
+            9,
         );
-        assert!((r.report.levels[0].mean_correction[0] - 0.6).abs() < 0.08);
-        assert!((r.report.levels[1].mean_correction[0] - 0.3).abs() < 0.1);
+    }
+
+    fn pool_config(samples: Vec<usize>, chains: Vec<usize>, workers: usize) -> RuntimeConfig {
+        let mut config = RuntimeConfig::new(samples, chains);
+        config.n_workers = workers;
+        config
     }
 
     #[test]
     fn sharded_collectors_hit_exact_targets() {
         let h = GaussianHierarchy::three_level();
-        let mut config = RuntimeConfig::new(vec![4000, 900, 301], vec![2, 1, 1]);
+        let mut config = pool_config(vec![4000, 900, 301], vec![2, 1, 1], 4);
         config.collector_shards = 3;
-        config.n_workers = 4;
         let r = run_runtime(&h, &config, &Tracer::disabled());
         // quotas 1334/1333/1333 etc. sum exactly to the targets
         assert_eq!(r.report.levels[0].n_samples, 4000);
@@ -1808,9 +2168,8 @@ mod tests {
         // across shard counts (collector arrival order differs), so this
         // is a statistical check: both estimates near the same truth
         let h = GaussianHierarchy::three_level();
-        let mut one = RuntimeConfig::new(vec![20_000, 2_500, 900], vec![2, 1, 1]);
+        let mut one = pool_config(vec![20_000, 2_500, 900], vec![2, 1, 1], 4);
         one.base.burn_in = vec![200, 80, 40];
-        one.n_workers = 4;
         let mut four = one.clone();
         four.collector_shards = 4;
         let a = run_runtime(&h, &one, &Tracer::disabled());
@@ -1830,10 +2189,9 @@ mod tests {
     #[test]
     fn many_virtual_ranks_on_few_workers() {
         // more controllers than any machine has cores: 60 chains on 3
-        // worker threads (the thread scheduler would spawn 66 threads)
+        // worker threads (one thread per rank would spawn 65)
         let h = GaussianHierarchy::three_level();
-        let mut config = RuntimeConfig::new(vec![3000, 900, 300], vec![30, 20, 10]);
-        config.n_workers = 3;
+        let config = pool_config(vec![3000, 900, 300], vec![30, 20, 10], 3);
         let r = run_runtime(&h, &config, &Tracer::disabled());
         assert_eq!(r.report.n_ranks, 2 + 3 + 60);
         assert_eq!(r.report.levels[0].n_samples, 3000);
@@ -1841,108 +2199,5 @@ mod tests {
         assert!(r.report.expectation()[0].is_finite());
         // batching must actually happen under this much traffic
         assert!(r.phonebook.max_batch >= 2, "stats {:?}", r.phonebook);
-    }
-
-    #[test]
-    fn load_balancer_disabled_still_completes() {
-        let h = GaussianHierarchy::three_level();
-        let mut config = RuntimeConfig::new(vec![3000, 600, 200], vec![1, 1, 1]);
-        config.base.load_balancing = false;
-        config.n_workers = 2;
-        let r = run_runtime(&h, &config, &Tracer::disabled());
-        assert_eq!(r.report.reassignments, 0);
-        assert_eq!(r.phonebook.reassignments, 0);
-        assert_eq!(r.report.levels[2].n_samples, 200);
-    }
-
-    #[test]
-    fn recording_returns_samples_and_pairs() {
-        let h = GaussianHierarchy::three_level();
-        let mut config = RuntimeConfig::new(vec![400, 150, 60], vec![1, 1, 1]);
-        config.base.record_samples = true;
-        config.collector_shards = 2;
-        let r = run_runtime(&h, &config, &Tracer::disabled());
-        assert_eq!(r.report.levels[0].theta_samples.len(), 400);
-        assert_eq!(r.report.levels[1].correction_pairs.len(), 150);
-        assert!(r.report.levels[0].correction_pairs.is_empty());
-    }
-
-    /// Bit-level equality of everything deterministic in a report
-    /// (eval counts excluded: a resumed run rebuilds its chains).
-    fn assert_reports_identical(a: &ParallelReport, b: &ParallelReport) {
-        assert_eq!(a.levels.len(), b.levels.len());
-        for (la, lb) in a.levels.iter().zip(&b.levels) {
-            assert_eq!(la.n_samples, lb.n_samples);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&la.mean_correction), bits(&lb.mean_correction));
-            assert_eq!(bits(&la.var_correction), bits(&lb.var_correction));
-            assert_eq!(la.theta_samples, lb.theta_samples);
-            assert_eq!(la.correction_pairs, lb.correction_pairs);
-        }
-    }
-
-    #[test]
-    fn runtime_resume_from_every_snapshot_is_bit_identical() {
-        use std::sync::Mutex;
-        use uq_mlmcmc::store::RunStore;
-
-        // the runtime's single-worker mode is deterministic even on
-        // three levels (one cooperative scheduler, deterministic poll
-        // order), so the full hierarchy is exercised here — including
-        // checkpoints that land mid-burn-in on slow levels
-        let h = GaussianHierarchy::three_level();
-        let mut config = RuntimeConfig::new(vec![300, 120, 50], vec![1, 1, 1]);
-        config.base.burn_in = vec![30, 20, 10];
-        config.base.load_balancing = false;
-        config.base.record_samples = true;
-        config.n_workers = 1;
-        let baseline = run_runtime(&h, &config, &Tracer::disabled());
-
-        let dir = std::env::temp_dir().join(format!("uq-runtime-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = RunStore::open(&dir).unwrap();
-        let hashes: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        let hook = |_done: usize, hash: &str| hashes.lock().unwrap().push(hash.to_string());
-        let spec = ParallelCheckpoint {
-            store: &store,
-            config_hash: 7,
-            every: 9,
-            on_snapshot: Some(&hook),
-            stop: None,
-        };
-        let checkpointed = run_runtime_ckpt(&h, &config, &Tracer::disabled(), Some(&spec), None);
-        // checkpointing itself must not perturb the run
-        assert_reports_identical(&baseline.report, &checkpointed.report);
-
-        let hashes = hashes.into_inner().unwrap();
-        assert!(
-            hashes.len() >= 3,
-            "expected several snapshots, got {}",
-            hashes.len()
-        );
-        for hash in &hashes {
-            let (snap, cfg) = store.get_snapshot(hash).unwrap();
-            assert_eq!(cfg, 7);
-            let resumed = run_runtime_ckpt(&h, &config, &Tracer::disabled(), None, Some(&snap));
-            assert_reports_identical(&baseline.report, &resumed.report);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tracer_captures_eval_spans() {
-        let h = GaussianHierarchy::three_level();
-        let mut config = RuntimeConfig::new(vec![300, 100, 40], vec![1, 1, 1]);
-        config.base.burn_in = vec![50, 20, 10];
-        let tracer = Tracer::new();
-        let _ = run_runtime(&h, &config, &tracer);
-        let events = tracer.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, SpanKind::Eval { .. })));
-        // burn-in steps must be classified like the thread scheduler's
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, SpanKind::Burnin { .. })));
     }
 }

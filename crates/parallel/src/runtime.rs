@@ -1,36 +1,36 @@
 //! Cooperative virtual-rank runtime: many suspendable ranks per worker
 //! thread.
 //!
-//! The thread scheduler in [`crate::scheduler`] spawns one OS thread per
-//! rank, so live runs are bounded by the physical core count and only the
-//! discrete-event simulator reaches the paper's 1024-rank scale. This
-//! module removes that bound: a **virtual rank** is an explicitly
-//! suspendable state machine implementing [`VirtualRank`] — each
-//! [`poll`](VirtualRank::poll) runs until the rank would block on a
-//! receive, then returns a *wait predicate* ([`Poll::Wait`]); the rank is
-//! re-polled only when a matching message arrives. A small pool of worker
-//! threads (typically far fewer than ranks) drives the machines through
-//! per-worker run queues with message-arrival wakeups, so hundreds to
-//! thousands of controllers run **live** on a handful of cores.
+//! A **virtual rank** is an explicitly suspendable state machine
+//! implementing [`VirtualRank`] — each [`poll`](VirtualRank::poll) runs
+//! until the rank would block on a receive, then returns a *wait
+//! predicate* ([`Poll::Wait`]); the rank is re-polled only when a
+//! matching message arrives. Two executors drive such machines. The
+//! blocking one (`RankCtx::drive` in [`crate::comm`]) gives every rank
+//! its own OS thread, so live runs are bounded by the physical core
+//! count. The pool in this module removes that bound: a small pool of
+//! worker threads (typically far fewer than ranks) drives the machines
+//! through per-worker run queues with message-arrival wakeups, so
+//! hundreds to thousands of controllers run **live** on a handful of
+//! cores.
 //!
-//! Delivery semantics mirror [`crate::comm`]: per-rank FIFO queues,
+//! Delivery semantics are the same under both: per-rank FIFO queues,
 //! non-blocking sends, out-of-order messages buffered in arrival order
-//! and re-delivered first ([`VCtx::try_recv_match`] is the non-blocking
-//! analogue of `RankCtx::recv_match`), and sends to exited ranks are
-//! dropped — here counted in [`RuntimeStats::dropped_sends`] rather than
-//! lost silently.
+//! and re-delivered first ([`VCtx::try_recv_match`]), and sends to
+//! exited ranks are dropped — here counted in
+//! [`RuntimeStats::dropped_sends`] rather than lost silently.
 //!
 //! Scheduling is deterministic in structure (rank `r` is *homed* on
 //! worker `r % n_workers`, run queues are FIFO) but not in timing: wakeup
-//! interleavings across workers depend on the OS, exactly like the thread
-//! scheduler's. An idle worker **steals** runnable ranks from the longest
-//! run queue (machines live in per-rank cells and are `Send`, so they
-//! travel with their rank), which bounds the straggling a hot home worker
-//! can cause; with a single worker no stealing is possible, so
-//! single-worker runs remain exactly deterministic. The MLMCMC role
-//! protocols ported onto this runtime live in [`crate::roles`].
+//! interleavings across workers depend on the OS, exactly like the
+//! blocking executor's threads. An idle worker **steals** runnable ranks
+//! from the longest run queue (machines live in per-rank cells and are
+//! `Send`, so they travel with their rank), which bounds the straggling a
+//! hot home worker can cause; with a single worker no stealing is
+//! possible, so single-worker runs remain exactly deterministic. The
+//! MLMCMC role machines live in [`crate::roles`].
 
-use crate::comm::Envelope;
+use crate::comm::{note_drop, Envelope};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -122,26 +122,35 @@ impl<M: Send> Shared<M> {
         queue.push_back(rank);
         worker.cv.notify_one();
     }
+}
 
-    /// Deliver `env` to `to`, waking it when its wait predicate matches.
+/// What a [`VCtx`] asks of the executor driving its rank: deliver a
+/// message, hand over what has arrived. The pool's `Shared` mailboxes
+/// and the blocking executor's channels ([`crate::comm::RankCtx`]) both
+/// provide it, so one set of role machines runs under either.
+pub(crate) trait Port<M> {
+    /// Deliver `env` to rank `to`; never blocks. A destination that has
+    /// exited or is out of range drops the message and counts it.
+    fn send(&self, to: usize, env: Envelope<M>);
+
+    /// Move everything queued for `rank` into `buffer`, in arrival order.
+    fn pull(&self, rank: usize, buffer: &mut VecDeque<Envelope<M>>);
+}
+
+impl<M: Send> Port<M> for Shared<M> {
+    /// Wakes `to` when its wait predicate matches `env`.
     fn send(&self, to: usize, env: Envelope<M>) {
+        // out of range is a routine race under elastic membership, not
+        // a programmer error
+        let Some(slot) = self.slots.get(to) else {
+            note_drop(&self.dropped_sends, env.from, to, "out-of-range");
+            return;
+        };
         let wake = {
-            let mut slot = self.slots[to].lock().expect("runtime poisoned");
+            let mut slot = slot.lock().expect("runtime poisoned");
             match &mut slot.state {
                 SlotState::Exited => {
-                    let prev = self.dropped_sends.fetch_add(1, Ordering::Relaxed);
-                    // debug builds surface the first loss per run
-                    // (teardown legitimately drops a handful)
-                    #[cfg(debug_assertions)]
-                    if prev == 0 {
-                        eprintln!(
-                            "uq-parallel runtime: dropping send from rank {} to exited rank {to} \
-                             (further drops counted silently)",
-                            env.from
-                        );
-                    }
-                    #[cfg(not(debug_assertions))]
-                    let _ = prev;
+                    note_drop(&self.dropped_sends, env.from, to, "exited");
                     return;
                 }
                 SlotState::Waiting(pred) => {
@@ -163,19 +172,39 @@ impl<M: Send> Shared<M> {
             self.enqueue(to);
         }
     }
+
+    /// One lock acquisition.
+    fn pull(&self, rank: usize, buffer: &mut VecDeque<Envelope<M>>) {
+        let mut slot = self.slots[rank].lock().expect("runtime poisoned");
+        buffer.extend(slot.queue.drain(..));
+    }
 }
 
-/// Per-poll communication handle of a virtual rank — the non-blocking
-/// counterpart of [`crate::comm::RankCtx`].
+/// Per-poll communication handle of a virtual rank: non-blocking sends
+/// and receives over whichever executor is driving the rank.
 pub struct VCtx<'a, M: Send> {
     rank: usize,
     size: usize,
-    shared: &'a Shared<M>,
+    port: &'a dyn Port<M>,
     /// Rank-local buffer of already-pulled messages (arrival order).
     buffer: &'a mut VecDeque<Envelope<M>>,
 }
 
-impl<M: Send> VCtx<'_, M> {
+impl<'a, M: Send> VCtx<'a, M> {
+    pub(crate) fn new(
+        rank: usize,
+        size: usize,
+        port: &'a dyn Port<M>,
+        buffer: &'a mut VecDeque<Envelope<M>>,
+    ) -> Self {
+        Self {
+            rank,
+            size,
+            port,
+            buffer,
+        }
+    }
+
     /// This rank's index.
     pub fn rank(&self) -> usize {
         self.rank
@@ -189,23 +218,9 @@ impl<M: Send> VCtx<'_, M> {
     /// Send `msg` to rank `to`; never blocks. Sends to exited ranks —
     /// and to out-of-range rank indices, a routine race under elastic
     /// membership rather than a programmer error — are dropped and
-    /// counted in [`RuntimeStats::dropped_sends`].
+    /// counted ([`RuntimeStats::dropped_sends`] under the pool).
     pub fn send(&self, to: usize, msg: M) {
-        if to >= self.size {
-            let prev = self.shared.dropped_sends.fetch_add(1, Ordering::Relaxed);
-            #[cfg(debug_assertions)]
-            if prev == 0 {
-                eprintln!(
-                    "uq-parallel runtime: dropping send from rank {} to out-of-range rank {to} \
-                     (further drops counted silently)",
-                    self.rank
-                );
-            }
-            #[cfg(not(debug_assertions))]
-            let _ = prev;
-            return;
-        }
-        self.shared.send(
+        self.port.send(
             to,
             Envelope {
                 from: self.rank,
@@ -214,15 +229,9 @@ impl<M: Send> VCtx<'_, M> {
         );
     }
 
-    /// Move everything queued in the shared mailbox into the rank-local
-    /// buffer (one lock acquisition).
+    /// Move everything that has arrived into the rank-local buffer.
     fn pull(&mut self) {
-        let mut slot = self.shared.slots[self.rank]
-            .lock()
-            .expect("runtime poisoned");
-        while let Some(env) = slot.queue.pop_front() {
-            self.buffer.push_back(env);
-        }
+        self.port.pull(self.rank, self.buffer);
     }
 
     /// Non-blocking receive of the next message in arrival order.
@@ -234,8 +243,7 @@ impl<M: Send> VCtx<'_, M> {
     }
 
     /// Non-blocking receive of the first message satisfying `pred`;
-    /// non-matching messages stay buffered in arrival order (the
-    /// non-blocking analogue of `RankCtx::recv_match`).
+    /// non-matching messages stay buffered in arrival order.
     pub fn try_recv_match(
         &mut self,
         mut pred: impl FnMut(&Envelope<M>) -> bool,
@@ -529,12 +537,7 @@ where
                 buffer: VecDeque::new(),
             });
         shared.polls.fetch_add(1, Ordering::Relaxed);
-        let mut ctx = VCtx {
-            rank,
-            size: n_ranks,
-            shared,
-            buffer: &mut entry.buffer,
-        };
+        let mut ctx = VCtx::new(rank, n_ranks, shared, &mut entry.buffer);
         match entry.machine.poll(&mut ctx) {
             Poll::Ready => {
                 // park the machine before re-queueing: the next poll may

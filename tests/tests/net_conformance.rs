@@ -153,6 +153,29 @@ fn moment_bits(levels: &[uq_parallel::scheduler::ParallelLevelReport]) -> Vec<Ve
         .collect()
 }
 
+/// One set of role machines, three ways to drive them: one OS thread
+/// per rank, a single pool worker, and a pool with as many workers as
+/// ranks (every rank runnable at once, work stealing live). In the
+/// deterministic regime the executor must not show in the digest.
+#[test]
+fn executors_agree_on_the_deterministic_config() {
+    let config = config(300, 100, 15_2026);
+    let blocking = levels_digest(&run_parallel(&Ridge, &config, &Tracer::disabled()).levels);
+    for n_workers in [1, config.n_ranks()] {
+        let rt_config = RuntimeConfig {
+            base: config.clone(),
+            n_workers,
+            collector_shards: 1,
+        };
+        let pool = run_runtime(&Ridge, &rt_config, &Tracer::disabled());
+        assert_eq!(
+            levels_digest(&pool.report.levels),
+            blocking,
+            "pool of {n_workers} worker(s) diverged from one thread per rank"
+        );
+    }
+}
+
 #[test]
 fn net_two_workers_is_bit_identical_to_in_process() {
     // with `record_samples` on, every correction carries its recorded

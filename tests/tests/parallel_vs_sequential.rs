@@ -106,6 +106,24 @@ fn parallel_handles_single_chain_layout() {
 }
 
 #[test]
+fn load_balancer_reassigns_under_one_thread_per_rank() {
+    // a skewed allocation: four level-0 chains for one level-1 chain
+    // that three level-2 chains all draw from. Level-2 requests queue
+    // at the phonebook while level-0 chains sit idle, which is exactly
+    // what the balancer exists to fix — it must move a chain, and the
+    // run must still land on the exact sample targets.
+    let mut pconfig = ParallelConfig::new(vec![3_000, 600, 200], vec![4, 1, 3]);
+    pconfig.burn_in = vec![50, 20, 10];
+    assert!(pconfig.load_balancing, "on by default");
+    let par = run_parallel(&Hierarchy, &pconfig, &Tracer::disabled());
+    assert_eq!(par.levels[0].n_samples, 3_000);
+    assert_eq!(par.levels[1].n_samples, 600);
+    assert_eq!(par.levels[2].n_samples, 200);
+    assert!(par.reassignments >= 1, "no chain was reassigned");
+    assert!(par.expectation().iter().all(|e| e.is_finite()));
+}
+
+#[test]
 fn runtime_matches_thread_scheduler_estimate() {
     // identical policy inputs and seeds; the cooperative runtime must
     // reproduce the thread scheduler's per-level estimates within MC
