@@ -121,24 +121,22 @@ fn bench_comm(c: &mut Criterion) {
 }
 
 fn bench_des(c: &mut Criterion) {
+    // the shipped role machines in virtual time, on Poisson costs: a
+    // tenth of Fig. 11's samples and subsampling (milliseconds a run)
     let cfg = DesConfig {
         eval_time: vec![3.35e-3, 45.6e-3, 0.93],
         eval_jitter: 0.2,
-        samples_per_level: vec![10_000, 1_000, 100],
-        burn_in: vec![500, 100, 20],
-        subsampling: vec![206, 17, 0],
+        samples_per_level: vec![1_000, 100, 10],
+        burn_in: vec![50, 10, 2],
+        subsampling: vec![20, 2, 0],
         chains_per_level: vec![32, 8, 4],
         group_size: 1,
         phonebook_service_time: 2e-4,
-        collector_service_time: 1e-3,
+        collector_service_time: 1e-5,
         load_balancing: true,
         seed: 4,
-        ledger: false,
-        ledger_pairing_overhead: 0.0,
-        spec_hit_rate: 0.0,
-        spec_waste: 0.0,
     };
-    c.bench_function("des_poisson_schedule_44chains", |b| {
+    c.bench_function("sim_poisson_role_machines_44chains", |b| {
         b.iter(|| black_box(simulate(&cfg)));
     });
 }

@@ -15,23 +15,24 @@
 //!    evaluation ≈ µs-scale so the run is model-bound like the paper's,
 //!    not harness-bound) and records the live ranks-vs-throughput curve
 //!    plus phonebook routing-batch statistics.
-//! 3. **Cross-checks the DES**: the simulator is fed single-threadedly
-//!    *calibrated* per-level evaluation times (in-run means are inflated
-//!    by preemption when workers exceed cores) and its predictions are
-//!    compared against the live run three ways — per-level evaluation
-//!    counts (the schedule), wall-clock against
+//! 3. **Cross-checks the simulated run of the same machines**
+//!    (`run_simulated`: the sweep point's configuration on a zero-spin
+//!    stand-in at single-threadedly *calibrated* per-level times —
+//!    in-run means are inflated by preemption when workers exceed cores;
+//!    nothing measured live is fed back) three ways — per-level
+//!    evaluation counts (the schedule), wall-clock against
 //!    `max(makespan, busy-time / cores)` (this machine's compute
 //!    budget), and flatness of the live/pred ratio across rank counts
-//!    (virtualization overhead must not grow with virtual ranks).
+//!    (virtualization overhead must not grow with virtual ranks). The
+//!    output columns keep their `DES` names.
 //!
 //! Writes `results/BENCH_PR3.json` (the PR's perf artifact, uploaded by
 //! CI) and `results/scaling_live.csv`.
 //!
 //! Since PR 4 the runtime serves coarse proposals through the
 //! per-requester rewind ledger (a serve costs the server `ρ·(1 +
-//! diverged)` dedicated steps; the DES replays that schedule via its
-//! `ledger` mode, fed the live run's measured diverged fraction) and the
-//! worker pool steals work from hot workers — both visible in the
+//! diverged)` dedicated steps, in the simulated run as in the live one)
+//! and the worker pool steals work from hot workers — both visible in the
 //! reported `serves`/`diverged`/`steals` columns. **`--model swe`** runs
 //! the sweep against the real `uq-swe` Tohoku hierarchy instead of the
 //! synthetic-cost Gaussian and writes `results/BENCH_PR4.json`.
@@ -41,10 +42,9 @@
 //! precomputation (bit-identical to the serve it replaces, pinned by
 //! `tests/speculation_conformance.rs`), with the `LedgerUpdate`
 //! write-back folded into the single `ServeDone` reply. The sweep runs
-//! on one reused worker pool, feeds the measured hit/waste rates into
-//! the DES cost model, asserts the overhead against the non-speculative
-//! PR-4 baseline stays at or below that PR's 1.21–1.32 band, and writes
-//! `results/BENCH_PR5.json`.
+//! on one reused worker pool, simulates each point a second time with
+//! speculation off (the PR-4 baseline), asserts the overhead stays at or
+//! below that PR's 1.21–1.32 band, and writes `results/BENCH_PR5.json`.
 //!
 //! Since PR 6 the binary doubles as the **durable-runs** entry point:
 //! every artifact is also registered in the content-addressed run store
@@ -77,12 +77,11 @@ use uq_mcmc::proposal::GaussianRandomWalk;
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::store::fnv1a;
 use uq_mlmcmc::LevelFactory;
-use uq_parallel::des::{simulate, DesConfig};
 use uq_parallel::roles::RuntimeReport;
 use uq_parallel::{
     chrome_trace, levels_digest, run_net_worker, run_parallel, run_runtime, run_runtime_ckpt,
-    run_runtime_on, Counter, Epoch, MetricsSnapshot, NetDriver, NetDriverOptions, NetWorkerOptions,
-    ParallelCheckpoint, ParallelConfig, Runtime, RuntimeConfig, Tracer,
+    run_runtime_on, run_simulated, Counter, Epoch, MetricsSnapshot, NetDriver, NetDriverOptions,
+    NetWorkerOptions, ParallelCheckpoint, ParallelConfig, Runtime, RuntimeConfig, SimCost, Tracer,
 };
 
 /// Gaussian level target with a deterministic busy-spin so one model
@@ -109,9 +108,12 @@ impl SamplingProblem for SpinTarget {
 }
 
 /// Three-level Gaussian hierarchy with per-evaluation synthetic cost
-/// `spin[level]` (coarser levels cheaper, like a real mesh hierarchy).
+/// `spin[level]` (coarser levels cheaper, like a real mesh hierarchy)
+/// and subsampling rates `rho`. With zero spin it is the stand-in the
+/// simulated runs evaluate.
 struct SpinHierarchy {
     spin: [u32; 3],
+    rho: [usize; 3],
 }
 
 const MEANS: [f64; 3] = [0.6, 0.9, 1.0];
@@ -133,7 +135,7 @@ impl LevelFactory for SpinHierarchy {
         Box::new(GaussianRandomWalk::new(0.8))
     }
     fn subsampling_rate(&self, level: usize) -> usize {
-        RHO[level]
+        self.rho[level]
     }
     fn starting_point(&self, _level: usize) -> Vec<f64> {
         vec![0.0]
@@ -240,11 +242,11 @@ struct SweepPoint {
     spec_hits: usize,
     /// Speculations discarded (anchor mismatch / stale).
     spec_misses: usize,
-    /// `spec_hits / serves` — fed back into the DES cost model.
+    /// `spec_hits / serves`.
     hit_rate: f64,
-    /// DES prediction replaying the **non-speculative** PR-4 schedule
-    /// (hit rate and waste forced to zero): the baseline the PR-4
-    /// overhead band was measured against.
+    /// The same prediction with speculation switched off: the PR-4
+    /// schedule, the baseline that PR's overhead band was measured
+    /// against.
     pred_nospec_elapsed: f64,
     /// DES virtual-time busy seconds split per level — the prediction
     /// the live tracer's per-level activity is checked against (PR 8).
@@ -273,7 +275,7 @@ fn calibrate_eval_secs(h: &dyn LevelFactory, level: usize, theta_dim: usize) -> 
 fn run_sweep_point(
     pool: &Runtime,
     h: &dyn LevelFactory,
-    rho: &[usize],
+    rho: [usize; 3],
     eval_time: &[f64],
     ranks: usize,
     effective_cores: usize,
@@ -284,7 +286,7 @@ fn run_sweep_point(
     tracer: &Tracer,
 ) -> (RuntimeReport, SweepPoint) {
     let overhead = 2 + samples.len() * shards;
-    let chains = allocate_chains(ranks - overhead, samples, rho);
+    let chains = allocate_chains(ranks - overhead, samples, &rho);
     let mut config = RuntimeConfig::new(samples.to_vec(), chains.clone());
     config.base.burn_in = burn_in.to_vec();
     config.base.seed = seed;
@@ -295,38 +297,31 @@ fn run_sweep_point(
     // must describe that point alone (pinned by the uq-parallel
     // reused-pool regression test)
     let r = run_runtime_on(pool, h, &config, tracer);
-    // DES replay of the identical schedule, driven by the calibrated
-    // per-level evaluation times and the live run's measured ledger
-    // divergence (each diverged serve costs the server a second ρ-leg)
-    // plus its measured speculation hit/waste rates
-    let des_config = DesConfig {
+    // the same machines in virtual time, with speculation and with the
+    // non-speculative PR-4 schedule the historical 1.21–1.32 overhead
+    // band was measured against: this point's configuration on the
+    // zero-spin stand-in at the calibrated per-level seconds; divergence,
+    // hits and waste are the simulated ledger's own, not measured ones
+    let stand_in = SpinHierarchy { spin: [0; 3], rho };
+    let cost = SimCost {
         eval_time: eval_time.to_vec(),
         eval_jitter: 0.0,
-        samples_per_level: samples.to_vec(),
-        burn_in: burn_in.to_vec(),
-        subsampling: rho.to_vec(),
-        chains_per_level: chains.clone(),
-        group_size: 1,
         phonebook_service_time: 0.0,
         collector_service_time: 0.0,
-        load_balancing: true,
-        seed,
-        ledger: true,
-        ledger_pairing_overhead: r.phonebook.ledger.diverged_fraction(),
-        spec_hit_rate: r.phonebook.ledger.hit_rate(),
-        spec_waste: r.phonebook.ledger.waste_per_serve(),
+        latency: 0.0,
+        poll_budget: usize::MAX,
     };
-    let des = simulate(&des_config);
-    // the same schedule WITHOUT speculation: the PR-4 baseline the
-    // historical 1.21–1.32 overhead band was measured against
-    let des_nospec = simulate(&DesConfig {
-        spec_hit_rate: 0.0,
-        spec_waste: 0.0,
-        ..des_config
-    });
-    let n_chains: usize = chains.iter().sum();
-    let des_busy = des.busy_fraction * des.makespan * n_chains as f64;
-    let nospec_busy = des_nospec.busy_fraction * des_nospec.makespan * n_chains as f64;
+    let simulate = |speculation: bool| {
+        let mut config = config.clone();
+        config.base.speculation = speculation;
+        let off = Tracer::disabled();
+        run_simulated(&stand_in, &config, &off, &cost, seed, None, None)
+            .expect("an unbounded simulated run finishes")
+    };
+    let (des, des_nospec) = (simulate(true), simulate(false));
+    let des_busy: f64 = des.busy_per_level.iter().sum();
+    let nospec_busy: f64 = des_nospec.busy_per_level.iter().sum();
+    let (des_makespan, nospec_makespan) = (des.run.report.elapsed, des_nospec.run.report.elapsed);
     let total_samples: usize = samples.iter().sum();
     let ledger = r.phonebook.ledger;
     let point = SweepPoint {
@@ -334,14 +329,18 @@ fn run_sweep_point(
         chains,
         elapsed: r.report.elapsed,
         throughput: total_samples as f64 / r.report.elapsed,
-        des_makespan: des.makespan,
+        des_makespan,
         des_busy,
-        pred_elapsed: des.makespan.max(des_busy / effective_cores as f64),
-        pred_nospec_elapsed: des_nospec
-            .makespan
-            .max(nospec_busy / effective_cores as f64),
+        pred_elapsed: des_makespan.max(des_busy / effective_cores as f64),
+        pred_nospec_elapsed: nospec_makespan.max(nospec_busy / effective_cores as f64),
         evals: r.report.levels.iter().map(|l| l.evaluations).collect(),
-        des_evals: des.evals_per_level.clone(),
+        des_evals: des
+            .run
+            .report
+            .levels
+            .iter()
+            .map(|l| l.evaluations)
+            .collect(),
         mean_batch: r.phonebook.mean_batch(),
         max_batch: r.phonebook.max_batch,
         polls: r.runtime.polls,
@@ -375,7 +374,7 @@ fn swe_study(args: &ExpArgs) {
         Resolution::Custom([9, 13, 17])
     };
     let h = TsunamiHierarchy::new(resolution);
-    let rho: Vec<usize> = (0..3).map(|l| h.subsampling_rate(l)).collect();
+    let rho: [usize; 3] = std::array::from_fn(|l| h.subsampling_rate(l));
     let samples = if args.paper {
         vec![2_000usize, 400, 60]
     } else {
@@ -408,7 +407,7 @@ fn swe_study(args: &ExpArgs) {
         let (r, point) = run_sweep_point(
             &pool,
             &h,
-            &rho,
+            rho,
             &eval_time,
             ranks,
             effective_cores,
@@ -822,7 +821,10 @@ fn main() {
 
     // ---------------- 1. validation ----------------
     // (cheap targets, no spin: this part compares *estimates*, not time)
-    let h_plain = SpinHierarchy { spin: [0, 0, 0] };
+    let h_plain = SpinHierarchy {
+        spin: [0, 0, 0],
+        rho: RHO,
+    };
     let val_samples = if args.paper {
         vec![60_000usize, 6_000, 600]
     } else {
@@ -947,7 +949,7 @@ fn main() {
     // paper's runs, so the DES (which only models evaluation cost) is a
     // meaningful predictor
     let spin = [2000u32, 4000, 8000];
-    let h = SpinHierarchy { spin };
+    let h = SpinHierarchy { spin, rho: RHO };
     let samples = if args.paper {
         vec![120_000usize, 12_000, 1_200]
     } else {
@@ -1002,7 +1004,7 @@ fn main() {
         let (r, point) = run_sweep_point(
             &pool,
             &h,
-            &RHO,
+            RHO,
             &eval_time,
             ranks,
             effective_cores,
@@ -1299,8 +1301,8 @@ fn main() {
         share_rows.join(", ")
     );
     println!(
-        "obs spec loop: tracer hit rate {:.2} fed into the DES, wall-clock prediction \
-         ratio {:.2} (cross-check 2) ✓\n",
+        "obs spec loop: tracer hit rate {:.2} (the simulated ledger produces its own), \
+         wall-clock prediction ratio {:.2} (cross-check 2) ✓\n",
         obs_point.hit_rate,
         obs_point.elapsed / obs_point.pred_elapsed
     );

@@ -3,15 +3,16 @@
 //!
 //! Default mode drives one in-process service end to end:
 //!
-//! 1. a calibration job teaches the admission DES the measured per-level
-//!    evaluation times (replacing the 50 µs bootstrap);
+//! 1. a calibration job teaches the admission model the measured
+//!    per-level evaluation times (replacing the 50 µs bootstrap);
 //! 2. a four-tenant mix (priorities 1/1/2/4, mixed job sizes) is
 //!    submitted; one job is preempted at a quiesce barrier and resumed,
 //!    one is cancelled mid-flight;
 //! 3. every completed job's time-to-estimate is measured and
-//!    cross-checked against the DES admission prediction it was admitted
-//!    under (the ratio must stay inside a wide sanity band — the DES is
-//!    an admission model, not a profiler);
+//!    cross-checked against the admission prediction it was admitted
+//!    under — the job's own configuration simulated on a stand-in target
+//!    (the ratio must stay inside a wide sanity band — it is an
+//!    admission model, not a profiler);
 //! 4. sustained jobs/sec, p50/p99 time-to-estimate, the per-tenant serve
 //!    table and the band check land in `results/BENCH_PR10.json`, and
 //!    `--metrics-out F` writes a `uq-obs-metrics-v3` snapshot whose
@@ -288,7 +289,7 @@ fn main() {
     let service = Service::start(cfg, &tracer);
     service.register_model("ridge", Arc::new(Ridge));
 
-    // 1. calibration: one solo job replaces the DES eval-time bootstrap
+    // 1. calibration: one solo job replaces the admission model's bootstrap
     // with measured rates before any prediction we score
     let (cal, _) = service
         .submit(job(0, 1.0, base_config(800, 250, args.seed)))
@@ -320,9 +321,12 @@ fn main() {
             tte: None,
         });
     }
-    // chaos riders: cancel the second job, preempt/resume the fourth
-    let cancel_id = jobs[1].id;
-    let preempt_id = jobs[3].id;
+    // chaos riders: cancel the last job, preempt/resume the last large
+    // one — still queued or running now, where the first jobs finish
+    // while the later ones are admitted (a submit simulates the job:
+    // 2–5 ms each here, more beside three running jobs)
+    let cancel_id = jobs[11].id;
+    let preempt_id = jobs[10].id;
     assert!(
         service.cancel(cancel_id),
         "mid-flight cancel must be accepted"

@@ -295,9 +295,9 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Shared fixtures for the forward-solve-pipeline benchmarks, used by
 /// both the criterion harnesses (`benches/kernels.rs`,
-/// `benches/models.rs`) and the `perf_baseline` binary so all of them
-/// measure the same κ field, multigrid hierarchy and θ chain — a tweak
-/// in one place cannot silently diverge from the others.
+/// `benches/models.rs`) and the repo's benchmark (`benchmark/`) so all
+/// of them measure the same κ field, multigrid hierarchy and θ chain —
+/// a tweak in one place cannot silently diverge from the others.
 pub mod pipeline_bench {
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -13,6 +13,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A delivered message with its sender rank.
 #[derive(Clone, Debug)]
@@ -67,6 +68,8 @@ struct Link<M> {
     txs: Vec<Outbox<M>>,
     /// Universe-wide tally of sends to already-exited ranks.
     dropped_sends: Arc<AtomicUsize>,
+    /// When the handle was assembled: what [`Port::now`] counts from.
+    start: Instant,
 }
 
 impl<M: Send> Port<M> for Link<M> {
@@ -87,6 +90,10 @@ impl<M: Send> Port<M> for Link<M> {
 
     fn pull(&self, _rank: usize, buffer: &mut VecDeque<Envelope<M>>) {
         buffer.extend(self.rx.try_iter());
+    }
+
+    fn now(&self, _rank: usize) -> f64 {
+        self.start.elapsed().as_secs_f64()
     }
 }
 
@@ -116,6 +123,7 @@ impl<M: Send> RankCtx<M> {
                 rx,
                 txs,
                 dropped_sends,
+                start: Instant::now(),
             },
             buffer: VecDeque::new(),
         }
@@ -288,7 +296,7 @@ impl Universe {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -298,9 +306,9 @@ mod tests {
         Data(Vec<f64>),
     }
 
-    /// A machine from a closure: the tests below state each rank's
-    /// behaviour inline and run it under [`RankCtx::drive`].
-    struct FnRank<F>(F);
+    /// A machine from a closure: the tests below (and the simulator's)
+    /// state each rank's behaviour inline.
+    pub(crate) struct FnRank<F>(pub F);
 
     impl<M: Send, R, F: FnMut(&mut VCtx<'_, M>) -> Poll<M, R>> VirtualRank<M> for FnRank<F> {
         type Output = R;

@@ -1,22 +1,16 @@
-//! Discrete-event simulation of the parallel MLMCMC schedule.
+//! The cost model and report of the simulated scaling studies.
 //!
-//! The live scheduler in [`crate::scheduler`] is bounded by the physical
-//! core count; the paper's scaling studies run up to 1024 ranks. This
-//! module replays the *same scheduling policy* — per-chain burn-in,
-//! one-ready-sample-per-chain coarse-proposal handoffs with subsampling,
-//! per-level completion, optional reassignment of idle chains, and a
-//! serialized phonebook — in virtual time, with model-evaluation
-//! durations drawn from per-level cost distributions (as measured on the
-//! real models). It reproduces the paper's strong-scaling saturation
-//! (burn-in + few-samples-per-chain, Fig. 11) and the weak-scaling
-//! efficiency drop at large rank counts (phonebook/communication
-//! saturation, Fig. 12) without needing the hardware.
+//! The live executors are bounded by the physical core count; the paper's
+//! scaling studies run up to 1024 ranks. [`simulate`] runs a [`DesConfig`]
+//! as the **shipped role machines** under the virtual-time executor
+//! ([`crate::sim`], through [`run_simulated`]): a stand-in Gaussian target
+//! supplies the accept/reject dynamics, an evaluation costs the config's
+//! per-level time, and serves, speculation and load balancing cost what
+//! [`crate::roles`] makes them cost. No policy is restated here.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use uq_linalg::prob::standard_normal;
+use crate::obs::Tracer;
+use crate::roles::{run_simulated, RuntimeConfig, SimCost, StandIn};
+use crate::sim::SimError;
 
 /// Simulation parameters.
 #[derive(Clone, Debug)]
@@ -35,45 +29,20 @@ pub struct DesConfig {
     pub chains_per_level: Vec<usize>,
     /// Ranks per chain group (the paper's worker groups).
     pub group_size: usize,
-    /// Phonebook service time per coarse-sample handoff (seconds); the
+    /// Phonebook service time per message it handles (seconds); the
     /// phonebook is a serialized resource, so this models the
     /// communication bound seen at the largest rank counts.
     pub phonebook_service_time: f64,
-    /// Bookkeeping time per recorded correction sample at a per-level
-    /// collector rank (seconds). Each collector is serialized, so a level
-    /// whose samples arrive faster than `1/collector_service_time` makes
-    /// the run collector-bound — the effect behind the paper's weak-
-    /// scaling efficiency drop at 1024 ranks ("significant load on the
-    /// communication infrastructure" from the very fast coarse model).
+    /// Bookkeeping time per message at a per-level collector rank
+    /// (seconds), surplus corrections included. Each collector is
+    /// serialized: a level whose chains send faster than
+    /// `1/collector_service_time` queues up without bound until
+    /// `StopProducing` reaches them — the effect behind the paper's
+    /// weak-scaling efficiency drop at 1024 ranks.
     pub collector_service_time: f64,
     /// Enable idle-chain reassignment (dynamic load balancing).
     pub load_balancing: bool,
     pub seed: u64,
-    /// Model per-requester **ledger serving** (PR 4): a coarse-sample
-    /// handoff costs the server `ρ_l × (1 + ledger_pairing_overhead)`
-    /// dedicated evaluations executed on demand (the proposal leg plus,
-    /// for diverged sessions, the pairing leg), instead of a free handoff
-    /// of a pre-produced state; servers serve on demand with no stride
-    /// pacing and requesters wait for the serve on their critical path.
-    /// `false` replays the legacy shared-state schedule (Figs. 11–12).
-    pub ledger: bool,
-    /// Fraction of serves that run the second (pairing) leg — feed the
-    /// live run's measured `LedgerStats::diverged_fraction` (≈ 1 once
-    /// sessions have diverged, which happens at the first rejection).
-    pub ledger_pairing_overhead: f64,
-    /// Fraction of ledger serves answered from a **speculative**
-    /// precomputation (PR 5): the serve's work was done by an idle
-    /// server ahead of the request, so it costs the requester only the
-    /// phonebook handoff instead of `ρ(1 + diverged)` dedicated server
-    /// evaluations — feed the live run's measured
-    /// `LedgerStats::hit_rate`. Only meaningful with `ledger`.
-    pub spec_hit_rate: f64,
-    /// Wasted speculative serve-legs per committed serve (discarded
-    /// anchor-mismatch/stale speculations) — feed the live run's
-    /// `LedgerStats::waste_per_serve`. Charged as off-critical-path
-    /// server work (it inflates busy time and evaluation counts, not
-    /// the requester's latency).
-    pub spec_waste: f64,
 }
 
 impl DesConfig {
@@ -83,12 +52,29 @@ impl DesConfig {
         2 + self.samples_per_level.len()
             + self.group_size * self.chains_per_level.iter().sum::<usize>()
     }
+
+    /// `Err` names the first per-level vector that is not as long as
+    /// `samples_per_level` (every one of them, in a hierarchy of no levels).
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let n_levels = self.samples_per_level.len();
+        let lengths = [
+            ("eval_time", self.eval_time.len()),
+            ("burn_in", self.burn_in.len()),
+            ("subsampling", self.subsampling.len()),
+            ("chains_per_level", self.chains_per_level.len()),
+        ];
+        let wrong = |&(_, len): &(_, usize)| len != n_levels || n_levels == 0;
+        lengths
+            .into_iter()
+            .find(wrong)
+            .map_or(Ok(()), |(which, _)| Err(which))
+    }
 }
 
 /// Simulation outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DesResult {
-    /// Virtual wall-clock time until every level reached its target.
+    /// Virtual wall-clock time until the root assembled its report.
     pub makespan: f64,
     /// Model evaluations performed per level.
     pub evals_per_level: Vec<usize>,
@@ -96,592 +82,58 @@ pub struct DesResult {
     pub reassignments: usize,
     /// Fraction of chain-time spent evaluating models (utilization).
     pub busy_fraction: f64,
-    /// Busy (evaluating/serving) chain-seconds attributed to each level
-    /// — the virtual-time counterpart of the live tracer's per-level
-    /// activity split, so measured and predicted utilization can be
-    /// compared level by level (`scaling_live` closes that loop).
+    /// Busy (evaluating/serving) chain-seconds attributed to each level —
+    /// the virtual-time counterpart of the live tracer's per-level
+    /// activity split (`scaling_live` compares the two level by level).
     pub busy_per_level: Vec<f64>,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// Remaining burn-in steps.
-    Burnin(usize),
-    Producing,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ChainState {
-    Busy,
-    WaitingToken,
-    Idle,
-}
-
-struct Chain {
-    level: usize,
-    phase: Phase,
-    state: ChainState,
-    steps_since_token: usize,
-    has_ready: bool,
-}
-
-/// Time-ordered event key (f64 with total order for the heap).
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct T(f64);
-
-impl Eq for T {}
-
-impl PartialOrd for T {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for T {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 /// Run the simulation.
 ///
 /// # Panics
-/// Panics on inconsistent configuration lengths.
+/// Panics on a configuration [`DesConfig::validate`] rejects.
 pub fn simulate(config: &DesConfig) -> DesResult {
-    let n_levels = config.samples_per_level.len();
-    assert_eq!(config.eval_time.len(), n_levels);
-    assert_eq!(config.burn_in.len(), n_levels);
-    assert_eq!(config.subsampling.len(), n_levels);
-    assert_eq!(config.chains_per_level.len(), n_levels);
-    assert!(config.group_size >= 1);
-    if config.ledger {
-        return simulate_ledger(config);
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    let mut chains: Vec<Chain> = Vec::new();
-    for (level, &count) in config.chains_per_level.iter().enumerate() {
-        for _ in 0..count {
-            chains.push(Chain {
-                level,
-                phase: if config.burn_in[level] > 0 {
-                    Phase::Burnin(config.burn_in[level])
-                } else {
-                    Phase::Producing
-                },
-                state: ChainState::Idle,
-                steps_since_token: 0,
-                has_ready: false,
-            });
-        }
-    }
-
-    let mut samples = vec![0usize; n_levels];
-    let mut evals = vec![0usize; n_levels];
-    let mut done = vec![false; n_levels];
-    // chains of level l with a ready (unclaimed) sample
-    let mut ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_levels];
-    // fine chains waiting for a token from level l
-    let mut waiting: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_levels];
-    let mut pb_free_at = 0.0f64;
-    let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::new();
-    let mut busy_time = 0.0f64;
-    let mut busy_per_level = vec![0.0f64; n_levels];
-    let mut reassignments = 0usize;
-    let mut level_count = config.chains_per_level.clone();
-    // steal at most once per this many events (the scheduler's "only at
-    // the timescale of model evaluations" rate limit)
-    let steal_cooldown = 4 * chains.len();
-    let mut events_since_steal = steal_cooldown;
-
-    let eval_duration = |rng: &mut StdRng, level: usize| -> f64 {
-        let base = config.eval_time[level];
-        if config.eval_jitter > 0.0 {
-            base * (config.eval_jitter * standard_normal(rng)).exp()
-        } else {
-            base
-        }
-    };
-
-    // start a step for `chain` at `t_start` (already holding its token)
-    macro_rules! start_step {
-        ($heap:expr, $rng:expr, $chains:expr, $id:expr, $t:expr) => {{
-            let dur = eval_duration($rng, $chains[$id].level);
-            busy_time += dur;
-            busy_per_level[$chains[$id].level] += dur;
-            $chains[$id].state = ChainState::Busy;
-            $heap.push(Reverse((T($t + dur), $id)));
-        }};
-    }
-
-    // try to begin the next step of `chain` at time `now`: acquire a
-    // coarse token if needed (level > 0), else start immediately.
-    macro_rules! try_begin {
-        ($heap:expr, $rng:expr, $chains:expr, $ready:expr, $waiting:expr, $id:expr, $now:expr) => {{
-            let level = $chains[$id].level;
-            if level == 0 {
-                start_step!($heap, $rng, $chains, $id, $now);
-            } else if let Some(server) = $ready[level - 1].pop_front() {
-                // phonebook handoff (serialized resource)
-                let svc_start = pb_free_at.max($now);
-                pb_free_at = svc_start + config.phonebook_service_time;
-                $chains[server].has_ready = false;
-                // wake the server if it was idling on its ready sample
-                if $chains[server].state == ChainState::Idle {
-                    $chains[server].state = ChainState::Busy;
-                    let sdur = eval_duration($rng, $chains[server].level);
-                    busy_time += sdur;
-                    busy_per_level[$chains[server].level] += sdur;
-                    $heap.push(Reverse((T(pb_free_at + sdur), server)));
-                }
-                start_step!($heap, $rng, $chains, $id, pb_free_at);
-            } else {
-                $chains[$id].state = ChainState::WaitingToken;
-                $waiting[level - 1].push_back($id);
-            }
-        }};
-    }
-
-    // bootstrap: every chain tries to begin its first step at t = 0
-    for id in 0..chains.len() {
-        try_begin!(heap, &mut rng, chains, ready, waiting, id, 0.0);
-    }
-
-    let mut now = 0.0f64;
-    while let Some(Reverse((T(t), id))) = heap.pop() {
-        now = t;
-        if done.iter().all(|&d| d) {
-            break;
-        }
-        let level = chains[id].level;
-        evals[level] += 1;
-        // step finished: bookkeeping
-        match chains[id].phase {
-            Phase::Burnin(remaining) => {
-                if remaining <= 1 {
-                    chains[id].phase = Phase::Producing;
-                    chains[id].steps_since_token = config.subsampling[level].max(1);
-                } else {
-                    chains[id].phase = Phase::Burnin(remaining - 1);
-                }
-            }
-            Phase::Producing => {
-                if !done[level] {
-                    samples[level] += 1;
-                    if samples[level] >= config.samples_per_level[level] {
-                        done[level] = true;
-                    }
-                }
-                chains[id].steps_since_token += 1;
-            }
-        }
-        // token production (not on the finest level)
-        let is_top = level + 1 >= n_levels;
-        if !is_top
-            && chains[id].phase == Phase::Producing
-            && !chains[id].has_ready
-            && chains[id].steps_since_token >= config.subsampling[level].max(1)
-        {
-            chains[id].has_ready = true;
-            chains[id].steps_since_token = 0;
-            if let Some(waiter) = waiting[level].pop_front() {
-                // immediate handoff to a waiting fine chain
-                let svc_start = pb_free_at.max(now);
-                pb_free_at = svc_start + config.phonebook_service_time;
-                chains[id].has_ready = false;
-                chains[id].steps_since_token = 0;
-                start_step!(heap, &mut rng, chains, waiter, pb_free_at);
-            } else {
-                ready[level].push_back(id);
-            }
-        }
-        // decide this chain's next move
-        let keep_producing = !done[level];
-        let need_token_buffer = !is_top && !chains[id].has_ready;
-        if keep_producing || need_token_buffer {
-            try_begin!(heap, &mut rng, chains, ready, waiting, id, now);
-        } else {
-            chains[id].state = ChainState::Idle;
-            // dynamic load balancing: an idle chain (level done, ready
-            // sample parked) moves to a *different* starved level,
-            // keeping at least one serving chain behind if finer levels
-            // still depend on this one
-            if config.load_balancing {
-                let still_needed = (level + 1..n_levels).any(|f| !done[f]) && !is_top;
-                let target = (0..n_levels).find(|&l| {
-                    l != level && !waiting[l].is_empty() && !done.iter().skip(l + 1).all(|&d| d)
-                });
-                if let Some(target) = target {
-                    // donate only if this level's token throughput still
-                    // covers its consumers afterwards: supply is
-                    // (chains-1)/(ρ·t_l) tokens/s, demand is bounded by
-                    // the consumers' intrinsic step rate n_{l+1}/t_{l+1}
-                    // — emigration must not starve the level it leaves
-                    let throughput_safe = if level + 1 < n_levels {
-                        let supply_after = (level_count[level].saturating_sub(1)) as f64
-                            / (config.subsampling[level].max(1) as f64 * config.eval_time[level]);
-                        let demand = level_count[level + 1] as f64 / config.eval_time[level + 1];
-                        supply_after >= demand
-                    } else {
-                        true
-                    };
-                    if !still_needed || throughput_safe {
-                        // leave the ready queue if we were in it
-                        ready[level].retain(|&c| c != id);
-                        level_count[level] -= 1;
-                        level_count[target] += 1;
-                        chains[id].level = target;
-                        chains[id].phase = if config.burn_in[target] > 0 {
-                            Phase::Burnin(config.burn_in[target])
-                        } else {
-                            Phase::Producing
-                        };
-                        chains[id].has_ready = false;
-                        chains[id].steps_since_token = 0;
-                        reassignments += 1;
-                        try_begin!(heap, &mut rng, chains, ready, waiting, id, now);
-                    }
-                }
-            }
-        }
-        // demand-driven steal (load balancing): when token demand on a
-        // level persistently outstrips its chain count, convert one
-        // *queued* fine chain into a producer for that level — it was
-        // making no progress anyway (the paper's "chains waiting imply
-        // bad machine utilization" signal)
-        if config.load_balancing && events_since_steal >= steal_cooldown {
-            'steal: for l in 0..n_levels {
-                if waiting[l].len() <= level_count[l] {
-                    continue;
-                }
-                // victim: a waiting chain from the finest over-subscribed
-                // queue whose own level keeps at least one chain
-                for m in (l..n_levels).rev() {
-                    let Some(&victim) = waiting[m].back() else {
-                        continue;
-                    };
-                    let victim_level = chains[victim].level;
-                    if victim_level == l || level_count[victim_level] < 2 {
-                        continue;
-                    }
-                    waiting[m].pop_back();
-                    level_count[victim_level] -= 1;
-                    level_count[l] += 1;
-                    chains[victim].level = l;
-                    chains[victim].phase = if config.burn_in[l] > 0 {
-                        Phase::Burnin(config.burn_in[l])
-                    } else {
-                        Phase::Producing
-                    };
-                    chains[victim].has_ready = false;
-                    chains[victim].steps_since_token = 0;
-                    reassignments += 1;
-                    events_since_steal = 0;
-                    try_begin!(heap, &mut rng, chains, ready, waiting, victim, now);
-                    break 'steal;
-                }
-            }
-        }
-        events_since_steal += 1;
-    }
-
-    // collector throughput floor: each level's samples are processed by a
-    // serialized collector rank
-    let collector_floor = config
-        .samples_per_level
-        .iter()
-        .map(|&n| n as f64 * config.collector_service_time)
-        .fold(0.0f64, f64::max);
-    let makespan = now.max(collector_floor);
-    let n_chains = chains.len().max(1);
-    DesResult {
-        makespan,
-        evals_per_level: evals,
-        reassignments,
-        busy_fraction: if makespan > 0.0 {
-            (busy_time / (makespan * n_chains as f64)).min(1.0)
-        } else {
-            0.0
-        },
-        busy_per_level,
-    }
+    simulate_within(config, usize::MAX).expect("an unbounded simulated run finishes")
 }
 
-/// The ledger-mode replay (see [`DesConfig::ledger`]): no pre-produced
-/// tokens — a requester's step first occupies a coarse server for
-/// `ρ × (1 + overhead)` dedicated evaluations (the ledger serve), then
-/// runs its own evaluation. Servers prioritize queued serves over their
-/// own production, exactly like the live controllers.
-#[allow(clippy::too_many_lines)]
-fn simulate_ledger(config: &DesConfig) -> DesResult {
-    let n_levels = config.samples_per_level.len();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    struct LChain {
-        level: usize,
-        phase: Phase,
-        /// `Some(requester)` while the chain's scheduled event is a serve
-        /// completion on that requester's behalf.
-        serve_for: Option<usize>,
+/// [`simulate`], abandoned with [`SimError::PollBudget`] once it has
+/// taken `poll_budget` polls — the cap for callers simulating on behalf
+/// of somebody else (admission).
+pub fn simulate_within(config: &DesConfig, poll_budget: usize) -> Result<DesResult, SimError> {
+    if let Err(which) = config.validate() {
+        panic!("DesConfig: `{which}` does not fit the hierarchy");
     }
-
-    let mut chains: Vec<LChain> = Vec::new();
-    for (level, &count) in config.chains_per_level.iter().enumerate() {
-        for _ in 0..count {
-            chains.push(LChain {
-                level,
-                phase: if config.burn_in[level] > 0 {
-                    Phase::Burnin(config.burn_in[level])
-                } else {
-                    Phase::Producing
-                },
-                serve_for: None,
-            });
-        }
-    }
-    let n_chains = chains.len();
-    let mut samples = vec![0usize; n_levels];
-    let mut evals = vec![0usize; n_levels];
-    let mut evals_serve = vec![0.0f64; n_levels];
-    let mut done = vec![false; n_levels];
-    // idle level-l servers available for on-demand serves
-    let mut ready: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_levels];
-    // requesters waiting for a level-l serve
-    let mut waiting: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_levels];
-    let mut level_count = config.chains_per_level.clone();
-    let mut pb_free_at = 0.0f64;
-    let mut busy_time = 0.0f64;
-    let mut busy_per_level = vec![0.0f64; n_levels];
-    let mut reassignments = 0usize;
-    // reassignment rate limit, mirroring the live phonebook's cooldown
-    // (without it, every idle coarse chain would migrate at once and each
-    // would pay the target level's burn-in)
-    let reassign_cooldown = 4 * n_chains;
-    let mut events_since_reassign = reassign_cooldown;
-    let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::new();
-
-    let eval_duration = |rng: &mut StdRng, level: usize| -> f64 {
-        let base = config.eval_time[level];
-        if config.eval_jitter > 0.0 {
-            base * (config.eval_jitter * standard_normal(rng)).exp()
-        } else {
-            base
-        }
+    let levels = 1..=config.samples_per_level.len() as i32;
+    let model = StandIn {
+        means: levels.clone().map(|l| 1.0 - 0.5f64.powi(l)).collect(),
+        sds: levels.map(|l| 0.5 + 0.5f64.powi(l + 1)).collect(),
+        rho: config.subsampling.clone(),
     };
-
-    // A level-l serve runs `legs_l = ρ_l·(1+overhead)` steps of the
-    // level-l chain, and — for l ≥ 1 — each of those steps itself needs
-    // a level-(l−1) serve. Cost the nesting analytically: per level-l
-    // serve, level k ≤ l performs `Π_{j=k..l} legs_j` evaluations and
-    // the serve occupies the server for the summed duration. (Queue
-    // contention below the serving level is not modeled — the nested
-    // work is charged to this serve's critical path directly.)
-    let legs: Vec<f64> = (0..n_levels)
-        .map(|l| config.subsampling[l].max(1) as f64 * (1.0 + config.ledger_pairing_overhead))
-        .collect();
-    // serve_evals_at[l][k]: expected level-k evaluations per level-l serve
-    let serve_evals_at: Vec<Vec<f64>> = (0..n_levels)
-        .map(|l| {
-            (0..=l)
-                .map(|k| legs[k..=l].iter().product::<f64>())
-                .collect()
-        })
-        .collect();
-    let serve_mean_dur: Vec<f64> = (0..n_levels)
-        .map(|l| {
-            (0..=l)
-                .map(|k| serve_evals_at[l][k] * config.eval_time[k])
-                .sum()
-        })
-        .collect();
-
-    // a serve occupies `server` until the legs (including nested serves)
-    // are done, then releases the requester's own evaluation (scheduled
-    // at the serve-completion event)
-    macro_rules! start_serve {
-        ($server:expr, $requester:expr, $now:expr) => {{
-            let slevel = chains[$server].level;
-            let svc_start = pb_free_at.max($now);
-            pb_free_at = svc_start + config.phonebook_service_time;
-            // jitter the whole serve like one composite evaluation
-            let dur =
-                serve_mean_dur[slevel] * eval_duration(&mut rng, slevel) / config.eval_time[slevel];
-            busy_time += dur;
-            // attribute the composite duration to the levels that run
-            // its legs (nested serves execute on lower-level chains),
-            // matching how the live tracer charges serve spans
-            let scale = dur / serve_mean_dur[slevel];
-            for (k, e) in serve_evals_at[slevel].iter().enumerate() {
-                evals_serve[k] += e;
-                busy_per_level[k] += e * config.eval_time[k] * scale;
-            }
-            chains[$server].serve_for = Some($requester);
-            heap.push(Reverse((T(svc_start + dur), $server)));
-        }};
-    }
-
-    // off-critical-path speculation work: `factor` serve-equivalents of
-    // level-`lvl` serving charged to busy time and evaluation counts
-    // without occupying the requester or the event timeline
-    macro_rules! charge_spec_work {
-        ($lvl:expr, $factor:expr) => {{
-            let f: f64 = $factor;
-            if f > 0.0 {
-                busy_time += f * serve_mean_dur[$lvl];
-                for (k, e) in serve_evals_at[$lvl].iter().enumerate() {
-                    evals_serve[k] += f * e;
-                    busy_per_level[k] += f * e * config.eval_time[k];
-                }
-            }
-        }};
-    }
-
-    // begin chain `id`'s next step: level 0 evaluates directly, finer
-    // levels first need a ledger serve from the level below — unless the
-    // serve was speculatively precomputed (probability `spec_hit_rate`),
-    // in which case the requester pays only the phonebook handoff. Every
-    // serve additionally amortizes `spec_waste` discarded speculative
-    // legs as off-path server work.
-    macro_rules! begin_step {
-        ($id:expr, $now:expr) => {{
-            let level = chains[$id].level;
-            if level == 0 {
-                let dur = eval_duration(&mut rng, 0);
-                busy_time += dur;
-                busy_per_level[0] += dur;
-                heap.push(Reverse((T($now + dur), $id)));
-            } else {
-                charge_spec_work!(level - 1, config.spec_waste);
-                if config.spec_hit_rate > 0.0 && rng.random::<f64>() < config.spec_hit_rate {
-                    // speculation hit: serve precomputed during idle time
-                    let svc_start = pb_free_at.max($now);
-                    pb_free_at = svc_start + config.phonebook_service_time;
-                    charge_spec_work!(level - 1, 1.0);
-                    let dur = eval_duration(&mut rng, level);
-                    busy_time += dur;
-                    busy_per_level[level] += dur;
-                    heap.push(Reverse((T(pb_free_at + dur), $id)));
-                } else if let Some(server) = ready[level - 1].pop_front() {
-                    start_serve!(server, $id, $now);
-                } else {
-                    waiting[level - 1].push_back($id);
-                }
-            }
-        }};
-    }
-
-    // what a chain does after completing an event: serve next waiter,
-    // else keep producing, else go idle (and maybe reassign)
-    macro_rules! next_move {
-        ($id:expr, $now:expr) => {{
-            let level = chains[$id].level;
-            let is_top = level + 1 >= n_levels;
-            let serving_capable = chains[$id].phase == Phase::Producing && !is_top;
-            if serving_capable && !waiting[level].is_empty() {
-                let req = waiting[level].pop_front().expect("non-empty");
-                start_serve!($id, req, $now);
-            } else if !done[level] || matches!(chains[$id].phase, Phase::Burnin(_)) {
-                begin_step!($id, $now);
-            } else {
-                // idle: park as an on-demand server, or migrate to a
-                // starved level (dynamic load balancing, rate-limited)
-                let target = if config.load_balancing && events_since_reassign >= reassign_cooldown
-                {
-                    (0..n_levels).find(|&l| {
-                        l != level
-                            && !waiting[l].is_empty()
-                            && level_count[level] >= 2
-                            && !done.iter().skip(l + 1).all(|&d| d)
-                    })
-                } else {
-                    None
-                };
-                if let Some(target) = target {
-                    ready[level].retain(|&c| c != $id);
-                    level_count[level] -= 1;
-                    level_count[target] += 1;
-                    chains[$id].level = target;
-                    chains[$id].phase = if config.burn_in[target] > 0 {
-                        Phase::Burnin(config.burn_in[target])
-                    } else {
-                        Phase::Producing
-                    };
-                    reassignments += 1;
-                    events_since_reassign = 0;
-                    // the migrated chain starts over (burn-in first, like
-                    // the live controllers' rebuild)
-                    begin_step!($id, $now);
-                } else if !is_top && !ready[level].contains(&$id) {
-                    ready[level].push_back($id);
-                }
-            }
-        }};
-    }
-
-    for id in 0..n_chains {
-        begin_step!(id, 0.0);
-    }
-
-    let mut now = 0.0f64;
-    while let Some(Reverse((T(t), id))) = heap.pop() {
-        now = t;
-        if done.iter().all(|&d| d) {
-            break;
-        }
-        events_since_reassign += 1;
-        if let Some(requester) = chains[id].serve_for.take() {
-            // serve completed: the requester's own evaluation starts now
-            let rlevel = chains[requester].level;
-            let dur = eval_duration(&mut rng, rlevel);
-            busy_time += dur;
-            busy_per_level[rlevel] += dur;
-            heap.push(Reverse((T(now + dur), requester)));
-            next_move!(id, now);
-            continue;
-        }
-        // own step completed
-        let level = chains[id].level;
-        evals[level] += 1;
-        match chains[id].phase {
-            Phase::Burnin(remaining) => {
-                chains[id].phase = if remaining <= 1 {
-                    Phase::Producing
-                } else {
-                    Phase::Burnin(remaining - 1)
-                };
-            }
-            Phase::Producing => {
-                if !done[level] {
-                    samples[level] += 1;
-                    if samples[level] >= config.samples_per_level[level] {
-                        done[level] = true;
-                    }
-                }
-            }
-        }
-        next_move!(id, now);
-    }
-
-    let collector_floor = config
-        .samples_per_level
-        .iter()
-        .map(|&n| n as f64 * config.collector_service_time)
-        .fold(0.0f64, f64::max);
-    let makespan = now.max(collector_floor);
-    for (e, s) in evals.iter_mut().zip(&evals_serve) {
-        *e += s.round() as usize;
-    }
-    DesResult {
-        makespan,
-        evals_per_level: evals,
-        reassignments,
-        busy_fraction: if makespan > 0.0 {
-            (busy_time / (makespan * n_chains.max(1) as f64)).min(1.0)
-        } else {
-            0.0
-        },
-        busy_per_level,
-    }
+    let (samples, chains) = (&config.samples_per_level, &config.chains_per_level);
+    let mut run = RuntimeConfig::new(samples.clone(), chains.clone());
+    run.base.burn_in = config.burn_in.clone();
+    run.base.load_balancing = config.load_balancing;
+    run.base.seed = config.seed;
+    let cost = SimCost {
+        eval_time: config.eval_time.clone(),
+        eval_jitter: config.eval_jitter,
+        phonebook_service_time: config.phonebook_service_time,
+        collector_service_time: config.collector_service_time,
+        latency: 0.0,
+        poll_budget,
+    };
+    let off = Tracer::disabled();
+    let out = run_simulated(&model, &run, &off, &cost, config.seed, None, None)?;
+    let report = &out.run.report;
+    let chain_time = report.elapsed * chains.iter().sum::<usize>() as f64;
+    let busy: f64 = out.busy_per_level.iter().sum();
+    Ok(DesResult {
+        makespan: report.elapsed,
+        evals_per_level: report.levels.iter().map(|l| l.evaluations).collect(),
+        reassignments: out.run.phonebook.reassignments,
+        busy_fraction: (busy / chain_time.max(f64::MIN_POSITIVE)).min(1.0),
+        busy_per_level: out.busy_per_level,
+    })
 }
 
 /// Distribute `n_chains` chains over levels proportionally to the optimal
@@ -706,7 +158,7 @@ pub fn distribute_chains(n_chains: usize, variances: &[f64], costs: &[f64]) -> V
         fracs.push((share - whole as f64, l));
         remaining = remaining.saturating_sub(whole);
     }
-    fracs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    fracs.sort_by(|a, b| b.0.total_cmp(&a.0));
     for &(_, l) in fracs.iter().take(remaining) {
         out[l] += 1;
     }
@@ -730,92 +182,42 @@ mod tests {
             collector_service_time: 0.0,
             load_balancing: false,
             seed: 1,
-            ledger: false,
-            ledger_pairing_overhead: 0.0,
-            spec_hit_rate: 0.0,
-            spec_waste: 0.0,
         }
     }
 
     #[test]
     fn simulation_terminates_and_counts_evals() {
         let r = simulate(&base_config());
-        assert!(r.makespan > 0.0);
-        // level 0 must run at least its own samples plus burn-in
-        assert!(r.evals_per_level[0] >= 1000);
-        // level 1 runs its samples + 10 x tokens for level 2... at least
-        assert!(r.evals_per_level[1] >= 100);
-        assert!(r.evals_per_level[2] >= 10);
+        // every level runs at least its own samples
+        let own = [1000, 100, 10];
+        assert!(r.makespan > 0.0 && r.evals_per_level.iter().zip(own).all(|(&e, n)| e >= n));
+        // same seed, same machines: the same result to the bit
+        assert_eq!(r, simulate(&base_config()));
     }
 
-    fn ledger_config() -> DesConfig {
+    #[test]
+    fn validate_names_the_vector_that_does_not_fit() {
         let mut cfg = base_config();
-        cfg.ledger = true;
-        cfg.ledger_pairing_overhead = 0.8;
-        cfg
-    }
-
-    #[test]
-    fn speculation_hits_shorten_the_ledger_makespan() {
-        // precomputed serves take the ρ(1+diverged) server legs off the
-        // requester's critical path, so virtual wall-clock must drop
-        let base = simulate(&ledger_config());
-        let mut spec = ledger_config();
-        spec.spec_hit_rate = 0.7;
-        let hit = simulate(&spec);
-        assert!(
-            hit.makespan < base.makespan,
-            "speculation hits should shorten the makespan: {} vs {}",
-            hit.makespan,
-            base.makespan
-        );
-    }
-
-    #[test]
-    fn speculation_waste_inflates_work_not_latency() {
-        // discarded speculations cost server evaluations off the
-        // critical path: eval counts grow, the makespan does not
-        let base = simulate(&ledger_config());
-        let mut wasted = ledger_config();
-        wasted.spec_waste = 0.5;
-        let w = simulate(&wasted);
-        assert!(
-            w.evals_per_level[0] > base.evals_per_level[0],
-            "waste must show up in coarse eval counts: {:?} vs {:?}",
-            w.evals_per_level,
-            base.evals_per_level
-        );
-        assert!(
-            (w.makespan - base.makespan).abs() < 1e-9,
-            "waste is off the critical path: {} vs {}",
-            w.makespan,
-            base.makespan
-        );
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.subsampling.pop();
+        assert_eq!(cfg.validate(), Err("subsampling"));
     }
 
     #[test]
     fn subsampling_inflates_coarse_evals() {
         let r = simulate(&base_config());
-        // every level-1 step needs a level-0 token costing ~10 steps
-        assert!(
-            r.evals_per_level[0] as f64 >= 5.0 * r.evals_per_level[1] as f64,
-            "evals {:?}",
-            r.evals_per_level
-        );
+        // every level-1 step needs a level-0 serve of >= 10 steps
+        let evals = &r.evals_per_level;
+        assert!(evals[0] >= 5 * evals[1], "evals {evals:?}");
     }
 
     #[test]
     fn more_chains_reduce_makespan() {
-        let slow = simulate(&base_config());
+        let slow = simulate(&base_config()).makespan;
         let mut cfg = base_config();
         cfg.chains_per_level = vec![8, 4, 2];
-        let fast = simulate(&cfg);
-        assert!(
-            fast.makespan < slow.makespan,
-            "more chains should be faster: {} vs {}",
-            fast.makespan,
-            slow.makespan
-        );
+        let fast = simulate(&cfg).makespan;
+        assert!(fast < slow, "more chains, slower: {fast} vs {slow}");
     }
 
     #[test]
@@ -828,12 +230,8 @@ mod tests {
             cfg.chains_per_level = vec![2 * mult, mult, mult];
             simulate(&cfg).makespan
         };
-        let s_small = mk(1) / mk(4);
-        let s_large = mk(16) / mk(64);
-        assert!(
-            s_small > s_large,
-            "scaling should saturate: small-range speedup {s_small:.2}, large-range {s_large:.2}"
-        );
+        let (small, large) = (mk(1) / mk(4), mk(16) / mk(64));
+        assert!(small > large, "speedups {small:.2} then {large:.2}");
     }
 
     #[test]
@@ -843,15 +241,13 @@ mod tests {
         cheap.eval_time = vec![1e-4, 0.045, 0.93]; // very fast coarse model
         cheap.chains_per_level = vec![32, 2, 1];
         cheap.phonebook_service_time = 0.0;
-        let free = simulate(&cheap);
-        cheap.phonebook_service_time = 5e-3;
-        let congested = simulate(&cheap);
-        assert!(
-            congested.makespan > free.makespan,
-            "phonebook contention should slow the run: {} vs {}",
-            congested.makespan,
-            free.makespan
-        );
+        let free = simulate(&cheap).makespan;
+        // a fine step's nested serves put some twenty phonebook messages
+        // on its critical path: at 50 ms each they outweigh its 0.93 s
+        // evaluation (5 ms would vanish in the spread between trajectories)
+        cheap.phonebook_service_time = 5e-2;
+        let congested = simulate(&cheap).makespan;
+        assert!(congested > 1.25 * free, "{congested} vs {free}");
     }
 
     #[test]
@@ -860,37 +256,31 @@ mod tests {
         cfg.samples_per_level = vec![400, 400, 40];
         // deliberately starve level 1 of chains
         cfg.chains_per_level = vec![6, 1, 1];
-        cfg.load_balancing = false;
         let fixed = simulate(&cfg);
         cfg.load_balancing = true;
         let balanced = simulate(&cfg);
-        assert!(
-            balanced.makespan <= fixed.makespan * 1.05,
-            "LB should not hurt: {} vs {}",
-            balanced.makespan,
-            fixed.makespan
-        );
-        assert!(
-            balanced.reassignments > 0,
-            "idle chains should be reassigned"
-        );
+        let (with, without) = (balanced.makespan, fixed.makespan);
+        assert!(with <= without * 1.05, "LB hurt: {with} vs {without}");
+        assert_eq!(fixed.reassignments, 0);
+        assert!(balanced.reassignments > 0, "idle chains should move");
     }
 
     #[test]
     fn jitter_changes_realization_not_scale() {
         let mut cfg = base_config();
         cfg.eval_jitter = 0.3;
-        let a = simulate(&cfg);
+        let a = simulate(&cfg).makespan;
         cfg.seed = 99;
-        let b = simulate(&cfg);
-        assert!(a.makespan > 0.0 && b.makespan > 0.0);
-        assert!((a.makespan / b.makespan) < 3.0 && (b.makespan / a.makespan) < 3.0);
+        let b = simulate(&cfg).makespan;
+        assert!(a != b && a / b < 3.0 && b / a < 3.0, "{a} vs {b}");
     }
 
     #[test]
     fn busy_fraction_is_sane() {
         let r = simulate(&base_config());
         assert!(r.busy_fraction > 0.0 && r.busy_fraction <= 1.0);
+        let busy: f64 = r.busy_per_level.iter().sum();
+        assert!((busy / (5.0 * r.makespan) - r.busy_fraction).abs() < 1e-12);
     }
 
     #[test]
@@ -898,17 +288,13 @@ mod tests {
         let chains = distribute_chains(10, &[0.15, 0.001, 0.00004], &[0.003, 0.045, 0.93]);
         assert_eq!(chains.iter().sum::<usize>(), 10);
         assert!(chains.iter().all(|&c| c >= 1));
-        assert!(
-            chains[0] >= chains[2],
-            "coarse level carries most effort: {chains:?}"
-        );
+        assert!(chains[0] >= chains[2], "coarse carries most: {chains:?}");
     }
 
     #[test]
     fn ranks_account_for_overhead_and_groups() {
         let mut cfg = base_config();
         cfg.group_size = 3;
-        // 2 + 3 collectors + 3*(2+2+1) chains
-        assert_eq!(cfg.n_ranks(), 2 + 3 + 15);
+        assert_eq!(cfg.n_ranks(), 2 + 3 + 3 * (2 + 2 + 1)); // + collectors + chains
     }
 }

@@ -30,17 +30,21 @@
 //!   as Chrome trace JSON and metrics snapshots. Zero-cost when
 //!   disabled, and recording never perturbs the computation (bit-parity
 //!   pinned by tests).
-//! * [`des`] — a discrete-event simulator replaying the same scheduling
-//!   policy in virtual time, used to reproduce the strong/weak scaling
-//!   studies (Figs. 11–12) beyond any hardware.
+//! * [`sim`] — the virtual-time executor: the same machines polled on
+//!   one thread in virtual-clock order, every delivery delay and
+//!   tie-break drawn from a seed, an evaluation costing what a cost model
+//!   says (`run_simulated`): the shipped protocol as a function of a seed.
+//! * [`des`] — the cost model and report of the scaling studies
+//!   (Figs. 11–12): `simulate` runs a `DesConfig` as those machines.
 //! * [`net`] — the multi-process TCP transport: the same role machines
 //!   over length-prefixed, checksummed frames, assembling one logical
 //!   universe from a driver plus N worker processes, with elastic
 //!   join/leave at checkpoint barriers via phonebook session migration.
 //! * [`service`] — the always-on multi-tenant UQ service: many
 //!   concurrent inversion jobs multiplexed over one shared worker pool
-//!   with fair-share + priority dispatch, DES admission control on
-//!   measured load, per-tenant seed/ledger isolation, and graceful
+//!   with fair-share + priority dispatch, admission control by
+//!   simulating the job on measured load, per-tenant seed/ledger
+//!   isolation, and graceful
 //!   preemption through the quiesce-barrier snapshots (preempted jobs
 //!   resume bit-identically). Remote clients speak [`ServiceFrame`]s
 //!   in the `net` frame format.
@@ -55,6 +59,7 @@ pub mod roles;
 pub mod runtime;
 pub mod scheduler;
 pub mod service;
+pub mod sim;
 
 pub use comm::{Envelope, RankCtx, Universe, UniverseStats};
 pub use net::{
@@ -66,8 +71,8 @@ pub use obs::{
     TraceEvent, Tracer,
 };
 pub use roles::{
-    run_runtime, run_runtime_ckpt, run_runtime_ckpt_on, run_runtime_on, RuntimeConfig,
-    RuntimeReport,
+    run_runtime, run_runtime_ckpt, run_runtime_ckpt_on, run_runtime_on, run_simulated,
+    RuntimeConfig, RuntimeReport, SimCost, SimReport,
 };
 pub use runtime::{Poll, Runtime, RuntimeStats, StealProbe, VCtx, VirtualRank};
 pub use scheduler::{
@@ -77,3 +82,4 @@ pub use service::{
     decode_service_frame, encode_service_frame, JobId, JobSpec, JobState, JobStatus, Service,
     ServiceClient, ServiceConfig, ServiceFrame, SERVICE_PROTOCOL_VERSION,
 };
+pub use sim::SimError;

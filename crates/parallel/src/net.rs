@@ -928,8 +928,6 @@ impl NetDriver {
                 "net driver: checkpointing requires load_balancing = false"
             );
         }
-        let start = Instant::now();
-
         // rendezvous: block until every initial worker said Hello
         let mut arrivals: Vec<(TcpStream, Option<u64>)> = Vec::new();
         let mut early_joiners: VecDeque<TcpStream> = VecDeque::new();
@@ -1132,7 +1130,6 @@ impl NetDriver {
             // `run_parallel_ckpt` resumes
             let mut root = RootRank::new(
                 &dc.config,
-                start,
                 tracer,
                 ckpt.as_ref(),
                 Backend::Thread,

@@ -4,8 +4,9 @@
 //! point picks: one OS thread per rank ([`crate::run_parallel`], the
 //! blocking executor `RankCtx::drive`), a worker pool
 //! ([`run_runtime`], [`crate::runtime`]) so paper-scale rank counts run
-//! live on a few cores, or threads spread over processes
-//! ([`crate::net`]). The executor is never a statistical actor: on a
+//! live on a few cores, threads spread over processes ([`crate::net`]),
+//! or one thread in seeded virtual time ([`run_simulated`],
+//! [`crate::sim`]). The executor is never a statistical actor: on a
 //! deterministic configuration all of them produce the same digest.
 //!
 //! * **Suspendable controllers.** A controller's coupled chain uses
@@ -33,11 +34,14 @@ use crate::scheduler::{
     collector_rank, controller_seed, poison_sample, CollectorData, Msg, ParallelCheckpoint,
     ParallelConfig, ParallelLevelReport, ParallelReport, PHONEBOOK, ROOT,
 };
+use crate::sim::{Meter, Sim, SimError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-use std::time::Instant;
-use uq_mcmc::SamplingProblem;
+use std::sync::Arc;
+use uq_mcmc::problem::GaussianTarget;
+use uq_mcmc::proposal::GaussianRandomWalk;
+use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::counting::{CountingProblem, EvalCounter};
 use uq_mlmcmc::coupled::{CoarseSample, MlChain, PendingCoarseSource, StepOutcome};
 use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats};
@@ -198,7 +202,6 @@ enum RootPhase {
 
 pub(crate) struct RootRank<'a> {
     config: &'a RuntimeConfig,
-    start: Instant,
     phase: RootPhase,
     /// Shards of each level that reported `LevelDone`.
     shards_done: Vec<usize>,
@@ -230,7 +233,6 @@ pub(crate) struct RootRank<'a> {
 impl<'a> RootRank<'a> {
     pub(crate) fn new(
         config: &'a RuntimeConfig,
-        start: Instant,
         tracer: &Tracer,
         ckpt: Option<&'a ParallelCheckpoint<'a>>,
         backend: Backend,
@@ -239,7 +241,6 @@ impl<'a> RootRank<'a> {
         let n_levels = config.n_levels();
         Self {
             config,
-            start,
             tracer: tracer.clone(),
             phase: RootPhase::Levels,
             shards_done: vec![0; n_levels],
@@ -380,7 +381,7 @@ impl<'a> RootRank<'a> {
         acc.correction_pairs.extend(data.correction_pairs);
     }
 
-    fn assemble(&mut self) -> ParallelReport {
+    fn assemble(&mut self, elapsed: f64) -> ParallelReport {
         let levels = self
             .collectors
             .iter_mut()
@@ -405,7 +406,7 @@ impl<'a> RootRank<'a> {
             .collect();
         ParallelReport {
             levels,
-            elapsed: self.start.elapsed().as_secs_f64(),
+            elapsed,
             n_ranks: self.config.n_ranks(),
             reassignments: self.reassignments,
         }
@@ -550,7 +551,7 @@ impl VirtualRank<Msg> for RootRank<'_> {
                     if self.collector_reports == n_levels * config.collector_shards
                         && self.controller_reports == config.n_controllers()
                     {
-                        let report = self.assemble();
+                        let report = self.assemble(ctx.now());
                         let stats = self.phonebook_stats;
                         let preempted = self.preempted;
                         return Poll::Exit(RoleOut::Root(Box::new((report, stats, preempted))));
@@ -583,7 +584,6 @@ pub(crate) struct PhonebookRank<'a> {
     last_ready_at: Vec<f64>,
     ema_interval: Vec<f64>,
     last_reassign_at: f64,
-    epoch: Instant,
     /// Serves dispatched but not yet written back: a checkpoint's ledger
     /// export waits for zero, so the export reflects every outcome a
     /// captured chain observed (consistent cut — DESIGN.md §7).
@@ -613,7 +613,6 @@ impl<'a> PhonebookRank<'a> {
             last_ready_at: vec![f64::NAN; n_levels],
             ema_interval: vec![0.05; n_levels],
             last_reassign_at: f64::NEG_INFINITY,
-            epoch: Instant::now(),
             in_flight: 0,
             ckpt_pending: false,
         }
@@ -724,7 +723,7 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
         // batched routing: drain EVERYTHING queued, route in one pass
         let mut batch = 0usize;
         let mut shutdown = false;
-        let now = self.epoch.elapsed().as_secs_f64();
+        let now = ctx.now();
         while let Some(env) = ctx.try_recv() {
             batch += 1;
             match env.msg {
@@ -1617,7 +1616,6 @@ pub(crate) struct Run<'a> {
     checkpoint: Option<&'a ParallelCheckpoint<'a>>,
     resume: Option<&'a RunSnapshot>,
     backend: Backend,
-    start: Instant,
 }
 
 impl<'a> Run<'a> {
@@ -1687,7 +1685,6 @@ impl<'a> Run<'a> {
             checkpoint,
             resume,
             backend,
-            start: Instant::now(),
         }
     }
 
@@ -1706,7 +1703,6 @@ impl<'a> Run<'a> {
         if rank == ROOT {
             Box::new(RootRank::new(
                 config,
-                self.start,
                 tracer,
                 self.checkpoint,
                 self.backend,
@@ -1842,29 +1838,189 @@ pub fn run_runtime_ckpt_on(
     }
 }
 
+/// A 1-D Gaussian per level under a random-walk proposal of width 0.8:
+/// the target of simulated runs with no model of their own
+/// ([`crate::des::simulate`], admission) and of the policy tests.
+pub(crate) struct StandIn {
+    pub means: Vec<f64>,
+    pub sds: Vec<f64>,
+    pub rho: Vec<usize>,
+}
+
+impl LevelFactory for StandIn {
+    fn n_levels(&self) -> usize {
+        self.means.len()
+    }
+    fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
+        Box::new(GaussianTarget::new(
+            vec![self.means[level]],
+            self.sds[level],
+        ))
+    }
+    fn proposal(&self, _level: usize) -> Box<dyn Proposal> {
+        Box::new(GaussianRandomWalk::new(0.8))
+    }
+    fn subsampling_rate(&self, level: usize) -> usize {
+        self.rho[level]
+    }
+    fn starting_point(&self, _level: usize) -> Vec<f64> {
+        vec![0.0]
+    }
+}
+
+/// `inner`, with every `log_density` on level `l` charging `secs[l]` to
+/// `meter` — the wrapping pattern of `CountingProblem`.
+struct TimedFactory<'a> {
+    inner: &'a dyn LevelFactory,
+    secs: &'a [f64],
+    meter: Arc<Meter>,
+}
+
+impl LevelFactory for TimedFactory<'_> {
+    fn n_levels(&self) -> usize {
+        self.inner.n_levels()
+    }
+    fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
+        Box::new(TimedProblem {
+            inner: self.inner.problem(level),
+            level,
+            secs: self.secs[level],
+            meter: Arc::clone(&self.meter),
+        })
+    }
+    fn proposal(&self, level: usize) -> Box<dyn Proposal> {
+        self.inner.proposal(level)
+    }
+    fn subsampling_rate(&self, level: usize) -> usize {
+        self.inner.subsampling_rate(level)
+    }
+    fn starting_point(&self, level: usize) -> Vec<f64> {
+        self.inner.starting_point(level)
+    }
+}
+
+struct TimedProblem {
+    inner: Box<dyn SamplingProblem>,
+    level: usize,
+    secs: f64,
+    meter: Arc<Meter>,
+}
+
+impl SamplingProblem for TimedProblem {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn log_density(&mut self, theta: &[f64]) -> f64 {
+        self.meter.charge(self.level, self.secs);
+        self.inner.log_density(theta)
+    }
+    fn qoi(&mut self, theta: &[f64]) -> Vec<f64> {
+        self.inner.qoi(theta)
+    }
+    fn qoi_dim(&self) -> usize {
+        self.inner.qoi_dim()
+    }
+}
+
+/// What a simulated run costs in virtual time, and when to give it up.
+#[derive(Clone, Debug)]
+pub struct SimCost {
+    /// Mean seconds per model evaluation, by level.
+    pub eval_time: Vec<f64>,
+    /// Lognormal jitter σ applied to each evaluation (0 = none).
+    pub eval_jitter: f64,
+    /// Seconds the phonebook spends per message it handles.
+    pub phonebook_service_time: f64,
+    /// Seconds a collector spends per message it handles.
+    pub collector_service_time: f64,
+    /// Every delivery takes between `latency` and twice that (seconds),
+    /// drawn from the seed.
+    pub latency: f64,
+    /// Polls after which the run fails with [`SimError::PollBudget`].
+    pub poll_budget: usize,
+}
+
+/// A finished simulated run. `run.report.elapsed` is the root's virtual
+/// clock at exit — the makespan.
+#[derive(Clone, Debug)]
+pub struct SimReport {
+    pub run: RuntimeReport,
+    /// Virtual seconds of model evaluation charged, by level.
+    pub busy_per_level: Vec<f64>,
+    /// Every rank's virtual clock at its exit, by rank.
+    pub clocks: Vec<f64>,
+    /// Virtual time of the first message that reached nobody (sent to an
+    /// exited rank, or still unread when its rank exited).
+    pub first_drop: Option<f64>,
+}
+
+/// Run parallel MLMCMC under the virtual-time executor ([`crate::sim`]):
+/// the machines of [`run_runtime_ckpt`] polled on one thread in
+/// virtual-clock order, `factory`'s evaluations really performed and
+/// charged `cost.eval_time` each; `seed` picks the delivery delays and
+/// tie-breaks. Snapshots carry the [`Backend::Runtime`] stamp, so they
+/// resume under the pool and back.
+///
+/// # Panics
+/// As [`run_runtime`], and if `cost.eval_time` is shorter than the levels.
+pub fn run_simulated(
+    factory: &dyn LevelFactory,
+    config: &RuntimeConfig,
+    tracer: &Tracer,
+    cost: &SimCost,
+    seed: u64,
+    checkpoint: Option<&ParallelCheckpoint<'_>>,
+    resume: Option<&RunSnapshot>,
+) -> Result<SimReport, SimError> {
+    assert!(cost.eval_time.len() >= config.n_levels());
+    let mut service = vec![0.0; config.n_ranks()];
+    service[PHONEBOOK] = cost.phonebook_service_time;
+    service[config.collector_rank(0, 0)..config.first_controller_rank()]
+        .fill(cost.collector_service_time);
+    let sim = Sim::new(seed, cost.latency, cost.eval_jitter, service);
+    let timed = TimedFactory {
+        inner: factory,
+        secs: &cost.eval_time,
+        meter: Arc::clone(&sim.meter),
+    };
+    let run = Run::new(&timed, config, tracer, checkpoint, resume, Backend::Runtime);
+    let out = sim.run(cost.poll_budget, |rank| run.machine(rank))?;
+    let (report, phonebook, preempted) = Run::root_output(out.run.results);
+    let mut busy_per_level = out.charged;
+    busy_per_level.resize(config.n_levels(), 0.0);
+    Ok(SimReport {
+        run: RuntimeReport {
+            report,
+            phonebook,
+            runtime: out.run.stats,
+            n_workers: 1,
+            preempted,
+        },
+        busy_per_level,
+        clocks: out.clocks,
+        first_drop: out.first_drop,
+    })
+}
+
 /// The policy tests, each a function of the executor it runs under:
 /// `scheduler::tests` calls them with [`Exec::Blocking`](policy::Exec),
-/// `tests` below with the pool, so one fixture and one set of
-/// assertions covers every way the machines are driven.
+/// `tests` below with the pool and the simulator, so one fixture and one
+/// set of assertions covers every way the machines are driven.
 #[cfg(test)]
 pub(crate) mod policy {
     use super::*;
     use crate::scheduler::{run_parallel_ckpt, ParallelCheckpoint};
-    use uq_linalg::prob::isotropic_gaussian_logpdf;
-    use uq_mcmc::proposal::GaussianRandomWalk;
-    use uq_mcmc::Proposal;
 
-    /// Analytic Gaussian hierarchy (same targets as the core test suite).
-    pub(crate) struct GaussianHierarchy {
-        means: Vec<f64>,
-        sds: Vec<f64>,
-    }
+    /// Analytic Gaussian hierarchy (same targets as the core test
+    /// suite, `ρ = 3`): the simulator's stand-in with explicit moments.
+    pub(crate) use super::StandIn as GaussianHierarchy;
 
     impl GaussianHierarchy {
         pub(crate) fn two_level() -> Self {
             Self {
                 means: vec![0.5, 1.0],
                 sds: vec![0.6, 0.5],
+                rho: vec![3; 2],
             }
         }
 
@@ -1872,42 +2028,8 @@ pub(crate) mod policy {
             Self {
                 means: vec![0.6, 0.9, 1.0],
                 sds: vec![0.65, 0.55, 0.5],
+                rho: vec![3; 3],
             }
-        }
-    }
-
-    struct Target {
-        mean: f64,
-        sd: f64,
-    }
-
-    impl SamplingProblem for Target {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn log_density(&mut self, theta: &[f64]) -> f64 {
-            isotropic_gaussian_logpdf(theta, &[self.mean], self.sd)
-        }
-    }
-
-    impl LevelFactory for GaussianHierarchy {
-        fn n_levels(&self) -> usize {
-            self.means.len()
-        }
-        fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
-            Box::new(Target {
-                mean: self.means[level],
-                sd: self.sds[level],
-            })
-        }
-        fn proposal(&self, _level: usize) -> Box<dyn Proposal> {
-            Box::new(GaussianRandomWalk::new(0.8))
-        }
-        fn subsampling_rate(&self, _level: usize) -> usize {
-            3
-        }
-        fn starting_point(&self, _level: usize) -> Vec<f64> {
-            vec![0.0]
         }
     }
 
@@ -1919,10 +2041,27 @@ pub(crate) mod policy {
         /// [`run_runtime`] on `workers` pool threads, `shards` collector
         /// ranks per level.
         Pool { workers: usize, shards: usize },
+        /// [`run_simulated`]: millisecond evaluations, delivery delays of
+        /// the same order picked by `seed`.
+        Sim { seed: u64 },
     }
 
-    /// The pools every shared policy test runs under.
-    pub(crate) const POOLS: [Exec; 2] = [
+    /// Millisecond evaluations with 30 % jitter, deliveries of 2–4 ms,
+    /// 10 µs of bookkeeping per message.
+    pub(crate) fn sim_cost(n_levels: usize) -> SimCost {
+        SimCost {
+            eval_time: vec![1e-3; n_levels],
+            eval_jitter: 0.3,
+            phonebook_service_time: 1e-5,
+            collector_service_time: 1e-5,
+            latency: 2e-3,
+            poll_budget: usize::MAX,
+        }
+    }
+
+    /// The executors every shared policy test runs under (one thread per
+    /// rank is `scheduler::tests`'): two pools and the simulator.
+    pub(crate) const EXECS: [Exec; 3] = [
         Exec::Pool {
             workers: 1,
             shards: 1,
@@ -1931,6 +2070,7 @@ pub(crate) mod policy {
             workers: 2,
             shards: 1,
         },
+        Exec::Sim { seed: 5 },
     ];
 
     impl Exec {
@@ -1946,15 +2086,22 @@ pub(crate) mod policy {
             checkpoint: Option<&ParallelCheckpoint<'_>>,
             resume: Option<&RunSnapshot>,
         ) -> ParallelReport {
+            let pool = |workers, shards| RuntimeConfig {
+                base: config.clone(),
+                n_workers: workers,
+                collector_shards: shards,
+            };
             match self {
                 Exec::Blocking => run_parallel_ckpt(h, config, tracer, checkpoint, resume),
                 Exec::Pool { workers, shards } => {
-                    let config = RuntimeConfig {
-                        base: config.clone(),
-                        n_workers: workers,
-                        collector_shards: shards,
-                    };
-                    run_runtime_ckpt(h, &config, tracer, checkpoint, resume).report
+                    run_runtime_ckpt(h, &pool(workers, shards), tracer, checkpoint, resume).report
+                }
+                Exec::Sim { seed } => {
+                    let cost = sim_cost(config.n_levels());
+                    run_simulated(h, &pool(1, 1), tracer, &cost, seed, checkpoint, resume)
+                        .expect("simulated run finishes")
+                        .run
+                        .report
                 }
             }
         }
@@ -2086,31 +2233,31 @@ pub(crate) mod policy {
 
 #[cfg(test)]
 mod tests {
-    use super::policy::{Exec, GaussianHierarchy, POOLS};
+    use super::policy::{Exec, GaussianHierarchy, EXECS};
     use super::*;
 
     #[test]
     fn two_level_runtime_run_completes() {
-        POOLS.into_iter().for_each(policy::two_level_run_completes);
+        EXECS.into_iter().for_each(policy::two_level_run_completes);
     }
 
     #[test]
     fn three_level_estimate_matches_truth() {
-        POOLS
+        EXECS
             .into_iter()
             .for_each(policy::three_level_estimate_matches_truth);
     }
 
     #[test]
     fn load_balancer_disabled_still_completes() {
-        POOLS
+        EXECS
             .into_iter()
             .for_each(policy::load_balancer_disabled_still_completes);
     }
 
     #[test]
     fn recording_returns_samples_and_pairs() {
-        POOLS
+        EXECS
             .into_iter()
             .for_each(policy::recording_returns_samples_and_pairs);
         // shards merge their recorded samples at the root
@@ -2122,7 +2269,7 @@ mod tests {
 
     #[test]
     fn tracer_captures_eval_spans() {
-        POOLS
+        EXECS
             .into_iter()
             .for_each(policy::tracer_captures_burnin_and_evals);
     }
@@ -2136,7 +2283,7 @@ mod tests {
         let mut config = ParallelConfig::new(vec![300, 120, 50], vec![1, 1, 1]);
         config.burn_in = vec![30, 20, 10];
         policy::resume_from_every_snapshot_is_bit_identical(
-            POOLS[0],
+            EXECS[0],
             &GaussianHierarchy::three_level(),
             config,
             9,
@@ -2147,6 +2294,35 @@ mod tests {
         let mut config = RuntimeConfig::new(samples, chains);
         config.n_workers = workers;
         config
+    }
+
+    #[test]
+    fn speculation_shortens_the_simulated_makespan_and_costs_coarse_evaluations() {
+        // one seed, with and without accept-case precomputation, on two
+        // levels (where both runs walk the same trajectory): the idle
+        // server's work takes serves off the requester's critical path,
+        // and the part of it that gets discarded shows up on level 0
+        let run = |speculation: bool| {
+            let mut config = pool_config(vec![1000, 100], vec![1, 1], 1);
+            config.base.burn_in = vec![50, 20];
+            config.base.speculation = speculation;
+            let cost = SimCost {
+                eval_time: vec![0.003, 0.045],
+                ..policy::sim_cost(2)
+            };
+            let h = GaussianHierarchy::two_level();
+            let out = run_simulated(&h, &config, &Tracer::disabled(), &cost, 1, None, None);
+            out.expect("simulated run finishes").run.report
+        };
+        let (on, off) = (run(true), run(false));
+        assert!(
+            on.elapsed < off.elapsed,
+            "{} vs {}",
+            on.elapsed,
+            off.elapsed
+        );
+        assert_eq!(on.levels[1].evaluations, off.levels[1].evaluations);
+        assert!(on.levels[0].evaluations > off.levels[0].evaluations);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::comm::{note_drop, Envelope};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Wait predicate returned by [`Poll::Wait`]: `true` for any message that
 /// should wake the suspended rank.
@@ -106,6 +106,8 @@ struct Shared<M> {
     /// runs after the victim's queue lock is released and must not
     /// touch rank state (the obs layer uses it to mark steal events).
     steal_probe: Option<StealProbe>,
+    /// When the run began: what [`Port::now`] counts from.
+    start: Instant,
 }
 
 /// Steal observer callback: `(stolen_rank, victim_worker)`.
@@ -125,9 +127,11 @@ impl<M: Send> Shared<M> {
 }
 
 /// What a [`VCtx`] asks of the executor driving its rank: deliver a
-/// message, hand over what has arrived. The pool's `Shared` mailboxes
-/// and the blocking executor's channels ([`crate::comm::RankCtx`]) both
-/// provide it, so one set of role machines runs under either.
+/// message, hand over what has arrived, tell the time. The pool's
+/// `Shared` mailboxes, the blocking executor's channels
+/// ([`crate::comm::RankCtx`]) and the virtual-time executor
+/// ([`crate::sim`]) all provide it, so one set of role machines runs
+/// under any of them.
 pub(crate) trait Port<M> {
     /// Deliver `env` to rank `to`; never blocks. A destination that has
     /// exited or is out of range drops the message and counts it.
@@ -135,6 +139,10 @@ pub(crate) trait Port<M> {
 
     /// Move everything queued for `rank` into `buffer`, in arrival order.
     fn pull(&self, rank: usize, buffer: &mut VecDeque<Envelope<M>>);
+
+    /// Seconds since the run began as `rank` experiences them: wall-clock
+    /// under the live executors, the rank's virtual clock when simulated.
+    fn now(&self, rank: usize) -> f64;
 }
 
 impl<M: Send> Port<M> for Shared<M> {
@@ -177,6 +185,10 @@ impl<M: Send> Port<M> for Shared<M> {
     fn pull(&self, rank: usize, buffer: &mut VecDeque<Envelope<M>>) {
         let mut slot = self.slots[rank].lock().expect("runtime poisoned");
         buffer.extend(slot.queue.drain(..));
+    }
+
+    fn now(&self, _rank: usize) -> f64 {
+        self.start.elapsed().as_secs_f64()
     }
 }
 
@@ -227,6 +239,12 @@ impl<'a, M: Send> VCtx<'a, M> {
                 msg,
             },
         );
+    }
+
+    /// Seconds since the run began — the only clock policy code may
+    /// read, so that a simulated run can supply a virtual one.
+    pub fn now(&self) -> f64 {
+        self.port.now(self.rank)
     }
 
     /// Move everything that has arrived into the rank-local buffer.
@@ -381,6 +399,7 @@ impl Runtime {
             wakeups: AtomicUsize::new(0),
             steals: AtomicUsize::new(0),
             steal_probe: self.steal_probe.lock().clone(),
+            start: Instant::now(),
         };
         // every rank starts runnable, queued in rank order on its worker
         for (worker_id, worker) in shared.workers.iter().enumerate() {
@@ -597,6 +616,19 @@ mod tests {
 
     type Machine = Box<dyn VirtualRank<TestMsg, Output = usize> + Send>;
 
+    /// `machine`'s ranks under the pool and under the virtual-time
+    /// executor (millisecond delays): one contract for both.
+    fn under_both(
+        workers: usize,
+        n: usize,
+        machine: impl Fn(usize, usize) -> Machine + Sync,
+    ) -> [RuntimeRun<usize>; 2] {
+        let sim = crate::sim::Sim::new(9, 1e-3, 0.0, vec![0.0; n]);
+        let simulated = sim.run(usize::MAX, |rank| machine(rank, n));
+        let simulated = simulated.expect("simulated run finishes").run;
+        [Runtime::new(workers).run(n, &machine), simulated]
+    }
+
     /// Ring: rank 0 injects `Token(0)`; on receipt every rank forwards
     /// `Token(v + 1)` to the next rank (modulo size) and exits with `v`.
     /// The final forward targets the already-exited rank 1, so exactly
@@ -629,18 +661,20 @@ mod tests {
     fn token_ring_many_ranks_few_workers() {
         // far more virtual ranks than workers: the whole point
         let n = 500;
-        let run = Runtime::new(4).run(n, |_, _| Box::new(RingRank { injected: false }) as Machine);
-        for (rank, &v) in run.results.iter().enumerate() {
-            let expect = if rank == 0 { n - 1 } else { rank - 1 };
-            assert_eq!(v, expect, "rank {rank}");
+        for run in under_both(4, n, |_, _| Box::new(RingRank { injected: false })) {
+            for (rank, &v) in run.results.iter().enumerate() {
+                let expect = if rank == 0 { n - 1 } else { rank - 1 };
+                assert_eq!(v, expect, "rank {rank}");
+            }
+            // rank 0's final forward hit the exited rank 1
+            assert_eq!(run.stats.dropped_sends, 1);
+            // every rank polled at least once; most tokens arrive while
+            // their target is already suspended on the wait predicate
+            // (ranks whose token raced ahead of their first poll wake
+            // without one)
+            assert!(run.stats.polls >= n);
+            assert!(run.stats.wakeups > 0);
         }
-        // rank 0's final forward hit the exited rank 1
-        assert_eq!(run.stats.dropped_sends, 1);
-        // every rank polled at least once; most tokens arrive while their
-        // target is already suspended on the wait predicate (ranks whose
-        // token raced ahead of their first poll wake without one)
-        assert!(run.stats.polls >= n);
-        assert!(run.stats.wakeups > 0);
     }
 
     /// Gather: every rank > 0 sends its id to rank 0 and exits; rank 0
@@ -678,15 +712,17 @@ mod tests {
     #[test]
     fn gather_under_contention() {
         let n = 512;
-        let run = Runtime::new(8).run(n, |_, _| {
+        let gather = |_, _| {
             Box::new(GatherRank {
                 seen: 0,
                 sum: 0,
                 sent: false,
             }) as Machine
-        });
-        assert_eq!(run.results[0], (1..n).sum::<usize>());
-        assert_eq!(run.stats.dropped_sends, 0);
+        };
+        for run in under_both(8, n, gather) {
+            assert_eq!(run.results[0], (1..n).sum::<usize>());
+            assert_eq!(run.stats.dropped_sends, 0);
+        }
     }
 
     /// Rank 0 waits specifically for a `Token` while `Noise` arrives
@@ -726,9 +762,10 @@ mod tests {
 
     #[test]
     fn wait_predicate_skips_nonmatching_and_preserves_order() {
-        let run = Runtime::new(2).run(2, |_, _| Box::new(MatchRank { sent: false }) as Machine);
-        assert_eq!(run.results[0], 7);
-        assert_eq!(run.stats.dropped_sends, 0);
+        for run in under_both(2, 2, |_, _| Box::new(MatchRank { sent: false })) {
+            assert_eq!(run.results[0], 7);
+            assert_eq!(run.stats.dropped_sends, 0);
+        }
     }
 
     /// A rank that burns CPU for `spins` sin() iterations, then exits.
@@ -877,10 +914,8 @@ mod tests {
                 }
             }
         }
-        let run = Runtime::new(1).run(2, |_, _| {
-            Box::new(Requeue { sent: false })
-                as Box<dyn VirtualRank<TestMsg, Output = usize> + Send>
-        });
-        assert_eq!(run.results[0], 2);
+        for run in under_both(1, 2, |_, _| Box::new(Requeue { sent: false })) {
+            assert_eq!(run.results[0], 2);
+        }
     }
 }

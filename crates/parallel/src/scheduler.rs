@@ -20,7 +20,7 @@
 //! [`crate::roles`]; [`run_parallel`] runs those machines with one OS
 //! thread per rank (the blocking executor, `RankCtx::drive`),
 //! [`crate::run_runtime`] on a worker pool, [`crate::net`] across
-//! processes.
+//! processes, [`crate::run_simulated`] in virtual time.
 
 use crate::comm::{RankCtx, Universe};
 use crate::obs::Tracer;
@@ -453,17 +453,16 @@ mod tests {
         // two levels: the serving chains are base chains, so serve legs
         // make no nested coarse requests and every ledger session sees a
         // deterministic request order — the regime where one thread per
-        // rank is bit-reproducible (three-level runs interleave own-step
-        // and serve-leg requests on mid-level sessions
-        // nondeterministically; see DESIGN.md §7)
+        // rank, and any delivery order the simulator draws, is
+        // bit-reproducible (three-level runs interleave own-step and
+        // serve-leg requests on mid-level sessions by arrival order; see
+        // DESIGN.md §7)
         let mut config = ParallelConfig::new(vec![300, 120], vec![1, 1]);
         config.burn_in = vec![30, 20];
-        policy::resume_from_every_snapshot_is_bit_identical(
-            Exec::Blocking,
-            &GaussianHierarchy::two_level(),
-            config,
-            7,
-        );
+        for exec in [Exec::Blocking, Exec::Sim { seed: 11 }] {
+            let h = GaussianHierarchy::two_level();
+            policy::resume_from_every_snapshot_is_bit_identical(exec, &h, config.clone(), 7);
+        }
     }
 
     #[test]

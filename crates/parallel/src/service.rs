@@ -22,13 +22,15 @@
 //!   [`uq_mlmcmc::allocate::fair_share_split`] (weights = priorities,
 //!   demands = requested worker counts).
 //! * **Admission control** — every submit is tested against current
-//!   load with the discrete-event simulator ([`crate::des`]): per-level
-//!   evaluation times are the *measured* `mean_eval_ms` from completed
-//!   dispatches (EWMA), the DES predicts the job's solo
-//!   time-to-estimate, and the in-flight job count scales it to a
-//!   loaded prediction. A job whose prediction exceeds its deadline is
-//!   turned away ([`Counter::JobsRejected`]). This replaces the PR-5
-//!   pending-queue saturation heuristic with a measured signal.
+//!   load by simulating the job ([`crate::des`]): its own configuration
+//!   runs as the real role machines in virtual time on a stand-in
+//!   target, every evaluation costing the *measured* per-level
+//!   `mean_eval_ms` of completed dispatches (EWMA); the makespan is the
+//!   job's solo time-to-estimate, and the in-flight job count scales it
+//!   to a loaded prediction. A job whose prediction exceeds its
+//!   deadline, or whose simulation exceeds a fixed poll budget, is
+//!   turned away ([`Counter::JobsRejected`]). The simulation runs
+//!   outside the service lock.
 //! * **Graceful preemption** — [`Service::preempt`] raises the job's
 //!   [`ParallelCheckpoint::stop`] flag; at the next PR-6 quiesce
 //!   barrier every one of the job's chains is paused at a clean
@@ -61,7 +63,7 @@ use uq_mlmcmc::store::{fnv1a, Codec, Dec, Enc, RunStore, StoreError};
 use uq_mlmcmc::wire::{frame_decode, frame_encode, frame_read, FrameFormat};
 use uq_mlmcmc::LevelFactory;
 
-use crate::des::{simulate, DesConfig};
+use crate::des::{simulate_within, DesConfig};
 use crate::net::levels_digest;
 use crate::obs::{Counter, Tracer};
 use crate::roles::{run_runtime_ckpt_on, RuntimeConfig};
@@ -81,9 +83,13 @@ const SVC_FORMAT: FrameFormat = FrameFormat {
     max_len: 1 << 24,
 };
 
-/// Bootstrap per-level evaluation time fed to the admission DES until a
-/// completed dispatch provides a measured value (seconds).
+/// Bootstrap per-level evaluation time fed to the admission model until
+/// a completed dispatch provides a measured value (seconds).
 const DEFAULT_EVAL_SECS: f64 = 50e-6;
+
+/// Polls an admission prediction may take before the job is turned away
+/// as too large to predict.
+const ADMISSION_POLL_BUDGET: usize = 4_000_000;
 
 // ---------------------------------------------------------------------
 // job model
@@ -132,7 +138,7 @@ pub struct JobSpec {
     /// pin chains to levels; every serviced job is preemptible) and
     /// `seed` is re-derived through the tenant namespace.
     pub config: RuntimeConfig,
-    /// Admission deadline on the DES-predicted time-to-estimate under
+    /// Admission deadline on the predicted time-to-estimate under
     /// current load (seconds); `0` disables the deadline check.
     pub deadline: f64,
 }
@@ -155,8 +161,8 @@ pub struct JobStatus {
     /// Telescoping estimate of the completed report (empty until
     /// `Completed`).
     pub estimate: Vec<f64>,
-    /// The admission DES prediction for this job (seconds, under the
-    /// load seen at submit time).
+    /// The admission prediction for this job (seconds, under the load
+    /// seen at submit time).
     pub predicted_tte: f64,
 }
 
@@ -238,7 +244,7 @@ struct State {
     /// Cumulative measured serves per tenant (the fair-share signal).
     tenant_usage: BTreeMap<u64, u64>,
     /// Measured per-level mean evaluation seconds (EWMA over completed
-    /// dispatches) — the admission DES input.
+    /// dispatches) — the admission model's input.
     eval_secs: Vec<f64>,
     /// Workers currently allocated to running jobs.
     workers_busy: usize,
@@ -328,8 +334,8 @@ impl Service {
     }
 
     /// Submit a job: validate, admission-test against current load and
-    /// enqueue. Returns the job id and the DES-predicted
-    /// time-to-estimate, or the rejection reason.
+    /// enqueue. Returns the job id and the predicted time-to-estimate,
+    /// or the rejection reason.
     pub fn submit(&self, spec: JobSpec) -> Result<(JobId, f64), String> {
         self.inner.submit(spec)
     }
@@ -353,31 +359,14 @@ impl Service {
     /// and the job parks as [`JobState::Preempted`]. Returns `false`
     /// unless the job is currently `Running`.
     pub fn preempt(&self, job: JobId) -> bool {
-        let mut st = self.inner.lock_state();
-        match st.jobs.get_mut(&job) {
-            Some(j) if j.state == JobState::Running => {
-                j.stop.store(true, Ordering::SeqCst);
-                true
-            }
-            _ => false,
-        }
+        self.inner.preempt(job)
     }
 
     /// Re-queue a preempted job; its next dispatch resumes from the
     /// latest snapshot, bit-identically. Returns `false` unless the job
     /// is `Preempted`.
     pub fn resume(&self, job: JobId) -> bool {
-        let mut st = self.inner.lock_state();
-        match st.jobs.get_mut(&job) {
-            Some(j) if j.state == JobState::Preempted => {
-                j.state = JobState::Queued;
-                j.resume_next = true;
-                drop(st);
-                self.inner.cv.notify_all();
-                true
-            }
-            _ => false,
-        }
+        self.inner.resume(job)
     }
 
     /// Block until `job` leaves the `Queued`/`Running` states and
@@ -505,6 +494,17 @@ impl ServiceInner {
         spec.config.base.load_balancing = false;
         let effective_seed = tenant_seed(spec.config.base.seed, spec.tenant);
 
+        // tenant-sized work (a remote client picks `samples_per_level`):
+        // on a copy of the measured times, outside the lock
+        let eval_secs = self.lock_state().eval_secs.clone();
+        let Some(solo) = predict_solo(&eval_secs, factory.as_ref(), &spec) else {
+            self.tracer.incr(Counter::JobsRejected);
+            return Err(format!(
+                "admission denied: job too large to predict \
+                 (more than {ADMISSION_POLL_BUDGET} simulated polls)"
+            ));
+        };
+
         let mut st = self.lock_state();
         if st.shutdown {
             self.tracer.incr(Counter::JobsRejected);
@@ -517,7 +517,8 @@ impl ServiceInner {
                 spec.tenant, self.config.max_jobs_per_tenant
             ));
         }
-        let predicted_tte = self.predict_tte(&st, factory.as_ref(), &spec);
+        // the in-flight jobs sharing the lanes scale the solo prediction
+        let predicted_tte = solo * (1.0 + st.inflight() as f64 / self.config.lanes as f64);
         if spec.deadline > 0.0 && predicted_tte > spec.deadline {
             self.tracer.incr(Counter::JobsRejected);
             return Err(format!(
@@ -560,34 +561,29 @@ impl ServiceInner {
         Ok((id, predicted_tte))
     }
 
-    /// The admission model: a DES replay of the job's schedule under the
-    /// *measured* per-level evaluation times, scaled by the in-flight
-    /// job count sharing the lanes (the measured-saturation replacement
-    /// for the pending-queue heuristic).
-    fn predict_tte(&self, st: &State, factory: &dyn LevelFactory, spec: &JobSpec) -> f64 {
-        let n_levels = spec.config.n_levels();
-        let eval_time: Vec<f64> = (0..n_levels)
-            .map(|l| st.eval_secs.get(l).copied().unwrap_or(DEFAULT_EVAL_SECS))
-            .collect();
-        let des = DesConfig {
-            eval_time,
-            eval_jitter: 0.0,
-            samples_per_level: spec.config.base.samples_per_level.clone(),
-            burn_in: spec.config.base.burn_in.clone(),
-            subsampling: (0..n_levels).map(|l| factory.subsampling_rate(l)).collect(),
-            chains_per_level: spec.config.base.chains_per_level.clone(),
-            group_size: 1,
-            phonebook_service_time: 0.0,
-            collector_service_time: 0.0,
-            load_balancing: false,
-            seed: spec.config.base.seed,
-            ledger: true,
-            ledger_pairing_overhead: 1.0,
-            spec_hit_rate: 0.0,
-            spec_waste: 0.0,
-        };
-        let solo = simulate(&des).makespan;
-        solo * (1.0 + st.inflight() as f64 / self.config.lanes as f64)
+    fn preempt(&self, job: JobId) -> bool {
+        let mut st = self.lock_state();
+        match st.jobs.get_mut(&job) {
+            Some(j) if j.state == JobState::Running => {
+                j.stop.store(true, Ordering::SeqCst);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn resume(&self, job: JobId) -> bool {
+        let mut st = self.lock_state();
+        match st.jobs.get_mut(&job) {
+            Some(j) if j.state == JobState::Preempted => {
+                j.state = JobState::Queued;
+                j.resume_next = true;
+                drop(st);
+                self.cv.notify_all();
+                true
+            }
+            _ => false,
+        }
     }
 
     fn cancel(&self, job: JobId) -> bool {
@@ -611,6 +607,31 @@ impl ServiceInner {
             }
         }
     }
+}
+
+/// The admission model: the job's own configuration as the real role
+/// machines in virtual time, on a stand-in target, at the *measured*
+/// per-level evaluation times. Returns the solo makespan in seconds, or
+/// `None` past the poll budget.
+fn predict_solo(eval_secs: &[f64], factory: &dyn LevelFactory, spec: &JobSpec) -> Option<f64> {
+    let n_levels = spec.config.n_levels();
+    let des = DesConfig {
+        eval_time: (0..n_levels)
+            .map(|l| eval_secs.get(l).copied().unwrap_or(DEFAULT_EVAL_SECS))
+            .collect(),
+        eval_jitter: 0.0,
+        samples_per_level: spec.config.base.samples_per_level.clone(),
+        burn_in: spec.config.base.burn_in.clone(),
+        subsampling: (0..n_levels).map(|l| factory.subsampling_rate(l)).collect(),
+        chains_per_level: spec.config.base.chains_per_level.clone(),
+        group_size: 1,
+        phonebook_service_time: 0.0,
+        collector_service_time: 0.0,
+        load_balancing: false,
+        seed: spec.config.base.seed,
+    };
+    let prediction = simulate_within(&des, ADMISSION_POLL_BUDGET).ok()?;
+    Some(prediction.makespan)
 }
 
 fn validate_spec(spec: &JobSpec, factory: &dyn LevelFactory) -> Result<(), String> {
@@ -1064,34 +1085,12 @@ fn serve_connection(stream: &mut TcpStream, inner: &Arc<ServiceInner>) -> io::Re
             ServiceFrame::Cancel { job } => ServiceFrame::Ack {
                 ok: inner.cancel(job),
             },
-            ServiceFrame::Preempt { job } => {
-                let mut st = inner.lock_state();
-                let ok = match st.jobs.get_mut(&job) {
-                    Some(j) if j.state == JobState::Running => {
-                        j.stop.store(true, Ordering::SeqCst);
-                        true
-                    }
-                    _ => false,
-                };
-                drop(st);
-                ServiceFrame::Ack { ok }
-            }
-            ServiceFrame::Resume { job } => {
-                let mut st = inner.lock_state();
-                let ok = match st.jobs.get_mut(&job) {
-                    Some(j) if j.state == JobState::Preempted => {
-                        j.state = JobState::Queued;
-                        j.resume_next = true;
-                        true
-                    }
-                    _ => false,
-                };
-                drop(st);
-                if ok {
-                    inner.cv.notify_all();
-                }
-                ServiceFrame::Ack { ok }
-            }
+            ServiceFrame::Preempt { job } => ServiceFrame::Ack {
+                ok: inner.preempt(job),
+            },
+            ServiceFrame::Resume { job } => ServiceFrame::Ack {
+                ok: inner.resume(job),
+            },
             ServiceFrame::Bye => {
                 write_frame(stream, &ServiceFrame::Bye)?;
                 inner.byes.fetch_add(1, Ordering::SeqCst);
@@ -1247,6 +1246,61 @@ mod tests {
             },
             deadline: 0.0,
         }
+    }
+
+    /// A service whose "ridge" model is the ridge as a stand-in.
+    fn service(tag: &str, tracer: &Tracer) -> Service {
+        let dir = std::env::temp_dir().join(format!("uq-svc-{tag}-{}", std::process::id()));
+        let service = Service::start(ServiceConfig::new(dir), tracer);
+        let ridge = crate::roles::StandIn {
+            means: vec![0.0, 0.35],
+            sds: vec![0.15, 0.12],
+            rho: vec![2, 2],
+        };
+        service.register_model("ridge", Arc::new(ridge));
+        service
+    }
+
+    #[test]
+    fn a_job_too_large_to_predict_is_denied_and_counted() {
+        let tracer = Tracer::new();
+        let service = service("large", &tracer);
+        let mut huge = spec();
+        huge.config.base.samples_per_level = vec![40_000_000, 20];
+        let reason = service
+            .submit(huge)
+            .expect_err("no prediction, no admission");
+        assert!(reason.contains("too large to predict"), "{reason}");
+        assert_eq!(tracer.counter(Counter::JobsRejected), 1);
+        assert!(service.submit(spec()).is_ok(), "a small job still gets in");
+    }
+
+    #[test]
+    fn a_prediction_is_unchanged_by_concurrent_submits() {
+        // the `service_conformance` job
+        let mut job = spec();
+        job.config.base.samples_per_level = vec![300, 100];
+        job.config.base.burn_in = vec![30, 20];
+        let off = Tracer::disabled();
+        let alone = service("alone", &off)
+            .submit(job.clone())
+            .expect("admitted");
+        // the same submit while three clients keep the admission model
+        // busy with jobs it turns away, so that none is ever in flight
+        let tracer = Tracer::new();
+        let busy = service("busy", &tracer);
+        let mut hopeless = job.clone();
+        hopeless.deadline = 1e-9;
+        let beside = std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    (0..20).for_each(|_| assert!(busy.submit(hopeless.clone()).is_err()))
+                });
+            }
+            busy.submit(job).expect("admitted")
+        });
+        assert_eq!(beside.1.to_bits(), alone.1.to_bits());
+        assert_eq!(tracer.counter(Counter::JobsRejected), 60);
     }
 
     #[test]

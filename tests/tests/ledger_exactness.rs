@@ -15,9 +15,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uq_linalg::prob::isotropic_gaussian_logpdf;
-use uq_mcmc::proposal::GaussianRandomWalk;
-use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::coupled::{build_chain_stack, ChainCoarseSource, MlChain};
 use uq_mlmcmc::ledger::{session_seed, PairingMode};
 use uq_mlmcmc::{run_sequential, LevelFactory, MlmcmcConfig};
@@ -32,48 +29,9 @@ fn stats_sd(v: &[f64]) -> f64 {
     uq_mcmc::stats::variance(v).sqrt()
 }
 
-const COARSE_MEAN: f64 = 0.0;
-const COARSE_SD: f64 = 0.15;
-const FINE_MEAN: f64 = 0.35;
-const FINE_SD: f64 = 0.12;
-const RHO: usize = 2;
-
-struct Ridge;
-
-struct Target {
-    mean: f64,
-    sd: f64,
-}
-
-impl SamplingProblem for Target {
-    fn dim(&self) -> usize {
-        1
-    }
-    fn log_density(&mut self, theta: &[f64]) -> f64 {
-        isotropic_gaussian_logpdf(theta, &[self.mean], self.sd)
-    }
-}
-
-impl LevelFactory for Ridge {
-    fn n_levels(&self) -> usize {
-        2
-    }
-    fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
-        Box::new(Target {
-            mean: [COARSE_MEAN, FINE_MEAN][level],
-            sd: [COARSE_SD, FINE_SD][level],
-        })
-    }
-    fn proposal(&self, _level: usize) -> Box<dyn Proposal> {
-        Box::new(GaussianRandomWalk::new(0.2))
-    }
-    fn subsampling_rate(&self, _level: usize) -> usize {
-        RHO
-    }
-    fn starting_point(&self, _level: usize) -> Vec<f64> {
-        vec![0.0]
-    }
-}
+#[path = "common/ridge.rs"]
+mod ridge;
+use ridge::{Ridge, COARSE_MEAN, COARSE_SD, FINE_MEAN, RHO};
 
 /// A coupled ridge chain with the sequential ledger session.
 fn ridge_chain() -> MlChain {
