@@ -13,7 +13,7 @@
 //! paper hands over a sample the coarse chain had produced anyway, so
 //! per-chain burn-in sets the floor (DESIGN.md §3.2 has both).
 
-use uq_bench::{render_table, write_bench_csv, ExpArgs};
+use uq_bench::{render_table, to_csv, write_output, ExpArgs};
 use uq_parallel::des::{distribute_chains, simulate, DesConfig};
 use uq_parallel::{run_parallel, ParallelConfig, Tracer};
 
@@ -91,11 +91,13 @@ fn main() {
             &rows
         )
     );
-    write_bench_csv(
+    write_output(
         &args.out_dir,
         "fig11_strong_scaling.csv",
-        "ranks,makespan_s,speedup,ideal_speedup,busy_fraction,reassignments",
-        &csv,
+        &to_csv(
+            "ranks,makespan_s,speedup,ideal_speedup,busy_fraction,reassignments",
+            &csv,
+        ),
     );
 
     // ---- live cross-check with the thread-backed scheduler ----
@@ -141,11 +143,10 @@ fn main() {
         "{}",
         render_table(&["ranks", "time[s]", "speedup", "estimate"], &live_rows)
     );
-    write_bench_csv(
+    write_output(
         &args.out_dir,
         "fig11_live_scaling.csv",
-        "ranks,elapsed_s,speedup,estimate",
-        &live_csv,
+        &to_csv("ranks,elapsed_s,speedup,estimate", &live_csv),
     );
 }
 

@@ -8,7 +8,7 @@
 //! Like Fig. 11 this is the shipped role machines in virtual time: the
 //! exact-ledger policy, not the paper's free handoffs (DESIGN.md §3.2).
 
-use uq_bench::{render_table, write_bench_csv, ExpArgs};
+use uq_bench::{render_table, to_csv, write_output, ExpArgs};
 use uq_parallel::des::{distribute_chains, simulate, DesConfig};
 
 const EVAL_TIME: [f64; 3] = [3.35e-3, 45.64e-3, 931.81e-3];
@@ -73,10 +73,9 @@ fn main() {
         "{}",
         render_table(&["ranks", "time[s]", "efficiency", "busy"], &rows)
     );
-    write_bench_csv(
+    write_output(
         &args.out_dir,
         "fig12_weak_scaling.csv",
-        "ranks,makespan_s,efficiency_pct,busy_fraction",
-        &csv,
+        &to_csv("ranks,makespan_s,efficiency_pct,busy_fraction", &csv),
     );
 }

@@ -13,7 +13,6 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use uq_mlmcmc::RunStore;
 
 /// Parsed common command-line options for experiment binaries.
 #[derive(Clone, Debug)]
@@ -27,17 +26,8 @@ pub struct ExpArgs {
     /// Model selector for experiments that drive more than one forward
     /// model (e.g. `scaling_live`: `gauss` (default) or `swe`).
     pub model: String,
-    /// Persist a consistent-cut snapshot to the run store every this
-    /// many recorded top-level corrections (0 = checkpointing off).
-    pub checkpoint_every: usize,
-    /// Resume from the latest matching snapshot in the run store
-    /// instead of starting from scratch.
-    pub resume: bool,
-    /// Crash-injection: abort the process at the n-th snapshot (the
-    /// equivalence harness re-launches with `--resume`).
-    pub crash_at: Option<usize>,
     /// Write a Chrome trace-event JSON (Perfetto-loadable) of the
-    /// traced study phases to this file under `out_dir`.
+    /// traced phases to this file under `out_dir`.
     pub trace_out: Option<String>,
     /// Write a `MetricsSnapshot` JSON (counters, histograms, per-rank /
     /// per-level activity) to this file under `out_dir`.
@@ -45,52 +35,21 @@ pub struct ExpArgs {
     /// Print a periodic live progress line (stderr) while the traced
     /// phases run.
     pub progress: bool,
-    /// Multi-process TCP transport role (`scaling_live` only):
-    /// `driver` binds `--listen` and assembles the universe, `worker`
-    /// connects to `--connect` and hosts assigned ranks.
-    pub net: Option<String>,
-    /// Listen address for `--net driver` (default `127.0.0.1:0`, an
-    /// OS-assigned port printed at startup; CI passes a fixed port so
-    /// worker processes can rendezvous without parsing driver output).
-    pub listen: String,
-    /// Driver address for `--net worker`.
-    pub connect: String,
-    /// Worker processes the driver waits for at rendezvous.
-    pub net_workers: usize,
-    /// `--net worker`: join an already-running universe elastically
-    /// (admitted at a checkpoint barrier) instead of taking part in the
-    /// initial rendezvous.
-    pub join: bool,
-    /// `--net worker`: depart at this checkpoint barrier, migrating the
-    /// hosted ranks back to the driver.
-    pub leave_at: Option<u64>,
 }
 
 impl ExpArgs {
     /// Parse from `std::env::args`. Recognizes `--paper`,
     /// `--out <dir>`, `--seed <n>`, `--model <name>`,
-    /// `--checkpoint-every <n>`, `--resume`, `--crash-at <n>`,
-    /// `--trace-out <file>`, `--metrics-out <file>`, `--progress`,
-    /// `--net <driver|worker>`, `--listen <addr>`, `--connect <addr>`,
-    /// `--net-workers <n>`, `--join`, `--leave-at <barrier>`.
+    /// `--trace-out <file>`, `--metrics-out <file>`, `--progress`.
     pub fn parse() -> Self {
         let mut args = ExpArgs {
             paper: false,
             out_dir: PathBuf::from("results"),
             seed: 20210730,
             model: String::from("gauss"),
-            checkpoint_every: 0,
-            resume: false,
-            crash_at: None,
             trace_out: None,
             metrics_out: None,
             progress: false,
-            net: None,
-            listen: String::from("127.0.0.1:0"),
-            connect: String::from("127.0.0.1:9417"),
-            net_workers: 2,
-            join: false,
-            leave_at: None,
         };
         let mut iter = std::env::args().skip(1);
         while let Some(a) = iter.next() {
@@ -109,22 +68,6 @@ impl ExpArgs {
                 "--model" => {
                     args.model = iter.next().expect("--model needs a value");
                 }
-                "--checkpoint-every" => {
-                    args.checkpoint_every = iter
-                        .next()
-                        .expect("--checkpoint-every needs a value")
-                        .parse()
-                        .expect("--checkpoint-every must be an integer");
-                }
-                "--resume" => args.resume = true,
-                "--crash-at" => {
-                    args.crash_at = Some(
-                        iter.next()
-                            .expect("--crash-at needs a value")
-                            .parse()
-                            .expect("--crash-at must be an integer"),
-                    );
-                }
                 "--trace-out" => {
                     args.trace_out = Some(iter.next().expect("--trace-out needs a value"));
                 }
@@ -132,113 +75,16 @@ impl ExpArgs {
                     args.metrics_out = Some(iter.next().expect("--metrics-out needs a value"));
                 }
                 "--progress" => args.progress = true,
-                "--net" => {
-                    let role = iter.next().expect("--net needs driver or worker");
-                    assert!(
-                        role == "driver" || role == "worker",
-                        "--net must be driver or worker, got {role}"
-                    );
-                    args.net = Some(role);
-                }
-                "--listen" => {
-                    args.listen = iter.next().expect("--listen needs an address");
-                }
-                "--connect" => {
-                    args.connect = iter.next().expect("--connect needs an address");
-                }
-                "--net-workers" => {
-                    args.net_workers = iter
-                        .next()
-                        .expect("--net-workers needs a value")
-                        .parse()
-                        .expect("--net-workers must be an integer");
-                }
-                "--join" => args.join = true,
-                "--leave-at" => {
-                    args.leave_at = Some(
-                        iter.next()
-                            .expect("--leave-at needs a value")
-                            .parse()
-                            .expect("--leave-at must be an integer"),
-                    );
-                }
                 other => {
                     panic!(
                         "unknown argument: {other} (expected --paper/--out/--seed/--model/\
-                         --checkpoint-every/--resume/--crash-at/--trace-out/--metrics-out/\
-                         --progress/--net/--listen/--connect/--net-workers/--join/--leave-at)"
+                         --trace-out/--metrics-out/--progress)"
                     )
                 }
             }
         }
         args
     }
-
-    /// Open the content-addressed run store that indexes this
-    /// invocation's artifacts and snapshots: `<out_dir>/store`.
-    pub fn run_store(&self) -> RunStore {
-        RunStore::open(self.out_dir.join("store")).expect("cannot open run store")
-    }
-}
-
-/// Incremental builder for the hand-rolled `BENCH_*.json` artifacts.
-/// Centralizes the indentation and trailing-comma bookkeeping that was
-/// previously duplicated (and had started to drift) across the
-/// experiment binaries; [`write_bench`] then lands the result both on
-/// disk and in the run-store manifest.
-#[derive(Default)]
-pub struct BenchJson {
-    parts: Vec<String>,
-}
-
-impl BenchJson {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Top-level field with a raw (already JSON-rendered) value:
-    /// numbers, booleans, `{:?}`-printed numeric lists.
-    pub fn field(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
-        self.parts.push(format!("  \"{key}\": {value}"));
-        self
-    }
-
-    /// Top-level string field (the value is quoted).
-    pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.parts.push(format!("  \"{key}\": \"{value}\""));
-        self
-    }
-
-    /// Top-level array of pre-rendered JSON items (typically one
-    /// `{ ... }` object per line).
-    pub fn array(&mut self, key: &str, items: &[String]) -> &mut Self {
-        let body: Vec<String> = items.iter().map(|i| format!("    {i}")).collect();
-        self.parts
-            .push(format!("  \"{key}\": [\n{}\n  ]", body.join(",\n")));
-        self
-    }
-
-    /// Render the complete JSON document.
-    pub fn finish(&self) -> String {
-        format!("{{\n{}\n}}\n", self.parts.join(",\n"))
-    }
-}
-
-/// Write a bench artifact to `<out_dir>/<name>` **and** register it in
-/// the run-store manifest (`<out_dir>/store/manifest.jsonl`), turning
-/// the ad-hoc output file into a queryable run record.
-pub fn write_bench(out_dir: &Path, name: &str, content: &str) -> PathBuf {
-    let path = write_output(out_dir, name, content);
-    RunStore::open(out_dir.join("store"))
-        .and_then(|store| store.record_bench(name, content))
-        .expect("cannot register bench artifact in the run store");
-    path
-}
-
-/// [`write_bench`] for CSV artifacts: format with [`to_csv`], write,
-/// and register in the run-store manifest.
-pub fn write_bench_csv(out_dir: &Path, name: &str, header: &str, rows: &[Vec<f64>]) -> PathBuf {
-    write_bench(out_dir, name, &to_csv(header, rows))
 }
 
 /// Write `content` to `<out_dir>/<name>`, creating the directory.
@@ -370,33 +216,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("level"));
         assert!(lines[3].ends_with("22.75"));
-    }
-
-    #[test]
-    fn bench_json_builder_and_manifest_registration() {
-        let dir = std::env::temp_dir().join(format!("uq-bench-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut j = BenchJson::new();
-        j.field("pr", 6).field_str("model", "gauss").array(
-            "sweep",
-            &[
-                "{ \"ranks\": 1 }".to_string(),
-                "{ \"ranks\": 2 }".to_string(),
-            ],
-        );
-        let json = j.finish();
-        assert_eq!(
-            json,
-            "{\n  \"pr\": 6,\n  \"model\": \"gauss\",\n  \"sweep\": [\n    { \"ranks\": 1 },\n    { \"ranks\": 2 }\n  ]\n}\n"
-        );
-        let p = write_bench(&dir, "BENCH_T.json", &json);
-        assert_eq!(std::fs::read_to_string(p).unwrap(), json);
-        let store = RunStore::open(dir.join("store")).unwrap();
-        let recs = store.manifest_records().unwrap();
-        assert!(recs
-            .iter()
-            .any(|r| r.get("kind") == Some("bench") && r.get("name") == Some("BENCH_T.json")));
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! ## Manifest
 //!
 //! `manifest.jsonl` is an append-only JSON-lines index: one record per
-//! stored snapshot and one per registered bench result (the previously
-//! ad-hoc `results/BENCH_*.json` files become queryable run records).
+//! stored snapshot. Lines of another `kind` (older commits registered
+//! bench artifacts as `"kind":"bench"`) are kept and skipped.
 //! The format is a flat string→string object per line; a tiny extractor
 //! ([`manifest_field`]) keeps querying dependency-free.
 
@@ -649,10 +649,6 @@ fn parse_json_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// The on-disk run store: `objects/<hex>.snap` content-addressed
 /// snapshots plus the append-only `manifest.jsonl` index.
 pub struct RunStore {
@@ -729,19 +725,6 @@ impl RunStore {
             .to_string();
         let (snapshot, _) = self.get_snapshot(&hash)?;
         Ok(Some((hash, snapshot)))
-    }
-
-    /// Register a bench result (the `results/BENCH_*.json` / CSV
-    /// artifacts) as a queryable run record: the content is hashed and
-    /// indexed, turning the ad-hoc output files into store entries.
-    pub fn record_bench(&self, name: &str, content: &str) -> Result<String, StoreError> {
-        let hash = format!("{:016x}", fnv1a(content.as_bytes()));
-        self.append_manifest(&format!(
-            "{{\"kind\":\"bench\",\"name\":\"{}\",\"hash\":\"{hash}\",\"bytes\":\"{}\"}}",
-            json_escape(name),
-            content.len()
-        ))?;
-        Ok(hash)
     }
 
     /// All manifest records, in append order.
@@ -945,12 +928,21 @@ mod tests {
         assert_eq!(latest.samples_done, 300);
         assert!(store.latest_snapshot(Some(43)).unwrap().is_none());
 
-        store.record_bench("BENCH_PR6.json", "{\"x\":1}").unwrap();
+        // a line older commits appended for each bench artifact: still
+        // parsed, and skipped when looking for the latest snapshot
+        store
+            .append_manifest(
+                "{\"kind\":\"bench\",\"name\":\"BENCH_PR6.json\",\
+                 \"hash\":\"4cb2b2bb6b3b0f4d\",\"bytes\":\"7\"}",
+            )
+            .unwrap();
         let records = store.manifest_records().unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].get("kind"), Some("snapshot"));
         assert_eq!(records[2].get("kind"), Some("bench"));
         assert_eq!(records[2].get("name"), Some("BENCH_PR6.json"));
+        let (latest_hash, _) = store.latest_snapshot(None).unwrap().expect("latest");
+        assert_eq!(latest_hash, hash2);
         let _ = fs::remove_dir_all(&dir);
     }
 

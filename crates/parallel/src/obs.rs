@@ -32,9 +32,9 @@
 //!    bit-for-bit identical to tracing-off runs on all three backends.
 //!
 //! Exporters: [`chrome_trace`] (trace-event JSON loadable in Perfetto /
-//! `chrome://tracing`), [`MetricsSnapshot`] (a JSON metrics artifact for
-//! `uq_bench::write_bench`) and the compact [`Tracer::progress_line`]
-//! polled by `scaling_live --progress`.
+//! `chrome://tracing`), [`MetricsSnapshot`] (a JSON metrics document,
+//! `scaling_live --metrics-out`) and the compact
+//! [`Tracer::progress_line`] polled by `scaling_live --progress`.
 
 use crate::runtime::RuntimeStats;
 use parking_lot::Mutex;
@@ -790,9 +790,8 @@ impl LevelActivity {
 }
 
 /// A complete metrics export: counters, histograms and the span-derived
-/// per-rank / per-level activity tables, rendered to JSON for
-/// `uq_bench::write_bench` (which also indexes it in the run-store
-/// manifest).
+/// per-rank / per-level activity tables, rendered to JSON by
+/// [`MetricsSnapshot::to_json`].
 #[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
     pub label: String,

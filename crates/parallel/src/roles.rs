@@ -18,8 +18,8 @@
 //!   behalf; under the blocking executor the rank's own thread parks.
 //! * **Batched phonebook routing.** The phonebook drains *every* queued
 //!   message per wakeup and routes the whole batch in one pass; batch
-//!   sizes are reported in [`PhonebookStats`] (the `BENCH_PR3` routing
-//!   metric).
+//!   sizes are reported in [`PhonebookStats`] (`scaling_live`'s
+//!   `mean batch` / `max batch` columns).
 //! * **Sharded collectors.** Each level owns `collector_shards` collector
 //!   ranks; controllers scatter corrections round-robin, shards absorb a
 //!   quota of `N_l / shards` each and the root merges their streaming

@@ -5,13 +5,12 @@
 //! computes the uninterrupted reference run in-process, then re-execs
 //! the test binary twice — once in the `crash` role (runs with
 //! checkpointing and `abort()`s from the `on_snapshot` hook at a
-//! randomized snapshot ordinal, exactly like `scaling_live --crash-at`)
-//! and once in the `resume` role (picks up the latest snapshot from the
-//! content-addressed store and runs to completion, writing its digest
-//! and BENCH artifact to disk). The parent then compares the resumed
-//! outputs **byte-for-byte** against the uninterrupted reference:
-//! estimator moments, recorded sample streams, correction pairs, and
-//! the BENCH JSON built by the shared `uq_bench` emitter.
+//! randomized snapshot ordinal) and once in the `resume` role (picks up
+//! the latest snapshot from the content-addressed store and runs to
+//! completion, writing its digest to disk). The parent then compares
+//! the resumed digest **byte-for-byte** against the uninterrupted
+//! reference: estimator moments, recorded sample streams and correction
+//! pairs, every `f64` as its bit pattern.
 //!
 //! The bit-parity regime matches `speculation_conformance.rs`: the
 //! two-level tight-ridge hierarchy, one chain per level, load balancing
@@ -34,10 +33,8 @@
 use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use uq_bench::BenchJson;
 use uq_mlmcmc::estimator::{run_sequential_ckpt, CheckpointSpec};
 use uq_mlmcmc::store::fnv1a;
 use uq_mlmcmc::{MlmcmcConfig, MlmcmcReport, RunStore};
@@ -47,8 +44,11 @@ use uq_parallel::{
     RuntimeConfig, Tracer,
 };
 
+#[path = "common/reexec.rs"]
+mod reexec;
 #[path = "common/ridge.rs"]
 mod ridge;
+use reexec::{expect_success, printed, spawn_self};
 use ridge::{Ridge, COARSE_MEAN, FINE_MEAN};
 
 // ---------------------------------------------------------------------
@@ -84,14 +84,14 @@ fn kill_point(base: usize) -> usize {
 }
 
 /// Re-exec this test binary running exactly `test_name` in `role`.
-fn spawn_role(test_name: &str, role: &str, dir: &Path, crash_at: usize) -> std::process::Output {
-    Command::new(env::current_exe().expect("no current_exe"))
-        .args([test_name, "--exact", "--nocapture"])
-        .env(ROLE_ENV, role)
-        .env(DIR_ENV, dir)
-        .env(CRASH_ENV, crash_at.to_string())
-        .output()
-        .expect("cannot spawn crash-harness child")
+fn spawn_role(test_name: &str, role: &str, dir: &Path, crash_at: usize) -> std::process::Child {
+    let dir = dir.to_str().expect("harness dir is UTF-8");
+    let env = [
+        (ROLE_ENV, role),
+        (DIR_ENV, dir),
+        (CRASH_ENV, &crash_at.to_string()),
+    ];
+    spawn_self(test_name, &env)
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -102,16 +102,18 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 /// Drive the full kill→resume cycle for one backend test and compare
-/// the resumed run's digest + BENCH bytes against the reference.
-fn run_crash_cycle(test_name: &str, tag: &str, base_kill: usize, digest: &str, bench: &str) {
+/// the resumed run's digest against the reference.
+fn run_crash_cycle(test_name: &str, tag: &str, base_kill: usize, digest: &str) {
     let dir = fresh_dir(tag);
     let k = kill_point(base_kill);
 
-    let crash = spawn_role(test_name, "crash", &dir, k);
+    let crash = spawn_role(test_name, "crash", &dir, k)
+        .wait_with_output()
+        .expect("wait for crash child");
     assert!(
         !crash.status.success(),
         "crash child must die at snapshot {k}, got: {}",
-        String::from_utf8_lossy(&crash.stdout)
+        printed(&crash)
     );
     let store = RunStore::open(dir.join("store")).expect("store must survive the crash");
     assert!(
@@ -122,36 +124,24 @@ fn run_crash_cycle(test_name: &str, tag: &str, base_kill: usize, digest: &str, b
         "crashed run must have persisted at least one snapshot"
     );
 
-    let resume = spawn_role(test_name, "resume", &dir, k);
-    assert!(
-        resume.status.success(),
-        "resume child failed:\n{}\n{}",
-        String::from_utf8_lossy(&resume.stdout),
-        String::from_utf8_lossy(&resume.stderr)
-    );
+    expect_success(spawn_role(test_name, "resume", &dir, k), "resume child");
 
     let resumed_digest = fs::read_to_string(dir.join("digest.txt")).expect("resume digest");
-    let resumed_bench = fs::read_to_string(dir.join("bench.json")).expect("resume bench");
     assert_eq!(
         resumed_digest, digest,
         "kill at snapshot {k} → resume must reproduce the uninterrupted digest bit-for-bit"
     );
-    assert_eq!(
-        resumed_bench, bench,
-        "kill at snapshot {k} → resume must reproduce the BENCH artifact byte-for-byte"
-    );
     let _ = fs::remove_dir_all(&dir);
 }
 
-fn write_outputs(dir: &Path, digest: &str, bench: &str) {
+fn write_digest(dir: &Path, digest: &str) {
     fs::write(dir.join("digest.txt"), digest).expect("write digest");
-    fs::write(dir.join("bench.json"), bench).expect("write bench");
 }
 
 // ---------------------------------------------------------------------
-// digests and BENCH artifacts (logical state only; eval counters and
-// timing are excluded for the parallel backends, where a resumed run's
-// counters legitimately restart)
+// digests (logical state only; eval counters and timing are excluded
+// for the parallel backends, where a resumed run's counters
+// legitimately restart)
 // ---------------------------------------------------------------------
 
 fn push_bits(s: &mut String, tag: &str, v: &[f64]) {
@@ -207,59 +197,6 @@ fn parallel_digest(levels: &[ParallelLevelReport]) -> String {
     s
 }
 
-/// The BENCH artifact a resumed run must reproduce byte-for-byte: a
-/// pure function of the final estimator state, built with the same
-/// shared emitter as `results/BENCH_PR6.json`.
-fn bench_string(
-    backend: &str,
-    seed: u64,
-    levels: &[(usize, Vec<f64>, Vec<f64>)],
-    estimate: &[f64],
-) -> String {
-    let bits = |v: &[f64]| -> String {
-        let b: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
-        format!("{b:?}")
-    };
-    let items: Vec<String> = levels
-        .iter()
-        .map(|(n, m, v)| {
-            format!(
-                "{{ \"n\": {n}, \"mean_bits\": {}, \"var_bits\": {} }}",
-                bits(m),
-                bits(v)
-            )
-        })
-        .collect();
-    let mut j = BenchJson::new();
-    j.field("pr", 6)
-        .field_str("suite", "checkpoint_equivalence")
-        .field_str("backend", backend)
-        .field("seed", seed)
-        .array("levels", &items)
-        .field("estimate", format!("{estimate:?}"));
-    j.finish()
-}
-
-fn parallel_bench(backend: &str, seed: u64, levels: &[ParallelLevelReport]) -> String {
-    let rows: Vec<(usize, Vec<f64>, Vec<f64>)> = levels
-        .iter()
-        .map(|l| {
-            (
-                l.n_samples,
-                l.mean_correction.clone(),
-                l.var_correction.clone(),
-            )
-        })
-        .collect();
-    let mut estimate = vec![0.0; levels[0].mean_correction.len()];
-    for l in levels {
-        for (t, m) in estimate.iter_mut().zip(&l.mean_correction) {
-            *t += m;
-        }
-    }
-    bench_string(backend, seed, &rows, &estimate)
-}
-
 // ---------------------------------------------------------------------
 // sequential driver
 // ---------------------------------------------------------------------
@@ -307,40 +244,15 @@ fn sequential_crash_resume_is_bit_identical() {
                 .expect("crashed run left a snapshot");
             let report =
                 run_sequential_ckpt(&Ridge, &sequential_config(), SEQ_SEED, None, Some(&snap));
-            let rows: Vec<(usize, Vec<f64>, Vec<f64>)> = report
-                .levels
-                .iter()
-                .map(|l| {
-                    (
-                        l.n_samples,
-                        l.mean_correction.clone(),
-                        l.var_correction.clone(),
-                    )
-                })
-                .collect();
-            let bench = bench_string("sequential", SEQ_SEED, &rows, &report.expectation());
-            write_outputs(&dir, &sequential_digest(&report), &bench);
+            write_digest(&dir, &sequential_digest(&report));
         }
         _ => {
             let reference = run_sequential_ckpt(&Ridge, &sequential_config(), SEQ_SEED, None, None);
-            let rows: Vec<(usize, Vec<f64>, Vec<f64>)> = reference
-                .levels
-                .iter()
-                .map(|l| {
-                    (
-                        l.n_samples,
-                        l.mean_correction.clone(),
-                        l.var_correction.clone(),
-                    )
-                })
-                .collect();
-            let bench = bench_string("sequential", SEQ_SEED, &rows, &reference.expectation());
             run_crash_cycle(
                 "sequential_crash_resume_is_bit_identical",
                 "seq",
                 1,
                 &sequential_digest(&reference),
-                &bench,
             );
         }
     }
@@ -408,11 +320,7 @@ fn thread_crash_resume_is_bit_identical() {
                 None,
                 Some(&snap),
             );
-            write_outputs(
-                &dir,
-                &parallel_digest(&report.levels),
-                &parallel_bench("thread", THREAD_SEED, &report.levels),
-            );
+            write_digest(&dir, &parallel_digest(&report.levels));
         }
         _ => {
             let reference =
@@ -422,7 +330,6 @@ fn thread_crash_resume_is_bit_identical() {
                 "thread",
                 1,
                 &parallel_digest(&reference.levels),
-                &parallel_bench("thread", THREAD_SEED, &reference.levels),
             );
         }
     }
@@ -508,11 +415,7 @@ fn runtime_crash_mid_speculation_resume_is_bit_identical() {
                 None,
                 Some(&snap),
             );
-            write_outputs(
-                &dir,
-                &parallel_digest(&rt.report.levels),
-                &parallel_bench("runtime", RUNTIME_SEED, &rt.report.levels),
-            );
+            write_digest(&dir, &parallel_digest(&rt.report.levels));
         }
         _ => {
             let reference = run_runtime(&Ridge, &runtime_cfg(), &Tracer::disabled());
@@ -526,7 +429,6 @@ fn runtime_crash_mid_speculation_resume_is_bit_identical() {
                 "runtime",
                 4,
                 &parallel_digest(&reference.report.levels),
-                &parallel_bench("runtime", RUNTIME_SEED, &reference.report.levels),
             );
         }
     }

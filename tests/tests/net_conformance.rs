@@ -16,20 +16,28 @@
 //! and phonebook sessions migrate to the driver), a joiner is admitted
 //! at the second (ranks donated back out), a second joiner is never
 //! admitted and must be turned away cleanly — and the run still
-//! completes with the correct estimate.
+//! completes with the correct estimate. The last test repeats the
+//! static and the elastic case with every worker a separate OS process
+//! (the test binary re-executing itself, an OS-assigned port).
 //!
 //! Fixture: the tight-ridge two-level Gaussian hierarchy (fine
 //! `N(0.35, 0.12²)`, coarse `N(0, 0.15²)`, `ρ = 2`).
 
+use std::env;
+use std::process::Child;
 use std::sync::Arc;
+use std::time::Duration;
 use uq_mlmcmc::store::RunStore;
 use uq_parallel::{
-    levels_digest, run_net_worker, run_parallel, run_runtime, NetDriver, NetDriverOptions,
-    NetWorkerOptions, ParallelConfig, RuntimeConfig, Tracer,
+    levels_digest, run_net_worker, run_parallel, run_runtime, Counter, NetDriver, NetDriverOptions,
+    NetReport, NetWorkerOptions, NetWorkerReport, ParallelConfig, RuntimeConfig, Tracer,
 };
 
+#[path = "common/reexec.rs"]
+mod reexec;
 #[path = "common/ridge.rs"]
 mod ridge;
+use reexec::{expect_success, spawn_self};
 use ridge::{Ridge, FINE_MEAN};
 
 /// The deterministic bit-parity regime on the ridge.
@@ -43,24 +51,39 @@ fn config(n0: usize, n1: usize, seed: u64) -> ParallelConfig {
     config
 }
 
+/// Run the driver of a net universe on an OS-assigned loopback port;
+/// `start_workers` gets the address to dial before the driver blocks in
+/// its rendezvous.
+fn run_driver<W>(
+    config: &ParallelConfig,
+    opts: &NetDriverOptions,
+    tracer: &Tracer,
+    start_workers: impl FnOnce(&str) -> W,
+) -> (NetReport, W) {
+    let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
+    let workers = start_workers(&driver.local_addr().to_string());
+    let report = driver.run(Arc::new(Ridge), config, opts, tracer);
+    (report, workers)
+}
+
 /// Run a net universe on loopback: one driver plus one thread per
-/// worker spec, all inside this process (the CI smoke jobs cover real
-/// separate OS processes via `scaling_live --net`).
+/// worker spec, all inside this process
+/// (`net_worker_processes_match_in_process_and_migrate` covers separate
+/// OS processes).
 fn run_net(
     config: &ParallelConfig,
     opts: NetDriverOptions,
     workers: Vec<NetWorkerOptions>,
-) -> (uq_parallel::NetReport, Vec<uq_parallel::NetWorkerReport>) {
-    let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = driver.local_addr().to_string();
-    let worker_handles: Vec<_> = workers
-        .into_iter()
-        .map(|mut w| {
-            w.connect = addr.clone();
-            std::thread::spawn(move || run_net_worker(Arc::new(Ridge), &w, &Tracer::disabled()))
-        })
-        .collect();
-    let report = driver.run(Arc::new(Ridge), config, &opts, &Tracer::disabled());
+) -> (NetReport, Vec<NetWorkerReport>) {
+    let (report, worker_handles) = run_driver(config, &opts, &Tracer::disabled(), |addr| {
+        workers
+            .into_iter()
+            .map(|mut w| {
+                w.connect = addr.to_string();
+                std::thread::spawn(move || run_net_worker(Arc::new(Ridge), &w, &Tracer::disabled()))
+            })
+            .collect::<Vec<_>>()
+    });
     let worker_reports = worker_handles
         .into_iter()
         .map(|h| h.join().expect("worker thread panicked"))
@@ -275,5 +298,103 @@ fn net_elastic_leave_and_join_completes_with_correct_estimate() {
         "the never-admitted joiner must be turned away cleanly"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// workers as separate OS processes (`common/reexec.rs`)
+// ---------------------------------------------------------------------
+
+const ROLE_ENV: &str = "UQ_NET_ROLE";
+const ADDR_ENV: &str = "UQ_NET_ADDR";
+
+/// This test binary again, as a worker process dialling `addr`; `role`
+/// is `worker`, `leave` (depart at barrier 1) or `join`.
+fn worker_process(role: &str, addr: &str) -> Child {
+    spawn_self(
+        "net_worker_processes_match_in_process_and_migrate",
+        &[(ROLE_ENV, role), (ADDR_ENV, addr)],
+    )
+}
+
+#[test]
+fn net_worker_processes_match_in_process_and_migrate() {
+    if let Ok(role) = env::var(ROLE_ENV) {
+        let opts = NetWorkerOptions {
+            connect: env::var(ADDR_ENV).expect("worker process without UQ_NET_ADDR"),
+            join: role == "join",
+            leave_at_barrier: (role == "leave").then_some(1),
+        };
+        run_net_worker(Arc::new(Ridge), &opts, &Tracer::disabled());
+        return;
+    }
+
+    // two processes: this driver and one worker hosting both controllers
+    let static_config = config(300, 100, 18_2026);
+    let opts = NetDriverOptions {
+        workers: 1,
+        every: 0,
+        store: None,
+        config_hash: 0,
+    };
+    let (net, worker) = run_driver(&static_config, &opts, &Tracer::disabled(), |addr| {
+        worker_process("worker", addr)
+    });
+    expect_success(worker, "net worker process");
+    assert_eq!(
+        levels_digest(&net.report.levels),
+        in_process_digest(&static_config),
+        "a worker in its own process diverged from the in-process backends"
+    );
+    assert_eq!(net.migrations, 0);
+
+    // four processes: one worker departs at the first barrier, a joiner
+    // dials in mid-run and is donated the re-hosted rank at a later one
+    let dir = env::temp_dir().join(format!("uq-net-procs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let elastic_config = config(3000, 600, 7_2026);
+    let opts = NetDriverOptions {
+        workers: 2,
+        every: 25,
+        store: Some(Arc::new(RunStore::open(&dir).expect("open store"))),
+        config_hash: 0x18_e37,
+    };
+    let tracer = Tracer::new();
+    let (net, (mut workers, joiner)) = run_driver(&elastic_config, &opts, &tracer, |addr| {
+        let workers = vec![
+            worker_process("leave", addr),
+            worker_process("worker", addr),
+        ];
+        // started once both Hellos are read: the rendezvous accepts
+        // nothing further, so the joiner is a mid-run connection (counted
+        // as a reconnect), not one queued before the run began
+        let (tracer, addr) = (tracer.clone(), addr.to_string());
+        let joiner = std::thread::spawn(move || {
+            while tracer.counter(Counter::NetFramesIn) < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            worker_process("join", &addr)
+        });
+        (workers, joiner)
+    });
+    workers.push(joiner.join().expect("joiner launcher panicked"));
+    for worker in workers {
+        expect_success(worker, "net worker process");
+    }
+    assert_eq!(
+        net.migrations, 2,
+        "one rank re-hosted at the departure, one donated to the joiner"
+    );
+    assert!(
+        tracer.counter(Counter::NetReconnects) >= 1,
+        "the joiner dialled in after the rendezvous"
+    );
+    assert_eq!(net.report.levels[0].n_samples, 3000);
+    assert_eq!(net.report.levels[1].n_samples, 600);
+    let est = net.report.expectation()[0];
+    assert!(
+        (est - FINE_MEAN).abs() < 0.1,
+        "estimate {est} drifted from the fine mean {FINE_MEAN} across processes"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,23 +18,29 @@
 //!   land on the very same digest (preemption exactness);
 //! * the same holds for a remote client driving the service over TCP,
 //!   which also exercises cancel, budget denial and admission denial on
-//!   the wire.
+//!   the wire, and for two tenants that are separate OS processes (the
+//!   test binary re-executing itself), each recomputing its own
+//!   standalone digest.
 //!
 //! Fixture: the tight-ridge two-level Gaussian hierarchy (fine
 //! `N(0.35, 0.12²)`, coarse `N(0, 0.15²)`, `ρ = 2`).
 
+use std::env;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uq_mlmcmc::ledger::tenant_seed;
 use uq_parallel::{
-    levels_digest, run_net_worker, run_parallel, run_runtime, JobSpec, JobState, NetDriver,
-    NetDriverOptions, NetWorkerOptions, ParallelConfig, RuntimeConfig, Service, ServiceClient,
-    ServiceConfig, Tracer,
+    levels_digest, run_net_worker, run_parallel, run_runtime, JobSpec, JobState, MetricsSnapshot,
+    NetDriver, NetDriverOptions, NetWorkerOptions, ParallelConfig, RuntimeConfig, Service,
+    ServiceClient, ServiceConfig, Tracer,
 };
 
+#[path = "common/reexec.rs"]
+mod reexec;
 #[path = "common/ridge.rs"]
 mod ridge;
+use reexec::{expect_success, spawn_self};
 use ridge::{Ridge, FINE_MEAN};
 
 /// The deterministic bit-parity regime on the ridge.
@@ -165,6 +171,17 @@ fn serviced_job_matches_standalone_on_every_backend_under_contention() {
     let usage = service.per_tenant_serves();
     assert_eq!(usage.len(), 2);
     assert!(usage.iter().all(|&(_, serves)| serves > 0));
+    // ... and lands in the v3 metrics document, one `per_tenant` row each
+    let json = MetricsSnapshot::capture("service", &tracer)
+        .merge_service(&usage)
+        .to_json();
+    for (tenant, serves) in &usage {
+        let row = format!("{{ \"tenant\": {tenant}, \"serves\": {serves} }}");
+        assert!(json.contains(&row), "no row {row} in:\n{json}");
+    }
+    assert_eq!(json.matches("\"tenant\":").count(), usage.len());
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    assert_eq!(json.matches('[').count(), json.matches(']').count());
 
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -307,6 +324,67 @@ fn remote_client_lifecycle_cancel_and_denials() {
     assert!(!client.resume(9_999).expect("io"));
 
     client.bye().expect("orderly goodbye");
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// tenants as separate OS processes (`common/reexec.rs`)
+// ---------------------------------------------------------------------
+
+const TENANT_ENV: &str = "UQ_SVC_TENANT";
+const ADDR_ENV: &str = "UQ_SVC_ADDR";
+
+#[test]
+fn tenant_processes_get_their_standalone_digests_over_tcp() {
+    let base = config(400, 150, 18_2026);
+    if let Ok(tenant) = env::var(TENANT_ENV) {
+        // a tenant's process: submit, wait the job out, recompute the
+        // standalone run at the tenant seed here and compare to the bit
+        let tenant: u64 = tenant.parse().expect("UQ_SVC_TENANT must be a tenant id");
+        let addr = env::var(ADDR_ENV).expect("tenant process without UQ_SVC_ADDR");
+        let mut client = ServiceClient::connect(&addr).expect("connect");
+        let (id, _) = client
+            .submit(job(tenant, 1.0, base.clone()))
+            .expect("io")
+            .expect("admit");
+        let done = client.wait(id).expect("io");
+        assert_eq!(done.state, JobState::Completed);
+        assert_eq!(done.seed, tenant_seed(base.seed, tenant));
+        assert_eq!(
+            done.digest,
+            standalone_digest(&base, tenant),
+            "tenant {tenant}: remote digest diverged from the standalone run"
+        );
+        client.bye().expect("orderly goodbye");
+        return;
+    }
+
+    let dir = fresh_dir("procs");
+    let mut svc_cfg = ServiceConfig::new(&dir);
+    svc_cfg.lanes = 2;
+    svc_cfg.pool_workers = 2;
+    let mut service = Service::start(svc_cfg, &Tracer::new());
+    service.register_model("ridge", Arc::new(Ridge));
+    let addr = service.listen("127.0.0.1:0").expect("listen").to_string();
+
+    let tenants = ["1", "2"].map(|tenant| {
+        spawn_self(
+            "tenant_processes_get_their_standalone_digests_over_tcp",
+            &[(TENANT_ENV, tenant), (ADDR_ENV, &addr)],
+        )
+    });
+    for tenant in tenants {
+        expect_success(tenant, "tenant process");
+    }
+    // the service counts a goodbye just after answering it
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while service.remote_byes() < 2 {
+        assert!(Instant::now() < deadline, "two goodbyes never counted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(service.per_tenant_serves().len(), 2, "one book per tenant");
+
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
