@@ -13,9 +13,11 @@ use uq_mcmc::proposal::GaussianRandomWalk;
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::coupled::{build_chain_stack, MlChain};
 use uq_mlmcmc::{run_sequential, LevelFactory, MlmcmcConfig};
-use uq_parallel::comm::{RankCtx, Universe};
 use uq_parallel::des::{simulate, DesConfig};
-use uq_parallel::{run_parallel, run_runtime, ParallelConfig, RuntimeConfig, Tracer};
+use uq_parallel::{
+    run_parallel, run_runtime, ParallelConfig, Poll, Runtime, RuntimeConfig, Tracer, VCtx,
+    VirtualRank,
+};
 
 struct Hierarchy;
 
@@ -97,25 +99,45 @@ fn bench_sequential_run(c: &mut Criterion) {
     group.finish();
 }
 
+/// One side of a 1000-round ping-pong: rank 0 serves the round number,
+/// rank 1 returns each value plus one.
+#[derive(Default)]
+struct PingPong {
+    served: u64,
+    received: u64,
+    acc: u64,
+}
+
+impl VirtualRank<u64> for PingPong {
+    type Output = u64;
+    fn poll(&mut self, ctx: &mut VCtx<'_, u64>) -> Poll<u64, u64> {
+        let peer = 1 - ctx.rank();
+        loop {
+            if ctx.rank() == 0 && self.served == self.received {
+                ctx.send(peer, self.served);
+                self.served += 1;
+            }
+            let Some(env) = ctx.try_recv() else {
+                return Poll::Wait(Box::new(|_| true));
+            };
+            if ctx.rank() == 1 {
+                ctx.send(peer, env.msg + 1);
+            }
+            self.acc += env.msg;
+            self.received += 1;
+            if self.received == 1000 {
+                return Poll::Exit(self.acc);
+            }
+        }
+    }
+}
+
 fn bench_comm(c: &mut Criterion) {
+    let pool = Runtime::new(2);
     c.bench_function("comm_ping_pong_1000", |b| {
         b.iter(|| {
-            let results = Universe::run(2, |mut ctx: RankCtx<u64>| {
-                let peer = 1 - ctx.rank();
-                let mut acc = 0u64;
-                for i in 0..1000u64 {
-                    if ctx.rank() == 0 {
-                        ctx.send(peer, i);
-                        acc += ctx.recv().msg;
-                    } else {
-                        let v = ctx.recv().msg;
-                        ctx.send(peer, v + 1);
-                        acc += v;
-                    }
-                }
-                acc
-            });
-            black_box(results)
+            let machine = |_, _| Box::new(PingPong::default()) as Box<_>;
+            black_box(pool.run(2, machine).results)
         });
     });
 }
@@ -130,7 +152,6 @@ fn bench_des(c: &mut Criterion) {
         burn_in: vec![50, 10, 2],
         subsampling: vec![20, 2, 0],
         chains_per_level: vec![32, 8, 4],
-        group_size: 1,
         phonebook_service_time: 2e-4,
         collector_service_time: 1e-5,
         load_balancing: true,

@@ -5,8 +5,9 @@
 //! BwForCluster; we run the role machines this repository ships in
 //! virtual time (`des::simulate`), every evaluation costing the paper's
 //! measured per-level time (DESIGN.md §3.2), and additionally run the
-//! *live* thread-backed scheduler at small rank counts as a cross-check
-//! (`--paper` extends the live sweep).
+//! same machines *live* (`run_parallel`, a worker pool as wide as this
+//! host) at small rank counts as a cross-check (`--paper` extends the
+//! live sweep).
 //!
 //! The curve is the **exact-ledger policy's**, not the paper's: a coarse
 //! proposal here is `ρ·(1 + diverged)` dedicated evaluations, where the
@@ -46,7 +47,6 @@ fn main() {
             burn_in: burn_in.clone(),
             subsampling: SUBSAMPLING.to_vec(),
             chains_per_level: chains.clone(),
-            group_size: 1,
             phonebook_service_time: 2e-4,
             // per message handled, discarded surplus included: a slower
             // collector than its level's producers queues without bound
@@ -100,10 +100,11 @@ fn main() {
         ),
     );
 
-    // ---- live cross-check with the thread-backed scheduler ----
+    // ---- live cross-check on the worker pool ----
     // (an analytically cheap Gaussian hierarchy exercises the real
-    // message-passing path; rank counts bounded by physical cores)
-    println!("live scheduler cross-check (thread-backed, Gaussian hierarchy):");
+    // message-passing path; the pool's fair polling keeps every
+    // collector up with its producers at any ranks-per-core ratio)
+    println!("live scheduler cross-check (worker pool, Gaussian hierarchy):");
     let live_samples = if args.paper {
         vec![60_000usize, 6_000, 600]
     } else {
@@ -112,18 +113,11 @@ fn main() {
     let mut live_rows = Vec::new();
     let mut live_csv = Vec::new();
     let mut base: Option<f64> = None;
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     for chains in [[1usize, 1, 1], [2, 2, 2], [4, 3, 3], [8, 4, 4]] {
         let h = GaussianHierarchy;
         let mut config = ParallelConfig::new(live_samples.clone(), chains.to_vec());
         config.burn_in = vec![200, 100, 50];
         config.seed = args.seed;
-        if config.n_ranks() > 8 * cores {
-            // one thread per rank: past this the level-0 chains outrun the
-            // starved collector by gigabytes of queued corrections
-            println!("  ({} ranks skipped on {cores} cores)", config.n_ranks());
-            continue;
-        }
         let report = run_parallel(&h, &config, &Tracer::disabled());
         let b = *base.get_or_insert(report.elapsed);
         live_rows.push(vec![

@@ -42,7 +42,6 @@ fn main() {
             burn_in: vec![500, 100, 20],
             subsampling: SUBSAMPLING.to_vec(),
             chains_per_level: chains,
-            group_size: 1,
             phonebook_service_time: 2e-4,
             // per message handled, discarded surplus included: a slower
             // collector than its level's producers queues without bound

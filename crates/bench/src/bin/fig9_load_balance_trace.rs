@@ -1,8 +1,8 @@
 //! **Fig. 9**: dynamic load balancing trace. Runs a small parallel
 //! MLMCMC with strongly heterogeneous (and artificially slowed)
-//! per-level model costs on **both** parallel backends — the
-//! thread-backed scheduler and the cooperative virtual-rank runtime —
-//! recording per-rank activity spans: model evaluations (the figure's
+//! per-level model costs through **both** in-process entry points —
+//! `run_parallel` (a worker pool as wide as the host) and `run_runtime`
+//! (a pool of the configured width) — recording per-rank activity spans: model evaluations (the figure's
 //! green boxes), burn-in phases (yellow), ledger serves and
 //! reassignment markers. Both runs share one [`Epoch`], so the
 //! exported Chrome trace (`fig9_trace.json`, Perfetto /

@@ -32,8 +32,8 @@
 //! (`scaling_live_swe.csv` for `--model swe`). **`--trace-out F`**
 //! writes a Chrome trace-event JSON (Perfetto / `chrome://tracing`
 //! loadable) of the first sweep point plus a short run of the same
-//! machines with one thread per rank (sharing one [`Epoch`], so both
-//! executors land on one timeline), **`--metrics-out F`** a
+//! machines through `run_parallel` (sharing one [`Epoch`], so both
+//! entry points land on one timeline), **`--metrics-out F`** a
 //! `MetricsSnapshot` JSON of the two, and **`--progress`** prints a live
 //! progress line during the sweep. Tracing is observation-only:
 //! bit-parity with tracing off is pinned by `tests/obs_conformance.rs`.
@@ -240,13 +240,13 @@ fn sweep(
         poll_budget: usize::MAX,
     };
 
-    // one epoch shared by both tracers: the thread-per-rank run and the
-    // pool sweep land on a single timeline in the exported Chrome trace
+    // one epoch shared by both tracers: the `run_parallel` run and the
+    // sweep land on a single timeline in the exported Chrome trace
     let epoch = Epoch::now();
     let t_thread = Tracer::with_epoch(epoch);
     if args.trace_out.is_some() || args.metrics_out.is_some() {
-        // the exports cover both in-process executors: a short run of
-        // the same machines with one OS thread per rank
+        // the exports cover both in-process entry points: a short run
+        // of the same machines on a pool as wide as the host
         let mut config = ParallelConfig::new(vec![2_000, 200, 30], vec![2, 2, 1]);
         config.burn_in = vec![50, 25, 10];
         config.seed = args.seed;

@@ -27,8 +27,6 @@ pub struct DesConfig {
     pub subsampling: Vec<usize>,
     /// Initial chain count per level.
     pub chains_per_level: Vec<usize>,
-    /// Ranks per chain group (the paper's worker groups).
-    pub group_size: usize,
     /// Phonebook service time per message it handles (seconds); the
     /// phonebook is a serialized resource, so this models the
     /// communication bound seen at the largest rank counts.
@@ -47,10 +45,9 @@ pub struct DesConfig {
 
 impl DesConfig {
     /// Total rank count: root + phonebook + one collector per level +
-    /// `group_size` ranks per chain.
+    /// one rank per chain.
     pub fn n_ranks(&self) -> usize {
-        2 + self.samples_per_level.len()
-            + self.group_size * self.chains_per_level.iter().sum::<usize>()
+        2 + self.samples_per_level.len() + self.chains_per_level.iter().sum::<usize>()
     }
 
     /// `Err` names the first per-level vector that is not as long as
@@ -177,7 +174,6 @@ mod tests {
             burn_in: vec![50, 20, 10],
             subsampling: vec![10, 5, 0],
             chains_per_level: vec![2, 2, 1],
-            group_size: 1,
             phonebook_service_time: 1e-4,
             collector_service_time: 0.0,
             load_balancing: false,
@@ -289,12 +285,5 @@ mod tests {
         assert_eq!(chains.iter().sum::<usize>(), 10);
         assert!(chains.iter().all(|&c| c >= 1));
         assert!(chains[0] >= chains[2], "coarse carries most: {chains:?}");
-    }
-
-    #[test]
-    fn ranks_account_for_overhead_and_groups() {
-        let mut cfg = base_config();
-        cfg.group_size = 3;
-        assert_eq!(cfg.n_ranks(), 2 + 3 + 3 * (2 + 2 + 1)); // + collectors + chains
     }
 }

@@ -3,27 +3,26 @@
 //! The paper's parallelization strategy for multilevel MCMC (Section 4),
 //! rebuilt on an in-process rank substrate:
 //!
-//! * [`comm`] — the message-passing layer standing in for MPI: ranks are
-//!   threads, point-to-point sends are channels, and the blocking
-//!   executor (`RankCtx::drive`) parks a rank's thread on a wait
-//!   predicate — the tag-matching receive semantics the role protocols
-//!   need. The substitution is documented in DESIGN.md: Rust MPI
-//!   bindings are thin and no cluster is available, but the scheduling
-//!   logic and communication pattern — the paper's contribution — are
-//!   preserved.
+//! * [`runtime`] — the message-passing layer standing in for MPI and the
+//!   one live executor: ranks are suspendable state machines
+//!   multiplexed over a small worker pool, point-to-point sends are
+//!   per-rank mailboxes, and a rank suspends on a wait predicate — the
+//!   tag-matching receive semantics the role protocols need — so
+//!   hundreds-to-thousands of ranks run **live** on a handful of cores.
+//!   The substitution is documented in DESIGN.md: Rust MPI bindings are
+//!   thin and no cluster is available, but the scheduling logic and
+//!   communication pattern — the paper's contribution — are preserved.
 //! * [`scheduler`] — the vocabulary of the process architecture of paper
 //!   Fig. 8 (messages, configuration, reports, rank layout) and
-//!   `run_parallel`, its one-thread-per-rank entry point.
+//!   `run_parallel`, the entry point that sizes the pool to the host.
 //! * [`roles`] — the architecture itself, written once as suspendable
 //!   state machines: one **root**, one **phonebook** (sample routing +
 //!   dynamic load balancing), per-level **collectors** (distributed
 //!   moment accumulation, optionally sharded) and chain groups
 //!   (**controllers**) running the coupled kernels from `uq-mlmcmc`,
 //!   with coarse proposals requested across controllers through the
-//!   phonebook. `run_runtime` is the worker-pool peer of `run_parallel`.
-//! * [`runtime`] — the cooperative virtual-rank runtime: the machines
-//!   multiplexed over a small worker pool, so hundreds-to-thousands of
-//!   ranks run **live** on a handful of cores.
+//!   phonebook. `run_runtime` runs them on a pool of the caller's
+//!   width, with sharded collectors.
 //! * [`obs`] — the observability layer: per-rank activity spans (the data
 //!   behind the paper's Fig. 9 Gantt chart), counters and histograms,
 //!   shared by the sequential driver and every executor and exportable
@@ -38,8 +37,9 @@
 //!   (Figs. 11–12): `simulate` runs a `DesConfig` as those machines.
 //! * [`net`] — the multi-process TCP transport: the same role machines
 //!   over length-prefixed, checksummed frames, assembling one logical
-//!   universe from a driver plus N worker processes, with elastic
-//!   join/leave at checkpoint barriers via phonebook session migration.
+//!   universe from a driver plus N worker processes — each hosting its
+//!   share of the ranks on a pool — with elastic join/leave at
+//!   checkpoint barriers via phonebook session migration.
 //! * [`service`] — the always-on multi-tenant UQ service: many
 //!   concurrent inversion jobs multiplexed over one shared worker pool
 //!   with fair-share + priority dispatch, admission control by
@@ -51,7 +51,6 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod comm;
 pub mod des;
 pub mod net;
 pub mod obs;
@@ -61,7 +60,6 @@ pub mod scheduler;
 pub mod service;
 pub mod sim;
 
-pub use comm::{Envelope, RankCtx, Universe, UniverseStats};
 pub use net::{
     decode_frame, encode_frame, levels_digest, report_digest, run_net_worker, Frame, NetDriver,
     NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport, PROTOCOL_VERSION,
@@ -74,7 +72,7 @@ pub use roles::{
     run_runtime, run_runtime_ckpt, run_runtime_ckpt_on, run_runtime_on, run_simulated,
     RuntimeConfig, RuntimeReport, SimCost, SimReport,
 };
-pub use runtime::{Poll, Runtime, RuntimeStats, StealProbe, VCtx, VirtualRank};
+pub use runtime::{Envelope, Poll, Runtime, RuntimeStats, StealProbe, VCtx, VirtualRank};
 pub use scheduler::{
     run_parallel, run_parallel_ckpt, ParallelCheckpoint, ParallelConfig, ParallelReport,
 };

@@ -1,14 +1,17 @@
-//! Multi-process TCP transport behind the [`crate::comm`] rank API.
+//! Multi-process TCP transport under the [`crate::runtime`] pool.
 //!
 //! One **driver** process hosts the fixed ranks (root, phonebook,
 //! collectors) plus any controller remainder; each **worker** process
-//! hosts a contiguous block of controller ranks. Every process drives
-//! the [`crate::roles`] machines of its ranks with one thread each, as
-//! [`crate::scheduler::run_parallel`] does in one process — the
-//! transport only replaces channel delivery with length-prefixed,
-//! checksummed frames over per-peer sockets, so a net run in the
-//! deterministic regime is bit-for-bit digest-identical to the
-//! in-process runs (pinned by `tests/net_conformance.rs`).
+//! hosts a contiguous block of controller ranks. Every process runs the
+//! [`crate::roles`] machines of its ranks on a worker pool, as
+//! [`crate::scheduler::run_parallel`] does for a whole universe — the
+//! transport only takes the sends whose destination lives elsewhere
+//! (the pool's relay) and carries them as length-prefixed, checksummed
+//! frames over per-peer sockets, so a net run in the deterministic
+//! regime is bit-for-bit digest-identical to the in-process runs (pinned
+//! by `tests/net_conformance.rs`). A process runs O(cores) threads — the
+//! pool, one socket writer, one reader per peer — however many ranks it
+//! hosts.
 //!
 //! Ordering is the load-bearing invariant: the role protocol relies on
 //! per-destination FIFO *and* on one cross-destination program-order
@@ -16,34 +19,32 @@
 //! requester's `CoarseSample`, so a session write-back always lands
 //! before the next request against it). The transport preserves full
 //! sender program order across destinations by funnelling every remote
-//! send through a single relay channel per process
-//! (`Outbox::Relay`) into a single socket — TCP then
-//! keeps that order, and the receiving side routes frames to rank
-//! channels in arrival order from a single reader thread.
+//! send through a single relay channel per process into a single socket
+//! — TCP then keeps that order, and the receiving side delivers frames
+//! into the pool's rank slots in arrival order from a single reader
+//! thread.
 //!
 //! Elastic membership rides the PR-6 checkpoint barrier: at a completed
 //! barrier every chain is paused at a clean boundary, the ledger is
 //! drained and nothing is in flight toward controllers, so a departing
 //! worker's ranks (or ranks donated to a joiner) migrate as plain data —
 //! the just-persisted [`RunSnapshot`] carries their chain state, and any
-//! messages still queued in their channels travel alongside as
+//! messages still unread in their slots travel alongside as
 //! `leftovers`. See `DESIGN.md` §9.
 //!
 //! Failure semantics are fail-stop: a peer socket dying outside a
 //! planned departure aborts the run (the snapshot store is the recovery
 //! path), it is never silently dropped.
 
-use crate::comm::{Envelope, Outbox, RankCtx};
 use crate::obs::{Counter, Tracer};
 use crate::roles::{
-    drive_controller, CollectorRank, ElasticOps, PhonebookRank, PhonebookStats, RootRank, Run,
-    RuntimeConfig,
+    ControllerRank, ElasticOps, Machine, PhonebookStats, RoleOut, Run, RuntimeConfig,
 };
+use crate::runtime::{Envelope, Runtime, Shared};
 use crate::scheduler::{
     CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
-    PHONEBOOK, ROOT,
 };
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -348,7 +349,7 @@ impl Codec for Msg {
 
 /// A `(destination rank, sender rank, message)` triple carried across
 /// a membership change: messages still queued in a retiring rank's
-/// channel when it exits, re-delivered verbatim to its next host.
+/// slot when it exits, re-delivered verbatim to its next host.
 pub type Leftover = (usize, usize, Msg);
 
 /// Everything that crosses a socket.
@@ -364,7 +365,7 @@ pub enum Frame {
     },
     /// Driver → worker: your ranks, the run configuration, resume state
     /// for each rank (empty on a fresh start) and any leftover messages
-    /// to pre-load into their channels.
+    /// to pre-load into their slots.
     Assign {
         n_ranks: usize,
         ranks: Vec<usize>,
@@ -372,7 +373,7 @@ pub enum Frame {
         ckpts: Vec<ChainCkpt>,
         leftovers: Vec<Leftover>,
     },
-    /// Worker → driver: ranks spawned, channels wired — safe to route.
+    /// Worker → driver: ranks hosted, leftovers loaded — safe to route.
     Ready,
     /// A scheduler message in flight between ranks on different
     /// processes.
@@ -515,134 +516,141 @@ pub fn report_digest(report: &ParallelReport) -> u64 {
 // Driver
 // ---------------------------------------------------------------------
 
-/// Where messages for a given rank go right now. Rewired at checkpoint
-/// barriers when ranks migrate; every remote send consults the live
-/// table through the router, so rewiring is a single slot write.
-#[derive(Clone)]
-enum Route {
-    Local(Sender<Envelope<Msg>>),
-    /// Index into [`DriverShared::peers`].
-    Peer(usize),
-    /// No host yet (startup only, before the rank's thread spawns).
-    Unwired,
+/// How long a peer that connected may take to say [`Frame::Hello`] — the
+/// first thing a peer writes after `connect`. One that stays silent is
+/// hung up on: it cannot hold the rendezvous, the listener or (through
+/// the teardown join) a finished run.
+const HELLO_DEADLINE: Duration = Duration::from_secs(2);
+
+/// How long a barrier's membership changes may take before the run is
+/// given up (a departing worker's `Bye`, a joiner's `Ready`).
+const REHOST_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The `(join, leave_at_barrier)` of a peer that just connected; `None`
+/// — hang up — on anything but a `Hello` within [`HELLO_DEADLINE`].
+fn read_hello(stream: &mut TcpStream, tracer: &Tracer) -> Option<(bool, Option<u64>)> {
+    stream.set_read_timeout(Some(HELLO_DEADLINE)).ok()?;
+    let hello = read_frame(stream, tracer);
+    stream.set_read_timeout(None).ok()?;
+    match hello {
+        Ok(Frame::Hello {
+            join,
+            leave_at_barrier,
+            ..
+        }) => Some((join, leave_at_barrier)),
+        _ => None,
+    }
 }
 
 /// One worker connection on the driver side.
 struct PeerLink {
-    /// Write half, serialized: the router and the rehost handshake both
-    /// write frames, and interleaved bytes would corrupt the stream.
+    /// Write half, serialized: the router, the downlinks (forwarding
+    /// between workers) and the rehost handshake all write frames, and
+    /// interleaved bytes would corrupt the stream.
     writer: Mutex<TcpStream>,
     ranks: Vec<usize>,
     leave_at_barrier: Option<u64>,
+    /// Set by the downlink thread when the worker's [`Frame::Ready`]
+    /// arrives (a joiner's: `rehost` holds the barrier until then).
+    ready: AtomicBool,
     /// Set by the downlink thread when the worker's final [`Frame::Bye`]
-    /// arrives; `rehost` polls it to collect a departing worker's
-    /// leftover messages.
+    /// arrives; `rehost` collects a departing worker's leftover messages
+    /// from it.
     bye: Mutex<Option<Vec<Leftover>>>,
     gone: AtomicBool,
 }
 
-/// Membership changes decided by `plan`, executed by `rehost` (both run
-/// on the root thread inside the same barrier, so the handoff is a
-/// plain slot).
-#[derive(Default)]
+impl PeerLink {
+    fn new(stream: &TcpStream, ranks: Vec<usize>, leave_at_barrier: Option<u64>) -> Arc<Self> {
+        Arc::new(Self {
+            writer: Mutex::new(stream.try_clone().expect("net driver: stream clone failed")),
+            ranks,
+            leave_at_barrier,
+            ready: AtomicBool::new(false),
+            bye: Mutex::new(None),
+            gone: AtomicBool::new(false),
+        })
+    }
+}
+
+/// A joiner admitted at this barrier and the driver-hosted ranks it is
+/// given, until its `Assign` is written.
+struct Donation {
+    stream: TcpStream,
+    ranks: Vec<usize>,
+    /// Those of `ranks` that were told to retire and still run here.
+    running: Vec<usize>,
+    /// What the ones that exited left unread.
+    leftovers: Vec<Leftover>,
+}
+
+/// Membership changes decided by `plan` and carried out by `rehost`, one
+/// step per poll of the root (both run inside the same barrier, so the
+/// handoff is a plain slot).
 struct PlanOut {
-    /// Peer indices departing at this barrier.
+    since: Instant,
+    /// Peer indices departing at this barrier, `Bye` not yet in.
     leaves: Vec<usize>,
-    /// Admitted joiners with the driver-hosted ranks donated to each.
-    donations: Vec<(TcpStream, Vec<usize>)>,
+    donation: Option<Donation>,
+    /// The admitted joiner after its `Assign`, until it said `Ready`.
+    joining: Option<Arc<PeerLink>>,
 }
 
 struct DriverShared {
-    routes: Mutex<Vec<Route>>,
+    /// The slots of the ranks hosted here (and, `Remote`, of the rest).
+    pool: Arc<Shared<Msg>>,
+    /// Which peer (an index into `peers`) hosts each rank; `None`: this
+    /// process. Rewired at checkpoint barriers when ranks migrate; every
+    /// relayed send consults the live table, so rewiring is a slot write.
+    routes: Mutex<Vec<Option<usize>>>,
     peers: Mutex<Vec<Arc<PeerLink>>>,
     /// Workers that said `Hello { join: true }`, awaiting admission.
     joiners: Mutex<VecDeque<TcpStream>>,
-    /// Join handles of driver-hosted controller threads, by rank —
-    /// removable individually so a donated rank can be reaped mid-run.
-    handles: Mutex<HashMap<usize, JoinHandle<Option<RankCtx<Msg>>>>>,
+    /// Barrier state of ranks re-hosted here whose machines are not
+    /// built yet, by rank.
+    resumes: Mutex<HashMap<usize, ChainCkpt>>,
     downlinks: Mutex<Vec<JoinHandle<()>>>,
-    pending: Mutex<PlanOut>,
+    pending: Mutex<Option<PlanOut>>,
     /// Completed checkpoint barriers (identifies departure points).
     barrier: AtomicU64,
+    /// Sends the transport lost (a departed peer, a closed relay).
     dropped: Arc<AtomicUsize>,
     shutdown: AtomicBool,
     tracer: Tracer,
     migrations: AtomicU64,
 }
 
-/// Everything a controller thread needs, bundled so spawn closures are
-/// `'static`.
-struct DriverCtx {
-    sh: Arc<DriverShared>,
-    factory: Arc<dyn LevelFactory>,
-    config: RuntimeConfig,
-    /// Outbox template for every rank hosted here: fixed ranks
-    /// short-circuit through channels, all controller ranks relay
-    /// through the router (so migrations only touch the route table).
-    template: Vec<Outbox<Msg>>,
-    n_ranks: usize,
-    first_ctrl: usize,
+impl DriverShared {
+    fn count_migration(&self) {
+        self.migrations.fetch_add(1, Ordering::Relaxed);
+        self.tracer.incr(Counter::NetMigrations);
+    }
 }
 
 /// Deliver one message to wherever its destination rank lives.
 fn deliver(sh: &DriverShared, to: usize, env: Envelope<Msg>) {
-    let route = sh.routes.lock()[to].clone();
-    match route {
-        Route::Local(tx) => {
-            if tx.send(env).is_err() {
-                sh.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Route::Peer(i) => {
-            let peer = Arc::clone(&sh.peers.lock()[i]);
-            if peer.gone.load(Ordering::Acquire) {
-                sh.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let frame = Frame::Data {
-                to,
-                from: env.from,
-                msg: env.msg,
-            };
-            let res = write_frame(&mut *peer.writer.lock(), &frame, &sh.tracer);
-            if let Err(e) = res {
-                if sh.shutdown.load(Ordering::Acquire) || peer.gone.load(Ordering::Acquire) {
-                    sh.dropped.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    panic!("net driver: write to worker failed: {e}");
-                }
-            }
-        }
-        Route::Unwired => panic!("net driver: message routed to unwired rank {to}"),
+    let Some(i) = sh.routes.lock().get(to).copied().flatten() else {
+        // hosted here — or out of range, which the pool counts and drops
+        return sh.pool.deliver(to, env);
+    };
+    let peer = Arc::clone(&sh.peers.lock()[i]);
+    if peer.gone.load(Ordering::Acquire) {
+        sh.dropped.fetch_add(1, Ordering::Relaxed);
+        return;
     }
-}
-
-fn spawn_controller_thread(
-    dc: &Arc<DriverCtx>,
-    rank: usize,
-    rx: crossbeam::channel::Receiver<Envelope<Msg>>,
-    resume: Option<ChainCkpt>,
-) -> JoinHandle<Option<RankCtx<Msg>>> {
-    let dc = Arc::clone(dc);
-    std::thread::Builder::new()
-        .name(format!("uq-net-ctrl-{rank}"))
-        .spawn(move || {
-            let ctx = RankCtx::from_parts(
-                rank,
-                dc.n_ranks,
-                rx,
-                dc.template.clone(),
-                Arc::clone(&dc.sh.dropped),
-            );
-            drive_controller(
-                ctx,
-                &*dc.factory,
-                &dc.config,
-                &dc.sh.tracer,
-                resume.as_ref(),
-            )
-        })
-        .expect("net driver: controller thread spawn failed")
+    let frame = Frame::Data {
+        to,
+        from: env.from,
+        msg: env.msg,
+    };
+    let res = write_frame(&mut *peer.writer.lock(), &frame, &sh.tracer);
+    if let Err(e) = res {
+        if sh.shutdown.load(Ordering::Acquire) || peer.gone.load(Ordering::Acquire) {
+            sh.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            panic!("net driver: write to worker failed: {e}");
+        }
+    }
 }
 
 fn spawn_downlink(
@@ -655,6 +663,7 @@ fn spawn_downlink(
         .spawn(move || loop {
             match read_frame(&mut reader, &sh.tracer) {
                 Ok(Frame::Data { to, from, msg }) => deliver(&sh, to, Envelope { from, msg }),
+                Ok(Frame::Ready) => peer.ready.store(true, Ordering::Release),
                 Ok(Frame::Bye { leftovers }) => {
                     *peer.bye.lock() = Some(leftovers);
                     peer.gone.store(true, Ordering::Release);
@@ -685,17 +694,13 @@ fn spawn_listener(sh: Arc<DriverShared>, listener: TcpListener) -> JoinHandle<()
                 break;
             }
             match listener.accept() {
-                Ok((stream, _)) => {
+                Ok((mut stream, _)) => {
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_nodelay(true);
-                    let mut s = stream;
-                    match read_frame(&mut s, &sh.tracer) {
-                        Ok(Frame::Hello { .. }) => {
-                            sh.tracer.incr(Counter::NetReconnects);
-                            sh.joiners.lock().push_back(s);
-                        }
-                        // bad handshake: hang up, keep listening
-                        _ => drop(s),
+                    // bad or missing handshake: hang up, keep listening
+                    if read_hello(&mut stream, &sh.tracer).is_some() {
+                        sh.tracer.incr(Counter::NetReconnects);
+                        sh.joiners.lock().push_back(stream);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -708,151 +713,133 @@ fn spawn_listener(sh: Arc<DriverShared>, listener: TcpListener) -> JoinHandle<()
 }
 
 /// Decide this barrier's membership changes; returns the retiring ranks
-/// (the root sends each a [`Msg::Retire`] before calling `rehost`).
-fn plan_barrier(dc: &DriverCtx) -> Vec<usize> {
-    let sh = &dc.sh;
+/// (the root sends each a [`Msg::Retire`] before it starts calling
+/// `rehost`).
+fn plan_barrier(sh: &DriverShared, first_ctrl: usize) -> Vec<usize> {
     let barrier = sh.barrier.fetch_add(1, Ordering::SeqCst) + 1;
     let mut retiring = Vec::new();
-    let mut out = PlanOut::default();
-    {
-        let peers = sh.peers.lock();
-        for (i, p) in peers.iter().enumerate() {
-            if !p.gone.load(Ordering::Acquire) && p.leave_at_barrier == Some(barrier) {
-                retiring.extend_from_slice(&p.ranks);
-                out.leaves.push(i);
-            }
+    let mut leaves = Vec::new();
+    for (i, p) in sh.peers.lock().iter().enumerate() {
+        if !p.gone.load(Ordering::Acquire) && p.leave_at_barrier == Some(barrier) {
+            retiring.extend_from_slice(&p.ranks);
+            leaves.push(i);
         }
     }
-    {
-        // admit at most one joiner per barrier, donating half the
-        // driver-hosted controllers (universe size never changes: a
-        // joiner adopts existing ranks)
-        let mut joiners = sh.joiners.lock();
-        if !joiners.is_empty() {
-            let hosted: Vec<usize> = {
-                let routes = sh.routes.lock();
-                (dc.first_ctrl..dc.n_ranks)
-                    .filter(|&r| matches!(routes[r], Route::Local(_)) && !retiring.contains(&r))
-                    .collect()
-            };
-            if !hosted.is_empty() {
-                let stream = joiners.pop_front().unwrap();
-                let donate = hosted[..hosted.len().div_ceil(2)].to_vec();
-                retiring.extend_from_slice(&donate);
-                out.donations.push((stream, donate));
-            }
+    // admit at most one joiner per barrier, donating half the
+    // driver-hosted controllers (universe size never changes: a joiner
+    // adopts existing ranks)
+    let hosted: Vec<usize> = {
+        let routes = sh.routes.lock();
+        (first_ctrl..routes.len())
+            .filter(|&r| routes[r].is_none() && !retiring.contains(&r))
+            .collect()
+    };
+    let joiner = (!hosted.is_empty()).then(|| sh.joiners.lock().pop_front());
+    let donation = joiner.flatten().map(|stream| {
+        let ranks = hosted[..hosted.len().div_ceil(2)].to_vec();
+        retiring.extend_from_slice(&ranks);
+        Donation {
+            stream,
+            running: ranks.clone(),
+            ranks,
+            leftovers: Vec::new(),
         }
-    }
-    *sh.pending.lock() = out;
+    });
+    *sh.pending.lock() = Some(PlanOut {
+        since: Instant::now(),
+        leaves,
+        donation,
+        joining: None,
+    });
     retiring
 }
 
-/// Execute the membership changes planned at this barrier: re-host a
-/// departing worker's ranks on the driver, hand donated ranks to an
-/// admitted joiner. Runs on the root thread while every chain is paused,
-/// so route rewrites cannot race with traffic toward the moving ranks.
-fn rehost_barrier(dc: &Arc<DriverCtx>, snap: &RunSnapshot) {
-    let sh = &dc.sh;
-    let out = std::mem::take(&mut *sh.pending.lock());
-    for i in out.leaves {
+/// Carry out as much of this barrier's planned membership changes as can
+/// be done without waiting — re-host a departed worker's ranks here once
+/// its `Bye` is in, hand donated ranks to the admitted joiner once they
+/// have retired here — and say whether all of it is done. The root calls
+/// this once per poll while every chain is paused, so route rewrites
+/// cannot race with traffic toward the moving ranks, and never blocks in
+/// it: the ranks it waits for may share its pool worker.
+fn rehost_step(sh: &Arc<DriverShared>, config: &ParallelConfig, snap: &RunSnapshot) -> bool {
+    let mut pending = sh.pending.lock();
+    let Some(plan) = pending.as_mut() else {
+        return true;
+    };
+    let ckpt_of = |rank: usize| {
+        let ckpt = snap.chains.iter().find(|c| c.rank == rank);
+        ckpt.cloned()
+            .expect("net driver: snapshot misses a migrating rank")
+    };
+    plan.leaves.retain(|&i| {
         let peer = Arc::clone(&sh.peers.lock()[i]);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let leftovers = loop {
-            if let Some(l) = peer.bye.lock().take() {
-                break l;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "net driver: departing worker never sent Bye"
-            );
-            std::thread::sleep(Duration::from_millis(1));
+        let Some(mut leftovers) = peer.bye.lock().take() else {
+            return true;
         };
-        let mut per_rank: HashMap<usize, Vec<Envelope<Msg>>> = HashMap::new();
-        for (to, from, msg) in leftovers {
-            per_rank.entry(to).or_default().push(Envelope { from, msg });
-        }
         for &rank in &peer.ranks {
-            let (tx, rx) = unbounded();
-            for env in per_rank.remove(&rank).unwrap_or_default() {
-                let _ = tx.send(env);
-            }
-            sh.routes.lock()[rank] = Route::Local(tx);
-            let resume = snap.chains.iter().find(|c| c.rank == rank).cloned();
-            let handle = spawn_controller_thread(dc, rank, rx, resume);
-            sh.handles.lock().insert(rank, handle);
-            sh.migrations.fetch_add(1, Ordering::Relaxed);
-            sh.tracer.incr(Counter::NetMigrations);
+            let unread = leftovers.extract_if(.., |(to, ..)| *to == rank);
+            let unread = unread.map(|(_, from, msg)| Envelope { from, msg });
+            sh.resumes.lock().insert(rank, ckpt_of(rank));
+            sh.routes.lock()[rank] = None;
+            sh.pool.adopt(rank, unread.collect());
+            sh.count_migration();
         }
         debug_assert!(
-            per_rank.is_empty(),
+            leftovers.is_empty(),
             "leftovers addressed outside the departing worker's ranks"
         );
-    }
-    for (stream, ranks) in out.donations {
-        let mut ckpts = Vec::new();
-        let mut leftovers: Vec<Leftover> = Vec::new();
-        for &rank in &ranks {
-            let handle = sh
-                .handles
-                .lock()
-                .remove(&rank)
-                .expect("net driver: donated rank has no thread");
-            let mut ctx = handle
-                .join()
-                .expect("net driver: donated controller panicked")
-                .expect("net driver: donated controller did not retire");
-            for env in ctx.drain() {
-                leftovers.push((rank, env.from, env.msg));
+        false
+    });
+    if let Some(d) = plan.donation.as_mut() {
+        d.running.retain(|&rank| match sh.pool.hand_off(rank) {
+            Some(unread) => {
+                let unread = unread.into_iter();
+                d.leftovers
+                    .extend(unread.map(|env| (rank, env.from, env.msg)));
+                false
             }
-            ckpts.push(
-                snap.chains
-                    .iter()
-                    .find(|c| c.rank == rank)
-                    .cloned()
-                    .expect("net driver: snapshot missing donated rank"),
-            );
-        }
-        let mut s = stream;
-        write_frame(
-            &mut s,
-            &Frame::Assign {
-                n_ranks: dc.n_ranks,
-                ranks: ranks.clone(),
-                config: dc.config.base.clone(),
-                ckpts,
-                leftovers,
-            },
-            &sh.tracer,
-        )
-        .expect("net driver: Assign to joiner failed");
-        match read_frame(&mut s, &sh.tracer) {
-            Ok(Frame::Ready) => {}
-            other => panic!("net driver: joiner never became Ready: {other:?}"),
-        }
-        let writer = s.try_clone().expect("net driver: stream clone failed");
-        let peer = Arc::new(PeerLink {
-            writer: Mutex::new(writer),
-            ranks: ranks.clone(),
-            leave_at_barrier: None,
-            bye: Mutex::new(None),
-            gone: AtomicBool::new(false),
+            None => true,
         });
+    }
+    if let Some(mut d) = plan.donation.take_if(|d| d.running.is_empty()) {
+        let assign = Frame::Assign {
+            n_ranks: config.n_ranks(),
+            ranks: d.ranks.clone(),
+            config: config.clone(),
+            ckpts: d.ranks.iter().map(|&rank| ckpt_of(rank)).collect(),
+            leftovers: d.leftovers,
+        };
+        write_frame(&mut d.stream, &assign, &sh.tracer)
+            .expect("net driver: Assign to joiner failed");
+        let peer = PeerLink::new(&d.stream, d.ranks, None);
         let idx = {
             let mut peers = sh.peers.lock();
             peers.push(Arc::clone(&peer));
             peers.len() - 1
         };
-        {
-            let mut routes = sh.routes.lock();
-            for &rank in &ranks {
-                routes[rank] = Route::Peer(idx);
-                sh.migrations.fetch_add(1, Ordering::Relaxed);
-                sh.tracer.incr(Counter::NetMigrations);
-            }
+        // anything routed from here on follows the `Assign` on the wire
+        for &rank in &peer.ranks {
+            sh.routes.lock()[rank] = Some(idx);
+            sh.count_migration();
         }
-        let downlink = spawn_downlink(Arc::clone(sh), peer, s);
+        let downlink = spawn_downlink(Arc::clone(sh), Arc::clone(&peer), d.stream);
         sh.downlinks.lock().push(downlink);
+        plan.joining = Some(peer);
     }
+    plan.joining
+        .take_if(|peer| peer.ready.load(Ordering::Acquire));
+    let done = plan.leaves.is_empty() && plan.donation.is_none() && plan.joining.is_none();
+    if done {
+        *pending = None;
+    } else {
+        assert!(
+            plan.since.elapsed() < REHOST_DEADLINE,
+            "net driver: a departing worker never sent Bye, or a joiner never became Ready"
+        );
+        // the root is re-polled at once: let the thread we wait for run
+        std::thread::yield_now();
+    }
+    done
 }
 
 /// Driver-side options for [`NetDriver::run`].
@@ -903,9 +890,10 @@ impl NetDriver {
             .expect("net driver: no local addr")
     }
 
-    /// Host the fixed ranks (and any controller remainder), run the full
-    /// schedule and return the assembled report. Blocks until `workers`
-    /// workers have connected, then until the run completes.
+    /// Host the fixed ranks (and any controller remainder) on a worker
+    /// pool as wide as this host, run the full schedule and return the
+    /// assembled report. Blocks until `workers` workers have connected,
+    /// then until the run completes.
     pub fn run(
         self,
         factory: Arc<dyn LevelFactory>,
@@ -913,7 +901,19 @@ impl NetDriver {
         opts: &NetDriverOptions,
         tracer: &Tracer,
     ) -> NetReport {
-        let rt_config = RuntimeConfig::blocking(config.clone());
+        self.run_on(&Runtime::for_host(), &*factory, config, opts, tracer)
+    }
+
+    /// [`run`](Self::run) with this process's ranks on `runtime`.
+    pub(crate) fn run_on(
+        self,
+        runtime: &Runtime,
+        factory: &dyn LevelFactory,
+        config: &ParallelConfig,
+        opts: &NetDriverOptions,
+        tracer: &Tracer,
+    ) -> NetReport {
+        let rt_config = RuntimeConfig::unsharded(config.clone(), runtime);
         let n_ranks = rt_config.n_ranks();
         let first_ctrl = rt_config.first_controller_rank();
         let n_ctrl = rt_config.n_controllers();
@@ -922,231 +922,130 @@ impl NetDriver {
             opts.workers <= n_ctrl,
             "net driver: more workers than controller ranks"
         );
-        if opts.store.is_some() {
-            assert!(
-                !config.load_balancing,
-                "net driver: checkpointing requires load_balancing = false"
-            );
-        }
+        // snapshots carry the thread stamp: a net run's cut is one
+        // `run_parallel_ckpt` resumes
+        let ckpt = opts.store.as_ref().map(|s| ParallelCheckpoint {
+            store: s,
+            config_hash: opts.config_hash,
+            every: opts.every,
+            on_snapshot: None,
+            stop: None,
+        });
+        let ckpt = ckpt.as_ref();
+        let mut run = Run::new(factory, &rt_config, tracer, ckpt, None, Backend::Thread);
+
         // rendezvous: block until every initial worker said Hello
         let mut arrivals: Vec<(TcpStream, Option<u64>)> = Vec::new();
         let mut early_joiners: VecDeque<TcpStream> = VecDeque::new();
         while arrivals.len() < opts.workers {
-            let (stream, _) = self.listener.accept().expect("net driver: accept failed");
+            let (mut stream, _) = self.listener.accept().expect("net driver: accept failed");
             let _ = stream.set_nodelay(true);
-            let mut s = stream;
-            match read_frame(&mut s, tracer) {
-                Ok(Frame::Hello {
-                    join,
-                    leave_at_barrier,
-                    ..
-                }) => {
-                    if join {
-                        early_joiners.push_back(s);
-                    } else {
-                        arrivals.push((s, leave_at_barrier));
-                    }
-                }
-                other => panic!("net driver: bad worker handshake: {other:?}"),
+            match read_hello(&mut stream, tracer) {
+                Some((true, _)) => early_joiners.push_back(stream),
+                Some((false, leave_at_barrier)) => arrivals.push((stream, leave_at_barrier)),
+                // bad or missing handshake: hang up, keep accepting
+                None => {}
             }
         }
 
         // contiguous rank blocks per worker; remainder stays here
         let per = n_ctrl / opts.workers;
-        let (router_tx, router_rx) = unbounded::<(usize, Envelope<Msg>)>();
-        let mut fixed_txs = Vec::new();
-        let mut fixed_rxs: Vec<Option<crossbeam::channel::Receiver<Envelope<Msg>>>> = Vec::new();
-        for _ in 0..first_ctrl {
-            let (tx, rx) = unbounded();
-            fixed_txs.push(tx);
-            fixed_rxs.push(Some(rx));
-        }
-        let template: Vec<Outbox<Msg>> = (0..n_ranks)
-            .map(|r| {
-                if r < first_ctrl {
-                    Outbox::Local(fixed_txs[r].clone())
-                } else {
-                    Outbox::Relay(router_tx.clone())
-                }
+        let routes: Vec<Option<usize>> = (0..n_ranks)
+            .map(|r| Some(r.checked_sub(first_ctrl)? / per).filter(|&i| i < opts.workers))
+            .collect();
+        let peers: Vec<Arc<PeerLink>> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, (stream, leave))| {
+                let block = first_ctrl + i * per..first_ctrl + (i + 1) * per;
+                PeerLink::new(stream, block.collect(), *leave)
             })
             .collect();
-        drop(router_tx);
-        let mut routes: Vec<Route> = (0..n_ranks)
-            .map(|r| {
-                if r < first_ctrl {
-                    Route::Local(fixed_txs[r].clone())
-                } else {
-                    Route::Unwired
-                }
-            })
-            .collect();
-        let mut peers: Vec<Arc<PeerLink>> = Vec::new();
-        let mut worker_streams = Vec::new();
-        for (i, (stream, leave)) in arrivals.into_iter().enumerate() {
-            let ranks: Vec<usize> = (first_ctrl + i * per..first_ctrl + (i + 1) * per).collect();
-            for &r in &ranks {
-                routes[r] = Route::Peer(i);
-            }
-            let writer = stream.try_clone().expect("net driver: stream clone failed");
-            peers.push(Arc::new(PeerLink {
-                writer: Mutex::new(writer),
-                ranks,
-                leave_at_barrier: leave,
-                bye: Mutex::new(None),
-                gone: AtomicBool::new(false),
-            }));
-            worker_streams.push(stream);
-        }
 
+        // every send to a rank hosted elsewhere goes through the one
+        // router channel (`None` ends the router)
+        let (router_tx, router_rx) = unbounded::<Option<(usize, Envelope<Msg>)>>();
         let dropped = Arc::new(AtomicUsize::new(0));
+        let relay = {
+            let (tx, dropped) = (router_tx.clone(), Arc::clone(&dropped));
+            move |to, env| {
+                if tx.send(Some((to, env))).is_err() {
+                    dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        };
+        let hosted = (0..n_ranks).filter(|&r| routes[r].is_none());
         let sh = Arc::new(DriverShared {
+            pool: runtime.host(n_ranks, hosted, Box::new(relay)),
             routes: Mutex::new(routes),
-            peers: Mutex::new(peers),
+            peers: Mutex::new(peers.clone()),
             joiners: Mutex::new(early_joiners),
-            handles: Mutex::new(HashMap::new()),
+            resumes: Mutex::new(HashMap::new()),
             downlinks: Mutex::new(Vec::new()),
-            pending: Mutex::new(PlanOut::default()),
+            pending: Mutex::new(None),
             barrier: AtomicU64::new(0),
-            dropped: Arc::clone(&dropped),
+            dropped,
             shutdown: AtomicBool::new(false),
             tracer: tracer.clone(),
             migrations: AtomicU64::new(0),
         });
-        let dc = Arc::new(DriverCtx {
-            sh: Arc::clone(&sh),
-            factory,
-            config: rt_config,
-            template,
-            n_ranks,
-            first_ctrl,
-        });
 
         // Assign each worker its block; Ready gates routing
-        for (i, s) in worker_streams.iter_mut().enumerate() {
-            let peer = Arc::clone(&sh.peers.lock()[i]);
-            write_frame(
-                &mut *peer.writer.lock(),
-                &Frame::Assign {
-                    n_ranks,
-                    ranks: peer.ranks.clone(),
-                    config: config.clone(),
-                    ckpts: vec![],
-                    leftovers: vec![],
-                },
-                tracer,
-            )
-            .expect("net driver: Assign failed");
-            match read_frame(s, tracer) {
+        for (peer, (stream, _)) in peers.iter().zip(&mut arrivals) {
+            let assign = Frame::Assign {
+                n_ranks,
+                ranks: peer.ranks.clone(),
+                config: config.clone(),
+                ckpts: vec![],
+                leftovers: vec![],
+            };
+            write_frame(&mut *peer.writer.lock(), &assign, tracer)
+                .expect("net driver: Assign failed");
+            match read_frame(stream, tracer) {
                 Ok(Frame::Ready) => {}
                 other => panic!("net driver: worker never became Ready: {other:?}"),
             }
         }
-        for (i, s) in worker_streams.into_iter().enumerate() {
-            let peer = Arc::clone(&sh.peers.lock()[i]);
-            let downlink = spawn_downlink(Arc::clone(&sh), peer, s);
+        for (peer, (stream, _)) in peers.into_iter().zip(arrivals) {
+            let downlink = spawn_downlink(Arc::clone(&sh), peer, stream);
             sh.downlinks.lock().push(downlink);
         }
         let listener_handle = spawn_listener(Arc::clone(&sh), self.listener);
         let router_handle = {
-            let sh2 = Arc::clone(&sh);
+            let sh = Arc::clone(&sh);
             std::thread::Builder::new()
                 .name("uq-net-router".into())
                 .spawn(move || {
-                    for (to, env) in router_rx {
-                        deliver(&sh2, to, env);
+                    for (to, env) in router_rx.into_iter().map_while(|relayed| relayed) {
+                        deliver(&sh, to, env);
                     }
                 })
                 .expect("net driver: router thread spawn failed")
         };
 
-        let ckpt_every = if opts.store.is_some() { opts.every } else { 0 };
-        let mut fixed_handles = Vec::new();
-        for rank in PHONEBOOK..first_ctrl {
-            let rx = fixed_rxs[rank].take().unwrap();
-            let dc2 = Arc::clone(&dc);
-            let level = rank.checked_sub(dc.config.collector_rank(0, 0));
-            fixed_handles.push(
-                std::thread::Builder::new()
-                    .name(level.map_or_else(
-                        || "uq-net-phonebook".into(),
-                        |level| format!("uq-net-collector-{level}"),
-                    ))
-                    .spawn(move || {
-                        let ctx = RankCtx::from_parts(
-                            rank,
-                            dc2.n_ranks,
-                            rx,
-                            dc2.template.clone(),
-                            Arc::clone(&dc2.sh.dropped),
-                        );
-                        let (config, tracer) = (&dc2.config, &dc2.sh.tracer);
-                        match level {
-                            None => ctx.drive(&mut PhonebookRank::new(config, tracer, None)),
-                            Some(level) => ctx
-                                .drive(&mut CollectorRank::new(config, level, 0, ckpt_every, None)),
-                        };
-                    })
-                    .expect("net driver: fixed rank thread spawn failed"),
-            );
-        }
-        for rank in first_ctrl + opts.workers * per..n_ranks {
-            let (tx, rx) = unbounded();
-            sh.routes.lock()[rank] = Route::Local(tx);
-            let handle = spawn_controller_thread(&dc, rank, rx, None);
-            sh.handles.lock().insert(rank, handle);
-        }
-
-        // the root runs on this thread so the elastic hooks can borrow
-        let root_ctx = RankCtx::from_parts(
-            ROOT,
-            n_ranks,
-            fixed_rxs[ROOT].take().unwrap(),
-            dc.template.clone(),
-            Arc::clone(&dropped),
-        );
-        let store_arc = opts.store.clone();
-        let (report, root_ctx) = {
-            let ckpt = store_arc.as_ref().map(|s| ParallelCheckpoint {
-                store: s,
-                config_hash: opts.config_hash,
-                every: opts.every,
-                on_snapshot: None,
-                stop: None,
-            });
-            let plan = {
-                let dc = Arc::clone(&dc);
-                move |_snap: &RunSnapshot| plan_barrier(&dc)
-            };
-            let rehost = {
-                let dc = Arc::clone(&dc);
-                move |snap: &RunSnapshot, _retiring: &[usize]| rehost_barrier(&dc, snap)
-            };
-            let elastic = ElasticOps {
-                plan: &plan,
-                rehost: &rehost,
-            };
-            let elastic_opt = if ckpt.is_some() { Some(&elastic) } else { None };
-            // snapshots carry the thread stamp: a net run's cut is one
-            // `run_parallel_ckpt` resumes
-            let mut root = RootRank::new(
-                &dc.config,
-                tracer,
-                ckpt.as_ref(),
-                Backend::Thread,
-                elastic_opt,
-            );
-            let (out, root_ctx) = root_ctx.drive(&mut root);
-            (Run::root_output([out]).0, root_ctx)
+        // the role machines of the ranks hosted here, the root with the
+        // membership hooks; a rank re-hosted from a departed worker
+        // continues from the barrier's cut
+        let plan = |_: &RunSnapshot| plan_barrier(&sh, first_ctrl);
+        let rehost = |snap: &RunSnapshot, _: &[usize]| rehost_step(&sh, config, snap);
+        let elastic = ElasticOps {
+            plan: &plan,
+            rehost: &rehost,
         };
+        run.elastic = ckpt.map(|_| &elastic);
+        let (outs, stats) =
+            runtime.drive(&sh.pool, |rank, _| match sh.resumes.lock().remove(&rank) {
+                Some(resume) => {
+                    let resume = Some(&resume);
+                    Box::new(ControllerRank::new(
+                        factory, &rt_config, tracer, rank, resume,
+                    ))
+                }
+                None => run.machine(rank),
+            });
+        let (report, _, _) = Run::root_output(outs.into_iter().map(|(_, out)| out));
 
-        // teardown: reap local ranks, then the wire machinery
-        for h in fixed_handles {
-            h.join().expect("net driver: fixed rank panicked");
-        }
-        let handles: Vec<_> = sh.handles.lock().drain().collect();
-        for (_, h) in handles {
-            let _ = h.join().expect("net driver: controller panicked");
-        }
+        // teardown of the wire machinery
         sh.shutdown.store(true, Ordering::Release);
         for mut s in sh.joiners.lock().drain(..) {
             // never-admitted joiners: tell them the run is over
@@ -1160,14 +1059,14 @@ impl NetDriver {
         for h in downlinks {
             h.join().expect("net driver: downlink panicked");
         }
-        // release the outbox template so the router's channel disconnects
-        drop(root_ctx);
-        drop(dc);
+        router_tx
+            .send(None)
+            .expect("net driver: router ended early");
         router_handle.join().expect("net driver: router panicked");
         NetReport {
             report,
             migrations: sh.migrations.load(Ordering::Relaxed),
-            dropped_sends: dropped.load(Ordering::Relaxed),
+            dropped_sends: stats.dropped_sends + sh.dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -1197,11 +1096,22 @@ pub struct NetWorkerReport {
     pub retired: bool,
 }
 
-/// Connect to a driver, host the assigned controller ranks and run them
-/// to completion (or planned departure). Retries the connect for up to
-/// 30 s so workers can start before the driver.
+/// Connect to a driver, host the assigned controller ranks on a worker
+/// pool as wide as this host and run them to completion (or planned
+/// departure). Retries the connect for up to 30 s so workers can start
+/// before the driver.
 pub fn run_net_worker(
     factory: Arc<dyn LevelFactory>,
+    opts: &NetWorkerOptions,
+    tracer: &Tracer,
+) -> NetWorkerReport {
+    run_net_worker_on(&Runtime::for_host(), &*factory, opts, tracer)
+}
+
+/// [`run_net_worker`] with the assigned ranks on `runtime`.
+pub(crate) fn run_net_worker_on(
+    runtime: &Runtime,
+    factory: &dyn LevelFactory,
     opts: &NetWorkerOptions,
     tracer: &Tracer,
 ) -> NetWorkerReport {
@@ -1248,78 +1158,50 @@ pub fn run_net_worker(
         other => panic!("net worker: bad handshake reply: {other:?}"),
     };
 
-    let dropped = Arc::new(AtomicUsize::new(0));
-    let (uplink_tx, uplink_rx) = unbounded::<(usize, Envelope<Msg>)>();
-    let mut local_txs: HashMap<usize, Sender<Envelope<Msg>>> = HashMap::new();
-    let mut local_rxs = Vec::new();
-    for &rank in &ranks {
-        let (tx, rx) = unbounded();
-        local_txs.insert(rank, tx);
-        local_rxs.push((rank, rx));
-    }
-    // every remote destination shares the one uplink channel: the socket
-    // then carries each local sender's full program order
-    let template: Vec<Outbox<Msg>> = (0..n_ranks)
-        .map(|r| match local_txs.get(&r) {
-            Some(tx) => Outbox::Local(tx.clone()),
-            None => Outbox::Relay(uplink_tx.clone()),
-        })
-        .collect();
-    drop(uplink_tx);
-    // pre-load migrated leftovers before any rank thread runs
+    // every send to a rank not hosted here shares the one uplink channel:
+    // the socket then carries each local sender's full program order
+    let (uplink_tx, uplink_rx) = unbounded::<Frame>();
+    let relay = {
+        let tx = uplink_tx.clone();
+        move |to, env: Envelope<Msg>| {
+            let (from, msg) = (env.from, env.msg);
+            // the uplink outlives every rank: it ends on the `Bye` below
+            let _ = tx.send(Frame::Data { to, from, msg });
+        }
+    };
+    let pool = runtime.host(n_ranks, ranks.iter().copied(), Box::new(relay));
+    // pre-load migrated leftovers before any rank runs
     for (to, from, msg) in leftovers {
-        local_txs
-            .get(&to)
-            .expect("net worker: leftover for a rank not assigned here")
-            .send(Envelope { from, msg })
-            .unwrap();
+        pool.deliver(to, Envelope { from, msg });
     }
     write_frame(&mut stream, &Frame::Ready, tracer).expect("net worker: Ready failed");
 
-    let shutdown = Arc::new(AtomicBool::new(false));
     let uplink = {
         let mut writer = stream.try_clone().expect("net worker: stream clone failed");
         let tracer = tracer.clone();
-        let shutdown = Arc::clone(&shutdown);
         std::thread::Builder::new()
             .name("uq-net-uplink".into())
             .spawn(move || {
-                for (to, env) in uplink_rx {
-                    let frame = Frame::Data {
-                        to,
-                        from: env.from,
-                        msg: env.msg,
-                    };
-                    if let Err(e) = write_frame(&mut writer, &frame, &tracer) {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        panic!("net worker: uplink write failed: {e}");
+                for frame in uplink_rx {
+                    write_frame(&mut writer, &frame, &tracer)
+                        .unwrap_or_else(|e| panic!("net worker: uplink write failed: {e}"));
+                    if matches!(frame, Frame::Bye { .. }) {
+                        break;
                     }
                 }
             })
             .expect("net worker: uplink thread spawn failed")
     };
+    let shutdown = Arc::new(AtomicBool::new(false));
     let downlink = {
         let mut reader = stream.try_clone().expect("net worker: stream clone failed");
         let tracer = tracer.clone();
-        let shutdown = Arc::clone(&shutdown);
-        let txs = local_txs.clone();
-        let dropped = Arc::clone(&dropped);
+        let (shutdown, pool) = (Arc::clone(&shutdown), Arc::clone(&pool));
         std::thread::Builder::new()
             .name("uq-net-downlink".into())
             .spawn(move || loop {
                 match read_frame(&mut reader, &tracer) {
-                    Ok(Frame::Data { to, from, msg }) => match txs.get(&to) {
-                        Some(tx) => {
-                            if tx.send(Envelope { from, msg }).is_err() {
-                                dropped.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        None => {
-                            dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
+                    Ok(Frame::Data { to, from, msg }) => pool.deliver(to, Envelope { from, msg }),
                     Ok(f) => panic!("net worker: unexpected frame: {f:?}"),
                     Err(e) => {
                         if shutdown.load(Ordering::Acquire) {
@@ -1332,51 +1214,27 @@ pub fn run_net_worker(
             .expect("net worker: downlink thread spawn failed")
     };
 
-    let config = Arc::new(RuntimeConfig::blocking(config));
-    let mut rank_threads = Vec::new();
-    for (rank, rx) in local_rxs {
-        let factory = Arc::clone(&factory);
-        let config = Arc::clone(&config);
-        let tracer = tracer.clone();
-        let template = template.clone();
-        let dropped = Arc::clone(&dropped);
-        let resume = ckpts.iter().find(|c| c.rank == rank).cloned();
-        rank_threads.push(
-            std::thread::Builder::new()
-                .name(format!("uq-net-ctrl-{rank}"))
-                .spawn(move || {
-                    let ctx = RankCtx::from_parts(rank, n_ranks, rx, template, dropped);
-                    drive_controller(ctx, &*factory, &config, &tracer, resume.as_ref())
-                })
-                .expect("net worker: rank thread spawn failed"),
-        );
-    }
-    drop(local_txs);
-
-    let mut retired = false;
-    let mut leftover_out: Vec<Leftover> = Vec::new();
-    for handle in rank_threads {
-        if let Some(mut ctx) = handle.join().expect("net worker: rank thread panicked") {
+    let config = RuntimeConfig::unsharded(config, runtime);
+    let (outs, _) = runtime.drive(&pool, |rank, _| {
+        let resume = ckpts.iter().find(|c| c.rank == rank);
+        Box::new(ControllerRank::new(factory, &config, tracer, rank, resume)) as Machine<'_>
+    });
+    // a retired rank's unread messages travel with it
+    let (mut retired, mut leftovers) = (false, Vec::new());
+    for (rank, out) in outs {
+        if matches!(out, RoleOut::Retired) {
             retired = true;
-            let rank = ctx.rank();
-            for env in ctx.drain() {
-                leftover_out.push((rank, env.from, env.msg));
-            }
+            let unread = pool.hand_off(rank).expect("an exited rank");
+            leftovers.extend(unread.into_iter().map(|env| (rank, env.from, env.msg)));
         }
     }
-    // quiesce the uplink (rank threads are gone, so the channel drains
-    // and disconnects) before taking the write half back for the Bye
-    drop(template);
-    uplink.join().expect("net worker: uplink panicked");
-    write_frame(
-        &mut stream,
-        &Frame::Bye {
-            leftovers: leftover_out,
-        },
-        tracer,
-    )
-    .expect("net worker: Bye failed");
+    // the ranks are gone, so the `Bye` is the last frame of the uplink; the
+    // driver may hang up on reading it, so end of file now ends the run
     shutdown.store(true, Ordering::Release);
+    uplink_tx
+        .send(Frame::Bye { leftovers })
+        .expect("net worker: uplink ended early");
+    uplink.join().expect("net worker: uplink panicked");
     let _ = stream.shutdown(Shutdown::Both);
     downlink.join().expect("net worker: downlink panicked");
     NetWorkerReport { ranks, retired }
@@ -1385,6 +1243,60 @@ pub fn run_net_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::roles::policy::GaussianHierarchy;
+
+    /// Driver, a worker that leaves at barrier 1 and a joiner, each on a
+    /// **one-worker** pool — the 1-core box, where a `rehost` that waited
+    /// inside the root's poll would wait for ranks queued behind the root
+    /// on the very worker it holds. The rank the leaver gives up is
+    /// re-hosted on the driver, then donated to the joiner.
+    #[test]
+    fn elastic_leave_and_join_complete_on_one_worker_pools() {
+        let dir = std::env::temp_dir().join(format!("uq-net-1w-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = ParallelConfig::new(vec![900, 150], vec![1, 1]);
+        config.burn_in = vec![30, 20];
+        config.load_balancing = false;
+        let opts = NetDriverOptions {
+            workers: 2,
+            every: 25,
+            store: Some(Arc::new(RunStore::open(&dir).expect("open store"))),
+            config_hash: 19,
+        };
+        let h = GaussianHierarchy::two_level();
+        let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = driver.local_addr().to_string();
+        let (joiner_tracer, off) = (Tracer::new(), Tracer::disabled());
+        let (net, joiner) = std::thread::scope(|s| {
+            let worker = |join, leave_at_barrier, tracer| {
+                let (h, connect) = (&h, addr.clone());
+                s.spawn(move || {
+                    let opts = NetWorkerOptions {
+                        connect,
+                        join,
+                        leave_at_barrier,
+                    };
+                    run_net_worker_on(&Runtime::new(1), h, &opts, tracer)
+                })
+            };
+            // the joiner's Hello is on the wire before anyone else dials,
+            // so the rendezvous queues it ahead of the first barrier
+            let joiner = worker(true, None, &joiner_tracer);
+            while joiner_tracer.counter(Counter::NetFramesOut) == 0 {
+                std::thread::yield_now();
+            }
+            let workers = [worker(false, Some(1), &off), worker(false, None, &off)];
+            let net = driver.run_on(&Runtime::new(1), &h, &config, &opts, &off);
+            let [leaver, stayer] = workers.map(|w| w.join().expect("worker panicked"));
+            assert!(leaver.retired && !stayer.retired);
+            (net, joiner.join().expect("joiner panicked"))
+        });
+        assert_eq!(net.migrations, 2, "one rank re-hosted, then donated");
+        assert_eq!(joiner.ranks.len(), 1);
+        let n_samples: Vec<usize> = net.report.levels.iter().map(|l| l.n_samples).collect();
+        assert_eq!(n_samples, config.samples_per_level);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn roundtrip(frame: &Frame) -> Frame {
         decode_frame(&encode_frame(frame)).expect("roundtrip failed")

@@ -1,21 +1,19 @@
 //! The MLMCMC role protocols (paper Fig. 8): the scheduling policy —
 //! root, phonebook, collectors, controllers — written **once**, as
-//! suspendable state machines, and run by whichever executor the entry
-//! point picks: one OS thread per rank ([`crate::run_parallel`], the
-//! blocking executor `RankCtx::drive`), a worker pool
-//! ([`run_runtime`], [`crate::runtime`]) so paper-scale rank counts run
-//! live on a few cores, threads spread over processes ([`crate::net`]),
-//! or one thread in seeded virtual time ([`run_simulated`],
-//! [`crate::sim`]). The executor is never a statistical actor: on a
-//! deterministic configuration all of them produce the same digest.
+//! suspendable state machines, and run by one of two executors: live on
+//! the worker pool ([`crate::runtime`]), so paper-scale rank counts fit a
+//! few cores — [`run_runtime`], [`crate::run_parallel`] and every
+//! [`crate::net`] process are entry points of that pool — or on one
+//! thread in seeded virtual time ([`run_simulated`], [`crate::sim`]).
+//! The executor is never a statistical actor: on a deterministic
+//! configuration every entry point produces the same digest.
 //!
 //! * **Suspendable controllers.** A controller's coupled chain uses
 //!   [`PendingCoarseSource`], so a step that needs a coarse proposal
 //!   suspends at `StepOutcome::NeedCoarse`; the controller sends the
 //!   `CoarseRequest` itself, returns a wait predicate and finishes the
 //!   step via `MlChain::resume_step` when the sample (or a teardown
-//!   poison) arrives. Under the pool no OS thread blocks on a chain's
-//!   behalf; under the blocking executor the rank's own thread parks.
+//!   poison) arrives. No OS thread blocks on a chain's behalf.
 //! * **Batched phonebook routing.** The phonebook drains *every* queued
 //!   message per wakeup and routes the whole batch in one pass; batch
 //!   sizes are reported in [`PhonebookStats`] (`scaling_live`'s
@@ -24,10 +22,9 @@
 //!   ranks; controllers scatter corrections round-robin, shards absorb a
 //!   quota of `N_l / shards` each and the root merges their streaming
 //!   moments (Chan's parallel combination) at shutdown, so no single
-//!   collector rank serializes a fast level. The thread and net entry
-//!   points run one shard per level.
+//!   collector rank serializes a fast level. The `run_parallel` and net
+//!   entry points run one shard per level.
 
-use crate::comm::RankCtx;
 use crate::obs::{Counter, Hist, SpanKind, Tracer};
 use crate::runtime::{Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
 use crate::scheduler::{
@@ -70,13 +67,13 @@ impl RuntimeConfig {
         }
     }
 
-    /// The configuration [`crate::run_parallel`] and [`crate::net`] run
-    /// `base` under: one thread per rank, one collector per level.
-    pub(crate) fn blocking(base: ParallelConfig) -> Self {
+    /// `base` in the rank layout of [`crate::run_parallel`] and
+    /// [`crate::net`] — one collector per level — on `runtime`.
+    pub(crate) fn unsharded(base: ParallelConfig, runtime: &Runtime) -> Self {
         Self {
-            n_workers: base.n_ranks(),
-            collector_shards: 1,
             base,
+            n_workers: runtime.n_workers(),
+            collector_shards: 1,
         }
     }
 
@@ -169,22 +166,24 @@ pub(crate) enum RoleOut {
     Quiet,
     /// A controller told to [`Msg::Retire`]: it is being re-hosted, not
     /// shut down, so it sent no poisons and no report — the transport
-    /// takes its channel back with whatever is still queued in it.
+    /// takes what is still queued for it out of the pool
+    /// (`runtime::Shared::hand_off`).
     Retired,
 }
 
 /// Transport hooks for elastic membership (used by `crate::net`): at
 /// every completed checkpoint barrier the root asks the transport which
-/// ranks must retire (`plan`), sends each a [`Msg::Retire`], and blocks
-/// in `rehost` until the transport has re-hosted those ranks elsewhere
-/// from the just-persisted snapshot and rewired its routes. Only then
-/// is `CheckpointDone` broadcast and stepping resumed — the barrier
-/// window (every chain paused at a clean boundary, ledger drained, no
-/// messages in flight toward controllers) is what makes migration a
-/// plain data move.
+/// ranks must retire (`plan`), sends each a [`Msg::Retire`], and calls
+/// `rehost` once per poll until it returns `true`: the transport has
+/// re-hosted those ranks elsewhere from the just-persisted snapshot and
+/// rewired its routes. `rehost` must not wait — the retiring ranks may
+/// share the root's pool worker. Only then is `CheckpointDone` broadcast
+/// and stepping resumed — the barrier window (every chain paused at a
+/// clean boundary, ledger drained, no messages in flight toward
+/// controllers) is what makes migration a plain data move.
 pub(crate) struct ElasticOps<'a> {
     pub plan: &'a (dyn Fn(&RunSnapshot) -> Vec<usize> + Sync),
-    pub rehost: &'a (dyn Fn(&RunSnapshot, &[usize]) + Sync),
+    pub rehost: &'a (dyn Fn(&RunSnapshot, &[usize]) -> bool + Sync),
 }
 
 // ---------------------------------------------------------------------
@@ -221,10 +220,13 @@ pub(crate) struct RootRank<'a> {
     ckpt_start: f64,
     chain_ckpts: Vec<ChainCkpt>,
     coll_ckpts: Vec<CollectorCkpt>,
+    /// A barrier whose snapshot is persisted but whose controllers are
+    /// still held: the cut and the ranks told to retire at it.
+    closing: Option<(RunSnapshot, Vec<usize>)>,
     /// Set when [`ParallelCheckpoint::stop`] fired at a barrier.
     preempted: bool,
-    /// Executor stamp written into every snapshot (resume refuses a
-    /// snapshot stamped by another executor).
+    /// Entry-point stamp written into every snapshot (resume refuses a
+    /// snapshot stamped by another entry point's layout).
     backend: Backend,
     elastic: Option<&'a ElasticOps<'a>>,
     tracer: Tracer,
@@ -257,6 +259,7 @@ impl<'a> RootRank<'a> {
             ckpt_start: 0.0,
             chain_ckpts: Vec::new(),
             coll_ckpts: Vec::new(),
+            closing: None,
             preempted: false,
             backend,
             elastic,
@@ -275,8 +278,9 @@ impl<'a> RootRank<'a> {
         }
     }
 
-    /// Assemble the consistent cut, persist it, then stop (preemption),
-    /// or move ranks (elastic membership) and resume the controllers.
+    /// Assemble the consistent cut and persist it, then decide how the
+    /// barrier closes ([`finish_barrier`](Self::finish_barrier)): stop
+    /// (preemption), or retire the ranks the transport wants moved.
     fn complete_checkpoint(&mut self, ctx: &VCtx<'_, Msg>, ledger: LedgerState) {
         let spec = self
             .ckpt
@@ -320,17 +324,34 @@ impl<'a> RootRank<'a> {
             for done in self.level_done.iter_mut() {
                 *done = true;
             }
+            self.closing = Some((snapshot, Vec::new()));
         } else {
-            // elastic membership (net transport): retire and re-host
-            // ranks while the barrier still holds every chain paused
-            // and the ledger drained — no message can race the move
+            // elastic membership (net transport): retire ranks while the
+            // barrier still holds every chain paused and the ledger
+            // drained — no message can race the move
             let retiring = self.elastic.map_or_else(Vec::new, |e| (e.plan)(&snapshot));
-            if let Some(e) = self.elastic.filter(|_| !retiring.is_empty()) {
-                for &rank in &retiring {
-                    ctx.send(rank, Msg::Retire);
-                }
-                (e.rehost)(&snapshot, &retiring);
+            for &rank in &retiring {
+                ctx.send(rank, Msg::Retire);
             }
+            self.closing = Some((snapshot, retiring));
+        }
+    }
+
+    /// Close a completed barrier: once the transport has re-hosted every
+    /// retiring rank (at once, with none), resume the controllers that
+    /// stayed. `false` while the move is still under way — the root then
+    /// yields its worker (`Poll::Ready`) instead of waiting on it, since
+    /// the ranks it waits for may be queued behind it on that worker.
+    fn finish_barrier(&mut self, ctx: &VCtx<'_, Msg>) -> bool {
+        let Some((snapshot, retiring)) = &self.closing else {
+            return true;
+        };
+        if let Some(e) = self.elastic.filter(|_| !retiring.is_empty()) {
+            if !(e.rehost)(snapshot, retiring) {
+                return false;
+            }
+        }
+        if !self.preempted {
             for rank in self.config.first_controller_rank()..self.config.n_ranks() {
                 // a re-hosted rank resumes unpaused; it needs no Done
                 if !retiring.contains(&rank) {
@@ -344,7 +365,9 @@ impl<'a> RootRank<'a> {
             self.ckpt_start,
             self.tracer.now(),
         );
+        self.closing = None;
         self.ckpt_active = false;
+        true
     }
 
     /// Merge a shard's data into the level accumulator (Chan's parallel
@@ -422,6 +445,9 @@ impl VirtualRank<Msg> for RootRank<'_> {
         loop {
             match self.phase {
                 RootPhase::Levels => {
+                    if !self.finish_barrier(ctx) {
+                        return Poll::Ready;
+                    }
                     while let Some(env) = ctx.try_recv_match(|e| {
                         matches!(
                             e.msg,
@@ -476,6 +502,9 @@ impl VirtualRank<Msg> for RootRank<'_> {
                             Msg::LedgerCkpt(ledger) => {
                                 self.tracer.incr(Counter::BarrierAcks);
                                 self.complete_checkpoint(ctx, *ledger);
+                                if !self.finish_barrier(ctx) {
+                                    return Poll::Ready;
+                                }
                             }
                             _ => unreachable!(),
                         }
@@ -1587,28 +1616,14 @@ fn coarse_wait_pred(want_level: usize) -> crate::runtime::WaitPred<Msg> {
 // driver
 // ---------------------------------------------------------------------
 
-/// Drive the controller machine of `ctx`'s rank to exit on the calling
-/// thread (the blocking executor). Returns the context only when the
-/// rank was told to [`Msg::Retire`]: the net transport takes the channel
-/// back, with anything still queued in it, and re-hosts the rank
-/// elsewhere from the barrier snapshot.
-pub(crate) fn drive_controller(
-    ctx: RankCtx<Msg>,
-    factory: &dyn LevelFactory,
-    config: &RuntimeConfig,
-    tracer: &Tracer,
-    resume: Option<&ChainCkpt>,
-) -> Option<RankCtx<Msg>> {
-    let mut machine = ControllerRank::new(factory, config, tracer, ctx.rank(), resume);
-    let (out, ctx) = ctx.drive(&mut machine);
-    matches!(out, RoleOut::Retired).then_some(ctx)
-}
+/// A role machine, as the executors hold it.
+pub(crate) type Machine<'a> = Box<dyn VirtualRank<Msg, Output = RoleOut> + Send + 'a>;
 
-/// One in-process run as every executor sees it: the validated inputs
-/// and the machine of each rank. Which executor polls the machines is
-/// the entry point's choice; `backend` only stamps the snapshots, so a
-/// snapshot resumes under the executor that wrote it and durable bytes
-/// never depend on this module's internals.
+/// One run as every executor sees it: the validated inputs and the
+/// machine of each rank. Which executor polls the machines is the entry
+/// point's choice; `backend` only stamps the snapshots, so a snapshot
+/// resumes under the entry point that wrote it and durable bytes never
+/// depend on this module's internals.
 pub(crate) struct Run<'a> {
     factory: &'a dyn LevelFactory,
     config: &'a RuntimeConfig,
@@ -1616,6 +1631,8 @@ pub(crate) struct Run<'a> {
     checkpoint: Option<&'a ParallelCheckpoint<'a>>,
     resume: Option<&'a RunSnapshot>,
     backend: Backend,
+    /// The root's membership hooks: `None` unless a transport sets them.
+    pub(crate) elastic: Option<&'a ElasticOps<'a>>,
 }
 
 impl<'a> Run<'a> {
@@ -1623,7 +1640,7 @@ impl<'a> Run<'a> {
     /// Panics on an inconsistent configuration (levels beyond the
     /// factory, levels without chains, zero shards, checkpointing with
     /// load balancing on) and on a `resume` snapshot that does not
-    /// belong to this configuration and executor.
+    /// belong to this configuration and entry point.
     pub(crate) fn new(
         factory: &'a dyn LevelFactory,
         config: &'a RuntimeConfig,
@@ -1685,14 +1702,12 @@ impl<'a> Run<'a> {
             checkpoint,
             resume,
             backend,
+            elastic: None,
         }
     }
 
     /// The role machine of `rank`.
-    pub(crate) fn machine(
-        &self,
-        rank: usize,
-    ) -> Box<dyn VirtualRank<Msg, Output = RoleOut> + Send + 'a> {
+    pub(crate) fn machine(&self, rank: usize) -> Machine<'a> {
         let Self {
             factory,
             config,
@@ -1706,7 +1721,7 @@ impl<'a> Run<'a> {
                 tracer,
                 self.checkpoint,
                 self.backend,
-                None,
+                self.elastic,
             ))
         } else if rank == PHONEBOOK {
             let ledger = resume.and_then(|s| s.ledger.as_ref());
@@ -1814,6 +1829,13 @@ pub fn run_runtime_ckpt_on(
         resume,
         Backend::Runtime,
     );
+    run_pool(runtime, &run)
+}
+
+/// Every in-process entry point: the whole universe of `run` on
+/// `runtime`'s workers.
+pub(crate) fn run_pool(runtime: &Runtime, run: &Run<'_>) -> RuntimeReport {
+    let (config, tracer) = (run.config, run.tracer);
     // observe work steals as spans on the stolen rank's timeline. The
     // probe runs on the thief's idle path only (after the victim queue
     // lock is released), so installing it cannot perturb scheduling.
@@ -2002,14 +2024,12 @@ pub fn run_simulated(
     })
 }
 
-/// The policy tests, each a function of the executor it runs under:
-/// `scheduler::tests` calls them with [`Exec::Blocking`](policy::Exec),
-/// `tests` below with the pool and the simulator, so one fixture and one
-/// set of assertions covers every way the machines are driven.
+/// What the policy tests share — `tests` below, `scheduler::tests` and
+/// `net::tests`: the fixture and the executors the machines are driven
+/// with, so one set of assertions covers the pool and the simulator.
 #[cfg(test)]
 pub(crate) mod policy {
     use super::*;
-    use crate::scheduler::{run_parallel_ckpt, ParallelCheckpoint};
 
     /// Analytic Gaussian hierarchy (same targets as the core test
     /// suite, `ρ = 3`): the simulator's stand-in with explicit moments.
@@ -2036,8 +2056,6 @@ pub(crate) mod policy {
     /// The executor a policy test drives the machines with.
     #[derive(Clone, Copy, Debug)]
     pub(crate) enum Exec {
-        /// One OS thread per rank ([`crate::run_parallel`]).
-        Blocking,
         /// [`run_runtime`] on `workers` pool threads, `shards` collector
         /// ranks per level.
         Pool { workers: usize, shards: usize },
@@ -2059,8 +2077,8 @@ pub(crate) mod policy {
         }
     }
 
-    /// The executors every shared policy test runs under (one thread per
-    /// rank is `scheduler::tests`'): two pools and the simulator.
+    /// The executors every policy test runs under: two pools and the
+    /// simulator.
     pub(crate) const EXECS: [Exec; 3] = [
         Exec::Pool {
             workers: 1,
@@ -2074,11 +2092,11 @@ pub(crate) mod policy {
     ];
 
     impl Exec {
-        fn run(self, h: &GaussianHierarchy, config: &ParallelConfig) -> ParallelReport {
+        pub(crate) fn run(self, h: &GaussianHierarchy, config: &ParallelConfig) -> ParallelReport {
             self.run_ckpt(h, config, &Tracer::disabled(), None, None)
         }
 
-        fn run_ckpt(
+        pub(crate) fn run_ckpt(
             self,
             h: &GaussianHierarchy,
             config: &ParallelConfig,
@@ -2092,7 +2110,6 @@ pub(crate) mod policy {
                 collector_shards: shards,
             };
             match self {
-                Exec::Blocking => run_parallel_ckpt(h, config, tracer, checkpoint, resume),
                 Exec::Pool { workers, shards } => {
                     run_runtime_ckpt(h, &pool(workers, shards), tracer, checkpoint, resume).report
                 }
@@ -2105,64 +2122,6 @@ pub(crate) mod policy {
                 }
             }
         }
-    }
-
-    pub(crate) fn two_level_run_completes(exec: Exec) {
-        let config = ParallelConfig::new(vec![2000, 800], vec![1, 1]);
-        let report = exec.run(&GaussianHierarchy::two_level(), &config);
-        assert_eq!(report.levels[0].n_samples, 2000, "{exec:?}");
-        assert_eq!(report.levels[1].n_samples, 800, "{exec:?}");
-        assert!(report.total_evaluations() >= 2800, "{exec:?}");
-    }
-
-    pub(crate) fn three_level_estimate_matches_truth(exec: Exec) {
-        let mut config = ParallelConfig::new(vec![30_000, 4_000, 1_500], vec![2, 2, 1]);
-        config.burn_in = vec![300, 100, 50];
-        let report = exec.run(&GaussianHierarchy::three_level(), &config);
-        let est = report.expectation()[0];
-        assert!(
-            (est - 1.0).abs() < 0.08,
-            "{exec:?}: telescoping estimate {est}"
-        );
-        // correction means per level
-        assert!((report.levels[0].mean_correction[0] - 0.6).abs() < 0.08);
-        assert!((report.levels[1].mean_correction[0] - 0.3).abs() < 0.1);
-    }
-
-    pub(crate) fn load_balancer_disabled_still_completes(exec: Exec) {
-        let mut config = ParallelConfig::new(vec![3000, 600, 200], vec![1, 1, 1]);
-        config.load_balancing = false;
-        let report = exec.run(&GaussianHierarchy::three_level(), &config);
-        assert_eq!(report.reassignments, 0, "{exec:?}");
-        assert_eq!(report.levels[2].n_samples, 200, "{exec:?}");
-    }
-
-    pub(crate) fn recording_returns_samples_and_pairs(exec: Exec) {
-        let mut config = ParallelConfig::new(vec![400, 150, 60], vec![1, 1, 1]);
-        config.record_samples = true;
-        let report = exec.run(&GaussianHierarchy::three_level(), &config);
-        assert_eq!(report.levels[0].theta_samples.len(), 400, "{exec:?}");
-        assert_eq!(report.levels[1].correction_pairs.len(), 150, "{exec:?}");
-        assert!(report.levels[0].correction_pairs.is_empty());
-        // accepted coarse proposals appear as identical pairs
-        let identical = report.levels[1]
-            .correction_pairs
-            .iter()
-            .filter(|(c, f)| c == f)
-            .count();
-        assert!(identical > 0, "{exec:?}");
-    }
-
-    pub(crate) fn tracer_captures_burnin_and_evals(exec: Exec) {
-        let mut config = ParallelConfig::new(vec![300, 100, 40], vec![1, 1, 1]);
-        config.burn_in = vec![50, 20, 10];
-        let tracer = Tracer::new();
-        let h = GaussianHierarchy::three_level();
-        let _ = exec.run_ckpt(&h, &config, &tracer, None, None);
-        let events = tracer.events();
-        let has = |pred: fn(&SpanKind) -> bool| events.iter().any(|e| pred(&e.kind));
-        assert!(has(|k| matches!(k, SpanKind::Burnin { .. })), "{exec:?}");
-        assert!(has(|k| matches!(k, SpanKind::Eval { .. })), "{exec:?}");
     }
 
     /// Bit-level equality of everything deterministic in a report
@@ -2238,40 +2197,76 @@ mod tests {
 
     #[test]
     fn two_level_runtime_run_completes() {
-        EXECS.into_iter().for_each(policy::two_level_run_completes);
+        for exec in EXECS {
+            let config = ParallelConfig::new(vec![2000, 800], vec![1, 1]);
+            let report = exec.run(&GaussianHierarchy::two_level(), &config);
+            assert_eq!(report.levels[0].n_samples, 2000, "{exec:?}");
+            assert_eq!(report.levels[1].n_samples, 800, "{exec:?}");
+            assert!(report.total_evaluations() >= 2800, "{exec:?}");
+        }
     }
 
     #[test]
     fn three_level_estimate_matches_truth() {
-        EXECS
-            .into_iter()
-            .for_each(policy::three_level_estimate_matches_truth);
+        for exec in EXECS {
+            let mut config = ParallelConfig::new(vec![30_000, 4_000, 1_500], vec![2, 2, 1]);
+            config.burn_in = vec![300, 100, 50];
+            let report = exec.run(&GaussianHierarchy::three_level(), &config);
+            let est = report.expectation()[0];
+            assert!(
+                (est - 1.0).abs() < 0.08,
+                "{exec:?}: telescoping estimate {est}"
+            );
+            // correction means per level
+            assert!((report.levels[0].mean_correction[0] - 0.6).abs() < 0.08);
+            assert!((report.levels[1].mean_correction[0] - 0.3).abs() < 0.1);
+        }
     }
 
     #[test]
     fn load_balancer_disabled_still_completes() {
-        EXECS
-            .into_iter()
-            .for_each(policy::load_balancer_disabled_still_completes);
+        for exec in EXECS {
+            let mut config = ParallelConfig::new(vec![3000, 600, 200], vec![1, 1, 1]);
+            config.load_balancing = false;
+            let report = exec.run(&GaussianHierarchy::three_level(), &config);
+            assert_eq!(report.reassignments, 0, "{exec:?}");
+            assert_eq!(report.levels[2].n_samples, 200, "{exec:?}");
+        }
     }
 
     #[test]
     fn recording_returns_samples_and_pairs() {
-        EXECS
-            .into_iter()
-            .for_each(policy::recording_returns_samples_and_pairs);
-        // shards merge their recorded samples at the root
-        policy::recording_returns_samples_and_pairs(Exec::Pool {
+        // the extra pool: shards merge their recorded samples at the root
+        let sharded = Exec::Pool {
             workers: 2,
             shards: 2,
-        });
+        };
+        for exec in EXECS.into_iter().chain([sharded]) {
+            let mut config = ParallelConfig::new(vec![400, 150, 60], vec![1, 1, 1]);
+            config.record_samples = true;
+            let report = exec.run(&GaussianHierarchy::three_level(), &config);
+            assert_eq!(report.levels[0].theta_samples.len(), 400, "{exec:?}");
+            assert_eq!(report.levels[1].correction_pairs.len(), 150, "{exec:?}");
+            assert!(report.levels[0].correction_pairs.is_empty());
+            // accepted coarse proposals appear as identical pairs
+            let pairs = &report.levels[1].correction_pairs;
+            assert!(pairs.iter().any(|(c, f)| c == f), "{exec:?}");
+        }
     }
 
     #[test]
     fn tracer_captures_eval_spans() {
-        EXECS
-            .into_iter()
-            .for_each(policy::tracer_captures_burnin_and_evals);
+        for exec in EXECS {
+            let mut config = ParallelConfig::new(vec![300, 100, 40], vec![1, 1, 1]);
+            config.burn_in = vec![50, 20, 10];
+            let tracer = Tracer::new();
+            let h = GaussianHierarchy::three_level();
+            let _ = exec.run_ckpt(&h, &config, &tracer, None, None);
+            let events = tracer.events();
+            let has = |pred: fn(&SpanKind) -> bool| events.iter().any(|e| pred(&e.kind));
+            assert!(has(|k| matches!(k, SpanKind::Burnin { .. })), "{exec:?}");
+            assert!(has(|k| matches!(k, SpanKind::Eval { .. })), "{exec:?}");
+        }
     }
 
     #[test]
@@ -2364,8 +2359,8 @@ mod tests {
 
     #[test]
     fn many_virtual_ranks_on_few_workers() {
-        // more controllers than any machine has cores: 60 chains on 3
-        // worker threads (one thread per rank would spawn 65)
+        // more controllers than any machine has cores: 60 chains (65
+        // ranks) on 3 worker threads
         let h = GaussianHierarchy::three_level();
         let config = pool_config(vec![3000, 900, 300], vec![30, 20, 10], 3);
         let r = run_runtime(&h, &config, &Tracer::disabled());

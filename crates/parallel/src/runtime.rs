@@ -1,40 +1,65 @@
 //! Cooperative virtual-rank runtime: many suspendable ranks per worker
-//! thread.
+//! thread — the one live executor.
 //!
 //! A **virtual rank** is an explicitly suspendable state machine
 //! implementing [`VirtualRank`] — each [`poll`](VirtualRank::poll) runs
 //! until the rank would block on a receive, then returns a *wait
 //! predicate* ([`Poll::Wait`]); the rank is re-polled only when a
-//! matching message arrives. Two executors drive such machines. The
-//! blocking one (`RankCtx::drive` in [`crate::comm`]) gives every rank
-//! its own OS thread, so live runs are bounded by the physical core
-//! count. The pool in this module removes that bound: a small pool of
-//! worker threads (typically far fewer than ranks) drives the machines
-//! through per-worker run queues with message-arrival wakeups, so
-//! hundreds to thousands of controllers run **live** on a handful of
-//! cores.
+//! matching message arrives. A small pool of worker threads (typically
+//! far fewer than ranks) drives the machines through per-worker run
+//! queues with message-arrival wakeups, so hundreds to thousands of
+//! controllers run **live** on a handful of cores. Every live entry
+//! point is this pool: [`crate::run_runtime`] and
+//! [`crate::run_parallel`] host a whole universe on one, a
+//! [`crate::net`] process hosts its share of the ranks on one and hands
+//! sends to ranks it does not host to its socket relay.
 //!
-//! Delivery semantics are the same under both: per-rank FIFO queues,
-//! non-blocking sends, out-of-order messages buffered in arrival order
-//! and re-delivered first ([`VCtx::try_recv_match`]), and sends to
-//! exited ranks are dropped — here counted in
-//! [`RuntimeStats::dropped_sends`] rather than lost silently.
+//! Delivery semantics (the MPI subset of DESIGN §2): per-rank FIFO
+//! queues, non-blocking sends, out-of-order messages buffered in arrival
+//! order and re-delivered first ([`VCtx::try_recv_match`]); sends to
+//! exited ranks are dropped and counted
+//! ([`RuntimeStats::dropped_sends`]), and what a rank left unread when
+//! it exited stays in its slot for the host to take back.
 //!
 //! Scheduling is deterministic in structure (rank `r` is *homed* on
 //! worker `r % n_workers`, run queues are FIFO) but not in timing: wakeup
-//! interleavings across workers depend on the OS, exactly like the
-//! blocking executor's threads. An idle worker **steals** runnable ranks
-//! from the longest run queue (machines live in per-rank cells and are
-//! `Send`, so they travel with their rank), which bounds the straggling a
-//! hot home worker can cause; with a single worker no stealing is
-//! possible, so single-worker runs remain exactly deterministic. The
-//! MLMCMC role machines live in [`crate::roles`].
+//! interleavings across workers depend on the OS. An idle worker
+//! **steals** runnable ranks from the longest run queue (machines live
+//! in per-rank cells and are `Send`, so they travel with their rank),
+//! which bounds the straggling a hot home worker can cause; with a
+//! single worker no stealing is possible, so single-worker runs remain
+//! exactly deterministic. The MLMCMC role machines live in
+//! [`crate::roles`]; [`crate::sim`] polls the same machines in virtual
+//! time.
 
-use crate::comm::{note_drop, Envelope};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// A delivered message with its sender rank.
+#[derive(Clone, Debug)]
+pub struct Envelope<M> {
+    pub from: usize,
+    pub msg: M,
+}
+
+/// Count a send that reached nobody (`why` names the reason) in
+/// `dropped`, the executor's tally. Debug builds surface the first loss
+/// per run: teardown legitimately drops a handful, the count tells the
+/// rest.
+fn note_drop(dropped: &AtomicUsize, from: usize, to: usize, why: &str) {
+    let prev = dropped.fetch_add(1, Ordering::Relaxed);
+    #[cfg(debug_assertions)]
+    if prev == 0 {
+        eprintln!(
+            "uq-parallel: dropping send from rank {from} to {why} rank {to} \
+             (further drops counted silently)"
+        );
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = (prev, from, to, why);
+}
 
 /// Wait predicate returned by [`Poll::Wait`]: `true` for any message that
 /// should wake the suspended rank.
@@ -73,8 +98,12 @@ enum SlotState<M> {
     Runnable,
     /// Suspended on a wait predicate.
     Waiting(WaitPred<M>),
-    /// Exited; further sends are dropped (and counted).
+    /// Exited; further sends are dropped (and counted). The queue holds
+    /// what the rank left unread, until [`Shared::hand_off`] takes it.
     Exited,
+    /// Hosted by another process: sends from ranks hosted here go to the
+    /// relay.
+    Remote,
 }
 
 /// Shared per-rank mailbox + scheduling state (one lock per rank: senders
@@ -90,12 +119,22 @@ struct Worker {
     cv: Condvar,
 }
 
-struct Shared<M> {
+/// Where a send to a rank this pool does not host goes: `(to, envelope)`.
+pub(crate) type Relay<M> = Box<dyn Fn(usize, Envelope<M>) + Send + Sync>;
+
+/// One run's mailboxes and run queues: a slot for every rank of the
+/// universe, of which this pool hosts some ([`Runtime::host`]). The
+/// transport that hosts the others holds it too — its readers
+/// [`deliver`](Self::deliver) into it, and at a checkpoint barrier it
+/// moves ranks in ([`adopt`](Self::adopt)) and out
+/// ([`hand_off`](Self::hand_off)).
+pub(crate) struct Shared<M> {
     slots: Vec<Mutex<RankSlot<M>>>,
     workers: Vec<Worker>,
-    /// Ranks that have not exited yet.
+    relay: Relay<M>,
+    /// Hosted ranks that have not exited yet.
     live: AtomicUsize,
-    /// All ranks exited — workers drain and return.
+    /// Every hosted rank exited — workers drain and return.
     done: AtomicBool,
     dropped_sends: AtomicUsize,
     polls: AtomicUsize,
@@ -122,44 +161,28 @@ impl<M: Send> Shared<M> {
         let worker = self.worker_of(rank);
         let mut queue = worker.run_queue.lock().expect("runtime poisoned");
         queue.push_back(rank);
+        // unlock first: a worker woken under the lock blocks on it again
+        drop(queue);
         worker.cv.notify_one();
     }
-}
 
-/// What a [`VCtx`] asks of the executor driving its rank: deliver a
-/// message, hand over what has arrived, tell the time. The pool's
-/// `Shared` mailboxes, the blocking executor's channels
-/// ([`crate::comm::RankCtx`]) and the virtual-time executor
-/// ([`crate::sim`]) all provide it, so one set of role machines runs
-/// under any of them.
-pub(crate) trait Port<M> {
-    /// Deliver `env` to rank `to`; never blocks. A destination that has
-    /// exited or is out of range drops the message and counts it.
-    fn send(&self, to: usize, env: Envelope<M>);
-
-    /// Move everything queued for `rank` into `buffer`, in arrival order.
-    fn pull(&self, rank: usize, buffer: &mut VecDeque<Envelope<M>>);
-
-    /// Seconds since the run began as `rank` experiences them: wall-clock
-    /// under the live executors, the rank's virtual clock when simulated.
-    fn now(&self, rank: usize) -> f64;
-}
-
-impl<M: Send> Port<M> for Shared<M> {
-    /// Wakes `to` when its wait predicate matches `env`.
-    fn send(&self, to: usize, env: Envelope<M>) {
+    /// Queue `env` for `to`, waking it when its wait predicate matches.
+    /// A destination that exited or is out of range drops the message
+    /// and counts it; one hosted elsewhere gets it back.
+    fn offer(&self, to: usize, env: Envelope<M>) -> Option<Envelope<M>> {
         // out of range is a routine race under elastic membership, not
         // a programmer error
         let Some(slot) = self.slots.get(to) else {
             note_drop(&self.dropped_sends, env.from, to, "out-of-range");
-            return;
+            return None;
         };
         let wake = {
             let mut slot = slot.lock().expect("runtime poisoned");
             match &mut slot.state {
+                SlotState::Remote => return Some(env),
                 SlotState::Exited => {
                     note_drop(&self.dropped_sends, env.from, to, "exited");
-                    return;
+                    return None;
                 }
                 SlotState::Waiting(pred) => {
                     let matched = pred(&env);
@@ -178,6 +201,73 @@ impl<M: Send> Port<M> for Shared<M> {
         if wake {
             self.wakeups.fetch_add(1, Ordering::Relaxed);
             self.enqueue(to);
+        }
+        None
+    }
+
+    /// A message from outside the pool (the transport's reader). One
+    /// for a rank that is not hosted here any more is dropped and
+    /// counted — relaying it again would bounce it between processes.
+    pub(crate) fn deliver(&self, to: usize, env: Envelope<M>) {
+        if let Some(env) = self.offer(to, env) {
+            note_drop(&self.dropped_sends, env.from, to, "departed");
+        }
+    }
+
+    /// Start hosting `rank` mid-run with `queue` already in its mailbox;
+    /// its machine is built at its first poll, like any other.
+    ///
+    /// # Panics
+    /// Panics if `rank` is hosted here already.
+    pub(crate) fn adopt(&self, rank: usize, queue: VecDeque<Envelope<M>>) {
+        {
+            let mut slot = self.slots[rank].lock().expect("runtime poisoned");
+            assert!(
+                matches!(slot.state, SlotState::Remote),
+                "rank {rank} is hosted here"
+            );
+            *slot = RankSlot {
+                queue,
+                state: SlotState::Runnable,
+            };
+        }
+        // by a live rank's poll, so the count cannot have reached zero
+        self.live.fetch_add(1, Ordering::AcqRel);
+        self.enqueue(rank);
+    }
+
+    /// Once `rank` has exited: what it left unread, in arrival order;
+    /// from then on it counts as hosted elsewhere. `None` while it runs.
+    pub(crate) fn hand_off(&self, rank: usize) -> Option<VecDeque<Envelope<M>>> {
+        let mut slot = self.slots[rank].lock().expect("runtime poisoned");
+        matches!(slot.state, SlotState::Exited).then(|| {
+            slot.state = SlotState::Remote;
+            std::mem::take(&mut slot.queue)
+        })
+    }
+}
+
+/// What a [`VCtx`] asks of the executor driving its rank: deliver a
+/// message, hand over what has arrived, tell the time. The pool's
+/// [`Shared`] mailboxes and the virtual-time executor ([`crate::sim`])
+/// provide it, so one set of role machines runs under either.
+pub(crate) trait Port<M> {
+    /// Deliver `env` to rank `to`; never blocks. A destination that has
+    /// exited or is out of range drops the message and counts it.
+    fn send(&self, to: usize, env: Envelope<M>);
+
+    /// Move everything queued for `rank` into `buffer`, in arrival order.
+    fn pull(&self, rank: usize, buffer: &mut VecDeque<Envelope<M>>);
+
+    /// Seconds since the run began as `rank` experiences them: wall-clock
+    /// under the pool, the rank's virtual clock when simulated.
+    fn now(&self, rank: usize) -> f64;
+}
+
+impl<M: Send> Port<M> for Shared<M> {
+    fn send(&self, to: usize, env: Envelope<M>) {
+        if let Some(env) = self.offer(to, env) {
+            (self.relay)(to, env);
         }
     }
 
@@ -359,6 +449,12 @@ impl Runtime {
         *self.lifetime.lock()
     }
 
+    /// A pool as wide as this host ([`std::thread::available_parallelism`]);
+    /// a run never uses more workers than it hosts ranks.
+    pub(crate) fn for_host() -> Self {
+        Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
     /// Run `n_ranks` virtual ranks to completion and gather their outputs
     /// by rank index. `factory(rank, size)` builds each rank's state
     /// machine lazily on first poll — usually on the rank's home worker
@@ -375,24 +471,54 @@ impl Runtime {
         R: Send + 'a,
         F: Fn(usize, usize) -> Box<dyn VirtualRank<M, Output = R> + Send + 'a> + Sync,
     {
-        assert!(n_ranks > 0, "Runtime::run: need at least one rank");
-        let n_workers = self.n_workers.min(n_ranks);
-        let shared = Shared {
-            slots: (0..n_ranks)
-                .map(|_| {
-                    Mutex::new(RankSlot {
-                        queue: VecDeque::new(),
-                        state: SlotState::Runnable,
-                    })
-                })
-                .collect(),
-            workers: (0..n_workers)
-                .map(|_| Worker {
-                    run_queue: Mutex::new(VecDeque::new()),
+        // the whole universe on this pool: nothing is ever relayed
+        let relay: Relay<M> = Box::new(|_, _| unreachable!("every rank is hosted here"));
+        let (mut outs, stats) = self.drive(&self.host(n_ranks, 0..n_ranks, relay), factory);
+        outs.sort_unstable_by_key(|&(rank, _)| rank);
+        RuntimeRun {
+            results: outs.into_iter().map(|(_, out)| out).collect(),
+            stats,
+        }
+    }
+
+    /// The mailboxes of a run over `size` ranks of which this pool hosts
+    /// `hosted`, every one of them runnable; a hosted rank's send to any
+    /// other rank is handed to `relay`.
+    ///
+    /// # Panics
+    /// Panics if `hosted` is empty.
+    pub(crate) fn host<M: Send>(
+        &self,
+        size: usize,
+        hosted: impl IntoIterator<Item = usize>,
+        relay: Relay<M>,
+    ) -> Arc<Shared<M>> {
+        let mut slots: Vec<_> = (0..size)
+            .map(|_| RankSlot {
+                queue: VecDeque::new(),
+                state: SlotState::Remote,
+            })
+            .collect();
+        let hosted: Vec<usize> = hosted.into_iter().collect();
+        assert!(!hosted.is_empty(), "Runtime: need at least one rank");
+        let n_workers = self.n_workers.min(hosted.len());
+        // every rank starts runnable, queued in rank order on its worker
+        let mut run_queues = vec![VecDeque::new(); n_workers];
+        for &rank in &hosted {
+            slots[rank].state = SlotState::Runnable;
+            run_queues[rank % n_workers].push_back(rank);
+        }
+        Arc::new(Shared {
+            slots: slots.into_iter().map(Mutex::new).collect(),
+            workers: run_queues
+                .into_iter()
+                .map(|queue| Worker {
+                    run_queue: Mutex::new(queue),
                     cv: Condvar::new(),
                 })
                 .collect(),
-            live: AtomicUsize::new(n_ranks),
+            relay,
+            live: AtomicUsize::new(hosted.len()),
             done: AtomicBool::new(false),
             dropped_sends: AtomicUsize::new(0),
             polls: AtomicUsize::new(0),
@@ -400,46 +526,57 @@ impl Runtime {
             steals: AtomicUsize::new(0),
             steal_probe: self.steal_probe.lock().clone(),
             start: Instant::now(),
-        };
-        // every rank starts runnable, queued in rank order on its worker
-        for (worker_id, worker) in shared.workers.iter().enumerate() {
-            let mut queue = worker.run_queue.lock().expect("runtime poisoned");
-            queue.extend((worker_id..n_ranks).step_by(n_workers));
-        }
+        })
+    }
+
+    /// Poll the ranks `shared` hosts — those it started with and those it
+    /// adopts on the way — until every one has exited; returns each
+    /// `(rank, output)` and the run's counters. `factory` as in
+    /// [`run`](Self::run).
+    ///
+    /// # Panics
+    /// Propagates panics from worker threads.
+    pub(crate) fn drive<'a, M, R, F>(
+        &self,
+        shared: &Shared<M>,
+        factory: F,
+    ) -> (Vec<(usize, R)>, RuntimeStats)
+    where
+        M: Send + 'a,
+        R: Send + 'a,
+        F: Fn(usize, usize) -> Box<dyn VirtualRank<M, Output = R> + Send + 'a> + Sync,
+    {
         // machine cells: one per rank, taken by whichever worker polls it
         let cells: Vec<Mutex<Option<Entry<'a, M, R>>>> =
-            (0..n_ranks).map(|_| Mutex::new(None)).collect();
-        let mut results: Vec<Option<R>> = (0..n_ranks).map(|_| None).collect();
+            shared.slots.iter().map(|_| Mutex::new(None)).collect();
+        let mut outs = Vec::new();
         std::thread::scope(|scope| {
-            let shared = &shared;
-            let cells = &cells;
-            let factory = &factory;
-            let mut handles = Vec::with_capacity(n_workers);
-            for worker_id in 0..n_workers {
-                handles.push(
-                    scope.spawn(move || worker_loop(shared, cells, worker_id, n_ranks, factory)),
-                );
-            }
+            let (cells, factory) = (&cells, &factory);
+            let handles: Vec<_> = (0..shared.workers.len())
+                .map(|worker_id| {
+                    scope.spawn(move || worker_loop(shared, cells, worker_id, factory))
+                })
+                .collect();
             for handle in handles {
-                for (rank, out) in handle.join().expect("runtime worker panicked") {
-                    results[rank] = Some(out);
-                }
+                outs.extend(handle.join().expect("runtime worker panicked"));
             }
         });
-        // per-run counters: `Shared` is constructed afresh above, so a
+        // what an exited rank left unread and nobody took back was lost:
+        // shutdown loss must be observable, not silent (every other
+        // queue is empty by now)
+        let queued = |slot: &Mutex<RankSlot<M>>| slot.lock().expect("runtime poisoned").queue.len();
+        let unread: usize = shared.slots.iter().map(queued).sum();
+        // per-run counters: `shared` is built afresh for every run, so a
         // reused pool cannot leak a previous run's polls/steals into
         // this run's stats — only the lifetime accumulator carries over
         let stats = RuntimeStats {
             polls: shared.polls.load(Ordering::Relaxed),
             wakeups: shared.wakeups.load(Ordering::Relaxed),
-            dropped_sends: shared.dropped_sends.load(Ordering::Relaxed),
+            dropped_sends: shared.dropped_sends.load(Ordering::Relaxed) + unread,
             steals: shared.steals.load(Ordering::Relaxed),
         };
         self.lifetime.lock().absorb(&stats);
-        RuntimeRun {
-            results: results.into_iter().map(Option::unwrap).collect(),
-            stats,
-        }
+        (outs, stats)
     }
 }
 
@@ -505,7 +642,6 @@ fn worker_loop<'a, M, R, F>(
     shared: &Shared<M>,
     cells: &[Mutex<Option<Entry<'a, M, R>>>],
     worker_id: usize,
-    n_ranks: usize,
     factory: &F,
 ) -> Vec<(usize, R)>
 where
@@ -514,12 +650,15 @@ where
     F: Fn(usize, usize) -> Box<dyn VirtualRank<M, Output = R> + Send + 'a> + Sync,
 {
     let mut outputs = Vec::new();
+    let n_ranks = shared.slots.len();
     let worker = &shared.workers[worker_id];
     let _fence = PanicFence(shared);
     loop {
-        // next runnable rank: own queue, else steal, else park briefly
-        // (timed, so new steal opportunities on other workers' queues are
-        // noticed; own-queue wakeups notify the condvar directly)
+        // next runnable rank: own queue, else steal, else park — timed, so
+        // that work queued behind a busy worker is noticed (own-queue
+        // wakeups notify the condvar). 5 ms, far above a socket round
+        // trip: the ranks of a net process mostly wait for frames, and a
+        // tick that expires meanwhile is a wake-up that finds nothing
         let rank = {
             let mut next = None;
             while next.is_none() {
@@ -541,7 +680,7 @@ where
                 if queue.is_empty() && !shared.done.load(Ordering::Acquire) {
                     let _ = worker
                         .cv
-                        .wait_timeout(queue, Duration::from_micros(500))
+                        .wait_timeout(queue, Duration::from_millis(5))
                         .expect("runtime poisoned");
                 }
             }
@@ -581,15 +720,13 @@ where
             }
             Poll::Exit(out) => {
                 {
+                    // what it pulled but never consumed, then what it
+                    // never pulled: arrival order, kept for `hand_off`
                     let mut slot = shared.slots[rank].lock().expect("runtime poisoned");
                     slot.state = SlotState::Exited;
-                    // messages never received count as dropped too —
-                    // shutdown loss must be observable, not silent
-                    let lost = slot.queue.len() + entry.buffer.len();
-                    shared.dropped_sends.fetch_add(lost, Ordering::Relaxed);
-                    slot.queue.clear();
+                    entry.buffer.append(&mut slot.queue);
+                    slot.queue = entry.buffer;
                 }
-                drop(entry);
                 outputs.push((rank, out));
                 if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
                     shared.done.store(true, Ordering::Release);
@@ -604,7 +741,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -614,15 +751,27 @@ mod tests {
         Stop,
     }
 
-    type Machine = Box<dyn VirtualRank<TestMsg, Output = usize> + Send>;
+    type Boxed<M, R> = Box<dyn VirtualRank<M, Output = R> + Send>;
+    type Machine = Boxed<TestMsg, usize>;
+
+    /// A machine from a closure: tests here and in [`crate::sim`] state
+    /// each rank's behaviour inline.
+    pub(crate) struct FnRank<F>(pub F);
+
+    impl<M: Send, R, F: FnMut(&mut VCtx<'_, M>) -> Poll<M, R>> VirtualRank<M> for FnRank<F> {
+        type Output = R;
+        fn poll(&mut self, ctx: &mut VCtx<'_, M>) -> Poll<M, R> {
+            (self.0)(ctx)
+        }
+    }
 
     /// `machine`'s ranks under the pool and under the virtual-time
     /// executor (millisecond delays): one contract for both.
-    fn under_both(
+    fn under_both<M: Send + 'static, R: Send + 'static>(
         workers: usize,
         n: usize,
-        machine: impl Fn(usize, usize) -> Machine + Sync,
-    ) -> [RuntimeRun<usize>; 2] {
+        machine: impl Fn(usize, usize) -> Boxed<M, R> + Sync,
+    ) -> [RuntimeRun<R>; 2] {
         let sim = crate::sim::Sim::new(9, 1e-3, 0.0, vec![0.0; n]);
         let simulated = sim.run(usize::MAX, |rank| machine(rank, n));
         let simulated = simulated.expect("simulated run finishes").run;
@@ -917,5 +1066,243 @@ mod tests {
         for run in under_both(1, 2, |_, _| Box::new(Requeue { sent: false })) {
             assert_eq!(run.results[0], 2);
         }
+    }
+
+    /// Messages for the interleaving tests, mirroring the scheduler's
+    /// control-vs-data split.
+    #[derive(Clone, Debug, PartialEq)]
+    enum CtlMsg {
+        Data(usize),
+        Sample(usize),
+        Poison,
+        Shutdown,
+    }
+    use CtlMsg::{Data, Sample};
+
+    fn is_sample(e: &Envelope<CtlMsg>) -> bool {
+        matches!(e.msg, Sample(_))
+    }
+
+    fn is_data(e: &Envelope<CtlMsg>) -> bool {
+        matches!(e.msg, Data(_))
+    }
+
+    #[test]
+    fn multiple_pending_predicates_preserve_arrival_order() {
+        // a predicate pulls its matches out of order; the skipped
+        // messages must re-deliver in the original arrival order
+        let runs = under_both(2, 2, |rank, _| -> Boxed<CtlMsg, Vec<CtlMsg>> {
+            let mut order = Vec::new();
+            Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
+                if rank == 1 {
+                    for m in [Data(0), Sample(10), Data(1), Sample(11), Data(2)] {
+                        v.send(0, m);
+                    }
+                    return Poll::Exit(Vec::new());
+                }
+                // predicate A: samples, twice (buffers the Data around them)
+                while order.len() < 2 {
+                    match v.try_recv_match(is_sample) {
+                        Some(env) => order.push(env.msg),
+                        None => return Poll::Wait(Box::new(is_sample)),
+                    }
+                }
+                // predicate B (anything): the buffered Data, arrival order
+                while order.len() < 5 {
+                    match v.try_recv() {
+                        Some(env) => order.push(env.msg),
+                        None => return Poll::Wait(Box::new(|_| true)),
+                    }
+                }
+                Poll::Exit(std::mem::take(&mut order))
+            }))
+        });
+        for run in runs {
+            let expect = [Sample(10), Sample(11), Data(0), Data(1), Data(2)];
+            assert_eq!(run.results[0], expect);
+        }
+    }
+
+    #[test]
+    fn buffered_redelivery_interleaves_with_live_arrivals() {
+        // a wait predicate buffers early messages; a later receive with
+        // a *different* predicate must still see buffered messages
+        // before newer arrivals
+        let runs = under_both(2, 2, |rank, _| -> Boxed<CtlMsg, Vec<CtlMsg>> {
+            let (mut got, mut sent) = (Vec::new(), false);
+            Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
+                if rank == 1 {
+                    if !std::mem::replace(&mut sent, true) {
+                        v.send(0, Data(7));
+                        v.send(0, Sample(1));
+                    }
+                    // the late message goes out only once rank 0
+                    // confirmed the first two were processed
+                    if v.try_recv().is_none() {
+                        return Poll::Wait(Box::new(|_| true));
+                    }
+                    v.send(0, Data(8));
+                    return Poll::Exit(Vec::new());
+                }
+                if got.is_empty() {
+                    let Some(s) = v.try_recv_match(is_sample) else {
+                        return Poll::Wait(Box::new(is_sample));
+                    };
+                    got.push(s.msg); // Data(7) now buffered
+                    v.send(1, Data(0)); // ack
+                }
+                while got.len() < 3 {
+                    match v.try_recv_match(is_data) {
+                        Some(env) => got.push(env.msg),
+                        None => return Poll::Wait(Box::new(is_data)),
+                    }
+                }
+                Poll::Exit(std::mem::take(&mut got))
+            }))
+        });
+        for run in runs {
+            // buffered Data(7) wins over the live Data(8)
+            assert_eq!(run.results[0], [Sample(1), Data(7), Data(8)]);
+        }
+    }
+
+    #[test]
+    fn poison_and_shutdown_never_starved_behind_buffered_data() {
+        // a teardown-matching wait must find Poison/Shutdown no matter
+        // how much unconsumed data is buffered ahead of them
+        let teardown = |e: &Envelope<CtlMsg>| matches!(e.msg, CtlMsg::Poison | CtlMsg::Shutdown);
+        let runs = under_both(2, 2, |rank, _| -> Boxed<CtlMsg, Vec<CtlMsg>> {
+            let mut seen = Vec::new();
+            Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
+                if rank == 1 {
+                    (0..50).for_each(|i| v.send(0, Data(i)));
+                    v.send(0, CtlMsg::Poison);
+                    (50..100).for_each(|i| v.send(0, Data(i)));
+                    v.send(0, CtlMsg::Shutdown);
+                    return Poll::Exit(Vec::new());
+                }
+                // forces everything into the out-of-order buffer first
+                while seen.len() < 2 {
+                    match v.try_recv_match(teardown) {
+                        Some(env) => seen.push(env.msg),
+                        None => return Poll::Wait(Box::new(teardown)),
+                    }
+                }
+                Poll::Exit(std::mem::take(&mut seen))
+            }))
+        });
+        for run in runs {
+            assert_eq!(run.results[0], [CtlMsg::Poison, CtlMsg::Shutdown]);
+            // the 100 data messages were left unread, which is counted
+            assert_eq!(run.stats.dropped_sends, 100);
+        }
+    }
+
+    #[test]
+    fn already_buffered_match_does_not_block() {
+        // a machine may return `Wait` for a message it left buffered:
+        // the executor must re-poll at once, not suspend the rank —
+        // nothing else is ever sent, so a lost wakeup hangs the pool
+        // (and is a `Deadlock` in virtual time)
+        let runs = under_both(1, 2, |rank, _| -> Boxed<CtlMsg, bool> {
+            let mut sample_taken = false;
+            Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
+                if rank == 1 {
+                    v.send(0, Data(1));
+                    v.send(0, Sample(2));
+                    return Poll::Exit(true);
+                }
+                if sample_taken {
+                    return Poll::Exit(v.try_recv_match(is_data).is_some());
+                }
+                if v.try_recv_match(is_sample).is_none() {
+                    return Poll::Wait(Box::new(is_sample));
+                }
+                // the data that arrived ahead of the sample was pulled
+                // with it and sits in the rank-local buffer
+                sample_taken = true;
+                Poll::Wait(Box::new(is_data))
+            }))
+        });
+        assert!(runs.iter().all(|run| run.results[0]));
+    }
+
+    #[test]
+    fn dropped_sends_to_exited_ranks_are_counted() {
+        // one worker (and millisecond deliveries in virtual time): rank 1
+        // has exited for certain by the time rank 0 reads its message
+        let runs = under_both(1, 2, |rank, _| -> Boxed<CtlMsg, ()> {
+            Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
+                if rank == 0 && v.try_recv().is_none() {
+                    return Poll::Wait(Box::new(|_| true));
+                }
+                v.send(1 - rank, Data(rank));
+                Poll::Exit(())
+            }))
+        });
+        assert!(runs.iter().all(|run| run.stats.dropped_sends == 1));
+    }
+
+    #[test]
+    fn out_of_range_send_is_counted_not_fatal() {
+        // under elastic membership a stale rank index is a routine race:
+        // the send must be dropped and tallied, never panic
+        let runs = under_both(2, 2, |rank, _| -> Boxed<CtlMsg, ()> {
+            Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
+                if rank == 0 {
+                    v.send(99, Data(0));
+                    v.send(7, CtlMsg::Poison);
+                }
+                Poll::Exit(())
+            }))
+        });
+        assert!(runs.iter().all(|run| run.stats.dropped_sends == 2));
+    }
+
+    #[test]
+    fn unread_messages_come_back_at_exit_in_order() {
+        // rank 0 exits with four messages pulled but never consumed and
+        // three never pulled (the elastic leftover path)
+        let is_shutdown = |e: &Envelope<CtlMsg>| matches!(e.msg, CtlMsg::Shutdown);
+        let machine = |rank, _| -> Boxed<CtlMsg, ()> {
+            let mut acked = false;
+            Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
+                if rank == 1 {
+                    if !std::mem::replace(&mut acked, true) {
+                        (0..4).for_each(|i| v.send(0, Data(i)));
+                        v.send(0, CtlMsg::Poison);
+                    }
+                    if v.try_recv().is_none() {
+                        return Poll::Wait(Box::new(|_| true));
+                    }
+                    (4..6).for_each(|i| v.send(0, Data(i)));
+                    v.send(0, CtlMsg::Shutdown);
+                    return Poll::Exit(());
+                }
+                if acked {
+                    // woken by the Shutdown: leave without pulling it
+                    return Poll::Exit(());
+                }
+                if v.try_recv_match(|e| e.msg == CtlMsg::Poison).is_none() {
+                    return Poll::Wait(Box::new(|e| e.msg == CtlMsg::Poison));
+                }
+                acked = true;
+                v.send(1, Data(99));
+                Poll::Wait(Box::new(is_shutdown))
+            }))
+        };
+        // under either executor, unread and not taken back counts as lost
+        let runs = under_both(2, 2, machine);
+        assert!(runs.iter().all(|run| run.stats.dropped_sends == 7));
+        // the pool's host can take it back instead
+        let pool = Runtime::new(2);
+        let shared = pool.host(2, 0..2, Box::new(|_, _| unreachable!("all hosted")));
+        pool.drive(&shared, machine);
+        let unread = shared.hand_off(0).expect("rank 0 exited");
+        let unread: Vec<CtlMsg> = unread.into_iter().map(|env| env.msg).collect();
+        let mut expect: Vec<CtlMsg> = (0..6).map(Data).collect();
+        expect.push(CtlMsg::Shutdown);
+        assert_eq!(unread, expect);
+        assert!(shared.hand_off(0).is_none(), "handed off: hosted elsewhere");
     }
 }

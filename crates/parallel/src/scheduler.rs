@@ -17,14 +17,15 @@
 //! run is configured with and reports ([`ParallelConfig`],
 //! [`ParallelCheckpoint`], [`ParallelReport`]) and the rank layout. What
 //! the roles *do* is written once, as the state machines in
-//! [`crate::roles`]; [`run_parallel`] runs those machines with one OS
-//! thread per rank (the blocking executor, `RankCtx::drive`),
-//! [`crate::run_runtime`] on a worker pool, [`crate::net`] across
-//! processes, [`crate::run_simulated`] in virtual time.
+//! [`crate::roles`]; [`run_parallel`] runs those machines on a worker
+//! pool as wide as the host ([`crate::runtime`]) — as
+//! [`crate::run_runtime`] does on a pool of the caller's choosing and
+//! every [`crate::net`] process for its share of the ranks —
+//! [`crate::run_simulated`] in virtual time.
 
-use crate::comm::{RankCtx, Universe};
 use crate::obs::Tracer;
-use crate::roles::{Run, RuntimeConfig};
+use crate::roles::{run_pool, Run, RuntimeConfig};
+use crate::runtime::Runtime;
 use uq_mlmcmc::coupled::{CoarseSample, MlChain};
 use uq_mlmcmc::ledger::{LedgerLease, LedgerState, PairingMode, ServeOutcome};
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot, RunStore};
@@ -364,9 +365,12 @@ pub(crate) fn poison_sample() -> CoarseSample {
 
 /// Run parallel MLMCMC over the factory's hierarchy.
 ///
-/// Spawns `config.n_ranks()` rank threads (root, phonebook, collectors,
-/// controllers), executes the full schedule and returns the assembled
-/// report. `tracer` may be [`Tracer::disabled`].
+/// Runs `config.n_ranks()` ranks (root, phonebook, one collector per
+/// level, controllers) on a worker pool as wide as the host — at most
+/// [`std::thread::available_parallelism`] threads, however many ranks;
+/// evaluations that wait rather than compute overlap only up to that
+/// width ([`crate::run_runtime`] takes its width from the caller) — and
+/// returns the assembled report. `tracer` may be [`Tracer::disabled`].
 pub fn run_parallel(
     factory: &dyn LevelFactory,
     config: &ParallelConfig,
@@ -401,7 +405,10 @@ pub fn run_parallel_ckpt(
         "run_parallel: ParallelCheckpoint::stop needs a report that can say `preempted` \
          (use run_runtime_ckpt)"
     );
-    let config = RuntimeConfig::blocking(config.clone());
+    let runtime = Runtime::for_host();
+    let config = RuntimeConfig::unsharded(config.clone(), &runtime);
+    // the `Thread` stamp names this entry point's rank layout (one
+    // collector per level), which a net run shares
     let run = Run::new(
         factory,
         &config,
@@ -410,12 +417,7 @@ pub fn run_parallel_ckpt(
         resume,
         Backend::Thread,
     );
-    let outs = Universe::run(config.n_ranks(), |ctx: RankCtx<Msg>| {
-        let mut machine = run.machine(ctx.rank());
-        ctx.drive(&mut *machine).0
-    });
-    let (report, _, _) = Run::root_output(outs);
-    report
+    run_pool(&runtime, &run).report
 }
 
 #[cfg(test)]
@@ -424,42 +426,17 @@ mod tests {
     use crate::roles::policy::{self, Exec, GaussianHierarchy};
 
     #[test]
-    fn two_level_parallel_run_completes() {
-        policy::two_level_run_completes(Exec::Blocking);
-    }
-
-    #[test]
-    fn three_level_estimate_matches_truth() {
-        policy::three_level_estimate_matches_truth(Exec::Blocking);
-    }
-
-    #[test]
-    fn load_balancer_disabled_still_completes() {
-        policy::load_balancer_disabled_still_completes(Exec::Blocking);
-    }
-
-    #[test]
-    fn recording_returns_samples_and_pairs() {
-        policy::recording_returns_samples_and_pairs(Exec::Blocking);
-    }
-
-    #[test]
-    fn tracer_captures_burnin_and_evals() {
-        policy::tracer_captures_burnin_and_evals(Exec::Blocking);
-    }
-
-    #[test]
     fn thread_resume_from_every_snapshot_is_bit_identical() {
         // two levels: the serving chains are base chains, so serve legs
         // make no nested coarse requests and every ledger session sees a
-        // deterministic request order — the regime where one thread per
-        // rank, and any delivery order the simulator draws, is
-        // bit-reproducible (three-level runs interleave own-step and
-        // serve-leg requests on mid-level sessions by arrival order; see
-        // DESIGN.md §7)
+        // deterministic request order — the regime where a pool of any
+        // width (here two workers), and any delivery order the simulator
+        // draws, is bit-reproducible (three-level runs interleave
+        // own-step and serve-leg requests on mid-level sessions by
+        // arrival order; see DESIGN.md §7)
         let mut config = ParallelConfig::new(vec![300, 120], vec![1, 1]);
         config.burn_in = vec![30, 20];
-        for exec in [Exec::Blocking, Exec::Sim { seed: 11 }] {
+        for exec in [policy::EXECS[1], Exec::Sim { seed: 11 }] {
             let h = GaussianHierarchy::two_level();
             policy::resume_from_every_snapshot_is_bit_identical(exec, &h, config.clone(), 7);
         }

@@ -624,7 +624,6 @@ fn predict_solo(eval_secs: &[f64], factory: &dyn LevelFactory, spec: &JobSpec) -
         burn_in: spec.config.base.burn_in.clone(),
         subsampling: (0..n_levels).map(|l| factory.subsampling_rate(l)).collect(),
         chains_per_level: spec.config.base.chains_per_level.clone(),
-        group_size: 1,
         phonebook_service_time: 0.0,
         collector_service_time: 0.0,
         load_balancing: false,

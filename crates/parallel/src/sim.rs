@@ -1,5 +1,5 @@
-//! The virtual-time executor: the third way to drive [`VirtualRank`]
-//! machines, single-threaded and seeded.
+//! The virtual-time executor: the other way to drive [`VirtualRank`]
+//! machines besides the pool, single-threaded and seeded.
 //!
 //! What is simulated is **time and delivery**, nothing else. Every rank
 //! has a virtual clock. A send is stamped with the sender's clock plus a
@@ -8,7 +8,7 @@
 //! the latency and twice that and never overtake an earlier message of
 //! the same sender to the same destination: any two hops take longer
 //! than any one, so delivery is per-pair FIFO and causally ordered —
-//! what every live transport guarantees (channels enqueue at send time,
+//! what every live transport guarantees (pool slots enqueue at send time,
 //! the net star relays in order, DESIGN §9.2) and no more. The next rank
 //! polled is always the runnable or wakeable one with the least virtual
 //! time, ties broken from the seed, so no rank is ever handed a message
@@ -21,8 +21,7 @@
 //! simulated run is a deterministic function of its seed, and a run that
 //! cannot finish is a [`SimError`] carrying that seed, never a hang.
 
-use crate::comm::Envelope;
-use crate::runtime::{Poll, Port, RuntimeRun, RuntimeStats, VCtx, VirtualRank, WaitPred};
+use crate::runtime::{Envelope, Poll, Port, RuntimeRun, RuntimeStats, VCtx, VirtualRank, WaitPred};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cell::{RefCell, RefMut};
@@ -284,7 +283,7 @@ impl<M: Send> Port<M> for Sim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::tests::FnRank;
+    use crate::runtime::tests::FnRank;
 
     type Machine = Box<dyn VirtualRank<usize, Output = Vec<usize>> + Send>;
 

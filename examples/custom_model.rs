@@ -4,7 +4,7 @@
 //! an uncertain rate and capacity, observed at a few times), defines a
 //! two-level hierarchy by time-step refinement, and runs both the
 //! sequential estimator and the **parallel scheduler** (root / phonebook /
-//! collectors / controllers on threads) on it.
+//! collectors / controllers on a worker pool) on it.
 //!
 //! ```sh
 //! cargo run --release --example custom_model

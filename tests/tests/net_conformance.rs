@@ -16,21 +16,31 @@
 //! and phonebook sessions migrate to the driver), a joiner is admitted
 //! at the second (ranks donated back out), a second joiner is never
 //! admitted and must be turned away cleanly — and the run still
-//! completes with the correct estimate. The last test repeats the
+//! completes with the correct estimate. A peer that connects and never
+//! says `Hello` must not hold a finished run, and a driver that hangs up
+//! on a worker's `Bye` must not fail the worker. The last test repeats the
 //! static and the elastic case with every worker a separate OS process
-//! (the test binary re-executing itself, an OS-assigned port).
+//! (the test binary re-executing itself, an OS-assigned port) and counts
+//! the threads of a worker process hosting 64 controllers.
 //!
 //! Fixture: the tight-ridge two-level Gaussian hierarchy (fine
 //! `N(0.35, 0.12²)`, coarse `N(0, 0.15²)`, `ρ = 2`).
 
 use std::env;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::process::Child;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
+use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::store::RunStore;
+use uq_mlmcmc::LevelFactory;
+use uq_parallel::scheduler::Msg;
 use uq_parallel::{
-    levels_digest, run_net_worker, run_parallel, run_runtime, Counter, NetDriver, NetDriverOptions,
-    NetReport, NetWorkerOptions, NetWorkerReport, ParallelConfig, RuntimeConfig, Tracer,
+    encode_frame, levels_digest, run_net_worker, run_parallel, run_runtime, Counter, Frame,
+    NetDriver, NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport, ParallelConfig,
+    RuntimeConfig, Tracer,
 };
 
 #[path = "common/reexec.rs"]
@@ -133,10 +143,10 @@ fn moment_bits(levels: &[uq_parallel::scheduler::ParallelLevelReport]) -> Vec<Ve
         .collect()
 }
 
-/// One set of role machines, three ways to drive them: one OS thread
-/// per rank, a single pool worker, and a pool with as many workers as
-/// ranks (every rank runnable at once, work stealing live). In the
-/// deterministic regime the executor must not show in the digest.
+/// One set of role machines on pools of three widths: the host's
+/// (`run_parallel`), a single worker, and as many workers as ranks (every
+/// rank runnable at once, work stealing live). In the deterministic
+/// regime the pool's width must not show in the digest.
 #[test]
 fn executors_agree_on_the_deterministic_config() {
     let config = config(300, 100, 15_2026);
@@ -301,6 +311,102 @@ fn net_elastic_leave_and_join_completes_with_correct_estimate() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A peer dials in after the rendezvous and says nothing for the whole
+/// run. The listener reads its `Hello` under a deadline and hangs up;
+/// without one it reads for ever, and the driver — which joins its
+/// listener at teardown — never returns from a finished run.
+#[test]
+fn a_silent_peer_cannot_hold_a_finished_run() {
+    let config = config(300, 100, 19_2026);
+    let expected = in_process_digest(&config);
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let opts = NetDriverOptions {
+            workers: 2,
+            every: 0,
+            store: None,
+            config_hash: 0,
+        };
+        let tracer = Tracer::new();
+        let (net, (workers, silent)) = run_driver(&config, &opts, &tracer, |addr| {
+            let dial = |addr: String| {
+                let w = NetWorkerOptions {
+                    connect: addr,
+                    ..worker()
+                };
+                std::thread::spawn(move || run_net_worker(Arc::new(Ridge), &w, &Tracer::disabled()))
+            };
+            let workers = [dial(addr.to_string()), dial(addr.to_string())];
+            // once both Hellos are read the rendezvous accepts nothing
+            // further: this connection is the mid-run listener's
+            let (tracer, addr) = (tracer.clone(), addr.to_string());
+            let silent = std::thread::spawn(move || {
+                while tracer.counter(Counter::NetFramesIn) < 2 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                TcpStream::connect(addr).expect("dial the driver")
+            });
+            (workers, silent)
+        });
+        // still connected, still silent, when the driver came back
+        let _silent = silent.join().expect("silent peer panicked");
+        for w in workers {
+            w.join().expect("worker thread panicked");
+        }
+        let _ = done_tx.send(levels_digest(&net.report.levels));
+    });
+    let digest = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the driver never returned: a silent peer holds its listener");
+    assert_eq!(digest, expected);
+}
+
+/// A driver may hang up the moment it has read a worker's `Bye`, and the
+/// worker must take that end of file as the end of the run however late
+/// its own threads get to run: its reader has to know that the `Bye` is
+/// out before the `Bye` is on the wire, or a hang-up that wins the race
+/// reads as "net worker: connection to driver lost". The driver here is
+/// a script that never decodes: the worker's last bytes are the `Bye`'s.
+#[test]
+fn a_driver_that_hangs_up_on_the_bye_ends_the_worker_cleanly() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let config = config(40, 10, 7);
+    let top = config.n_ranks() - 1;
+    let assign = encode_frame(&Frame::Assign {
+        n_ranks: config.n_ranks(),
+        ranks: vec![top],
+        config: config.clone(),
+        ckpts: vec![],
+        leftovers: vec![],
+    });
+    let stop = encode_frame(&Frame::Data {
+        to: top,
+        from: 0,
+        msg: Msg::Shutdown,
+    });
+    let bye = encode_frame(&Frame::Bye { leftovers: vec![] });
+    for _ in 0..40 {
+        let w = NetWorkerOptions {
+            connect: addr.clone(),
+            ..worker()
+        };
+        let worker =
+            std::thread::spawn(move || run_net_worker(Arc::new(Ridge), &w, &Tracer::disabled()));
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream.write_all(&assign).expect("Assign");
+        stream.write_all(&stop).expect("Shutdown");
+        let (mut seen, mut chunk) = (Vec::new(), [0; 4096]);
+        while !seen.ends_with(&bye) {
+            let n = stream.read(&mut chunk).expect("read from the worker");
+            assert!(n > 0, "the worker hung up without a Bye");
+            seen.extend_from_slice(&chunk[..n]);
+        }
+        drop(stream);
+        assert!(!worker.join().expect("worker panicked").retired);
+    }
+}
+
 // ---------------------------------------------------------------------
 // workers as separate OS processes (`common/reexec.rs`)
 // ---------------------------------------------------------------------
@@ -308,8 +414,47 @@ fn net_elastic_leave_and_join_completes_with_correct_estimate() {
 const ROLE_ENV: &str = "UQ_NET_ROLE";
 const ADDR_ENV: &str = "UQ_NET_ADDR";
 
+/// [`Ridge`], every evaluation noting how many threads its process runs
+/// (`Threads:` in `/proc/self/status`) into a running maximum.
+struct ThreadCensus(Arc<AtomicUsize>);
+
+struct Counted(Box<dyn SamplingProblem>, Arc<AtomicUsize>);
+
+impl SamplingProblem for Counted {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn log_density(&mut self, theta: &[f64]) -> f64 {
+        let status = std::fs::read_to_string("/proc/self/status").expect("read procfs");
+        let threads = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+        let threads = threads.expect("a Threads: line").trim().parse();
+        self.1
+            .fetch_max(threads.expect("a thread count"), Ordering::Relaxed);
+        self.0.log_density(theta)
+    }
+}
+
+impl LevelFactory for ThreadCensus {
+    fn n_levels(&self) -> usize {
+        Ridge.n_levels()
+    }
+    fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
+        Box::new(Counted(Ridge.problem(level), Arc::clone(&self.0)))
+    }
+    fn proposal(&self, level: usize) -> Box<dyn Proposal> {
+        Ridge.proposal(level)
+    }
+    fn subsampling_rate(&self, level: usize) -> usize {
+        Ridge.subsampling_rate(level)
+    }
+    fn starting_point(&self, level: usize) -> Vec<f64> {
+        Ridge.starting_point(level)
+    }
+}
+
 /// This test binary again, as a worker process dialling `addr`; `role`
-/// is `worker`, `leave` (depart at barrier 1) or `join`.
+/// is `worker`, `leave` (depart at barrier 1), `join` or `census` (count
+/// the process's threads during every evaluation).
 fn worker_process(role: &str, addr: &str) -> Child {
     spawn_self(
         "net_worker_processes_match_in_process_and_migrate",
@@ -325,7 +470,22 @@ fn net_worker_processes_match_in_process_and_migrate() {
             join: role == "join",
             leave_at_barrier: (role == "leave").then_some(1),
         };
-        run_net_worker(Arc::new(Ridge), &opts, &Tracer::disabled());
+        let most = Arc::new(AtomicUsize::new(0));
+        let factory: Arc<dyn LevelFactory> = match role.as_str() {
+            "census" => Arc::new(ThreadCensus(Arc::clone(&most))),
+            _ => Arc::new(Ridge),
+        };
+        let hosted = run_net_worker(factory, &opts, &Tracer::disabled())
+            .ranks
+            .len();
+        // the pool, uplink, downlink, this test's thread and libtest's
+        // main — however many ranks are hosted
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let most = most.load(Ordering::Relaxed);
+        assert!(
+            most <= cores + 4,
+            "{most} threads on {cores} cores hosting {hosted} ranks"
+        );
         return;
     }
 
@@ -347,6 +507,27 @@ fn net_worker_processes_match_in_process_and_migrate() {
         "a worker in its own process diverged from the in-process backends"
     );
     assert_eq!(net.migrations, 0);
+
+    // two processes again, the worker hosting 32 + 32 controllers: its
+    // thread count follows its cores, not its ranks (asserted from
+    // inside, where `Threads:` can be read)
+    #[cfg(target_os = "linux")]
+    {
+        let mut wide = config(6000, 1600, 19_2026);
+        wide.chains_per_level = vec![32, 32];
+        wide.burn_in = vec![50, 100];
+        let (net, worker) = run_driver(&wide, &opts, &Tracer::disabled(), |addr| {
+            worker_process("census", addr)
+        });
+        expect_success(worker, "thread-census worker process");
+        assert_eq!(net.report.levels[0].n_samples, 6000);
+        assert_eq!(net.report.levels[1].n_samples, 1600);
+        let est = net.report.expectation()[0];
+        assert!(
+            (est - FINE_MEAN).abs() < 0.1,
+            "estimate {est} drifted from the fine mean {FINE_MEAN} on 64 controllers"
+        );
+    }
 
     // four processes: one worker departs at the first barrier, a joiner
     // dials in mid-run and is donated the re-hosted rank at a later one
