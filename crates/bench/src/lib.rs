@@ -1,8 +1,9 @@
 //! # uq-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper
-//! (see DESIGN.md §4 for the experiment index) plus Criterion
-//! micro-benchmarks of the underlying kernels.
+//! (see DESIGN.md §4 for the experiment index). Nothing here times
+//! anything: measuring is the job of the repo's benchmark (`benchmark/`),
+//! whose kernel ladder takes its fixtures from [`pipeline_bench`].
 //!
 //! Each experiment is a binary under `src/bin/`; all of them accept
 //! `--paper` to run at the paper's full scale and default to CI-sized
@@ -139,11 +140,9 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Shared fixtures for the forward-solve-pipeline benchmarks, used by
-/// both the criterion harnesses (`benches/kernels.rs`,
-/// `benches/models.rs`) and the repo's benchmark (`benchmark/`) so all
-/// of them measure the same κ field, multigrid hierarchy and θ chain —
-/// a tweak in one place cannot silently diverge from the others.
+/// Fixtures of the forward-solve-pipeline rungs of the repo's benchmark
+/// (`benchmark/src/ladder.rs`): the κ field, multigrid hierarchy and θ
+/// chain they measure.
 pub mod pipeline_bench {
     use rand::rngs::StdRng;
     use rand::SeedableRng;

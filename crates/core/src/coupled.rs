@@ -31,6 +31,7 @@
 //! [`CoarseSample::mate`] for the unbiased estimator pairing.
 
 use crate::factory::LevelFactory;
+use crate::ledger::PairingMode;
 use rand::Rng;
 use uq_mcmc::kernel::{mh_step, SamplingState};
 use uq_mcmc::{Proposal, SamplingProblem};
@@ -317,11 +318,29 @@ impl MlChain {
     /// Equals [`last_coarse`](Self::last_coarse) for sources without a
     /// ledger session; `None` for level-0 chains or before the first
     /// step. This is the `Q_{l-1}` half of the correction pair under
-    /// [`PairingMode::Ledger`](crate::ledger::PairingMode::Ledger).
+    /// [`PairingMode::Ledger`].
     pub fn last_pairing(&self) -> Option<&CoarseSample> {
         match &self.kind {
             Kind::Base { .. } => None,
             Kind::Coupled { last_pairing, .. } => last_pairing.as_ref(),
+        }
+    }
+
+    /// The telescoping-term sample `y` of the most recent step: the
+    /// current QOI minus that of the coarse sample `pairing` selects
+    /// ([`last_coarse`](Self::last_coarse) or
+    /// [`last_pairing`](Self::last_pairing)); the bare QOI on level 0.
+    pub fn correction(&self, pairing: PairingMode) -> Vec<f64> {
+        let paired = match pairing {
+            PairingMode::Proposal => self.last_coarse(),
+            PairingMode::Ledger => self.last_pairing(),
+        };
+        match paired {
+            None => self.state.qoi.clone(),
+            Some(coarse) => {
+                let fine = self.state.qoi.iter();
+                fine.zip(&coarse.qoi).map(|(f, c)| f - c).collect()
+            }
         }
     }
 
@@ -707,13 +726,20 @@ impl CoarseProposalSource for PendingCoarseSource {
     }
 }
 
-/// Build the full recursive chain stack for `level` from a factory:
-/// level 0 is a base chain, each higher level wraps the one below as its
-/// coarse-proposal source (subsampled at `factory.subsampling_rate`).
-pub fn build_chain_stack(factory: &dyn LevelFactory, level: usize) -> MlChain {
+/// The level-`level` chain of `factory`'s hierarchy: a base chain on
+/// level 0; above it a coupled chain whose starting point takes its
+/// coarse component from the next-coarser one (Algorithm 2) and whose
+/// proposals come from `source(level - 1)` — a [`ChainCoarseSource`] for
+/// the sequential stack ([`build_chain_stack`]), a
+/// [`PendingCoarseSource`] for a parallel controller.
+pub fn build_chain(
+    factory: &dyn LevelFactory,
+    level: usize,
+    source: impl FnOnce(usize) -> Box<dyn CoarseProposalSource>,
+) -> MlChain {
     assert!(
         level < factory.n_levels(),
-        "build_chain_stack: level out of range"
+        "build_chain: level out of range"
     );
     if level == 0 {
         return MlChain::base(
@@ -722,21 +748,31 @@ pub fn build_chain_stack(factory: &dyn LevelFactory, level: usize) -> MlChain {
             factory.starting_point(0),
         );
     }
-    let coarse_chain = build_chain_stack(factory, level - 1);
+    let source = source(level - 1);
     let coarse_dim = factory.starting_point(level - 1).len();
-    // Algorithm 2: the fine starting point takes its coarse component from
-    // the next-coarser starting point
     let mut theta0 = factory.starting_point(level);
     theta0[..coarse_dim].copy_from_slice(&factory.starting_point(level - 1));
-    let source = ChainCoarseSource::new(coarse_chain, factory.subsampling_rate(level - 1));
     MlChain::coupled(
         level,
         factory.problem(level),
-        Box::new(source),
+        source,
         factory.proposal(level),
         coarse_dim,
         theta0,
     )
+}
+
+/// Build the full recursive chain stack for `level` from a factory:
+/// each level above 0 owns the stack below it as its coarse-proposal
+/// source (subsampled at `factory.subsampling_rate`).
+pub fn build_chain_stack(factory: &dyn LevelFactory, level: usize) -> MlChain {
+    build_chain(factory, level, |coarse| {
+        let stack = build_chain_stack(factory, coarse);
+        Box::new(ChainCoarseSource::new(
+            stack,
+            factory.subsampling_rate(coarse),
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! degenerating the correction to zero. See DESIGN.md §5 for the full
 //! discussion and measured trade-off.
 
-use crate::counting::{CountingProblem, EvalCounter};
+use crate::counting::{EvalCounter, Hooked};
 use crate::coupled::{build_chain_stack, MlChain};
 use crate::factory::LevelFactory;
 use crate::ledger::PairingMode;
@@ -32,7 +32,6 @@ use crate::store::{Backend, LevelReportCkpt, RunSnapshot, RunStore, SequentialCk
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uq_mcmc::stats::{integrated_autocorrelation_time, VectorMoments};
-use uq_mcmc::{Proposal, SamplingProblem};
 
 /// Configuration of a sequential MLMCMC run.
 #[derive(Clone, Debug)]
@@ -156,144 +155,6 @@ impl MlmcmcReport {
     }
 }
 
-/// A factory adapter that wraps every produced problem in a
-/// [`CountingProblem`] sharing per-level counters.
-struct CountingFactory<'a> {
-    inner: &'a dyn LevelFactory,
-    counters: Vec<EvalCounter>,
-}
-
-impl LevelFactory for CountingFactory<'_> {
-    fn n_levels(&self) -> usize {
-        self.inner.n_levels()
-    }
-
-    fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
-        Box::new(CountingProblem::new(
-            self.inner.problem(level),
-            self.counters[level].clone(),
-        ))
-    }
-
-    fn proposal(&self, level: usize) -> Box<dyn Proposal> {
-        self.inner.proposal(level)
-    }
-
-    fn subsampling_rate(&self, level: usize) -> usize {
-        self.inner.subsampling_rate(level)
-    }
-
-    fn starting_point(&self, level: usize) -> Vec<f64> {
-        self.inner.starting_point(level)
-    }
-}
-
-/// Run one telescoping term (the level-`l` chain) and report it.
-fn run_term(
-    chain: &mut MlChain,
-    level: usize,
-    n_samples: usize,
-    burn_in: usize,
-    config: &MlmcmcConfig,
-    rng: &mut dyn Rng,
-) -> (VectorMoments, LevelReport) {
-    for _ in 0..burn_in {
-        chain.step(rng);
-    }
-    let qoi_dim = chain.state().qoi.len();
-    let mut moments = VectorMoments::new(qoi_dim);
-    let mut rep_trace = Vec::with_capacity(n_samples);
-    let mut theta_samples = Vec::new();
-    let mut qoi_samples = Vec::new();
-    let mut correction_pairs = Vec::new();
-    let rep = config
-        .representative_component
-        .min(qoi_dim.saturating_sub(1));
-    for _ in 0..n_samples {
-        chain.step(rng);
-        let fine_qoi = chain.state().qoi.clone();
-        let paired = match config.pairing {
-            PairingMode::Proposal => chain.last_coarse(),
-            PairingMode::Ledger => chain.last_pairing(),
-        };
-        let correction: Vec<f64> = match paired {
-            None => fine_qoi.clone(),
-            Some(coarse) => fine_qoi
-                .iter()
-                .zip(&coarse.qoi)
-                .map(|(f, c)| f - c)
-                .collect(),
-        };
-        moments.push(&correction);
-        rep_trace.push(fine_qoi[rep]);
-        if config.record_samples {
-            theta_samples.push(chain.state().theta.clone());
-            if let Some(coarse) = chain.last_coarse() {
-                correction_pairs.push((coarse.qoi.clone(), fine_qoi.clone()));
-            }
-            qoi_samples.push(fine_qoi);
-        }
-    }
-    let report = LevelReport {
-        level,
-        n_samples,
-        acceptance_rate: chain.acceptance_rate(),
-        mean_correction: moments.mean(),
-        var_correction: moments.variance(),
-        iact: integrated_autocorrelation_time(&rep_trace),
-        evaluations: 0, // filled in by the driver from the counters
-        mean_eval_ms: 0.0,
-        theta_samples,
-        qoi_samples,
-        correction_pairs,
-    };
-    (moments, report)
-}
-
-/// Sequential multilevel MCMC (paper Algorithm 2 driven level by level).
-///
-/// Runs a conventional chain on level 0 and one coupled chain per
-/// correction term, each with its own recursive coarse stack, and
-/// assembles the telescoping report.
-pub fn run_sequential(
-    factory: &dyn LevelFactory,
-    config: &MlmcmcConfig,
-    rng: &mut dyn Rng,
-) -> MlmcmcReport {
-    let n_levels = config.samples_per_level.len();
-    assert!(n_levels >= 1, "run_sequential: need at least one level");
-    assert!(
-        n_levels <= factory.n_levels(),
-        "run_sequential: more levels requested than the factory provides"
-    );
-    let counting = CountingFactory {
-        inner: factory,
-        counters: (0..factory.n_levels())
-            .map(|_| EvalCounter::new())
-            .collect(),
-    };
-    let mut levels = Vec::with_capacity(n_levels);
-    for level in 0..n_levels {
-        let mut chain = build_chain_stack(&counting, level);
-        let (_, mut report) = run_term(
-            &mut chain,
-            level,
-            config.samples_per_level[level],
-            config.burn_in[level],
-            config,
-            rng,
-        );
-        levels.push(report.clone());
-        report.theta_samples.clear();
-    }
-    // distribute evaluation counts (shared across terms) to the reports
-    for (level, report) in levels.iter_mut().enumerate() {
-        report.evaluations = counting.counters[level].evaluations();
-        report.mean_eval_ms = counting.counters[level].mean_eval_ms();
-    }
-    MlmcmcReport { levels }
-}
-
 impl LevelReportCkpt {
     fn from_report(report: &LevelReport) -> Self {
         LevelReportCkpt {
@@ -326,24 +187,6 @@ impl LevelReportCkpt {
     }
 }
 
-/// Post-snapshot hook, called with `(snapshot ordinal, content hash)`.
-pub type SnapshotHook<'a> = dyn Fn(usize, &str) + 'a;
-
-/// Where and how often the checkpointable sequential driver snapshots.
-pub struct CheckpointSpec<'a> {
-    /// Destination run store.
-    pub store: &'a RunStore,
-    /// Configuration hash stamped into each snapshot header (resume
-    /// refuses snapshots taken under a different configuration).
-    pub config_hash: u64,
-    /// Snapshot every `every` recorded samples (global count across
-    /// all telescoping terms; burn-in steps never checkpoint).
-    pub every: usize,
-    /// Called after each snapshot with `(ordinal, content hash)` — the
-    /// crash-injection harness aborts the process from here.
-    pub on_snapshot: Option<&'a SnapshotHook<'a>>,
-}
-
 /// In-progress accumulators of one telescoping term.
 struct TermCursor {
     moments: VectorMoments,
@@ -367,9 +210,203 @@ impl TermCursor {
     }
 }
 
-/// Checkpointable sequential MLMCMC: [`run_sequential`] with the same
-/// step-for-step RNG call order, plus periodic consistent snapshots to
-/// a [`RunStore`] and the ability to resume from one bit-for-bit.
+/// The run between two samples, as [`sample_terms`] shows it to its
+/// "after sample" hook: everything a snapshot is cut from.
+struct Cut<'a> {
+    /// Samples recorded so far, all terms together.
+    total_recorded: usize,
+    level: usize,
+    term: &'a TermCursor,
+    chain: &'a MlChain,
+    completed: &'a [LevelReport],
+    counters: &'a [EvalCounter],
+    eval_offsets: &'a [usize],
+}
+
+impl Cut<'_> {
+    /// The resume cursor of this cut, with the generator at `rng`.
+    fn cursor(&self, rng: [u64; 4]) -> SequentialCkpt {
+        let term = self.term;
+        SequentialCkpt {
+            level: self.level,
+            samples_done: term.samples_done,
+            chain: self.chain.export_state(),
+            rng,
+            moments: term.moments.parts(),
+            rep_trace: term.rep_trace.clone(),
+            theta_samples: term.theta_samples.clone(),
+            qoi_samples: term.qoi_samples.clone(),
+            correction_pairs: term.correction_pairs.clone(),
+            completed: self
+                .completed
+                .iter()
+                .map(LevelReportCkpt::from_report)
+                .collect(),
+            eval_offsets: self
+                .counters
+                .iter()
+                .zip(self.eval_offsets)
+                .map(|(c, off)| c.evaluations() + off)
+                .collect(),
+        }
+    }
+}
+
+/// The sampling loop of both sequential drivers: a conventional chain on
+/// level 0 and one coupled chain per correction term, each with its own
+/// recursive coarse stack, from `cursor` (the start, with `None`) to the
+/// end; `after_sample` sees the generator and the [`Cut`] after every
+/// recorded sample (burn-in steps are not samples).
+fn sample_terms<R: Rng>(
+    factory: &dyn LevelFactory,
+    config: &MlmcmcConfig,
+    rng: &mut R,
+    cursor: Option<&SequentialCkpt>,
+    mut after_sample: impl FnMut(&R, &Cut<'_>),
+) -> MlmcmcReport {
+    let n_levels = config.samples_per_level.len();
+    assert!(n_levels >= 1, "run_sequential: need at least one level");
+    assert!(
+        n_levels <= factory.n_levels(),
+        "run_sequential: more levels requested than the factory provides"
+    );
+    let fresh = (0..factory.n_levels()).map(|_| EvalCounter::new());
+    let counting = Hooked::new(factory, fresh.collect::<Vec<_>>());
+    let counters = counting.hook();
+
+    let mut eval_offsets = vec![0usize; factory.n_levels()];
+    let mut levels: Vec<LevelReport> = Vec::with_capacity(n_levels);
+    if let Some(c) = cursor {
+        for (dst, &off) in eval_offsets.iter_mut().zip(&c.eval_offsets) {
+            *dst = off;
+        }
+        let completed = c.completed.iter().cloned();
+        levels.extend(completed.map(LevelReportCkpt::into_report));
+    }
+    let mut total_recorded: usize = levels.iter().map(|l| l.n_samples).sum();
+
+    for level in cursor.map_or(0, |c| c.level)..n_levels {
+        let resuming_term = cursor.filter(|c| c.level == level);
+        let pre_build: Vec<usize> = counters.iter().map(|c| c.evaluations()).collect();
+        let mut chain = build_chain_stack(&counting, level);
+        if resuming_term.is_some() {
+            // rebuilding the stack re-evaluates each level's initial
+            // state; the original construction is already inside the
+            // offsets, so discount the rebuild to keep counts exact
+            for (k, counter) in counters.iter().enumerate() {
+                let rebuild = counter.evaluations() - pre_build[k];
+                debug_assert!(eval_offsets[k] >= rebuild);
+                eval_offsets[k] = eval_offsets[k].saturating_sub(rebuild);
+            }
+        }
+        let mut term = match resuming_term {
+            None => {
+                for _ in 0..config.burn_in[level] {
+                    chain.step(rng);
+                }
+                TermCursor::fresh(chain.state().qoi.len())
+            }
+            Some(c) => {
+                chain.import_state(c.chain.clone());
+                TermCursor {
+                    moments: VectorMoments::from_parts(&c.moments),
+                    rep_trace: c.rep_trace.clone(),
+                    theta_samples: c.theta_samples.clone(),
+                    qoi_samples: c.qoi_samples.clone(),
+                    correction_pairs: c.correction_pairs.clone(),
+                    samples_done: c.samples_done,
+                }
+            }
+        };
+        let n_samples = config.samples_per_level[level];
+        let qoi_dim = chain.state().qoi.len();
+        let rep = config
+            .representative_component
+            .min(qoi_dim.saturating_sub(1));
+        while term.samples_done < n_samples {
+            chain.step(rng);
+            let fine_qoi = chain.state().qoi.clone();
+            term.moments.push(&chain.correction(config.pairing));
+            term.rep_trace.push(fine_qoi[rep]);
+            if config.record_samples {
+                term.theta_samples.push(chain.state().theta.clone());
+                if let Some(coarse) = chain.last_coarse() {
+                    term.correction_pairs
+                        .push((coarse.qoi.clone(), fine_qoi.clone()));
+                }
+                term.qoi_samples.push(fine_qoi);
+            }
+            term.samples_done += 1;
+            total_recorded += 1;
+            after_sample(
+                rng,
+                &Cut {
+                    total_recorded,
+                    level,
+                    term: &term,
+                    chain: &chain,
+                    completed: &levels,
+                    counters,
+                    eval_offsets: &eval_offsets,
+                },
+            );
+        }
+        levels.push(LevelReport {
+            level,
+            n_samples,
+            acceptance_rate: chain.acceptance_rate(),
+            mean_correction: term.moments.mean(),
+            var_correction: term.moments.variance(),
+            iact: integrated_autocorrelation_time(&term.rep_trace),
+            evaluations: 0,
+            mean_eval_ms: 0.0,
+            theta_samples: term.theta_samples,
+            qoi_samples: term.qoi_samples,
+            correction_pairs: term.correction_pairs,
+        });
+    }
+    // evaluation counts are shared across terms: fill them in last
+    for (level, report) in levels.iter_mut().enumerate() {
+        report.evaluations = counters[level].evaluations() + eval_offsets[level];
+        report.mean_eval_ms = counters[level].mean_eval_ms();
+    }
+    MlmcmcReport { levels }
+}
+
+/// Sequential multilevel MCMC (paper Algorithm 2 driven level by level).
+///
+/// Runs a conventional chain on level 0 and one coupled chain per
+/// correction term, each with its own recursive coarse stack, and
+/// assembles the telescoping report.
+pub fn run_sequential(
+    factory: &dyn LevelFactory,
+    config: &MlmcmcConfig,
+    mut rng: &mut dyn Rng,
+) -> MlmcmcReport {
+    sample_terms(factory, config, &mut rng, None, |_, _| {})
+}
+
+/// Post-snapshot hook, called with `(snapshot ordinal, content hash)`.
+pub type SnapshotHook<'a> = dyn Fn(usize, &str) + 'a;
+
+/// Where and how often the checkpointable sequential driver snapshots.
+pub struct CheckpointSpec<'a> {
+    /// Destination run store.
+    pub store: &'a RunStore,
+    /// Configuration hash stamped into each snapshot header (resume
+    /// refuses snapshots taken under a different configuration).
+    pub config_hash: u64,
+    /// Snapshot every `every` recorded samples (global count across
+    /// all telescoping terms; burn-in steps never checkpoint).
+    pub every: usize,
+    /// Called after each snapshot with `(ordinal, content hash)` — the
+    /// crash-injection harness aborts the process from here.
+    pub on_snapshot: Option<&'a SnapshotHook<'a>>,
+}
+
+/// Checkpointable sequential MLMCMC: the loop of [`run_sequential`],
+/// plus periodic consistent snapshots to a [`RunStore`] and the ability
+/// to resume from one bit-for-bit.
 ///
 /// Unlike [`run_sequential`] this driver owns its RNG (seeded from
 /// `seed`, or restored from the snapshot's captured stream position on
@@ -394,22 +431,6 @@ pub fn run_sequential_ckpt(
     checkpoint: Option<&CheckpointSpec<'_>>,
     resume: Option<&RunSnapshot>,
 ) -> MlmcmcReport {
-    let n_levels = config.samples_per_level.len();
-    assert!(
-        n_levels >= 1,
-        "run_sequential_ckpt: need at least one level"
-    );
-    assert!(
-        n_levels <= factory.n_levels(),
-        "run_sequential_ckpt: more levels requested than the factory provides"
-    );
-    let counting = CountingFactory {
-        inner: factory,
-        counters: (0..factory.n_levels())
-            .map(|_| EvalCounter::new())
-            .collect(),
-    };
-
     let cursor = resume.map(|snap| {
         assert_eq!(
             snap.backend,
@@ -425,154 +446,34 @@ pub fn run_sequential_ckpt(
             .as_ref()
             .expect("sequential snapshot missing its cursor section")
     });
-
     let mut rng = match cursor {
         None => StdRng::seed_from_u64(seed),
         Some(c) => StdRng::from_state(c.rng),
     };
-    let mut eval_offsets = vec![0usize; factory.n_levels()];
-    let mut levels: Vec<LevelReport> = Vec::with_capacity(n_levels);
-    let start_level = match cursor {
-        None => 0,
-        Some(c) => {
-            for (dst, &off) in eval_offsets.iter_mut().zip(&c.eval_offsets) {
-                *dst = off;
-            }
-            levels.extend(
-                c.completed
-                    .iter()
-                    .cloned()
-                    .map(LevelReportCkpt::into_report),
-            );
-            c.level
-        }
-    };
-    let mut total_recorded: usize = levels.iter().map(|l| l.n_samples).sum();
     let mut snapshots_taken = 0usize;
-
-    for level in start_level..n_levels {
-        let resuming_term = cursor.filter(|c| c.level == level);
-        let pre_build: Vec<usize> = counting.counters.iter().map(|c| c.evaluations()).collect();
-        let mut chain = build_chain_stack(&counting, level);
-        if resuming_term.is_some() {
-            // rebuilding the stack re-evaluates each level's initial
-            // state; the original construction is already inside the
-            // offsets, so discount the rebuild to keep counts exact
-            for (k, counter) in counting.counters.iter().enumerate() {
-                let rebuild = counter.evaluations() - pre_build[k];
-                debug_assert!(eval_offsets[k] >= rebuild);
-                eval_offsets[k] = eval_offsets[k].saturating_sub(rebuild);
-            }
+    sample_terms(factory, config, &mut rng, cursor, |rng, cut| {
+        let Some(spec) = checkpoint else { return };
+        if spec.every == 0 || !cut.total_recorded.is_multiple_of(spec.every) {
+            return;
         }
-        let mut term = match resuming_term {
-            None => {
-                for _ in 0..config.burn_in[level] {
-                    chain.step(&mut rng);
-                }
-                TermCursor::fresh(chain.state().qoi.len())
-            }
-            Some(c) => {
-                chain.import_state(c.chain.clone());
-                TermCursor {
-                    moments: VectorMoments::from_parts(&c.moments),
-                    rep_trace: c.rep_trace.clone(),
-                    theta_samples: c.theta_samples.clone(),
-                    qoi_samples: c.qoi_samples.clone(),
-                    correction_pairs: c.correction_pairs.clone(),
-                    samples_done: c.samples_done,
-                }
-            }
+        let snap = RunSnapshot {
+            backend: Backend::Sequential,
+            seed,
+            samples_done: cut.total_recorded,
+            chains: Vec::new(),
+            collectors: Vec::new(),
+            ledger: None,
+            sequential: Some(cut.cursor(rng.state())),
         };
-        let n_samples = config.samples_per_level[level];
-        let qoi_dim = chain.state().qoi.len();
-        let rep = config
-            .representative_component
-            .min(qoi_dim.saturating_sub(1));
-        while term.samples_done < n_samples {
-            chain.step(&mut rng);
-            let fine_qoi = chain.state().qoi.clone();
-            let paired = match config.pairing {
-                PairingMode::Proposal => chain.last_coarse(),
-                PairingMode::Ledger => chain.last_pairing(),
-            };
-            let correction: Vec<f64> = match paired {
-                None => fine_qoi.clone(),
-                Some(coarse) => fine_qoi
-                    .iter()
-                    .zip(&coarse.qoi)
-                    .map(|(f, c)| f - c)
-                    .collect(),
-            };
-            term.moments.push(&correction);
-            term.rep_trace.push(fine_qoi[rep]);
-            if config.record_samples {
-                term.theta_samples.push(chain.state().theta.clone());
-                if let Some(coarse) = chain.last_coarse() {
-                    term.correction_pairs
-                        .push((coarse.qoi.clone(), fine_qoi.clone()));
-                }
-                term.qoi_samples.push(fine_qoi);
-            }
-            term.samples_done += 1;
-            total_recorded += 1;
-            if let Some(spec) = checkpoint {
-                if spec.every > 0 && total_recorded.is_multiple_of(spec.every) {
-                    let snap = RunSnapshot {
-                        backend: Backend::Sequential,
-                        seed,
-                        samples_done: total_recorded,
-                        chains: Vec::new(),
-                        collectors: Vec::new(),
-                        ledger: None,
-                        sequential: Some(SequentialCkpt {
-                            level,
-                            samples_done: term.samples_done,
-                            chain: chain.export_state(),
-                            rng: rng.state(),
-                            moments: term.moments.parts(),
-                            rep_trace: term.rep_trace.clone(),
-                            theta_samples: term.theta_samples.clone(),
-                            qoi_samples: term.qoi_samples.clone(),
-                            correction_pairs: term.correction_pairs.clone(),
-                            completed: levels.iter().map(LevelReportCkpt::from_report).collect(),
-                            eval_offsets: counting
-                                .counters
-                                .iter()
-                                .zip(&eval_offsets)
-                                .map(|(c, off)| c.evaluations() + off)
-                                .collect(),
-                        }),
-                    };
-                    let hash = spec
-                        .store
-                        .put_snapshot(&snap, spec.config_hash)
-                        .expect("run_sequential_ckpt: snapshot write failed");
-                    snapshots_taken += 1;
-                    if let Some(hook) = spec.on_snapshot {
-                        hook(snapshots_taken, &hash);
-                    }
-                }
-            }
+        let hash = spec
+            .store
+            .put_snapshot(&snap, spec.config_hash)
+            .expect("run_sequential_ckpt: snapshot write failed");
+        snapshots_taken += 1;
+        if let Some(hook) = spec.on_snapshot {
+            hook(snapshots_taken, &hash);
         }
-        levels.push(LevelReport {
-            level,
-            n_samples,
-            acceptance_rate: chain.acceptance_rate(),
-            mean_correction: term.moments.mean(),
-            var_correction: term.moments.variance(),
-            iact: integrated_autocorrelation_time(&term.rep_trace),
-            evaluations: 0,
-            mean_eval_ms: 0.0,
-            theta_samples: term.theta_samples,
-            qoi_samples: term.qoi_samples,
-            correction_pairs: term.correction_pairs,
-        });
-    }
-    for (level, report) in levels.iter_mut().enumerate() {
-        report.evaluations = counting.counters[level].evaluations() + eval_offsets[level];
-        report.mean_eval_ms = counting.counters[level].mean_eval_ms();
-    }
-    MlmcmcReport { levels }
+    })
 }
 
 #[cfg(test)]

@@ -12,24 +12,26 @@
 //!   so the sequential recursion (this crate) and the parallel
 //!   phonebook-mediated version (`uq-parallel`) share the kernel;
 //! * [`estimator`] — the telescoping-sum estimator (paper eq. 2) with
-//!   per-level moments, autocorrelation and cost bookkeeping, and a
-//!   sequential driver reproducing Tables 3 and 4;
+//!   per-level moments, autocorrelation and cost bookkeeping, and the
+//!   sequential driver reproducing Tables 3 and 4 (one sampling loop,
+//!   plain or checkpointed);
 //! * [`ledger`] — the per-requester rewind ledger: sessions whose
 //!   proposal track rewinds to the requester's anchor (fine-marginal
 //!   exactness) while an autonomous pairing track continues from the
 //!   last served sample (unbiased `π_{l-1}` correction mate), executed
 //!   identically by the sequential source and the parallel phonebooks;
 //! * [`allocate`] — optimal `N_l ∝ √(V_l/C_l)` sample allocation;
-//! * [`counting`] — instrumentation wrapper counting model evaluations
-//!   and wall-clock cost per level (the `t_l` columns);
+//! * [`counting`] — the one factory decorator (every `log_density`
+//!   of level `l` goes through a hook) and its counting hook: model
+//!   evaluations and wall-clock cost per level (the `t_l` columns);
 //! * [`wire`] — the shared hand-rolled binary codec (LE ints, `f64`
 //!   via `to_bits`, length-validated decodes) used by both the run
 //!   store's snapshot format and `uq_parallel::net`'s frame format;
 //! * [`store`] — the content-addressed run store: versioned,
 //!   integrity-checked snapshots of a run's full logical state
 //!   (chains, collectors, ledger sessions, RNG streams) enabling
-//!   bit-identical checkpoint/resume, plus a manifest indexing bench
-//!   results as queryable run records.
+//!   bit-identical checkpoint/resume, indexed by an append-only
+//!   manifest.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -243,10 +243,15 @@ impl Codec for crate::ledger::ServeOutcome {
 // snapshot sections
 // ---------------------------------------------------------------------
 
-/// Which driver produced a snapshot (resume refuses a backend switch).
+/// Whose state a snapshot holds: the sequential driver's cursor, or a
+/// consistent cut of the parallel role machines (neither resumes the
+/// other's).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     Sequential,
+    /// A parallel cut as `run_parallel` and net runs stamped it before
+    /// every entry point of the pool wrote [`Backend::Runtime`]; no
+    /// longer written, resumed like one.
     Thread,
     Runtime,
 }

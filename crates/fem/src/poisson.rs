@@ -325,11 +325,6 @@ impl PoissonModel {
         self.backend.name()
     }
 
-    /// Override the iteration controls (tests and experiments).
-    pub fn set_solver_options(&mut self, opts: SolverOptions) {
-        self.opts = opts;
-    }
-
     /// Element-wise diffusion coefficients `κ = exp(Φ_e θ)`.
     pub fn kappa_elements(&self, theta: &[f64]) -> Vec<f64> {
         self.phi_elements
@@ -591,11 +586,11 @@ mod tests {
     fn stalled_solve_panics_in_all_profiles() {
         let field = small_field();
         let mut model = PoissonModel::new(16, &field);
-        model.set_solver_options(SolverOptions {
+        model.opts = SolverOptions {
             rel_tol: 1e-14,
             abs_tol: 1e-300,
             max_iter: 1,
-        });
+        };
         model.forward(&[0.3; 16]);
     }
 

@@ -2,9 +2,9 @@
 //!
 //! From-scratch numerical linear algebra kernels used by the parallel
 //! multilevel MCMC stack: dense vectors/matrices, Cholesky and symmetric
-//! eigen decompositions, CSR sparse matrices, Krylov solvers (CG, BiCGStab)
-//! with Jacobi/SSOR preconditioners and allocation-free workspace-driven
-//! variants, geometric multigrid on structured grids, a radix-2 FFT,
+//! eigen decompositions, CSR sparse matrices, preconditioned conjugate
+//! gradients (SSOR or multigrid) with an allocation-free workspace-driven
+//! variant, geometric multigrid on structured grids, a radix-2 FFT,
 //! Gauss–Legendre quadrature and scalar root finding.
 //!
 //! The crate is dependency-light by design (`rayon` for the parallel
@@ -26,8 +26,5 @@ pub mod vector;
 pub use dense::DenseMatrix;
 pub use fft::Complex;
 pub use mg::{GmgHierarchy, GmgLevelSpec, Smoother};
-pub use solvers::{
-    bicgstab, bicgstab_into, cg, cg_into, IterativeResult, SolveStats, SolverOptions,
-    SolverWorkspace,
-};
+pub use solvers::{cg, cg_into, IterativeResult, SolveStats, SolverOptions, SolverWorkspace};
 pub use sparse::{CooMatrix, CsrMatrix};

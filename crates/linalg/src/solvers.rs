@@ -1,14 +1,14 @@
-//! Krylov solvers: preconditioned conjugate gradients for the SPD FEM
-//! systems and BiCGStab as a fallback for non-symmetric operators.
+//! Krylov solver: preconditioned conjugate gradients for the SPD FEM
+//! systems (every system in the workspace is SPD).
 //!
 //! Two call styles are provided:
 //!
-//! * [`cg`] / [`bicgstab`] — allocating one-shot drivers (tests, setup
-//!   code, anything not on a hot path);
-//! * [`cg_into`] / [`bicgstab_into`] — allocation-free drivers for the
-//!   MCMC hot loop: the caller owns the solution vector (which doubles
-//!   as the warm start) and a reusable [`SolverWorkspace`] of scratch
-//!   buffers, so steady-state solves perform no heap allocation.
+//! * [`cg`] — allocating one-shot driver (tests, setup code, anything
+//!   not on a hot path);
+//! * [`cg_into`] — allocation-free driver for the MCMC hot loop: the
+//!   caller owns the solution vector (which doubles as the warm start)
+//!   and a reusable [`SolverWorkspace`] of scratch buffers, so
+//!   steady-state solves perform no heap allocation.
 
 use crate::sparse::CsrMatrix;
 use crate::vector::{axpy, dot, norm2, xpby};
@@ -34,38 +34,6 @@ pub struct IdentityPrecond;
 impl Preconditioner for IdentityPrecond {
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
-    }
-}
-
-/// Jacobi (diagonal) preconditioner.
-pub struct JacobiPrecond {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPrecond {
-    /// Build from the matrix diagonal.
-    ///
-    /// # Panics
-    /// Panics if any diagonal entry is zero.
-    pub fn new(a: &CsrMatrix) -> Self {
-        let inv_diag = a
-            .diagonal()
-            .into_iter()
-            .map(|d| {
-                assert!(d != 0.0, "JacobiPrecond: zero diagonal entry");
-                1.0 / d
-            })
-            .collect();
-        Self { inv_diag }
-    }
-}
-
-impl Preconditioner for JacobiPrecond {
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.inv_diag.len(), "JacobiPrecond: wrong dim");
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
     }
 }
 
@@ -154,7 +122,7 @@ impl Preconditioner for CachedSsorPrecond<'_> {
     }
 }
 
-/// Iteration controls shared by the Krylov solvers.
+/// Iteration controls of the Krylov solver.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverOptions {
     /// Relative residual reduction target `‖r‖/‖b‖ ≤ rel_tol`.
@@ -200,7 +168,7 @@ pub struct IterativeResult {
     pub converged: bool,
 }
 
-/// Reusable scratch buffers for [`cg_into`] and [`bicgstab_into`].
+/// Reusable scratch buffers for [`cg_into`].
 ///
 /// Create once per worker/chain and reuse across solves; buffers are
 /// grown on first use for a given size and never shrunk, so steady-state
@@ -211,13 +179,6 @@ pub struct SolverWorkspace {
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
-    // BiCGStab extras
-    r_hat: Vec<f64>,
-    v: Vec<f64>,
-    s: Vec<f64>,
-    t: Vec<f64>,
-    ph: Vec<f64>,
-    sh: Vec<f64>,
 }
 
 impl SolverWorkspace {
@@ -231,16 +192,6 @@ impl SolverWorkspace {
         self.z.resize(n, 0.0);
         self.p.resize(n, 0.0);
         self.ap.resize(n, 0.0);
-    }
-
-    fn reserve_bicgstab(&mut self, n: usize) {
-        self.reserve_cg(n);
-        self.r_hat.resize(n, 0.0);
-        self.v.resize(n, 0.0);
-        self.s.resize(n, 0.0);
-        self.t.resize(n, 0.0);
-        self.ph.resize(n, 0.0);
-        self.sh.resize(n, 0.0);
     }
 }
 
@@ -329,117 +280,6 @@ pub fn cg(
     }
 }
 
-/// BiCGStab for general (possibly nonsymmetric) `A`, allocation-free.
-///
-/// Same calling convention as [`cg_into`].
-pub fn bicgstab_into(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    precond: &dyn Preconditioner,
-    opts: SolverOptions,
-    ws: &mut SolverWorkspace,
-) -> SolveStats {
-    let n = b.len();
-    assert_eq!(a.rows(), n, "bicgstab: dimension mismatch");
-    assert_eq!(x.len(), n, "bicgstab: solution dimension mismatch");
-    ws.reserve_bicgstab(n);
-    let r = &mut ws.r[..n];
-    let r_hat = &mut ws.r_hat[..n];
-    let v = &mut ws.v[..n];
-    let p = &mut ws.p[..n];
-    let s = &mut ws.s[..n];
-    let t = &mut ws.t[..n];
-    let ph = &mut ws.ph[..n];
-    let sh = &mut ws.sh[..n];
-
-    a.matvec_into(x, t);
-    for i in 0..n {
-        r[i] = b[i] - t[i];
-    }
-    r_hat.copy_from_slice(r);
-    let b_norm = norm2(b).max(opts.abs_tol);
-    let target = (opts.rel_tol * b_norm).max(opts.abs_tol);
-
-    let mut rho = 1.0;
-    let mut alpha = 1.0;
-    let mut omega = 1.0;
-    v.fill(0.0);
-    p.fill(0.0);
-    let mut iterations = 0;
-    let mut res = norm2(r);
-    while res > target && iterations < opts.max_iter {
-        let rho_new = dot(r_hat, r);
-        if rho_new.abs() < 1e-300 {
-            break;
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        // p = r + beta (p - omega v)
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        precond.apply_into(p, ph);
-        a.matvec_into(ph, v);
-        let rhv = dot(r_hat, v);
-        if rhv.abs() < 1e-300 {
-            break;
-        }
-        alpha = rho / rhv;
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        if norm2(s) <= target {
-            axpy(alpha, ph, x);
-            res = norm2(s);
-            iterations += 1;
-            break;
-        }
-        precond.apply_into(s, sh);
-        a.matvec_into(sh, t);
-        let tt = dot(t, t);
-        if tt.abs() < 1e-300 {
-            break;
-        }
-        omega = dot(t, s) / tt;
-        for i in 0..n {
-            x[i] += alpha * ph[i] + omega * sh[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        res = norm2(r);
-        iterations += 1;
-        if omega.abs() < 1e-300 {
-            break;
-        }
-    }
-    SolveStats {
-        iterations,
-        residual: res,
-        converged: res <= target,
-    }
-}
-
-/// BiCGStab for general (possibly nonsymmetric) `A` (allocating wrapper
-/// around [`bicgstab_into`]).
-pub fn bicgstab(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    precond: &dyn Preconditioner,
-    opts: SolverOptions,
-) -> IterativeResult {
-    let n = b.len();
-    let mut x = x0.map_or_else(|| vec![0.0; n], <[f64]>::to_vec);
-    let mut ws = SolverWorkspace::new();
-    let stats = bicgstab_into(a, b, &mut x, precond, opts, &mut ws);
-    IterativeResult {
-        x,
-        iterations: stats.iterations,
-        residual: stats.residual,
-        converged: stats.converged,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,19 +298,6 @@ mod tests {
         coo.to_csr()
     }
 
-    /// Nonsymmetric convection-diffusion-like operator.
-    fn nonsym(n: usize) -> CsrMatrix {
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 3.0);
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.5);
-                coo.push(i + 1, i, -0.5);
-            }
-        }
-        coo.to_csr()
-    }
-
     #[test]
     fn cg_solves_laplacian() {
         let a = laplacian(50);
@@ -479,18 +306,6 @@ mod tests {
         let r = cg(&a, &b, None, &IdentityPrecond, SolverOptions::default());
         assert!(r.converged, "cg failed: residual {}", r.residual);
         assert!(crate::vector::max_abs_diff(&r.x, &x_true) < 1e-7);
-    }
-
-    #[test]
-    fn cg_with_jacobi_converges_not_slower() {
-        let a = laplacian(80);
-        let b = vec![1.0; 80];
-        let plain = cg(&a, &b, None, &IdentityPrecond, SolverOptions::default());
-        let pre = JacobiPrecond::new(&a);
-        let jac = cg(&a, &b, None, &pre, SolverOptions::default());
-        assert!(plain.converged && jac.converged);
-        // Jacobi = scaled identity here, so same iteration count; just sanity
-        assert!(jac.iterations <= plain.iterations + 2);
     }
 
     #[test]
@@ -608,47 +423,6 @@ mod tests {
         );
         assert!(s2.converged);
         assert_eq!(s2.iterations, 0);
-    }
-
-    #[test]
-    fn bicgstab_solves_nonsymmetric() {
-        let a = nonsym(60);
-        let x_true: Vec<f64> = (0..60).map(|i| ((i * 7) % 11) as f64 / 11.0).collect();
-        let b = a.matvec(&x_true);
-        let r = bicgstab(&a, &b, None, &IdentityPrecond, SolverOptions::default());
-        assert!(r.converged, "bicgstab failed: residual {}", r.residual);
-        assert!(crate::vector::max_abs_diff(&r.x, &x_true) < 1e-6);
-    }
-
-    #[test]
-    fn bicgstab_into_matches_bicgstab() {
-        let a = nonsym(45);
-        let x_true: Vec<f64> = (0..45).map(|i| (i as f64 * 0.2).sin()).collect();
-        let b = a.matvec(&x_true);
-        let reference = bicgstab(&a, &b, None, &IdentityPrecond, SolverOptions::default());
-        let mut ws = SolverWorkspace::new();
-        let mut x = vec![0.0; 45];
-        let s = bicgstab_into(
-            &a,
-            &b,
-            &mut x,
-            &IdentityPrecond,
-            SolverOptions::default(),
-            &mut ws,
-        );
-        assert!(s.converged && reference.converged);
-        assert_eq!(s.iterations, reference.iterations);
-        assert!(crate::vector::max_abs_diff(&x, &reference.x) < 1e-12);
-    }
-
-    #[test]
-    fn bicgstab_matches_cg_on_spd() {
-        let a = laplacian(40);
-        let b: Vec<f64> = (0..40).map(|i| (i as f64).cos()).collect();
-        let r1 = cg(&a, &b, None, &IdentityPrecond, SolverOptions::default());
-        let r2 = bicgstab(&a, &b, None, &IdentityPrecond, SolverOptions::default());
-        assert!(r1.converged && r2.converged);
-        assert!(crate::vector::max_abs_diff(&r1.x, &r2.x) < 1e-6);
     }
 
     #[test]

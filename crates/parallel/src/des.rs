@@ -44,12 +44,6 @@ pub struct DesConfig {
 }
 
 impl DesConfig {
-    /// Total rank count: root + phonebook + one collector per level +
-    /// one rank per chain.
-    pub fn n_ranks(&self) -> usize {
-        2 + self.samples_per_level.len() + self.chains_per_level.iter().sum::<usize>()
-    }
-
     /// `Err` names the first per-level vector that is not as long as
     /// `samples_per_level` (every one of them, in a hierarchy of no levels).
     pub fn validate(&self) -> Result<(), &'static str> {

@@ -65,17 +65,14 @@ pub use net::{
     NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport, PROTOCOL_VERSION,
 };
 pub use obs::{
-    chrome_trace, Counter, Epoch, Hist, HistSnapshot, MetricsSnapshot, ObservedFactory, SpanKind,
-    TraceEvent, Tracer,
+    chrome_trace, Counter, Epoch, Hist, HistSnapshot, MetricsSnapshot, SpanKind, TraceEvent, Tracer,
 };
 pub use roles::{
     run_runtime, run_runtime_ckpt, run_runtime_ckpt_on, run_runtime_on, run_simulated,
     RuntimeConfig, RuntimeReport, SimCost, SimReport,
 };
-pub use runtime::{Envelope, Poll, Runtime, RuntimeStats, StealProbe, VCtx, VirtualRank};
-pub use scheduler::{
-    run_parallel, run_parallel_ckpt, ParallelCheckpoint, ParallelConfig, ParallelReport,
-};
+pub use runtime::{Envelope, Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
+pub use scheduler::{run_parallel, ParallelCheckpoint, ParallelConfig, ParallelReport};
 pub use service::{
     decode_service_frame, encode_service_frame, JobId, JobSpec, JobState, JobStatus, Service,
     ServiceClient, ServiceConfig, ServiceFrame, SERVICE_PROTOCOL_VERSION,

@@ -54,9 +54,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uq_mlmcmc::ledger::PairingMode;
-use uq_mlmcmc::store::{
-    fnv1a, Backend, ChainCkpt, Codec, Dec, Enc, RunSnapshot, RunStore, StoreError,
-};
+use uq_mlmcmc::store::{fnv1a, ChainCkpt, Codec, Dec, Enc, RunSnapshot, RunStore, StoreError};
 use uq_mlmcmc::wire::{frame_decode, frame_encode, frame_read, FrameFormat};
 use uq_mlmcmc::LevelFactory;
 
@@ -922,8 +920,8 @@ impl NetDriver {
             opts.workers <= n_ctrl,
             "net driver: more workers than controller ranks"
         );
-        // snapshots carry the thread stamp: a net run's cut is one
-        // `run_parallel_ckpt` resumes
+        // a net run's cut has `run_parallel`'s layout: it resumes in one
+        // process under `run_runtime_ckpt` at one shard per level
         let ckpt = opts.store.as_ref().map(|s| ParallelCheckpoint {
             store: s,
             config_hash: opts.config_hash,
@@ -932,7 +930,7 @@ impl NetDriver {
             stop: None,
         });
         let ckpt = ckpt.as_ref();
-        let mut run = Run::new(factory, &rt_config, tracer, ckpt, None, Backend::Thread);
+        let mut run = Run::new(factory, &rt_config, tracer, ckpt, None);
 
         // rendezvous: block until every initial worker said Hello
         let mut arrivals: Vec<(TcpStream, Option<u64>)> = Vec::new();
@@ -976,7 +974,7 @@ impl NetDriver {
         };
         let hosted = (0..n_ranks).filter(|&r| routes[r].is_none());
         let sh = Arc::new(DriverShared {
-            pool: runtime.host(n_ranks, hosted, Box::new(relay)),
+            pool: runtime.host(n_ranks, hosted, Box::new(relay), tracer.steal_probe()),
             routes: Mutex::new(routes),
             peers: Mutex::new(peers.clone()),
             joiners: Mutex::new(early_joiners),
@@ -1169,7 +1167,8 @@ pub(crate) fn run_net_worker_on(
             let _ = tx.send(Frame::Data { to, from, msg });
         }
     };
-    let pool = runtime.host(n_ranks, ranks.iter().copied(), Box::new(relay));
+    let hosted = ranks.iter().copied();
+    let pool = runtime.host(n_ranks, hosted, Box::new(relay), tracer.steal_probe());
     // pre-load migrated leftovers before any rank runs
     for (to, from, msg) in leftovers {
         pool.deliver(to, Envelope { from, msg });

@@ -29,19 +29,24 @@
 //! 2. **Observation never perturbs the computation.** Recording takes
 //!    no RNG draws, sends no messages and wakes no rank; the sink is
 //!    sharded by rank so writers do not contend. Tracing-on runs are
-//!    bit-for-bit identical to tracing-off runs on all three backends.
+//!    bit-for-bit identical to tracing-off runs under every driver.
+//!
+//! The layers below are observed through what they already take: the
+//! sequential estimator through an evaluation hook on the one factory
+//! decorator ([`Tracer::observed`]), the pool's work stealing through the
+//! observer argument of `Runtime::host`.
 //!
 //! Exporters: [`chrome_trace`] (trace-event JSON loadable in Perfetto /
 //! `chrome://tracing`), [`MetricsSnapshot`] (a JSON metrics document,
 //! `scaling_live --metrics-out`) and the compact
 //! [`Tracer::progress_line`] polled by `scaling_live --progress`.
 
-use crate::runtime::RuntimeStats;
+use crate::runtime::{RuntimeStats, StealProbe};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use uq_mcmc::{Proposal, SamplingProblem};
+use uq_mlmcmc::counting::{EvalHook, Hooked};
 use uq_mlmcmc::ledger::LedgerStats;
 use uq_mlmcmc::LevelFactory;
 
@@ -613,78 +618,43 @@ impl Tracer {
 }
 
 // ---------------------------------------------------------------------
-// sequential-backend instrumentation
+// hooks handed to the layers below
 // ---------------------------------------------------------------------
 
-/// [`LevelFactory`] adapter instrumenting the **sequential** backend:
-/// wraps every problem so each `log_density` call is recorded as an
-/// `Eval` span on `rank` (the sequential estimator is one logical
-/// rank). Pure pass-through otherwise — with a disabled tracer the
-/// wrapper is observably identical to the inner factory, and with an
-/// enabled one the computation itself is untouched (bit-parity pinned
-/// by `tests/obs_conformance.rs`).
-pub struct ObservedFactory<'a> {
-    inner: &'a dyn LevelFactory,
+/// Each `log_density` as an `Eval` span on `rank`.
+struct EvalSpans {
     tracer: Tracer,
     rank: usize,
 }
 
-impl<'a> ObservedFactory<'a> {
-    pub fn new(inner: &'a dyn LevelFactory, tracer: &Tracer, rank: usize) -> Self {
-        Self {
-            inner,
-            tracer: tracer.clone(),
-            rank,
-        }
+impl EvalHook for EvalSpans {
+    fn eval(&self, level: usize, eval: impl FnOnce() -> f64) -> f64 {
+        self.tracer.span(self.rank, SpanKind::Eval { level }, eval)
     }
 }
 
-impl LevelFactory for ObservedFactory<'_> {
-    fn n_levels(&self) -> usize {
-        self.inner.n_levels()
+impl Tracer {
+    /// `inner` instrumented for the **sequential** driver: every
+    /// `log_density` of its problems is recorded as an `Eval` span on
+    /// `rank` (the sequential estimator is one logical rank). Pure
+    /// pass-through otherwise — with a disabled tracer the result is
+    /// observably identical to `inner`, and with an enabled one the
+    /// computation itself is untouched (bit-parity pinned by
+    /// `tests/obs_conformance.rs`).
+    pub fn observed<'a>(&self, inner: &'a dyn LevelFactory, rank: usize) -> impl LevelFactory + 'a {
+        let tracer = self.clone();
+        Hooked::new(inner, EvalSpans { tracer, rank })
     }
-    fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
-        Box::new(ObservedProblem {
-            inner: self.inner.problem(level),
-            tracer: self.tracer.clone(),
-            rank: self.rank,
-            level,
-        })
-    }
-    fn proposal(&self, level: usize) -> Box<dyn Proposal> {
-        self.inner.proposal(level)
-    }
-    fn subsampling_rate(&self, level: usize) -> usize {
-        self.inner.subsampling_rate(level)
-    }
-    fn starting_point(&self, level: usize) -> Vec<f64> {
-        self.inner.starting_point(level)
-    }
-}
 
-struct ObservedProblem {
-    inner: Box<dyn SamplingProblem>,
-    tracer: Tracer,
-    rank: usize,
-    level: usize,
-}
-
-impl SamplingProblem for ObservedProblem {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-    fn log_density(&mut self, theta: &[f64]) -> f64 {
-        let level = self.level;
-        let rank = self.rank;
-        let inner = &mut self.inner;
-        self.tracer
-            .span(rank, SpanKind::Eval { level }, || inner.log_density(theta))
-    }
-    fn qoi(&mut self, theta: &[f64]) -> Vec<f64> {
-        self.inner.qoi(theta)
-    }
-    fn qoi_dim(&self) -> usize {
-        self.inner.qoi_dim()
+    /// The worker pool's steal observer: a `Steal` mark on the stolen
+    /// rank's timeline (`None` when disabled). It runs on the thief's idle
+    /// path only, after the victim's queue lock is released, so it
+    /// cannot perturb scheduling.
+    pub(crate) fn steal_probe(&self) -> Option<StealProbe> {
+        let tracer = self.is_enabled().then(|| self.clone())?;
+        Some(Arc::new(move |rank, victim| {
+            tracer.mark(rank, SpanKind::Steal { victim });
+        }))
     }
 }
 
@@ -1171,6 +1141,7 @@ mod tests {
     #[test]
     fn observed_factory_passes_through_and_records() {
         use uq_mcmc::problem::GaussianTarget;
+        use uq_mcmc::{Proposal, SamplingProblem};
         struct F;
         impl LevelFactory for F {
             fn n_levels(&self) -> usize {
@@ -1193,7 +1164,7 @@ mod tests {
             }
         }
         let t = Tracer::new();
-        let f = ObservedFactory::new(&F, &t, 0);
+        let f = t.observed(&F, 0);
         let mut p = f.problem(0);
         let mut q = F.problem(0);
         // identical densities, one Eval span per call

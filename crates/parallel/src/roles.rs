@@ -6,7 +6,9 @@
 //! [`crate::net`] process are entry points of that pool — or on one
 //! thread in seeded virtual time ([`run_simulated`], [`crate::sim`]).
 //! The executor is never a statistical actor: on a deterministic
-//! configuration every entry point produces the same digest.
+//! configuration every entry point produces the same digest, and every
+//! one cuts the same snapshot — one stamp, resumable under any entry
+//! point whose rank layout it fits (`Run::new` is the ladder).
 //!
 //! * **Suspendable controllers.** A controller's coupled chain uses
 //!   [`PendingCoarseSource`], so a step that needs a coarse proposal
@@ -39,8 +41,8 @@ use std::sync::Arc;
 use uq_mcmc::problem::GaussianTarget;
 use uq_mcmc::proposal::GaussianRandomWalk;
 use uq_mcmc::{Proposal, SamplingProblem};
-use uq_mlmcmc::counting::{CountingProblem, EvalCounter};
-use uq_mlmcmc::coupled::{CoarseSample, MlChain, PendingCoarseSource, StepOutcome};
+use uq_mlmcmc::counting::{EvalCounter, EvalHook, Hooked};
+use uq_mlmcmc::coupled::{build_chain, CoarseSample, MlChain, PendingCoarseSource, StepOutcome};
 use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats};
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
@@ -225,9 +227,6 @@ pub(crate) struct RootRank<'a> {
     closing: Option<(RunSnapshot, Vec<usize>)>,
     /// Set when [`ParallelCheckpoint::stop`] fired at a barrier.
     preempted: bool,
-    /// Entry-point stamp written into every snapshot (resume refuses a
-    /// snapshot stamped by another entry point's layout).
-    backend: Backend,
     elastic: Option<&'a ElasticOps<'a>>,
     tracer: Tracer,
 }
@@ -237,7 +236,6 @@ impl<'a> RootRank<'a> {
         config: &'a RuntimeConfig,
         tracer: &Tracer,
         ckpt: Option<&'a ParallelCheckpoint<'a>>,
-        backend: Backend,
         elastic: Option<&'a ElasticOps<'a>>,
     ) -> Self {
         let n_levels = config.n_levels();
@@ -261,7 +259,6 @@ impl<'a> RootRank<'a> {
             coll_ckpts: Vec::new(),
             closing: None,
             preempted: false,
-            backend,
             elastic,
         }
     }
@@ -295,7 +292,7 @@ impl<'a> RootRank<'a> {
             .map(|c| c.count)
             .sum();
         let snapshot = RunSnapshot {
-            backend: self.backend,
+            backend: Backend::Runtime,
             seed: self.config.base.seed,
             samples_done,
             chains: std::mem::take(&mut self.chain_ckpts),
@@ -1051,13 +1048,13 @@ enum Await {
 }
 
 pub(crate) struct ControllerRank<'a> {
-    factory: &'a dyn LevelFactory,
+    /// The hierarchy, counting its evaluations level by level.
+    factory: Hooked<'a, Vec<EvalCounter>>,
     config: &'a RuntimeConfig,
     tracer: &'a Tracer,
     rank: usize,
     level: usize,
     chain: MlChain,
-    counters: Vec<EvalCounter>,
     rng: StdRng,
     done_levels: Vec<bool>,
     burnin_left: usize,
@@ -1090,15 +1087,15 @@ impl<'a> ControllerRank<'a> {
         let n_levels = config.n_levels();
         let level = config.initial_level(rank);
         let counters: Vec<EvalCounter> = (0..n_levels).map(|_| EvalCounter::new()).collect();
+        let factory = Hooked::new(factory, counters);
         let rng = StdRng::seed_from_u64(controller_seed(config.base.seed, rank));
         let mut this = Self {
+            chain: pending_chain(&factory, level),
             factory,
             config,
             tracer,
             rank,
             level,
-            chain: Self::build_chain(factory, &counters, level),
-            counters,
             rng,
             done_levels: vec![false; n_levels],
             burnin_left: config.base.burn_in[level],
@@ -1126,41 +1123,6 @@ impl<'a> ControllerRank<'a> {
             this.shard_rr = r.shard_rr;
         }
         this
-    }
-
-    fn counting_problem(
-        factory: &dyn LevelFactory,
-        counters: &[EvalCounter],
-        level: usize,
-    ) -> Box<dyn SamplingProblem> {
-        Box::new(CountingProblem::new(
-            factory.problem(level),
-            counters[level].clone(),
-        ))
-    }
-
-    fn build_chain(factory: &dyn LevelFactory, counters: &[EvalCounter], level: usize) -> MlChain {
-        if level == 0 {
-            MlChain::base(
-                Self::counting_problem(factory, counters, 0),
-                factory.proposal(0),
-                factory.starting_point(0),
-            )
-        } else {
-            let coarse_dim = factory.starting_point(level - 1).len();
-            let mut theta0 = factory.starting_point(level);
-            theta0[..coarse_dim].copy_from_slice(&factory.starting_point(level - 1));
-            let source =
-                PendingCoarseSource::new(Self::counting_problem(factory, counters, level - 1));
-            MlChain::coupled(
-                level,
-                Self::counting_problem(factory, counters, level),
-                Box::new(source),
-                factory.proposal(level),
-                coarse_dim,
-                theta0,
-            )
-        }
     }
 
     fn reset_level_state(&mut self) {
@@ -1377,8 +1339,9 @@ impl<'a> ControllerRank<'a> {
                 ctx.send(reply_to, Msg::Poison);
             }
         }
-        let evals: Vec<usize> = self.counters.iter().map(EvalCounter::evaluations).collect();
-        let eval_secs: Vec<f64> = self.counters.iter().map(EvalCounter::total_secs).collect();
+        let counters = self.factory.hook();
+        let evals: Vec<usize> = counters.iter().map(EvalCounter::evaluations).collect();
+        let eval_secs: Vec<f64> = counters.iter().map(EvalCounter::total_secs).collect();
         ctx.send(ROOT, Msg::ControllerReport { evals, eval_secs });
         Poll::Exit(RoleOut::Quiet)
     }
@@ -1467,7 +1430,7 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                         }
                     }
                     self.level = level;
-                    self.chain = Self::build_chain(self.factory, &self.counters, level);
+                    self.chain = pending_chain(&self.factory, level);
                     self.reset_level_state();
                 }
                 Msg::Shutdown => return self.teardown(ctx),
@@ -1602,6 +1565,14 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
     }
 }
 
+/// A controller's chain: coarse proposals arrive out of band, through
+/// the phonebook, so every coupled step suspends on its source.
+fn pending_chain(factory: &dyn LevelFactory, level: usize) -> MlChain {
+    build_chain(factory, level, |coarse| {
+        Box::new(PendingCoarseSource::new(factory.problem(coarse)))
+    })
+}
+
 /// Wait predicate of a controller suspended on a coarse request: its
 /// sample, a teardown poison, or shutdown (the single definition keeps
 /// the suspend and re-suspend paths in sync).
@@ -1621,16 +1592,15 @@ pub(crate) type Machine<'a> = Box<dyn VirtualRank<Msg, Output = RoleOut> + Send 
 
 /// One run as every executor sees it: the validated inputs and the
 /// machine of each rank. Which executor polls the machines is the entry
-/// point's choice; `backend` only stamps the snapshots, so a snapshot
-/// resumes under the entry point that wrote it and durable bytes never
-/// depend on this module's internals.
+/// point's choice and leaves no mark on a snapshot: the root stamps
+/// every one [`Backend::Runtime`], and a snapshot resumes under any
+/// entry point whose rank layout it fits.
 pub(crate) struct Run<'a> {
     factory: &'a dyn LevelFactory,
     config: &'a RuntimeConfig,
     tracer: &'a Tracer,
     checkpoint: Option<&'a ParallelCheckpoint<'a>>,
     resume: Option<&'a RunSnapshot>,
-    backend: Backend,
     /// The root's membership hooks: `None` unless a transport sets them.
     pub(crate) elastic: Option<&'a ElasticOps<'a>>,
 }
@@ -1639,15 +1609,15 @@ impl<'a> Run<'a> {
     /// # Panics
     /// Panics on an inconsistent configuration (levels beyond the
     /// factory, levels without chains, zero shards, checkpointing with
-    /// load balancing on) and on a `resume` snapshot that does not
-    /// belong to this configuration and entry point.
+    /// load balancing on) and on a `resume` snapshot that is not a
+    /// parallel run's or does not fit this configuration's seed and
+    /// rank layout; the message names the rung that refused it.
     pub(crate) fn new(
         factory: &'a dyn LevelFactory,
         config: &'a RuntimeConfig,
         tracer: &'a Tracer,
         checkpoint: Option<&'a ParallelCheckpoint<'a>>,
         resume: Option<&'a RunSnapshot>,
-        backend: Backend,
     ) -> Self {
         assert!(
             config.n_levels() <= factory.n_levels(),
@@ -1667,9 +1637,11 @@ impl<'a> Run<'a> {
              (snapshots pin each chain to a level)"
         );
         if let Some(snap) = resume {
+            // `Thread` is what `run_parallel` and net runs stamped before
+            // every pool entry point wrote `Runtime`: the same machines
             assert!(
-                snap.backend == backend,
-                "parallel run: snapshot was taken by the {} backend, this is the {backend} one",
+                snap.backend != Backend::Sequential,
+                "parallel run: snapshot stamp is {}, not a parallel run's",
                 snap.backend
             );
             assert_eq!(
@@ -1694,6 +1666,14 @@ impl<'a> Run<'a> {
                     "parallel run: snapshot chain ranks inconsistent"
                 );
             }
+            for (slot, c) in snap.collectors.iter().enumerate() {
+                let shards = config.collector_shards;
+                assert_eq!(
+                    (c.level, c.shard),
+                    (slot / shards, slot % shards),
+                    "parallel run: snapshot collector slots inconsistent"
+                );
+            }
         }
         Self {
             factory,
@@ -1701,7 +1681,6 @@ impl<'a> Run<'a> {
             tracer,
             checkpoint,
             resume,
-            backend,
             elastic: None,
         }
     }
@@ -1716,13 +1695,7 @@ impl<'a> Run<'a> {
             ..
         } = *self;
         if rank == ROOT {
-            Box::new(RootRank::new(
-                config,
-                tracer,
-                self.checkpoint,
-                self.backend,
-                self.elastic,
-            ))
+            Box::new(RootRank::new(config, tracer, self.checkpoint, self.elastic))
         } else if rank == PHONEBOOK {
             let ledger = resume.and_then(|s| s.ledger.as_ref());
             Box::new(PhonebookRank::new(config, tracer, ledger))
@@ -1792,9 +1765,8 @@ pub fn run_runtime_ckpt(
 }
 
 /// [`run_runtime`] on a caller-provided, reusable worker pool: a scaling
-/// sweep drives all its points through one [`Runtime`], whose
-/// [`lifetime_stats`](Runtime::lifetime_stats) then aggregate the sweep
-/// while each report's [`RuntimeReport::runtime`] stats stay per-run.
+/// sweep drives all its points through one [`Runtime`], and each
+/// report's [`RuntimeReport::runtime`] stats are that run's alone.
 /// The pool's worker count wins over `config.n_workers`.
 pub fn run_runtime_on(
     runtime: &Runtime,
@@ -1821,40 +1793,22 @@ pub fn run_runtime_ckpt_on(
     checkpoint: Option<&ParallelCheckpoint<'_>>,
     resume: Option<&RunSnapshot>,
 ) -> RuntimeReport {
-    let run = Run::new(
-        factory,
-        config,
-        tracer,
-        checkpoint,
-        resume,
-        Backend::Runtime,
-    );
-    run_pool(runtime, &run)
+    run_pool(
+        runtime,
+        &Run::new(factory, config, tracer, checkpoint, resume),
+    )
 }
 
 /// Every in-process entry point: the whole universe of `run` on
 /// `runtime`'s workers.
 pub(crate) fn run_pool(runtime: &Runtime, run: &Run<'_>) -> RuntimeReport {
-    let (config, tracer) = (run.config, run.tracer);
-    // observe work steals as spans on the stolen rank's timeline. The
-    // probe runs on the thief's idle path only (after the victim queue
-    // lock is released), so installing it cannot perturb scheduling.
-    let probe_installed = tracer.is_enabled();
-    if probe_installed {
-        let t = tracer.clone();
-        runtime.set_steal_probe(Some(std::sync::Arc::new(move |rank, victim| {
-            t.mark(rank, SpanKind::Steal { victim });
-        })));
-    }
-    let pool_run = runtime.run(config.n_ranks(), |rank, _| run.machine(rank));
-    if probe_installed {
-        runtime.set_steal_probe(None);
-    }
-    let (report, phonebook, preempted) = Run::root_output(pool_run.results);
+    let shared = runtime.host_all(run.config.n_ranks(), run.tracer.steal_probe());
+    let (outs, stats) = runtime.drive(&shared, |rank, _| run.machine(rank));
+    let (report, phonebook, preempted) = Run::root_output(outs.into_iter().map(|(_, out)| out));
     RuntimeReport {
         report,
         phonebook,
-        runtime: pool_run.stats,
+        runtime: stats,
         n_workers: runtime.n_workers(),
         preempted,
     }
@@ -1890,57 +1844,17 @@ impl LevelFactory for StandIn {
     }
 }
 
-/// `inner`, with every `log_density` on level `l` charging `secs[l]` to
-/// `meter` — the wrapping pattern of `CountingProblem`.
-struct TimedFactory<'a> {
-    inner: &'a dyn LevelFactory,
-    secs: &'a [f64],
+/// Every `log_density` on level `l` charges `secs[l]` virtual seconds
+/// to the polling rank.
+struct ChargeEvals {
+    secs: Vec<f64>,
     meter: Arc<Meter>,
 }
 
-impl LevelFactory for TimedFactory<'_> {
-    fn n_levels(&self) -> usize {
-        self.inner.n_levels()
-    }
-    fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
-        Box::new(TimedProblem {
-            inner: self.inner.problem(level),
-            level,
-            secs: self.secs[level],
-            meter: Arc::clone(&self.meter),
-        })
-    }
-    fn proposal(&self, level: usize) -> Box<dyn Proposal> {
-        self.inner.proposal(level)
-    }
-    fn subsampling_rate(&self, level: usize) -> usize {
-        self.inner.subsampling_rate(level)
-    }
-    fn starting_point(&self, level: usize) -> Vec<f64> {
-        self.inner.starting_point(level)
-    }
-}
-
-struct TimedProblem {
-    inner: Box<dyn SamplingProblem>,
-    level: usize,
-    secs: f64,
-    meter: Arc<Meter>,
-}
-
-impl SamplingProblem for TimedProblem {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-    fn log_density(&mut self, theta: &[f64]) -> f64 {
-        self.meter.charge(self.level, self.secs);
-        self.inner.log_density(theta)
-    }
-    fn qoi(&mut self, theta: &[f64]) -> Vec<f64> {
-        self.inner.qoi(theta)
-    }
-    fn qoi_dim(&self) -> usize {
-        self.inner.qoi_dim()
+impl EvalHook for ChargeEvals {
+    fn eval(&self, level: usize, eval: impl FnOnce() -> f64) -> f64 {
+        self.meter.charge(level, self.secs[level]);
+        eval()
     }
 }
 
@@ -1980,8 +1894,7 @@ pub struct SimReport {
 /// the machines of [`run_runtime_ckpt`] polled on one thread in
 /// virtual-clock order, `factory`'s evaluations really performed and
 /// charged `cost.eval_time` each; `seed` picks the delivery delays and
-/// tie-breaks. Snapshots carry the [`Backend::Runtime`] stamp, so they
-/// resume under the pool and back.
+/// tie-breaks. Snapshots resume under the pool and back.
 ///
 /// # Panics
 /// As [`run_runtime`], and if `cost.eval_time` is shorter than the levels.
@@ -2000,12 +1913,12 @@ pub fn run_simulated(
     service[config.collector_rank(0, 0)..config.first_controller_rank()]
         .fill(cost.collector_service_time);
     let sim = Sim::new(seed, cost.latency, cost.eval_jitter, service);
-    let timed = TimedFactory {
-        inner: factory,
-        secs: &cost.eval_time,
+    let charge = ChargeEvals {
+        secs: cost.eval_time.clone(),
         meter: Arc::clone(&sim.meter),
     };
-    let run = Run::new(&timed, config, tracer, checkpoint, resume, Backend::Runtime);
+    let timed = Hooked::new(factory, charge);
+    let run = Run::new(&timed, config, tracer, checkpoint, resume);
     let out = sim.run(cost.poll_budget, |rank| run.machine(rank))?;
     let (report, phonebook, preempted) = Run::root_output(out.run.results);
     let mut busy_per_level = out.charged;

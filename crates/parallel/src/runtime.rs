@@ -150,7 +150,7 @@ pub(crate) struct Shared<M> {
 }
 
 /// Steal observer callback: `(stolen_rank, victim_worker)`.
-pub type StealProbe = Arc<dyn Fn(usize, usize) + Send + Sync>;
+pub(crate) type StealProbe = Arc<dyn Fn(usize, usize) + Send + Sync>;
 
 impl<M: Send> Shared<M> {
     fn worker_of(&self, rank: usize) -> &Worker {
@@ -371,8 +371,7 @@ impl<'a, M: Send> VCtx<'a, M> {
 /// Counters describing one runtime execution. The stats returned by
 /// [`Runtime::run`] cover **that run only** — a [`Runtime`] reused
 /// across runs resets them between invocations (regression-tested by
-/// `stats_reset_between_runs_on_a_reused_pool`); the pool-lifetime
-/// accumulation lives in [`Runtime::lifetime_stats`].
+/// `stats_reset_between_runs_on_a_reused_pool`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RuntimeStats {
     /// Total `poll` invocations across all ranks.
@@ -386,16 +385,6 @@ pub struct RuntimeStats {
     pub steals: usize,
 }
 
-impl RuntimeStats {
-    /// Component-wise accumulation (lifetime bookkeeping).
-    fn absorb(&mut self, other: &RuntimeStats) {
-        self.polls += other.polls;
-        self.wakeups += other.wakeups;
-        self.dropped_sends += other.dropped_sends;
-        self.steals += other.steals;
-    }
-}
-
 /// Results of a runtime execution.
 pub struct RuntimeRun<R> {
     /// Per-rank outputs, indexed by rank.
@@ -403,18 +392,13 @@ pub struct RuntimeRun<R> {
     pub stats: RuntimeStats,
 }
 
-/// The cooperative runtime. One `Runtime` is a reusable worker pool:
-/// [`run`](Self::run) may be invoked repeatedly (e.g. across the points
-/// of a scaling sweep) and each invocation's [`RuntimeStats`] describe
-/// that run alone, while [`lifetime_stats`](Self::lifetime_stats)
-/// accumulates across every run of the pool.
+/// The cooperative runtime. One `Runtime` is a reusable worker pool — a
+/// width and nothing else: [`run`](Self::run) may be invoked repeatedly,
+/// also concurrently (e.g. across the points of a scaling sweep, or the
+/// lanes of the service), and each invocation's [`RuntimeStats`]
+/// describe that run alone.
 pub struct Runtime {
     n_workers: usize,
-    lifetime: parking_lot::Mutex<RuntimeStats>,
-    /// Optional steal observer installed by the driver (interior
-    /// mutability: the pool is shared by reference). Copied into each
-    /// run's `Shared`, so mid-run installs take effect at the next run.
-    steal_probe: parking_lot::Mutex<Option<StealProbe>>,
 }
 
 impl Runtime {
@@ -424,29 +408,11 @@ impl Runtime {
     /// Panics if `n_workers == 0`.
     pub fn new(n_workers: usize) -> Self {
         assert!(n_workers > 0, "Runtime: need at least one worker");
-        Self {
-            n_workers,
-            lifetime: parking_lot::Mutex::new(RuntimeStats::default()),
-            steal_probe: parking_lot::Mutex::new(None),
-        }
-    }
-
-    /// Install (or clear) the steal observer for subsequent runs. The
-    /// probe is called as `(stolen_rank, victim_worker)` on the thief's
-    /// idle path only — it cannot affect scheduling order, message
-    /// delivery or rank state, so enabling it preserves bit-identical
-    /// execution.
-    pub fn set_steal_probe(&self, probe: Option<StealProbe>) {
-        *self.steal_probe.lock() = probe;
+        Self { n_workers }
     }
 
     pub fn n_workers(&self) -> usize {
         self.n_workers
-    }
-
-    /// Counters accumulated over every [`run`](Self::run) of this pool.
-    pub fn lifetime_stats(&self) -> RuntimeStats {
-        *self.lifetime.lock()
     }
 
     /// A pool as wide as this host ([`std::thread::available_parallelism`]);
@@ -471,9 +437,7 @@ impl Runtime {
         R: Send + 'a,
         F: Fn(usize, usize) -> Box<dyn VirtualRank<M, Output = R> + Send + 'a> + Sync,
     {
-        // the whole universe on this pool: nothing is ever relayed
-        let relay: Relay<M> = Box::new(|_, _| unreachable!("every rank is hosted here"));
-        let (mut outs, stats) = self.drive(&self.host(n_ranks, 0..n_ranks, relay), factory);
+        let (mut outs, stats) = self.drive(&self.host_all(n_ranks, None), factory);
         outs.sort_unstable_by_key(|&(rank, _)| rank);
         RuntimeRun {
             results: outs.into_iter().map(|(_, out)| out).collect(),
@@ -481,9 +445,21 @@ impl Runtime {
         }
     }
 
+    /// [`host`](Self::host) with the whole universe on this pool: nothing
+    /// is ever relayed.
+    pub(crate) fn host_all<M: Send>(
+        &self,
+        n_ranks: usize,
+        steal_probe: Option<StealProbe>,
+    ) -> Arc<Shared<M>> {
+        let relay = Box::new(|_, _| unreachable!("every rank is hosted here"));
+        self.host(n_ranks, 0..n_ranks, relay, steal_probe)
+    }
+
     /// The mailboxes of a run over `size` ranks of which this pool hosts
     /// `hosted`, every one of them runnable; a hosted rank's send to any
-    /// other rank is handed to `relay`.
+    /// other rank is handed to `relay`, and every steal is shown to
+    /// `steal_probe`.
     ///
     /// # Panics
     /// Panics if `hosted` is empty.
@@ -492,6 +468,7 @@ impl Runtime {
         size: usize,
         hosted: impl IntoIterator<Item = usize>,
         relay: Relay<M>,
+        steal_probe: Option<StealProbe>,
     ) -> Arc<Shared<M>> {
         let mut slots: Vec<_> = (0..size)
             .map(|_| RankSlot {
@@ -524,7 +501,7 @@ impl Runtime {
             polls: AtomicUsize::new(0),
             wakeups: AtomicUsize::new(0),
             steals: AtomicUsize::new(0),
-            steal_probe: self.steal_probe.lock().clone(),
+            steal_probe,
             start: Instant::now(),
         })
     }
@@ -568,14 +545,13 @@ impl Runtime {
         let unread: usize = shared.slots.iter().map(queued).sum();
         // per-run counters: `shared` is built afresh for every run, so a
         // reused pool cannot leak a previous run's polls/steals into
-        // this run's stats — only the lifetime accumulator carries over
+        // this run's stats
         let stats = RuntimeStats {
             polls: shared.polls.load(Ordering::Relaxed),
             wakeups: shared.wakeups.load(Ordering::Relaxed),
             dropped_sends: shared.dropped_sends.load(Ordering::Relaxed) + unread,
             steals: shared.steals.load(Ordering::Relaxed),
         };
-        self.lifetime.lock().absorb(&stats);
         (outs, stats)
     }
 }
@@ -966,7 +942,19 @@ pub(crate) mod tests {
         let n = 64usize;
         let n_workers = 4usize;
         let polled_by = Arc::new(Mutex::new(Vec::new()));
-        let run = Runtime::new(n_workers).run(n, |rank, _| {
+        // the observer is `host`'s argument: whoever hosts ranks on a
+        // pool (a net process as much as `run_runtime`) names its own
+        let seen = Arc::new(AtomicUsize::new(0));
+        let probe: StealProbe = {
+            let seen = Arc::clone(&seen);
+            Arc::new(move |rank, victim| {
+                assert_eq!(rank % n_workers, victim, "stolen from its home worker");
+                seen.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let pool = Runtime::new(n_workers);
+        let shared = pool.host_all(n, Some(probe));
+        let (outs, stats) = pool.drive(&shared, |rank, _| {
             Box::new(TracedRank {
                 heavy: HeavyRank {
                     spins: if rank % n_workers == 0 { 300_000 } else { 0 },
@@ -974,17 +962,18 @@ pub(crate) mod tests {
                 polled_by: Arc::clone(&polled_by),
             }) as Machine
         });
-        assert_eq!(run.results.iter().sum::<usize>(), n);
-        // idle workers must actually have stolen from the hot one …
-        assert!(run.stats.steals > 0, "stats {:?}", run.stats);
+        assert_eq!(outs.iter().map(|(_, out)| out).sum::<usize>(), n);
+        // idle workers must actually have stolen from the hot one, and
+        // the observer saw every steal …
+        assert!(stats.steals > 0, "stats {stats:?}");
+        assert_eq!(seen.load(Ordering::Relaxed), stats.steals);
         // … and what they stole was the heavy work: every heavy rank ran
         // once, and not all of them on their one home worker
         let polled_by = polled_by.lock().expect("no poisoning");
         assert_eq!(polled_by.len(), n / n_workers);
         assert!(
             polled_by.iter().any(|&thread| thread != polled_by[0]),
-            "all heavy ranks ran on their home worker, stats {:?}",
-            run.stats
+            "all heavy ranks ran on their home worker, stats {stats:?}"
         );
     }
 
@@ -1022,14 +1011,6 @@ pub(crate) mod tests {
             "per-run polls must not accumulate: {:?} after {:?}",
             second.stats,
             first.stats
-        );
-        // the pool-lifetime view is the across-runs sum
-        let lifetime = pool.lifetime_stats();
-        assert_eq!(lifetime.steals, first.stats.steals + second.stats.steals);
-        assert_eq!(lifetime.polls, first.stats.polls + second.stats.polls);
-        assert_eq!(
-            lifetime.dropped_sends,
-            first.stats.dropped_sends + second.stats.dropped_sends
         );
     }
 
@@ -1296,7 +1277,7 @@ pub(crate) mod tests {
         assert!(runs.iter().all(|run| run.stats.dropped_sends == 7));
         // the pool's host can take it back instead
         let pool = Runtime::new(2);
-        let shared = pool.host(2, 0..2, Box::new(|_, _| unreachable!("all hosted")));
+        let shared = pool.host_all(2, None);
         pool.drive(&shared, machine);
         let unread = shared.hand_off(0).expect("rank 0 exited");
         let unread: Vec<CtlMsg> = unread.into_iter().map(|env| env.msg).collect();

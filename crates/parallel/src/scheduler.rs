@@ -1,5 +1,6 @@
 //! The protocol vocabulary of the parallel MLMCMC process architecture
-//! (paper Section 4.2, Fig. 8) and its thread entry points.
+//! (paper Section 4.2, Fig. 8) and `run_parallel`, its entry point on a
+//! pool as wide as the host.
 //!
 //! Rank layout: rank 0 is the **root** (launches the run, tracks level
 //! completion, orchestrates shutdown), rank 1 the **phonebook** (routes
@@ -28,7 +29,7 @@ use crate::roles::{run_pool, Run, RuntimeConfig};
 use crate::runtime::Runtime;
 use uq_mlmcmc::coupled::{CoarseSample, MlChain};
 use uq_mlmcmc::ledger::{LedgerLease, LedgerState, PairingMode, ServeOutcome};
-use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot, RunStore};
+use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, RunStore};
 use uq_mlmcmc::LevelFactory;
 
 /// RNG stream seed of the controller at `rank` (the cross-executor
@@ -149,9 +150,9 @@ pub enum Msg {
 
 impl Msg {
     /// The [`Msg::Correction`] for `chain`'s just-completed producing
-    /// step: `y` is the fine QOI minus the paired coarse one (the bare
-    /// QOI on level 0); the recorded triple is filled only under
-    /// `record`, and its pair always shows the proposal coupling.
+    /// step: `y` is [`MlChain::correction`] under `pairing`; the
+    /// recorded triple is filled only under `record`, and its pair
+    /// always shows the proposal coupling.
     pub(crate) fn correction(
         level: usize,
         chain: &MlChain,
@@ -159,18 +160,10 @@ impl Msg {
         record: bool,
     ) -> Msg {
         let state = chain.state();
-        let paired = match pairing {
-            PairingMode::Proposal => chain.last_coarse(),
-            PairingMode::Ledger => chain.last_pairing(),
-        };
-        let y = match paired {
-            None => state.qoi.clone(),
-            Some(c) => state.qoi.iter().zip(&c.qoi).map(|(f, cq)| f - cq).collect(),
-        };
         let recorded = |v: &Vec<f64>| if record { v.clone() } else { Vec::new() };
         Msg::Correction {
             level,
-            y,
+            y: chain.correction(pairing),
             theta: recorded(&state.theta),
             fine_qoi: recorded(&state.qoi),
             coarse_qoi: chain
@@ -206,9 +199,8 @@ pub struct ParallelCheckpoint<'a> {
     /// flight), so stopping there strands no `ServeJob` and the snapshot
     /// resumes bit-identically. The root honours it under every
     /// executor and the partial report comes back flagged
-    /// ([`crate::RuntimeReport::preempted`]); [`run_parallel_ckpt`],
-    /// whose report has no such flag, rejects a `Some` up front, and
-    /// [`crate::NetDriver::run`] builds its policy with `None`.
+    /// ([`crate::RuntimeReport::preempted`]); [`crate::NetDriver::run`],
+    /// whose report has no such flag, builds its policy with `None`.
     pub stop: Option<&'a std::sync::atomic::AtomicBool>,
 }
 
@@ -371,53 +363,16 @@ pub(crate) fn poison_sample() -> CoarseSample {
 /// evaluations that wait rather than compute overlap only up to that
 /// width ([`crate::run_runtime`] takes its width from the caller) — and
 /// returns the assembled report. `tracer` may be [`Tracer::disabled`].
+/// A durable run of this layout is [`crate::run_runtime_ckpt`] with one
+/// collector shard per level.
 pub fn run_parallel(
     factory: &dyn LevelFactory,
     config: &ParallelConfig,
     tracer: &Tracer,
 ) -> ParallelReport {
-    run_parallel_ckpt(factory, config, tracer, None, None)
-}
-
-/// [`run_parallel`] with durable-run support: periodically persist
-/// consistent-cut snapshots to `checkpoint`'s run store and/or resume a
-/// run from a previously captured [`RunSnapshot`].
-///
-/// Both require `config.load_balancing == false` — the snapshot pins
-/// each chain to a level, so the assignment must be static. A resumed
-/// run continues bit-identically: every chain restores its exact kernel
-/// state and RNG stream position, collectors restore their accumulators
-/// and the phonebook re-imports the full rewind ledger.
-///
-/// # Panics
-/// Panics on an inconsistent configuration or snapshot, and on a
-/// [`ParallelCheckpoint::stop`] flag: a preempted run's report is
-/// partial and [`ParallelReport`] could not say so.
-pub fn run_parallel_ckpt(
-    factory: &dyn LevelFactory,
-    config: &ParallelConfig,
-    tracer: &Tracer,
-    checkpoint: Option<&ParallelCheckpoint<'_>>,
-    resume: Option<&RunSnapshot>,
-) -> ParallelReport {
-    assert!(
-        checkpoint.is_none_or(|c| c.stop.is_none()),
-        "run_parallel: ParallelCheckpoint::stop needs a report that can say `preempted` \
-         (use run_runtime_ckpt)"
-    );
     let runtime = Runtime::for_host();
     let config = RuntimeConfig::unsharded(config.clone(), &runtime);
-    // the `Thread` stamp names this entry point's rank layout (one
-    // collector per level), which a net run shares
-    let run = Run::new(
-        factory,
-        &config,
-        tracer,
-        checkpoint,
-        resume,
-        Backend::Thread,
-    );
-    run_pool(&runtime, &run).report
+    run_pool(&runtime, &Run::new(factory, &config, tracer, None, None)).report
 }
 
 #[cfg(test)]
@@ -449,28 +404,5 @@ mod tests {
         let report = run_parallel(&h, &config, &Tracer::disabled());
         assert_eq!(report.levels[0].n_samples, 4000);
         assert!(report.expectation()[0].is_finite());
-    }
-
-    #[test]
-    fn stop_flag_is_rejected_not_silently_dropped() {
-        let dir = std::env::temp_dir().join(format!("uq-thread-stop-{}", std::process::id()));
-        let store = RunStore::open(&dir).unwrap();
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        let spec = ParallelCheckpoint {
-            store: &store,
-            config_hash: 0,
-            every: 5,
-            on_snapshot: None,
-            stop: Some(&stop),
-        };
-        let mut config = ParallelConfig::new(vec![40, 20], vec![1, 1]);
-        config.load_balancing = false;
-        let h = GaussianHierarchy::two_level();
-        let run = || run_parallel_ckpt(&h, &config, &Tracer::disabled(), Some(&spec), None);
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
-        let _ = std::fs::remove_dir_all(&dir);
-        let why = refused.expect_err("a partial report must not come back unflagged");
-        let why = why.downcast_ref::<&str>().expect("panic message");
-        assert!(why.contains("ParallelCheckpoint::stop"), "{why}");
     }
 }

@@ -91,6 +91,10 @@ const DEFAULT_EVAL_SECS: f64 = 50e-6;
 /// as too large to predict.
 const ADMISSION_POLL_BUDGET: usize = 4_000_000;
 
+/// Ranks a job's universe may have (Fig. 11's largest: 1024), checked ahead
+/// of the poll budget: a prediction sizes per-rank state before its first poll.
+const ADMISSION_RANK_CAP: usize = 4096;
+
 // ---------------------------------------------------------------------
 // job model
 // ---------------------------------------------------------------------
@@ -657,6 +661,15 @@ fn validate_spec(spec: &JobSpec, factory: &dyn LevelFactory) -> Result<(), Strin
     }
     if config.collector_shards == 0 || config.n_workers == 0 {
         return Err("need at least one collector shard and one worker".to_string());
+    }
+    // a remote client picks these numbers: with none of them over the cap
+    // alone, `n_ranks` cannot wrap before it is compared
+    let chains = config.base.chains_per_level.iter();
+    let mut picked = chains.chain([&n_levels, &config.collector_shards]);
+    if picked.any(|&n| n > ADMISSION_RANK_CAP) || config.n_ranks() > ADMISSION_RANK_CAP {
+        return Err(format!(
+            "admission denied: the universe exceeds the cap of {ADMISSION_RANK_CAP} ranks"
+        ));
     }
     Ok(())
 }
@@ -1271,6 +1284,33 @@ mod tests {
             .expect_err("no prediction, no admission");
         assert!(reason.contains("too large to predict"), "{reason}");
         assert_eq!(tracer.counter(Counter::JobsRejected), 1);
+        assert!(service.submit(spec()).is_ok(), "a small job still gets in");
+    }
+
+    #[test]
+    fn a_job_of_too_many_ranks_is_denied_before_anything_is_sized() {
+        // a remote `Submit` picks these numbers: either alone would size
+        // the prediction's per-rank state, and their plain sum wraps
+        let sized = |chains: usize, shards: usize| {
+            let mut job = spec();
+            job.config.base.chains_per_level = vec![chains, 1];
+            job.config.collector_shards = shards;
+            job
+        };
+        let tracer = Tracer::new();
+        let mut service = service("ranks", &tracer);
+        let addr = service.listen("127.0.0.1:0").expect("listen").to_string();
+        let mut client = ServiceClient::connect(&addr).expect("connect");
+        for (chains, shards) in [(1 << 40, 1), (1, 1 << 40), (usize::MAX, 1)] {
+            let local = service.submit(sized(chains, shards)).expect_err("denied");
+            assert!(local.contains("exceeds the cap of 4096"), "{local}");
+            let remote = client.submit(sized(chains, shards)).expect("io");
+            assert_eq!(remote, Err(local));
+        }
+        assert_eq!(tracer.counter(Counter::JobsRejected), 6);
+        // a Fig. 11 universe of 1024 ranks is under the cap
+        let ridge = crate::roles::StandIn::two_level();
+        assert_eq!(validate_spec(&sized(1019, 1), &ridge), Ok(()));
         assert!(service.submit(spec()).is_ok(), "a small job still gets in");
     }
 

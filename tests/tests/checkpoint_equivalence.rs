@@ -1,5 +1,5 @@
 //! PR 6 headline suite: **bit-identical checkpoint/resume** pinned by
-//! crash injection, on all three backends.
+//! crash injection, under the sequential driver and the pool.
 //!
 //! Each `*_crash_resume_*` test is its own harness: the parent process
 //! computes the uninterrupted reference run in-process, then re-execs
@@ -34,14 +34,15 @@ use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use uq_mlmcmc::estimator::{run_sequential_ckpt, CheckpointSpec};
-use uq_mlmcmc::store::fnv1a;
-use uq_mlmcmc::{MlmcmcConfig, MlmcmcReport, RunStore};
+use uq_mlmcmc::store::{fnv1a, Backend};
+use uq_mlmcmc::{MlmcmcConfig, MlmcmcReport, RunSnapshot, RunStore};
 use uq_parallel::scheduler::ParallelLevelReport;
 use uq_parallel::{
-    run_parallel_ckpt, run_runtime, run_runtime_ckpt, ParallelCheckpoint, ParallelConfig,
-    RuntimeConfig, Tracer,
+    run_net_worker, run_parallel, run_runtime, run_runtime_ckpt, NetDriver, NetDriverOptions,
+    NetWorkerOptions, ParallelCheckpoint, ParallelConfig, RuntimeConfig, Tracer,
 };
 
 #[path = "common/reexec.rs"]
@@ -259,7 +260,8 @@ fn sequential_crash_resume_is_bit_identical() {
 }
 
 // ---------------------------------------------------------------------
-// thread scheduler
+// `run_parallel`'s layout: one collector per level, a pool as wide as
+// the host
 // ---------------------------------------------------------------------
 
 const THREAD_SEED: u64 = 33;
@@ -274,12 +276,31 @@ fn thread_config() -> ParallelConfig {
     config
 }
 
-fn thread_hash() -> u64 {
-    fnv1a(b"checkpoint_equivalence thread ridge v1")
+/// `thread_config()` as `run_parallel` lays it out. The pool's width
+/// does not show in this regime (`net_conformance` pins that), so two
+/// workers stand for the host's.
+fn thread_layout() -> RuntimeConfig {
+    RuntimeConfig {
+        base: thread_config(),
+        n_workers: 2,
+        collector_shards: 1,
+    }
 }
 
-#[test]
-fn thread_crash_resume_is_bit_identical() {
+/// The pool crash test `test_name` in its three roles: the crash child
+/// checkpoints `config` every `every` top-level corrections and aborts
+/// at the drawn snapshot ordinal; the resume child continues from the
+/// latest snapshot (once `check` has seen it) and leaves its digest; the
+/// parent compares that with `reference`'s.
+fn pool_crash_cycle(
+    test_name: &str,
+    base_kill: usize,
+    every: usize,
+    config: &RuntimeConfig,
+    check: impl Fn(&RunSnapshot),
+    reference: impl FnOnce() -> String,
+) {
+    let (off, hash) = (Tracer::disabled(), fnv1a(test_name.as_bytes()));
     match role().as_deref() {
         Some("crash") => {
             let store = RunStore::open(harness_dir().join("store")).expect("open store");
@@ -292,47 +313,108 @@ fn thread_crash_resume_is_bit_identical() {
             };
             let ckpt = ParallelCheckpoint {
                 store: &store,
-                config_hash: thread_hash(),
-                every: THREAD_EVERY,
+                config_hash: hash,
+                every,
                 on_snapshot: Some(&hook),
                 stop: None,
             };
-            run_parallel_ckpt(
-                &Ridge,
-                &thread_config(),
-                &Tracer::disabled(),
-                Some(&ckpt),
-                None,
-            );
+            run_runtime_ckpt(&Ridge, config, &off, Some(&ckpt), None);
             unreachable!("crash child must abort before the run completes");
         }
         Some("resume") => {
             let dir = harness_dir();
             let store = RunStore::open(dir.join("store")).expect("open store");
             let (_, snap) = store
-                .latest_snapshot(Some(thread_hash()))
+                .latest_snapshot(Some(hash))
                 .expect("manifest readable")
                 .expect("crashed run left a snapshot");
-            let report = run_parallel_ckpt(
-                &Ridge,
-                &thread_config(),
-                &Tracer::disabled(),
-                None,
-                Some(&snap),
-            );
-            write_digest(&dir, &parallel_digest(&report.levels));
+            check(&snap);
+            let rt = run_runtime_ckpt(&Ridge, config, &off, None, Some(&snap));
+            write_digest(&dir, &parallel_digest(&rt.report.levels));
         }
-        _ => {
-            let reference =
-                uq_parallel::run_parallel(&Ridge, &thread_config(), &Tracer::disabled());
-            run_crash_cycle(
-                "thread_crash_resume_is_bit_identical",
-                "thread",
-                1,
-                &parallel_digest(&reference.levels),
-            );
-        }
+        _ => run_crash_cycle(test_name, test_name, base_kill, &reference()),
     }
+}
+
+#[test]
+fn thread_crash_resume_is_bit_identical() {
+    pool_crash_cycle(
+        "thread_crash_resume_is_bit_identical",
+        1,
+        THREAD_EVERY,
+        &thread_layout(),
+        |_| {},
+        || {
+            let reference = run_parallel(&Ridge, &thread_config(), &Tracer::disabled());
+            parallel_digest(&reference.levels)
+        },
+    );
+}
+
+/// One stamp, and the layout rungs decide: a cut written by a net run —
+/// a driver and two worker pools — resumes in one process to the
+/// uninterrupted digest, as does the same cut under the stamp
+/// `run_parallel` and net runs wrote before PR 20; what no parallel
+/// layout fits is refused by the rung it fails.
+#[test]
+fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
+    let dir = fresh_dir("net-cut");
+    let store = Arc::new(RunStore::open(dir.join("store")).expect("open store"));
+    let opts = NetDriverOptions {
+        workers: 2,
+        every: THREAD_EVERY,
+        store: Some(Arc::clone(&store)),
+        config_hash: 20,
+    };
+    let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
+    let worker = NetWorkerOptions {
+        connect: driver.local_addr().to_string(),
+        join: false,
+        leave_at_barrier: None,
+    };
+    let off = Tracer::disabled();
+    let net = std::thread::scope(|scope| {
+        scope.spawn(|| run_net_worker(Arc::new(Ridge), &worker, &off));
+        scope.spawn(|| run_net_worker(Arc::new(Ridge), &worker, &off));
+        driver.run(Arc::new(Ridge), &thread_config(), &opts, &off)
+    });
+    let reference = parallel_digest(&run_parallel(&Ridge, &thread_config(), &off).levels);
+    assert_eq!(parallel_digest(&net.report.levels), reference);
+
+    // a cut from the middle of the run
+    let records = store.manifest_records().expect("manifest readable");
+    let snapshots = records.iter().filter(|r| r.get("kind") == Some("snapshot"));
+    let hashes: Vec<&str> = snapshots.map(|r| r.get("hash").expect("hash")).collect();
+    assert!(hashes.len() >= 4, "{} snapshots", hashes.len());
+    let (cut, _) = store
+        .get_snapshot(hashes[hashes.len() / 2])
+        .expect("snapshot readable");
+    assert_eq!(cut.backend, Backend::Runtime, "the one stamp");
+
+    let resume = |config: &RuntimeConfig, snap: &RunSnapshot| {
+        let run = || run_runtime_ckpt(&Ridge, config, &off, None, Some(snap));
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .map(|rt| parallel_digest(&rt.report.levels))
+            .map_err(|why| *why.downcast::<String>().expect("formatted panic message"))
+    };
+    assert_eq!(resume(&thread_layout(), &cut), Ok(reference.clone()));
+    let mut parent_written = cut.clone();
+    parent_written.backend = Backend::Thread;
+    assert_eq!(resume(&thread_layout(), &parent_written), Ok(reference));
+
+    let mut sequential = cut.clone();
+    sequential.backend = Backend::Sequential;
+    let why = resume(&thread_layout(), &sequential).expect_err("not a parallel cut");
+    assert!(why.contains("stamp is sequential"), "{why}");
+    let mut sharded = thread_layout();
+    sharded.collector_shards = 2;
+    let why = resume(&sharded, &cut).expect_err("two collectors for four slots");
+    assert!(why.contains("collector count mismatch"), "{why}");
+    let mut swapped = cut.clone();
+    swapped.collectors.swap(0, 1);
+    let why = resume(&thread_layout(), &swapped).expect_err("level 1's state in level 0's slot");
+    assert!(why.contains("collector slots inconsistent"), "{why}");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -357,81 +439,34 @@ fn runtime_cfg() -> RuntimeConfig {
     config
 }
 
-fn runtime_hash() -> u64 {
-    fnv1a(b"checkpoint_equivalence runtime ridge v1")
-}
-
 #[test]
 fn runtime_crash_mid_speculation_resume_is_bit_identical() {
-    match role().as_deref() {
-        Some("crash") => {
-            let store = RunStore::open(harness_dir().join("store")).expect("open store");
-            let k = crash_at();
-            let snaps = AtomicUsize::new(0);
-            let hook = move |_done: usize, _hash: &str| {
-                if snaps.fetch_add(1, Ordering::SeqCst) + 1 == k {
-                    std::process::abort();
-                }
-            };
-            let ckpt = ParallelCheckpoint {
-                store: &store,
-                config_hash: runtime_hash(),
-                every: RUNTIME_EVERY,
-                on_snapshot: Some(&hook),
-                stop: None,
-            };
-            run_runtime_ckpt(
-                &Ridge,
-                &runtime_cfg(),
-                &Tracer::disabled(),
-                Some(&ckpt),
-                None,
-            );
-            unreachable!("crash child must abort before the run completes");
-        }
-        Some("resume") => {
-            let dir = harness_dir();
-            let store = RunStore::open(dir.join("store")).expect("open store");
-            let (_, snap) = store
-                .latest_snapshot(Some(runtime_hash()))
-                .expect("manifest readable")
-                .expect("crashed run left a snapshot");
+    pool_crash_cycle(
+        "runtime_crash_mid_speculation_resume_is_bit_identical",
+        4,
+        RUNTIME_EVERY,
+        &runtime_cfg(),
+        |snap| {
             // The kill point is late enough that the quiesced cut must
             // already have seen speculative serving — this is the
             // killed-mid-speculation regime the issue pins.
-            let ledger = snap
-                .ledger
-                .as_ref()
-                .expect("runtime snapshot carries the ledger");
+            let ledger = snap.ledger.as_ref().expect("a cut carries the ledger");
             assert!(
                 ledger.stats.spec_launched > 0,
                 "snapshot must record speculative activity at the cut: {:?}",
                 ledger.stats
             );
-            let rt = run_runtime_ckpt(
-                &Ridge,
-                &runtime_cfg(),
-                &Tracer::disabled(),
-                None,
-                Some(&snap),
-            );
-            write_digest(&dir, &parallel_digest(&rt.report.levels));
-        }
-        _ => {
+        },
+        || {
             let reference = run_runtime(&Ridge, &runtime_cfg(), &Tracer::disabled());
             assert!(
                 reference.phonebook.ledger.spec_hits > 0,
                 "fixture must exercise speculation: {:?}",
                 reference.phonebook.ledger
             );
-            run_crash_cycle(
-                "runtime_crash_mid_speculation_resume_is_bit_identical",
-                "runtime",
-                4,
-                &parallel_digest(&reference.report.levels),
-            );
-        }
-    }
+            parallel_digest(&reference.report.levels)
+        },
+    );
 }
 
 // ---------------------------------------------------------------------

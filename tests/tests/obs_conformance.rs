@@ -21,7 +21,7 @@ use uq_mlmcmc::store::fnv1a;
 use uq_mlmcmc::{MlmcmcConfig, RunStore};
 use uq_parallel::{
     chrome_trace, run_parallel, run_runtime, run_runtime_ckpt, Counter, MetricsSnapshot,
-    ObservedFactory, ParallelCheckpoint, ParallelConfig, RuntimeConfig, SpanKind, Tracer,
+    ParallelCheckpoint, ParallelConfig, RuntimeConfig, SpanKind, Tracer,
 };
 
 #[path = "common/ridge.rs"]
@@ -56,7 +56,7 @@ fn sequential_tracing_on_off_is_bit_identical() {
     let plain = run_sequential(&Ridge, &config, &mut rng);
 
     let tracer = Tracer::new();
-    let observed = ObservedFactory::new(&Ridge, &tracer, 0);
+    let observed = tracer.observed(&Ridge, 0);
     let mut rng = StdRng::seed_from_u64(7);
     let traced = run_sequential(&observed, &config, &mut rng);
 
