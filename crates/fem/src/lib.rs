@@ -8,7 +8,8 @@
 //!   element-wise constant `κ`, symmetric Dirichlet elimination
 //!   (`u = 0` left, `u = 1` right, natural Neumann top/bottom);
 //! * [`poisson`] — the forward model `θ ↦ u(x_obs)` with the KL-expanded
-//!   log-normal diffusion field, preconditioned-CG solve and warm starts;
+//!   log-normal diffusion field, solved by a band LDLᵀ on the small
+//!   meshes and by warm-started multigrid-preconditioned CG above them;
 //! * [`problem`] — the Bayesian inverse problem (Gaussian likelihood
 //!   `N(F(θ), σ_F² I)`, prior `N(0, 4I)`) as a
 //!   [`uq_mcmc::SamplingProblem`], plus the three-level hierarchy with

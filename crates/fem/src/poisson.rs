@@ -10,30 +10,36 @@
 //! The model is built for the MCMC hot loop: everything `θ`-independent
 //! is constructed once and reused across chain steps, so a steady-state
 //! forward evaluation performs **no heap allocation** besides the small
-//! returned observation vector:
+//! observation vector [`PoissonModel::forward`] returns (the likelihood
+//! reads it from a model-owned buffer instead):
 //!
 //! 1. `κ = exp(Φ_e θ)` is evaluated into a reusable buffer;
 //! 2. a [`StiffnessPattern`] per mesh level refills CSR values and rhs
 //!    in place (no COO rebuild, no sort);
-//! 3. on meshes with an even `n ≥ 8` the system is solved by conjugate
-//!    gradients preconditioned with a geometric multigrid V-cycle whose
-//!    coarse operators are re-discretizations on the coarsened `κ`
-//!    (cached and refilled the same way); smaller/odd meshes fall back
-//!    to SSOR-preconditioned CG;
-//! 4. the previous solution warm-starts the next solve, and all Krylov
-//!    scratch lives in a persistent [`SolverWorkspace`].
+//! 3. the system is solved **directly** by a band LDLᵀ
+//!    ([`BandedSolver`]) where that is cheap — every mesh whose
+//!    factorisation costs at most [`DIRECT_MAX_MADDS`] multiply-adds
+//!    (`n ≤ 24`; of the meshes used here, `n ≤ 16`), and every mesh that cannot be coarsened — and
+//!    otherwise by conjugate gradients preconditioned with a geometric
+//!    multigrid V-cycle whose coarse operators are re-discretizations
+//!    on the coarsened `κ` (cached and refilled the same way);
+//! 4. on the multigrid path the previous solution warm-starts the next
+//!    solve and all Krylov scratch lives in a persistent
+//!    [`SolverWorkspace`]; a direct solve keeps nothing, so there
+//!    `forward(θ)` is a pure function of `θ`.
 //!
-//! A stalled solve **panics in every profile** — a silently unconverged
-//! forward model would corrupt the posterior, which is strictly worse
-//! than crashing the chain. Per-solve iteration/residual statistics are
-//! recorded for the paper's cost tables.
+//! A stalled solve or failed factorisation **panics in every profile** —
+//! a silently wrong forward model would corrupt the posterior, which is
+//! strictly worse than crashing the chain. Per-solve iteration/residual
+//! statistics are recorded for the paper's cost tables.
 
 use crate::grid::StructuredGrid;
 use crate::operator::{StiffnessOperator, StiffnessPattern};
 use std::sync::Arc;
+use uq_linalg::banded::BandedSolver;
 use uq_linalg::dense::DenseMatrix;
 use uq_linalg::mg::{GmgHierarchy, GmgLevelSpec, Smoother};
-use uq_linalg::solvers::{cg_into, CachedSsorPrecond, SolveStats, SolverOptions, SolverWorkspace};
+use uq_linalg::solvers::{cg_into, SolveStats, SolverOptions, SolverWorkspace};
 use uq_randfield::KlField2d;
 
 /// The paper's 36 observation points `{2/32, 7/32, 13/32, 19/32, 25/32,
@@ -157,10 +163,24 @@ pub fn build_mg_hierarchy(fine_n: usize, kappa: &[f64]) -> Option<GmgHierarchy> 
     ))
 }
 
+/// Largest band factorisation, in multiply-adds (`free · bw² / 2`), that
+/// [`PoissonModel`] solves directly rather than by MG-CG. A forward
+/// evaluation measured 2.7× faster direct at `n = 16` (33 k), 2× at
+/// `n = 24` (166 k), 0.64–0.77× of MG-CG's time at `n = 32` (524 k) and
+/// 1.8× slower at `n = 64` (8.4 M); DESIGN §1.1 has the table.
+pub const DIRECT_MAX_MADDS: usize = 250_000;
+
+/// Multiply-adds of the band factorisation on `grid`: `(n − 1)(n + 1)`
+/// free nodes, whose couplings span one grid row of them plus one (`n`).
+fn band_factor_madds(grid: &StructuredGrid) -> usize {
+    let n = grid.n();
+    (n - 1) * (n + 1) * n * n / 2
+}
+
 /// Reusable solve machinery, constructed once per model.
 enum SolverBackend {
-    /// Geometric multigrid V(1,1)-preconditioned CG; requires an even
-    /// `n ≥ 8` so at least one coarser level exists.
+    /// Geometric multigrid V(1,1)-preconditioned CG, warm-started; needs
+    /// an even `n ≥ 8` so at least one coarser level exists.
     Multigrid {
         gmg: GmgHierarchy,
         /// Symbolic assembly patterns per level, finest first.
@@ -170,23 +190,21 @@ enum SolverBackend {
         /// Coarsened-κ buffers for levels `1..` (level `l` at `l − 1`).
         coarse_kappa: Vec<Vec<f64>>,
     },
-    /// Single-level SSOR-preconditioned CG fallback for meshes too small
-    /// or odd to coarsen. The reciprocal-diagonal cache persists across
-    /// solves (refreshed in place after each refill) like the MG path's
-    /// buffers, so this path is allocation-free in steady state too.
-    Ssor {
-        op: StiffnessOperator,
-        inv_diag: Vec<f64>,
+    /// Band LDLᵀ of the free unknowns: meshes within
+    /// [`DIRECT_MAX_MADDS`] and meshes that cannot be coarsened.
+    Direct {
+        op: Box<StiffnessOperator>,
+        band: BandedSolver,
     },
 }
 
 impl SolverBackend {
     fn build(grid: &StructuredGrid) -> Self {
         let level_n = mg_level_sizes(grid.n());
-        if level_n.len() < 2 {
-            let op = StiffnessOperator::new(grid);
-            let inv_diag = vec![0.0; op.matrix().rows()];
-            return Self::Ssor { op, inv_diag };
+        if level_n.len() < 2 || band_factor_madds(grid) <= DIRECT_MAX_MADDS {
+            let op = Box::new(StiffnessOperator::new(grid));
+            let band = BandedSolver::new(op.matrix(), op.pattern().fixed_mask());
+            return Self::Direct { op, band };
         }
         let (patterns, specs) = mg_components(&level_n);
         let gmg = GmgHierarchy::new(specs, Smoother::RedBlackGaussSeidel, 1, 1);
@@ -203,7 +221,7 @@ impl SolverBackend {
     fn name(&self) -> &'static str {
         match self {
             Self::Multigrid { .. } => "mg-cg",
-            Self::Ssor { .. } => "ssor-cg",
+            Self::Direct { .. } => "direct",
         }
     }
 }
@@ -222,8 +240,11 @@ pub struct PoissonModel {
     rhs: Vec<f64>,
     /// Fine-level κ buffer, refilled per solve.
     kappa: Vec<f64>,
-    /// Current solution; doubles as the warm start for the next solve.
+    /// Current solution; on the multigrid path it doubles as the warm
+    /// start for the next solve.
     solution: Vec<f64>,
+    /// The current solution at the observation points.
+    prediction: Vec<f64>,
     workspace: SolverWorkspace,
     /// Count of forward solves (cost bookkeeping for the tables).
     evaluations: usize,
@@ -261,11 +282,13 @@ impl PoissonModel {
         let backend = SolverBackend::build(&grid);
         let n_nodes = grid.n_nodes();
         let n_elements = grid.n_elements();
+        let obs_points = paper_observation_points();
         Self {
             grid,
             phi_elements,
             phi_qoi,
-            obs_points: paper_observation_points(),
+            prediction: vec![0.0; obs_points.len()],
+            obs_points,
             opts: SolverOptions {
                 rel_tol: 1e-8,
                 ..Default::default()
@@ -304,12 +327,14 @@ impl PoissonModel {
         self.evaluations
     }
 
-    /// CG iterations of the most recent solve (`0` before any solve).
+    /// CG iterations of the most recent solve (`0` before any solve and
+    /// after a direct one).
     pub fn last_iterations(&self) -> usize {
         self.last_stats.map_or(0, |s| s.iterations)
     }
 
-    /// Final residual of the most recent solve (`0.0` before any solve).
+    /// Final residual of the most recent solve (`0.0` before any solve;
+    /// a direct solve does not measure one and reports `0.0`).
     pub fn last_residual(&self) -> f64 {
         self.last_stats.map_or(0.0, |s| s.residual)
     }
@@ -320,7 +345,7 @@ impl PoissonModel {
         self.total_cg_iterations
     }
 
-    /// Which solve backend this model uses (`"mg-cg"` or `"ssor-cg"`).
+    /// Which solve backend this model uses (`"mg-cg"` or `"direct"`).
     pub fn solver_name(&self) -> &'static str {
         self.backend.name()
     }
@@ -346,12 +371,13 @@ impl PoissonModel {
     /// `self.solution`.
     ///
     /// # Panics
-    /// Panics if CG stalls: an unconverged forward solve would silently
-    /// poison the posterior, so it is fatal in every build profile.
+    /// Panics if CG stalls or the band factorisation meets a bad pivot:
+    /// a wrong forward solve would silently poison the posterior, so it
+    /// is fatal in every build profile.
     fn solve_in_place(&mut self, theta: &[f64]) {
         assert_eq!(theta.len(), self.dim(), "PoissonModel::solve: wrong dim");
         self.update_kappa(theta);
-        let stats = match &mut self.backend {
+        let outcome = match &mut self.backend {
             SolverBackend::Multigrid {
                 gmg,
                 patterns,
@@ -367,38 +393,40 @@ impl PoissonModel {
                     patterns[l].refill_values(&rest[0], gmg.matrix_mut(l).values_mut());
                 }
                 gmg.refresh();
-                cg_into(
+                let stats = cg_into(
                     gmg.matrix(0),
                     &self.rhs,
                     &mut self.solution,
                     &*gmg,
                     self.opts,
                     &mut self.workspace,
-                )
+                );
+                stats.converged.then_some(stats).ok_or_else(|| {
+                    format!(
+                        "CG stalled after {} iterations at residual {:.3e}",
+                        stats.iterations, stats.residual
+                    )
+                })
             }
-            SolverBackend::Ssor { op, inv_diag } => {
+            SolverBackend::Direct { op, band } => {
                 op.refill(&self.kappa);
-                op.matrix().recip_diagonal_into(inv_diag);
-                let pre = CachedSsorPrecond::new(op.matrix(), 1.0, inv_diag);
-                cg_into(
-                    op.matrix(),
-                    op.rhs(),
-                    &mut self.solution,
-                    &pre,
-                    self.opts,
-                    &mut self.workspace,
-                )
+                band.solve_into(op.matrix(), op.rhs(), &mut self.solution)
+                    .map(|()| SolveStats {
+                        iterations: 0,
+                        residual: 0.0,
+                        converged: true,
+                    })
+                    .map_err(|e| format!("band factorisation failed: {e:?}"))
             }
         };
-        assert!(
-            stats.converged,
-            "PoissonModel::solve ({}): CG stalled after {} iterations at residual {:.3e} \
-             (n = {}) — aborting rather than corrupting the posterior",
-            self.backend.name(),
-            stats.iterations,
-            stats.residual,
-            self.grid.n(),
-        );
+        let stats = outcome.unwrap_or_else(|why| {
+            panic!(
+                "PoissonModel::solve ({}): {why} (n = {}) — aborting rather than \
+                 corrupting the posterior",
+                self.backend.name(),
+                self.grid.n(),
+            )
+        });
         self.evaluations += 1;
         self.total_cg_iterations += stats.iterations;
         self.last_stats = Some(stats);
@@ -412,11 +440,17 @@ impl PoissonModel {
 
     /// Forward map: PDE solution at the observation points.
     pub fn forward(&mut self, theta: &[f64]) -> Vec<f64> {
+        self.forward_in_place(theta).to_vec()
+    }
+
+    /// [`forward`](Self::forward) into the model-owned buffer — the
+    /// likelihood's form, which allocates nothing.
+    pub fn forward_in_place(&mut self, theta: &[f64]) -> &[f64] {
         self.solve_in_place(theta);
-        self.obs_points
-            .iter()
-            .map(|&(x, y)| self.grid.interpolate(&self.solution, x, y))
-            .collect()
+        for (p, &(x, y)) in self.prediction.iter_mut().zip(&self.obs_points) {
+            *p = self.grid.interpolate(&self.solution, x, y);
+        }
+        &self.prediction
     }
 
     /// The paper's QOI: the diffusion field `κ(x_k, θ)` on the 33×33 QOI
@@ -438,6 +472,25 @@ mod tests {
 
     fn small_field() -> KlField2d {
         KlField2d::new(0.15, 1.0, 16)
+    }
+
+    /// A deterministic 16-dimensional parameter of the given amplitude.
+    fn theta_at(scale: f64, phase: f64) -> Vec<f64> {
+        (0..16)
+            .map(|i| scale * (i as f64 * 1.3 + phase).sin())
+            .collect()
+    }
+
+    /// From-scratch reference: `assemble` + unpreconditioned CG to 1e-12.
+    fn reference_solution(model: &PoissonModel, theta: &[f64]) -> Vec<f64> {
+        let sys = assemble(model.grid(), &model.kappa_elements(theta));
+        let opts = SolverOptions {
+            rel_tol: 1e-12,
+            ..Default::default()
+        };
+        let reference = cg(&sys.matrix, &sys.rhs, None, &IdentityPrecond, opts);
+        assert!(reference.converged);
+        reference.x
     }
 
     #[test]
@@ -509,10 +562,28 @@ mod tests {
     #[test]
     fn backend_selection_by_mesh_size() {
         let field = small_field();
-        assert_eq!(PoissonModel::new(16, &field).solver_name(), "mg-cg");
-        assert_eq!(PoissonModel::new(8, &field).solver_name(), "mg-cg");
-        assert_eq!(PoissonModel::new(4, &field).solver_name(), "ssor-cg");
-        assert_eq!(PoissonModel::new(7, &field).solver_name(), "ssor-cg");
+        for n in [4, 7, 8, 16] {
+            assert_eq!(PoissonModel::new(n, &field).solver_name(), "direct");
+        }
+        for n in [32, 64] {
+            assert_eq!(PoissonModel::new(n, &field).solver_name(), "mg-cg");
+        }
+    }
+
+    #[test]
+    fn selection_rule_prices_the_band_the_solver_builds() {
+        // the rule reads the grid; the solver reads the pattern: they
+        // must agree on what a factorisation costs
+        for n in [1, 4, 7, 8, 16, 32] {
+            let grid = StructuredGrid::new(n);
+            let op = StiffnessOperator::new(&grid);
+            let band = BandedSolver::new(op.matrix(), op.pattern().fixed_mask());
+            assert_eq!(band.n_free(), (n - 1) * (n + 1));
+            let bw = band.half_bandwidth();
+            assert_eq!(band.n_free() * bw * bw / 2, band_factor_madds(&grid), "{n}");
+        }
+        assert_eq!(band_factor_madds(&StructuredGrid::new(16)), 32_640);
+        assert_eq!(band_factor_madds(&StructuredGrid::new(32)), 523_776);
     }
 
     #[test]
@@ -520,57 +591,59 @@ mod tests {
         // the full pipeline (refill + MG-CG) against a from-scratch
         // assemble + plain CG, on a non-trivial κ
         let field = small_field();
-        let mut model = PoissonModel::new(16, &field);
+        let mut model = PoissonModel::new(32, &field);
+        assert_eq!(model.solver_name(), "mg-cg");
         let theta: Vec<f64> = (0..16).map(|i| 0.4 * ((i as f64 * 2.3).cos())).collect();
         let u = model.solve(&theta);
-        let kappa = model.kappa_elements(&theta);
-        let sys = assemble(model.grid(), &kappa);
-        let reference = cg(
-            &sys.matrix,
-            &sys.rhs,
-            None,
-            &IdentityPrecond,
-            SolverOptions::default(),
-        );
-        assert!(reference.converged);
         assert!(
-            uq_linalg::vector::max_abs_diff(&u, &reference.x) < 1e-6,
+            uq_linalg::vector::max_abs_diff(&u, &reference_solution(&model, &theta)) < 1e-6,
             "pipeline and direct solve disagree"
         );
     }
 
     #[test]
-    fn ssor_fallback_matches_direct_solve() {
-        // odd mesh: the SSOR-CG fallback path with the persistent
-        // reciprocal-diagonal cache, re-solved with changing κ so stale
-        // cache entries would be caught
+    fn direct_solution_matches_assembled_cg() {
+        // the whole direct pipeline (refill + scatter + band LDLᵀ) against
+        // a from-scratch assemble + plain CG, across mesh sizes (7: the
+        // odd mesh no hierarchy exists for) and κ contrasts (θ scale 2.5 ⇒
+        // κ spans several decades), re-solving through one model so a
+        // stale band entry would show
         let field = small_field();
-        let mut model = PoissonModel::new(7, &field);
-        assert_eq!(model.solver_name(), "ssor-cg");
-        for scale in [0.3f64, -0.5, 0.8] {
-            let theta: Vec<f64> = (0..16).map(|i| scale * ((i as f64 * 1.3).sin())).collect();
-            let u = model.solve(&theta);
-            let kappa = model.kappa_elements(&theta);
-            let sys = assemble(model.grid(), &kappa);
-            let reference = cg(
-                &sys.matrix,
-                &sys.rhs,
-                None,
-                &IdentityPrecond,
-                SolverOptions::default(),
-            );
-            assert!(reference.converged);
-            assert!(
-                uq_linalg::vector::max_abs_diff(&u, &reference.x) < 1e-6,
-                "ssor fallback diverged from direct solve at scale {scale}"
-            );
+        for n in [4, 7, 8, 16] {
+            let mut model = PoissonModel::new(n, &field);
+            assert_eq!(model.solver_name(), "direct");
+            for scale in [0.3, 1.0, 2.5] {
+                let theta = theta_at(scale, n as f64);
+                let u = model.solve(&theta);
+                let err = uq_linalg::vector::max_abs_diff(&u, &reference_solution(&model, &theta));
+                assert!(err <= 1e-9, "n = {n}, scale {scale}: {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn direct_forward_is_a_pure_function_of_theta() {
+        // a band solve keeps nothing between solves: forward(θ₁) after an
+        // arbitrary forward(θ₀) is, to the bit, forward(θ₁) on a fresh
+        // model. n = 32 is NOT pure, by design: MG-CG warm-starts from the
+        // previous solution, so its result moves at the 1e-8 level with
+        // the chain's history.
+        let field = small_field();
+        let (theta0, theta1) = (theta_at(2.5, 0.4), theta_at(1.0, 2.0));
+        for n in [8, 16] {
+            let mut used = PoissonModel::new(n, &field);
+            used.forward(&theta0);
+            let after = used.forward(&theta1);
+            let fresh = PoissonModel::new(n, &field).forward(&theta1);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&after), bits(&fresh), "n = {n}");
         }
     }
 
     #[test]
     fn solve_records_iteration_stats() {
         let field = small_field();
-        let mut model = PoissonModel::new(16, &field);
+        let mut model = PoissonModel::new(32, &field);
         assert_eq!(model.last_iterations(), 0);
         model.forward(&[0.1; 16]);
         assert!(model.last_iterations() > 0);
@@ -579,13 +652,20 @@ mod tests {
         let first = model.total_cg_iterations();
         model.forward(&[0.0; 16]);
         assert!(model.total_cg_iterations() >= first);
+        // a direct solve iterates zero times and still counts as a solve
+        let mut direct = PoissonModel::new(16, &field);
+        direct.forward(&[0.1; 16]);
+        assert_eq!(direct.evaluations(), 1);
+        assert_eq!(direct.last_iterations(), 0);
+        assert_eq!(direct.total_cg_iterations(), 0);
+        assert_eq!(direct.last_residual(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "CG stalled")]
     fn stalled_solve_panics_in_all_profiles() {
         let field = small_field();
-        let mut model = PoissonModel::new(16, &field);
+        let mut model = PoissonModel::new(32, &field);
         model.opts = SolverOptions {
             rel_tol: 1e-14,
             abs_tol: 1e-300,
@@ -595,16 +675,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "band factorisation failed")]
+    fn failed_factorisation_panics_in_all_profiles() {
+        // κ = exp(NaN): the first pivot is not a positive finite number
+        let mut model = PoissonModel::new(16, &small_field());
+        model.forward(&[f64::NAN; 16]);
+    }
+
+    #[test]
     fn build_mg_hierarchy_matches_model_solve() {
         // the public hierarchy builder must reproduce the model's
         // internal solve exactly: same fine operator, same coarse
         // operators, hence the same CG iteration count from a cold start
         let field = small_field();
-        let mut model = PoissonModel::new(16, &field);
+        let mut model = PoissonModel::new(32, &field);
         let theta: Vec<f64> = (0..16).map(|i| 0.3 * ((i as f64 * 1.1).sin())).collect();
         model.forward(&theta); // first solve: cold start from zeros
         let kappa = model.kappa_elements(&theta);
-        let h = build_mg_hierarchy(16, &kappa).expect("n = 16 supports MG");
+        let h = build_mg_hierarchy(32, &kappa).expect("n = 32 supports MG");
         let sys = assemble(model.grid(), &kappa);
         assert_eq!(h.matrix(0).values(), sys.matrix.values());
         let r = cg(

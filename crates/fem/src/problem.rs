@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use uq_linalg::dense::DenseMatrix;
-use uq_linalg::prob::{isotropic_gaussian_logpdf, standard_normal_vec};
+use uq_linalg::prob::{centered_gaussian_logpdf, isotropic_gaussian_logpdf, standard_normal_vec};
 use uq_mcmc::SamplingProblem;
 use uq_randfield::KlField2d;
 
@@ -71,13 +71,13 @@ impl PoissonProblem {
 
     /// Log-likelihood `log N(y; F(θ), σ_F² I)` — one PDE solve.
     pub fn log_likelihood(&mut self, theta: &[f64]) -> f64 {
-        let prediction = self.model.forward(theta);
-        isotropic_gaussian_logpdf(&self.data, &prediction, self.sigma_f)
+        let prediction = self.model.forward_in_place(theta);
+        isotropic_gaussian_logpdf(&self.data, prediction, self.sigma_f)
     }
 
     /// Log-prior `log N(θ; 0, prior_sd² I)`.
     pub fn log_prior(&self, theta: &[f64]) -> f64 {
-        isotropic_gaussian_logpdf(theta, &vec![0.0; theta.len()], self.prior_sd)
+        centered_gaussian_logpdf(theta, self.prior_sd)
     }
 }
 

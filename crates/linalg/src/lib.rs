@@ -2,9 +2,10 @@
 //!
 //! From-scratch numerical linear algebra kernels used by the parallel
 //! multilevel MCMC stack: dense vectors/matrices, Cholesky and symmetric
-//! eigen decompositions, CSR sparse matrices, preconditioned conjugate
-//! gradients (SSOR or multigrid) with an allocation-free workspace-driven
-//! variant, geometric multigrid on structured grids, a radix-2 FFT,
+//! eigen decompositions, CSR sparse matrices, a band LDLᵀ direct solve
+//! for small SPD systems, preconditioned conjugate gradients (SSOR or
+//! multigrid) with an allocation-free workspace-driven variant,
+//! geometric multigrid on structured grids, a radix-2 FFT,
 //! Gauss–Legendre quadrature and scalar root finding.
 //!
 //! The crate is dependency-light by design (`rayon` for the parallel
@@ -13,6 +14,7 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
+pub mod banded;
 pub mod dense;
 pub mod fft;
 pub mod mg;
@@ -23,6 +25,7 @@ pub mod solvers;
 pub mod sparse;
 pub mod vector;
 
+pub use banded::{BandedSolver, NotPositiveDefinite};
 pub use dense::DenseMatrix;
 pub use fft::Complex;
 pub use mg::{GmgHierarchy, GmgLevelSpec, Smoother};

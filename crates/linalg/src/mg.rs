@@ -70,6 +70,9 @@ struct Level {
     a: CsrMatrix,
     fixed: Vec<bool>,
     inv_diag: Vec<f64>,
+    /// Position of each row's diagonal in `a.values()` (the pattern never
+    /// changes, so `refresh` reads instead of searching).
+    diag_pos: Vec<usize>,
 }
 
 /// Per-level scratch vectors; allocated on first V-cycle, reused after.
@@ -138,11 +141,16 @@ impl GmgHierarchy {
                     "GmgHierarchy: matrix must be square"
                 );
                 assert_eq!(s.fixed.len(), nodes, "GmgHierarchy: mask/grid mismatch");
+                let diag_pos = (0..nodes)
+                    .map(|i| s.matrix.entry_position(i, i))
+                    .collect::<Option<_>>()
+                    .expect("GmgHierarchy: every row needs a stored diagonal");
                 Level {
                     n: s.n,
                     a: s.matrix,
                     fixed: s.fixed,
                     inv_diag: vec![0.0; nodes],
+                    diag_pos,
                 }
             })
             .collect();
@@ -191,10 +199,11 @@ impl GmgHierarchy {
     /// not SPD.
     pub fn refresh(&mut self) {
         for lev in &mut self.levels {
-            for i in 0..lev.a.rows() {
-                let d = lev.a.get(i, i);
+            let values = lev.a.values();
+            for (i, (inv, &pos)) in lev.inv_diag.iter_mut().zip(&lev.diag_pos).enumerate() {
+                let d = values[pos];
                 assert!(d != 0.0, "GmgHierarchy: zero diagonal at row {i}");
-                lev.inv_diag[i] = 1.0 / d;
+                *inv = 1.0 / d;
             }
         }
         let coarse = self.levels.last().expect("at least two levels");

@@ -36,6 +36,17 @@ pub fn isotropic_gaussian_logpdf(x: &[f64], mean: &[f64], sd: f64) -> f64 {
         mean.len(),
         "isotropic_gaussian_logpdf: length mismatch"
     );
+    isotropic_logpdf(x, mean.iter().copied(), sd)
+}
+
+/// Log-density of `N(0, sd² I)` at `x`: [`isotropic_gaussian_logpdf`]
+/// against a zero mean that is never materialised — same operations in
+/// the same order, so equal to it to the bit.
+pub fn centered_gaussian_logpdf(x: &[f64], sd: f64) -> f64 {
+    isotropic_logpdf(x, std::iter::repeat(0.0), sd)
+}
+
+fn isotropic_logpdf(x: &[f64], mean: impl Iterator<Item = f64>, sd: f64) -> f64 {
     let n = x.len() as f64;
     let ss: f64 = x
         .iter()
@@ -155,6 +166,17 @@ mod tests {
             .map(|(xi, mi)| normal_logpdf(*xi, *mi, sd))
             .sum();
         assert!((isotropic_gaussian_logpdf(&x, &m, sd) - expect).abs() < 1e-13);
+    }
+
+    #[test]
+    fn centered_logpdf_equals_a_materialised_zero_mean_to_the_bit() {
+        let x = [0.5, -1.0, 2.0, -0.0, 1e-300, 3.7e8];
+        for sd in [0.01, 1.5, 2.0] {
+            assert_eq!(
+                centered_gaussian_logpdf(&x, sd).to_bits(),
+                isotropic_gaussian_logpdf(&x, &[0.0; 6], sd).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -79,49 +79,6 @@ impl Preconditioner for SsorPrecond<'_> {
     }
 }
 
-/// SSOR preconditioner borrowing BOTH the matrix and a caller-owned
-/// reciprocal-diagonal cache.
-///
-/// [`SsorPrecond`] recomputes (and allocates) the reciprocal diagonal at
-/// construction, which is wasted work when the matrix values are
-/// refilled in place every solve and a persistent cache exists — the FEM
-/// hot loop's pattern. Refresh the cache with
-/// [`CsrMatrix::recip_diagonal_into`] after each refill and wrap it per
-/// solve in this (free) view.
-pub struct CachedSsorPrecond<'a> {
-    a: &'a CsrMatrix,
-    inv_diag: &'a [f64],
-    omega: f64,
-}
-
-impl<'a> CachedSsorPrecond<'a> {
-    /// `inv_diag` must hold the reciprocal diagonal of `a` (see
-    /// [`CsrMatrix::recip_diagonal_into`]); `omega` as in
-    /// [`SsorPrecond::new`].
-    ///
-    /// # Panics
-    /// Panics if `omega` is out of range or the cache has the wrong
-    /// dimension.
-    pub fn new(a: &'a CsrMatrix, omega: f64, inv_diag: &'a [f64]) -> Self {
-        assert!(
-            omega > 0.0 && omega < 2.0,
-            "CachedSsorPrecond: omega must be in (0,2)"
-        );
-        assert_eq!(
-            inv_diag.len(),
-            a.rows(),
-            "CachedSsorPrecond: diagonal cache dimension mismatch"
-        );
-        Self { a, inv_diag, omega }
-    }
-}
-
-impl Preconditioner for CachedSsorPrecond<'_> {
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        self.a.ssor_apply_into(r, z, self.omega, self.inv_diag);
-    }
-}
-
 /// Iteration controls of the Krylov solver.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverOptions {
@@ -332,19 +289,6 @@ mod tests {
         let via_precond = pre.apply(&r);
         let via_matrix = a.ssor_apply(&r, 1.3);
         assert!(crate::vector::max_abs_diff(&via_precond, &via_matrix) < 1e-14);
-    }
-
-    #[test]
-    fn cached_ssor_matches_owning_ssor() {
-        let a = laplacian(60);
-        let r: Vec<f64> = (0..60).map(|i| ((i * 5) % 9) as f64 - 4.0).collect();
-        let owning = SsorPrecond::new(&a, 1.1);
-        let mut inv_diag = vec![0.0; 60];
-        a.recip_diagonal_into(&mut inv_diag);
-        let cached = CachedSsorPrecond::new(&a, 1.1, &inv_diag);
-        let za = owning.apply(&r);
-        let zb = cached.apply(&r);
-        assert!(crate::vector::max_abs_diff(&za, &zb) < 1e-15);
     }
 
     #[test]

@@ -231,22 +231,6 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Reciprocal diagonal into a caller-owned buffer — the refresh path
-    /// for preconditioner caches over matrices whose values are refilled
-    /// in place between solves.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or a zero diagonal entry.
-    pub fn recip_diagonal_into(&self, out: &mut [f64]) {
-        let n = self.rows.min(self.cols);
-        assert_eq!(out.len(), n, "recip_diagonal_into: dimension mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            let d = self.get(i, i);
-            assert!(d != 0.0, "recip_diagonal_into: zero diagonal at row {i}");
-            *o = 1.0 / d;
-        }
-    }
-
     /// Serial matrix–vector product `y = A x`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");

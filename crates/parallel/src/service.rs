@@ -1104,8 +1104,8 @@ fn serve_connection(stream: &mut TcpStream, inner: &Arc<ServiceInner>) -> io::Re
                 ok: inner.resume(job),
             },
             ServiceFrame::Bye => {
-                write_frame(stream, &ServiceFrame::Bye)?;
                 inner.byes.fetch_add(1, Ordering::SeqCst);
+                write_frame(stream, &ServiceFrame::Bye)?;
                 return Ok(());
             }
             // reply-only frames are protocol errors from a client
