@@ -1,17 +1,14 @@
 //! **Ablation: dynamic load balancing on/off** (DESIGN.md §5.2).
 //!
-//! Runs the shipped role machines in virtual time (`des::simulate`,
+//! Runs the shipped role machines in virtual time (`Placement::Sim`,
 //! Poisson costs) from deliberately unbalanced chain allocations, with
 //! the phonebook's balancer off and on. In the paper (Section 4.3) it
 //! recovers most of the makespan a bad allocation loses; under the exact
 //! ledger a reassigned chain pays its new level's burn-in in dedicated
 //! serves, which at these sample counts costs more than the move gains.
 
+use uq_bench::table3::simulate;
 use uq_bench::{render_table, to_csv, write_output, ExpArgs};
-use uq_parallel::des::{simulate, DesConfig};
-
-const EVAL_TIME: [f64; 3] = [3.35e-3, 45.64e-3, 931.81e-3];
-const SUBSAMPLING: [usize; 3] = [206, 17, 0];
 
 fn main() {
     let args = ExpArgs::parse();
@@ -32,23 +29,9 @@ fn main() {
         let mut makespans = [0.0f64; 2];
         let mut reassigned = [0usize; 2];
         for (k, lb) in [false, true].into_iter().enumerate() {
-            let cfg = DesConfig {
-                eval_time: EVAL_TIME.to_vec(),
-                eval_jitter: 0.25,
-                samples_per_level: samples.clone(),
-                burn_in: vec![500, 100, 20],
-                subsampling: SUBSAMPLING.to_vec(),
-                chains_per_level: chains.to_vec(),
-                phonebook_service_time: 2e-4,
-                // per message handled, discarded surplus included: a slower
-                // collector than its level's producers queues without bound
-                collector_service_time: 1e-5,
-                load_balancing: lb,
-                seed: args.seed,
-            };
-            let r = simulate(&cfg);
-            makespans[k] = r.makespan;
-            reassigned[k] = r.reassignments;
+            let r = simulate(&samples, chains, 0.25, lb, args.seed);
+            makespans[k] = r.report.elapsed;
+            reassigned[k] = r.phonebook.reassignments;
         }
         let gain = makespans[0] / makespans[1];
         rows.push(vec![

@@ -8,12 +8,8 @@
 //! Like Fig. 11 this is the shipped role machines in virtual time: the
 //! exact-ledger policy, not the paper's free handoffs (DESIGN.md §3.2).
 
+use uq_bench::table3::{busy_fraction, distribute_chains, simulate, EVAL_TIME, VARIANCES};
 use uq_bench::{render_table, to_csv, write_output, ExpArgs};
-use uq_parallel::des::{distribute_chains, simulate, DesConfig};
-
-const EVAL_TIME: [f64; 3] = [3.35e-3, 45.64e-3, 931.81e-3];
-const VARIANCES: [f64; 3] = [1.501e-1, 1.121e-3, 4.165e-5];
-const SUBSAMPLING: [usize; 3] = [206, 17, 0];
 
 fn main() {
     let args = ExpArgs::parse();
@@ -35,38 +31,25 @@ fn main() {
         let overhead = 2 + 3;
         let n_chains = ranks - overhead;
         let chains = distribute_chains(n_chains, &VARIANCES, &EVAL_TIME);
-        let cfg = DesConfig {
-            eval_time: EVAL_TIME.to_vec(),
-            eval_jitter: 0.2,
-            samples_per_level: samples,
-            burn_in: vec![500, 100, 20],
-            subsampling: SUBSAMPLING.to_vec(),
-            chains_per_level: chains,
-            phonebook_service_time: 2e-4,
-            // per message handled, discarded surplus included: a slower
-            // collector than its level's producers queues without bound
-            collector_service_time: 1e-5,
-            load_balancing: true,
-            seed: args.seed,
-        };
-        let r = simulate(&cfg);
+        let r = simulate(&samples, &chains, 0.2, true, args.seed);
         results.push((ranks, r));
     }
     let t_ref = results
         .iter()
-        .map(|(_, r)| r.makespan)
+        .map(|(_, r)| r.report.elapsed)
         .fold(f64::INFINITY, f64::min);
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for (ranks, r) in &results {
-        let eff = t_ref / r.makespan * 100.0;
+        let (makespan, busy) = (r.report.elapsed, busy_fraction(r));
+        let eff = t_ref / makespan * 100.0;
         rows.push(vec![
             ranks.to_string(),
-            format!("{:.1}", r.makespan),
-            format!("{:.0}%", eff),
-            format!("{:.0}%", 100.0 * r.busy_fraction),
+            format!("{makespan:.1}"),
+            format!("{eff:.0}%"),
+            format!("{:.0}%", 100.0 * busy),
         ]);
-        csv.push(vec![*ranks as f64, r.makespan, eff, r.busy_fraction]);
+        csv.push(vec![*ranks as f64, makespan, eff, busy]);
     }
     println!(
         "{}",

@@ -1,20 +1,15 @@
 //! **Fig. 9**: dynamic load balancing trace. Runs a small parallel
 //! MLMCMC with strongly heterogeneous (and artificially slowed)
-//! per-level model costs through **both** in-process entry points —
-//! `run_parallel` (a worker pool as wide as the host) and `run_runtime`
-//! (a pool of the configured width) — recording per-rank activity spans: model evaluations (the figure's
+//! per-level model costs on a worker pool as wide as the host, recording
+//! per-rank activity spans: model evaluations (the figure's
 //! green boxes), burn-in phases (yellow), ledger serves and
-//! reassignment markers. Both runs share one [`Epoch`], so the
-//! exported Chrome trace (`fig9_trace.json`, Perfetto /
-//! `chrome://tracing` loadable) shows them on a single timeline next
-//! to the per-backend CSVs.
+//! reassignment markers, as a CSV and as a Chrome trace
+//! (`fig9_trace.json`, Perfetto / `chrome://tracing` loadable).
 
 use std::time::Duration;
 use uq_bench::{write_output, ExpArgs};
 use uq_linalg::prob::isotropic_gaussian_logpdf;
-use uq_parallel::{
-    chrome_trace, run_parallel, run_runtime, Epoch, ParallelConfig, RuntimeConfig, SpanKind, Tracer,
-};
+use uq_parallel::{chrome_trace, Placement, Run, Runtime, RuntimeConfig, SpanKind, Tracer};
 
 /// Gaussian target with an artificial per-evaluation delay mimicking a
 /// PDE solve whose run time varies strongly between samples (the paper's
@@ -87,52 +82,26 @@ fn main() {
     };
     let chains = vec![3usize, 2];
     let burn_in = vec![60usize, 25];
-    let epoch = Epoch::now();
 
     println!("Fig. 9 — dynamic load balancing trace (live scheduler)");
-    let mut config = ParallelConfig::new(samples.clone(), chains.clone());
-    config.burn_in = burn_in.clone();
-    config.seed = args.seed;
-    let tracer = Tracer::with_epoch(epoch);
-    let report = run_parallel(&SlowHierarchy, &config, &tracer);
+    let mut config = RuntimeConfig::new(samples, chains);
+    config.base.burn_in = burn_in;
+    config.base.seed = args.seed;
+    let tracer = Tracer::new();
+    let run = Run::new(&SlowHierarchy, &config, &tracer, None, None);
+    let rt = run.on(Placement::Pool(&Runtime::for_host()));
+    let rt = rt.expect("a live run");
     println!(
-        "run finished in {:.2}s on {} ranks, {} reassignments, estimate {:.3}",
-        report.elapsed,
-        report.n_ranks,
-        report.reassignments,
-        report.expectation()[0]
-    );
-    let (evals, burnins, serves) = span_counts(&tracer);
-    println!("trace: {evals} evaluation spans, {burnins} burn-in spans, {serves} serve spans");
-    write_output(&args.out_dir, "fig9_trace.csv", &tracer.to_csv());
-
-    // the same study on the cooperative runtime: virtual ranks
-    // multiplexed over a small worker pool, serves through the rewind
-    // ledger — the second Gantt panel of the exported Chrome trace
-    println!("\nFig. 9 — the same trace on the cooperative runtime");
-    let mut rt_cfg = RuntimeConfig::new(samples, chains);
-    rt_cfg.base.burn_in = burn_in;
-    rt_cfg.base.seed = args.seed;
-    rt_cfg.n_workers = 4;
-    let rt_tracer = Tracer::with_epoch(epoch);
-    let rt = run_runtime(&SlowHierarchy, &rt_cfg, &rt_tracer);
-    println!(
-        "run finished in {:.2}s on {} virtual ranks ({} workers), {} reassignments, \
-         {} steals, estimate {:.3}",
+        "run finished in {:.2}s on {} ranks, {} reassignments, {} steals, estimate {:.3}",
         rt.report.elapsed,
         rt.report.n_ranks,
-        rt_cfg.n_workers,
         rt.report.reassignments,
         rt.runtime.steals,
         rt.report.expectation()[0]
     );
-    let (evals, burnins, serves) = span_counts(&rt_tracer);
+    let (evals, burnins, serves) = span_counts(&tracer);
     println!("trace: {evals} evaluation spans, {burnins} burn-in spans, {serves} serve spans");
-    write_output(&args.out_dir, "fig9_trace_runtime.csv", &rt_tracer.to_csv());
-
-    let trace = chrome_trace(&[
-        ("thread-scheduler", &tracer),
-        ("cooperative-runtime", &rt_tracer),
-    ]);
+    write_output(&args.out_dir, "fig9_trace.csv", &tracer.to_csv());
+    let trace = chrome_trace(&[("worker-pool", &tracer)]);
     write_output(&args.out_dir, "fig9_trace.json", &trace);
 }

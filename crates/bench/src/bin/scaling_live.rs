@@ -11,7 +11,7 @@
 //!    model-bound like the paper's, not harness-bound), or with
 //!    **`--model swe`** 16 → 32 ranks against the real `uq-swe` Tohoku
 //!    hierarchy; the model only picks the `LevelFactory` and the sizes.
-//! 2. **Simulates the same configuration** (`run_simulated`: the sweep
+//! 2. **Simulates the same configuration** (`Placement::Sim`: the sweep
 //!    point on a zero-spin stand-in at single-threadedly *calibrated*
 //!    per-level times — in-run means are inflated by preemption when
 //!    workers exceed cores; nothing measured live is fed back) and
@@ -32,8 +32,8 @@
 //! (`scaling_live_swe.csv` for `--model swe`). **`--trace-out F`**
 //! writes a Chrome trace-event JSON (Perfetto / `chrome://tracing`
 //! loadable) of the first sweep point plus a short run of the same
-//! machines through `run_parallel` (sharing one [`Epoch`], so both
-//! entry points land on one timeline), **`--metrics-out F`** a
+//! machines on a pool as wide as the host (sharing one [`Epoch`], so
+//! both land on one timeline), **`--metrics-out F`** a
 //! `MetricsSnapshot` JSON of the two, and **`--progress`** prints a live
 //! progress line during the sweep. Tracing is observation-only:
 //! bit-parity with tracing off is pinned by `tests/obs_conformance.rs`.
@@ -41,14 +41,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use uq_bench::{render_table, to_csv, write_output, ExpArgs};
+use uq_bench::{apportion, render_table, to_csv, write_output, ExpArgs};
 use uq_linalg::prob::isotropic_gaussian_logpdf;
 use uq_mcmc::proposal::GaussianRandomWalk;
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::LevelFactory;
 use uq_parallel::{
-    chrome_trace, run_parallel, run_runtime_on, run_simulated, Counter, Epoch, MetricsSnapshot,
-    ParallelConfig, Runtime, RuntimeConfig, RuntimeReport, SimCost, SimReport, Tracer,
+    chrome_trace, Counter, Epoch, MetricsSnapshot, Placement, Run, Runtime, RuntimeConfig,
+    RuntimeReport, SimCost, Tracer,
 };
 
 /// Gaussian level target with a deterministic busy-spin so one model
@@ -116,7 +116,6 @@ impl LevelFactory for SpinHierarchy {
 /// (own samples + the serving stride feeding the next level up).
 fn allocate_chains(n_chains: usize, samples: &[usize], rho: &[usize]) -> Vec<usize> {
     let n_levels = samples.len();
-    assert!(n_chains >= n_levels);
     let weights: Vec<f64> = (0..n_levels)
         .map(|l| {
             let own = samples[l] as f64;
@@ -128,25 +127,7 @@ fn allocate_chains(n_chains: usize, samples: &[usize], rho: &[usize]) -> Vec<usi
             own + serving
         })
         .collect();
-    let total: f64 = weights.iter().sum();
-    let mut out = vec![1usize; n_levels];
-    let spare = n_chains - n_levels;
-    let mut assigned = 0usize;
-    let mut fracs: Vec<(f64, usize)> = Vec::new();
-    for (l, w) in weights.iter().enumerate() {
-        let share = w / total * spare as f64;
-        let whole = share.floor() as usize;
-        out[l] += whole;
-        assigned += whole;
-        fracs.push((share - whole as f64, l));
-    }
-    // largest-remainder top-up to hit the budget exactly
-    fracs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-    for &(_, l) in fracs.iter().take(spare - assigned) {
-        out[l] += 1;
-    }
-    debug_assert_eq!(out.iter().sum::<usize>(), n_chains);
-    out
+    apportion(n_chains, &weights)
 }
 
 /// Single-threaded calibration of one level's evaluation cost (seconds).
@@ -174,9 +155,9 @@ struct SweepPoint {
     ranks: usize,
     chains: Vec<usize>,
     live: RuntimeReport,
-    /// `sim.run.report.elapsed` is the makespan on unbounded parallel
+    /// `sim.report.elapsed` is the makespan on unbounded parallel
     /// hardware (one processor per rank — the paper's cluster setting).
-    sim: SimReport,
+    sim: RuntimeReport,
     /// Simulated evaluation work (virtual busy seconds summed over
     /// levels); on `c` effective cores the live run cannot beat
     /// `sim_busy / c`.
@@ -240,17 +221,19 @@ fn sweep(
         poll_budget: usize::MAX,
     };
 
-    // one epoch shared by both tracers: the `run_parallel` run and the
+    // one epoch shared by both tracers: the host-wide run and the
     // sweep land on a single timeline in the exported Chrome trace
     let epoch = Epoch::now();
     let t_thread = Tracer::with_epoch(epoch);
     if args.trace_out.is_some() || args.metrics_out.is_some() {
-        // the exports cover both in-process entry points: a short run
-        // of the same machines on a pool as wide as the host
-        let mut config = ParallelConfig::new(vec![2_000, 200, 30], vec![2, 2, 1]);
-        config.burn_in = vec![50, 25, 10];
-        config.seed = args.seed;
-        run_parallel(&stand_in, &config, &t_thread);
+        // the exports cover a second pool width: a short run of the
+        // same machines on a pool as wide as the host
+        let mut config = RuntimeConfig::new(vec![2_000, 200, 30], vec![2, 2, 1]);
+        config.base.burn_in = vec![50, 25, 10];
+        config.base.seed = args.seed;
+        let run = Run::new(&stand_in, &config, &t_thread, None, None);
+        let host = run.on(Placement::Pool(&Runtime::for_host()));
+        host.expect("a live run");
     }
 
     // the whole sweep records into one tracer (what `--progress` polls);
@@ -276,24 +259,24 @@ fn sweep(
         let mut config = RuntimeConfig::new(samples.to_vec(), chains.clone());
         config.base.burn_in = burn_in.to_vec();
         config.base.seed = args.seed;
-        config.n_workers = WORKERS;
         config.collector_shards = SHARDS;
         assert_eq!(config.n_ranks(), ranks, "rank budget mismatch");
         // the whole sweep reuses one worker pool; per-point runtime stats
         // describe that point alone (pinned by the uq-parallel
         // reused-pool regression test)
-        let live = run_runtime_on(&pool, h, &config, &t_rt);
+        let live = Run::new(h, &config, &t_rt, None, None);
+        let live = live.on(Placement::Pool(&pool)).expect("a live run");
         // divergence, hits and waste are the simulated ledger's own, not
         // measured ones
         let off = Tracer::disabled();
-        let sim = run_simulated(&stand_in, &config, &off, &cost, args.seed, None, None)
-            .expect("an unbounded simulated run finishes");
-        let sim_busy: f64 = sim.busy_per_level.iter().sum();
-        let pred_elapsed = sim
-            .run
-            .report
-            .elapsed
-            .max(sim_busy / effective_cores as f64);
+        let placement = Placement::Sim {
+            cost: &cost,
+            seed: args.seed,
+        };
+        let sim = Run::new(&stand_in, &config, &off, None, None).on(placement);
+        let sim = sim.expect("an unbounded simulated run finishes");
+        let sim_busy: f64 = sim.busy_per_level.iter().flatten().sum();
+        let pred_elapsed = sim.report.elapsed.max(sim_busy / effective_cores as f64);
         eprintln!(
             "  ranks {ranks:>5}: {:.2}s live, {:.0}% serves speculated",
             live.report.elapsed,
@@ -353,7 +336,7 @@ fn sweep(
             format!("{throughput:.0}"),
             format!("{:.2}", p.pred_elapsed),
             format!("{:.2}", p.overhead()),
-            format!("{:.3}", p.sim.run.report.elapsed),
+            format!("{:.3}", p.sim.report.elapsed),
             format!("{:.1}", book.mean_batch()),
             book.max_batch.to_string(),
             p.live.report.reassignments.to_string(),
@@ -369,7 +352,7 @@ fn sweep(
             throughput,
             p.pred_elapsed,
             p.overhead(),
-            p.sim.run.report.elapsed,
+            p.sim.report.elapsed,
             p.sim_busy,
             book.mean_batch(),
             book.max_batch as f64,
@@ -429,7 +412,7 @@ fn sweep(
     // cross-check 1 (policy): evaluation counts per level must agree —
     // the pool executes the schedule the simulated run does
     for p in &points {
-        let (live, sim) = (evals(&p.live), evals(&p.sim.run));
+        let (live, sim) = (evals(&p.live), evals(&p.sim));
         for (level, (&live, &sim)) in live.iter().zip(&sim).enumerate() {
             let ratio = live as f64 / sim.max(1) as f64;
             assert!(
@@ -504,10 +487,11 @@ fn sweep(
     // uniformly, so the *distribution* across levels must still agree.
     let live_level_busy: f64 = snap.per_level.iter().map(|l| l.busy()).sum();
     let sim_level_busy = obs_point.sim_busy;
+    let sim_busy_per_level = obs_point.sim.busy_per_level.as_ref().expect("simulated");
     let mut share_rows = Vec::new();
     for l in &snap.per_level {
         let live_share = l.busy() / live_level_busy;
-        let sim_share = obs_point.sim.busy_per_level[l.level] / sim_level_busy;
+        let sim_share = sim_busy_per_level[l.level] / sim_level_busy;
         // band-check levels carrying real work; on the top level's sliver
         // (~1% of busy time) only require the activity to exist
         if sim_share >= 0.05 {

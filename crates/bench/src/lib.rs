@@ -140,6 +140,93 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Hand out `n` chains over levels in proportion to `weights`: one chain
+/// per level, the rest by largest-remainder apportionment, so the counts
+/// sum to `n` and a level of larger weight never gets fewer chains.
+pub fn apportion(n: usize, weights: &[f64]) -> Vec<usize> {
+    let n_levels = weights.len();
+    assert!(n >= n_levels, "need at least one chain per level");
+    let total: f64 = weights.iter().sum();
+    let spare = (n - n_levels) as f64;
+    let shares: Vec<f64> = weights.iter().map(|w| w / total * spare).collect();
+    let mut out: Vec<usize> = shares.iter().map(|s| 1 + s.floor() as usize).collect();
+    // the chains the floors left over, at most one per level, go to the
+    // largest fractions (between equal ones, the larger weight)
+    let mut by_fraction: Vec<usize> = (0..n_levels).collect();
+    let key = |l: usize| (shares[l].fract(), weights[l]);
+    by_fraction.sort_by(|&a, &b| key(b).partial_cmp(&key(a)).expect("finite weights"));
+    let left_over = n - out.iter().sum::<usize>();
+    for &l in by_fraction.iter().take(left_over) {
+        out[l] += 1;
+    }
+    out
+}
+
+/// The Poisson schedule of the scaling studies (Figs. 11–12, the
+/// load-balancer ablation): paper Table 3's measured costs, variances and
+/// subsampling rates, and the run they define in virtual time.
+pub mod table3 {
+    use uq_parallel::{Placement, Run, RuntimeConfig, RuntimeReport, SimCost, StandIn, Tracer};
+
+    /// Measured evaluation cost per level (seconds).
+    pub const EVAL_TIME: [f64; 3] = [3.35e-3, 45.64e-3, 931.81e-3];
+    /// Variance of the telescoping term per level.
+    pub const VARIANCES: [f64; 3] = [1.501e-1, 1.121e-3, 4.165e-5];
+    /// Subsampling rate `ρ_l` per level.
+    pub const SUBSAMPLING: [usize; 3] = [206, 17, 0];
+    /// Burn-in steps per (re)built chain, per level.
+    pub const BURN_IN: [usize; 3] = [500, 100, 20];
+
+    /// Distribute `n_chains` chains over levels proportionally to the optimal
+    /// effort share `√(V_l C_l)` ([`apportion`](super::apportion)).
+    pub fn distribute_chains(n_chains: usize, variances: &[f64], costs: &[f64]) -> Vec<usize> {
+        let effort = |(&v, &c): (&f64, &f64)| (v.max(1e-30) * c).sqrt();
+        let weights: Vec<f64> = variances.iter().zip(costs).map(effort).collect();
+        super::apportion(n_chains, &weights)
+    }
+
+    /// `samples` on `chains` as the shipped role machines in virtual time:
+    /// the [`StandIn`] target at Table 3's subsampling, an evaluation
+    /// costing its level's [`EVAL_TIME`] (lognormal `eval_jitter`), a
+    /// phonebook message 0.2 ms and a collector message 10 µs (surplus
+    /// corrections included: a slower collector than its level's
+    /// producers queues without bound); `seed` is the chains' and the
+    /// deliveries'.
+    pub fn simulate(
+        samples: &[usize],
+        chains: &[usize],
+        eval_jitter: f64,
+        load_balancing: bool,
+        seed: u64,
+    ) -> RuntimeReport {
+        let mut config = RuntimeConfig::new(samples.to_vec(), chains.to_vec());
+        config.base.burn_in = BURN_IN.to_vec();
+        config.base.load_balancing = load_balancing;
+        config.base.seed = seed;
+        let cost = SimCost {
+            eval_time: EVAL_TIME.to_vec(),
+            eval_jitter,
+            phonebook_service_time: 2e-4,
+            collector_service_time: 1e-5,
+            latency: 0.0,
+            poll_budget: usize::MAX,
+        };
+        let (model, off) = (StandIn::new(SUBSAMPLING.to_vec()), Tracer::disabled());
+        let placement = Placement::Sim { cost: &cost, seed };
+        let run = Run::new(&model, &config, &off, None, None);
+        run.on(placement)
+            .expect("an unbounded simulated run finishes")
+    }
+
+    /// Fraction of the controllers' time a simulated run spent evaluating
+    /// models (utilization).
+    pub fn busy_fraction(run: &RuntimeReport) -> f64 {
+        let busy: f64 = run.busy_per_level.iter().flatten().sum();
+        let n_chains = run.report.n_ranks - 2 - run.report.levels.len();
+        (busy / (run.report.elapsed * n_chains as f64).max(f64::MIN_POSITIVE)).min(1.0)
+    }
+}
+
 /// Fixtures of the forward-solve-pipeline rungs of the repo's benchmark
 /// (`benchmark/src/ladder.rs`): the κ field, multigrid hierarchy and θ
 /// chain they measure.
@@ -194,6 +281,7 @@ pub mod pipeline_bench {
 
 #[cfg(test)]
 mod tests {
+    use super::table3::{distribute_chains, EVAL_TIME, VARIANCES};
     use super::*;
 
     #[test]
@@ -215,6 +303,49 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("level"));
         assert!(lines[3].ends_with("22.75"));
+    }
+
+    #[test]
+    fn distribute_chains_respects_weights() {
+        let chains = distribute_chains(10, &[0.15, 0.001, 0.00004], &[0.003, 0.045, 0.93]);
+        assert_eq!(chains.iter().sum::<usize>(), 10);
+        assert!(chains.iter().all(|&c| c >= 1));
+        assert!(chains[0] >= chains[2], "coarse carries most: {chains:?}");
+    }
+
+    /// Exactly `n_chains`, one or more a level, monotone in the weight.
+    fn assert_apportioned(chains: &[usize], n_chains: usize, weights: &[f64]) {
+        assert_eq!(chains.iter().sum::<usize>(), n_chains, "{chains:?}");
+        assert!(chains.iter().all(|&c| c >= 1), "{chains:?}");
+        for (a, b) in (0..chains.len()).flat_map(|a| (0..chains.len()).map(move |b| (a, b))) {
+            let ordered = weights[a] <= weights[b] || chains[a] >= chains[b];
+            assert!(ordered, "{chains:?} against weights {weights:?}");
+        }
+    }
+
+    #[test]
+    fn every_rank_count_of_figs_11_and_12_gets_all_its_chains() {
+        let weights: Vec<f64> = (0..3)
+            .map(|l| (VARIANCES[l] * EVAL_TIME[l]).sqrt())
+            .collect();
+        for ranks in [32usize, 64, 128, 256, 512, 1024] {
+            let chains = distribute_chains(ranks - 5, &VARIANCES, &EVAL_TIME);
+            assert_apportioned(&chains, ranks - 5, &weights);
+        }
+        // the axis label is the rank count: 1019 chains, not 770
+        let at_1024 = distribute_chains(1019, &VARIANCES, &EVAL_TIME);
+        assert_eq!(at_1024, [637, 204, 178]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_chain_count_is_apportioned_exactly_and_monotonically(
+            extra in 0usize..5000,
+            weights in proptest::collection::vec(1e-6f64..1e3, 1..7),
+        ) {
+            let n_chains = weights.len() + extra;
+            assert_apportioned(&apportion(n_chains, &weights), n_chains, &weights);
+        }
     }
 
     #[test]

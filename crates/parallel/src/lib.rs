@@ -13,16 +13,17 @@
 //!   thin and no cluster is available, but the scheduling logic and
 //!   communication pattern — the paper's contribution — are preserved.
 //! * [`scheduler`] — the vocabulary of the process architecture of paper
-//!   Fig. 8 (messages, configuration, reports, rank layout) and
-//!   `run_parallel`, the entry point that sizes the pool to the host.
+//!   Fig. 8: messages, configuration, reports, rank layout.
 //! * [`roles`] — the architecture itself, written once as suspendable
 //!   state machines: one **root**, one **phonebook** (sample routing +
 //!   dynamic load balancing), per-level **collectors** (distributed
 //!   moment accumulation, optionally sharded) and chain groups
 //!   (**controllers**) running the coupled kernels from `uq-mlmcmc`,
 //!   with coarse proposals requested across controllers through the
-//!   phonebook. `run_runtime` runs them on a pool of the caller's
-//!   width, with sharded collectors.
+//!   phonebook — and the **front door**: a [`Run`] is what to run, a
+//!   [`Placement`] where (a worker pool; that pool plus the worker
+//!   processes of a [`NetDriver`]; virtual time at a [`SimCost`] and
+//!   seed), and [`Run::on`] returns the one [`RuntimeReport`].
 //! * [`obs`] — the observability layer: per-rank activity spans (the data
 //!   behind the paper's Fig. 9 Gantt chart), counters and histograms,
 //!   shared by the sequential driver and every executor and exportable
@@ -32,9 +33,7 @@
 //! * [`sim`] — the virtual-time executor: the same machines polled on
 //!   one thread in virtual-clock order, every delivery delay and
 //!   tie-break drawn from a seed, an evaluation costing what a cost model
-//!   says (`run_simulated`): the shipped protocol as a function of a seed.
-//! * [`des`] — the cost model and report of the scaling studies
-//!   (Figs. 11–12): `simulate` runs a `DesConfig` as those machines.
+//!   says: the shipped protocol as a function of a seed (Figs. 11–12).
 //! * [`net`] — the multi-process TCP transport: the same role machines
 //!   over length-prefixed, checksummed frames, assembling one logical
 //!   universe from a driver plus N worker processes — each hosting its
@@ -51,7 +50,6 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod des;
 pub mod net;
 pub mod obs;
 pub mod roles;
@@ -61,18 +59,18 @@ pub mod service;
 pub mod sim;
 
 pub use net::{
-    decode_frame, encode_frame, levels_digest, report_digest, run_net_worker, Frame, NetDriver,
-    NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport, PROTOCOL_VERSION,
+    decode_frame, encode_frame, levels_digest, net_worker, report_digest, run_net_worker, Frame,
+    NetDriver, NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport, PROTOCOL_VERSION,
 };
 pub use obs::{
     chrome_trace, Counter, Epoch, Hist, HistSnapshot, MetricsSnapshot, SpanKind, TraceEvent, Tracer,
 };
 pub use roles::{
-    run_runtime, run_runtime_ckpt, run_runtime_ckpt_on, run_runtime_on, run_simulated,
-    RuntimeConfig, RuntimeReport, SimCost, SimReport,
+    run_parallel, run_runtime, run_runtime_on, Placement, Run, RuntimeConfig, RuntimeReport,
+    SimCost, StandIn,
 };
 pub use runtime::{Envelope, Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
-pub use scheduler::{run_parallel, ParallelCheckpoint, ParallelConfig, ParallelReport};
+pub use scheduler::{ParallelCheckpoint, ParallelConfig, ParallelReport};
 pub use service::{
     decode_service_frame, encode_service_frame, JobId, JobSpec, JobState, JobStatus, Service,
     ServiceClient, ServiceConfig, ServiceFrame, SERVICE_PROTOCOL_VERSION,

@@ -3,10 +3,11 @@
 //! One **driver** process hosts the fixed ranks (root, phonebook,
 //! collectors) plus any controller remainder; each **worker** process
 //! hosts a contiguous block of controller ranks. Every process runs the
-//! [`crate::roles`] machines of its ranks on a worker pool, as
-//! [`crate::scheduler::run_parallel`] does for a whole universe — the
-//! transport only takes the sends whose destination lives elsewhere
-//! (the pool's relay) and carries them as length-prefixed, checksummed
+//! [`crate::roles`] machines of its ranks on a worker pool, as a
+//! [`Placement::Pool`] does for a whole universe; the driver end is a
+//! placement of the same [`Run`] ([`Placement::Net`]), the worker end is
+//! [`net_worker`]. The transport only takes the sends to ranks hosted
+//! elsewhere (the pool's relay), carrying them as length-prefixed, checksummed
 //! frames over per-peer sockets, so a net run in the deterministic
 //! regime is bit-for-bit digest-identical to the in-process runs (pinned
 //! by `tests/net_conformance.rs`). A process runs O(cores) threads — the
@@ -38,9 +39,9 @@
 
 use crate::obs::{Counter, Tracer};
 use crate::roles::{
-    ControllerRank, ElasticOps, Machine, PhonebookStats, RoleOut, Run, RuntimeConfig,
+    ControllerRank, ElasticOps, Machine, PhonebookStats, Placement, RoleOut, Run, RuntimeConfig,
 };
-use crate::runtime::{Envelope, Runtime, Shared};
+use crate::runtime::{Envelope, Runtime, RuntimeStats, Shared};
 use crate::scheduler::{
     CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
 };
@@ -840,11 +841,10 @@ fn rehost_step(sh: &Arc<DriverShared>, config: &ParallelConfig, snap: &RunSnapsh
     done
 }
 
-/// Driver-side options for [`NetDriver::run`].
+/// Options of the [`NetDriver::run`] alias: its [`Placement::Net`]'s worker
+/// count, its [`ParallelCheckpoint`]'s `every` / `store` / `config_hash`.
 pub struct NetDriverOptions {
-    /// Worker processes to wait for at rendezvous (each is assigned a
-    /// contiguous block of `n_controllers / workers` controller ranks;
-    /// the remainder stays driver-hosted).
+    /// Worker processes to wait for at rendezvous.
     pub workers: usize,
     /// Checkpoint every `every` top-level corrections (0 disables; the
     /// elastic protocol needs barriers, so joins/leaves require this
@@ -856,7 +856,7 @@ pub struct NetDriverOptions {
     pub config_hash: u64,
 }
 
-/// What a driver run produced.
+/// What [`NetDriver::run`] returns: three fields of its run's report.
 pub struct NetReport {
     pub report: ParallelReport,
     /// Rank migrations executed (re-hosted + donated).
@@ -866,9 +866,9 @@ pub struct NetReport {
     pub dropped_sends: usize,
 }
 
-/// The driver endpoint: binds the rendezvous address, then `run`
-/// assembles one logical universe from this process plus `workers`
-/// connected worker processes.
+/// The driver endpoint: binds the rendezvous address; a
+/// [`Placement::Net`] then assembles one logical universe from this
+/// process plus the worker processes that dial it.
 pub struct NetDriver {
     listener: TcpListener,
 }
@@ -888,10 +888,10 @@ impl NetDriver {
             .expect("net driver: no local addr")
     }
 
-    /// Host the fixed ranks (and any controller remainder) on a worker
-    /// pool as wide as this host, run the full schedule and return the
-    /// assembled report. Blocks until `workers` workers have connected,
-    /// then until the run completes.
+    /// Compatibility alias (ROADMAP item 7(d) removes it): a [`Run`] of
+    /// `config` — checkpointed into `opts.store` if there is one, never
+    /// stopped, never resumed — on [`Placement::Net`] with a pool as wide
+    /// as this host, re-shaped into a [`NetReport`].
     pub fn run(
         self,
         factory: Arc<dyn LevelFactory>,
@@ -899,43 +899,60 @@ impl NetDriver {
         opts: &NetDriverOptions,
         tracer: &Tracer,
     ) -> NetReport {
-        self.run_on(&Runtime::for_host(), &*factory, config, opts, tracer)
-    }
-
-    /// [`run`](Self::run) with this process's ranks on `runtime`.
-    pub(crate) fn run_on(
-        self,
-        runtime: &Runtime,
-        factory: &dyn LevelFactory,
-        config: &ParallelConfig,
-        opts: &NetDriverOptions,
-        tracer: &Tracer,
-    ) -> NetReport {
-        let rt_config = RuntimeConfig::unsharded(config.clone(), runtime);
-        let n_ranks = rt_config.n_ranks();
-        let first_ctrl = rt_config.first_controller_rank();
-        let n_ctrl = rt_config.n_controllers();
-        assert!(opts.workers >= 1, "net driver: need at least one worker");
-        assert!(
-            opts.workers <= n_ctrl,
-            "net driver: more workers than controller ranks"
-        );
-        // a net run's cut has `run_parallel`'s layout: it resumes in one
-        // process under `run_runtime_ckpt` at one shard per level
-        let ckpt = opts.store.as_ref().map(|s| ParallelCheckpoint {
-            store: s,
+        let runtime = Runtime::for_host();
+        let config = RuntimeConfig::unsharded(config.clone(), &runtime);
+        let ckpt = opts.store.as_ref().map(|store| ParallelCheckpoint {
+            store,
             config_hash: opts.config_hash,
             every: opts.every,
             on_snapshot: None,
             stop: None,
         });
-        let ckpt = ckpt.as_ref();
-        let mut run = Run::new(factory, &rt_config, tracer, ckpt, None);
+        let run = Run::new(&*factory, &config, tracer, ckpt.as_ref(), None);
+        let done = run.on(Placement::Net {
+            runtime: &runtime,
+            driver: self,
+            workers: opts.workers,
+        });
+        let done = done.expect("a live run");
+        NetReport {
+            report: done.report,
+            migrations: done.migrations.expect("a net placement counts them"),
+            dropped_sends: done.runtime.dropped_sends,
+        }
+    }
+
+    /// The net arm of [`Run::on`]: `run`'s fixed ranks (and any
+    /// controller remainder) on `runtime`, its controllers in `workers`
+    /// blocks on the peers that dial in, each resuming from its block of
+    /// `run.resume`. Returns the driver-hosted ranks' outputs, the pool's
+    /// counters plus the transport's lost sends, and the migrations.
+    pub(crate) fn drive(
+        self,
+        runtime: &Runtime,
+        run: &Run<'_>,
+        workers: usize,
+    ) -> (Vec<RoleOut>, RuntimeStats, u64) {
+        let (factory, rt_config, tracer) = (run.factory, run.config, run.tracer);
+        assert_eq!(
+            rt_config.collector_shards, 1,
+            "net placement: workers rebuild the rank layout from the ParallelConfig on the \
+             wire, which has one collector per level — a sharded run would mis-address ranks"
+        );
+        let config = &rt_config.base;
+        let n_ranks = rt_config.n_ranks();
+        let first_ctrl = rt_config.first_controller_rank();
+        let n_ctrl = rt_config.n_controllers();
+        assert!(workers >= 1, "net driver: need at least one worker");
+        assert!(
+            workers <= n_ctrl,
+            "net driver: more workers than controller ranks"
+        );
 
         // rendezvous: block until every initial worker said Hello
         let mut arrivals: Vec<(TcpStream, Option<u64>)> = Vec::new();
         let mut early_joiners: VecDeque<TcpStream> = VecDeque::new();
-        while arrivals.len() < opts.workers {
+        while arrivals.len() < workers {
             let (mut stream, _) = self.listener.accept().expect("net driver: accept failed");
             let _ = stream.set_nodelay(true);
             match read_hello(&mut stream, tracer) {
@@ -947,9 +964,9 @@ impl NetDriver {
         }
 
         // contiguous rank blocks per worker; remainder stays here
-        let per = n_ctrl / opts.workers;
+        let per = n_ctrl / workers;
         let routes: Vec<Option<usize>> = (0..n_ranks)
-            .map(|r| Some(r.checked_sub(first_ctrl)? / per).filter(|&i| i < opts.workers))
+            .map(|r| Some(r.checked_sub(first_ctrl)? / per).filter(|&i| i < workers))
             .collect();
         let peers: Vec<Arc<PeerLink>> = arrivals
             .iter()
@@ -988,13 +1005,17 @@ impl NetDriver {
             migrations: AtomicU64::new(0),
         });
 
-        // Assign each worker its block; Ready gates routing
-        for (peer, (stream, _)) in peers.iter().zip(&mut arrivals) {
+        // Assign each worker its block, resumed from the block's share
+        // of the cut; Ready gates routing
+        for (i, (peer, (stream, _))) in peers.iter().zip(&mut arrivals).enumerate() {
+            let block = i * per..(i + 1) * per;
             let assign = Frame::Assign {
                 n_ranks,
                 ranks: peer.ranks.clone(),
                 config: config.clone(),
-                ckpts: vec![],
+                ckpts: run
+                    .resume
+                    .map_or(vec![], |snap| snap.chains[block].to_vec()),
                 leftovers: vec![],
             };
             write_frame(&mut *peer.writer.lock(), &assign, tracer)
@@ -1030,18 +1051,20 @@ impl NetDriver {
             plan: &plan,
             rehost: &rehost,
         };
-        run.elastic = ckpt.map(|_| &elastic);
-        let (outs, stats) =
+        let run = Run {
+            elastic: run.checkpoint.map(|_| &elastic),
+            ..*run
+        };
+        let (outs, mut stats) =
             runtime.drive(&sh.pool, |rank, _| match sh.resumes.lock().remove(&rank) {
                 Some(resume) => {
                     let resume = Some(&resume);
                     Box::new(ControllerRank::new(
-                        factory, &rt_config, tracer, rank, resume,
+                        factory, rt_config, tracer, rank, resume,
                     ))
                 }
                 None => run.machine(rank),
             });
-        let (report, _, _) = Run::root_output(outs.into_iter().map(|(_, out)| out));
 
         // teardown of the wire machinery
         sh.shutdown.store(true, Ordering::Release);
@@ -1061,11 +1084,9 @@ impl NetDriver {
             .send(None)
             .expect("net driver: router ended early");
         router_handle.join().expect("net driver: router panicked");
-        NetReport {
-            report,
-            migrations: sh.migrations.load(Ordering::Relaxed),
-            dropped_sends: stats.dropped_sends + sh.dropped.load(Ordering::Relaxed),
-        }
+        stats.dropped_sends += sh.dropped.load(Ordering::Relaxed);
+        let outs = outs.into_iter().map(|(_, out)| out).collect();
+        (outs, stats, sh.migrations.load(Ordering::Relaxed))
     }
 }
 
@@ -1073,7 +1094,7 @@ impl NetDriver {
 // Worker
 // ---------------------------------------------------------------------
 
-/// Worker-side options for [`run_net_worker`].
+/// Worker-side options for [`net_worker`].
 pub struct NetWorkerOptions {
     /// Driver rendezvous address (`host:port`).
     pub connect: String,
@@ -1085,7 +1106,7 @@ pub struct NetWorkerOptions {
     pub leave_at_barrier: Option<u64>,
 }
 
-/// What a worker run did.
+/// What a worker did.
 pub struct NetWorkerReport {
     /// Controller ranks this process hosted (empty if the run ended
     /// before a joiner was admitted).
@@ -1094,20 +1115,21 @@ pub struct NetWorkerReport {
     pub retired: bool,
 }
 
-/// Connect to a driver, host the assigned controller ranks on a worker
-/// pool as wide as this host and run them to completion (or planned
-/// departure). Retries the connect for up to 30 s so workers can start
-/// before the driver.
+/// Compatibility alias (ROADMAP item 7(d) removes it): [`net_worker`] on
+/// a pool as wide as this host.
 pub fn run_net_worker(
     factory: Arc<dyn LevelFactory>,
     opts: &NetWorkerOptions,
     tracer: &Tracer,
 ) -> NetWorkerReport {
-    run_net_worker_on(&Runtime::for_host(), &*factory, opts, tracer)
+    net_worker(&Runtime::for_host(), &*factory, opts, tracer)
 }
 
-/// [`run_net_worker`] with the assigned ranks on `runtime`.
-pub(crate) fn run_net_worker_on(
+/// The worker end of a [`Placement::Net`] — not a run of its own: the
+/// driver's `Assign` says which controller ranks of whose run to host on
+/// `runtime`, to completion or planned departure. Retries the connect for
+/// up to 30 s so workers can start before the driver.
+pub fn net_worker(
     runtime: &Runtime,
     factory: &dyn LevelFactory,
     opts: &NetWorkerOptions,
@@ -1253,14 +1275,16 @@ mod tests {
     fn elastic_leave_and_join_complete_on_one_worker_pools() {
         let dir = std::env::temp_dir().join(format!("uq-net-1w-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut config = ParallelConfig::new(vec![900, 150], vec![1, 1]);
-        config.burn_in = vec![30, 20];
-        config.load_balancing = false;
-        let opts = NetDriverOptions {
-            workers: 2,
-            every: 25,
-            store: Some(Arc::new(RunStore::open(&dir).expect("open store"))),
+        let mut config = RuntimeConfig::new(vec![900, 150], vec![1, 1]);
+        config.base.burn_in = vec![30, 20];
+        config.base.load_balancing = false;
+        let store = RunStore::open(&dir).expect("open store");
+        let ckpt = ParallelCheckpoint {
+            store: &store,
             config_hash: 19,
+            every: 25,
+            on_snapshot: None,
+            stop: None,
         };
         let h = GaussianHierarchy::two_level();
         let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
@@ -1275,7 +1299,7 @@ mod tests {
                         join,
                         leave_at_barrier,
                     };
-                    run_net_worker_on(&Runtime::new(1), h, &opts, tracer)
+                    net_worker(&Runtime::new(1), h, &opts, tracer)
                 })
             };
             // the joiner's Hello is on the wire before anyone else dials,
@@ -1285,15 +1309,20 @@ mod tests {
                 std::thread::yield_now();
             }
             let workers = [worker(false, Some(1), &off), worker(false, None, &off)];
-            let net = driver.run_on(&Runtime::new(1), &h, &config, &opts, &off);
+            let run = Run::new(&h, &config, &off, Some(&ckpt), None);
+            let net = run.on(Placement::Net {
+                runtime: &Runtime::new(1),
+                driver,
+                workers: 2,
+            });
             let [leaver, stayer] = workers.map(|w| w.join().expect("worker panicked"));
             assert!(leaver.retired && !stayer.retired);
-            (net, joiner.join().expect("joiner panicked"))
+            (net.expect("a live run"), joiner.join().expect("joiner"))
         });
-        assert_eq!(net.migrations, 2, "one rank re-hosted, then donated");
+        assert_eq!(net.migrations, Some(2), "one rank re-hosted, then donated");
         assert_eq!(joiner.ranks.len(), 1);
         let n_samples: Vec<usize> = net.report.levels.iter().map(|l| l.n_samples).collect();
-        assert_eq!(n_samples, config.samples_per_level);
+        assert_eq!(n_samples, config.base.samples_per_level);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

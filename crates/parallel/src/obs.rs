@@ -1,7 +1,6 @@
 //! Unified observability: spans, counters and histograms across the
-//! sequential estimator and the role machines under every entry point
-//! (`run_parallel`, `run_runtime`, net), the ledger/phonebook and the
-//! checkpoint barrier.
+//! sequential estimator and the role machines on every placement, the
+//! ledger/phonebook and the checkpoint barrier.
 //!
 //! Grown from the skeletal per-rank tracer behind the paper's Fig. 9
 //! Gantt chart into a common sink for everything the scheduling stack

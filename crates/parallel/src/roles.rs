@@ -1,14 +1,15 @@
 //! The MLMCMC role protocols (paper Fig. 8): the scheduling policy —
 //! root, phonebook, collectors, controllers — written **once**, as
-//! suspendable state machines, and run by one of two executors: live on
-//! the worker pool ([`crate::runtime`]), so paper-scale rank counts fit a
-//! few cores — [`run_runtime`], [`crate::run_parallel`] and every
-//! [`crate::net`] process are entry points of that pool — or on one
-//! thread in seeded virtual time ([`run_simulated`], [`crate::sim`]).
-//! The executor is never a statistical actor: on a deterministic
-//! configuration every entry point produces the same digest, and every
-//! one cuts the same snapshot — one stamp, resumable under any entry
-//! point whose rank layout it fits (`Run::new` is the ladder).
+//! suspendable state machines, and the **front door** to them: a [`Run`]
+//! says what to run, a [`Placement`] where — live on a worker pool
+//! ([`crate::runtime`]; paper-scale rank counts fit a few cores), on that
+//! pool plus the worker processes of a [`crate::net`] driver, or on one
+//! thread in seeded virtual time ([`crate::sim`]) — and [`Run::on`] is
+//! the one function that turns the two into a [`RuntimeReport`].
+//! The placement is never a statistical actor: on a deterministic
+//! configuration every one produces the same digest, and every one cuts
+//! the same snapshot — one stamp, resumable under any placement whose
+//! rank layout it fits ([`Run::new`] is the ladder).
 //!
 //! * **Suspendable controllers.** A controller's coupled chain uses
 //!   [`PendingCoarseSource`], so a step that needs a coarse proposal
@@ -24,8 +25,7 @@
 //!   ranks; controllers scatter corrections round-robin, shards absorb a
 //!   quota of `N_l / shards` each and the root merges their streaming
 //!   moments (Chan's parallel combination) at shutdown, so no single
-//!   collector rank serializes a fast level. The `run_parallel` and net
-//!   entry points run one shard per level.
+//!   collector rank serializes a fast level.
 
 use crate::obs::{Counter, Hist, SpanKind, Tracer};
 use crate::runtime::{Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
@@ -47,16 +47,21 @@ use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats}
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
 
-/// Configuration of a cooperative-runtime run: the policy inputs
-/// ([`ParallelConfig`]) plus the pool's worker-count and sharding knobs.
+/// Configuration of a run: the policy inputs ([`ParallelConfig`]) plus
+/// the collector sharding of its rank layout.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// The scheduling policy inputs (targets, burn-in, chains, seed, …).
     pub base: ParallelConfig,
-    /// OS threads driving the virtual ranks.
+    /// Pool width of the [`run_runtime`] compatibility alias and, in a
+    /// service `JobSpec`, the workers a job asks for (its demand in the
+    /// fair-share split; it travels in the service wire codec). No run
+    /// reads it: a [`Placement`] names its pool, whose width wins — a
+    /// lane runs the job on the share it was given.
     pub n_workers: usize,
-    /// Collector shards per level (`1` is [`ParallelConfig`]'s own rank
-    /// layout, the one the thread and net entry points run).
+    /// Collector shards per level. `1` is [`ParallelConfig`]'s own rank
+    /// layout and the only one [`Placement::Net`] takes; the pool and
+    /// virtual time run any count.
     pub collector_shards: usize,
 }
 
@@ -69,8 +74,7 @@ impl RuntimeConfig {
         }
     }
 
-    /// `base` in the rank layout of [`crate::run_parallel`] and
-    /// [`crate::net`] — one collector per level — on `runtime`.
+    /// `base` at one collector per level, for a pool of `runtime`'s width.
     pub(crate) fn unsharded(base: ParallelConfig, runtime: &Runtime) -> Self {
         Self {
             base,
@@ -145,20 +149,34 @@ impl PhonebookStats {
     }
 }
 
-/// Results of a cooperative-runtime run.
+/// Results of a run, whatever its [`Placement`]; what only one executor
+/// can say is an `Option`.
 #[derive(Clone, Debug)]
 pub struct RuntimeReport {
-    /// The assembled estimator report — the shape [`crate::run_parallel`]
-    /// returns, so downstream analysis is executor-agnostic.
+    /// The assembled estimator report. `elapsed` is wall-clock seconds
+    /// live and, in virtual time, the root's clock at exit: the makespan
+    /// on one processor per rank.
     pub report: ParallelReport,
     pub phonebook: PhonebookStats,
-    /// Runtime counters (polls, wakeups, dropped shutdown sends).
+    /// Executor counters (polls, wakeups, dropped shutdown sends — over a
+    /// socket those of the driver process, its transport's included).
     pub runtime: RuntimeStats,
-    pub n_workers: usize,
     /// The run was stopped by [`ParallelCheckpoint::stop`] at a quiesce
     /// barrier: `report` carries the partial moments up to the cut and
     /// the just-persisted snapshot is the resume point.
     pub preempted: bool,
+    /// [`Placement::Net`]: rank migrations executed (re-hosted + donated).
+    pub migrations: Option<u64>,
+    /// [`Placement::Sim`]: virtual seconds of model evaluation charged,
+    /// by level — the counterpart of the live tracer's per-level activity
+    /// split (`scaling_live` compares the two level by level).
+    pub busy_per_level: Option<Vec<f64>>,
+    /// [`Placement::Sim`]: every rank's virtual clock at its exit, by rank.
+    pub clocks: Option<Vec<f64>>,
+    /// [`Placement::Sim`]: virtual time of the first message that reached
+    /// nobody (sent to an exited rank, or still unread when its rank
+    /// exited), if there was one.
+    pub first_drop: Option<f64>,
 }
 
 /// What a role machine exits with.
@@ -1584,35 +1602,64 @@ fn coarse_wait_pred(want_level: usize) -> crate::runtime::WaitPred<Msg> {
 }
 
 // ---------------------------------------------------------------------
-// driver
+// the front door
 // ---------------------------------------------------------------------
 
 /// A role machine, as the executors hold it.
 pub(crate) type Machine<'a> = Box<dyn VirtualRank<Msg, Output = RoleOut> + Send + 'a>;
 
-/// One run as every executor sees it: the validated inputs and the
-/// machine of each rank. Which executor polls the machines is the entry
-/// point's choice and leaves no mark on a snapshot: the root stamps
-/// every one [`Backend::Runtime`], and a snapshot resumes under any
-/// entry point whose rank layout it fits.
-pub(crate) struct Run<'a> {
-    factory: &'a dyn LevelFactory,
-    config: &'a RuntimeConfig,
-    tracer: &'a Tracer,
-    checkpoint: Option<&'a ParallelCheckpoint<'a>>,
-    resume: Option<&'a RunSnapshot>,
+/// One run, as a value: *what* to run — the validated inputs and, from
+/// them, the machine of each rank. *Where* is a [`Placement`]; [`Run::on`]
+/// is the one function between the two. The placement leaves no mark on a
+/// snapshot: the root stamps every one [`Backend::Runtime`], and a
+/// snapshot resumes under any placement whose rank layout it fits.
+#[derive(Clone, Copy)]
+pub struct Run<'a> {
+    pub(crate) factory: &'a dyn LevelFactory,
+    pub(crate) config: &'a RuntimeConfig,
+    pub(crate) tracer: &'a Tracer,
+    pub(crate) checkpoint: Option<&'a ParallelCheckpoint<'a>>,
+    pub(crate) resume: Option<&'a RunSnapshot>,
     /// The root's membership hooks: `None` unless a transport sets them.
     pub(crate) elastic: Option<&'a ElasticOps<'a>>,
 }
 
+/// Where a [`Run`] is placed: who polls its machines.
+pub enum Placement<'a> {
+    /// Every rank on this worker pool, which may be reused: each report's
+    /// [`RuntimeReport::runtime`] stats are that run's alone.
+    Pool(&'a Runtime),
+    /// The fixed ranks and any controller remainder on `runtime`, the
+    /// controllers in `workers` equal contiguous blocks on the first
+    /// `workers` peers that dial `driver` ([`crate::net::net_worker`]);
+    /// blocks until they have. One collector per level only: workers lay
+    /// the ranks out from the [`ParallelConfig`] on the wire.
+    Net {
+        runtime: &'a Runtime,
+        driver: crate::net::NetDriver,
+        workers: usize,
+    },
+    /// One thread in virtual time ([`crate::sim`]): evaluations are really
+    /// performed and charged `cost.eval_time`, `seed` picks the deliveries.
+    Sim { cost: &'a SimCost, seed: u64 },
+}
+
 impl<'a> Run<'a> {
+    /// Both `checkpoint` and `resume` require
+    /// `config.base.load_balancing == false` (snapshots pin each chain to
+    /// a level). A resumed run continues bit-identically in the
+    /// deterministic regime (one chain per level on two levels, or one
+    /// pool worker): every chain restores its exact kernel state and RNG
+    /// stream position, collector shards restore their accumulators and
+    /// the phonebook re-imports the ledger.
+    ///
     /// # Panics
     /// Panics on an inconsistent configuration (levels beyond the
     /// factory, levels without chains, zero shards, checkpointing with
     /// load balancing on) and on a `resume` snapshot that is not a
     /// parallel run's or does not fit this configuration's seed and
     /// rank layout; the message names the rung that refused it.
-    pub(crate) fn new(
+    pub fn new(
         factory: &'a dyn LevelFactory,
         config: &'a RuntimeConfig,
         tracer: &'a Tracer,
@@ -1638,7 +1685,7 @@ impl<'a> Run<'a> {
         );
         if let Some(snap) = resume {
             // `Thread` is what `run_parallel` and net runs stamped before
-            // every pool entry point wrote `Runtime`: the same machines
+            // every placement wrote `Runtime`: the same machines
             assert!(
                 snap.backend != Backend::Sequential,
                 "parallel run: snapshot stamp is {}, not a parallel run's",
@@ -1716,26 +1763,99 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The root's `(report, phonebook stats, preempted)` out of the
-    /// per-rank outputs of a finished run.
-    pub(crate) fn root_output(
-        outs: impl IntoIterator<Item = RoleOut>,
-    ) -> (ParallelReport, PhonebookStats, bool) {
-        outs.into_iter()
-            .find_map(|out| match out {
+    /// Run on `placement` to the assembled report. Only
+    /// [`Placement::Sim`] can come back `Err` — a deadlock or an
+    /// exhausted `poll_budget`, carrying the seed.
+    ///
+    /// # Panics
+    /// [`Placement::Net`] refuses a sharded configuration, no worker and
+    /// more workers than controllers; [`Placement::Sim`] a
+    /// `cost.eval_time` shorter than the hierarchy.
+    pub fn on(&self, placement: Placement<'_>) -> Result<RuntimeReport, SimError> {
+        let config = self.config;
+        let assemble = |outs: Vec<RoleOut>, runtime: RuntimeStats| {
+            let root = outs.into_iter().find_map(|out| match out {
                 RoleOut::Root(boxed) => Some(*boxed),
                 _ => None,
-            })
-            .expect("root must produce a report")
+            });
+            let (report, phonebook, preempted) = root.expect("root must produce a report");
+            RuntimeReport {
+                report,
+                phonebook,
+                runtime,
+                preempted,
+                migrations: None,
+                busy_per_level: None,
+                clocks: None,
+                first_drop: None,
+            }
+        };
+        match placement {
+            Placement::Pool(runtime) => {
+                let shared = runtime.host_all(config.n_ranks(), self.tracer.steal_probe());
+                let (outs, stats) = runtime.drive(&shared, |rank, _| self.machine(rank));
+                let outs = outs.into_iter().map(|(_, out)| out).collect();
+                Ok(assemble(outs, stats))
+            }
+            Placement::Net {
+                runtime,
+                driver,
+                workers,
+            } => {
+                let (outs, stats, migrations) = driver.drive(runtime, self, workers);
+                Ok(RuntimeReport {
+                    migrations: Some(migrations),
+                    ..assemble(outs, stats)
+                })
+            }
+            Placement::Sim { cost, seed } => {
+                assert!(
+                    cost.eval_time.len() >= config.n_levels(),
+                    "simulated run: `eval_time` does not fit the hierarchy"
+                );
+                let mut service = vec![0.0; config.n_ranks()];
+                service[PHONEBOOK] = cost.phonebook_service_time;
+                service[config.collector_rank(0, 0)..config.first_controller_rank()]
+                    .fill(cost.collector_service_time);
+                let sim = Sim::new(seed, cost.latency, cost.eval_jitter, service);
+                let charge = ChargeEvals {
+                    secs: cost.eval_time.clone(),
+                    meter: Arc::clone(&sim.meter),
+                };
+                let timed = Hooked::new(self.factory, charge);
+                let run = Run {
+                    factory: &timed,
+                    ..*self
+                };
+                let out = sim.run(cost.poll_budget, |rank| run.machine(rank))?;
+                let mut busy_per_level = out.charged;
+                busy_per_level.resize(config.n_levels(), 0.0);
+                Ok(RuntimeReport {
+                    busy_per_level: Some(busy_per_level),
+                    clocks: Some(out.clocks),
+                    first_drop: out.first_drop,
+                    ..assemble(out.run.results, out.run.stats)
+                })
+            }
+        }
     }
 }
 
-/// Run parallel MLMCMC on the cooperative runtime: the role machines as
-/// virtual ranks on a worker pool, with sharded collectors.
-///
-/// # Panics
-/// Panics on inconsistent configuration (levels beyond the factory,
-/// levels without chains, zero workers/shards).
+/// Compatibility alias (ROADMAP item 7(d) removes it): a [`Run`] of
+/// `config` at one collector per level on a [`Placement::Pool`] as wide
+/// as the host.
+pub fn run_parallel(
+    factory: &dyn LevelFactory,
+    config: &ParallelConfig,
+    tracer: &Tracer,
+) -> ParallelReport {
+    let runtime = Runtime::for_host();
+    let config = RuntimeConfig::unsharded(config.clone(), &runtime);
+    run_runtime_on(&runtime, factory, &config, tracer).report
+}
+
+/// Compatibility alias (ROADMAP item 7(d) removes it): a [`Run`] on a
+/// fresh [`Placement::Pool`] of `config.n_workers` threads.
 pub fn run_runtime(
     factory: &dyn LevelFactory,
     config: &RuntimeConfig,
@@ -1744,83 +1864,38 @@ pub fn run_runtime(
     run_runtime_on(&Runtime::new(config.n_workers), factory, config, tracer)
 }
 
-/// [`run_runtime`] with durable-run support: periodically persist
-/// consistent-cut snapshots and/or resume from a captured
-/// [`RunSnapshot`] (see [`run_runtime_ckpt_on`] for the contract).
-pub fn run_runtime_ckpt(
-    factory: &dyn LevelFactory,
-    config: &RuntimeConfig,
-    tracer: &Tracer,
-    checkpoint: Option<&ParallelCheckpoint<'_>>,
-    resume: Option<&RunSnapshot>,
-) -> RuntimeReport {
-    run_runtime_ckpt_on(
-        &Runtime::new(config.n_workers),
-        factory,
-        config,
-        tracer,
-        checkpoint,
-        resume,
-    )
-}
-
-/// [`run_runtime`] on a caller-provided, reusable worker pool: a scaling
-/// sweep drives all its points through one [`Runtime`], and each
-/// report's [`RuntimeReport::runtime`] stats are that run's alone.
-/// The pool's worker count wins over `config.n_workers`.
+/// Compatibility alias (ROADMAP item 7(d) removes it): a [`Run`] on
+/// [`Placement::Pool`]`(runtime)`.
 pub fn run_runtime_on(
     runtime: &Runtime,
     factory: &dyn LevelFactory,
     config: &RuntimeConfig,
     tracer: &Tracer,
 ) -> RuntimeReport {
-    run_runtime_ckpt_on(runtime, factory, config, tracer, None, None)
-}
-
-/// [`run_runtime_on`] with durable-run support.
-///
-/// Both `checkpoint` and `resume` require
-/// `config.base.load_balancing == false` (snapshots pin each chain to a
-/// level). A resumed run continues bit-identically in the deterministic
-/// regime (`n_workers == 1`, one chain per level): every chain restores
-/// its exact kernel state and RNG stream position, collector shards
-/// restore their accumulators and the phonebook re-imports the ledger.
-pub fn run_runtime_ckpt_on(
-    runtime: &Runtime,
-    factory: &dyn LevelFactory,
-    config: &RuntimeConfig,
-    tracer: &Tracer,
-    checkpoint: Option<&ParallelCheckpoint<'_>>,
-    resume: Option<&RunSnapshot>,
-) -> RuntimeReport {
-    run_pool(
-        runtime,
-        &Run::new(factory, config, tracer, checkpoint, resume),
-    )
-}
-
-/// Every in-process entry point: the whole universe of `run` on
-/// `runtime`'s workers.
-pub(crate) fn run_pool(runtime: &Runtime, run: &Run<'_>) -> RuntimeReport {
-    let shared = runtime.host_all(run.config.n_ranks(), run.tracer.steal_probe());
-    let (outs, stats) = runtime.drive(&shared, |rank, _| run.machine(rank));
-    let (report, phonebook, preempted) = Run::root_output(outs.into_iter().map(|(_, out)| out));
-    RuntimeReport {
-        report,
-        phonebook,
-        runtime: stats,
-        n_workers: runtime.n_workers(),
-        preempted,
-    }
+    let run = Run::new(factory, config, tracer, None, None);
+    run.on(Placement::Pool(runtime)).expect("a live run")
 }
 
 /// A 1-D Gaussian per level under a random-walk proposal of width 0.8:
-/// the target of simulated runs with no model of their own
-/// ([`crate::des::simulate`], admission) and of the policy tests.
-pub(crate) struct StandIn {
-    pub means: Vec<f64>,
-    pub sds: Vec<f64>,
-    pub rho: Vec<usize>,
+/// the target of simulated runs with no model of their own (the scaling
+/// studies, admission) and of the policy tests.
+pub struct StandIn {
+    pub(crate) means: Vec<f64>,
+    pub(crate) sds: Vec<f64>,
+    pub(crate) rho: Vec<usize>,
+}
+
+impl StandIn {
+    /// One level per entry of `rho` (its subsampling rate), converging on
+    /// `N(1, 0.5²)`: `mean_l = 1 − 0.5^(l+1)`, `sd_l = 0.5 + 0.5^(l+2)`.
+    pub fn new(rho: Vec<usize>) -> Self {
+        let levels = 1..=rho.len() as i32;
+        Self {
+            means: levels.clone().map(|l| 1.0 - 0.5f64.powi(l)).collect(),
+            sds: levels.map(|l| 0.5 + 0.5f64.powi(l + 1)).collect(),
+            rho,
+        }
+    }
 }
 
 impl LevelFactory for StandIn {
@@ -1867,74 +1942,16 @@ pub struct SimCost {
     pub eval_jitter: f64,
     /// Seconds the phonebook spends per message it handles.
     pub phonebook_service_time: f64,
-    /// Seconds a collector spends per message it handles.
+    /// Seconds a collector spends per message it handles, surplus
+    /// corrections included: a level whose chains send faster than
+    /// `1/collector_service_time` queues up without bound until
+    /// `StopProducing` reaches them.
     pub collector_service_time: f64,
     /// Every delivery takes between `latency` and twice that (seconds),
     /// drawn from the seed.
     pub latency: f64,
     /// Polls after which the run fails with [`SimError::PollBudget`].
     pub poll_budget: usize,
-}
-
-/// A finished simulated run. `run.report.elapsed` is the root's virtual
-/// clock at exit — the makespan.
-#[derive(Clone, Debug)]
-pub struct SimReport {
-    pub run: RuntimeReport,
-    /// Virtual seconds of model evaluation charged, by level.
-    pub busy_per_level: Vec<f64>,
-    /// Every rank's virtual clock at its exit, by rank.
-    pub clocks: Vec<f64>,
-    /// Virtual time of the first message that reached nobody (sent to an
-    /// exited rank, or still unread when its rank exited).
-    pub first_drop: Option<f64>,
-}
-
-/// Run parallel MLMCMC under the virtual-time executor ([`crate::sim`]):
-/// the machines of [`run_runtime_ckpt`] polled on one thread in
-/// virtual-clock order, `factory`'s evaluations really performed and
-/// charged `cost.eval_time` each; `seed` picks the delivery delays and
-/// tie-breaks. Snapshots resume under the pool and back.
-///
-/// # Panics
-/// As [`run_runtime`], and if `cost.eval_time` is shorter than the levels.
-pub fn run_simulated(
-    factory: &dyn LevelFactory,
-    config: &RuntimeConfig,
-    tracer: &Tracer,
-    cost: &SimCost,
-    seed: u64,
-    checkpoint: Option<&ParallelCheckpoint<'_>>,
-    resume: Option<&RunSnapshot>,
-) -> Result<SimReport, SimError> {
-    assert!(cost.eval_time.len() >= config.n_levels());
-    let mut service = vec![0.0; config.n_ranks()];
-    service[PHONEBOOK] = cost.phonebook_service_time;
-    service[config.collector_rank(0, 0)..config.first_controller_rank()]
-        .fill(cost.collector_service_time);
-    let sim = Sim::new(seed, cost.latency, cost.eval_jitter, service);
-    let charge = ChargeEvals {
-        secs: cost.eval_time.clone(),
-        meter: Arc::clone(&sim.meter),
-    };
-    let timed = Hooked::new(factory, charge);
-    let run = Run::new(&timed, config, tracer, checkpoint, resume);
-    let out = sim.run(cost.poll_budget, |rank| run.machine(rank))?;
-    let (report, phonebook, preempted) = Run::root_output(out.run.results);
-    let mut busy_per_level = out.charged;
-    busy_per_level.resize(config.n_levels(), 0.0);
-    Ok(SimReport {
-        run: RuntimeReport {
-            report,
-            phonebook,
-            runtime: out.run.stats,
-            n_workers: 1,
-            preempted,
-        },
-        busy_per_level,
-        clocks: out.clocks,
-        first_drop: out.first_drop,
-    })
 }
 
 /// What the policy tests share — `tests` below, `scheduler::tests` and
@@ -1966,13 +1983,13 @@ pub(crate) mod policy {
         }
     }
 
-    /// The executor a policy test drives the machines with.
+    /// The placement a policy test drives the machines on.
     #[derive(Clone, Copy, Debug)]
     pub(crate) enum Exec {
-        /// [`run_runtime`] on `workers` pool threads, `shards` collector
+        /// [`Placement::Pool`] of `workers` threads, `shards` collector
         /// ranks per level.
         Pool { workers: usize, shards: usize },
-        /// [`run_simulated`]: millisecond evaluations, delivery delays of
+        /// [`Placement::Sim`]: millisecond evaluations, delivery delays of
         /// the same order picked by `seed`.
         Sim { seed: u64 },
     }
@@ -2017,23 +2034,25 @@ pub(crate) mod policy {
             checkpoint: Option<&ParallelCheckpoint<'_>>,
             resume: Option<&RunSnapshot>,
         ) -> ParallelReport {
-            let pool = |workers, shards| RuntimeConfig {
-                base: config.clone(),
-                n_workers: workers,
-                collector_shards: shards,
-            };
-            match self {
+            let (pool, cost);
+            let (collector_shards, placement) = match self {
                 Exec::Pool { workers, shards } => {
-                    run_runtime_ckpt(h, &pool(workers, shards), tracer, checkpoint, resume).report
+                    pool = Runtime::new(workers);
+                    (shards, Placement::Pool(&pool))
                 }
                 Exec::Sim { seed } => {
-                    let cost = sim_cost(config.n_levels());
-                    run_simulated(h, &pool(1, 1), tracer, &cost, seed, checkpoint, resume)
-                        .expect("simulated run finishes")
-                        .run
-                        .report
+                    cost = sim_cost(config.n_levels());
+                    (1, Placement::Sim { cost: &cost, seed })
                 }
-            }
+            };
+            let config = RuntimeConfig {
+                base: config.clone(),
+                n_workers: 1,
+                collector_shards,
+            };
+            let run = Run::new(h, &config, tracer, checkpoint, resume);
+            let done = run.on(placement).expect("simulated run finishes");
+            done.report
         }
     }
 
@@ -2219,8 +2238,12 @@ mod tests {
                 ..policy::sim_cost(2)
             };
             let h = GaussianHierarchy::two_level();
-            let out = run_simulated(&h, &config, &Tracer::disabled(), &cost, 1, None, None);
-            out.expect("simulated run finishes").run.report
+            let off = Tracer::disabled();
+            let out = Run::new(&h, &config, &off, None, None).on(Placement::Sim {
+                cost: &cost,
+                seed: 1,
+            });
+            out.expect("simulated run finishes").report
         };
         let (on, off) = (run(true), run(false));
         assert!(
@@ -2283,5 +2306,156 @@ mod tests {
         assert!(r.report.expectation()[0].is_finite());
         // batching must actually happen under this much traffic
         assert!(r.phonebook.max_batch >= 2, "stats {:?}", r.phonebook);
+    }
+
+    /// The virtual-time scaling tests' fixture, after `edit`: three levels
+    /// at Table-3-like costs on the [`StandIn`] target, deliveries free,
+    /// the delivery seed the run's own.
+    fn scaling(edit: impl FnOnce(&mut ParallelConfig, &mut SimCost)) -> RuntimeReport {
+        let mut config = pool_config(vec![1000, 100, 10], vec![2, 2, 1], 1);
+        config.base.burn_in = vec![50, 20, 10];
+        config.base.load_balancing = false;
+        config.base.seed = 1;
+        let mut cost = SimCost {
+            eval_time: vec![0.003, 0.045, 0.93],
+            eval_jitter: 0.0,
+            phonebook_service_time: 1e-4,
+            collector_service_time: 0.0,
+            latency: 0.0,
+            poll_budget: usize::MAX,
+        };
+        edit(&mut config.base, &mut cost);
+        let (model, off) = (StandIn::new(vec![10, 5, 0]), Tracer::disabled());
+        let seed = config.base.seed;
+        let placement = Placement::Sim { cost: &cost, seed };
+        let run = Run::new(&model, &config, &off, None, None);
+        run.on(placement)
+            .expect("an unbounded simulated run finishes")
+    }
+
+    fn makespan(edit: impl FnOnce(&mut ParallelConfig, &mut SimCost)) -> f64 {
+        scaling(edit).report.elapsed
+    }
+
+    fn evals(r: &RuntimeReport) -> Vec<usize> {
+        r.report.levels.iter().map(|l| l.evaluations).collect()
+    }
+
+    #[test]
+    fn simulation_terminates_and_counts_evals() {
+        let r = scaling(|_, _| {});
+        // every level runs at least its own samples
+        let own = [1000, 100, 10];
+        assert!(r.report.elapsed > 0.0 && evals(&r).iter().zip(own).all(|(&e, n)| e >= n));
+        // same seed, same machines: the same result to the bit
+        let again = scaling(|_, _| {});
+        assert_eq!(r.clocks, again.clocks);
+        assert_eq!(r.busy_per_level, again.busy_per_level);
+        assert_eq!(evals(&r), evals(&again));
+    }
+
+    #[test]
+    fn a_cost_or_a_stand_in_shorter_than_the_hierarchy_is_refused_before_any_rank_is_built() {
+        let refusal = |edit: fn(&mut ParallelConfig, &mut SimCost)| {
+            let why = std::panic::catch_unwind(|| scaling(edit)).expect_err("refused");
+            *why.downcast::<&str>().expect("a literal message")
+        };
+        let why = refusal(|_, cost| cost.eval_time.truncate(2));
+        assert!(why.contains("`eval_time` does not fit"), "{why}");
+        // a stand-in has one level per `rho` entry: three for four
+        let why = refusal(|config, cost| {
+            *config = ParallelConfig::new(vec![10; 4], vec![1; 4]);
+            cost.eval_time.push(1.0);
+        });
+        assert!(
+            why.contains("more levels configured than the factory"),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn subsampling_inflates_coarse_evals() {
+        // every level-1 step needs a level-0 serve of >= 10 steps
+        let evals = evals(&scaling(|_, _| {}));
+        assert!(evals[0] >= 5 * evals[1], "evals {evals:?}");
+    }
+
+    #[test]
+    fn more_chains_reduce_makespan() {
+        let slow = makespan(|_, _| {});
+        let fast = makespan(|config, _| config.chains_per_level = vec![8, 4, 2]);
+        assert!(fast < slow, "more chains, slower: {fast} vs {slow}");
+    }
+
+    #[test]
+    fn strong_scaling_saturates() {
+        // speedup from 4x chains at small chain counts should exceed the
+        // speedup from 4x chains at very large chain counts
+        let mk = |mult: usize| {
+            makespan(|config, _| {
+                config.samples_per_level = vec![2000, 200, 20];
+                config.chains_per_level = vec![2 * mult, mult, mult];
+            })
+        };
+        let (small, large) = (mk(1) / mk(4), mk(16) / mk(64));
+        assert!(small > large, "speedups {small:.2} then {large:.2}");
+    }
+
+    #[test]
+    fn phonebook_serialization_limits_throughput() {
+        let cheap = |phonebook_service_time: f64| {
+            makespan(|config, cost| {
+                config.samples_per_level = vec![5000, 50, 5];
+                config.chains_per_level = vec![32, 2, 1];
+                cost.eval_time = vec![1e-4, 0.045, 0.93]; // very fast coarse model
+                cost.phonebook_service_time = phonebook_service_time;
+            })
+        };
+        // a fine step's nested serves put some twenty phonebook messages
+        // on its critical path: at 50 ms each they outweigh its 0.93 s
+        // evaluation (5 ms would vanish in the spread between trajectories)
+        let (free, congested) = (cheap(0.0), cheap(5e-2));
+        assert!(congested > 1.25 * free, "{congested} vs {free}");
+    }
+
+    #[test]
+    fn load_balancing_helps_unbalanced_allocation() {
+        // deliberately starve level 1 of chains
+        let starved = |load_balancing: bool| {
+            scaling(|config, _| {
+                config.samples_per_level = vec![400, 400, 40];
+                config.chains_per_level = vec![6, 1, 1];
+                config.load_balancing = load_balancing;
+            })
+        };
+        let (fixed, balanced) = (starved(false), starved(true));
+        let (with, without) = (balanced.report.elapsed, fixed.report.elapsed);
+        assert!(with <= without * 1.05, "LB hurt: {with} vs {without}");
+        assert_eq!(fixed.phonebook.reassignments, 0);
+        assert!(
+            balanced.phonebook.reassignments > 0,
+            "idle chains should move"
+        );
+    }
+
+    #[test]
+    fn jitter_changes_realization_not_scale() {
+        let jittered = |seed: u64| {
+            makespan(|config, cost| {
+                config.seed = seed;
+                cost.eval_jitter = 0.3;
+            })
+        };
+        let (a, b) = (jittered(1), jittered(99));
+        assert!(a != b && a / b < 3.0 && b / a < 3.0, "{a} vs {b}");
+    }
+
+    #[test]
+    fn busy_fraction_is_sane() {
+        // the share of five chains' time spent evaluating models
+        let r = scaling(|_, _| {});
+        let busy: f64 = r.busy_per_level.expect("simulated").iter().sum();
+        let fraction = busy / (5.0 * r.report.elapsed);
+        assert!(fraction > 0.0 && fraction <= 1.0, "{fraction}");
     }
 }

@@ -8,11 +8,10 @@
 //! matching message arrives. A small pool of worker threads (typically
 //! far fewer than ranks) drives the machines through per-worker run
 //! queues with message-arrival wakeups, so hundreds to thousands of
-//! controllers run **live** on a handful of cores. Every live entry
-//! point is this pool: [`crate::run_runtime`] and
-//! [`crate::run_parallel`] host a whole universe on one, a
-//! [`crate::net`] process hosts its share of the ranks on one and hands
-//! sends to ranks it does not host to its socket relay.
+//! controllers run **live** on a handful of cores. Every live
+//! [`crate::Placement`] is this pool: `Pool` hosts a whole universe on
+//! one, each process of a `Net` run hosts its share of the ranks on one
+//! and hands sends to ranks it does not host to its socket relay.
 //!
 //! Delivery semantics (the MPI subset of DESIGN §2): per-rank FIFO
 //! queues, non-blocking sends, out-of-order messages buffered in arrival
@@ -417,7 +416,7 @@ impl Runtime {
 
     /// A pool as wide as this host ([`std::thread::available_parallelism`]);
     /// a run never uses more workers than it hosts ranks.
-    pub(crate) fn for_host() -> Self {
+    pub fn for_host() -> Self {
         Self::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
@@ -943,7 +942,7 @@ pub(crate) mod tests {
         let n_workers = 4usize;
         let polled_by = Arc::new(Mutex::new(Vec::new()));
         // the observer is `host`'s argument: whoever hosts ranks on a
-        // pool (a net process as much as `run_runtime`) names its own
+        // pool (a net process as much as a `Placement::Pool`) names its own
         let seen = Arc::new(AtomicUsize::new(0));
         let probe: StealProbe = {
             let seen = Arc::clone(&seen);

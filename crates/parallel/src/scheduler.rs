@@ -1,6 +1,5 @@
 //! The protocol vocabulary of the parallel MLMCMC process architecture
-//! (paper Section 4.2, Fig. 8) and `run_parallel`, its entry point on a
-//! pool as wide as the host.
+//! (paper Section 4.2, Fig. 8).
 //!
 //! Rank layout: rank 0 is the **root** (launches the run, tracks level
 //! completion, orchestrates shutdown), rank 1 the **phonebook** (routes
@@ -18,19 +17,12 @@
 //! run is configured with and reports ([`ParallelConfig`],
 //! [`ParallelCheckpoint`], [`ParallelReport`]) and the rank layout. What
 //! the roles *do* is written once, as the state machines in
-//! [`crate::roles`]; [`run_parallel`] runs those machines on a worker
-//! pool as wide as the host ([`crate::runtime`]) — as
-//! [`crate::run_runtime`] does on a pool of the caller's choosing and
-//! every [`crate::net`] process for its share of the ranks —
-//! [`crate::run_simulated`] in virtual time.
+//! [`crate::roles`], which is also where a run is started
+//! ([`crate::Run::on`]).
 
-use crate::obs::Tracer;
-use crate::roles::{run_pool, Run, RuntimeConfig};
-use crate::runtime::Runtime;
 use uq_mlmcmc::coupled::{CoarseSample, MlChain};
 use uq_mlmcmc::ledger::{LedgerLease, LedgerState, PairingMode, ServeOutcome};
 use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, RunStore};
-use uq_mlmcmc::LevelFactory;
 
 /// RNG stream seed of the controller at `rank` (the cross-executor
 /// parity tests reproduce it).
@@ -197,10 +189,9 @@ pub struct ParallelCheckpoint<'a> {
     /// resuming the controllers — the barrier is fully quiescent (every
     /// chain paused at a clean boundary, ledger drained, nothing in
     /// flight), so stopping there strands no `ServeJob` and the snapshot
-    /// resumes bit-identically. The root honours it under every
-    /// executor and the partial report comes back flagged
-    /// ([`crate::RuntimeReport::preempted`]); [`crate::NetDriver::run`],
-    /// whose report has no such flag, builds its policy with `None`.
+    /// resumes bit-identically. The root honours it on every
+    /// [`crate::Placement`], a net one included, and the partial report
+    /// comes back flagged ([`crate::RuntimeReport::preempted`]).
     pub stop: Option<&'a std::sync::atomic::AtomicBool>,
 }
 
@@ -355,30 +346,11 @@ pub(crate) fn poison_sample() -> CoarseSample {
     CoarseSample::plain(Vec::new(), f64::NEG_INFINITY, Vec::new())
 }
 
-/// Run parallel MLMCMC over the factory's hierarchy.
-///
-/// Runs `config.n_ranks()` ranks (root, phonebook, one collector per
-/// level, controllers) on a worker pool as wide as the host — at most
-/// [`std::thread::available_parallelism`] threads, however many ranks;
-/// evaluations that wait rather than compute overlap only up to that
-/// width ([`crate::run_runtime`] takes its width from the caller) — and
-/// returns the assembled report. `tracer` may be [`Tracer::disabled`].
-/// A durable run of this layout is [`crate::run_runtime_ckpt`] with one
-/// collector shard per level.
-pub fn run_parallel(
-    factory: &dyn LevelFactory,
-    config: &ParallelConfig,
-    tracer: &Tracer,
-) -> ParallelReport {
-    let runtime = Runtime::for_host();
-    let config = RuntimeConfig::unsharded(config.clone(), &runtime);
-    run_pool(&runtime, &Run::new(factory, &config, tracer, None, None)).report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::roles::policy::{self, Exec, GaussianHierarchy};
+    use crate::{run_parallel, Tracer};
 
     #[test]
     fn thread_resume_from_every_snapshot_is_bit_identical() {

@@ -22,9 +22,9 @@
 //!   [`uq_mlmcmc::allocate::fair_share_split`] (weights = priorities,
 //!   demands = requested worker counts).
 //! * **Admission control** — every submit is tested against current
-//!   load by simulating the job ([`crate::des`]): its own configuration
-//!   runs as the real role machines in virtual time on a stand-in
-//!   target, every evaluation costing the *measured* per-level
+//!   load by simulating the job ([`Placement::Sim`]): its own
+//!   configuration runs as the real role machines in virtual time on the
+//!   [`StandIn`] target, every evaluation costing the *measured* per-level
 //!   `mean_eval_ms` of completed dispatches (EWMA); the makespan is the
 //!   job's solo time-to-estimate, and the in-flight job count scales it
 //!   to a loaded prediction. A job whose prediction exceeds its
@@ -63,10 +63,9 @@ use uq_mlmcmc::store::{fnv1a, Codec, Dec, Enc, RunStore, StoreError};
 use uq_mlmcmc::wire::{frame_decode, frame_encode, frame_read, FrameFormat};
 use uq_mlmcmc::LevelFactory;
 
-use crate::des::{simulate_within, DesConfig};
 use crate::net::levels_digest;
 use crate::obs::{Counter, Tracer};
-use crate::roles::{run_runtime_ckpt_on, RuntimeConfig};
+use crate::roles::{Placement, Run, RuntimeConfig, SimCost, StandIn};
 use crate::runtime::Runtime;
 use crate::scheduler::ParallelCheckpoint;
 
@@ -613,28 +612,35 @@ impl ServiceInner {
     }
 }
 
-/// The admission model: the job's own configuration as the real role
-/// machines in virtual time, on a stand-in target, at the *measured*
-/// per-level evaluation times. Returns the solo makespan in seconds, or
-/// `None` past the poll budget.
+/// The admission model: the job's own targets, burn-in, chains and seed
+/// as the real role machines in virtual time, on the stand-in target, at
+/// the *measured* per-level evaluation times. Returns the solo makespan
+/// in seconds, or `None` past [`ADMISSION_POLL_BUDGET`].
 fn predict_solo(eval_secs: &[f64], factory: &dyn LevelFactory, spec: &JobSpec) -> Option<f64> {
-    let n_levels = spec.config.n_levels();
-    let des = DesConfig {
+    let (n_levels, base) = (spec.config.n_levels(), &spec.config.base);
+    let seed = base.seed;
+    let cost = SimCost {
         eval_time: (0..n_levels)
             .map(|l| eval_secs.get(l).copied().unwrap_or(DEFAULT_EVAL_SECS))
             .collect(),
         eval_jitter: 0.0,
-        samples_per_level: spec.config.base.samples_per_level.clone(),
-        burn_in: spec.config.base.burn_in.clone(),
-        subsampling: (0..n_levels).map(|l| factory.subsampling_rate(l)).collect(),
-        chains_per_level: spec.config.base.chains_per_level.clone(),
         phonebook_service_time: 0.0,
         collector_service_time: 0.0,
-        load_balancing: false,
-        seed: spec.config.base.seed,
+        latency: 0.0,
+        poll_budget: ADMISSION_POLL_BUDGET,
     };
-    let prediction = simulate_within(&des, ADMISSION_POLL_BUDGET).ok()?;
-    Some(prediction.makespan)
+    let mut config = RuntimeConfig::new(
+        base.samples_per_level.clone(),
+        base.chains_per_level.clone(),
+    );
+    config.base.burn_in = base.burn_in.clone();
+    config.base.load_balancing = false;
+    config.base.seed = seed;
+    let model = StandIn::new((0..n_levels).map(|l| factory.subsampling_rate(l)).collect());
+    let off = Tracer::disabled();
+    let placement = Placement::Sim { cost: &cost, seed };
+    let prediction = Run::new(&model, &config, &off, None, None).on(placement);
+    Some(prediction.ok()?.report.elapsed)
 }
 
 fn validate_spec(spec: &JobSpec, factory: &dyn LevelFactory) -> Result<(), String> {
@@ -749,7 +755,6 @@ fn lane_loop(inner: &Arc<ServiceInner>) {
             let resume_next = std::mem::take(&mut j.resume_next);
             let mut config = j.spec.config.clone();
             config.base.seed = j.effective_seed;
-            config.n_workers = workers;
             let factory = inner
                 .models
                 .lock()
@@ -801,14 +806,15 @@ fn lane_loop(inner: &Arc<ServiceInner>) {
         // fair-share ledger (tracing is bit-parity-inert, pinned by the
         // PR-8 obs conformance suite)
         let job_tracer = Tracer::new();
-        let rt = run_runtime_ckpt_on(
-            &Runtime::new(workers),
+        let run = Run::new(
             factory.as_ref(),
             &config,
             &job_tracer,
             Some(&ckpt),
             resume_snap.as_ref(),
         );
+        let pool = Runtime::new(workers);
+        let rt = run.on(Placement::Pool(&pool)).expect("a live run");
 
         let serves = job_tracer.counter(Counter::Serves);
         let mut st = inner.lock_state();

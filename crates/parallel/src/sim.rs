@@ -16,7 +16,7 @@
 //! whatever stands in for a model evaluation charges the run's `Meter`,
 //! and each pulled message costs the rank its `service` seconds.
 //!
-//! The machines are the ones that ship — [`crate::run_simulated`] drives
+//! The machines are the ones that ship — [`crate::Placement::Sim`] drives
 //! every line of [`crate::roles`], the ledger and the chains — so a
 //! simulated run is a deterministic function of its seed, and a run that
 //! cannot finish is a [`SimError`] carrying that seed, never a hang.

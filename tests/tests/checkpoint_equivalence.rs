@@ -33,7 +33,7 @@
 use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use uq_mlmcmc::estimator::{run_sequential_ckpt, CheckpointSpec};
@@ -41,8 +41,9 @@ use uq_mlmcmc::store::{fnv1a, Backend};
 use uq_mlmcmc::{MlmcmcConfig, MlmcmcReport, RunSnapshot, RunStore};
 use uq_parallel::scheduler::ParallelLevelReport;
 use uq_parallel::{
-    run_net_worker, run_parallel, run_runtime, run_runtime_ckpt, NetDriver, NetDriverOptions,
-    NetWorkerOptions, ParallelCheckpoint, ParallelConfig, RuntimeConfig, Tracer,
+    net_worker, run_net_worker, run_parallel, run_runtime, NetDriver, NetDriverOptions,
+    NetWorkerOptions, ParallelCheckpoint, ParallelConfig, Placement, Run, Runtime, RuntimeConfig,
+    RuntimeReport, Tracer,
 };
 
 #[path = "common/reexec.rs"]
@@ -287,6 +288,47 @@ fn thread_layout() -> RuntimeConfig {
     }
 }
 
+/// Where [`ridge_on`] places a run: a fresh pool of `config.n_workers`
+/// threads, or a driver and two workers on an OS-assigned loopback
+/// port, each on a one-worker pool.
+#[derive(Clone, Copy, Debug)]
+enum Where {
+    Pool,
+    Net,
+}
+
+fn ridge_on(
+    place: Where,
+    config: &RuntimeConfig,
+    checkpoint: Option<&ParallelCheckpoint<'_>>,
+    resume: Option<&RunSnapshot>,
+) -> RuntimeReport {
+    let off = Tracer::disabled();
+    let run = Run::new(&Ridge, config, &off, checkpoint, resume);
+    let Where::Net = place else {
+        let pool = Runtime::new(config.n_workers);
+        return run.on(Placement::Pool(&pool)).expect("a live run");
+    };
+    let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
+    let worker = NetWorkerOptions {
+        connect: driver.local_addr().to_string(),
+        join: false,
+        leave_at_barrier: None,
+    };
+    let (runtime, workers) = (&Runtime::new(1), 2);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| net_worker(&Runtime::new(1), &Ridge, &worker, &off));
+        }
+        let placement = Placement::Net {
+            runtime,
+            driver,
+            workers,
+        };
+        run.on(placement).expect("a live run")
+    })
+}
+
 /// The pool crash test `test_name` in its three roles: the crash child
 /// checkpoints `config` every `every` top-level corrections and aborts
 /// at the drawn snapshot ordinal; the resume child continues from the
@@ -300,7 +342,7 @@ fn pool_crash_cycle(
     check: impl Fn(&RunSnapshot),
     reference: impl FnOnce() -> String,
 ) {
-    let (off, hash) = (Tracer::disabled(), fnv1a(test_name.as_bytes()));
+    let hash = fnv1a(test_name.as_bytes());
     match role().as_deref() {
         Some("crash") => {
             let store = RunStore::open(harness_dir().join("store")).expect("open store");
@@ -318,7 +360,7 @@ fn pool_crash_cycle(
                 on_snapshot: Some(&hook),
                 stop: None,
             };
-            run_runtime_ckpt(&Ridge, config, &off, Some(&ckpt), None);
+            ridge_on(Where::Pool, config, Some(&ckpt), None);
             unreachable!("crash child must abort before the run completes");
         }
         Some("resume") => {
@@ -329,7 +371,7 @@ fn pool_crash_cycle(
                 .expect("manifest readable")
                 .expect("crashed run left a snapshot");
             check(&snap);
-            let rt = run_runtime_ckpt(&Ridge, config, &off, None, Some(&snap));
+            let rt = ridge_on(Where::Pool, config, None, Some(&snap));
             write_digest(&dir, &parallel_digest(&rt.report.levels));
         }
         _ => run_crash_cycle(test_name, test_name, base_kill, &reference()),
@@ -392,7 +434,7 @@ fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
     assert_eq!(cut.backend, Backend::Runtime, "the one stamp");
 
     let resume = |config: &RuntimeConfig, snap: &RunSnapshot| {
-        let run = || run_runtime_ckpt(&Ridge, config, &off, None, Some(snap));
+        let run = || ridge_on(Where::Pool, config, None, Some(snap));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
             .map(|rt| parallel_digest(&rt.report.levels))
             .map_err(|why| *why.downcast::<String>().expect("formatted panic message"))
@@ -415,6 +457,64 @@ fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
     let why = resume(&thread_layout(), &swapped).expect_err("level 1's state in level 0's slot");
     assert!(why.contains("collector slots inconsistent"), "{why}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A run stopped at a barrier on one placement comes back `preempted`
+/// with that barrier's snapshot in the store and resumes on the other to
+/// the uninterrupted digest (over the socket, the workers' ranks from
+/// their `Assign`); a placement that cannot lay a layout out says so.
+#[test]
+fn a_run_preempted_on_one_placement_resumes_on_the_other() {
+    // one pool worker: barriers land where the schedule puts them
+    let config = RuntimeConfig {
+        n_workers: 1,
+        ..thread_layout()
+    };
+    let reference = parallel_digest(&ridge_on(Where::Pool, &config, None, None).report.levels);
+    for (written_on, resumed_on) in [(Where::Net, Where::Pool), (Where::Pool, Where::Net)] {
+        let dir = fresh_dir(&format!("{written_on:?}-{resumed_on:?}"));
+        let store = RunStore::open(dir.join("store")).expect("open store");
+        let (barriers, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let hook = |_done: usize, _hash: &str| {
+            let second = barriers.fetch_add(1, Ordering::SeqCst) + 1 == 2;
+            stop.store(second, Ordering::SeqCst);
+        };
+        let ckpt = ParallelCheckpoint {
+            store: &store,
+            config_hash: 22,
+            every: THREAD_EVERY,
+            on_snapshot: Some(&hook),
+            stop: Some(&stop),
+        };
+        let parked = ridge_on(written_on, &config, Some(&ckpt), None);
+        assert!(parked.preempted, "{written_on:?}: the stop was ignored");
+        assert_eq!(barriers.load(Ordering::SeqCst), 2, "{written_on:?}");
+        let cut = store.latest_snapshot(Some(22)).expect("manifest readable");
+        let (_, cut) = cut.expect("the barrier's snapshot");
+        assert!(cut.samples_done < 500, "a cut from the middle of the run");
+        let resumed = ridge_on(resumed_on, &config, None, Some(&cut));
+        let digest = parallel_digest(&resumed.report.levels);
+        assert!(!resumed.preempted, "{resumed_on:?}");
+        assert_eq!(digest, reference, "{written_on:?} → {resumed_on:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    // a worker's `Assign` carries a `ParallelConfig`: no shard count
+    let sharded = RuntimeConfig {
+        collector_shards: 2,
+        ..config
+    };
+    let refused = std::panic::catch_unwind(|| {
+        let (off, driver) = (Tracer::disabled(), NetDriver::bind("127.0.0.1:0"));
+        Run::new(&Ridge, &sharded, &off, None, None).on(Placement::Net {
+            runtime: &Runtime::new(1),
+            driver: driver.expect("bind loopback"),
+            workers: 2,
+        })
+    });
+    let why = refused.expect_err("a sharded layout over the socket");
+    let why = why.downcast::<String>().expect("formatted panic message");
+    assert!(why.contains("one collector per level"), "{why}");
 }
 
 // ---------------------------------------------------------------------
@@ -490,13 +590,7 @@ fn runtime_checkpoint_on_off_is_bit_identical_on_the_ridge() {
         on_snapshot: Some(&hook),
         stop: None,
     };
-    let with = run_runtime_ckpt(
-        &Ridge,
-        &runtime_cfg(),
-        &Tracer::disabled(),
-        Some(&ckpt),
-        None,
-    );
+    let with = ridge_on(Where::Pool, &runtime_cfg(), Some(&ckpt), None);
     let without = run_runtime(&Ridge, &runtime_cfg(), &Tracer::disabled());
     assert!(
         snaps.load(Ordering::SeqCst) > 0,
@@ -541,7 +635,7 @@ fn checkpoint_barrier_preserves_the_ridge_statistics() {
         on_snapshot: Some(&hook),
         stop: None,
     };
-    let rt = run_runtime_ckpt(&Ridge, &config, &Tracer::disabled(), Some(&ckpt), None);
+    let rt = ridge_on(Where::Pool, &config, Some(&ckpt), None);
     assert!(snaps.load(Ordering::SeqCst) > 0, "barriers must fire");
     let ledger = rt.phonebook.ledger;
     assert!(

@@ -20,8 +20,8 @@ use uq_mlmcmc::estimator::run_sequential;
 use uq_mlmcmc::store::fnv1a;
 use uq_mlmcmc::{MlmcmcConfig, RunStore};
 use uq_parallel::{
-    chrome_trace, run_parallel, run_runtime, run_runtime_ckpt, Counter, MetricsSnapshot,
-    ParallelCheckpoint, ParallelConfig, RuntimeConfig, SpanKind, Tracer,
+    chrome_trace, run_parallel, run_runtime, Counter, MetricsSnapshot, ParallelCheckpoint,
+    ParallelConfig, Placement, Run, Runtime, RuntimeConfig, SpanKind, Tracer,
 };
 
 #[path = "common/ridge.rs"]
@@ -162,13 +162,10 @@ fn runtime_tracing_on_off_is_bit_identical_across_mid_run_checkpoints() {
             on_snapshot: Some(&hook),
             stop: None,
         };
-        run_runtime_ckpt(
-            &Ridge,
-            &runtime_config(300, 500, 21),
-            tracer,
-            Some(&ckpt),
-            None,
-        )
+        let config = runtime_config(300, 500, 21);
+        Run::new(&Ridge, &config, tracer, Some(&ckpt), None)
+            .on(Placement::Pool(&Runtime::new(config.n_workers)))
+            .expect("a live run")
     };
     let tracer = Tracer::new();
     let on = run(&tracer, &dir.join("on"));

@@ -21,8 +21,8 @@ use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::store::{RunSnapshot, RunStore};
 use uq_mlmcmc::LevelFactory;
 use uq_parallel::{
-    levels_digest, run_parallel, run_runtime, run_runtime_ckpt, run_simulated, Counter,
-    ParallelCheckpoint, RuntimeConfig, RuntimeReport, SimCost, SimReport, Tracer,
+    levels_digest, run_parallel, run_runtime, Counter, ParallelCheckpoint, Placement, Run, Runtime,
+    RuntimeConfig, RuntimeReport, SimCost, Tracer,
 };
 
 #[path = "common/ridge.rs"]
@@ -60,9 +60,10 @@ fn simulated(
     seed: u64,
     checkpoint: Option<&ParallelCheckpoint<'_>>,
     resume: Option<&RunSnapshot>,
-) -> SimReport {
-    let off = Tracer::disabled();
-    run_simulated(&Ridge, config, &off, &cost(seed), seed, checkpoint, resume)
+) -> RuntimeReport {
+    let (off, cost) = (Tracer::disabled(), cost(seed));
+    Run::new(&Ridge, config, &off, checkpoint, resume)
+        .on(Placement::Sim { cost: &cost, seed })
         .unwrap_or_else(|err| panic!("seed {seed}: {err:?}"))
 }
 
@@ -102,8 +103,8 @@ fn every_delivery_seed_reproduces_the_live_digest() {
     let (mut least, mut most) = ([usize::MAX; 3], [0; 3]);
     for seed in 0..700 {
         let sim = simulated(&config, seed, None, None);
-        assert_eq!(digest(&sim.run), reference, "seed {seed}: digest");
-        let sim_counts = counts(&sim.run);
+        assert_eq!(digest(&sim), reference, "seed {seed}: digest");
+        let sim_counts = counts(&sim);
         for (i, count) in sim_counts.into_iter().enumerate() {
             least[i] = least[i].min(count);
             most[i] = most[i].max(count);
@@ -111,7 +112,7 @@ fn every_delivery_seed_reproduces_the_live_digest() {
         // the same seed again: the same run, clocks included
         if seed % 100 == 0 {
             let again = simulated(&config, seed, None, None);
-            let polls = |run: &SimReport| run.run.runtime.polls;
+            let polls = |run: &RuntimeReport| run.runtime.polls;
             assert_eq!(again.clocks, sim.clocks, "seed {seed}: not repeatable");
             assert_eq!(polls(&again), polls(&sim), "seed {seed}: not repeatable");
         }
@@ -130,7 +131,7 @@ fn checkpointed(
     store: &RunStore,
     seed: u64,
     stop_at: Option<usize>,
-) -> (SimReport, Vec<RunSnapshot>) {
+) -> (RuntimeReport, Vec<RunSnapshot>) {
     let hashes: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let stop = AtomicBool::new(false);
     let hook = |_done: usize, hash: &str| {
@@ -161,13 +162,15 @@ fn every_barrier_is_a_consistent_cut_under_every_delivery() {
     let (dir, store) = scratch_store("cut");
     for seed in 0..60 {
         let (run, snapshots) = checkpointed(&config, &store, seed, None);
-        assert_eq!(digest(&run.run), reference, "seed {seed}: checkpointed");
+        assert_eq!(digest(&run), reference, "seed {seed}: checkpointed");
         assert!(snapshots.len() >= 4, "seed {seed}: {}", snapshots.len());
         for (k, snap) in snapshots.iter().enumerate() {
             // another delivery order from the cut on, and a live executor
             let other = simulated(&config, seed + 1000, None, Some(snap));
-            assert_eq!(digest(&other.run), reference, "seed {seed}: resume {k}");
-            let pool = run_runtime_ckpt(&Ridge, &config, &off, None, Some(snap));
+            assert_eq!(digest(&other), reference, "seed {seed}: resume {k}");
+            let pool = Run::new(&Ridge, &config, &off, None, Some(snap))
+                .on(Placement::Pool(&Runtime::new(config.n_workers)));
+            let pool = pool.expect("a live run");
             assert_eq!(digest(&pool), reference, "seed {seed}: pool resume {k}");
         }
     }
@@ -183,12 +186,12 @@ fn a_stop_at_any_barrier_preempts_and_resumes_to_the_same_digest() {
     for seed in 0..120 {
         let barrier = 1 + (seed % 4) as usize;
         let (run, snapshots) = checkpointed(&config, &store, seed, Some(barrier));
-        assert!(run.run.preempted, "seed {seed}: stop at {barrier} ignored");
+        assert!(run.preempted, "seed {seed}: stop at {barrier} ignored");
         assert_eq!(snapshots.len(), barrier, "seed {seed}: ran past the stop");
         let cut = snapshots.last().expect("the barrier's snapshot");
         let resumed = simulated(&config, seed + 1000, None, Some(cut));
-        assert!(!resumed.run.preempted, "seed {seed}");
-        assert_eq!(digest(&resumed.run), reference, "seed {seed}: resumed");
+        assert!(!resumed.preempted, "seed {seed}");
+        assert_eq!(digest(&resumed), reference, "seed {seed}: resumed");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -234,20 +237,21 @@ fn a_balanced_skewed_run_keeps_its_invariants_under_every_delivery() {
             ..cost(seed)
         };
         // no deadlock, no exhausted budget: either is an `Err`
-        let sim = run_simulated(&ThreeLevels, &config, &tracer, &cost, seed, None, None);
+        let sim = Run::new(&ThreeLevels, &config, &tracer, None, None)
+            .on(Placement::Sim { cost: &cost, seed });
         let sim = sim.unwrap_or_else(|err| panic!("seed {seed}: {err:?}"));
-        let report = &sim.run.report;
+        let report = &sim.report;
         for (level, n) in targets.into_iter().enumerate() {
             assert_eq!(report.levels[level].n_samples, n, "seed {seed}: N_{level}");
         }
-        let reassigned = sim.run.phonebook.reassignments;
+        let reassigned = sim.phonebook.reassignments;
         assert_eq!(report.reassignments, reassigned, "seed {seed}");
         moved += reassigned;
         // no stream position is served twice: what the ledger dispatched
         // and what came back differ only by serves still running when
         // the phonebook exited (one per controller at most) and by
         // serves for a chain that was reassigned meanwhile
-        let ledger = sim.run.phonebook.ledger;
+        let ledger = sim.phonebook.ledger;
         let dispatched = ledger.serves - ledger.spec_hits + ledger.spec_launched;
         let returned = tracer.counter(Counter::WriteBacks) as usize;
         assert!(
@@ -256,11 +260,11 @@ fn a_balanced_skewed_run_keeps_its_invariants_under_every_delivery() {
         );
         // nothing is lost before the teardown: the phonebook is the
         // first rank to exit, and no message misses its rank before that
+        let phonebook_exit = sim.clocks.as_ref().expect("simulated")[1];
         assert!(
-            sim.first_drop.is_none_or(|at| at >= sim.clocks[1]),
-            "seed {seed}: a message was dropped at {:?}, phonebook exit {}",
+            sim.first_drop.is_none_or(|at| at >= phonebook_exit),
+            "seed {seed}: a message was dropped at {:?}, phonebook exit {phonebook_exit}",
             sim.first_drop,
-            sim.clocks[1]
         );
     }
     assert!(moved > 0, "the balancer never moved a chain");
