@@ -38,7 +38,8 @@
 //!   over length-prefixed, checksummed frames, assembling one logical
 //!   universe from a driver plus N worker processes — each hosting its
 //!   share of the ranks on a pool — with elastic join/leave at
-//!   checkpoint barriers via phonebook session migration.
+//!   checkpoint barriers: the run stops at the barrier and resumes from
+//!   its cut on the new layout.
 //! * [`service`] — the always-on multi-tenant UQ service: many
 //!   concurrent inversion jobs multiplexed over one shared worker pool
 //!   with fair-share + priority dispatch, admission control by

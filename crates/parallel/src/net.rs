@@ -25,13 +25,14 @@
 //! into the pool's rank slots in arrival order from a single reader
 //! thread.
 //!
-//! Elastic membership rides the PR-6 checkpoint barrier: at a completed
-//! barrier every chain is paused at a clean boundary, the ledger is
-//! drained and nothing is in flight toward controllers, so a departing
-//! worker's ranks (or ranks donated to a joiner) migrate as plain data —
-//! the just-persisted [`RunSnapshot`] carries their chain state, and any
-//! messages still unread in their slots travel alongside as
-//! `leftovers`. See `DESIGN.md` §9.
+//! Who hosts which rank is fixed for the length of a **segment**: an
+//! ordinary [`Run`] from `Assign` to the last `Bye`, on wire threads of
+//! its own. A membership change — a worker's planned departure, a joiner
+//! given ranks — is the one way a rank ever moves: the segment stops at
+//! the checkpoint barrier where the change is due, exactly as a preempted
+//! run stops, and the next segment resumes *every* rank from that
+//! barrier's [`RunSnapshot`] on the new routes table. Nothing migrates
+//! inside a running universe. See `DESIGN.md` §9.
 //!
 //! Failure semantics are fail-stop: a peer socket dying outside a
 //! planned departure aborts the run (the snapshot store is the recovery
@@ -39,15 +40,15 @@
 
 use crate::obs::{Counter, Tracer};
 use crate::roles::{
-    ControllerRank, ElasticOps, Machine, PhonebookStats, Placement, RoleOut, Run, RuntimeConfig,
+    ControllerRank, Machine, PhonebookStats, Placement, Run, RuntimeConfig, RuntimeReport,
 };
-use crate::runtime::{Envelope, Runtime, RuntimeStats, Shared};
+use crate::runtime::{Envelope, Runtime, Shared};
 use crate::scheduler::{
     CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
 };
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -61,10 +62,11 @@ use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
 /// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
-/// golden frame fixture (`tests/fixtures/golden_frame_v2.bin`) trips
+/// golden frame fixture (`tests/fixtures/golden_frame_v3.bin`) trips
 /// when the bytes drift without a bump. Exactly one version is spoken:
-/// v1 (FNV-1a trailer) is rejected as `BadVersion`, never dual-decoded.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v2 (which still moved ranks inside a running universe) is rejected
+/// as `BadVersion`, never dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The net wire: a magic distinct from the snapshot store's
 /// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and
@@ -273,7 +275,6 @@ impl Codec for Msg {
                 state.encode(enc);
             }
             Msg::CheckpointDone => 21u8.encode(enc),
-            Msg::Retire => 22u8.encode(enc),
         }
     }
 
@@ -336,7 +337,6 @@ impl Codec for Msg {
             19 => Msg::CollectorCkpt(Codec::decode(dec)?),
             20 => Msg::LedgerCkpt(Codec::decode(dec)?),
             21 => Msg::CheckpointDone,
-            22 => Msg::Retire,
             _ => return Err(StoreError::Corrupt("invalid Msg tag")),
         })
     }
@@ -346,11 +346,6 @@ impl Codec for Msg {
 // Frame layer
 // ---------------------------------------------------------------------
 
-/// A `(destination rank, sender rank, message)` triple carried across
-/// a membership change: messages still queued in a retiring rank's
-/// slot when it exits, re-delivered verbatim to its next host.
-pub type Leftover = (usize, usize, Msg);
-
 /// Everything that crosses a socket.
 #[derive(Debug)]
 pub enum Frame {
@@ -358,41 +353,39 @@ pub enum Frame {
     /// admission at a later barrier; `leave_at_barrier = Some(k)`
     /// declares a planned departure at the `k`-th checkpoint barrier.
     Hello {
-        version: u32,
         join: bool,
         leave_at_barrier: Option<u64>,
     },
-    /// Driver → worker: your ranks, the run configuration, resume state
-    /// for each rank (empty on a fresh start) and any leftover messages
-    /// to pre-load into their slots.
+    /// Driver → worker, once per segment: your ranks, the run
+    /// configuration and the resume state of each rank (empty on a fresh
+    /// start).
     Assign {
         n_ranks: usize,
         ranks: Vec<usize>,
         config: ParallelConfig,
         ckpts: Vec<ChainCkpt>,
-        leftovers: Vec<Leftover>,
     },
-    /// Worker → driver: ranks hosted, leftovers loaded — safe to route.
+    /// Worker → driver: ranks hosted — safe to route.
     Ready,
     /// A scheduler message in flight between ranks on different
     /// processes.
     Data { to: usize, from: usize, msg: Msg },
-    /// Final frame on a connection. Workers always send one before
-    /// closing (leftovers empty on a normal run end), so an EOF without
-    /// a preceding `Bye` is a crash, not a departure.
-    Bye { leftovers: Vec<Leftover> },
+    /// Worker → driver: every rank of this segment's `Assign` has exited,
+    /// nothing of theirs follows — so an EOF without a preceding `Bye` is
+    /// a crash. Driver → worker: you are released while the run goes on
+    /// (a planned departure, a joiner there was never room for); at the
+    /// end of the run the driver hangs up instead.
+    Bye,
 }
 
 impl Codec for Frame {
     fn encode(&self, enc: &mut Enc) {
         match self {
             Frame::Hello {
-                version,
                 join,
                 leave_at_barrier,
             } => {
                 0u8.encode(enc);
-                version.encode(enc);
                 join.encode(enc);
                 leave_at_barrier.encode(enc);
             }
@@ -401,14 +394,12 @@ impl Codec for Frame {
                 ranks,
                 config,
                 ckpts,
-                leftovers,
             } => {
                 1u8.encode(enc);
                 n_ranks.encode(enc);
                 ranks.encode(enc);
                 config.encode(enc);
                 ckpts.encode(enc);
-                leftovers.encode(enc);
             }
             Frame::Ready => 2u8.encode(enc),
             Frame::Data { to, from, msg } => {
@@ -417,17 +408,13 @@ impl Codec for Frame {
                 from.encode(enc);
                 msg.encode(enc);
             }
-            Frame::Bye { leftovers } => {
-                4u8.encode(enc);
-                leftovers.encode(enc);
-            }
+            Frame::Bye => 4u8.encode(enc),
         }
     }
 
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(match u8::decode(dec)? {
             0 => Frame::Hello {
-                version: Codec::decode(dec)?,
                 join: Codec::decode(dec)?,
                 leave_at_barrier: Codec::decode(dec)?,
             },
@@ -436,7 +423,6 @@ impl Codec for Frame {
                 ranks: Codec::decode(dec)?,
                 config: Codec::decode(dec)?,
                 ckpts: Codec::decode(dec)?,
-                leftovers: Codec::decode(dec)?,
             },
             2 => Frame::Ready,
             3 => Frame::Data {
@@ -444,9 +430,7 @@ impl Codec for Frame {
                 from: Codec::decode(dec)?,
                 msg: Codec::decode(dec)?,
             },
-            4 => Frame::Bye {
-                leftovers: Codec::decode(dec)?,
-            },
+            4 => Frame::Bye,
             _ => return Err(StoreError::Corrupt("invalid Frame tag")),
         })
     }
@@ -521,156 +505,112 @@ pub fn report_digest(report: &ParallelReport) -> u64 {
 /// the teardown join) a finished run.
 const HELLO_DEADLINE: Duration = Duration::from_secs(2);
 
-/// How long a barrier's membership changes may take before the run is
-/// given up (a departing worker's `Bye`, a joiner's `Ready`).
-const REHOST_DEADLINE: Duration = Duration::from_secs(30);
+/// How long a segment waits for a peer at either end of it: for the
+/// [`Frame::Ready`] that answers its `Assign`, and — once every rank
+/// hosted here has exited — for the [`Frame::Bye`] that ends its share.
+const SEGMENT_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The next frame from `stream`, waited for no longer than `deadline`.
+fn read_within(stream: &TcpStream, deadline: Duration, tracer: &Tracer) -> io::Result<Frame> {
+    stream.set_read_timeout(Some(deadline))?;
+    let frame = read_frame(&mut &*stream, tracer);
+    stream.set_read_timeout(None)?;
+    frame
+}
 
 /// The `(join, leave_at_barrier)` of a peer that just connected; `None`
 /// — hang up — on anything but a `Hello` within [`HELLO_DEADLINE`].
-fn read_hello(stream: &mut TcpStream, tracer: &Tracer) -> Option<(bool, Option<u64>)> {
-    stream.set_read_timeout(Some(HELLO_DEADLINE)).ok()?;
-    let hello = read_frame(stream, tracer);
-    stream.set_read_timeout(None).ok()?;
-    match hello {
+fn read_hello(stream: &TcpStream, tracer: &Tracer) -> Option<(bool, Option<u64>)> {
+    match read_within(stream, HELLO_DEADLINE, tracer) {
         Ok(Frame::Hello {
             join,
             leave_at_barrier,
-            ..
         }) => Some((join, leave_at_barrier)),
         _ => None,
     }
 }
 
-/// One worker connection on the driver side.
+/// One worker connection; its ranks are its own for as long as it is a
+/// member of the universe.
 struct PeerLink {
-    /// Write half, serialized: the router, the downlinks (forwarding
-    /// between workers) and the rehost handshake all write frames, and
-    /// interleaved bytes would corrupt the stream.
+    /// Write half, serialized: the router and the downlinks (forwarding
+    /// between workers) both write frames, and interleaved bytes would
+    /// corrupt the stream.
     writer: Mutex<TcpStream>,
+    /// Read half: a downlink's within a segment, the driver's between two.
+    reader: TcpStream,
     ranks: Vec<usize>,
     leave_at_barrier: Option<u64>,
-    /// Set by the downlink thread when the worker's [`Frame::Ready`]
-    /// arrives (a joiner's: `rehost` holds the barrier until then).
-    ready: AtomicBool,
-    /// Set by the downlink thread when the worker's final [`Frame::Bye`]
-    /// arrives; `rehost` collects a departing worker's leftover messages
-    /// from it.
-    bye: Mutex<Option<Vec<Leftover>>>,
-    gone: AtomicBool,
 }
 
 impl PeerLink {
-    fn new(stream: &TcpStream, ranks: Vec<usize>, leave_at_barrier: Option<u64>) -> Arc<Self> {
+    fn new(stream: TcpStream, ranks: Vec<usize>, leave_at_barrier: Option<u64>) -> Arc<Self> {
         Arc::new(Self {
             writer: Mutex::new(stream.try_clone().expect("net driver: stream clone failed")),
+            reader: stream,
             ranks,
             leave_at_barrier,
-            ready: AtomicBool::new(false),
-            bye: Mutex::new(None),
-            gone: AtomicBool::new(false),
         })
     }
 }
 
-/// A joiner admitted at this barrier and the driver-hosted ranks it is
-/// given, until its `Assign` is written.
-struct Donation {
-    stream: TcpStream,
-    ranks: Vec<usize>,
-    /// Those of `ranks` that were told to retire and still run here.
-    running: Vec<usize>,
-    /// What the ones that exited left unread.
-    leftovers: Vec<Leftover>,
+/// Hang up on a peer between segments: after a `Bye` if it is let go
+/// while the run goes on or never got ranks, without one at the run's end.
+fn hang_up(stream: &TcpStream, bye: bool, tracer: &Tracer) {
+    if bye {
+        let _ = write_frame(&mut &*stream, &Frame::Bye, tracer);
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Membership changes decided by `plan` and carried out by `rehost`, one
-/// step per poll of the root (both run inside the same barrier, so the
-/// handoff is a plain slot).
-struct PlanOut {
-    since: Instant,
-    /// Peer indices departing at this barrier, `Bye` not yet in.
-    leaves: Vec<usize>,
-    donation: Option<Donation>,
-    /// The admitted joiner after its `Assign`, until it said `Ready`.
-    joining: Option<Arc<PeerLink>>,
-}
-
-struct DriverShared {
+/// What the wire threads of one segment share; who hosts what is fixed
+/// for its length.
+struct Segment {
     /// The slots of the ranks hosted here (and, `Remote`, of the rest).
     pool: Arc<Shared<Msg>>,
     /// Which peer (an index into `peers`) hosts each rank; `None`: this
-    /// process. Rewired at checkpoint barriers when ranks migrate; every
-    /// relayed send consults the live table, so rewiring is a slot write.
-    routes: Mutex<Vec<Option<usize>>>,
-    peers: Mutex<Vec<Arc<PeerLink>>>,
-    /// Workers that said `Hello { join: true }`, awaiting admission.
-    joiners: Mutex<VecDeque<TcpStream>>,
-    /// Barrier state of ranks re-hosted here whose machines are not
-    /// built yet, by rank.
-    resumes: Mutex<HashMap<usize, ChainCkpt>>,
-    downlinks: Mutex<Vec<JoinHandle<()>>>,
-    pending: Mutex<Option<PlanOut>>,
-    /// Completed checkpoint barriers (identifies departure points).
-    barrier: AtomicU64,
-    /// Sends the transport lost (a departed peer, a closed relay).
+    /// process.
+    routes: Vec<Option<usize>>,
+    peers: Vec<Arc<PeerLink>>,
+    /// Sends the transport lost (a closed relay, a peer gone at teardown).
     dropped: Arc<AtomicUsize>,
-    shutdown: AtomicBool,
+    /// Every rank hosted here has exited.
+    closing: AtomicBool,
     tracer: Tracer,
-    migrations: AtomicU64,
-}
-
-impl DriverShared {
-    fn count_migration(&self) {
-        self.migrations.fetch_add(1, Ordering::Relaxed);
-        self.tracer.incr(Counter::NetMigrations);
-    }
 }
 
 /// Deliver one message to wherever its destination rank lives.
-fn deliver(sh: &DriverShared, to: usize, env: Envelope<Msg>) {
-    let Some(i) = sh.routes.lock().get(to).copied().flatten() else {
+fn deliver(seg: &Segment, to: usize, env: Envelope<Msg>) {
+    let Some(i) = seg.routes.get(to).copied().flatten() else {
         // hosted here — or out of range, which the pool counts and drops
-        return sh.pool.deliver(to, env);
+        return seg.pool.deliver(to, env);
     };
-    let peer = Arc::clone(&sh.peers.lock()[i]);
-    if peer.gone.load(Ordering::Acquire) {
-        sh.dropped.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
     let frame = Frame::Data {
         to,
         from: env.from,
         msg: env.msg,
     };
-    let res = write_frame(&mut *peer.writer.lock(), &frame, &sh.tracer);
+    let res = write_frame(&mut *seg.peers[i].writer.lock(), &frame, &seg.tracer);
     if let Err(e) = res {
-        if sh.shutdown.load(Ordering::Acquire) || peer.gone.load(Ordering::Acquire) {
-            sh.dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            panic!("net driver: write to worker failed: {e}");
-        }
+        assert!(
+            seg.closing.load(Ordering::Acquire),
+            "net driver: write to worker failed: {e}"
+        );
+        seg.dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn spawn_downlink(
-    sh: Arc<DriverShared>,
-    peer: Arc<PeerLink>,
-    mut reader: TcpStream,
-) -> JoinHandle<()> {
+/// Read `peer`'s frames into the segment until its `Bye`.
+fn spawn_downlink(seg: Arc<Segment>, peer: Arc<PeerLink>) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("uq-net-downlink".into())
         .spawn(move || loop {
-            match read_frame(&mut reader, &sh.tracer) {
-                Ok(Frame::Data { to, from, msg }) => deliver(&sh, to, Envelope { from, msg }),
-                Ok(Frame::Ready) => peer.ready.store(true, Ordering::Release),
-                Ok(Frame::Bye { leftovers }) => {
-                    *peer.bye.lock() = Some(leftovers);
-                    peer.gone.store(true, Ordering::Release);
-                    break;
-                }
+            match read_frame(&mut &peer.reader, &seg.tracer) {
+                Ok(Frame::Data { to, from, msg }) => deliver(&seg, to, Envelope { from, msg }),
+                Ok(Frame::Bye) => break,
                 Ok(f) => panic!("net driver: unexpected frame from worker: {f:?}"),
                 Err(e) => {
-                    if sh.shutdown.load(Ordering::Acquire) || peer.gone.load(Ordering::Acquire) {
+                    if seg.closing.load(Ordering::Acquire) {
                         break;
                     }
                     // no Bye before the socket died: fail-stop (the run
@@ -682,24 +622,31 @@ fn spawn_downlink(
         .expect("net driver: downlink thread spawn failed")
 }
 
-fn spawn_listener(sh: Arc<DriverShared>, listener: TcpListener) -> JoinHandle<()> {
+/// Queue every peer that dials in after the rendezvous and says `Hello`
+/// as a joiner, until the run is `over`.
+fn spawn_listener(
+    listener: TcpListener,
+    joiners: Arc<Mutex<VecDeque<TcpStream>>>,
+    over: Arc<AtomicBool>,
+    tracer: Tracer,
+) -> JoinHandle<()> {
     listener
         .set_nonblocking(true)
         .expect("net driver: listener nonblocking");
     std::thread::Builder::new()
         .name("uq-net-listener".into())
         .spawn(move || loop {
-            if sh.shutdown.load(Ordering::Acquire) {
+            if over.load(Ordering::Acquire) {
                 break;
             }
             match listener.accept() {
-                Ok((mut stream, _)) => {
+                Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_nodelay(true);
                     // bad or missing handshake: hang up, keep listening
-                    if read_hello(&mut stream, &sh.tracer).is_some() {
-                        sh.tracer.incr(Counter::NetReconnects);
-                        sh.joiners.lock().push_back(stream);
+                    if read_hello(&stream, &tracer).is_some() {
+                        tracer.incr(Counter::NetReconnects);
+                        joiners.lock().push_back(stream);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -711,134 +658,121 @@ fn spawn_listener(sh: Arc<DriverShared>, listener: TcpListener) -> JoinHandle<()
         .expect("net driver: listener thread spawn failed")
 }
 
-/// Decide this barrier's membership changes; returns the retiring ranks
-/// (the root sends each a [`Msg::Retire`] before it starts calling
-/// `rehost`).
-fn plan_barrier(sh: &DriverShared, first_ctrl: usize) -> Vec<usize> {
-    let barrier = sh.barrier.fetch_add(1, Ordering::SeqCst) + 1;
-    let mut retiring = Vec::new();
-    let mut leaves = Vec::new();
-    for (i, p) in sh.peers.lock().iter().enumerate() {
-        if !p.gone.load(Ordering::Acquire) && p.leave_at_barrier == Some(barrier) {
-            retiring.extend_from_slice(&p.ranks);
-            leaves.push(i);
+/// One segment: `run` from `Assign` to the last `Bye`, `peers` hosting
+/// their ranks and `runtime` the rest, on wire threads of its own.
+fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Arc<PeerLink>]) -> RuntimeReport {
+    let (config, tracer) = (run.config, run.tracer);
+    let n_ranks = config.n_ranks();
+    let mut routes = vec![None; n_ranks];
+    for (i, peer) in peers.iter().enumerate() {
+        for &rank in &peer.ranks {
+            routes[rank] = Some(i);
         }
     }
-    // admit at most one joiner per barrier, donating half the
-    // driver-hosted controllers (universe size never changes: a joiner
-    // adopts existing ranks)
-    let hosted: Vec<usize> = {
-        let routes = sh.routes.lock();
-        (first_ctrl..routes.len())
-            .filter(|&r| routes[r].is_none() && !retiring.contains(&r))
-            .collect()
-    };
-    let joiner = (!hosted.is_empty()).then(|| sh.joiners.lock().pop_front());
-    let donation = joiner.flatten().map(|stream| {
-        let ranks = hosted[..hosted.len().div_ceil(2)].to_vec();
-        retiring.extend_from_slice(&ranks);
-        Donation {
-            stream,
-            running: ranks.clone(),
-            ranks,
-            leftovers: Vec::new(),
+
+    // every send to a rank hosted elsewhere goes through the one
+    // router channel (`None` ends the router)
+    let (router_tx, router_rx) = unbounded::<Option<(usize, Envelope<Msg>)>>();
+    let dropped = Arc::new(AtomicUsize::new(0));
+    let relay = {
+        let (tx, dropped) = (router_tx.clone(), Arc::clone(&dropped));
+        move |to, env| {
+            if tx.send(Some((to, env))).is_err() {
+                dropped.fetch_add(1, Ordering::Relaxed);
+            }
         }
+    };
+    let hosted = (0..n_ranks).filter(|&r| routes[r].is_none());
+    let seg = Arc::new(Segment {
+        pool: runtime.host(n_ranks, hosted, Box::new(relay), tracer.steal_probe()),
+        routes,
+        peers: peers.to_vec(),
+        dropped,
+        closing: AtomicBool::new(false),
+        tracer: tracer.clone(),
     });
-    *sh.pending.lock() = Some(PlanOut {
-        since: Instant::now(),
-        leaves,
-        donation,
-        joining: None,
-    });
-    retiring
+
+    // Assign each worker its ranks, resumed from their share of the cut;
+    // Ready gates routing
+    for peer in peers {
+        let chain = |&rank: &usize| {
+            let snap = run.resume?;
+            Some(snap.chains[rank - config.first_controller_rank()].clone())
+        };
+        let assign = Frame::Assign {
+            n_ranks,
+            ranks: peer.ranks.clone(),
+            config: config.base.clone(),
+            ckpts: peer.ranks.iter().filter_map(chain).collect(),
+        };
+        write_frame(&mut *peer.writer.lock(), &assign, tracer).expect("net driver: Assign failed");
+        match read_within(&peer.reader, SEGMENT_DEADLINE, tracer) {
+            Ok(Frame::Ready) => {}
+            other => panic!(
+                "net driver: the worker of ranks {:?} never became Ready: {other:?}",
+                peer.ranks
+            ),
+        }
+    }
+    let downlinks: Vec<_> = peers
+        .iter()
+        .map(|peer| spawn_downlink(Arc::clone(&seg), Arc::clone(peer)))
+        .collect();
+    let router = {
+        let seg = Arc::clone(&seg);
+        std::thread::Builder::new()
+            .name("uq-net-router".into())
+            .spawn(move || {
+                for (to, env) in router_rx.into_iter().map_while(|relayed| relayed) {
+                    deliver(&seg, to, env);
+                }
+            })
+            .expect("net driver: router thread spawn failed")
+    };
+
+    let (outs, mut stats) = runtime.drive(&seg.pool, |rank, _| run.machine(rank));
+
+    // the root has every controller's report, a rank's last send: all a
+    // worker has left to say is `Bye`. A blocked read cannot be given a
+    // timeout after the fact, so the deadline is kept from here
+    seg.closing.store(true, Ordering::Release);
+    let deadline = Instant::now() + SEGMENT_DEADLINE;
+    for (peer, downlink) in peers.iter().zip(downlinks) {
+        while !downlink.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "net driver: the worker of ranks {:?} never said Bye",
+                peer.ranks
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        downlink.join().expect("net driver: downlink panicked");
+    }
+    router_tx
+        .send(None)
+        .expect("net driver: router ended early");
+    router.join().expect("net driver: router panicked");
+    stats.dropped_sends += seg.dropped.load(Ordering::Relaxed);
+    RuntimeReport::assemble(outs.into_iter().map(|(_, out)| out).collect(), stats)
 }
 
-/// Carry out as much of this barrier's planned membership changes as can
-/// be done without waiting — re-host a departed worker's ranks here once
-/// its `Bye` is in, hand donated ranks to the admitted joiner once they
-/// have retired here — and say whether all of it is done. The root calls
-/// this once per poll while every chain is paused, so route rewrites
-/// cannot race with traffic toward the moving ranks, and never blocks in
-/// it: the ranks it waits for may share its pool worker.
-fn rehost_step(sh: &Arc<DriverShared>, config: &ParallelConfig, snap: &RunSnapshot) -> bool {
-    let mut pending = sh.pending.lock();
-    let Some(plan) = pending.as_mut() else {
-        return true;
-    };
-    let ckpt_of = |rank: usize| {
-        let ckpt = snap.chains.iter().find(|c| c.rank == rank);
-        ckpt.cloned()
-            .expect("net driver: snapshot misses a migrating rank")
-    };
-    plan.leaves.retain(|&i| {
-        let peer = Arc::clone(&sh.peers.lock()[i]);
-        let Some(mut leftovers) = peer.bye.lock().take() else {
-            return true;
-        };
-        for &rank in &peer.ranks {
-            let unread = leftovers.extract_if(.., |(to, ..)| *to == rank);
-            let unread = unread.map(|(_, from, msg)| Envelope { from, msg });
-            sh.resumes.lock().insert(rank, ckpt_of(rank));
-            sh.routes.lock()[rank] = None;
-            sh.pool.adopt(rank, unread.collect());
-            sh.count_migration();
-        }
-        debug_assert!(
-            leftovers.is_empty(),
-            "leftovers addressed outside the departing worker's ranks"
-        );
-        false
-    });
-    if let Some(d) = plan.donation.as_mut() {
-        d.running.retain(|&rank| match sh.pool.hand_off(rank) {
-            Some(unread) => {
-                let unread = unread.into_iter();
-                d.leftovers
-                    .extend(unread.map(|env| (rank, env.from, env.msg)));
-                false
-            }
-            None => true,
-        });
+/// Add to a segment's `report` what the cut it resumed from does not
+/// carry over from the segments before it: evaluation counts and time,
+/// executor counters, elapsed time. Everything else — moments, sample
+/// counts, ledger statistics — the cut does carry.
+fn add_earlier(report: &mut RuntimeReport, earlier: &RuntimeReport) {
+    for (level, before) in report.report.levels.iter_mut().zip(&earlier.report.levels) {
+        let eval_ms = level.mean_eval_ms * level.evaluations as f64
+            + before.mean_eval_ms * before.evaluations as f64;
+        level.evaluations += before.evaluations;
+        level.mean_eval_ms = eval_ms / level.evaluations.max(1) as f64;
     }
-    if let Some(mut d) = plan.donation.take_if(|d| d.running.is_empty()) {
-        let assign = Frame::Assign {
-            n_ranks: config.n_ranks(),
-            ranks: d.ranks.clone(),
-            config: config.clone(),
-            ckpts: d.ranks.iter().map(|&rank| ckpt_of(rank)).collect(),
-            leftovers: d.leftovers,
-        };
-        write_frame(&mut d.stream, &assign, &sh.tracer)
-            .expect("net driver: Assign to joiner failed");
-        let peer = PeerLink::new(&d.stream, d.ranks, None);
-        let idx = {
-            let mut peers = sh.peers.lock();
-            peers.push(Arc::clone(&peer));
-            peers.len() - 1
-        };
-        // anything routed from here on follows the `Assign` on the wire
-        for &rank in &peer.ranks {
-            sh.routes.lock()[rank] = Some(idx);
-            sh.count_migration();
-        }
-        let downlink = spawn_downlink(Arc::clone(sh), Arc::clone(&peer), d.stream);
-        sh.downlinks.lock().push(downlink);
-        plan.joining = Some(peer);
-    }
-    plan.joining
-        .take_if(|peer| peer.ready.load(Ordering::Acquire));
-    let done = plan.leaves.is_empty() && plan.donation.is_none() && plan.joining.is_none();
-    if done {
-        *pending = None;
-    } else {
-        assert!(
-            plan.since.elapsed() < REHOST_DEADLINE,
-            "net driver: a departing worker never sent Bye, or a joiner never became Ready"
-        );
-        // the root is re-polled at once: let the thread we wait for run
-        std::thread::yield_now();
-    }
-    done
+    report.report.elapsed += earlier.report.elapsed;
+    let (stats, before) = (&mut report.runtime, &earlier.runtime);
+    stats.polls += before.polls;
+    stats.wakeups += before.wakeups;
+    stats.dropped_sends += before.dropped_sends;
+    stats.steals += before.steals;
 }
 
 /// Options of the [`NetDriver::run`] alias: its [`Placement::Net`]'s worker
@@ -846,9 +780,9 @@ fn rehost_step(sh: &Arc<DriverShared>, config: &ParallelConfig, snap: &RunSnapsh
 pub struct NetDriverOptions {
     /// Worker processes to wait for at rendezvous.
     pub workers: usize,
-    /// Checkpoint every `every` top-level corrections (0 disables; the
-    /// elastic protocol needs barriers, so joins/leaves require this
-    /// and a `store`).
+    /// Checkpoint every `every` top-level corrections (0 disables;
+    /// membership changes at barriers, so joins/leaves require this and
+    /// a `store`).
     pub every: usize,
     /// Snapshot store (also the recovery point on fail-stop).
     pub store: Option<Arc<RunStore>>,
@@ -859,10 +793,10 @@ pub struct NetDriverOptions {
 /// What [`NetDriver::run`] returns: three fields of its run's report.
 pub struct NetReport {
     pub report: ParallelReport,
-    /// Rank migrations executed (re-hosted + donated).
+    /// Ranks whose host changed at a membership change.
     pub migrations: u64,
-    /// Sends dropped across the whole driver process (out-of-range,
-    /// exited or departed destinations).
+    /// Sends dropped across the whole driver process (out-of-range or
+    /// exited destinations).
     pub dropped_sends: usize,
 }
 
@@ -924,169 +858,136 @@ impl NetDriver {
 
     /// The net arm of [`Run::on`]: `run`'s fixed ranks (and any
     /// controller remainder) on `runtime`, its controllers in `workers`
-    /// blocks on the peers that dial in, each resuming from its block of
-    /// `run.resume`. Returns the driver-hosted ranks' outputs, the pool's
-    /// counters plus the transport's lost sends, and the migrations.
-    pub(crate) fn drive(
-        self,
-        runtime: &Runtime,
-        run: &Run<'_>,
-        workers: usize,
-    ) -> (Vec<RoleOut>, RuntimeStats, u64) {
-        let (factory, rt_config, tracer) = (run.factory, run.config, run.tracer);
+    /// blocks on the peers that dial in — one [`segment`] after another,
+    /// each an ordinary [`Run`] resumed from the cut the one before it
+    /// stopped at, until one ends for a reason other than a membership
+    /// change. A change is due at a barrier that a peer named in its
+    /// `Hello` (its ranks come home) or that finds a joiner queued while
+    /// controllers are hosted here (it gets half of them); the barrier's
+    /// hook then raises the root's `stop`, unless the caller's own is up.
+    pub(crate) fn drive(self, runtime: &Runtime, run: &Run<'_>, workers: usize) -> RuntimeReport {
+        let (config, tracer) = (run.config, run.tracer);
         assert_eq!(
-            rt_config.collector_shards, 1,
+            config.collector_shards, 1,
             "net placement: workers rebuild the rank layout from the ParallelConfig on the \
              wire, which has one collector per level — a sharded run would mis-address ranks"
         );
-        let config = &rt_config.base;
-        let n_ranks = rt_config.n_ranks();
-        let first_ctrl = rt_config.first_controller_rank();
-        let n_ctrl = rt_config.n_controllers();
+        let first_ctrl = config.first_controller_rank();
+        let n_ctrl = config.n_controllers();
         assert!(workers >= 1, "net driver: need at least one worker");
         assert!(
             workers <= n_ctrl,
             "net driver: more workers than controller ranks"
         );
 
-        // rendezvous: block until every initial worker said Hello
-        let mut arrivals: Vec<(TcpStream, Option<u64>)> = Vec::new();
-        let mut early_joiners: VecDeque<TcpStream> = VecDeque::new();
-        while arrivals.len() < workers {
-            let (mut stream, _) = self.listener.accept().expect("net driver: accept failed");
+        // rendezvous: block until every initial worker said Hello; each
+        // gets a contiguous block of controllers, the remainder stays here
+        let per = n_ctrl / workers;
+        let mut peers: Vec<Arc<PeerLink>> = Vec::new();
+        let mut early_joiners = VecDeque::new();
+        while peers.len() < workers {
+            let (stream, _) = self.listener.accept().expect("net driver: accept failed");
             let _ = stream.set_nodelay(true);
-            match read_hello(&mut stream, tracer) {
+            match read_hello(&stream, tracer) {
                 Some((true, _)) => early_joiners.push_back(stream),
-                Some((false, leave_at_barrier)) => arrivals.push((stream, leave_at_barrier)),
+                Some((false, leave_at_barrier)) => {
+                    let first = first_ctrl + peers.len() * per;
+                    let block = (first..first + per).collect();
+                    peers.push(PeerLink::new(stream, block, leave_at_barrier));
+                }
                 // bad or missing handshake: hang up, keep accepting
                 None => {}
             }
         }
-
-        // contiguous rank blocks per worker; remainder stays here
-        let per = n_ctrl / workers;
-        let routes: Vec<Option<usize>> = (0..n_ranks)
-            .map(|r| Some(r.checked_sub(first_ctrl)? / per).filter(|&i| i < workers))
-            .collect();
-        let peers: Vec<Arc<PeerLink>> = arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, (stream, leave))| {
-                let block = first_ctrl + i * per..first_ctrl + (i + 1) * per;
-                PeerLink::new(stream, block.collect(), *leave)
-            })
-            .collect();
-
-        // every send to a rank hosted elsewhere goes through the one
-        // router channel (`None` ends the router)
-        let (router_tx, router_rx) = unbounded::<Option<(usize, Envelope<Msg>)>>();
-        let dropped = Arc::new(AtomicUsize::new(0));
-        let relay = {
-            let (tx, dropped) = (router_tx.clone(), Arc::clone(&dropped));
-            move |to, env| {
-                if tx.send(Some((to, env))).is_err() {
-                    dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        let joiners = Arc::new(Mutex::new(early_joiners));
+        let over = Arc::new(AtomicBool::new(false));
+        let listener = {
+            let (joiners, over) = (Arc::clone(&joiners), Arc::clone(&over));
+            spawn_listener(self.listener, joiners, over, tracer.clone())
         };
-        let hosted = (0..n_ranks).filter(|&r| routes[r].is_none());
-        let sh = Arc::new(DriverShared {
-            pool: runtime.host(n_ranks, hosted, Box::new(relay), tracer.steal_probe()),
-            routes: Mutex::new(routes),
-            peers: Mutex::new(peers.clone()),
-            joiners: Mutex::new(early_joiners),
-            resumes: Mutex::new(HashMap::new()),
-            downlinks: Mutex::new(Vec::new()),
-            pending: Mutex::new(None),
-            barrier: AtomicU64::new(0),
-            dropped,
-            shutdown: AtomicBool::new(false),
-            tracer: tracer.clone(),
-            migrations: AtomicU64::new(0),
-        });
 
-        // Assign each worker its block, resumed from the block's share
-        // of the cut; Ready gates routing
-        for (i, (peer, (stream, _))) in peers.iter().zip(&mut arrivals).enumerate() {
-            let block = i * per..(i + 1) * per;
-            let assign = Frame::Assign {
-                n_ranks,
-                ranks: peer.ranks.clone(),
-                config: config.clone(),
-                ckpts: run
-                    .resume
-                    .map_or(vec![], |snap| snap.chains[block].to_vec()),
-                leftovers: vec![],
+        let barriers = AtomicU64::new(0);
+        let mut migrations = 0;
+        let (mut cut, mut earlier) = (None::<RunSnapshot>, None::<RuntimeReport>);
+        let report = loop {
+            // the controllers hosted here: what a joiner can be given
+            let home: Vec<usize> = (first_ctrl..config.n_ranks())
+                .filter(|rank| !peers.iter().any(|p| p.ranks.contains(rank)))
+                .collect();
+            let (stop, change) = (AtomicBool::new(false), Mutex::new(None));
+            let hook = |samples_done: usize, hash: &str| {
+                if let Some(hook) = run.checkpoint.and_then(|caller| caller.on_snapshot) {
+                    hook(samples_done, hash);
+                }
+                let barrier = barriers.fetch_add(1, Ordering::SeqCst) + 1;
+                // the caller's stop wins: its run ends here, as it is
+                let stopped = run.checkpoint.and_then(|caller| caller.stop);
+                let stopped = stopped.is_some_and(|s| s.load(Ordering::SeqCst));
+                let due = peers.iter().any(|p| p.leave_at_barrier == Some(barrier))
+                    || !(home.is_empty() || joiners.lock().is_empty());
+                if due && !stopped {
+                    *change.lock() = Some((barrier, hash.to_string()));
+                }
+                stop.store(due || stopped, Ordering::SeqCst);
             };
-            write_frame(&mut *peer.writer.lock(), &assign, tracer)
-                .expect("net driver: Assign failed");
-            match read_frame(stream, tracer) {
-                Ok(Frame::Ready) => {}
-                other => panic!("net driver: worker never became Ready: {other:?}"),
-            }
-        }
-        for (peer, (stream, _)) in peers.into_iter().zip(arrivals) {
-            let downlink = spawn_downlink(Arc::clone(&sh), peer, stream);
-            sh.downlinks.lock().push(downlink);
-        }
-        let listener_handle = spawn_listener(Arc::clone(&sh), self.listener);
-        let router_handle = {
-            let sh = Arc::clone(&sh);
-            std::thread::Builder::new()
-                .name("uq-net-router".into())
-                .spawn(move || {
-                    for (to, env) in router_rx.into_iter().map_while(|relayed| relayed) {
-                        deliver(&sh, to, env);
-                    }
-                })
-                .expect("net driver: router thread spawn failed")
-        };
-
-        // the role machines of the ranks hosted here, the root with the
-        // membership hooks; a rank re-hosted from a departed worker
-        // continues from the barrier's cut
-        let plan = |_: &RunSnapshot| plan_barrier(&sh, first_ctrl);
-        let rehost = |snap: &RunSnapshot, _: &[usize]| rehost_step(&sh, config, snap);
-        let elastic = ElasticOps {
-            plan: &plan,
-            rehost: &rehost,
-        };
-        let run = Run {
-            elastic: run.checkpoint.map(|_| &elastic),
-            ..*run
-        };
-        let (outs, mut stats) =
-            runtime.drive(&sh.pool, |rank, _| match sh.resumes.lock().remove(&rank) {
-                Some(resume) => {
-                    let resume = Some(&resume);
-                    Box::new(ControllerRank::new(
-                        factory, rt_config, tracer, rank, resume,
-                    ))
-                }
-                None => run.machine(rank),
+            let ckpt = run.checkpoint.map(|caller| ParallelCheckpoint {
+                on_snapshot: Some(&hook),
+                stop: Some(&stop),
+                ..*caller
             });
+            let resume = cut.as_ref().or(run.resume);
+            let resumed = Run::new(run.factory, config, tracer, ckpt.as_ref(), resume);
+            let mut report = segment(runtime, &resumed, &peers);
+            if let Some(earlier) = &earlier {
+                add_earlier(&mut report, earlier);
+            }
+            let Some((barrier, hash)) = change.into_inner() else {
+                break report;
+            };
 
-        // teardown of the wire machinery
-        sh.shutdown.store(true, Ordering::Release);
-        for mut s in sh.joiners.lock().drain(..) {
-            // never-admitted joiners: tell them the run is over
-            let _ = write_frame(&mut s, &Frame::Bye { leftovers: vec![] }, tracer);
-            let _ = s.shutdown(Shutdown::Both);
+            // the next segment resumes every rank from this barrier's cut:
+            // a leaver's on this process, one joiner's share of `home` on it
+            let caller = run.checkpoint.expect("a barrier has a checkpoint policy");
+            let snapshot = caller.store.get_snapshot(&hash);
+            cut = Some(
+                snapshot
+                    .expect("net driver: the barrier's cut is unreadable")
+                    .0,
+            );
+            earlier = Some(report);
+            let mut moved = 0;
+            peers.retain(|peer| {
+                let leaves = peer.leave_at_barrier == Some(barrier);
+                if leaves {
+                    moved += peer.ranks.len();
+                    hang_up(&peer.reader, true, tracer);
+                }
+                !leaves
+            });
+            let joiner = (!home.is_empty()).then(|| joiners.lock().pop_front());
+            if let Some(stream) = joiner.flatten() {
+                let share = home[..home.len().div_ceil(2)].to_vec();
+                moved += share.len();
+                peers.push(PeerLink::new(stream, share, None));
+            }
+            tracer.add(Counter::NetMigrations, moved as u64);
+            migrations += moved as u64;
+        };
+
+        // the run is over: hang up on the workers, turn away the joiners
+        // there was never room for
+        for peer in &peers {
+            hang_up(&peer.reader, false, tracer);
         }
-        listener_handle
-            .join()
-            .expect("net driver: listener panicked");
-        let downlinks: Vec<_> = sh.downlinks.lock().drain(..).collect();
-        for h in downlinks {
-            h.join().expect("net driver: downlink panicked");
+        over.store(true, Ordering::Release);
+        listener.join().expect("net driver: listener panicked");
+        for stream in joiners.lock().drain(..) {
+            hang_up(&stream, true, tracer);
         }
-        router_tx
-            .send(None)
-            .expect("net driver: router ended early");
-        router_handle.join().expect("net driver: router panicked");
-        stats.dropped_sends += sh.dropped.load(Ordering::Relaxed);
-        let outs = outs.into_iter().map(|(_, out)| out).collect();
-        (outs, stats, sh.migrations.load(Ordering::Relaxed))
+        RuntimeReport {
+            migrations: Some(migrations),
+            ..report
+        }
     }
 }
 
@@ -1102,7 +1003,7 @@ pub struct NetWorkerOptions {
     /// barrier) instead of an initial worker.
     pub join: bool,
     /// Declare a planned departure at the given checkpoint barrier
-    /// (1-based); the driver re-hosts this worker's ranks there.
+    /// (1-based); the driver takes this worker's ranks home there.
     pub leave_at_barrier: Option<u64>,
 }
 
@@ -1111,7 +1012,8 @@ pub struct NetWorkerReport {
     /// Controller ranks this process hosted (empty if the run ended
     /// before a joiner was admitted).
     pub ranks: Vec<usize>,
-    /// Ranks left via migration rather than normal run end.
+    /// The driver released this worker's ranks while the run went on,
+    /// rather than hanging up at its end.
     pub retired: bool,
 }
 
@@ -1125,10 +1027,11 @@ pub fn run_net_worker(
     net_worker(&Runtime::for_host(), &*factory, opts, tracer)
 }
 
-/// The worker end of a [`Placement::Net`] — not a run of its own: the
-/// driver's `Assign` says which controller ranks of whose run to host on
-/// `runtime`, to completion or planned departure. Retries the connect for
-/// up to 30 s so workers can start before the driver.
+/// The worker end of a [`Placement::Net`] — not a run of its own: each
+/// `Assign` of the driver says which controller ranks of whose run to
+/// host on `runtime` until they exit, and what follows the last one —
+/// `Bye`, or the driver hanging up — ends it. Retries the connect for up
+/// to 30 s so workers can start before the driver.
 pub fn net_worker(
     runtime: &Runtime,
     factory: &dyn LevelFactory,
@@ -1150,34 +1053,59 @@ pub fn net_worker(
         }
     };
     let _ = stream.set_nodelay(true);
-    write_frame(
-        &mut stream,
-        &Frame::Hello {
-            version: PROTOCOL_VERSION,
-            join: opts.join,
-            leave_at_barrier: opts.leave_at_barrier,
-        },
-        tracer,
-    )
-    .expect("net worker: handshake failed");
-    let (n_ranks, ranks, config, ckpts, leftovers) = match read_frame(&mut stream, tracer) {
-        Ok(Frame::Assign {
-            n_ranks,
-            ranks,
-            config,
-            ckpts,
-            leftovers,
-        }) => (n_ranks, ranks, config, ckpts, leftovers),
-        // the run ended before this joiner was admitted
-        Ok(Frame::Bye { .. }) => {
-            return NetWorkerReport {
-                ranks: vec![],
-                retired: false,
-            }
-        }
-        other => panic!("net worker: bad handshake reply: {other:?}"),
+    let hello = Frame::Hello {
+        join: opts.join,
+        leave_at_barrier: opts.leave_at_barrier,
     };
+    write_frame(&mut stream, &hello, tracer).expect("net worker: handshake failed");
+    let mut report = NetWorkerReport {
+        ranks: vec![],
+        retired: false,
+    };
+    let mut next = read_frame(&mut stream, tracer);
+    loop {
+        match next {
+            Ok(Frame::Assign {
+                n_ranks,
+                ranks,
+                config,
+                ckpts,
+            }) => {
+                let config = RuntimeConfig::unsharded(config, runtime);
+                let machine = |rank| {
+                    let resume = ckpts.iter().find(|c| c.rank == rank);
+                    Box::new(ControllerRank::new(factory, &config, tracer, rank, resume)) as _
+                };
+                next = host_segment(runtime, &stream, n_ranks, &ranks, machine, tracer);
+                report.ranks = ranks;
+            }
+            // released: the run goes on without this worker, or ended
+            // before there was room for it
+            Ok(Frame::Bye) => {
+                report.retired = !report.ranks.is_empty();
+                return report;
+            }
+            Ok(f) => panic!("net worker: unexpected frame: {f:?}"),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                panic!("net worker: corrupt frame from the driver: {e}")
+            }
+            // the driver hung up: the run is over
+            Err(_) => return report,
+        }
+    }
+}
 
+/// Host `ranks` of an `n_ranks` universe on `runtime` until every one has
+/// exited and say `Bye`; returns what the driver sends after the
+/// segment's last `Data` frame.
+fn host_segment<'a>(
+    runtime: &Runtime,
+    stream: &TcpStream,
+    n_ranks: usize,
+    ranks: &[usize],
+    machine: impl Fn(usize) -> Machine<'a> + Sync,
+    tracer: &Tracer,
+) -> io::Result<Frame> {
     // every send to a rank not hosted here shares the one uplink channel:
     // the socket then carries each local sender's full program order
     let (uplink_tx, uplink_rx) = unbounded::<Frame>();
@@ -1191,11 +1119,7 @@ pub fn net_worker(
     };
     let hosted = ranks.iter().copied();
     let pool = runtime.host(n_ranks, hosted, Box::new(relay), tracer.steal_probe());
-    // pre-load migrated leftovers before any rank runs
-    for (to, from, msg) in leftovers {
-        pool.deliver(to, Envelope { from, msg });
-    }
-    write_frame(&mut stream, &Frame::Ready, tracer).expect("net worker: Ready failed");
+    write_frame(&mut &*stream, &Frame::Ready, tracer).expect("net worker: Ready failed");
 
     let uplink = {
         let mut writer = stream.try_clone().expect("net worker: stream clone failed");
@@ -1206,59 +1130,41 @@ pub fn net_worker(
                 for frame in uplink_rx {
                     write_frame(&mut writer, &frame, &tracer)
                         .unwrap_or_else(|e| panic!("net worker: uplink write failed: {e}"));
-                    if matches!(frame, Frame::Bye { .. }) {
+                    if matches!(frame, Frame::Bye) {
                         break;
                     }
                 }
             })
             .expect("net worker: uplink thread spawn failed")
     };
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let said_bye = Arc::new(AtomicBool::new(false));
     let downlink = {
         let mut reader = stream.try_clone().expect("net worker: stream clone failed");
         let tracer = tracer.clone();
-        let (shutdown, pool) = (Arc::clone(&shutdown), Arc::clone(&pool));
+        let (said_bye, pool) = (Arc::clone(&said_bye), Arc::clone(&pool));
         std::thread::Builder::new()
             .name("uq-net-downlink".into())
             .spawn(move || loop {
                 match read_frame(&mut reader, &tracer) {
                     Ok(Frame::Data { to, from, msg }) => pool.deliver(to, Envelope { from, msg }),
-                    Ok(f) => panic!("net worker: unexpected frame: {f:?}"),
-                    Err(e) => {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        panic!("net worker: connection to driver lost: {e}");
+                    Err(e) if !said_bye.load(Ordering::Acquire) => {
+                        panic!("net worker: connection to driver lost: {e}")
                     }
+                    after => return after,
                 }
             })
             .expect("net worker: downlink thread spawn failed")
     };
 
-    let config = RuntimeConfig::unsharded(config, runtime);
-    let (outs, _) = runtime.drive(&pool, |rank, _| {
-        let resume = ckpts.iter().find(|c| c.rank == rank);
-        Box::new(ControllerRank::new(factory, &config, tracer, rank, resume)) as Machine<'_>
-    });
-    // a retired rank's unread messages travel with it
-    let (mut retired, mut leftovers) = (false, Vec::new());
-    for (rank, out) in outs {
-        if matches!(out, RoleOut::Retired) {
-            retired = true;
-            let unread = pool.hand_off(rank).expect("an exited rank");
-            leftovers.extend(unread.into_iter().map(|env| (rank, env.from, env.msg)));
-        }
-    }
+    runtime.drive(&pool, |rank, _| machine(rank));
     // the ranks are gone, so the `Bye` is the last frame of the uplink; the
     // driver may hang up on reading it, so end of file now ends the run
-    shutdown.store(true, Ordering::Release);
+    said_bye.store(true, Ordering::Release);
     uplink_tx
-        .send(Frame::Bye { leftovers })
+        .send(Frame::Bye)
         .expect("net worker: uplink ended early");
     uplink.join().expect("net worker: uplink panicked");
-    let _ = stream.shutdown(Shutdown::Both);
-    downlink.join().expect("net worker: downlink panicked");
-    NetWorkerReport { ranks, retired }
+    downlink.join().expect("net worker: downlink panicked")
 }
 
 #[cfg(test)]
@@ -1267,10 +1173,10 @@ mod tests {
     use crate::roles::policy::GaussianHierarchy;
 
     /// Driver, a worker that leaves at barrier 1 and a joiner, each on a
-    /// **one-worker** pool — the 1-core box, where a `rehost` that waited
-    /// inside the root's poll would wait for ranks queued behind the root
-    /// on the very worker it holds. The rank the leaver gives up is
-    /// re-hosted on the driver, then donated to the joiner.
+    /// **one-worker** pool — the 1-core box: a segment boundary is a run
+    /// that ended and a run that starts, so no rank ever waits for another
+    /// that may be queued behind it on the one worker. The rank the leaver
+    /// gives up comes home to the driver, then goes to the joiner.
     #[test]
     fn elastic_leave_and_join_complete_on_one_worker_pools() {
         let dir = std::env::temp_dir().join(format!("uq-net-1w-{}", std::process::id()));
@@ -1333,16 +1239,13 @@ mod tests {
     #[test]
     fn frame_roundtrips() {
         match roundtrip(&Frame::Hello {
-            version: PROTOCOL_VERSION,
             join: true,
             leave_at_barrier: Some(3),
         }) {
             Frame::Hello {
-                version,
                 join,
                 leave_at_barrier,
             } => {
-                assert_eq!(version, PROTOCOL_VERSION);
                 assert!(join);
                 assert_eq!(leave_at_barrier, Some(3));
             }

@@ -165,7 +165,8 @@ pub struct RuntimeReport {
     /// barrier: `report` carries the partial moments up to the cut and
     /// the just-persisted snapshot is the resume point.
     pub preempted: bool,
-    /// [`Placement::Net`]: rank migrations executed (re-hosted + donated).
+    /// [`Placement::Net`]: ranks whose host changed at a membership
+    /// change (a leaver's come home, a joiner's go out).
     pub migrations: Option<u64>,
     /// [`Placement::Sim`]: virtual seconds of model evaluation charged,
     /// by level — the counterpart of the live tracer's per-level activity
@@ -179,31 +180,32 @@ pub struct RuntimeReport {
     pub first_drop: Option<f64>,
 }
 
+impl RuntimeReport {
+    /// The report of a live run from what its machines exited with.
+    pub(crate) fn assemble(outs: Vec<RoleOut>, runtime: RuntimeStats) -> Self {
+        let root = outs.into_iter().find_map(|out| match out {
+            RoleOut::Root(boxed) => Some(*boxed),
+            RoleOut::Quiet => None,
+        });
+        let (report, phonebook, preempted) = root.expect("root must produce a report");
+        Self {
+            report,
+            phonebook,
+            runtime,
+            preempted,
+            migrations: None,
+            busy_per_level: None,
+            clocks: None,
+            first_drop: None,
+        }
+    }
+}
+
 /// What a role machine exits with.
 pub(crate) enum RoleOut {
     /// The root's `(report, phonebook stats, preempted)`.
     Root(Box<(ParallelReport, PhonebookStats, bool)>),
     Quiet,
-    /// A controller told to [`Msg::Retire`]: it is being re-hosted, not
-    /// shut down, so it sent no poisons and no report — the transport
-    /// takes what is still queued for it out of the pool
-    /// (`runtime::Shared::hand_off`).
-    Retired,
-}
-
-/// Transport hooks for elastic membership (used by `crate::net`): at
-/// every completed checkpoint barrier the root asks the transport which
-/// ranks must retire (`plan`), sends each a [`Msg::Retire`], and calls
-/// `rehost` once per poll until it returns `true`: the transport has
-/// re-hosted those ranks elsewhere from the just-persisted snapshot and
-/// rewired its routes. `rehost` must not wait — the retiring ranks may
-/// share the root's pool worker. Only then is `CheckpointDone` broadcast
-/// and stepping resumed — the barrier window (every chain paused at a
-/// clean boundary, ledger drained, no messages in flight toward
-/// controllers) is what makes migration a plain data move.
-pub(crate) struct ElasticOps<'a> {
-    pub plan: &'a (dyn Fn(&RunSnapshot) -> Vec<usize> + Sync),
-    pub rehost: &'a (dyn Fn(&RunSnapshot, &[usize]) -> bool + Sync),
 }
 
 // ---------------------------------------------------------------------
@@ -240,12 +242,8 @@ pub(crate) struct RootRank<'a> {
     ckpt_start: f64,
     chain_ckpts: Vec<ChainCkpt>,
     coll_ckpts: Vec<CollectorCkpt>,
-    /// A barrier whose snapshot is persisted but whose controllers are
-    /// still held: the cut and the ranks told to retire at it.
-    closing: Option<(RunSnapshot, Vec<usize>)>,
     /// Set when [`ParallelCheckpoint::stop`] fired at a barrier.
     preempted: bool,
-    elastic: Option<&'a ElasticOps<'a>>,
     tracer: Tracer,
 }
 
@@ -254,7 +252,6 @@ impl<'a> RootRank<'a> {
         config: &'a RuntimeConfig,
         tracer: &Tracer,
         ckpt: Option<&'a ParallelCheckpoint<'a>>,
-        elastic: Option<&'a ElasticOps<'a>>,
     ) -> Self {
         let n_levels = config.n_levels();
         Self {
@@ -275,9 +272,7 @@ impl<'a> RootRank<'a> {
             ckpt_start: 0.0,
             chain_ckpts: Vec::new(),
             coll_ckpts: Vec::new(),
-            closing: None,
             preempted: false,
-            elastic,
         }
     }
 
@@ -293,9 +288,8 @@ impl<'a> RootRank<'a> {
         }
     }
 
-    /// Assemble the consistent cut and persist it, then decide how the
-    /// barrier closes ([`finish_barrier`](Self::finish_barrier)): stop
-    /// (preemption), or retire the ranks the transport wants moved.
+    /// Assemble the consistent cut, persist it and close the barrier: stop
+    /// there (preemption) or resume the controllers.
     fn complete_checkpoint(&mut self, ctx: &VCtx<'_, Msg>, ledger: LedgerState) {
         let spec = self
             .ckpt
@@ -339,39 +333,9 @@ impl<'a> RootRank<'a> {
             for done in self.level_done.iter_mut() {
                 *done = true;
             }
-            self.closing = Some((snapshot, Vec::new()));
         } else {
-            // elastic membership (net transport): retire ranks while the
-            // barrier still holds every chain paused and the ledger
-            // drained — no message can race the move
-            let retiring = self.elastic.map_or_else(Vec::new, |e| (e.plan)(&snapshot));
-            for &rank in &retiring {
-                ctx.send(rank, Msg::Retire);
-            }
-            self.closing = Some((snapshot, retiring));
-        }
-    }
-
-    /// Close a completed barrier: once the transport has re-hosted every
-    /// retiring rank (at once, with none), resume the controllers that
-    /// stayed. `false` while the move is still under way — the root then
-    /// yields its worker (`Poll::Ready`) instead of waiting on it, since
-    /// the ranks it waits for may be queued behind it on that worker.
-    fn finish_barrier(&mut self, ctx: &VCtx<'_, Msg>) -> bool {
-        let Some((snapshot, retiring)) = &self.closing else {
-            return true;
-        };
-        if let Some(e) = self.elastic.filter(|_| !retiring.is_empty()) {
-            if !(e.rehost)(snapshot, retiring) {
-                return false;
-            }
-        }
-        if !self.preempted {
             for rank in self.config.first_controller_rank()..self.config.n_ranks() {
-                // a re-hosted rank resumes unpaused; it needs no Done
-                if !retiring.contains(&rank) {
-                    ctx.send(rank, Msg::CheckpointDone);
-                }
+                ctx.send(rank, Msg::CheckpointDone);
             }
         }
         self.tracer.record(
@@ -380,9 +344,7 @@ impl<'a> RootRank<'a> {
             self.ckpt_start,
             self.tracer.now(),
         );
-        self.closing = None;
         self.ckpt_active = false;
-        true
     }
 
     /// Merge a shard's data into the level accumulator (Chan's parallel
@@ -460,9 +422,6 @@ impl VirtualRank<Msg> for RootRank<'_> {
         loop {
             match self.phase {
                 RootPhase::Levels => {
-                    if !self.finish_barrier(ctx) {
-                        return Poll::Ready;
-                    }
                     while let Some(env) = ctx.try_recv_match(|e| {
                         matches!(
                             e.msg,
@@ -517,9 +476,6 @@ impl VirtualRank<Msg> for RootRank<'_> {
                             Msg::LedgerCkpt(ledger) => {
                                 self.tracer.incr(Counter::BarrierAcks);
                                 self.complete_checkpoint(ctx, *ledger);
-                                if !self.finish_barrier(ctx) {
-                                    return Poll::Ready;
-                                }
                             }
                             _ => unreachable!(),
                         }
@@ -1377,11 +1333,7 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
         while let Some(env) = ctx.try_recv_match(|e| {
             matches!(
                 e.msg,
-                Msg::Serve { .. }
-                    | Msg::StopProducing { .. }
-                    | Msg::Shutdown
-                    | Msg::CheckpointDone
-                    | Msg::Retire
+                Msg::Serve { .. } | Msg::StopProducing { .. } | Msg::Shutdown | Msg::CheckpointDone
             ) || (!busy && matches!(e.msg, Msg::Reassign { .. } | Msg::Checkpoint))
         }) {
             match env.msg {
@@ -1452,18 +1404,6 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                     self.reset_level_state();
                 }
                 Msg::Shutdown => return self.teardown(ctx),
-                Msg::Retire => {
-                    // only ever sent while a barrier holds: our state is
-                    // already in the snapshot and no serve can be in
-                    // flight toward us. Anything still buffered stays in
-                    // the context for the transport to carry along.
-                    debug_assert!(self.paused, "Retire outside a checkpoint barrier");
-                    debug_assert!(
-                        self.pending_serves.is_empty() && !busy,
-                        "Retire with serves pending"
-                    );
-                    return Poll::Exit(RoleOut::Retired);
-                }
                 _ => unreachable!(),
             }
         }
@@ -1620,8 +1560,6 @@ pub struct Run<'a> {
     pub(crate) tracer: &'a Tracer,
     pub(crate) checkpoint: Option<&'a ParallelCheckpoint<'a>>,
     pub(crate) resume: Option<&'a RunSnapshot>,
-    /// The root's membership hooks: `None` unless a transport sets them.
-    pub(crate) elastic: Option<&'a ElasticOps<'a>>,
 }
 
 /// Where a [`Run`] is placed: who polls its machines.
@@ -1632,8 +1570,11 @@ pub enum Placement<'a> {
     /// The fixed ranks and any controller remainder on `runtime`, the
     /// controllers in `workers` equal contiguous blocks on the first
     /// `workers` peers that dial `driver` ([`crate::net::net_worker`]);
-    /// blocks until they have. One collector per level only: workers lay
-    /// the ranks out from the [`ParallelConfig`] on the wire.
+    /// blocks until they have. A worker that leaves or joins at a
+    /// checkpoint barrier stops the run there and resumes it from the
+    /// barrier's cut on the new layout, inside the one call. One collector
+    /// per level only: workers lay the ranks out from the
+    /// [`ParallelConfig`] on the wire.
     Net {
         runtime: &'a Runtime,
         driver: crate::net::NetDriver,
@@ -1728,7 +1669,6 @@ impl<'a> Run<'a> {
             tracer,
             checkpoint,
             resume,
-            elastic: None,
         }
     }
 
@@ -1742,7 +1682,7 @@ impl<'a> Run<'a> {
             ..
         } = *self;
         if rank == ROOT {
-            Box::new(RootRank::new(config, tracer, self.checkpoint, self.elastic))
+            Box::new(RootRank::new(config, tracer, self.checkpoint))
         } else if rank == PHONEBOOK {
             let ledger = resume.and_then(|s| s.ledger.as_ref());
             Box::new(PhonebookRank::new(config, tracer, ledger))
@@ -1773,41 +1713,18 @@ impl<'a> Run<'a> {
     /// `cost.eval_time` shorter than the hierarchy.
     pub fn on(&self, placement: Placement<'_>) -> Result<RuntimeReport, SimError> {
         let config = self.config;
-        let assemble = |outs: Vec<RoleOut>, runtime: RuntimeStats| {
-            let root = outs.into_iter().find_map(|out| match out {
-                RoleOut::Root(boxed) => Some(*boxed),
-                _ => None,
-            });
-            let (report, phonebook, preempted) = root.expect("root must produce a report");
-            RuntimeReport {
-                report,
-                phonebook,
-                runtime,
-                preempted,
-                migrations: None,
-                busy_per_level: None,
-                clocks: None,
-                first_drop: None,
-            }
-        };
         match placement {
             Placement::Pool(runtime) => {
                 let shared = runtime.host_all(config.n_ranks(), self.tracer.steal_probe());
                 let (outs, stats) = runtime.drive(&shared, |rank, _| self.machine(rank));
                 let outs = outs.into_iter().map(|(_, out)| out).collect();
-                Ok(assemble(outs, stats))
+                Ok(RuntimeReport::assemble(outs, stats))
             }
             Placement::Net {
                 runtime,
                 driver,
                 workers,
-            } => {
-                let (outs, stats, migrations) = driver.drive(runtime, self, workers);
-                Ok(RuntimeReport {
-                    migrations: Some(migrations),
-                    ..assemble(outs, stats)
-                })
-            }
+            } => Ok(driver.drive(runtime, self, workers)),
             Placement::Sim { cost, seed } => {
                 assert!(
                     cost.eval_time.len() >= config.n_levels(),
@@ -1834,7 +1751,7 @@ impl<'a> Run<'a> {
                     busy_per_level: Some(busy_per_level),
                     clocks: Some(out.clocks),
                     first_drop: out.first_drop,
-                    ..assemble(out.run.results, out.run.stats)
+                    ..RuntimeReport::assemble(out.run.results, out.run.stats)
                 })
             }
         }

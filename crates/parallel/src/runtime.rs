@@ -17,8 +17,8 @@
 //! queues, non-blocking sends, out-of-order messages buffered in arrival
 //! order and re-delivered first ([`VCtx::try_recv_match`]); sends to
 //! exited ranks are dropped and counted
-//! ([`RuntimeStats::dropped_sends`]), and what a rank left unread when
-//! it exited stays in its slot for the host to take back.
+//! ([`RuntimeStats::dropped_sends`]), and so is what a rank left unread
+//! when it exited.
 //!
 //! Scheduling is deterministic in structure (rank `r` is *homed* on
 //! worker `r % n_workers`, run queues are FIFO) but not in timing: wakeup
@@ -97,8 +97,8 @@ enum SlotState<M> {
     Runnable,
     /// Suspended on a wait predicate.
     Waiting(WaitPred<M>),
-    /// Exited; further sends are dropped (and counted). The queue holds
-    /// what the rank left unread, until [`Shared::hand_off`] takes it.
+    /// Exited; further sends are dropped (and counted), as is what the
+    /// rank left unread in its queue.
     Exited,
     /// Hosted by another process: sends from ranks hosted here go to the
     /// relay.
@@ -123,10 +123,8 @@ pub(crate) type Relay<M> = Box<dyn Fn(usize, Envelope<M>) + Send + Sync>;
 
 /// One run's mailboxes and run queues: a slot for every rank of the
 /// universe, of which this pool hosts some ([`Runtime::host`]). The
-/// transport that hosts the others holds it too — its readers
-/// [`deliver`](Self::deliver) into it, and at a checkpoint barrier it
-/// moves ranks in ([`adopt`](Self::adopt)) and out
-/// ([`hand_off`](Self::hand_off)).
+/// transport that hosts the others holds it too: its readers
+/// [`deliver`](Self::deliver) into it.
 pub(crate) struct Shared<M> {
     slots: Vec<Mutex<RankSlot<M>>>,
     workers: Vec<Worker>,
@@ -169,8 +167,7 @@ impl<M: Send> Shared<M> {
     /// A destination that exited or is out of range drops the message
     /// and counts it; one hosted elsewhere gets it back.
     fn offer(&self, to: usize, env: Envelope<M>) -> Option<Envelope<M>> {
-        // out of range is a routine race under elastic membership, not
-        // a programmer error
+        // a stale rank index from the wire is counted, not fatal
         let Some(slot) = self.slots.get(to) else {
             note_drop(&self.dropped_sends, env.from, to, "out-of-range");
             return None;
@@ -205,44 +202,12 @@ impl<M: Send> Shared<M> {
     }
 
     /// A message from outside the pool (the transport's reader). One
-    /// for a rank that is not hosted here any more is dropped and
-    /// counted — relaying it again would bounce it between processes.
+    /// for a rank that is not hosted here is dropped and counted —
+    /// relaying it again would bounce it between processes.
     pub(crate) fn deliver(&self, to: usize, env: Envelope<M>) {
         if let Some(env) = self.offer(to, env) {
             note_drop(&self.dropped_sends, env.from, to, "departed");
         }
-    }
-
-    /// Start hosting `rank` mid-run with `queue` already in its mailbox;
-    /// its machine is built at its first poll, like any other.
-    ///
-    /// # Panics
-    /// Panics if `rank` is hosted here already.
-    pub(crate) fn adopt(&self, rank: usize, queue: VecDeque<Envelope<M>>) {
-        {
-            let mut slot = self.slots[rank].lock().expect("runtime poisoned");
-            assert!(
-                matches!(slot.state, SlotState::Remote),
-                "rank {rank} is hosted here"
-            );
-            *slot = RankSlot {
-                queue,
-                state: SlotState::Runnable,
-            };
-        }
-        // by a live rank's poll, so the count cannot have reached zero
-        self.live.fetch_add(1, Ordering::AcqRel);
-        self.enqueue(rank);
-    }
-
-    /// Once `rank` has exited: what it left unread, in arrival order;
-    /// from then on it counts as hosted elsewhere. `None` while it runs.
-    pub(crate) fn hand_off(&self, rank: usize) -> Option<VecDeque<Envelope<M>>> {
-        let mut slot = self.slots[rank].lock().expect("runtime poisoned");
-        matches!(slot.state, SlotState::Exited).then(|| {
-            slot.state = SlotState::Remote;
-            std::mem::take(&mut slot.queue)
-        })
     }
 }
 
@@ -316,10 +281,9 @@ impl<'a, M: Send> VCtx<'a, M> {
         self.size
     }
 
-    /// Send `msg` to rank `to`; never blocks. Sends to exited ranks —
-    /// and to out-of-range rank indices, a routine race under elastic
-    /// membership rather than a programmer error — are dropped and
-    /// counted ([`RuntimeStats::dropped_sends`] under the pool).
+    /// Send `msg` to rank `to`; never blocks. Sends to exited ranks and
+    /// to out-of-range rank indices are dropped and counted
+    /// ([`RuntimeStats::dropped_sends`] under the pool).
     pub fn send(&self, to: usize, msg: M) {
         self.port.send(
             to,
@@ -505,9 +469,8 @@ impl Runtime {
         })
     }
 
-    /// Poll the ranks `shared` hosts — those it started with and those it
-    /// adopts on the way — until every one has exited; returns each
-    /// `(rank, output)` and the run's counters. `factory` as in
+    /// Poll the ranks `shared` hosts until every one has exited; returns
+    /// each `(rank, output)` and the run's counters. `factory` as in
     /// [`run`](Self::run).
     ///
     /// # Panics
@@ -537,9 +500,8 @@ impl Runtime {
                 outs.extend(handle.join().expect("runtime worker panicked"));
             }
         });
-        // what an exited rank left unread and nobody took back was lost:
-        // shutdown loss must be observable, not silent (every other
-        // queue is empty by now)
+        // what an exited rank left unread was lost: shutdown loss must be
+        // observable, not silent (every other queue is empty by now)
         let queued = |slot: &Mutex<RankSlot<M>>| slot.lock().expect("runtime poisoned").queue.len();
         let unread: usize = shared.slots.iter().map(queued).sum();
         // per-run counters: `shared` is built afresh for every run, so a
@@ -695,8 +657,8 @@ where
             }
             Poll::Exit(out) => {
                 {
-                    // what it pulled but never consumed, then what it
-                    // never pulled: arrival order, kept for `hand_off`
+                    // what it pulled but never consumed and what it never
+                    // pulled: counted as lost when the run ends
                     let mut slot = shared.slots[rank].lock().expect("runtime poisoned");
                     slot.state = SlotState::Exited;
                     entry.buffer.append(&mut slot.queue);
@@ -1225,8 +1187,8 @@ pub(crate) mod tests {
 
     #[test]
     fn out_of_range_send_is_counted_not_fatal() {
-        // under elastic membership a stale rank index is a routine race:
-        // the send must be dropped and tallied, never panic
+        // a stale rank index (one read off the wire, say) must be dropped
+        // and tallied, never panic
         let runs = under_both(2, 2, |rank, _| -> Boxed<CtlMsg, ()> {
             Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
                 if rank == 0 {
@@ -1240,9 +1202,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn unread_messages_come_back_at_exit_in_order() {
+    fn unread_messages_at_exit_are_counted_as_dropped() {
         // rank 0 exits with four messages pulled but never consumed and
-        // three never pulled (the elastic leftover path)
+        // three never pulled
         let is_shutdown = |e: &Envelope<CtlMsg>| matches!(e.msg, CtlMsg::Shutdown);
         let machine = |rank, _| -> Boxed<CtlMsg, ()> {
             let mut acked = false;
@@ -1271,18 +1233,7 @@ pub(crate) mod tests {
                 Poll::Wait(Box::new(is_shutdown))
             }))
         };
-        // under either executor, unread and not taken back counts as lost
         let runs = under_both(2, 2, machine);
         assert!(runs.iter().all(|run| run.stats.dropped_sends == 7));
-        // the pool's host can take it back instead
-        let pool = Runtime::new(2);
-        let shared = pool.host_all(2, None);
-        pool.drive(&shared, machine);
-        let unread = shared.hand_off(0).expect("rank 0 exited");
-        let unread: Vec<CtlMsg> = unread.into_iter().map(|env| env.msg).collect();
-        let mut expect: Vec<CtlMsg> = (0..6).map(Data).collect();
-        expect.push(CtlMsg::Shutdown);
-        assert_eq!(unread, expect);
-        assert!(shared.hand_off(0).is_none(), "handed off: hosted elsewhere");
     }
 }

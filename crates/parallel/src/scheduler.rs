@@ -132,12 +132,6 @@ pub enum Msg {
     /// Root → controllers (broadcast): snapshot persisted, resume
     /// stepping.
     CheckpointDone,
-    /// Root → a controller being migrated (net transport): exit at the
-    /// held checkpoint barrier instead of resuming. The rank's state
-    /// travels in the barrier snapshot; the transport re-hosts it
-    /// elsewhere and rewires routes before anyone may send to it again
-    /// (see `crate::net`).
-    Retire,
 }
 
 impl Msg {

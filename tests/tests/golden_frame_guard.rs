@@ -8,7 +8,8 @@
 //! turn the old one into a rejection fixture; silently re-interpreting
 //! frames across a version skew is the failure mode this suite catches.
 //! Frames are ephemeral, so exactly one version is ever decoded:
-//! `golden_frame_v1.bin` (FNV-1a trailer) is kept to prove v1 is refused.
+//! `golden_frame_v2.bin` (the previous version's golden) is kept to prove
+//! that a skewed version is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
 //! `UQ_WRITE_GOLDEN=1 cargo test -p uq-tests --test golden_frame_guard`
@@ -19,18 +20,18 @@ use uq_mlmcmc::store::{ChainCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v2.bin");
-const GOLDEN_V1_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v1.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v3.bin");
+const GOLDEN_V2_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v2.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
 }
 
-/// The pinned frame: an `Assign` carrying every payload class the
-/// protocol migrates — the run configuration, a resumable chain
-/// checkpoint, and leftover messages including a full ledger serve
-/// round-trip (`Serve` with its lease, `ServeDone` with its outcome).
-fn golden() -> Frame {
+/// The pinned frames, concatenated in the one fixture: an `Assign`
+/// carrying the run configuration and a resumable chain checkpoint, then
+/// a full ledger serve round-trip as `Data` frames (`Serve` with its
+/// lease, `ServeDone` with its outcome, `StopProducing`).
+fn golden() -> Vec<Frame> {
     let mut config = ParallelConfig::new(vec![400, 150], vec![1, 1]);
     config.burn_in = vec![30, 20];
     config.seed = 0x5EED_0000_0009;
@@ -63,9 +64,15 @@ fn golden() -> Frame {
             source: None,
         },
     };
-    let leftovers = vec![
-        (
-            4,
+    let data = |from, msg| Frame::Data { to: 4, from, msg };
+    vec![
+        Frame::Assign {
+            n_ranks: 6,
+            ranks: vec![4],
+            config,
+            ckpts: vec![ckpt],
+        },
+        data(
             1,
             Msg::Serve {
                 reply_to: 5,
@@ -78,8 +85,7 @@ fn golden() -> Frame {
                 speculative: true,
             },
         ),
-        (
-            4,
+        data(
             5,
             Msg::ServeDone {
                 requester: 5,
@@ -94,62 +100,59 @@ fn golden() -> Frame {
                 speculative: false,
             },
         ),
-        (4, 0, Msg::StopProducing { level: 0 }),
-    ];
-    Frame::Assign {
-        n_ranks: 6,
-        ranks: vec![4],
-        config,
-        ckpts: vec![ckpt],
-        leftovers,
-    }
+        data(0, Msg::StopProducing { level: 0 }),
+    ]
 }
 
 #[test]
 fn committed_golden_frame_still_decodes() {
-    let expected = encode_frame(&golden());
+    let expected: Vec<u8> = golden().iter().flat_map(encode_frame).collect();
     if std::env::var("UQ_WRITE_GOLDEN").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
         std::fs::write(GOLDEN_PATH, &expected).unwrap();
     }
     let bytes = std::fs::read(GOLDEN_PATH)
         .expect("committed golden frame missing — see module docs to regenerate");
-    // the protocol version baked into the committed header must match
-    // the compiled one: bumping PROTOCOL_VERSION without regenerating
-    // the golden (or vice versa) fails here by construction
-    assert_eq!(
-        u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-        PROTOCOL_VERSION,
-        "committed frame header version differs from net::PROTOCOL_VERSION"
-    );
-    let frame = decode_frame(&bytes)
-        .expect("protocol break: the committed v2 golden frame no longer decodes");
-    // Frame carries no PartialEq (Msg is not comparable); byte equality
-    // after re-encode is the invariant the transport relies on anyway
-    assert_eq!(
-        encode_frame(&frame),
-        bytes,
-        "re-encoding the golden frame no longer reproduces the committed bytes"
-    );
+    let mut rest = &bytes[..];
+    for _ in golden() {
+        // the protocol version baked into the committed header must match
+        // the compiled one: bumping PROTOCOL_VERSION without regenerating
+        // the golden (or vice versa) fails here by construction
+        assert_eq!(
+            u32::from_le_bytes(rest[8..12].try_into().unwrap()),
+            PROTOCOL_VERSION,
+            "committed frame header version differs from net::PROTOCOL_VERSION"
+        );
+        // header (20 bytes), the payload length it states, check (8 bytes)
+        let payload = u64::from_le_bytes(rest[12..20].try_into().unwrap());
+        let (one, after) = rest.split_at(28 + payload as usize);
+        let frame = decode_frame(one)
+            .expect("protocol break: a committed v3 golden frame no longer decodes");
+        // Frame carries no PartialEq (Msg is not comparable); byte equality
+        // after re-encode is the invariant the transport relies on anyway
+        assert_eq!(
+            encode_frame(&frame),
+            one,
+            "re-encoding a golden frame no longer reproduces the committed bytes"
+        );
+        rest = after;
+    }
+    assert!(rest.is_empty(), "bytes after the last golden frame");
     assert_eq!(
         expected, bytes,
-        "the codec now encodes the golden frame differently — bump PROTOCOL_VERSION"
+        "the codec now encodes the golden frames differently — bump PROTOCOL_VERSION"
     );
 }
 
-/// The v1 fixture is the same `Assign` under the old layout. It must be
-/// refused at the version field — before its FNV-1a trailer or a single
-/// payload byte is looked at — never decoded into a frame.
+/// The v2 fixture is the golden of the version before (an `Assign` that
+/// still carried messages to pre-load). It must be refused at the version
+/// field — before its check or a single payload byte is looked at —
+/// never decoded into a frame.
 #[test]
-fn committed_v1_frame_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V1_PATH).expect("committed v1 frame missing");
+fn committed_v2_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V2_PATH).expect("committed v2 frame missing");
     assert!(matches!(
         decode_frame(&bytes),
-        Err(StoreError::BadVersion { found: 1 })
+        Err(StoreError::BadVersion { found: 2 })
     ));
-    // same payload, so the two fixtures differ in the version and the
-    // trailing check alone
-    let v2 = std::fs::read(GOLDEN_PATH).expect("committed golden frame missing");
-    assert_eq!(bytes.len(), v2.len());
-    assert_eq!(bytes[12..bytes.len() - 8], v2[12..v2.len() - 8]);
 }

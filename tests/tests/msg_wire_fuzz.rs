@@ -178,7 +178,6 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
         })),
         20 => Msg::LedgerCkpt(Box::new(ledger_state(theta, seed))),
         21 => Msg::CheckpointDone,
-        22 => Msg::Retire,
         _ => unreachable!("tag out of range"),
     }
 }
@@ -206,7 +205,7 @@ fn assert_roundtrip(m: &Msg) {
 proptest! {
     #[test]
     fn every_msg_variant_roundtrips(
-        tag in 0u8..23,
+        tag in 0u8..22,
         a in 0usize..1000,
         seed in 0u64..u64::MAX,
         theta in prop::collection::vec(-1e6f64..1e6, 1..4),
@@ -221,7 +220,7 @@ proptest! {
 
     #[test]
     fn framed_msgs_roundtrip(
-        tag in 0u8..23,
+        tag in 0u8..22,
         a in 0usize..1000,
         seed in 0u64..u64::MAX,
         theta in prop::collection::vec(-1e6f64..1e6, 1..3),
@@ -242,7 +241,7 @@ proptest! {
 
     #[test]
     fn truncated_frames_are_rejected(
-        tag in 0u8..23,
+        tag in 0u8..22,
         seed in 0u64..u64::MAX,
         cut in 0usize..100_000,
     ) {
@@ -254,7 +253,7 @@ proptest! {
 
     #[test]
     fn bit_flipped_frames_are_rejected(
-        tag in 0u8..23,
+        tag in 0u8..22,
         seed in 0u64..u64::MAX,
         pos in 0usize..100_000,
         bit in 0u8..8,
@@ -271,7 +270,7 @@ proptest! {
 
     #[test]
     fn trailing_garbage_is_rejected(
-        tag in 0u8..23,
+        tag in 0u8..22,
         seed in 0u64..u64::MAX,
         pad in 1usize..64,
     ) {
@@ -442,30 +441,4 @@ fn an_unrecorded_correction_frame_is_a_third_of_a_recorded_one() {
             ..
         })
     ));
-}
-
-/// `leftovers` migrate whatever sat in a rank's channel. The protocol
-/// only ever queues controller-bound messages there, but the codec
-/// makes no such assumption: corrections — lean and recorded — travel
-/// in a `Bye` like any other message.
-#[test]
-fn leftovers_carrying_corrections_roundtrip() {
-    let lean = Msg::Correction {
-        level: 0,
-        y: vec![0.5, -1.5],
-        theta: Vec::new(),
-        fine_qoi: Vec::new(),
-        coarse_qoi: None,
-    };
-    let recorded = msg(6, 1, 0, 9, true, &[0.25, f64::NAN], -0.0);
-    let bytes = encode_frame(&Frame::Bye {
-        leftovers: vec![(4, 5, lean), (4, 5, recorded), (5, 0, Msg::Checkpoint)],
-    });
-    match decode_frame(&bytes).expect("decodes") {
-        Frame::Bye { leftovers } => {
-            assert_eq!(leftovers.len(), 3);
-            assert_eq!(encode_frame(&Frame::Bye { leftovers }), bytes);
-        }
-        f => panic!("wrong frame decoded: {f:?}"),
-    }
 }

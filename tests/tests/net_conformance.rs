@@ -12,16 +12,18 @@
 //! over (means, variances, thetas, correction pairs) must agree exactly.
 //!
 //! Elastic membership is exercised on the same fixture with
-//! checkpointing on: one worker departs at the first barrier (its ranks
-//! and phonebook sessions migrate to the driver), a joiner is admitted
-//! at the second (ranks donated back out), a second joiner is never
-//! admitted and must be turned away cleanly — and the run still
-//! completes with the correct estimate. A peer that connects and never
-//! says `Hello` must not hold a finished run, and a driver that hangs up
-//! on a worker's `Bye` must not fail the worker. The last test repeats the
-//! static and the elastic case with every worker a separate OS process
-//! (the test binary re-executing itself, an OS-assigned port) and counts
-//! the threads of a worker process hosting 64 controllers.
+//! checkpointing on: one worker departs at the first barrier (the run
+//! stops there and resumes with its ranks on the driver), a joiner is
+//! admitted at the second (half the driver's controllers go back out), a
+//! second joiner is never admitted and must be turned away cleanly — and
+//! the run still completes with the correct estimate, its caller's
+//! snapshot hook having seen every barrier once; a caller's `stop` at a
+//! barrier where a change is due ends the run there. A peer that connects
+//! and never says `Hello` must not hold a finished run, and a driver that
+//! hangs up on a worker's `Bye` must not fail the worker. The last test
+//! repeats the static and the elastic case with every worker a separate
+//! OS process (the test binary re-executing itself, an OS-assigned port)
+//! and counts the threads of a worker process hosting 64 controllers.
 //!
 //! Fixture: the tight-ridge two-level Gaussian hierarchy (fine
 //! `N(0.35, 0.12²)`, coarse `N(0, 0.15²)`, `ρ = 2`).
@@ -30,17 +32,18 @@ use std::env;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::Child;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::store::RunStore;
 use uq_mlmcmc::LevelFactory;
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{
-    encode_frame, levels_digest, run_net_worker, run_parallel, run_runtime, Counter, Frame,
-    NetDriver, NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport, ParallelConfig,
-    RuntimeConfig, Tracer,
+    encode_frame, levels_digest, net_worker, run_net_worker, run_parallel, run_runtime, Counter,
+    Frame, NetDriver, NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport,
+    ParallelCheckpoint, ParallelConfig, ParallelReport, Placement, Run, Runtime, RuntimeConfig,
+    RuntimeReport, Tracer,
 };
 
 #[path = "common/reexec.rs"]
@@ -48,7 +51,7 @@ mod reexec;
 #[path = "common/ridge.rs"]
 mod ridge;
 use reexec::{expect_success, spawn_self};
-use ridge::{Ridge, FINE_MEAN};
+use ridge::{Ridge, FINE_MEAN, RHO};
 
 /// The deterministic bit-parity regime on the ridge.
 fn config(n0: usize, n1: usize, seed: u64) -> ParallelConfig {
@@ -109,10 +112,10 @@ fn worker() -> NetWorkerOptions {
     }
 }
 
-/// Digest of the two in-process backends on `config` (asserted equal:
-/// they must agree before a net run means anything).
-fn in_process_digest(config: &ParallelConfig) -> u64 {
-    let thread_digest = levels_digest(&run_parallel(&Ridge, config, &Tracer::disabled()).levels);
+/// The report of the in-process backends on `config`, their digests
+/// asserted equal: they must agree before a net run means anything.
+fn in_process(config: &ParallelConfig) -> ParallelReport {
+    let thread = run_parallel(&Ridge, config, &Tracer::disabled());
     let mut rt_config = RuntimeConfig::new(
         config.samples_per_level.clone(),
         config.chains_per_level.clone(),
@@ -126,10 +129,15 @@ fn in_process_digest(config: &ParallelConfig) -> u64 {
             .levels,
     );
     assert_eq!(
-        thread_digest, runtime_digest,
+        levels_digest(&thread.levels),
+        runtime_digest,
         "in-process backends must agree before the net run means anything"
     );
-    thread_digest
+    thread
+}
+
+fn in_process_digest(config: &ParallelConfig) -> u64 {
+    levels_digest(&in_process(config).levels)
 }
 
 /// `(mean, variance)` per level, to the bit.
@@ -231,7 +239,8 @@ fn net_elastic_leave_is_bit_identical_with_and_without_recording() {
         let store = Arc::new(RunStore::open(&dir).expect("open store"));
         let mut config = config(600, 120, 11_2026);
         config.record_samples = record;
-        let expected = in_process_digest(&config);
+        let reference = in_process(&config);
+        let expected = levels_digest(&reference.levels);
         let opts = NetDriverOptions {
             workers: 2,
             every: 25,
@@ -248,6 +257,20 @@ fn net_elastic_leave_is_bit_identical_with_and_without_recording() {
             expected,
             "elastic leave diverged from the in-process backends (record_samples = {record})"
         );
+        // no evaluation is lost with the move: a level's burn-in, its
+        // quota and the subsampled steps that serve the level above are a
+        // floor under any complete run's count (how far a run overshoots
+        // it depends on timing, so the two counts do not bound each other)
+        let floor = |l: usize| config.burn_in[l] + config.samples_per_level[l];
+        for (l, floors) in [floor(0) + RHO * floor(1), floor(1)].iter().enumerate() {
+            for (run, levels) in [
+                ("net", &net.report.levels),
+                ("in-process", &reference.levels),
+            ] {
+                let evals = levels[l].evaluations;
+                assert!(evals >= *floors, "{run}: {evals} level-{l} evaluations");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -308,6 +331,130 @@ fn net_elastic_leave_and_join_completes_with_correct_estimate() {
         "the never-admitted joiner must be turned away cleanly"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A net universe through the front door — the caller's own snapshot
+/// hook and stop flag included — with every process on a one-worker pool.
+fn run_net_checkpointed(
+    config: &RuntimeConfig,
+    ckpt: &ParallelCheckpoint<'_>,
+    workers: Vec<NetWorkerOptions>,
+) -> (RuntimeReport, Vec<NetWorkerReport>) {
+    let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = driver.local_addr().to_string();
+    let initial = workers.iter().filter(|w| !w.join).count();
+    let off = Tracer::disabled();
+    std::thread::scope(|s| {
+        let dial = |mut w: NetWorkerOptions| {
+            w.connect = addr.clone();
+            let off = &off;
+            s.spawn(move || net_worker(&Runtime::new(1), &Ridge, &w, off))
+        };
+        let workers: Vec<_> = workers.into_iter().map(dial).collect();
+        let net = Run::new(&Ridge, config, &off, Some(ckpt), None).on(Placement::Net {
+            runtime: &Runtime::new(1),
+            driver,
+            workers: initial,
+        });
+        let workers = workers.into_iter().map(|w| w.join().expect("worker"));
+        (net.expect("a live run"), workers.collect())
+    })
+}
+
+/// The caller raises its `stop` in the very barrier at which a worker is
+/// due to leave. The caller wins: the run comes back `preempted` from
+/// that barrier, no rank moves, and the barrier's cut is an ordinary one
+/// — it resumes on a pool to the digest of the uninterrupted run.
+#[test]
+fn a_caller_stop_at_a_barrier_where_a_leave_is_due_preempts_the_run() {
+    let dir = std::env::temp_dir().join(format!("uq-net-stop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = RunStore::open(&dir).expect("open store");
+    let config = RuntimeConfig {
+        base: config(600, 120, 23_2026),
+        n_workers: 1,
+        collector_shards: 1,
+    };
+    let expected = in_process_digest(&config.base);
+    let (barriers, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let hook = |_done: usize, _hash: &str| {
+        barriers.fetch_add(1, Ordering::SeqCst);
+        stop.store(true, Ordering::SeqCst);
+    };
+    let ckpt = ParallelCheckpoint {
+        store: &store,
+        config_hash: 0x23_e37,
+        every: 25,
+        on_snapshot: Some(&hook),
+        stop: Some(&stop),
+    };
+    let mut leaver = worker();
+    leaver.leave_at_barrier = Some(1);
+    let (net, worker_reports) = run_net_checkpointed(&config, &ckpt, vec![leaver, worker()]);
+    assert!(net.preempted, "the caller's stop was ignored");
+    assert_eq!(barriers.load(Ordering::SeqCst), 1, "a segment followed");
+    assert_eq!(net.migrations, Some(0));
+    assert!(worker_reports.iter().all(|r| !r.retired));
+
+    let cut = store.latest_snapshot(Some(0x23_e37)).expect("manifest");
+    let (_, cut) = cut.expect("the barrier's snapshot");
+    let off = Tracer::disabled();
+    let resumed = Run::new(&Ridge, &config, &off, None, Some(&cut))
+        .on(Placement::Pool(&Runtime::new(1)))
+        .expect("a live run");
+    assert!(!resumed.preempted);
+    assert_eq!(levels_digest(&resumed.report.levels), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A leave at barrier 1 and a join at barrier 2 cut the run into three
+/// segments. The caller's snapshot hook must not see the seams: every
+/// barrier once, in the order the store recorded them.
+#[test]
+fn the_snapshot_hook_sees_every_barrier_once_across_membership_changes() {
+    let dir = std::env::temp_dir().join(format!("uq-net-hook-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = RunStore::open(&dir).expect("open store");
+    let config = RuntimeConfig {
+        base: config(900, 150, 29_2026),
+        n_workers: 1,
+        collector_shards: 1,
+    };
+    let seen = Mutex::new(Vec::new());
+    let hook = |done: usize, hash: &str| seen.lock().unwrap().push((done, hash.to_string()));
+    let ckpt = ParallelCheckpoint {
+        store: &store,
+        config_hash: 0x29_e37,
+        every: 25,
+        on_snapshot: Some(&hook),
+        stop: None,
+    };
+    let mut leaver = worker();
+    leaver.leave_at_barrier = Some(1);
+    let mut joiner = worker();
+    joiner.join = true;
+    let (net, _) = run_net_checkpointed(&config, &ckpt, vec![leaver, worker(), joiner]);
+    assert!(!net.preempted);
+    assert_eq!(net.migrations, Some(2), "a leave and a join");
+    assert_eq!(
+        levels_digest(&net.report.levels),
+        in_process_digest(&config.base)
+    );
+
+    let seen = seen.into_inner().unwrap();
+    assert!(
+        seen.len() >= 3,
+        "barriers on both sides of both seams: {seen:?}"
+    );
+    assert!(
+        seen.windows(2).all(|w| w[0].0 < w[1].0),
+        "in order: {seen:?}"
+    );
+    let records = store.manifest_records().expect("manifest");
+    let recorded = records.iter().filter_map(|r| r.get("hash"));
+    let hashes: Vec<&str> = seen.iter().map(|(_, hash)| hash.as_str()).collect();
+    assert_eq!(recorded.collect::<Vec<_>>(), hashes, "exactly once");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -378,14 +525,13 @@ fn a_driver_that_hangs_up_on_the_bye_ends_the_worker_cleanly() {
         ranks: vec![top],
         config: config.clone(),
         ckpts: vec![],
-        leftovers: vec![],
     });
     let stop = encode_frame(&Frame::Data {
         to: top,
         from: 0,
         msg: Msg::Shutdown,
     });
-    let bye = encode_frame(&Frame::Bye { leftovers: vec![] });
+    let bye = encode_frame(&Frame::Bye);
     for _ in 0..40 {
         let w = NetWorkerOptions {
             connect: addr.clone(),
