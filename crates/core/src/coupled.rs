@@ -33,6 +33,7 @@
 use crate::factory::LevelFactory;
 use crate::ledger::PairingMode;
 use rand::Rng;
+use std::sync::Arc;
 use uq_mcmc::kernel::{mh_step, SamplingState};
 use uq_mcmc::{Proposal, SamplingProblem};
 
@@ -43,7 +44,9 @@ use uq_mcmc::{Proposal, SamplingProblem};
 pub struct CoarseSample {
     pub theta: Vec<f64>,
     pub log_density: f64,
-    pub qoi: Vec<f64>,
+    /// Shared with the chain state it was packaged from, and with every
+    /// clone of this sample.
+    pub qoi: Arc<[f64]>,
     /// The serving chain's own coarse anchor at this state (`None` for
     /// level-0 chains and for remote/parallel sources).
     pub sub_anchor: Option<Box<CoarseSample>>,
@@ -61,7 +64,7 @@ impl CoarseSample {
         Self {
             theta,
             log_density,
-            qoi,
+            qoi: qoi.into(),
             sub_anchor: None,
             mate: None,
         }
@@ -91,7 +94,7 @@ pub struct ChainState {
     pub accepted: usize,
     pub theta: Vec<f64>,
     pub log_density: f64,
-    pub qoi: Vec<f64>,
+    pub qoi: Arc<[f64]>,
     /// Coupled chains only: the coarse anchor of the current state.
     pub anchor: Option<CoarseSample>,
     /// Coupled chains only: the most recent step's coarse proposal.
@@ -336,10 +339,10 @@ impl MlChain {
             PairingMode::Ledger => self.last_pairing(),
         };
         match paired {
-            None => self.state.qoi.clone(),
+            None => self.state.qoi.to_vec(),
             Some(coarse) => {
                 let fine = self.state.qoi.iter();
-                fine.zip(&coarse.qoi).map(|(f, c)| f - c).collect()
+                fine.zip(&*coarse.qoi).map(|(f, c)| f - c).collect()
             }
         }
     }
@@ -353,7 +356,7 @@ impl MlChain {
     /// initialize fine chains anchored at this chain's level.
     pub fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample {
         let log_density = self.problem.log_density(theta);
-        let qoi = self.problem.qoi(theta);
+        let qoi = self.problem.qoi(theta).into();
         let sub_anchor = match &mut self.kind {
             Kind::Base { .. } => None,
             Kind::Coupled {
@@ -573,7 +576,7 @@ impl MlChain {
                             rng.random::<f64>().ln() < log_alpha
                         };
                         if accept {
-                            let qoi = self.problem.qoi(&cand);
+                            let qoi = self.problem.qoi(&cand).into();
                             self.state = SamplingState {
                                 theta: cand,
                                 log_density: cand_log_density,

@@ -332,9 +332,9 @@ fn sample_terms<R: Rng>(
                 term.theta_samples.push(chain.state().theta.clone());
                 if let Some(coarse) = chain.last_coarse() {
                     term.correction_pairs
-                        .push((coarse.qoi.clone(), fine_qoi.clone()));
+                        .push((coarse.qoi.to_vec(), fine_qoi.to_vec()));
                 }
-                term.qoi_samples.push(fine_qoi);
+                term.qoi_samples.push(fine_qoi.to_vec());
             }
             term.samples_done += 1;
             total_recorded += 1;

@@ -170,6 +170,20 @@ pub struct ServeOutcome {
     pub diverged: bool,
 }
 
+impl ServeOutcome {
+    /// Package the two tracks' end states: `pairing` rides to the
+    /// requester as `proposal.mate`, a clone that shares its QOI with the
+    /// write-back copy.
+    pub fn new(mut proposal: CoarseSample, pairing: CoarseSample, diverged: bool) -> Self {
+        proposal.mate = Some(Box::new(pairing.clone()));
+        Self {
+            proposal,
+            pairing,
+            diverged,
+        }
+    }
+}
+
 /// Execute one ledger serve on `chain` (the serving chain for the
 /// lease's coarse level), advancing `rho` kernel steps per track.
 ///
@@ -189,7 +203,7 @@ pub fn serve(chain: &mut MlChain, rho: usize, lease: &LedgerLease) -> ServeOutco
     for _ in 0..rho {
         chain.step(&mut rng);
     }
-    let mut proposal = chain.current_as_sample();
+    let proposal = chain.current_as_sample();
     // pairing track: continue the autonomous subchain from the last
     // pairing state, re-using the same substream (common random numbers)
     let pairing = if merged {
@@ -202,12 +216,7 @@ pub fn serve(chain: &mut MlChain, rho: usize, lease: &LedgerLease) -> ServeOutco
         }
         chain.current_as_sample()
     };
-    proposal.mate = Some(Box::new(pairing.clone()));
-    ServeOutcome {
-        proposal,
-        pairing,
-        diverged: !merged,
-    }
+    ServeOutcome::new(proposal, pairing, !merged)
 }
 
 /// Aggregate ledger statistics (kept by the phonebooks, reported with

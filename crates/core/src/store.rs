@@ -68,7 +68,7 @@ impl Codec for CoarseSample {
         Ok(CoarseSample {
             theta: Vec::decode(dec)?,
             log_density: f64::decode(dec)?,
-            qoi: Vec::decode(dec)?,
+            qoi: Codec::decode(dec)?,
             sub_anchor: Option::decode(dec)?,
             mate: Option::decode(dec)?,
         })
@@ -93,7 +93,7 @@ impl Codec for ChainState {
             accepted: usize::decode(dec)?,
             theta: Vec::decode(dec)?,
             log_density: f64::decode(dec)?,
-            qoi: Vec::decode(dec)?,
+            qoi: Codec::decode(dec)?,
             anchor: Option::decode(dec)?,
             last_coarse: Option::decode(dec)?,
             last_pairing: Option::decode(dec)?,
@@ -764,7 +764,7 @@ mod tests {
         CoarseSample {
             theta: vec![theta, theta * 0.5],
             log_density: -theta * theta,
-            qoi: vec![theta],
+            qoi: vec![theta].into(),
             sub_anchor: Some(Box::new(CoarseSample::plain(
                 vec![theta * 0.1],
                 -1.0,
@@ -792,7 +792,7 @@ mod tests {
                     accepted: 9,
                     theta: vec![0.25],
                     log_density: -0.5,
-                    qoi: vec![0.25],
+                    qoi: vec![0.25].into(),
                     anchor: Some(sample(0.2)),
                     last_coarse: Some(sample(0.3)),
                     last_pairing: Some(sample(0.31)),

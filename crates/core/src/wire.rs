@@ -29,6 +29,7 @@
 
 use std::fmt;
 use std::io::{self, Read};
+use std::sync::Arc;
 
 /// Errors raised by the wire codec, the snapshot format and the run
 /// store. (Named for its original home in `store`; the net transport
@@ -164,6 +165,15 @@ impl<'a> Dec<'a> {
         self.pos += n;
         Ok(s)
     }
+
+    /// `len` back-to-back `f64`s, exact-size: a `Vec` or an `Arc<[f64]>`
+    /// collects them into one allocation.
+    fn f64s(&mut self, len: usize) -> Result<impl ExactSizeIterator<Item = f64> + 'a, StoreError> {
+        // `take` fails on `len * 8 > remaining` before anything is allocated
+        let words = self.take(len.saturating_mul(8))?.chunks_exact(8);
+        let bits = words.map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        Ok(bits.map(f64::from_bits))
+    }
 }
 
 /// A value with a hand-rolled binary encoding. Encoding is
@@ -257,12 +267,20 @@ impl Codec for f64 {
     }
 
     fn decode_vec(len: usize, dec: &mut Dec) -> Result<Vec<Self>, StoreError> {
-        // `take` fails on `len * 8 > remaining` before anything is allocated
-        let bytes = dec.take(len.saturating_mul(8))?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-            .collect())
+        Ok(dec.f64s(len)?.collect())
+    }
+}
+
+/// A shared QOI vector: the bytes of a `Vec<f64>`, decoded straight into
+/// the shared slice.
+impl Codec for Arc<[f64]> {
+    fn encode(&self, enc: &mut Enc) {
+        self.len().encode(enc);
+        f64::encode_slice(self, enc);
+    }
+    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
+        let len = usize::decode(dec)?;
+        Ok(dec.f64s(len)?.collect())
     }
 }
 
@@ -764,6 +782,12 @@ mod tests {
             let reference: Vec<PerElement> = bulk.iter().map(|&x| PerElement(x)).collect();
             let bytes = encoded(&bulk);
             assert_eq!(bytes, encoded(&reference), "len {len}");
+            // a shared slice is the same bytes, both ways
+            let shared: Arc<[f64]> = bulk.clone().into();
+            assert_eq!(bytes, encoded(&shared), "len {len}");
+            let mut dec = Dec::new(&bytes[1..]);
+            let shared_back = Arc::<[f64]>::decode(&mut dec).unwrap();
+            assert_eq!(dec.remaining(), 0);
 
             let mut dec = Dec::new(&bytes[1..]);
             let back = Vec::<f64>::decode(&mut dec).unwrap();
@@ -772,6 +796,7 @@ mod tests {
             let back_ref = Vec::<PerElement>::decode(&mut dec).unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&back), bits(&bulk));
+            assert_eq!(bits(&shared_back), bits(&bulk));
             assert_eq!(
                 bits(&back),
                 back_ref.iter().map(|x| x.0.to_bits()).collect::<Vec<_>>()
@@ -779,6 +804,8 @@ mod tests {
             // one byte short fails on both paths
             let mut dec = Dec::new(&bytes[1..bytes.len() - 1]);
             assert!(len == 0 || Vec::<f64>::decode(&mut dec).is_err());
+            let mut dec = Dec::new(&bytes[1..bytes.len() - 1]);
+            assert!(len == 0 || Arc::<[f64]>::decode(&mut dec).is_err());
         }
     }
 
@@ -790,6 +817,10 @@ mod tests {
             bytes.extend_from_slice(&[0u8; 16]);
             assert!(matches!(
                 Vec::<f64>::decode(&mut Dec::new(&bytes)),
+                Err(StoreError::Truncated { available: 16, .. })
+            ));
+            assert!(matches!(
+                Arc::<[f64]>::decode(&mut Dec::new(&bytes)),
                 Err(StoreError::Truncated { available: 16, .. })
             ));
         }

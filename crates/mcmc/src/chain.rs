@@ -77,7 +77,7 @@ impl<P: SamplingProblem, Q: Proposal> Chain<P, Q> {
             && (self.steps_taken - self.config.burn_in - 1).is_multiple_of(self.config.thin)
         {
             self.samples.push(self.state.theta.clone());
-            self.qois.push(self.state.qoi.clone());
+            self.qois.push(self.state.qoi.to_vec());
         }
         accepted
     }

@@ -3,6 +3,7 @@
 use crate::problem::SamplingProblem;
 use crate::proposal::Proposal;
 use rand::{Rng, RngExt};
+use std::sync::Arc;
 
 /// A point on the chain together with its cached log-density and QOI —
 /// the analogue of MUQ's `SamplingState`.
@@ -11,15 +12,16 @@ pub struct SamplingState {
     pub theta: Vec<f64>,
     pub log_density: f64,
     /// QOI evaluated lazily on acceptance; rejected steps inherit the
-    /// previous state's QOI without re-evaluating the model.
-    pub qoi: Vec<f64>,
+    /// previous state's QOI without re-evaluating the model. Built once
+    /// and never written again: every clone shares the allocation.
+    pub qoi: Arc<[f64]>,
 }
 
 impl SamplingState {
     /// Evaluate the problem at `theta` to build an initial state.
     pub fn initial<P: SamplingProblem + ?Sized>(problem: &mut P, theta: Vec<f64>) -> Self {
         let log_density = problem.log_density(&theta);
-        let qoi = problem.qoi(&theta);
+        let qoi = problem.qoi(&theta).into();
         Self {
             theta,
             log_density,
@@ -56,7 +58,7 @@ where
         log_alpha >= 0.0 || rng.random::<f64>().ln() < log_alpha
     };
     let state = if accepted {
-        let qoi = problem.qoi(&cand);
+        let qoi = problem.qoi(&cand).into();
         SamplingState {
             theta: cand,
             log_density: cand_log_density,
@@ -81,7 +83,7 @@ mod tests {
     fn initial_state_caches_density_and_qoi() {
         let mut p = GaussianTarget::standard(2);
         let s = SamplingState::initial(&mut p, vec![0.5, -0.5]);
-        assert_eq!(s.qoi, vec![0.5, -0.5]);
+        assert_eq!(s.qoi, vec![0.5, -0.5].into());
         assert!((s.log_density - p.log_density(&[0.5, -0.5])).abs() < 1e-14);
     }
 

@@ -9,10 +9,14 @@
 /// A target distribution to sample from, with an optional quantity of
 /// interest (QOI) derived from the same forward evaluation.
 ///
-/// Implementations may cache forward-model results between `log_density`
-/// and `qoi` calls for the same parameter (both take `&mut self` for this
-/// reason); the chain driver always calls `qoi` with the most recently
-/// evaluated accepted parameter.
+/// Both calls take `&mut self` so an implementation may keep the forward
+/// result of a `log_density(θ)` for the `qoi(θ)` that follows. What the
+/// drivers (`mh_step`, `SamplingState::initial` and the coupled chain of
+/// `uq-mlmcmc`) guarantee: each of their `qoi(θ)` calls comes directly
+/// after their `log_density(θ)` call on the same problem, nothing in
+/// between, and only for a state the chain keeps — a starting point or an
+/// accepted proposal. The vector is then carried in the chain state and
+/// shared from there; no driver asks for it a second time.
 pub trait SamplingProblem: Send {
     /// Parameter-space dimension.
     fn dim(&self) -> usize;

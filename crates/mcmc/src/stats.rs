@@ -134,21 +134,28 @@ impl RunningMoments {
     }
 }
 
-/// Vector-valued [`RunningMoments`] for multi-component QOIs.
+/// Vector-valued [`RunningMoments`] for multi-component QOIs. Every
+/// component has seen the same observations, so the count is stored once
+/// and the means and `m2`s flat; per component the arithmetic is
+/// [`RunningMoments`]' to the bit.
 #[derive(Clone, Debug)]
 pub struct VectorMoments {
-    components: Vec<RunningMoments>,
+    count: usize,
+    mean: Vec<f64>,
+    m2: Vec<f64>,
 }
 
 impl VectorMoments {
     pub fn new(dim: usize) -> Self {
         Self {
-            components: vec![RunningMoments::new(); dim],
+            count: 0,
+            mean: vec![0.0; dim],
+            m2: vec![0.0; dim],
         }
     }
 
     pub fn dim(&self) -> usize {
-        self.components.len()
+        self.mean.len()
     }
 
     /// Absorb one vector observation.
@@ -156,51 +163,64 @@ impl VectorMoments {
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn push(&mut self, x: &[f64]) {
-        assert_eq!(
-            x.len(),
-            self.components.len(),
-            "VectorMoments: dimension mismatch"
-        );
-        for (c, xi) in self.components.iter_mut().zip(x) {
-            c.push(*xi);
+        assert_eq!(x.len(), self.dim(), "VectorMoments: dimension mismatch");
+        self.count += 1;
+        let n = self.count as f64;
+        for ((mean, m2), &xi) in self.mean.iter_mut().zip(&mut self.m2).zip(x) {
+            let delta = xi - *mean;
+            *mean += delta / n;
+            *m2 += delta * (xi - *mean);
         }
     }
 
     pub fn merge(&mut self, other: &VectorMoments) {
         assert_eq!(self.dim(), other.dim(), "VectorMoments: dimension mismatch");
-        for (a, b) in self.components.iter_mut().zip(&other.components) {
-            a.merge(b);
+        if other.count == 0 {
+            return;
         }
+        if self.count == 0 {
+            return self.clone_from(other);
+        }
+        let (n1, n2) = (self.count as f64, other.count as f64);
+        let total = n1 + n2;
+        let ours = self.mean.iter_mut().zip(&mut self.m2);
+        for ((mean, m2), (o_mean, o_m2)) in ours.zip(other.mean.iter().zip(&other.m2)) {
+            let delta = o_mean - *mean;
+            *mean += delta * n2 / total;
+            *m2 += o_m2 + delta * delta * n1 * n2 / total;
+        }
+        self.count += other.count;
     }
 
     pub fn count(&self) -> usize {
-        self.components.first().map_or(0, RunningMoments::count)
+        self.count
     }
 
     pub fn mean(&self) -> Vec<f64> {
-        self.components.iter().map(RunningMoments::mean).collect()
+        self.mean.clone()
     }
 
     pub fn variance(&self) -> Vec<f64> {
-        self.components
-            .iter()
-            .map(RunningMoments::variance)
-            .collect()
+        if self.count < 2 {
+            return vec![0.0; self.dim()];
+        }
+        let d = (self.count - 1) as f64;
+        self.m2.iter().map(|m2| m2 / d).collect()
     }
 
     /// Per-component `(count, mean, m2)` words (see
     /// [`RunningMoments::parts`]).
     pub fn parts(&self) -> Vec<(usize, f64, f64)> {
-        self.components.iter().map(RunningMoments::parts).collect()
+        let words = self.mean.iter().zip(&self.m2);
+        words.map(|(&mean, &m2)| (self.count, mean, m2)).collect()
     }
 
     /// Rebuild from [`VectorMoments::parts`].
     pub fn from_parts(parts: &[(usize, f64, f64)]) -> Self {
         Self {
-            components: parts
-                .iter()
-                .map(|&(c, m, m2)| RunningMoments::from_parts(c, m, m2))
-                .collect(),
+            count: parts.first().map_or(0, |p| p.0),
+            mean: parts.iter().map(|p| p.1).collect(),
+            m2: parts.iter().map(|p| p.2).collect(),
         }
     }
 }
@@ -324,6 +344,60 @@ mod tests {
         assert_eq!(vm.count(), 2);
         assert_eq!(vm.mean(), vec![2.0, 20.0]);
         assert_eq!(vm.variance(), vec![2.0, 200.0]);
+    }
+
+    #[test]
+    fn vector_moments_match_a_vec_of_running_moments_to_the_bit() {
+        // 1 000 random vectors pushed into four accumulators of uneven
+        // sizes (one stays empty) and merged in both orders: every word of
+        // the flat layout equals the per-component reference's
+        const DIM: usize = 7;
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut flat: Vec<VectorMoments> = (0..4).map(|_| VectorMoments::new(DIM)).collect();
+        let mut reference = vec![vec![RunningMoments::new(); DIM]; 4];
+        for i in 0..1000 {
+            let scale = 10f64.powi(i % 5 - 2);
+            let x: Vec<f64> = (0..DIM)
+                .map(|k| k as f64 + scale * standard_normal(&mut rng))
+                .collect();
+            let which = [0, 1, 1, 2, 1, 0][i as usize % 6];
+            flat[which].push(&x);
+            for (r, &xi) in reference[which].iter_mut().zip(&x) {
+                r.push(xi);
+            }
+        }
+        let same = |v: &VectorMoments, r: &[RunningMoments]| {
+            let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(v.count(), r[0].count());
+            assert_eq!(bits(v.mean()), bits(r.iter().map(|c| c.mean()).collect()));
+            assert_eq!(
+                bits(v.variance()),
+                bits(r.iter().map(|c| c.variance()).collect())
+            );
+            let words = |p: Vec<(usize, f64, f64)>| {
+                p.into_iter()
+                    .map(|(c, m, m2)| (c, m.to_bits(), m2.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                words(v.parts()),
+                words(r.iter().map(RunningMoments::parts).collect())
+            );
+        };
+        for (v, r) in flat.iter().zip(&reference) {
+            same(v, r);
+        }
+        // merge into a filled one, into the empty one, and an empty one in
+        for (into, from) in [(0, 1), (3, 2), (0, 3), (1, 3)] {
+            let other = flat[from].clone();
+            flat[into].merge(&other);
+            let other = reference[from].clone();
+            for (a, b) in reference[into].iter_mut().zip(&other) {
+                a.merge(b);
+            }
+            same(&flat[into], &reference[into]);
+        }
+        assert_eq!(flat[0].count(), 1000);
     }
 
     #[test]

@@ -1190,8 +1190,8 @@ impl<'a> ControllerRank<'a> {
                             job.lease.session_seed,
                             job.lease.serves,
                         ));
-                        let pairing = job.lease.pairing.clone().expect("diverged lease");
-                        self.chain.restore(&pairing);
+                        let pairing = job.lease.pairing.as_ref().expect("diverged lease");
+                        self.chain.restore(pairing);
                         continue;
                     }
                     ServeLeg::Pairing => {
@@ -1247,19 +1247,19 @@ impl<'a> ControllerRank<'a> {
         &mut self,
         ctx: &VCtx<'_, Msg>,
         job: &ServeJob,
-        mut proposal: CoarseSample,
+        proposal: CoarseSample,
         pairing: CoarseSample,
         diverged: bool,
     ) {
         self.chain.restore(&job.snapshot);
-        proposal.mate = Some(Box::new(pairing.clone()));
+        let outcome = ledger::ServeOutcome::new(proposal, pairing, diverged);
         // the write-back MUST be enqueued before the requester's
         // proposal: program order plus per-destination FIFO then
         // guarantee the phonebook applies it before the requester's
         // next request can arrive — a session never serves the same
         // stream position twice (the no-replay invariant the
         // speculation commit check relies on)
-        let for_requester = (!job.speculative).then(|| proposal.clone());
+        let for_requester = (!job.speculative).then(|| outcome.proposal.clone());
         ctx.send(
             PHONEBOOK,
             Msg::ServeDone {
@@ -1267,11 +1267,7 @@ impl<'a> ControllerRank<'a> {
                 level: self.level,
                 session: job.lease.session_seed,
                 serves: job.lease.serves + 1,
-                outcome: Box::new(ledger::ServeOutcome {
-                    proposal,
-                    pairing,
-                    diverged,
-                }),
+                outcome: Box::new(outcome),
                 speculative: job.speculative,
             },
         );

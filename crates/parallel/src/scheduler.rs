@@ -146,7 +146,7 @@ impl Msg {
         record: bool,
     ) -> Msg {
         let state = chain.state();
-        let recorded = |v: &Vec<f64>| if record { v.clone() } else { Vec::new() };
+        let recorded = |v: &[f64]| if record { v.to_vec() } else { Vec::new() };
         Msg::Correction {
             level,
             y: chain.correction(pairing),
@@ -155,7 +155,7 @@ impl Msg {
             coarse_qoi: chain
                 .last_coarse()
                 .filter(|_| record)
-                .map(|c| c.qoi.clone()),
+                .map(|c| c.qoi.to_vec()),
         }
     }
 }

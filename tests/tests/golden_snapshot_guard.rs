@@ -31,7 +31,7 @@ fn golden() -> RunSnapshot {
     let anchor = CoarseSample {
         theta: vec![0.125, -2.5],
         log_density: -3.75,
-        qoi: vec![0.125],
+        qoi: vec![0.125].into(),
         sub_anchor: Some(Box::new(cs(-0.5, -1.0))),
         mate: Some(Box::new(cs(0.25, -0.125))),
     };
@@ -40,7 +40,7 @@ fn golden() -> RunSnapshot {
         accepted: 137,
         theta: vec![0.75, -0.375],
         log_density: -2.25,
-        qoi: vec![0.75],
+        qoi: vec![0.75].into(),
         anchor: Some(anchor.clone()),
         last_coarse: Some(cs(0.0625, -4.5)),
         last_pairing: None,
@@ -54,7 +54,7 @@ fn golden() -> RunSnapshot {
                 accepted: 512,
                 theta: vec![-1.0],
                 log_density: -0.5,
-                qoi: vec![-1.0],
+                qoi: vec![-1.0].into(),
                 anchor: None,
                 last_coarse: None,
                 last_pairing: None,

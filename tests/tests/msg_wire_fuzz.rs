@@ -51,7 +51,7 @@ fn chain_ckpt(rank: usize, level: usize, theta: &[f64], seed: u64) -> ChainCkpt 
             accepted: rank,
             theta: theta.to_vec(),
             log_density: -1.25,
-            qoi: theta.to_vec(),
+            qoi: theta.into(),
             anchor: Some(sample(theta, -0.5, 1)),
             last_coarse: None,
             last_pairing: Some(sample(theta, -2.0, 0)),

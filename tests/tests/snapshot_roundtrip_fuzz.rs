@@ -39,7 +39,7 @@ fn chain_state(theta: &[f64], log_density: f64, steps: usize, flags: u8) -> Chai
         accepted: steps / 2,
         theta: theta.to_vec(),
         log_density,
-        qoi: theta.to_vec(),
+        qoi: theta.into(),
         anchor: (flags & 1 != 0).then(|| sample(theta, log_density, 2)),
         last_coarse: (flags & 2 != 0).then(|| sample(theta, log_density * 0.5, 1)),
         last_pairing: (flags & 4 != 0).then(|| sample(theta, log_density * 0.25, 0)),
@@ -54,7 +54,7 @@ fn chain_state(theta: &[f64], log_density: f64, steps: usize, flags: u8) -> Chai
                     accepted: steps / 3,
                     theta: theta.to_vec(),
                     log_density: log_density - 2.0,
-                    qoi: vec![],
+                    qoi: vec![].into(),
                     anchor: None,
                     last_coarse: None,
                     last_pairing: None,
