@@ -347,11 +347,6 @@ impl MlChain {
         }
     }
 
-    /// Evaluate this chain's target log-density at an arbitrary point.
-    pub fn eval_log_density(&mut self, theta: &[f64]) -> f64 {
-        self.problem.log_density(theta)
-    }
-
     /// Package density/QOI/sub-anchor information for `theta` — used to
     /// initialize fine chains anchored at this chain's level.
     pub fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample {
@@ -642,11 +637,6 @@ impl ChainCoarseSource {
 
     pub fn chain(&self) -> &MlChain {
         &self.chain
-    }
-
-    /// Serves executed and how many of them ran a separate pairing leg.
-    pub fn ledger_counts(&self) -> (u64, u64) {
-        (self.serves, self.diverged_serves)
     }
 }
 

@@ -46,7 +46,7 @@
 //! controller's serves bit-for-bit (pinned by the parity suite in
 //! `tests/ledger_exactness.rs`).
 
-use crate::coupled::{CoarseSample, MlChain};
+use crate::coupled::{CoarseSample, MlChain, StepOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
@@ -89,7 +89,7 @@ pub fn session_seed(base: u64, coarse_level: usize, requester: u64) -> u64 {
 /// Seed of serve `serve_index`'s driving substream. Both tracks of a
 /// diverged serve reuse the same substream (common random numbers), so
 /// the mate stays coupled to the proposal without acceptance feedback.
-pub fn leg_seed(session_seed: u64, serve_index: u64) -> u64 {
+fn leg_seed(session_seed: u64, serve_index: u64) -> u64 {
     mix(session_seed ^ serve_index.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
@@ -111,7 +111,7 @@ pub fn generation_seed(session_seed: u64, generation: u64) -> u64 {
 /// (`uq_parallel::service`): every job a tenant submits derives its
 /// effective base seed through this, so two tenants submitting the very
 /// same config can never collide on a [`session_seed`] (and hence never
-/// share a [`leg_seed`] substream). Deliberately *not* the identity for
+/// share a serve substream). Deliberately *not* the identity for
 /// any tenant — a serviced job is always namespaced, and the standalone
 /// run it must be bit-identical to uses the same derived seed.
 pub fn tenant_seed(base: u64, tenant: u64) -> u64 {
@@ -184,39 +184,108 @@ impl ServeOutcome {
     }
 }
 
-/// Execute one ledger serve on `chain` (the serving chain for the
-/// lease's coarse level), advancing `rho` kernel steps per track.
-///
-/// The chain is left at the end of the last leg run — callers whose
-/// chain has its own trajectory (parallel serving controllers) snapshot
-/// with [`MlChain::current_as_sample`] before and
-/// [`MlChain::restore`] after; the sequential source's chain exists only
-/// to serve, so it skips that. Only the kernel is re-evaluated: restores
-/// use the cached densities/QOIs inside the lease samples, never the
-/// forward model.
-pub fn serve(chain: &mut MlChain, rho: usize, lease: &LedgerLease) -> ServeOutcome {
-    let rho = rho.max(1);
-    let merged = lease.merged();
-    // proposal track: the exactness rewind to the requester's anchor
-    let mut rng = StdRng::seed_from_u64(leg_seed(lease.session_seed, lease.serves));
-    chain.restore(&lease.anchor);
-    for _ in 0..rho {
-        chain.step(&mut rng);
-    }
-    let proposal = chain.current_as_sample();
-    // pairing track: continue the autonomous subchain from the last
-    // pairing state, re-using the same substream (common random numbers)
-    let pairing = if merged {
-        proposal.clone()
-    } else {
-        let mut rng = StdRng::seed_from_u64(leg_seed(lease.session_seed, lease.serves));
-        chain.restore(lease.pairing.as_ref().expect("diverged lease has pairing"));
-        for _ in 0..rho {
-            chain.step(&mut rng);
+/// What one [`Serve::step`] did.
+#[derive(Debug)]
+pub enum ServeStep {
+    /// One kernel step of the current leg completed.
+    Stepped,
+    /// The serving chain's own coarse source is pending: the step is
+    /// suspended until [`Serve::resume`] hands it the coarse sample.
+    NeedCoarse,
+    /// Both tracks are at their end states.
+    Done(ServeOutcome),
+}
+
+/// One ledger serve as a resumable value, the one statement of the
+/// serve: [`serve`] drives it to the end on a blocking stack, a parallel
+/// controller one kernel step per poll, suspending on nested coarse
+/// requests like a coupled step ([`MlChain::poll_step`] /
+/// [`MlChain::resume_step`], one layer up). The caller keeps the chain
+/// and the lease between calls; every [`step`](Self::step) takes the
+/// lease the serve started with.
+pub struct Serve {
+    rho: usize,
+    /// Kernel steps left in the current leg.
+    steps_left: usize,
+    /// The serve's random substream (see [`leg_seed`]).
+    rng: StdRng,
+    /// The proposal track's end state, while the pairing leg runs.
+    proposal: Option<CoarseSample>,
+}
+
+impl Serve {
+    /// Rewind `chain` to the lease's anchor and seed the proposal leg.
+    pub fn start(chain: &mut MlChain, rho: usize, lease: &LedgerLease) -> Self {
+        let rho = rho.max(1);
+        chain.restore(&lease.anchor);
+        Self {
+            rho,
+            steps_left: rho,
+            rng: leg_rng(lease),
+            proposal: None,
         }
-        chain.current_as_sample()
-    };
-    ServeOutcome::new(proposal, pairing, !merged)
+    }
+
+    /// Advance one kernel step, or finish: a proposal leg that ends on
+    /// a diverged lease switches to the pairing leg by itself.
+    pub fn step(&mut self, chain: &mut MlChain, lease: &LedgerLease) -> ServeStep {
+        if self.steps_left == 0 {
+            let end = chain.current_as_sample();
+            if let Some(proposal) = self.proposal.take() {
+                return ServeStep::Done(ServeOutcome::new(proposal, end, true));
+            }
+            let Some(pairing) = lease.pairing.as_ref().filter(|_| !lease.merged()) else {
+                // merged: one run serves both tracks
+                return ServeStep::Done(ServeOutcome::new(end.clone(), end, false));
+            };
+            // pairing track: continue the autonomous subchain from the
+            // last pairing state, re-using the substream
+            self.proposal = Some(end);
+            self.steps_left = self.rho;
+            self.rng = leg_rng(lease);
+            chain.restore(pairing);
+        }
+        match chain.poll_step(&mut self.rng) {
+            StepOutcome::Done(_) => {
+                self.steps_left -= 1;
+                ServeStep::Stepped
+            }
+            StepOutcome::NeedCoarse => ServeStep::NeedCoarse,
+        }
+    }
+
+    /// Finish the step that returned [`ServeStep::NeedCoarse`] with the
+    /// coarse sample obtained out of band.
+    pub fn resume(&mut self, chain: &mut MlChain, coarse: CoarseSample) {
+        chain.resume_step(&mut self.rng, coarse);
+        self.steps_left -= 1;
+    }
+}
+
+/// The driving substream of the lease's serve.
+fn leg_rng(lease: &LedgerLease) -> StdRng {
+    StdRng::seed_from_u64(leg_seed(lease.session_seed, lease.serves))
+}
+
+/// Execute one ledger serve on `chain` (the serving chain for the
+/// lease's coarse level), advancing `rho` kernel steps per track: a
+/// [`Serve`] driven to the end. The chain is left at the end of the last
+/// leg — the sequential source's chain exists only to serve; a parallel
+/// controller, whose chain has its own trajectory, drives a [`Serve`]
+/// itself and restores its state afterwards. Restores use the cached
+/// densities/QOIs inside the lease samples, never the forward model.
+///
+/// # Panics
+/// Panics if `chain`'s coarse source is asynchronous.
+pub fn serve(chain: &mut MlChain, rho: usize, lease: &LedgerLease) -> ServeOutcome {
+    let mut serve = Serve::start(chain, rho, lease);
+    loop {
+        match serve.step(chain, lease) {
+            ServeStep::Stepped => {}
+            ServeStep::NeedCoarse => panic!("ledger::serve: asynchronous coarse source"),
+            ServeStep::Done(outcome) => return outcome,
+        }
+    }
 }
 
 /// Aggregate ledger statistics (kept by the phonebooks, reported with
@@ -259,17 +328,6 @@ impl LedgerStats {
             0.0
         } else {
             self.spec_hits as f64 / self.serves as f64
-        }
-    }
-
-    /// Wasted speculative serve-legs per committed serve (the extra
-    /// server work speculation spends on discards) — the DES `spec_waste`
-    /// input.
-    pub fn waste_per_serve(&self) -> f64 {
-        if self.serves == 0 {
-            0.0
-        } else {
-            self.spec_launched.saturating_sub(self.spec_hits) as f64 / self.serves as f64
         }
     }
 }
@@ -474,7 +532,7 @@ impl LedgerBook {
             return;
         }
         // a serve counts only once its write-back commits (poisoned or
-        // dead-generation serves never inflate hit_rate/waste_per_serve)
+        // dead-generation serves never inflate hit_rate)
         self.stats.serves += 1;
         self.stats.diverged += usize::from(outcome.diverged);
         session.serves = serves;
@@ -751,7 +809,7 @@ impl LedgerBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupled::MlChain;
+    use crate::coupled::{ChainCoarseSource, CoarseProposalSource, MlChain, PendingCoarseSource};
     use uq_mcmc::problem::GaussianTarget;
     use uq_mcmc::proposal::GaussianRandomWalk;
 
@@ -879,6 +937,88 @@ mod tests {
         assert_ne!(oa.proposal.theta, ob.proposal.theta);
     }
 
+    /// A level-1 chain over `source`, on top of [`base_chain`]`(0.3, 0.8)`.
+    fn level1(source: Box<dyn CoarseProposalSource>) -> MlChain {
+        MlChain::coupled(
+            1,
+            Box::new(GaussianTarget::new(vec![0.4], 0.6)),
+            source,
+            Box::new(GaussianRandomWalk::new(0.5)),
+            1,
+            vec![0.0],
+        )
+    }
+
+    fn blocking_source() -> ChainCoarseSource {
+        ChainCoarseSource::new(base_chain(0.3, 0.8), 3).with_session_seed(0xC0FFEE)
+    }
+
+    /// Every word of a sample, through its sub-anchor and mate.
+    fn words(s: &CoarseSample) -> Vec<u64> {
+        let mut w: Vec<u64> = s
+            .theta
+            .iter()
+            .chain([&s.log_density])
+            .chain(s.qoi.iter())
+            .map(|x| x.to_bits())
+            .collect();
+        for inner in [&s.sub_anchor, &s.mate] {
+            w.push(u64::from(inner.is_some()));
+            w.extend(inner.iter().flat_map(|i| words(i)));
+        }
+        w
+    }
+
+    #[test]
+    fn a_suspended_serve_equals_the_blocking_serve_bit_for_bit() {
+        // anchor and pairing state come from a third stack, so the
+        // sessions of the two under test start untouched
+        let mut walker = level1(Box::new(blocking_source()));
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut after = |steps: usize| {
+            for _ in 0..steps {
+                walker.step(&mut rng);
+            }
+            walker.current_as_sample()
+        };
+        let merged = LedgerLease::fresh(session_seed(7, 1, 2), after(20));
+        let diverged = LedgerLease {
+            serves: 5,
+            pairing: Some(after(20)),
+            ..merged.clone()
+        };
+        assert!(!diverged.merged());
+        let rho = 4;
+        for lease in [merged, diverged] {
+            let expected = serve(&mut level1(Box::new(blocking_source())), rho, &lease);
+            // the same serve on a chain whose every step suspends, each
+            // nested request answered by a twin of the blocking source
+            let coarse_problem = GaussianTarget::new(vec![0.3], 0.8);
+            let mut chain = level1(Box::new(PendingCoarseSource::new(Box::new(coarse_problem))));
+            let mut twin = blocking_source();
+            let mut nested = 0;
+            let mut suspended = Serve::start(&mut chain, rho, &lease);
+            let outcome = loop {
+                match suspended.step(&mut chain, &lease) {
+                    ServeStep::Stepped => {}
+                    ServeStep::NeedCoarse => {
+                        nested += 1;
+                        let anchor = chain.anchor().expect("a coupled chain").clone();
+                        suspended.resume(&mut chain, twin.next_coarse(&mut rng, &anchor));
+                    }
+                    ServeStep::Done(outcome) => break outcome,
+                }
+            };
+            let legs = if lease.merged() { 1 } else { 2 };
+            assert_eq!(nested, legs * rho, "every level-1 kernel step asks once");
+            assert_eq!(outcome.diverged, expected.diverged);
+            assert_eq!(outcome.diverged, !lease.merged());
+            // the proposal's words include its mate's
+            assert_eq!(words(&outcome.proposal), words(&expected.proposal));
+            assert_eq!(words(&outcome.pairing), words(&expected.pairing));
+        }
+    }
+
     #[test]
     fn seeds_are_distinct_across_sessions_and_serves() {
         let s1 = session_seed(9, 0, 4);
@@ -902,13 +1042,11 @@ mod tests {
     fn stats_report_hit_rate_and_waste() {
         let mut s = LedgerStats::default();
         assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.waste_per_serve(), 0.0);
         s.serves = 10;
         s.spec_launched = 6;
         s.spec_hits = 4;
         s.spec_misses = 2;
         assert!((s.hit_rate() - 0.4).abs() < 1e-12);
-        assert!((s.waste_per_serve() - 0.2).abs() < 1e-12);
     }
 
     /// Drive one full speculation round through a [`LedgerBook`]:

@@ -281,8 +281,9 @@ impl Counter {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Duration of one ledger serve (µs) — real and speculative; fed
-    /// automatically from `Serve`/`Speculate` spans.
+    /// Duration of one kernel step of a ledger serve leg (µs) — real and
+    /// speculative; fed automatically from `Serve`/`Speculate` spans, one
+    /// per step, so a serve contributes `ρ` observations per leg.
     ServeLatency,
     /// Requester-side wait between issuing a coarse request and the
     /// sample's arrival (µs).

@@ -16,7 +16,9 @@
 //!   suspends at `StepOutcome::NeedCoarse`; the controller sends the
 //!   `CoarseRequest` itself, returns a wait predicate and finishes the
 //!   step via `MlChain::resume_step` when the sample (or a teardown
-//!   poison) arrives. No OS thread blocks on a chain's behalf.
+//!   poison) arrives. A ledger serve suspends the same way: the
+//!   controller drives a [`ledger::Serve`] one kernel step per poll.
+//!   No OS thread blocks on a chain's behalf.
 //! * **Batched phonebook routing.** The phonebook drains *every* queued
 //!   message per wakeup and routes the whole batch in one pass; batch
 //!   sizes are reported in [`PhonebookStats`] (`scaling_live`'s
@@ -43,7 +45,7 @@ use uq_mcmc::proposal::GaussianRandomWalk;
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::counting::{EvalCounter, EvalHook, Hooked};
 use uq_mlmcmc::coupled::{build_chain, CoarseSample, MlChain, PendingCoarseSource, StepOutcome};
-use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats};
+use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats, ServeStep};
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
 
@@ -682,37 +684,53 @@ impl<'a> PhonebookRank<'a> {
         }
         self.last_ready_at[level] = now;
         if let Some((reply_to, anchor)) = self.pending[level].pop_front() {
-            let lease = self
-                .ledger
-                .lease(self.config.base.seed, level, reply_to, *anchor);
-            self.in_flight += 1;
-            ctx.send(
-                server,
-                Msg::Serve {
-                    reply_to,
-                    lease,
-                    speculative: false,
-                },
-            );
-            self.stats.routed += 1;
-        } else if self.speculation_allowed() {
-            match self.ledger.speculative_lease(level) {
-                Some((requester, lease)) => {
-                    self.in_flight += 1;
-                    ctx.send(
-                        server,
-                        Msg::Serve {
-                            reply_to: requester,
-                            lease,
-                            speculative: true,
-                        },
-                    );
-                }
-                None => self.ready[level].push_back(server),
-            }
-        } else {
+            self.route(ctx, server, level, reply_to, *anchor);
+        } else if !(self.speculation_allowed() && self.speculate(ctx, server, level)) {
             self.ready[level].push_back(server);
         }
+    }
+
+    /// Lease the next real serve of `reply_to`'s session on `level` and
+    /// send it to `server`.
+    fn route(
+        &mut self,
+        ctx: &VCtx<'_, Msg>,
+        server: usize,
+        level: usize,
+        reply_to: usize,
+        anchor: CoarseSample,
+    ) {
+        let lease = self
+            .ledger
+            .lease(self.config.base.seed, level, reply_to, anchor);
+        self.in_flight += 1;
+        ctx.send(
+            server,
+            Msg::Serve {
+                reply_to,
+                lease,
+                speculative: false,
+            },
+        );
+        self.stats.routed += 1;
+    }
+
+    /// Send `server` an accept-case speculation on `level`, if the book
+    /// has a candidate; `false` if it has none.
+    fn speculate(&mut self, ctx: &VCtx<'_, Msg>, server: usize, level: usize) -> bool {
+        let Some((requester, lease)) = self.ledger.speculative_lease(level) else {
+            return false;
+        };
+        self.in_flight += 1;
+        ctx.send(
+            server,
+            Msg::Serve {
+                reply_to: requester,
+                lease,
+                speculative: true,
+            },
+        );
+        true
     }
 }
 
@@ -747,36 +765,13 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
                         // candidate; pair it with a parked server
                         if self.speculation_allowed() {
                             if let Some(server) = self.ready[level].pop_front() {
-                                match self.ledger.speculative_lease(level) {
-                                    Some((requester, lease)) => {
-                                        self.in_flight += 1;
-                                        ctx.send(
-                                            server,
-                                            Msg::Serve {
-                                                reply_to: requester,
-                                                lease,
-                                                speculative: true,
-                                            },
-                                        );
-                                    }
-                                    None => self.ready[level].push_front(server),
+                                if !self.speculate(ctx, server, level) {
+                                    self.ready[level].push_front(server);
                                 }
                             }
                         }
                     } else if let Some(server) = self.ready[level].pop_front() {
-                        let lease =
-                            self.ledger
-                                .lease(self.config.base.seed, level, reply_to, *anchor);
-                        self.in_flight += 1;
-                        ctx.send(
-                            server,
-                            Msg::Serve {
-                                reply_to,
-                                lease,
-                                speculative: false,
-                            },
-                        );
-                        self.stats.routed += 1;
+                        self.route(ctx, server, level, reply_to, *anchor);
                     } else {
                         self.pending[level].push_back((reply_to, anchor));
                     }
@@ -982,43 +977,21 @@ impl VirtualRank<Msg> for CollectorRank {
 // controller
 // ---------------------------------------------------------------------
 
-/// Which leg of a ledger serve the controller is executing.
-enum ServeLeg {
-    /// The exactness rewind from the requester's anchor.
-    Proposal,
-    /// The autonomous pairing track from the session's last state.
-    Pairing,
-}
-
-/// An in-progress ledger serve: the controller's chain is temporarily
-/// rewound to the lease's states and advanced `ρ` steps per leg; nested
-/// coarse requests suspend the job like an ordinary coupled step.
-/// `speculative` jobs execute the identical pure function of the lease —
-/// through every suspension, batched drain and work-stealing migration —
-/// but conclude by shipping the outcome to the phonebook's speculation
-/// store instead of to `reply_to`.
+/// A ledger serve in progress on the controller's chain: the serve
+/// itself ([`ledger::Serve`]) and what the controller keeps around it.
+/// Nested coarse requests suspend the job like an ordinary coupled
+/// step. `speculative` jobs execute the identical pure function of the
+/// lease — through every suspension, batched drain and work-stealing
+/// migration — but conclude by shipping the outcome to the phonebook's
+/// speculation store instead of to `reply_to`.
 struct ServeJob {
     reply_to: usize,
-    lease: LedgerLease,
-    leg: ServeLeg,
-    steps_left: usize,
-    /// The serve's derived random substream (see `ledger::leg_seed`).
-    rng: StdRng,
-    /// The controller's own trajectory, restored when the serve ends.
-    snapshot: CoarseSample,
-    proposal: Option<CoarseSample>,
     /// Accept-case precomputation on the phonebook's behalf.
     speculative: bool,
-}
-
-/// What the controller's single outstanding coarse request (if any)
-/// belongs to — its own suspended step or the active serve job's nested
-/// step. At most one is in flight, so fulfillments route unambiguously.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Await {
-    None,
-    OwnStep,
-    ServeStep,
+    lease: LedgerLease,
+    /// The controller's own trajectory, restored when the serve ends.
+    snapshot: CoarseSample,
+    serve: ledger::Serve,
 }
 
 pub(crate) struct ControllerRank<'a> {
@@ -1036,10 +1009,14 @@ pub(crate) struct ControllerRank<'a> {
     pending_serves: VecDeque<(usize, Box<LedgerLease>, bool)>,
     serve_job: Option<ServeJob>,
     announced: bool,
-    awaiting: Await,
+    /// A coarse request is outstanding: the suspended step is the serve
+    /// job's if there is one, else our own chain's. At every poll
+    /// boundary `serve_job.is_some()` implies this — a serve runs until
+    /// it suspends or completes.
+    awaiting: bool,
     /// Epoch time the outstanding coarse request was issued (feeds the
-    /// request-wait histogram on fulfillment; meaningless when
-    /// `awaiting == Await::None` or tracing is off).
+    /// request-wait histogram on fulfillment; meaningless when not
+    /// `awaiting` or tracing is off).
     await_since: f64,
     /// Own stepping suspended for an in-flight checkpoint (serving
     /// continues, so requesters still reach their own clean boundaries).
@@ -1077,7 +1054,7 @@ impl<'a> ControllerRank<'a> {
             pending_serves: VecDeque::new(),
             serve_job: None,
             announced: false,
-            awaiting: Await::None,
+            awaiting: false,
             await_since: 0.0,
             paused: false,
             pause_start: 0.0,
@@ -1104,20 +1081,19 @@ impl<'a> ControllerRank<'a> {
         self.producing = !self.done_levels[self.level];
         self.serve_job = None;
         self.announced = false;
-        self.awaiting = Await::None;
+        self.awaiting = false;
     }
 
-    fn rho(&self) -> usize {
-        self.factory.subsampling_rate(self.level).max(1)
-    }
-
-    /// Trace span for the next chain step — burn-in steps show up as
-    /// `Burnin` (Fig. 9's yellow boxes).
-    fn span_kind(&self) -> SpanKind {
-        if self.burnin_left > 0 {
-            SpanKind::Burnin { level: self.level }
-        } else {
-            SpanKind::Eval { level: self.level }
+    /// Trace span for the next kernel step: a serve's, else our own
+    /// chain's — burn-in steps show up as `Burnin` (Fig. 9's yellow
+    /// boxes).
+    fn span_kind(&self, job: Option<&ServeJob>) -> SpanKind {
+        let level = self.level;
+        match job {
+            Some(job) if job.speculative => SpanKind::Speculate { level },
+            Some(_) => SpanKind::Serve { level },
+            None if self.burnin_left > 0 => SpanKind::Burnin { level },
+            None => SpanKind::Eval { level },
         }
     }
 
@@ -1148,91 +1124,57 @@ impl<'a> ControllerRank<'a> {
         self.burnin_left > 0 || self.producing
     }
 
-    /// Begin a ledger serve: snapshot our trajectory, rewind to the
-    /// lease's anchor, and set up the proposal leg's substream.
-    fn start_serve(&mut self, reply_to: usize, lease: LedgerLease, speculative: bool) {
-        let snapshot = self.chain.current_as_sample();
-        let rng = StdRng::seed_from_u64(ledger::leg_seed(lease.session_seed, lease.serves));
-        self.chain.restore(&lease.anchor);
-        self.serve_job = Some(ServeJob {
-            reply_to,
-            lease,
-            leg: ServeLeg::Proposal,
-            steps_left: self.rho(),
-            rng,
-            snapshot,
-            proposal: None,
-            speculative,
-        });
+    /// Send the coarse request of the step that just suspended — our own
+    /// or the serve job's nested one — and wait for its sample.
+    fn request_coarse(&mut self, ctx: &VCtx<'_, Msg>) -> Poll<Msg, RoleOut> {
+        let want = self.level - 1;
+        let anchor = self.chain.anchor().expect("coupled chain has an anchor");
+        ctx.send(
+            PHONEBOOK,
+            Msg::CoarseRequest {
+                level: want,
+                reply_to: self.rank,
+                anchor: Box::new(anchor.clone()),
+            },
+        );
+        self.awaiting = true;
+        self.await_since = self.tracer.now();
+        Poll::Wait(coarse_wait_pred(want))
     }
 
-    /// Drive the active serve job until it suspends on a nested coarse
-    /// request (`Some(wait predicate)`) or completes (`None`).
-    fn drive_serve(&mut self, ctx: &mut VCtx<'_, Msg>) -> Option<crate::runtime::WaitPred<Msg>> {
-        let mut job = self.serve_job.take().expect("drive_serve: active job");
+    /// Begin a ledger serve: snapshot our trajectory, then start the
+    /// serve (which rewinds the chain to the lease's anchor).
+    fn start_serve(&mut self, reply_to: usize, lease: LedgerLease, speculative: bool) -> ServeJob {
+        let snapshot = self.chain.current_as_sample();
+        let rho = self.factory.subsampling_rate(self.level);
+        let serve = ledger::Serve::start(&mut self.chain, rho, &lease);
+        ServeJob {
+            reply_to,
+            speculative,
+            lease,
+            snapshot,
+            serve,
+        }
+    }
+
+    /// Drive `job` until its serve suspends on a nested coarse request
+    /// (the job is parked in `serve_job`) or completes.
+    fn drive_serve(&mut self, ctx: &mut VCtx<'_, Msg>, mut job: ServeJob) -> Poll<Msg, RoleOut> {
         loop {
-            if job.steps_left == 0 {
-                match job.leg {
-                    ServeLeg::Proposal => {
-                        let proposal = self.chain.current_as_sample();
-                        if job.lease.merged() {
-                            // one run serves both tracks while the
-                            // requester keeps accepting
-                            self.finish_serve(ctx, &job, proposal.clone(), proposal, false);
-                            return None;
-                        }
-                        job.proposal = Some(proposal);
-                        job.leg = ServeLeg::Pairing;
-                        job.steps_left = self.rho();
-                        // common random numbers: the pairing leg re-uses
-                        // the serve's substream
-                        job.rng = StdRng::seed_from_u64(ledger::leg_seed(
-                            job.lease.session_seed,
-                            job.lease.serves,
-                        ));
-                        let pairing = job.lease.pairing.as_ref().expect("diverged lease");
-                        self.chain.restore(pairing);
-                        continue;
-                    }
-                    ServeLeg::Pairing => {
-                        let pairing = self.chain.current_as_sample();
-                        let proposal = job.proposal.take().expect("pairing leg has proposal");
-                        self.finish_serve(ctx, &job, proposal, pairing, true);
-                        return None;
-                    }
-                }
-            }
+            let span = self.span_kind(Some(&job));
             let serve_start = self.tracer.now();
-            match self.chain.poll_step(&mut job.rng) {
-                StepOutcome::Done(_) => {
-                    let kind = if job.speculative {
-                        SpanKind::Speculate { level: self.level }
-                    } else {
-                        SpanKind::Serve { level: self.level }
-                    };
+            match job.serve.step(&mut self.chain, &job.lease) {
+                ServeStep::Stepped => {
                     self.tracer
-                        .record(self.rank, kind, serve_start, self.tracer.now());
-                    job.steps_left -= 1;
+                        .record(self.rank, span, serve_start, self.tracer.now());
                 }
-                StepOutcome::NeedCoarse => {
-                    let want = self.level - 1;
-                    let anchor = self
-                        .chain
-                        .anchor()
-                        .expect("serving coupled chain has an anchor")
-                        .clone();
-                    ctx.send(
-                        PHONEBOOK,
-                        Msg::CoarseRequest {
-                            level: want,
-                            reply_to: self.rank,
-                            anchor: Box::new(anchor),
-                        },
-                    );
-                    self.awaiting = Await::ServeStep;
-                    self.await_since = self.tracer.now();
+                ServeStep::NeedCoarse => {
                     self.serve_job = Some(job);
-                    return Some(coarse_wait_pred(want));
+                    return self.request_coarse(ctx);
+                }
+                ServeStep::Done(outcome) => {
+                    self.finish_serve(ctx, &job, outcome);
+                    return Poll::Ready;
                 }
             }
         }
@@ -1243,16 +1185,8 @@ impl<'a> ControllerRank<'a> {
     /// in which case nobody asked — and send the phonebook the single
     /// batched `ServeDone` (write-back or speculative outcome plus the
     /// availability re-announce).
-    fn finish_serve(
-        &mut self,
-        ctx: &VCtx<'_, Msg>,
-        job: &ServeJob,
-        proposal: CoarseSample,
-        pairing: CoarseSample,
-        diverged: bool,
-    ) {
+    fn finish_serve(&mut self, ctx: &VCtx<'_, Msg>, job: &ServeJob, outcome: ledger::ServeOutcome) {
         self.chain.restore(&job.snapshot);
-        let outcome = ledger::ServeOutcome::new(proposal, pairing, diverged);
         // the write-back MUST be enqueued before the requester's
         // proposal: program order plus per-destination FIFO then
         // guarantee the phonebook applies it before the requester's
@@ -1282,7 +1216,6 @@ impl<'a> ControllerRank<'a> {
         }
         self.tracer.incr(Counter::Serves);
         self.announced = true;
-        self.awaiting = Await::None;
     }
 
     /// Teardown: poison outstanding real serve requests (speculative
@@ -1321,11 +1254,11 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
     type Output = RoleOut;
 
     fn poll(&mut self, ctx: &mut VCtx<'_, Msg>) -> Poll<Msg, RoleOut> {
-        // 1. control messages. While a coarse request or a serve job is
-        //    in flight, `Reassign` and `Checkpoint` stay buffered:
-        //    in-flight work finishes before the chain is rebuilt or
-        //    captured.
-        let busy = self.awaiting != Await::None || self.serve_job.is_some();
+        // 1. control messages. While a coarse request (and with it any
+        //    serve job) is in flight, `Reassign` and `Checkpoint` stay
+        //    buffered: in-flight work finishes before the chain is
+        //    rebuilt or captured.
+        let busy = self.awaiting;
         while let Some(env) = ctx.try_recv_match(|e| {
             matches!(
                 e.msg,
@@ -1405,9 +1338,9 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
         }
 
         // 2. fulfill the single outstanding coarse request if its sample
-        //    arrived — either our own suspended step or the serve job's
-        //    nested step
-        if self.awaiting != Await::None {
+        //    arrived — the serve job's nested step if there is a job,
+        //    else our own suspended step
+        if self.awaiting {
             let want_level = self.level - 1;
             let Some(env) = ctx.try_recv_match(|e| {
                 matches!(&e.msg, Msg::CoarseSample { level, .. } if *level == want_level)
@@ -1423,54 +1356,33 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                 Hist::RequestWait,
                 (self.tracer.now() - self.await_since) * 1e6,
             );
-            match self.awaiting {
-                Await::OwnStep => {
-                    self.awaiting = Await::None;
-                    let span = self.span_kind();
-                    let eval_start = self.tracer.now();
+            self.awaiting = false;
+            let mut job = self.serve_job.take();
+            let span = self.span_kind(job.as_ref());
+            let eval_start = self.tracer.now();
+            match &mut job {
+                Some(job) => job.serve.resume(&mut self.chain, coarse),
+                None => {
                     self.chain.resume_step(&mut self.rng, coarse);
-                    self.tracer
-                        .record(self.rank, span, eval_start, self.tracer.now());
-                    self.post_step(ctx);
-                    return Poll::Ready;
                 }
-                Await::ServeStep => {
-                    self.awaiting = Await::None;
-                    let job = self.serve_job.as_mut().expect("nested step has a job");
-                    let serve_start = self.tracer.now();
-                    self.chain.resume_step(&mut job.rng, coarse);
-                    let kind = if job.speculative {
-                        SpanKind::Speculate { level: self.level }
-                    } else {
-                        SpanKind::Serve { level: self.level }
-                    };
-                    self.tracer
-                        .record(self.rank, kind, serve_start, self.tracer.now());
-                    job.steps_left -= 1;
-                    return match self.drive_serve(ctx) {
-                        Some(wait) => Poll::Wait(wait),
-                        None => Poll::Ready,
-                    };
-                }
-                Await::None => unreachable!(),
             }
+            self.tracer
+                .record(self.rank, span, eval_start, self.tracer.now());
+            return match job {
+                Some(job) => self.drive_serve(ctx, job),
+                None => {
+                    self.post_step(ctx);
+                    Poll::Ready
+                }
+            };
         }
 
         // 3. a requester is suspended on every queued serve: run ledger
         //    serves before our own chain
-        if self.serve_job.is_some() {
-            return match self.drive_serve(ctx) {
-                Some(wait) => Poll::Wait(wait),
-                None => Poll::Ready,
-            };
-        }
         if self.burnin_left == 0 {
             if let Some((reply_to, lease, speculative)) = self.pending_serves.pop_front() {
-                self.start_serve(reply_to, *lease, speculative);
-                return match self.drive_serve(ctx) {
-                    Some(wait) => Poll::Wait(wait),
-                    None => Poll::Ready,
-                };
+                let job = self.start_serve(reply_to, *lease, speculative);
+                return self.drive_serve(ctx, job);
             }
             if !self.announced && !self.is_top() {
                 // availability token: ρ is enforced inside the ledger
@@ -1484,7 +1396,7 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
         //    paused for a checkpoint — the captured state must stay the
         //    state the snapshot resumes from)
         if self.want_step() && !self.paused {
-            let span = self.span_kind();
+            let span = self.span_kind(None);
             let eval_start = self.tracer.now();
             match self.chain.poll_step(&mut self.rng) {
                 StepOutcome::Done(_) => {
@@ -1493,24 +1405,7 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                     self.post_step(ctx);
                     Poll::Ready
                 }
-                StepOutcome::NeedCoarse => {
-                    self.awaiting = Await::OwnStep;
-                    self.await_since = self.tracer.now();
-                    let anchor = self
-                        .chain
-                        .anchor()
-                        .expect("coupled chain has an anchor")
-                        .clone();
-                    ctx.send(
-                        PHONEBOOK,
-                        Msg::CoarseRequest {
-                            level: self.level - 1,
-                            reply_to: self.rank,
-                            anchor: Box::new(anchor),
-                        },
-                    );
-                    Poll::Wait(coarse_wait_pred(self.level - 1))
-                }
+                StepOutcome::NeedCoarse => self.request_coarse(ctx),
             }
         } else {
             // idle: any message may change the situation

@@ -323,12 +323,6 @@ impl<'a, M: Send> VCtx<'a, M> {
         let pos = self.buffer.iter().position(&mut pred)?;
         self.buffer.remove(pos)
     }
-
-    /// Put a message back at the front of the buffer (next to be
-    /// returned by `try_recv`).
-    pub fn unrecv(&mut self, env: Envelope<M>) {
-        self.buffer.push_front(env);
-    }
 }
 
 /// Counters describing one runtime execution. The stats returned by
@@ -973,41 +967,6 @@ pub(crate) mod tests {
             second.stats,
             first.stats
         );
-    }
-
-    #[test]
-    fn unrecv_requeues_at_front() {
-        struct Requeue {
-            sent: bool,
-        }
-        impl VirtualRank<TestMsg> for Requeue {
-            type Output = usize;
-            fn poll(&mut self, ctx: &mut VCtx<'_, TestMsg>) -> Poll<TestMsg, usize> {
-                if ctx.rank() == 1 {
-                    if !self.sent {
-                        self.sent = true;
-                        ctx.send(0, TestMsg::Token(1));
-                        ctx.send(0, TestMsg::Token(2));
-                    }
-                    return Poll::Exit(0);
-                }
-                match ctx.try_recv_match(|e| matches!(e.msg, TestMsg::Token(2))) {
-                    Some(env) => {
-                        ctx.unrecv(env);
-                        // Token(1) was buffered first, but the unrecv'd
-                        // Token(2) jumps the queue
-                        let TestMsg::Token(v) = ctx.try_recv().expect("front").msg else {
-                            panic!("expected token")
-                        };
-                        Poll::Exit(v)
-                    }
-                    None => Poll::Wait(Box::new(|e| matches!(e.msg, TestMsg::Token(2)))),
-                }
-            }
-        }
-        for run in under_both(1, 2, |_, _| Box::new(Requeue { sent: false })) {
-            assert_eq!(run.results[0], 2);
-        }
     }
 
     /// Messages for the interleaving tests, mirroring the scheduler's

@@ -357,10 +357,11 @@ impl Service {
         self.inner.cancel(job)
     }
 
-    /// Request graceful preemption of a *running* job: its `ServeJob`s
-    /// are suspended at the next quiesce barrier, the snapshot persists
-    /// and the job parks as [`JobState::Preempted`]. Returns `false`
-    /// unless the job is currently `Running`.
+    /// Request graceful preemption of a *running* job: it stops at its
+    /// next quiesce barrier, which drains every in-flight serve first
+    /// (nothing is suspended), the snapshot persists and the job parks
+    /// as [`JobState::Preempted`]. Returns `false` unless the job is
+    /// currently `Running`.
     pub fn preempt(&self, job: JobId) -> bool {
         self.inner.preempt(job)
     }
