@@ -3,40 +3,27 @@
 //! One **driver** process hosts the fixed ranks (root, phonebook,
 //! collectors) plus any controller remainder; each **worker** process
 //! hosts a contiguous block of controller ranks. Every process runs the
-//! [`crate::roles`] machines of its ranks on a worker pool, as a
-//! [`Placement::Pool`] does for a whole universe; the driver end is a
-//! placement of the same [`Run`] ([`Placement::Net`]), the worker end is
-//! [`net_worker`]. The transport only takes the sends to ranks hosted
-//! elsewhere (the pool's relay), carrying them as length-prefixed, checksummed
-//! frames over per-peer sockets, so a net run in the deterministic
-//! regime is bit-for-bit digest-identical to the in-process runs (pinned
-//! by `tests/net_conformance.rs`). A process runs O(cores) threads — the
-//! pool, one socket writer, one reader per peer — however many ranks it
-//! hosts.
+//! [`crate::roles`] machines of its ranks on a worker pool: the driver
+//! end is a placement of a [`Run`] ([`Placement::Net`]), the worker end
+//! [`net_worker`]. The transport only carries the sends to ranks hosted
+//! elsewhere, as checked frames over per-peer sockets, so a net run in
+//! the deterministic regime is digest-identical to the in-process runs
+//! (`tests/net_conformance.rs`).
 //!
-//! Ordering is the load-bearing invariant: the role protocol relies on
-//! per-destination FIFO *and* on one cross-destination program-order
-//! guarantee (a server's `ServeDone` to the phonebook is sent before the
-//! requester's `CoarseSample`, so a session write-back always lands
-//! before the next request against it). The transport preserves full
-//! sender program order across destinations by funnelling every remote
-//! send through a single relay channel per process into a single socket
-//! — TCP then keeps that order, and the receiving side delivers frames
-//! into the pool's rank slots in arrival order from a single reader
-//! thread.
+//! Each end moves frames the same way: every frame a process sends — its
+//! ranks' and the forwards its readers pass on — goes through one channel
+//! to one writer thread, and one reader thread per socket delivers into
+//! the pool in arrival order. TCP keeps the rest, so each sender's full
+//! program order across destinations holds (the role protocol relies on
+//! it: a `ServeDone` lands before the `CoarseSample` sent after it). A
+//! process runs O(cores) threads however many ranks it hosts.
 //!
-//! Who hosts which rank is fixed for the length of a **segment**: an
-//! ordinary [`Run`] from `Assign` to the last `Bye`, on wire threads of
-//! its own. A membership change — a worker's planned departure, a joiner
-//! given ranks — is the one way a rank ever moves: the segment stops at
-//! the checkpoint barrier where the change is due, exactly as a preempted
-//! run stops, and the next segment resumes *every* rank from that
-//! barrier's [`RunSnapshot`] on the new routes table. Nothing migrates
-//! inside a running universe. See `DESIGN.md` §9.
-//!
-//! Failure semantics are fail-stop: a peer socket dying outside a
-//! planned departure aborts the run (the snapshot store is the recovery
-//! path), it is never silently dropped.
+//! Who hosts which rank is fixed for a **segment**, an ordinary [`Run`]
+//! from `Assign` to the last `Bye`: a membership change stops the run at
+//! a checkpoint barrier and the next segment resumes every rank from
+//! that barrier's [`RunSnapshot`]. A socket that dies outside a planned
+//! departure stops the whole run (fail-stop; the snapshot store is the
+//! recovery path). See `DESIGN.md` §9.
 
 use crate::obs::{Counter, Tracer};
 use crate::roles::{
@@ -46,13 +33,14 @@ use crate::runtime::{Envelope, Runtime, Shared};
 use crate::scheduler::{
     CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
 };
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uq_mlmcmc::ledger::PairingMode;
@@ -496,13 +484,132 @@ pub fn report_digest(report: &ParallelReport) -> u64 {
 }
 
 // ---------------------------------------------------------------------
+// The wire: one writer thread, one reader per socket
+// ---------------------------------------------------------------------
+
+/// Start one of the net's threads: a writer, a reader or the acceptor.
+fn spawn<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
+    let named = std::thread::Builder::new().name(name.into());
+    named.spawn(f).expect("net: thread spawn failed")
+}
+
+/// Wait for a net thread; if it failed stop, its panic goes on here.
+fn join<T>(thread: JoinHandle<T>) -> T {
+    thread.join().unwrap_or_else(|panic| resume_unwind(panic))
+}
+
+/// One process's end of a segment: one writer, one reader per socket.
+struct Wire {
+    /// This end and the other, as a fail-stop names them.
+    ends: [&'static str; 2],
+    sockets: Vec<Arc<TcpStream>>,
+    /// The socket behind each rank; `None`: hosted here.
+    routes: Vec<Option<usize>>,
+    /// To the writer: a socket and its frame; `None` ends it.
+    outbox: Sender<Option<(usize, Frame)>>,
+    /// Every rank hosted here has exited: a reader returns what ends its
+    /// socket and a failed write is a dropped send; before, both fail stop.
+    end_expected: AtomicBool,
+    dropped: AtomicUsize,
+    tracer: Tracer,
+}
+
+impl Wire {
+    /// The wire of `sockets`, its writer running, and the mailboxes of the
+    /// ranks `routes` leaves here, hosted on `runtime`.
+    fn start(
+        runtime: &Runtime,
+        ends: [&'static str; 2],
+        sockets: Vec<Arc<TcpStream>>,
+        routes: impl Iterator<Item = Option<usize>>,
+        tracer: &Tracer,
+    ) -> (Arc<Self>, Arc<Shared<Msg>>, JoinHandle<()>) {
+        let routes: Vec<_> = routes.collect();
+        let n_ranks = routes.len();
+        let hosted: Vec<usize> = (0..n_ranks).filter(|&r| routes[r].is_none()).collect();
+        let (outbox, outgoing) = crossbeam::channel::unbounded();
+        let wire = Arc::new(Self {
+            ends,
+            sockets,
+            routes,
+            outbox,
+            end_expected: AtomicBool::new(false),
+            dropped: AtomicUsize::new(0),
+            tracer: tracer.clone(),
+        });
+        let writer = Arc::clone(&wire);
+        let writer = spawn("uq-net-writer", move || writer.write(outgoing));
+        // the pool relays only the ranks it does not host: routed ones
+        let relay = Arc::clone(&wire);
+        let relay = move |to: usize, Envelope { from, msg }: Envelope<Msg>| {
+            if let Some(i) = relay.routes[to] {
+                relay.send(i, Frame::Data { to, from, msg });
+            }
+        };
+        let pool = runtime.host(n_ranks, hosted, Box::new(relay), tracer.steal_probe());
+        (wire, pool, writer)
+    }
+
+    /// Queue `frame` for socket `i` (the writer outlives every sender).
+    fn send(&self, i: usize, frame: Frame) {
+        let _ = self.outbox.send(Some((i, frame)));
+    }
+
+    /// The writer thread: every frame queued, in order, until `None`.
+    fn write(&self, outgoing: Receiver<Option<(usize, Frame)>>) {
+        let [me, peer] = self.ends;
+        for (i, frame) in outgoing.iter().map_while(|queued| queued) {
+            if let Err(e) = write_frame(&mut &*self.sockets[i], &frame, &self.tracer) {
+                let expected = self.end_expected.load(Ordering::Acquire);
+                assert!(expected, "net {me}: write to {peer} failed: {e}");
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Start the reader thread of socket `i`, delivering into `pool`.
+    fn reader(self: &Arc<Self>, i: usize, pool: Arc<Shared<Msg>>) -> JoinHandle<io::Result<Frame>> {
+        let wire = Arc::clone(self);
+        spawn("uq-net-reader", move || wire.read(i, &pool))
+    }
+
+    /// Socket `i`'s frames up to its last: `Data` into `pool`, or onto the
+    /// writer's channel for a rank behind another socket. A `Bye` is a
+    /// last frame at any time, anything else only once the end is
+    /// expected: before, it fails stop.
+    fn read(&self, i: usize, pool: &Shared<Msg>) -> io::Result<Frame> {
+        let [me, peer] = self.ends;
+        loop {
+            match read_frame(&mut &*self.sockets[i], &self.tracer) {
+                Ok(Frame::Data { to, from, msg }) => match self.routes.get(to).copied().flatten() {
+                    Some(j) if j != i => self.send(j, Frame::Data { to, from, msg }),
+                    // hosted here — or out of range or back where it came
+                    // from, which the pool counts and drops
+                    _ => pool.deliver(to, Envelope { from, msg }),
+                },
+                Ok(Frame::Bye) => return Ok(Frame::Bye),
+                last if self.end_expected.load(Ordering::Acquire) => return last,
+                Ok(f) => panic!("net {me}: unexpected frame from {peer}: {f:?}"),
+                Err(e) => panic!("net {me}: connection to {peer} lost: {e}"),
+            }
+        }
+    }
+
+    /// End the writer after what is queued; returns the sends dropped.
+    fn finish(&self, writer: JoinHandle<()>) -> usize {
+        let _ = self.outbox.send(None);
+        join(writer);
+        self.dropped.load(Ordering::Relaxed)
+    }
+}
+
+// ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
-/// How long a peer that connected may take to say [`Frame::Hello`] — the
-/// first thing a peer writes after `connect`. One that stays silent is
-/// hung up on: it cannot hold the rendezvous, the listener or (through
-/// the teardown join) a finished run.
+/// How long a peer that connected may take to say [`Frame::Hello`]. One
+/// that stays silent is hung up on: it cannot hold the rendezvous, the
+/// acceptor or (through the teardown join) a finished run.
 const HELLO_DEADLINE: Duration = Duration::from_secs(2);
 
 /// How long a segment waits for a peer at either end of it: for the
@@ -518,40 +625,11 @@ fn read_within(stream: &TcpStream, deadline: Duration, tracer: &Tracer) -> io::R
     frame
 }
 
-/// The `(join, leave_at_barrier)` of a peer that just connected; `None`
-/// — hang up — on anything but a `Hello` within [`HELLO_DEADLINE`].
-fn read_hello(stream: &TcpStream, tracer: &Tracer) -> Option<(bool, Option<u64>)> {
-    match read_within(stream, HELLO_DEADLINE, tracer) {
-        Ok(Frame::Hello {
-            join,
-            leave_at_barrier,
-        }) => Some((join, leave_at_barrier)),
-        _ => None,
-    }
-}
-
-/// One worker connection; its ranks are its own for as long as it is a
-/// member of the universe.
-struct PeerLink {
-    /// Write half, serialized: the router and the downlinks (forwarding
-    /// between workers) both write frames, and interleaved bytes would
-    /// corrupt the stream.
-    writer: Mutex<TcpStream>,
-    /// Read half: a downlink's within a segment, the driver's between two.
-    reader: TcpStream,
-    ranks: Vec<usize>,
+/// A peer that said `Hello`, and its ranks (none while it is queued).
+struct Peer {
+    stream: Arc<TcpStream>,
     leave_at_barrier: Option<u64>,
-}
-
-impl PeerLink {
-    fn new(stream: TcpStream, ranks: Vec<usize>, leave_at_barrier: Option<u64>) -> Arc<Self> {
-        Arc::new(Self {
-            writer: Mutex::new(stream.try_clone().expect("net driver: stream clone failed")),
-            reader: stream,
-            ranks,
-            leave_at_barrier,
-        })
-    }
+    ranks: Vec<usize>,
 }
 
 /// Hang up on a peer between segments: after a `Bye` if it is let go
@@ -563,138 +641,87 @@ fn hang_up(stream: &TcpStream, bye: bool, tracer: &Tracer) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// What the wire threads of one segment share; who hosts what is fixed
-/// for its length.
-struct Segment {
-    /// The slots of the ranks hosted here (and, `Remote`, of the rest).
-    pool: Arc<Shared<Msg>>,
-    /// Which peer (an index into `peers`) hosts each rank; `None`: this
-    /// process.
-    routes: Vec<Option<usize>>,
-    peers: Vec<Arc<PeerLink>>,
-    /// Sends the transport lost (a closed relay, a peer gone at teardown).
-    dropped: Arc<AtomicUsize>,
-    /// Every rank hosted here has exited.
-    closing: AtomicBool,
-    tracer: Tracer,
+/// The peers the acceptor queued: the rendezvous takes its workers from
+/// here, a barrier its joiner.
+#[derive(Default)]
+struct Lobby {
+    queue: Mutex<Queue>,
+    arrived: Condvar,
 }
 
-/// Deliver one message to wherever its destination rank lives.
-fn deliver(seg: &Segment, to: usize, env: Envelope<Msg>) {
-    let Some(i) = seg.routes.get(to).copied().flatten() else {
-        // hosted here — or out of range, which the pool counts and drops
-        return seg.pool.deliver(to, env);
-    };
-    let frame = Frame::Data {
-        to,
-        from: env.from,
-        msg: env.msg,
-    };
-    let res = write_frame(&mut *seg.peers[i].writer.lock(), &frame, &seg.tracer);
-    if let Err(e) = res {
-        assert!(
-            seg.closing.load(Ordering::Acquire),
-            "net driver: write to worker failed: {e}"
-        );
-        seg.dropped.fetch_add(1, Ordering::Relaxed);
+#[derive(Default)]
+struct Queue {
+    /// The rendezvous's workers; `joiners`: everyone else, in arrival order.
+    initial: Vec<Peer>,
+    joiners: VecDeque<Peer>,
+    /// The acceptor has stopped: nobody is queued from now on.
+    closed: bool,
+}
+
+impl Lobby {
+    /// The acceptor, from the start of [`NetDriver::drive`] to the end of
+    /// the run: it queues every caller that says `Hello` in time; one that
+    /// comes after the rendezvous's `workers` is a reconnect.
+    fn accept(&self, listener: TcpListener, workers: usize, tracer: &Tracer) {
+        let mut initial = 0;
+        while let Ok((stream, _)) = listener.accept() {
+            // once the lobby is closed, this is `drive` waking the acceptor
+            if self.queue.lock().closed {
+                return;
+            }
+            let _ = stream.set_nodelay(true);
+            // bad or missing handshake: hang up, keep accepting
+            let Ok(Frame::Hello {
+                join,
+                leave_at_barrier,
+            }) = read_within(&stream, HELLO_DEADLINE, tracer)
+            else {
+                continue;
+            };
+            let peer = Peer {
+                stream: Arc::new(stream),
+                leave_at_barrier,
+                ranks: Vec::new(),
+            };
+            let late = initial == workers;
+            tracer.add(Counter::NetReconnects, u64::from(late));
+            let mut queue = self.queue.lock();
+            if join || late {
+                queue.joiners.push_back(peer);
+            } else {
+                initial += 1;
+                queue.initial.push(peer);
+            }
+            self.arrived.notify_all();
+        }
+        // `accept` failed: the rendezvous must not wait for nobody
+        self.queue.lock().closed = true;
+        self.arrived.notify_all();
     }
-}
 
-/// Read `peer`'s frames into the segment until its `Bye`.
-fn spawn_downlink(seg: Arc<Segment>, peer: Arc<PeerLink>) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("uq-net-downlink".into())
-        .spawn(move || loop {
-            match read_frame(&mut &peer.reader, &seg.tracer) {
-                Ok(Frame::Data { to, from, msg }) => deliver(&seg, to, Envelope { from, msg }),
-                Ok(Frame::Bye) => break,
-                Ok(f) => panic!("net driver: unexpected frame from worker: {f:?}"),
-                Err(e) => {
-                    if seg.closing.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // no Bye before the socket died: fail-stop (the run
-                    // store holds the recovery point)
-                    panic!("net driver: connection to worker lost: {e}");
-                }
-            }
-        })
-        .expect("net driver: downlink thread spawn failed")
-}
-
-/// Queue every peer that dials in after the rendezvous and says `Hello`
-/// as a joiner, until the run is `over`.
-fn spawn_listener(
-    listener: TcpListener,
-    joiners: Arc<Mutex<VecDeque<TcpStream>>>,
-    over: Arc<AtomicBool>,
-    tracer: Tracer,
-) -> JoinHandle<()> {
-    listener
-        .set_nonblocking(true)
-        .expect("net driver: listener nonblocking");
-    std::thread::Builder::new()
-        .name("uq-net-listener".into())
-        .spawn(move || loop {
-            if over.load(Ordering::Acquire) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_nodelay(true);
-                    // bad or missing handshake: hang up, keep listening
-                    if read_hello(&stream, &tracer).is_some() {
-                        tracer.incr(Counter::NetReconnects);
-                        joiners.lock().push_back(stream);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => break,
-            }
-        })
-        .expect("net driver: listener thread spawn failed")
+    /// Block until the rendezvous's `workers` have arrived and take them.
+    fn rendezvous(&self, workers: usize) -> Vec<Peer> {
+        let mut queue = self.queue.lock();
+        while queue.initial.len() < workers {
+            assert!(!queue.closed, "net driver: accept failed");
+            queue = self.arrived.wait(queue).unwrap_or_else(|e| e.into_inner());
+        }
+        std::mem::take(&mut queue.initial)
+    }
 }
 
 /// One segment: `run` from `Assign` to the last `Bye`, `peers` hosting
-/// their ranks and `runtime` the rest, on wire threads of its own.
-fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Arc<PeerLink>]) -> RuntimeReport {
+/// their ranks and `runtime` the rest, on a [`Wire`] of its own.
+fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Peer]) -> RuntimeReport {
     let (config, tracer) = (run.config, run.tracer);
     let n_ranks = config.n_ranks();
-    let mut routes = vec![None; n_ranks];
-    for (i, peer) in peers.iter().enumerate() {
-        for &rank in &peer.ranks {
-            routes[rank] = Some(i);
-        }
-    }
-
-    // every send to a rank hosted elsewhere goes through the one
-    // router channel (`None` ends the router)
-    let (router_tx, router_rx) = unbounded::<Option<(usize, Envelope<Msg>)>>();
-    let dropped = Arc::new(AtomicUsize::new(0));
-    let relay = {
-        let (tx, dropped) = (router_tx.clone(), Arc::clone(&dropped));
-        move |to, env| {
-            if tx.send(Some((to, env))).is_err() {
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    };
-    let hosted = (0..n_ranks).filter(|&r| routes[r].is_none());
-    let seg = Arc::new(Segment {
-        pool: runtime.host(n_ranks, hosted, Box::new(relay), tracer.steal_probe()),
-        routes,
-        peers: peers.to_vec(),
-        dropped,
-        closing: AtomicBool::new(false),
-        tracer: tracer.clone(),
-    });
-
+    let routes = (0..n_ranks).map(|r| peers.iter().position(|p| p.ranks.contains(&r)));
+    let sockets = peers.iter().map(|peer| Arc::clone(&peer.stream)).collect();
+    let ends = ["driver", "worker"];
+    let (wire, pool, writer) = Wire::start(runtime, ends, sockets, routes, tracer);
     // Assign each worker its ranks, resumed from their share of the cut;
     // Ready gates routing
-    for peer in peers {
+    for (i, peer) in peers.iter().enumerate() {
         let chain = |&rank: &usize| {
             let snap = run.resume?;
             Some(snap.chains[rank - config.first_controller_rank()].clone())
@@ -705,8 +732,8 @@ fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Arc<PeerLink>]) -> Runtime
             config: config.base.clone(),
             ckpts: peer.ranks.iter().filter_map(chain).collect(),
         };
-        write_frame(&mut *peer.writer.lock(), &assign, tracer).expect("net driver: Assign failed");
-        match read_within(&peer.reader, SEGMENT_DEADLINE, tracer) {
+        wire.send(i, assign);
+        match read_within(&peer.stream, SEGMENT_DEADLINE, tracer) {
             Ok(Frame::Ready) => {}
             other => panic!(
                 "net driver: the worker of ranks {:?} never became Ready: {other:?}",
@@ -714,31 +741,18 @@ fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Arc<PeerLink>]) -> Runtime
             ),
         }
     }
-    let downlinks: Vec<_> = peers
-        .iter()
-        .map(|peer| spawn_downlink(Arc::clone(&seg), Arc::clone(peer)))
-        .collect();
-    let router = {
-        let seg = Arc::clone(&seg);
-        std::thread::Builder::new()
-            .name("uq-net-router".into())
-            .spawn(move || {
-                for (to, env) in router_rx.into_iter().map_while(|relayed| relayed) {
-                    deliver(&seg, to, env);
-                }
-            })
-            .expect("net driver: router thread spawn failed")
-    };
+    let reader = |i| wire.reader(i, Arc::clone(&pool));
+    let readers: Vec<_> = (0..peers.len()).map(reader).collect();
 
-    let (outs, mut stats) = runtime.drive(&seg.pool, |rank, _| run.machine(rank));
+    let (outs, mut stats) = runtime.drive(&pool, |rank, _| run.machine(rank));
 
     // the root has every controller's report, a rank's last send: all a
     // worker has left to say is `Bye`. A blocked read cannot be given a
     // timeout after the fact, so the deadline is kept from here
-    seg.closing.store(true, Ordering::Release);
+    wire.end_expected.store(true, Ordering::Release);
     let deadline = Instant::now() + SEGMENT_DEADLINE;
-    for (peer, downlink) in peers.iter().zip(downlinks) {
-        while !downlink.is_finished() {
+    for (peer, reader) in peers.iter().zip(readers) {
+        while !reader.is_finished() {
             assert!(
                 Instant::now() < deadline,
                 "net driver: the worker of ranks {:?} never said Bye",
@@ -746,13 +760,9 @@ fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Arc<PeerLink>]) -> Runtime
             );
             std::thread::sleep(Duration::from_micros(200));
         }
-        downlink.join().expect("net driver: downlink panicked");
+        let _ = join(reader);
     }
-    router_tx
-        .send(None)
-        .expect("net driver: router ended early");
-    router.join().expect("net driver: router panicked");
-    stats.dropped_sends += seg.dropped.load(Ordering::Relaxed);
+    stats.dropped_sends += wire.finish(writer);
     RuntimeReport::assemble(outs.into_iter().map(|(_, out)| out).collect(), stats)
 }
 
@@ -880,31 +890,21 @@ impl NetDriver {
             "net driver: more workers than controller ranks"
         );
 
-        // rendezvous: block until every initial worker said Hello; each
-        // gets a contiguous block of controllers, the remainder stays here
-        let per = n_ctrl / workers;
-        let mut peers: Vec<Arc<PeerLink>> = Vec::new();
-        let mut early_joiners = VecDeque::new();
-        while peers.len() < workers {
-            let (stream, _) = self.listener.accept().expect("net driver: accept failed");
-            let _ = stream.set_nodelay(true);
-            match read_hello(&stream, tracer) {
-                Some((true, _)) => early_joiners.push_back(stream),
-                Some((false, leave_at_barrier)) => {
-                    let first = first_ctrl + peers.len() * per;
-                    let block = (first..first + per).collect();
-                    peers.push(PeerLink::new(stream, block, leave_at_barrier));
-                }
-                // bad or missing handshake: hang up, keep accepting
-                None => {}
-            }
-        }
-        let joiners = Arc::new(Mutex::new(early_joiners));
-        let over = Arc::new(AtomicBool::new(false));
-        let listener = {
-            let (joiners, over) = (Arc::clone(&joiners), Arc::clone(&over));
-            spawn_listener(self.listener, joiners, over, tracer.clone())
+        // one acceptor queues every peer that says Hello until the run
+        // ends; at the rendezvous each initial worker gets a contiguous
+        // block of controllers, the remainder stays here
+        let (addr, lobby) = (self.local_addr(), Arc::new(Lobby::default()));
+        let accept = {
+            let (lobby, tracer) = (Arc::clone(&lobby), tracer.clone());
+            move || lobby.accept(self.listener, workers, &tracer)
         };
+        let acceptor = spawn("uq-net-acceptor", accept);
+        let per = n_ctrl / workers;
+        let mut peers = lobby.rendezvous(workers);
+        for (i, peer) in peers.iter_mut().enumerate() {
+            let first = first_ctrl + i * per;
+            peer.ranks = (first..first + per).collect();
+        }
 
         let barriers = AtomicU64::new(0);
         let mut migrations = 0;
@@ -924,7 +924,7 @@ impl NetDriver {
                 let stopped = run.checkpoint.and_then(|caller| caller.stop);
                 let stopped = stopped.is_some_and(|s| s.load(Ordering::SeqCst));
                 let due = peers.iter().any(|p| p.leave_at_barrier == Some(barrier))
-                    || !(home.is_empty() || joiners.lock().is_empty());
+                    || !(home.is_empty() || lobby.queue.lock().joiners.is_empty());
                 if due && !stopped {
                     *change.lock() = Some((barrier, hash.to_string()));
                 }
@@ -949,40 +949,39 @@ impl NetDriver {
             // a leaver's on this process, one joiner's share of `home` on it
             let caller = run.checkpoint.expect("a barrier has a checkpoint policy");
             let snapshot = caller.store.get_snapshot(&hash);
-            cut = Some(
-                snapshot
-                    .expect("net driver: the barrier's cut is unreadable")
-                    .0,
-            );
+            let (snapshot, _) = snapshot.expect("net driver: the barrier's cut is unreadable");
+            cut = Some(snapshot);
             earlier = Some(report);
             let mut moved = 0;
             peers.retain(|peer| {
                 let leaves = peer.leave_at_barrier == Some(barrier);
                 if leaves {
                     moved += peer.ranks.len();
-                    hang_up(&peer.reader, true, tracer);
+                    hang_up(&peer.stream, true, tracer);
                 }
                 !leaves
             });
-            let joiner = (!home.is_empty()).then(|| joiners.lock().pop_front());
-            if let Some(stream) = joiner.flatten() {
-                let share = home[..home.len().div_ceil(2)].to_vec();
-                moved += share.len();
-                peers.push(PeerLink::new(stream, share, None));
+            let joiner = (!home.is_empty()).then(|| lobby.queue.lock().joiners.pop_front());
+            if let Some(mut joiner) = joiner.flatten() {
+                joiner.ranks = home[..home.len().div_ceil(2)].to_vec();
+                moved += joiner.ranks.len();
+                peers.push(joiner);
             }
             tracer.add(Counter::NetMigrations, moved as u64);
             migrations += moved as u64;
         };
 
-        // the run is over: hang up on the workers, turn away the joiners
-        // there was never room for
+        // the run is over: hang up on the workers, stop the acceptor —
+        // woken from its `accept` the way `Service` wakes its own — and
+        // turn away the joiners there was never room for
         for peer in &peers {
-            hang_up(&peer.reader, false, tracer);
+            hang_up(&peer.stream, false, tracer);
         }
-        over.store(true, Ordering::Release);
-        listener.join().expect("net driver: listener panicked");
-        for stream in joiners.lock().drain(..) {
-            hang_up(&stream, true, tracer);
+        lobby.queue.lock().closed = true;
+        let _ = TcpStream::connect(addr);
+        join(acceptor);
+        for peer in lobby.queue.lock().joiners.drain(..) {
+            hang_up(&peer.stream, true, tracer);
         }
         RuntimeReport {
             migrations: Some(migrations),
@@ -1058,11 +1057,12 @@ pub fn net_worker(
         leave_at_barrier: opts.leave_at_barrier,
     };
     write_frame(&mut stream, &hello, tracer).expect("net worker: handshake failed");
+    let stream = Arc::new(stream);
     let mut report = NetWorkerReport {
         ranks: vec![],
         retired: false,
     };
-    let mut next = read_frame(&mut stream, tracer);
+    let mut next = read_frame(&mut &*stream, tracer);
     loop {
         match next {
             Ok(Frame::Assign {
@@ -1071,12 +1071,25 @@ pub fn net_worker(
                 config,
                 ckpts,
             }) => {
+                // host `ranks` until every one has exited, and say `Bye`;
+                // every other rank is behind the one socket
+                let routes = (0..n_ranks).map(|r| (!ranks.contains(&r)).then_some(0));
+                let (ends, sockets) = (["worker", "driver"], vec![Arc::clone(&stream)]);
+                let (wire, pool, writer) = Wire::start(runtime, ends, sockets, routes, tracer);
+                wire.send(0, Frame::Ready);
+                let reader = wire.reader(0, Arc::clone(&pool));
                 let config = RuntimeConfig::unsharded(config, runtime);
-                let machine = |rank| {
+                runtime.drive(&pool, |rank, _| {
                     let resume = ckpts.iter().find(|c| c.rank == rank);
-                    Box::new(ControllerRank::new(factory, &config, tracer, rank, resume)) as _
-                };
-                next = host_segment(runtime, &stream, n_ranks, &ranks, machine, tracer);
+                    Box::new(ControllerRank::new(factory, &config, tracer, rank, resume)) as Machine
+                });
+                // the ranks are gone, so the `Bye` is the last frame this
+                // end writes; the driver may hang up on reading it, so end
+                // of file now ends the run
+                wire.end_expected.store(true, Ordering::Release);
+                wire.send(0, Frame::Bye);
+                wire.finish(writer);
+                next = join(reader);
                 report.ranks = ranks;
             }
             // released: the run goes on without this worker, or ended
@@ -1093,78 +1106,6 @@ pub fn net_worker(
             Err(_) => return report,
         }
     }
-}
-
-/// Host `ranks` of an `n_ranks` universe on `runtime` until every one has
-/// exited and say `Bye`; returns what the driver sends after the
-/// segment's last `Data` frame.
-fn host_segment<'a>(
-    runtime: &Runtime,
-    stream: &TcpStream,
-    n_ranks: usize,
-    ranks: &[usize],
-    machine: impl Fn(usize) -> Machine<'a> + Sync,
-    tracer: &Tracer,
-) -> io::Result<Frame> {
-    // every send to a rank not hosted here shares the one uplink channel:
-    // the socket then carries each local sender's full program order
-    let (uplink_tx, uplink_rx) = unbounded::<Frame>();
-    let relay = {
-        let tx = uplink_tx.clone();
-        move |to, env: Envelope<Msg>| {
-            let (from, msg) = (env.from, env.msg);
-            // the uplink outlives every rank: it ends on the `Bye` below
-            let _ = tx.send(Frame::Data { to, from, msg });
-        }
-    };
-    let hosted = ranks.iter().copied();
-    let pool = runtime.host(n_ranks, hosted, Box::new(relay), tracer.steal_probe());
-    write_frame(&mut &*stream, &Frame::Ready, tracer).expect("net worker: Ready failed");
-
-    let uplink = {
-        let mut writer = stream.try_clone().expect("net worker: stream clone failed");
-        let tracer = tracer.clone();
-        std::thread::Builder::new()
-            .name("uq-net-uplink".into())
-            .spawn(move || {
-                for frame in uplink_rx {
-                    write_frame(&mut writer, &frame, &tracer)
-                        .unwrap_or_else(|e| panic!("net worker: uplink write failed: {e}"));
-                    if matches!(frame, Frame::Bye) {
-                        break;
-                    }
-                }
-            })
-            .expect("net worker: uplink thread spawn failed")
-    };
-    let said_bye = Arc::new(AtomicBool::new(false));
-    let downlink = {
-        let mut reader = stream.try_clone().expect("net worker: stream clone failed");
-        let tracer = tracer.clone();
-        let (said_bye, pool) = (Arc::clone(&said_bye), Arc::clone(&pool));
-        std::thread::Builder::new()
-            .name("uq-net-downlink".into())
-            .spawn(move || loop {
-                match read_frame(&mut reader, &tracer) {
-                    Ok(Frame::Data { to, from, msg }) => pool.deliver(to, Envelope { from, msg }),
-                    Err(e) if !said_bye.load(Ordering::Acquire) => {
-                        panic!("net worker: connection to driver lost: {e}")
-                    }
-                    after => return after,
-                }
-            })
-            .expect("net worker: downlink thread spawn failed")
-    };
-
-    runtime.drive(&pool, |rank, _| machine(rank));
-    // the ranks are gone, so the `Bye` is the last frame of the uplink; the
-    // driver may hang up on reading it, so end of file now ends the run
-    said_bye.store(true, Ordering::Release);
-    uplink_tx
-        .send(Frame::Bye)
-        .expect("net worker: uplink ended early");
-    uplink.join().expect("net worker: uplink panicked");
-    downlink.join().expect("net worker: downlink panicked")
 }
 
 #[cfg(test)]

@@ -235,7 +235,6 @@ pub(crate) struct RootRank<'a> {
     controller_reports: usize,
     evals: Vec<usize>,
     eval_secs: Vec<f64>,
-    reassignments: usize,
     /// Checkpoint policy (None disables the quiesce protocol).
     ckpt: Option<&'a ParallelCheckpoint<'a>>,
     /// A checkpoint is in flight (at most one at a time; shutdown waits
@@ -268,7 +267,6 @@ impl<'a> RootRank<'a> {
             controller_reports: 0,
             evals: vec![0; n_levels],
             eval_secs: vec![0.0; n_levels],
-            reassignments: 0,
             ckpt,
             ckpt_active: false,
             ckpt_start: 0.0,
@@ -410,7 +408,7 @@ impl<'a> RootRank<'a> {
             levels,
             elapsed,
             n_ranks: self.config.n_ranks(),
-            reassignments: self.reassignments,
+            reassignments: self.phonebook_stats.reassignments,
         }
     }
 }
@@ -428,7 +426,6 @@ impl VirtualRank<Msg> for RootRank<'_> {
                         matches!(
                             e.msg,
                             Msg::LevelDone { .. }
-                                | Msg::Reassign { .. }
                                 | Msg::CheckpointTick
                                 | Msg::ControllerCkpt(_)
                                 | Msg::CollectorCkpt(_)
@@ -448,7 +445,6 @@ impl VirtualRank<Msg> for RootRank<'_> {
                                     ctx.send(PHONEBOOK, Msg::LevelDone { level });
                                 }
                             }
-                            Msg::Reassign { .. } => self.reassignments += 1,
                             Msg::CheckpointTick => {
                                 // start a checkpoint unless one is in
                                 // flight or shutdown is imminent
@@ -495,7 +491,6 @@ impl VirtualRank<Msg> for RootRank<'_> {
                         matches!(
                             e.msg,
                             Msg::LevelDone { .. }
-                                | Msg::Reassign { .. }
                                 | Msg::CheckpointTick
                                 | Msg::ControllerCkpt(_)
                                 | Msg::CollectorCkpt(_)
@@ -506,15 +501,11 @@ impl VirtualRank<Msg> for RootRank<'_> {
                 RootPhase::Phonebook => {
                     let mut acked = false;
                     while let Some(env) = ctx.try_recv_match(|e| {
-                        matches!(
-                            e.msg,
-                            Msg::PhonebookDown | Msg::PhonebookReport(_) | Msg::Reassign { .. }
-                        )
+                        matches!(e.msg, Msg::PhonebookDown | Msg::PhonebookReport(_))
                     }) {
                         match env.msg {
                             Msg::PhonebookDown => acked = true,
                             Msg::PhonebookReport(stats) => self.phonebook_stats = *stats,
-                            Msg::Reassign { .. } => self.reassignments += 1,
                             _ => unreachable!(),
                         }
                     }
@@ -546,7 +537,6 @@ impl VirtualRank<Msg> for RootRank<'_> {
                                 }
                                 self.controller_reports += 1;
                             }
-                            Msg::Reassign { .. } => self.reassignments += 1,
                             _ => {}
                         }
                     }
@@ -654,7 +644,6 @@ impl<'a> PhonebookRank<'a> {
             // fresh substreams)
             self.ledger.forget_requester(rank);
             ctx.send(rank, Msg::Reassign { level: starved });
-            ctx.send(ROOT, Msg::Reassign { level: starved });
             self.tracer.mark(
                 rank,
                 SpanKind::Reassign {
@@ -1915,9 +1904,16 @@ pub(crate) mod policy {
         assert_reports_identical(&baseline, &checkpointed);
 
         let hashes = hashes.into_inner().unwrap();
+        // a tick that meets an active barrier is dropped, so how many
+        // barriers a multi-worker pool completes depends on timing; the
+        // first tick never meets one (DESIGN §7.3)
+        let least = match exec {
+            Exec::Pool { workers, .. } if workers > 1 => 1,
+            _ => 3,
+        };
         assert!(
-            hashes.len() >= 3,
-            "expected several snapshots, got {}",
+            hashes.len() >= least,
+            "expected at least {least} snapshots, got {}",
             hashes.len()
         );
         for hash in &hashes {
