@@ -34,7 +34,7 @@ use crate::factory::LevelFactory;
 use crate::ledger::PairingMode;
 use rand::Rng;
 use std::sync::Arc;
-use uq_mcmc::kernel::{mh_step, SamplingState};
+use uq_mcmc::kernel::{mh_transition, SamplingState};
 use uq_mcmc::{Proposal, SamplingProblem};
 
 /// A state of the next-coarser chain, shipped with its cached log-density
@@ -156,11 +156,11 @@ pub trait CoarseProposalSource: Send {
     /// arbitrary point — needed once for the fine chain's starting state.
     fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample;
 
-    /// Export this source's checkpoint state, if it carries any.
-    /// Stateless sources (remote proxies, pending sources — whose
-    /// logical state lives in the phonebook ledger) return `None`,
-    /// which is the default.
-    fn export_state(&self) -> Option<SourceState> {
+    /// Export this source's checkpoint state, if it carries any (reading
+    /// a chain's QOI may evaluate it, hence `&mut`). Stateless sources
+    /// (remote proxies, pending sources — whose logical state lives in
+    /// the phonebook ledger) return `None`, which is the default.
+    fn export_state(&mut self) -> Option<SourceState> {
         None
     }
 
@@ -207,6 +207,13 @@ enum Kind {
 }
 
 /// A single chain in the multilevel hierarchy (level 0 or coupled).
+///
+/// A step that accepts leaves the new state's QOI unevaluated; the chain
+/// evaluates it on its own problem the first time something reads it —
+/// [`current_qoi`](Self::current_qoi), [`correction`](Self::correction),
+/// [`current_as_sample`](Self::current_as_sample),
+/// [`export_state`](Self::export_state) — so burn-in and the intermediate
+/// states of a serve leg cost no QOI.
 pub struct MlChain {
     level: usize,
     problem: Box<dyn SamplingProblem>,
@@ -214,6 +221,14 @@ pub struct MlChain {
     state: SamplingState,
     steps: usize,
     accepted: usize,
+}
+
+/// A chain's own position — its state, QOI evaluated or not, and its
+/// anchor — set aside while the chain serves a ledger lease
+/// ([`MlChain::bookmark`] / [`MlChain::return_to`]).
+pub struct Bookmark {
+    state: SamplingState,
+    anchor: Option<CoarseSample>,
 }
 
 impl MlChain {
@@ -274,8 +289,15 @@ impl MlChain {
         self.level
     }
 
+    /// The current state; its `qoi` slot is empty until something reads
+    /// it through the chain.
     pub fn state(&self) -> &SamplingState {
         &self.state
+    }
+
+    /// The current state's QOI, evaluated now if nothing has read it yet.
+    pub fn current_qoi(&mut self) -> &Arc<[f64]> {
+        self.state.fill_qoi(self.problem.as_mut())
     }
 
     pub fn steps(&self) -> usize {
@@ -333,17 +355,15 @@ impl MlChain {
     /// current QOI minus that of the coarse sample `pairing` selects
     /// ([`last_coarse`](Self::last_coarse) or
     /// [`last_pairing`](Self::last_pairing)); the bare QOI on level 0.
-    pub fn correction(&self, pairing: PairingMode) -> Vec<f64> {
+    pub fn correction(&mut self, pairing: PairingMode) -> Vec<f64> {
+        let fine = Arc::clone(self.current_qoi());
         let paired = match pairing {
             PairingMode::Proposal => self.last_coarse(),
             PairingMode::Ledger => self.last_pairing(),
         };
         match paired {
-            None => self.state.qoi.to_vec(),
-            Some(coarse) => {
-                let fine = self.state.qoi.iter();
-                fine.zip(&*coarse.qoi).map(|(f, c)| f - c).collect()
-            }
+            None => fine.to_vec(),
+            Some(coarse) => fine.iter().zip(&*coarse.qoi).map(|(f, c)| f - c).collect(),
         }
     }
 
@@ -368,8 +388,10 @@ impl MlChain {
     }
 
     /// Current state packaged as a [`CoarseSample`] (including this
-    /// chain's own anchor for recursive rewinding).
-    pub fn current_as_sample(&self) -> CoarseSample {
+    /// chain's own anchor for recursive rewinding); a sample always
+    /// carries its QOI, so this reads it.
+    pub fn current_as_sample(&mut self) -> CoarseSample {
+        let qoi = Arc::clone(self.current_qoi());
         let sub_anchor = match &self.kind {
             Kind::Base { .. } => None,
             Kind::Coupled { anchor, .. } => Some(Box::new(anchor.clone())),
@@ -377,9 +399,27 @@ impl MlChain {
         CoarseSample {
             theta: self.state.theta.clone(),
             log_density: self.state.log_density,
-            qoi: self.state.qoi.clone(),
+            qoi,
             sub_anchor,
             mate: None,
+        }
+    }
+
+    /// Set the current state and anchor aside as they are, evaluating
+    /// nothing: a serve rewinds the chain, and [`return_to`](Self::return_to)
+    /// puts them back when it ends.
+    pub fn bookmark(&self) -> Bookmark {
+        Bookmark {
+            state: self.state.clone(),
+            anchor: self.anchor().cloned(),
+        }
+    }
+
+    /// Return to a position [`bookmark`](Self::bookmark) set aside.
+    pub fn return_to(&mut self, mark: Bookmark) {
+        self.state = mark.state;
+        if let (Kind::Coupled { anchor, .. }, Some(mark)) = (&mut self.kind, mark.anchor) {
+            *anchor = mark;
         }
     }
 
@@ -394,7 +434,7 @@ impl MlChain {
         self.state = SamplingState {
             theta: sample.theta.clone(),
             log_density: sample.log_density,
-            qoi: sample.qoi.clone(),
+            qoi: Some(sample.qoi.clone()),
         };
         if let Kind::Coupled {
             anchor,
@@ -413,9 +453,11 @@ impl MlChain {
     /// Export the chain's full logical state as plain data (recursively
     /// through sequential serving stacks) for checkpointing. Feeding the
     /// result to [`import_state`](Self::import_state) on a freshly built
-    /// identical chain continues the run bit-for-bit.
-    pub fn export_state(&self) -> ChainState {
-        let (anchor, last_coarse, last_pairing, source) = match &self.kind {
+    /// identical chain continues the run bit-for-bit. A checkpoint
+    /// carries every QOI, so this reads the current state's.
+    pub fn export_state(&mut self) -> ChainState {
+        let qoi = Arc::clone(self.current_qoi());
+        let (anchor, last_coarse, last_pairing, source) = match &mut self.kind {
             Kind::Base { .. } => (None, None, None, None),
             Kind::Coupled {
                 source,
@@ -435,7 +477,7 @@ impl MlChain {
             accepted: self.accepted,
             theta: self.state.theta.clone(),
             log_density: self.state.log_density,
-            qoi: self.state.qoi.clone(),
+            qoi,
             anchor,
             last_coarse,
             last_pairing,
@@ -452,7 +494,7 @@ impl MlChain {
         self.state = SamplingState {
             theta: cs.theta,
             log_density: cs.log_density,
-            qoi: cs.qoi,
+            qoi: Some(cs.qoi),
         };
         if let Kind::Coupled {
             source,
@@ -498,9 +540,8 @@ impl MlChain {
     pub fn poll_step(&mut self, rng: &mut dyn Rng) -> StepOutcome {
         let acquired = match &mut self.kind {
             Kind::Base { proposal } => {
-                let (state, accepted) =
-                    mh_step(self.problem.as_mut(), proposal.as_mut(), &self.state, rng);
-                self.state = state;
+                let problem = self.problem.as_mut();
+                let accepted = mh_transition(problem, proposal.as_mut(), &mut self.state, rng);
                 self.steps += 1;
                 self.accepted += usize::from(accepted);
                 return StepOutcome::Done(accepted);
@@ -571,11 +612,10 @@ impl MlChain {
                             rng.random::<f64>().ln() < log_alpha
                         };
                         if accept {
-                            let qoi = self.problem.qoi(&cand).into();
                             self.state = SamplingState {
                                 theta: cand,
                                 log_density: cand_log_density,
-                                qoi,
+                                qoi: None,
                             };
                             *anchor = coarse.clone();
                         }
@@ -668,7 +708,7 @@ impl CoarseProposalSource for ChainCoarseSource {
         self.chain.anchor_at(theta)
     }
 
-    fn export_state(&self) -> Option<SourceState> {
+    fn export_state(&mut self) -> Option<SourceState> {
         Some(SourceState {
             session_seed: self.session_seed,
             serves: self.serves,

@@ -31,6 +31,7 @@ use crate::ledger::PairingMode;
 use crate::store::{Backend, LevelReportCkpt, RunSnapshot, RunStore, SequentialCkpt};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use uq_mcmc::stats::{integrated_autocorrelation_time, VectorMoments};
 
 /// Configuration of a sequential MLMCMC run.
@@ -217,7 +218,7 @@ struct Cut<'a> {
     total_recorded: usize,
     level: usize,
     term: &'a TermCursor,
-    chain: &'a MlChain,
+    chain: &'a mut MlChain,
     completed: &'a [LevelReport],
     counters: &'a [EvalCounter],
     eval_offsets: &'a [usize],
@@ -225,7 +226,7 @@ struct Cut<'a> {
 
 impl Cut<'_> {
     /// The resume cursor of this cut, with the generator at `rng`.
-    fn cursor(&self, rng: [u64; 4]) -> SequentialCkpt {
+    fn cursor(&mut self, rng: [u64; 4]) -> SequentialCkpt {
         let term = self.term;
         SequentialCkpt {
             level: self.level,
@@ -262,7 +263,7 @@ fn sample_terms<R: Rng>(
     config: &MlmcmcConfig,
     rng: &mut R,
     cursor: Option<&SequentialCkpt>,
-    mut after_sample: impl FnMut(&R, &Cut<'_>),
+    mut after_sample: impl FnMut(&R, &mut Cut<'_>),
 ) -> MlmcmcReport {
     let n_levels = config.samples_per_level.len();
     assert!(n_levels >= 1, "run_sequential: need at least one level");
@@ -304,7 +305,7 @@ fn sample_terms<R: Rng>(
                 for _ in 0..config.burn_in[level] {
                     chain.step(rng);
                 }
-                TermCursor::fresh(chain.state().qoi.len())
+                TermCursor::fresh(chain.current_qoi().len())
             }
             Some(c) => {
                 chain.import_state(c.chain.clone());
@@ -319,14 +320,14 @@ fn sample_terms<R: Rng>(
             }
         };
         let n_samples = config.samples_per_level[level];
-        let qoi_dim = chain.state().qoi.len();
+        let qoi_dim = chain.current_qoi().len();
         let rep = config
             .representative_component
             .min(qoi_dim.saturating_sub(1));
         while term.samples_done < n_samples {
             chain.step(rng);
-            let fine_qoi = chain.state().qoi.clone();
             term.moments.push(&chain.correction(config.pairing));
+            let fine_qoi = Arc::clone(chain.current_qoi());
             term.rep_trace.push(fine_qoi[rep]);
             if config.record_samples {
                 term.theta_samples.push(chain.state().theta.clone());
@@ -340,11 +341,11 @@ fn sample_terms<R: Rng>(
             total_recorded += 1;
             after_sample(
                 rng,
-                &Cut {
+                &mut Cut {
                     total_recorded,
                     level,
                     term: &term,
-                    chain: &chain,
+                    chain: &mut chain,
                     completed: &levels,
                     counters,
                     eval_offsets: &eval_offsets,

@@ -1,6 +1,6 @@
 //! Single-chain MCMC driver — the analogue of MUQ's `SingleChainMCMC`.
 
-use crate::kernel::{mh_step, SamplingState};
+use crate::kernel::{mh_transition, SamplingState};
 use crate::problem::SamplingProblem;
 use crate::proposal::Proposal;
 use rand::Rng;
@@ -67,17 +67,18 @@ impl<P: SamplingProblem, Q: Proposal> Chain<P, Q> {
     }
 
     /// Advance one step; records the state if past burn-in and on the
-    /// thinning stride. Returns whether the proposal was accepted.
+    /// thinning stride — the only states whose QOI is evaluated. Returns
+    /// whether the proposal was accepted.
     pub fn step(&mut self, rng: &mut dyn Rng) -> bool {
-        let (state, accepted) = mh_step(&mut self.problem, &mut self.proposal, &self.state, rng);
-        self.state = state;
+        let accepted = mh_transition(&mut self.problem, &mut self.proposal, &mut self.state, rng);
         self.steps_taken += 1;
         self.accepted += accepted as usize;
         if self.steps_taken > self.config.burn_in
             && (self.steps_taken - self.config.burn_in - 1).is_multiple_of(self.config.thin)
         {
             self.samples.push(self.state.theta.clone());
-            self.qois.push(self.state.qoi.to_vec());
+            self.qois
+                .push(self.state.fill_qoi(&mut self.problem).to_vec());
         }
         accepted
     }
@@ -89,7 +90,8 @@ impl<P: SamplingProblem, Q: Proposal> Chain<P, Q> {
         }
     }
 
-    /// Current chain state.
+    /// Current chain state (its QOI slot is filled at the starting point
+    /// and at recorded states only).
     pub fn state(&self) -> &SamplingState {
         &self.state
     }

@@ -11,30 +11,78 @@ use std::sync::Arc;
 pub struct SamplingState {
     pub theta: Vec<f64>,
     pub log_density: f64,
-    /// QOI evaluated lazily on acceptance; rejected steps inherit the
-    /// previous state's QOI without re-evaluating the model. Built once
-    /// and never written again: every clone shares the allocation.
-    pub qoi: Arc<[f64]>,
+    /// The QOI at `theta`, once something has read it: an accepted
+    /// transition leaves the slot empty and the first read fills it
+    /// ([`fill_qoi`](Self::fill_qoi)), so a state nobody reads never pays
+    /// for one. Built once and never written again: every clone shares
+    /// the allocation.
+    pub qoi: Option<Arc<[f64]>>,
 }
 
 impl SamplingState {
     /// Evaluate the problem at `theta` to build an initial state.
     pub fn initial<P: SamplingProblem + ?Sized>(problem: &mut P, theta: Vec<f64>) -> Self {
         let log_density = problem.log_density(&theta);
-        let qoi = problem.qoi(&theta).into();
+        let qoi = Some(problem.qoi(&theta).into());
         Self {
             theta,
             log_density,
             qoi,
         }
     }
+
+    /// The QOI at `theta`, evaluated on `problem` — the problem this
+    /// state's density came from — if the slot is still empty.
+    pub fn fill_qoi<P: SamplingProblem + ?Sized>(&mut self, problem: &mut P) -> &Arc<[f64]> {
+        self.qoi
+            .get_or_insert_with(|| problem.qoi(&self.theta).into())
+    }
 }
 
-/// One Metropolis–Hastings step: propose, compute
-/// `α = min(1, ν(θ')q(θ|θ') / ν(θ)q(θ'|θ))`, accept or reject.
+/// One Metropolis–Hastings transition of `state`, in place: propose,
+/// compute `α = min(1, ν(θ')q(θ|θ') / ν(θ)q(θ'|θ))`, accept or reject. A
+/// rejected step leaves the state untouched; an accepted one moves it to
+/// the candidate and leaves its QOI slot empty. A proposal with
+/// `log ν = -∞` (unphysical parameters) is always rejected.
 ///
-/// Returns the new state and whether the proposal was accepted. A proposal
-/// with `log ν = -∞` (unphysical parameters) is always rejected.
+/// Returns whether the proposal was accepted.
+pub fn mh_transition<P, Q>(
+    problem: &mut P,
+    proposal: &mut Q,
+    state: &mut SamplingState,
+    rng: &mut dyn Rng,
+) -> bool
+where
+    P: SamplingProblem + ?Sized,
+    Q: Proposal + ?Sized,
+{
+    let cand = proposal.propose(&state.theta, rng);
+    let cand_log_density = problem.log_density(&cand);
+    let accepted = if cand_log_density == f64::NEG_INFINITY {
+        false
+    } else {
+        let mut log_alpha = cand_log_density - state.log_density;
+        if !proposal.is_symmetric() {
+            log_alpha += proposal.log_density(&cand, &state.theta)
+                - proposal.log_density(&state.theta, &cand);
+        }
+        log_alpha >= 0.0 || rng.random::<f64>().ln() < log_alpha
+    };
+    if accepted {
+        *state = SamplingState {
+            theta: cand,
+            log_density: cand_log_density,
+            qoi: None,
+        };
+    }
+    proposal.adapt(&state.theta, accepted);
+    accepted
+}
+
+/// One Metropolis–Hastings step from `current`: [`mh_transition`] on a
+/// copy, with an accepted candidate's QOI evaluated.
+///
+/// Returns the new state and whether the proposal was accepted.
 pub fn mh_step<P, Q>(
     problem: &mut P,
     proposal: &mut Q,
@@ -45,29 +93,9 @@ where
     P: SamplingProblem + ?Sized,
     Q: Proposal + ?Sized,
 {
-    let cand = proposal.propose(&current.theta, rng);
-    let cand_log_density = problem.log_density(&cand);
-    let accepted = if cand_log_density == f64::NEG_INFINITY {
-        false
-    } else {
-        let mut log_alpha = cand_log_density - current.log_density;
-        if !proposal.is_symmetric() {
-            log_alpha += proposal.log_density(&cand, &current.theta)
-                - proposal.log_density(&current.theta, &cand);
-        }
-        log_alpha >= 0.0 || rng.random::<f64>().ln() < log_alpha
-    };
-    let state = if accepted {
-        let qoi = problem.qoi(&cand).into();
-        SamplingState {
-            theta: cand,
-            log_density: cand_log_density,
-            qoi,
-        }
-    } else {
-        current.clone()
-    };
-    proposal.adapt(&state.theta, accepted);
+    let mut state = current.clone();
+    let accepted = mh_transition(problem, proposal, &mut state, rng);
+    state.fill_qoi(problem);
     (state, accepted)
 }
 
@@ -83,7 +111,7 @@ mod tests {
     fn initial_state_caches_density_and_qoi() {
         let mut p = GaussianTarget::standard(2);
         let s = SamplingState::initial(&mut p, vec![0.5, -0.5]);
-        assert_eq!(s.qoi, vec![0.5, -0.5].into());
+        assert_eq!(s.qoi, Some(vec![0.5, -0.5].into()));
         assert!((s.log_density - p.log_density(&[0.5, -0.5])).abs() < 1e-14);
     }
 
@@ -112,6 +140,25 @@ mod tests {
             assert!(!acc);
             assert_eq!(s.theta, vec![0.0]);
         }
+    }
+
+    #[test]
+    fn an_accepted_transition_leaves_the_qoi_to_the_first_read() {
+        let mut p = GaussianTarget::new(vec![1.0, -1.0], 0.7);
+        let mut q = GaussianRandomWalk::new(0.9);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut state = SamplingState::initial(&mut p, vec![0.0, 0.0]);
+        let mut accepted = 0;
+        for _ in 0..200 {
+            let before = state.theta.clone();
+            let acc = mh_transition(&mut p, &mut q, &mut state, &mut rng);
+            assert_eq!(state.qoi.is_none(), acc);
+            assert_eq!(state.theta == before, !acc);
+            let qoi = state.fill_qoi(&mut p).to_vec();
+            assert_eq!(qoi, state.theta);
+            accepted += usize::from(acc);
+        }
+        assert!(accepted > 0 && accepted < 200, "{accepted}");
     }
 
     #[test]

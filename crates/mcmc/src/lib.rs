@@ -25,7 +25,7 @@ pub mod proposal;
 pub mod stats;
 
 pub use chain::{Chain, ChainConfig};
-pub use kernel::{mh_step, SamplingState};
+pub use kernel::{mh_step, mh_transition, SamplingState};
 pub use problem::SamplingProblem;
 pub use proposal::{
     AdaptiveMetropolis, GaussianRandomWalk, IndependenceProposal, PcnProposal, Proposal,

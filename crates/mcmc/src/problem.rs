@@ -2,21 +2,27 @@
 //!
 //! This is the Rust analogue of MUQ's `AbstractSamplingProblem` (paper
 //! Fig. 6): a target density up to a constant, plus an optional quantity of
-//! interest that is evaluated only for accepted states — discarded MCMC
-//! proposals never pay for a QOI evaluation, which matters when the QOI
-//! requires post-processing a PDE solution.
+//! interest that is evaluated only for kept states something reads —
+//! discarded MCMC proposals, burn-in and the intermediate states of a
+//! coarse serve never pay for a QOI evaluation, which matters when the QOI
+//! requires post-processing a PDE solution. A `qoi(θ)` may therefore come
+//! at any time after the `log_density(θ)` of the same problem, with other
+//! evaluations in between.
 
 /// A target distribution to sample from, with an optional quantity of
-/// interest (QOI) derived from the same forward evaluation.
+/// interest (QOI) at the same parameters.
 ///
-/// Both calls take `&mut self` so an implementation may keep the forward
-/// result of a `log_density(θ)` for the `qoi(θ)` that follows. What the
-/// drivers (`mh_step`, `SamplingState::initial` and the coupled chain of
-/// `uq-mlmcmc`) guarantee: each of their `qoi(θ)` calls comes directly
-/// after their `log_density(θ)` call on the same problem, nothing in
-/// between, and only for a state the chain keeps — a starting point or an
-/// accepted proposal. The vector is then carried in the chain state and
-/// shared from there; no driver asks for it a second time.
+/// Both calls take `&mut self` so an implementation may keep scratch
+/// buffers across them. What the drivers (`mh_transition` / `mh_step`,
+/// `SamplingState::initial`, the chains of this crate and of `uq-mlmcmc`)
+/// guarantee: each of their `qoi(θ)` calls is for a θ whose
+/// `log_density(θ)` this problem evaluated earlier — at any time after
+/// it, with other evaluations in between — and only for a starting point
+/// or for a state the chain keeps and something reads (a recorded sample,
+/// a correction, a served coarse sample, a checkpoint). The vector is
+/// then carried in the chain state and shared from there; no driver asks
+/// for it a second time. So `qoi` must not depend on which `log_density`
+/// came last: every in-tree problem computes it from θ alone.
 pub trait SamplingProblem: Send {
     /// Parameter-space dimension.
     fn dim(&self) -> usize;

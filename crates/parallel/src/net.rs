@@ -29,7 +29,7 @@ use crate::obs::{Counter, Tracer};
 use crate::roles::{
     ControllerRank, Machine, PhonebookStats, Placement, Run, RuntimeConfig, RuntimeReport,
 };
-use crate::runtime::{Envelope, Runtime, Shared};
+use crate::runtime::{Envelope, Runtime, RuntimeStats, Shared};
 use crate::scheduler::{
     CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
 };
@@ -778,11 +778,7 @@ fn add_earlier(report: &mut RuntimeReport, earlier: &RuntimeReport) {
         level.mean_eval_ms = eval_ms / level.evaluations.max(1) as f64;
     }
     report.report.elapsed += earlier.report.elapsed;
-    let (stats, before) = (&mut report.runtime, &earlier.runtime);
-    stats.polls += before.polls;
-    stats.wakeups += before.wakeups;
-    stats.dropped_sends += before.dropped_sends;
-    stats.steals += before.steals;
+    report.runtime += earlier.runtime;
 }
 
 /// Options of the [`NetDriver::run`] alias: its [`Placement::Net`]'s worker
@@ -1014,6 +1010,8 @@ pub struct NetWorkerReport {
     /// The driver released this worker's ranks while the run went on,
     /// rather than hanging up at its end.
     pub retired: bool,
+    /// This process's pool counters, over every segment it hosted.
+    pub runtime: RuntimeStats,
 }
 
 /// Compatibility alias (ROADMAP item 7(d) removes it): [`net_worker`] on
@@ -1061,6 +1059,7 @@ pub fn net_worker(
     let mut report = NetWorkerReport {
         ranks: vec![],
         retired: false,
+        runtime: RuntimeStats::default(),
     };
     let mut next = read_frame(&mut &*stream, tracer);
     loop {
@@ -1079,7 +1078,7 @@ pub fn net_worker(
                 wire.send(0, Frame::Ready);
                 let reader = wire.reader(0, Arc::clone(&pool));
                 let config = RuntimeConfig::unsharded(config, runtime);
-                runtime.drive(&pool, |rank, _| {
+                let (_, stats) = runtime.drive(&pool, |rank, _| {
                     let resume = ckpts.iter().find(|c| c.rank == rank);
                     Box::new(ControllerRank::new(factory, &config, tracer, rank, resume)) as Machine
                 });
@@ -1088,7 +1087,8 @@ pub fn net_worker(
                 // of file now ends the run
                 wire.end_expected.store(true, Ordering::Release);
                 wire.send(0, Frame::Bye);
-                wire.finish(writer);
+                report.runtime += stats;
+                report.runtime.dropped_sends += wire.finish(writer);
                 next = join(reader);
                 report.ranks = ranks;
             }
@@ -1111,6 +1111,7 @@ pub fn net_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::SpanKind;
     use crate::roles::policy::GaussianHierarchy;
 
     /// Driver, a worker that leaves at barrier 1 and a joiner, each on a
@@ -1171,6 +1172,51 @@ mod tests {
         let n_samples: Vec<usize> = net.report.levels.iter().map(|l| l.n_samples).collect();
         assert_eq!(n_samples, config.base.samples_per_level);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Both ends of a traced net run, each on a two-worker pool, mark
+    /// every steal their pool counts: one `Steal` per steal (net processes
+    /// once installed no steal observer, and nothing noticed). Equality
+    /// holds at zero steals too, so how the run happens to schedule cannot
+    /// fail it.
+    #[test]
+    fn a_traced_net_run_marks_every_steal_of_both_pools() {
+        let mut config = RuntimeConfig::new(vec![3000, 600], vec![3, 3]);
+        config.base.burn_in = vec![30, 20];
+        config.base.load_balancing = false;
+        let h = GaussianHierarchy::two_level();
+        let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
+        let connect = driver.local_addr().to_string();
+        let (driver_tracer, worker_tracer) = (Tracer::new(), Tracer::new());
+        let (net, worker) = std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let opts = NetWorkerOptions {
+                    connect,
+                    join: false,
+                    leave_at_barrier: None,
+                };
+                net_worker(&Runtime::new(2), &h, &opts, &worker_tracer)
+            });
+            let run = Run::new(&h, &config, &driver_tracer, None, None);
+            let net = run.on(Placement::Net {
+                runtime: &Runtime::new(2),
+                driver,
+                workers: 1,
+            });
+            (
+                net.expect("a live run"),
+                worker.join().expect("worker panicked"),
+            )
+        });
+        assert_eq!(worker.ranks.len(), 6, "every controller on the worker");
+        let marks = |tracer: &Tracer| {
+            let steals = tracer.events().into_iter();
+            steals
+                .filter(|e| matches!(e.kind, SpanKind::Steal { .. }))
+                .count()
+        };
+        assert_eq!(marks(&driver_tracer), net.runtime.steals, "driver");
+        assert_eq!(marks(&worker_tracer), worker.runtime.steals, "worker");
     }
 
     fn roundtrip(frame: &Frame) -> Frame {

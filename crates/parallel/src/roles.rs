@@ -44,7 +44,9 @@ use uq_mcmc::problem::GaussianTarget;
 use uq_mcmc::proposal::GaussianRandomWalk;
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::counting::{EvalCounter, EvalHook, Hooked};
-use uq_mlmcmc::coupled::{build_chain, CoarseSample, MlChain, PendingCoarseSource, StepOutcome};
+use uq_mlmcmc::coupled::{
+    build_chain, Bookmark, CoarseSample, MlChain, PendingCoarseSource, StepOutcome,
+};
 use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats, ServeStep};
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
@@ -978,8 +980,8 @@ struct ServeJob {
     /// Accept-case precomputation on the phonebook's behalf.
     speculative: bool,
     lease: LedgerLease,
-    /// The controller's own trajectory, restored when the serve ends.
-    snapshot: CoarseSample,
+    /// The controller's own trajectory, returned to when the serve ends.
+    bookmark: Bookmark,
     serve: ledger::Serve,
 }
 
@@ -1099,8 +1101,12 @@ impl<'a> ControllerRank<'a> {
         if self.producing {
             // the recorded triple travels only when recorded (`Msg::correction`)
             let base = &self.config.base;
-            let correction =
-                Msg::correction(self.level, &self.chain, base.pairing, base.record_samples);
+            let correction = Msg::correction(
+                self.level,
+                &mut self.chain,
+                base.pairing,
+                base.record_samples,
+            );
             self.shard_rr = (self.shard_rr + 1) % self.config.collector_shards;
             ctx.send(
                 self.config.collector_rank(self.level, self.shard_rr),
@@ -1131,17 +1137,18 @@ impl<'a> ControllerRank<'a> {
         Poll::Wait(coarse_wait_pred(want))
     }
 
-    /// Begin a ledger serve: snapshot our trajectory, then start the
-    /// serve (which rewinds the chain to the lease's anchor).
+    /// Begin a ledger serve: bookmark our trajectory (evaluating
+    /// nothing), then start the serve (which rewinds the chain to the
+    /// lease's anchor).
     fn start_serve(&mut self, reply_to: usize, lease: LedgerLease, speculative: bool) -> ServeJob {
-        let snapshot = self.chain.current_as_sample();
+        let bookmark = self.chain.bookmark();
         let rho = self.factory.subsampling_rate(self.level);
         let serve = ledger::Serve::start(&mut self.chain, rho, &lease);
         ServeJob {
             reply_to,
             speculative,
             lease,
-            snapshot,
+            bookmark,
             serve,
         }
     }
@@ -1162,20 +1169,20 @@ impl<'a> ControllerRank<'a> {
                     return self.request_coarse(ctx);
                 }
                 ServeStep::Done(outcome) => {
-                    self.finish_serve(ctx, &job, outcome);
+                    self.finish_serve(ctx, job, outcome);
                     return Poll::Ready;
                 }
             }
         }
     }
 
-    /// Conclude a serve: restore our trajectory, ship the proposal (mate
-    /// piggybacked) to the requester — unless the serve was speculative,
-    /// in which case nobody asked — and send the phonebook the single
-    /// batched `ServeDone` (write-back or speculative outcome plus the
-    /// availability re-announce).
-    fn finish_serve(&mut self, ctx: &VCtx<'_, Msg>, job: &ServeJob, outcome: ledger::ServeOutcome) {
-        self.chain.restore(&job.snapshot);
+    /// Conclude a serve: return to our trajectory, ship the proposal
+    /// (mate piggybacked) to the requester — unless the serve was
+    /// speculative, in which case nobody asked — and send the phonebook
+    /// the single batched `ServeDone` (write-back or speculative outcome
+    /// plus the availability re-announce).
+    fn finish_serve(&mut self, ctx: &VCtx<'_, Msg>, job: ServeJob, outcome: ledger::ServeOutcome) {
+        self.chain.return_to(job.bookmark);
         // the write-back MUST be enqueued before the requester's
         // proposal: program order plus per-destination FIFO then
         // guarantee the phonebook applies it before the requester's

@@ -211,6 +211,19 @@ impl<M: Send> Shared<M> {
     }
 }
 
+impl<M> Shared<M> {
+    /// End the run: every worker returns once its run queue is empty.
+    fn stop_workers(&self) {
+        self.done.store(true, Ordering::Release);
+        for w in &self.workers {
+            // taken so that a worker about to park sees the flag; a
+            // poisoned lock serves that as well
+            let _guard = w.run_queue.lock();
+            w.cv.notify_all();
+        }
+    }
+}
+
 /// What a [`VCtx`] asks of the executor driving its rank: deliver a
 /// message, hand over what has arrived, tell the time. The pool's
 /// [`Shared`] mailboxes and the virtual-time executor ([`crate::sim`])
@@ -340,6 +353,16 @@ pub struct RuntimeStats {
     /// Runnable ranks taken from another worker's run queue by an idle
     /// worker (work stealing).
     pub steals: usize,
+}
+
+/// Counters of consecutive runs, added up (a net process's segments).
+impl std::ops::AddAssign for RuntimeStats {
+    fn add_assign(&mut self, later: Self) {
+        self.polls += later.polls;
+        self.wakeups += later.wakeups;
+        self.dropped_sends += later.dropped_sends;
+        self.steals += later.steals;
+    }
 }
 
 /// Results of a runtime execution.
@@ -483,16 +506,18 @@ impl Runtime {
         let cells: Vec<Mutex<Option<Entry<'a, M, R>>>> =
             shared.slots.iter().map(|_| Mutex::new(None)).collect();
         let mut outs = Vec::new();
-        std::thread::scope(|scope| {
-            let (cells, factory) = (&cells, &factory);
-            let handles: Vec<_> = (0..shared.workers.len())
-                .map(|worker_id| {
-                    scope.spawn(move || worker_loop(shared, cells, worker_id, factory))
-                })
-                .collect();
-            for handle in handles {
-                outs.extend(handle.join().expect("runtime worker panicked"));
-            }
+        watchdog::watch(shared, || {
+            std::thread::scope(|scope| {
+                let (cells, factory) = (&cells, &factory);
+                let handles: Vec<_> = (0..shared.workers.len())
+                    .map(|worker_id| {
+                        scope.spawn(move || worker_loop(shared, cells, worker_id, factory))
+                    })
+                    .collect();
+                for handle in handles {
+                    outs.extend(handle.join().expect("runtime worker panicked"));
+                }
+            })
         });
         // what an exited rank left unread was lost: shutdown loss must be
         // observable, not silent (every other queue is empty by now)
@@ -511,6 +536,15 @@ impl Runtime {
     }
 }
 
+/// Outside this crate's unit tests a pool run is not watched: see the
+/// test build's `watchdog` at the end of this file.
+#[cfg(not(test))]
+mod watchdog {
+    pub(super) fn watch<M, T>(_shared: &super::Shared<M>, run: impl FnOnce() -> T) -> T {
+        run()
+    }
+}
+
 /// A rank's state machine plus its rank-local message buffer; rests in
 /// the rank's cell between polls and travels with it when stolen.
 struct Entry<'a, M: Send, R> {
@@ -526,11 +560,7 @@ struct PanicFence<'s, M>(&'s Shared<M>);
 impl<M> Drop for PanicFence<'_, M> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.done.store(true, Ordering::Release);
-            for w in &self.0.workers {
-                let _guard = w.run_queue.lock();
-                w.cv.notify_all();
-            }
+            self.0.stop_workers();
         }
     }
 }
@@ -660,14 +690,110 @@ where
                 }
                 outputs.push((rank, out));
                 if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    shared.done.store(true, Ordering::Release);
-                    for w in &shared.workers {
-                        let _guard = w.run_queue.lock().expect("runtime poisoned");
-                        w.cv.notify_all();
-                    }
+                    shared.stop_workers();
                 }
             }
         }
+    }
+}
+
+/// In this crate's unit tests every pool run — the policy tests' `Pool`
+/// executor, `scheduler::tests`, the net and service tests — goes
+/// through [`Runtime::drive`] and so through here: one still going after
+/// a deadline far beyond any of them is stopped and fails with each
+/// rank's last poll outcome and mailbox length, instead of hanging the
+/// suite until the CI timeout (ROADMAP 8(e)).
+#[cfg(test)]
+pub(crate) mod watchdog {
+    use super::*;
+    use std::fmt::Write as _;
+
+    /// The longest pool run of these tests takes seconds.
+    const DEADLINE: Duration = Duration::from_secs(120);
+    /// How long stopped workers may take to return before the process is
+    /// aborted (a rank that keeps answering `Ready` never lets them).
+    const GRACE: Duration = Duration::from_secs(10);
+
+    pub(super) fn watch<M: Send, T>(shared: &Shared<M>, run: impl FnOnce() -> T) -> T {
+        watch_for(shared, DEADLINE, run)
+    }
+
+    /// `run` — which polls `shared`'s ranks — stopped after `deadline`,
+    /// then a panic saying what each rank was doing.
+    pub(crate) fn watch_for<M: Send, T>(
+        shared: &Shared<M>,
+        deadline: Duration,
+        run: impl FnOnce() -> T,
+    ) -> T {
+        let ended = AtomicBool::new(false);
+        let (out, stalled) = std::thread::scope(|scope| {
+            let dog = scope.spawn(|| {
+                if ended_within(&ended, deadline) {
+                    return None;
+                }
+                let report = describe(shared, deadline);
+                shared.stop_workers();
+                if !ended_within(&ended, GRACE) {
+                    eprintln!("{report}\nthe workers did not stop: aborting");
+                    std::process::abort();
+                }
+                Some(report)
+            });
+            let out = {
+                // also when `run` unwinds, so the scope's join of the dog
+                // does not wait out the deadline
+                let _end = EndOnDrop(&ended, dog.thread());
+                run()
+            };
+            (out, dog.join().expect("pool watchdog panicked"))
+        });
+        if let Some(report) = stalled {
+            panic!("{report}");
+        }
+        out
+    }
+
+    struct EndOnDrop<'a>(&'a AtomicBool, &'a std::thread::Thread);
+
+    impl Drop for EndOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+            self.1.unpark();
+        }
+    }
+
+    /// Park until `ended` is set (`true`) or `limit` has passed (`false`).
+    fn ended_within(ended: &AtomicBool, limit: Duration) -> bool {
+        let start = Instant::now();
+        while !ended.load(Ordering::Acquire) {
+            let left = limit.saturating_sub(start.elapsed());
+            if left.is_zero() {
+                return false;
+            }
+            std::thread::park_timeout(left);
+        }
+        true
+    }
+
+    fn describe<M>(shared: &Shared<M>, deadline: Duration) -> String {
+        let polls = shared.polls.load(Ordering::Relaxed);
+        let mut report = format!(
+            "pool watchdog: run still going after {deadline:?} ({polls} polls); \
+             each hosted rank's last poll outcome and mailbox:"
+        );
+        for (rank, slot) in shared.slots.iter().enumerate() {
+            let slot = slot.lock().expect("runtime poisoned");
+            let outcome = match slot.state {
+                // `Ready`, woken by a message, or never polled
+                SlotState::Runnable => "runnable",
+                SlotState::Waiting(_) => "waiting",
+                SlotState::Exited => "exited",
+                SlotState::Remote => continue,
+            };
+            let queued = slot.queue.len();
+            write!(report, "\n  rank {rank}: {outcome}, {queued} queued").expect("a String");
+        }
+        report
     }
 }
 
@@ -1126,6 +1252,38 @@ pub(crate) mod tests {
             }))
         });
         assert!(runs.iter().all(|run| run.results[0]));
+    }
+
+    #[test]
+    fn a_hung_pool_run_fails_with_each_ranks_state() {
+        // one worker: rank 0 suspends on `Data` nobody sends, then rank 1
+        // leaves it a message it does not wait for and exits — a hang,
+        // every worker parked
+        let pool = Runtime::new(1);
+        let shared = pool.host_all(2, None);
+        let hung = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            watchdog::watch_for(&shared, Duration::from_millis(300), || {
+                pool.drive(&shared, |rank, _| -> Boxed<CtlMsg, ()> {
+                    Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
+                        if rank == 1 {
+                            v.send(0, CtlMsg::Poison);
+                            return Poll::Exit(());
+                        }
+                        Poll::Wait(Box::new(|e| matches!(e.msg, Data(_))))
+                    }))
+                })
+            })
+        }));
+        let report = *hung
+            .expect_err("the watchdog stops a hung run")
+            .downcast::<String>()
+            .expect("a formatted report");
+        assert!(
+            report.starts_with("pool watchdog: run still going"),
+            "{report}"
+        );
+        assert!(report.contains("rank 0: waiting, 1 queued"), "{report}");
+        assert!(report.contains("rank 1: exited, 0 queued"), "{report}");
     }
 
     #[test]

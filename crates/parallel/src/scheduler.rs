@@ -136,22 +136,23 @@ pub enum Msg {
 
 impl Msg {
     /// The [`Msg::Correction`] for `chain`'s just-completed producing
-    /// step: `y` is [`MlChain::correction`] under `pairing`; the
-    /// recorded triple is filled only under `record`, and its pair
-    /// always shows the proposal coupling.
-    pub(crate) fn correction(
+    /// step: `y` is [`MlChain::correction`] under `pairing` (which reads
+    /// the step's QOI); the recorded triple is filled only under
+    /// `record`, and its pair always shows the proposal coupling.
+    pub fn correction(
         level: usize,
-        chain: &MlChain,
+        chain: &mut MlChain,
         pairing: PairingMode,
         record: bool,
     ) -> Msg {
-        let state = chain.state();
+        let y = chain.correction(pairing);
         let recorded = |v: &[f64]| if record { v.to_vec() } else { Vec::new() };
+        let fine_qoi = recorded(chain.current_qoi());
         Msg::Correction {
             level,
-            y: chain.correction(pairing),
-            theta: recorded(&state.theta),
-            fine_qoi: recorded(&state.qoi),
+            y,
+            theta: recorded(&chain.state().theta),
+            fine_qoi,
             coarse_qoi: chain
                 .last_coarse()
                 .filter(|_| record)

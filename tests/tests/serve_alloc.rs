@@ -1,15 +1,18 @@
-//! A sample's QOI is allocated once, where the model evaluates it, and
-//! shared from there on: chain state, coarse samples, leases, serve
-//! outcomes, ledger sessions and checkpoint state all hold the same
+//! A sample's QOI is evaluated when something reads it, allocated once
+//! there, and shared from there on: chain state, coarse samples, leases,
+//! serve outcomes, ledger sessions and checkpoint state all hold the same
 //! `Arc<[f64]>`. On the `ranks_runtime` hierarchy (Poisson, m = 8,
 //! n = 4 / 8, ρ = 4; the paper's 1089-component QOI, 8712 bytes) a serve
-//! requests a large block only where it evaluates a QOI — the model's
-//! `Vec` and its move into the shared slice — and rewinding, packaging
-//! and bookkeeping request none.
+//! evaluates one QOI per leg that moved — the state it hands back — and
+//! requests a large block only there (the model's `Vec` and its move into
+//! the shared slice); stepping, rewinding, packaging and bookkeeping
+//! evaluate and request none. Burn-in evaluates no QOI, and neither does
+//! a chain step nobody reads.
 //!
 //! `Hooked` sees `log_density` only, so the QOI evaluations are counted
-//! by a decorator of this file. Every count is of allocator requests on
-//! this thread and repeats exactly; nothing here reads a clock.
+//! by a decorator of this file. Every count is of calls and allocator
+//! requests on this thread and repeats exactly; nothing here reads a
+//! clock.
 //!
 //! A binary of its own because it installs the counting
 //! `#[global_allocator]` of `common/counting_alloc.rs`.
@@ -23,10 +26,14 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uq_fem::problem::{PoissonFactory, PoissonHierarchy};
-use uq_mcmc::{Proposal, SamplingProblem};
-use uq_mlmcmc::coupled::{build_chain_stack, CoarseSample, MlChain};
-use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease};
+use uq_mcmc::{Chain, ChainConfig, Proposal, SamplingProblem};
+use uq_mlmcmc::coupled::{
+    build_chain, build_chain_stack, ChainCoarseSource, CoarseProposalSource, CoarseSample, MlChain,
+    PendingCoarseSource, StepOutcome,
+};
+use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, PairingMode};
 use uq_mlmcmc::LevelFactory;
+use uq_parallel::scheduler::Msg;
 
 const RHO: usize = 4;
 
@@ -127,18 +134,33 @@ fn shared(a: &CoarseSample, b: &CoarseSample) -> bool {
     Arc::ptr_eq(&a.qoi, &b.qoi)
 }
 
+/// `chain`'s current state holds `qoi` itself, read or not.
+fn holds(chain: &MlChain, qoi: &Arc<[f64]>) -> bool {
+    chain
+        .state()
+        .qoi
+        .as_ref()
+        .is_some_and(|q| Arc::ptr_eq(q, qoi))
+}
+
 #[test]
 fn a_diverged_serve_requests_large_blocks_only_to_evaluate_qois() {
     let factory = QoiCounted::new();
     let (mut chain, mut lease) = diverged_lease(&factory);
-    let (mut evaluated, mut steps) = (0, 0);
+    let pairing = lease.pairing.clone().expect("a diverged lease");
+    let (mut moved_legs, mut still_legs) = (0, 0);
     for position in 0..24 {
         lease.serves = position;
         let (qois, large, outcome) = factory.measure(|| ledger::serve(&mut chain, RHO, &lease));
         assert!(outcome.diverged);
-        // two legs of RHO steps; an accepted step evaluates one QOI: the
-        // model's `Vec` and the shared slice it is moved into
-        assert!(qois <= 2 * RHO as u64);
+        // each leg rewinds to a sample that carries its QOI; a leg whose
+        // end state moved reads the new one, a leg that never moved hands
+        // back the QOI it was given
+        let moved = u64::from(outcome.proposal.theta != lease.anchor.theta)
+            + u64::from(outcome.pairing.theta != pairing.theta);
+        assert_eq!(qois, moved, "serve {position}");
+        // an evaluation: the model's `Vec` and the shared slice it is
+        // moved into
         assert!(
             large <= 2 * qois,
             "serve {position}: {large} large blocks for {qois} QOI evaluations"
@@ -147,11 +169,114 @@ fn a_diverged_serve_requests_large_blocks_only_to_evaluate_qois() {
         let again = factory.measure(|| ledger::serve(&mut chain, RHO, &lease));
         assert_eq!((again.0, again.1), (qois, large), "serve {position}");
         assert_eq!(again.2.proposal, outcome.proposal);
-        evaluated += qois;
-        steps += 2 * RHO as u64;
+        moved_legs += moved;
+        still_legs += 2 - moved;
     }
-    // both branches of a step were on the path
-    assert!(0 < evaluated && evaluated < steps, "{evaluated} of {steps}");
+    // both kinds of leg were on the path
+    assert!(
+        moved_legs > 0 && still_legs > 0,
+        "{moved_legs} moved, {still_legs} still"
+    );
+}
+
+#[test]
+fn burn_in_evaluates_no_qoi_and_the_first_read_one() {
+    let factory = QoiCounted::new();
+    let mut rng = StdRng::seed_from_u64(31);
+    // a level-0 chain, and a controller's level-1 chain whose coarse
+    // proposals arrive from outside (here: a sequential twin's serves)
+    let mut base = build_chain_stack(&factory, 0);
+    let mut coupled = build_chain(&factory, 1, |coarse| {
+        Box::new(PendingCoarseSource::new(factory.problem(coarse)))
+    });
+    let mut twin = ChainCoarseSource::new(build_chain_stack(&factory, 0), RHO);
+    let k = 40;
+    let (base_start, coupled_start) = (base.state().theta.clone(), coupled.state().theta.clone());
+    let (qois, _, ()) = factory.measure(|| {
+        for _ in 0..k {
+            base.step(&mut rng);
+        }
+    });
+    assert_eq!(qois, 0, "level 0");
+    for _ in 0..k {
+        assert_eq!(coupled.poll_step(&mut rng), StepOutcome::NeedCoarse);
+        let anchor = coupled.anchor().expect("a coupled chain").clone();
+        let coarse = twin.next_coarse(&mut rng, &anchor);
+        let (qois, _, _) = factory.measure(|| coupled.resume_step(&mut rng, coarse));
+        assert_eq!(qois, 0, "level 1");
+    }
+    // a controller serves between its own steps: it sets its position
+    // aside as it is, so only the serve's moved leg evaluates a QOI
+    let lease = LedgerLease::fresh(0x5EED, twin.anchor_at(&base_start));
+    let (qois, _, outcome) = factory.measure(|| {
+        let own = base.bookmark();
+        let outcome = ledger::serve(&mut base, RHO, &lease);
+        base.return_to(own);
+        outcome
+    });
+    assert_eq!(qois, u64::from(outcome.proposal.theta != base_start));
+    assert!(base.state().qoi.is_none(), "the bookmark read the QOI");
+    for (chain, start) in [(&mut base, base_start), (&mut coupled, coupled_start)] {
+        assert_ne!(
+            chain.state().theta,
+            start,
+            "{k} steps never moved the chain"
+        );
+        let (first, _, qoi) = factory.measure(|| Arc::clone(chain.current_qoi()));
+        let (second, _, again) = factory.measure(|| Arc::clone(chain.current_qoi()));
+        assert_eq!((first, second), (1, 0));
+        assert!(Arc::ptr_eq(&qoi, &again));
+    }
+}
+
+#[test]
+fn a_producing_level_0_step_and_its_correction_evaluate_at_most_one_qoi() {
+    let factory = QoiCounted::new();
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut chain = build_chain_stack(&factory, 0);
+    let mut accepted = 0;
+    for step in 0..60 {
+        let record = step % 2 == 0;
+        let (qois, _, (acc, msg)) = factory.measure(|| {
+            let acc = chain.step(&mut rng);
+            (
+                acc,
+                Msg::correction(0, &mut chain, PairingMode::Ledger, record),
+            )
+        });
+        // the correction reads the step's QOI: evaluated iff it moved
+        assert_eq!(qois, u64::from(acc), "step {step}");
+        let Msg::Correction { y, fine_qoi, .. } = msg else {
+            panic!("not a correction")
+        };
+        assert_eq!(*y, **chain.current_qoi());
+        assert_eq!(fine_qoi.len(), if record { y.len() } else { 0 });
+        accepted += u64::from(acc);
+    }
+    assert!(accepted > 0 && accepted < 60, "{accepted} of 60 accepted");
+}
+
+#[test]
+fn a_single_chain_evaluates_the_qois_it_records() {
+    let factory = QoiCounted::new();
+    for (burn_in, thin) in [(0, 1), (25, 1), (10, 3), (30, 7)] {
+        let mut rng = StdRng::seed_from_u64(5);
+        let recorded = 12;
+        let (qois, _, chain) = factory.measure(|| {
+            let (problem, proposal) = (factory.problem(0), factory.proposal(0));
+            let config = ChainConfig { burn_in, thin };
+            let mut chain = Chain::new(problem, proposal, factory.starting_point(0), config);
+            chain.run(recorded, &mut rng);
+            chain
+        });
+        // the starting point, then at most one per recorded sample
+        assert!(
+            qois <= recorded as u64 + 1,
+            "burn-in {burn_in}, thin {thin}: {qois}"
+        );
+        assert_eq!(chain.qois().len(), recorded);
+        assert_eq!(chain.steps_taken(), burn_in + (recorded - 1) * thin + 1);
+    }
 }
 
 #[test]
@@ -168,7 +293,7 @@ fn a_rewind_hands_back_the_qoi_it_was_given() {
         });
         assert_eq!((qois, large), (0, 0), "level {level}");
         assert!(shared(&back, &s), "level {level}");
-        assert!(Arc::ptr_eq(&chain.state().qoi, &s.qoi));
+        assert!(holds(&chain, &s.qoi), "level {level}");
         assert_eq!(back.sub_anchor.is_some(), level == 1);
         if let (Some(a), Some(b)) = (&back.sub_anchor, &s.sub_anchor) {
             assert!(shared(a, b), "the sub-anchor's QOI was copied");
@@ -179,7 +304,7 @@ fn a_rewind_hands_back_the_qoi_it_was_given() {
         assert!(Arc::ptr_eq(&state.qoi, &s.qoi));
         let (_, large, ()) = factory.measure(|| chain.import_state(state));
         assert_eq!(large, 0);
-        assert!(Arc::ptr_eq(&chain.state().qoi, &s.qoi));
+        assert!(holds(&chain, &s.qoi), "level {level}");
     }
 }
 
