@@ -122,16 +122,50 @@ impl StructuredGrid {
     /// [0, 1]²`.
     ///
     /// # Panics
-    /// Panics (debug) if the point lies outside the unit square or the
-    /// field has the wrong length.
+    /// Panics if the field has the wrong length, and (debug) if the point
+    /// lies outside the unit square.
     pub fn interpolate(&self, nodal: &[f64], x: f64, y: f64) -> f64 {
         assert_eq!(nodal.len(), self.n_nodes(), "interpolate: wrong field size");
+        self.stencil(x, y).eval(nodal)
+    }
+
+    /// The element nodes and local coordinates of `(x, y) ∈ [0, 1]²`:
+    /// everything [`interpolate`](Self::interpolate) computes before it
+    /// reads the field, for a point evaluated against many fields.
+    ///
+    /// # Panics
+    /// Panics (debug) if the point lies outside the unit square.
+    pub fn stencil(&self, x: f64, y: f64) -> Stencil {
         debug_assert!((-1e-12..=1.0 + 1e-12).contains(&x) && (-1e-12..=1.0 + 1e-12).contains(&y));
         let ex = ((x / self.h) as usize).min(self.n - 1);
         let ey = ((y / self.h) as usize).min(self.n - 1);
-        let xi = (x - ex as f64 * self.h) / self.h;
-        let eta = (y - ey as f64 * self.h) / self.h;
-        let [a, b, c, d] = self.element_nodes(ex, ey);
+        Stencil {
+            nodes: self.element_nodes(ex, ey),
+            xi: (x - ex as f64 * self.h) / self.h,
+            eta: (y - ey as f64 * self.h) / self.h,
+        }
+    }
+}
+
+/// Bilinear interpolation at one point of a [`StructuredGrid`], built by
+/// [`StructuredGrid::stencil`].
+#[derive(Clone, Copy, Debug)]
+pub struct Stencil {
+    /// The four nodes of the point's element, counter-clockwise from the
+    /// lower-left corner.
+    nodes: [usize; 4],
+    /// Local coordinates of the point in that element, in `[0, 1]`.
+    xi: f64,
+    eta: f64,
+}
+
+impl Stencil {
+    /// The nodal field's bilinear interpolant at the point.
+    ///
+    /// # Panics
+    /// Panics if the field is shorter than the grid's node count.
+    pub fn eval(&self, nodal: &[f64]) -> f64 {
+        let ([a, b, c, d], xi, eta) = (self.nodes, self.xi, self.eta);
         nodal[a] * (1.0 - xi) * (1.0 - eta)
             + nodal[b] * xi * (1.0 - eta)
             + nodal[c] * xi * eta
@@ -201,6 +235,44 @@ mod tests {
                 (got - expect).abs() < 1e-12,
                 "at ({x},{y}): {got} vs {expect}"
             );
+        }
+    }
+
+    #[test]
+    fn stencil_evaluates_the_interpolation_formula_to_the_bit() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // the formula as evaluated per call, divisions and all
+        fn per_call(g: &StructuredGrid, nodal: &[f64], x: f64, y: f64) -> f64 {
+            let h = g.h();
+            let ex = ((x / h) as usize).min(g.n() - 1);
+            let ey = ((y / h) as usize).min(g.n() - 1);
+            let xi = (x - ex as f64 * h) / h;
+            let eta = (y - ey as f64 * h) / h;
+            let [a, b, c, d] = g.element_nodes(ex, ey);
+            nodal[a] * (1.0 - xi) * (1.0 - eta)
+                + nodal[b] * xi * (1.0 - eta)
+                + nodal[c] * xi * eta
+                + nodal[d] * (1.0 - xi) * eta
+        }
+        let mut rng = StdRng::seed_from_u64(36);
+        for n in [4, 7, 16] {
+            let g = StructuredGrid::new(n);
+            let f: Vec<f64> = (0..g.n_nodes())
+                .map(|_| rng.random::<f64>() - 0.3)
+                .collect();
+            let mut points = vec![(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)];
+            points.extend((0..40).map(|_| (rng.random::<f64>(), rng.random::<f64>())));
+            points.extend((0..=n).map(|i| (i as f64 / n as f64, 1.0)));
+            for (x, y) in points {
+                let got = g.stencil(x, y).eval(&f).to_bits();
+                assert_eq!(
+                    got,
+                    per_call(&g, &f, x, y).to_bits(),
+                    "n = {n} at ({x}, {y})"
+                );
+                assert_eq!(got, g.interpolate(&f, x, y).to_bits());
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //! observation vector [`PoissonModel::forward`] returns (the likelihood
 //! reads it from a model-owned buffer instead):
 //!
-//! 1. `κ = exp(Φ_e θ)` is evaluated into a reusable buffer;
+//! 1. `κ = exp(Φ_e θ)` is evaluated into a reusable buffer, one sweep
+//!    per mode over the basis stored transposed;
 //! 2. a [`StiffnessPattern`] per mesh level refills CSR values and rhs
 //!    in place (no COO rebuild, no sort);
 //! 3. the system is solved **directly** by a band LDLᵀ
@@ -33,7 +34,7 @@
 //! strictly worse than crashing the chain. Per-solve iteration/residual
 //! statistics are recorded for the paper's cost tables.
 
-use crate::grid::StructuredGrid;
+use crate::grid::{Stencil, StructuredGrid};
 use crate::operator::{StiffnessOperator, StiffnessPattern};
 use std::sync::Arc;
 use uq_linalg::banded::BandedSolver;
@@ -165,8 +166,8 @@ pub fn build_mg_hierarchy(fine_n: usize, kappa: &[f64]) -> Option<GmgHierarchy> 
 
 /// Largest band factorisation, in multiply-adds (`free · bw² / 2`), that
 /// [`PoissonModel`] solves directly rather than by MG-CG. A forward
-/// evaluation measured 2.7× faster direct at `n = 16` (33 k), 2× at
-/// `n = 24` (166 k), 0.64–0.77× of MG-CG's time at `n = 32` (524 k) and
+/// evaluation measured 4× faster direct at `n = 16` (33 k), 1.7× at
+/// `n = 24` (166 k), 0.73–0.81× of MG-CG's time at `n = 32` (524 k) and
 /// 1.8× slower at `n = 64` (8.4 M); DESIGN §1.1 has the table.
 pub const DIRECT_MAX_MADDS: usize = 250_000;
 
@@ -226,14 +227,25 @@ impl SolverBackend {
     }
 }
 
+/// The KL basis of `field` tabulated at `points`, stored transposed
+/// (`m × points`, row `k` is mode `k` at every point) as
+/// [`PoissonModel::with_tabulated`] takes it.
+pub fn tabulate_transposed(field: &KlField2d, points: &[(f64, f64)]) -> Arc<DenseMatrix> {
+    Arc::new(field.tabulate(points).transpose())
+}
+
 /// One level of the Poisson forward-model hierarchy.
 pub struct PoissonModel {
     grid: StructuredGrid,
-    /// Tabulated KL basis at element centers: `log κ_elems = Φ_e θ`.
+    /// Tabulated KL basis at element centers, stored transposed (`m ×
+    /// elements`, row `k` is mode `k`): `log κ = Σ_k θ_k · row_k`.
     phi_elements: Arc<DenseMatrix>,
-    /// Tabulated KL basis at QOI points: `Q(θ) = exp(Φ_q θ)`.
+    /// Tabulated KL basis at QOI points, stored transposed (`m ×
+    /// points`): `Q(θ) = exp(Σ_k θ_k · row_k)`.
     phi_qoi: Arc<DenseMatrix>,
     obs_points: Vec<(f64, f64)>,
+    /// Interpolation stencil of every observation point, built once.
+    obs_stencils: Vec<Stencil>,
     opts: SolverOptions,
     backend: SolverBackend,
     /// Fine-level rhs buffer (multigrid path).
@@ -256,18 +268,20 @@ impl PoissonModel {
     /// Build a model on an `n × n` grid with the given KL field.
     pub fn new(n: usize, field: &KlField2d) -> Self {
         let grid = StructuredGrid::new(n);
-        let phi_elements = Arc::new(field.tabulate(&grid.element_centers()));
-        let phi_qoi = Arc::new(field.tabulate(&paper_qoi_points()));
+        let phi_elements = tabulate_transposed(field, &grid.element_centers());
+        let phi_qoi = tabulate_transposed(field, &paper_qoi_points());
         Self::with_tabulated(n, phi_elements, phi_qoi)
     }
 
     /// Build a model from pre-tabulated KL bases (shared via `Arc`
     /// across the chains/workers of a hierarchy so each worker skips the
-    /// expensive tabulation).
+    /// expensive tabulation), both stored transposed: `m × points`, one
+    /// row per mode ([`tabulate_transposed`]).
     ///
     /// # Panics
-    /// Panics if `phi_elements` does not have one row per element of the
-    /// `n × n` grid.
+    /// Panics if `phi_elements` does not have one column per element of
+    /// the `n × n` grid, or `phi_qoi` not one row per mode of
+    /// `phi_elements`.
     pub fn with_tabulated(
         n: usize,
         phi_elements: Arc<DenseMatrix>,
@@ -275,19 +289,28 @@ impl PoissonModel {
     ) -> Self {
         let grid = StructuredGrid::new(n);
         assert_eq!(
-            phi_elements.rows(),
+            phi_elements.cols(),
             grid.n_elements(),
-            "PoissonModel: tabulated basis does not match the grid"
+            "PoissonModel: tabulated basis (modes × elements) does not match the grid"
+        );
+        assert_eq!(
+            phi_qoi.rows(),
+            phi_elements.rows(),
+            "PoissonModel: QOI basis (modes × points) has another mode count"
         );
         let backend = SolverBackend::build(&grid);
         let n_nodes = grid.n_nodes();
         let n_elements = grid.n_elements();
         let obs_points = paper_observation_points();
         Self {
-            grid,
             phi_elements,
             phi_qoi,
             prediction: vec![0.0; obs_points.len()],
+            obs_stencils: obs_points
+                .iter()
+                .map(|&(x, y)| grid.stencil(x, y))
+                .collect(),
+            grid,
             obs_points,
             opts: SolverOptions {
                 rel_tol: 1e-8,
@@ -306,7 +329,7 @@ impl PoissonModel {
 
     /// Parameter dimension `m`.
     pub fn dim(&self) -> usize {
-        self.phi_elements.cols()
+        self.phi_elements.rows()
     }
 
     /// Number of degrees of freedom (nodes).
@@ -352,16 +375,12 @@ impl PoissonModel {
 
     /// Element-wise diffusion coefficients `κ = exp(Φ_e θ)`.
     pub fn kappa_elements(&self, theta: &[f64]) -> Vec<f64> {
-        self.phi_elements
-            .matvec(theta)
-            .into_iter()
-            .map(f64::exp)
-            .collect()
+        exp_of(self.phi_elements.matvec_t(theta))
     }
 
     /// Evaluate `κ` into the reusable buffer.
     fn update_kappa(&mut self, theta: &[f64]) {
-        self.phi_elements.matvec_into(theta, &mut self.kappa);
+        self.phi_elements.matvec_t_into(theta, &mut self.kappa);
         for k in &mut self.kappa {
             *k = k.exp();
         }
@@ -447,8 +466,8 @@ impl PoissonModel {
     /// likelihood's form, which allocates nothing.
     pub fn forward_in_place(&mut self, theta: &[f64]) -> &[f64] {
         self.solve_in_place(theta);
-        for (p, &(x, y)) in self.prediction.iter_mut().zip(&self.obs_points) {
-            *p = self.grid.interpolate(&self.solution, x, y);
+        for (p, stencil) in self.prediction.iter_mut().zip(&self.obs_stencils) {
+            *p = stencil.eval(&self.solution);
         }
         &self.prediction
     }
@@ -456,12 +475,16 @@ impl PoissonModel {
     /// The paper's QOI: the diffusion field `κ(x_k, θ)` on the 33×33 QOI
     /// grid. Does not require a PDE solve.
     pub fn qoi(&self, theta: &[f64]) -> Vec<f64> {
-        self.phi_qoi
-            .matvec(theta)
-            .into_iter()
-            .map(f64::exp)
-            .collect()
+        exp_of(self.phi_qoi.matvec_t(theta))
     }
+}
+
+/// `exp` of every entry, in place.
+fn exp_of(mut v: Vec<f64>) -> Vec<f64> {
+    for x in &mut v {
+        *x = x.exp();
+    }
+    v
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! `θ̂ ~ N(0, I)` (the paper's deliberate "inverse crime", Sec. 3.1).
 
 use crate::grid::StructuredGrid;
-use crate::poisson::{paper_qoi_points, PoissonModel};
+use crate::poisson::{paper_qoi_points, tabulate_transposed, PoissonModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -111,9 +111,11 @@ pub struct PoissonHierarchy {
     truth: Vec<f64>,
     data: Vec<f64>,
     level_n: Vec<usize>,
-    /// Tabulated KL basis at element centers, one per level.
+    /// Tabulated KL basis at element centers, one per level, stored
+    /// transposed (`m × elements`).
     phi_elements: Vec<Arc<DenseMatrix>>,
-    /// Tabulated KL basis at the (level-independent) QOI points.
+    /// Tabulated KL basis at the (level-independent) QOI points, stored
+    /// transposed (`m × points`).
     phi_qoi: Arc<DenseMatrix>,
 }
 
@@ -139,9 +141,9 @@ impl PoissonHierarchy {
         let truth = standard_normal_vec(&mut rng, param_dim);
         let phi_elements: Vec<Arc<DenseMatrix>> = level_n
             .iter()
-            .map(|&n| Arc::new(field.tabulate(&StructuredGrid::new(n).element_centers())))
+            .map(|&n| tabulate_transposed(&field, &StructuredGrid::new(n).element_centers()))
             .collect();
-        let phi_qoi = Arc::new(field.tabulate(&paper_qoi_points()));
+        let phi_qoi = tabulate_transposed(&field, &paper_qoi_points());
         let finest = *level_n.last().unwrap();
         let mut data_model = PoissonModel::with_tabulated(
             finest,

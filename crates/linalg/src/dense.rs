@@ -78,27 +78,32 @@ impl DenseMatrix {
             .collect()
     }
 
-    /// Matrix–vector product into a caller-provided buffer (keeps the
-    /// per-step `κ = exp(Φθ)` evaluation allocation-free).
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "matvec_into: dimension mismatch");
-        assert_eq!(y.len(), self.rows, "matvec_into: output dimension mismatch");
-        for (yi, i) in y.iter_mut().zip(0..self.rows) {
-            *yi = vector::dot(self.row(i), x);
-        }
-    }
-
     /// Transposed matrix–vector product `Aᵀ x`.
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "matvec_t: dimension mismatch");
         let mut y = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let xi = x[i];
-            for (yj, aij) in y.iter_mut().zip(self.row(i)) {
-                *yj += aij * xi;
-            }
-        }
+        self.matvec_t_into(x, &mut y);
         y
+    }
+
+    /// Transposed matrix–vector product into a caller-provided buffer, as
+    /// one [`vector::axpy`] along each row: `y ← y + x_i · row_i`. Every
+    /// entry is summed in row order from `-0.0`, which is the order and
+    /// start of [`vector::dot`], so the result equals
+    /// `self.transpose().matvec(x)` to the bit; unlike that column dot, a
+    /// dependent chain of adds, the sweep vectorises across `y`. Keeps
+    /// the per-step `κ = exp(Φθ)` evaluation, with `Φ` stored
+    /// transposed, allocation-free.
+    pub fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.rows, "matvec_t_into: dimension mismatch");
+        assert_eq!(
+            y.len(),
+            self.cols,
+            "matvec_t_into: output dimension mismatch"
+        );
+        y.fill(-0.0);
+        for (i, &xi) in x.iter().enumerate() {
+            vector::axpy(xi, self.row(i), y);
+        }
     }
 
     /// Matrix product `A B`.
@@ -362,6 +367,8 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn spd3() -> DenseMatrix {
         DenseMatrix::from_vec(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0])
@@ -390,9 +397,24 @@ mod tests {
 
     #[test]
     fn matvec_t_matches_transpose_matvec() {
-        let a = DenseMatrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let x = vec![1.0, -1.0];
-        assert_eq!(a.matvec_t(&x), a.transpose().matvec(&x));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // column 0 sums two -0.0 products: -0.0 from dot's start, +0.0
+        // from a sum started at +0.0; column 2 cancels to +0.0
+        let a = DenseMatrix::from_vec(2, 3, vec![-0.0, 2.0, 2.5, 0.0, 5.0, 2.5]);
+        let x = [1.0, -1.0];
+        let want = a.transpose().matvec(&x);
+        assert_eq!(want[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(want[2].to_bits(), 0.0f64.to_bits());
+        assert_eq!(bits(&a.matvec_t(&x)), bits(&want));
+
+        // a KL-shaped basis (modes × points): long sums whose rounding
+        // depends on their order
+        let mut rng = StdRng::seed_from_u64(17);
+        let a = DenseMatrix::from_fn(113, 257, |_, _| 2.0 * rng.random::<f64>() - 1.0);
+        let x: Vec<f64> = (0..113).map(|_| 6.0 * rng.random::<f64>() - 3.0).collect();
+        let mut y = vec![f64::NAN; 257];
+        a.matvec_t_into(&x, &mut y);
+        assert_eq!(bits(&y), bits(&a.transpose().matvec(&x)));
     }
 
     #[test]
