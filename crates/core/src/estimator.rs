@@ -28,7 +28,7 @@ use crate::counting::{EvalCounter, Hooked};
 use crate::coupled::{build_chain_stack, MlChain};
 use crate::factory::LevelFactory;
 use crate::ledger::PairingMode;
-use crate::store::{Backend, LevelReportCkpt, RunSnapshot, RunStore, SequentialCkpt};
+use crate::store::{Backend, RunSnapshot, RunStore, SequentialCkpt};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -86,7 +86,7 @@ impl MlmcmcConfig {
 }
 
 /// Per-level results: the rows of the paper's Tables 3 and 4.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelReport {
     pub level: usize,
     /// Recorded samples `N_l`.
@@ -156,57 +156,29 @@ impl MlmcmcReport {
     }
 }
 
-impl LevelReportCkpt {
-    fn from_report(report: &LevelReport) -> Self {
-        LevelReportCkpt {
-            level: report.level,
-            n_samples: report.n_samples,
-            acceptance_rate: report.acceptance_rate,
-            mean_correction: report.mean_correction.clone(),
-            var_correction: report.var_correction.clone(),
-            iact: report.iact,
-            theta_samples: report.theta_samples.clone(),
-            qoi_samples: report.qoi_samples.clone(),
-            correction_pairs: report.correction_pairs.clone(),
-        }
-    }
-
-    fn into_report(self) -> LevelReport {
-        LevelReport {
-            level: self.level,
-            n_samples: self.n_samples,
-            acceptance_rate: self.acceptance_rate,
-            mean_correction: self.mean_correction,
-            var_correction: self.var_correction,
-            iact: self.iact,
-            evaluations: 0, // filled in by the driver from counters + offsets
-            mean_eval_ms: 0.0,
-            theta_samples: self.theta_samples,
-            qoi_samples: self.qoi_samples,
-            correction_pairs: self.correction_pairs,
-        }
-    }
+/// The telescoping term in progress: its accumulators, and how many of
+/// its samples are recorded. A sequential snapshot holds it as it is.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Term {
+    /// Samples already recorded in the term (burn-in done).
+    pub samples_done: usize,
+    pub moments: VectorMoments,
+    /// Representative-component trace (feeds the IACT column).
+    pub rep_trace: Vec<f64>,
+    pub theta_samples: Vec<Vec<f64>>,
+    pub qoi_samples: Vec<Vec<f64>>,
+    pub correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
-/// In-progress accumulators of one telescoping term.
-struct TermCursor {
-    moments: VectorMoments,
-    rep_trace: Vec<f64>,
-    theta_samples: Vec<Vec<f64>>,
-    qoi_samples: Vec<Vec<f64>>,
-    correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
-    samples_done: usize,
-}
-
-impl TermCursor {
+impl Term {
     fn fresh(qoi_dim: usize) -> Self {
-        TermCursor {
+        Term {
+            samples_done: 0,
             moments: VectorMoments::new(qoi_dim),
             rep_trace: Vec::new(),
             theta_samples: Vec::new(),
             qoi_samples: Vec::new(),
             correction_pairs: Vec::new(),
-            samples_done: 0,
         }
     }
 }
@@ -217,7 +189,7 @@ struct Cut<'a> {
     /// Samples recorded so far, all terms together.
     total_recorded: usize,
     level: usize,
-    term: &'a TermCursor,
+    term: &'a Term,
     chain: &'a mut MlChain,
     completed: &'a [LevelReport],
     counters: &'a [EvalCounter],
@@ -227,22 +199,12 @@ struct Cut<'a> {
 impl Cut<'_> {
     /// The resume cursor of this cut, with the generator at `rng`.
     fn cursor(&mut self, rng: [u64; 4]) -> SequentialCkpt {
-        let term = self.term;
         SequentialCkpt {
             level: self.level,
-            samples_done: term.samples_done,
+            term: self.term.clone(),
             chain: self.chain.export_state(),
             rng,
-            moments: term.moments.parts(),
-            rep_trace: term.rep_trace.clone(),
-            theta_samples: term.theta_samples.clone(),
-            qoi_samples: term.qoi_samples.clone(),
-            correction_pairs: term.correction_pairs.clone(),
-            completed: self
-                .completed
-                .iter()
-                .map(LevelReportCkpt::from_report)
-                .collect(),
+            completed: self.completed.to_vec(),
             eval_offsets: self
                 .counters
                 .iter()
@@ -281,8 +243,7 @@ fn sample_terms<R: Rng>(
         for (dst, &off) in eval_offsets.iter_mut().zip(&c.eval_offsets) {
             *dst = off;
         }
-        let completed = c.completed.iter().cloned();
-        levels.extend(completed.map(LevelReportCkpt::into_report));
+        levels.extend(c.completed.iter().cloned());
     }
     let mut total_recorded: usize = levels.iter().map(|l| l.n_samples).sum();
 
@@ -305,18 +266,11 @@ fn sample_terms<R: Rng>(
                 for _ in 0..config.burn_in[level] {
                     chain.step(rng);
                 }
-                TermCursor::fresh(chain.current_qoi().len())
+                Term::fresh(chain.current_qoi().len())
             }
             Some(c) => {
                 chain.import_state(c.chain.clone());
-                TermCursor {
-                    moments: VectorMoments::from_parts(&c.moments),
-                    rep_trace: c.rep_trace.clone(),
-                    theta_samples: c.theta_samples.clone(),
-                    qoi_samples: c.qoi_samples.clone(),
-                    correction_pairs: c.correction_pairs.clone(),
-                    samples_done: c.samples_done,
-                }
+                c.term.clone()
             }
         };
         let n_samples = config.samples_per_level[level];

@@ -159,7 +159,7 @@ impl LedgerLease {
 /// One executed serve: the Algorithm-2 proposal (with the pairing mate
 /// piggybacked in [`CoarseSample::mate`]), the session's advanced pairing
 /// state, and whether the tracks were diverged.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeOutcome {
     /// The proposal to fulfill the requester's step with; its `mate`
     /// field carries the pairing state served alongside.
@@ -334,101 +334,53 @@ impl LedgerStats {
 
 /// A completed speculative serve parked at the phonebook, awaiting the
 /// requester's next `CoarseRequest`.
-#[derive(Clone, Debug)]
-struct Speculation {
+#[derive(Clone, Debug, PartialEq)]
+pub struct Speculation {
     /// Stream position the speculation was computed for; valid only
     /// while it equals the session's `serves`.
-    serves: u64,
-    outcome: ServeOutcome,
+    pub serves: u64,
+    pub outcome: ServeOutcome,
 }
 
 /// Phonebook-side record of one requester's ledger session.
-#[derive(Clone, Debug)]
-struct LedgerSession {
-    seed: u64,
-    serves: u64,
-    pairing: Option<CoarseSample>,
+#[derive(Clone, Debug, PartialEq)]
+pub struct Session {
+    pub seed: u64,
+    pub serves: u64,
+    pub pairing: Option<CoarseSample>,
     /// Accept-case prediction of the requester's next anchor: the last
     /// served proposal (mate stripped). A speculation serves exactly
     /// this anchor; the requester's next request matches it bit-for-bit
     /// whenever the served proposal was accepted (and also after a
     /// full-rejection serve that ended where it started).
-    next_anchor: Option<CoarseSample>,
+    pub next_anchor: Option<CoarseSample>,
     /// Stream position a dispatched speculative serve is computing
-    /// (`None` when no speculation is in flight).
-    spec_inflight: Option<u64>,
+    /// (`None` when no speculation is in flight; always `None` at a
+    /// quiesced cut, whose barrier drains in-flight serves).
+    pub spec_inflight: Option<u64>,
     /// A stored speculation awaiting commit or discard.
-    spec: Option<Speculation>,
+    pub spec: Option<Speculation>,
     /// Exponential miss backoff: consecutive misses double it, a hit
     /// resets it. While > 0, that many write-backs pass before the
     /// session becomes a speculation candidate again — reject-heavy
     /// sessions stop burning wasted serve legs, accept streaks keep
     /// full speculation throughput.
-    spec_backoff: u32,
+    pub spec_backoff: u32,
     /// Write-backs left to skip before re-candidacy (loaded from
     /// `spec_backoff` after a miss).
-    spec_cooldown: u32,
+    pub spec_cooldown: u32,
     /// A real serve of the current stream position is outstanding (lease
-    /// issued, write-back not yet applied). While set, commits are
-    /// refused: the phonebooks' messaging order (write-back enqueued
-    /// before the proposal reaches the requester) makes this state
-    /// unreachable from a request, but the book defends the no-replay
-    /// invariant on its own.
-    real_inflight: bool,
+    /// issued, write-back not yet applied; `false` at a quiesced cut).
+    /// While set, commits are refused: the phonebooks' messaging order
+    /// (write-back enqueued before the proposal reaches the requester)
+    /// makes this state unreachable from a request, but the book defends
+    /// the no-replay invariant on its own.
+    pub real_inflight: bool,
 }
 
 /// Cap on the per-session speculation miss backoff (write-backs skipped
 /// between speculation attempts after repeated misses).
 const SPEC_BACKOFF_CAP: u32 = 16;
-
-/// Checkpoint state of one parked speculation (public mirror of the
-/// private `Speculation`, flattened for serialization).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpeculationState {
-    /// Stream position the speculation was computed for.
-    pub serves: u64,
-    pub proposal: CoarseSample,
-    pub pairing: CoarseSample,
-    pub diverged: bool,
-}
-
-/// Checkpoint state of one ledger session, keyed inline by
-/// `(requester, level)` — the public mirror of the private
-/// `LedgerSession`, with full speculation/backoff fidelity.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SessionState {
-    pub requester: usize,
-    pub level: usize,
-    pub seed: u64,
-    pub serves: u64,
-    pub pairing: Option<CoarseSample>,
-    pub next_anchor: Option<CoarseSample>,
-    /// Stream position of a dispatched-but-unfinished speculation. At a
-    /// quiesced cut this is `None` (the barrier drains in-flight
-    /// serves); kept for fidelity regardless.
-    pub spec_inflight: Option<u64>,
-    pub spec: Option<SpeculationState>,
-    pub spec_backoff: u32,
-    pub spec_cooldown: u32,
-    /// Outstanding real serve. `false` at a quiesced cut.
-    pub real_inflight: bool,
-}
-
-/// The full [`LedgerBook`] as plain data, for checkpointing. All maps
-/// are exported **sorted by key** so identical books always serialize
-/// to identical bytes (the content-addressed store relies on that);
-/// candidate queues preserve their round-robin order.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LedgerState {
-    /// Sessions sorted by `(requester, level)`.
-    pub sessions: Vec<SessionState>,
-    /// Generation counters sorted by `(requester, level)`.
-    pub generations: Vec<(usize, usize, u64)>,
-    /// Speculation candidate queues sorted by level, each in queue
-    /// order.
-    pub candidates: Vec<(usize, Vec<usize>)>,
-    pub stats: LedgerStats,
-}
 
 /// The phonebook's per-requester session registry — the rewind ledger
 /// plus its speculation store. Keyed by `(requester rank, coarse
@@ -450,16 +402,26 @@ pub struct LedgerState {
 /// stale speculation is discarded without touching session state, so a
 /// miss has **zero statistical effect**: the real serve that follows
 /// derives the identical substream from `(session_seed, serves)`.
-#[derive(Default)]
+///
+/// ## Checkpointing
+///
+/// The book is its own snapshot: a checkpoint clones it and the snapshot
+/// codec ([`crate::store`]) writes every map sorted by key, so equal
+/// books are equal bytes, and refuses a map whose keys are not strictly
+/// increasing. A resumed book continues every session at its exact
+/// stream position, so post-resume serves derive the very substreams the
+/// uninterrupted run would have.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LedgerBook {
-    sessions: HashMap<(usize, usize), LedgerSession>,
+    /// Open sessions, keyed by `(requester rank, coarse level)`.
+    pub sessions: HashMap<(usize, usize), Session>,
     /// Per-key generation counters; survive `forget_requester` so
     /// re-opened sessions never replay substreams (see
     /// [`generation_seed`]).
-    generations: HashMap<(usize, usize), u64>,
-    /// Sessions eligible for a speculative serve, per coarse level
-    /// (lazily validated at pop time).
-    candidates: HashMap<usize, VecDeque<usize>>,
+    pub generations: HashMap<(usize, usize), u64>,
+    /// Sessions eligible for a speculative serve, per coarse level, in
+    /// round-robin order (lazily validated at pop time).
+    pub candidates: HashMap<usize, VecDeque<usize>>,
     /// Aggregate counters, reported with the run.
     pub stats: LedgerStats,
 }
@@ -482,7 +444,7 @@ impl LedgerBook {
             .unwrap_or(0);
         let session = self.sessions.entry((reply_to, level)).or_insert_with(|| {
             stats.sessions += 1;
-            LedgerSession {
+            Session {
                 seed: generation_seed(session_seed(base_seed, level, reply_to as u64), generation),
                 serves: 0,
                 pairing: None,
@@ -717,99 +679,13 @@ impl LedgerBook {
             queue.push_back(requester);
         }
     }
-
-    /// Export the whole book as deterministic plain data (sorted keys,
-    /// full session fidelity) for checkpointing.
-    pub fn export_state(&self) -> LedgerState {
-        let mut sessions: Vec<SessionState> = self
-            .sessions
-            .iter()
-            .map(|(&(requester, level), s)| SessionState {
-                requester,
-                level,
-                seed: s.seed,
-                serves: s.serves,
-                pairing: s.pairing.clone(),
-                next_anchor: s.next_anchor.clone(),
-                spec_inflight: s.spec_inflight,
-                spec: s.spec.as_ref().map(|sp| SpeculationState {
-                    serves: sp.serves,
-                    proposal: sp.outcome.proposal.clone(),
-                    pairing: sp.outcome.pairing.clone(),
-                    diverged: sp.outcome.diverged,
-                }),
-                spec_backoff: s.spec_backoff,
-                spec_cooldown: s.spec_cooldown,
-                real_inflight: s.real_inflight,
-            })
-            .collect();
-        sessions.sort_by_key(|s| (s.requester, s.level));
-        let mut generations: Vec<(usize, usize, u64)> = self
-            .generations
-            .iter()
-            .map(|(&(r, l), &g)| (r, l, g))
-            .collect();
-        generations.sort_unstable();
-        let mut candidates: Vec<(usize, Vec<usize>)> = self
-            .candidates
-            .iter()
-            .map(|(&level, queue)| (level, queue.iter().copied().collect()))
-            .collect();
-        candidates.sort_by_key(|&(level, _)| level);
-        LedgerState {
-            sessions,
-            generations,
-            candidates,
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuild a book from state captured by
-    /// [`export_state`](Self::export_state): sessions resume at their
-    /// exact stream positions, so post-resume serves derive the very
-    /// substreams the uninterrupted run would have.
-    pub fn import_state(state: LedgerState) -> Self {
-        let mut book = LedgerBook {
-            stats: state.stats,
-            ..Default::default()
-        };
-        for s in state.sessions {
-            book.sessions.insert(
-                (s.requester, s.level),
-                LedgerSession {
-                    seed: s.seed,
-                    serves: s.serves,
-                    pairing: s.pairing,
-                    next_anchor: s.next_anchor,
-                    spec_inflight: s.spec_inflight,
-                    spec: s.spec.map(|sp| Speculation {
-                        serves: sp.serves,
-                        outcome: ServeOutcome {
-                            proposal: sp.proposal,
-                            pairing: sp.pairing,
-                            diverged: sp.diverged,
-                        },
-                    }),
-                    spec_backoff: s.spec_backoff,
-                    spec_cooldown: s.spec_cooldown,
-                    real_inflight: s.real_inflight,
-                },
-            );
-        }
-        for (r, l, g) in state.generations {
-            book.generations.insert((r, l), g);
-        }
-        for (level, queue) in state.candidates {
-            book.candidates.insert(level, queue.into_iter().collect());
-        }
-        book
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coupled::{ChainCoarseSource, CoarseProposalSource, MlChain, PendingCoarseSource};
+    use crate::store::{Codec, Dec, Enc};
     use uq_mcmc::problem::GaussianTarget;
     use uq_mcmc::proposal::GaussianRandomWalk;
 
@@ -1169,11 +1045,13 @@ mod tests {
         assert!(book.store_speculation(requester, 0, spec_lease.session_seed, 2, spec_out.clone()));
         book.forget_requester(9); // a nontrivial generation entry
 
-        let state = book.export_state();
-        assert_eq!(state.sessions.len(), 1);
-        assert!(state.sessions[0].spec.is_some());
-        let mut resumed = LedgerBook::import_state(state.clone());
-        assert_eq!(resumed.export_state(), state, "round-trip must be exact");
+        let mut enc = Enc::new();
+        book.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        assert_eq!(book.sessions.len(), 1);
+        assert!(book.sessions[&(requester, 0)].spec.is_some());
+        let mut resumed = LedgerBook::decode(&mut Dec::new(&bytes)).expect("decode");
+        assert_eq!(resumed, book, "round-trip must be exact");
 
         let mut accepted_anchor = out.proposal.clone();
         accepted_anchor.mate = None;

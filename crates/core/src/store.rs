@@ -23,9 +23,10 @@
 //! ## Content addressing
 //!
 //! The object name is the hex of the same FNV-1a hash, so identical
-//! logical states produce identical files at identical addresses. All
-//! hash-map-backed state ([`crate::ledger::LedgerState`]) is exported
-//! sorted by key for exactly this reason. Objects are written to
+//! logical states produce identical files at identical addresses. The
+//! hash-map-backed state ([`crate::ledger::LedgerBook`]) is written
+//! sorted by key for exactly this reason, and keys that are not strictly
+//! increasing are refused as corrupt. Objects are written to
 //! `objects/<hex>.snap` via a temp file + rename, so a crash mid-write
 //! can only lose the newest snapshot, never corrupt an older one.
 //!
@@ -38,11 +39,15 @@
 //! ([`manifest_field`]) keeps querying dependency-free.
 
 use crate::coupled::{ChainState, CoarseSample, SourceState};
-use crate::ledger::{LedgerState, LedgerStats, SessionState, SpeculationState};
+use crate::estimator::{LevelReport, Term};
+use crate::ledger::{LedgerBook, LedgerStats, Session, Speculation};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
+use std::hash::Hash;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use uq_mcmc::stats::VectorMoments;
 
 // The codec primitives were hoisted into [`crate::wire`] when the net
 // transport became a second consumer; re-exported here so every
@@ -121,27 +126,21 @@ impl Codec for SourceState {
     }
 }
 
-impl Codec for SpeculationState {
+impl Codec for Speculation {
     fn encode(&self, enc: &mut Enc) {
         self.serves.encode(enc);
-        self.proposal.encode(enc);
-        self.pairing.encode(enc);
-        self.diverged.encode(enc);
+        self.outcome.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(SpeculationState {
+        Ok(Speculation {
             serves: u64::decode(dec)?,
-            proposal: CoarseSample::decode(dec)?,
-            pairing: CoarseSample::decode(dec)?,
-            diverged: bool::decode(dec)?,
+            outcome: Codec::decode(dec)?,
         })
     }
 }
 
-impl Codec for SessionState {
+impl Codec for Session {
     fn encode(&self, enc: &mut Enc) {
-        self.requester.encode(enc);
-        self.level.encode(enc);
         self.seed.encode(enc);
         self.serves.encode(enc);
         self.pairing.encode(enc);
@@ -153,9 +152,7 @@ impl Codec for SessionState {
         self.real_inflight.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(SessionState {
-            requester: usize::decode(dec)?,
-            level: usize::decode(dec)?,
+        Ok(Session {
             seed: u64::decode(dec)?,
             serves: u64::decode(dec)?,
             pairing: Option::decode(dec)?,
@@ -190,20 +187,63 @@ impl Codec for LedgerStats {
     }
 }
 
-impl Codec for LedgerState {
+/// Write `map` as a vector of `(key, value)` entries in increasing key
+/// order: the one place hash-map state gets its canonical order.
+fn encode_sorted<K: Codec + Ord, V: Codec>(map: &HashMap<K, V>, enc: &mut Enc) {
+    let mut entries: Vec<(&K, &V)> = map.iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    entries.len().encode(enc);
+    for (key, value) in entries {
+        key.encode(enc);
+        value.encode(enc);
+    }
+}
+
+/// Read what [`encode_sorted`] wrote, refusing keys that are not strictly
+/// increasing: a duplicate or a reordering is not a cut any book encodes.
+fn decode_sorted<K: Codec + Ord + Hash, V: Codec>(
+    dec: &mut Dec,
+    what: &'static str,
+) -> Result<HashMap<K, V>, StoreError> {
+    let entries = Vec::<(K, V)>::decode(dec)?;
+    if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(StoreError::Corrupt(what));
+    }
+    Ok(entries.into_iter().collect())
+}
+
+/// Sessions as `(requester, level, session)`, generations as
+/// `(requester, level, generation)`, candidate queues as `(level, queue)`
+/// in queue order — each sorted by key — then the statistics.
+impl Codec for LedgerBook {
     fn encode(&self, enc: &mut Enc) {
-        self.sessions.encode(enc);
-        self.generations.encode(enc);
-        self.candidates.encode(enc);
+        encode_sorted(&self.sessions, enc);
+        encode_sorted(&self.generations, enc);
+        encode_sorted(&self.candidates, enc);
         self.stats.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(LedgerState {
-            sessions: Vec::decode(dec)?,
-            generations: Vec::decode(dec)?,
-            candidates: Vec::decode(dec)?,
+        Ok(LedgerBook {
+            sessions: decode_sorted(dec, "ledger sessions out of order")?,
+            generations: decode_sorted(dec, "ledger generations out of order")?,
+            candidates: decode_sorted(dec, "ledger candidates out of order")?,
             stats: LedgerStats::decode(dec)?,
         })
+    }
+}
+
+/// The per-component `(count, mean, m2)` parts; parts whose counts
+/// disagree are refused (no accumulator has them).
+impl Codec for VectorMoments {
+    fn encode(&self, enc: &mut Enc) {
+        self.parts().encode(enc);
+    }
+    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
+        let parts = Vec::<(usize, f64, f64)>::decode(dec)?;
+        if parts.windows(2).any(|w| w[0].0 != w[1].0) {
+            return Err(StoreError::Corrupt("moment counts disagree"));
+        }
+        Ok(VectorMoments::from_parts(&parts))
     }
 }
 
@@ -329,16 +369,17 @@ impl Codec for ChainCkpt {
     }
 }
 
-/// One collector (shard)'s checkpointed state: streaming moments as
-/// Welford parts plus any retained recordings.
-#[derive(Clone, Debug, PartialEq)]
+/// One collector shard's state — what the shard accumulates, what a
+/// checkpoint cuts and what it reports at shutdown: streaming moments
+/// plus any retained recordings.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CollectorCkpt {
     pub level: usize,
     pub shard: usize,
     pub count: usize,
-    /// Per-component `(count, mean, m2)` parts; `None` before the first
-    /// correction arrives (the QOI dimension is not yet known).
-    pub moments: Option<Vec<(usize, f64, f64)>>,
+    /// `None` before the first correction arrives (the QOI dimension is
+    /// not yet known).
+    pub moments: Option<VectorMoments>,
     pub theta_samples: Vec<Vec<f64>>,
     pub correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
 }
@@ -364,23 +405,10 @@ impl Codec for CollectorCkpt {
     }
 }
 
-/// A completed sequential level term (timing fields excluded — they are
-/// not logical state; the resumed driver re-fills them from counter
-/// offsets).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LevelReportCkpt {
-    pub level: usize,
-    pub n_samples: usize,
-    pub acceptance_rate: f64,
-    pub mean_correction: Vec<f64>,
-    pub var_correction: Vec<f64>,
-    pub iact: f64,
-    pub theta_samples: Vec<Vec<f64>>,
-    pub qoi_samples: Vec<Vec<f64>>,
-    pub correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
-}
-
-impl Codec for LevelReportCkpt {
+/// A completed sequential term. Its evaluation count and mean cost are
+/// not written: inside a cut they are always 0 (the driver fills them in
+/// after the last term, from counters and offsets), and decode sets 0.
+impl Codec for LevelReport {
     fn encode(&self, enc: &mut Enc) {
         self.level.encode(enc);
         self.n_samples.encode(enc);
@@ -393,13 +421,15 @@ impl Codec for LevelReportCkpt {
         self.correction_pairs.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(LevelReportCkpt {
+        Ok(LevelReport {
             level: usize::decode(dec)?,
             n_samples: usize::decode(dec)?,
             acceptance_rate: f64::decode(dec)?,
             mean_correction: Vec::decode(dec)?,
             var_correction: Vec::decode(dec)?,
             iact: f64::decode(dec)?,
+            evaluations: 0,
+            mean_eval_ms: 0.0,
             theta_samples: Vec::decode(dec)?,
             qoi_samples: Vec::decode(dec)?,
             correction_pairs: Vec::decode(dec)?,
@@ -413,19 +443,12 @@ impl Codec for LevelReportCkpt {
 pub struct SequentialCkpt {
     /// Level of the term in progress.
     pub level: usize,
-    /// Samples already recorded in the current term (burn-in done).
-    pub samples_done: usize,
+    /// The term in progress (burn-in done).
+    pub term: Term,
     pub chain: ChainState,
     pub rng: [u64; 4],
-    /// Current term's moment parts.
-    pub moments: Vec<(usize, f64, f64)>,
-    /// Representative-component trace (feeds the IACT column).
-    pub rep_trace: Vec<f64>,
-    pub theta_samples: Vec<Vec<f64>>,
-    pub qoi_samples: Vec<Vec<f64>>,
-    pub correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
     /// Reports of terms already finished.
-    pub completed: Vec<LevelReportCkpt>,
+    pub completed: Vec<LevelReport>,
     /// Per-level model-evaluation counts at the cut (the resumed run's
     /// counters restart at zero; these offsets keep the reported totals
     /// equal to the uninterrupted run's).
@@ -434,29 +457,36 @@ pub struct SequentialCkpt {
 
 impl Codec for SequentialCkpt {
     fn encode(&self, enc: &mut Enc) {
+        let term = &self.term;
         self.level.encode(enc);
-        self.samples_done.encode(enc);
+        term.samples_done.encode(enc);
         self.chain.encode(enc);
         self.rng.encode(enc);
-        self.moments.encode(enc);
-        self.rep_trace.encode(enc);
-        self.theta_samples.encode(enc);
-        self.qoi_samples.encode(enc);
-        self.correction_pairs.encode(enc);
+        term.moments.encode(enc);
+        term.rep_trace.encode(enc);
+        term.theta_samples.encode(enc);
+        term.qoi_samples.encode(enc);
+        term.correction_pairs.encode(enc);
         self.completed.encode(enc);
         self.eval_offsets.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
+        let level = usize::decode(dec)?;
+        let samples_done = usize::decode(dec)?;
+        let chain = ChainState::decode(dec)?;
+        let rng = <[u64; 4]>::decode(dec)?;
         Ok(SequentialCkpt {
-            level: usize::decode(dec)?,
-            samples_done: usize::decode(dec)?,
-            chain: ChainState::decode(dec)?,
-            rng: <[u64; 4]>::decode(dec)?,
-            moments: Vec::decode(dec)?,
-            rep_trace: Vec::decode(dec)?,
-            theta_samples: Vec::decode(dec)?,
-            qoi_samples: Vec::decode(dec)?,
-            correction_pairs: Vec::decode(dec)?,
+            level,
+            term: Term {
+                samples_done,
+                moments: VectorMoments::decode(dec)?,
+                rep_trace: Vec::decode(dec)?,
+                theta_samples: Vec::decode(dec)?,
+                qoi_samples: Vec::decode(dec)?,
+                correction_pairs: Vec::decode(dec)?,
+            },
+            chain,
+            rng,
             completed: Vec::decode(dec)?,
             eval_offsets: Vec::decode(dec)?,
         })
@@ -476,7 +506,7 @@ pub struct RunSnapshot {
     /// Parallel backends: one entry per collector shard.
     pub collectors: Vec<CollectorCkpt>,
     /// Parallel backends: the phonebook's full session ledger.
-    pub ledger: Option<LedgerState>,
+    pub ledger: Option<LedgerBook>,
     /// Sequential driver's cursor (`None` for parallel backends).
     pub sequential: Option<SequentialCkpt>,
 }
@@ -759,6 +789,8 @@ impl RunStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::ServeOutcome;
+    use std::collections::VecDeque;
 
     fn sample(theta: f64) -> CoarseSample {
         CoarseSample {
@@ -803,31 +835,34 @@ mod tests {
                 level: 1,
                 shard: 0,
                 count: 3,
-                moments: Some(vec![(3, 0.1, 0.02)]),
+                moments: Some(VectorMoments::from_parts(&[(3, 0.1, 0.02)])),
                 theta_samples: vec![vec![0.1], vec![0.2]],
                 correction_pairs: vec![(vec![0.0], vec![0.1])],
             }],
-            ledger: Some(LedgerState {
-                sessions: vec![SessionState {
-                    requester: 5,
-                    level: 0,
-                    seed: 99,
-                    serves: 7,
-                    pairing: Some(sample(0.4)),
-                    next_anchor: Some(sample(0.5)),
-                    spec_inflight: None,
-                    spec: Some(SpeculationState {
+            ledger: Some(LedgerBook {
+                sessions: HashMap::from([(
+                    (5, 0),
+                    Session {
+                        seed: 99,
                         serves: 7,
-                        proposal: sample(0.6),
-                        pairing: sample(0.61),
-                        diverged: true,
-                    }),
-                    spec_backoff: 3,
-                    spec_cooldown: 1,
-                    real_inflight: false,
-                }],
-                generations: vec![(5, 0, 1)],
-                candidates: vec![(0, vec![5])],
+                        pairing: Some(sample(0.4)),
+                        next_anchor: Some(sample(0.5)),
+                        spec_inflight: None,
+                        spec: Some(Speculation {
+                            serves: 7,
+                            outcome: ServeOutcome {
+                                proposal: sample(0.6),
+                                pairing: sample(0.61),
+                                diverged: true,
+                            },
+                        }),
+                        spec_backoff: 3,
+                        spec_cooldown: 1,
+                        real_inflight: false,
+                    },
+                )]),
+                generations: HashMap::from([((5, 0), 1)]),
+                candidates: HashMap::from([(0, VecDeque::from([5]))]),
                 stats: LedgerStats {
                     sessions: 1,
                     serves: 7,
@@ -856,7 +891,8 @@ mod tests {
     fn nan_and_infinities_roundtrip_bit_exactly() {
         let mut snap = snapshot();
         snap.chains[0].chain.log_density = f64::NEG_INFINITY;
-        snap.collectors[0].moments = Some(vec![(1, f64::NAN, f64::INFINITY)]);
+        snap.collectors[0].moments =
+            Some(VectorMoments::from_parts(&[(1, f64::NAN, f64::INFINITY)]));
         let bytes = encode_snapshot(&snap, 1);
         let (decoded, _) = decode_snapshot(&bytes).unwrap();
         // NaN breaks PartialEq — compare re-encoded bytes instead

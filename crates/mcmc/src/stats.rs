@@ -61,84 +61,13 @@ pub fn mcmc_standard_error(xs: &[f64]) -> f64 {
     (tau * variance(xs) / xs.len() as f64).sqrt()
 }
 
-/// Streaming mean/variance via Welford's algorithm, mergeable across
-/// workers (Chan et al. pairwise combination) — the statistic the paper's
-/// `DistributedCollection` maintains per telescoping-sum term.
-#[derive(Clone, Debug, Default)]
-pub struct RunningMoments {
-    count: usize,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningMoments {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-    }
-
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// The raw accumulator words `(count, mean, m2)`, for checkpointing.
-    /// Unlike reconstructing from [`RunningMoments::variance`], feeding
-    /// them back through [`RunningMoments::from_parts`] restores the
-    /// accumulator bit-for-bit, so a resumed run pushes into exactly the
-    /// state the interrupted run left behind.
-    pub fn parts(&self) -> (usize, f64, f64) {
-        (self.count, self.mean, self.m2)
-    }
-
-    /// Rebuild an accumulator from [`RunningMoments::parts`].
-    pub fn from_parts(count: usize, mean: f64, m2: f64) -> Self {
-        Self { count, mean, m2 }
-    }
-}
-
-/// Vector-valued [`RunningMoments`] for multi-component QOIs. Every
+/// Streaming mean/variance of a multi-component QOI via Welford's
+/// algorithm, mergeable across workers (the pairwise update of Chan,
+/// Golub & LeVeque 1983) — the statistic the paper's
+/// `DistributedCollection` maintains per telescoping-sum term. Every
 /// component has seen the same observations, so the count is stored once
-/// and the means and `m2`s flat; per component the arithmetic is
-/// [`RunningMoments`]' to the bit.
-#[derive(Clone, Debug)]
+/// and the means and `m2`s flat.
+#[derive(Clone, Debug, PartialEq)]
 pub struct VectorMoments {
     count: usize,
     mean: Vec<f64>,
@@ -208,8 +137,11 @@ impl VectorMoments {
         self.m2.iter().map(|m2| m2 / d).collect()
     }
 
-    /// Per-component `(count, mean, m2)` words (see
-    /// [`RunningMoments::parts`]).
+    /// Per-component `(count, mean, m2)` words. Unlike reconstructing
+    /// from [`VectorMoments::variance`], feeding them back through
+    /// [`VectorMoments::from_parts`] restores the accumulator
+    /// bit-for-bit, so a resumed run pushes into exactly the state the
+    /// interrupted run left behind.
     pub fn parts(&self) -> Vec<(usize, f64, f64)> {
         let words = self.mean.iter().zip(&self.m2);
         words.map(|(&mean, &m2)| (self.count, mean, m2)).collect()
@@ -295,45 +227,43 @@ mod tests {
         assert_eq!(integrated_autocorrelation_time(&xs), 1.0);
     }
 
+    /// One-component moments of `xs`.
+    fn scalar(xs: &[f64]) -> VectorMoments {
+        let mut m = VectorMoments::new(1);
+        xs.iter().for_each(|&x| m.push(&[x]));
+        m
+    }
+
     #[test]
     fn running_moments_match_batch() {
         let xs = ar1(0.3, 5000, 6);
-        let mut rm = RunningMoments::new();
-        for &x in &xs {
-            rm.push(x);
-        }
+        let rm = scalar(&xs);
         assert_eq!(rm.count(), 5000);
-        assert!((rm.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((rm.variance() - variance(&xs)).abs() < 1e-10);
+        assert!((rm.mean()[0] - mean(&xs)).abs() < 1e-12);
+        assert!((rm.variance()[0] - variance(&xs)).abs() < 1e-10);
     }
 
     #[test]
     fn merged_moments_match_single_pass() {
         let xs = ar1(0.3, 3000, 7);
         let (a, b) = xs.split_at(1200);
-        let mut ra = RunningMoments::new();
-        let mut rb = RunningMoments::new();
-        a.iter().for_each(|&x| ra.push(x));
-        b.iter().for_each(|&x| rb.push(x));
-        ra.merge(&rb);
+        let mut ra = scalar(a);
+        ra.merge(&scalar(b));
         assert_eq!(ra.count(), 3000);
-        assert!((ra.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((ra.variance() - variance(&xs)).abs() < 1e-10);
+        assert!((ra.mean()[0] - mean(&xs)).abs() < 1e-12);
+        assert!((ra.variance()[0] - variance(&xs)).abs() < 1e-10);
     }
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let mut a = RunningMoments::new();
-        a.push(1.0);
-        a.push(3.0);
+        let mut a = scalar(&[1.0, 3.0]);
         let before = a.clone();
-        a.merge(&RunningMoments::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = RunningMoments::new();
+        a.merge(&VectorMoments::new(1));
+        assert_eq!(a, before);
+        let mut empty = VectorMoments::new(1);
         empty.merge(&a);
         assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 2.0).abs() < 1e-15);
+        assert!((empty.mean()[0] - 2.0).abs() < 1e-15);
     }
 
     #[test]
@@ -350,11 +280,12 @@ mod tests {
     fn vector_moments_match_a_vec_of_running_moments_to_the_bit() {
         // 1 000 random vectors pushed into four accumulators of uneven
         // sizes (one stays empty) and merged in both orders: every word of
-        // the flat layout equals the per-component reference's
+        // the flat layout equals that of one one-component accumulator
+        // per component
         const DIM: usize = 7;
         let mut rng = StdRng::seed_from_u64(24);
         let mut flat: Vec<VectorMoments> = (0..4).map(|_| VectorMoments::new(DIM)).collect();
-        let mut reference = vec![vec![RunningMoments::new(); DIM]; 4];
+        let mut reference = vec![vec![VectorMoments::new(1); DIM]; 4];
         for i in 0..1000 {
             let scale = 10f64.powi(i % 5 - 2);
             let x: Vec<f64> = (0..DIM)
@@ -363,17 +294,10 @@ mod tests {
             let which = [0, 1, 1, 2, 1, 0][i as usize % 6];
             flat[which].push(&x);
             for (r, &xi) in reference[which].iter_mut().zip(&x) {
-                r.push(xi);
+                r.push(&[xi]);
             }
         }
-        let same = |v: &VectorMoments, r: &[RunningMoments]| {
-            let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-            assert_eq!(v.count(), r[0].count());
-            assert_eq!(bits(v.mean()), bits(r.iter().map(|c| c.mean()).collect()));
-            assert_eq!(
-                bits(v.variance()),
-                bits(r.iter().map(|c| c.variance()).collect())
-            );
+        let same = |v: &VectorMoments, r: &[VectorMoments]| {
             let words = |p: Vec<(usize, f64, f64)>| {
                 p.into_iter()
                     .map(|(c, m, m2)| (c, m.to_bits(), m2.to_bits()))
@@ -381,7 +305,12 @@ mod tests {
             };
             assert_eq!(
                 words(v.parts()),
-                words(r.iter().map(RunningMoments::parts).collect())
+                words(r.iter().flat_map(VectorMoments::parts).collect())
+            );
+            let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(v.variance()),
+                bits(r.iter().flat_map(VectorMoments::variance).collect())
             );
         };
         for (v, r) in flat.iter().zip(&reference) {
@@ -403,27 +332,20 @@ mod tests {
     #[test]
     fn parts_roundtrip_is_bit_exact() {
         let xs = ar1(0.4, 777, 11);
-        let mut rm = RunningMoments::new();
         let mut vm = VectorMoments::new(2);
         for &x in &xs {
-            rm.push(x);
             vm.push(&[x, 2.0 * x]);
         }
-        let (c, m, m2) = rm.parts();
-        let back = RunningMoments::from_parts(c, m, m2);
-        assert_eq!(back.count(), rm.count());
-        assert_eq!(back.mean().to_bits(), rm.mean().to_bits());
-        assert_eq!(back.variance().to_bits(), rm.variance().to_bits());
-        let vback = VectorMoments::from_parts(&vm.parts());
-        assert_eq!(vback.mean(), vm.mean());
-        assert_eq!(vback.variance(), vm.variance());
+        let back = VectorMoments::from_parts(&vm.parts());
+        assert_eq!(back, vm);
         // and pushing after the round-trip continues the same stream
-        let mut a = rm.clone();
+        let mut a = vm.clone();
         let mut b = back;
-        a.push(0.123);
-        b.push(0.123);
-        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
-        assert_eq!(a.variance().to_bits(), b.variance().to_bits());
+        a.push(&[0.123, 0.5]);
+        b.push(&[0.123, 0.5]);
+        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(a.mean()), bits(b.mean()));
+        assert_eq!(bits(a.variance()), bits(b.variance()));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::roles::{
 };
 use crate::runtime::{Envelope, Runtime, RuntimeStats, Shared};
 use crate::scheduler::{
-    CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
+    Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
 };
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
@@ -50,11 +50,11 @@ use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
 /// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
-/// golden frame fixture (`tests/fixtures/golden_frame_v3.bin`) trips
+/// golden frame fixture (`tests/fixtures/golden_frame_v4.bin`) trips
 /// when the bytes drift without a bump. Exactly one version is spoken:
-/// v2 (which still moved ranks inside a running universe) is rejected
-/// as `BadVersion`, never dual-decoded.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// v3 (whose `CollectorReport` carried a shard's mean and variance rather
+/// than its state) is rejected as `BadVersion`, never dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// The net wire: a magic distinct from the snapshot store's
 /// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and
@@ -131,28 +131,6 @@ impl Codec for PhonebookStats {
             routed: Codec::decode(dec)?,
             reassignments: Codec::decode(dec)?,
             ledger: Codec::decode(dec)?,
-        })
-    }
-}
-
-impl Codec for CollectorData {
-    fn encode(&self, enc: &mut Enc) {
-        self.level.encode(enc);
-        self.n_samples.encode(enc);
-        self.mean.encode(enc);
-        self.variance.encode(enc);
-        self.theta_samples.encode(enc);
-        self.correction_pairs.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(Self {
-            level: Codec::decode(dec)?,
-            n_samples: Codec::decode(dec)?,
-            mean: Codec::decode(dec)?,
-            variance: Codec::decode(dec)?,
-            theta_samples: Codec::decode(dec)?,
-            correction_pairs: Codec::decode(dec)?,
         })
     }
 }

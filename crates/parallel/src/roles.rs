@@ -26,14 +26,15 @@
 //! * **Sharded collectors.** Each level owns `collector_shards` collector
 //!   ranks; controllers scatter corrections round-robin, shards absorb a
 //!   quota of `N_l / shards` each and the root merges their streaming
-//!   moments (Chan's parallel combination) at shutdown, so no single
-//!   collector rank serializes a fast level.
+//!   moments (`VectorMoments::merge`, the pairwise update of Chan, Golub
+//!   & LeVeque) at shutdown, so no single collector rank serializes a
+//!   fast level.
 
 use crate::obs::{Counter, Hist, SpanKind, Tracer};
-use crate::runtime::{Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
+use crate::runtime::{Envelope, Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
 use crate::scheduler::{
-    collector_rank, controller_seed, poison_sample, CollectorData, Msg, ParallelCheckpoint,
-    ParallelConfig, ParallelLevelReport, ParallelReport, PHONEBOOK, ROOT,
+    collector_rank, controller_seed, poison_sample, Msg, ParallelCheckpoint, ParallelConfig,
+    ParallelLevelReport, ParallelReport, PHONEBOOK, ROOT,
 };
 use crate::sim::{Meter, Sim, SimError};
 use rand::rngs::StdRng;
@@ -42,12 +43,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use uq_mcmc::problem::GaussianTarget;
 use uq_mcmc::proposal::GaussianRandomWalk;
+use uq_mcmc::stats::VectorMoments;
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::counting::{EvalCounter, EvalHook, Hooked};
 use uq_mlmcmc::coupled::{
     build_chain, Bookmark, CoarseSample, MlChain, PendingCoarseSource, StepOutcome,
 };
-use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats, ServeStep};
+use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerStats, ServeStep};
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
 
@@ -232,7 +234,8 @@ pub(crate) struct RootRank<'a> {
     shards_done: Vec<usize>,
     level_done: Vec<bool>,
     phonebook_stats: PhonebookStats,
-    collectors: Vec<Option<CollectorData>>,
+    /// Each level's shards, folded together as their reports arrive.
+    collectors: Vec<Option<CollectorCkpt>>,
     collector_reports: usize,
     controller_reports: usize,
     evals: Vec<usize>,
@@ -292,7 +295,7 @@ impl<'a> RootRank<'a> {
 
     /// Assemble the consistent cut, persist it and close the barrier: stop
     /// there (preemption) or resume the controllers.
-    fn complete_checkpoint(&mut self, ctx: &VCtx<'_, Msg>, ledger: LedgerState) {
+    fn complete_checkpoint(&mut self, ctx: &VCtx<'_, Msg>, ledger: LedgerBook) {
         let spec = self
             .ckpt
             .expect("ledger checkpoint without a checkpoint spec");
@@ -349,38 +352,24 @@ impl<'a> RootRank<'a> {
         self.ckpt_active = false;
     }
 
-    /// Merge a shard's data into the level accumulator (Chan's parallel
-    /// moment combination, matching `RunningMoments::merge`).
-    fn absorb_collector(&mut self, data: CollectorData) {
-        let level = data.level;
+    /// Fold a shard's final state into its level's: counts add, moments
+    /// merge pairwise, recordings append in arrival order.
+    fn absorb_shard(&mut self, shard: CollectorCkpt) {
         self.collector_reports += 1;
-        let acc = &mut self.collectors[level];
-        let Some(acc) = acc else {
-            *acc = Some(data);
+        let slot = &mut self.collectors[shard.level];
+        let Some(acc) = slot else {
+            *slot = Some(shard);
             return;
         };
-        if data.n_samples == 0 {
-            return;
+        acc.count += shard.count;
+        if let Some(moments) = shard.moments {
+            match &mut acc.moments {
+                Some(m) => m.merge(&moments),
+                none => *none = Some(moments),
+            }
         }
-        if acc.n_samples == 0 {
-            *acc = data;
-            return;
-        }
-        let n1 = acc.n_samples as f64;
-        let n2 = data.n_samples as f64;
-        let total = n1 + n2;
-        for i in 0..acc.mean.len() {
-            let delta = data.mean[i] - acc.mean[i];
-            // m2 reconstructed from the unbiased sample variance
-            let m2 = acc.variance[i] * (n1 - 1.0).max(0.0)
-                + data.variance[i] * (n2 - 1.0).max(0.0)
-                + delta * delta * n1 * n2 / total;
-            acc.mean[i] += delta * n2 / total;
-            acc.variance[i] = if total < 2.0 { 0.0 } else { m2 / (total - 1.0) };
-        }
-        acc.n_samples += data.n_samples;
-        acc.theta_samples.extend(data.theta_samples);
-        acc.correction_pairs.extend(data.correction_pairs);
+        acc.theta_samples.extend(shard.theta_samples);
+        acc.correction_pairs.extend(shard.correction_pairs);
     }
 
     fn assemble(&mut self, elapsed: f64) -> ParallelReport {
@@ -390,11 +379,12 @@ impl<'a> RootRank<'a> {
             .enumerate()
             .map(|(level, c)| {
                 let c = c.take().expect("collector report missing");
+                let moments = c.moments.as_ref();
                 ParallelLevelReport {
                     level,
-                    n_samples: c.n_samples,
-                    mean_correction: c.mean,
-                    var_correction: c.variance,
+                    n_samples: c.count,
+                    mean_correction: moments.map_or_else(Vec::new, |m| m.mean()),
+                    var_correction: moments.map_or_else(Vec::new, |m| m.variance()),
                     evaluations: self.evals[level],
                     mean_eval_ms: if self.evals[level] > 0 {
                         self.eval_secs[level] * 1e3 / self.evals[level] as f64
@@ -424,16 +414,7 @@ impl VirtualRank<Msg> for RootRank<'_> {
         loop {
             match self.phase {
                 RootPhase::Levels => {
-                    while let Some(env) = ctx.try_recv_match(|e| {
-                        matches!(
-                            e.msg,
-                            Msg::LevelDone { .. }
-                                | Msg::CheckpointTick
-                                | Msg::ControllerCkpt(_)
-                                | Msg::CollectorCkpt(_)
-                                | Msg::LedgerCkpt(_)
-                        )
-                    }) {
+                    while let Some(env) = ctx.try_recv_match(levels_msg) {
                         match env.msg {
                             Msg::LevelDone { level } => {
                                 self.shards_done[level] += 1;
@@ -489,22 +470,11 @@ impl VirtualRank<Msg> for RootRank<'_> {
                         self.phase = RootPhase::Phonebook;
                         continue;
                     }
-                    return Poll::Wait(Box::new(|e| {
-                        matches!(
-                            e.msg,
-                            Msg::LevelDone { .. }
-                                | Msg::CheckpointTick
-                                | Msg::ControllerCkpt(_)
-                                | Msg::CollectorCkpt(_)
-                                | Msg::LedgerCkpt(_)
-                        )
-                    }));
+                    return Poll::Wait(Box::new(levels_msg));
                 }
                 RootPhase::Phonebook => {
                     let mut acked = false;
-                    while let Some(env) = ctx.try_recv_match(|e| {
-                        matches!(e.msg, Msg::PhonebookDown | Msg::PhonebookReport(_))
-                    }) {
+                    while let Some(env) = ctx.try_recv_match(phonebook_msg) {
                         match env.msg {
                             Msg::PhonebookDown => acked = true,
                             Msg::PhonebookReport(stats) => self.phonebook_stats = *stats,
@@ -512,9 +482,7 @@ impl VirtualRank<Msg> for RootRank<'_> {
                         }
                     }
                     if !acked {
-                        return Poll::Wait(Box::new(|e| {
-                            matches!(e.msg, Msg::PhonebookDown | Msg::PhonebookReport(_))
-                        }));
+                        return Poll::Wait(Box::new(phonebook_msg));
                     }
                     for level in 0..n_levels {
                         for shard in 0..config.collector_shards {
@@ -529,7 +497,7 @@ impl VirtualRank<Msg> for RootRank<'_> {
                 RootPhase::Gather => {
                     while let Some(env) = ctx.try_recv() {
                         match env.msg {
-                            Msg::CollectorReport(data) => self.absorb_collector(*data),
+                            Msg::CollectorReport(shard) => self.absorb_shard(*shard),
                             Msg::ControllerReport { evals, eval_secs } => {
                                 for (acc, v) in self.evals.iter_mut().zip(&evals) {
                                     *acc += v;
@@ -555,6 +523,25 @@ impl VirtualRank<Msg> for RootRank<'_> {
             }
         }
     }
+}
+
+/// What the root takes while levels run ([`RootPhase::Levels`]): level
+/// completion and the checkpoint barrier's traffic.
+fn levels_msg(e: &Envelope<Msg>) -> bool {
+    matches!(
+        e.msg,
+        Msg::LevelDone { .. }
+            | Msg::CheckpointTick
+            | Msg::ControllerCkpt(_)
+            | Msg::CollectorCkpt(_)
+            | Msg::LedgerCkpt(_)
+    )
+}
+
+/// What the root takes during the phonebook's shutdown handshake
+/// ([`RootPhase::Phonebook`]).
+fn phonebook_msg(e: &Envelope<Msg>) -> bool {
+    matches!(e.msg, Msg::PhonebookDown | Msg::PhonebookReport(_))
 }
 
 // ---------------------------------------------------------------------
@@ -589,7 +576,7 @@ impl<'a> PhonebookRank<'a> {
     pub(crate) fn new(
         config: &'a RuntimeConfig,
         tracer: &'a Tracer,
-        resume: Option<&LedgerState>,
+        resume: Option<&LedgerBook>,
     ) -> Self {
         let n_levels = config.n_levels();
         Self {
@@ -597,8 +584,7 @@ impl<'a> PhonebookRank<'a> {
             tracer,
             ready: vec![VecDeque::new(); n_levels],
             pending: vec![VecDeque::new(); n_levels],
-            ledger: resume
-                .map_or_else(LedgerBook::default, |s| LedgerBook::import_state(s.clone())),
+            ledger: resume.cloned().unwrap_or_default(),
             level_of: (config.first_controller_rank()..config.n_ranks())
                 .map(|rank| (rank, config.initial_level(rank)))
                 .collect(),
@@ -800,7 +786,7 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
         if self.ckpt_pending && self.in_flight == 0 {
             self.ckpt_pending = false;
             debug_assert!(self.pending.iter().all(VecDeque::is_empty));
-            ctx.send(ROOT, Msg::LedgerCkpt(Box::new(self.ledger.export_state())));
+            ctx.send(ROOT, Msg::LedgerCkpt(Box::new(self.ledger.clone())));
         }
         if batch > 0 {
             self.stats.wakeups += 1;
@@ -829,8 +815,9 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
 // ---------------------------------------------------------------------
 
 pub(crate) struct CollectorRank {
-    level: usize,
-    shard: usize,
+    /// The shard's accumulators, which are its cut: a barrier sends a
+    /// copy, shutdown the value itself.
+    state: CollectorCkpt,
     quota: usize,
     record_samples: bool,
     /// Chains assigned to this level (each sends one `CheckpointFlush`).
@@ -839,10 +826,6 @@ pub(crate) struct CollectorRank {
     ckpt_every: usize,
     ticker: bool,
     flushes: usize,
-    moments: Option<uq_mcmc::stats::VectorMoments>,
-    count: usize,
-    theta_samples: Vec<Vec<f64>>,
-    correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
     done_sent: bool,
 }
 
@@ -857,23 +840,19 @@ impl CollectorRank {
         ckpt_every: usize,
         resume: Option<&CollectorCkpt>,
     ) -> Self {
-        Self {
+        let fresh = || CollectorCkpt {
             level,
             shard,
+            ..CollectorCkpt::default()
+        };
+        Self {
+            state: resume.cloned().unwrap_or_else(fresh),
             quota: config.shard_quota(level, shard),
             record_samples: config.base.record_samples,
             producers: config.base.chains_per_level[level],
             ckpt_every,
             ticker: ckpt_every > 0 && level + 1 == config.n_levels() && shard == 0,
             flushes: 0,
-            moments: resume
-                .and_then(|r| r.moments.as_deref())
-                .map(uq_mcmc::stats::VectorMoments::from_parts),
-            count: resume.map_or(0, |r| r.count),
-            theta_samples: resume.map(|r| r.theta_samples.clone()).unwrap_or_default(),
-            correction_pairs: resume
-                .map(|r| r.correction_pairs.clone())
-                .unwrap_or_default(),
             done_sent: false,
         }
     }
@@ -883,10 +862,11 @@ impl VirtualRank<Msg> for CollectorRank {
     type Output = RoleOut;
 
     fn poll(&mut self, ctx: &mut VCtx<'_, Msg>) -> Poll<Msg, RoleOut> {
+        let state = &mut self.state;
         // covers quota == 0 and a resumed shard that was already full
-        if !self.done_sent && self.count >= self.quota {
+        if !self.done_sent && state.count >= self.quota {
             self.done_sent = true;
-            ctx.send(ROOT, Msg::LevelDone { level: self.level });
+            ctx.send(ROOT, Msg::LevelDone { level: state.level });
         }
         while let Some(env) = ctx.try_recv() {
             match env.msg {
@@ -896,21 +876,22 @@ impl VirtualRank<Msg> for CollectorRank {
                     theta,
                     fine_qoi,
                     coarse_qoi,
-                } if level == self.level && self.count < self.quota => {
-                    self.moments
-                        .get_or_insert_with(|| uq_mcmc::stats::VectorMoments::new(y.len()))
+                } if level == state.level && state.count < self.quota => {
+                    state
+                        .moments
+                        .get_or_insert_with(|| VectorMoments::new(y.len()))
                         .push(&y);
-                    self.count += 1;
+                    state.count += 1;
                     if self.record_samples {
-                        self.theta_samples.push(theta);
+                        state.theta_samples.push(theta);
                         if let Some(cq) = coarse_qoi {
-                            self.correction_pairs.push((cq, fine_qoi));
+                            state.correction_pairs.push((cq, fine_qoi));
                         }
                     }
-                    if self.count == self.quota && !self.done_sent {
+                    if state.count == self.quota && !self.done_sent {
                         self.done_sent = true;
-                        ctx.send(ROOT, Msg::LevelDone { level: self.level });
-                    } else if self.ticker && self.count.is_multiple_of(self.ckpt_every) {
+                        ctx.send(ROOT, Msg::LevelDone { level });
+                    } else if self.ticker && state.count.is_multiple_of(self.ckpt_every) {
                         ctx.send(ROOT, Msg::CheckpointTick);
                     }
                 }
@@ -923,38 +904,12 @@ impl VirtualRank<Msg> for CollectorRank {
                     self.flushes += 1;
                     if self.flushes == self.producers {
                         self.flushes = 0;
-                        ctx.send(
-                            ROOT,
-                            Msg::CollectorCkpt(Box::new(CollectorCkpt {
-                                level: self.level,
-                                shard: self.shard,
-                                count: self.count,
-                                moments: self
-                                    .moments
-                                    .as_ref()
-                                    .map(uq_mcmc::stats::VectorMoments::parts),
-                                theta_samples: self.theta_samples.clone(),
-                                correction_pairs: self.correction_pairs.clone(),
-                            })),
-                        );
+                        ctx.send(ROOT, Msg::CollectorCkpt(Box::new(state.clone())));
                     }
                 }
                 Msg::Shutdown => {
-                    let (mean, variance) = match &self.moments {
-                        Some(m) => (m.mean(), m.variance()),
-                        None => (Vec::new(), Vec::new()),
-                    };
-                    ctx.send(
-                        ROOT,
-                        Msg::CollectorReport(Box::new(CollectorData {
-                            level: self.level,
-                            n_samples: self.count,
-                            mean,
-                            variance,
-                            theta_samples: std::mem::take(&mut self.theta_samples),
-                            correction_pairs: std::mem::take(&mut self.correction_pairs),
-                        })),
-                    );
+                    let report = std::mem::take(state);
+                    ctx.send(ROOT, Msg::CollectorReport(Box::new(report)));
                     return Poll::Exit(RoleOut::Quiet);
                 }
                 _ => {}

@@ -21,7 +21,7 @@
 //! ([`crate::Run::on`]).
 
 use uq_mlmcmc::coupled::{CoarseSample, MlChain};
-use uq_mlmcmc::ledger::{LedgerLease, LedgerState, PairingMode, ServeOutcome};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, PairingMode, ServeOutcome};
 use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, RunStore};
 
 /// RNG stream seed of the controller at `rank` (the cross-executor
@@ -100,8 +100,9 @@ pub enum Msg {
     PhonebookDown,
     /// Phonebook → root at shutdown: routing/batching statistics.
     PhonebookReport(Box<crate::roles::PhonebookStats>),
-    /// Collector → root at shutdown: accumulated statistics.
-    CollectorReport(Box<CollectorData>),
+    /// Collector → root at shutdown: the shard's final state, the same
+    /// value a checkpoint cuts.
+    CollectorReport(Box<CollectorCkpt>),
     /// Controller → root at exit: per-level evaluation counts.
     ControllerReport {
         evals: Vec<usize>,
@@ -125,10 +126,10 @@ pub enum Msg {
     ControllerCkpt(Box<ChainCkpt>),
     /// Collector → root: captured accumulator state for the snapshot.
     CollectorCkpt(Box<CollectorCkpt>),
-    /// Phonebook → root: the full ledger export, sent only once every
+    /// Phonebook → root: a copy of the ledger book, sent only once every
     /// dispatched serve has written back (`in_flight == 0`), so the
-    /// export reflects all serve outcomes the captured chains observed.
-    LedgerCkpt(Box<LedgerState>),
+    /// copy reflects all serve outcomes the captured chains observed.
+    LedgerCkpt(Box<LedgerBook>),
     /// Root → controllers (broadcast): snapshot persisted, resume
     /// stepping.
     CheckpointDone,
@@ -188,17 +189,6 @@ pub struct ParallelCheckpoint<'a> {
     /// [`crate::Placement`], a net one included, and the partial report
     /// comes back flagged ([`crate::RuntimeReport::preempted`]).
     pub stop: Option<&'a std::sync::atomic::AtomicBool>,
-}
-
-/// Data a collector ships back to the root.
-#[derive(Clone, Debug)]
-pub struct CollectorData {
-    pub level: usize,
-    pub n_samples: usize,
-    pub mean: Vec<f64>,
-    pub variance: Vec<f64>,
-    pub theta_samples: Vec<Vec<f64>>,
-    pub correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
 /// Configuration of a parallel run.

@@ -8,20 +8,21 @@
 //! turn the old one into a rejection fixture; silently re-interpreting
 //! frames across a version skew is the failure mode this suite catches.
 //! Frames are ephemeral, so exactly one version is ever decoded:
-//! `golden_frame_v2.bin` (the previous version's golden) is kept to prove
+//! `golden_frame_v3.bin` (the previous version's golden) is kept to prove
 //! that a skewed version is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
 //! `UQ_WRITE_GOLDEN=1 cargo test -p uq-tests --test golden_frame_guard`
 
+use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample};
 use uq_mlmcmc::ledger::{LedgerLease, ServeOutcome};
-use uq_mlmcmc::store::{ChainCkpt, StoreError};
+use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v3.bin");
-const GOLDEN_V2_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v2.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v4.bin");
+const GOLDEN_V3_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v3.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
@@ -30,7 +31,8 @@ fn cs(theta: f64, ld: f64) -> CoarseSample {
 /// The pinned frames, concatenated in the one fixture: an `Assign`
 /// carrying the run configuration and a resumable chain checkpoint, then
 /// a full ledger serve round-trip as `Data` frames (`Serve` with its
-/// lease, `ServeDone` with its outcome, `StopProducing`).
+/// lease, `ServeDone` with its outcome, `StopProducing`), then a collector
+/// shard's final state as the root receives it (`CollectorReport`).
 fn golden() -> Vec<Frame> {
     let mut config = ParallelConfig::new(vec![400, 150], vec![1, 1]);
     config.burn_in = vec![30, 20];
@@ -101,6 +103,21 @@ fn golden() -> Vec<Frame> {
             },
         ),
         data(0, Msg::StopProducing { level: 0 }),
+        Frame::Data {
+            to: 0,
+            from: 3,
+            msg: Msg::CollectorReport(Box::new(CollectorCkpt {
+                level: 1,
+                shard: 0,
+                count: 150,
+                moments: Some(VectorMoments::from_parts(&[
+                    (150, 0.125, 2.5),
+                    (150, -0.25, 0.75),
+                ])),
+                theta_samples: vec![vec![0.5, -0.5]],
+                correction_pairs: vec![(vec![0.0, 0.25], vec![0.125, -0.25])],
+            })),
+        },
     ]
 }
 
@@ -127,7 +144,7 @@ fn committed_golden_frame_still_decodes() {
         let payload = u64::from_le_bytes(rest[12..20].try_into().unwrap());
         let (one, after) = rest.split_at(28 + payload as usize);
         let frame = decode_frame(one)
-            .expect("protocol break: a committed v3 golden frame no longer decodes");
+            .expect("protocol break: a committed v4 golden frame no longer decodes");
         // Frame carries no PartialEq (Msg is not comparable); byte equality
         // after re-encode is the invariant the transport relies on anyway
         assert_eq!(
@@ -144,15 +161,15 @@ fn committed_golden_frame_still_decodes() {
     );
 }
 
-/// The v2 fixture is the golden of the version before (an `Assign` that
-/// still carried messages to pre-load). It must be refused at the version
-/// field — before its check or a single payload byte is looked at —
-/// never decoded into a frame.
+/// The v3 fixture is the golden of the version before (its
+/// `CollectorReport` carried a shard's mean and variance, not its state).
+/// It must be refused at the version field — before its check or a single
+/// payload byte is looked at — never decoded into a frame.
 #[test]
-fn committed_v2_frame_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V2_PATH).expect("committed v2 frame missing");
+fn committed_v3_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V3_PATH).expect("committed v3 frame missing");
     assert!(matches!(
         decode_frame(&bytes),
-        Err(StoreError::BadVersion { found: 2 })
+        Err(StoreError::BadVersion { found: 3 })
     ));
 }

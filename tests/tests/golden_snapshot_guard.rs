@@ -9,11 +9,14 @@
 //! Regenerate (only after an *intentional* format bump) with:
 //! `UQ_WRITE_GOLDEN=1 cargo test -p uq-tests --test golden_snapshot_guard`
 
+use std::collections::{HashMap, VecDeque};
+use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample, SourceState};
-use uq_mlmcmc::ledger::{LedgerState, LedgerStats, SessionState, SpeculationState};
+use uq_mlmcmc::estimator::{LevelReport, Term};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, ServeOutcome, Session, Speculation};
 use uq_mlmcmc::store::{
-    decode_snapshot, encode_snapshot, fnv1a, Backend, ChainCkpt, CollectorCkpt, LevelReportCkpt,
-    RunSnapshot, SequentialCkpt,
+    decode_snapshot, encode_snapshot, fnv1a, Backend, ChainCkpt, CollectorCkpt, RunSnapshot,
+    SequentialCkpt,
 };
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v1.snap");
@@ -80,31 +83,34 @@ fn golden() -> RunSnapshot {
             level: 0,
             shard: 1,
             count: 275,
-            moments: Some(vec![(275, 0.35, 12.25)]),
+            moments: Some(VectorMoments::from_parts(&[(275, 0.35, 12.25)])),
             theta_samples: vec![vec![0.5], vec![-0.5]],
             correction_pairs: vec![(vec![0.0], vec![0.35])],
         }],
-        ledger: Some(LedgerState {
-            sessions: vec![SessionState {
-                requester: 5,
-                level: 0,
-                seed: 0xFEED_F00D,
-                serves: 41,
-                pairing: Some(cs(0.875, -1.5)),
-                next_anchor: Some(cs(-0.875, -2.0)),
-                spec_inflight: None,
-                spec: Some(SpeculationState {
-                    serves: 42,
-                    proposal: cs(0.9375, -1.25),
-                    pairing: cs(-0.9375, -1.75),
-                    diverged: true,
-                }),
-                spec_backoff: 2,
-                spec_cooldown: 1,
-                real_inflight: false,
-            }],
-            generations: vec![(5, 0, 2)],
-            candidates: vec![(0, vec![5])],
+        ledger: Some(LedgerBook {
+            sessions: HashMap::from([(
+                (5, 0),
+                Session {
+                    seed: 0xFEED_F00D,
+                    serves: 41,
+                    pairing: Some(cs(0.875, -1.5)),
+                    next_anchor: Some(cs(-0.875, -2.0)),
+                    spec_inflight: None,
+                    spec: Some(Speculation {
+                        serves: 42,
+                        outcome: ServeOutcome {
+                            proposal: cs(0.9375, -1.25),
+                            pairing: cs(-0.9375, -1.75),
+                            diverged: true,
+                        },
+                    }),
+                    spec_backoff: 2,
+                    spec_cooldown: 1,
+                    real_inflight: false,
+                },
+            )]),
+            generations: HashMap::from([((5, 0), 2)]),
+            candidates: HashMap::from([(0, VecDeque::from([5]))]),
             stats: LedgerStats {
                 sessions: 1,
                 serves: 41,
@@ -116,21 +122,25 @@ fn golden() -> RunSnapshot {
         }),
         sequential: Some(SequentialCkpt {
             level: 1,
-            samples_done: 75,
+            term: Term {
+                samples_done: 75,
+                moments: VectorMoments::from_parts(&[(75, 0.349, 0.81)]),
+                rep_trace: vec![0.3, 0.4, 0.35],
+                theta_samples: vec![vec![0.3]],
+                qoi_samples: vec![vec![0.3]],
+                correction_pairs: vec![(vec![0.28], vec![0.33])],
+            },
             chain,
             rng: [11, 13, 17, 19],
-            moments: vec![(75, 0.349, 0.81)],
-            rep_trace: vec![0.3, 0.4, 0.35],
-            theta_samples: vec![vec![0.3]],
-            qoi_samples: vec![vec![0.3]],
-            correction_pairs: vec![(vec![0.28], vec![0.33])],
-            completed: vec![LevelReportCkpt {
+            completed: vec![LevelReport {
                 level: 0,
                 n_samples: 200,
                 acceptance_rate: 0.4375,
                 mean_correction: vec![0.01],
                 var_correction: vec![0.0225],
                 iact: 4.5,
+                evaluations: 0,
+                mean_eval_ms: 0.0,
                 theta_samples: vec![vec![0.0]],
                 qoi_samples: vec![vec![0.0]],
                 correction_pairs: vec![],

@@ -26,6 +26,7 @@ use uq_mcmc::problem::GaussianTarget;
 use uq_mcmc::proposal::GaussianRandomWalk;
 use uq_mlmcmc::coupled::{CoarseSample, MlChain};
 use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, ServeOutcome};
+use uq_mlmcmc::store::{Codec, Dec, Enc};
 
 const RHO: usize = 2;
 const BASE_SEED: u64 = 77;
@@ -56,6 +57,12 @@ struct Mirror {
     last_proposal: Option<CoarseSample>,
 }
 
+fn encoded(book: &LedgerBook) -> Vec<u8> {
+    let mut enc = Enc::new();
+    book.encode(&mut enc);
+    enc.into_bytes()
+}
+
 fn accept_anchor(m: &Mirror) -> Option<CoarseSample> {
     m.last_proposal.clone().map(|mut p| {
         p.mate = None;
@@ -73,7 +80,15 @@ proptest! {
         let mut mirrors = [Mirror::default(), Mirror::default()];
         let mut seeds_seen: HashSet<u64> = HashSet::new();
 
-        for (op, who, salt) in ops {
+        for step in ops.into_iter().map(Some).chain([None]) {
+            // the book is its own snapshot in every state an op leaves
+            let bytes = encoded(&book);
+            let back = LedgerBook::decode(&mut Dec::new(&bytes)).expect("the book decodes");
+            prop_assert_eq!(&back, &book);
+            prop_assert_eq!(encoded(&back), bytes);
+            let Some((op, who, salt)) = step else {
+                break;
+            };
             let r = 1 + who as usize; // requester ranks 1 and 2
             match op {
                 // lease a real serve (the protocol serializes: at most

@@ -16,11 +16,13 @@
 //! deterministic test, mirroring `snapshot_roundtrip_fuzz.rs`.
 
 use proptest::prelude::*;
+use std::collections::{HashMap, VecDeque};
+use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample};
-use uq_mlmcmc::ledger::{LedgerLease, LedgerState, LedgerStats, ServeOutcome, SessionState};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, LedgerStats, ServeOutcome, Session};
 use uq_mlmcmc::store::{ChainCkpt, Codec, CollectorCkpt, Dec, Enc, StoreError};
 use uq_parallel::roles::PhonebookStats;
-use uq_parallel::scheduler::{CollectorData, Msg};
+use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, PROTOCOL_VERSION};
 
 // ---------------------------------------------------------------------
@@ -60,23 +62,24 @@ fn chain_ckpt(rank: usize, level: usize, theta: &[f64], seed: u64) -> ChainCkpt 
     }
 }
 
-fn ledger_state(theta: &[f64], seed: u64) -> LedgerState {
-    LedgerState {
-        sessions: vec![SessionState {
-            requester: 4,
-            level: 0,
-            seed,
-            serves: seed % 97,
-            pairing: Some(sample(theta, -0.75, 1)),
-            next_anchor: None,
-            spec_inflight: seed.is_multiple_of(2).then_some(seed % 13),
-            spec: None,
-            spec_backoff: (seed % 5) as u32,
-            spec_cooldown: (seed % 4) as u32,
-            real_inflight: seed.is_multiple_of(3),
-        }],
-        generations: vec![(4, 0, seed % 3)],
-        candidates: vec![(0, vec![5, 6])],
+fn ledger_book(theta: &[f64], seed: u64) -> LedgerBook {
+    LedgerBook {
+        sessions: HashMap::from([(
+            (4, 0),
+            Session {
+                seed,
+                serves: seed % 97,
+                pairing: Some(sample(theta, -0.75, 1)),
+                next_anchor: None,
+                spec_inflight: seed.is_multiple_of(2).then_some(seed % 13),
+                spec: None,
+                spec_backoff: (seed % 5) as u32,
+                spec_cooldown: (seed % 4) as u32,
+                real_inflight: seed.is_multiple_of(3),
+            },
+        )]),
+        generations: HashMap::from([((4, 0), seed % 3)]),
+        candidates: HashMap::from([(0, VecDeque::from([5, 6]))]),
         stats: LedgerStats {
             sessions: 1,
             serves: (seed % 97) as usize,
@@ -152,11 +155,11 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
                 spec_misses: b % 2,
             },
         })),
-        13 => Msg::CollectorReport(Box::new(CollectorData {
+        13 => Msg::CollectorReport(Box::new(CollectorCkpt {
             level: a,
-            n_samples: b,
-            mean: vec![x],
-            variance: vec![x * x],
+            shard: b % 4,
+            count: b,
+            moments: Some(VectorMoments::from_parts(&[(b, x, x * x), (b, -x, 0.5)])),
             theta_samples: vec![theta.to_vec(), theta.to_vec()],
             correction_pairs: vec![(theta.to_vec(), vec![x])],
         })),
@@ -172,11 +175,11 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
             level: a,
             shard: b,
             count: a + b,
-            moments: flag.then(|| vec![(a, x, x * 2.0)]),
+            moments: flag.then(|| VectorMoments::from_parts(&[(a, x, x * 2.0)])),
             theta_samples: vec![theta.to_vec()],
             correction_pairs: vec![],
         })),
-        20 => Msg::LedgerCkpt(Box::new(ledger_state(theta, seed))),
+        20 => Msg::LedgerCkpt(Box::new(ledger_book(theta, seed))),
         21 => Msg::CheckpointDone,
         _ => unreachable!("tag out of range"),
     }

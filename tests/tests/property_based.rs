@@ -6,7 +6,7 @@ use uq_linalg::dense::DenseMatrix;
 use uq_linalg::fft::{fft, ifft, Complex};
 use uq_linalg::sparse::CooMatrix;
 use uq_linalg::vector;
-use uq_mcmc::stats::RunningMoments;
+use uq_mcmc::stats::VectorMoments;
 
 proptest! {
     #[test]
@@ -83,17 +83,32 @@ proptest! {
 
     #[test]
     fn running_moments_match_batch_any_split(
-        xs in prop::collection::vec(-1e3f64..1e3, 2..64),
-        split in 1usize..63,
+        xs in prop::collection::vec(-1e3f64..1e3, 0..64),
+        dim in 1usize..5,
+        split in 0usize..65,
     ) {
-        let split = split.min(xs.len() - 1);
-        let mut a = RunningMoments::new();
-        let mut b = RunningMoments::new();
-        for &x in &xs[..split] { a.push(x); }
-        for &x in &xs[split..] { b.push(x); }
-        a.merge(&b);
-        prop_assert!((a.mean() - vector::mean(&xs)).abs() < 1e-6);
-        prop_assert!((a.variance() - vector::variance(&xs)).abs() < 1e-4);
+        // `dim` components of `xs.len() / dim` observations, split at any
+        // point (either half may be empty), merged pairwise
+        let rows: Vec<&[f64]> = xs.chunks_exact(dim).collect();
+        let split = split.min(rows.len());
+        let pushed = |rows: &[&[f64]]| {
+            let mut m = VectorMoments::new(dim);
+            rows.iter().for_each(|row| m.push(row));
+            m
+        };
+        let one_pass = pushed(&rows);
+        let mut merged = pushed(&rows[..split]);
+        merged.merge(&pushed(&rows[split..]));
+        prop_assert_eq!(merged.count(), one_pass.count());
+        // relative to the data's scale: a mean near zero of data near
+        // 1e3 is only known to the data's last bits
+        let scale = xs.iter().fold(1.0f64, |m, x| m.max(x.abs()));
+        for (a, b) in merged.mean().into_iter().zip(one_pass.mean()) {
+            prop_assert!((a - b).abs() <= 1e-12 * scale, "mean {} vs {}", a, b);
+        }
+        for (a, b) in merged.variance().into_iter().zip(one_pass.variance()) {
+            prop_assert!((a - b).abs() <= 1e-12 * scale * scale, "variance {} vs {}", a, b);
+        }
     }
 
     #[test]

@@ -339,19 +339,19 @@ fn the_ledger_book_shares_what_it_is_handed() {
         let stored =
             book.store_speculation(requester, level, spec.session_seed, 2, outcome.clone());
         assert!(stored);
-        let state = book.export_state();
+        let state = book.clone();
         let hit = book.try_commit(requester, level, &outcome.proposal);
         assert!(shared(&hit.expect("the anchor matches"), &outcome.proposal));
         state
     });
     assert_eq!((qois, large), (0, 0));
-    let session = &state.sessions[0];
+    let session = &state.sessions[&(requester, level)];
     assert!(shared(session.pairing.as_ref().unwrap(), &outcome.pairing));
     assert!(shared(
         session.next_anchor.as_ref().unwrap(),
         &outcome.proposal
     ));
     let parked = session.spec.as_ref().expect("the parked speculation");
-    assert!(shared(&parked.proposal, &outcome.proposal));
-    assert!(shared(&parked.pairing, &outcome.pairing));
+    assert!(shared(&parked.outcome.proposal, &outcome.proposal));
+    assert!(shared(&parked.outcome.pairing, &outcome.pairing));
 }

@@ -12,11 +12,14 @@
 //! test below).
 
 use proptest::prelude::*;
+use std::collections::{HashMap, VecDeque};
+use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample, SourceState};
-use uq_mlmcmc::ledger::{LedgerState, LedgerStats, SessionState, SpeculationState};
+use uq_mlmcmc::estimator::{LevelReport, Term};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, ServeOutcome, Session, Speculation};
 use uq_mlmcmc::store::{
     decode_snapshot, encode_snapshot, fnv1a, Backend, ChainCkpt, Codec, CollectorCkpt, Dec, Enc,
-    LevelReportCkpt, RunSnapshot, SequentialCkpt,
+    RunSnapshot, SequentialCkpt, StoreError,
 };
 
 // ---------------------------------------------------------------------
@@ -65,20 +68,20 @@ fn chain_state(theta: &[f64], log_density: f64, steps: usize, flags: u8) -> Chai
     }
 }
 
-fn session(requester: usize, level: usize, seed: u64, flags: u8, theta: &[f64]) -> SessionState {
-    SessionState {
-        requester,
-        level,
+fn session(seed: u64, flags: u8, theta: &[f64]) -> Session {
+    Session {
         seed,
         serves: seed % 977,
         pairing: (flags & 1 != 0).then(|| sample(theta, -0.5, 1)),
         next_anchor: (flags & 2 != 0).then(|| sample(theta, -1.5, 0)),
         spec_inflight: (flags & 4 != 0).then_some(seed % 13),
-        spec: (flags & 8 != 0).then(|| SpeculationState {
+        spec: (flags & 8 != 0).then(|| Speculation {
             serves: seed % 31,
-            proposal: sample(theta, 0.75, 1),
-            pairing: sample(theta, -0.75, 0),
-            diverged: flags & 16 != 0,
+            outcome: ServeOutcome {
+                proposal: sample(theta, 0.75, 1),
+                pairing: sample(theta, -0.75, 0),
+                diverged: flags & 16 != 0,
+            },
         }),
         spec_backoff: u32::from(flags) % 17,
         spec_cooldown: u32::from(flags / 2) % 9,
@@ -86,13 +89,11 @@ fn session(requester: usize, level: usize, seed: u64, flags: u8, theta: &[f64]) 
     }
 }
 
-fn ledger(sessions: Vec<SessionState>, seed: u64) -> LedgerState {
-    LedgerState {
-        generations: sessions
-            .iter()
-            .map(|s| (s.requester, s.level, s.serves))
-            .collect(),
-        candidates: vec![(0, vec![3, 5]), (1, vec![4])],
+/// A book of `sessions`, keyed by `(requester, level)`.
+fn ledger(sessions: Vec<((usize, usize), Session)>, seed: u64) -> LedgerBook {
+    LedgerBook {
+        generations: sessions.iter().map(|(key, s)| (*key, s.serves)).collect(),
+        candidates: HashMap::from([(0, VecDeque::from([3, 5])), (1, VecDeque::from([4]))]),
         stats: LedgerStats {
             sessions: sessions.len(),
             serves: (seed % 10_000) as usize,
@@ -101,7 +102,7 @@ fn ledger(sessions: Vec<SessionState>, seed: u64) -> LedgerState {
             spec_hits: (seed % 29) as usize,
             spec_misses: (seed % 23) as usize,
         },
-        sessions,
+        sessions: sessions.into_iter().collect(),
     }
 }
 
@@ -118,11 +119,8 @@ fn backend(tag: u8) -> Backend {
 /// collectors, a ledger with parked speculation, and a sequential
 /// cursor with completed terms.
 fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
-    let moments: Vec<(usize, f64, f64)> = theta
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (steps + i, *t, t.abs()))
-        .collect();
+    let parts: Vec<(usize, f64, f64)> = theta.iter().map(|t| (steps, *t, t.abs())).collect();
+    let moments = VectorMoments::from_parts(&parts);
     RunSnapshot {
         backend: backend(tag),
         seed,
@@ -152,29 +150,33 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
         ledger: (tag & 16 != 0).then(|| {
             ledger(
                 vec![
-                    session(5, 0, seed, tag, theta),
-                    session(6, 1, seed ^ 7, tag / 2, theta),
+                    ((5, 0), session(seed, tag, theta)),
+                    ((6, 1), session(seed ^ 7, tag / 2, theta)),
                 ],
                 seed,
             )
         }),
         sequential: (tag & 32 != 0).then(|| SequentialCkpt {
             level: 1,
-            samples_done: steps,
+            term: Term {
+                samples_done: steps,
+                moments: moments.clone(),
+                rep_trace: theta.to_vec(),
+                theta_samples: vec![theta.to_vec()],
+                qoi_samples: vec![theta.to_vec()],
+                correction_pairs: vec![(theta.to_vec(), theta.to_vec())],
+            },
             chain: chain_state(theta, 0.5, steps, tag / 3),
             rng: [!seed, seed, seed ^ 1, seed.rotate_right(7)],
-            moments: moments.clone(),
-            rep_trace: theta.to_vec(),
-            theta_samples: vec![theta.to_vec()],
-            qoi_samples: vec![theta.to_vec()],
-            correction_pairs: vec![(theta.to_vec(), theta.to_vec())],
-            completed: vec![LevelReportCkpt {
+            completed: vec![LevelReport {
                 level: 0,
                 n_samples: steps,
                 acceptance_rate: 0.234,
                 mean_correction: theta.to_vec(),
                 var_correction: theta.iter().map(|t| t * t).collect(),
                 iact: 3.5,
+                evaluations: 0,
+                mean_eval_ms: 0.0,
                 theta_samples: vec![theta.to_vec()],
                 qoi_samples: vec![],
                 correction_pairs: vec![],
@@ -182,6 +184,21 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
             eval_offsets: vec![steps, steps / 2],
         }),
     }
+}
+
+/// A book's bytes in the codec's layout with its entries in the order
+/// given, sorted or not.
+fn book_bytes(
+    sessions: &[((usize, usize), Session)],
+    generations: &[((usize, usize), u64)],
+    candidates: &[(usize, Vec<usize>)],
+) -> Vec<u8> {
+    let mut enc = Enc::new();
+    sessions.to_vec().encode(&mut enc);
+    generations.to_vec().encode(&mut enc);
+    candidates.to_vec().encode(&mut enc);
+    LedgerStats::default().encode(&mut enc);
+    enc.into_bytes()
 }
 
 fn value_roundtrip<T: Codec + PartialEq + std::fmt::Debug>(v: &T) -> (T, Vec<u8>, Vec<u8>) {
@@ -223,7 +240,8 @@ proptest! {
         steps in 0usize..10_000,
         theta in prop::collection::vec(-1e6f64..1e6, 1..5),
     ) {
-        let s = session(steps % 31, steps % 3, seed, flags, &theta);
+        let key = (steps % 31, steps % 3);
+        let s = session(seed, flags, &theta);
         let (back, bytes, again) = value_roundtrip(&s);
         prop_assert_eq!(&back, &s);
         prop_assert_eq!(again, bytes);
@@ -233,10 +251,44 @@ proptest! {
         prop_assert_eq!(&back, &c);
         prop_assert_eq!(again, bytes);
 
-        let l = ledger(vec![s], seed);
+        let l = ledger(vec![(key, s)], seed);
         let (back, bytes, again) = value_roundtrip(&l);
         prop_assert_eq!(&back, &l);
         prop_assert_eq!(again, bytes);
+    }
+
+    #[test]
+    fn non_canonical_books_and_moments_are_refused(
+        flags in 0u8..255,
+        seed in 0u64..u64::MAX,
+        count in 0usize..5_000,
+        theta in prop::collection::vec(-1e6f64..1e6, 1..4),
+    ) {
+        let (a, b) = (((3, 0), session(seed, flags, &theta)), ((5, 1), session(!seed, flags / 2, &theta)));
+        let sessions = [a.clone(), b.clone()];
+        let generations = [((3, 0), 1u64), ((5, 1), 2)];
+        let candidates = [(0, vec![3usize]), (1, vec![5])];
+        let decoded = |bytes: Vec<u8>| LedgerBook::decode(&mut Dec::new(&bytes));
+        let refused = |bytes| matches!(decoded(bytes), Err(StoreError::Corrupt(_)));
+        // the canonical layout decodes, and is what the book encodes
+        let canonical = book_bytes(&sessions, &generations, &candidates);
+        let book = decoded(canonical.clone()).expect("canonical bytes decode");
+        prop_assert_eq!(value_roundtrip(&book).1, canonical);
+        // two sessions swapped, a session duplicated
+        prop_assert!(refused(book_bytes(&[b, a.clone()], &generations, &candidates)));
+        prop_assert!(refused(book_bytes(&[a.clone(), a], &generations, &candidates)));
+        // generations out of order, candidate levels out of order
+        let swapped = [generations[1], generations[0]];
+        prop_assert!(refused(book_bytes(&sessions, &swapped, &candidates)));
+        let swapped = [candidates[1].clone(), candidates[0].clone()];
+        prop_assert!(refused(book_bytes(&sessions, &generations, &swapped)));
+        // moments whose per-component counts disagree
+        let parts: Vec<(usize, f64, f64)> =
+            theta.iter().enumerate().map(|(i, t)| (count + i, *t, t.abs())).collect();
+        let mut enc = Enc::new();
+        parts.encode(&mut enc);
+        let moments = VectorMoments::decode(&mut Dec::new(&enc.into_bytes()));
+        prop_assert_eq!(matches!(moments, Err(StoreError::Corrupt(_))), theta.len() > 1);
     }
 
     #[test]
