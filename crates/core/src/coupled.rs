@@ -1,8 +1,8 @@
 //! The two-level coupled transition kernel of multilevel MCMC
 //! (paper Algorithm 2).
 //!
-//! A chain on level `l ≥ 1` draws its proposals from a *coarse-proposal
-//! source* — the subsampled level-`l-1` chain — and accepts with
+//! A chain on level `l ≥ 1` draws its proposals from the subsampled
+//! level-`l-1` chain and accepts with
 //!
 //! ```text
 //! α = min(1, [ν_l(θ') q_l(θ_F|θ'_F) ν_{l-1}(θ_C)] /
@@ -29,9 +29,15 @@
 //! requester's autonomous *pairing track* (continued from the last
 //! served sample, marginal exactly `π_{l-1}`), piggybacked on
 //! [`CoarseSample::mate`] for the unbiased estimator pairing.
+//!
+//! **One coarse-proposal path.** A coupled [`MlChain`] holds only kernel
+//! state: every step suspends at [`StepOutcome::NeedCoarse`] until
+//! [`MlChain::resume_step`] hands it a served proposal. A controller
+//! (`uq-parallel`) answers over the phonebook, the sequential driver from
+//! a [`ChainStack`]; both drive the one resumable [`ledger::Serve`].
 
 use crate::factory::LevelFactory;
-use crate::ledger::PairingMode;
+use crate::ledger::{self, LedgerLease, PairingMode, Serve, ServeOutcome, ServeStep};
 use rand::Rng;
 use std::sync::Arc;
 use uq_mcmc::kernel::{mh_transition, SamplingState};
@@ -69,24 +75,18 @@ impl CoarseSample {
             mate: None,
         }
     }
-}
 
-/// Outcome of a (possibly non-blocking) coarse-proposal acquisition.
-#[derive(Clone, Debug)]
-pub enum CoarseAcquire {
-    /// The proposal is available now (all in-process sources).
-    Ready(CoarseSample),
-    /// The source has initiated an external request and cannot produce
-    /// the sample without suspending; the caller must obtain it out of
-    /// band (e.g. from a phonebook message) and finish the step via
-    /// [`MlChain::resume_step`].
-    Pending,
+    /// `problem` evaluated at `theta`: density, then QOI.
+    pub fn at(problem: &mut dyn SamplingProblem, theta: &[f64]) -> Self {
+        let log_density = problem.log_density(theta);
+        Self::plain(theta.to_vec(), log_density, problem.qoi(theta))
+    }
 }
 
 /// The full logical state of an [`MlChain`] as plain data, for
-/// checkpointing (see `uq_core::store`): sampling state, counters,
-/// coupled bookkeeping, and — for sequential serving stacks — the
-/// recursive [`SourceState`] of the owned coarse source. Everything a
+/// checkpointing (see `uq_core::store`): sampling state, counters and
+/// coupled bookkeeping — and, in a sequential snapshot, the levels below
+/// as the [`ChainStack`] folds them ([`SourceState`]). Everything a
 /// freshly built chain needs to continue the run bit-for-bit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChainState {
@@ -101,15 +101,15 @@ pub struct ChainState {
     pub last_coarse: Option<CoarseSample>,
     /// Coupled chains only: the most recent step's pairing mate.
     pub last_pairing: Option<CoarseSample>,
-    /// State of the coarse-proposal source, when it carries any
-    /// (sequential [`ChainCoarseSource`] stacks; `None` for level-0
-    /// chains and for remote/pending sources, whose state lives in the
-    /// phonebook ledger).
+    /// The level below — its session cursor and chain, nesting the
+    /// levels below it — as a [`ChainStack`] folds it at a cut. `None`
+    /// for a lone chain: [`MlChain::export_state`] never writes it, and a
+    /// controller's sessions live in the phonebook ledger.
     pub source: Option<Box<SourceState>>,
 }
 
-/// Checkpoint state of a [`ChainCoarseSource`]: its single-requester
-/// ledger-session cursor plus the owned coarse chain, recursively.
+/// One coarse level of a [`ChainStack`] at a cut: its [`Cursor`] and its
+/// chain, recursively.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SourceState {
     /// `None` only if no serve has happened yet and the seed was never
@@ -121,63 +121,13 @@ pub struct SourceState {
     pub chain: ChainState,
 }
 
-/// Where a coupled chain gets its coarse proposals from.
-///
-/// Sequential MLMCMC uses [`ChainCoarseSource`] (an in-process recursive
-/// chain with the rewind rule); the parallel controllers in `uq-parallel`
-/// use a purely pending source ([`PendingCoarseSource`]) so a controller
-/// can suspend mid-step while its request travels via the phonebook.
-pub trait CoarseProposalSource: Send {
-    /// Begin acquiring the next coarse proposal. `anchor` is the coarse
-    /// state associated with the requesting chain's current state; exact
-    /// sequential sources rewind to it before advancing the subsampling
-    /// stride, remote sources may ignore it. Blocking sources return
-    /// [`CoarseAcquire::Ready`] directly; asynchronous sources return
-    /// [`CoarseAcquire::Pending`] and the chain suspends mid-step.
-    fn request_coarse(&mut self, rng: &mut dyn Rng, anchor: &CoarseSample) -> CoarseAcquire;
-
-    /// Blocking convenience wrapper around
-    /// [`request_coarse`](Self::request_coarse) for sources that always
-    /// produce the sample in-line.
-    ///
-    /// # Panics
-    /// Panics if the source is asynchronous (returns
-    /// [`CoarseAcquire::Pending`]).
-    fn next_coarse(&mut self, rng: &mut dyn Rng, anchor: &CoarseSample) -> CoarseSample {
-        match self.request_coarse(rng, anchor) {
-            CoarseAcquire::Ready(s) => s,
-            CoarseAcquire::Pending => {
-                panic!("next_coarse: asynchronous source requires MlChain::poll_step/resume_step")
-            }
-        }
-    }
-
-    /// Evaluate density, QOI and (recursively) the sub-anchor at an
-    /// arbitrary point — needed once for the fine chain's starting state.
-    fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample;
-
-    /// Export this source's checkpoint state, if it carries any (reading
-    /// a chain's QOI may evaluate it, hence `&mut`). Stateless sources
-    /// (remote proxies, pending sources — whose logical state lives in
-    /// the phonebook ledger) return `None`, which is the default.
-    fn export_state(&mut self) -> Option<SourceState> {
-        None
-    }
-
-    /// Restore checkpoint state captured by
-    /// [`export_state`](Self::export_state). The default ignores it
-    /// (stateless sources).
-    fn import_state(&mut self, _state: SourceState) {}
-}
-
 /// What [`MlChain::poll_step`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
     /// The step completed; the flag is whether the proposal was accepted.
     Done(bool),
-    /// The coarse-proposal source returned [`CoarseAcquire::Pending`]:
-    /// the chain is suspended mid-step and must be continued with
-    /// [`MlChain::resume_step`] once the coarse sample arrives.
+    /// A coupled chain needs its coarse proposal: the step is suspended
+    /// until [`MlChain::resume_step`] hands it the served sample.
     NeedCoarse,
 }
 
@@ -189,7 +139,6 @@ enum Kind {
     Base { proposal: Box<dyn Proposal> },
     /// Level `l ≥ 1`: coarse proposals + optional fine-tail proposal.
     Coupled {
-        source: Box<dyn CoarseProposalSource>,
         /// Proposal for the tail components `θ_F`; only consulted when
         /// `coarse_dim < dim`.
         tail_proposal: Box<dyn Proposal>,
@@ -249,14 +198,14 @@ impl MlChain {
         }
     }
 
-    /// Coupled chain on `level ≥ 1` drawing coarse proposals from
-    /// `source`. `tail_proposal` is used for the dimensions beyond
-    /// `coarse_dim` (pass any proposal when dimensions are constant — it
-    /// will not be consulted).
+    /// Coupled chain on `level ≥ 1` at `theta0`, whose coarse component
+    /// `theta0[..coarse_dim]` is `anchor`. `tail_proposal` is used for the
+    /// dimensions beyond `coarse_dim` (pass any proposal when dimensions
+    /// are constant — it will not be consulted).
     pub fn coupled(
         level: usize,
         mut problem: Box<dyn SamplingProblem>,
-        mut source: Box<dyn CoarseProposalSource>,
+        anchor: CoarseSample,
         tail_proposal: Box<dyn Proposal>,
         coarse_dim: usize,
         theta0: Vec<f64>,
@@ -266,13 +215,11 @@ impl MlChain {
             coarse_dim <= theta0.len(),
             "MlChain::coupled: coarse dimension exceeds fine dimension"
         );
-        let anchor = source.anchor_at(&theta0[..coarse_dim]);
         let state = SamplingState::initial(problem.as_mut(), theta0);
         Self {
             level,
             problem,
             kind: Kind::Coupled {
-                source,
                 tail_proposal,
                 coarse_dim,
                 anchor,
@@ -367,24 +314,10 @@ impl MlChain {
         }
     }
 
-    /// Package density/QOI/sub-anchor information for `theta` — used to
-    /// initialize fine chains anchored at this chain's level.
+    /// This chain's problem evaluated at `theta`, as a sample without a
+    /// sub-anchor ([`ChainStack`] adds those).
     pub fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample {
-        let log_density = self.problem.log_density(theta);
-        let qoi = self.problem.qoi(theta).into();
-        let sub_anchor = match &mut self.kind {
-            Kind::Base { .. } => None,
-            Kind::Coupled {
-                source, coarse_dim, ..
-            } => Some(Box::new(source.anchor_at(&theta[..*coarse_dim]))),
-        };
-        CoarseSample {
-            theta: theta.to_vec(),
-            log_density,
-            qoi,
-            sub_anchor,
-            mate: None,
-        }
+        CoarseSample::at(self.problem.as_mut(), theta)
     }
 
     /// Current state packaged as a [`CoarseSample`] (including this
@@ -425,42 +358,34 @@ impl MlChain {
 
     /// Rewind this chain to a previously served sample (the exactness
     /// rule — see the module docs). Everything needed is cached inside
-    /// the sample; the one exception is a coupled chain restored from a
-    /// sample *without* a sub-anchor (a parallel requester's initial
-    /// anchor, which no serving stack ever saw): the sub-anchor is then
-    /// derived through the source's `anchor_at`, costing one coarse-level
-    /// density evaluation.
+    /// the sample, evaluating nothing.
     pub fn restore(&mut self, sample: &CoarseSample) {
         self.state = SamplingState {
             theta: sample.theta.clone(),
             log_density: sample.log_density,
             qoi: Some(sample.qoi.clone()),
         };
-        if let Kind::Coupled {
-            anchor,
-            source,
-            coarse_dim,
-            ..
-        } = &mut self.kind
-        {
-            *anchor = match &sample.sub_anchor {
-                Some(sub) => (**sub).clone(),
-                None => source.anchor_at(&sample.theta[..*coarse_dim]),
-            };
+        if let Kind::Coupled { anchor, .. } = &mut self.kind {
+            // a coupled level packages its samples with their anchor; an
+            // initial anchor gets one from `ChainStack` or, a requester's,
+            // from the serving controller before `Serve::start`
+            let sub = sample.sub_anchor.as_deref();
+            *anchor = sub
+                .expect("a coupled level's sample has a sub-anchor")
+                .clone();
         }
     }
 
-    /// Export the chain's full logical state as plain data (recursively
-    /// through sequential serving stacks) for checkpointing. Feeding the
-    /// result to [`import_state`](Self::import_state) on a freshly built
-    /// identical chain continues the run bit-for-bit. A checkpoint
-    /// carries every QOI, so this reads the current state's.
+    /// Export the chain's full logical state as plain data for
+    /// checkpointing (`source` stays `None`). Feeding the result to
+    /// [`import_state`](Self::import_state) on a freshly built identical
+    /// chain continues the run bit-for-bit. A checkpoint carries every
+    /// QOI, so this reads the current state's.
     pub fn export_state(&mut self) -> ChainState {
         let qoi = Arc::clone(self.current_qoi());
-        let (anchor, last_coarse, last_pairing, source) = match &mut self.kind {
-            Kind::Base { .. } => (None, None, None, None),
+        let (anchor, last_coarse, last_pairing) = match &self.kind {
+            Kind::Base { .. } => (None, None, None),
             Kind::Coupled {
-                source,
                 anchor,
                 last_coarse,
                 last_pairing,
@@ -469,7 +394,6 @@ impl MlChain {
                 Some(anchor.clone()),
                 last_coarse.clone(),
                 last_pairing.clone(),
-                source.export_state().map(Box::new),
             ),
         };
         ChainState {
@@ -481,13 +405,14 @@ impl MlChain {
             anchor,
             last_coarse,
             last_pairing,
-            source,
+            source: None,
         }
     }
 
     /// Restore state captured by [`export_state`](Self::export_state)
-    /// onto a chain built with the same factory/topology. No model
-    /// evaluations happen — everything is cached in the state.
+    /// onto a chain built with the same factory/topology (`source` is not
+    /// read). No model evaluations happen — everything is cached in the
+    /// state.
     pub fn import_state(&mut self, cs: ChainState) {
         self.steps = cs.steps;
         self.accepted = cs.accepted;
@@ -497,7 +422,6 @@ impl MlChain {
             qoi: Some(cs.qoi),
         };
         if let Kind::Coupled {
-            source,
             anchor,
             last_coarse,
             last_pairing,
@@ -509,49 +433,25 @@ impl MlChain {
             }
             *last_coarse = cs.last_coarse;
             *last_pairing = cs.last_pairing;
-            if let Some(ss) = cs.source {
-                source.import_state(*ss);
-            }
         }
     }
 
-    /// Advance one step; returns whether the proposal was accepted.
-    ///
-    /// # Panics
-    /// Panics if the coarse-proposal source is asynchronous (returns
-    /// [`CoarseAcquire::Pending`]); drive such chains with
-    /// [`poll_step`](Self::poll_step)/[`resume_step`](Self::resume_step).
-    pub fn step(&mut self, rng: &mut dyn Rng) -> bool {
-        match self.poll_step(rng) {
-            StepOutcome::Done(accepted) => accepted,
-            StepOutcome::NeedCoarse => {
-                panic!("MlChain::step: asynchronous coarse source; use poll_step/resume_step")
-            }
-        }
-    }
-
-    /// Begin one step. Level-0 chains and coupled chains with a blocking
-    /// source complete in-line ([`StepOutcome::Done`]); a coupled chain
-    /// whose source returns [`CoarseAcquire::Pending`] suspends
-    /// ([`StepOutcome::NeedCoarse`]) and must be continued with
-    /// [`resume_step`](Self::resume_step) — this is what lets hundreds of
+    /// Begin one step. A level-0 chain completes it
+    /// ([`StepOutcome::Done`]); a coupled chain draws nothing and
+    /// suspends ([`StepOutcome::NeedCoarse`]) until
+    /// [`resume_step`](Self::resume_step) hands it the proposal served for
+    /// its [`anchor`](Self::anchor) — this is what lets hundreds of
     /// virtual controllers share a worker thread in the cooperative
     /// runtime instead of blocking it inside `recv`.
     pub fn poll_step(&mut self, rng: &mut dyn Rng) -> StepOutcome {
-        let acquired = match &mut self.kind {
-            Kind::Base { proposal } => {
-                let problem = self.problem.as_mut();
-                let accepted = mh_transition(problem, proposal.as_mut(), &mut self.state, rng);
-                self.steps += 1;
-                self.accepted += usize::from(accepted);
-                return StepOutcome::Done(accepted);
-            }
-            Kind::Coupled { source, anchor, .. } => source.request_coarse(rng, anchor),
+        let Kind::Base { proposal } = &mut self.kind else {
+            return StepOutcome::NeedCoarse;
         };
-        match acquired {
-            CoarseAcquire::Ready(coarse) => StepOutcome::Done(self.resume_step(rng, coarse)),
-            CoarseAcquire::Pending => StepOutcome::NeedCoarse,
-        }
+        let problem = self.problem.as_mut();
+        let accepted = mh_transition(problem, proposal.as_mut(), &mut self.state, rng);
+        self.steps += 1;
+        self.accepted += usize::from(accepted);
+        StepOutcome::Done(accepted)
     }
 
     /// Finish a coupled step with an externally obtained coarse proposal
@@ -566,6 +466,8 @@ impl MlChain {
         self.steps += 1;
         let mate = coarse.mate.take().map(|m| *m);
         let accepted = match &mut self.kind {
+            // unreachable from the drivers: they resume only a step that
+            // returned `NeedCoarse`, which a level-0 chain never does
             Kind::Base { .. } => panic!("MlChain::resume_step: level-0 chains never suspend"),
             Kind::Coupled {
                 tail_proposal,
@@ -632,148 +534,16 @@ impl MlChain {
     }
 }
 
-/// Sequential coarse-proposal source: owns the next-coarser [`MlChain`]
-/// (itself possibly coupled, recursively down to level 0) and serves it
-/// through a single-requester ledger session (see [`crate::ledger`]):
-/// the proposal track rewinds to the requester's anchor (the exactness
-/// rule) and the pairing track continues from the last served sample
-/// (the unbiased correction mate), both advanced `rho` steps per serve
-/// by the session's own derived random substreams.
-pub struct ChainCoarseSource {
-    chain: MlChain,
-    rho: usize,
-    /// Lazily derived on the first serve from the caller's RNG (one
-    /// `next_u64` draw), so different user seeds give independent serve
-    /// substreams; [`with_session_seed`](Self::with_session_seed) pins
-    /// it instead (then nothing is drawn from the caller).
-    session_seed: Option<u64>,
-    serves: u64,
-    pairing: Option<CoarseSample>,
-    diverged_serves: u64,
-}
-
-impl ChainCoarseSource {
-    /// `rho` is clamped to at least 1 (every fine proposal advances the
-    /// coarse chain at least one step). The ledger session seed is drawn
-    /// from the caller's RNG at the first serve; use
-    /// [`with_session_seed`](Self::with_session_seed) to pin it (e.g. to
-    /// reproduce a parallel backend's session bit-for-bit).
-    pub fn new(chain: MlChain, rho: usize) -> Self {
-        Self {
-            chain,
-            rho: rho.max(1),
-            session_seed: None,
-            serves: 0,
-            pairing: None,
-            diverged_serves: 0,
-        }
-    }
-
-    /// Pin the ledger session seed (see [`crate::ledger::session_seed`]).
-    pub fn with_session_seed(mut self, session_seed: u64) -> Self {
-        self.session_seed = Some(session_seed);
-        self
-    }
-
-    pub fn chain(&self) -> &MlChain {
-        &self.chain
-    }
-}
-
-impl CoarseProposalSource for ChainCoarseSource {
-    // The caller's RNG seeds the session once (first serve) and is
-    // otherwise unused: serve randomness comes from per-serve substreams
-    // of the session seed, so serves are pure functions of the session
-    // state and reproduce identically across backends (the parity suite
-    // relies on this).
-    fn request_coarse(&mut self, rng: &mut dyn Rng, anchor: &CoarseSample) -> CoarseAcquire {
-        let level = self.chain.level();
-        let session_seed = *self
-            .session_seed
-            .get_or_insert_with(|| crate::ledger::session_seed(rng.next_u64(), level, 0));
-        let lease = crate::ledger::LedgerLease {
-            session_seed,
-            serves: self.serves,
-            pairing: self.pairing.take(),
-            anchor: anchor.clone(),
-        };
-        let out = crate::ledger::serve(&mut self.chain, self.rho, &lease);
-        self.serves += 1;
-        self.diverged_serves += u64::from(out.diverged);
-        self.pairing = Some(out.pairing);
-        CoarseAcquire::Ready(out.proposal)
-    }
-
-    fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample {
-        self.chain.anchor_at(theta)
-    }
-
-    fn export_state(&mut self) -> Option<SourceState> {
-        Some(SourceState {
-            session_seed: self.session_seed,
-            serves: self.serves,
-            diverged_serves: self.diverged_serves,
-            pairing: self.pairing.clone(),
-            chain: self.chain.export_state(),
-        })
-    }
-
-    fn import_state(&mut self, state: SourceState) {
-        self.session_seed = state.session_seed;
-        self.serves = state.serves;
-        self.diverged_serves = state.diverged_serves;
-        self.pairing = state.pairing;
-        self.chain.import_state(state.chain);
-    }
-}
-
-/// An always-pending source for suspendable controllers: every
-/// [`request_coarse`](CoarseProposalSource::request_coarse) returns
-/// [`CoarseAcquire::Pending`], so each coupled step suspends at
-/// [`StepOutcome::NeedCoarse`] and the driving state machine fulfills it
-/// (via [`MlChain::resume_step`]) with a sample obtained out of band —
-/// the cooperative runtime's phonebook protocol in `uq-parallel`.
-pub struct PendingCoarseSource {
-    /// Coarse problem used only for the one-off starting-point
-    /// density/QOI evaluation in [`anchor_at`](Self::anchor_at).
-    coarse_problem: Box<dyn SamplingProblem>,
-}
-
-impl PendingCoarseSource {
-    pub fn new(coarse_problem: Box<dyn SamplingProblem>) -> Self {
-        Self { coarse_problem }
-    }
-}
-
-impl CoarseProposalSource for PendingCoarseSource {
-    fn request_coarse(&mut self, _rng: &mut dyn Rng, _anchor: &CoarseSample) -> CoarseAcquire {
-        CoarseAcquire::Pending
-    }
-
-    fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample {
-        CoarseSample::plain(
-            theta.to_vec(),
-            self.coarse_problem.log_density(theta),
-            self.coarse_problem.qoi(theta),
-        )
-    }
-}
-
 /// The level-`level` chain of `factory`'s hierarchy: a base chain on
 /// level 0; above it a coupled chain whose starting point takes its
-/// coarse component from the next-coarser one (Algorithm 2) and whose
-/// proposals come from `source(level - 1)` — a [`ChainCoarseSource`] for
-/// the sequential stack ([`build_chain_stack`]), a
-/// [`PendingCoarseSource`] for a parallel controller.
+/// coarse component from the next-coarser one (Algorithm 2), anchored at
+/// `anchor_at(coarse component)`.
 pub fn build_chain(
     factory: &dyn LevelFactory,
     level: usize,
-    source: impl FnOnce(usize) -> Box<dyn CoarseProposalSource>,
+    anchor_at: impl FnOnce(&[f64]) -> CoarseSample,
 ) -> MlChain {
-    assert!(
-        level < factory.n_levels(),
-        "build_chain: level out of range"
-    );
+    assert!(level < factory.n_levels(), "build_chain: no such level");
     if level == 0 {
         return MlChain::base(
             factory.problem(0),
@@ -781,35 +551,184 @@ pub fn build_chain(
             factory.starting_point(0),
         );
     }
-    let source = source(level - 1);
     let coarse_dim = factory.starting_point(level - 1).len();
     let mut theta0 = factory.starting_point(level);
     theta0[..coarse_dim].copy_from_slice(&factory.starting_point(level - 1));
-    MlChain::coupled(
-        level,
-        factory.problem(level),
-        source,
-        factory.proposal(level),
-        coarse_dim,
-        theta0,
-    )
+    let (problem, tail_proposal) = (factory.problem(level), factory.proposal(level));
+    let anchor = anchor_at(&theta0[..coarse_dim]);
+    MlChain::coupled(level, problem, anchor, tail_proposal, coarse_dim, theta0)
 }
 
-/// Build the full recursive chain stack for `level` from a factory:
-/// each level above 0 owns the stack below it as its coarse-proposal
-/// source (subsampled at `factory.subsampling_rate`).
-pub fn build_chain_stack(factory: &dyn LevelFactory, level: usize) -> MlChain {
-    build_chain(factory, level, |coarse| {
-        let stack = build_chain_stack(factory, coarse);
-        Box::new(ChainCoarseSource::new(
-            stack,
-            factory.subsampling_rate(coarse),
-        ))
-    })
+/// One coarse level's single-requester ledger session (see
+/// [`crate::ledger`]), as a [`ChainStack`] serves it to the level above.
+#[derive(Clone, Debug, Default)]
+pub struct Cursor {
+    /// Unless pinned, one `next_u64` from the requester's stream (the
+    /// driver's generator, or the enclosing serve's leg) at the first serve.
+    pub session_seed: Option<u64>,
+    pub serves: u64,
+    pub diverged_serves: u64,
+    pub pairing: Option<CoarseSample>,
+}
+
+/// The sequential driver's chains, one per level: a suspended step of the
+/// top chain is answered by serving the level below from its [`Cursor`],
+/// whose suspended kernel steps are answered one level further down.
+pub struct ChainStack {
+    /// Levels `0..=l`, never empty.
+    chains: Vec<MlChain>,
+    /// `cursors[k]`: the session level `k` serves to level `k + 1`.
+    pub cursors: Vec<Cursor>,
+    /// `rho[k]`: level `k`'s subsampling rate.
+    rho: Vec<usize>,
+}
+
+impl ChainStack {
+    /// Levels `0..=level` of `factory`, each chain on its own problem; a
+    /// coupled level's initial anchor is evaluated on the chains below.
+    pub fn new(factory: &dyn LevelFactory, level: usize) -> Self {
+        let mut chains = Vec::with_capacity(level + 1);
+        for k in 0..=level {
+            let chain = build_chain(factory, k, |theta| anchor_at(&mut chains, theta));
+            chains.push(chain);
+        }
+        Self {
+            chains,
+            cursors: vec![Cursor::default(); level],
+            rho: (0..level).map(|k| factory.subsampling_rate(k)).collect(),
+        }
+    }
+
+    /// The top level's chain.
+    pub fn top(&mut self) -> &mut MlChain {
+        self.chains.last_mut().expect(LEVEL_0)
+    }
+
+    /// Advance the top chain one step; returns whether it accepted.
+    pub fn step(&mut self, rng: &mut dyn Rng) -> bool {
+        let (top, below) = self.chains.split_last_mut().expect(LEVEL_0);
+        match top.poll_step(rng) {
+            StepOutcome::Done(accepted) => accepted,
+            StepOutcome::NeedCoarse => {
+                let coarse = serve_next(below, &mut self.cursors, &self.rho, top.anchor(), rng);
+                top.resume_step(rng, coarse)
+            }
+        }
+    }
+
+    /// One ledger serve of `lease` by the top chain, `rho` kernel steps
+    /// per track, which it leaves at the end of the last leg.
+    pub fn serve(&mut self, rho: usize, lease: &LedgerLease) -> ServeOutcome {
+        serve_lease(&mut self.chains, &mut self.cursors, &self.rho, rho, lease)
+    }
+
+    /// The stack as one nested [`ChainState`], the top chain's: its
+    /// `source` holds the level below's cursor and chain, recursively.
+    pub fn export_state(&mut self) -> ChainState {
+        let (bottom, above) = self.chains.split_first_mut().expect(LEVEL_0);
+        let mut state = bottom.export_state();
+        for (chain, cursor) in above.iter_mut().zip(&self.cursors) {
+            let below = SourceState {
+                session_seed: cursor.session_seed,
+                serves: cursor.serves,
+                diverged_serves: cursor.diverged_serves,
+                pairing: cursor.pairing.clone(),
+                chain: state,
+            };
+            state = chain.export_state();
+            state.source = Some(Box::new(below));
+        }
+        state
+    }
+
+    /// Restore what [`export_state`](Self::export_state) captured on a
+    /// stack of the same factory and level.
+    pub fn import_state(&mut self, mut state: ChainState) {
+        for (level, chain) in self.chains.iter_mut().enumerate().rev() {
+            let below = state.source.take();
+            chain.import_state(state);
+            let (Some(below), Some(cursor)) = (below, level.checked_sub(1)) else {
+                return;
+            };
+            self.cursors[cursor] = Cursor {
+                session_seed: below.session_seed,
+                serves: below.serves,
+                diverged_serves: below.diverged_serves,
+                pairing: below.pairing,
+            };
+            state = below.chain;
+        }
+    }
+}
+
+const LEVEL_0: &str = "a stack holds level 0";
+
+/// `theta` on the top of `chains`, density and QOI first, then its
+/// sub-anchor on the levels below, recursively.
+fn anchor_at(chains: &mut [MlChain], theta: &[f64]) -> CoarseSample {
+    // only a coupled level is anchored, and it has a level below
+    let (chain, below) = chains.split_last_mut().expect("a level to anchor on");
+    let mut sample = chain.anchor_at(theta);
+    if let Some(coarse_dim) = below.last().map(|c| c.state().theta.len()) {
+        sample.sub_anchor = Some(Box::new(anchor_at(below, &theta[..coarse_dim])));
+    }
+    sample
+}
+
+/// Serve the top of `chains` to `anchor` from its cursor, the last of
+/// `cursors` (lease, serve, write back; a seed is drawn from `rng`).
+fn serve_next(
+    chains: &mut [MlChain],
+    cursors: &mut [Cursor],
+    rho: &[usize],
+    anchor: Option<&CoarseSample>,
+    rng: &mut dyn Rng,
+) -> CoarseSample {
+    // the top of `chains` serves, and every serving level has a cursor
+    let (cursor, below) = cursors.split_last_mut().expect("a serving level");
+    let level = below.len();
+    let session_seed = *cursor
+        .session_seed
+        .get_or_insert_with(|| ledger::session_seed(rng.next_u64(), level, 0));
+    let lease = LedgerLease {
+        session_seed,
+        serves: cursor.serves,
+        pairing: cursor.pairing.take(),
+        // only a coupled chain suspends, and a coupled chain has an anchor
+        anchor: anchor.expect("a suspended chain is coupled").clone(),
+    };
+    let out = serve_lease(chains, below, rho, rho[level], &lease);
+    cursor.serves += 1;
+    cursor.diverged_serves += u64::from(out.diverged);
+    cursor.pairing = Some(out.pairing);
+    out.proposal
+}
+
+/// Drive a [`Serve`] of `lease` on the top of `chains` to its end, each
+/// suspended kernel step answered one level down on the leg stream.
+fn serve_lease(
+    chains: &mut [MlChain],
+    cursors: &mut [Cursor],
+    rhos: &[usize],
+    rho: usize,
+    lease: &LedgerLease,
+) -> ServeOutcome {
+    let (chain, below) = chains.split_last_mut().expect("a serving level");
+    let mut serve = Serve::start(chain, rho, lease);
+    loop {
+        match serve.step(chain, lease) {
+            ServeStep::Stepped => {}
+            ServeStep::NeedCoarse => {
+                let coarse = serve_next(below, cursors, rhos, chain.anchor(), serve.rng());
+                serve.resume(chain, coarse);
+            }
+            ServeStep::Done(outcome) => return outcome,
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::factory::test_support::GaussianHierarchy;
     use rand::rngs::StdRng;
@@ -827,24 +746,49 @@ mod tests {
         )
     }
 
+    /// A stack by hand: `chains` on levels `0..`, level `k` serving at
+    /// `rho[k]`.
+    pub(crate) fn stack(chains: Vec<MlChain>, rho: Vec<usize>) -> ChainStack {
+        assert_eq!(rho.len() + 1, chains.len());
+        ChainStack {
+            chains,
+            cursors: vec![Cursor::default(); rho.len()],
+            rho,
+        }
+    }
+
+    /// `coarse` serving, at `rho`, a coupled chain on `fine` started at
+    /// `theta0` whose tail proposal is a random walk of width `tail`.
+    pub(crate) fn two_level(
+        mut coarse: MlChain,
+        fine: Box<dyn uq_mcmc::SamplingProblem>,
+        tail: f64,
+        rho: usize,
+        theta0: Vec<f64>,
+    ) -> ChainStack {
+        let coarse_dim = coarse.state().theta.len();
+        let anchor = coarse.anchor_at(&theta0[..coarse_dim]);
+        let tail = Box::new(GaussianRandomWalk::new(tail));
+        let fine = MlChain::coupled(1, fine, anchor, tail, coarse_dim, theta0);
+        stack(vec![coarse, fine], vec![rho])
+    }
+
     #[test]
     fn identical_levels_accept_everything() {
         // ν_l = ν_{l-1} ⇒ the Algorithm-2 ratio is exactly 1
         let coarse = base_gaussian_chain(0.0, 1.0, 2);
-        let source = ChainCoarseSource::new(coarse, 3);
-        let mut fine = MlChain::coupled(
-            1,
+        let mut fine = two_level(
+            coarse,
             Box::new(GaussianTarget::new(vec![0.0; 2], 1.0)),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.5)),
-            2,
+            0.5,
+            3,
             vec![0.0; 2],
         );
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
             assert!(fine.step(&mut rng), "identical levels must always accept");
         }
-        assert_eq!(fine.acceptance_rate(), 1.0);
+        assert_eq!(fine.top().acceptance_rate(), 1.0);
     }
 
     #[test]
@@ -852,13 +796,11 @@ mod tests {
         // coarse N(0.5, 0.8²), fine N(1.0, 0.5²): fine chain must converge
         // to the FINE target despite coarse proposals
         let coarse = base_gaussian_chain(0.5, 0.8, 1);
-        let source = ChainCoarseSource::new(coarse, 3);
-        let mut fine = MlChain::coupled(
-            1,
+        let mut fine = two_level(
+            coarse,
             Box::new(GaussianTarget::new(vec![1.0], 0.5)),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.5)),
-            1,
+            0.5,
+            3,
             vec![0.0],
         );
         let mut rng = StdRng::seed_from_u64(2);
@@ -866,14 +808,14 @@ mod tests {
         for i in 0..60_000 {
             fine.step(&mut rng);
             if i >= 2000 {
-                trace.push(fine.state().theta[0]);
+                trace.push(fine.top().state().theta[0]);
             }
         }
         let mean = stats::mean(&trace);
         let sd = stats::variance(&trace).sqrt();
         assert!((mean - 1.0).abs() < 0.03, "fine mean {mean}");
         assert!((sd - 0.5).abs() < 0.03, "fine sd {sd}");
-        let rate = fine.acceptance_rate();
+        let rate = fine.top().acceptance_rate();
         assert!(rate > 0.3 && rate < 1.0, "acceptance {rate}");
     }
 
@@ -883,12 +825,10 @@ mod tests {
         // biased; the rewinding kernel must still target the fine
         // distribution exactly
         let coarse = base_gaussian_chain(0.0, 1.0, 1);
-        let source = ChainCoarseSource::new(coarse, 1);
-        let mut fine = MlChain::coupled(
-            1,
+        let mut fine = two_level(
+            coarse,
             Box::new(GaussianTarget::new(vec![1.5], 0.4)),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.5)),
+            0.5,
             1,
             vec![0.0],
         );
@@ -897,7 +837,7 @@ mod tests {
         for i in 0..120_000 {
             fine.step(&mut rng);
             if i >= 5000 {
-                trace.push(fine.state().theta[0]);
+                trace.push(fine.top().state().theta[0]);
             }
         }
         let mean = stats::mean(&trace);
@@ -912,13 +852,11 @@ mod tests {
         // IACT of the coupled fine chain should be near 1 (the paper's
         // observation) because proposals are nearly independent draws
         let coarse = base_gaussian_chain(1.0, 0.55, 1);
-        let source = ChainCoarseSource::new(coarse, 8);
-        let mut fine = MlChain::coupled(
-            1,
+        let mut fine = two_level(
+            coarse,
             Box::new(GaussianTarget::new(vec![1.0], 0.5)),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.5)),
-            1,
+            0.5,
+            8,
             vec![1.0],
         );
         let mut rng = StdRng::seed_from_u64(3);
@@ -926,7 +864,7 @@ mod tests {
         for i in 0..20_000 {
             fine.step(&mut rng);
             if i >= 1000 {
-                trace.push(fine.state().theta[0]);
+                trace.push(fine.top().state().theta[0]);
             }
         }
         let tau = stats::integrated_autocorrelation_time(&trace);
@@ -938,13 +876,11 @@ mod tests {
         // extremely mismatched levels force rejections; last_coarse must
         // still update every step (it feeds the telescoping estimator)
         let coarse = base_gaussian_chain(5.0, 0.2, 1);
-        let source = ChainCoarseSource::new(coarse, 2);
-        let mut fine = MlChain::coupled(
-            1,
+        let mut fine = two_level(
+            coarse,
             Box::new(GaussianTarget::new(vec![-5.0], 0.2)),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.5)),
-            1,
+            0.5,
+            2,
             vec![-5.0],
         );
         let mut rng = StdRng::seed_from_u64(4);
@@ -952,7 +888,7 @@ mod tests {
         let mut changed = 0;
         for _ in 0..50 {
             fine.step(&mut rng);
-            let lc = fine.last_coarse().expect("must record coarse sample");
+            let lc = fine.top().last_coarse().expect("must record coarse sample");
             if let Some(p) = &prev {
                 if p != &lc.theta {
                     changed += 1;
@@ -967,7 +903,7 @@ mod tests {
         // with such mismatched levels the fine chain never actually moves:
         // the only "accepted" proposals are trivial self-proposals (the
         // rewound coarse chain rejected all its own moves)
-        assert_eq!(fine.state().theta, vec![-5.0]);
+        assert_eq!(fine.top().state().theta, vec![-5.0]);
     }
 
     #[test]
@@ -985,21 +921,13 @@ mod tests {
             }
         }
         let coarse = base_gaussian_chain(0.0, 1.0, 1);
-        let source = ChainCoarseSource::new(coarse, 3);
-        let mut fine = MlChain::coupled(
-            1,
-            Box::new(Fine2d),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.6)),
-            1,
-            vec![0.0, 0.0],
-        );
+        let mut fine = two_level(coarse, Box::new(Fine2d), 0.6, 3, vec![0.0, 0.0]);
         let mut rng = StdRng::seed_from_u64(5);
         let mut tail_trace = Vec::new();
         for i in 0..40_000 {
             fine.step(&mut rng);
             if i >= 2000 {
-                tail_trace.push(fine.state().theta[1]);
+                tail_trace.push(fine.top().state().theta[1]);
             }
         }
         let mean = stats::mean(&tail_trace);
@@ -1011,14 +939,14 @@ mod tests {
     #[test]
     fn build_stack_produces_recursive_hierarchy() {
         let h = GaussianHierarchy::three_level(2);
-        let mut chain = build_chain_stack(&h, 2);
-        assert_eq!(chain.level(), 2);
+        let mut chain = ChainStack::new(&h, 2);
+        assert_eq!(chain.top().level(), 2);
         let mut rng = StdRng::seed_from_u64(6);
         let mut trace = Vec::new();
         for i in 0..12_000 {
             chain.step(&mut rng);
             if i >= 1000 {
-                trace.push(chain.state().theta[0]);
+                trace.push(chain.top().state().theta[0]);
             }
         }
         // finest level targets N(1.0, 0.5²)
@@ -1043,99 +971,21 @@ mod tests {
         }
         // coarse chain lives far outside the fine support
         let coarse = base_gaussian_chain(10.0, 0.5, 1);
-        let source = ChainCoarseSource::new(coarse, 1);
-        let mut fine = MlChain::coupled(
-            1,
-            Box::new(Cutoff),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.5)),
-            1,
-            vec![0.0],
-        );
+        let mut fine = two_level(coarse, Box::new(Cutoff), 0.5, 1, vec![0.0]);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..100 {
             fine.step(&mut rng);
-            assert!(fine.state().theta[0].abs() <= 1.0);
-        }
-    }
-
-    /// A recording source that can be switched between blocking and
-    /// pending, fulfilling from an internal chain either way — used to
-    /// check that the suspended path reproduces the blocking path.
-    struct SwitchableSource {
-        inner: ChainCoarseSource,
-        pending: bool,
-        stashed_anchor: Option<CoarseSample>,
-    }
-
-    impl CoarseProposalSource for SwitchableSource {
-        fn request_coarse(&mut self, rng: &mut dyn Rng, anchor: &CoarseSample) -> CoarseAcquire {
-            if self.pending {
-                self.stashed_anchor = Some(anchor.clone());
-                CoarseAcquire::Pending
-            } else {
-                self.inner.request_coarse(rng, anchor)
-            }
-        }
-        fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample {
-            self.inner.anchor_at(theta)
+            assert!(fine.top().state().theta[0].abs() <= 1.0);
         }
     }
 
     #[test]
-    fn poll_resume_reproduces_blocking_step_exactly() {
-        // two identical coupled chains; one steps through the blocking
-        // path, the other suspends at every step and is resumed with the
-        // sample an identical helper source generates — the trajectories
-        // must agree bit-for-bit because resume consumes the same RNG
-        // stream as the blocking acceptance does.
-        let mk = |pending| {
-            let coarse = base_gaussian_chain(0.5, 0.8, 1);
-            let source = SwitchableSource {
-                inner: ChainCoarseSource::new(coarse, 3),
-                pending,
-                stashed_anchor: None,
-            };
-            MlChain::coupled(
-                1,
-                Box::new(GaussianTarget::new(vec![1.0], 0.5)),
-                Box::new(source),
-                Box::new(GaussianRandomWalk::new(0.5)),
-                1,
-                vec![0.0],
-            )
-        };
-        let mut blocking = mk(false);
-        let mut suspending = mk(true);
-        // fulfillment helper: an identical coarse source (same default
-        // ledger session seed, so serve k produces identical samples),
-        // rewound to the suspended chain's anchor
-        let mut helper = ChainCoarseSource::new(base_gaussian_chain(0.5, 0.8, 1), 3);
-        let mut rng_a = StdRng::seed_from_u64(42);
-        // coarse serves draw from the session's own substreams, so the
-        // caller streams only drive tail/acceptance variates — consuming
-        // them identically on both paths keeps the trajectories aligned
-        let mut rng_b = StdRng::seed_from_u64(42);
-        for _ in 0..200 {
-            let a = blocking.step(&mut rng_a);
-            assert_eq!(suspending.poll_step(&mut rng_b), StepOutcome::NeedCoarse);
-            let anchor = suspending.anchor().expect("coupled chain").clone();
-            let coarse = helper.next_coarse(&mut rng_b, &anchor);
-            let b = suspending.resume_step(&mut rng_b, coarse);
-            assert_eq!(a, b, "acceptance decisions diverged");
-            assert_eq!(blocking.state().theta, suspending.state().theta);
-        }
-        assert_eq!(blocking.steps(), suspending.steps());
-        assert_eq!(blocking.acceptance_rate(), suspending.acceptance_rate());
-    }
-
-    #[test]
-    fn pending_source_suspends_and_poison_resume_rejects() {
-        let source = PendingCoarseSource::new(Box::new(GaussianTarget::new(vec![0.0], 1.0)));
+    fn coupled_step_suspends_and_poison_resume_rejects() {
+        let anchor = CoarseSample::at(&mut GaussianTarget::new(vec![0.0], 1.0), &[0.0]);
         let mut fine = MlChain::coupled(
             1,
             Box::new(GaussianTarget::new(vec![1.0], 0.5)),
-            Box::new(source),
+            anchor,
             Box::new(GaussianRandomWalk::new(0.5)),
             1,
             vec![0.0],
@@ -1154,28 +1004,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "asynchronous coarse source")]
-    fn blocking_step_on_pending_source_panics() {
-        let source = PendingCoarseSource::new(Box::new(GaussianTarget::new(vec![0.0], 1.0)));
-        let mut fine = MlChain::coupled(
-            1,
-            Box::new(GaussianTarget::new(vec![1.0], 0.5)),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.5)),
-            1,
-            vec![0.0],
-        );
-        let mut rng = StdRng::seed_from_u64(12);
-        fine.step(&mut rng);
-    }
-
-    #[test]
     fn export_import_continues_recursive_stack_bit_for_bit() {
         // three-level stack: run 300 steps, export, rebuild a fresh
         // identical stack, import, and require the continuation to match
         // the uninterrupted chain exactly (same caller RNG position)
         let h = GaussianHierarchy::three_level(2);
-        let mut chain = build_chain_stack(&h, 2);
+        let mut chain = ChainStack::new(&h, 2);
         let mut rng = StdRng::seed_from_u64(77);
         for _ in 0..300 {
             chain.step(&mut rng);
@@ -1184,7 +1018,7 @@ mod tests {
         assert!(state.source.is_some(), "stack must export recursively");
         let rng_state = rng.state();
 
-        let mut resumed = build_chain_stack(&h, 2);
+        let mut resumed = ChainStack::new(&h, 2);
         resumed.import_state(state.clone());
         assert_eq!(resumed.export_state(), state, "import/export roundtrip");
         let mut rng_resumed = StdRng::from_state(rng_state);
@@ -1192,7 +1026,7 @@ mod tests {
             let a = chain.step(&mut rng);
             let b = resumed.step(&mut rng_resumed);
             assert_eq!(a, b, "acceptance decisions diverged after resume");
-            assert_eq!(chain.state().theta, resumed.state().theta);
+            assert_eq!(chain.top().state().theta, resumed.top().state().theta);
         }
         assert_eq!(chain.export_state(), resumed.export_state());
     }
@@ -1200,26 +1034,24 @@ mod tests {
     #[test]
     fn restore_roundtrips_state_and_anchor() {
         let coarse = base_gaussian_chain(0.5, 0.8, 1);
-        let source = ChainCoarseSource::new(coarse, 2);
-        let mut fine = MlChain::coupled(
-            1,
+        let mut fine = two_level(
+            coarse,
             Box::new(GaussianTarget::new(vec![1.0], 0.5)),
-            Box::new(source),
-            Box::new(GaussianRandomWalk::new(0.5)),
-            1,
+            0.5,
+            2,
             vec![0.0],
         );
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..20 {
             fine.step(&mut rng);
         }
-        let snapshot = fine.current_as_sample();
+        let snapshot = fine.top().current_as_sample();
         for _ in 0..20 {
             fine.step(&mut rng);
         }
-        fine.restore(&snapshot);
-        assert_eq!(fine.state().theta, snapshot.theta);
-        assert_eq!(fine.state().log_density, snapshot.log_density);
-        assert!(fine.current_as_sample().sub_anchor.is_some());
+        fine.top().restore(&snapshot);
+        assert_eq!(fine.top().state().theta, snapshot.theta);
+        assert_eq!(fine.top().state().log_density, snapshot.log_density);
+        assert!(fine.top().current_as_sample().sub_anchor.is_some());
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! `E[Q_L] ≈ E[Q_0] + Σ_{l=1}^{L} E[Q_l - Q_{l-1}]`: the level-0 term is
 //! estimated by a conventional chain, each correction term by a coupled
-//! chain whose coarse proposals come from the recursive stack below it.
+//! chain served by the chains below it (a [`ChainStack`]).
 //! The driver records everything the paper tabulates: per-level means,
 //! correction variances, integrated autocorrelation times, acceptance
 //! rates, evaluation counts and mean evaluation cost.
@@ -25,7 +25,7 @@
 //! discussion and measured trade-off.
 
 use crate::counting::{EvalCounter, Hooked};
-use crate::coupled::{build_chain_stack, MlChain};
+use crate::coupled::ChainStack;
 use crate::factory::LevelFactory;
 use crate::ledger::PairingMode;
 use crate::store::{Backend, RunSnapshot, RunStore, SequentialCkpt};
@@ -190,7 +190,7 @@ struct Cut<'a> {
     total_recorded: usize,
     level: usize,
     term: &'a Term,
-    chain: &'a mut MlChain,
+    stack: &'a mut ChainStack,
     completed: &'a [LevelReport],
     counters: &'a [EvalCounter],
     eval_offsets: &'a [usize],
@@ -202,7 +202,7 @@ impl Cut<'_> {
         SequentialCkpt {
             level: self.level,
             term: self.term.clone(),
-            chain: self.chain.export_state(),
+            chain: self.stack.export_state(),
             rng,
             completed: self.completed.to_vec(),
             eval_offsets: self
@@ -216,8 +216,8 @@ impl Cut<'_> {
 }
 
 /// The sampling loop of both sequential drivers: a conventional chain on
-/// level 0 and one coupled chain per correction term, each with its own
-/// recursive coarse stack, from `cursor` (the start, with `None`) to the
+/// level 0 and one coupled chain per correction term, each on top of its
+/// own [`ChainStack`], from `cursor` (the start, with `None`) to the
 /// end; `after_sample` sees the generator and the [`Cut`] after every
 /// recorded sample (burn-in steps are not samples).
 fn sample_terms<R: Rng>(
@@ -250,7 +250,7 @@ fn sample_terms<R: Rng>(
     for level in cursor.map_or(0, |c| c.level)..n_levels {
         let resuming_term = cursor.filter(|c| c.level == level);
         let pre_build: Vec<usize> = counters.iter().map(|c| c.evaluations()).collect();
-        let mut chain = build_chain_stack(&counting, level);
+        let mut stack = ChainStack::new(&counting, level);
         if resuming_term.is_some() {
             // rebuilding the stack re-evaluates each level's initial
             // state; the original construction is already inside the
@@ -264,22 +264,23 @@ fn sample_terms<R: Rng>(
         let mut term = match resuming_term {
             None => {
                 for _ in 0..config.burn_in[level] {
-                    chain.step(rng);
+                    stack.step(rng);
                 }
-                Term::fresh(chain.current_qoi().len())
+                Term::fresh(stack.top().current_qoi().len())
             }
             Some(c) => {
-                chain.import_state(c.chain.clone());
+                stack.import_state(c.chain.clone());
                 c.term.clone()
             }
         };
         let n_samples = config.samples_per_level[level];
-        let qoi_dim = chain.current_qoi().len();
+        let qoi_dim = stack.top().current_qoi().len();
         let rep = config
             .representative_component
             .min(qoi_dim.saturating_sub(1));
         while term.samples_done < n_samples {
-            chain.step(rng);
+            stack.step(rng);
+            let chain = stack.top();
             term.moments.push(&chain.correction(config.pairing));
             let fine_qoi = Arc::clone(chain.current_qoi());
             term.rep_trace.push(fine_qoi[rep]);
@@ -299,7 +300,7 @@ fn sample_terms<R: Rng>(
                     total_recorded,
                     level,
                     term: &term,
-                    chain: &mut chain,
+                    stack: &mut stack,
                     completed: &levels,
                     counters,
                     eval_offsets: &eval_offsets,
@@ -309,7 +310,7 @@ fn sample_terms<R: Rng>(
         levels.push(LevelReport {
             level,
             n_samples,
-            acceptance_rate: chain.acceptance_rate(),
+            acceptance_rate: stack.top().acceptance_rate(),
             mean_correction: term.moments.mean(),
             var_correction: term.moments.variance(),
             iact: integrated_autocorrelation_time(&term.rep_trace),
@@ -331,8 +332,8 @@ fn sample_terms<R: Rng>(
 /// Sequential multilevel MCMC (paper Algorithm 2 driven level by level).
 ///
 /// Runs a conventional chain on level 0 and one coupled chain per
-/// correction term, each with its own recursive coarse stack, and
-/// assembles the telescoping report.
+/// correction term, each on top of its own [`ChainStack`], and assembles
+/// the telescoping report.
 pub fn run_sequential(
     factory: &dyn LevelFactory,
     config: &MlmcmcConfig,

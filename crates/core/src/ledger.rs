@@ -189,20 +189,20 @@ impl ServeOutcome {
 pub enum ServeStep {
     /// One kernel step of the current leg completed.
     Stepped,
-    /// The serving chain's own coarse source is pending: the step is
-    /// suspended until [`Serve::resume`] hands it the coarse sample.
+    /// The serving chain is coupled: its kernel step is suspended until
+    /// [`Serve::resume`] hands it the coarse sample.
     NeedCoarse,
     /// Both tracks are at their end states.
     Done(ServeOutcome),
 }
 
 /// One ledger serve as a resumable value, the one statement of the
-/// serve: [`serve`] drives it to the end on a blocking stack, a parallel
-/// controller one kernel step per poll, suspending on nested coarse
-/// requests like a coupled step ([`MlChain::poll_step`] /
-/// [`MlChain::resume_step`], one layer up). The caller keeps the chain
-/// and the lease between calls; every [`step`](Self::step) takes the
-/// lease the serve started with.
+/// serve: a parallel controller drives it one kernel step per poll, the
+/// sequential [`ChainStack`](crate::coupled::ChainStack) to the end; both
+/// answer its nested coarse requests like a coupled step's
+/// ([`MlChain::poll_step`] / [`MlChain::resume_step`], one layer up). The
+/// caller keeps the chain and the lease between calls; every
+/// [`step`](Self::step) takes the lease the serve started with.
 pub struct Serve {
     rho: usize,
     /// Kernel steps left in the current leg.
@@ -260,32 +260,17 @@ impl Serve {
         chain.resume_step(&mut self.rng, coarse);
         self.steps_left -= 1;
     }
+
+    /// The leg stream, lent to a suspended step's requester: a sequential
+    /// nested session draws its seed from it, as from any requester's.
+    pub fn rng(&mut self) -> &mut StdRng {
+        &mut self.rng
+    }
 }
 
 /// The driving substream of the lease's serve.
 fn leg_rng(lease: &LedgerLease) -> StdRng {
     StdRng::seed_from_u64(leg_seed(lease.session_seed, lease.serves))
-}
-
-/// Execute one ledger serve on `chain` (the serving chain for the
-/// lease's coarse level), advancing `rho` kernel steps per track: a
-/// [`Serve`] driven to the end. The chain is left at the end of the last
-/// leg — the sequential source's chain exists only to serve; a parallel
-/// controller, whose chain has its own trajectory, drives a [`Serve`]
-/// itself and restores its state afterwards. Restores use the cached
-/// densities/QOIs inside the lease samples, never the forward model.
-///
-/// # Panics
-/// Panics if `chain`'s coarse source is asynchronous.
-pub fn serve(chain: &mut MlChain, rho: usize, lease: &LedgerLease) -> ServeOutcome {
-    let mut serve = Serve::start(chain, rho, lease);
-    loop {
-        match serve.step(chain, lease) {
-            ServeStep::Stepped => {}
-            ServeStep::NeedCoarse => panic!("ledger::serve: asynchronous coarse source"),
-            ServeStep::Done(outcome) => return outcome,
-        }
-    }
 }
 
 /// Aggregate ledger statistics (kept by the phonebooks, reported with
@@ -684,12 +669,13 @@ impl LedgerBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupled::{ChainCoarseSource, CoarseProposalSource, MlChain, PendingCoarseSource};
+    use crate::coupled::tests::{stack, two_level};
+    use crate::coupled::{ChainStack, MlChain};
     use crate::store::{Codec, Dec, Enc};
     use uq_mcmc::problem::GaussianTarget;
     use uq_mcmc::proposal::GaussianRandomWalk;
 
-    fn base_chain(mean: f64, sd: f64) -> MlChain {
+    fn base(mean: f64, sd: f64) -> MlChain {
         MlChain::base(
             Box::new(GaussianTarget::new(vec![mean], sd)),
             Box::new(GaussianRandomWalk::new(0.6)),
@@ -697,8 +683,18 @@ mod tests {
         )
     }
 
-    fn anchor(chain: &mut MlChain, theta: f64) -> CoarseSample {
-        chain.anchor_at(&[theta])
+    /// A lone level-0 serving chain.
+    fn base_chain(mean: f64, sd: f64) -> ChainStack {
+        stack(vec![base(mean, sd)], Vec::new())
+    }
+
+    fn anchor(chain: &mut ChainStack, theta: f64) -> CoarseSample {
+        chain.top().anchor_at(&[theta])
+    }
+
+    /// One serve of `lease` by the top of `chain`, driven to the end.
+    fn serve(chain: &mut ChainStack, rho: usize, lease: &LedgerLease) -> ServeOutcome {
+        chain.serve(rho, lease)
     }
 
     #[test]
@@ -799,7 +795,7 @@ mod tests {
         // different anchors change the proposal but not the mate
         let mut chain = base_chain(0.2, 0.7);
         let p = anchor(&mut chain, -0.4);
-        let mk = |theta: f64, chain: &mut MlChain| LedgerLease {
+        let mk = |theta: f64, chain: &mut ChainStack| LedgerLease {
             session_seed: 11,
             serves: 3,
             pairing: Some(p.clone()),
@@ -813,20 +809,13 @@ mod tests {
         assert_ne!(oa.proposal.theta, ob.proposal.theta);
     }
 
-    /// A level-1 chain over `source`, on top of [`base_chain`]`(0.3, 0.8)`.
-    fn level1(source: Box<dyn CoarseProposalSource>) -> MlChain {
-        MlChain::coupled(
-            1,
-            Box::new(GaussianTarget::new(vec![0.4], 0.6)),
-            source,
-            Box::new(GaussianRandomWalk::new(0.5)),
-            1,
-            vec![0.0],
-        )
-    }
-
-    fn blocking_source() -> ChainCoarseSource {
-        ChainCoarseSource::new(base_chain(0.3, 0.8), 3).with_session_seed(0xC0FFEE)
+    /// A level-1 chain on `N(0.4, 0.6²)` over [`base`]`(0.3, 0.8)` at
+    /// `ρ = 3`, the level-0 session seed pinned.
+    fn level1(nested_seed: u64) -> ChainStack {
+        let fine = Box::new(GaussianTarget::new(vec![0.4], 0.6));
+        let mut chain = two_level(base(0.3, 0.8), fine, 0.5, 3, vec![0.0]);
+        chain.cursors[0].session_seed = Some(nested_seed);
+        chain
     }
 
     /// Every word of a sample, through its sub-anchor and mate.
@@ -849,13 +838,13 @@ mod tests {
     fn a_suspended_serve_equals_the_blocking_serve_bit_for_bit() {
         // anchor and pairing state come from a third stack, so the
         // sessions of the two under test start untouched
-        let mut walker = level1(Box::new(blocking_source()));
+        let mut walker = level1(0xC0FFEE);
         let mut rng = StdRng::seed_from_u64(3);
         let mut after = |steps: usize| {
             for _ in 0..steps {
                 walker.step(&mut rng);
             }
-            walker.current_as_sample()
+            walker.top().current_as_sample()
         };
         let merged = LedgerLease::fresh(session_seed(7, 1, 2), after(20));
         let diverged = LedgerLease {
@@ -865,13 +854,22 @@ mod tests {
         };
         assert!(!diverged.merged());
         let rho = 4;
+        // the nested sessions: requester 2's at level 0 of a phonebook
+        // whose base seed is 7
+        let (base_seed, requester) = (7, 2);
+        let nested_seed = session_seed(base_seed, 0, requester as u64);
         for lease in [merged, diverged] {
-            let expected = serve(&mut level1(Box::new(blocking_source())), rho, &lease);
-            // the same serve on a chain whose every step suspends, each
-            // nested request answered by a twin of the blocking source
-            let coarse_problem = GaussianTarget::new(vec![0.3], 0.8);
-            let mut chain = level1(Box::new(PendingCoarseSource::new(Box::new(coarse_problem))));
-            let mut twin = blocking_source();
+            let expected = serve(&mut level1(nested_seed), rho, &lease);
+            // the same serve driven as a controller drives it: a lone
+            // level-1 chain whose every step suspends, each nested request
+            // leased from a phonebook's book, served by a level-0 chain
+            // and written back
+            let fine = Box::new(GaussianTarget::new(vec![0.4], 0.6));
+            let start = CoarseSample::at(&mut GaussianTarget::new(vec![0.3], 0.8), &[0.0]);
+            let tail = Box::new(GaussianRandomWalk::new(0.5));
+            let mut chain = MlChain::coupled(1, fine, start, tail, 1, vec![0.0]);
+            let mut server = base_chain(0.3, 0.8);
+            let mut book = LedgerBook::default();
             let mut nested = 0;
             let mut suspended = Serve::start(&mut chain, rho, &lease);
             let outcome = loop {
@@ -880,7 +878,11 @@ mod tests {
                     ServeStep::NeedCoarse => {
                         nested += 1;
                         let anchor = chain.anchor().expect("a coupled chain").clone();
-                        suspended.resume(&mut chain, twin.next_coarse(&mut rng, &anchor));
+                        let nested_lease = book.lease(base_seed, 0, requester, anchor);
+                        let out = serve(&mut server, 3, &nested_lease);
+                        let serves = nested_lease.serves + 1;
+                        book.write_back(requester, 0, nested_lease.session_seed, serves, &out);
+                        suspended.resume(&mut chain, out.proposal);
                     }
                     ServeStep::Done(outcome) => break outcome,
                 }

@@ -8,9 +8,9 @@
 //!   proposals, subsampling rates and starting points (paper Fig. 7);
 //! * [`coupled`] — the two-level coupled transition kernel: coarse-chain
 //!   states become fine-chain proposals, with the corrected acceptance
-//!   probability of Algorithm 2. The coarse-proposal *source* is abstract
-//!   so the sequential recursion (this crate) and the parallel
-//!   phonebook-mediated version (`uq-parallel`) share the kernel;
+//!   probability of Algorithm 2. A coupled step suspends for its coarse
+//!   proposal, served by the sequential [`ChainStack`] or, in
+//!   `uq-parallel`, through the phonebook — both drive one ledger serve;
 //! * [`estimator`] — the telescoping-sum estimator (paper eq. 2) with
 //!   per-level moments, autocorrelation and cost bookkeeping, and the
 //!   sequential driver reproducing Tables 3 and 4 (one sampling loop,
@@ -19,7 +19,7 @@
 //!   proposal track rewinds to the requester's anchor (fine-marginal
 //!   exactness) while an autonomous pairing track continues from the
 //!   last served sample (unbiased `π_{l-1}` correction mate), executed
-//!   identically by the sequential source and the parallel phonebooks;
+//!   identically by the sequential stack and the parallel phonebooks;
 //! * [`allocate`] — optimal `N_l ∝ √(V_l/C_l)` sample allocation;
 //! * [`counting`] — the one factory decorator (every `log_density`
 //!   of level `l` goes through a hook) and its counting hook: model
@@ -44,7 +44,7 @@ pub mod ledger;
 pub mod store;
 pub mod wire;
 
-pub use coupled::{CoarseAcquire, CoarseProposalSource, CoarseSample, MlChain, StepOutcome};
+pub use coupled::{ChainStack, CoarseSample, MlChain, StepOutcome};
 pub use estimator::{run_sequential, LevelReport, MlmcmcConfig, MlmcmcReport};
 pub use factory::LevelFactory;
 pub use ledger::{LedgerBook, LedgerLease, LedgerStats, PairingMode};

@@ -11,14 +11,14 @@
 //! the same snapshot — one stamp, resumable under any placement whose
 //! rank layout it fits ([`Run::new`] is the ladder).
 //!
-//! * **Suspendable controllers.** A controller's coupled chain uses
-//!   [`PendingCoarseSource`], so a step that needs a coarse proposal
-//!   suspends at `StepOutcome::NeedCoarse`; the controller sends the
-//!   `CoarseRequest` itself, returns a wait predicate and finishes the
-//!   step via `MlChain::resume_step` when the sample (or a teardown
-//!   poison) arrives. A ledger serve suspends the same way: the
-//!   controller drives a [`ledger::Serve`] one kernel step per poll.
-//!   No OS thread blocks on a chain's behalf.
+//! * **Suspendable controllers.** Every coupled step suspends at
+//!   `StepOutcome::NeedCoarse`; the controller sends the `CoarseRequest`
+//!   itself, returns a wait predicate and finishes the step via
+//!   `MlChain::resume_step` when the sample (or a teardown poison)
+//!   arrives. A ledger serve suspends the same way: the controller drives
+//!   a [`ledger::Serve`] one kernel step per poll — the serve the
+//!   sequential `ChainStack` drives to the end. No OS thread blocks on a
+//!   chain's behalf.
 //! * **Batched phonebook routing.** The phonebook drains *every* queued
 //!   message per wakeup and routes the whole batch in one pass; batch
 //!   sizes are reported in [`PhonebookStats`] (`scaling_live`'s
@@ -46,9 +46,7 @@ use uq_mcmc::proposal::GaussianRandomWalk;
 use uq_mcmc::stats::VectorMoments;
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::counting::{EvalCounter, EvalHook, Hooked};
-use uq_mlmcmc::coupled::{
-    build_chain, Bookmark, CoarseSample, MlChain, PendingCoarseSource, StepOutcome,
-};
+use uq_mlmcmc::coupled::{build_chain, Bookmark, CoarseSample, MlChain, StepOutcome};
 use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerStats, ServeStep};
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
@@ -948,6 +946,9 @@ pub(crate) struct ControllerRank<'a> {
     rank: usize,
     level: usize,
     chain: MlChain,
+    /// The level below's problem (`None` on level 0): the chain's initial
+    /// anchor and a requester's missing sub-anchor are evaluated on it.
+    coarse: Coarse,
     rng: StdRng,
     done_levels: Vec<bool>,
     burnin_left: usize,
@@ -986,8 +987,10 @@ impl<'a> ControllerRank<'a> {
         let counters: Vec<EvalCounter> = (0..n_levels).map(|_| EvalCounter::new()).collect();
         let factory = Hooked::new(factory, counters);
         let rng = StdRng::seed_from_u64(controller_seed(config.base.seed, rank));
+        let (chain, coarse) = controller_chain(&factory, level);
         let mut this = Self {
-            chain: pending_chain(&factory, level),
+            chain,
+            coarse,
             factory,
             config,
             tracer,
@@ -1096,7 +1099,14 @@ impl<'a> ControllerRank<'a> {
     /// nothing), then start the serve (which rewinds the chain to the
     /// lease's anchor).
     fn start_serve(&mut self, reply_to: usize, lease: LedgerLease, speculative: bool) -> ServeJob {
-        let bookmark = self.chain.bookmark();
+        let (bookmark, mut lease) = (self.chain.bookmark(), lease);
+        if let (Some(coarse), Some(own)) = (self.coarse.as_deref_mut(), self.chain.anchor()) {
+            // a requester's initial anchor was packaged by no serving
+            // chain: its sub-anchor lives on our own anchor's level
+            let theta = &lease.anchor.theta[..own.theta.len()];
+            let sub = &mut lease.anchor.sub_anchor;
+            sub.get_or_insert_with(|| Box::new(CoarseSample::at(coarse, theta)));
+        }
         let rho = self.factory.subsampling_rate(self.level);
         let serve = ledger::Serve::start(&mut self.chain, rho, &lease);
         ServeJob {
@@ -1280,7 +1290,7 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                         }
                     }
                     self.level = level;
-                    self.chain = pending_chain(&self.factory, level);
+                    (self.chain, self.coarse) = controller_chain(&self.factory, level);
                     self.reset_level_state();
                 }
                 Msg::Shutdown => return self.teardown(ctx),
@@ -1365,12 +1375,17 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
     }
 }
 
-/// A controller's chain: coarse proposals arrive out of band, through
-/// the phonebook, so every coupled step suspends on its source.
-fn pending_chain(factory: &dyn LevelFactory, level: usize) -> MlChain {
-    build_chain(factory, level, |coarse| {
-        Box::new(PendingCoarseSource::new(factory.problem(coarse)))
-    })
+type Coarse = Option<Box<dyn SamplingProblem>>;
+
+/// A controller's chain (its coarse proposals arrive through the
+/// phonebook) and the level below's problem it is anchored on.
+fn controller_chain(factory: &dyn LevelFactory, level: usize) -> (MlChain, Coarse) {
+    let mut coarse = level.checked_sub(1).map(|below| factory.problem(below));
+    let chain = build_chain(factory, level, |theta| {
+        // `build_chain` anchors coupled levels only, which have a level below
+        CoarseSample::at(coarse.as_deref_mut().expect("a level below"), theta)
+    });
+    (chain, coarse)
 }
 
 /// Wait predicate of a controller suspended on a coarse request: its

@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uq_mlmcmc::coupled::build_chain_stack;
+use uq_mlmcmc::coupled::ChainStack;
 use uq_mlmcmc::ledger::PairingMode;
 use uq_parallel::{run_parallel, ParallelConfig, Tracer};
 
@@ -31,13 +31,13 @@ use ridge::{Ridge, COARSE_MEAN, FINE_MEAN, RHO};
 /// needs a rewrite; grown ⇒ the coarse kernel's contraction regressed.
 #[test]
 fn proposal_stream_served_marginal_bias_stays_in_band() {
-    let mut chain = build_chain_stack(&Ridge, 1);
+    let mut chain = ChainStack::new(&Ridge, 1);
     let mut rng = StdRng::seed_from_u64(41);
     let mut proposal = Vec::new();
     for i in 0..62_000 {
         chain.step(&mut rng);
         if i >= 2_000 {
-            proposal.push(chain.last_coarse().expect("coupled").theta[0]);
+            proposal.push(chain.top().last_coarse().expect("coupled").theta[0]);
         }
     }
     let bias = uq_mcmc::stats::mean(&proposal) - COARSE_MEAN;

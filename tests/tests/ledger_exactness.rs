@@ -15,9 +15,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uq_mlmcmc::coupled::{build_chain_stack, ChainCoarseSource, MlChain};
+use uq_mlmcmc::coupled::ChainStack;
 use uq_mlmcmc::ledger::{session_seed, PairingMode};
-use uq_mlmcmc::{run_sequential, LevelFactory, MlmcmcConfig};
+use uq_mlmcmc::{run_sequential, MlmcmcConfig};
 use uq_parallel::scheduler::controller_seed;
 use uq_parallel::{run_parallel, run_runtime, ParallelConfig, RuntimeConfig, Tracer};
 
@@ -31,11 +31,11 @@ fn stats_sd(v: &[f64]) -> f64 {
 
 #[path = "common/ridge.rs"]
 mod ridge;
-use ridge::{Ridge, COARSE_MEAN, COARSE_SD, FINE_MEAN, RHO};
+use ridge::{Ridge, COARSE_MEAN, COARSE_SD, FINE_MEAN};
 
 /// A coupled ridge chain with the sequential ledger session.
-fn ridge_chain() -> MlChain {
-    build_chain_stack(&Ridge, 1)
+fn ridge_chain() -> ChainStack {
+    ChainStack::new(&Ridge, 1)
 }
 
 /// Run `n` steps and collect (fine state, proposal mate, ledger mate).
@@ -46,6 +46,7 @@ fn run_streams(n: usize, burn: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64
     for i in 0..n + burn {
         chain.step(&mut rng);
         if i >= burn {
+            let chain = chain.top();
             fine.push(chain.state().theta[0]);
             proposal.push(chain.last_coarse().expect("coupled").theta[0]);
             pairing.push(chain.last_pairing().expect("coupled").theta[0]);
@@ -188,31 +189,14 @@ fn sequential_ledger_is_bit_identical_to_single_worker_runtime() {
     // rank layout: root 0, phonebook 1, collectors 2..4, controllers 4
     // (level 0) and 5 (level 1) — the level-1 requester is rank 5
     let requester_rank = 5usize;
-    let factory = Ridge;
-    let coarse_chain = MlChain::base(
-        factory.problem(0),
-        factory.proposal(0),
-        factory.starting_point(0),
-    );
-    let source = ChainCoarseSource::new(coarse_chain, RHO).with_session_seed(session_seed(
-        seed,
-        0,
-        requester_rank as u64,
-    ));
-    let mut fine = MlChain::coupled(
-        1,
-        factory.problem(1),
-        Box::new(source),
-        factory.proposal(1),
-        1,
-        factory.starting_point(1),
-    );
+    let mut fine = ChainStack::new(&Ridge, 1);
+    fine.cursors[0].session_seed = Some(session_seed(seed, 0, requester_rank as u64));
     let mut rng = StdRng::seed_from_u64(controller_seed(seed, requester_rank));
     let mut seq_theta = Vec::with_capacity(n);
     for i in 0..burn[1] + n {
         fine.step(&mut rng);
         if i >= burn[1] {
-            seq_theta.push(fine.state().theta[0]);
+            seq_theta.push(fine.top().state().theta[0]);
         }
     }
     assert_eq!(

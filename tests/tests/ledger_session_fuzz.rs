@@ -24,20 +24,39 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use uq_mcmc::problem::GaussianTarget;
 use uq_mcmc::proposal::GaussianRandomWalk;
-use uq_mlmcmc::coupled::{CoarseSample, MlChain};
-use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, ServeOutcome};
+use uq_mcmc::{Proposal, SamplingProblem};
+use uq_mlmcmc::coupled::{ChainStack, CoarseSample};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, ServeOutcome};
 use uq_mlmcmc::store::{Codec, Dec, Enc};
+use uq_mlmcmc::LevelFactory;
 
 const RHO: usize = 2;
 const BASE_SEED: u64 = 77;
 const LEVEL: usize = 0;
 
-fn serving_chain() -> MlChain {
-    MlChain::base(
-        Box::new(GaussianTarget::new(vec![0.0], 1.0)),
-        Box::new(GaussianRandomWalk::new(0.5)),
-        vec![0.0],
-    )
+/// The serving level: `N(0, 1)` sampled by a random walk of width 0.5.
+struct Serving;
+
+impl LevelFactory for Serving {
+    fn n_levels(&self) -> usize {
+        1
+    }
+    fn problem(&self, _level: usize) -> Box<dyn SamplingProblem> {
+        Box::new(GaussianTarget::new(vec![0.0], 1.0))
+    }
+    fn proposal(&self, _level: usize) -> Box<dyn Proposal> {
+        Box::new(GaussianRandomWalk::new(0.5))
+    }
+    fn subsampling_rate(&self, _level: usize) -> usize {
+        RHO
+    }
+    fn starting_point(&self, _level: usize) -> Vec<f64> {
+        vec![0.0]
+    }
+}
+
+fn serving_chain() -> ChainStack {
+    ChainStack::new(&Serving, 0)
 }
 
 /// Mirror state of one requester's session, maintained independently of
@@ -97,7 +116,7 @@ proptest! {
                     if mirrors[who as usize].outstanding.is_some() {
                         continue;
                     }
-                    let anchor = chain.anchor_at(&[f64::from(salt) * 0.1]);
+                    let anchor = chain.top().anchor_at(&[f64::from(salt) * 0.1]);
                     let lease = book.lease(BASE_SEED, LEVEL, r, anchor);
                     let m = &mut mirrors[who as usize];
                     // lease must be issued at the current stream position
@@ -113,7 +132,7 @@ proptest! {
                             );
                         }
                     }
-                    let outcome = ledger::serve(&mut chain, RHO, &lease);
+                    let outcome = chain.serve(RHO, &lease);
                     m.outstanding = Some((lease, outcome));
                 }
                 // deliver the outstanding write-back
@@ -161,7 +180,7 @@ proptest! {
                     // speculation must target the current position
                     prop_assert_eq!(lease.serves, m.committed);
                     let before = book.session_serves(spec_for, LEVEL);
-                    let outcome = ledger::serve(&mut chain, RHO, &lease);
+                    let outcome = chain.serve(RHO, &lease);
                     let stored = book.store_speculation(
                         spec_for,
                         LEVEL,
@@ -220,7 +239,7 @@ proptest! {
                 // commit attempt with a mismatching anchor: never a hit
                 _ => {
                     let m = &mut mirrors[who as usize];
-                    let wrong = chain.anchor_at(&[1_000.0 + f64::from(salt)]);
+                    let wrong = chain.top().anchor_at(&[1_000.0 + f64::from(salt)]);
                     let before = book.session_serves(r, LEVEL);
                     prop_assert!(
                         book.try_commit(r, LEVEL, &wrong).is_none(),

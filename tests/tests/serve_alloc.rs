@@ -27,11 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uq_fem::problem::{PoissonFactory, PoissonHierarchy};
 use uq_mcmc::{Chain, ChainConfig, Proposal, SamplingProblem};
-use uq_mlmcmc::coupled::{
-    build_chain, build_chain_stack, ChainCoarseSource, CoarseProposalSource, CoarseSample, MlChain,
-    PendingCoarseSource, StepOutcome,
-};
-use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, PairingMode};
+use uq_mlmcmc::coupled::{build_chain, ChainStack, CoarseSample, MlChain, StepOutcome};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, PairingMode};
 use uq_mlmcmc::LevelFactory;
 use uq_parallel::scheduler::Msg;
 
@@ -104,18 +101,18 @@ impl LevelFactory for QoiCounted {
     }
 }
 
-/// `chain` after `steps` more of its own steps, as a sample.
-fn sample_after(chain: &mut MlChain, steps: usize, rng: &mut StdRng) -> CoarseSample {
+/// `chain`'s top after `steps` more of its own steps, as a sample.
+fn sample_after(chain: &mut ChainStack, steps: usize, rng: &mut StdRng) -> CoarseSample {
     for _ in 0..steps {
         chain.step(rng);
     }
-    chain.current_as_sample()
+    chain.top().current_as_sample()
 }
 
 /// A level-0 serving chain and a lease on it whose pairing track has
 /// left the anchor.
-fn diverged_lease(factory: &QoiCounted) -> (MlChain, LedgerLease) {
-    let mut chain = build_chain_stack(factory, 0);
+fn diverged_lease(factory: &QoiCounted) -> (ChainStack, LedgerLease) {
+    let mut chain = ChainStack::new(factory, 0);
     let mut rng = StdRng::seed_from_u64(24);
     let anchor = sample_after(&mut chain, 60, &mut rng);
     let pairing = sample_after(&mut chain, 60, &mut rng);
@@ -151,7 +148,7 @@ fn a_diverged_serve_requests_large_blocks_only_to_evaluate_qois() {
     let (mut moved_legs, mut still_legs) = (0, 0);
     for position in 0..24 {
         lease.serves = position;
-        let (qois, large, outcome) = factory.measure(|| ledger::serve(&mut chain, RHO, &lease));
+        let (qois, large, outcome) = factory.measure(|| chain.serve(RHO, &lease));
         assert!(outcome.diverged);
         // each leg rewinds to a sample that carries its QOI; a leg whose
         // end state moved reads the new one, a leg that never moved hands
@@ -166,7 +163,7 @@ fn a_diverged_serve_requests_large_blocks_only_to_evaluate_qois() {
             "serve {position}: {large} large blocks for {qois} QOI evaluations"
         );
         // and the same serve again counts the same
-        let again = factory.measure(|| ledger::serve(&mut chain, RHO, &lease));
+        let again = factory.measure(|| chain.serve(RHO, &lease));
         assert_eq!((again.0, again.1), (qois, large), "serve {position}");
         assert_eq!(again.2.proposal, outcome.proposal);
         moved_legs += moved;
@@ -185,13 +182,19 @@ fn burn_in_evaluates_no_qoi_and_the_first_read_one() {
     let mut rng = StdRng::seed_from_u64(31);
     // a level-0 chain, and a controller's level-1 chain whose coarse
     // proposals arrive from outside (here: a sequential twin's serves)
-    let mut base = build_chain_stack(&factory, 0);
-    let mut coupled = build_chain(&factory, 1, |coarse| {
-        Box::new(PendingCoarseSource::new(factory.problem(coarse)))
+    let mut base = ChainStack::new(&factory, 0);
+    let mut coarse = factory.problem(0);
+    let mut coupled = build_chain(&factory, 1, |theta| {
+        CoarseSample::at(coarse.as_mut(), theta)
     });
-    let mut twin = ChainCoarseSource::new(build_chain_stack(&factory, 0), RHO);
+    // the sequential twin serves as a controller would: leases from a
+    // phonebook's book, written back after each serve
+    let (mut twin, mut book) = (ChainStack::new(&factory, 0), LedgerBook::default());
     let k = 40;
-    let (base_start, coupled_start) = (base.state().theta.clone(), coupled.state().theta.clone());
+    let (base_start, coupled_start) = (
+        base.top().state().theta.clone(),
+        coupled.state().theta.clone(),
+    );
     let (qois, _, ()) = factory.measure(|| {
         for _ in 0..k {
             base.step(&mut rng);
@@ -201,22 +204,28 @@ fn burn_in_evaluates_no_qoi_and_the_first_read_one() {
     for _ in 0..k {
         assert_eq!(coupled.poll_step(&mut rng), StepOutcome::NeedCoarse);
         let anchor = coupled.anchor().expect("a coupled chain").clone();
-        let coarse = twin.next_coarse(&mut rng, &anchor);
+        let lease = book.lease(0x5EED, 0, 1, anchor);
+        let outcome = twin.serve(RHO, &lease);
+        book.write_back(1, 0, lease.session_seed, lease.serves + 1, &outcome);
+        let coarse = outcome.proposal;
         let (qois, _, _) = factory.measure(|| coupled.resume_step(&mut rng, coarse));
         assert_eq!(qois, 0, "level 1");
     }
     // a controller serves between its own steps: it sets its position
     // aside as it is, so only the serve's moved leg evaluates a QOI
-    let lease = LedgerLease::fresh(0x5EED, twin.anchor_at(&base_start));
+    let lease = LedgerLease::fresh(0x5EED, twin.top().anchor_at(&base_start));
     let (qois, _, outcome) = factory.measure(|| {
-        let own = base.bookmark();
-        let outcome = ledger::serve(&mut base, RHO, &lease);
-        base.return_to(own);
+        let own = base.top().bookmark();
+        let outcome = base.serve(RHO, &lease);
+        base.top().return_to(own);
         outcome
     });
     assert_eq!(qois, u64::from(outcome.proposal.theta != base_start));
-    assert!(base.state().qoi.is_none(), "the bookmark read the QOI");
-    for (chain, start) in [(&mut base, base_start), (&mut coupled, coupled_start)] {
+    assert!(
+        base.top().state().qoi.is_none(),
+        "the bookmark read the QOI"
+    );
+    for (chain, start) in [(base.top(), base_start), (&mut coupled, coupled_start)] {
         assert_ne!(
             chain.state().theta,
             start,
@@ -233,7 +242,7 @@ fn burn_in_evaluates_no_qoi_and_the_first_read_one() {
 fn a_producing_level_0_step_and_its_correction_evaluate_at_most_one_qoi() {
     let factory = QoiCounted::new();
     let mut rng = StdRng::seed_from_u64(17);
-    let mut chain = build_chain_stack(&factory, 0);
+    let mut chain = ChainStack::new(&factory, 0);
     let mut accepted = 0;
     for step in 0..60 {
         let record = step % 2 == 0;
@@ -241,7 +250,7 @@ fn a_producing_level_0_step_and_its_correction_evaluate_at_most_one_qoi() {
             let acc = chain.step(&mut rng);
             (
                 acc,
-                Msg::correction(0, &mut chain, PairingMode::Ledger, record),
+                Msg::correction(0, chain.top(), PairingMode::Ledger, record),
             )
         });
         // the correction reads the step's QOI: evaluated iff it moved
@@ -249,7 +258,7 @@ fn a_producing_level_0_step_and_its_correction_evaluate_at_most_one_qoi() {
         let Msg::Correction { y, fine_qoi, .. } = msg else {
             panic!("not a correction")
         };
-        assert_eq!(*y, **chain.current_qoi());
+        assert_eq!(*y, **chain.top().current_qoi());
         assert_eq!(fine_qoi.len(), if record { y.len() } else { 0 });
         accepted += u64::from(acc);
     }
@@ -284,16 +293,16 @@ fn a_rewind_hands_back_the_qoi_it_was_given() {
     let factory = QoiCounted::new();
     let mut rng = StdRng::seed_from_u64(7);
     for level in [0, 1] {
-        let mut chain = build_chain_stack(&factory, level);
+        let mut chain = ChainStack::new(&factory, level);
         let s = sample_after(&mut chain, 40, &mut rng);
         sample_after(&mut chain, 40, &mut rng);
         let (qois, large, back) = factory.measure(|| {
-            chain.restore(&s);
-            chain.current_as_sample()
+            chain.top().restore(&s);
+            chain.top().current_as_sample()
         });
         assert_eq!((qois, large), (0, 0), "level {level}");
         assert!(shared(&back, &s), "level {level}");
-        assert!(holds(&chain, &s.qoi), "level {level}");
+        assert!(holds(chain.top(), &s.qoi), "level {level}");
         assert_eq!(back.sub_anchor.is_some(), level == 1);
         if let (Some(a), Some(b)) = (&back.sub_anchor, &s.sub_anchor) {
             assert!(shared(a, b), "the sub-anchor's QOI was copied");
@@ -304,7 +313,7 @@ fn a_rewind_hands_back_the_qoi_it_was_given() {
         assert!(Arc::ptr_eq(&state.qoi, &s.qoi));
         let (_, large, ()) = factory.measure(|| chain.import_state(state));
         assert_eq!(large, 0);
-        assert!(holds(&chain, &s.qoi), "level {level}");
+        assert!(holds(chain.top(), &s.qoi), "level {level}");
     }
 }
 
@@ -314,7 +323,7 @@ fn a_serve_outcome_holds_its_pairing_sample_once() {
     let (mut chain, diverged) = diverged_lease(&factory);
     let merged = LedgerLease::fresh(diverged.session_seed, diverged.anchor.clone());
     for lease in [merged, diverged] {
-        let outcome = ledger::serve(&mut chain, RHO, &lease);
+        let outcome = chain.serve(RHO, &lease);
         assert_eq!(outcome.diverged, !lease.merged());
         let mate = outcome.proposal.mate.as_deref().expect("packaged mate");
         assert!(shared(mate, &outcome.pairing));
@@ -327,7 +336,7 @@ fn a_serve_outcome_holds_its_pairing_sample_once() {
 fn the_ledger_book_shares_what_it_is_handed() {
     let factory = QoiCounted::new();
     let (mut chain, diverged) = diverged_lease(&factory);
-    let outcome = ledger::serve(&mut chain, RHO, &diverged);
+    let outcome = chain.serve(RHO, &diverged);
     let (requester, level, seed) = (9, 0, 77);
     let mut book = LedgerBook::default();
     let (qois, large, state) = factory.measure(|| {

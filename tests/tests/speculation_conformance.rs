@@ -20,15 +20,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uq_mlmcmc::coupled::{ChainCoarseSource, MlChain};
+use uq_mlmcmc::coupled::ChainStack;
 use uq_mlmcmc::ledger::session_seed;
-use uq_mlmcmc::LevelFactory;
 use uq_parallel::scheduler::controller_seed;
 use uq_parallel::{run_parallel, run_runtime, ParallelConfig, RuntimeConfig, Tracer};
 
 #[path = "common/ridge.rs"]
 mod ridge;
-use ridge::{Ridge, COARSE_MEAN, FINE_MEAN, RHO};
+use ridge::{Ridge, COARSE_MEAN, FINE_MEAN};
 
 /// Deterministic single-worker runtime config on the ridge: one chain
 /// per level, load balancing off, per-sample recording on.
@@ -151,31 +150,14 @@ fn all_three_backends_agree_bit_for_bit_with_speculation_on() {
     // sequential replay: the requester rank's RNG stream driving a
     // coupled chain whose coarse source pins the same ledger session
     let requester_rank = 5usize;
-    let factory = Ridge;
-    let coarse_chain = MlChain::base(
-        factory.problem(0),
-        factory.proposal(0),
-        factory.starting_point(0),
-    );
-    let source = ChainCoarseSource::new(coarse_chain, RHO).with_session_seed(session_seed(
-        seed,
-        0,
-        requester_rank as u64,
-    ));
-    let mut fine = MlChain::coupled(
-        1,
-        factory.problem(1),
-        Box::new(source),
-        factory.proposal(1),
-        1,
-        factory.starting_point(1),
-    );
+    let mut fine = ChainStack::new(&Ridge, 1);
+    fine.cursors[0].session_seed = Some(session_seed(seed, 0, requester_rank as u64));
     let mut rng = StdRng::seed_from_u64(controller_seed(seed, requester_rank));
     let mut seq_theta = Vec::with_capacity(n);
     for i in 0..burn[1] + n {
         fine.step(&mut rng);
         if i >= burn[1] {
-            seq_theta.push(fine.state().theta[0]);
+            seq_theta.push(fine.top().state().theta[0]);
         }
     }
 
