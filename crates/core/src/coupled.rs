@@ -314,12 +314,6 @@ impl MlChain {
         }
     }
 
-    /// This chain's problem evaluated at `theta`, as a sample without a
-    /// sub-anchor ([`ChainStack`] adds those).
-    pub fn anchor_at(&mut self, theta: &[f64]) -> CoarseSample {
-        CoarseSample::at(self.problem.as_mut(), theta)
-    }
-
     /// Current state packaged as a [`CoarseSample`] (including this
     /// chain's own anchor for recursive rewinding); a sample always
     /// carries its QOI, so this reads it.
@@ -578,7 +572,7 @@ pub struct ChainStack {
     /// Levels `0..=l`, never empty.
     chains: Vec<MlChain>,
     /// `cursors[k]`: the session level `k` serves to level `k + 1`.
-    pub cursors: Vec<Cursor>,
+    cursors: Vec<Cursor>,
     /// `rho[k]`: level `k`'s subsampling rate.
     rho: Vec<usize>,
 }
@@ -602,6 +596,11 @@ impl ChainStack {
     /// The top level's chain.
     pub fn top(&mut self) -> &mut MlChain {
         self.chains.last_mut().expect(LEVEL_0)
+    }
+
+    /// The session level `level` serves to the level above.
+    pub fn cursor(&mut self, level: usize) -> &mut Cursor {
+        &mut self.cursors[level]
     }
 
     /// Advance the top chain one step; returns whether it accepted.
@@ -668,7 +667,7 @@ const LEVEL_0: &str = "a stack holds level 0";
 fn anchor_at(chains: &mut [MlChain], theta: &[f64]) -> CoarseSample {
     // only a coupled level is anchored, and it has a level below
     let (chain, below) = chains.split_last_mut().expect("a level to anchor on");
-    let mut sample = chain.anchor_at(theta);
+    let mut sample = CoarseSample::at(chain.problem.as_mut(), theta);
     if let Some(coarse_dim) = below.last().map(|c| c.state().theta.len()) {
         sample.sub_anchor = Some(Box::new(anchor_at(below, &theta[..coarse_dim])));
     }
@@ -746,6 +745,11 @@ pub(crate) mod tests {
         )
     }
 
+    /// `chain`'s problem evaluated at `theta`.
+    pub(crate) fn anchor_on(chain: &mut MlChain, theta: &[f64]) -> CoarseSample {
+        CoarseSample::at(chain.problem.as_mut(), theta)
+    }
+
     /// A stack by hand: `chains` on levels `0..`, level `k` serving at
     /// `rho[k]`.
     pub(crate) fn stack(chains: Vec<MlChain>, rho: Vec<usize>) -> ChainStack {
@@ -767,7 +771,7 @@ pub(crate) mod tests {
         theta0: Vec<f64>,
     ) -> ChainStack {
         let coarse_dim = coarse.state().theta.len();
-        let anchor = coarse.anchor_at(&theta0[..coarse_dim]);
+        let anchor = anchor_on(&mut coarse, &theta0[..coarse_dim]);
         let tail = Box::new(GaussianRandomWalk::new(tail));
         let fine = MlChain::coupled(1, fine, anchor, tail, coarse_dim, theta0);
         stack(vec![coarse, fine], vec![rho])

@@ -11,14 +11,14 @@
 //! **Estimator pairing.** Each correction sample is
 //! `Q_l(θ_l) − Q_{l-1}(ψ)`; which stream supplies `ψ` is selected by
 //! [`PairingMode`]. Under the default [`PairingMode::Proposal`], `ψ` is
-//! the coarse proposal served for that step ([`MlChain::last_coarse`]) —
+//! the served proposal ([`MlChain::last_coarse`](crate::MlChain::last_coarse)) —
 //! tightly coupled to the fine state (small correction variance) but
 //! with marginal `π_l K_{l-1}^ρ` rather than `π_{l-1}`, an
 //! `O(contraction^ρ)` bias that vanishes as the subsampling rate `ρ`
-//! grows. Under [`PairingMode::Ledger`], `ψ` is the rewind ledger's
-//! pairing mate ([`MlChain::last_pairing`]): the requester's autonomous
-//! coarse subchain with marginal exactly `π_{l-1}` — unbiased for every
-//! `ρ`, at the price of a looser coupling once the tracks diverge. The
+//! grows. Under [`PairingMode::Ledger`], `ψ` is the rewind ledger's pairing
+//! mate ([`MlChain::last_pairing`](crate::MlChain::last_pairing)): the
+//! requester's autonomous coarse subchain, marginal exactly `π_{l-1}` —
+//! unbiased for every `ρ`, coupled more loosely once the tracks diverge. The
 //! coarse *anchor* cannot be used either way because an accepted fine
 //! state equals its anchor whenever the levels share a parameter space,
 //! degenerating the correction to zero. See DESIGN.md §5 for the full

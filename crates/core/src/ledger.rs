@@ -669,7 +669,7 @@ impl LedgerBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupled::tests::{stack, two_level};
+    use crate::coupled::tests::{anchor_on, stack, two_level};
     use crate::coupled::{ChainStack, MlChain};
     use crate::store::{Codec, Dec, Enc};
     use uq_mcmc::problem::GaussianTarget;
@@ -689,7 +689,7 @@ mod tests {
     }
 
     fn anchor(chain: &mut ChainStack, theta: f64) -> CoarseSample {
-        chain.top().anchor_at(&[theta])
+        anchor_on(chain.top(), &[theta])
     }
 
     /// One serve of `lease` by the top of `chain`, driven to the end.
@@ -814,7 +814,7 @@ mod tests {
     fn level1(nested_seed: u64) -> ChainStack {
         let fine = Box::new(GaussianTarget::new(vec![0.4], 0.6));
         let mut chain = two_level(base(0.3, 0.8), fine, 0.5, 3, vec![0.0]);
-        chain.cursors[0].session_seed = Some(nested_seed);
+        chain.cursor(0).session_seed = Some(nested_seed);
         chain
     }
 

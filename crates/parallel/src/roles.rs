@@ -1921,8 +1921,13 @@ mod tests {
 
     #[test]
     fn three_level_estimate_matches_truth() {
+        // the estimate's σ was 0.028–0.029 on each of the three placements
+        // at N = 30 000 / 4 000 / 1 500 (120 config seeds each, a scratch
+        // copy of this test), where ±0.08 was 2.8 σ; four times the samples
+        // halve σ, so the band is ≈ 5.5 σ (the level-0 and level-1 means,
+        // σ 0.010 and 0.016 at the old N, sit at ≥ 12 σ)
         for exec in EXECS {
-            let mut config = ParallelConfig::new(vec![30_000, 4_000, 1_500], vec![2, 2, 1]);
+            let mut config = ParallelConfig::new(vec![120_000, 16_000, 6_000], vec![2, 2, 1]);
             config.burn_in = vec![300, 100, 50];
             let report = exec.run(&GaussianHierarchy::three_level(), &config);
             let est = report.expectation()[0];
@@ -2054,9 +2059,14 @@ mod tests {
     fn sharded_moments_match_unsharded() {
         // identical seeds and deterministic routing are NOT guaranteed
         // across shard counts (collector arrival order differs), so this
-        // is a statistical check: both estimates near the same truth
+        // is a statistical check: both estimates near the same truth. The
+        // estimate's σ was 0.037 at N = 20 000 / 2 500 / 900 (200 seeds,
+        // 4 workers, balancer on, a scratch copy of this test), where ±0.1
+        // was 2.7 σ and failed 2 runs in 200; four times the samples halve
+        // σ, so the band is ≈ 5.4 σ (re-measured at this N over 100 seeds:
+        // σ 0.019 unsharded, 0.022 on four shards, 4.7–5.3 σ)
         let h = GaussianHierarchy::three_level();
-        let mut one = pool_config(vec![20_000, 2_500, 900], vec![2, 1, 1], 4);
+        let mut one = pool_config(vec![80_000, 10_000, 3_600], vec![2, 1, 1], 4);
         one.base.burn_in = vec![200, 80, 40];
         let mut four = one.clone();
         four.collector_shards = 4;

@@ -190,7 +190,7 @@ fn sequential_ledger_is_bit_identical_to_single_worker_runtime() {
     // (level 0) and 5 (level 1) — the level-1 requester is rank 5
     let requester_rank = 5usize;
     let mut fine = ChainStack::new(&Ridge, 1);
-    fine.cursors[0].session_seed = Some(session_seed(seed, 0, requester_rank as u64));
+    fine.cursor(0).session_seed = Some(session_seed(seed, 0, requester_rank as u64));
     let mut rng = StdRng::seed_from_u64(controller_seed(seed, requester_rank));
     let mut seq_theta = Vec::with_capacity(n);
     for i in 0..burn[1] + n {

@@ -37,12 +37,16 @@ const LEVEL: usize = 0;
 /// The serving level: `N(0, 1)` sampled by a random walk of width 0.5.
 struct Serving;
 
+fn target() -> GaussianTarget {
+    GaussianTarget::new(vec![0.0], 1.0)
+}
+
 impl LevelFactory for Serving {
     fn n_levels(&self) -> usize {
         1
     }
     fn problem(&self, _level: usize) -> Box<dyn SamplingProblem> {
-        Box::new(GaussianTarget::new(vec![0.0], 1.0))
+        Box::new(target())
     }
     fn proposal(&self, _level: usize) -> Box<dyn Proposal> {
         Box::new(GaussianRandomWalk::new(0.5))
@@ -116,7 +120,7 @@ proptest! {
                     if mirrors[who as usize].outstanding.is_some() {
                         continue;
                     }
-                    let anchor = chain.top().anchor_at(&[f64::from(salt) * 0.1]);
+                    let anchor = CoarseSample::at(&mut target(), &[f64::from(salt) * 0.1]);
                     let lease = book.lease(BASE_SEED, LEVEL, r, anchor);
                     let m = &mut mirrors[who as usize];
                     // lease must be issued at the current stream position
@@ -239,7 +243,7 @@ proptest! {
                 // commit attempt with a mismatching anchor: never a hit
                 _ => {
                     let m = &mut mirrors[who as usize];
-                    let wrong = chain.top().anchor_at(&[1_000.0 + f64::from(salt)]);
+                    let wrong = CoarseSample::at(&mut target(), &[1_000.0 + f64::from(salt)]);
                     let before = book.session_serves(r, LEVEL);
                     prop_assert!(
                         book.try_commit(r, LEVEL, &wrong).is_none(),

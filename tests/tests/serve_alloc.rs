@@ -213,7 +213,8 @@ fn burn_in_evaluates_no_qoi_and_the_first_read_one() {
     }
     // a controller serves between its own steps: it sets its position
     // aside as it is, so only the serve's moved leg evaluates a QOI
-    let lease = LedgerLease::fresh(0x5EED, twin.top().anchor_at(&base_start));
+    let start = CoarseSample::at(factory.problem(0).as_mut(), &base_start);
+    let lease = LedgerLease::fresh(0x5EED, start);
     let (qois, _, outcome) = factory.measure(|| {
         let own = base.top().bookmark();
         let outcome = base.serve(RHO, &lease);

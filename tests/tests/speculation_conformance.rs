@@ -148,10 +148,10 @@ fn all_three_backends_agree_bit_for_bit_with_speculation_on() {
     let thread_theta = level_theta(&par.levels, 1);
 
     // sequential replay: the requester rank's RNG stream driving a
-    // coupled chain whose coarse source pins the same ledger session
+    // coupled chain whose level-0 cursor pins the same ledger session
     let requester_rank = 5usize;
     let mut fine = ChainStack::new(&Ridge, 1);
-    fine.cursors[0].session_seed = Some(session_seed(seed, 0, requester_rank as u64));
+    fine.cursor(0).session_seed = Some(session_seed(seed, 0, requester_rank as u64));
     let mut rng = StdRng::seed_from_u64(controller_seed(seed, requester_rank));
     let mut seq_theta = Vec::with_capacity(n);
     for i in 0..burn[1] + n {
