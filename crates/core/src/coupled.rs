@@ -361,8 +361,8 @@ impl MlChain {
         };
         if let Kind::Coupled { anchor, .. } = &mut self.kind {
             // a coupled level packages its samples with their anchor; an
-            // initial anchor gets one from `ChainStack` or, a requester's,
-            // from the serving controller before `Serve::start`
+            // initial anchor gets one from `ChainStack`, a requester's from
+            // the serving controller before `Serve::start`
             let sub = sample.sub_anchor.as_deref();
             *anchor = sub
                 .expect("a coupled level's sample has a sub-anchor")
