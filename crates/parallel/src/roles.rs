@@ -1922,10 +1922,10 @@ mod tests {
     #[test]
     fn three_level_estimate_matches_truth() {
         // the estimate's σ was 0.028–0.029 on each of the three placements
-        // at N = 30 000 / 4 000 / 1 500 (120 config seeds each, a scratch
-        // copy of this test), where ±0.08 was 2.8 σ; four times the samples
-        // halve σ, so the band is ≈ 5.5 σ (the level-0 and level-1 means,
-        // σ 0.010 and 0.016 at the old N, sit at ≥ 12 σ)
+        // at N = 30 000 / 4 000 / 1 500 (120 config seeds each, this test
+        // with the seed varied), where ±0.08 was 2.8 σ; four times the
+        // samples halve σ, so the band is ≈ 5.5 σ (the level-0 and level-1
+        // means, σ 0.010 and 0.016 at the old N, sit at ≥ 12 σ)
         for exec in EXECS {
             let mut config = ParallelConfig::new(vec![120_000, 16_000, 6_000], vec![2, 2, 1]);
             config.burn_in = vec![300, 100, 50];
@@ -2061,10 +2061,10 @@ mod tests {
         // across shard counts (collector arrival order differs), so this
         // is a statistical check: both estimates near the same truth. The
         // estimate's σ was 0.037 at N = 20 000 / 2 500 / 900 (200 seeds,
-        // 4 workers, balancer on, a scratch copy of this test), where ±0.1
-        // was 2.7 σ and failed 2 runs in 200; four times the samples halve
-        // σ, so the band is ≈ 5.4 σ (re-measured at this N over 100 seeds:
-        // σ 0.019 unsharded, 0.022 on four shards, 4.7–5.3 σ)
+        // 4 workers, balancer on, this test with the seed varied), where
+        // ±0.1 was 2.7 σ and failed 2 runs in 200; four times the samples
+        // halve σ, so the band is ≈ 5.4 σ (re-measured at this N over 100
+        // seeds: σ 0.019 unsharded, 0.022 on four shards, 4.7–5.3 σ)
         let h = GaussianHierarchy::three_level();
         let mut one = pool_config(vec![80_000, 10_000, 3_600], vec![2, 1, 1], 4);
         one.base.burn_in = vec![200, 80, 40];
