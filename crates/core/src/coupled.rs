@@ -44,15 +44,21 @@ use uq_mcmc::kernel::{mh_transition, SamplingState};
 use uq_mcmc::{Proposal, SamplingProblem};
 
 /// A state of the next-coarser chain, shipped with its cached log-density
-/// and QOI so the fine chain never re-evaluates the coarse model, plus
-/// the serving chain's own (recursive) anchor for exact rewinding.
+/// so the fine chain never re-evaluates the coarse density, plus the
+/// serving chain's own (recursive) anchor for exact rewinding.
+///
+/// Its QOI is a slot like [`SamplingState::qoi`]: a serve packages
+/// whatever the serving chain's state holds and evaluates none, and the
+/// one reader of a coarse QOI — a requester's correction
+/// ([`MlChain::correction`]) or a sequential cut ([`ChainStack`]) — fills
+/// it on a problem of the sample's level ([`fill_qoi`](Self::fill_qoi)).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CoarseSample {
     pub theta: Vec<f64>,
     pub log_density: f64,
-    /// Shared with the chain state it was packaged from, and with every
-    /// clone of this sample.
-    pub qoi: Arc<[f64]>,
+    /// The QOI at `theta` once a reader filled it; shared with the chain
+    /// state it was packaged from, and with every clone of this sample.
+    pub qoi: Option<Arc<[f64]>>,
     /// The serving chain's own coarse anchor at this state (`None` for
     /// level-0 chains and for remote/parallel sources).
     pub sub_anchor: Option<Box<CoarseSample>>,
@@ -65,22 +71,49 @@ pub struct CoarseSample {
 }
 
 impl CoarseSample {
-    /// A sample carrying only cached values (no sub-anchor, no mate).
+    /// A sample carrying only cached values, its QOI among them (no
+    /// sub-anchor, no mate).
     pub fn plain(theta: Vec<f64>, log_density: f64, qoi: Vec<f64>) -> Self {
         Self {
             theta,
             log_density,
-            qoi: qoi.into(),
+            qoi: Some(qoi.into()),
             sub_anchor: None,
             mate: None,
         }
     }
 
-    /// `problem` evaluated at `theta`: density, then QOI.
+    /// `problem`'s density at `theta`; the QOI is left to a reader.
     pub fn at(problem: &mut dyn SamplingProblem, theta: &[f64]) -> Self {
-        let log_density = problem.log_density(theta);
-        Self::plain(theta.to_vec(), log_density, problem.qoi(theta))
+        Self {
+            theta: theta.to_vec(),
+            log_density: problem.log_density(theta),
+            qoi: None,
+            sub_anchor: None,
+            mate: None,
+        }
     }
+
+    /// The QOI at `theta`, evaluated on `problem` — a problem of this
+    /// sample's level — if the slot is still empty.
+    pub fn fill_qoi(&mut self, problem: &mut dyn SamplingProblem) -> &Arc<[f64]> {
+        self.qoi
+            .get_or_insert_with(|| problem.qoi(&self.theta).into())
+    }
+
+    /// Take `earlier`'s QOI if this slot is empty and both are the same
+    /// point, bit for bit: a leg that did not move costs no evaluation.
+    fn adopt_qoi(&mut self, earlier: Option<&CoarseSample>) {
+        if self.qoi.is_none() {
+            let same = |e: &&CoarseSample| same_point(&e.theta, &self.theta);
+            self.qoi = earlier.filter(same).and_then(|e| e.qoi.clone());
+        }
+    }
+}
+
+/// `a` and `b` are the same point, bit for bit.
+fn same_point(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The full logical state of an [`MlChain`] as plain data, for
@@ -144,7 +177,7 @@ enum Kind {
         tail_proposal: Box<dyn Proposal>,
         coarse_dim: usize,
         /// Coarse state associated with the current fine state:
-        /// `ν_{l-1}` value, QOI, and recursive sub-anchor.
+        /// `ν_{l-1}` value, QOI slot, and recursive sub-anchor.
         anchor: CoarseSample,
         /// The coarse sample used in the most recent step (accepted or
         /// not) — the `Q_{l-1}` half of the correction pair.
@@ -160,9 +193,10 @@ enum Kind {
 /// A step that accepts leaves the new state's QOI unevaluated; the chain
 /// evaluates it on its own problem the first time something reads it —
 /// [`current_qoi`](Self::current_qoi), [`correction`](Self::correction),
-/// [`current_as_sample`](Self::current_as_sample),
-/// [`export_state`](Self::export_state) — so burn-in and the intermediate
-/// states of a serve leg cost no QOI.
+/// [`export_state`](Self::export_state) — so burn-in and every state of a
+/// serve leg cost no QOI. A coarse sample's QOI is filled by its reader:
+/// [`correction`](Self::correction) fills the one it pairs with on the
+/// level below's problem, which the caller hands it.
 pub struct MlChain {
     level: usize,
     problem: Box<dyn SamplingProblem>,
@@ -301,24 +335,58 @@ impl MlChain {
     /// The telescoping-term sample `y` of the most recent step: the
     /// current QOI minus that of the coarse sample `pairing` selects
     /// ([`last_coarse`](Self::last_coarse) or
-    /// [`last_pairing`](Self::last_pairing)); the bare QOI on level 0.
-    pub fn correction(&mut self, pairing: PairingMode) -> Vec<f64> {
+    /// [`last_pairing`](Self::last_pairing), see
+    /// [`paired_qoi`](Self::paired_qoi)); the bare QOI on level 0.
+    pub fn correction(
+        &mut self,
+        pairing: PairingMode,
+        coarse: Option<&mut (dyn SamplingProblem + 'static)>,
+    ) -> Vec<f64> {
         let fine = Arc::clone(self.current_qoi());
-        let paired = match pairing {
-            PairingMode::Proposal => self.last_coarse(),
-            PairingMode::Ledger => self.last_pairing(),
-        };
-        match paired {
+        match self.paired_qoi(pairing, coarse) {
             None => fine.to_vec(),
-            Some(coarse) => fine.iter().zip(&*coarse.qoi).map(|(f, c)| f - c).collect(),
+            Some(coarse) => fine.iter().zip(&*coarse).map(|(f, c)| f - c).collect(),
         }
     }
 
+    /// The QOI of the most recent step's coarse sample that `pairing`
+    /// selects, filled on `coarse` — the level below's problem — if
+    /// nothing has read it yet (`None` on level 0 or before the first
+    /// step). The other coarse sample of the step lends its QOI when it
+    /// is the same point.
+    ///
+    /// # Panics
+    /// Panics if the sample's QOI must be evaluated and `coarse` is `None`.
+    pub fn paired_qoi(
+        &mut self,
+        pairing: PairingMode,
+        coarse: Option<&mut (dyn SamplingProblem + 'static)>,
+    ) -> Option<Arc<[f64]>> {
+        let Kind::Coupled {
+            last_coarse,
+            last_pairing,
+            ..
+        } = &mut self.kind
+        else {
+            return None;
+        };
+        let (sample, other) = match pairing {
+            PairingMode::Proposal => (last_coarse, last_pairing),
+            PairingMode::Ledger => (last_pairing, last_coarse),
+        };
+        let sample = sample.as_mut()?;
+        sample.adopt_qoi(other.as_ref());
+        if let Some(qoi) = &sample.qoi {
+            return Some(Arc::clone(qoi));
+        }
+        let coarse = coarse.expect("a coarse QOI is evaluated on the level below's problem");
+        Some(Arc::clone(sample.fill_qoi(coarse)))
+    }
+
     /// Current state packaged as a [`CoarseSample`] (including this
-    /// chain's own anchor for recursive rewinding); a sample always
-    /// carries its QOI, so this reads it.
-    pub fn current_as_sample(&mut self) -> CoarseSample {
-        let qoi = Arc::clone(self.current_qoi());
+    /// chain's own anchor for recursive rewinding), its QOI slot as the
+    /// state holds it: packaging evaluates nothing.
+    pub fn current_as_sample(&self) -> CoarseSample {
         let sub_anchor = match &self.kind {
             Kind::Base { .. } => None,
             Kind::Coupled { anchor, .. } => Some(Box::new(anchor.clone())),
@@ -326,7 +394,7 @@ impl MlChain {
         CoarseSample {
             theta: self.state.theta.clone(),
             log_density: self.state.log_density,
-            qoi,
+            qoi: self.state.qoi.clone(),
             sub_anchor,
             mate: None,
         }
@@ -351,13 +419,13 @@ impl MlChain {
     }
 
     /// Rewind this chain to a previously served sample (the exactness
-    /// rule — see the module docs). Everything needed is cached inside
-    /// the sample, evaluating nothing.
+    /// rule — see the module docs), its QOI slot as the sample holds it.
+    /// Everything needed is cached inside the sample, evaluating nothing.
     pub fn restore(&mut self, sample: &CoarseSample) {
         self.state = SamplingState {
             theta: sample.theta.clone(),
             log_density: sample.log_density,
-            qoi: Some(sample.qoi.clone()),
+            qoi: sample.qoi.clone(),
         };
         if let Kind::Coupled { anchor, .. } = &mut self.kind {
             // a coupled level packages its samples with their anchor; an
@@ -373,8 +441,8 @@ impl MlChain {
     /// Export the chain's full logical state as plain data for
     /// checkpointing (`source` stays `None`). Feeding the result to
     /// [`import_state`](Self::import_state) on a freshly built identical
-    /// chain continues the run bit-for-bit. A checkpoint carries every
-    /// QOI, so this reads the current state's.
+    /// chain continues the run bit-for-bit. The current state's QOI is
+    /// read; the coarse samples are written as they are.
     pub fn export_state(&mut self) -> ChainState {
         let qoi = Arc::clone(self.current_qoi());
         let (anchor, last_coarse, last_pairing) = match &self.kind {
@@ -452,13 +520,16 @@ impl MlChain {
     /// (the fulfillment half of the request/fulfill protocol); returns
     /// whether the proposal was accepted. A zero-length `coarse.theta`
     /// acts as a teardown poison: the step counts but is rejected without
-    /// touching chain state or the coupled correction bookkeeping.
+    /// touching chain state or the coupled correction bookkeeping. A
+    /// proposal or mate without a QOI that is the previous step's point,
+    /// bit for bit, takes that sample's QOI, and an accepted proposal at
+    /// the chain's own point keeps the state's.
     ///
     /// # Panics
     /// Panics on a level-0 chain.
     pub fn resume_step(&mut self, rng: &mut dyn Rng, mut coarse: CoarseSample) -> bool {
         self.steps += 1;
-        let mate = coarse.mate.take().map(|m| *m);
+        let mut mate = coarse.mate.take().map(|m| *m);
         let accepted = match &mut self.kind {
             // unreachable from the drivers: they resume only a step that
             // returned `NeedCoarse`, which a level-0 chain never does
@@ -476,6 +547,12 @@ impl MlChain {
                     // without touching the chain state or the coupled
                     // correction bookkeeping
                     return false;
+                }
+                // a leg that did not move hands back the point it
+                // started from: the QOI read there is still good
+                coarse.adopt_qoi(last_coarse.as_ref());
+                if let Some(mate) = &mut mate {
+                    mate.adopt_qoi(last_pairing.as_ref());
                 }
                 let dim = self.state.theta.len();
                 let tail_dim = dim - *coarse_dim;
@@ -508,10 +585,14 @@ impl MlChain {
                             rng.random::<f64>().ln() < log_alpha
                         };
                         if accept {
+                            // a proposal back at the current point (the
+                            // serve moved nowhere) keeps the QOI read there
+                            let qoi = self.state.qoi.take();
+                            let qoi = qoi.filter(|_| same_point(&cand, &self.state.theta));
                             self.state = SamplingState {
                                 theta: cand,
                                 log_density: cand_log_density,
-                                qoi: None,
+                                qoi,
                             };
                             *anchor = coarse.clone();
                         }
@@ -598,6 +679,15 @@ impl ChainStack {
         self.chains.last_mut().expect(LEVEL_0)
     }
 
+    /// The top level's chain, and the level below's problem, which fills
+    /// the coarse QOIs the top chain reads (`None` on level 0).
+    pub fn top_and_coarse(
+        &mut self,
+    ) -> (&mut MlChain, Option<&mut (dyn SamplingProblem + 'static)>) {
+        let (top, below) = self.chains.split_last_mut().expect(LEVEL_0);
+        (top, below.last_mut().map(|c| c.problem.as_mut()))
+    }
+
     /// The session level `level` serves to the level above.
     pub fn cursor(&mut self, level: usize) -> &mut Cursor {
         &mut self.cursors[level]
@@ -623,21 +713,31 @@ impl ChainStack {
 
     /// The stack as one nested [`ChainState`], the top chain's: its
     /// `source` holds the level below's cursor and chain, recursively.
+    /// Every coarse sample it writes carries its QOI, filled on the chain
+    /// of the sample's level, so a sequential cut holds no empty slot.
     pub fn export_state(&mut self) -> ChainState {
-        let (bottom, above) = self.chains.split_first_mut().expect(LEVEL_0);
-        let mut state = bottom.export_state();
-        for (chain, cursor) in above.iter_mut().zip(&self.cursors) {
-            let below = SourceState {
-                session_seed: cursor.session_seed,
-                serves: cursor.serves,
-                diverged_serves: cursor.diverged_serves,
-                pairing: cursor.pairing.clone(),
-                chain: state,
-            };
-            state = chain.export_state();
-            state.source = Some(Box::new(below));
+        let mut state: Option<ChainState> = None;
+        for level in 0..self.chains.len() {
+            let (below, rest) = self.chains.split_at_mut(level);
+            let mut own = rest[0].export_state();
+            for sample in [&mut own.anchor, &mut own.last_coarse, &mut own.last_pairing] {
+                fill_sample(below, sample.as_mut());
+            }
+            if let Some(chain) = state.take() {
+                let cursor = &self.cursors[level - 1];
+                let mut pairing = cursor.pairing.clone();
+                fill_sample(below, pairing.as_mut());
+                own.source = Some(Box::new(SourceState {
+                    session_seed: cursor.session_seed,
+                    serves: cursor.serves,
+                    diverged_serves: cursor.diverged_serves,
+                    pairing,
+                    chain,
+                }));
+            }
+            state = Some(own);
         }
-        state
+        state.expect(LEVEL_0)
     }
 
     /// Restore what [`export_state`](Self::export_state) captured on a
@@ -662,7 +762,7 @@ impl ChainStack {
 
 const LEVEL_0: &str = "a stack holds level 0";
 
-/// `theta` on the top of `chains`, density and QOI first, then its
+/// `theta` on the top of `chains`, its density first, then its
 /// sub-anchor on the levels below, recursively.
 fn anchor_at(chains: &mut [MlChain], theta: &[f64]) -> CoarseSample {
     // only a coupled level is anchored, and it has a level below
@@ -672,6 +772,21 @@ fn anchor_at(chains: &mut [MlChain], theta: &[f64]) -> CoarseSample {
         sample.sub_anchor = Some(Box::new(anchor_at(below, &theta[..coarse_dim])));
     }
     sample
+}
+
+/// Fill the QOI of `sample` — a sample of the top of `chains`' level —
+/// and of its sub-anchors, each on its own level's chain (a stack's
+/// samples carry no mate: `resume_step` takes it off).
+fn fill_sample(chains: &mut [MlChain], sample: Option<&mut CoarseSample>) {
+    let Some(sample) = sample else {
+        return;
+    };
+    // a sample exists only on a level with a chain
+    let (chain, below) = chains
+        .split_last_mut()
+        .expect("a chain of the sample's level");
+    sample.fill_qoi(chain.problem.as_mut());
+    fill_sample(below, sample.sub_anchor.as_deref_mut());
 }
 
 /// Serve the top of `chains` to `anchor` from its cursor, the last of

@@ -280,15 +280,16 @@ fn sample_terms<R: Rng>(
             .min(qoi_dim.saturating_sub(1));
         while term.samples_done < n_samples {
             stack.step(rng);
-            let chain = stack.top();
-            term.moments.push(&chain.correction(config.pairing));
+            let (chain, mut coarse) = stack.top_and_coarse();
+            term.moments
+                .push(&chain.correction(config.pairing, coarse.as_deref_mut()));
             let fine_qoi = Arc::clone(chain.current_qoi());
             term.rep_trace.push(fine_qoi[rep]);
             if config.record_samples {
                 term.theta_samples.push(chain.state().theta.clone());
-                if let Some(coarse) = chain.last_coarse() {
+                if let Some(coarse) = chain.paired_qoi(PairingMode::Proposal, coarse) {
                     term.correction_pairs
-                        .push((coarse.qoi.to_vec(), fine_qoi.to_vec()));
+                        .push((coarse.to_vec(), fine_qoi.to_vec()));
                 }
                 term.qoi_samples.push(fine_qoi.to_vec());
             }

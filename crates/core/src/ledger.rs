@@ -824,9 +824,10 @@ mod tests {
             .theta
             .iter()
             .chain([&s.log_density])
-            .chain(s.qoi.iter())
+            .chain(s.qoi.iter().flat_map(|q| q.iter()))
             .map(|x| x.to_bits())
             .collect();
+        w.push(u64::from(s.qoi.is_some()));
         for inner in [&s.sub_anchor, &s.mate] {
             w.push(u64::from(inner.is_some()));
             w.extend(inner.iter().flat_map(|i| words(i)));

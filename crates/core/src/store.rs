@@ -41,6 +41,7 @@
 use crate::coupled::{ChainState, CoarseSample, SourceState};
 use crate::estimator::{LevelReport, Term};
 use crate::ledger::{LedgerBook, LedgerStats, Session, Speculation};
+use crate::wire::{decode_qoi, encode_qoi};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -65,7 +66,7 @@ impl Codec for CoarseSample {
     fn encode(&self, enc: &mut Enc) {
         self.theta.encode(enc);
         self.log_density.encode(enc);
-        self.qoi.encode(enc);
+        encode_qoi(&self.qoi, enc);
         self.sub_anchor.encode(enc);
         self.mate.encode(enc);
     }
@@ -73,7 +74,7 @@ impl Codec for CoarseSample {
         Ok(CoarseSample {
             theta: Vec::decode(dec)?,
             log_density: f64::decode(dec)?,
-            qoi: Codec::decode(dec)?,
+            qoi: decode_qoi(dec)?,
             sub_anchor: Option::decode(dec)?,
             mate: Option::decode(dec)?,
         })
@@ -796,7 +797,7 @@ mod tests {
         CoarseSample {
             theta: vec![theta, theta * 0.5],
             log_density: -theta * theta,
-            qoi: vec![theta].into(),
+            qoi: Some(vec![theta].into()),
             sub_anchor: Some(Box::new(CoarseSample::plain(
                 vec![theta * 0.1],
                 -1.0,

@@ -285,6 +285,32 @@ impl Codec for Arc<[f64]> {
     }
 }
 
+/// Length word of an absent QOI: no slice in memory has `u64::MAX`
+/// elements, and a decoder that expects a present QOI refuses it as
+/// longer than the bytes left instead of misreading it.
+const ABSENT_QOI: u64 = u64::MAX;
+
+/// Encode a QOI slot without a tag byte: a present QOI is the bytes of
+/// its `Arc<[f64]>` (so a slot that holds one writes what a QOI always
+/// wrote), an absent one the length word `u64::MAX` alone.
+pub fn encode_qoi(slot: &Option<Arc<[f64]>>, enc: &mut Enc) {
+    match slot {
+        Some(qoi) => qoi.encode(enc),
+        None => ABSENT_QOI.encode(enc),
+    }
+}
+
+/// Decode what [`encode_qoi`] wrote.
+pub fn decode_qoi(dec: &mut Dec) -> Result<Option<Arc<[f64]>>, StoreError> {
+    match u64::decode(dec)? {
+        ABSENT_QOI => Ok(None),
+        len => {
+            let len = usize::try_from(len).map_err(|_| StoreError::Corrupt("usize overflow"))?;
+            Ok(Some(dec.f64s(len)?.collect()))
+        }
+    }
+}
+
 impl Codec for bool {
     fn encode(&self, enc: &mut Enc) {
         enc.bytes(&[u8::from(*self)]);
@@ -819,6 +845,56 @@ mod tests {
             let mut dec = Dec::new(&bytes[1..bytes.len() - 1]);
             assert!(len == 0 || Arc::<[f64]>::decode(&mut dec).is_err());
         }
+    }
+
+    #[test]
+    fn a_qoi_slot_round_trips_absent_empty_and_present() {
+        let present: Arc<[f64]> = vec![0.5, -0.0, f64::from_bits(0x7FF8_0000_DEAD_BEEF)].into();
+        for slot in [None, Some(Vec::new().into()), Some(present)] {
+            let mut enc = Enc::new();
+            encode_qoi(&slot, &mut enc);
+            let bytes = enc.into_bytes();
+            // a present slot is the bytes of the QOI itself
+            if let Some(qoi) = &slot {
+                assert_eq!(bytes, encoded(qoi)[1..]);
+            }
+            let mut dec = Dec::new(&bytes);
+            let back = decode_qoi(&mut dec).unwrap();
+            assert_eq!(dec.remaining(), 0);
+            let bits = |s: &Option<Arc<[f64]>>| {
+                s.as_ref()
+                    .map(|q| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(&back), bits(&slot));
+        }
+    }
+
+    #[test]
+    fn an_absent_qoi_is_refused_where_a_qoi_is_expected_and_cut_short() {
+        let mut enc = Enc::new();
+        encode_qoi(&None, &mut enc);
+        enc.bytes(&[0u8; 16]);
+        let bytes = enc.into_bytes();
+        // a decoder that reads a present QOI (an older peer) refuses the
+        // length word as longer than the bytes left, before allocating
+        assert!(matches!(
+            Arc::<[f64]>::decode(&mut Dec::new(&bytes)),
+            Err(StoreError::Truncated { available: 16, .. })
+        ));
+        // a length word cut short is refused, not taken for absent
+        for cut in 0..8 {
+            assert!(matches!(
+                decode_qoi(&mut Dec::new(&bytes[..cut])),
+                Err(StoreError::Truncated { needed: 8, .. })
+            ));
+        }
+        // one below the sentinel is a length like any other
+        let mut bytes = (ABSENT_QOI - 1).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 16]);
+        assert!(matches!(
+            decode_qoi(&mut Dec::new(&bytes)),
+            Err(StoreError::Truncated { available: 16, .. })
+        ));
     }
 
     #[test]

@@ -16,13 +16,16 @@
 /// buffers across them. What the drivers (`mh_transition` / `mh_step`,
 /// `SamplingState::initial`, the chains of this crate and of `uq-mlmcmc`)
 /// guarantee: each of their `qoi(θ)` calls is for a θ whose
-/// `log_density(θ)` this problem evaluated earlier — at any time after
-/// it, with other evaluations in between — and only for a starting point
-/// or for a state the chain keeps and something reads (a recorded sample,
-/// a correction, a served coarse sample, a checkpoint). The vector is
-/// then carried in the chain state and shared from there; no driver asks
-/// for it a second time. So `qoi` must not depend on which `log_density`
-/// came last: every in-tree problem computes it from θ alone.
+/// `log_density(θ)` some instance of the same level's problem evaluated
+/// earlier — at any time after it, with other evaluations in between —
+/// and only for a starting point or for a state something reads (a
+/// recorded sample, a correction, a checkpoint). The vector is then
+/// carried in the chain state or the coarse sample and shared from there;
+/// no driver asks for it a second time. That instance need not be this
+/// one: a multilevel requester fills the QOI of a coarse sample another
+/// chain served on its own copy of the level below's problem. So `qoi`
+/// must be a function of θ alone — not of which `log_density` came last,
+/// nor of which instance computes it — as every in-tree problem's is.
 pub trait SamplingProblem: Send {
     /// Parameter-space dimension.
     fn dim(&self) -> usize;

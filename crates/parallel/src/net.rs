@@ -50,11 +50,12 @@ use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
 /// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
-/// golden frame fixture (`tests/fixtures/golden_frame_v4.bin`) trips
+/// golden frame fixture (`tests/fixtures/golden_frame_v5.bin`) trips
 /// when the bytes drift without a bump. Exactly one version is spoken:
-/// v3 (whose `CollectorReport` carried a shard's mean and variance rather
-/// than its state) is rejected as `BadVersion`, never dual-decoded.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// v4 (in which every sample carried its QOI, so no QOI length word was
+/// ever the absent sentinel) is rejected as `BadVersion`, never
+/// dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// The net wire: a magic distinct from the snapshot store's
 /// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and

@@ -947,7 +947,8 @@ pub(crate) struct ControllerRank<'a> {
     level: usize,
     chain: MlChain,
     /// The level below's problem (`None` on level 0): the chain's initial
-    /// anchor and a requester's missing sub-anchor are evaluated on it.
+    /// anchor and a requester's missing sub-anchor are evaluated on it,
+    /// and the QOI of the coarse sample each correction pairs with.
     coarse: Coarse,
     rng: StdRng,
     done_levels: Vec<bool>,
@@ -1062,6 +1063,7 @@ impl<'a> ControllerRank<'a> {
             let correction = Msg::correction(
                 self.level,
                 &mut self.chain,
+                self.coarse.as_deref_mut(),
                 base.pairing,
                 base.record_samples,
             );
@@ -1378,7 +1380,8 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
 type Coarse = Option<Box<dyn SamplingProblem>>;
 
 /// A controller's chain (its coarse proposals arrive through the
-/// phonebook) and the level below's problem it is anchored on.
+/// phonebook) and the level below's problem it is anchored on and fills
+/// its coarse QOIs with.
 fn controller_chain(factory: &dyn LevelFactory, level: usize) -> (MlChain, Coarse) {
     let mut coarse = level.checked_sub(1).map(|below| factory.problem(below));
     let chain = build_chain(factory, level, |theta| {

@@ -20,6 +20,7 @@
 //! [`crate::roles`], which is also where a run is started
 //! ([`crate::Run::on`]).
 
+use uq_mcmc::SamplingProblem;
 use uq_mlmcmc::coupled::{CoarseSample, MlChain};
 use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, PairingMode, ServeOutcome};
 use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, RunStore};
@@ -138,26 +139,30 @@ pub enum Msg {
 impl Msg {
     /// The [`Msg::Correction`] for `chain`'s just-completed producing
     /// step: `y` is [`MlChain::correction`] under `pairing` (which reads
-    /// the step's QOI); the recorded triple is filled only under
+    /// the step's QOI, and fills its coarse mate's on `coarse`, the level
+    /// below's problem); the recorded triple is filled only under
     /// `record`, and its pair always shows the proposal coupling.
     pub fn correction(
         level: usize,
         chain: &mut MlChain,
+        mut coarse: Option<&mut (dyn SamplingProblem + 'static)>,
         pairing: PairingMode,
         record: bool,
     ) -> Msg {
-        let y = chain.correction(pairing);
+        let y = chain.correction(pairing, coarse.as_deref_mut());
         let recorded = |v: &[f64]| if record { v.to_vec() } else { Vec::new() };
         let fine_qoi = recorded(chain.current_qoi());
+        let coarse_qoi = if record {
+            chain.paired_qoi(PairingMode::Proposal, coarse)
+        } else {
+            None
+        };
         Msg::Correction {
             level,
             y,
             theta: recorded(&chain.state().theta),
             fine_qoi,
-            coarse_qoi: chain
-                .last_coarse()
-                .filter(|_| record)
-                .map(|c| c.qoi.to_vec()),
+            coarse_qoi: coarse_qoi.map(|c| c.to_vec()),
         }
     }
 }

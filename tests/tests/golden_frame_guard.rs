@@ -8,7 +8,7 @@
 //! turn the old one into a rejection fixture; silently re-interpreting
 //! frames across a version skew is the failure mode this suite catches.
 //! Frames are ephemeral, so exactly one version is ever decoded:
-//! `golden_frame_v3.bin` (the previous version's golden) is kept to prove
+//! `golden_frame_v4.bin` (the previous version's golden) is kept to prove
 //! that a skewed version is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
@@ -21,17 +21,26 @@ use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v4.bin");
-const GOLDEN_V3_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v3.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v5.bin");
+const GOLDEN_V4_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v4.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
 }
 
+/// A sample as a serve ships it: no QOI.
+fn bare(theta: f64, ld: f64) -> CoarseSample {
+    CoarseSample {
+        qoi: None,
+        ..cs(theta, ld)
+    }
+}
+
 /// The pinned frames, concatenated in the one fixture: an `Assign`
 /// carrying the run configuration and a resumable chain checkpoint, then
 /// a full ledger serve round-trip as `Data` frames (`Serve` with its
-/// lease, `ServeDone` with its outcome, `StopProducing`), then a collector
+/// lease, `ServeDone` with its outcome — their samples without a QOI, as a
+/// serve ships them — and `StopProducing`), then a collector
 /// shard's final state as the root receives it (`CollectorReport`).
 fn golden() -> Vec<Frame> {
     let mut config = ParallelConfig::new(vec![400, 150], vec![1, 1]);
@@ -42,7 +51,7 @@ fn golden() -> Vec<Frame> {
     let anchor = CoarseSample {
         theta: vec![0.125, -2.5],
         log_density: -3.75,
-        qoi: vec![0.125].into(),
+        qoi: Some(vec![0.125].into()),
         sub_anchor: Some(Box::new(cs(-0.5, -1.0))),
         mate: Some(Box::new(cs(0.25, -0.125))),
     };
@@ -81,8 +90,8 @@ fn golden() -> Vec<Frame> {
                 lease: Box::new(LedgerLease {
                     session_seed: 0xDEAD_BEEF,
                     serves: 41,
-                    pairing: Some(cs(0.875, -1.5)),
-                    anchor: cs(-0.875, -2.0),
+                    pairing: Some(bare(0.875, -1.5)),
+                    anchor: bare(-0.875, -2.0),
                 }),
                 speculative: true,
             },
@@ -95,8 +104,8 @@ fn golden() -> Vec<Frame> {
                 session: 0xDEAD_BEEF,
                 serves: 42,
                 outcome: Box::new(ServeOutcome {
-                    proposal: cs(0.9375, -1.25),
-                    pairing: cs(-0.9375, -1.75),
+                    proposal: bare(0.9375, -1.25),
+                    pairing: bare(-0.9375, -1.75),
                     diverged: true,
                 }),
                 speculative: false,
@@ -144,7 +153,7 @@ fn committed_golden_frame_still_decodes() {
         let payload = u64::from_le_bytes(rest[12..20].try_into().unwrap());
         let (one, after) = rest.split_at(28 + payload as usize);
         let frame = decode_frame(one)
-            .expect("protocol break: a committed v4 golden frame no longer decodes");
+            .expect("protocol break: a committed v5 golden frame no longer decodes");
         // Frame carries no PartialEq (Msg is not comparable); byte equality
         // after re-encode is the invariant the transport relies on anyway
         assert_eq!(
@@ -161,15 +170,15 @@ fn committed_golden_frame_still_decodes() {
     );
 }
 
-/// The v3 fixture is the golden of the version before (its
-/// `CollectorReport` carried a shard's mean and variance, not its state).
-/// It must be refused at the version field — before its check or a single
-/// payload byte is looked at — never decoded into a frame.
+/// The v4 fixture is the golden of the version before (a sample's QOI
+/// was always present, so no length word could be `u64::MAX`). It must be
+/// refused at the version field — before its check or a single payload
+/// byte is looked at — never decoded into a frame.
 #[test]
-fn committed_v3_frame_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V3_PATH).expect("committed v3 frame missing");
+fn committed_v4_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V4_PATH).expect("committed v4 frame missing");
     assert!(matches!(
         decode_frame(&bytes),
-        Err(StoreError::BadVersion { found: 3 })
+        Err(StoreError::BadVersion { found: 4 })
     ));
 }

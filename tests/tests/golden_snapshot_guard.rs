@@ -34,7 +34,7 @@ fn golden() -> RunSnapshot {
     let anchor = CoarseSample {
         theta: vec![0.125, -2.5],
         log_density: -3.75,
-        qoi: vec![0.125].into(),
+        qoi: Some(vec![0.125].into()),
         sub_anchor: Some(Box::new(cs(-0.5, -1.0))),
         mate: Some(Box::new(cs(0.25, -0.125))),
     };

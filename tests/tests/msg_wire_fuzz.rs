@@ -29,11 +29,13 @@ use uq_parallel::{decode_frame, encode_frame, Frame, PROTOCOL_VERSION};
 // builders: one Msg per tag from flat drawn primitives
 // ---------------------------------------------------------------------
 
+/// A sample whose QOI is absent for about half the draws (the sign of
+/// `theta[0]`), flipping with each level of nesting.
 fn sample(theta: &[f64], log_density: f64, depth: u8) -> CoarseSample {
     CoarseSample {
         theta: theta.to_vec(),
         log_density,
-        qoi: theta.iter().map(|t| t * 0.5).collect(),
+        qoi: ((theta[0] < 0.0) ^ (depth % 2 == 1)).then(|| theta.iter().map(|t| t * 0.5).collect()),
         sub_anchor: (depth > 0).then(|| Box::new(sample(theta, log_density - 1.0, depth - 1))),
         mate: (depth > 1).then(|| Box::new(sample(theta, log_density + 1.0, 0))),
     }

@@ -1,18 +1,19 @@
-//! A sample's QOI is evaluated when something reads it, allocated once
-//! there, and shared from there on: chain state, coarse samples, leases,
-//! serve outcomes, ledger sessions and checkpoint state all hold the same
-//! `Arc<[f64]>`. On the `ranks_runtime` hierarchy (Poisson, m = 8,
-//! n = 4 / 8, ρ = 4; the paper's 1089-component QOI, 8712 bytes) a serve
-//! evaluates one QOI per leg that moved — the state it hands back — and
-//! requests a large block only there (the model's `Vec` and its move into
-//! the shared slice); stepping, rewinding, packaging and bookkeeping
-//! evaluate and request none. Burn-in evaluates no QOI, and neither does
-//! a chain step nobody reads.
+//! A sample's QOI is evaluated where it is read, allocated once there,
+//! and shared from there on: chain state, coarse samples, leases, serve
+//! outcomes, ledger sessions and checkpoint state all hold the same
+//! `Arc<[f64]>` or none. On the `ranks_runtime` hierarchy (Poisson,
+//! m = 8, n = 4 / 8, ρ = 4; the paper's 1089-component QOI, 8712 bytes) a
+//! serve evaluates no QOI and requests no large block: a leg end is
+//! packaged with whatever its state holds. The requester fills the one
+//! coarse QOI its correction pairs with, on the level below's problem —
+//! at most one evaluation, none when that sample did not move. Burn-in
+//! evaluates no QOI, and neither does a chain step nobody reads. A whole
+//! `ranks_runtime`-config run evaluates at most 55 % of the QOIs it did
+//! when every serve evaluated its leg ends, with the same digest.
 //!
 //! `Hooked` sees `log_density` only, so the QOI evaluations are counted
 //! by a decorator of this file. Every count is of calls and allocator
-//! requests on this thread and repeats exactly; nothing here reads a
-//! clock.
+//! requests and repeats exactly; nothing here reads a clock.
 //!
 //! A binary of its own because it installs the counting
 //! `#[global_allocator]` of `common/counting_alloc.rs`.
@@ -25,12 +26,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use uq_fem::problem::constants::TRUTH_SEED;
 use uq_fem::problem::{PoissonFactory, PoissonHierarchy};
 use uq_mcmc::{Chain, ChainConfig, Proposal, SamplingProblem};
 use uq_mlmcmc::coupled::{build_chain, ChainStack, CoarseSample, MlChain, StepOutcome};
-use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, PairingMode};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, PairingMode, ServeOutcome};
 use uq_mlmcmc::LevelFactory;
+use uq_parallel::net::levels_digest;
 use uq_parallel::scheduler::Msg;
+use uq_parallel::{run_runtime, ParallelConfig, RuntimeConfig, Tracer};
 
 const RHO: usize = 4;
 
@@ -47,7 +51,12 @@ struct QoiCountedProblem {
 
 impl QoiCounted {
     fn new() -> Self {
-        let hierarchy = PoissonHierarchy::new(8, vec![4, 8], 2021);
+        Self::on(2021)
+    }
+
+    /// The hierarchy on the synthetic truth drawn from `truth_seed`.
+    fn on(truth_seed: u64) -> Self {
+        let hierarchy = PoissonHierarchy::new(8, vec![4, 8], truth_seed);
         Self {
             inner: PoissonFactory::new(hierarchy, vec![RHO]),
             qoi_calls: Arc::default(),
@@ -101,22 +110,24 @@ impl LevelFactory for QoiCounted {
     }
 }
 
-/// `chain`'s top after `steps` more of its own steps, as a sample.
+/// `chain`'s top after `steps` more of its own steps, as a sample whose
+/// QOI has been read.
 fn sample_after(chain: &mut ChainStack, steps: usize, rng: &mut StdRng) -> CoarseSample {
     for _ in 0..steps {
         chain.step(rng);
     }
+    chain.top().current_qoi();
     chain.top().current_as_sample()
 }
 
-/// A level-0 serving chain and a lease on it whose pairing track has
-/// left the anchor.
-fn diverged_lease(factory: &QoiCounted) -> (ChainStack, LedgerLease) {
-    let mut chain = ChainStack::new(factory, 0);
+/// A level-`level` serving stack and a lease on it whose pairing track
+/// has left the anchor; both lease samples carry their QOI.
+fn diverged_lease(factory: &QoiCounted, level: usize) -> (ChainStack, LedgerLease) {
+    let mut chain = ChainStack::new(factory, level);
     let mut rng = StdRng::seed_from_u64(24);
     let anchor = sample_after(&mut chain, 60, &mut rng);
     let pairing = sample_after(&mut chain, 60, &mut rng);
-    assert_eq!(anchor.qoi.len(), 1089);
+    assert_eq!(anchor.qoi.as_ref().map(|q| q.len()), Some(1089));
     let lease = LedgerLease {
         session_seed: 0x5EED,
         serves: 0,
@@ -127,8 +138,14 @@ fn diverged_lease(factory: &QoiCounted) -> (ChainStack, LedgerLease) {
     (chain, lease)
 }
 
+/// `a` and `b` hold one QOI allocation.
 fn shared(a: &CoarseSample, b: &CoarseSample) -> bool {
-    Arc::ptr_eq(&a.qoi, &b.qoi)
+    matches!((&a.qoi, &b.qoi), (Some(x), Some(y)) if Arc::ptr_eq(x, y))
+}
+
+/// `a` holds what `b` holds: the same allocation, or no QOI.
+fn same_slot(a: &CoarseSample, b: &CoarseSample) -> bool {
+    shared(a, b) || (a.qoi.is_none() && b.qoi.is_none())
 }
 
 /// `chain`'s current state holds `qoi` itself, read or not.
@@ -140,40 +157,56 @@ fn holds(chain: &MlChain, qoi: &Arc<[f64]>) -> bool {
         .is_some_and(|q| Arc::ptr_eq(q, qoi))
 }
 
+/// θ bit for bit.
+fn same_point(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 #[test]
-fn a_diverged_serve_requests_large_blocks_only_to_evaluate_qois() {
+fn a_diverged_serve_evaluates_no_qoi_and_requests_no_large_block() {
     let factory = QoiCounted::new();
-    let (mut chain, mut lease) = diverged_lease(&factory);
-    let pairing = lease.pairing.clone().expect("a diverged lease");
-    let (mut moved_legs, mut still_legs) = (0, 0);
-    for position in 0..24 {
-        lease.serves = position;
-        let (qois, large, outcome) = factory.measure(|| chain.serve(RHO, &lease));
-        assert!(outcome.diverged);
-        // each leg rewinds to a sample that carries its QOI; a leg whose
-        // end state moved reads the new one, a leg that never moved hands
-        // back the QOI it was given
-        let moved = u64::from(outcome.proposal.theta != lease.anchor.theta)
-            + u64::from(outcome.pairing.theta != pairing.theta);
-        assert_eq!(qois, moved, "serve {position}");
-        // an evaluation: the model's `Vec` and the shared slice it is
-        // moved into
+    for level in [0, 1] {
+        let (mut chain, mut lease) = diverged_lease(&factory, level);
+        let pairing = lease.pairing.clone().expect("a diverged lease");
+        let (mut moved_legs, mut still_legs) = (0, 0);
+        for position in 0..24 {
+            lease.serves = position;
+            let (qois, large, outcome) = factory.measure(|| chain.serve(RHO, &lease));
+            assert!(outcome.diverged);
+            assert_eq!((qois, large), (0, 0), "level {level}, serve {position}");
+            // a leg end is packaged as its state holds it: a leg that
+            // never moved hands back the QOI it was given, one that
+            // moved hands back none
+            for (end, start) in [
+                (&outcome.proposal, &lease.anchor),
+                (&outcome.pairing, &pairing),
+            ] {
+                let moved = end.theta != start.theta;
+                assert_eq!(end.qoi.is_none(), moved, "level {level}, serve {position}");
+                assert!(
+                    moved || shared(end, start),
+                    "level {level}, serve {position}"
+                );
+                moved_legs += u64::from(moved);
+                still_legs += u64::from(!moved);
+            }
+            // and the same serve again counts the same (on level 0 it is
+            // the same serve: a level-1 one leases its nested proposals
+            // from a session that has moved on)
+            let again = factory.measure(|| chain.serve(RHO, &lease));
+            assert_eq!(
+                (again.0, again.1),
+                (0, 0),
+                "level {level}, serve {position}"
+            );
+            assert!(level > 0 || again.2.proposal == outcome.proposal);
+        }
+        // both kinds of leg were on the path
         assert!(
-            large <= 2 * qois,
-            "serve {position}: {large} large blocks for {qois} QOI evaluations"
+            moved_legs > 0 && still_legs > 0,
+            "level {level}: {moved_legs} moved, {still_legs} still"
         );
-        // and the same serve again counts the same
-        let again = factory.measure(|| chain.serve(RHO, &lease));
-        assert_eq!((again.0, again.1), (qois, large), "serve {position}");
-        assert_eq!(again.2.proposal, outcome.proposal);
-        moved_legs += moved;
-        still_legs += 2 - moved;
     }
-    // both kinds of leg were on the path
-    assert!(
-        moved_legs > 0 && still_legs > 0,
-        "{moved_legs} moved, {still_legs} still"
-    );
 }
 
 #[test]
@@ -212,16 +245,17 @@ fn burn_in_evaluates_no_qoi_and_the_first_read_one() {
         assert_eq!(qois, 0, "level 1");
     }
     // a controller serves between its own steps: it sets its position
-    // aside as it is, so only the serve's moved leg evaluates a QOI
+    // aside as it is, and the serve evaluates no QOI
     let start = CoarseSample::at(factory.problem(0).as_mut(), &base_start);
+    assert!(start.qoi.is_none(), "an anchor evaluated its QOI");
     let lease = LedgerLease::fresh(0x5EED, start);
-    let (qois, _, outcome) = factory.measure(|| {
+    let (qois, _, _) = factory.measure(|| {
         let own = base.top().bookmark();
         let outcome = base.serve(RHO, &lease);
         base.top().return_to(own);
         outcome
     });
-    assert_eq!(qois, u64::from(outcome.proposal.theta != base_start));
+    assert_eq!(qois, 0);
     assert!(
         base.top().state().qoi.is_none(),
         "the bookmark read the QOI"
@@ -251,7 +285,7 @@ fn a_producing_level_0_step_and_its_correction_evaluate_at_most_one_qoi() {
             let acc = chain.step(&mut rng);
             (
                 acc,
-                Msg::correction(0, chain.top(), PairingMode::Ledger, record),
+                Msg::correction(0, chain.top(), None, PairingMode::Ledger, record),
             )
         });
         // the correction reads the step's QOI: evaluated iff it moved
@@ -303,41 +337,51 @@ fn a_rewind_hands_back_the_qoi_it_was_given() {
         });
         assert_eq!((qois, large), (0, 0), "level {level}");
         assert!(shared(&back, &s), "level {level}");
-        assert!(holds(chain.top(), &s.qoi), "level {level}");
+        let qoi = s.qoi.as_ref().expect("a read sample");
+        assert!(holds(chain.top(), qoi), "level {level}");
         assert_eq!(back.sub_anchor.is_some(), level == 1);
         if let (Some(a), Some(b)) = (&back.sub_anchor, &s.sub_anchor) {
-            assert!(shared(a, b), "the sub-anchor's QOI was copied");
+            assert!(same_slot(a, b), "the sub-anchor's QOI was copied");
         }
         // a checkpoint of the chain is the same allocation again
-        let (_, large, state) = factory.measure(|| chain.export_state());
+        let (_, large, state) = factory.measure(|| chain.top().export_state());
         assert_eq!(large, 0);
-        assert!(Arc::ptr_eq(&state.qoi, &s.qoi));
-        let (_, large, ()) = factory.measure(|| chain.import_state(state));
+        assert!(Arc::ptr_eq(&state.qoi, qoi));
+        let (_, large, ()) = factory.measure(|| chain.top().import_state(state));
         assert_eq!(large, 0);
-        assert!(holds(chain.top(), &s.qoi), "level {level}");
+        assert!(holds(chain.top(), qoi), "level {level}");
     }
 }
 
 #[test]
 fn a_serve_outcome_holds_its_pairing_sample_once() {
     let factory = QoiCounted::new();
-    let (mut chain, diverged) = diverged_lease(&factory);
+    let (mut chain, diverged) = diverged_lease(&factory, 0);
     let merged = LedgerLease::fresh(diverged.session_seed, diverged.anchor.clone());
     for lease in [merged, diverged] {
         let outcome = chain.serve(RHO, &lease);
         assert_eq!(outcome.diverged, !lease.merged());
         let mate = outcome.proposal.mate.as_deref().expect("packaged mate");
-        assert!(shared(mate, &outcome.pairing));
+        assert!(same_slot(mate, &outcome.pairing));
         // one run serves both tracks of a merged lease
-        assert_eq!(shared(&outcome.proposal, &outcome.pairing), lease.merged());
+        let one_end = outcome.proposal.theta == outcome.pairing.theta;
+        assert_eq!(one_end, lease.merged());
+        assert!(same_slot(&outcome.proposal, &outcome.pairing) || !one_end);
     }
 }
 
 #[test]
 fn the_ledger_book_shares_what_it_is_handed() {
     let factory = QoiCounted::new();
-    let (mut chain, diverged) = diverged_lease(&factory);
+    let (mut chain, diverged) = diverged_lease(&factory, 0);
+    // an outcome whose samples hold a QOI, as the requester fills them
     let outcome = chain.serve(RHO, &diverged);
+    let mut problem = factory.problem(0);
+    let [mut proposal, mut pairing] = [outcome.proposal, outcome.pairing];
+    proposal.mate = None;
+    proposal.fill_qoi(problem.as_mut());
+    pairing.fill_qoi(problem.as_mut());
+    let outcome = ServeOutcome::new(proposal, pairing, outcome.diverged);
     let (requester, level, seed) = (9, 0, 77);
     let mut book = LedgerBook::default();
     let (qois, large, state) = factory.measure(|| {
@@ -364,4 +408,95 @@ fn the_ledger_book_shares_what_it_is_handed() {
     let parked = session.spec.as_ref().expect("the parked speculation");
     assert!(shared(&parked.outcome.proposal, &outcome.proposal));
     assert!(shared(&parked.outcome.pairing, &outcome.pairing));
+}
+
+#[test]
+fn a_requesters_correction_evaluates_at_most_the_coarse_qoi_it_pairs_with() {
+    let factory = QoiCounted::new();
+    let mut rng = StdRng::seed_from_u64(13);
+    // a controller's level-1 chain, its level-0 problem, and a sequential
+    // twin serving it as a controller would (leases from a phonebook's
+    // book, written back after each serve)
+    let mut coarse = factory.problem(0);
+    let mut chain = build_chain(&factory, 1, |theta| {
+        CoarseSample::at(coarse.as_mut(), theta)
+    });
+    let (mut twin, mut book) = (ChainStack::new(&factory, 0), LedgerBook::default());
+    let mut previous_mate: Option<Vec<f64>> = None;
+    let (mut still, mut moved) = (0, 0);
+    for step in 0..80 {
+        assert_eq!(chain.poll_step(&mut rng), StepOutcome::NeedCoarse);
+        let anchor = chain.anchor().expect("a coupled chain").clone();
+        let lease = book.lease(0x5EED, 0, 1, anchor);
+        let outcome = twin.serve(RHO, &lease);
+        book.write_back(1, 0, lease.session_seed, lease.serves + 1, &outcome);
+        let mate = outcome.pairing.theta.clone();
+        chain.resume_step(&mut rng, outcome.proposal);
+        let fine_unread = u64::from(chain.state().qoi.is_none());
+        let (qois, _, msg) = factory.measure(|| {
+            Msg::correction(
+                1,
+                &mut chain,
+                Some(coarse.as_mut()),
+                PairingMode::Ledger,
+                false,
+            )
+        });
+        // the step's own QOI if nothing read it yet, and the mate's
+        let mate_qois = qois - fine_unread;
+        let unmoved = previous_mate
+            .as_deref()
+            .is_some_and(|p| same_point(p, &mate));
+        assert!(mate_qois <= 1, "step {step}: {mate_qois} coarse QOIs");
+        if unmoved {
+            assert_eq!(mate_qois, 0, "step {step}: the mate did not move");
+        }
+        still += u64::from(unmoved);
+        moved += u64::from(!unmoved);
+        // and what it evaluated is the telescoping term
+        let Msg::Correction { y, .. } = msg else {
+            panic!("not a correction")
+        };
+        let fine = chain.current_qoi().to_vec();
+        let paired = coarse.qoi(&mate);
+        let expected: Vec<f64> = fine.iter().zip(&paired).map(|(f, c)| f - c).collect();
+        assert_eq!(y, expected, "step {step}");
+        previous_mate = Some(mate);
+    }
+    assert!(still > 0 && moved > 0, "{still} still, {moved} moved");
+}
+
+/// `ranks_runtime`'s configuration (64 + 64 chains, N = 40 000 / 10 000,
+/// load balancing off) on one worker, whose run is deterministic: the
+/// QOI evaluations it makes and its `levels_digest`.
+fn ranks_runtime_run(seed: u64) -> (u64, u64) {
+    let factory = QoiCounted::on(TRUTH_SEED);
+    let mut base = ParallelConfig::new(vec![40_000, 10_000], vec![64, 64]);
+    base.seed = seed;
+    base.load_balancing = false;
+    let config = RuntimeConfig {
+        base,
+        n_workers: 1,
+        collector_shards: 1,
+    };
+    let (qois, _, run) = factory.measure(|| run_runtime(&factory, &config, &Tracer::disabled()));
+    (qois, levels_digest(&run.report.levels))
+}
+
+#[test]
+fn a_ranks_runtime_run_evaluates_at_most_55_percent_of_the_qois_it_did_when_serves_did() {
+    // recorded when every serve evaluated its moved leg ends (16.4 k /
+    // 16.6 k QOIs at seeds 7 / 11); the coarse QOI is a function of θ
+    // alone, so who evaluates it moves no bit of the estimate
+    for (seed, serves_evaluated, digest) in [
+        (7, 16_403, 0xbe1e_9921_11c7_b9b6_u64),
+        (11, 16_612, 0xee55_0d8a_d188_21c3),
+    ] {
+        let (qois, got) = ranks_runtime_run(seed);
+        assert_eq!(got, digest, "seed {seed}: levels_digest moved");
+        assert!(
+            qois * 100 <= serves_evaluated * 55,
+            "seed {seed}: {qois} QOI evaluations, {serves_evaluated} when serves evaluated them"
+        );
+    }
 }

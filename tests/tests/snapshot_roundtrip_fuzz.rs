@@ -26,11 +26,14 @@ use uq_mlmcmc::store::{
 // builders: nested checkpoint state from flat drawn primitives
 // ---------------------------------------------------------------------
 
+/// A sample whose QOI is absent for about half the draws (the sign of
+/// `theta[0]`), flipping with each level of nesting.
 fn sample(theta: &[f64], log_density: f64, depth: u8) -> CoarseSample {
     CoarseSample {
         theta: theta.to_vec(),
         log_density,
-        qoi: theta.iter().map(|t| t + 0.25).collect(),
+        qoi: ((theta[0] < 0.0) ^ (depth % 2 == 1))
+            .then(|| theta.iter().map(|t| t + 0.25).collect()),
         sub_anchor: (depth > 0).then(|| Box::new(sample(theta, log_density - 1.0, depth - 1))),
         mate: (depth > 1).then(|| Box::new(sample(theta, log_density + 1.0, 0))),
     }
