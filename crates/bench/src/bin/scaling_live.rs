@@ -88,7 +88,6 @@ const SDS: [f64; 3] = [0.65, 0.55, 0.5];
 const RHO: [usize; 3] = [5, 3, 0];
 /// Worker threads of the one pool every sweep point runs on.
 const WORKERS: usize = 8;
-const SHARDS: usize = 2;
 
 impl LevelFactory for SpinHierarchy {
     fn n_levels(&self) -> usize {
@@ -254,13 +253,15 @@ fn sweep(
     let mut obs_snapshot: Option<MetricsSnapshot> = None;
     let mut obs_trace: Option<String> = None;
     for &ranks in ranks_list {
-        let overhead_ranks = 2 + samples.len() * SHARDS;
+        // the layout's fixed ranks (root, phonebook, one collector per
+        // level) are what a configuration without chains has
+        let mut config = RuntimeConfig::new(samples.to_vec(), vec![0; samples.len()]);
+        let overhead_ranks = config.base.n_ranks();
         let chains = allocate_chains(ranks - overhead_ranks, samples, &rho);
-        let mut config = RuntimeConfig::new(samples.to_vec(), chains.clone());
+        config.base.chains_per_level = chains.clone();
         config.base.burn_in = burn_in.to_vec();
         config.base.seed = args.seed;
-        config.collector_shards = SHARDS;
-        assert_eq!(config.n_ranks(), ranks, "rank budget mismatch");
+        assert_eq!(config.base.n_ranks(), ranks, "rank budget mismatch");
         // the whole sweep reuses one worker pool; per-point runtime stats
         // describe that point alone (pinned by the uq-parallel
         // reused-pool regression test)

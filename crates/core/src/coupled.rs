@@ -118,9 +118,8 @@ fn same_point(a: &[f64], b: &[f64]) -> bool {
 
 /// The full logical state of an [`MlChain`] as plain data, for
 /// checkpointing (see `uq_core::store`): sampling state, counters and
-/// coupled bookkeeping — and, in a sequential snapshot, the levels below
-/// as the [`ChainStack`] folds them ([`SourceState`]). Everything a
-/// freshly built chain needs to continue the run bit-for-bit.
+/// coupled bookkeeping. Everything a freshly built chain needs to
+/// continue the run bit-for-bit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChainState {
     pub steps: usize,
@@ -134,24 +133,6 @@ pub struct ChainState {
     pub last_coarse: Option<CoarseSample>,
     /// Coupled chains only: the most recent step's pairing mate.
     pub last_pairing: Option<CoarseSample>,
-    /// The level below — its session cursor and chain, nesting the
-    /// levels below it — as a [`ChainStack`] folds it at a cut. `None`
-    /// for a lone chain: [`MlChain::export_state`] never writes it, and a
-    /// controller's sessions live in the phonebook ledger.
-    pub source: Option<Box<SourceState>>,
-}
-
-/// One coarse level of a [`ChainStack`] at a cut: its [`Cursor`] and its
-/// chain, recursively.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SourceState {
-    /// `None` only if no serve has happened yet and the seed was never
-    /// pinned (it would be drawn from the caller's RNG on first use).
-    pub session_seed: Option<u64>,
-    pub serves: u64,
-    pub diverged_serves: u64,
-    pub pairing: Option<CoarseSample>,
-    pub chain: ChainState,
 }
 
 /// What [`MlChain::poll_step`] did.
@@ -439,7 +420,7 @@ impl MlChain {
     }
 
     /// Export the chain's full logical state as plain data for
-    /// checkpointing (`source` stays `None`). Feeding the result to
+    /// checkpointing. Feeding the result to
     /// [`import_state`](Self::import_state) on a freshly built identical
     /// chain continues the run bit-for-bit. The current state's QOI is
     /// read; the coarse samples are written as they are.
@@ -467,14 +448,12 @@ impl MlChain {
             anchor,
             last_coarse,
             last_pairing,
-            source: None,
         }
     }
 
     /// Restore state captured by [`export_state`](Self::export_state)
-    /// onto a chain built with the same factory/topology (`source` is not
-    /// read). No model evaluations happen — everything is cached in the
-    /// state.
+    /// onto a chain built with the same factory/topology. No model
+    /// evaluations happen — everything is cached in the state.
     pub fn import_state(&mut self, cs: ChainState) {
         self.steps = cs.steps;
         self.accepted = cs.accepted;
@@ -636,7 +615,7 @@ pub fn build_chain(
 
 /// One coarse level's single-requester ledger session (see
 /// [`crate::ledger`]), as a [`ChainStack`] serves it to the level above.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Cursor {
     /// Unless pinned, one `next_u64` from the requester's stream (the
     /// driver's generator, or the enclosing serve's leg) at the first serve.
@@ -711,52 +690,34 @@ impl ChainStack {
         serve_lease(&mut self.chains, &mut self.cursors, &self.rho, rho, lease)
     }
 
-    /// The stack as one nested [`ChainState`], the top chain's: its
-    /// `source` holds the level below's cursor and chain, recursively.
-    /// Every coarse sample it writes carries its QOI, filled on the chain
-    /// of the sample's level, so a sequential cut holds no empty slot.
-    pub fn export_state(&mut self) -> ChainState {
-        let mut state: Option<ChainState> = None;
+    /// The stack's chains (levels `0..=l`) and cursors (levels `0..l`),
+    /// as a sequential cut holds them. Every coarse sample they carry has
+    /// its QOI, filled on the chain of the sample's level, so a cut holds
+    /// no empty slot.
+    pub fn export_state(&mut self) -> (Vec<ChainState>, Vec<Cursor>) {
+        let mut chains = Vec::with_capacity(self.chains.len());
         for level in 0..self.chains.len() {
             let (below, rest) = self.chains.split_at_mut(level);
             let mut own = rest[0].export_state();
             for sample in [&mut own.anchor, &mut own.last_coarse, &mut own.last_pairing] {
                 fill_sample(below, sample.as_mut());
             }
-            if let Some(chain) = state.take() {
-                let cursor = &self.cursors[level - 1];
-                let mut pairing = cursor.pairing.clone();
-                fill_sample(below, pairing.as_mut());
-                own.source = Some(Box::new(SourceState {
-                    session_seed: cursor.session_seed,
-                    serves: cursor.serves,
-                    diverged_serves: cursor.diverged_serves,
-                    pairing,
-                    chain,
-                }));
-            }
-            state = Some(own);
+            chains.push(own);
         }
-        state.expect(LEVEL_0)
+        let mut cursors = self.cursors.clone();
+        for (level, cursor) in cursors.iter_mut().enumerate() {
+            fill_sample(&mut self.chains[..=level], cursor.pairing.as_mut());
+        }
+        (chains, cursors)
     }
 
     /// Restore what [`export_state`](Self::export_state) captured on a
     /// stack of the same factory and level.
-    pub fn import_state(&mut self, mut state: ChainState) {
-        for (level, chain) in self.chains.iter_mut().enumerate().rev() {
-            let below = state.source.take();
+    pub fn import_state(&mut self, chains: Vec<ChainState>, cursors: Vec<Cursor>) {
+        for (chain, state) in self.chains.iter_mut().zip(chains) {
             chain.import_state(state);
-            let (Some(below), Some(cursor)) = (below, level.checked_sub(1)) else {
-                return;
-            };
-            self.cursors[cursor] = Cursor {
-                session_seed: below.session_seed,
-                serves: below.serves,
-                diverged_serves: below.diverged_serves,
-                pairing: below.pairing,
-            };
-            state = below.chain;
         }
+        self.cursors = cursors;
     }
 }
 
@@ -1133,13 +1094,17 @@ pub(crate) mod tests {
         for _ in 0..300 {
             chain.step(&mut rng);
         }
-        let state = chain.export_state();
-        assert!(state.source.is_some(), "stack must export recursively");
+        let (chains, cursors) = chain.export_state();
+        assert_eq!((chains.len(), cursors.len()), (3, 2), "every level exports");
         let rng_state = rng.state();
 
         let mut resumed = ChainStack::new(&h, 2);
-        resumed.import_state(state.clone());
-        assert_eq!(resumed.export_state(), state, "import/export roundtrip");
+        resumed.import_state(chains.clone(), cursors.clone());
+        assert_eq!(
+            resumed.export_state(),
+            (chains, cursors),
+            "import/export roundtrip"
+        );
         let mut rng_resumed = StdRng::from_state(rng_state);
         for _ in 0..300 {
             let a = chain.step(&mut rng);

@@ -199,10 +199,12 @@ struct Cut<'a> {
 impl Cut<'_> {
     /// The resume cursor of this cut, with the generator at `rng`.
     fn cursor(&mut self, rng: [u64; 4]) -> SequentialCkpt {
+        let (chains, cursors) = self.stack.export_state();
         SequentialCkpt {
             level: self.level,
             term: self.term.clone(),
-            chain: self.stack.export_state(),
+            chains,
+            cursors,
             rng,
             completed: self.completed.to_vec(),
             eval_offsets: self
@@ -269,7 +271,7 @@ fn sample_terms<R: Rng>(
                 Term::fresh(stack.top().current_qoi().len())
             }
             Some(c) => {
-                stack.import_state(c.chain.clone());
+                stack.import_state(c.chains.clone(), c.cursors.clone());
                 c.term.clone()
             }
         };

@@ -38,7 +38,7 @@
 //! The format is a flat string→string object per line; a tiny extractor
 //! ([`manifest_field`]) keeps querying dependency-free.
 
-use crate::coupled::{ChainState, CoarseSample, SourceState};
+use crate::coupled::{ChainState, CoarseSample, Cursor};
 use crate::estimator::{LevelReport, Term};
 use crate::ledger::{LedgerBook, LedgerStats, Session, Speculation};
 use crate::wire::{decode_qoi, encode_qoi};
@@ -57,8 +57,9 @@ pub use crate::wire::{fnv1a, Codec, Dec, Enc, StoreError};
 
 /// Version of the snapshot byte format. Bump on any layout change; the
 /// decoder refuses other versions (the committed golden snapshot in
-/// `tests/fixtures/` pins backward readability of the current one).
-pub const FORMAT_VERSION: u32 = 1;
+/// `tests/fixtures/` pins readability of the current one, and the
+/// previous one's golden that it is refused).
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"UQSNAP\0\0";
 
@@ -91,7 +92,6 @@ impl Codec for ChainState {
         self.anchor.encode(enc);
         self.last_coarse.encode(enc);
         self.last_pairing.encode(enc);
-        self.source.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(ChainState {
@@ -103,26 +103,23 @@ impl Codec for ChainState {
             anchor: Option::decode(dec)?,
             last_coarse: Option::decode(dec)?,
             last_pairing: Option::decode(dec)?,
-            source: Option::decode(dec)?,
         })
     }
 }
 
-impl Codec for SourceState {
+impl Codec for Cursor {
     fn encode(&self, enc: &mut Enc) {
         self.session_seed.encode(enc);
         self.serves.encode(enc);
         self.diverged_serves.encode(enc);
         self.pairing.encode(enc);
-        self.chain.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(SourceState {
+        Ok(Cursor {
             session_seed: Option::decode(dec)?,
             serves: u64::decode(dec)?,
             diverged_serves: u64::decode(dec)?,
             pairing: Option::decode(dec)?,
-            chain: ChainState::decode(dec)?,
         })
     }
 }
@@ -290,18 +287,14 @@ impl Codec for crate::ledger::ServeOutcome {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     Sequential,
-    /// A parallel cut as `run_parallel` and net runs stamped it before
-    /// every entry point of the pool wrote [`Backend::Runtime`]; no
-    /// longer written, resumed like one.
-    Thread,
     Runtime,
 }
 
+/// Tags 0 and 2; tag 1 (a retired stamp) is refused.
 impl Codec for Backend {
     fn encode(&self, enc: &mut Enc) {
         let tag: u8 = match self {
             Backend::Sequential => 0,
-            Backend::Thread => 1,
             Backend::Runtime => 2,
         };
         tag.encode(enc);
@@ -309,7 +302,6 @@ impl Codec for Backend {
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         match u8::decode(dec)? {
             0 => Ok(Backend::Sequential),
-            1 => Ok(Backend::Thread),
             2 => Ok(Backend::Runtime),
             _ => Err(StoreError::Corrupt("backend tag")),
         }
@@ -320,7 +312,6 @@ impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Backend::Sequential => "sequential",
-            Backend::Thread => "thread",
             Backend::Runtime => "runtime",
         })
     }
@@ -332,14 +323,12 @@ impl fmt::Display for Backend {
 pub struct ChainCkpt {
     pub rank: usize,
     pub level: usize,
-    /// Burn-in steps still owed (cooperative runtime controllers can
-    /// checkpoint mid-burn-in; thread controllers always report 0).
+    /// Burn-in steps still owed (a controller can checkpoint
+    /// mid-burn-in).
     pub burnin_left: usize,
     pub producing: bool,
     /// Levels whose `StopProducing` this controller has observed.
     pub done_levels: Vec<bool>,
-    /// Round-robin cursor over the level's collector shards.
-    pub shard_rr: usize,
     /// xoshiro256++ state words of the controller's own stream.
     pub rng: [u64; 4],
     pub chain: ChainState,
@@ -352,7 +341,6 @@ impl Codec for ChainCkpt {
         self.burnin_left.encode(enc);
         self.producing.encode(enc);
         self.done_levels.encode(enc);
-        self.shard_rr.encode(enc);
         self.rng.encode(enc);
         self.chain.encode(enc);
     }
@@ -363,20 +351,18 @@ impl Codec for ChainCkpt {
             burnin_left: usize::decode(dec)?,
             producing: bool::decode(dec)?,
             done_levels: Vec::decode(dec)?,
-            shard_rr: usize::decode(dec)?,
             rng: <[u64; 4]>::decode(dec)?,
             chain: ChainState::decode(dec)?,
         })
     }
 }
 
-/// One collector shard's state — what the shard accumulates, what a
+/// One level's collector state — what the collector accumulates, what a
 /// checkpoint cuts and what it reports at shutdown: streaming moments
 /// plus any retained recordings.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CollectorCkpt {
     pub level: usize,
-    pub shard: usize,
     pub count: usize,
     /// `None` before the first correction arrives (the QOI dimension is
     /// not yet known).
@@ -388,7 +374,6 @@ pub struct CollectorCkpt {
 impl Codec for CollectorCkpt {
     fn encode(&self, enc: &mut Enc) {
         self.level.encode(enc);
-        self.shard.encode(enc);
         self.count.encode(enc);
         self.moments.encode(enc);
         self.theta_samples.encode(enc);
@@ -397,7 +382,6 @@ impl Codec for CollectorCkpt {
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(CollectorCkpt {
             level: usize::decode(dec)?,
-            shard: usize::decode(dec)?,
             count: usize::decode(dec)?,
             moments: Option::decode(dec)?,
             theta_samples: Vec::decode(dec)?,
@@ -446,7 +430,11 @@ pub struct SequentialCkpt {
     pub level: usize,
     /// The term in progress (burn-in done).
     pub term: Term,
-    pub chain: ChainState,
+    /// The term's chain stack, levels `0..=level`.
+    pub chains: Vec<ChainState>,
+    /// The session each coarse level serves to the one above, levels
+    /// `0..level`.
+    pub cursors: Vec<Cursor>,
     pub rng: [u64; 4],
     /// Reports of terms already finished.
     pub completed: Vec<LevelReport>,
@@ -461,7 +449,8 @@ impl Codec for SequentialCkpt {
         let term = &self.term;
         self.level.encode(enc);
         term.samples_done.encode(enc);
-        self.chain.encode(enc);
+        self.chains.encode(enc);
+        self.cursors.encode(enc);
         self.rng.encode(enc);
         term.moments.encode(enc);
         term.rep_trace.encode(enc);
@@ -474,7 +463,11 @@ impl Codec for SequentialCkpt {
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         let level = usize::decode(dec)?;
         let samples_done = usize::decode(dec)?;
-        let chain = ChainState::decode(dec)?;
+        let chains = Vec::<ChainState>::decode(dec)?;
+        let cursors = Vec::<Cursor>::decode(dec)?;
+        if cursors.len() != level || chains.len() != level + 1 {
+            return Err(StoreError::Corrupt("sequential stack off its level"));
+        }
         let rng = <[u64; 4]>::decode(dec)?;
         Ok(SequentialCkpt {
             level,
@@ -486,7 +479,8 @@ impl Codec for SequentialCkpt {
                 qoi_samples: Vec::decode(dec)?,
                 correction_pairs: Vec::decode(dec)?,
             },
-            chain,
+            chains,
+            cursors,
             rng,
             completed: Vec::decode(dec)?,
             eval_offsets: Vec::decode(dec)?,
@@ -504,7 +498,7 @@ pub struct RunSnapshot {
     pub samples_done: usize,
     /// Parallel backends: one entry per controller rank.
     pub chains: Vec<ChainCkpt>,
-    /// Parallel backends: one entry per collector shard.
+    /// Parallel backends: one entry per level's collector, in level order.
     pub collectors: Vec<CollectorCkpt>,
     /// Parallel backends: the phonebook's full session ledger.
     pub ledger: Option<LedgerBook>,
@@ -809,7 +803,7 @@ mod tests {
 
     fn snapshot() -> RunSnapshot {
         RunSnapshot {
-            backend: Backend::Thread,
+            backend: Backend::Runtime,
             seed: 4321,
             samples_done: 200,
             chains: vec![ChainCkpt {
@@ -818,7 +812,6 @@ mod tests {
                 burnin_left: 0,
                 producing: true,
                 done_levels: vec![false, false],
-                shard_rr: 0,
                 rng: [1, 2, 3, 4],
                 chain: ChainState {
                     steps: 17,
@@ -829,12 +822,10 @@ mod tests {
                     anchor: Some(sample(0.2)),
                     last_coarse: Some(sample(0.3)),
                     last_pairing: Some(sample(0.31)),
-                    source: None,
                 },
             }],
             collectors: vec![CollectorCkpt {
                 level: 1,
-                shard: 0,
                 count: 3,
                 moments: Some(VectorMoments::from_parts(&[(3, 0.1, 0.02)])),
                 theta_samples: vec![vec![0.1], vec![0.2]],
@@ -932,6 +923,14 @@ mod tests {
             decode_snapshot(&bytes),
             Err(StoreError::BadVersion { found: 99 })
         ));
+    }
+
+    #[test]
+    fn the_retired_thread_stamp_is_corrupt() {
+        let stamp = |tag: u8| Backend::decode(&mut Dec::new(&[tag]));
+        assert!(matches!(stamp(0), Ok(Backend::Sequential)));
+        assert!(matches!(stamp(2), Ok(Backend::Runtime)));
+        assert!(matches!(stamp(1), Err(StoreError::Corrupt("backend tag"))));
     }
 
     #[test]

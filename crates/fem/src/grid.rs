@@ -34,11 +34,6 @@ impl StructuredGrid {
         self.h
     }
 
-    /// Nodes per direction.
-    pub fn nodes_per_dim(&self) -> usize {
-        self.n + 1
-    }
-
     /// Total node count (the number of degrees of freedom).
     pub fn n_nodes(&self) -> usize {
         (self.n + 1) * (self.n + 1)

@@ -332,11 +332,6 @@ impl PoissonModel {
         self.phi_elements.rows()
     }
 
-    /// Number of degrees of freedom (nodes).
-    pub fn n_dofs(&self) -> usize {
-        self.grid.n_nodes()
-    }
-
     pub fn grid(&self) -> &StructuredGrid {
         &self.grid
     }

@@ -185,11 +185,6 @@ impl PoissonHierarchy {
         &self.field
     }
 
-    /// Mesh resolution of level `l`.
-    pub fn level_resolution(&self, level: usize) -> usize {
-        self.level_n[level]
-    }
-
     /// Build the sampling problem for level `l` (fresh model instance, so
     /// independent chains/workers can own one each; the heavy KL
     /// tabulations are shared, each worker only builds its own solver

@@ -342,11 +342,6 @@ impl DenseMatrix {
         let eigvecs = DenseMatrix::from_fn(n, n, |i, k| v[(i, pairs[k].1)]);
         (eigvals, eigvecs)
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DenseMatrix {

@@ -26,14 +26,6 @@ impl Complex {
     }
 
     #[inline]
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
-    #[inline]
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }

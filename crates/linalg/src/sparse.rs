@@ -49,11 +49,6 @@ impl CooMatrix {
         self.cols
     }
 
-    /// Number of stored (possibly duplicate) triplets.
-    pub fn nnz_stored(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Convert to CSR, summing duplicates.
     ///
     /// The sort is *stable*, so duplicate entries are summed in push

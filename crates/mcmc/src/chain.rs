@@ -129,11 +129,6 @@ impl<P: SamplingProblem, Q: Proposal> Chain<P, Q> {
         self.qois.iter().map(|q| q[k]).collect()
     }
 
-    /// Consume the chain, returning `(samples, qois)`.
-    pub fn into_samples(self) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        (self.samples, self.qois)
-    }
-
     /// Access the wrapped problem (e.g. to read cached model output).
     pub fn problem(&self) -> &P {
         &self.problem

@@ -16,8 +16,8 @@
 //!   Fig. 8: messages, configuration, reports, rank layout.
 //! * [`roles`] — the architecture itself, written once as suspendable
 //!   state machines: one **root**, one **phonebook** (sample routing +
-//!   dynamic load balancing), per-level **collectors** (distributed
-//!   moment accumulation, optionally sharded) and chain groups
+//!   dynamic load balancing), one **collector** per level (streaming
+//!   moment accumulation of its telescoping term) and chain groups
 //!   (**controllers**) running the coupled kernels from `uq-mlmcmc`,
 //!   with coarse proposals requested across controllers through the
 //!   phonebook — and the **front door**: a [`Run`] is what to run, a

@@ -50,12 +50,11 @@ use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
 /// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
-/// golden frame fixture (`tests/fixtures/golden_frame_v5.bin`) trips
+/// golden frame fixture (`tests/fixtures/golden_frame_v6.bin`) trips
 /// when the bytes drift without a bump. Exactly one version is spoken:
-/// v4 (in which every sample carried its QOI, so no QOI length word was
-/// ever the absent sentinel) is rejected as `BadVersion`, never
-/// dual-decoded.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// v5 (whose chain and collector checkpoints carried collector-shard
+/// fields) is rejected as `BadVersion`, never dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// The net wire: a magic distinct from the snapshot store's
 /// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and
@@ -692,7 +691,7 @@ impl Lobby {
 /// One segment: `run` from `Assign` to the last `Bye`, `peers` hosting
 /// their ranks and `runtime` the rest, on a [`Wire`] of its own.
 fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Peer]) -> RuntimeReport {
-    let (config, tracer) = (run.config, run.tracer);
+    let (config, tracer) = (&run.config.base, run.tracer);
     let n_ranks = config.n_ranks();
     let routes = (0..n_ranks).map(|r| peers.iter().position(|p| p.ranks.contains(&r)));
     let sockets = peers.iter().map(|peer| Arc::clone(&peer.stream)).collect();
@@ -708,7 +707,7 @@ fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Peer]) -> RuntimeReport {
         let assign = Frame::Assign {
             n_ranks,
             ranks: peer.ranks.clone(),
-            config: config.base.clone(),
+            config: config.clone(),
             ckpts: peer.ranks.iter().filter_map(chain).collect(),
         };
         wire.send(i, assign);
@@ -819,7 +818,11 @@ impl NetDriver {
         tracer: &Tracer,
     ) -> NetReport {
         let runtime = Runtime::for_host();
-        let config = RuntimeConfig::unsharded(config.clone(), &runtime);
+        let config = RuntimeConfig {
+            base: config.clone(),
+            n_workers: runtime.n_workers(),
+            collector_shards: 1,
+        };
         let ckpt = opts.store.as_ref().map(|store| ParallelCheckpoint {
             store,
             config_hash: opts.config_hash,
@@ -851,12 +854,7 @@ impl NetDriver {
     /// controllers are hosted here (it gets half of them); the barrier's
     /// hook then raises the root's `stop`, unless the caller's own is up.
     pub(crate) fn drive(self, runtime: &Runtime, run: &Run<'_>, workers: usize) -> RuntimeReport {
-        let (config, tracer) = (run.config, run.tracer);
-        assert_eq!(
-            config.collector_shards, 1,
-            "net placement: workers rebuild the rank layout from the ParallelConfig on the \
-             wire, which has one collector per level — a sharded run would mis-address ranks"
-        );
+        let (config, tracer) = (&run.config.base, run.tracer);
         let first_ctrl = config.first_controller_rank();
         let n_ctrl = config.n_controllers();
         assert!(workers >= 1, "net driver: need at least one worker");
@@ -911,7 +909,7 @@ impl NetDriver {
                 ..*caller
             });
             let resume = cut.as_ref().or(run.resume);
-            let resumed = Run::new(run.factory, config, tracer, ckpt.as_ref(), resume);
+            let resumed = Run::new(run.factory, run.config, tracer, ckpt.as_ref(), resume);
             let mut report = segment(runtime, &resumed, &peers);
             if let Some(earlier) = &earlier {
                 add_earlier(&mut report, earlier);
@@ -1056,7 +1054,11 @@ pub fn net_worker(
                 let (wire, pool, writer) = Wire::start(runtime, ends, sockets, routes, tracer);
                 wire.send(0, Frame::Ready);
                 let reader = wire.reader(0, Arc::clone(&pool));
-                let config = RuntimeConfig::unsharded(config, runtime);
+                let config = RuntimeConfig {
+                    base: config,
+                    n_workers: runtime.n_workers(),
+                    collector_shards: 1,
+                };
                 let (_, stats) = runtime.drive(&pool, |rank, _| {
                     let resume = ckpts.iter().find(|c| c.rank == rank);
                     Box::new(ControllerRank::new(factory, &config, tracer, rank, resume)) as Machine

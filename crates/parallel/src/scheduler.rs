@@ -101,7 +101,7 @@ pub enum Msg {
     PhonebookDown,
     /// Phonebook → root at shutdown: routing/batching statistics.
     PhonebookReport(Box<crate::roles::PhonebookStats>),
-    /// Collector → root at shutdown: the shard's final state, the same
+    /// Collector → root at shutdown: the level's final state, the same
     /// value a checkpoint cuts.
     CollectorReport(Box<CollectorCkpt>),
     /// Controller → root at exit: per-level evaluation counts.
@@ -227,13 +227,6 @@ pub struct ParallelConfig {
 pub(crate) const ROOT: usize = 0;
 pub(crate) const PHONEBOOK: usize = 1;
 
-/// Rank of collector `shard` of `level` when every level has `shards`
-/// collector ranks: the one statement of the layout root, phonebook,
-/// collectors level by level, then controllers.
-pub(crate) fn collector_rank(level: usize, shard: usize, shards: usize) -> usize {
-    2 + level * shards + shard
-}
-
 impl ParallelConfig {
     pub fn new(samples_per_level: Vec<usize>, chains_per_level: Vec<usize>) -> Self {
         assert_eq!(samples_per_level.len(), chains_per_level.len());
@@ -262,21 +255,26 @@ impl ParallelConfig {
 
     /// Total ranks: root + phonebook + one collector per level + chains.
     pub fn n_ranks(&self) -> usize {
-        self.n_ranks_sharded(1)
+        self.first_controller_rank() + self.chains_per_level.iter().sum::<usize>()
     }
 
-    /// Total ranks with `shards` collector ranks per level.
-    pub(crate) fn n_ranks_sharded(&self, shards: usize) -> usize {
-        self.first_controller_rank(shards) + self.chains_per_level.iter().sum::<usize>()
+    /// Rank of `level`'s collector: the one statement of the layout root,
+    /// phonebook, collectors level by level, then controllers.
+    pub(crate) fn collector_rank(&self, level: usize) -> usize {
+        2 + level
     }
 
-    pub(crate) fn first_controller_rank(&self, shards: usize) -> usize {
-        collector_rank(self.n_levels(), 0, shards)
+    pub(crate) fn first_controller_rank(&self) -> usize {
+        self.collector_rank(self.n_levels())
+    }
+
+    pub(crate) fn n_controllers(&self) -> usize {
+        self.n_ranks() - self.first_controller_rank()
     }
 
     /// Initial level of the controller at `rank`.
-    pub(crate) fn initial_level(&self, rank: usize, shards: usize) -> usize {
-        let mut offset = rank - self.first_controller_rank(shards);
+    pub(crate) fn initial_level(&self, rank: usize) -> usize {
+        let mut offset = rank - self.first_controller_rank();
         for (level, &count) in self.chains_per_level.iter().enumerate() {
             if offset < count {
                 return level;

@@ -71,7 +71,7 @@ use crate::scheduler::ParallelCheckpoint;
 
 /// Version stamped into every service frame header. Bump on any change
 /// to the [`ServiceFrame`] encoding or to the shared frame layout.
-pub const SERVICE_PROTOCOL_VERSION: u32 = 2;
+pub const SERVICE_PROTOCOL_VERSION: u32 = 3;
 
 /// The service wire: a magic distinct from the net transport's
 /// `b"UQNETFR\0"` and the snapshot store's `b"UQSNAP\0\0"`, and a 16 MiB
@@ -666,14 +666,16 @@ fn validate_spec(spec: &JobSpec, factory: &dyn LevelFactory) -> Result<(), Strin
     if config.base.chains_per_level.contains(&0) {
         return Err("every level needs at least one chain".to_string());
     }
-    if config.collector_shards == 0 || config.n_workers == 0 {
-        return Err("need at least one collector shard and one worker".to_string());
+    if config.collector_shards != 1 {
+        return Err("every level has one collector: `collector_shards` must be 1".to_string());
+    }
+    if config.n_workers == 0 {
+        return Err("need at least one worker".to_string());
     }
     // a remote client picks these numbers: with none of them over the cap
     // alone, `n_ranks` cannot wrap before it is compared
-    let chains = config.base.chains_per_level.iter();
-    let mut picked = chains.chain([&n_levels, &config.collector_shards]);
-    if picked.any(|&n| n > ADMISSION_RANK_CAP) || config.n_ranks() > ADMISSION_RANK_CAP {
+    let mut picked = config.base.chains_per_level.iter().chain([&n_levels]);
+    if picked.any(|&n| n > ADMISSION_RANK_CAP) || config.base.n_ranks() > ADMISSION_RANK_CAP {
         return Err(format!(
             "admission denied: the universe exceeds the cap of {ADMISSION_RANK_CAP} ranks"
         ));
@@ -904,18 +906,19 @@ impl Codec for JobState {
     }
 }
 
+/// `collector_shards` is not written: every level has one collector, and
+/// decode sets 1.
 impl Codec for RuntimeConfig {
     fn encode(&self, enc: &mut Enc) {
         self.base.encode(enc);
         self.n_workers.encode(enc);
-        self.collector_shards.encode(enc);
     }
 
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(Self {
             base: Codec::decode(dec)?,
             n_workers: Codec::decode(dec)?,
-            collector_shards: Codec::decode(dec)?,
+            collector_shards: 1,
         })
     }
 }
@@ -1298,26 +1301,31 @@ mod tests {
     fn a_job_of_too_many_ranks_is_denied_before_anything_is_sized() {
         // a remote `Submit` picks these numbers: either alone would size
         // the prediction's per-rank state, and their plain sum wraps
-        let sized = |chains: usize, shards: usize| {
+        let sized = |chains: usize| {
             let mut job = spec();
             job.config.base.chains_per_level = vec![chains, 1];
-            job.config.collector_shards = shards;
             job
         };
         let tracer = Tracer::new();
         let mut service = service("ranks", &tracer);
         let addr = service.listen("127.0.0.1:0").expect("listen").to_string();
         let mut client = ServiceClient::connect(&addr).expect("connect");
-        for (chains, shards) in [(1 << 40, 1), (1, 1 << 40), (usize::MAX, 1)] {
-            let local = service.submit(sized(chains, shards)).expect_err("denied");
+        for chains in [1 << 40, usize::MAX] {
+            let local = service.submit(sized(chains)).expect_err("denied");
             assert!(local.contains("exceeds the cap of 4096"), "{local}");
-            let remote = client.submit(sized(chains, shards)).expect("io");
+            let remote = client.submit(sized(chains)).expect("io");
             assert_eq!(remote, Err(local));
         }
-        assert_eq!(tracer.counter(Counter::JobsRejected), 6);
+        // a collector count other than one per level never travels, and
+        // is refused in process
+        let mut sharded = spec();
+        sharded.config.collector_shards = 2;
+        let local = service.submit(sharded).expect_err("denied");
+        assert!(local.contains("`collector_shards` must be 1"), "{local}");
+        assert_eq!(tracer.counter(Counter::JobsRejected), 5);
         // a Fig. 11 universe of 1024 ranks is under the cap
         let ridge = crate::roles::StandIn::two_level();
-        assert_eq!(validate_spec(&sized(1019, 1), &ridge), Ok(()));
+        assert_eq!(validate_spec(&sized(1019), &ridge), Ok(()));
         assert!(service.submit(spec()).is_ok(), "a small job still gets in");
     }
 
@@ -1413,6 +1421,14 @@ mod tests {
                 "flipped byte {i}: {err:?}"
             );
         }
+        // a v2 frame (its job config still carried `collector_shards`) is
+        // refused at the version field
+        let mut v2 = bytes.clone();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            decode_service_frame(&v2),
+            Err(StoreError::BadVersion { found: 2 })
+        ));
         // same layout, other wire: refused at the magic
         let net_frame = crate::net::encode_frame(&crate::net::Frame::Ready);
         assert!(matches!(

@@ -395,9 +395,8 @@ fn thread_crash_resume_is_bit_identical() {
 
 /// One stamp, and the layout rungs decide: a cut written by a net run —
 /// a driver and two worker pools — resumes in one process to the
-/// uninterrupted digest, as does the same cut under the stamp
-/// `run_parallel` and net runs wrote before PR 20; what no parallel
-/// layout fits is refused by the rung it fails.
+/// uninterrupted digest; what no parallel layout fits is refused by the
+/// rung it fails.
 #[test]
 fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
     let dir = fresh_dir("net-cut");
@@ -439,18 +438,15 @@ fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
             .map(|rt| parallel_digest(&rt.report.levels))
             .map_err(|why| *why.downcast::<String>().expect("formatted panic message"))
     };
-    assert_eq!(resume(&thread_layout(), &cut), Ok(reference.clone()));
-    let mut parent_written = cut.clone();
-    parent_written.backend = Backend::Thread;
-    assert_eq!(resume(&thread_layout(), &parent_written), Ok(reference));
+    assert_eq!(resume(&thread_layout(), &cut), Ok(reference));
 
     let mut sequential = cut.clone();
     sequential.backend = Backend::Sequential;
     let why = resume(&thread_layout(), &sequential).expect_err("not a parallel cut");
     assert!(why.contains("stamp is sequential"), "{why}");
-    let mut sharded = thread_layout();
-    sharded.collector_shards = 2;
-    let why = resume(&sharded, &cut).expect_err("two collectors for four slots");
+    let mut short = cut.clone();
+    short.collectors.pop();
+    let why = resume(&thread_layout(), &short).expect_err("one collector for two levels");
     assert!(why.contains("collector count mismatch"), "{why}");
     let mut swapped = cut.clone();
     swapped.collectors.swap(0, 1);
@@ -462,7 +458,7 @@ fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
 /// A run stopped at a barrier on one placement comes back `preempted`
 /// with that barrier's snapshot in the store and resumes on the other to
 /// the uninterrupted digest (over the socket, the workers' ranks from
-/// their `Assign`); a placement that cannot lay a layout out says so.
+/// their `Assign`).
 #[test]
 fn a_run_preempted_on_one_placement_resumes_on_the_other() {
     // one pool worker: barriers land where the schedule puts them
@@ -498,23 +494,6 @@ fn a_run_preempted_on_one_placement_resumes_on_the_other() {
         assert_eq!(digest, reference, "{written_on:?} → {resumed_on:?}");
         let _ = fs::remove_dir_all(&dir);
     }
-
-    // a worker's `Assign` carries a `ParallelConfig`: no shard count
-    let sharded = RuntimeConfig {
-        collector_shards: 2,
-        ..config
-    };
-    let refused = std::panic::catch_unwind(|| {
-        let (off, driver) = (Tracer::disabled(), NetDriver::bind("127.0.0.1:0"));
-        Run::new(&Ridge, &sharded, &off, None, None).on(Placement::Net {
-            runtime: &Runtime::new(1),
-            driver: driver.expect("bind loopback"),
-            workers: 2,
-        })
-    });
-    let why = refused.expect_err("a sharded layout over the socket");
-    let why = why.downcast::<String>().expect("formatted panic message");
-    assert!(why.contains("one collector per level"), "{why}");
 }
 
 // ---------------------------------------------------------------------

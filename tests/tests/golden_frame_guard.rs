@@ -8,7 +8,7 @@
 //! turn the old one into a rejection fixture; silently re-interpreting
 //! frames across a version skew is the failure mode this suite catches.
 //! Frames are ephemeral, so exactly one version is ever decoded:
-//! `golden_frame_v4.bin` (the previous version's golden) is kept to prove
+//! `golden_frame_v5.bin` (the previous version's golden) is kept to prove
 //! that a skewed version is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
@@ -21,8 +21,8 @@ use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v5.bin");
-const GOLDEN_V4_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v4.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v6.bin");
+const GOLDEN_V5_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v5.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
@@ -40,8 +40,8 @@ fn bare(theta: f64, ld: f64) -> CoarseSample {
 /// carrying the run configuration and a resumable chain checkpoint, then
 /// a full ledger serve round-trip as `Data` frames (`Serve` with its
 /// lease, `ServeDone` with its outcome — their samples without a QOI, as a
-/// serve ships them — and `StopProducing`), then a collector
-/// shard's final state as the root receives it (`CollectorReport`).
+/// serve ships them — and `StopProducing`), then a level's collector
+/// state as the root receives it (`CollectorReport`).
 fn golden() -> Vec<Frame> {
     let mut config = ParallelConfig::new(vec![400, 150], vec![1, 1]);
     config.burn_in = vec![30, 20];
@@ -61,7 +61,6 @@ fn golden() -> Vec<Frame> {
         burnin_left: 0,
         producing: true,
         done_levels: vec![true, false],
-        shard_rr: 0,
         rng: [1, 2, 3, 0xFFFF_FFFF_FFFF_FFFF],
         chain: ChainState {
             steps: 421,
@@ -72,7 +71,6 @@ fn golden() -> Vec<Frame> {
             anchor: Some(anchor.clone()),
             last_coarse: Some(cs(0.0625, -4.5)),
             last_pairing: None,
-            source: None,
         },
     };
     let data = |from, msg| Frame::Data { to: 4, from, msg };
@@ -117,7 +115,6 @@ fn golden() -> Vec<Frame> {
             from: 3,
             msg: Msg::CollectorReport(Box::new(CollectorCkpt {
                 level: 1,
-                shard: 0,
                 count: 150,
                 moments: Some(VectorMoments::from_parts(&[
                     (150, 0.125, 2.5),
@@ -153,7 +150,7 @@ fn committed_golden_frame_still_decodes() {
         let payload = u64::from_le_bytes(rest[12..20].try_into().unwrap());
         let (one, after) = rest.split_at(28 + payload as usize);
         let frame = decode_frame(one)
-            .expect("protocol break: a committed v5 golden frame no longer decodes");
+            .expect("protocol break: a committed v6 golden frame no longer decodes");
         // Frame carries no PartialEq (Msg is not comparable); byte equality
         // after re-encode is the invariant the transport relies on anyway
         assert_eq!(
@@ -170,15 +167,16 @@ fn committed_golden_frame_still_decodes() {
     );
 }
 
-/// The v4 fixture is the golden of the version before (a sample's QOI
-/// was always present, so no length word could be `u64::MAX`). It must be
-/// refused at the version field — before its check or a single payload
-/// byte is looked at — never decoded into a frame.
+/// The v5 fixture is the golden of the version before (a chain
+/// checkpoint carried a collector round-robin cursor and a collector's
+/// state its shard index). It must be refused at the version field —
+/// before its check or a single payload byte is looked at — never
+/// decoded into a frame.
 #[test]
-fn committed_v4_frame_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V4_PATH).expect("committed v4 frame missing");
+fn committed_v5_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V5_PATH).expect("committed v5 frame missing");
     assert!(matches!(
         decode_frame(&bytes),
-        Err(StoreError::BadVersion { found: 4 })
+        Err(StoreError::BadVersion { found: 5 })
     ));
 }

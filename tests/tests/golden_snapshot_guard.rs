@@ -1,25 +1,28 @@
 //! Format-version compatibility guard: a snapshot committed to the
-//! repository at format version 1 must keep decoding — bit-for-bit —
+//! repository at format version 2 must keep decoding — bit-for-bit —
 //! on every future revision of the codec. Any change to the wire
 //! layout must either keep these bytes valid or bump
-//! `store::FORMAT_VERSION` (and add a new golden alongside this one);
-//! silently re-interpreting old snapshots is the failure mode this
-//! test exists to catch.
+//! `store::FORMAT_VERSION`, add a new golden alongside this one and
+//! turn this one into the rejection fixture; silently re-interpreting
+//! old snapshots is the failure mode this test exists to catch. There
+//! is one reader: `golden_v1.snap`, the previous format's golden, must
+//! be refused at its version field.
 //!
 //! Regenerate (only after an *intentional* format bump) with:
 //! `UQ_WRITE_GOLDEN=1 cargo test -p uq-tests --test golden_snapshot_guard`
 
 use std::collections::{HashMap, VecDeque};
 use uq_mcmc::stats::VectorMoments;
-use uq_mlmcmc::coupled::{ChainState, CoarseSample, SourceState};
+use uq_mlmcmc::coupled::{ChainState, CoarseSample, Cursor};
 use uq_mlmcmc::estimator::{LevelReport, Term};
 use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, ServeOutcome, Session, Speculation};
 use uq_mlmcmc::store::{
     decode_snapshot, encode_snapshot, fnv1a, Backend, ChainCkpt, CollectorCkpt, RunSnapshot,
-    SequentialCkpt,
+    SequentialCkpt, StoreError,
 };
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v1.snap");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v2.snap");
+const GOLDEN_V1_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v1.snap");
 const GOLDEN_CONFIG: u64 = 0x5EED_CAFE_F00D_0001;
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
@@ -27,9 +30,9 @@ fn cs(theta: f64, ld: f64) -> CoarseSample {
 }
 
 /// The pinned snapshot: fixed values through every branch of the codec
-/// — nested anchors and mates, a recursive sequential source, parked
-/// speculation, sharded collector moments, and a mid-term sequential
-/// cursor with one completed level.
+/// — nested anchors and mates, parked speculation, collector moments and
+/// recordings, and a mid-term sequential stack of three levels (one
+/// cursor pinned, one not yet seeded) with two completed levels.
 fn golden() -> RunSnapshot {
     let anchor = CoarseSample {
         theta: vec![0.125, -2.5],
@@ -47,23 +50,29 @@ fn golden() -> RunSnapshot {
         anchor: Some(anchor.clone()),
         last_coarse: Some(cs(0.0625, -4.5)),
         last_pairing: None,
-        source: Some(Box::new(SourceState {
-            session_seed: Some(0xDEAD_BEEF),
-            serves: 97,
-            diverged_serves: 3,
-            pairing: Some(cs(1.5, -0.25)),
-            chain: ChainState {
-                steps: 850,
-                accepted: 512,
-                theta: vec![-1.0],
-                log_density: -0.5,
-                qoi: vec![-1.0].into(),
-                anchor: None,
-                last_coarse: None,
-                last_pairing: None,
-                source: None,
-            },
-        })),
+    };
+    let base = ChainState {
+        steps: 850,
+        accepted: 512,
+        theta: vec![-1.0],
+        log_density: -0.5,
+        qoi: vec![-1.0].into(),
+        anchor: None,
+        last_coarse: None,
+        last_pairing: None,
+    };
+    let top = ChainState {
+        steps: 60,
+        accepted: 21,
+        theta: vec![0.5, 0.25, -0.125],
+        log_density: -1.125,
+        qoi: vec![0.5].into(),
+        anchor: Some(CoarseSample {
+            sub_anchor: Some(Box::new(anchor.clone())),
+            ..cs(0.5, -2.0)
+        }),
+        last_coarse: Some(cs(0.375, -2.25)),
+        last_pairing: Some(cs(0.4375, -2.125)),
     };
     RunSnapshot {
         backend: Backend::Runtime,
@@ -75,13 +84,11 @@ fn golden() -> RunSnapshot {
             burnin_left: 7,
             producing: true,
             done_levels: vec![false, true],
-            shard_rr: 2,
             rng: [1, 2, 3, 0xFFFF_FFFF_FFFF_FFFF],
             chain: chain.clone(),
         }],
         collectors: vec![CollectorCkpt {
             level: 0,
-            shard: 1,
             count: 275,
             moments: Some(VectorMoments::from_parts(&[(275, 0.35, 12.25)])),
             theta_samples: vec![vec![0.5], vec![-0.5]],
@@ -121,7 +128,7 @@ fn golden() -> RunSnapshot {
             },
         }),
         sequential: Some(SequentialCkpt {
-            level: 1,
+            level: 2,
             term: Term {
                 samples_done: 75,
                 moments: VectorMoments::from_parts(&[(75, 0.349, 0.81)]),
@@ -130,22 +137,51 @@ fn golden() -> RunSnapshot {
                 qoi_samples: vec![vec![0.3]],
                 correction_pairs: vec![(vec![0.28], vec![0.33])],
             },
-            chain,
+            chains: vec![base, chain, top],
+            cursors: vec![
+                Cursor {
+                    session_seed: Some(0xDEAD_BEEF),
+                    serves: 97,
+                    diverged_serves: 3,
+                    pairing: Some(cs(1.5, -0.25)),
+                },
+                Cursor {
+                    session_seed: None,
+                    serves: 0,
+                    diverged_serves: 0,
+                    pairing: None,
+                },
+            ],
             rng: [11, 13, 17, 19],
-            completed: vec![LevelReport {
-                level: 0,
-                n_samples: 200,
-                acceptance_rate: 0.4375,
-                mean_correction: vec![0.01],
-                var_correction: vec![0.0225],
-                iact: 4.5,
-                evaluations: 0,
-                mean_eval_ms: 0.0,
-                theta_samples: vec![vec![0.0]],
-                qoi_samples: vec![vec![0.0]],
-                correction_pairs: vec![],
-            }],
-            eval_offsets: vec![900, 300],
+            completed: vec![
+                LevelReport {
+                    level: 0,
+                    n_samples: 200,
+                    acceptance_rate: 0.4375,
+                    mean_correction: vec![0.01],
+                    var_correction: vec![0.0225],
+                    iact: 4.5,
+                    evaluations: 0,
+                    mean_eval_ms: 0.0,
+                    theta_samples: vec![vec![0.0]],
+                    qoi_samples: vec![vec![0.0]],
+                    correction_pairs: vec![],
+                },
+                LevelReport {
+                    level: 1,
+                    n_samples: 100,
+                    acceptance_rate: 0.3125,
+                    mean_correction: vec![0.33],
+                    var_correction: vec![0.125],
+                    iact: 2.5,
+                    evaluations: 0,
+                    mean_eval_ms: 0.0,
+                    theta_samples: vec![vec![0.3, 0.1]],
+                    qoi_samples: vec![vec![0.3]],
+                    correction_pairs: vec![(vec![0.28], vec![0.33])],
+                },
+            ],
+            eval_offsets: vec![900, 300, 60],
         }),
     }
 }
@@ -160,7 +196,7 @@ fn committed_golden_snapshot_still_decodes() {
     let bytes = std::fs::read(GOLDEN_PATH)
         .expect("committed golden snapshot missing — see module docs to regenerate");
     let (snap, config) = decode_snapshot(&bytes)
-        .expect("format break: the committed v1 golden snapshot no longer decodes");
+        .expect("format break: the committed v2 golden snapshot no longer decodes");
     assert_eq!(config, GOLDEN_CONFIG, "golden header config hash drifted");
     assert_eq!(snap, expected, "golden snapshot decoded to different state");
     // the codec must also still *produce* the identical bytes, or every
@@ -175,4 +211,16 @@ fn committed_golden_snapshot_still_decodes() {
         format!("{:016x}", fnv1a(&encode_snapshot(&expected, GOLDEN_CONFIG))),
         "golden content address drifted"
     );
+}
+
+/// The v1 golden is the format before (collector shards, a nested
+/// sequential source, a `Thread` stamp). It must be refused at the
+/// version field, never decoded into a snapshot.
+#[test]
+fn committed_v1_snapshot_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V1_PATH).expect("committed v1 snapshot missing");
+    assert!(matches!(
+        decode_snapshot(&bytes),
+        Err(StoreError::BadVersion { found: 1 })
+    ));
 }

@@ -48,7 +48,6 @@ fn chain_ckpt(rank: usize, level: usize, theta: &[f64], seed: u64) -> ChainCkpt 
         burnin_left: rank % 7,
         producing: seed.is_multiple_of(2),
         done_levels: vec![seed.is_multiple_of(3), seed.is_multiple_of(5)],
-        shard_rr: rank % 3,
         rng: [seed, seed ^ 1, seed ^ 2, seed ^ 3],
         chain: ChainState {
             steps: rank + 11,
@@ -59,7 +58,6 @@ fn chain_ckpt(rank: usize, level: usize, theta: &[f64], seed: u64) -> ChainCkpt 
             anchor: Some(sample(theta, -0.5, 1)),
             last_coarse: None,
             last_pairing: Some(sample(theta, -2.0, 0)),
-            source: None,
         },
     }
 }
@@ -159,7 +157,6 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
         })),
         13 => Msg::CollectorReport(Box::new(CollectorCkpt {
             level: a,
-            shard: b % 4,
             count: b,
             moments: Some(VectorMoments::from_parts(&[(b, x, x * x), (b, -x, 0.5)])),
             theta_samples: vec![theta.to_vec(), theta.to_vec()],
@@ -175,7 +172,6 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
         18 => Msg::ControllerCkpt(Box::new(chain_ckpt(a, b % 2, theta, seed))),
         19 => Msg::CollectorCkpt(Box::new(CollectorCkpt {
             level: a,
-            shard: b,
             count: a + b,
             moments: flag.then(|| VectorMoments::from_parts(&[(a, x, x * 2.0)])),
             theta_samples: vec![theta.to_vec()],

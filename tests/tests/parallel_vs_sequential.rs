@@ -164,9 +164,8 @@ fn runtime_scales_past_physical_cores() {
     let mut rconfig = RuntimeConfig::new(vec![6_000, 1_200, 300], vec![70, 30, 12]);
     rconfig.base.burn_in = vec![30, 15, 8];
     rconfig.n_workers = 3;
-    rconfig.collector_shards = 2;
     let rt = run_runtime(&Hierarchy, &rconfig, &Tracer::disabled());
-    assert_eq!(rt.report.n_ranks, 2 + 3 * 2 + 112);
+    assert_eq!(rt.report.n_ranks, 2 + 3 + 112);
     assert_eq!(rt.report.levels[0].n_samples, 6_000);
     assert_eq!(rt.report.levels[1].n_samples, 1_200);
     assert_eq!(rt.report.levels[2].n_samples, 300);

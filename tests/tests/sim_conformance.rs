@@ -225,7 +225,6 @@ fn a_balanced_skewed_run_keeps_its_invariants_under_every_delivery() {
     let mut config = RuntimeConfig::new(targets.to_vec(), vec![6, 1, 1]);
     config.base.burn_in = vec![20, 10, 5];
     config.base.load_balancing = true;
-    config.collector_shards = 2;
     let mut moved = 0;
     for seed in 0..200 {
         let tracer = Tracer::new();
@@ -268,4 +267,34 @@ fn a_balanced_skewed_run_keeps_its_invariants_under_every_delivery() {
         );
     }
     assert!(moved > 0, "the balancer never moved a chain");
+}
+
+/// ROADMAP 8(a): the configuration of the 4-worker estimate test and of
+/// the hang once seen on a 4-worker pool — three levels, chains
+/// `[2, 1, 1]`, balancer and speculation on — under a thousand delivery
+/// seeds (each also the run's own seed): no deadlock and no exhausted
+/// budget, exactly `N_l` corrections per level, a finite estimate.
+#[test]
+fn the_balanced_three_level_configuration_finishes_under_every_delivery() {
+    let targets = [40, 20, 8];
+    let mut config = RuntimeConfig::new(targets.to_vec(), vec![2, 1, 1]);
+    config.base.burn_in = vec![10, 5, 3];
+    config.base.load_balancing = true;
+    config.base.speculation = true;
+    let off = Tracer::disabled();
+    for seed in 0..1000 {
+        config.base.seed = seed;
+        let placement = Placement::Sim {
+            cost: &cost(seed),
+            seed,
+        };
+        let sim = Run::new(&ThreeLevels, &config, &off, None, None).on(placement);
+        let report = sim.unwrap_or_else(|err| panic!("seed {seed}: {err:?}"));
+        let report = report.report;
+        for (level, n) in targets.into_iter().enumerate() {
+            assert_eq!(report.levels[level].n_samples, n, "seed {seed}: N_{level}");
+        }
+        let estimate = report.expectation()[0];
+        assert!(estimate.is_finite(), "seed {seed}: estimate {estimate}");
+    }
 }

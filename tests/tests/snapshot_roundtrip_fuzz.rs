@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use uq_mcmc::stats::VectorMoments;
-use uq_mlmcmc::coupled::{ChainState, CoarseSample, SourceState};
+use uq_mlmcmc::coupled::{ChainState, CoarseSample, Cursor};
 use uq_mlmcmc::estimator::{LevelReport, Term};
 use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, ServeOutcome, Session, Speculation};
 use uq_mlmcmc::store::{
@@ -49,25 +49,15 @@ fn chain_state(theta: &[f64], log_density: f64, steps: usize, flags: u8) -> Chai
         anchor: (flags & 1 != 0).then(|| sample(theta, log_density, 2)),
         last_coarse: (flags & 2 != 0).then(|| sample(theta, log_density * 0.5, 1)),
         last_pairing: (flags & 4 != 0).then(|| sample(theta, log_density * 0.25, 0)),
-        source: (flags & 8 != 0).then(|| {
-            Box::new(SourceState {
-                session_seed: (flags & 16 != 0).then_some(steps as u64),
-                serves: steps as u64,
-                diverged_serves: (steps / 3) as u64,
-                pairing: (flags & 32 != 0).then(|| sample(theta, log_density, 0)),
-                chain: ChainState {
-                    steps: steps + 1,
-                    accepted: steps / 3,
-                    theta: theta.to_vec(),
-                    log_density: log_density - 2.0,
-                    qoi: vec![].into(),
-                    anchor: None,
-                    last_coarse: None,
-                    last_pairing: None,
-                    source: None,
-                },
-            })
-        }),
+    }
+}
+
+fn cursor(theta: &[f64], steps: usize, flags: u8) -> Cursor {
+    Cursor {
+        session_seed: (flags & 16 != 0).then_some(steps as u64),
+        serves: steps as u64,
+        diverged_serves: (steps / 3) as u64,
+        pairing: (flags & 32 != 0).then(|| sample(theta, -2.0, 0)),
     }
 }
 
@@ -110,17 +100,16 @@ fn ledger(sessions: Vec<((usize, usize), Session)>, seed: u64) -> LedgerBook {
 }
 
 fn backend(tag: u8) -> Backend {
-    match tag % 3 {
+    match tag % 2 {
         0 => Backend::Sequential,
-        1 => Backend::Thread,
         _ => Backend::Runtime,
     }
 }
 
 /// A full snapshot exercising every branch of the codec: parallel
-/// chains with nested anchors and recursive sources, sharded
-/// collectors, a ledger with parked speculation, and a sequential
-/// cursor with completed terms.
+/// chains with nested anchors, one collector per level, a ledger with
+/// parked speculation, and a sequential stack of two or three levels
+/// with completed terms.
 fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
     let parts: Vec<(usize, f64, f64)> = theta.iter().map(|t| (steps, *t, t.abs())).collect();
     let moments = VectorMoments::from_parts(&parts);
@@ -135,7 +124,6 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
                 burnin_left: steps % 7,
                 producing: tag & 1 != 0,
                 done_levels: vec![tag & 2 != 0, tag & 4 != 0],
-                shard_rr: i,
                 rng: [seed, seed ^ 0xA5A5, seed.rotate_left(13), !seed],
                 chain: chain_state(theta, -0.25, steps + i, tag.wrapping_add(i as u8)),
             })
@@ -143,7 +131,6 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
         collectors: (0..usize::from(tag) % 2 + 1)
             .map(|i| CollectorCkpt {
                 level: i,
-                shard: 0,
                 count: steps + i,
                 moments: (tag & 8 != 0).then(|| moments.clone()),
                 theta_samples: vec![theta.to_vec(); usize::from(tag) % 3],
@@ -160,7 +147,7 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
             )
         }),
         sequential: (tag & 32 != 0).then(|| SequentialCkpt {
-            level: 1,
+            level: 1 + usize::from(tag & 64 != 0),
             term: Term {
                 samples_done: steps,
                 moments: moments.clone(),
@@ -169,7 +156,12 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
                 qoi_samples: vec![theta.to_vec()],
                 correction_pairs: vec![(theta.to_vec(), theta.to_vec())],
             },
-            chain: chain_state(theta, 0.5, steps, tag / 3),
+            chains: (0..=1 + usize::from(tag & 64 != 0))
+                .map(|k| chain_state(theta, 0.5 - k as f64, steps + k, tag / 3 + k as u8))
+                .collect(),
+            cursors: (0..1 + usize::from(tag & 64 != 0))
+                .map(|k| cursor(theta, steps + k, tag.wrapping_add(k as u8 * 16)))
+                .collect(),
             rng: [!seed, seed, seed ^ 1, seed.rotate_right(7)],
             completed: vec![LevelReport {
                 level: 0,
@@ -252,6 +244,11 @@ proptest! {
         let c = chain_state(&theta, -0.125, steps, flags);
         let (back, bytes, again) = value_roundtrip(&c);
         prop_assert_eq!(&back, &c);
+        prop_assert_eq!(again, bytes);
+
+        let k = cursor(&theta, steps, flags);
+        let (back, bytes, again) = value_roundtrip(&k);
+        prop_assert_eq!(&back, &k);
         prop_assert_eq!(again, bytes);
 
         let l = ledger(vec![(key, s)], seed);
