@@ -68,7 +68,7 @@ fn span_counts(tracer: &Tracer) -> (usize, usize, usize) {
         .count();
     let serves = events
         .iter()
-        .filter(|e| matches!(e.kind, SpanKind::Serve { .. } | SpanKind::Speculate { .. }))
+        .filter(|e| matches!(e.kind, SpanKind::Serve { .. }))
         .count();
     (evals, burnins, serves)
 }

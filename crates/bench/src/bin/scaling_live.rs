@@ -267,8 +267,7 @@ fn sweep(
         // reused-pool regression test)
         let live = Run::new(h, &config, &t_rt, None, None);
         let live = live.on(Placement::Pool(&pool)).expect("a live run");
-        // divergence, hits and waste are the simulated ledger's own, not
-        // measured ones
+        // divergence is the simulated ledger's own, not a measured one
         let off = Tracer::disabled();
         let placement = Placement::Sim {
             cost: &cost,
@@ -278,11 +277,7 @@ fn sweep(
         let sim = sim.expect("an unbounded simulated run finishes");
         let sim_busy: f64 = sim.busy_per_level.iter().flatten().sum();
         let pred_elapsed = sim.report.elapsed.max(sim_busy / effective_cores as f64);
-        eprintln!(
-            "  ranks {ranks:>5}: {:.2}s live, {:.0}% serves speculated",
-            live.report.elapsed,
-            live.phonebook.ledger.hit_rate() * 100.0
-        );
+        eprintln!("  ranks {ranks:>5}: {:.2}s live", live.report.elapsed);
         // exact per-level targets, and a posterior mean inside the
         // model's domain
         for (level, &n) in samples.iter().enumerate() {
@@ -298,7 +293,6 @@ fn sweep(
             // captured before the next point starts, so counters and
             // per-level activity describe this point alone
             let mut snap = MetricsSnapshot::capture(&format!("scaling_live ranks={ranks}"), &t_rt);
-            snap.merge_ledger(&live.phonebook.ledger);
             snap.merge_runtime(&live.runtime);
             obs_snapshot = Some(snap);
             if args.trace_out.is_some() {
@@ -344,7 +338,6 @@ fn sweep(
             ledger.serves.to_string(),
             format!("{:.2}", ledger.diverged_fraction()),
             rt.steals.to_string(),
-            format!("{:.2}", ledger.hit_rate()),
             format!("{:.2?}", p.live.report.expectation()),
         ]);
         csv.push(vec![
@@ -364,10 +357,6 @@ fn sweep(
             ledger.serves as f64,
             ledger.diverged_fraction(),
             rt.steals as f64,
-            ledger.spec_launched as f64,
-            ledger.spec_hits as f64,
-            ledger.spec_misses as f64,
-            ledger.hit_rate(),
         ]);
     }
     println!(
@@ -387,7 +376,6 @@ fn sweep(
                 "serves",
                 "diverged",
                 "steals",
-                "spec hit",
                 "estimate"
             ],
             &rows
@@ -404,8 +392,7 @@ fn sweep(
         &to_csv(
             "ranks,elapsed_s,throughput,des_pred_elapsed_s,overhead_ratio,des_makespan_s,\
              des_busy_s,mean_batch,max_batch,polls,wakeups,dropped_sends,reassignments,\
-             ledger_serves,diverged_frac,steals,spec_launched,spec_hits,spec_misses,\
-             spec_hit_rate",
+             ledger_serves,diverged_frac,steals",
             &csv,
         ),
     );
@@ -474,11 +461,6 @@ fn sweep(
         write_backs <= serves && serves - write_backs <= serves / 100 + 8,
         "controller-side serves ({serves}) must match phonebook-side write-backs \
          ({write_backs}) up to shutdown in-flight skew"
-    );
-    assert_eq!(
-        snap.counter(Counter::SpecHits),
-        obs_point.live.phonebook.ledger.spec_hits as u64,
-        "merged snapshot must carry the ledger's speculation stats"
     );
 
     // (b) per-level activity split: the live tracer's busy share per

@@ -49,7 +49,7 @@
 use crate::coupled::{CoarseSample, MlChain, StepOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Which coarse stream the telescoping estimator pairs corrections with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -280,21 +280,16 @@ pub struct LedgerStats {
     /// Sessions opened (one per requester/coarse-level pair and
     /// generation).
     pub sessions: usize,
-    /// Serves committed to a session (real serves plus speculative
-    /// hits).
+    /// Serves committed to a session.
     pub serves: usize,
     /// Committed serves whose pairing track had diverged from the anchor
     /// (each costs a second `ρ`-step leg on the server).
     pub diverged: usize,
-    /// Speculative serves dispatched to idle servers.
+    /// Always 0: speculative serves were removed. Kept only because the
+    /// benchmark reads the field; the snapshot codec does not write it.
     pub spec_launched: usize,
-    /// Requests answered from a stored speculation (the serve never
-    /// touched the requester's critical path).
+    /// Always 0, for the same reason as `spec_launched`.
     pub spec_hits: usize,
-    /// Speculations discarded: anchor mismatch at commit time, or a
-    /// speculative outcome arriving after its stream position was
-    /// already served for real.
-    pub spec_misses: usize,
 }
 
 impl LedgerStats {
@@ -306,25 +301,6 @@ impl LedgerStats {
             self.diverged as f64 / self.serves as f64
         }
     }
-
-    /// Fraction of committed serves answered from a speculation.
-    pub fn hit_rate(&self) -> f64 {
-        if self.serves == 0 {
-            0.0
-        } else {
-            self.spec_hits as f64 / self.serves as f64
-        }
-    }
-}
-
-/// A completed speculative serve parked at the phonebook, awaiting the
-/// requester's next `CoarseRequest`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Speculation {
-    /// Stream position the speculation was computed for; valid only
-    /// while it equals the session's `serves`.
-    pub serves: u64,
-    pub outcome: ServeOutcome,
 }
 
 /// Phonebook-side record of one requester's ledger session.
@@ -333,60 +309,12 @@ pub struct Session {
     pub seed: u64,
     pub serves: u64,
     pub pairing: Option<CoarseSample>,
-    /// Accept-case prediction of the requester's next anchor: the last
-    /// served proposal (mate stripped). A speculation serves exactly
-    /// this anchor; the requester's next request matches it bit-for-bit
-    /// whenever the served proposal was accepted (and also after a
-    /// full-rejection serve that ended where it started).
-    pub next_anchor: Option<CoarseSample>,
-    /// Stream position a dispatched speculative serve is computing
-    /// (`None` when no speculation is in flight; always `None` at a
-    /// quiesced cut, whose barrier drains in-flight serves).
-    pub spec_inflight: Option<u64>,
-    /// A stored speculation awaiting commit or discard.
-    pub spec: Option<Speculation>,
-    /// Exponential miss backoff: consecutive misses double it, a hit
-    /// resets it. While > 0, that many write-backs pass before the
-    /// session becomes a speculation candidate again — reject-heavy
-    /// sessions stop burning wasted serve legs, accept streaks keep
-    /// full speculation throughput.
-    pub spec_backoff: u32,
-    /// Write-backs left to skip before re-candidacy (loaded from
-    /// `spec_backoff` after a miss).
-    pub spec_cooldown: u32,
-    /// A real serve of the current stream position is outstanding (lease
-    /// issued, write-back not yet applied; `false` at a quiesced cut).
-    /// While set, commits are refused: the phonebooks' messaging order
-    /// (write-back enqueued before the proposal reaches the requester)
-    /// makes this state unreachable from a request, but the book defends
-    /// the no-replay invariant on its own.
-    pub real_inflight: bool,
 }
 
-/// Cap on the per-session speculation miss backoff (write-backs skipped
-/// between speculation attempts after repeated misses).
-const SPEC_BACKOFF_CAP: u32 = 16;
-
-/// The phonebook's per-requester session registry — the rewind ledger
-/// plus its speculation store. Keyed by `(requester rank, coarse
-/// level)`; the phonebook drives this one book under every executor,
-/// which is what keeps their serves comparable bit-for-bit.
-///
-/// ## Speculation protocol
-///
-/// A serve's write-back records the served proposal as the session's
-/// *predicted next anchor* (the accept case). While a server is idle
-/// and no real request is queued anywhere, the phonebook may dispatch a
-/// **speculative serve** for the predicted lease
-/// ([`speculative_lease`](Self::speculative_lease)); the completed
-/// outcome is parked ([`store_speculation`](Self::store_speculation))
-/// and the next `CoarseRequest` whose anchor matches the prediction is
-/// answered from it directly ([`try_commit`](Self::try_commit)) —
-/// bit-for-bit what a fresh serve of the same lease would produce,
-/// because serves are pure functions of the lease. A mismatching or
-/// stale speculation is discarded without touching session state, so a
-/// miss has **zero statistical effect**: the real serve that follows
-/// derives the identical substream from `(session_seed, serves)`.
+/// The phonebook's per-requester session registry — the rewind ledger.
+/// Keyed by `(requester rank, coarse level)`; the phonebook drives this
+/// one book under every executor, which is what keeps their serves
+/// comparable bit-for-bit.
 ///
 /// ## Checkpointing
 ///
@@ -404,16 +332,13 @@ pub struct LedgerBook {
     /// re-opened sessions never replay substreams (see
     /// [`generation_seed`]).
     pub generations: HashMap<(usize, usize), u64>,
-    /// Sessions eligible for a speculative serve, per coarse level, in
-    /// round-robin order (lazily validated at pop time).
-    pub candidates: HashMap<usize, VecDeque<usize>>,
     /// Aggregate counters, reported with the run.
     pub stats: LedgerStats,
 }
 
 impl LedgerBook {
-    /// Build the lease for the next **real** serve of
-    /// `(reply_to, level)`, opening the session on first contact.
+    /// Build the lease for the next serve of `(reply_to, level)`, opening
+    /// the session on first contact.
     pub fn lease(
         &mut self,
         base_seed: u64,
@@ -433,15 +358,8 @@ impl LedgerBook {
                 seed: generation_seed(session_seed(base_seed, level, reply_to as u64), generation),
                 serves: 0,
                 pairing: None,
-                next_anchor: None,
-                spec_inflight: None,
-                spec: None,
-                spec_backoff: 0,
-                spec_cooldown: 0,
-                real_inflight: false,
             }
         });
-        session.real_inflight = true;
         Box::new(LedgerLease {
             session_seed: session.seed,
             serves: session.serves,
@@ -450,184 +368,37 @@ impl LedgerBook {
         })
     }
 
-    /// Apply a **real** serve's write-back: advance the stream position,
-    /// store the pairing state, record the served proposal as the
-    /// accept-case prediction and invalidate any speculation overtaken
-    /// by this serve. `session_seed` is echoed from the lease the serve
-    /// executed; a write-back whose seed does not match the open session
-    /// belongs to a dead generation (a migration raced the serve) and is
-    /// dropped, as is one whose stream position already advanced.
+    /// Apply a serve's write-back: advance the stream position to
+    /// `serves` and store the pairing state. `session_seed` is echoed
+    /// from the lease the serve executed.
     pub fn write_back(
         &mut self,
         requester: usize,
         level: usize,
         session_seed: u64,
         serves: u64,
-        outcome: &ServeOutcome,
+        pairing: CoarseSample,
+        diverged: bool,
     ) {
         let Some(session) = self.sessions.get_mut(&(requester, level)) else {
             return;
         };
         if session.seed != session_seed {
-            // dead-generation write-back: the session this serve
-            // belonged to no longer exists
+            // dead generation: a reassignment dropped the session this
+            // serve belonged to while it was in flight
             return;
         }
-        session.real_inflight = false;
         if serves <= session.serves {
-            // stale write-back: the stream position already advanced
+            // stale position: committing it would rewind the stream and
+            // let a later lease replay a substream already served (the
+            // no-replay invariant; the phonebook's message order never
+            // sends one, the book refuses it on its own)
             return;
         }
-        // a serve counts only once its write-back commits (poisoned or
-        // dead-generation serves never inflate hit_rate)
         self.stats.serves += 1;
-        self.stats.diverged += usize::from(outcome.diverged);
+        self.stats.diverged += usize::from(diverged);
         session.serves = serves;
-        session.pairing = Some(outcome.pairing.clone());
-        let mut predicted = outcome.proposal.clone();
-        predicted.mate = None;
-        session.next_anchor = Some(predicted);
-        if session.spec.take().is_some() {
-            self.stats.spec_misses += 1;
-            session.spec_backoff = (session.spec_backoff * 2 + 1).min(SPEC_BACKOFF_CAP);
-            session.spec_cooldown = session.spec_backoff;
-        }
-        // an in-flight speculation for an older position can never be
-        // stored now; forget it so the session may speculate again even
-        // if its outcome message was dropped at a teardown
-        if session.spec_inflight.is_some_and(|idx| idx < serves) {
-            session.spec_inflight = None;
-        }
-        // miss backoff: reject-heavy sessions sit out a stretch of
-        // serves before speculation retries, so waste stays bounded
-        if session.spec_cooldown > 0 {
-            session.spec_cooldown -= 1;
-        } else {
-            self.push_candidate(level, requester);
-        }
-    }
-
-    /// Dispatchable speculative work on `level`: the lease of an
-    /// accept-case serve for some session with a predicted anchor and
-    /// no speculation already in flight or stored. Returns the
-    /// requester the speculation belongs to alongside the lease.
-    pub fn speculative_lease(&mut self, level: usize) -> Option<(usize, Box<LedgerLease>)> {
-        let queue = self.candidates.get_mut(&level)?;
-        while let Some(requester) = queue.pop_front() {
-            let Some(session) = self.sessions.get_mut(&(requester, level)) else {
-                continue;
-            };
-            // a session already speculating, holding a stored outcome,
-            // or with a real serve of this position in flight would only
-            // produce a guaranteed-discarded duplicate
-            if session.spec_inflight.is_some() || session.spec.is_some() || session.real_inflight {
-                continue;
-            }
-            let Some(anchor) = session.next_anchor.clone() else {
-                continue;
-            };
-            session.spec_inflight = Some(session.serves);
-            self.stats.spec_launched += 1;
-            return Some((
-                requester,
-                Box::new(LedgerLease {
-                    session_seed: session.seed,
-                    serves: session.serves,
-                    pairing: session.pairing.clone(),
-                    anchor,
-                }),
-            ));
-        }
-        None
-    }
-
-    /// Park a completed speculative serve. Returns `false` (counting a
-    /// miss) if the speculation went stale while in flight — its stream
-    /// position was served for real, or the session migrated away
-    /// (`session_seed` mismatch, echoed from the speculative lease).
-    pub fn store_speculation(
-        &mut self,
-        requester: usize,
-        level: usize,
-        session_seed: u64,
-        serves: u64,
-        outcome: ServeOutcome,
-    ) -> bool {
-        let position = serves.saturating_sub(1);
-        let Some(session) = self.sessions.get_mut(&(requester, level)) else {
-            self.stats.spec_misses += 1;
-            return false;
-        };
-        if session.seed != session_seed {
-            self.stats.spec_misses += 1;
-            return false;
-        }
-        if session.spec_inflight == Some(position) {
-            session.spec_inflight = None;
-        }
-        if session.serves == position && session.spec.is_none() {
-            session.spec = Some(Speculation {
-                serves: position,
-                outcome,
-            });
-            true
-        } else {
-            // overtaken while in flight (the speculation lost a race
-            // with a real serve): back off like any other miss, so a
-            // session whose requests persistently outrun its
-            // speculations stops burning duplicate legs
-            self.stats.spec_misses += 1;
-            session.spec_backoff = (session.spec_backoff * 2 + 1).min(SPEC_BACKOFF_CAP);
-            session.spec_cooldown = session.spec_backoff;
-            false
-        }
-    }
-
-    /// Answer a `CoarseRequest` from the stored speculation if its
-    /// stream position is current and its anchor matches the incoming
-    /// one bit-for-bit. On a hit the session advances exactly as a real
-    /// write-back would and the precomputed proposal (pairing mate
-    /// piggybacked) is returned for direct delivery; on a miss the
-    /// speculation is discarded with session state untouched.
-    pub fn try_commit(
-        &mut self,
-        requester: usize,
-        level: usize,
-        anchor: &CoarseSample,
-    ) -> Option<CoarseSample> {
-        let session = self.sessions.get_mut(&(requester, level))?;
-        if session.real_inflight {
-            // a real serve of this position is outstanding; its
-            // write-back must land before anything may commit — leave
-            // the speculation for the write-back to reconcile
-            return None;
-        }
-        let spec = session.spec.take()?;
-        let valid = spec.serves == session.serves
-            && session
-                .next_anchor
-                .as_ref()
-                .is_some_and(|predicted| predicted.theta == anchor.theta);
-        if !valid {
-            self.stats.spec_misses += 1;
-            session.spec_backoff = (session.spec_backoff * 2 + 1).min(SPEC_BACKOFF_CAP);
-            session.spec_cooldown = session.spec_backoff;
-            return None;
-        }
-        session.serves += 1;
-        session.pairing = Some(spec.outcome.pairing.clone());
-        let mut predicted = spec.outcome.proposal.clone();
-        predicted.mate = None;
-        session.next_anchor = Some(predicted);
-        self.stats.serves += 1;
-        self.stats.spec_hits += 1;
-        self.stats.diverged += usize::from(spec.outcome.diverged);
-        // a hit clears the miss backoff: accept streaks chain
-        // speculations back-to-back
-        session.spec_backoff = 0;
-        session.spec_cooldown = 0;
-        self.push_candidate(level, requester);
-        Some(spec.outcome.proposal)
+        session.pairing = Some(pairing);
     }
 
     /// Drop a requester's sessions (its chain was rebuilt by a
@@ -656,13 +427,6 @@ impl LedgerBook {
     /// the fuzz/parity suites can pin generation separation).
     pub fn session_seed_of(&self, requester: usize, level: usize) -> Option<u64> {
         self.sessions.get(&(requester, level)).map(|s| s.seed)
-    }
-
-    fn push_candidate(&mut self, level: usize, requester: usize) {
-        let queue = self.candidates.entry(level).or_default();
-        if !queue.contains(&requester) {
-            queue.push_back(requester);
-        }
     }
 }
 
@@ -882,7 +646,8 @@ mod tests {
                         let nested_lease = book.lease(base_seed, 0, requester, anchor);
                         let out = serve(&mut server, 3, &nested_lease);
                         let serves = nested_lease.serves + 1;
-                        book.write_back(requester, 0, nested_lease.session_seed, serves, &out);
+                        let (seed, pairing) = (nested_lease.session_seed, out.pairing);
+                        book.write_back(requester, 0, seed, serves, pairing, out.diverged);
                         suspended.resume(&mut chain, out.proposal);
                     }
                     ServeStep::Done(outcome) => break outcome,
@@ -917,106 +682,51 @@ mod tests {
         assert!((s.diverged_fraction() - 0.25).abs() < 1e-12);
     }
 
-    #[test]
-    fn stats_report_hit_rate_and_waste() {
-        let mut s = LedgerStats::default();
-        assert_eq!(s.hit_rate(), 0.0);
-        s.serves = 10;
-        s.spec_launched = 6;
-        s.spec_hits = 4;
-        s.spec_misses = 2;
-        assert!((s.hit_rate() - 0.4).abs() < 1e-12);
-    }
-
-    /// Drive one full speculation round through a [`LedgerBook`]:
-    /// real serve → write-back → speculative serve → store → commit.
-    #[test]
-    fn speculation_commit_is_bit_identical_to_the_real_serve() {
-        let mut chain = base_chain(0.1, 0.9);
-        let mut book = LedgerBook::default();
-        let requester = 7usize;
-        let a0 = anchor(&mut chain, 0.0);
-
-        // real serve 0
-        let lease = book.lease(3, 0, requester, a0);
-        let out = serve(&mut chain, 2, &lease);
-        book.write_back(requester, 0, lease.session_seed, 1, &out);
-        assert_eq!(book.session_serves(requester, 0), Some(1));
-
-        // the book now offers the accept-case speculation for serve 1
-        let (spec_for, spec_lease) = book
-            .speculative_lease(0)
-            .expect("candidate after write-back");
-        assert_eq!(spec_for, requester);
-        assert_eq!(spec_lease.serves, 1);
-        assert_eq!(spec_lease.anchor.theta, out.proposal.theta);
-        let spec_out = serve(&mut chain, 2, &spec_lease);
-        assert!(book.store_speculation(requester, 0, spec_lease.session_seed, 2, spec_out.clone()));
-
-        // the requester accepted: its next request carries the served
-        // proposal as anchor — commit must return the speculative
-        // outcome and advance the session exactly like a real serve
-        let mut accepted_anchor = out.proposal.clone();
-        accepted_anchor.mate = None;
-        let committed = book
-            .try_commit(requester, 0, &accepted_anchor)
-            .expect("matching anchor must hit");
-        assert_eq!(committed.theta, spec_out.proposal.theta);
-        assert_eq!(book.session_serves(requester, 0), Some(2));
-        assert_eq!(book.stats.spec_hits, 1);
-        // and the committed serve is bit-identical to what a fresh real
-        // serve of the same lease would have produced
-        let replay = serve(&mut chain, 2, &spec_lease);
-        assert_eq!(committed.theta, replay.proposal.theta);
-        assert_eq!(committed.log_density, replay.proposal.log_density);
+    /// Serve `lease` and write it back, as a phonebook's `ServeDone`
+    /// does; returns the outcome.
+    fn serve_and_write_back(
+        book: &mut LedgerBook,
+        chain: &mut ChainStack,
+        requester: usize,
+        lease: &LedgerLease,
+    ) -> ServeOutcome {
+        let out = serve(chain, 2, lease);
+        let (seed, serves) = (lease.session_seed, lease.serves + 1);
+        book.write_back(
+            requester,
+            0,
+            seed,
+            serves,
+            out.pairing.clone(),
+            out.diverged,
+        );
+        out
     }
 
     #[test]
-    fn mismatched_anchor_discards_speculation_without_side_effects() {
-        let mut chain = base_chain(0.0, 1.0);
-        let mut book = LedgerBook::default();
-        let requester = 2usize;
-        let lease = book.lease(5, 0, requester, anchor(&mut chain, 0.0));
-        let out = serve(&mut chain, 2, &lease);
-        book.write_back(requester, 0, lease.session_seed, 1, &out);
-        let (_, spec_lease) = book.speculative_lease(0).expect("candidate");
-        let spec_out = serve(&mut chain, 2, &spec_lease);
-        assert!(book.store_speculation(requester, 0, spec_lease.session_seed, 2, spec_out));
-
-        // the requester rejected: its anchor is NOT the served proposal
-        let rejected_anchor = anchor(&mut chain, 0.0);
-        assert!(book.try_commit(requester, 0, &rejected_anchor).is_none());
-        assert_eq!(book.stats.spec_misses, 1);
-        // session untouched: the real serve that follows reuses the same
-        // stream position and substream
-        assert_eq!(book.session_serves(requester, 0), Some(1));
-        let real = book.lease(5, 0, requester, rejected_anchor);
-        assert_eq!(real.serves, 1);
-        assert_eq!(real.session_seed, spec_lease.session_seed);
-    }
-
-    #[test]
-    fn stale_speculation_and_dead_generation_write_backs_are_dropped() {
+    fn stale_and_dead_generation_write_backs_are_dropped() {
         let mut chain = base_chain(0.3, 0.8);
         let mut book = LedgerBook::default();
         let requester = 4usize;
         let lease = book.lease(9, 0, requester, anchor(&mut chain, 0.1));
-        let out = serve(&mut chain, 3, &lease);
-        book.write_back(requester, 0, lease.session_seed, 1, &out);
-        let (_, spec_lease) = book.speculative_lease(0).expect("candidate");
-        let spec_out = serve(&mut chain, 3, &spec_lease);
+        let out = serve_and_write_back(&mut book, &mut chain, requester, &lease);
+        assert_eq!(book.session_serves(requester, 0), Some(1));
 
-        // a real serve for the same position commits first (raced)
-        let real = book.lease(9, 0, requester, anchor(&mut chain, 0.2));
-        assert_eq!(real.serves, 1);
-        let real_out = serve(&mut chain, 3, &real);
-        book.write_back(requester, 0, real.session_seed, 2, &real_out);
-        // the speculative outcome is now stale and must be discarded
-        assert!(!book.store_speculation(requester, 0, spec_lease.session_seed, 2, spec_out));
-        assert_eq!(book.session_serves(requester, 0), Some(2));
+        // a second write-back of the same position must not commit twice
+        book.write_back(
+            requester,
+            0,
+            lease.session_seed,
+            1,
+            out.pairing.clone(),
+            true,
+        );
+        assert_eq!(book.session_serves(requester, 0), Some(1));
+        assert_eq!(book.stats.serves, 1);
+        assert_eq!(book.stats.diverged, usize::from(out.diverged));
 
         // a dead-generation write-back must not resurrect old positions
-        let old_seed = real.session_seed;
+        let old_seed = lease.session_seed;
         book.forget_requester(requester);
         let fresh = book.lease(9, 0, requester, anchor(&mut chain, 0.0));
         assert_eq!(fresh.serves, 0);
@@ -1024,7 +734,7 @@ mod tests {
             fresh.session_seed, old_seed,
             "generations must not share seeds"
         );
-        book.write_back(requester, 0, old_seed, 2, &real_out);
+        book.write_back(requester, 0, old_seed, 2, out.pairing, out.diverged);
         assert_eq!(
             book.session_serves(requester, 0),
             Some(0),
@@ -1034,36 +744,33 @@ mod tests {
 
     #[test]
     fn export_import_resumes_sessions_at_exact_positions() {
-        // run a real serve + a parked speculation, export, rebuild the
-        // book, and require (a) the export to round-trip exactly and
-        // (b) the resumed book to answer the commit path identically
+        // serve twice, export, rebuild the book, and require (a) the
+        // export to round-trip exactly and (b) the resumed book to lease
+        // the next serve identically
         let mut chain = base_chain(0.1, 0.9);
         let mut book = LedgerBook::default();
         let requester = 3usize;
         let lease = book.lease(13, 0, requester, anchor(&mut chain, 0.0));
-        let out = serve(&mut chain, 2, &lease);
-        book.write_back(requester, 0, lease.session_seed, 1, &out);
-        let (_, spec_lease) = book.speculative_lease(0).expect("candidate");
-        let spec_out = serve(&mut chain, 2, &spec_lease);
-        assert!(book.store_speculation(requester, 0, spec_lease.session_seed, 2, spec_out.clone()));
+        let out = serve_and_write_back(&mut book, &mut chain, requester, &lease);
+        let lease = book.lease(13, 0, requester, anchor(&mut chain, 0.4));
+        serve_and_write_back(&mut book, &mut chain, requester, &lease);
         book.forget_requester(9); // a nontrivial generation entry
 
         let mut enc = Enc::new();
         book.encode(&mut enc);
         let bytes = enc.into_bytes();
         assert_eq!(book.sessions.len(), 1);
-        assert!(book.sessions[&(requester, 0)].spec.is_some());
         let mut resumed = LedgerBook::decode(&mut Dec::new(&bytes)).expect("decode");
         assert_eq!(resumed, book, "round-trip must be exact");
 
-        let mut accepted_anchor = out.proposal.clone();
-        accepted_anchor.mate = None;
-        let a = book.try_commit(requester, 0, &accepted_anchor);
-        let b = resumed.try_commit(requester, 0, &accepted_anchor);
-        assert_eq!(a.as_ref().map(|s| &s.theta), b.as_ref().map(|s| &s.theta));
-        assert_eq!(a.expect("hit").theta, spec_out.proposal.theta);
-        assert_eq!(resumed.session_serves(requester, 0), Some(2));
-        assert_eq!(resumed.stats.spec_hits, book.stats.spec_hits);
+        let mut next = out.proposal;
+        next.mate = None;
+        let a = book.lease(13, 0, requester, next.clone());
+        let b = resumed.lease(13, 0, requester, next);
+        assert_eq!(a.serves, 2);
+        assert_eq!((a.session_seed, a.serves), (b.session_seed, b.serves));
+        let words = |l: &LedgerLease| l.pairing.as_ref().map(words);
+        assert_eq!(words(&a), words(&b));
     }
 
     #[test]

@@ -40,7 +40,7 @@
 
 use crate::coupled::{ChainState, CoarseSample, Cursor};
 use crate::estimator::{LevelReport, Term};
-use crate::ledger::{LedgerBook, LedgerStats, Session, Speculation};
+use crate::ledger::{LedgerBook, LedgerStats, Session};
 use crate::wire::{decode_qoi, encode_qoi};
 use std::collections::HashMap;
 use std::fmt;
@@ -59,7 +59,7 @@ pub use crate::wire::{fnv1a, Codec, Dec, Enc, StoreError};
 /// decoder refuses other versions (the committed golden snapshot in
 /// `tests/fixtures/` pins readability of the current one, and the
 /// previous one's golden that it is refused).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"UQSNAP\0\0";
 
@@ -124,63 +124,34 @@ impl Codec for Cursor {
     }
 }
 
-impl Codec for Speculation {
-    fn encode(&self, enc: &mut Enc) {
-        self.serves.encode(enc);
-        self.outcome.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(Speculation {
-            serves: u64::decode(dec)?,
-            outcome: Codec::decode(dec)?,
-        })
-    }
-}
-
 impl Codec for Session {
     fn encode(&self, enc: &mut Enc) {
         self.seed.encode(enc);
         self.serves.encode(enc);
         self.pairing.encode(enc);
-        self.next_anchor.encode(enc);
-        self.spec_inflight.encode(enc);
-        self.spec.encode(enc);
-        self.spec_backoff.encode(enc);
-        self.spec_cooldown.encode(enc);
-        self.real_inflight.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(Session {
             seed: u64::decode(dec)?,
             serves: u64::decode(dec)?,
             pairing: Option::decode(dec)?,
-            next_anchor: Option::decode(dec)?,
-            spec_inflight: Option::decode(dec)?,
-            spec: Option::decode(dec)?,
-            spec_backoff: u32::decode(dec)?,
-            spec_cooldown: u32::decode(dec)?,
-            real_inflight: bool::decode(dec)?,
         })
     }
 }
 
+/// The always-zero `spec_*` fields are not written.
 impl Codec for LedgerStats {
     fn encode(&self, enc: &mut Enc) {
         self.sessions.encode(enc);
         self.serves.encode(enc);
         self.diverged.encode(enc);
-        self.spec_launched.encode(enc);
-        self.spec_hits.encode(enc);
-        self.spec_misses.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(LedgerStats {
             sessions: usize::decode(dec)?,
             serves: usize::decode(dec)?,
             diverged: usize::decode(dec)?,
-            spec_launched: usize::decode(dec)?,
-            spec_hits: usize::decode(dec)?,
-            spec_misses: usize::decode(dec)?,
+            ..LedgerStats::default()
         })
     }
 }
@@ -210,21 +181,19 @@ fn decode_sorted<K: Codec + Ord + Hash, V: Codec>(
     Ok(entries.into_iter().collect())
 }
 
-/// Sessions as `(requester, level, session)`, generations as
-/// `(requester, level, generation)`, candidate queues as `(level, queue)`
-/// in queue order — each sorted by key — then the statistics.
+/// Sessions as `(requester, level, session)` and generations as
+/// `(requester, level, generation)`, each sorted by key, then the
+/// statistics.
 impl Codec for LedgerBook {
     fn encode(&self, enc: &mut Enc) {
         encode_sorted(&self.sessions, enc);
         encode_sorted(&self.generations, enc);
-        encode_sorted(&self.candidates, enc);
         self.stats.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(LedgerBook {
             sessions: decode_sorted(dec, "ledger sessions out of order")?,
             generations: decode_sorted(dec, "ledger generations out of order")?,
-            candidates: decode_sorted(dec, "ledger candidates out of order")?,
             stats: LedgerStats::decode(dec)?,
         })
     }
@@ -258,21 +227,6 @@ impl Codec for crate::ledger::LedgerLease {
             serves: u64::decode(dec)?,
             pairing: Option::decode(dec)?,
             anchor: CoarseSample::decode(dec)?,
-        })
-    }
-}
-
-impl Codec for crate::ledger::ServeOutcome {
-    fn encode(&self, enc: &mut Enc) {
-        self.proposal.encode(enc);
-        self.pairing.encode(enc);
-        self.diverged.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(crate::ledger::ServeOutcome {
-            proposal: CoarseSample::decode(dec)?,
-            pairing: CoarseSample::decode(dec)?,
-            diverged: bool::decode(dec)?,
         })
     }
 }
@@ -784,8 +738,6 @@ impl RunStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::ServeOutcome;
-    use std::collections::VecDeque;
 
     fn sample(theta: f64) -> CoarseSample {
         CoarseSample {
@@ -838,30 +790,14 @@ mod tests {
                         seed: 99,
                         serves: 7,
                         pairing: Some(sample(0.4)),
-                        next_anchor: Some(sample(0.5)),
-                        spec_inflight: None,
-                        spec: Some(Speculation {
-                            serves: 7,
-                            outcome: ServeOutcome {
-                                proposal: sample(0.6),
-                                pairing: sample(0.61),
-                                diverged: true,
-                            },
-                        }),
-                        spec_backoff: 3,
-                        spec_cooldown: 1,
-                        real_inflight: false,
                     },
                 )]),
                 generations: HashMap::from([((5, 0), 1)]),
-                candidates: HashMap::from([(0, VecDeque::from([5]))]),
                 stats: LedgerStats {
                     sessions: 1,
                     serves: 7,
                     diverged: 2,
-                    spec_launched: 4,
-                    spec_hits: 2,
-                    spec_misses: 1,
+                    ..LedgerStats::default()
                 },
             }),
             sequential: None,

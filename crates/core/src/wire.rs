@@ -27,7 +27,6 @@
 //!   allocation;
 //! * encoding is deterministic: equal values produce equal bytes.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read};
 use std::sync::Arc;
@@ -360,17 +359,6 @@ impl<T: Codec> Codec for Vec<T> {
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         let len = usize::decode(dec)?;
         T::decode_vec(len, dec)
-    }
-}
-
-/// A queue is the bytes of a `Vec` in queue order.
-impl<T: Codec> Codec for VecDeque<T> {
-    fn encode(&self, enc: &mut Enc) {
-        self.len().encode(enc);
-        self.iter().for_each(|item| item.encode(enc));
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Vec::decode(dec).map(VecDeque::from)
     }
 }
 

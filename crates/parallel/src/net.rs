@@ -50,11 +50,12 @@ use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
 /// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
-/// golden frame fixture (`tests/fixtures/golden_frame_v6.bin`) trips
+/// golden frame fixture (`tests/fixtures/golden_frame_v7.bin`) trips
 /// when the bytes drift without a bump. Exactly one version is spoken:
-/// v5 (whose chain and collector checkpoints carried collector-shard
-/// fields) is rejected as `BadVersion`, never dual-decoded.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// v6 (whose `Serve` and `ServeDone` carried a speculation flag and
+/// `ServeDone` the whole serve outcome) is rejected as `BadVersion`,
+/// never dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// The net wire: a magic distinct from the snapshot store's
 /// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and
@@ -96,7 +97,6 @@ impl Codec for ParallelConfig {
         self.record_samples.encode(enc);
         self.seed.encode(enc);
         encode_pairing(self.pairing, enc);
-        self.speculation.encode(enc);
     }
 
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
@@ -108,7 +108,6 @@ impl Codec for ParallelConfig {
             record_samples: Codec::decode(dec)?,
             seed: Codec::decode(dec)?,
             pairing: decode_pairing(dec)?,
-            speculation: Codec::decode(dec)?,
         })
     }
 }
@@ -148,15 +147,10 @@ impl Codec for Msg {
                 reply_to.encode(enc);
                 anchor.encode(enc);
             }
-            Msg::Serve {
-                reply_to,
-                lease,
-                speculative,
-            } => {
+            Msg::Serve { reply_to, lease } => {
                 1u8.encode(enc);
                 reply_to.encode(enc);
                 lease.encode(enc);
-                speculative.encode(enc);
             }
             Msg::CoarseSample { level, sample } => {
                 2u8.encode(enc);
@@ -168,16 +162,16 @@ impl Codec for Msg {
                 level,
                 session,
                 serves,
-                outcome,
-                speculative,
+                pairing,
+                diverged,
             } => {
                 3u8.encode(enc);
                 requester.encode(enc);
                 level.encode(enc);
                 session.encode(enc);
                 serves.encode(enc);
-                outcome.encode(enc);
-                speculative.encode(enc);
+                pairing.encode(enc);
+                diverged.encode(enc);
             }
             Msg::Poison => 4u8.encode(enc),
             Msg::SampleReady { level } => {
@@ -254,7 +248,6 @@ impl Codec for Msg {
             1 => Msg::Serve {
                 reply_to: Codec::decode(dec)?,
                 lease: Codec::decode(dec)?,
-                speculative: Codec::decode(dec)?,
             },
             2 => Msg::CoarseSample {
                 level: Codec::decode(dec)?,
@@ -265,8 +258,8 @@ impl Codec for Msg {
                 level: Codec::decode(dec)?,
                 session: Codec::decode(dec)?,
                 serves: Codec::decode(dec)?,
-                outcome: Codec::decode(dec)?,
-                speculative: Codec::decode(dec)?,
+                pairing: Codec::decode(dec)?,
+                diverged: Codec::decode(dec)?,
             },
             4 => Msg::Poison,
             5 => Msg::SampleReady {
@@ -468,6 +461,7 @@ pub fn report_digest(report: &ParallelReport) -> u64 {
 /// Start one of the net's threads: a writer, a reader or the acceptor.
 fn spawn<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
     let named = std::thread::Builder::new().name(name.into());
+    // fail-stop: a process the OS refuses a thread cannot move frames at all
     named.spawn(f).expect("net: thread spawn failed")
 }
 
@@ -567,7 +561,9 @@ impl Wire {
                 },
                 Ok(Frame::Bye) => return Ok(Frame::Bye),
                 last if self.end_expected.load(Ordering::Acquire) => return last,
+                // fail-stop until ROADMAP 1(b): a peer off protocol is a dead peer
                 Ok(f) => panic!("net {me}: unexpected frame from {peer}: {f:?}"),
+                // fail-stop until ROADMAP 1(b): EOF before the end is a dead peer
                 Err(e) => panic!("net {me}: connection to {peer} lost: {e}"),
             }
         }
@@ -713,6 +709,7 @@ fn segment(runtime: &Runtime, run: &Run<'_>, peers: &[Peer]) -> RuntimeReport {
         wire.send(i, assign);
         match read_within(&peer.stream, SEGMENT_DEADLINE, tracer) {
             Ok(Frame::Ready) => {}
+            // fail-stop until ROADMAP 1(b): the peer cannot take its ranks
             other => panic!(
                 "net driver: the worker of ranks {:?} never became Ready: {other:?}",
                 peer.ranks
@@ -789,21 +786,20 @@ pub struct NetReport {
 /// process plus the worker processes that dial it.
 pub struct NetDriver {
     listener: TcpListener,
+    addr: SocketAddr,
 }
 
 impl NetDriver {
     pub fn bind(addr: &str) -> io::Result<Self> {
-        Ok(Self {
-            listener: TcpListener::bind(addr)?,
-        })
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        Ok(Self { listener, addr })
     }
 
     /// The bound address (pass to workers; `bind("127.0.0.1:0")` picks
     /// a free port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("net driver: no local addr")
+        self.addr
     }
 
     /// Compatibility alias (ROADMAP item 7(d) removes it): a [`Run`] of
@@ -836,9 +832,11 @@ impl NetDriver {
             driver: self,
             workers: opts.workers,
         });
+        // unreachable: only `Placement::Sim` returns an error
         let done = done.expect("a live run");
         NetReport {
             report: done.report,
+            // unreachable: `drive` always reports its migrations
             migrations: done.migrations.expect("a net placement counts them"),
             dropped_sends: done.runtime.dropped_sends,
         }
@@ -920,8 +918,10 @@ impl NetDriver {
 
             // the next segment resumes every rank from this barrier's cut:
             // a leaver's on this process, one joiner's share of `home` on it
+            // unreachable: only the checkpoint hook records a change
             let caller = run.checkpoint.expect("a barrier has a checkpoint policy");
             let snapshot = caller.store.get_snapshot(&hash);
+            // fail-stop until ROADMAP 1(b): the cut just persisted reads back broken
             let (snapshot, _) = snapshot.expect("net driver: the barrier's cut is unreadable");
             cut = Some(snapshot);
             earlier = Some(report);
@@ -1031,6 +1031,7 @@ pub fn net_worker(
         join: opts.join,
         leave_at_barrier: opts.leave_at_barrier,
     };
+    // fail-stop until ROADMAP 1(b): the driver hung up before the handshake
     write_frame(&mut stream, &hello, tracer).expect("net worker: handshake failed");
     let stream = Arc::new(stream);
     let mut report = NetWorkerReport {
@@ -1079,8 +1080,10 @@ pub fn net_worker(
                 report.retired = !report.ranks.is_empty();
                 return report;
             }
+            // fail-stop until ROADMAP 1(b): the driver is off protocol
             Ok(f) => panic!("net worker: unexpected frame: {f:?}"),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                // fail-stop until ROADMAP 1(b): a frame failed its check
                 panic!("net worker: corrupt frame from the driver: {e}")
             }
             // the driver hung up: the run is over

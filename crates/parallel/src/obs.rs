@@ -7,15 +7,14 @@
 //! can measure:
 //!
 //! * **Spans** ([`SpanKind`]) — what a rank was doing and when:
-//!   evaluations, burn-in, (speculative) serves, work steals, quiesce
+//!   evaluations, burn-in, serves, work steals, quiesce
 //!   pauses and checkpoint assembly, each tagged with rank + level.
 //! * **Counters** ([`Counter`]) — monotone totals: serves, write-backs,
-//!   speculation hits/misses/launches, steals, dropped sends, barrier
-//!   acks. Some are incremented live at the instrumentation site, the
-//!   rest are merged from the authoritative subsystem statistics
-//!   (`LedgerStats`, `RuntimeStats`) at snapshot time — so equalities
-//!   like *serves == write-backs* genuinely cross-check two independent
-//!   accounting paths.
+//!   steals, dropped sends, barrier acks. Some are incremented live at
+//!   the instrumentation site, the rest are merged from the
+//!   authoritative subsystem statistics (`RuntimeStats`) at snapshot
+//!   time — and *serves == write-backs == `LedgerStats::serves`*
+//!   cross-checks three independent accounting paths.
 //! * **Histograms** ([`Hist`]) — log₂-bucketed distributions of serve
 //!   latency, coarse-request wait, per-evaluation solve time and MG-CG
 //!   iteration counts.
@@ -46,7 +45,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use uq_mlmcmc::counting::{EvalHook, Hooked};
-use uq_mlmcmc::ledger::LedgerStats;
 use uq_mlmcmc::LevelFactory;
 
 // ---------------------------------------------------------------------
@@ -112,9 +110,6 @@ pub enum SpanKind {
     Burnin { level: usize },
     /// Serving a coarse-proposal request.
     Serve { level: usize },
-    /// A speculative accept-case serve (no requester on the critical
-    /// path; the outcome parks in the phonebook's speculation store).
-    Speculate { level: usize },
     /// Reassigned to a new level by the load balancer.
     Reassign { from: usize, to: usize },
     /// A runnable rank was stolen from worker `victim`'s run queue.
@@ -134,7 +129,6 @@ impl SpanKind {
             SpanKind::Eval { .. } => "eval",
             SpanKind::Burnin { .. } => "burnin",
             SpanKind::Serve { .. } => "serve",
-            SpanKind::Speculate { .. } => "speculate",
             SpanKind::Reassign { .. } => "reassign",
             SpanKind::Steal { .. } => "steal",
             SpanKind::Quiesce => "quiesce",
@@ -146,10 +140,9 @@ impl SpanKind {
     /// (`-1` where no level applies).
     fn level_col(self) -> isize {
         match self {
-            SpanKind::Eval { level }
-            | SpanKind::Burnin { level }
-            | SpanKind::Serve { level }
-            | SpanKind::Speculate { level } => level as isize,
+            SpanKind::Eval { level } | SpanKind::Burnin { level } | SpanKind::Serve { level } => {
+                level as isize
+            }
             SpanKind::Reassign { to, .. } => to as isize,
             SpanKind::Steal { victim } => victim as isize,
             SpanKind::Quiesce | SpanKind::Checkpoint => -1,
@@ -174,25 +167,28 @@ pub struct TraceEvent {
 /// Monotone event counters. `Serves`, `WriteBacks` and `BarrierAcks`
 /// are incremented live at the instrumentation sites (controller serve
 /// loop, phonebook `ServeDone` handler, root checkpoint barrier); the
-/// speculation and runtime counters are merged from `LedgerStats` /
-/// [`RuntimeStats`] when a [`MetricsSnapshot`] is assembled.
+/// runtime counters are merged from [`RuntimeStats`] when a
+/// [`MetricsSnapshot`] is assembled. `SpecLaunched`, `SpecHits` and
+/// `SpecMisses` always read 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Ledger serves executed by server chains (real + speculative).
+    /// Ledger serves executed by server chains.
     Serves,
-    /// Serve outcomes applied by the phonebook (write-backs + stored
-    /// speculations). Must equal `Serves` — counted at the *other* end
-    /// of the message.
+    /// Serve write-backs applied by the phonebook. Must equal `Serves` —
+    /// counted at the *other* end of the message.
     WriteBacks,
     /// Checkpoint-barrier acknowledgements received by the root
     /// (controller pauses, collector flush markers, the ledger export).
     BarrierAcks,
-    /// Speculative serves dispatched to idle servers.
+    /// Always 0: speculative serves were removed. The three `Spec*`
+    /// counters stay because the benchmark names `SpecLaunched` and
+    /// `SpecHits`, and so that every v1 counter after them keeps its
+    /// position in the metrics JSON. Nothing increments them.
     SpecLaunched,
-    /// Requests answered from a stored speculation.
+    /// Always 0 (see `SpecLaunched`).
     SpecHits,
-    /// Speculations discarded (anchor mismatch / stale / rewound).
+    /// Always 0 (see `SpecLaunched`).
     SpecMisses,
     /// Runnable ranks stolen by idle workers.
     Steals,
@@ -281,9 +277,9 @@ impl Counter {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Duration of one kernel step of a ledger serve leg (µs) — real and
-    /// speculative; fed automatically from `Serve`/`Speculate` spans, one
-    /// per step, so a serve contributes `ρ` observations per leg.
+    /// Duration of one kernel step of a ledger serve leg (µs); fed
+    /// automatically from `Serve` spans, one per step, so a serve
+    /// contributes `ρ` observations per leg.
     ServeLatency,
     /// Requester-side wait between issuing a coarse request and the
     /// sample's arrival (µs).
@@ -468,14 +464,14 @@ impl Tracer {
         }
     }
 
-    /// Record a span with explicit timestamps. `Serve`/`Speculate` and
+    /// Record a span with explicit timestamps. `Serve` and
     /// `Eval`/`Burnin` spans additionally feed the serve-latency and
     /// solve-time histograms (no extra instrumentation site needed).
     pub fn record(&self, rank: usize, kind: SpanKind, start: f64, end: f64) {
         let Some(sink) = &self.sink else { return };
         let dur_us = (end - start) * 1e6;
         match kind {
-            SpanKind::Serve { .. } | SpanKind::Speculate { .. } => {
+            SpanKind::Serve { .. } => {
                 sink.hists[Hist::ServeLatency as usize].observe(dur_us);
             }
             SpanKind::Eval { .. } | SpanKind::Burnin { .. } => {
@@ -695,8 +691,7 @@ pub fn chrome_trace(processes: &[(&str, &Tracer)]) -> String {
             match e.kind {
                 SpanKind::Eval { level }
                 | SpanKind::Burnin { level }
-                | SpanKind::Serve { level }
-                | SpanKind::Speculate { level } => {
+                | SpanKind::Serve { level } => {
                     write!(args, "\"level\":{level}").unwrap();
                 }
                 SpanKind::Reassign { from, to } => {
@@ -732,14 +727,13 @@ pub struct RankActivity {
     pub eval: f64,
     pub burnin: f64,
     pub serve: f64,
-    pub speculate: f64,
     pub quiesce: f64,
 }
 
 impl RankActivity {
     /// Productive busy seconds (everything except quiesce pauses).
     pub fn busy(&self) -> f64 {
-        self.eval + self.burnin + self.serve + self.speculate
+        self.eval + self.burnin + self.serve
     }
 }
 
@@ -808,12 +802,8 @@ impl MetricsSnapshot {
                     per_rank[ri].burnin += dur;
                     level_slot(level, &mut per_level).burnin += dur;
                 }
-                SpanKind::Serve { level } | SpanKind::Speculate { level } => {
-                    if matches!(e.kind, SpanKind::Serve { .. }) {
-                        per_rank[ri].serve += dur;
-                    } else {
-                        per_rank[ri].speculate += dur;
-                    }
+                SpanKind::Serve { level } => {
+                    per_rank[ri].serve += dur;
                     level_slot(level, &mut per_level).serve += dur;
                 }
                 SpanKind::Quiesce => per_rank[ri].quiesce += dur,
@@ -851,17 +841,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| *n == c.name())
             .map_or(0, |&(_, v)| v)
-    }
-
-    /// Merge the ledger's authoritative speculation statistics (the
-    /// live `Serves`/`WriteBacks` counters are deliberately *not*
-    /// overwritten — their equality with `LedgerStats::serves` is the
-    /// cross-source sanity check).
-    pub fn merge_ledger(&mut self, stats: &LedgerStats) -> &mut Self {
-        *self.counter_mut(Counter::SpecLaunched) += stats.spec_launched as u64;
-        *self.counter_mut(Counter::SpecHits) += stats.spec_hits as u64;
-        *self.counter_mut(Counter::SpecMisses) += stats.spec_misses as u64;
-        self
     }
 
     /// Merge the runtime pool's authoritative counters.
@@ -930,16 +909,17 @@ impl MetricsSnapshot {
             } else {
                 ","
             };
+            // `speculate_s` always reads 0: speculative serves were
+            // removed, and the key stays so v1 field positions do not move
             writeln!(
                 out,
                 "    {{ \"rank\": {}, \"eval_s\": {:.6}, \"burnin_s\": {:.6}, \
-                 \"serve_s\": {:.6}, \"speculate_s\": {:.6}, \"quiesce_s\": {:.6}, \
+                 \"serve_s\": {:.6}, \"speculate_s\": 0.000000, \"quiesce_s\": {:.6}, \
                  \"utilization\": {:.4} }}{comma}",
                 r.rank,
                 r.eval,
                 r.burnin,
                 r.serve,
-                r.speculate,
                 r.quiesce,
                 if self.wall > 0.0 {
                     r.busy() / self.wall
@@ -1111,7 +1091,7 @@ mod tests {
         let t = Tracer::new();
         t.record(4, SpanKind::Eval { level: 1 }, 0.0, 2.0);
         t.record(4, SpanKind::Serve { level: 0 }, 2.0, 3.0);
-        t.record(5, SpanKind::Speculate { level: 0 }, 0.0, 0.5);
+        t.record(5, SpanKind::Serve { level: 0 }, 0.0, 0.5);
         t.record(4, SpanKind::Quiesce, 3.0, 3.25);
         t.incr(Counter::Serves);
         t.incr(Counter::Serves);

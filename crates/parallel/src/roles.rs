@@ -566,16 +566,8 @@ impl<'a> PhonebookRank<'a> {
         }
     }
 
-    /// Speculation may use idle capacity only while no level has unmet
-    /// real demand (queued requests outrank precomputation, and the
-    /// load balancer needs parked donors when a level starves).
-    fn speculation_allowed(&self) -> bool {
-        self.config.base.speculation && self.pending.iter().all(VecDeque::is_empty)
-    }
-
     /// A server became available (initial announce or completed serve):
-    /// route a queued request first, else put the idle capacity to work
-    /// on an accept-case speculation, else park it.
+    /// route a queued request to it, else park it.
     fn server_available(&mut self, ctx: &VCtx<'_, Msg>, server: usize, level: usize, now: f64) {
         if !self.last_ready_at[level].is_nan() {
             let dt = now - self.last_ready_at[level];
@@ -584,12 +576,12 @@ impl<'a> PhonebookRank<'a> {
         self.last_ready_at[level] = now;
         if let Some((reply_to, anchor)) = self.pending[level].pop_front() {
             self.route(ctx, server, level, reply_to, *anchor);
-        } else if !(self.speculation_allowed() && self.speculate(ctx, server, level)) {
+        } else {
             self.ready[level].push_back(server);
         }
     }
 
-    /// Lease the next real serve of `reply_to`'s session on `level` and
+    /// Lease the next serve of `reply_to`'s session on `level` and
     /// send it to `server`.
     fn route(
         &mut self,
@@ -603,33 +595,8 @@ impl<'a> PhonebookRank<'a> {
             .ledger
             .lease(self.config.base.seed, level, reply_to, anchor);
         self.in_flight += 1;
-        ctx.send(
-            server,
-            Msg::Serve {
-                reply_to,
-                lease,
-                speculative: false,
-            },
-        );
+        ctx.send(server, Msg::Serve { reply_to, lease });
         self.stats.routed += 1;
-    }
-
-    /// Send `server` an accept-case speculation on `level`, if the book
-    /// has a candidate; `false` if it has none.
-    fn speculate(&mut self, ctx: &VCtx<'_, Msg>, server: usize, level: usize) -> bool {
-        let Some((requester, lease)) = self.ledger.speculative_lease(level) else {
-            return false;
-        };
-        self.in_flight += 1;
-        ctx.send(
-            server,
-            Msg::Serve {
-                reply_to: requester,
-                lease,
-                speculative: true,
-            },
-        );
-        true
     }
 }
 
@@ -650,26 +617,7 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
                     reply_to,
                     anchor,
                 } => {
-                    if let Some(sample) = self.ledger.try_commit(reply_to, level, &anchor) {
-                        // speculation hit: answer from the store, zero
-                        // serve latency on the requester's critical path
-                        ctx.send(
-                            reply_to,
-                            Msg::CoarseSample {
-                                level,
-                                sample: Box::new(sample),
-                            },
-                        );
-                        // the commit re-armed the session as a
-                        // candidate; pair it with a parked server
-                        if self.speculation_allowed() {
-                            if let Some(server) = self.ready[level].pop_front() {
-                                if !self.speculate(ctx, server, level) {
-                                    self.ready[level].push_front(server);
-                                }
-                            }
-                        }
-                    } else if let Some(server) = self.ready[level].pop_front() {
+                    if let Some(server) = self.ready[level].pop_front() {
                         self.route(ctx, server, level, reply_to, *anchor);
                     } else {
                         self.pending[level].push_back((reply_to, anchor));
@@ -680,18 +628,13 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
                     level,
                     session,
                     serves,
-                    outcome,
-                    speculative,
+                    pairing,
+                    diverged,
                 } => {
                     self.in_flight -= 1;
                     self.tracer.incr(Counter::WriteBacks);
-                    if speculative {
-                        self.ledger
-                            .store_speculation(requester, level, session, serves, *outcome);
-                    } else {
-                        self.ledger
-                            .write_back(requester, level, session, serves, &outcome);
-                    }
+                    self.ledger
+                        .write_back(requester, level, session, serves, *pairing, diverged);
                     self.server_available(ctx, env.from, level, now);
                 }
                 Msg::Checkpoint => self.ckpt_pending = true,
@@ -701,10 +644,12 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
             }
         }
         // quiesce: the root sends `Checkpoint` only after every
-        // controller acked its pause, so no new real requests arrive and
-        // re-dispatches above can only be speculations, which deplete
-        // (each parks its session; nothing re-arms candidates while
-        // requesters are paused) — `in_flight` reaches zero
+        // controller acked its pause. A controller acks only between its
+        // own steps, and every request serves some controller's step,
+        // directly or nested in a serve, so by then every request was
+        // answered and none is queued or arrives; what is left in flight
+        // are write-backs, each parks its server, and `in_flight`
+        // reaches zero
         if self.ckpt_pending && self.in_flight == 0 {
             self.ckpt_pending = false;
             debug_assert!(self.pending.iter().all(VecDeque::is_empty));
@@ -845,14 +790,9 @@ impl VirtualRank<Msg> for CollectorRank {
 /// A ledger serve in progress on the controller's chain: the serve
 /// itself ([`ledger::Serve`]) and what the controller keeps around it.
 /// Nested coarse requests suspend the job like an ordinary coupled
-/// step. `speculative` jobs execute the identical pure function of the
-/// lease — through every suspension, batched drain and work-stealing
-/// migration — but conclude by shipping the outcome to the phonebook's
-/// speculation store instead of to `reply_to`.
+/// step.
 struct ServeJob {
     reply_to: usize,
-    /// Accept-case precomputation on the phonebook's behalf.
-    speculative: bool,
     lease: LedgerLease,
     /// The controller's own trajectory, returned to when the serve ends.
     bookmark: Bookmark,
@@ -875,7 +815,7 @@ pub(crate) struct ControllerRank<'a> {
     done_levels: Vec<bool>,
     burnin_left: usize,
     producing: bool,
-    pending_serves: VecDeque<(usize, Box<LedgerLease>, bool)>,
+    pending_serves: VecDeque<(usize, Box<LedgerLease>)>,
     serve_job: Option<ServeJob>,
     announced: bool,
     /// A coarse request is outstanding: the suspended step is the serve
@@ -957,7 +897,6 @@ impl<'a> ControllerRank<'a> {
     fn span_kind(&self, job: Option<&ServeJob>) -> SpanKind {
         let level = self.level;
         match job {
-            Some(job) if job.speculative => SpanKind::Speculate { level },
             Some(_) => SpanKind::Serve { level },
             None if self.burnin_left > 0 => SpanKind::Burnin { level },
             None => SpanKind::Eval { level },
@@ -1013,7 +952,7 @@ impl<'a> ControllerRank<'a> {
     /// Begin a ledger serve: bookmark our trajectory (evaluating
     /// nothing), then start the serve (which rewinds the chain to the
     /// lease's anchor).
-    fn start_serve(&mut self, reply_to: usize, lease: LedgerLease, speculative: bool) -> ServeJob {
+    fn start_serve(&mut self, reply_to: usize, lease: LedgerLease) -> ServeJob {
         let (bookmark, mut lease) = (self.chain.bookmark(), lease);
         if let (Some(coarse), Some(own)) = (self.coarse.as_deref_mut(), self.chain.anchor()) {
             // a requester's initial anchor was packaged by no serving
@@ -1026,7 +965,6 @@ impl<'a> ControllerRank<'a> {
         let serve = ledger::Serve::start(&mut self.chain, rho, &lease);
         ServeJob {
             reply_to,
-            speculative,
             lease,
             bookmark,
             serve,
@@ -1056,20 +994,17 @@ impl<'a> ControllerRank<'a> {
         }
     }
 
-    /// Conclude a serve: return to our trajectory, ship the proposal
-    /// (mate piggybacked) to the requester — unless the serve was
-    /// speculative, in which case nobody asked — and send the phonebook
-    /// the single batched `ServeDone` (write-back or speculative outcome
-    /// plus the availability re-announce).
+    /// Conclude a serve: return to our trajectory, send the phonebook
+    /// the one `ServeDone` (write-back plus the availability
+    /// re-announce) and ship the proposal (mate piggybacked) to the
+    /// requester.
     fn finish_serve(&mut self, ctx: &VCtx<'_, Msg>, job: ServeJob, outcome: ledger::ServeOutcome) {
         self.chain.return_to(job.bookmark);
         // the write-back MUST be enqueued before the requester's
         // proposal: program order plus per-destination FIFO then
         // guarantee the phonebook applies it before the requester's
         // next request can arrive — a session never serves the same
-        // stream position twice (the no-replay invariant the
-        // speculation commit check relies on)
-        let for_requester = (!job.speculative).then(|| outcome.proposal.clone());
+        // stream position twice (the no-replay invariant)
         ctx.send(
             PHONEBOOK,
             Msg::ServeDone {
@@ -1077,44 +1012,32 @@ impl<'a> ControllerRank<'a> {
                 level: self.level,
                 session: job.lease.session_seed,
                 serves: job.lease.serves + 1,
-                outcome: Box::new(outcome),
-                speculative: job.speculative,
+                pairing: Box::new(outcome.pairing),
+                diverged: outcome.diverged,
             },
         );
-        if let Some(proposal) = for_requester {
-            ctx.send(
-                job.reply_to,
-                Msg::CoarseSample {
-                    level: self.level,
-                    sample: Box::new(proposal),
-                },
-            );
-        }
+        ctx.send(
+            job.reply_to,
+            Msg::CoarseSample {
+                level: self.level,
+                sample: Box::new(outcome.proposal),
+            },
+        );
         self.tracer.incr(Counter::Serves);
         self.announced = true;
     }
 
-    /// Teardown: poison outstanding real serve requests (speculative
-    /// targets never asked and must not receive an unsolicited poison),
-    /// report, exit.
+    /// Teardown: poison every requester still waiting on us, report,
+    /// exit.
     fn teardown(&mut self, ctx: &mut VCtx<'_, Msg>) -> Poll<Msg, RoleOut> {
         if let Some(job) = self.serve_job.take() {
-            if !job.speculative {
-                ctx.send(job.reply_to, Msg::Poison);
-            }
+            ctx.send(job.reply_to, Msg::Poison);
         }
-        for (reply_to, _, speculative) in self.pending_serves.drain(..) {
-            if !speculative {
-                ctx.send(reply_to, Msg::Poison);
-            }
+        for (reply_to, _) in self.pending_serves.drain(..) {
+            ctx.send(reply_to, Msg::Poison);
         }
         while let Some(env) = ctx.try_recv() {
-            if let Msg::Serve {
-                reply_to,
-                speculative: false,
-                ..
-            } = env.msg
-            {
+            if let Msg::Serve { reply_to, .. } = env.msg {
                 ctx.send(reply_to, Msg::Poison);
             }
         }
@@ -1142,13 +1065,7 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
             ) || (!busy && matches!(e.msg, Msg::Reassign { .. } | Msg::Checkpoint))
         }) {
             match env.msg {
-                Msg::Serve {
-                    reply_to,
-                    lease,
-                    speculative,
-                } => self
-                    .pending_serves
-                    .push_back((reply_to, lease, speculative)),
+                Msg::Serve { reply_to, lease } => self.pending_serves.push_back((reply_to, lease)),
                 Msg::StopProducing { level } => {
                     self.done_levels[level] = true;
                     if level == self.level {
@@ -1192,12 +1109,9 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                 }
                 Msg::Reassign { level } => {
                     // abandon this chain, rebuild on the new level;
-                    // poison anyone we promised a real serve (never a
-                    // speculation target, who never asked)
-                    for (reply_to, _, speculative) in self.pending_serves.drain(..) {
-                        if !speculative {
-                            ctx.send(reply_to, Msg::Poison);
-                        }
+                    // poison anyone we promised a serve
+                    for (reply_to, _) in self.pending_serves.drain(..) {
+                        ctx.send(reply_to, Msg::Poison);
                     }
                     self.level = level;
                     (self.chain, self.coarse) = controller_chain(&self.factory, level);
@@ -1251,8 +1165,8 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
         // 3. a requester is suspended on every queued serve: run ledger
         //    serves before our own chain
         if self.burnin_left == 0 {
-            if let Some((reply_to, lease, speculative)) = self.pending_serves.pop_front() {
-                let job = self.start_serve(reply_to, *lease, speculative);
+            if let Some((reply_to, lease)) = self.pending_serves.pop_front() {
+                let job = self.start_serve(reply_to, *lease);
                 return self.drive_serve(ctx, job);
             }
             if !self.announced && !self.is_top() {
@@ -1904,39 +1818,6 @@ mod tests {
         let mut config = RuntimeConfig::new(samples, chains);
         config.n_workers = workers;
         config
-    }
-
-    #[test]
-    fn speculation_shortens_the_simulated_makespan_and_costs_coarse_evaluations() {
-        // one seed, with and without accept-case precomputation, on two
-        // levels (where both runs walk the same trajectory): the idle
-        // server's work takes serves off the requester's critical path,
-        // and the part of it that gets discarded shows up on level 0
-        let run = |speculation: bool| {
-            let mut config = pool_config(vec![1000, 100], vec![1, 1], 1);
-            config.base.burn_in = vec![50, 20];
-            config.base.speculation = speculation;
-            let cost = SimCost {
-                eval_time: vec![0.003, 0.045],
-                ..policy::sim_cost(2)
-            };
-            let h = GaussianHierarchy::two_level();
-            let off = Tracer::disabled();
-            let out = Run::new(&h, &config, &off, None, None).on(Placement::Sim {
-                cost: &cost,
-                seed: 1,
-            });
-            out.expect("simulated run finishes").report
-        };
-        let (on, off) = (run(true), run(false));
-        assert!(
-            on.elapsed < off.elapsed,
-            "{} vs {}",
-            on.elapsed,
-            off.elapsed
-        );
-        assert_eq!(on.levels[1].evaluations, off.levels[1].evaluations);
-        assert!(on.levels[0].evaluations > off.levels[0].evaluations);
     }
 
     #[test]

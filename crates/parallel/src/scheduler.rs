@@ -22,7 +22,7 @@
 
 use uq_mcmc::SamplingProblem;
 use uq_mlmcmc::coupled::{CoarseSample, MlChain};
-use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, PairingMode, ServeOutcome};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, PairingMode};
 use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, RunStore};
 
 /// RNG stream seed of the controller at `rank` (the cross-executor
@@ -43,13 +43,9 @@ pub enum Msg {
     },
     /// Phonebook → serving controller: execute one ledger serve for
     /// `reply_to` (the lease carries the session state and anchor).
-    /// `speculative` serves are accept-case precomputations: the result
-    /// goes back to the phonebook (inside [`Msg::ServeDone`]) instead of
-    /// to `reply_to`, who never asked.
     Serve {
         reply_to: usize,
         lease: Box<LedgerLease>,
-        speculative: bool,
     },
     /// Serving controller → requester: the served proposal (its `mate`
     /// field carries the ledger pairing state).
@@ -57,20 +53,22 @@ pub enum Msg {
         level: usize,
         sample: Box<CoarseSample>,
     },
-    /// Serving controller → phonebook: one batched message concluding a
-    /// serve — the ledger write-back, the speculative outcome (when
-    /// `speculative`) and the availability re-announce folded together
-    /// (PR 4 sent a separate `LedgerUpdate` plus `SampleReady` here).
-    /// `session` echoes the lease's session seed so the phonebook can
-    /// drop write-backs from dead session generations.
+    /// Serving controller → phonebook: one message concluding a serve —
+    /// the ledger write-back and the availability re-announce folded
+    /// together. `session` echoes the lease's session seed so the
+    /// phonebook can drop write-backs from dead session generations. It
+    /// carries what the write-back reads; the proposal goes to the
+    /// requester alone.
     ServeDone {
         requester: usize,
         level: usize,
         session: u64,
         /// Session stream position after this serve (`lease.serves + 1`).
         serves: u64,
-        outcome: Box<ServeOutcome>,
-        speculative: bool,
+        /// The pairing track's end state (the session's next `pairing`).
+        pairing: Box<CoarseSample>,
+        /// The pairing leg ran separately from the proposal leg.
+        diverged: bool,
     },
     /// Teardown answer to a request that can no longer be served.
     Poison,
@@ -214,14 +212,6 @@ pub struct ParallelConfig {
     /// Which coarse stream the correction moments pair against (see
     /// [`uq_mlmcmc::ledger::PairingMode`]).
     pub pairing: PairingMode,
-    /// Dispatch speculative accept-case serves to idle servers (see
-    /// [`uq_mlmcmc::ledger::LedgerBook`]). Statistically inert either
-    /// way — a committed speculation is bit-identical to the real serve
-    /// it replaces and a discarded one never touches session state
-    /// (pinned by `tests/speculation_conformance.rs`) — so it defaults
-    /// to on; the switch exists for A/B measurement and the conformance
-    /// suite itself.
-    pub speculation: bool,
 }
 
 pub(crate) const ROOT: usize = 0;
@@ -245,7 +235,6 @@ impl ParallelConfig {
             // here. The sequential driver keeps the low-variance proposal
             // pairing by default — see DESIGN.md §5.
             pairing: PairingMode::Ledger,
-            speculation: true,
         }
     }
 

@@ -71,7 +71,7 @@ use crate::scheduler::ParallelCheckpoint;
 
 /// Version stamped into every service frame header. Bump on any change
 /// to the [`ServiceFrame`] encoding or to the shared frame layout.
-pub const SERVICE_PROTOCOL_VERSION: u32 = 3;
+pub const SERVICE_PROTOCOL_VERSION: u32 = 4;
 
 /// The service wire: a magic distinct from the net transport's
 /// `b"UQNETFR\0"` and the snapshot store's `b"UQSNAP\0\0"`, and a 16 MiB
@@ -1255,7 +1255,6 @@ mod tests {
         base.burn_in = vec![4, 2];
         base.seed = 77;
         base.record_samples = true;
-        base.speculation = true;
         base.pairing = PairingMode::Ledger;
         JobSpec {
             tenant: 3,
@@ -1421,19 +1420,23 @@ mod tests {
                 "flipped byte {i}: {err:?}"
             );
         }
-        // a v2 frame (its job config still carried `collector_shards`) is
-        // refused at the version field
-        let mut v2 = bytes.clone();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(
-            decode_service_frame(&v2),
-            Err(StoreError::BadVersion { found: 2 })
-        ));
         // same layout, other wire: refused at the magic
         let net_frame = crate::net::encode_frame(&crate::net::Frame::Ready);
         assert!(matches!(
             decode_service_frame(&net_frame),
             Err(StoreError::BadMagic)
+        ));
+    }
+
+    #[test]
+    fn a_v3_service_frame_is_refused_at_the_version_field() {
+        // v3's job config still carried the speculation switch: the
+        // previous version is refused, never decoded
+        let mut v3 = encode_service_frame(&ServiceFrame::Submit(Box::new(spec())));
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            decode_service_frame(&v3),
+            Err(StoreError::BadVersion { found: 3 })
         ));
     }
 }

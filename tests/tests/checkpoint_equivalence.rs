@@ -12,23 +12,19 @@
 //! reference: estimator moments, recorded sample streams and correction
 //! pairs, every `f64` as its bit pattern.
 //!
-//! The bit-parity regime matches `speculation_conformance.rs`: the
+//! The bit-parity regime matches `ledger_exactness.rs`: the
 //! two-level tight-ridge hierarchy, one chain per level, load balancing
 //! off, recording on, single worker. Two levels matter for checkpoint
 //! *transparency* — with deeper hierarchies the quiesce pause can
 //! reorder a mid-level rank's interleaving of own-chain steps and
 //! nested serve legs, reassigning session substreams; with two levels
 //! the serving chains are base chains, so a pause cannot move any
-//! serve off its substream (DESIGN.md §7). The runtime test crashes a
-//! run with speculation enabled and asserts the snapshot itself
-//! recorded speculative activity, covering the killed-mid-speculation
-//! case required by the issue.
+//! serve off its substream (DESIGN.md §7).
 //!
-//! The quiesce-barrier tests mirror the conformance suite's invariance
-//! checks: checkpointing on vs off is bit-identical on the
-//! deterministic schedule, and statistically inert on a multi-worker
-//! schedule where in-flight speculative serves are drained at every
-//! barrier.
+//! The quiesce-barrier tests check invariance: checkpointing on vs off
+//! is bit-identical on the deterministic schedule, and statistically
+//! inert on a multi-worker schedule where in-flight serves are drained
+//! at every barrier.
 
 use std::env;
 use std::fs;
@@ -497,52 +493,34 @@ fn a_run_preempted_on_one_placement_resumes_on_the_other() {
 }
 
 // ---------------------------------------------------------------------
-// cooperative runtime (killed mid-speculation)
+// cooperative runtime
 // ---------------------------------------------------------------------
 
 const RUNTIME_SEED: u64 = 21;
 const RUNTIME_EVERY: usize = 25;
 
-/// Deterministic single-worker runtime config on the ridge with
-/// **speculation enabled**, so the crashed run is killed while the
-/// ledger carries speculative state.
+/// Deterministic single-worker runtime config on the ridge.
 fn runtime_cfg() -> RuntimeConfig {
     let mut config = RuntimeConfig::new(vec![300, 500], vec![1, 1]);
     config.base.burn_in = vec![30, 20];
     config.base.seed = RUNTIME_SEED;
     config.base.load_balancing = false;
     config.base.record_samples = true;
-    config.base.speculation = true;
     config.n_workers = 1;
     config.collector_shards = 1;
     config
 }
 
 #[test]
-fn runtime_crash_mid_speculation_resume_is_bit_identical() {
+fn runtime_crash_resume_is_bit_identical() {
     pool_crash_cycle(
-        "runtime_crash_mid_speculation_resume_is_bit_identical",
+        "runtime_crash_resume_is_bit_identical",
         4,
         RUNTIME_EVERY,
         &runtime_cfg(),
-        |snap| {
-            // The kill point is late enough that the quiesced cut must
-            // already have seen speculative serving — this is the
-            // killed-mid-speculation regime the issue pins.
-            let ledger = snap.ledger.as_ref().expect("a cut carries the ledger");
-            assert!(
-                ledger.stats.spec_launched > 0,
-                "snapshot must record speculative activity at the cut: {:?}",
-                ledger.stats
-            );
-        },
+        |snap| assert!(snap.ledger.is_some(), "a cut carries the ledger"),
         || {
             let reference = run_runtime(&Ridge, &runtime_cfg(), &Tracer::disabled());
-            assert!(
-                reference.phonebook.ledger.spec_hits > 0,
-                "fixture must exercise speculation: {:?}",
-                reference.phonebook.ledger
-            );
             parallel_digest(&reference.report.levels)
         },
     );
@@ -551,7 +529,7 @@ fn runtime_crash_mid_speculation_resume_is_bit_identical() {
 // ---------------------------------------------------------------------
 // quiesce-barrier invariance (satellite): checkpoints must not move a
 // bit on the deterministic schedule, and must stay statistically inert
-// when in-flight speculative serves are drained at every barrier
+// when in-flight serves are drained at every barrier
 // ---------------------------------------------------------------------
 
 #[test]
@@ -575,11 +553,6 @@ fn runtime_checkpoint_on_off_is_bit_identical_on_the_ridge() {
         snaps.load(Ordering::SeqCst) > 0,
         "the checkpointed run must actually quiesce"
     );
-    assert!(
-        with.phonebook.ledger.spec_launched > 0,
-        "speculation must be in flight around the barriers: {:?}",
-        with.phonebook.ledger
-    );
     assert_eq!(
         parallel_digest(&with.report.levels),
         parallel_digest(&without.report.levels),
@@ -590,8 +563,8 @@ fn runtime_checkpoint_on_off_is_bit_identical_on_the_ridge() {
 
 #[test]
 fn checkpoint_barrier_preserves_the_ridge_statistics() {
-    // multi-worker schedule: barriers land while speculative serves are
-    // genuinely in flight; committed-or-discarded, they must leave the
+    // multi-worker schedule: barriers land while serves are genuinely
+    // in flight; drained at each barrier, they must leave the
     // tight-ridge correction mean exactly on FINE − COARSE
     let dir = fresh_dir("quiesce-stats");
     let store = RunStore::open(dir.join("store")).expect("open store");
@@ -600,7 +573,6 @@ fn checkpoint_barrier_preserves_the_ridge_statistics() {
     config.base.seed = 4242;
     config.base.load_balancing = false;
     config.base.record_samples = false;
-    config.base.speculation = true;
     config.n_workers = 4;
     config.collector_shards = 1;
     let snaps = AtomicUsize::new(0);
@@ -616,11 +588,6 @@ fn checkpoint_barrier_preserves_the_ridge_statistics() {
     };
     let rt = ridge_on(Where::Pool, &config, Some(&ckpt), None);
     assert!(snaps.load(Ordering::SeqCst) > 0, "barriers must fire");
-    let ledger = rt.phonebook.ledger;
-    assert!(
-        ledger.spec_hits > 0 && ledger.spec_misses > 0,
-        "both speculation outcomes must be exercised across barriers: {ledger:?}"
-    );
     let corr = rt.report.levels[1].mean_correction[0];
     assert!(
         (corr - (FINE_MEAN - COARSE_MEAN)).abs() < 0.03,
@@ -647,7 +614,6 @@ fn two_tenant_service_snapshots_both_and_resumes_each_independently() {
         config.base.seed = RUNTIME_SEED;
         config.base.load_balancing = false;
         config.base.record_samples = true;
-        config.base.speculation = true;
         config.n_workers = 1;
         config.collector_shards = 1;
         config

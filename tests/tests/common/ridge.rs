@@ -1,6 +1,6 @@
 //! The tight-ridge two-level Gaussian hierarchy (fine `N(0.35, 0.12²)`,
 //! coarse `N(0, 0.15²)`, `ρ = 2`, random-walk proposal of width 0.2):
-//! the fixture of the ledger, bias, checkpoint, speculation, net,
+//! the fixture of the ledger, bias, checkpoint, net,
 //! service, obs and simulator conformance suites, included by `#[path]`.
 
 // every suite uses its own subset of the constants

@@ -79,16 +79,16 @@ fn a_lying_qoi_length_is_a_typed_error_and_sizes_no_allocation() {
                 sample: Box::new(outcome.proposal.clone()),
             },
         ),
-        // those two and the pairing state
+        // the pairing state
         (
-            3,
+            1,
             Msg::ServeDone {
                 requester: 7,
                 level: 0,
                 session: 0xDEAD_BEEF,
                 serves: 12,
-                outcome: Box::new(outcome),
-                speculative: false,
+                pairing: Box::new(outcome.pairing),
+                diverged: outcome.diverged,
             },
         ),
     ];

@@ -8,7 +8,7 @@
 //! turn the old one into a rejection fixture; silently re-interpreting
 //! frames across a version skew is the failure mode this suite catches.
 //! Frames are ephemeral, so exactly one version is ever decoded:
-//! `golden_frame_v5.bin` (the previous version's golden) is kept to prove
+//! `golden_frame_v6.bin` (the previous version's golden) is kept to prove
 //! that a skewed version is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
@@ -16,13 +16,13 @@
 
 use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample};
-use uq_mlmcmc::ledger::{LedgerLease, ServeOutcome};
+use uq_mlmcmc::ledger::LedgerLease;
 use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v6.bin");
-const GOLDEN_V5_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v5.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v7.bin");
+const GOLDEN_V6_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v6.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
@@ -39,15 +39,14 @@ fn bare(theta: f64, ld: f64) -> CoarseSample {
 /// The pinned frames, concatenated in the one fixture: an `Assign`
 /// carrying the run configuration and a resumable chain checkpoint, then
 /// a full ledger serve round-trip as `Data` frames (`Serve` with its
-/// lease, `ServeDone` with its outcome — their samples without a QOI, as a
-/// serve ships them — and `StopProducing`), then a level's collector
+/// lease, `ServeDone` with its pairing state — their samples without a
+/// QOI, as a serve ships them — and `StopProducing`), then a level's collector
 /// state as the root receives it (`CollectorReport`).
 fn golden() -> Vec<Frame> {
     let mut config = ParallelConfig::new(vec![400, 150], vec![1, 1]);
     config.burn_in = vec![30, 20];
     config.seed = 0x5EED_0000_0009;
     config.record_samples = true;
-    config.speculation = true;
     let anchor = CoarseSample {
         theta: vec![0.125, -2.5],
         log_density: -3.75,
@@ -91,7 +90,6 @@ fn golden() -> Vec<Frame> {
                     pairing: Some(bare(0.875, -1.5)),
                     anchor: bare(-0.875, -2.0),
                 }),
-                speculative: true,
             },
         ),
         data(
@@ -101,12 +99,8 @@ fn golden() -> Vec<Frame> {
                 level: 0,
                 session: 0xDEAD_BEEF,
                 serves: 42,
-                outcome: Box::new(ServeOutcome {
-                    proposal: bare(0.9375, -1.25),
-                    pairing: bare(-0.9375, -1.75),
-                    diverged: true,
-                }),
-                speculative: false,
+                pairing: Box::new(bare(-0.9375, -1.75)),
+                diverged: true,
             },
         ),
         data(0, Msg::StopProducing { level: 0 }),
@@ -150,7 +144,7 @@ fn committed_golden_frame_still_decodes() {
         let payload = u64::from_le_bytes(rest[12..20].try_into().unwrap());
         let (one, after) = rest.split_at(28 + payload as usize);
         let frame = decode_frame(one)
-            .expect("protocol break: a committed v6 golden frame no longer decodes");
+            .expect("protocol break: a committed v7 golden frame no longer decodes");
         // Frame carries no PartialEq (Msg is not comparable); byte equality
         // after re-encode is the invariant the transport relies on anyway
         assert_eq!(
@@ -167,16 +161,16 @@ fn committed_golden_frame_still_decodes() {
     );
 }
 
-/// The v5 fixture is the golden of the version before (a chain
-/// checkpoint carried a collector round-robin cursor and a collector's
-/// state its shard index). It must be refused at the version field —
-/// before its check or a single payload byte is looked at — never
-/// decoded into a frame.
+/// The v6 fixture is the golden of the version before (`Serve` and
+/// `ServeDone` carried a speculation flag, `ServeDone` the whole serve
+/// outcome and the run configuration its switch). It must be refused at
+/// the version field — before its check or a single payload byte is
+/// looked at — never decoded into a frame.
 #[test]
-fn committed_v5_frame_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V5_PATH).expect("committed v5 frame missing");
+fn committed_v6_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V6_PATH).expect("committed v6 frame missing");
     assert!(matches!(
         decode_frame(&bytes),
-        Err(StoreError::BadVersion { found: 5 })
+        Err(StoreError::BadVersion { found: 6 })
     ));
 }

@@ -1,28 +1,28 @@
 //! Format-version compatibility guard: a snapshot committed to the
-//! repository at format version 2 must keep decoding — bit-for-bit —
+//! repository at format version 3 must keep decoding — bit-for-bit —
 //! on every future revision of the codec. Any change to the wire
 //! layout must either keep these bytes valid or bump
 //! `store::FORMAT_VERSION`, add a new golden alongside this one and
 //! turn this one into the rejection fixture; silently re-interpreting
 //! old snapshots is the failure mode this test exists to catch. There
-//! is one reader: `golden_v1.snap`, the previous format's golden, must
+//! is one reader: `golden_v2.snap`, the previous format's golden, must
 //! be refused at its version field.
 //!
 //! Regenerate (only after an *intentional* format bump) with:
 //! `UQ_WRITE_GOLDEN=1 cargo test -p uq-tests --test golden_snapshot_guard`
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample, Cursor};
 use uq_mlmcmc::estimator::{LevelReport, Term};
-use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, ServeOutcome, Session, Speculation};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, Session};
 use uq_mlmcmc::store::{
     decode_snapshot, encode_snapshot, fnv1a, Backend, ChainCkpt, CollectorCkpt, RunSnapshot,
     SequentialCkpt, StoreError,
 };
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v2.snap");
-const GOLDEN_V1_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v1.snap");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v3.snap");
+const GOLDEN_V2_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v2.snap");
 const GOLDEN_CONFIG: u64 = 0x5EED_CAFE_F00D_0001;
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
@@ -30,7 +30,7 @@ fn cs(theta: f64, ld: f64) -> CoarseSample {
 }
 
 /// The pinned snapshot: fixed values through every branch of the codec
-/// — nested anchors and mates, parked speculation, collector moments and
+/// — nested anchors and mates, a ledger session, collector moments and
 /// recordings, and a mid-term sequential stack of three levels (one
 /// cursor pinned, one not yet seeded) with two completed levels.
 fn golden() -> RunSnapshot {
@@ -101,30 +101,14 @@ fn golden() -> RunSnapshot {
                     seed: 0xFEED_F00D,
                     serves: 41,
                     pairing: Some(cs(0.875, -1.5)),
-                    next_anchor: Some(cs(-0.875, -2.0)),
-                    spec_inflight: None,
-                    spec: Some(Speculation {
-                        serves: 42,
-                        outcome: ServeOutcome {
-                            proposal: cs(0.9375, -1.25),
-                            pairing: cs(-0.9375, -1.75),
-                            diverged: true,
-                        },
-                    }),
-                    spec_backoff: 2,
-                    spec_cooldown: 1,
-                    real_inflight: false,
                 },
             )]),
             generations: HashMap::from([((5, 0), 2)]),
-            candidates: HashMap::from([(0, VecDeque::from([5]))]),
             stats: LedgerStats {
                 sessions: 1,
                 serves: 41,
                 diverged: 3,
-                spec_launched: 9,
-                spec_hits: 6,
-                spec_misses: 2,
+                ..LedgerStats::default()
             },
         }),
         sequential: Some(SequentialCkpt {
@@ -196,7 +180,7 @@ fn committed_golden_snapshot_still_decodes() {
     let bytes = std::fs::read(GOLDEN_PATH)
         .expect("committed golden snapshot missing — see module docs to regenerate");
     let (snap, config) = decode_snapshot(&bytes)
-        .expect("format break: the committed v2 golden snapshot no longer decodes");
+        .expect("format break: the committed v3 golden snapshot no longer decodes");
     assert_eq!(config, GOLDEN_CONFIG, "golden header config hash drifted");
     assert_eq!(snap, expected, "golden snapshot decoded to different state");
     // the codec must also still *produce* the identical bytes, or every
@@ -213,14 +197,15 @@ fn committed_golden_snapshot_still_decodes() {
     );
 }
 
-/// The v1 golden is the format before (collector shards, a nested
-/// sequential source, a `Thread` stamp). It must be refused at the
-/// version field, never decoded into a snapshot.
+/// The v2 golden is the format before (a ledger session carried its
+/// speculation state, the book its candidate queues and the statistics
+/// their speculation counters). It must be refused at the version field,
+/// never decoded into a snapshot.
 #[test]
-fn committed_v1_snapshot_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V1_PATH).expect("committed v1 snapshot missing");
+fn committed_v2_snapshot_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V2_PATH).expect("committed v2 snapshot missing");
     assert!(matches!(
         decode_snapshot(&bytes),
-        Err(StoreError::BadVersion { found: 1 })
+        Err(StoreError::BadVersion { found: 2 })
     ));
 }

@@ -204,3 +204,57 @@ fn sequential_ledger_is_bit_identical_to_single_worker_runtime() {
         "single-worker runtime and sequential ledger must agree bit-for-bit"
     );
 }
+
+#[test]
+fn all_three_backends_agree_bit_for_bit() {
+    // a single-worker pool run, a `run_parallel` run and a sequential
+    // replay of the requester's session must walk identical level-1
+    // trajectories. Rank layout of both parallel runs: root 0, phonebook
+    // 1, collectors 2..4, controllers 4 (level 0) and 5 (level 1) — the
+    // requester is rank 5.
+    let seed = 4321u64;
+    let n = 400usize;
+    let burn = vec![30usize, 20];
+
+    let mut rconfig = RuntimeConfig::new(vec![200, n], vec![1, 1]);
+    rconfig.base.burn_in = burn.clone();
+    rconfig.base.seed = seed;
+    rconfig.base.load_balancing = false;
+    rconfig.base.record_samples = true;
+    rconfig.n_workers = 1;
+    let rt = run_runtime(&Ridge, &rconfig, &Tracer::disabled());
+    let level_1 = |levels: &[uq_parallel::scheduler::ParallelLevelReport]| -> Vec<f64> {
+        levels[1].theta_samples.iter().map(|t| t[0]).collect()
+    };
+    let runtime_theta = level_1(&rt.report.levels);
+    assert_eq!(runtime_theta.len(), n);
+
+    let mut pconfig = ParallelConfig::new(vec![200, n], vec![1, 1]);
+    pconfig.burn_in = burn.clone();
+    pconfig.seed = seed;
+    pconfig.load_balancing = false;
+    pconfig.record_samples = true;
+    let par = run_parallel(&Ridge, &pconfig, &Tracer::disabled());
+    let thread_theta = level_1(&par.levels);
+
+    let requester_rank = 5usize;
+    let mut fine = ChainStack::new(&Ridge, 1);
+    fine.cursor(0).session_seed = Some(session_seed(seed, 0, requester_rank as u64));
+    let mut rng = StdRng::seed_from_u64(controller_seed(seed, requester_rank));
+    let mut seq_theta = Vec::with_capacity(n);
+    for i in 0..burn[1] + n {
+        fine.step(&mut rng);
+        if i >= burn[1] {
+            seq_theta.push(fine.top().state().theta[0]);
+        }
+    }
+
+    assert_eq!(
+        runtime_theta, seq_theta,
+        "single-worker pool vs sequential ledger must agree bit-for-bit"
+    );
+    assert_eq!(
+        thread_theta, seq_theta,
+        "run_parallel vs sequential ledger must agree bit-for-bit"
+    );
+}

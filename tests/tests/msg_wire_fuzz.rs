@@ -16,10 +16,10 @@
 //! deterministic test, mirroring `snapshot_roundtrip_fuzz.rs`.
 
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample};
-use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, LedgerStats, ServeOutcome, Session};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerLease, LedgerStats, Session};
 use uq_mlmcmc::store::{ChainCkpt, Codec, CollectorCkpt, Dec, Enc, StoreError};
 use uq_parallel::roles::PhonebookStats;
 use uq_parallel::scheduler::Msg;
@@ -70,23 +70,14 @@ fn ledger_book(theta: &[f64], seed: u64) -> LedgerBook {
                 seed,
                 serves: seed % 97,
                 pairing: Some(sample(theta, -0.75, 1)),
-                next_anchor: None,
-                spec_inflight: seed.is_multiple_of(2).then_some(seed % 13),
-                spec: None,
-                spec_backoff: (seed % 5) as u32,
-                spec_cooldown: (seed % 4) as u32,
-                real_inflight: seed.is_multiple_of(3),
             },
         )]),
         generations: HashMap::from([((4, 0), seed % 3)]),
-        candidates: HashMap::from([(0, VecDeque::from([5, 6]))]),
         stats: LedgerStats {
             sessions: 1,
             serves: (seed % 97) as usize,
             diverged: (seed % 7) as usize,
-            spec_launched: (seed % 11) as usize,
-            spec_hits: (seed % 5) as usize,
-            spec_misses: (seed % 3) as usize,
+            ..LedgerStats::default()
         },
     }
 }
@@ -108,7 +99,6 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
                 pairing: flag.then(|| sample(theta, x - 1.0, 1)),
                 anchor: sample(theta, x, 0),
             }),
-            speculative: flag,
         },
         2 => Msg::CoarseSample {
             level: a,
@@ -119,12 +109,8 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
             level: b,
             session: seed,
             serves: seed % 103,
-            outcome: Box::new(ServeOutcome {
-                proposal: sample(theta, x, 1),
-                pairing: sample(theta, x + 0.5, 0),
-                diverged: flag,
-            }),
-            speculative: !flag,
+            pairing: Box::new(sample(theta, x + 0.5, 1)),
+            diverged: flag,
         },
         4 => Msg::Poison,
         5 => Msg::SampleReady { level: a },
@@ -150,9 +136,7 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
                 sessions: a,
                 serves: b,
                 diverged: a % 7,
-                spec_launched: b % 5,
-                spec_hits: a % 3,
-                spec_misses: b % 2,
+                ..LedgerStats::default()
             },
         })),
         13 => Msg::CollectorReport(Box::new(CollectorCkpt {

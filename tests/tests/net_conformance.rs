@@ -5,8 +5,8 @@
 //! statistical actor.
 //!
 //! The pinned regime is the deterministic one from
-//! `speculation_conformance.rs`: one chain per level, load balancing
-//! off, per-sample recording on, speculation on. There the thread
+//! `ledger_exactness.rs`: one chain per level, load balancing off,
+//! per-sample recording on. There the thread
 //! scheduler, the cooperative runtime and a net run split across N
 //! processes all produce identical per-sample traces, so the digests
 //! over (means, variances, thetas, correction pairs) must agree exactly.
@@ -60,7 +60,6 @@ fn config(n0: usize, n1: usize, seed: u64) -> ParallelConfig {
     config.seed = seed;
     config.load_balancing = false;
     config.record_samples = true;
-    config.speculation = true;
     config
 }
 

@@ -7,15 +7,15 @@
 //! pool).
 //!
 //! Bit-parity is asserted in the regimes where the schedule itself is
-//! deterministic (sequential estimator; single-worker runtime with
-//! speculation and a mid-run checkpoint barrier; thread scheduler with
-//! one chain per level), so any divergence is attributable to the
-//! tracer alone. Fixture: the tight-ridge two-level Gaussian hierarchy
-//! shared with `speculation_conformance.rs`.
+//! deterministic (sequential estimator; single-worker runtime with and
+//! without a mid-run checkpoint barrier; thread scheduler with one chain
+//! per level), so any divergence is attributable to the tracer alone.
+//! Fixture: the tight-ridge two-level Gaussian hierarchy shared with
+//! `ledger_exactness.rs`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use uq_mlmcmc::estimator::run_sequential;
 use uq_mlmcmc::store::fnv1a;
 use uq_mlmcmc::{MlmcmcConfig, RunStore};
@@ -83,7 +83,7 @@ fn sequential_tracing_on_off_is_bit_identical() {
 #[test]
 fn thread_scheduler_tracing_on_off_is_bit_identical() {
     // one chain per level: every recorded stream is
-    // schedule-independent (see speculation_conformance.rs), so the
+    // schedule-independent (see ledger_exactness.rs), so the
     // tracing switch must not move a bit even though the OS interleaves
     // the rank threads differently run to run
     let mk = |tracer: &Tracer| {
@@ -109,7 +109,7 @@ fn thread_scheduler_tracing_on_off_is_bit_identical() {
 }
 
 #[test]
-fn runtime_tracing_on_off_is_bit_identical_with_speculation() {
+fn runtime_tracing_on_off_is_bit_identical() {
     let tracer = Tracer::new();
     let on = run_runtime(&Ridge, &runtime_config(300, 500, 21), &tracer);
     let off = run_runtime(&Ridge, &runtime_config(300, 500, 21), &Tracer::disabled());
@@ -124,19 +124,13 @@ fn runtime_tracing_on_off_is_bit_identical_with_speculation() {
             off.report.levels[level].mean_correction
         );
     }
-    // the parity must cover the speculative path, and the tracer must
-    // have seen it: speculative serve spans recorded by the server
-    assert!(
-        on.phonebook.ledger.spec_hits > 0,
-        "speculative path not exercised: {:?}",
-        on.phonebook.ledger
-    );
-    let spec_spans = tracer
+    // the tracer saw the serves: serve spans recorded by the server
+    let serve_spans = tracer
         .events()
         .iter()
-        .filter(|e| matches!(e.kind, SpanKind::Speculate { .. }))
+        .filter(|e| matches!(e.kind, SpanKind::Serve { .. }))
         .count();
-    assert!(spec_spans > 0, "speculative serves left no spans");
+    assert!(serve_spans > 0, "serves left no spans");
 }
 
 #[test]
@@ -198,40 +192,54 @@ fn runtime_tracing_on_off_is_bit_identical_across_mid_run_checkpoints() {
 
 #[test]
 fn counters_agree_with_their_authoritative_sources() {
-    // a quiescent single-worker run finishes with nothing in flight, so
-    // the cross-rank counter pairs must balance exactly
+    // a single-worker run stopped at its first checkpoint barrier ends
+    // quiescent: every chain paused at a clean boundary, every serve
+    // written back, nothing in flight, so the cross-rank counters must
+    // balance exactly. (A run that ends at `Shutdown` need not: level 0
+    // serves until then, and a write-back sent after the phonebook
+    // exited is dropped.)
+    let dir = std::env::temp_dir().join(format!("uq-obs-counters-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = RunStore::open(&dir).expect("open store");
+    let stop = AtomicBool::new(true);
+    let ckpt = ParallelCheckpoint {
+        store: &store,
+        config_hash: fnv1a(b"obs-conformance-counters"),
+        every: 100,
+        on_snapshot: None,
+        stop: Some(&stop),
+    };
+    let config = runtime_config(300, 500, 21);
     let tracer = Tracer::new();
-    let rt = run_runtime(&Ridge, &runtime_config(300, 500, 21), &tracer);
+    let rt = Run::new(&Ridge, &config, &tracer, Some(&ckpt), None)
+        .on(Placement::Pool(&Runtime::new(config.n_workers)))
+        .expect("a live run");
+    assert!(rt.preempted, "the run must stop at its first barrier");
     let ledger = rt.phonebook.ledger;
 
-    // every executed serve's ServeDone reached the phonebook: the
-    // controller-side count equals the phonebook-side count
+    // every executed serve's ServeDone reached the phonebook, and every
+    // write-back committed one serve in the ledger: the controller-side
+    // count, the phonebook-side count and the ledger describe the same
+    // history
     let serves = tracer.counter(Counter::Serves);
     let write_backs = tracer.counter(Counter::WriteBacks);
     assert_eq!(
         serves, write_backs,
         "controller-side serves vs phonebook-side write-backs"
     );
-    // the ledger commits real serves plus speculation hits; the tracer
-    // counts executed serve jobs (real serves plus launched
-    // speculations). The two sources must describe the same history.
     assert_eq!(
-        serves as usize + ledger.spec_hits,
-        ledger.serves + ledger.spec_launched,
-        "tracer serve count inconsistent with the ledger: serves={serves}, {ledger:?}"
+        write_backs as usize, ledger.serves,
+        "tracer write-backs inconsistent with the ledger: {ledger:?}"
     );
-    // speculation accounting: every resolution was a launch
-    assert!(ledger.spec_hits + ledger.spec_misses <= ledger.spec_launched);
-    assert!(ledger.spec_hits > 0 && ledger.spec_misses > 0);
+    assert!(ledger.serves > 0);
 
     // the merged snapshot carries both sources without overwriting the
     // live cross-check values
     let mut snap = MetricsSnapshot::capture("conformance", &tracer);
-    snap.merge_ledger(&ledger);
     snap.merge_runtime(&rt.runtime);
     assert_eq!(snap.counter(Counter::Serves), serves);
-    assert_eq!(snap.counter(Counter::SpecHits), ledger.spec_hits as u64);
     assert_eq!(snap.counter(Counter::Steals), rt.runtime.steals as u64);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

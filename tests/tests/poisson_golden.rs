@@ -334,15 +334,21 @@ struct GoldenRun {
     digests: [(u64, u64); 2],
 }
 
+// The m = 8 and m = 113 digests were re-recorded when speculative serves
+// were removed: with more than one chain per level they changed a
+// one-worker run's poll order. Each is what the code before produced
+// with speculation switched off; m = 24 (one chain per level) did not move.
 #[rustfmt::skip]
 const GOLDEN_RUNS: [GoldenRun; 3] = [
     GoldenRun { m: 8, levels: &[4, 8], rho: &[4], chains: &[64, 64], samples: &[4000, 1000],
-                digests: [(7, 0xba6329e81479a0ac), (11, 0xd121c94aa01cdfaf)] },
+                // both: the code before, speculation off
+                digests: [(7, 0x3ff9193c42b9f2d0), (11, 0xb4c43436f6aa5f32)] },
     GoldenRun { m: 24, levels: &[8, 16], rho: &[5], chains: &[1, 1], samples: &[400, 100],
                 digests: [(7, 0xeb47bc8e0ba204f1), (11, 0xac73898e9a171304)] },
     GoldenRun { m: 113, levels: &[16, 32, 64], rho: &[10, 4], chains: &[2, 2, 2],
                 samples: &[100, 20, 4],
-                digests: [(7, 0x9e005bb1a11ea3c3), (11, 0xb9566afbfd3c3bb7)] },
+                // both: the code before, speculation off
+                digests: [(7, 0x833dc1603f41600a), (11, 0xcd19ecd9ec3521c6)] },
 ];
 
 #[test]

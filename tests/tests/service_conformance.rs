@@ -6,7 +6,7 @@
 //!
 //! The pinned regime is the deterministic one shared with
 //! `net_conformance.rs`: one chain per level, load balancing off,
-//! per-sample recording on, speculation on, one worker per job. In that
+//! per-sample recording on, one worker per job. In that
 //! regime digests over (means, variances, thetas, correction pairs) are
 //! pure functions of the seed, so:
 //!
@@ -50,7 +50,6 @@ fn config(n0: usize, n1: usize, seed: u64) -> ParallelConfig {
     config.seed = seed;
     config.load_balancing = false;
     config.record_samples = true;
-    config.speculation = true;
     config
 }
 

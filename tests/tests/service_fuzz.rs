@@ -68,7 +68,6 @@ fn tiny_config() -> ParallelConfig {
     config.seed = BASE_SEED;
     config.load_balancing = false;
     config.record_samples = true;
-    config.speculation = true;
     config
 }
 

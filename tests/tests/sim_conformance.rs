@@ -9,7 +9,7 @@
 //! starts with the seed; re-running that seed reproduces the failure.
 //!
 //! Fixture: the tight ridge in the deterministic regime (one chain per
-//! level, balancer off, speculation and recording on), where the digest
+//! level, balancer off, recording on), where the digest
 //! must not depend on the executor at all; and a skewed three-level run
 //! for the invariants that hold with the balancer on.
 
@@ -36,7 +36,6 @@ fn ridge_config(n0: usize, n1: usize, seed: u64) -> RuntimeConfig {
     config.base.seed = seed;
     config.base.load_balancing = false;
     config.base.record_samples = true;
-    config.base.speculation = true;
     config.n_workers = 1;
     config
 }
@@ -92,8 +91,8 @@ fn every_delivery_seed_reproduces_the_live_digest() {
     // The fine chain takes its quota plus burn-in in steps — a fine
     // evaluation and a serve each, plus one evaluation to build the
     // chain — and steps on until `StopProducing` reaches it: once more
-    // under some deliveries (and the pool), not under others. Level 0
-    // serves and speculates until `Shutdown`: ROADMAP's overshoot.
+    // under some deliveries, not under others (nor on the pool). Level 0
+    // serves until `Shutdown`: ROADMAP's overshoot.
     let steps = 60 + 20;
     let counts = |run: &RuntimeReport| {
         let evals = |level: usize| run.report.levels[level].evaluations;
@@ -120,7 +119,7 @@ fn every_delivery_seed_reproduces_the_live_digest() {
     println!("[evals l0, evals l1, serves]: live {live:?}, simulated {least:?}..={most:?}");
     assert_eq!((least[1], most[1]), (steps + 1, steps + 2), "evals l1");
     assert_eq!((least[2], most[2]), (steps, steps + 1), "ledger serves");
-    assert_eq!(live[1..], [steps + 2, steps + 1], "the pool oversteps once");
+    assert_eq!(live[1..], [steps + 1, steps], "the pool does not overstep");
     assert!(least[0] <= live[0] && live[0] <= most[0], "live {live:?}");
 }
 
@@ -251,7 +250,7 @@ fn a_balanced_skewed_run_keeps_its_invariants_under_every_delivery() {
         // the phonebook exited (one per controller at most) and by
         // serves for a chain that was reassigned meanwhile
         let ledger = sim.phonebook.ledger;
-        let dispatched = ledger.serves - ledger.spec_hits + ledger.spec_launched;
+        let dispatched = ledger.serves;
         let returned = tracer.counter(Counter::WriteBacks) as usize;
         assert!(
             dispatched <= returned + 8 && returned <= dispatched + reassigned,
@@ -271,7 +270,7 @@ fn a_balanced_skewed_run_keeps_its_invariants_under_every_delivery() {
 
 /// ROADMAP 8(a): the configuration of the 4-worker estimate test and of
 /// the hang once seen on a 4-worker pool — three levels, chains
-/// `[2, 1, 1]`, balancer and speculation on — under a thousand delivery
+/// `[2, 1, 1]`, balancer on — under a thousand delivery
 /// seeds (each also the run's own seed): no deadlock and no exhausted
 /// budget, exactly `N_l` corrections per level, a finite estimate.
 #[test]
@@ -280,7 +279,6 @@ fn the_balanced_three_level_configuration_finishes_under_every_delivery() {
     let mut config = RuntimeConfig::new(targets.to_vec(), vec![2, 1, 1]);
     config.base.burn_in = vec![10, 5, 3];
     config.base.load_balancing = true;
-    config.base.speculation = true;
     let off = Tracer::disabled();
     for seed in 0..1000 {
         config.base.seed = seed;

@@ -12,11 +12,10 @@
 //! test below).
 
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
 use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample, Cursor};
 use uq_mlmcmc::estimator::{LevelReport, Term};
-use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, ServeOutcome, Session, Speculation};
+use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, Session};
 use uq_mlmcmc::store::{
     decode_snapshot, encode_snapshot, fnv1a, Backend, ChainCkpt, Codec, CollectorCkpt, Dec, Enc,
     RunSnapshot, SequentialCkpt, StoreError,
@@ -66,19 +65,6 @@ fn session(seed: u64, flags: u8, theta: &[f64]) -> Session {
         seed,
         serves: seed % 977,
         pairing: (flags & 1 != 0).then(|| sample(theta, -0.5, 1)),
-        next_anchor: (flags & 2 != 0).then(|| sample(theta, -1.5, 0)),
-        spec_inflight: (flags & 4 != 0).then_some(seed % 13),
-        spec: (flags & 8 != 0).then(|| Speculation {
-            serves: seed % 31,
-            outcome: ServeOutcome {
-                proposal: sample(theta, 0.75, 1),
-                pairing: sample(theta, -0.75, 0),
-                diverged: flags & 16 != 0,
-            },
-        }),
-        spec_backoff: u32::from(flags) % 17,
-        spec_cooldown: u32::from(flags / 2) % 9,
-        real_inflight: flags & 32 != 0,
     }
 }
 
@@ -86,14 +72,11 @@ fn session(seed: u64, flags: u8, theta: &[f64]) -> Session {
 fn ledger(sessions: Vec<((usize, usize), Session)>, seed: u64) -> LedgerBook {
     LedgerBook {
         generations: sessions.iter().map(|(key, s)| (*key, s.serves)).collect(),
-        candidates: HashMap::from([(0, VecDeque::from([3, 5])), (1, VecDeque::from([4]))]),
         stats: LedgerStats {
             sessions: sessions.len(),
             serves: (seed % 10_000) as usize,
             diverged: (seed % 97) as usize,
-            spec_launched: (seed % 53) as usize,
-            spec_hits: (seed % 29) as usize,
-            spec_misses: (seed % 23) as usize,
+            ..LedgerStats::default()
         },
         sessions: sessions.into_iter().collect(),
     }
@@ -107,8 +90,8 @@ fn backend(tag: u8) -> Backend {
 }
 
 /// A full snapshot exercising every branch of the codec: parallel
-/// chains with nested anchors, one collector per level, a ledger with
-/// parked speculation, and a sequential stack of two or three levels
+/// chains with nested anchors, one collector per level, a ledger, and a
+/// sequential stack of two or three levels
 /// with completed terms.
 fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
     let parts: Vec<(usize, f64, f64)> = theta.iter().map(|t| (steps, *t, t.abs())).collect();
@@ -186,12 +169,10 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
 fn book_bytes(
     sessions: &[((usize, usize), Session)],
     generations: &[((usize, usize), u64)],
-    candidates: &[(usize, Vec<usize>)],
 ) -> Vec<u8> {
     let mut enc = Enc::new();
     sessions.to_vec().encode(&mut enc);
     generations.to_vec().encode(&mut enc);
-    candidates.to_vec().encode(&mut enc);
     LedgerStats::default().encode(&mut enc);
     enc.into_bytes()
 }
@@ -267,21 +248,18 @@ proptest! {
         let (a, b) = (((3, 0), session(seed, flags, &theta)), ((5, 1), session(!seed, flags / 2, &theta)));
         let sessions = [a.clone(), b.clone()];
         let generations = [((3, 0), 1u64), ((5, 1), 2)];
-        let candidates = [(0, vec![3usize]), (1, vec![5])];
         let decoded = |bytes: Vec<u8>| LedgerBook::decode(&mut Dec::new(&bytes));
         let refused = |bytes| matches!(decoded(bytes), Err(StoreError::Corrupt(_)));
         // the canonical layout decodes, and is what the book encodes
-        let canonical = book_bytes(&sessions, &generations, &candidates);
+        let canonical = book_bytes(&sessions, &generations);
         let book = decoded(canonical.clone()).expect("canonical bytes decode");
         prop_assert_eq!(value_roundtrip(&book).1, canonical);
         // two sessions swapped, a session duplicated
-        prop_assert!(refused(book_bytes(&[b, a.clone()], &generations, &candidates)));
-        prop_assert!(refused(book_bytes(&[a.clone(), a], &generations, &candidates)));
-        // generations out of order, candidate levels out of order
+        prop_assert!(refused(book_bytes(&[b, a.clone()], &generations)));
+        prop_assert!(refused(book_bytes(&[a.clone(), a], &generations)));
+        // generations out of order
         let swapped = [generations[1], generations[0]];
-        prop_assert!(refused(book_bytes(&sessions, &swapped, &candidates)));
-        let swapped = [candidates[1].clone(), candidates[0].clone()];
-        prop_assert!(refused(book_bytes(&sessions, &generations, &swapped)));
+        prop_assert!(refused(book_bytes(&sessions, &swapped)));
         // moments whose per-component counts disagree
         let parts: Vec<(usize, f64, f64)> =
             theta.iter().enumerate().map(|(i, t)| (count + i, *t, t.abs())).collect();
