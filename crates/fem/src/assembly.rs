@@ -107,7 +107,7 @@ pub fn assemble(grid: &StructuredGrid, kappa: &[f64]) -> AssembledSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uq_linalg::solvers::{cg, SolverOptions, SsorPrecond};
+    use uq_linalg::solvers::{cg, IdentityPrecond, SolverOptions};
 
     #[test]
     fn reference_stiffness_known_values() {
@@ -141,8 +141,13 @@ mod tests {
 
     fn solve(grid: &StructuredGrid, kappa: &[f64]) -> Vec<f64> {
         let sys = assemble(grid, kappa);
-        let pre = SsorPrecond::new(&sys.matrix, 1.0);
-        let r = cg(&sys.matrix, &sys.rhs, None, &pre, SolverOptions::default());
+        let r = cg(
+            &sys.matrix,
+            &sys.rhs,
+            None,
+            &IdentityPrecond,
+            SolverOptions::default(),
+        );
         assert!(r.converged, "CG failed: {}", r.residual);
         r.x
     }

@@ -39,7 +39,7 @@ use crate::operator::{StiffnessOperator, StiffnessPattern};
 use std::sync::Arc;
 use uq_linalg::banded::BandedSolver;
 use uq_linalg::dense::DenseMatrix;
-use uq_linalg::mg::{GmgHierarchy, GmgLevelSpec, Smoother};
+use uq_linalg::mg::{GmgHierarchy, GmgLevelSpec};
 use uq_linalg::solvers::{cg_into, SolveStats, SolverOptions, SolverWorkspace};
 use uq_randfield::KlField2d;
 
@@ -156,12 +156,7 @@ pub fn build_mg_hierarchy(fine_n: usize, kappa: &[f64]) -> Option<GmgHierarchy> 
         }
         pattern.refill_values(&current, spec.matrix.values_mut());
     }
-    Some(GmgHierarchy::new(
-        specs,
-        Smoother::RedBlackGaussSeidel,
-        1,
-        1,
-    ))
+    Some(GmgHierarchy::new(specs))
 }
 
 /// Largest band factorisation, in multiply-adds (`free · bw² / 2`), that
@@ -208,7 +203,7 @@ impl SolverBackend {
             return Self::Direct { op, band };
         }
         let (patterns, specs) = mg_components(&level_n);
-        let gmg = GmgHierarchy::new(specs, Smoother::RedBlackGaussSeidel, 1, 1);
+        let gmg = GmgHierarchy::new(specs);
         let coarse_kappa = level_n[1..].iter().map(|&n| vec![0.0; n * n]).collect();
         Self::Multigrid {
             gmg,

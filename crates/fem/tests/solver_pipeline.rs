@@ -1,12 +1,12 @@
 //! Integration tests of the allocation-free forward-solve pipeline:
 //! in-place refill correctness (property-based) and the multigrid
-//! iteration-count regression guarding the PR's mesh-independence claim.
+//! iteration-count regression guarding MG-CG's mesh independence.
 
 use proptest::prelude::*;
 use uq_fem::assembly::assemble;
 use uq_fem::poisson::build_mg_hierarchy;
 use uq_fem::{StiffnessOperator, StructuredGrid};
-use uq_linalg::solvers::{cg, SolverOptions, SsorPrecond};
+use uq_linalg::solvers::{cg, SolverOptions};
 
 proptest! {
     /// The scatter-map refill must reproduce a from-scratch assembly
@@ -55,28 +55,23 @@ fn smooth_kappa(grid: &StructuredGrid) -> Vec<f64> {
 }
 
 /// The headline regression: MG-preconditioned CG iteration counts stay
-/// flat (±2) from n = 16 to n = 64 while SSOR's grow with the mesh.
-/// Uses [`build_mg_hierarchy`], i.e. the production hierarchy with its
-/// 2×2-averaged coarse κ — not a test reimplementation.
+/// flat (±2) from n = 16 to n = 64. Uses [`build_mg_hierarchy`], i.e.
+/// the production hierarchy with its 2×2-averaged coarse κ — not a test
+/// reimplementation.
 #[test]
-fn mg_cg_iterations_mesh_independent_while_ssor_grows() {
+fn mg_cg_iterations_mesh_independent() {
     let opts = SolverOptions {
         rel_tol: 1e-8,
         ..Default::default()
     };
     let mut mg_iters = Vec::new();
-    let mut ssor_iters = Vec::new();
     for n in [16usize, 32, 64] {
         let grid = StructuredGrid::new(n);
         let sys = assemble(&grid, &smooth_kappa(&grid));
         let h = build_mg_hierarchy(n, &smooth_kappa(&grid)).expect("even n > 4");
         let mg = cg(h.matrix(0), &sys.rhs, None, &h, opts);
         assert!(mg.converged, "MG-CG stalled at n = {n}");
-        let pre = SsorPrecond::new(&sys.matrix, 1.0);
-        let ssor = cg(&sys.matrix, &sys.rhs, None, &pre, opts);
-        assert!(ssor.converged, "SSOR-CG stalled at n = {n}");
         mg_iters.push(mg.iterations);
-        ssor_iters.push(ssor.iterations);
     }
     let (mg_min, mg_max) = (
         *mg_iters.iter().min().unwrap(),
@@ -85,16 +80,6 @@ fn mg_cg_iterations_mesh_independent_while_ssor_grows() {
     assert!(
         mg_max <= mg_min + 2,
         "MG-CG iterations should be mesh-independent (±2): {mg_iters:?}"
-    );
-    assert!(
-        ssor_iters[2] > ssor_iters[0],
-        "SSOR-CG iterations should grow with the mesh: {ssor_iters:?}"
-    );
-    assert!(
-        ssor_iters[2] > mg_iters[2],
-        "at n = 64 MG ({}) must beat SSOR ({})",
-        mg_iters[2],
-        ssor_iters[2]
     );
 }
 

@@ -1,7 +1,7 @@
-//! Dense row-major matrices with the factorizations the UQ stack needs:
-//! Cholesky (for Gaussian proposal covariances), cyclic-Jacobi symmetric
-//! eigendecomposition (for Karhunen–Loève modes) and LU with partial
-//! pivoting (small saddle-point systems in the DG limiter).
+//! Dense row-major matrices with the one factorization the UQ stack
+//! needs: Cholesky (Gaussian proposal covariances and the multigrid
+//! coarse-level solve). Dense matrices also hold the tabulated KL basis
+//! (`κ = exp(Φθ)`).
 
 use crate::vector;
 
@@ -227,121 +227,6 @@ impl DenseMatrix {
             x[i] = s / self[(i, i)];
         }
     }
-
-    /// Solve `A x = b` by LU with partial pivoting. Returns `None` when the
-    /// matrix is numerically singular.
-    pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
-        assert_eq!(self.rows, self.cols, "solve: matrix must be square");
-        let n = self.rows;
-        assert_eq!(b.len(), n, "solve: dimension mismatch");
-        let mut a = self.data.clone();
-        let mut x: Vec<f64> = b.to_vec();
-        let mut piv: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // partial pivot
-            let mut p = k;
-            let mut best = a[piv[k] * n + k].abs();
-            for r in k + 1..n {
-                let v = a[piv[r] * n + k].abs();
-                if v > best {
-                    best = v;
-                    p = r;
-                }
-            }
-            if best < 1e-300 {
-                return None;
-            }
-            piv.swap(k, p);
-            let pk = piv[k];
-            let akk = a[pk * n + k];
-            for r in k + 1..n {
-                let pr = piv[r];
-                let f = a[pr * n + k] / akk;
-                a[pr * n + k] = f;
-                for c in k + 1..n {
-                    a[pr * n + c] -= f * a[pk * n + c];
-                }
-                x[pr] -= f * x[pk];
-            }
-        }
-        // back substitution
-        let mut out = vec![0.0; n];
-        for i in (0..n).rev() {
-            let pi = piv[i];
-            let mut s = x[pi];
-            for j in i + 1..n {
-                s -= a[pi * n + j] * out[j];
-            }
-            out[i] = s / a[pi * n + i];
-        }
-        Some(out)
-    }
-
-    /// Eigendecomposition of a symmetric matrix via the cyclic Jacobi method.
-    ///
-    /// Returns `(eigenvalues, eigenvectors)` with eigenvalues sorted in
-    /// descending order; column `k` of the returned matrix is the
-    /// eigenvector for `eigenvalues[k]`.
-    pub fn sym_eigen(&self) -> (Vec<f64>, DenseMatrix) {
-        assert_eq!(self.rows, self.cols, "sym_eigen: matrix must be square");
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut v = DenseMatrix::identity(n);
-        let max_sweeps = 100;
-        for _ in 0..max_sweeps {
-            let mut off = 0.0;
-            for i in 0..n {
-                for j in i + 1..n {
-                    off += a[(i, j)] * a[(i, j)];
-                }
-            }
-            if off.sqrt() < 1e-14 {
-                break;
-            }
-            for p in 0..n {
-                for q in p + 1..n {
-                    let apq = a[(p, q)];
-                    if apq.abs() < 1e-300 {
-                        continue;
-                    }
-                    let app = a[(p, p)];
-                    let aqq = a[(q, q)];
-                    let tau = (aqq - app) / (2.0 * apq);
-                    let t = if tau >= 0.0 {
-                        1.0 / (tau + (1.0 + tau * tau).sqrt())
-                    } else {
-                        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-                    // rotate rows/cols p and q of a
-                    for k in 0..n {
-                        let akp = a[(k, p)];
-                        let akq = a[(k, q)];
-                        a[(k, p)] = c * akp - s * akq;
-                        a[(k, q)] = s * akp + c * akq;
-                    }
-                    for k in 0..n {
-                        let apk = a[(p, k)];
-                        let aqk = a[(q, k)];
-                        a[(p, k)] = c * apk - s * aqk;
-                        a[(q, k)] = s * apk + c * aqk;
-                    }
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
-                }
-            }
-        }
-        let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (a[(i, i)], i)).collect();
-        pairs.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap());
-        let eigvals: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let eigvecs = DenseMatrix::from_fn(n, n, |i, k| v[(i, pairs[k].1)]);
-        (eigvals, eigvecs)
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DenseMatrix {
@@ -441,60 +326,5 @@ mod tests {
         for (ri, bi) in r.iter().zip(&b) {
             assert!((ri - bi).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn lu_solve_matches_known_solution() {
-        let a = DenseMatrix::from_vec(3, 3, vec![0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.0, 3.0]);
-        let x_true = vec![1.0, -1.0, 2.0];
-        let b = a.matvec(&x_true);
-        let x = a.solve(&b).expect("nonsingular");
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn lu_solve_detects_singular() {
-        let a = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
-        assert!(a.solve(&[1.0, 1.0]).is_none());
-    }
-
-    #[test]
-    fn jacobi_eigen_diagonalizes_known_matrix() {
-        // eigenvalues of [[2,1],[1,2]] are 3 and 1
-        let a = DenseMatrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
-        let (vals, vecs) = a.sym_eigen();
-        assert!((vals[0] - 3.0).abs() < 1e-12);
-        assert!((vals[1] - 1.0).abs() < 1e-12);
-        // A v = lambda v for each column
-        for k in 0..2 {
-            let v: Vec<f64> = (0..2).map(|i| vecs[(i, k)]).collect();
-            let av = a.matvec(&v);
-            for i in 0..2 {
-                assert!((av[i] - vals[k] * v[i]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn jacobi_eigen_orthonormal_vectors() {
-        let a = spd3();
-        let (_, vecs) = a.sym_eigen();
-        let vtv = vecs.transpose().matmul(&vecs);
-        for i in 0..3 {
-            for j in 0..3 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((vtv[(i, j)] - expect).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn eigen_trace_and_det_invariants() {
-        let a = spd3();
-        let (vals, _) = a.sym_eigen();
-        let trace: f64 = (0..3).map(|i| a[(i, i)]).sum();
-        assert!((vals.iter().sum::<f64>() - trace).abs() < 1e-10);
     }
 }

@@ -8,10 +8,10 @@
 //!   prolongation, the FEM-consistent residual transfer for Q1
 //!   stiffness matrices (whose entries are `h`-independent in 2-D);
 //! * bilinear prolongation of coarse corrections;
-//! * weighted-Jacobi or red–black Gauss–Seidel smoothing (the latter
-//!   reverses its colour order on the post-smooth so the overall
-//!   V-cycle stays symmetric — required when the cycle preconditions
-//!   conjugate gradients);
+//! * one red–black Gauss–Seidel sweep before and one after the coarse
+//!   correction, the post-smooth the exact adjoint of the pre-smooth so
+//!   the V-cycle stays symmetric — required because the cycle's one use
+//!   is to precondition conjugate gradients;
 //! * a dense Cholesky direct solve on the coarsest level.
 //!
 //! Node ordering matches `uq-fem`'s [`StructuredGrid`]: node `(i, j)` at
@@ -30,27 +30,9 @@
 //! [`StructuredGrid`]: https://docs.rs/uq-fem
 
 use crate::dense::DenseMatrix;
-use crate::solvers::{Preconditioner, SolveStats, SolverOptions};
+use crate::solvers::Preconditioner;
 use crate::sparse::CsrMatrix;
-use crate::vector::norm2;
 use parking_lot::Mutex;
-
-/// Smoother used on every level but the coarsest.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Smoother {
-    /// Damped Jacobi `x ← x + ω D⁻¹ (b − A x)`; symmetric for any sweep
-    /// count. `ω ≈ 0.8` is a good default for Q1 Laplacians.
-    WeightedJacobi {
-        /// Damping factor in `(0, 1]`.
-        omega: f64,
-    },
-    /// Red–black Gauss–Seidel (checkerboard colouring by node parity).
-    /// Pre-smooths red→black in ascending node order; post-smooths
-    /// black→red in descending node order (the exact adjoint sweep,
-    /// needed because the 9-point Q1 stencil couples same-colour
-    /// diagonal neighbours), which makes the V-cycle symmetric.
-    RedBlackGaussSeidel,
-}
 
 /// One level of input to [`GmgHierarchy::new`]: the mesh size `n`
 /// (elements per direction, so `(n+1)²` nodes), the assembled operator,
@@ -84,14 +66,10 @@ struct Work {
     tmp: Vec<Vec<f64>>,
 }
 
-/// A geometric multigrid hierarchy, usable standalone (via
-/// [`solve`](Self::solve)) or as a CG preconditioner (one V-cycle per
-/// [`Preconditioner::apply_into`] call).
+/// A geometric multigrid hierarchy, used as a CG preconditioner (one
+/// V-cycle per [`Preconditioner::apply_into`] call).
 pub struct GmgHierarchy {
     levels: Vec<Level>,
-    smoother: Smoother,
-    nu_pre: usize,
-    nu_post: usize,
     /// Dense scratch for the coarsest operator, refilled by `refresh`.
     coarse_dense: DenseMatrix,
     /// Lower Cholesky factor of the coarsest operator.
@@ -106,23 +84,8 @@ impl GmgHierarchy {
     /// Panics if fewer than two levels are given, if dimensions are
     /// inconsistent (`matrix` must be `(n+1)² × (n+1)²` and each coarser
     /// level must halve `n`), or if the coarsest operator is not SPD.
-    pub fn new(
-        specs: Vec<GmgLevelSpec>,
-        smoother: Smoother,
-        nu_pre: usize,
-        nu_post: usize,
-    ) -> Self {
+    pub fn new(specs: Vec<GmgLevelSpec>) -> Self {
         assert!(specs.len() >= 2, "GmgHierarchy: need at least two levels");
-        assert!(
-            nu_pre + nu_post > 0,
-            "GmgHierarchy: need at least one smoothing sweep"
-        );
-        if let Smoother::WeightedJacobi { omega } = smoother {
-            assert!(
-                omega > 0.0 && omega <= 1.0,
-                "GmgHierarchy: Jacobi damping must be in (0, 1]"
-            );
-        }
         for w in specs.windows(2) {
             assert_eq!(
                 w[1].n * 2,
@@ -157,9 +120,6 @@ impl GmgHierarchy {
         let coarse_nodes = levels.last().expect("at least two levels").a.rows();
         let mut h = Self {
             levels,
-            smoother,
-            nu_pre,
-            nu_post,
             coarse_dense: DenseMatrix::zeros(coarse_nodes, coarse_nodes),
             coarse_chol: DenseMatrix::zeros(coarse_nodes, coarse_nodes),
             work: Mutex::new(Work::default()),
@@ -225,7 +185,7 @@ impl GmgHierarchy {
 
     /// One V-cycle applied to `b` from a zero initial guess: `z ≈ A⁻¹ b`.
     /// This is the preconditioner action; it is symmetric positive
-    /// definite for the smoothers provided here.
+    /// definite.
     pub fn vcycle_into(&self, b: &[f64], z: &mut [f64]) {
         let nodes = self.levels[0].a.rows();
         assert_eq!(b.len(), nodes, "vcycle_into: rhs dimension mismatch");
@@ -236,48 +196,6 @@ impl GmgHierarchy {
         work.x[0].fill(0.0);
         self.vcycle_level(0, &mut work);
         z.copy_from_slice(&work.x[0]);
-    }
-
-    /// Standalone multigrid iteration: repeat V-cycles until the true
-    /// residual satisfies `opts`. `x` carries the initial guess in and
-    /// the solution out; `iterations` counts V-cycles.
-    pub fn solve(&self, b: &[f64], x: &mut [f64], opts: SolverOptions) -> SolveStats {
-        let nodes = self.levels[0].a.rows();
-        assert_eq!(
-            b.len(),
-            nodes,
-            "GmgHierarchy::solve: rhs dimension mismatch"
-        );
-        assert_eq!(
-            x.len(),
-            nodes,
-            "GmgHierarchy::solve: solution dimension mismatch"
-        );
-        let a = &self.levels[0].a;
-        let mut r = vec![0.0; nodes];
-        let mut z = vec![0.0; nodes];
-        let b_norm = norm2(b).max(opts.abs_tol);
-        let target = (opts.rel_tol * b_norm).max(opts.abs_tol);
-        let mut iterations = 0;
-        loop {
-            a.matvec_into(x, &mut r);
-            for (ri, bi) in r.iter_mut().zip(b) {
-                *ri = bi - *ri;
-            }
-            let res = norm2(&r);
-            if res <= target || iterations >= opts.max_iter {
-                return SolveStats {
-                    iterations,
-                    residual: res,
-                    converged: res <= target,
-                };
-            }
-            self.vcycle_into(&r, &mut z);
-            for (xi, zi) in x.iter_mut().zip(&z) {
-                *xi += zi;
-            }
-            iterations += 1;
-        }
     }
 
     fn ensure_work(&self, work: &mut Work) {
@@ -304,7 +222,7 @@ impl GmgHierarchy {
                 .solve_cholesky_into(&work.b[l], &mut work.x[l]);
             return;
         }
-        self.smooth(l, work, self.nu_pre, false);
+        self.smooth(l, work, false);
         // residual, masked at Dirichlet nodes
         let lev = &self.levels[l];
         lev.a.matvec_into(&work.x[l], &mut work.tmp[l]);
@@ -323,29 +241,19 @@ impl GmgHierarchy {
         // prolongate the coarse correction and post-smooth
         let (fine_x, coarse_x) = work.x.split_at_mut(l + 1);
         prolong_add_bilinear(next.n, &coarse_x[0], lev.n, &mut fine_x[l]);
-        self.smooth(l, work, self.nu_post, true);
+        self.smooth(l, work, true);
     }
 
-    fn smooth(&self, l: usize, work: &mut Work, sweeps: usize, reverse: bool) {
-        let lev = &self.levels[l];
-        match self.smoother {
-            Smoother::WeightedJacobi { omega } => {
-                for _ in 0..sweeps {
-                    lev.a.matvec_into(&work.x[l], &mut work.tmp[l]);
-                    let (x, b, tmp) = (&mut work.x[l], &work.b[l], &work.tmp[l]);
-                    for i in 0..lev.a.rows() {
-                        x[i] += omega * lev.inv_diag[i] * (b[i] - tmp[i]);
-                    }
-                }
-            }
-            Smoother::RedBlackGaussSeidel => {
-                let colors: [usize; 2] = if reverse { [1, 0] } else { [0, 1] };
-                for _ in 0..sweeps {
-                    for &color in &colors {
-                        gauss_seidel_color(lev, &work.b[l], &mut work.x[l], color, reverse);
-                    }
-                }
-            }
+    /// One red–black Gauss–Seidel sweep (checkerboard colouring by node
+    /// parity) on level `l`. The pre-smooth goes red→black in ascending
+    /// node order; the post-smooth (`reverse`) goes black→red in
+    /// descending node order, the exact adjoint sweep — needed because
+    /// the 9-point Q1 stencil couples same-colour diagonal neighbours —
+    /// which makes the V-cycle symmetric.
+    fn smooth(&self, l: usize, work: &mut Work, reverse: bool) {
+        let colors: [usize; 2] = if reverse { [1, 0] } else { [0, 1] };
+        for color in colors {
+            gauss_seidel_color(&self.levels[l], &work.b[l], &mut work.x[l], color, reverse);
         }
     }
 }
@@ -481,7 +389,7 @@ fn prolong_add_bilinear(coarse_n: usize, x_coarse: &[f64], fine_n: usize, x_fine
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::{cg, IdentityPrecond};
+    use crate::solvers::{cg, SolverOptions};
     use crate::sparse::CooMatrix;
 
     /// Q1 Laplace operator on an `n × n` element grid with homogeneous
@@ -525,7 +433,7 @@ mod tests {
         (coo.to_csr(), fixed)
     }
 
-    fn hierarchy(fine_n: usize, smoother: Smoother) -> GmgHierarchy {
+    fn hierarchy(fine_n: usize) -> GmgHierarchy {
         let mut specs = Vec::new();
         let mut n = fine_n;
         loop {
@@ -536,7 +444,7 @@ mod tests {
             }
             n /= 2;
         }
-        GmgHierarchy::new(specs, smoother, 1, 1)
+        GmgHierarchy::new(specs)
     }
 
     fn interior_rhs(n: usize) -> Vec<f64> {
@@ -554,46 +462,10 @@ mod tests {
     }
 
     #[test]
-    fn standalone_mg_matches_cg_solution() {
-        for smoother in [
-            Smoother::RedBlackGaussSeidel,
-            Smoother::WeightedJacobi { omega: 0.8 },
-        ] {
-            let h = hierarchy(16, smoother);
-            let b = interior_rhs(16);
-            let mut x = vec![0.0; b.len()];
-            let stats = h.solve(&b, &mut x, SolverOptions::default());
-            assert!(stats.converged, "MG stalled at {}", stats.residual);
-            let reference = cg(
-                h.matrix(0),
-                &b,
-                None,
-                &IdentityPrecond,
-                SolverOptions::default(),
-            );
-            assert!(crate::vector::max_abs_diff(&x, &reference.x) < 1e-7);
-        }
-    }
-
-    #[test]
-    fn standalone_mg_converges_fast() {
-        let h = hierarchy(32, Smoother::RedBlackGaussSeidel);
-        let b = interior_rhs(32);
-        let mut x = vec![0.0; b.len()];
-        let stats = h.solve(&b, &mut x, SolverOptions::default());
-        assert!(stats.converged);
-        assert!(
-            stats.iterations <= 15,
-            "V(1,1) should converge in ≲15 cycles, took {}",
-            stats.iterations
-        );
-    }
-
-    #[test]
     fn mg_preconditioned_cg_iterations_are_mesh_independent() {
         let mut iters = Vec::new();
         for n in [8usize, 16, 32] {
-            let h = hierarchy(n, Smoother::RedBlackGaussSeidel);
+            let h = hierarchy(n);
             let b = interior_rhs(n);
             let r = cg(h.matrix(0), &b, None, &h, SolverOptions::default());
             assert!(r.converged);
@@ -610,35 +482,30 @@ mod tests {
     fn vcycle_is_symmetric() {
         // ⟨B e_i, e_j⟩ = ⟨e_i, B e_j⟩ for the V-cycle operator B — the
         // requirement for use inside CG. Checked on a sample of index
-        // pairs for both smoothers.
-        for smoother in [
-            Smoother::RedBlackGaussSeidel,
-            Smoother::WeightedJacobi { omega: 0.8 },
-        ] {
-            let h = hierarchy(8, smoother);
-            let nodes = h.matrix(0).rows();
-            let mut zi = vec![0.0; nodes];
-            let mut zj = vec![0.0; nodes];
-            for (i, j) in [(20usize, 40usize), (31, 55), (22, 23)] {
-                let mut ei = vec![0.0; nodes];
-                let mut ej = vec![0.0; nodes];
-                ei[i] = 1.0;
-                ej[j] = 1.0;
-                h.vcycle_into(&ei, &mut zi);
-                h.vcycle_into(&ej, &mut zj);
-                let bij = zi[j];
-                let bji = zj[i];
-                assert!(
-                    (bij - bji).abs() < 1e-12 * bij.abs().max(1.0),
-                    "V-cycle not symmetric: B[{i},{j}] = {bij} vs B[{j},{i}] = {bji}"
-                );
-            }
+        // pairs.
+        let h = hierarchy(8);
+        let nodes = h.matrix(0).rows();
+        let mut zi = vec![0.0; nodes];
+        let mut zj = vec![0.0; nodes];
+        for (i, j) in [(20usize, 40usize), (31, 55), (22, 23)] {
+            let mut ei = vec![0.0; nodes];
+            let mut ej = vec![0.0; nodes];
+            ei[i] = 1.0;
+            ej[j] = 1.0;
+            h.vcycle_into(&ei, &mut zi);
+            h.vcycle_into(&ej, &mut zj);
+            let bij = zi[j];
+            let bji = zj[i];
+            assert!(
+                (bij - bji).abs() < 1e-12 * bij.abs().max(1.0),
+                "V-cycle not symmetric: B[{i},{j}] = {bij} vs B[{j},{i}] = {bji}"
+            );
         }
     }
 
     #[test]
     fn fixed_nodes_keep_zero_correction() {
-        let h = hierarchy(8, Smoother::RedBlackGaussSeidel);
+        let h = hierarchy(8);
         let b = interior_rhs(8);
         let mut z = vec![0.0; b.len()];
         h.vcycle_into(&b, &mut z);
@@ -654,7 +521,7 @@ mod tests {
 
     #[test]
     fn refill_and_refresh_track_value_changes() {
-        let mut h = hierarchy(8, Smoother::RedBlackGaussSeidel);
+        let mut h = hierarchy(8);
         let b = interior_rhs(8);
         let before = cg(h.matrix(0), &b, None, &h, SolverOptions::default());
         assert!(before.converged);
@@ -676,15 +543,10 @@ mod tests {
     #[should_panic(expected = "at least two levels")]
     fn single_level_hierarchy_panics() {
         let (matrix, fixed) = q1_laplace_dirichlet(4);
-        GmgHierarchy::new(
-            vec![GmgLevelSpec {
-                n: 4,
-                matrix,
-                fixed,
-            }],
-            Smoother::RedBlackGaussSeidel,
-            1,
-            1,
-        );
+        GmgHierarchy::new(vec![GmgLevelSpec {
+            n: 4,
+            matrix,
+            fixed,
+        }]);
     }
 }

@@ -37,48 +37,6 @@ impl Preconditioner for IdentityPrecond {
     }
 }
 
-/// Symmetric SOR preconditioner (one forward + one backward sweep).
-///
-/// Borrows the matrix instead of cloning it (the clone used to dominate
-/// per-solve cost on the FEM hot path) and caches the reciprocal
-/// diagonal so each application is two allocation-free triangular
-/// sweeps.
-pub struct SsorPrecond<'a> {
-    a: &'a CsrMatrix,
-    inv_diag: Vec<f64>,
-    omega: f64,
-}
-
-impl<'a> SsorPrecond<'a> {
-    /// `omega` is the relaxation parameter in `(0, 2)`; `1.0` gives
-    /// symmetric Gauss–Seidel.
-    ///
-    /// # Panics
-    /// Panics if `omega` is out of range or the matrix has a zero
-    /// diagonal entry.
-    pub fn new(a: &'a CsrMatrix, omega: f64) -> Self {
-        assert!(
-            omega > 0.0 && omega < 2.0,
-            "SsorPrecond: omega must be in (0,2)"
-        );
-        let inv_diag = a
-            .diagonal()
-            .into_iter()
-            .map(|d| {
-                assert!(d != 0.0, "SsorPrecond: zero diagonal entry");
-                1.0 / d
-            })
-            .collect();
-        Self { a, inv_diag, omega }
-    }
-}
-
-impl Preconditioner for SsorPrecond<'_> {
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        self.a.ssor_apply_into(r, z, self.omega, &self.inv_diag);
-    }
-}
-
 /// Iteration controls of the Krylov solver.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverOptions {
@@ -263,32 +221,6 @@ mod tests {
         let r = cg(&a, &b, None, &IdentityPrecond, SolverOptions::default());
         assert!(r.converged, "cg failed: residual {}", r.residual);
         assert!(crate::vector::max_abs_diff(&r.x, &x_true) < 1e-7);
-    }
-
-    #[test]
-    fn cg_with_ssor_reduces_iterations() {
-        let a = laplacian(120);
-        let b = vec![1.0; 120];
-        let plain = cg(&a, &b, None, &IdentityPrecond, SolverOptions::default());
-        let pre = SsorPrecond::new(&a, 1.2);
-        let ssor = cg(&a, &b, None, &pre, SolverOptions::default());
-        assert!(ssor.converged);
-        assert!(
-            ssor.iterations < plain.iterations,
-            "SSOR ({}) should beat plain CG ({})",
-            ssor.iterations,
-            plain.iterations
-        );
-    }
-
-    #[test]
-    fn ssor_precond_matches_raw_ssor_apply() {
-        let a = laplacian(40);
-        let r: Vec<f64> = (0..40).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
-        let pre = SsorPrecond::new(&a, 1.3);
-        let via_precond = pre.apply(&r);
-        let via_matrix = a.ssor_apply(&r, 1.3);
-        assert!(crate::vector::max_abs_diff(&via_precond, &via_matrix) < 1e-14);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Sparse matrices in COO (assembly) and CSR (compute) formats.
 //!
 //! FEM assembly accumulates triplets into a [`CooMatrix`]; the solver phase
-//! converts once to [`CsrMatrix`] which provides serial and Rayon-parallel
-//! matrix–vector products plus the row access the SSOR preconditioner needs.
-
-use rayon::prelude::*;
+//! converts once to [`CsrMatrix`] which provides the matrix–vector product
+//! plus the row access the multigrid smoother needs.
 
 /// Coordinate-format (triplet) sparse matrix used during assembly.
 ///
@@ -249,19 +247,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Rayon-parallel matrix–vector product (row-partitioned; used on the
-    /// fine FEM levels where rows ≫ cores).
-    pub fn par_matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "par_matvec: dimension mismatch");
-        (0..self.rows)
-            .into_par_iter()
-            .map(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum()
-            })
-            .collect()
-    }
-
     /// Symmetry check up to `tol` (structure-agnostic; O(nnz · log nnz)).
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.rows != self.cols {
@@ -276,75 +261,6 @@ impl CsrMatrix {
             }
         }
         true
-    }
-
-    /// One forward Gauss–Seidel sweep solving `(D + L) z = r` in place,
-    /// followed by one backward sweep for `(D + U) z = D z_mid` — i.e. the
-    /// SSOR action used as a preconditioner. `omega` is the relaxation
-    /// factor.
-    pub fn ssor_apply(&self, r: &[f64], omega: f64) -> Vec<f64> {
-        assert_eq!(self.rows, self.cols, "ssor_apply: matrix must be square");
-        let inv_diag: Vec<f64> = (0..self.rows)
-            .map(|i| {
-                let d = self.get(i, i);
-                debug_assert!(d != 0.0, "ssor: zero diagonal at row {i}");
-                1.0 / d
-            })
-            .collect();
-        let mut z = vec![0.0; self.rows];
-        self.ssor_apply_into(r, &mut z, omega, &inv_diag);
-        z
-    }
-
-    /// Allocation-free SSOR application into a caller-provided buffer.
-    ///
-    /// `inv_diag` must hold the reciprocal diagonal of the matrix
-    /// (cached by the caller across applications, e.g. by
-    /// [`crate::solvers::SsorPrecond`]). Both sweeps run in place in
-    /// `z`: the backward sweep only reads `z[c]` for `c > i`, which at
-    /// that point already holds the updated value it needs.
-    pub fn ssor_apply_into(&self, r: &[f64], z: &mut [f64], omega: f64, inv_diag: &[f64]) {
-        assert_eq!(
-            self.rows, self.cols,
-            "ssor_apply_into: matrix must be square"
-        );
-        let n = self.rows;
-        assert_eq!(r.len(), n, "ssor_apply_into: rhs dimension mismatch");
-        assert_eq!(z.len(), n, "ssor_apply_into: output dimension mismatch");
-        assert_eq!(
-            inv_diag.len(),
-            n,
-            "ssor_apply_into: diagonal dimension mismatch"
-        );
-        // forward sweep: z = ω (D/ω + L)⁻¹ r  (columns are sorted, so the
-        // strictly-lower part is an exact prefix of each row)
-        for i in 0..n {
-            let (cols, vals) = self.row(i);
-            let mut s = r[i];
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c >= i {
-                    break;
-                }
-                s -= v * z[c];
-            }
-            z[i] = omega * s * inv_diag[i];
-        }
-        // middle factor: z *= D/ω
-        for (zi, di) in z.iter_mut().zip(inv_diag) {
-            *zi /= omega * di;
-        }
-        // backward sweep: z = ω (D/ω + U)⁻¹ z_mid, in place
-        for i in (0..n).rev() {
-            let (cols, vals) = self.row(i);
-            let mut s = z[i];
-            for (&c, &v) in cols.iter().zip(vals).rev() {
-                if c <= i {
-                    break;
-                }
-                s -= v * z[c];
-            }
-            z[i] = omega * s * inv_diag[i];
-        }
     }
 }
 
@@ -404,13 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn par_matvec_matches_serial() {
-        let a = small_csr();
-        let x = vec![0.3, -1.2, 2.2];
-        assert_eq!(a.matvec(&x), a.par_matvec(&x));
-    }
-
-    #[test]
     fn identity_is_identity() {
         let i = CsrMatrix::identity(5);
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
@@ -431,29 +340,6 @@ mod tests {
     #[test]
     fn diagonal_extraction() {
         assert_eq!(small_csr().diagonal(), vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn ssor_is_exact_for_diagonal_matrix() {
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, 2.0);
-        coo.push(1, 1, 4.0);
-        coo.push(2, 2, 8.0);
-        let a = coo.to_csr();
-        let z = a.ssor_apply(&[2.0, 4.0, 8.0], 1.0);
-        for v in &z {
-            assert!((v - 1.0).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn ssor_reduces_residual() {
-        let a = small_csr();
-        let b = vec![1.0, 1.0, 1.0];
-        // one SSOR application should be closer to the solution than zero
-        let z = a.ssor_apply(&b, 1.0);
-        let r = crate::vector::sub(&b, &a.matvec(&z));
-        assert!(crate::vector::norm2(&r) < crate::vector::norm2(&b));
     }
 
     #[test]

@@ -53,17 +53,14 @@ use uq_mlmcmc::LevelFactory;
 
 /// Monotonic time origin shared by every tracer of one logical run.
 ///
-/// Previously each `Tracer` captured its own `Instant` at construction,
-/// so traces from two backends (or from the two halves of a
-/// checkpoint/resume pair) were not comparable. The driver now creates
-/// one `Epoch` and hands it to every tracer: all timestamps are seconds
-/// since that origin, and a resumed run can continue the clock of the
-/// interrupted one via [`Epoch::resumed`] — which also keeps live spans
-/// alignable with DES virtual time (both start at zero).
+/// Each [`Tracer::new`] starts an epoch of its own; a driver that wants
+/// two tracers on one timeline creates one `Epoch` and hands it to both
+/// ([`Tracer::with_epoch`]). All timestamps are seconds since that
+/// origin, so live spans start at zero like virtual time does. A resumed
+/// run's tracer starts a new epoch: its clock restarts at zero.
 #[derive(Clone, Copy, Debug)]
 pub struct Epoch {
     origin: Instant,
-    offset: f64,
 }
 
 impl Epoch {
@@ -71,23 +68,12 @@ impl Epoch {
     pub fn now() -> Self {
         Self {
             origin: Instant::now(),
-            offset: 0.0,
         }
     }
 
-    /// An epoch whose clock continues at `offset` seconds — the wall
-    /// time the interrupted run had already accumulated when its last
-    /// snapshot was taken.
-    pub fn resumed(offset: f64) -> Self {
-        Self {
-            origin: Instant::now(),
-            offset,
-        }
-    }
-
-    /// Seconds since the (possibly resumed) origin.
+    /// Seconds since the origin.
     pub fn elapsed(&self) -> f64 {
-        self.offset + self.origin.elapsed().as_secs_f64()
+        self.origin.elapsed().as_secs_f64()
     }
 }
 
@@ -273,7 +259,7 @@ impl Counter {
 // ---------------------------------------------------------------------
 
 /// Histogram identities. Time-valued histograms observe microseconds;
-/// `MgCgIters` observes iteration counts.
+/// `MgCgIters`, never fed, would hold iteration counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
@@ -288,8 +274,9 @@ pub enum Hist {
     /// `Eval`/`Burnin` spans; the per-level split lives in
     /// [`MetricsSnapshot::per_level`].
     SolveTime,
-    /// MG-CG iterations per cold-start solve (observed by the bench
-    /// harness, which is the layer that sees solver internals).
+    /// MG-CG iterations per cold-start solve. Nothing observes it, so it
+    /// always reads empty; it stays only to keep the metrics fields in
+    /// their positions.
     MgCgIters,
 }
 
@@ -1044,12 +1031,6 @@ mod tests {
         });
         assert_eq!(t.events().len(), 4);
         assert_eq!(t.counter(Counter::WriteBacks), 4);
-    }
-
-    #[test]
-    fn resumed_epoch_continues_the_clock() {
-        let t = Tracer::with_epoch(Epoch::resumed(100.0));
-        assert!(t.now() >= 100.0);
     }
 
     #[test]

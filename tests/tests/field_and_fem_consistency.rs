@@ -1,39 +1,19 @@
-//! Cross-crate consistency: the KL expansion against the circulant
-//! embedding sampler, and FEM convergence under the KL field.
+//! Cross-crate consistency: the KL expansion's truncated variance, and
+//! FEM convergence under the KL field.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uq_fem::PoissonModel;
 use uq_linalg::prob::standard_normal_vec;
-use uq_randfield::circulant::Circulant2d;
 use uq_randfield::KlField2d;
 
 #[test]
-fn kl_and_circulant_sample_variances_agree() {
-    // both samplers target the same separable exponential covariance;
-    // their pointwise variances must agree (KL slightly below 1 due to
-    // truncation)
-    let corr_len = 0.15;
-    let field = KlField2d::new(corr_len, 1.0, 200);
+fn kl_truncated_variance_is_just_below_the_field_variance() {
+    // the unit-variance separable exponential field, truncated to 200 KL
+    // modes: pointwise variance at most 1, and most of it captured
+    let field = KlField2d::new(0.15, 1.0, 200);
     let kl_var = field.truncated_variance(0.5, 0.5);
-    let circ = Circulant2d::new(17, 17, 1.0 / 16.0, 1.0 / 16.0, move |dx, dy| {
-        (-(dx + dy) / corr_len).exp()
-    })
-    .expect("embedding exists");
-    let mut rng = StdRng::seed_from_u64(1);
-    let n_rep = 4000;
-    let center = 8 * 17 + 8;
-    let mut acc = 0.0;
-    for _ in 0..n_rep {
-        let s = circ.sample(&mut rng);
-        acc += s[center] * s[center];
-    }
-    let circ_var = acc / n_rep as f64;
     assert!(kl_var <= 1.0 + 1e-9);
-    assert!(
-        (circ_var - 1.0).abs() < 0.08,
-        "circulant variance {circ_var} should be ~1"
-    );
     assert!(
         kl_var > 0.85,
         "200 KL modes should capture most of the variance, got {kl_var}"

@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use uq_linalg::dense::DenseMatrix;
-use uq_linalg::fft::{fft, ifft, Complex};
 use uq_linalg::sparse::CooMatrix;
 use uq_linalg::vector;
 use uq_mcmc::stats::VectorMoments;
@@ -26,18 +25,6 @@ proptest! {
         let lhs = vector::dot(&x, &y).abs();
         let rhs = vector::norm2(&x) * vector::norm2(&y);
         prop_assert!(lhs <= rhs * (1.0 + 1e-12) + 1e-12);
-    }
-
-    #[test]
-    fn fft_roundtrip_random(re in prop::collection::vec(-1e3f64..1e3, 1..8)) {
-        // pad to a power of two
-        let n = re.len().next_power_of_two().max(2);
-        let mut x: Vec<Complex> = re.iter().map(|&r| Complex::new(r, -r * 0.5)).collect();
-        x.resize(n, Complex::ZERO);
-        let y = ifft(&fft(&x));
-        for (a, b) in x.iter().zip(&y) {
-            prop_assert!((a.re - b.re).abs() < 1e-8 && (a.im - b.im).abs() < 1e-8);
-        }
     }
 
     #[test]
