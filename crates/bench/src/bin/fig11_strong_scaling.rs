@@ -10,9 +10,11 @@
 //! the live sweep).
 //!
 //! The curve is the **exact-ledger policy's**, not the paper's: a coarse
-//! proposal here is `ρ·(1 + diverged)` dedicated evaluations, where the
-//! paper hands over a sample the coarse chain had produced anyway, so
-//! per-chain burn-in sets the floor (DESIGN.md §3.2 has both).
+//! proposal here is `ρ` dedicated evaluations, and `2ρ` for a chain's own
+//! step on a diverged session under `PairingMode::Ledger` (the one request
+//! whose correction reads the pairing mate), where the paper hands over a
+//! sample the coarse chain had produced anyway, so per-chain burn-in sets
+//! the floor (DESIGN.md §3.2 has both).
 
 use uq_bench::table3::{busy_fraction, distribute_chains, simulate, EVAL_TIME, VARIANCES};
 use uq_bench::{render_table, to_csv, write_output, ExpArgs};

@@ -164,7 +164,7 @@ enum Kind {
         /// not) — the `Q_{l-1}` half of the correction pair.
         last_coarse: Option<CoarseSample>,
         /// The ledger pairing mate of the most recent step (falls back
-        /// to the proposal itself for sources without a ledger).
+        /// to the proposal itself when the serve carried no mate).
         last_pairing: Option<CoarseSample>,
     },
 }
@@ -302,10 +302,10 @@ impl MlChain {
     /// The ledger pairing mate of the most recent coupled step: the
     /// requester's autonomous coarse-subchain state served alongside the
     /// proposal (marginal exactly `π_{l-1}`; see [`crate::ledger`]).
-    /// Equals [`last_coarse`](Self::last_coarse) for sources without a
-    /// ledger session; `None` for level-0 chains or before the first
-    /// step. This is the `Q_{l-1}` half of the correction pair under
-    /// [`PairingMode::Ledger`].
+    /// Equals [`last_coarse`](Self::last_coarse) when the serve carried
+    /// no mate (a lease that did not ask for one, [`ledger::reads_mate`]);
+    /// `None` for level-0 chains or before the first step. This is the
+    /// `Q_{l-1}` half of the correction pair under [`PairingMode::Ledger`].
     pub fn last_pairing(&self) -> Option<&CoarseSample> {
         match &self.kind {
             Kind::Base { .. } => None,
@@ -635,11 +635,16 @@ pub struct ChainStack {
     cursors: Vec<Cursor>,
     /// `rho[k]`: level `k`'s subsampling rate.
     rho: Vec<usize>,
+    /// The pairing the top chain's corrections read: its own steps ask
+    /// for the mate under it ([`ledger::reads_mate`]).
+    pairing: PairingMode,
 }
 
 impl ChainStack {
     /// Levels `0..=level` of `factory`, each chain on its own problem; a
     /// coupled level's initial anchor is evaluated on the chains below.
+    /// The top chain's own steps read their mates, as under
+    /// [`PairingMode::Ledger`] ([`with_pairing`](Self::with_pairing)).
     pub fn new(factory: &dyn LevelFactory, level: usize) -> Self {
         let mut chains = Vec::with_capacity(level + 1);
         for k in 0..=level {
@@ -650,7 +655,15 @@ impl ChainStack {
             chains,
             cursors: vec![Cursor::default(); level],
             rho: (0..level).map(|k| factory.subsampling_rate(k)).collect(),
+            pairing: PairingMode::Ledger,
         }
+    }
+
+    /// The stack whose top chain's corrections read `pairing`: its own
+    /// steps request the mate only where that pairing reads it.
+    pub fn with_pairing(mut self, pairing: PairingMode) -> Self {
+        self.pairing = pairing;
+        self
     }
 
     /// The top level's chain.
@@ -678,7 +691,9 @@ impl ChainStack {
         match top.poll_step(rng) {
             StepOutcome::Done(accepted) => accepted,
             StepOutcome::NeedCoarse => {
-                let coarse = serve_next(below, &mut self.cursors, &self.rho, top.anchor(), rng);
+                let mate = ledger::reads_mate(true, self.pairing);
+                let (cursors, rho) = (&mut self.cursors, &self.rho);
+                let coarse = serve_next(below, cursors, rho, top.anchor(), mate, rng);
                 top.resume_step(rng, coarse)
             }
         }
@@ -751,12 +766,14 @@ fn fill_sample(chains: &mut [MlChain], sample: Option<&mut CoarseSample>) {
 }
 
 /// Serve the top of `chains` to `anchor` from its cursor, the last of
-/// `cursors` (lease, serve, write back; a seed is drawn from `rng`).
+/// `cursors` (lease, serve, write back; a seed is drawn from `rng`); the
+/// lease carries the mate if the requesting step reads it.
 fn serve_next(
     chains: &mut [MlChain],
     cursors: &mut [Cursor],
     rho: &[usize],
     anchor: Option<&CoarseSample>,
+    mate: bool,
     rng: &mut dyn Rng,
 ) -> CoarseSample {
     // the top of `chains` serves, and every serving level has a cursor
@@ -768,19 +785,23 @@ fn serve_next(
     let lease = LedgerLease {
         session_seed,
         serves: cursor.serves,
-        pairing: cursor.pairing.take(),
+        mate,
+        pairing: if mate { cursor.pairing.take() } else { None },
         // only a coupled chain suspends, and a coupled chain has an anchor
         anchor: anchor.expect("a suspended chain is coupled").clone(),
     };
     let out = serve_lease(chains, below, rho, rho[level], &lease);
     cursor.serves += 1;
     cursor.diverged_serves += u64::from(out.diverged);
-    cursor.pairing = Some(out.pairing);
+    if out.pairing.is_some() {
+        cursor.pairing = out.pairing;
+    }
     out.proposal
 }
 
 /// Drive a [`Serve`] of `lease` on the top of `chains` to its end, each
-/// suspended kernel step answered one level down on the leg stream.
+/// suspended kernel step answered one level down on the leg stream by a
+/// lease without a mate: no correction reads a serve leg's.
 fn serve_lease(
     chains: &mut [MlChain],
     cursors: &mut [Cursor],
@@ -794,7 +815,7 @@ fn serve_lease(
         match serve.step(chain, lease) {
             ServeStep::Stepped => {}
             ServeStep::NeedCoarse => {
-                let coarse = serve_next(below, cursors, rhos, chain.anchor(), serve.rng());
+                let coarse = serve_next(below, cursors, rhos, chain.anchor(), false, serve.rng());
                 serve.resume(chain, coarse);
             }
             ServeStep::Done(outcome) => return outcome,
@@ -834,6 +855,7 @@ pub(crate) mod tests {
             chains,
             cursors: vec![Cursor::default(); rho.len()],
             rho,
+            pairing: PairingMode::Ledger,
         }
     }
 

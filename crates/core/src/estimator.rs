@@ -21,8 +21,10 @@
 //! unbiased for every `ρ`, coupled more loosely once the tracks diverge. The
 //! coarse *anchor* cannot be used either way because an accepted fine
 //! state equals its anchor whenever the levels share a parameter space,
-//! degenerating the correction to zero. See DESIGN.md §5 for the full
-//! discussion and measured trade-off.
+//! degenerating the correction to zero. Only the top chain's own steps
+//! under [`PairingMode::Ledger`] ask for the mate, so every other serve
+//! runs one `ρ`-step leg. See DESIGN.md §5 for the full discussion and
+//! measured trade-off.
 
 use crate::counting::{EvalCounter, Hooked};
 use crate::coupled::ChainStack;
@@ -252,7 +254,7 @@ fn sample_terms<R: Rng>(
     for level in cursor.map_or(0, |c| c.level)..n_levels {
         let resuming_term = cursor.filter(|c| c.level == level);
         let pre_build: Vec<usize> = counters.iter().map(|c| c.evaluations()).collect();
-        let mut stack = ChainStack::new(&counting, level);
+        let mut stack = ChainStack::new(&counting, level).with_pairing(config.pairing);
         if resuming_term.is_some() {
             // rebuilding the stack re-evaluates each level's initial
             // state; the original construction is already inside the
@@ -531,6 +533,109 @@ mod tests {
         let report = run_three_level(300, 8, false);
         assert!(report.levels[0].theta_samples.is_empty());
         assert!(report.levels[1].correction_pairs.is_empty());
+    }
+
+    #[test]
+    fn serves_run_the_pairing_leg_only_where_a_correction_reads_the_mate() {
+        use crate::coupled::CoarseSample;
+        use crate::ledger::LedgerLease;
+        let h = GaussianHierarchy::three_level(1);
+        let rho = h.rho;
+        let counted = || Hooked::new(&h, (0..3).map(|_| EvalCounter::new()).collect::<Vec<_>>());
+        // evaluations per level since `before`
+        let since = |f: &Hooked<'_, Vec<EvalCounter>>, before: &[usize]| -> Vec<usize> {
+            let now = f.hook().iter().map(EvalCounter::evaluations);
+            now.zip(before).map(|(n, b)| n - b).collect()
+        };
+
+        // (1) under `Proposal` no serve runs a second leg: each term's
+        // stack starts (its chains' starting points and anchors: 1 / 2 / 3
+        // level-0 densities, 1 / 2 level-1 ones), then every level-l step
+        // serves one ρ-step leg from the level below, which serves each
+        // of its kernel steps the same way
+        let (n, burn_in) = ([600, 150, 60], [50, 20, 10]);
+        let config = MlmcmcConfig::new(n.to_vec()).with_burn_in(burn_in.to_vec());
+        let report = run_sequential(&h, &config, &mut StdRng::seed_from_u64(3));
+        let steps = |l: usize| n[l] + burn_in[l];
+        let one_leg = vec![
+            (1 + steps(0)) + (2 + rho * steps(1)) + (3 + rho * rho * steps(2)),
+            (1 + steps(1)) + (2 + rho * steps(2)),
+            1 + steps(2),
+        ];
+        let reported: Vec<usize> = report.levels.iter().map(|l| l.evaluations).collect();
+        assert_eq!(reported, one_leg);
+
+        // (2) under `Ledger` only the top chain's own steps read the mate:
+        // the top cursor's diverged serves run two legs, the nested ones
+        // never do
+        let factory = counted();
+        let mut stack = ChainStack::new(&factory, 2);
+        let built = since(&factory, &[0; 3]);
+        let mut rng = StdRng::seed_from_u64(4);
+        let k = 200;
+        for _ in 0..k {
+            stack.step(&mut rng);
+        }
+        let (top, nested) = (stack.cursor(1).clone(), stack.cursor(0).clone());
+        let legs = k + top.diverged_serves as usize;
+        assert!(top.diverged_serves > 0, "the top session never diverged");
+        assert_eq!(top.serves as usize, k);
+        assert_eq!(
+            (nested.serves as usize, nested.diverged_serves),
+            (rho * legs, 0)
+        );
+        assert!(
+            nested.pairing.is_none(),
+            "a nested serve moved a pairing track"
+        );
+        assert_eq!(since(&factory, &built), [rho * rho * legs, rho * legs, k]);
+
+        // (3) a lease without a mate on a diverged session: the proposal
+        // of the same lease with one, bit for bit, after ρ kernel steps
+        let serve = |mate: bool| {
+            // the same level-1 server, its anchor and pairing state drawn
+            // from its own trajectory
+            let factory = counted();
+            let mut stack = ChainStack::new(&factory, 1);
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut after = |steps: usize| {
+                for _ in 0..steps {
+                    stack.step(&mut rng);
+                }
+                stack.top().current_as_sample()
+            };
+            let (anchor, pairing) = (after(30), after(30));
+            let lease = LedgerLease {
+                session_seed: 0x5EED,
+                serves: 9,
+                mate,
+                pairing: mate.then_some(pairing),
+                anchor,
+            };
+            let before = since(&factory, &[0; 3]);
+            let outcome = stack.serve(rho, &lease);
+            (lease, outcome, since(&factory, &before))
+        };
+        let (with, two, two_ran) = serve(true);
+        let (_, one, one_ran) = serve(false);
+        assert!(!with.merged() && two.diverged && !one.diverged);
+        assert_eq!(two_ran, [2 * rho * rho, 2 * rho, 0]);
+        assert_eq!(one_ran, [rho * rho, rho, 0]);
+        assert!(one.pairing.is_none() && one.proposal.mate.is_none());
+        let bits = |s: &CoarseSample| -> Vec<u64> {
+            let anchor = s.sub_anchor.as_deref().expect("a level-1 sample");
+            [
+                &s.theta[..],
+                &[s.log_density],
+                &anchor.theta,
+                &[anchor.log_density],
+            ]
+            .concat()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+        };
+        assert_eq!(bits(&one.proposal), bits(&two.proposal));
     }
 
     #[test]

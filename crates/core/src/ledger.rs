@@ -35,6 +35,13 @@
 //! without ever feeding fine-chain acceptances back into the pairing
 //! track (that feedback is exactly what would bias it).
 //!
+//! Only a requester's own correction reads the mate, and only under
+//! [`PairingMode::Ledger`] ([`reads_mate`]); every other request leases
+//! without one ([`LedgerLease::mate`]): its serve runs the proposal leg
+//! alone and leaves the pairing track where it is. The track is then
+//! advanced by the mate-reading serves only — still an autonomous `K^ρ`
+//! subchain, so its marginal stays `π_{l-1}`.
+//!
 //! ## Determinism and migration
 //!
 //! A session is identified by a seed; the randomness of serve `k` is a
@@ -68,6 +75,15 @@ pub enum PairingMode {
     /// correction variance is higher than [`PairingMode::Proposal`]'s —
     /// the measured trade-off is documented in DESIGN.md §5.
     Ledger,
+}
+
+/// Whether a coarse request's step reads the pairing mate: a requester's
+/// own step (burn-in included) under [`PairingMode::Ledger`]. A nested
+/// request from inside a serve leg never does, and under
+/// [`PairingMode::Proposal`] nothing does. The one statement of the rule:
+/// every driver asks it and puts the answer on the request.
+pub fn reads_mate(own_step: bool, pairing: PairingMode) -> bool {
+    own_step && pairing == PairingMode::Ledger
 }
 
 /// Mix function (splitmix64 finalizer) used for all ledger seed
@@ -120,27 +136,34 @@ pub fn tenant_seed(base: u64, tenant: u64) -> u64 {
 
 /// Everything a (stateless) server needs to execute one serve of a
 /// session: the requester's current anchor, the session's pairing state
-/// and stream position. Sessions are plain data — the ledger can live at
-/// the phonebook and leases travel in messages.
+/// and stream position, and whether the requester reads the mate. Sessions
+/// are plain data — the ledger can live at the phonebook and leases travel
+/// in messages.
 #[derive(Clone, Debug)]
 pub struct LedgerLease {
     /// Session stream identity (see [`session_seed`]).
     pub session_seed: u64,
     /// Serves completed so far (the stream position).
     pub serves: u64,
-    /// The pairing track's current state — `None` before the first serve
-    /// (the track then starts merged at the requester's anchor).
+    /// The requester's step reads the mate ([`reads_mate`]): the serve
+    /// advances the pairing track too. Without it the serve runs the
+    /// proposal leg alone and the lease carries no `pairing`.
+    pub mate: bool,
+    /// The pairing track's current state — `None` before the first
+    /// mate-reading serve (the track then starts merged at the requester's
+    /// anchor) and on a lease without a mate.
     pub pairing: Option<CoarseSample>,
     /// The coarse state paired with the requester's current fine state.
     pub anchor: CoarseSample,
 }
 
 impl LedgerLease {
-    /// A fresh session lease for `anchor`.
+    /// A fresh session lease for `anchor`, read with its mate.
     pub fn fresh(session_seed: u64, anchor: CoarseSample) -> Self {
         Self {
             session_seed,
             serves: 0,
+            mate: true,
             pairing: None,
             anchor,
         }
@@ -162,20 +185,21 @@ impl LedgerLease {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeOutcome {
     /// The proposal to fulfill the requester's step with; its `mate`
-    /// field carries the pairing state served alongside.
+    /// field carries the pairing state served alongside, if any.
     pub proposal: CoarseSample,
-    /// The pairing track's new state (becomes the session's `pairing`).
-    pub pairing: CoarseSample,
+    /// The pairing track's new state (becomes the session's `pairing`);
+    /// `None` when the lease had no mate and the track did not move.
+    pub pairing: Option<CoarseSample>,
     /// The pairing leg ran separately from the proposal leg.
     pub diverged: bool,
 }
 
 impl ServeOutcome {
-    /// Package the two tracks' end states: `pairing` rides to the
-    /// requester as `proposal.mate`, a clone that shares its QOI with the
-    /// write-back copy.
-    pub fn new(mut proposal: CoarseSample, pairing: CoarseSample, diverged: bool) -> Self {
-        proposal.mate = Some(Box::new(pairing.clone()));
+    /// Package the tracks' end states: `pairing` rides to the requester as
+    /// `proposal.mate`, a clone that shares its QOI with the write-back
+    /// copy.
+    pub fn new(mut proposal: CoarseSample, pairing: Option<CoarseSample>, diverged: bool) -> Self {
+        proposal.mate = pairing.clone().map(Box::new);
         Self {
             proposal,
             pairing,
@@ -192,7 +216,7 @@ pub enum ServeStep {
     /// The serving chain is coupled: its kernel step is suspended until
     /// [`Serve::resume`] hands it the coarse sample.
     NeedCoarse,
-    /// Both tracks are at their end states.
+    /// Every track the lease asks for is at its end state.
     Done(ServeOutcome),
 }
 
@@ -227,16 +251,20 @@ impl Serve {
     }
 
     /// Advance one kernel step, or finish: a proposal leg that ends on
-    /// a diverged lease switches to the pairing leg by itself.
+    /// a diverged lease with a mate switches to the pairing leg by itself.
     pub fn step(&mut self, chain: &mut MlChain, lease: &LedgerLease) -> ServeStep {
         if self.steps_left == 0 {
             let end = chain.current_as_sample();
             if let Some(proposal) = self.proposal.take() {
-                return ServeStep::Done(ServeOutcome::new(proposal, end, true));
+                return ServeStep::Done(ServeOutcome::new(proposal, Some(end), true));
+            }
+            if !lease.mate {
+                // nobody reads the mate: the pairing track stays put
+                return ServeStep::Done(ServeOutcome::new(end, None, false));
             }
             let Some(pairing) = lease.pairing.as_ref().filter(|_| !lease.merged()) else {
                 // merged: one run serves both tracks
-                return ServeStep::Done(ServeOutcome::new(end.clone(), end, false));
+                return ServeStep::Done(ServeOutcome::new(end.clone(), Some(end), false));
             };
             // pairing track: continue the autonomous subchain from the
             // last pairing state, re-using the substream
@@ -282,7 +310,8 @@ pub struct LedgerStats {
     pub sessions: usize,
     /// Serves committed to a session.
     pub serves: usize,
-    /// Committed serves whose pairing track had diverged from the anchor
+    /// Committed serves that ran the separate pairing leg: a lease with a
+    /// mate on a session whose pairing track had diverged from the anchor
     /// (each costs a second `ρ`-step leg on the server).
     pub diverged: usize,
     /// Always 0: speculative serves were removed. Kept only because the
@@ -338,13 +367,16 @@ pub struct LedgerBook {
 
 impl LedgerBook {
     /// Build the lease for the next serve of `(reply_to, level)`, opening
-    /// the session on first contact.
+    /// the session on first contact; `mate` is the request's
+    /// [`reads_mate`], and only a lease with a mate carries the pairing
+    /// state.
     pub fn lease(
         &mut self,
         base_seed: u64,
         level: usize,
         reply_to: usize,
         anchor: CoarseSample,
+        mate: bool,
     ) -> Box<LedgerLease> {
         let stats = &mut self.stats;
         let generation = self
@@ -363,21 +395,23 @@ impl LedgerBook {
         Box::new(LedgerLease {
             session_seed: session.seed,
             serves: session.serves,
-            pairing: session.pairing.clone(),
+            mate,
+            pairing: session.pairing.as_ref().filter(|_| mate).cloned(),
             anchor,
         })
     }
 
     /// Apply a serve's write-back: advance the stream position to
-    /// `serves` and store the pairing state. `session_seed` is echoed
-    /// from the lease the serve executed.
+    /// `serves` and store the pairing state, if the serve advanced it (a
+    /// lease without a mate leaves the track where it is). `session_seed`
+    /// is echoed from the lease the serve executed.
     pub fn write_back(
         &mut self,
         requester: usize,
         level: usize,
         session_seed: u64,
         serves: u64,
-        pairing: CoarseSample,
+        pairing: Option<CoarseSample>,
         diverged: bool,
     ) {
         let Some(session) = self.sessions.get_mut(&(requester, level)) else {
@@ -398,7 +432,9 @@ impl LedgerBook {
         self.stats.serves += 1;
         self.stats.diverged += usize::from(diverged);
         session.serves = serves;
-        session.pairing = Some(pairing);
+        if pairing.is_some() {
+            session.pairing = pairing;
+        }
     }
 
     /// Drop a requester's sessions (its chain was rebuilt by a
@@ -461,6 +497,11 @@ mod tests {
         chain.serve(rho, lease)
     }
 
+    /// The pairing end state of a serve whose lease asked for the mate.
+    fn mate_of(out: &ServeOutcome) -> &CoarseSample {
+        out.pairing.as_ref().expect("a lease with a mate")
+    }
+
     #[test]
     fn tenant_seed_namespaces_are_disjoint() {
         // distinct tenants on the same base seed must land on distinct
@@ -505,7 +546,7 @@ mod tests {
         let oa = serve(&mut a, 3, &lease);
         let ob = serve(&mut b, 3, &lease);
         assert_eq!(oa.proposal.theta, ob.proposal.theta);
-        assert_eq!(oa.pairing.theta, ob.pairing.theta);
+        assert_eq!(mate_of(&oa).theta, mate_of(&ob).theta);
         assert_eq!(oa.proposal.log_density, ob.proposal.log_density);
     }
 
@@ -516,12 +557,12 @@ mod tests {
         assert!(lease.merged());
         let out = serve(&mut chain, 2, &lease);
         assert!(!out.diverged);
-        assert_eq!(out.proposal.theta, out.pairing.theta);
+        assert_eq!(out.proposal.theta, mate_of(&out).theta);
         // accepted proposal keeps the session merged
         let accepted = LedgerLease {
             serves: 1,
-            pairing: Some(out.pairing.clone()),
-            anchor: out.pairing,
+            pairing: out.pairing.clone(),
+            anchor: mate_of(&out).clone(),
             ..lease
         };
         assert!(accepted.merged());
@@ -536,7 +577,7 @@ mod tests {
         // requester rejected: anchor stays, pairing advanced
         let rejected = LedgerLease {
             serves: 1,
-            pairing: Some(out.pairing),
+            pairing: out.pairing,
             anchor: a0,
             ..lease
         };
@@ -546,11 +587,42 @@ mod tests {
         // the proposal still starts from the anchor (exactness rewind):
         // with common random numbers from distinct starts the two tracks
         // generally end at distinct states
-        assert_ne!(out2.proposal.theta, out2.pairing.theta);
+        assert_ne!(out2.proposal.theta, mate_of(&out2).theta);
         assert_eq!(
             out2.proposal.mate.as_ref().map(|m| m.theta.clone()),
-            Some(out2.pairing.theta.clone())
+            Some(mate_of(&out2).theta.clone())
         );
+    }
+
+    #[test]
+    fn a_lease_without_a_mate_serves_the_proposal_leg_alone() {
+        // a diverged session, leased with and without the mate: the same
+        // proposal, and the mateless serve leaves the pairing track alone
+        let mut chain = base_chain(0.1, 0.9);
+        let mut book = LedgerBook::default();
+        let requester = 6usize;
+        let first = book.lease(5, 0, requester, anchor(&mut chain, 0.0), true);
+        let out = serve(&mut chain, 2, &first);
+        let (seed, pairing) = (first.session_seed, out.pairing.clone());
+        book.write_back(requester, 0, seed, 1, pairing, out.diverged);
+        let stored = book.sessions[&(requester, 0)].pairing.clone();
+        // the requester rejected: the anchor stays, the tracks diverge
+        let with = book.lease(5, 0, requester, first.anchor.clone(), true);
+        let without = book.lease(5, 0, requester, first.anchor.clone(), false);
+        assert!(!with.merged() && without.pairing.is_none());
+        let (two, one) = (serve(&mut chain, 2, &with), serve(&mut chain, 2, &without));
+        assert!(two.diverged && !one.diverged);
+        assert!(one.pairing.is_none() && one.proposal.mate.is_none());
+        let bare = CoarseSample {
+            mate: None,
+            ..two.proposal.clone()
+        };
+        assert_eq!(words(&one.proposal), words(&bare));
+        // its write-back advances the stream, not the pairing state
+        book.write_back(requester, 0, seed, 2, None, one.diverged);
+        assert_eq!(book.session_serves(requester, 0), Some(2));
+        assert_eq!(book.sessions[&(requester, 0)].pairing, stored);
+        assert_eq!((book.stats.serves, book.stats.diverged), (2, 0));
     }
 
     #[test]
@@ -562,6 +634,7 @@ mod tests {
         let mk = |theta: f64, chain: &mut ChainStack| LedgerLease {
             session_seed: 11,
             serves: 3,
+            mate: true,
             pairing: Some(p.clone()),
             anchor: anchor(chain, theta),
         };
@@ -569,7 +642,7 @@ mod tests {
         let lb = mk(-1.0, &mut chain);
         let oa = serve(&mut chain, 2, &la);
         let ob = serve(&mut chain, 2, &lb);
-        assert_eq!(oa.pairing.theta, ob.pairing.theta);
+        assert_eq!(mate_of(&oa).theta, mate_of(&ob).theta);
         assert_ne!(oa.proposal.theta, ob.proposal.theta);
     }
 
@@ -618,12 +691,18 @@ mod tests {
             ..merged.clone()
         };
         assert!(!diverged.merged());
+        // the same session leased by a step that does not read the mate
+        let mateless = LedgerLease {
+            mate: false,
+            pairing: None,
+            ..diverged.clone()
+        };
         let rho = 4;
         // the nested sessions: requester 2's at level 0 of a phonebook
         // whose base seed is 7
         let (base_seed, requester) = (7, 2);
         let nested_seed = session_seed(base_seed, 0, requester as u64);
-        for lease in [merged, diverged] {
+        for lease in [merged, diverged, mateless] {
             let expected = serve(&mut level1(nested_seed), rho, &lease);
             // the same serve driven as a controller drives it: a lone
             // level-1 chain whose every step suspends, each nested request
@@ -643,7 +722,8 @@ mod tests {
                     ServeStep::NeedCoarse => {
                         nested += 1;
                         let anchor = chain.anchor().expect("a coupled chain").clone();
-                        let nested_lease = book.lease(base_seed, 0, requester, anchor);
+                        // a serve leg's nested request never reads its mate
+                        let nested_lease = book.lease(base_seed, 0, requester, anchor, false);
                         let out = serve(&mut server, 3, &nested_lease);
                         let serves = nested_lease.serves + 1;
                         let (seed, pairing) = (nested_lease.session_seed, out.pairing);
@@ -653,13 +733,16 @@ mod tests {
                     ServeStep::Done(outcome) => break outcome,
                 }
             };
-            let legs = if lease.merged() { 1 } else { 2 };
+            let two_legs = lease.mate && !lease.merged();
+            let legs = if two_legs { 2 } else { 1 };
             assert_eq!(nested, legs * rho, "every level-1 kernel step asks once");
             assert_eq!(outcome.diverged, expected.diverged);
-            assert_eq!(outcome.diverged, !lease.merged());
+            assert_eq!(outcome.diverged, two_legs);
             // the proposal's words include its mate's
             assert_eq!(words(&outcome.proposal), words(&expected.proposal));
-            assert_eq!(words(&outcome.pairing), words(&expected.pairing));
+            let pairing_words = |o: &ServeOutcome| o.pairing.as_ref().map(words);
+            assert_eq!(pairing_words(&outcome), pairing_words(&expected));
+            assert_eq!(outcome.pairing.is_some(), lease.mate);
         }
     }
 
@@ -708,7 +791,7 @@ mod tests {
         let mut chain = base_chain(0.3, 0.8);
         let mut book = LedgerBook::default();
         let requester = 4usize;
-        let lease = book.lease(9, 0, requester, anchor(&mut chain, 0.1));
+        let lease = book.lease(9, 0, requester, anchor(&mut chain, 0.1), true);
         let out = serve_and_write_back(&mut book, &mut chain, requester, &lease);
         assert_eq!(book.session_serves(requester, 0), Some(1));
 
@@ -728,7 +811,7 @@ mod tests {
         // a dead-generation write-back must not resurrect old positions
         let old_seed = lease.session_seed;
         book.forget_requester(requester);
-        let fresh = book.lease(9, 0, requester, anchor(&mut chain, 0.0));
+        let fresh = book.lease(9, 0, requester, anchor(&mut chain, 0.0), true);
         assert_eq!(fresh.serves, 0);
         assert_ne!(
             fresh.session_seed, old_seed,
@@ -750,9 +833,9 @@ mod tests {
         let mut chain = base_chain(0.1, 0.9);
         let mut book = LedgerBook::default();
         let requester = 3usize;
-        let lease = book.lease(13, 0, requester, anchor(&mut chain, 0.0));
+        let lease = book.lease(13, 0, requester, anchor(&mut chain, 0.0), true);
         let out = serve_and_write_back(&mut book, &mut chain, requester, &lease);
-        let lease = book.lease(13, 0, requester, anchor(&mut chain, 0.4));
+        let lease = book.lease(13, 0, requester, anchor(&mut chain, 0.4), true);
         serve_and_write_back(&mut book, &mut chain, requester, &lease);
         book.forget_requester(9); // a nontrivial generation entry
 
@@ -765,8 +848,8 @@ mod tests {
 
         let mut next = out.proposal;
         next.mate = None;
-        let a = book.lease(13, 0, requester, next.clone());
-        let b = resumed.lease(13, 0, requester, next);
+        let a = book.lease(13, 0, requester, next.clone(), true);
+        let b = resumed.lease(13, 0, requester, next, true);
         assert_eq!(a.serves, 2);
         assert_eq!((a.session_seed, a.serves), (b.session_seed, b.serves));
         let words = |l: &LedgerLease| l.pairing.as_ref().map(words);

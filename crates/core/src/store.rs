@@ -218,6 +218,7 @@ impl Codec for crate::ledger::LedgerLease {
     fn encode(&self, enc: &mut Enc) {
         self.session_seed.encode(enc);
         self.serves.encode(enc);
+        self.mate.encode(enc);
         self.pairing.encode(enc);
         self.anchor.encode(enc);
     }
@@ -225,6 +226,7 @@ impl Codec for crate::ledger::LedgerLease {
         Ok(crate::ledger::LedgerLease {
             session_seed: u64::decode(dec)?,
             serves: u64::decode(dec)?,
+            mate: bool::decode(dec)?,
             pairing: Option::decode(dec)?,
             anchor: CoarseSample::decode(dec)?,
         })

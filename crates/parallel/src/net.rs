@@ -50,12 +50,12 @@ use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
 /// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
-/// golden frame fixture (`tests/fixtures/golden_frame_v7.bin`) trips
+/// golden frame fixture (`tests/fixtures/golden_frame_v8.bin`) trips
 /// when the bytes drift without a bump. Exactly one version is spoken:
-/// v6 (whose `Serve` and `ServeDone` carried a speculation flag and
-/// `ServeDone` the whole serve outcome) is rejected as `BadVersion`,
-/// never dual-decoded.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// v7 (whose `CoarseRequest` and lease carried no `mate` flag and whose
+/// `ServeDone` always carried a pairing state) is rejected as
+/// `BadVersion`, never dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// The net wire: a magic distinct from the snapshot store's
 /// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and
@@ -141,11 +141,13 @@ impl Codec for Msg {
                 level,
                 reply_to,
                 anchor,
+                mate,
             } => {
                 0u8.encode(enc);
                 level.encode(enc);
                 reply_to.encode(enc);
                 anchor.encode(enc);
+                mate.encode(enc);
             }
             Msg::Serve { reply_to, lease } => {
                 1u8.encode(enc);
@@ -244,6 +246,7 @@ impl Codec for Msg {
                 level: Codec::decode(dec)?,
                 reply_to: Codec::decode(dec)?,
                 anchor: Codec::decode(dec)?,
+                mate: Codec::decode(dec)?,
             },
             1 => Msg::Serve {
                 reply_to: Codec::decode(dec)?,

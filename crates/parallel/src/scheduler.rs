@@ -35,11 +35,16 @@ pub fn controller_seed(base: u64, rank: usize) -> u64 {
 #[derive(Clone, Debug)]
 pub enum Msg {
     /// Requester → phonebook: need one coarse sample from `level`,
-    /// generated from the requester's current rewind `anchor`.
+    /// generated from the requester's current rewind `anchor`. `mate` is
+    /// whether the requesting step reads the pairing mate
+    /// ([`uq_mlmcmc::ledger::reads_mate`]); it travels on the request
+    /// because the phonebook cannot tell a serve leg's request from an own
+    /// step's that was sent earlier.
     CoarseRequest {
         level: usize,
         reply_to: usize,
         anchor: Box<CoarseSample>,
+        mate: bool,
     },
     /// Phonebook → serving controller: execute one ledger serve for
     /// `reply_to` (the lease carries the session state and anchor).
@@ -48,7 +53,7 @@ pub enum Msg {
         lease: Box<LedgerLease>,
     },
     /// Serving controller → requester: the served proposal (its `mate`
-    /// field carries the ledger pairing state).
+    /// field carries the ledger pairing state if the lease asked for it).
     CoarseSample {
         level: usize,
         sample: Box<CoarseSample>,
@@ -65,8 +70,9 @@ pub enum Msg {
         session: u64,
         /// Session stream position after this serve (`lease.serves + 1`).
         serves: u64,
-        /// The pairing track's end state (the session's next `pairing`).
-        pairing: Box<CoarseSample>,
+        /// The pairing track's end state (the session's next `pairing`);
+        /// `None` when the lease had no mate and the track did not move.
+        pairing: Option<Box<CoarseSample>>,
         /// The pairing leg ran separately from the proposal leg.
         diverged: bool,
     },

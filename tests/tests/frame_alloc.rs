@@ -69,7 +69,7 @@ fn a_lying_qoi_length_is_a_typed_error_and_sizes_no_allocation() {
         let qoi = (0..QOI_LEN).map(|i| first + i as f64).collect();
         CoarseSample::plain(vec![first, 0.5, -0.25], -1.5, qoi)
     };
-    let outcome = ServeOutcome::new(sample(1.0), sample(2.0), true);
+    let outcome = ServeOutcome::new(sample(1.0), Some(sample(2.0)), true);
     let msgs = [
         // the proposal and its mate
         (
@@ -87,7 +87,7 @@ fn a_lying_qoi_length_is_a_typed_error_and_sizes_no_allocation() {
                 level: 0,
                 session: 0xDEAD_BEEF,
                 serves: 12,
-                pairing: Box::new(outcome.pairing),
+                pairing: outcome.pairing.map(Box::new),
                 diverged: outcome.diverged,
             },
         ),

@@ -8,7 +8,7 @@
 //! turn the old one into a rejection fixture; silently re-interpreting
 //! frames across a version skew is the failure mode this suite catches.
 //! Frames are ephemeral, so exactly one version is ever decoded:
-//! `golden_frame_v6.bin` (the previous version's golden) is kept to prove
+//! `golden_frame_v7.bin` (the previous version's golden) is kept to prove
 //! that a skewed version is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
@@ -21,8 +21,8 @@ use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v7.bin");
-const GOLDEN_V6_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v6.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v8.bin");
+const GOLDEN_V7_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v7.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
@@ -38,10 +38,12 @@ fn bare(theta: f64, ld: f64) -> CoarseSample {
 
 /// The pinned frames, concatenated in the one fixture: an `Assign`
 /// carrying the run configuration and a resumable chain checkpoint, then
-/// a full ledger serve round-trip as `Data` frames (`Serve` with its
-/// lease, `ServeDone` with its pairing state — their samples without a
-/// QOI, as a serve ships them — and `StopProducing`), then a level's collector
-/// state as the root receives it (`CollectorReport`).
+/// ledger serve round-trips as `Data` frames (a `CoarseRequest` without a
+/// mate; a `Serve` whose lease asks for the mate and the `ServeDone` with
+/// its pairing state; a `ServeDone` of a lease without a mate — their
+/// samples without a QOI, as a serve ships them — and `StopProducing`),
+/// then a level's collector state as the root receives it
+/// (`CollectorReport`).
 fn golden() -> Vec<Frame> {
     let mut config = ParallelConfig::new(vec![400, 150], vec![1, 1]);
     config.burn_in = vec![30, 20];
@@ -81,12 +83,22 @@ fn golden() -> Vec<Frame> {
             ckpts: vec![ckpt],
         },
         data(
+            5,
+            Msg::CoarseRequest {
+                level: 0,
+                reply_to: 5,
+                anchor: Box::new(bare(0.375, -0.25)),
+                mate: false,
+            },
+        ),
+        data(
             1,
             Msg::Serve {
                 reply_to: 5,
                 lease: Box::new(LedgerLease {
                     session_seed: 0xDEAD_BEEF,
                     serves: 41,
+                    mate: true,
                     pairing: Some(bare(0.875, -1.5)),
                     anchor: bare(-0.875, -2.0),
                 }),
@@ -99,8 +111,19 @@ fn golden() -> Vec<Frame> {
                 level: 0,
                 session: 0xDEAD_BEEF,
                 serves: 42,
-                pairing: Box::new(bare(-0.9375, -1.75)),
+                pairing: Some(Box::new(bare(-0.9375, -1.75))),
                 diverged: true,
+            },
+        ),
+        data(
+            5,
+            Msg::ServeDone {
+                requester: 5,
+                level: 0,
+                session: 0xDEAD_BEEF,
+                serves: 43,
+                pairing: None,
+                diverged: false,
             },
         ),
         data(0, Msg::StopProducing { level: 0 }),
@@ -144,7 +167,7 @@ fn committed_golden_frame_still_decodes() {
         let payload = u64::from_le_bytes(rest[12..20].try_into().unwrap());
         let (one, after) = rest.split_at(28 + payload as usize);
         let frame = decode_frame(one)
-            .expect("protocol break: a committed v7 golden frame no longer decodes");
+            .expect("protocol break: a committed v8 golden frame no longer decodes");
         // Frame carries no PartialEq (Msg is not comparable); byte equality
         // after re-encode is the invariant the transport relies on anyway
         assert_eq!(
@@ -161,16 +184,16 @@ fn committed_golden_frame_still_decodes() {
     );
 }
 
-/// The v6 fixture is the golden of the version before (`Serve` and
-/// `ServeDone` carried a speculation flag, `ServeDone` the whole serve
-/// outcome and the run configuration its switch). It must be refused at
-/// the version field — before its check or a single payload byte is
-/// looked at — never decoded into a frame.
+/// The v7 fixture is the golden of the version before (a `CoarseRequest`
+/// and a lease carried no `mate` flag, and `ServeDone` always carried a
+/// pairing state). It must be refused at the version field — before its
+/// check or a single payload byte is looked at — never decoded into a
+/// frame.
 #[test]
-fn committed_v6_frame_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V6_PATH).expect("committed v6 frame missing");
+fn committed_v7_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V7_PATH).expect("committed v7 frame missing");
     assert!(matches!(
         decode_frame(&bytes),
-        Err(StoreError::BadVersion { found: 6 })
+        Err(StoreError::BadVersion { found: 7 })
     ));
 }

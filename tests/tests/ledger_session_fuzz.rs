@@ -1,6 +1,6 @@
 //! Proptest-driven fuzz of **ledger session migration** (PR 5):
-//! arbitrary interleavings of lease / serve / write-back / replayed
-//! write-back / migrate driven against a
+//! arbitrary interleavings of lease (with or without the mate) / serve /
+//! write-back / replayed write-back / migrate driven against a
 //! [`uq_mlmcmc::ledger::LedgerBook`], checked against an independent
 //! mirror model. The invariants are the ones the phonebooks rely on:
 //!
@@ -12,7 +12,11 @@
 //!   always applied, stale/dead-generation messages are always no-ops,
 //!   and a migrated-away requester re-opens cleanly at position 0;
 //! * **generations never share substreams** — each re-opened session
-//!   derives a seed never seen before.
+//!   derives a seed never seen before;
+//! * **only a mate moves the pairing track** — a lease without a mate
+//!   carries no pairing state, its serve runs one leg and returns none,
+//!   and its write-back advances the stream position but leaves the
+//!   session's pairing state as it was.
 //!
 //! Inputs are op-code vectors from the vendored proptest's `vec` + tuple
 //! strategies, so a failing interleaving shrinks structurally (dropping
@@ -70,6 +74,9 @@ struct Mirror {
     committed: u64,
     /// Session seed of the current generation (set at its first lease).
     cur_seed: Option<u64>,
+    /// The session's pairing state: what the last applied write-back
+    /// with a mate stored.
+    pairing: Option<CoarseSample>,
     /// A serve whose write-back has not been applied yet.
     outstanding: Option<(Box<LedgerLease>, ServeOutcome)>,
     /// The last write-back delivered, kept to be replayed.
@@ -99,7 +106,7 @@ fn write_back(book: &mut LedgerBook, r: usize, lease: &LedgerLease, outcome: &Se
 proptest! {
     #[test]
     fn arbitrary_interleavings_never_double_serve_or_drop_a_session(
-        ops in prop::collection::vec((0u8..4, 0u8..2, 0u8..4), 0..48),
+        ops in prop::collection::vec((0u8..5, 0u8..2, 0u8..4), 0..48),
     ) {
         let mut chain = serving_chain();
         let mut book = LedgerBook::default();
@@ -118,17 +125,23 @@ proptest! {
             };
             let r = 1 + who as usize; // requester ranks 1 and 2
             match op {
-                // lease a serve (the protocol serializes: at most one
-                // outstanding serve per requester)
-                0 => {
+                // lease a serve, with the mate (0) or without (4) (the
+                // protocol serializes: at most one outstanding serve per
+                // requester)
+                0 | 4 => {
                     if mirrors[who as usize].outstanding.is_some() {
                         continue;
                     }
+                    let mate = op == 0;
                     let anchor = CoarseSample::at(&mut target(), &[f64::from(salt) * 0.1]);
-                    let lease = book.lease(BASE_SEED, LEVEL, r, anchor);
+                    let lease = book.lease(BASE_SEED, LEVEL, r, anchor, mate);
                     let m = &mut mirrors[who as usize];
-                    // lease must be issued at the current stream position
+                    // lease must be issued at the current stream position,
+                    // carrying the session's pairing state only with a mate
                     prop_assert_eq!(lease.serves, m.committed);
+                    prop_assert_eq!(lease.mate, mate);
+                    let carried = m.pairing.as_ref().filter(|_| mate);
+                    prop_assert_eq!(lease.pairing.as_ref(), carried);
                     match m.cur_seed {
                         // one generation, one seed
                         Some(seed) => prop_assert_eq!(seed, lease.session_seed),
@@ -141,6 +154,11 @@ proptest! {
                         }
                     }
                     let outcome = chain.serve(RHO, &lease);
+                    if !mate {
+                        // one leg, and nothing for the pairing track
+                        prop_assert!(outcome.pairing.is_none() && !outcome.diverged);
+                        prop_assert!(outcome.proposal.mate.is_none());
+                    }
                     m.outstanding = Some((lease, outcome));
                 }
                 // deliver the outstanding write-back
@@ -151,8 +169,12 @@ proptest! {
                     };
                     write_back(&mut book, r, &lease, &outcome);
                     if m.cur_seed == Some(lease.session_seed) {
-                        // live generation: the write-back must be applied
+                        // live generation: the write-back must be applied,
+                        // and only a serve with a mate moves the pairing
                         m.committed = lease.serves + 1;
+                        if let Some(pairing) = &outcome.pairing {
+                            m.pairing = Some(pairing.clone());
+                        }
                         applied += 1;
                         // live write-back must advance the session
                         prop_assert_eq!(book.session_serves(r, LEVEL), Some(m.committed));
@@ -174,6 +196,7 @@ proptest! {
                     let m = &mut mirrors[who as usize];
                     m.committed = 0;
                     m.cur_seed = None;
+                    m.pairing = None;
                     prop_assert_eq!(book.session_serves(r, LEVEL), None);
                 }
                 // replay the last delivered write-back: its position
@@ -186,6 +209,14 @@ proptest! {
                     let before = book.session_serves(r, LEVEL);
                     write_back(&mut book, r, lease, outcome);
                     prop_assert_eq!(book.session_serves(r, LEVEL), before);
+                }
+            }
+            // the session's pairing state is the mirror's, op by op
+            for (who, m) in mirrors.iter().enumerate() {
+                let session = book.sessions.get(&(1 + who, LEVEL));
+                if m.cur_seed.is_some() {
+                    let pairing = session.and_then(|s| s.pairing.as_ref());
+                    prop_assert_eq!(pairing, m.pairing.as_ref());
                 }
             }
         }

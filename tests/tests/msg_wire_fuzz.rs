@@ -83,20 +83,27 @@ fn ledger_book(theta: &[f64], seed: u64) -> LedgerBook {
 }
 
 /// Build the `tag`-th `Msg` variant (declaration order) from flat
-/// primitives, exercising every field of its payload.
+/// primitives, exercising every field of its payload. `seed % 3` decides
+/// whether a request, a lease and a write-back carry a mate, so both
+/// values of the flag and both `ServeDone` pairing shapes are drawn
+/// whatever `flag` is.
 fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64) -> Msg {
+    let mate = !seed.is_multiple_of(3);
     match tag {
         0 => Msg::CoarseRequest {
             level: a,
             reply_to: b,
             anchor: Box::new(sample(theta, x, 2)),
+            mate,
         },
         1 => Msg::Serve {
             reply_to: b,
             lease: Box::new(LedgerLease {
                 session_seed: seed,
                 serves: seed % 101,
-                pairing: flag.then(|| sample(theta, x - 1.0, 1)),
+                mate,
+                // only a lease with a mate carries the pairing state
+                pairing: (mate && flag).then(|| sample(theta, x - 1.0, 1)),
                 anchor: sample(theta, x, 0),
             }),
         },
@@ -109,8 +116,9 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
             level: b,
             session: seed,
             serves: seed % 103,
-            pairing: Box::new(sample(theta, x + 0.5, 1)),
-            diverged: flag,
+            pairing: mate.then(|| Box::new(sample(theta, x + 0.5, 1))),
+            // a serve without a mate runs one leg
+            diverged: mate && flag,
         },
         4 => Msg::Poison,
         5 => Msg::SampleReady { level: a },

@@ -131,6 +131,7 @@ fn diverged_lease(factory: &QoiCounted, level: usize) -> (ChainStack, LedgerLeas
     let lease = LedgerLease {
         session_seed: 0x5EED,
         serves: 0,
+        mate: true,
         pairing: Some(pairing),
         anchor,
     };
@@ -179,7 +180,7 @@ fn a_diverged_serve_evaluates_no_qoi_and_requests_no_large_block() {
             // moved hands back none
             for (end, start) in [
                 (&outcome.proposal, &lease.anchor),
-                (&outcome.pairing, &pairing),
+                (outcome.pairing.as_ref().expect("a mate"), &pairing),
             ] {
                 let moved = end.theta != start.theta;
                 assert_eq!(end.qoi.is_none(), moved, "level {level}, serve {position}");
@@ -237,7 +238,7 @@ fn burn_in_evaluates_no_qoi_and_the_first_read_one() {
     for _ in 0..k {
         assert_eq!(coupled.poll_step(&mut rng), StepOutcome::NeedCoarse);
         let anchor = coupled.anchor().expect("a coupled chain").clone();
-        let lease = book.lease(0x5EED, 0, 1, anchor);
+        let lease = book.lease(0x5EED, 0, 1, anchor, true);
         let outcome = twin.serve(RHO, &lease);
         let (session, serves) = (lease.session_seed, lease.serves + 1);
         book.write_back(1, 0, session, serves, outcome.pairing, outcome.diverged);
@@ -363,11 +364,12 @@ fn a_serve_outcome_holds_its_pairing_sample_once() {
         let outcome = chain.serve(RHO, &lease);
         assert_eq!(outcome.diverged, !lease.merged());
         let mate = outcome.proposal.mate.as_deref().expect("packaged mate");
-        assert!(same_slot(mate, &outcome.pairing));
+        let pairing = outcome.pairing.as_ref().expect("a lease with a mate");
+        assert!(same_slot(mate, pairing));
         // one run serves both tracks of a merged lease
-        let one_end = outcome.proposal.theta == outcome.pairing.theta;
+        let one_end = outcome.proposal.theta == pairing.theta;
         assert_eq!(one_end, lease.merged());
-        assert!(same_slot(&outcome.proposal, &outcome.pairing) || !one_end);
+        assert!(same_slot(&outcome.proposal, pairing) || !one_end);
     }
 }
 
@@ -378,18 +380,19 @@ fn the_ledger_book_shares_what_it_is_handed() {
     // an outcome whose samples hold a QOI, as the requester fills them
     let outcome = chain.serve(RHO, &diverged);
     let mut problem = factory.problem(0);
-    let [mut proposal, mut pairing] = [outcome.proposal, outcome.pairing];
+    let mut proposal = outcome.proposal;
+    let mut pairing = outcome.pairing.expect("a lease with a mate");
     proposal.mate = None;
     proposal.fill_qoi(problem.as_mut());
     pairing.fill_qoi(problem.as_mut());
     let (requester, level, seed) = (9, 0, 77);
     let mut book = LedgerBook::default();
     let (qois, large, state) = factory.measure(|| {
-        let lease = book.lease(seed, level, requester, diverged.anchor.clone());
-        let (session, handed) = (lease.session_seed, pairing.clone());
+        let lease = book.lease(seed, level, requester, diverged.anchor.clone(), true);
+        let (session, handed) = (lease.session_seed, Some(pairing.clone()));
         book.write_back(requester, level, session, 1, handed, outcome.diverged);
         // the requester accepted: its next anchor is the proposal
-        let next = book.lease(seed, level, requester, proposal.clone());
+        let next = book.lease(seed, level, requester, proposal.clone(), true);
         assert!(shared(&next.anchor, &proposal));
         assert!(shared(next.pairing.as_ref().unwrap(), &pairing));
         book.clone()
@@ -416,9 +419,9 @@ fn a_requesters_correction_evaluates_at_most_the_coarse_qoi_it_pairs_with() {
     for step in 0..80 {
         assert_eq!(chain.poll_step(&mut rng), StepOutcome::NeedCoarse);
         let anchor = chain.anchor().expect("a coupled chain").clone();
-        let lease = book.lease(0x5EED, 0, 1, anchor);
+        let lease = book.lease(0x5EED, 0, 1, anchor, true);
         let outcome = twin.serve(RHO, &lease);
-        let mate = outcome.pairing.theta.clone();
+        let mate = outcome.pairing.as_ref().expect("a mate").theta.clone();
         let (session, serves) = (lease.session_seed, lease.serves + 1);
         book.write_back(1, 0, session, serves, outcome.pairing, outcome.diverged);
         chain.resume_step(&mut rng, outcome.proposal);
