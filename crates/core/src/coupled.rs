@@ -34,7 +34,9 @@
 //! state: every step suspends at [`StepOutcome::NeedCoarse`] until
 //! [`MlChain::resume_step`] hands it a served proposal. A controller
 //! (`uq-parallel`) answers over the phonebook, the sequential driver from
-//! a [`ChainStack`]; both drive the one resumable [`ledger::Serve`].
+//! a [`ChainStack`]; both drive the one resumable [`ledger::Serve`]. A
+//! checkpoint cuts a controller's chain ([`MlChain::export_state`]); a
+//! `ChainStack` is never cut.
 
 use crate::factory::LevelFactory;
 use crate::ledger::{self, LedgerLease, PairingMode, Serve, ServeOutcome, ServeStep};
@@ -50,8 +52,8 @@ use uq_mcmc::{Proposal, SamplingProblem};
 /// Its QOI is a slot like [`SamplingState::qoi`]: a serve packages
 /// whatever the serving chain's state holds and evaluates none, and the
 /// one reader of a coarse QOI — a requester's correction
-/// ([`MlChain::correction`]) or a sequential cut ([`ChainStack`]) — fills
-/// it on a problem of the sample's level ([`fill_qoi`](Self::fill_qoi)).
+/// ([`MlChain::correction`]) — fills it on a problem of the sample's
+/// level ([`fill_qoi`](Self::fill_qoi)).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CoarseSample {
     pub theta: Vec<f64>,
@@ -615,7 +617,7 @@ pub fn build_chain(
 
 /// One coarse level's single-requester ledger session (see
 /// [`crate::ledger`]), as a [`ChainStack`] serves it to the level above.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct Cursor {
     /// Unless pinned, one `next_u64` from the requester's stream (the
     /// driver's generator, or the enclosing serve's leg) at the first serve.
@@ -704,36 +706,6 @@ impl ChainStack {
     pub fn serve(&mut self, rho: usize, lease: &LedgerLease) -> ServeOutcome {
         serve_lease(&mut self.chains, &mut self.cursors, &self.rho, rho, lease)
     }
-
-    /// The stack's chains (levels `0..=l`) and cursors (levels `0..l`),
-    /// as a sequential cut holds them. Every coarse sample they carry has
-    /// its QOI, filled on the chain of the sample's level, so a cut holds
-    /// no empty slot.
-    pub fn export_state(&mut self) -> (Vec<ChainState>, Vec<Cursor>) {
-        let mut chains = Vec::with_capacity(self.chains.len());
-        for level in 0..self.chains.len() {
-            let (below, rest) = self.chains.split_at_mut(level);
-            let mut own = rest[0].export_state();
-            for sample in [&mut own.anchor, &mut own.last_coarse, &mut own.last_pairing] {
-                fill_sample(below, sample.as_mut());
-            }
-            chains.push(own);
-        }
-        let mut cursors = self.cursors.clone();
-        for (level, cursor) in cursors.iter_mut().enumerate() {
-            fill_sample(&mut self.chains[..=level], cursor.pairing.as_mut());
-        }
-        (chains, cursors)
-    }
-
-    /// Restore what [`export_state`](Self::export_state) captured on a
-    /// stack of the same factory and level.
-    pub fn import_state(&mut self, chains: Vec<ChainState>, cursors: Vec<Cursor>) {
-        for (chain, state) in self.chains.iter_mut().zip(chains) {
-            chain.import_state(state);
-        }
-        self.cursors = cursors;
-    }
 }
 
 const LEVEL_0: &str = "a stack holds level 0";
@@ -748,21 +720,6 @@ fn anchor_at(chains: &mut [MlChain], theta: &[f64]) -> CoarseSample {
         sample.sub_anchor = Some(Box::new(anchor_at(below, &theta[..coarse_dim])));
     }
     sample
-}
-
-/// Fill the QOI of `sample` — a sample of the top of `chains`' level —
-/// and of its sub-anchors, each on its own level's chain (a stack's
-/// samples carry no mate: `resume_step` takes it off).
-fn fill_sample(chains: &mut [MlChain], sample: Option<&mut CoarseSample>) {
-    let Some(sample) = sample else {
-        return;
-    };
-    // a sample exists only on a level with a chain
-    let (chain, below) = chains
-        .split_last_mut()
-        .expect("a chain of the sample's level");
-    sample.fill_qoi(chain.problem.as_mut());
-    fill_sample(below, sample.sub_anchor.as_deref_mut());
 }
 
 /// Serve the top of `chains` to `anchor` from its cursor, the last of
@@ -1103,38 +1060,6 @@ pub(crate) mod tests {
         assert_eq!(fine.state().theta, before);
         assert_eq!(fine.steps(), 1);
         assert!(fine.last_coarse().is_none());
-    }
-
-    #[test]
-    fn export_import_continues_recursive_stack_bit_for_bit() {
-        // three-level stack: run 300 steps, export, rebuild a fresh
-        // identical stack, import, and require the continuation to match
-        // the uninterrupted chain exactly (same caller RNG position)
-        let h = GaussianHierarchy::three_level(2);
-        let mut chain = ChainStack::new(&h, 2);
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..300 {
-            chain.step(&mut rng);
-        }
-        let (chains, cursors) = chain.export_state();
-        assert_eq!((chains.len(), cursors.len()), (3, 2), "every level exports");
-        let rng_state = rng.state();
-
-        let mut resumed = ChainStack::new(&h, 2);
-        resumed.import_state(chains.clone(), cursors.clone());
-        assert_eq!(
-            resumed.export_state(),
-            (chains, cursors),
-            "import/export roundtrip"
-        );
-        let mut rng_resumed = StdRng::from_state(rng_state);
-        for _ in 0..300 {
-            let a = chain.step(&mut rng);
-            let b = resumed.step(&mut rng_resumed);
-            assert_eq!(a, b, "acceptance decisions diverged after resume");
-            assert_eq!(chain.top().state().theta, resumed.top().state().theta);
-        }
-        assert_eq!(chain.export_state(), resumed.export_state());
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! chain served by the chains below it (a [`ChainStack`]).
 //! The driver records everything the paper tabulates: per-level means,
 //! correction variances, integrated autocorrelation times, acceptance
-//! rates, evaluation counts and mean evaluation cost.
+//! rates, evaluation counts and mean evaluation cost. It keeps no
+//! checkpoint: a checkpointed, bit-exact one-thread run is a
+//! `uq_parallel::Run` of one chain per level on a one-worker pool, whose
+//! consistent cut is the one snapshot kind of [`crate::store`].
 //!
 //! **Estimator pairing.** Each correction sample is
 //! `Q_l(θ_l) − Q_{l-1}(ψ)`; which stream supplies `ψ` is selected by
@@ -30,9 +33,7 @@ use crate::counting::{EvalCounter, Hooked};
 use crate::coupled::ChainStack;
 use crate::factory::LevelFactory;
 use crate::ledger::PairingMode;
-use crate::store::{Backend, RunSnapshot, RunStore, SequentialCkpt};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::sync::Arc;
 use uq_mcmc::stats::{integrated_autocorrelation_time, VectorMoments};
 
@@ -158,78 +159,15 @@ impl MlmcmcReport {
     }
 }
 
-/// The telescoping term in progress: its accumulators, and how many of
-/// its samples are recorded. A sequential snapshot holds it as it is.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Term {
-    /// Samples already recorded in the term (burn-in done).
-    pub samples_done: usize,
-    pub moments: VectorMoments,
-    /// Representative-component trace (feeds the IACT column).
-    pub rep_trace: Vec<f64>,
-    pub theta_samples: Vec<Vec<f64>>,
-    pub qoi_samples: Vec<Vec<f64>>,
-    pub correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
-}
-
-impl Term {
-    fn fresh(qoi_dim: usize) -> Self {
-        Term {
-            samples_done: 0,
-            moments: VectorMoments::new(qoi_dim),
-            rep_trace: Vec::new(),
-            theta_samples: Vec::new(),
-            qoi_samples: Vec::new(),
-            correction_pairs: Vec::new(),
-        }
-    }
-}
-
-/// The run between two samples, as [`sample_terms`] shows it to its
-/// "after sample" hook: everything a snapshot is cut from.
-struct Cut<'a> {
-    /// Samples recorded so far, all terms together.
-    total_recorded: usize,
-    level: usize,
-    term: &'a Term,
-    stack: &'a mut ChainStack,
-    completed: &'a [LevelReport],
-    counters: &'a [EvalCounter],
-    eval_offsets: &'a [usize],
-}
-
-impl Cut<'_> {
-    /// The resume cursor of this cut, with the generator at `rng`.
-    fn cursor(&mut self, rng: [u64; 4]) -> SequentialCkpt {
-        let (chains, cursors) = self.stack.export_state();
-        SequentialCkpt {
-            level: self.level,
-            term: self.term.clone(),
-            chains,
-            cursors,
-            rng,
-            completed: self.completed.to_vec(),
-            eval_offsets: self
-                .counters
-                .iter()
-                .zip(self.eval_offsets)
-                .map(|(c, off)| c.evaluations() + off)
-                .collect(),
-        }
-    }
-}
-
-/// The sampling loop of both sequential drivers: a conventional chain on
-/// level 0 and one coupled chain per correction term, each on top of its
-/// own [`ChainStack`], from `cursor` (the start, with `None`) to the
-/// end; `after_sample` sees the generator and the [`Cut`] after every
-/// recorded sample (burn-in steps are not samples).
-fn sample_terms<R: Rng>(
+/// Sequential multilevel MCMC (paper Algorithm 2 driven level by level).
+///
+/// Runs a conventional chain on level 0 and one coupled chain per
+/// correction term, each on top of its own [`ChainStack`], and assembles
+/// the telescoping report.
+pub fn run_sequential(
     factory: &dyn LevelFactory,
     config: &MlmcmcConfig,
-    rng: &mut R,
-    cursor: Option<&SequentialCkpt>,
-    mut after_sample: impl FnMut(&R, &mut Cut<'_>),
+    rng: &mut dyn Rng,
 ) -> MlmcmcReport {
     let n_levels = config.samples_per_level.len();
     assert!(n_levels >= 1, "run_sequential: need at least one level");
@@ -241,200 +179,57 @@ fn sample_terms<R: Rng>(
     let counting = Hooked::new(factory, fresh.collect::<Vec<_>>());
     let counters = counting.hook();
 
-    let mut eval_offsets = vec![0usize; factory.n_levels()];
     let mut levels: Vec<LevelReport> = Vec::with_capacity(n_levels);
-    if let Some(c) = cursor {
-        for (dst, &off) in eval_offsets.iter_mut().zip(&c.eval_offsets) {
-            *dst = off;
-        }
-        levels.extend(c.completed.iter().cloned());
-    }
-    let mut total_recorded: usize = levels.iter().map(|l| l.n_samples).sum();
-
-    for level in cursor.map_or(0, |c| c.level)..n_levels {
-        let resuming_term = cursor.filter(|c| c.level == level);
-        let pre_build: Vec<usize> = counters.iter().map(|c| c.evaluations()).collect();
+    for level in 0..n_levels {
         let mut stack = ChainStack::new(&counting, level).with_pairing(config.pairing);
-        if resuming_term.is_some() {
-            // rebuilding the stack re-evaluates each level's initial
-            // state; the original construction is already inside the
-            // offsets, so discount the rebuild to keep counts exact
-            for (k, counter) in counters.iter().enumerate() {
-                let rebuild = counter.evaluations() - pre_build[k];
-                debug_assert!(eval_offsets[k] >= rebuild);
-                eval_offsets[k] = eval_offsets[k].saturating_sub(rebuild);
-            }
+        for _ in 0..config.burn_in[level] {
+            stack.step(rng);
         }
-        let mut term = match resuming_term {
-            None => {
-                for _ in 0..config.burn_in[level] {
-                    stack.step(rng);
-                }
-                Term::fresh(stack.top().current_qoi().len())
-            }
-            Some(c) => {
-                stack.import_state(c.chains.clone(), c.cursors.clone());
-                c.term.clone()
-            }
-        };
         let n_samples = config.samples_per_level[level];
         let qoi_dim = stack.top().current_qoi().len();
         let rep = config
             .representative_component
             .min(qoi_dim.saturating_sub(1));
-        while term.samples_done < n_samples {
+        let mut moments = VectorMoments::new(qoi_dim);
+        // the representative component's trace feeds the IACT column
+        let mut rep_trace = Vec::with_capacity(n_samples);
+        let mut theta_samples = Vec::new();
+        let mut qoi_samples = Vec::new();
+        let mut correction_pairs = Vec::new();
+        for _ in 0..n_samples {
             stack.step(rng);
             let (chain, mut coarse) = stack.top_and_coarse();
-            term.moments
-                .push(&chain.correction(config.pairing, coarse.as_deref_mut()));
+            moments.push(&chain.correction(config.pairing, coarse.as_deref_mut()));
             let fine_qoi = Arc::clone(chain.current_qoi());
-            term.rep_trace.push(fine_qoi[rep]);
+            rep_trace.push(fine_qoi[rep]);
             if config.record_samples {
-                term.theta_samples.push(chain.state().theta.clone());
+                theta_samples.push(chain.state().theta.clone());
                 if let Some(coarse) = chain.paired_qoi(PairingMode::Proposal, coarse) {
-                    term.correction_pairs
-                        .push((coarse.to_vec(), fine_qoi.to_vec()));
+                    correction_pairs.push((coarse.to_vec(), fine_qoi.to_vec()));
                 }
-                term.qoi_samples.push(fine_qoi.to_vec());
+                qoi_samples.push(fine_qoi.to_vec());
             }
-            term.samples_done += 1;
-            total_recorded += 1;
-            after_sample(
-                rng,
-                &mut Cut {
-                    total_recorded,
-                    level,
-                    term: &term,
-                    stack: &mut stack,
-                    completed: &levels,
-                    counters,
-                    eval_offsets: &eval_offsets,
-                },
-            );
         }
         levels.push(LevelReport {
             level,
             n_samples,
             acceptance_rate: stack.top().acceptance_rate(),
-            mean_correction: term.moments.mean(),
-            var_correction: term.moments.variance(),
-            iact: integrated_autocorrelation_time(&term.rep_trace),
+            mean_correction: moments.mean(),
+            var_correction: moments.variance(),
+            iact: integrated_autocorrelation_time(&rep_trace),
             evaluations: 0,
             mean_eval_ms: 0.0,
-            theta_samples: term.theta_samples,
-            qoi_samples: term.qoi_samples,
-            correction_pairs: term.correction_pairs,
+            theta_samples,
+            qoi_samples,
+            correction_pairs,
         });
     }
     // evaluation counts are shared across terms: fill them in last
     for (level, report) in levels.iter_mut().enumerate() {
-        report.evaluations = counters[level].evaluations() + eval_offsets[level];
+        report.evaluations = counters[level].evaluations();
         report.mean_eval_ms = counters[level].mean_eval_ms();
     }
     MlmcmcReport { levels }
-}
-
-/// Sequential multilevel MCMC (paper Algorithm 2 driven level by level).
-///
-/// Runs a conventional chain on level 0 and one coupled chain per
-/// correction term, each on top of its own [`ChainStack`], and assembles
-/// the telescoping report.
-pub fn run_sequential(
-    factory: &dyn LevelFactory,
-    config: &MlmcmcConfig,
-    mut rng: &mut dyn Rng,
-) -> MlmcmcReport {
-    sample_terms(factory, config, &mut rng, None, |_, _| {})
-}
-
-/// Post-snapshot hook, called with `(snapshot ordinal, content hash)`.
-pub type SnapshotHook<'a> = dyn Fn(usize, &str) + 'a;
-
-/// Where and how often the checkpointable sequential driver snapshots.
-pub struct CheckpointSpec<'a> {
-    /// Destination run store.
-    pub store: &'a RunStore,
-    /// Configuration hash stamped into each snapshot header (resume
-    /// refuses snapshots taken under a different configuration).
-    pub config_hash: u64,
-    /// Snapshot every `every` recorded samples (global count across
-    /// all telescoping terms; burn-in steps never checkpoint).
-    pub every: usize,
-    /// Called after each snapshot with `(ordinal, content hash)` — the
-    /// crash-injection harness aborts the process from here.
-    pub on_snapshot: Option<&'a SnapshotHook<'a>>,
-}
-
-/// Checkpointable sequential MLMCMC: the loop of [`run_sequential`],
-/// plus periodic consistent snapshots to a [`RunStore`] and the ability
-/// to resume from one bit-for-bit.
-///
-/// Unlike [`run_sequential`] this driver owns its RNG (seeded from
-/// `seed`, or restored from the snapshot's captured stream position on
-/// resume) because checkpointing must capture the generator state.
-/// With `checkpoint = None` and `resume = None` it produces exactly the
-/// report `run_sequential` produces for an `StdRng` seeded with `seed`.
-///
-/// Timing columns (`mean_eval_ms`) are wall-clock measurements, not
-/// logical state: a resumed run reports timings of the resumed portion
-/// only. Evaluation *counts* are restored exactly via per-level offsets
-/// recorded in the snapshot.
-///
-/// # Panics
-///
-/// Panics if `resume` holds a snapshot from a different backend or
-/// base seed (config mismatches are already rejected at decode time
-/// via the header hash).
-pub fn run_sequential_ckpt(
-    factory: &dyn LevelFactory,
-    config: &MlmcmcConfig,
-    seed: u64,
-    checkpoint: Option<&CheckpointSpec<'_>>,
-    resume: Option<&RunSnapshot>,
-) -> MlmcmcReport {
-    let cursor = resume.map(|snap| {
-        assert_eq!(
-            snap.backend,
-            Backend::Sequential,
-            "run_sequential_ckpt: snapshot was taken by the {} backend",
-            snap.backend
-        );
-        assert_eq!(
-            snap.seed, seed,
-            "run_sequential_ckpt: snapshot seed mismatch"
-        );
-        snap.sequential
-            .as_ref()
-            .expect("sequential snapshot missing its cursor section")
-    });
-    let mut rng = match cursor {
-        None => StdRng::seed_from_u64(seed),
-        Some(c) => StdRng::from_state(c.rng),
-    };
-    let mut snapshots_taken = 0usize;
-    sample_terms(factory, config, &mut rng, cursor, |rng, cut| {
-        let Some(spec) = checkpoint else { return };
-        if spec.every == 0 || !cut.total_recorded.is_multiple_of(spec.every) {
-            return;
-        }
-        let snap = RunSnapshot {
-            backend: Backend::Sequential,
-            seed,
-            samples_done: cut.total_recorded,
-            chains: Vec::new(),
-            collectors: Vec::new(),
-            ledger: None,
-            sequential: Some(cut.cursor(rng.state())),
-        };
-        let hash = spec
-            .store
-            .put_snapshot(&snap, spec.config_hash)
-            .expect("run_sequential_ckpt: snapshot write failed");
-        snapshots_taken += 1;
-        if let Some(hook) = spec.on_snapshot {
-            hook(snapshots_taken, &hash);
-        }
-    })
 }
 
 #[cfg(test)]
@@ -646,75 +441,5 @@ mod tests {
         let report = run_sequential(&h, &config, &mut rng);
         assert_eq!(report.levels.len(), 1);
         assert!((report.expectation()[0] - 0.6).abs() < 0.05);
-    }
-
-    /// Bit-level equality of everything except wall-clock timing.
-    fn assert_reports_identical(a: &MlmcmcReport, b: &MlmcmcReport) {
-        assert_eq!(a.levels.len(), b.levels.len());
-        for (x, y) in a.levels.iter().zip(&b.levels) {
-            assert_eq!(x.level, y.level);
-            assert_eq!(x.n_samples, y.n_samples);
-            assert_eq!(x.acceptance_rate.to_bits(), y.acceptance_rate.to_bits());
-            assert_eq!(x.mean_correction, y.mean_correction, "level {}", x.level);
-            assert_eq!(x.var_correction, y.var_correction, "level {}", x.level);
-            assert_eq!(x.iact.to_bits(), y.iact.to_bits(), "level {}", x.level);
-            assert_eq!(x.evaluations, y.evaluations, "level {}", x.level);
-            assert_eq!(x.theta_samples, y.theta_samples, "level {}", x.level);
-            assert_eq!(x.qoi_samples, y.qoi_samples, "level {}", x.level);
-            assert_eq!(x.correction_pairs, y.correction_pairs, "level {}", x.level);
-        }
-    }
-
-    #[test]
-    fn ckpt_driver_without_checkpoints_matches_plain_driver() {
-        let h = GaussianHierarchy::three_level(1);
-        let config = MlmcmcConfig::new(vec![800, 200, 80])
-            .with_burn_in(vec![50, 30, 10])
-            .recording();
-        let mut rng = StdRng::seed_from_u64(2024);
-        let plain = run_sequential(&h, &config, &mut rng);
-        let ckpt = run_sequential_ckpt(&h, &config, 2024, None, None);
-        assert_reports_identical(&plain, &ckpt);
-    }
-
-    #[test]
-    fn resume_from_every_snapshot_is_bit_identical() {
-        let h = GaussianHierarchy::three_level(1);
-        let config = MlmcmcConfig::new(vec![300, 120, 50])
-            .with_burn_in(vec![40, 20, 10])
-            .recording();
-        let seed = 77;
-        let uninterrupted = run_sequential_ckpt(&h, &config, seed, None, None);
-
-        let dir = std::env::temp_dir().join(format!("uq-seq-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = RunStore::open(&dir).unwrap();
-        let spec = CheckpointSpec {
-            store: &store,
-            config_hash: 11,
-            every: 37, // lands mid-term on every level and across terms
-            on_snapshot: None,
-        };
-        let with_ckpts = run_sequential_ckpt(&h, &config, seed, Some(&spec), None);
-        assert_reports_identical(&uninterrupted, &with_ckpts);
-
-        let records = store.manifest_records().unwrap();
-        let hashes: Vec<String> = records
-            .iter()
-            .filter(|r| r.get("kind") == Some("snapshot"))
-            .map(|r| r.get("hash").unwrap().to_string())
-            .collect();
-        assert!(
-            hashes.len() >= 10,
-            "expected many snapshots, got {}",
-            hashes.len()
-        );
-        for hash in &hashes {
-            let (snap, config_hash) = store.get_snapshot(hash).unwrap();
-            assert_eq!(config_hash, 11);
-            let resumed = run_sequential_ckpt(&h, &config, seed, None, Some(&snap));
-            assert_reports_identical(&uninterrupted, &resumed);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,8 +13,8 @@
 //!   `uq-parallel`, through the phonebook — both drive one ledger serve;
 //! * [`estimator`] — the telescoping-sum estimator (paper eq. 2) with
 //!   per-level moments, autocorrelation and cost bookkeeping, and the
-//!   sequential driver reproducing Tables 3 and 4 (one sampling loop,
-//!   plain or checkpointed);
+//!   sequential driver reproducing Tables 3 and 4 (one plain sampling
+//!   loop);
 //! * [`ledger`] — the per-requester rewind ledger: sessions whose
 //!   proposal track rewinds to the requester's anchor (fine-marginal
 //!   exactness) while an autonomous pairing track continues from the
@@ -28,7 +28,7 @@
 //!   via `to_bits`, length-validated decodes) used by both the run
 //!   store's snapshot format and `uq_parallel::net`'s frame format;
 //! * [`store`] — the content-addressed run store: versioned,
-//!   integrity-checked snapshots of a run's full logical state
+//!   integrity-checked snapshots of a parallel run's consistent cut
 //!   (chains, collectors, ledger sessions, RNG streams) enabling
 //!   bit-identical checkpoint/resume, indexed by an append-only
 //!   manifest.

@@ -38,12 +38,10 @@
 //! The format is a flat string→string object per line; a tiny extractor
 //! ([`manifest_field`]) keeps querying dependency-free.
 
-use crate::coupled::{ChainState, CoarseSample, Cursor};
-use crate::estimator::{LevelReport, Term};
+use crate::coupled::{ChainState, CoarseSample};
 use crate::ledger::{LedgerBook, LedgerStats, Session};
 use crate::wire::{decode_qoi, encode_qoi};
 use std::collections::HashMap;
-use std::fmt;
 use std::fs;
 use std::hash::Hash;
 use std::io::Write as _;
@@ -59,7 +57,7 @@ pub use crate::wire::{fnv1a, Codec, Dec, Enc, StoreError};
 /// decoder refuses other versions (the committed golden snapshot in
 /// `tests/fixtures/` pins readability of the current one, and the
 /// previous one's golden that it is refused).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"UQSNAP\0\0";
 
@@ -103,23 +101,6 @@ impl Codec for ChainState {
             anchor: Option::decode(dec)?,
             last_coarse: Option::decode(dec)?,
             last_pairing: Option::decode(dec)?,
-        })
-    }
-}
-
-impl Codec for Cursor {
-    fn encode(&self, enc: &mut Enc) {
-        self.session_seed.encode(enc);
-        self.serves.encode(enc);
-        self.diverged_serves.encode(enc);
-        self.pairing.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(Cursor {
-            session_seed: Option::decode(dec)?,
-            serves: u64::decode(dec)?,
-            diverged_serves: u64::decode(dec)?,
-            pairing: Option::decode(dec)?,
         })
     }
 }
@@ -237,44 +218,8 @@ impl Codec for crate::ledger::LedgerLease {
 // snapshot sections
 // ---------------------------------------------------------------------
 
-/// Whose state a snapshot holds: the sequential driver's cursor, or a
-/// consistent cut of the parallel role machines (neither resumes the
-/// other's).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    Sequential,
-    Runtime,
-}
-
-/// Tags 0 and 2; tag 1 (a retired stamp) is refused.
-impl Codec for Backend {
-    fn encode(&self, enc: &mut Enc) {
-        let tag: u8 = match self {
-            Backend::Sequential => 0,
-            Backend::Runtime => 2,
-        };
-        tag.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        match u8::decode(dec)? {
-            0 => Ok(Backend::Sequential),
-            2 => Ok(Backend::Runtime),
-            _ => Err(StoreError::Corrupt("backend tag")),
-        }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Backend::Sequential => "sequential",
-            Backend::Runtime => "runtime",
-        })
-    }
-}
-
-/// One controller's checkpointed state (parallel backends): chain,
-/// counters and RNG stream position, captured at a clean step boundary.
+/// One controller's checkpointed state: chain, counters and RNG stream
+/// position, captured at a clean step boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChainCkpt {
     pub rank: usize,
@@ -346,141 +291,37 @@ impl Codec for CollectorCkpt {
     }
 }
 
-/// A completed sequential term. Its evaluation count and mean cost are
-/// not written: inside a cut they are always 0 (the driver fills them in
-/// after the last term, from counters and offsets), and decode sets 0.
-impl Codec for LevelReport {
-    fn encode(&self, enc: &mut Enc) {
-        self.level.encode(enc);
-        self.n_samples.encode(enc);
-        self.acceptance_rate.encode(enc);
-        self.mean_correction.encode(enc);
-        self.var_correction.encode(enc);
-        self.iact.encode(enc);
-        self.theta_samples.encode(enc);
-        self.qoi_samples.encode(enc);
-        self.correction_pairs.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(LevelReport {
-            level: usize::decode(dec)?,
-            n_samples: usize::decode(dec)?,
-            acceptance_rate: f64::decode(dec)?,
-            mean_correction: Vec::decode(dec)?,
-            var_correction: Vec::decode(dec)?,
-            iact: f64::decode(dec)?,
-            evaluations: 0,
-            mean_eval_ms: 0.0,
-            theta_samples: Vec::decode(dec)?,
-            qoi_samples: Vec::decode(dec)?,
-            correction_pairs: Vec::decode(dec)?,
-        })
-    }
-}
-
-/// The sequential driver's cursor: which term is running, how far it
-/// got, and every accumulator needed to continue bit-for-bit.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SequentialCkpt {
-    /// Level of the term in progress.
-    pub level: usize,
-    /// The term in progress (burn-in done).
-    pub term: Term,
-    /// The term's chain stack, levels `0..=level`.
-    pub chains: Vec<ChainState>,
-    /// The session each coarse level serves to the one above, levels
-    /// `0..level`.
-    pub cursors: Vec<Cursor>,
-    pub rng: [u64; 4],
-    /// Reports of terms already finished.
-    pub completed: Vec<LevelReport>,
-    /// Per-level model-evaluation counts at the cut (the resumed run's
-    /// counters restart at zero; these offsets keep the reported totals
-    /// equal to the uninterrupted run's).
-    pub eval_offsets: Vec<usize>,
-}
-
-impl Codec for SequentialCkpt {
-    fn encode(&self, enc: &mut Enc) {
-        let term = &self.term;
-        self.level.encode(enc);
-        term.samples_done.encode(enc);
-        self.chains.encode(enc);
-        self.cursors.encode(enc);
-        self.rng.encode(enc);
-        term.moments.encode(enc);
-        term.rep_trace.encode(enc);
-        term.theta_samples.encode(enc);
-        term.qoi_samples.encode(enc);
-        term.correction_pairs.encode(enc);
-        self.completed.encode(enc);
-        self.eval_offsets.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        let level = usize::decode(dec)?;
-        let samples_done = usize::decode(dec)?;
-        let chains = Vec::<ChainState>::decode(dec)?;
-        let cursors = Vec::<Cursor>::decode(dec)?;
-        if cursors.len() != level || chains.len() != level + 1 {
-            return Err(StoreError::Corrupt("sequential stack off its level"));
-        }
-        let rng = <[u64; 4]>::decode(dec)?;
-        Ok(SequentialCkpt {
-            level,
-            term: Term {
-                samples_done,
-                moments: VectorMoments::decode(dec)?,
-                rep_trace: Vec::decode(dec)?,
-                theta_samples: Vec::decode(dec)?,
-                qoi_samples: Vec::decode(dec)?,
-                correction_pairs: Vec::decode(dec)?,
-            },
-            chains,
-            cursors,
-            rng,
-            completed: Vec::decode(dec)?,
-            eval_offsets: Vec::decode(dec)?,
-        })
-    }
-}
-
-/// A whole run's consistent cut: one snapshot per checkpoint barrier.
+/// A whole run's consistent cut: one snapshot per checkpoint barrier,
+/// written by the root of the role machines on every placement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSnapshot {
-    pub backend: Backend,
     /// Base seed of the run (sanity cross-check on resume).
     pub seed: u64,
     /// Progress marker: top-level samples collected at the cut.
     pub samples_done: usize,
-    /// Parallel backends: one entry per controller rank.
+    /// One entry per controller rank.
     pub chains: Vec<ChainCkpt>,
-    /// Parallel backends: one entry per level's collector, in level order.
+    /// One entry per level's collector, in level order.
     pub collectors: Vec<CollectorCkpt>,
-    /// Parallel backends: the phonebook's full session ledger.
-    pub ledger: Option<LedgerBook>,
-    /// Sequential driver's cursor (`None` for parallel backends).
-    pub sequential: Option<SequentialCkpt>,
+    /// The phonebook's full session ledger.
+    pub ledger: LedgerBook,
 }
 
 impl Codec for RunSnapshot {
     fn encode(&self, enc: &mut Enc) {
-        self.backend.encode(enc);
         self.seed.encode(enc);
         self.samples_done.encode(enc);
         self.chains.encode(enc);
         self.collectors.encode(enc);
         self.ledger.encode(enc);
-        self.sequential.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(RunSnapshot {
-            backend: Backend::decode(dec)?,
             seed: u64::decode(dec)?,
             samples_done: usize::decode(dec)?,
             chains: Vec::decode(dec)?,
             collectors: Vec::decode(dec)?,
-            ledger: Option::decode(dec)?,
-            sequential: Option::decode(dec)?,
+            ledger: LedgerBook::decode(dec)?,
         })
     }
 }
@@ -679,9 +520,9 @@ impl RunStore {
             fs::rename(&tmp, &path)?;
         }
         self.append_manifest(&format!(
-            "{{\"kind\":\"snapshot\",\"hash\":\"{hash}\",\"backend\":\"{}\",\
+            "{{\"kind\":\"snapshot\",\"hash\":\"{hash}\",\
              \"config\":\"{config_hash:016x}\",\"seed\":\"{}\",\"samples\":\"{}\"}}",
-            snapshot.backend, snapshot.seed, snapshot.samples_done
+            snapshot.seed, snapshot.samples_done
         ))?;
         Ok(hash)
     }
@@ -757,7 +598,6 @@ mod tests {
 
     fn snapshot() -> RunSnapshot {
         RunSnapshot {
-            backend: Backend::Runtime,
             seed: 4321,
             samples_done: 200,
             chains: vec![ChainCkpt {
@@ -785,7 +625,7 @@ mod tests {
                 theta_samples: vec![vec![0.1], vec![0.2]],
                 correction_pairs: vec![(vec![0.0], vec![0.1])],
             }],
-            ledger: Some(LedgerBook {
+            ledger: LedgerBook {
                 sessions: HashMap::from([(
                     (5, 0),
                     Session {
@@ -801,8 +641,7 @@ mod tests {
                     diverged: 2,
                     ..LedgerStats::default()
                 },
-            }),
-            sequential: None,
+            },
         }
     }
 
@@ -861,14 +700,6 @@ mod tests {
             decode_snapshot(&bytes),
             Err(StoreError::BadVersion { found: 99 })
         ));
-    }
-
-    #[test]
-    fn the_retired_thread_stamp_is_corrupt() {
-        let stamp = |tag: u8| Backend::decode(&mut Dec::new(&[tag]));
-        assert!(matches!(stamp(0), Ok(Backend::Sequential)));
-        assert!(matches!(stamp(2), Ok(Backend::Runtime)));
-        assert!(matches!(stamp(1), Err(StoreError::Corrupt("backend tag"))));
     }
 
     #[test]

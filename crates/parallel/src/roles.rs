@@ -47,7 +47,7 @@ use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::counting::{EvalCounter, EvalHook, Hooked};
 use uq_mlmcmc::coupled::{build_chain, Bookmark, CoarseSample, MlChain, StepOutcome};
 use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerStats, ServeStep};
-use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
+use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
 
 /// Configuration of a run: the policy inputs ([`ParallelConfig`]), which
@@ -256,13 +256,11 @@ impl<'a> RootRank<'a> {
         self.coll_ckpts.sort_by_key(|c| c.level);
         let samples_done = self.coll_ckpts.last().map_or(0, |c| c.count);
         let snapshot = RunSnapshot {
-            backend: Backend::Runtime,
             seed: self.config.base.seed,
             samples_done,
             chains: std::mem::take(&mut self.chain_ckpts),
             collectors: std::mem::take(&mut self.coll_ckpts),
-            ledger: Some(ledger),
-            sequential: None,
+            ledger,
         };
         let hash = spec
             .store
@@ -873,10 +871,8 @@ impl<'a> ControllerRank<'a> {
         };
         this.reset_level_state();
         if let Some(r) = resume {
-            // load balancing is off under checkpoint/resume, so the
-            // snapshot's level must match the static assignment
-            assert_eq!(r.rank, rank, "resume: chain ckpt rank mismatch");
-            assert_eq!(r.level, level, "resume: chain ckpt level mismatch");
+            // `Run::new` matched the cut's rank, level and done levels
+            // to this layout
             this.chain.import_state(r.chain.clone());
             this.rng = StdRng::from_state(r.rng);
             this.done_levels = r.done_levels.clone();
@@ -1239,7 +1235,7 @@ pub(crate) type Machine<'a> = Box<dyn VirtualRank<Msg, Output = RoleOut> + Send 
 /// One run, as a value: *what* to run — the validated inputs and, from
 /// them, the machine of each rank. *Where* is a [`Placement`]; [`Run::on`]
 /// is the one function between the two. The placement leaves no mark on a
-/// snapshot: the root stamps every one [`Backend::Runtime`], and a
+/// snapshot: the root writes one kind of cut on every placement, and a
 /// snapshot resumes under any placement whose rank layout it fits.
 #[derive(Clone, Copy)]
 pub struct Run<'a> {
@@ -1284,8 +1280,8 @@ impl<'a> Run<'a> {
     /// Panics on an inconsistent configuration (levels beyond the
     /// factory, levels without chains, `collector_shards` other than 1,
     /// checkpointing with load balancing on) and on a `resume` snapshot
-    /// that is not a parallel run's or does not fit this configuration's
-    /// seed and rank layout; the message names the rung that refused it.
+    /// that does not fit this configuration's seed and rank layout; the
+    /// message names the rung that refused it.
     pub fn new(
         factory: &'a dyn LevelFactory,
         config: &'a RuntimeConfig,
@@ -1312,11 +1308,6 @@ impl<'a> Run<'a> {
         );
         if let Some(snap) = resume {
             let layout = &config.base;
-            assert!(
-                snap.backend == Backend::Runtime,
-                "parallel run: snapshot stamp is {}, not a parallel run's",
-                snap.backend
-            );
             assert_eq!(
                 snap.seed, config.base.seed,
                 "parallel run: snapshot seed mismatch"
@@ -1331,12 +1322,23 @@ impl<'a> Run<'a> {
                 layout.n_levels(),
                 "parallel run: snapshot collector count mismatch"
             );
-            // `machine` indexes both by rank offset
+            // `machine` indexes both by rank offset; load balancing is
+            // off, so each chain sits on its rank's static level
             for (i, c) in snap.chains.iter().enumerate() {
+                let rank = layout.first_controller_rank() + i;
                 assert_eq!(
-                    c.rank,
-                    layout.first_controller_rank() + i,
+                    c.rank, rank,
                     "parallel run: snapshot chain ranks inconsistent"
+                );
+                assert_eq!(
+                    c.level,
+                    layout.initial_level(rank),
+                    "parallel run: snapshot chain levels inconsistent"
+                );
+                assert_eq!(
+                    c.done_levels.len(),
+                    layout.n_levels(),
+                    "parallel run: snapshot done levels off the hierarchy"
                 );
             }
             for (level, c) in snap.collectors.iter().enumerate() {
@@ -1368,7 +1370,7 @@ impl<'a> Run<'a> {
         if rank == ROOT {
             Box::new(RootRank::new(config, tracer, self.checkpoint))
         } else if rank == PHONEBOOK {
-            let ledger = resume.and_then(|s| s.ledger.as_ref());
+            let ledger = resume.map(|s| &s.ledger);
             Box::new(PhonebookRank::new(config, tracer, ledger))
         } else if rank < layout.first_controller_rank() {
             // snapshot collectors are in level order, which is rank order

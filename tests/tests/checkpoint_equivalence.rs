@@ -1,5 +1,5 @@
 //! PR 6 headline suite: **bit-identical checkpoint/resume** pinned by
-//! crash injection, under the sequential driver and the pool.
+//! crash injection on the pool.
 //!
 //! Each `*_crash_resume_*` test is its own harness: the parent process
 //! computes the uninterrupted reference run in-process, then re-execs
@@ -32,9 +32,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use uq_mlmcmc::estimator::{run_sequential_ckpt, CheckpointSpec};
-use uq_mlmcmc::store::{fnv1a, Backend};
-use uq_mlmcmc::{MlmcmcConfig, MlmcmcReport, RunSnapshot, RunStore};
+use uq_mlmcmc::store::fnv1a;
+use uq_mlmcmc::{RunSnapshot, RunStore};
 use uq_parallel::scheduler::ParallelLevelReport;
 use uq_parallel::{
     net_worker, run_net_worker, run_parallel, run_runtime, NetDriver, NetDriverOptions,
@@ -157,30 +156,6 @@ fn push_pairs(s: &mut String, pairs: &[(Vec<f64>, Vec<f64>)]) {
     }
 }
 
-fn sequential_digest(report: &MlmcmcReport) -> String {
-    let mut s = String::new();
-    for l in &report.levels {
-        s.push_str(&format!(
-            "level {} n {} evals {} acc {:016x} iact {:016x}\n",
-            l.level,
-            l.n_samples,
-            l.evaluations,
-            l.acceptance_rate.to_bits(),
-            l.iact.to_bits()
-        ));
-        push_bits(&mut s, "mean", &l.mean_correction);
-        push_bits(&mut s, "var", &l.var_correction);
-        for t in &l.theta_samples {
-            push_bits(&mut s, "theta", t);
-        }
-        for q in &l.qoi_samples {
-            push_bits(&mut s, "qoi", q);
-        }
-        push_pairs(&mut s, &l.correction_pairs);
-    }
-    s
-}
-
 fn parallel_digest(levels: &[ParallelLevelReport]) -> String {
     let mut s = String::new();
     for l in levels {
@@ -193,67 +168,6 @@ fn parallel_digest(levels: &[ParallelLevelReport]) -> String {
         push_pairs(&mut s, &l.correction_pairs);
     }
     s
-}
-
-// ---------------------------------------------------------------------
-// sequential driver
-// ---------------------------------------------------------------------
-
-const SEQ_SEED: u64 = 9001;
-const SEQ_EVERY: usize = 70;
-
-fn sequential_config() -> MlmcmcConfig {
-    let mut config = MlmcmcConfig::new(vec![400, 200]);
-    config.burn_in = vec![30, 20];
-    config.record_samples = true;
-    config
-}
-
-fn sequential_hash() -> u64 {
-    fnv1a(b"checkpoint_equivalence sequential ridge v1")
-}
-
-#[test]
-fn sequential_crash_resume_is_bit_identical() {
-    match role().as_deref() {
-        Some("crash") => {
-            let store = RunStore::open(harness_dir().join("store")).expect("open store");
-            let k = crash_at();
-            let hook = move |n: usize, _hash: &str| {
-                if n == k {
-                    std::process::abort();
-                }
-            };
-            let ckpt = CheckpointSpec {
-                store: &store,
-                config_hash: sequential_hash(),
-                every: SEQ_EVERY,
-                on_snapshot: Some(&hook),
-            };
-            run_sequential_ckpt(&Ridge, &sequential_config(), SEQ_SEED, Some(&ckpt), None);
-            unreachable!("crash child must abort before the run completes");
-        }
-        Some("resume") => {
-            let dir = harness_dir();
-            let store = RunStore::open(dir.join("store")).expect("open store");
-            let (_, snap) = store
-                .latest_snapshot(Some(sequential_hash()))
-                .expect("manifest readable")
-                .expect("crashed run left a snapshot");
-            let report =
-                run_sequential_ckpt(&Ridge, &sequential_config(), SEQ_SEED, None, Some(&snap));
-            write_digest(&dir, &sequential_digest(&report));
-        }
-        _ => {
-            let reference = run_sequential_ckpt(&Ridge, &sequential_config(), SEQ_SEED, None, None);
-            run_crash_cycle(
-                "sequential_crash_resume_is_bit_identical",
-                "seq",
-                1,
-                &sequential_digest(&reference),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -389,10 +303,10 @@ fn thread_crash_resume_is_bit_identical() {
     );
 }
 
-/// One stamp, and the layout rungs decide: a cut written by a net run —
-/// a driver and two worker pools — resumes in one process to the
-/// uninterrupted digest; what no parallel layout fits is refused by the
-/// rung it fails.
+/// One kind of cut, and the layout rungs decide: a cut written by a net
+/// run — a driver and two worker pools — resumes in one process to the
+/// uninterrupted digest; what the layout does not fit is refused by the
+/// rung it fails, in `Run::new`, before any rank is built.
 #[test]
 fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
     let dir = fresh_dir("net-cut");
@@ -426,7 +340,6 @@ fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
     let (cut, _) = store
         .get_snapshot(hashes[hashes.len() / 2])
         .expect("snapshot readable");
-    assert_eq!(cut.backend, Backend::Runtime, "the one stamp");
 
     let resume = |config: &RuntimeConfig, snap: &RunSnapshot| {
         let run = || ridge_on(Where::Pool, config, None, Some(snap));
@@ -436,10 +349,14 @@ fn a_net_written_cut_resumes_in_process_and_a_misfit_is_refused_by_its_rung() {
     };
     assert_eq!(resume(&thread_layout(), &cut), Ok(reference));
 
-    let mut sequential = cut.clone();
-    sequential.backend = Backend::Sequential;
-    let why = resume(&thread_layout(), &sequential).expect_err("not a parallel cut");
-    assert!(why.contains("stamp is sequential"), "{why}");
+    let mut moved = cut.clone();
+    moved.chains[0].level = 1;
+    let why = resume(&thread_layout(), &moved).expect_err("level 0's rank on level 1");
+    assert!(why.contains("chain levels inconsistent"), "{why}");
+    let mut forgetful = cut.clone();
+    forgetful.chains[1].done_levels.pop();
+    let why = resume(&thread_layout(), &forgetful).expect_err("one done flag for two levels");
+    assert!(why.contains("done levels off the hierarchy"), "{why}");
     let mut short = cut.clone();
     short.collectors.pop();
     let why = resume(&thread_layout(), &short).expect_err("one collector for two levels");
@@ -518,7 +435,12 @@ fn runtime_crash_resume_is_bit_identical() {
         4,
         RUNTIME_EVERY,
         &runtime_cfg(),
-        |snap| assert!(snap.ledger.is_some(), "a cut carries the ledger"),
+        |snap| {
+            assert!(
+                !snap.ledger.sessions.is_empty(),
+                "a cut carries the sessions"
+            )
+        },
         || {
             let reference = run_runtime(&Ridge, &runtime_cfg(), &Tracer::disabled());
             parallel_digest(&reference.report.levels)

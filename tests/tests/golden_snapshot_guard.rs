@@ -1,11 +1,11 @@
 //! Format-version compatibility guard: a snapshot committed to the
-//! repository at format version 3 must keep decoding — bit-for-bit —
+//! repository at format version 4 must keep decoding — bit-for-bit —
 //! on every future revision of the codec. Any change to the wire
 //! layout must either keep these bytes valid or bump
 //! `store::FORMAT_VERSION`, add a new golden alongside this one and
 //! turn this one into the rejection fixture; silently re-interpreting
 //! old snapshots is the failure mode this test exists to catch. There
-//! is one reader: `golden_v2.snap`, the previous format's golden, must
+//! is one reader: `golden_v3.snap`, the previous format's golden, must
 //! be refused at its version field.
 //!
 //! Regenerate (only after an *intentional* format bump) with:
@@ -13,16 +13,14 @@
 
 use std::collections::HashMap;
 use uq_mcmc::stats::VectorMoments;
-use uq_mlmcmc::coupled::{ChainState, CoarseSample, Cursor};
-use uq_mlmcmc::estimator::{LevelReport, Term};
+use uq_mlmcmc::coupled::{ChainState, CoarseSample};
 use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, Session};
 use uq_mlmcmc::store::{
-    decode_snapshot, encode_snapshot, fnv1a, Backend, ChainCkpt, CollectorCkpt, RunSnapshot,
-    SequentialCkpt, StoreError,
+    decode_snapshot, encode_snapshot, fnv1a, ChainCkpt, CollectorCkpt, RunSnapshot, StoreError,
 };
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v3.snap");
-const GOLDEN_V2_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v2.snap");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v4.snap");
+const GOLDEN_V3_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v3.snap");
 const GOLDEN_CONFIG: u64 = 0x5EED_CAFE_F00D_0001;
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
@@ -31,8 +29,8 @@ fn cs(theta: f64, ld: f64) -> CoarseSample {
 
 /// The pinned snapshot: fixed values through every branch of the codec
 /// — nested anchors and mates, a ledger session, collector moments and
-/// recordings, and a mid-term sequential stack of three levels (one
-/// cursor pinned, one not yet seeded) with two completed levels.
+/// recordings, and three controllers' chains on levels 0, 1 and 2 (the
+/// top one's anchor nesting the middle one's).
 fn golden() -> RunSnapshot {
     let anchor = CoarseSample {
         theta: vec![0.125, -2.5],
@@ -74,19 +72,19 @@ fn golden() -> RunSnapshot {
         last_coarse: Some(cs(0.375, -2.25)),
         last_pairing: Some(cs(0.4375, -2.125)),
     };
+    let ckpt = |rank: usize, level: usize, chain: ChainState| ChainCkpt {
+        rank,
+        level,
+        burnin_left: 3 * level,
+        producing: level != 1,
+        done_levels: vec![false, level == 0, true],
+        rng: [1, 2, rank as u64, 0xFFFF_FFFF_FFFF_FFFF],
+        chain,
+    };
     RunSnapshot {
-        backend: Backend::Runtime,
         seed: 0x1234_5678_9ABC_DEF0,
         samples_done: 275,
-        chains: vec![ChainCkpt {
-            rank: 4,
-            level: 1,
-            burnin_left: 7,
-            producing: true,
-            done_levels: vec![false, true],
-            rng: [1, 2, 3, 0xFFFF_FFFF_FFFF_FFFF],
-            chain: chain.clone(),
-        }],
+        chains: vec![ckpt(4, 0, base), ckpt(5, 1, chain), ckpt(6, 2, top)],
         collectors: vec![CollectorCkpt {
             level: 0,
             count: 275,
@@ -94,7 +92,7 @@ fn golden() -> RunSnapshot {
             theta_samples: vec![vec![0.5], vec![-0.5]],
             correction_pairs: vec![(vec![0.0], vec![0.35])],
         }],
-        ledger: Some(LedgerBook {
+        ledger: LedgerBook {
             sessions: HashMap::from([(
                 (5, 0),
                 Session {
@@ -110,63 +108,7 @@ fn golden() -> RunSnapshot {
                 diverged: 3,
                 ..LedgerStats::default()
             },
-        }),
-        sequential: Some(SequentialCkpt {
-            level: 2,
-            term: Term {
-                samples_done: 75,
-                moments: VectorMoments::from_parts(&[(75, 0.349, 0.81)]),
-                rep_trace: vec![0.3, 0.4, 0.35],
-                theta_samples: vec![vec![0.3]],
-                qoi_samples: vec![vec![0.3]],
-                correction_pairs: vec![(vec![0.28], vec![0.33])],
-            },
-            chains: vec![base, chain, top],
-            cursors: vec![
-                Cursor {
-                    session_seed: Some(0xDEAD_BEEF),
-                    serves: 97,
-                    diverged_serves: 3,
-                    pairing: Some(cs(1.5, -0.25)),
-                },
-                Cursor {
-                    session_seed: None,
-                    serves: 0,
-                    diverged_serves: 0,
-                    pairing: None,
-                },
-            ],
-            rng: [11, 13, 17, 19],
-            completed: vec![
-                LevelReport {
-                    level: 0,
-                    n_samples: 200,
-                    acceptance_rate: 0.4375,
-                    mean_correction: vec![0.01],
-                    var_correction: vec![0.0225],
-                    iact: 4.5,
-                    evaluations: 0,
-                    mean_eval_ms: 0.0,
-                    theta_samples: vec![vec![0.0]],
-                    qoi_samples: vec![vec![0.0]],
-                    correction_pairs: vec![],
-                },
-                LevelReport {
-                    level: 1,
-                    n_samples: 100,
-                    acceptance_rate: 0.3125,
-                    mean_correction: vec![0.33],
-                    var_correction: vec![0.125],
-                    iact: 2.5,
-                    evaluations: 0,
-                    mean_eval_ms: 0.0,
-                    theta_samples: vec![vec![0.3, 0.1]],
-                    qoi_samples: vec![vec![0.3]],
-                    correction_pairs: vec![(vec![0.28], vec![0.33])],
-                },
-            ],
-            eval_offsets: vec![900, 300, 60],
-        }),
+        },
     }
 }
 
@@ -180,7 +122,7 @@ fn committed_golden_snapshot_still_decodes() {
     let bytes = std::fs::read(GOLDEN_PATH)
         .expect("committed golden snapshot missing — see module docs to regenerate");
     let (snap, config) = decode_snapshot(&bytes)
-        .expect("format break: the committed v3 golden snapshot no longer decodes");
+        .expect("format break: the committed v4 golden snapshot no longer decodes");
     assert_eq!(config, GOLDEN_CONFIG, "golden header config hash drifted");
     assert_eq!(snap, expected, "golden snapshot decoded to different state");
     // the codec must also still *produce* the identical bytes, or every
@@ -197,15 +139,15 @@ fn committed_golden_snapshot_still_decodes() {
     );
 }
 
-/// The v2 golden is the format before (a ledger session carried its
-/// speculation state, the book its candidate queues and the statistics
-/// their speculation counters). It must be refused at the version field,
-/// never decoded into a snapshot.
+/// The v3 golden is the format before (every snapshot carried a stamp
+/// saying whose state it held, the ledger was optional, and a
+/// sequential driver's cursor could ride along). It must be refused at
+/// the version field, never decoded into a snapshot.
 #[test]
-fn committed_v2_snapshot_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V2_PATH).expect("committed v2 snapshot missing");
+fn committed_v3_snapshot_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V3_PATH).expect("committed v3 snapshot missing");
     assert!(matches!(
         decode_snapshot(&bytes),
-        Err(StoreError::BadVersion { found: 2 })
+        Err(StoreError::BadVersion { found: 3 })
     ));
 }

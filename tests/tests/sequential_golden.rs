@@ -13,15 +13,11 @@
 //!   from their previous solution — so its digests also pin which model
 //!   instance evaluates which point, in which order.
 //!
-//! A mid-term level-2 snapshot of the checkpointed driver (its chain
-//! state nests the serving stack two deep) is pinned by its content
-//! hash, and resuming from it must reproduce the uninterrupted run.
-//!
 //! The constants were recorded before the serving stack became a flat
 //! `ChainStack`; no old code path is kept to compare against. Since a
 //! serve runs its pairing leg only where the mate is read (the top
-//! chain's own steps under `Ledger`), the `Proposal` digests, the
-//! three-level `Ledger` digests and the snapshot hash are re-recorded:
+//! chain's own steps under `Ledger`), the `Proposal` digests and the
+//! three-level `Ledger` digests are re-recorded:
 //! * two-level `Proposal` (ridge): every word but the level-0 evaluation
 //!   count is the code before's, and that count is the one-leg closed
 //!   form (1 907 → 1 273 at seed 7, 1 905 → 1 273 at seed 11);
@@ -35,16 +31,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
 use uq_fem::problem::constants::TRUTH_SEED;
 use uq_fem::problem::PoissonFactory;
 use uq_fem::PoissonHierarchy;
 use uq_linalg::prob::isotropic_gaussian_logpdf;
 use uq_mcmc::{GaussianRandomWalk, Proposal, SamplingProblem};
-use uq_mlmcmc::estimator::{run_sequential_ckpt, CheckpointSpec};
 use uq_mlmcmc::ledger::PairingMode;
 use uq_mlmcmc::wire::fnv1a;
-use uq_mlmcmc::{run_sequential, LevelFactory, MlmcmcConfig, MlmcmcReport, RunStore};
+use uq_mlmcmc::{run_sequential, LevelFactory, MlmcmcConfig, MlmcmcReport};
 
 #[path = "common/ridge.rs"]
 mod ridge;
@@ -173,47 +167,4 @@ fn warm_started_poisson_reports_are_bit_identical() {
             (11, 0x3558ef59a581f25b, 0xbb96642d79a72d16),
         ],
     );
-}
-
-/// Content hash of the one snapshot cut at 1 850 recorded samples: 50
-/// into the level-2 term of [`gaussian_config`] at seed 7. Re-recorded at
-/// format 3: the payload is format 2's byte for byte (a sequential cut
-/// holds no ledger), and with its version word set back to 2 and its
-/// check redone the file hashes to format 2's `86a47b3b9cc1d040`.
-/// Re-recorded when nested serves stopped running the pairing leg: the
-/// cut's evaluation offsets count fewer level-0 evaluations, and the
-/// level-0 cursor, which serves nested requests only, holds no pairing
-/// state and counts no diverged serves (`4caed996abf1eba2` before).
-const MID_LEVEL_2_SNAPSHOT: &str = "e0b18b17f32550a5";
-
-#[test]
-fn a_mid_term_level_2_snapshot_is_bit_identical_and_resumes_exactly() {
-    let config = gaussian_config().with_pairing(PairingMode::Ledger);
-    let seed = 7;
-    let uninterrupted = run_sequential_ckpt(&Gaussian3, &config, seed, None, None);
-
-    let dir = std::env::temp_dir().join(format!("uq-seq-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = RunStore::open(&dir).expect("a run store");
-    let hashes = RefCell::new(Vec::new());
-    let record = |_: usize, hash: &str| hashes.borrow_mut().push(hash.to_string());
-    let spec = CheckpointSpec {
-        store: &store,
-        config_hash: 0x5E0_601D,
-        every: 1_850,
-        on_snapshot: Some(&record),
-    };
-    let checkpointed = run_sequential_ckpt(&Gaussian3, &config, seed, Some(&spec), None);
-    assert_eq!(digest(&checkpointed), digest(&uninterrupted));
-    let hashes = hashes.into_inner();
-    assert_eq!(hashes, [MID_LEVEL_2_SNAPSHOT]);
-
-    let (snapshot, _) = store.get_snapshot(&hashes[0]).expect("the snapshot");
-    let cursor = snapshot.sequential.as_ref().expect("a sequential cursor");
-    assert_eq!((cursor.level, cursor.term.samples_done), (2, 50));
-    let stack = (cursor.chains.len(), cursor.cursors.len());
-    assert_eq!(stack, (3, 2), "levels 0..=2 and the two servers' cursors");
-    let resumed = run_sequential_ckpt(&Gaussian3, &config, seed, None, Some(&snapshot));
-    assert_eq!(digest(&resumed), digest(&uninterrupted));
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,12 +13,11 @@
 
 use proptest::prelude::*;
 use uq_mcmc::stats::VectorMoments;
-use uq_mlmcmc::coupled::{ChainState, CoarseSample, Cursor};
-use uq_mlmcmc::estimator::{LevelReport, Term};
+use uq_mlmcmc::coupled::{ChainState, CoarseSample};
 use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, Session};
 use uq_mlmcmc::store::{
-    decode_snapshot, encode_snapshot, fnv1a, Backend, ChainCkpt, Codec, CollectorCkpt, Dec, Enc,
-    RunSnapshot, SequentialCkpt, StoreError,
+    decode_snapshot, encode_snapshot, fnv1a, ChainCkpt, Codec, CollectorCkpt, Dec, Enc,
+    RunSnapshot, StoreError,
 };
 
 // ---------------------------------------------------------------------
@@ -51,15 +50,6 @@ fn chain_state(theta: &[f64], log_density: f64, steps: usize, flags: u8) -> Chai
     }
 }
 
-fn cursor(theta: &[f64], steps: usize, flags: u8) -> Cursor {
-    Cursor {
-        session_seed: (flags & 16 != 0).then_some(steps as u64),
-        serves: steps as u64,
-        diverged_serves: (steps / 3) as u64,
-        pairing: (flags & 32 != 0).then(|| sample(theta, -2.0, 0)),
-    }
-}
-
 fn session(seed: u64, flags: u8, theta: &[f64]) -> Session {
     Session {
         seed,
@@ -82,22 +72,21 @@ fn ledger(sessions: Vec<((usize, usize), Session)>, seed: u64) -> LedgerBook {
     }
 }
 
-fn backend(tag: u8) -> Backend {
-    match tag % 2 {
-        0 => Backend::Sequential,
-        _ => Backend::Runtime,
-    }
-}
-
-/// A full snapshot exercising every branch of the codec: parallel
-/// chains with nested anchors, one collector per level, a ledger, and a
-/// sequential stack of two or three levels
-/// with completed terms.
+/// A full snapshot exercising every branch of the codec: controllers'
+/// chains with nested anchors, one collector per level, and a ledger —
+/// an empty book on half the draws.
 fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
     let parts: Vec<(usize, f64, f64)> = theta.iter().map(|t| (steps, *t, t.abs())).collect();
     let moments = VectorMoments::from_parts(&parts);
+    let sessions = if tag & 16 != 0 {
+        vec![
+            ((5, 0), session(seed, tag, theta)),
+            ((6, 1), session(seed ^ 7, tag / 2, theta)),
+        ]
+    } else {
+        Vec::new()
+    };
     RunSnapshot {
-        backend: backend(tag),
         seed,
         samples_done: steps,
         chains: (0..usize::from(tag) % 3)
@@ -120,47 +109,7 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
                 correction_pairs: vec![(theta.to_vec(), theta.to_vec()); usize::from(tag) % 2],
             })
             .collect(),
-        ledger: (tag & 16 != 0).then(|| {
-            ledger(
-                vec![
-                    ((5, 0), session(seed, tag, theta)),
-                    ((6, 1), session(seed ^ 7, tag / 2, theta)),
-                ],
-                seed,
-            )
-        }),
-        sequential: (tag & 32 != 0).then(|| SequentialCkpt {
-            level: 1 + usize::from(tag & 64 != 0),
-            term: Term {
-                samples_done: steps,
-                moments: moments.clone(),
-                rep_trace: theta.to_vec(),
-                theta_samples: vec![theta.to_vec()],
-                qoi_samples: vec![theta.to_vec()],
-                correction_pairs: vec![(theta.to_vec(), theta.to_vec())],
-            },
-            chains: (0..=1 + usize::from(tag & 64 != 0))
-                .map(|k| chain_state(theta, 0.5 - k as f64, steps + k, tag / 3 + k as u8))
-                .collect(),
-            cursors: (0..1 + usize::from(tag & 64 != 0))
-                .map(|k| cursor(theta, steps + k, tag.wrapping_add(k as u8 * 16)))
-                .collect(),
-            rng: [!seed, seed, seed ^ 1, seed.rotate_right(7)],
-            completed: vec![LevelReport {
-                level: 0,
-                n_samples: steps,
-                acceptance_rate: 0.234,
-                mean_correction: theta.to_vec(),
-                var_correction: theta.iter().map(|t| t * t).collect(),
-                iact: 3.5,
-                evaluations: 0,
-                mean_eval_ms: 0.0,
-                theta_samples: vec![theta.to_vec()],
-                qoi_samples: vec![],
-                correction_pairs: vec![],
-            }],
-            eval_offsets: vec![steps, steps / 2],
-        }),
+        ledger: ledger(sessions, seed),
     }
 }
 
@@ -225,11 +174,6 @@ proptest! {
         let c = chain_state(&theta, -0.125, steps, flags);
         let (back, bytes, again) = value_roundtrip(&c);
         prop_assert_eq!(&back, &c);
-        prop_assert_eq!(again, bytes);
-
-        let k = cursor(&theta, steps, flags);
-        let (back, bytes, again) = value_roundtrip(&k);
-        prop_assert_eq!(&back, &k);
         prop_assert_eq!(again, bytes);
 
         let l = ledger(vec![(key, s)], seed);
