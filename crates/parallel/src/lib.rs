@@ -60,8 +60,8 @@ pub mod service;
 pub mod sim;
 
 pub use net::{
-    decode_frame, encode_frame, levels_digest, net_worker, report_digest, run_net_worker, Frame,
-    NetDriver, NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport, PROTOCOL_VERSION,
+    decode_frame, encode_frame, levels_digest, net_worker, run_net_worker, Frame, NetDriver,
+    NetDriverOptions, NetReport, NetWorkerOptions, NetWorkerReport, PROTOCOL_VERSION,
 };
 pub use obs::{
     chrome_trace, Counter, Epoch, Hist, HistSnapshot, MetricsSnapshot, SpanKind, TraceEvent, Tracer,

@@ -452,11 +452,6 @@ pub fn levels_digest(levels: &[ParallelLevelReport]) -> u64 {
     fnv1a(&enc.into_bytes())
 }
 
-/// [`levels_digest`] of a full report.
-pub fn report_digest(report: &ParallelReport) -> u64 {
-    levels_digest(&report.levels)
-}
-
 // ---------------------------------------------------------------------
 // The wire: one writer thread, one reader per socket
 // ---------------------------------------------------------------------

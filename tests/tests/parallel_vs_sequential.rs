@@ -1,74 +1,39 @@
-//! The parallel backends (thread scheduler and cooperative runtime) and
-//! the sequential driver must estimate the same quantities: all three
-//! implement paper Algorithm 2, only the execution strategy differs.
+//! The pool and the sequential driver must estimate the same quantities:
+//! both implement paper Algorithm 2, only the execution strategy
+//! differs. (Placements of the pool, and the pool's own runs of this
+//! hierarchy, are rows of the conformance matrix.)
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uq_linalg::prob::isotropic_gaussian_logpdf;
-use uq_mcmc::{GaussianRandomWalk, Proposal, SamplingProblem};
-use uq_mlmcmc::{run_sequential, LevelFactory, MlmcmcConfig};
-use uq_parallel::{run_parallel, run_runtime, ParallelConfig, RuntimeConfig, Tracer};
+use uq_mlmcmc::{run_sequential, MlmcmcConfig};
+use uq_parallel::{Placement, Run, Runtime, RuntimeConfig, Tracer};
 
-struct Hierarchy;
-
-impl LevelFactory for Hierarchy {
-    fn n_levels(&self) -> usize {
-        3
-    }
-    fn problem(&self, level: usize) -> Box<dyn SamplingProblem> {
-        struct Target {
-            mean: Vec<f64>,
-            sd: f64,
-        }
-        impl SamplingProblem for Target {
-            fn dim(&self) -> usize {
-                2
-            }
-            fn log_density(&mut self, theta: &[f64]) -> f64 {
-                isotropic_gaussian_logpdf(theta, &self.mean, self.sd)
-            }
-        }
-        let mean = [[0.5, -0.4], [0.9, -0.9], [1.0, -1.0]][level];
-        Box::new(Target {
-            mean: mean.to_vec(),
-            sd: [0.7, 0.55, 0.5][level],
-        })
-    }
-    fn proposal(&self, _level: usize) -> Box<dyn Proposal> {
-        Box::new(GaussianRandomWalk::new(0.7))
-    }
-    fn subsampling_rate(&self, level: usize) -> usize {
-        [20, 12, 0][level]
-    }
-    fn starting_point(&self, _level: usize) -> Vec<f64> {
-        vec![0.0, 0.0]
-    }
-}
-
-// The two statistical comparisons below run backends whose chains
-// interleave differently on every run, so their estimates are random
-// draws. At the fixed tolerances (0.15 between backends, 0.12 to the
-// truth) the sample counts put one standard deviation of those draws at
-// 0.03–0.04 (40 runs), about four to the tolerance: at the original
-// 20–25 k / 2.5–3 k / 600–800 the between-backend check sat at two and
-// failed 3 runs in 60 on a loaded 2-vCPU host.
-const SAMPLES: [usize; 3] = [40_000, 6_000, 2_400];
+#[path = "common/gaussians.rs"]
+mod gaussians;
+use gaussians::{PLANE, PLANE_SAMPLES};
 
 #[test]
 fn parallel_matches_sequential_estimate() {
-    let samples = SAMPLES.to_vec();
+    let samples = PLANE_SAMPLES.to_vec();
     let burn_in = vec![400usize, 150, 60];
 
     let config = MlmcmcConfig::new(samples.clone()).with_burn_in(burn_in.clone());
-    let mut rng = StdRng::seed_from_u64(3);
-    let seq = run_sequential(&Hierarchy, &config, &mut rng);
-
-    let mut pconfig = ParallelConfig::new(samples, vec![2, 2, 1]);
-    pconfig.burn_in = burn_in;
-    let par = run_parallel(&Hierarchy, &pconfig, &Tracer::disabled());
+    let mut pconfig = RuntimeConfig::new(samples, vec![2, 2, 1]);
+    pconfig.base.burn_in = burn_in;
+    let off = Tracer::disabled();
+    // the two are independent: the sequential driver runs beside the pool
+    let (seq, par) = std::thread::scope(|s| {
+        let seq = s.spawn(|| run_sequential(&PLANE, &config, &mut StdRng::seed_from_u64(3)));
+        let par = Run::new(&PLANE, &pconfig, &off, None, None);
+        let par = par.on(Placement::Pool(&Runtime::for_host()));
+        (
+            seq.join().expect("the sequential run"),
+            par.expect("a live run"),
+        )
+    });
 
     let se = seq.expectation();
-    let pe = par.expectation();
+    let pe = par.report.expectation();
     let truth = [1.0, -1.0];
     for k in 0..2 {
         assert!(
@@ -81,94 +46,4 @@ fn parallel_matches_sequential_estimate() {
         assert!((se[k] - truth[k]).abs() < 0.12, "sequential {k}: {}", se[k]);
         assert!((pe[k] - truth[k]).abs() < 0.12, "parallel {k}: {}", pe[k]);
     }
-}
-
-#[test]
-fn parallel_counts_match_targets() {
-    let mut pconfig = ParallelConfig::new(vec![2_000, 500, 150], vec![1, 1, 1]);
-    pconfig.burn_in = vec![50, 20, 10];
-    let par = run_parallel(&Hierarchy, &pconfig, &Tracer::disabled());
-    assert_eq!(par.levels[0].n_samples, 2_000);
-    assert_eq!(par.levels[1].n_samples, 500);
-    assert_eq!(par.levels[2].n_samples, 150);
-    // subsampling forces coarse evals >> coarse samples
-    assert!(par.levels[0].evaluations > 2_000);
-}
-
-#[test]
-fn parallel_handles_single_chain_layout() {
-    let mut pconfig = ParallelConfig::new(vec![800, 200], vec![1, 1]);
-    pconfig.load_balancing = false;
-    pconfig.burn_in = vec![20, 10];
-    let par = run_parallel(&Hierarchy, &pconfig, &Tracer::disabled());
-    assert!(par.expectation()[0].is_finite());
-    assert_eq!(par.reassignments, 0);
-}
-
-#[test]
-fn load_balancer_reassigns_under_one_thread_per_rank() {
-    // a skewed allocation: four level-0 chains for one level-1 chain
-    // that three level-2 chains all draw from. Level-2 requests queue
-    // at the phonebook while level-0 chains sit idle, which is exactly
-    // what the balancer exists to fix — it must move a chain, and the
-    // run must still land on the exact sample targets.
-    let mut pconfig = ParallelConfig::new(vec![3_000, 600, 200], vec![4, 1, 3]);
-    pconfig.burn_in = vec![50, 20, 10];
-    assert!(pconfig.load_balancing, "on by default");
-    let par = run_parallel(&Hierarchy, &pconfig, &Tracer::disabled());
-    assert_eq!(par.levels[0].n_samples, 3_000);
-    assert_eq!(par.levels[1].n_samples, 600);
-    assert_eq!(par.levels[2].n_samples, 200);
-    assert!(par.reassignments >= 1, "no chain was reassigned");
-    assert!(par.expectation().iter().all(|e| e.is_finite()));
-}
-
-#[test]
-fn runtime_matches_thread_scheduler_estimate() {
-    // identical policy inputs and seeds; the cooperative runtime must
-    // reproduce the thread scheduler's per-level estimates within MC
-    // tolerance (interleavings differ, the schedule does not)
-    let samples = SAMPLES.to_vec();
-    let burn_in = vec![300usize, 120, 50];
-
-    let mut pconfig = ParallelConfig::new(samples.clone(), vec![2, 2, 1]);
-    pconfig.burn_in = burn_in.clone();
-    let par = run_parallel(&Hierarchy, &pconfig, &Tracer::disabled());
-
-    let mut rconfig = RuntimeConfig::new(samples, vec![2, 2, 1]);
-    rconfig.base.burn_in = burn_in;
-    rconfig.n_workers = 4;
-    let rt = run_runtime(&Hierarchy, &rconfig, &Tracer::disabled());
-
-    for (a, b) in par.levels.iter().zip(&rt.report.levels) {
-        assert_eq!(a.n_samples, b.n_samples, "level {}", a.level);
-    }
-    let pe = par.expectation();
-    let re = rt.report.expectation();
-    let truth = [1.0, -1.0];
-    for k in 0..2 {
-        assert!(
-            (pe[k] - re[k]).abs() < 0.15,
-            "component {k}: scheduler {} vs runtime {}",
-            pe[k],
-            re[k]
-        );
-        assert!((re[k] - truth[k]).abs() < 0.12, "runtime {k}: {}", re[k]);
-    }
-}
-
-#[test]
-fn runtime_scales_past_physical_cores() {
-    // 120 virtual ranks on 3 workers — far beyond what the per-rank
-    // thread scheduler could host as live OS threads on small CI boxes
-    let mut rconfig = RuntimeConfig::new(vec![6_000, 1_200, 300], vec![70, 30, 12]);
-    rconfig.base.burn_in = vec![30, 15, 8];
-    rconfig.n_workers = 3;
-    let rt = run_runtime(&Hierarchy, &rconfig, &Tracer::disabled());
-    assert_eq!(rt.report.n_ranks, 2 + 3 + 112);
-    assert_eq!(rt.report.levels[0].n_samples, 6_000);
-    assert_eq!(rt.report.levels[1].n_samples, 1_200);
-    assert_eq!(rt.report.levels[2].n_samples, 300);
-    assert!(rt.report.expectation()[0].is_finite());
-    assert!(rt.phonebook.messages > 0 && rt.phonebook.max_batch >= 2);
 }
