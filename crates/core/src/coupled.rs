@@ -499,12 +499,13 @@ impl MlChain {
 
     /// Finish a coupled step with an externally obtained coarse proposal
     /// (the fulfillment half of the request/fulfill protocol); returns
-    /// whether the proposal was accepted. A zero-length `coarse.theta`
-    /// acts as a teardown poison: the step counts but is rejected without
-    /// touching chain state or the coupled correction bookkeeping. A
-    /// proposal or mate without a QOI that is the previous step's point,
-    /// bit for bit, takes that sample's QOI, and an accepted proposal at
-    /// the chain's own point keeps the state's.
+    /// whether the proposal was accepted. A `coarse.theta` whose length
+    /// is not the level below's dimension — a sample that did not come
+    /// from a serve of that level — is rejected: the step counts, and
+    /// neither the chain state nor the coupled correction bookkeeping
+    /// moves. A proposal or mate without a QOI that is the previous
+    /// step's point, bit for bit, takes that sample's QOI, and an accepted
+    /// proposal at the chain's own point keeps the state's.
     ///
     /// # Panics
     /// Panics on a level-0 chain.
@@ -524,9 +525,9 @@ impl MlChain {
                 ..
             } => {
                 if coarse.theta.len() != *coarse_dim {
-                    // teardown poison from a parallel source: reject
-                    // without touching the chain state or the coupled
-                    // correction bookkeeping
+                    // not a sample of the level below (another process
+                    // sent it): reject without touching the chain state
+                    // or the coupled correction bookkeeping
                     return false;
                 }
                 // a leg that did not move hands back the point it
@@ -1039,7 +1040,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn coupled_step_suspends_and_poison_resume_rejects() {
+    fn coupled_step_suspends_and_a_misfit_sample_is_rejected() {
         let anchor = CoarseSample::at(&mut GaussianTarget::new(vec![0.0], 1.0), &[0.0]);
         let mut fine = MlChain::coupled(
             1,
@@ -1051,7 +1052,8 @@ pub(crate) mod tests {
         );
         let mut rng = StdRng::seed_from_u64(11);
         assert_eq!(fine.poll_step(&mut rng), StepOutcome::NeedCoarse);
-        // a poison fulfillment counts the step but rejects untouched
+        // a sample of the wrong dimension counts the step but rejects
+        // untouched
         let before = fine.state().theta.clone();
         assert!(!fine.resume_step(
             &mut rng,

@@ -46,12 +46,18 @@
 //!
 //! A session is identified by a seed; the randomness of serve `k` is a
 //! substream derived from `(session_seed, k)`, **not** from any caller
-//! RNG or server-resident state. A serve is therefore a pure function of
-//! `(lease, serving problem)`: any server can execute any session's next
-//! serve from a [`LedgerLease`], sessions migrate between servers as
-//! plain data, and the sequential backend reproduces a runtime
+//! RNG or server-resident state. A level-0 serve is therefore a pure
+//! function of `(lease, serving problem)`: any server can execute any
+//! session's next serve from a [`LedgerLease`], sessions migrate between
+//! servers as plain data, and the sequential backend reproduces a runtime
 //! controller's serves bit-for-bit (pinned by the parity suite in
-//! `tests/ledger_exactness.rs`).
+//! `tests/ledger_exactness.rs`). A coupled server's serve is not: each
+//! kernel step of its legs asks for a coarse proposal of its own, leased
+//! from the *server's* session on the level below — the session its own
+//! chain's steps draw from too. Its outcome therefore also depends on how
+//! far that session has advanced, that is, on how the server interleaved
+//! its own steps with its serve legs (DESIGN.md §7.4: why a three-level
+//! run is reproducible only on one worker or per delivery seed).
 
 use crate::coupled::{CoarseSample, MlChain, StepOutcome};
 use rand::rngs::StdRng;
@@ -107,20 +113,6 @@ pub fn session_seed(base: u64, coarse_level: usize, requester: u64) -> u64 {
 /// the mate stays coupled to the proposal without acceptance feedback.
 fn leg_seed(session_seed: u64, serve_index: u64) -> u64 {
     mix(session_seed ^ serve_index.wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-/// Salt a session seed with the session's **generation**: a requester
-/// whose session was dropped by a migration (`LedgerBook::forget_requester`)
-/// and later re-opened must not replay the substreams of its previous
-/// life, so each re-opened session advances a generation counter.
-/// Generation 0 is the identity, preserving the cross-backend parity of
-/// first-generation sessions (the bit-parity suites pin that).
-pub fn generation_seed(session_seed: u64, generation: u64) -> u64 {
-    if generation == 0 {
-        session_seed
-    } else {
-        mix(session_seed ^ generation.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-    }
 }
 
 /// Seed namespace of a **tenant** sharing a long-lived service
@@ -305,8 +297,7 @@ fn leg_rng(lease: &LedgerLease) -> StdRng {
 /// the run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LedgerStats {
-    /// Sessions opened (one per requester/coarse-level pair and
-    /// generation).
+    /// Sessions opened (one per requester/coarse-level pair).
     pub sessions: usize,
     /// Serves committed to a session.
     pub serves: usize,
@@ -353,14 +344,19 @@ pub struct Session {
 /// increasing. A resumed book continues every session at its exact
 /// stream position, so post-resume serves derive the very substreams the
 /// uninterrupted run would have.
+///
+/// ## Reassignment
+///
+/// A session is never dropped. A chain that the load balancer moves to
+/// another level and later back continues its session where it stood:
+/// the same seed, the next stream position, its own pairing track. A
+/// stream position only advances ([`write_back`](Self::write_back) drops
+/// a stale one), so no substream is ever served twice, and a write-back
+/// still in flight when its requester moved is applied like any other.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LedgerBook {
-    /// Open sessions, keyed by `(requester rank, coarse level)`.
+    /// Sessions, keyed by `(requester rank, coarse level)`.
     pub sessions: HashMap<(usize, usize), Session>,
-    /// Per-key generation counters; survive `forget_requester` so
-    /// re-opened sessions never replay substreams (see
-    /// [`generation_seed`]).
-    pub generations: HashMap<(usize, usize), u64>,
     /// Aggregate counters, reported with the run.
     pub stats: LedgerStats,
 }
@@ -379,15 +375,10 @@ impl LedgerBook {
         mate: bool,
     ) -> Box<LedgerLease> {
         let stats = &mut self.stats;
-        let generation = self
-            .generations
-            .get(&(reply_to, level))
-            .copied()
-            .unwrap_or(0);
         let session = self.sessions.entry((reply_to, level)).or_insert_with(|| {
             stats.sessions += 1;
             Session {
-                seed: generation_seed(session_seed(base_seed, level, reply_to as u64), generation),
+                seed: session_seed(base_seed, level, reply_to as u64),
                 serves: 0,
                 pairing: None,
             }
@@ -403,13 +394,11 @@ impl LedgerBook {
 
     /// Apply a serve's write-back: advance the stream position to
     /// `serves` and store the pairing state, if the serve advanced it (a
-    /// lease without a mate leaves the track where it is). `session_seed`
-    /// is echoed from the lease the serve executed.
+    /// lease without a mate leaves the track where it is).
     pub fn write_back(
         &mut self,
         requester: usize,
         level: usize,
-        session_seed: u64,
         serves: u64,
         pairing: Option<CoarseSample>,
         diverged: bool,
@@ -417,11 +406,6 @@ impl LedgerBook {
         let Some(session) = self.sessions.get_mut(&(requester, level)) else {
             return;
         };
-        if session.seed != session_seed {
-            // dead generation: a reassignment dropped the session this
-            // serve belonged to while it was in flight
-            return;
-        }
         if serves <= session.serves {
             // stale position: committing it would rewind the stream and
             // let a later lease replay a substream already served (the
@@ -437,32 +421,9 @@ impl LedgerBook {
         }
     }
 
-    /// Drop a requester's sessions (its chain was rebuilt by a
-    /// reassignment; the fresh chain starts a fresh logical subchain)
-    /// and advance their generations so re-opened sessions derive new
-    /// substreams.
-    pub fn forget_requester(&mut self, requester: usize) {
-        let dropped: Vec<(usize, usize)> = self
-            .sessions
-            .keys()
-            .filter(|&&(r, _)| r == requester)
-            .copied()
-            .collect();
-        for key in dropped {
-            self.sessions.remove(&key);
-            *self.generations.entry(key).or_insert(0) += 1;
-        }
-    }
-
-    /// Stream position of `(requester, level)`'s session, if open.
+    /// Stream position of `(requester, level)`'s session, if opened.
     pub fn session_serves(&self, requester: usize, level: usize) -> Option<u64> {
         self.sessions.get(&(requester, level)).map(|s| s.serves)
-    }
-
-    /// Session-stream seed of `(requester, level)`, if open (exposed so
-    /// the fuzz/parity suites can pin generation separation).
-    pub fn session_seed_of(&self, requester: usize, level: usize) -> Option<u64> {
-        self.sessions.get(&(requester, level)).map(|s| s.seed)
     }
 }
 
@@ -603,8 +564,7 @@ mod tests {
         let requester = 6usize;
         let first = book.lease(5, 0, requester, anchor(&mut chain, 0.0), true);
         let out = serve(&mut chain, 2, &first);
-        let (seed, pairing) = (first.session_seed, out.pairing.clone());
-        book.write_back(requester, 0, seed, 1, pairing, out.diverged);
+        book.write_back(requester, 0, 1, out.pairing.clone(), out.diverged);
         let stored = book.sessions[&(requester, 0)].pairing.clone();
         // the requester rejected: the anchor stays, the tracks diverge
         let with = book.lease(5, 0, requester, first.anchor.clone(), true);
@@ -619,7 +579,7 @@ mod tests {
         };
         assert_eq!(words(&one.proposal), words(&bare));
         // its write-back advances the stream, not the pairing state
-        book.write_back(requester, 0, seed, 2, None, one.diverged);
+        book.write_back(requester, 0, 2, None, one.diverged);
         assert_eq!(book.session_serves(requester, 0), Some(2));
         assert_eq!(book.sessions[&(requester, 0)].pairing, stored);
         assert_eq!((book.stats.serves, book.stats.diverged), (2, 0));
@@ -726,8 +686,7 @@ mod tests {
                         let nested_lease = book.lease(base_seed, 0, requester, anchor, false);
                         let out = serve(&mut server, 3, &nested_lease);
                         let serves = nested_lease.serves + 1;
-                        let (seed, pairing) = (nested_lease.session_seed, out.pairing);
-                        book.write_back(requester, 0, seed, serves, pairing, out.diverged);
+                        book.write_back(requester, 0, serves, out.pairing, out.diverged);
                         suspended.resume(&mut chain, out.proposal);
                     }
                     ServeStep::Done(outcome) => break outcome,
@@ -774,20 +733,13 @@ mod tests {
         lease: &LedgerLease,
     ) -> ServeOutcome {
         let out = serve(chain, 2, lease);
-        let (seed, serves) = (lease.session_seed, lease.serves + 1);
-        book.write_back(
-            requester,
-            0,
-            seed,
-            serves,
-            out.pairing.clone(),
-            out.diverged,
-        );
+        let serves = lease.serves + 1;
+        book.write_back(requester, 0, serves, out.pairing.clone(), out.diverged);
         out
     }
 
     #[test]
-    fn stale_and_dead_generation_write_backs_are_dropped() {
+    fn stale_write_backs_are_dropped() {
         let mut chain = base_chain(0.3, 0.8);
         let mut book = LedgerBook::default();
         let requester = 4usize;
@@ -796,33 +748,37 @@ mod tests {
         assert_eq!(book.session_serves(requester, 0), Some(1));
 
         // a second write-back of the same position must not commit twice
-        book.write_back(
-            requester,
-            0,
-            lease.session_seed,
-            1,
-            out.pairing.clone(),
-            true,
-        );
+        book.write_back(requester, 0, 1, out.pairing.clone(), true);
         assert_eq!(book.session_serves(requester, 0), Some(1));
         assert_eq!(book.stats.serves, 1);
         assert_eq!(book.stats.diverged, usize::from(out.diverged));
+    }
 
-        // a dead-generation write-back must not resurrect old positions
-        let old_seed = lease.session_seed;
-        book.forget_requester(requester);
-        let fresh = book.lease(9, 0, requester, anchor(&mut chain, 0.0), true);
-        assert_eq!(fresh.serves, 0);
-        assert_ne!(
-            fresh.session_seed, old_seed,
-            "generations must not share seeds"
-        );
-        book.write_back(requester, 0, old_seed, 2, out.pairing, out.diverged);
-        assert_eq!(
-            book.session_serves(requester, 0),
-            Some(0),
-            "old-generation write-back must be a no-op"
-        );
+    #[test]
+    fn a_requester_that_leaves_a_level_and_returns_continues_its_session() {
+        // the balancer moves requester 4's chain from level 1 to level 2
+        // while its second level-0 serve is in flight, and later back
+        let mut chain = base_chain(0.3, 0.8);
+        let mut book = LedgerBook::default();
+        let requester = 4usize;
+        let first = book.lease(9, 0, requester, anchor(&mut chain, 0.1), true);
+        serve_and_write_back(&mut book, &mut chain, requester, &first);
+        let in_flight = book.lease(9, 0, requester, anchor(&mut chain, 0.2), true);
+        let out = serve(&mut chain, 2, &in_flight);
+        // on level 2 it leases level-1 serves, from a session of its own
+        let elsewhere = book.lease(9, 1, requester, anchor(&mut chain, 0.0), true);
+        assert_eq!(elsewhere.serves, 0);
+        assert_ne!(elsewhere.session_seed, first.session_seed);
+        // the write-back in flight when it left is applied
+        book.write_back(requester, 0, 2, out.pairing.clone(), out.diverged);
+        assert_eq!(book.stats.serves, 2);
+        // back on level 1: the same seed, the next position, its own
+        // pairing track
+        let back = book.lease(9, 0, requester, anchor(&mut chain, 0.5), true);
+        assert_eq!(back.session_seed, session_seed(9, 0, requester as u64));
+        assert_eq!((back.session_seed, back.serves), (first.session_seed, 2));
+        assert_eq!(back.pairing, out.pairing);
+        assert_eq!(book.stats.sessions, 2);
     }
 
     #[test]
@@ -837,7 +793,6 @@ mod tests {
         let out = serve_and_write_back(&mut book, &mut chain, requester, &lease);
         let lease = book.lease(13, 0, requester, anchor(&mut chain, 0.4), true);
         serve_and_write_back(&mut book, &mut chain, requester, &lease);
-        book.forget_requester(9); // a nontrivial generation entry
 
         let mut enc = Enc::new();
         book.encode(&mut enc);
@@ -854,13 +809,5 @@ mod tests {
         assert_eq!((a.session_seed, a.serves), (b.session_seed, b.serves));
         let words = |l: &LedgerLease| l.pairing.as_ref().map(words);
         assert_eq!(words(&a), words(&b));
-    }
-
-    #[test]
-    fn generation_seed_is_identity_at_generation_zero() {
-        let s = session_seed(7, 1, 3);
-        assert_eq!(generation_seed(s, 0), s);
-        assert_ne!(generation_seed(s, 1), s);
-        assert_ne!(generation_seed(s, 1), generation_seed(s, 2));
     }
 }

@@ -57,7 +57,7 @@ pub use crate::wire::{fnv1a, Codec, Dec, Enc, StoreError};
 /// decoder refuses other versions (the committed golden snapshot in
 /// `tests/fixtures/` pins readability of the current one, and the
 /// previous one's golden that it is refused).
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"UQSNAP\0\0";
 
@@ -162,19 +162,16 @@ fn decode_sorted<K: Codec + Ord + Hash, V: Codec>(
     Ok(entries.into_iter().collect())
 }
 
-/// Sessions as `(requester, level, session)` and generations as
-/// `(requester, level, generation)`, each sorted by key, then the
+/// Sessions as `(requester, level, session)` sorted by key, then the
 /// statistics.
 impl Codec for LedgerBook {
     fn encode(&self, enc: &mut Enc) {
         encode_sorted(&self.sessions, enc);
-        encode_sorted(&self.generations, enc);
         self.stats.encode(enc);
     }
     fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
         Ok(LedgerBook {
             sessions: decode_sorted(dec, "ledger sessions out of order")?,
-            generations: decode_sorted(dec, "ledger generations out of order")?,
             stats: LedgerStats::decode(dec)?,
         })
     }
@@ -634,7 +631,6 @@ mod tests {
                         pairing: Some(sample(0.4)),
                     },
                 )]),
-                generations: HashMap::from([((5, 0), 1)]),
                 stats: LedgerStats {
                     sessions: 1,
                     serves: 7,

@@ -50,12 +50,12 @@ use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
 /// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
-/// golden frame fixture (`tests/fixtures/golden_frame_v8.bin`) trips
+/// golden frame fixture (`tests/fixtures/golden_frame_v9.bin`) trips
 /// when the bytes drift without a bump. Exactly one version is spoken:
-/// v7 (whose `CoarseRequest` and lease carried no `mate` flag and whose
-/// `ServeDone` always carried a pairing state) is rejected as
-/// `BadVersion`, never dual-decoded.
-pub const PROTOCOL_VERSION: u32 = 8;
+/// v8 (which had a teardown poison, a second shutdown ack beside
+/// `PhonebookReport`, and a `ServeDone` echoing the lease's session seed)
+/// is rejected as `BadVersion`, never dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// The net wire: a magic distinct from the snapshot store's
 /// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and
@@ -162,7 +162,6 @@ impl Codec for Msg {
             Msg::ServeDone {
                 requester,
                 level,
-                session,
                 serves,
                 pairing,
                 diverged,
@@ -170,14 +169,12 @@ impl Codec for Msg {
                 3u8.encode(enc);
                 requester.encode(enc);
                 level.encode(enc);
-                session.encode(enc);
                 serves.encode(enc);
                 pairing.encode(enc);
                 diverged.encode(enc);
             }
-            Msg::Poison => 4u8.encode(enc),
             Msg::SampleReady { level } => {
-                5u8.encode(enc);
+                4u8.encode(enc);
                 level.encode(enc);
             }
             Msg::Correction {
@@ -187,7 +184,7 @@ impl Codec for Msg {
                 fine_qoi,
                 coarse_qoi,
             } => {
-                6u8.encode(enc);
+                5u8.encode(enc);
                 level.encode(enc);
                 y.encode(enc);
                 theta.encode(enc);
@@ -195,48 +192,47 @@ impl Codec for Msg {
                 coarse_qoi.encode(enc);
             }
             Msg::LevelDone { level } => {
-                7u8.encode(enc);
+                6u8.encode(enc);
                 level.encode(enc);
             }
             Msg::StopProducing { level } => {
-                8u8.encode(enc);
+                7u8.encode(enc);
                 level.encode(enc);
             }
             Msg::Reassign { level } => {
-                9u8.encode(enc);
+                8u8.encode(enc);
                 level.encode(enc);
             }
-            Msg::Shutdown => 10u8.encode(enc),
-            Msg::PhonebookDown => 11u8.encode(enc),
+            Msg::Shutdown => 9u8.encode(enc),
             Msg::PhonebookReport(stats) => {
-                12u8.encode(enc);
+                10u8.encode(enc);
                 stats.encode(enc);
             }
             Msg::CollectorReport(data) => {
-                13u8.encode(enc);
+                11u8.encode(enc);
                 data.encode(enc);
             }
             Msg::ControllerReport { evals, eval_secs } => {
-                14u8.encode(enc);
+                12u8.encode(enc);
                 evals.encode(enc);
                 eval_secs.encode(enc);
             }
-            Msg::CheckpointTick => 15u8.encode(enc),
-            Msg::Checkpoint => 16u8.encode(enc),
-            Msg::CheckpointFlush => 17u8.encode(enc),
+            Msg::CheckpointTick => 13u8.encode(enc),
+            Msg::Checkpoint => 14u8.encode(enc),
+            Msg::CheckpointFlush => 15u8.encode(enc),
             Msg::ControllerCkpt(ckpt) => {
-                18u8.encode(enc);
+                16u8.encode(enc);
                 ckpt.encode(enc);
             }
             Msg::CollectorCkpt(ckpt) => {
-                19u8.encode(enc);
+                17u8.encode(enc);
                 ckpt.encode(enc);
             }
             Msg::LedgerCkpt(state) => {
-                20u8.encode(enc);
+                18u8.encode(enc);
                 state.encode(enc);
             }
-            Msg::CheckpointDone => 21u8.encode(enc),
+            Msg::CheckpointDone => 19u8.encode(enc),
         }
     }
 
@@ -259,46 +255,43 @@ impl Codec for Msg {
             3 => Msg::ServeDone {
                 requester: Codec::decode(dec)?,
                 level: Codec::decode(dec)?,
-                session: Codec::decode(dec)?,
                 serves: Codec::decode(dec)?,
                 pairing: Codec::decode(dec)?,
                 diverged: Codec::decode(dec)?,
             },
-            4 => Msg::Poison,
-            5 => Msg::SampleReady {
+            4 => Msg::SampleReady {
                 level: Codec::decode(dec)?,
             },
-            6 => Msg::Correction {
+            5 => Msg::Correction {
                 level: Codec::decode(dec)?,
                 y: Codec::decode(dec)?,
                 theta: Codec::decode(dec)?,
                 fine_qoi: Codec::decode(dec)?,
                 coarse_qoi: Codec::decode(dec)?,
             },
-            7 => Msg::LevelDone {
+            6 => Msg::LevelDone {
                 level: Codec::decode(dec)?,
             },
-            8 => Msg::StopProducing {
+            7 => Msg::StopProducing {
                 level: Codec::decode(dec)?,
             },
-            9 => Msg::Reassign {
+            8 => Msg::Reassign {
                 level: Codec::decode(dec)?,
             },
-            10 => Msg::Shutdown,
-            11 => Msg::PhonebookDown,
-            12 => Msg::PhonebookReport(Codec::decode(dec)?),
-            13 => Msg::CollectorReport(Codec::decode(dec)?),
-            14 => Msg::ControllerReport {
+            9 => Msg::Shutdown,
+            10 => Msg::PhonebookReport(Codec::decode(dec)?),
+            11 => Msg::CollectorReport(Codec::decode(dec)?),
+            12 => Msg::ControllerReport {
                 evals: Codec::decode(dec)?,
                 eval_secs: Codec::decode(dec)?,
             },
-            15 => Msg::CheckpointTick,
-            16 => Msg::Checkpoint,
-            17 => Msg::CheckpointFlush,
-            18 => Msg::ControllerCkpt(Codec::decode(dec)?),
-            19 => Msg::CollectorCkpt(Codec::decode(dec)?),
-            20 => Msg::LedgerCkpt(Codec::decode(dec)?),
-            21 => Msg::CheckpointDone,
+            13 => Msg::CheckpointTick,
+            14 => Msg::Checkpoint,
+            15 => Msg::CheckpointFlush,
+            16 => Msg::ControllerCkpt(Codec::decode(dec)?),
+            17 => Msg::CollectorCkpt(Codec::decode(dec)?),
+            18 => Msg::LedgerCkpt(Codec::decode(dec)?),
+            19 => Msg::CheckpointDone,
             _ => return Err(StoreError::Corrupt("invalid Msg tag")),
         })
     }

@@ -14,8 +14,8 @@
 //! * **Suspendable controllers.** Every coupled step suspends at
 //!   `StepOutcome::NeedCoarse`; the controller sends the `CoarseRequest`
 //!   itself, returns a wait predicate and finishes the step via
-//!   `MlChain::resume_step` when the sample (or a teardown poison)
-//!   arrives. A ledger serve suspends the same way: the controller drives
+//!   `MlChain::resume_step` when the sample arrives. A ledger serve
+//!   suspends the same way: the controller drives
 //!   a [`ledger::Serve`] one kernel step per poll — the serve the
 //!   sequential `ChainStack` drives to the end. No OS thread blocks on a
 //!   chain's behalf.
@@ -32,8 +32,8 @@
 use crate::obs::{Counter, Hist, SpanKind, Tracer};
 use crate::runtime::{Envelope, Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
 use crate::scheduler::{
-    controller_seed, poison_sample, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport,
-    ParallelReport, PHONEBOOK, ROOT,
+    controller_seed, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
+    PHONEBOOK, ROOT,
 };
 use crate::sim::{Meter, Sim, SimError};
 use rand::rngs::StdRng;
@@ -200,6 +200,9 @@ pub(crate) struct RootRank<'a> {
     /// A checkpoint is in flight (at most one at a time; shutdown waits
     /// for it so a snapshot cut is never torn).
     ckpt_active: bool,
+    /// Progress ticks not yet cut: a tick that meets an active barrier
+    /// starts the next one when it closes, so every tick is one cut.
+    ticks: usize,
     ckpt_start: f64,
     chain_ckpts: Vec<ChainCkpt>,
     coll_ckpts: Vec<CollectorCkpt>,
@@ -227,10 +230,24 @@ impl<'a> RootRank<'a> {
             eval_secs: vec![0.0; n_levels],
             ckpt,
             ckpt_active: false,
+            ticks: 0,
             ckpt_start: 0.0,
             chain_ckpts: Vec::new(),
             coll_ckpts: Vec::new(),
             preempted: false,
+        }
+    }
+
+    /// Open a barrier: every controller pauses at its next clean step
+    /// boundary and reports its state.
+    fn start_checkpoint(&mut self, ctx: &VCtx<'_, Msg>) {
+        self.ckpt_active = true;
+        self.ckpt_start = self.tracer.now();
+        self.chain_ckpts.clear();
+        self.coll_ckpts.clear();
+        let layout = &self.config.base;
+        for rank in layout.first_controller_rank()..layout.n_ranks() {
+            ctx.send(rank, Msg::Checkpoint);
         }
     }
 
@@ -278,8 +295,9 @@ impl<'a> RootRank<'a> {
             // boundary (they accept `Shutdown` while paused) and the
             // ledger is drained, so declaring all levels done drives the
             // normal phonebook → collectors → controllers teardown with
-            // nothing in flight.
+            // nothing in flight. The ticks still pending are not cut.
             self.preempted = true;
+            self.ticks = 0;
             for done in self.level_done.iter_mut() {
                 *done = true;
             }
@@ -350,22 +368,7 @@ impl VirtualRank<Msg> for RootRank<'_> {
                                 ctx.send(PHONEBOOK, Msg::LevelDone { level });
                             }
                             Msg::LevelDone { .. } => {}
-                            Msg::CheckpointTick => {
-                                // start a checkpoint unless one is in
-                                // flight or shutdown is imminent
-                                if self.ckpt.is_some()
-                                    && !self.ckpt_active
-                                    && self.level_done.iter().any(|d| !d)
-                                {
-                                    self.ckpt_active = true;
-                                    self.ckpt_start = self.tracer.now();
-                                    self.chain_ckpts.clear();
-                                    self.coll_ckpts.clear();
-                                    for rank in controllers.clone() {
-                                        ctx.send(rank, Msg::Checkpoint);
-                                    }
-                                }
-                            }
+                            Msg::CheckpointTick => self.ticks += 1,
                             Msg::ControllerCkpt(c) => {
                                 self.tracer.incr(Counter::BarrierAcks);
                                 self.chain_ckpts.push(*c);
@@ -382,9 +385,16 @@ impl VirtualRank<Msg> for RootRank<'_> {
                             }
                             _ => unreachable!(),
                         }
+                        // one cut per tick, one barrier at a time, even
+                        // once the levels are done
+                        if self.ticks > 0 && !self.ckpt_active {
+                            self.ticks -= 1;
+                            self.start_checkpoint(ctx);
+                        }
                     }
                     // an in-flight checkpoint defers shutdown (its cut
-                    // must be fully persisted, never torn)
+                    // must be fully persisted, never torn), and so does a
+                    // pending tick, which keeps one open
                     if self.level_done.iter().all(|&d| d) && !self.ckpt_active {
                         // shut the phonebook down first, so no request can
                         // be forwarded to a controller that already exited
@@ -395,17 +405,14 @@ impl VirtualRank<Msg> for RootRank<'_> {
                     return Poll::Wait(Box::new(levels_msg));
                 }
                 RootPhase::Phonebook => {
-                    let mut acked = false;
-                    while let Some(env) = ctx.try_recv_match(phonebook_msg) {
-                        match env.msg {
-                            Msg::PhonebookDown => acked = true,
-                            Msg::PhonebookReport(stats) => self.phonebook_stats = *stats,
-                            _ => unreachable!(),
-                        }
-                    }
-                    if !acked {
-                        return Poll::Wait(Box::new(phonebook_msg));
-                    }
+                    // its report is its last message: the ack
+                    let Some(env) = ctx.try_recv_match(phonebook_report) else {
+                        return Poll::Wait(Box::new(phonebook_report));
+                    };
+                    let Msg::PhonebookReport(stats) = env.msg else {
+                        unreachable!()
+                    };
+                    self.phonebook_stats = *stats;
                     for rank in config.collector_rank(0)..config.n_ranks() {
                         ctx.send(rank, Msg::Shutdown);
                     }
@@ -460,8 +467,8 @@ fn levels_msg(e: &Envelope<Msg>) -> bool {
 
 /// What the root takes during the phonebook's shutdown handshake
 /// ([`RootPhase::Phonebook`]).
-fn phonebook_msg(e: &Envelope<Msg>) -> bool {
-    matches!(e.msg, Msg::PhonebookDown | Msg::PhonebookReport(_))
+fn phonebook_report(e: &Envelope<Msg>) -> bool {
+    matches!(e.msg, Msg::PhonebookReport(_))
 }
 
 // ---------------------------------------------------------------------
@@ -547,11 +554,9 @@ impl<'a> PhonebookRank<'a> {
             return;
         }
         if let Some(rank) = self.ready[donor_level].pop_front() {
+            // the book stays: a session only ever advances, so the chain
+            // continues its sessions if it returns to a level (DESIGN §5)
             self.level_of.insert(rank, starved);
-            // the reassigned chain restarts: drop its requester sessions
-            // (their generations advance, so re-opened sessions derive
-            // fresh substreams)
-            self.ledger.forget_requester(rank);
             ctx.send(rank, Msg::Reassign { level: starved });
             self.tracer.mark(
                 rank,
@@ -626,7 +631,6 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
                 Msg::ServeDone {
                     requester,
                     level,
-                    session,
                     serves,
                     pairing,
                     diverged,
@@ -635,7 +639,7 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
                     self.tracer.incr(Counter::WriteBacks);
                     let pairing = pairing.map(|p| *p);
                     self.ledger
-                        .write_back(requester, level, session, serves, pairing, diverged);
+                        .write_back(requester, level, serves, pairing, diverged);
                     self.server_available(ctx, env.from, level, now);
                 }
                 Msg::Checkpoint => self.ckpt_pending = true,
@@ -662,15 +666,11 @@ impl VirtualRank<Msg> for PhonebookRank<'_> {
             self.stats.max_batch = self.stats.max_batch.max(batch);
         }
         if shutdown {
-            // no more forwards: poison every queued request, report, ack
-            for queue in &mut self.pending {
-                for (reply_to, ..) in queue.drain(..) {
-                    ctx.send(reply_to, Msg::Poison);
-                }
-            }
+            // no more forwards: the report is the ack. A request still
+            // queued goes unanswered; its requester waits on `Shutdown`
+            // too, which the root sends only after this report
             self.stats.ledger = self.ledger.stats;
             ctx.send(ROOT, Msg::PhonebookReport(Box::new(self.stats)));
-            ctx.send(ROOT, Msg::PhonebookDown);
             return Poll::Exit(RoleOut::Quiet);
         }
         self.balance(ctx, now);
@@ -816,7 +816,12 @@ pub(crate) struct ControllerRank<'a> {
     done_levels: Vec<bool>,
     burnin_left: usize,
     producing: bool,
-    pending_serves: VecDeque<(usize, Box<LedgerLease>)>,
+    /// The lease routed to us and not yet started. At most one: the
+    /// phonebook routes a lease only to a server in its ready queue, and a
+    /// server re-enters that queue only with its `ServeDone`, after its
+    /// serve ended. For the same reason a reassigned chain has none, and
+    /// no serve job (DESIGN §3).
+    pending_serve: Option<(usize, Box<LedgerLease>)>,
     serve_job: Option<ServeJob>,
     announced: bool,
     /// A coarse request is outstanding: the suspended step is the serve
@@ -861,7 +866,7 @@ impl<'a> ControllerRank<'a> {
             done_levels: vec![false; n_levels],
             burnin_left: config.base.burn_in[level],
             producing: true,
-            pending_serves: VecDeque::new(),
+            pending_serve: None,
             serve_job: None,
             announced: false,
             awaiting: false,
@@ -1012,7 +1017,6 @@ impl<'a> ControllerRank<'a> {
             Msg::ServeDone {
                 requester: job.reply_to,
                 level: self.level,
-                session: job.lease.session_seed,
                 serves: job.lease.serves + 1,
                 pairing: outcome.pairing.map(Box::new),
                 diverged: outcome.diverged,
@@ -1029,20 +1033,9 @@ impl<'a> ControllerRank<'a> {
         self.announced = true;
     }
 
-    /// Teardown: poison every requester still waiting on us, report,
-    /// exit.
+    /// Teardown: report and exit. A requester still waiting on a serve of
+    /// ours exits on its own `Shutdown`.
     fn teardown(&mut self, ctx: &mut VCtx<'_, Msg>) -> Poll<Msg, RoleOut> {
-        if let Some(job) = self.serve_job.take() {
-            ctx.send(job.reply_to, Msg::Poison);
-        }
-        for (reply_to, _) in self.pending_serves.drain(..) {
-            ctx.send(reply_to, Msg::Poison);
-        }
-        while let Some(env) = ctx.try_recv() {
-            if let Msg::Serve { reply_to, .. } = env.msg {
-                ctx.send(reply_to, Msg::Poison);
-            }
-        }
         let counters = self.factory.hook();
         let evals: Vec<usize> = counters.iter().map(EvalCounter::evaluations).collect();
         let eval_secs: Vec<f64> = counters.iter().map(EvalCounter::total_secs).collect();
@@ -1067,7 +1060,10 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
             ) || (!busy && matches!(e.msg, Msg::Reassign { .. } | Msg::Checkpoint))
         }) {
             match env.msg {
-                Msg::Serve { reply_to, lease } => self.pending_serves.push_back((reply_to, lease)),
+                Msg::Serve { reply_to, lease } => {
+                    debug_assert!(self.pending_serve.is_none() && self.serve_job.is_none());
+                    self.pending_serve = Some((reply_to, lease));
+                }
                 Msg::StopProducing { level } => {
                     self.done_levels[level] = true;
                     if level == self.level {
@@ -1110,11 +1106,9 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                     self.paused = false;
                 }
                 Msg::Reassign { level } => {
-                    // abandon this chain, rebuild on the new level;
-                    // poison anyone we promised a serve
-                    for (reply_to, _) in self.pending_serves.drain(..) {
-                        ctx.send(reply_to, Msg::Poison);
-                    }
+                    // abandon this chain, rebuild on the new level; we
+                    // owe nobody a serve (`pending_serve`)
+                    debug_assert!(self.pending_serve.is_none());
                     self.level = level;
                     (self.chain, self.coarse) = controller_chain(&self.factory, level);
                     self.reset_level_state();
@@ -1129,16 +1123,15 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
         //    else our own suspended step
         if self.awaiting {
             let want_level = self.level - 1;
-            let Some(env) = ctx.try_recv_match(|e| {
-                matches!(&e.msg, Msg::CoarseSample { level, .. } if *level == want_level)
-                    || matches!(e.msg, Msg::Poison)
-            }) else {
+            let Some(env) = ctx.try_recv_match(
+                |e| matches!(&e.msg, Msg::CoarseSample { level, .. } if *level == want_level),
+            ) else {
                 return Poll::Wait(coarse_wait_pred(want_level));
             };
-            let coarse = match env.msg {
-                Msg::CoarseSample { sample, .. } => *sample,
-                _ => poison_sample(),
+            let Msg::CoarseSample { sample, .. } = env.msg else {
+                unreachable!()
             };
+            let coarse = *sample;
             self.tracer.observe(
                 Hist::RequestWait,
                 (self.tracer.now() - self.await_since) * 1e6,
@@ -1167,7 +1160,7 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
         // 3. a requester is suspended on every queued serve: run ledger
         //    serves before our own chain
         if self.burnin_left == 0 {
-            if let Some((reply_to, lease)) = self.pending_serves.pop_front() {
+            if let Some((reply_to, lease)) = self.pending_serve.take() {
                 let job = self.start_serve(reply_to, *lease);
                 return self.drive_serve(ctx, job);
             }
@@ -1216,12 +1209,12 @@ fn controller_chain(factory: &dyn LevelFactory, level: usize) -> (MlChain, Coars
 }
 
 /// Wait predicate of a controller suspended on a coarse request: its
-/// sample, a teardown poison, or shutdown (the single definition keeps
-/// the suspend and re-suspend paths in sync).
+/// sample, or shutdown (the single definition keeps the suspend and
+/// re-suspend paths in sync).
 fn coarse_wait_pred(want_level: usize) -> crate::runtime::WaitPred<Msg> {
     Box::new(move |e| {
         matches!(&e.msg, Msg::CoarseSample { level, .. } if *level == want_level)
-            || matches!(e.msg, Msg::Poison | Msg::Shutdown)
+            || matches!(e.msg, Msg::Shutdown)
     })
 }
 
@@ -1705,18 +1698,9 @@ pub(crate) mod policy {
         assert_reports_identical(&baseline, &checkpointed);
 
         let hashes = hashes.into_inner().unwrap();
-        // a tick that meets an active barrier is dropped, so how many
-        // barriers a multi-worker pool completes depends on timing; the
-        // first tick never meets one (DESIGN §7.3)
-        let least = match exec {
-            Exec::Pool { workers } if workers > 1 => 1,
-            _ => 3,
-        };
-        assert!(
-            hashes.len() >= least,
-            "expected at least {least} snapshots, got {}",
-            hashes.len()
-        );
+        // one cut per tick on every executor (DESIGN §7.3)
+        let top = config.samples_per_level[config.n_levels() - 1];
+        assert_eq!(hashes.len(), (top - 1) / every, "{exec:?}: snapshots");
         for hash in &hashes {
             let (snap, cfg) = store.get_snapshot(hash).unwrap();
             assert_eq!(cfg, 99);
@@ -1865,6 +1849,46 @@ mod tests {
             config,
             9,
         );
+    }
+
+    #[test]
+    fn every_tick_is_one_cut_behind_a_collector_backlog() {
+        // a collector twenty times slower than an evaluation: the top one
+        // drains its corrections long after they were sent, and sends
+        // several ticks while the barrier of the first is open. Each is
+        // still one cut
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use uq_mlmcmc::store::RunStore;
+        let (model, off) = (StandIn::new(vec![3, 0]), Tracer::disabled());
+        let mut config = pool_config(vec![200, 60], vec![2, 2], 1);
+        config.base.load_balancing = false;
+        let cost = SimCost {
+            collector_service_time: 2e-2,
+            ..policy::sim_cost(2)
+        };
+        let dir = std::env::temp_dir().join(format!("uq-ticks-{}", std::process::id()));
+        let store = RunStore::open(&dir).unwrap();
+        let cuts = AtomicUsize::new(0);
+        let hook = |_done: usize, _hash: &str| {
+            cuts.fetch_add(1, Ordering::SeqCst);
+        };
+        let every = 5;
+        let spec = ParallelCheckpoint {
+            store: &store,
+            config_hash: 1,
+            every,
+            on_snapshot: Some(&hook),
+            stop: None,
+        };
+        for seed in 0..4 {
+            cuts.store(0, Ordering::SeqCst);
+            let run = Run::new(&model, &config, &off, Some(&spec), None);
+            run.on(Placement::Sim { cost: &cost, seed })
+                .expect("an unbounded simulated run finishes");
+            let cuts = cuts.load(Ordering::SeqCst);
+            assert_eq!(cuts, (60 - 1) / every, "delivery seed {seed}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn pool_config(samples: Vec<usize>, chains: Vec<usize>, workers: usize) -> RuntimeConfig {

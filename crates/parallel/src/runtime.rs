@@ -1101,7 +1101,7 @@ pub(crate) mod tests {
     enum CtlMsg {
         Data(usize),
         Sample(usize),
-        Poison,
+        Checkpoint,
         Shutdown,
     }
     use CtlMsg::{Data, Sample};
@@ -1194,32 +1194,32 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn poison_and_shutdown_never_starved_behind_buffered_data() {
-        // a teardown-matching wait must find Poison/Shutdown no matter
+    fn checkpoint_and_shutdown_never_starved_behind_buffered_data() {
+        // a control-matching wait must find Checkpoint/Shutdown no matter
         // how much unconsumed data is buffered ahead of them
-        let teardown = |e: &Envelope<CtlMsg>| matches!(e.msg, CtlMsg::Poison | CtlMsg::Shutdown);
+        let control = |e: &Envelope<CtlMsg>| matches!(e.msg, CtlMsg::Checkpoint | CtlMsg::Shutdown);
         let runs = under_both(2, 2, |rank, _| -> Boxed<CtlMsg, Vec<CtlMsg>> {
             let mut seen = Vec::new();
             Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
                 if rank == 1 {
                     (0..50).for_each(|i| v.send(0, Data(i)));
-                    v.send(0, CtlMsg::Poison);
+                    v.send(0, CtlMsg::Checkpoint);
                     (50..100).for_each(|i| v.send(0, Data(i)));
                     v.send(0, CtlMsg::Shutdown);
                     return Poll::Exit(Vec::new());
                 }
                 // forces everything into the out-of-order buffer first
                 while seen.len() < 2 {
-                    match v.try_recv_match(teardown) {
+                    match v.try_recv_match(control) {
                         Some(env) => seen.push(env.msg),
-                        None => return Poll::Wait(Box::new(teardown)),
+                        None => return Poll::Wait(Box::new(control)),
                     }
                 }
                 Poll::Exit(std::mem::take(&mut seen))
             }))
         });
         for run in runs {
-            assert_eq!(run.results[0], [CtlMsg::Poison, CtlMsg::Shutdown]);
+            assert_eq!(run.results[0], [CtlMsg::Checkpoint, CtlMsg::Shutdown]);
             // the 100 data messages were left unread, which is counted
             assert_eq!(run.stats.dropped_sends, 100);
         }
@@ -1266,7 +1266,7 @@ pub(crate) mod tests {
                 pool.drive(&shared, |rank, _| -> Boxed<CtlMsg, ()> {
                     Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
                         if rank == 1 {
-                            v.send(0, CtlMsg::Poison);
+                            v.send(0, CtlMsg::Checkpoint);
                             return Poll::Exit(());
                         }
                         Poll::Wait(Box::new(|e| matches!(e.msg, Data(_))))
@@ -1310,7 +1310,7 @@ pub(crate) mod tests {
             Box::new(FnRank(move |v: &mut VCtx<'_, CtlMsg>| {
                 if rank == 0 {
                     v.send(99, Data(0));
-                    v.send(7, CtlMsg::Poison);
+                    v.send(7, CtlMsg::Checkpoint);
                 }
                 Poll::Exit(())
             }))
@@ -1329,7 +1329,7 @@ pub(crate) mod tests {
                 if rank == 1 {
                     if !std::mem::replace(&mut acked, true) {
                         (0..4).for_each(|i| v.send(0, Data(i)));
-                        v.send(0, CtlMsg::Poison);
+                        v.send(0, CtlMsg::Checkpoint);
                     }
                     if v.try_recv().is_none() {
                         return Poll::Wait(Box::new(|_| true));
@@ -1342,8 +1342,8 @@ pub(crate) mod tests {
                     // woken by the Shutdown: leave without pulling it
                     return Poll::Exit(());
                 }
-                if v.try_recv_match(|e| e.msg == CtlMsg::Poison).is_none() {
-                    return Poll::Wait(Box::new(|e| e.msg == CtlMsg::Poison));
+                if v.try_recv_match(|e| e.msg == CtlMsg::Checkpoint).is_none() {
+                    return Poll::Wait(Box::new(|e| e.msg == CtlMsg::Checkpoint));
                 }
                 acked = true;
                 v.send(1, Data(99));

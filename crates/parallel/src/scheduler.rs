@@ -60,14 +60,11 @@ pub enum Msg {
     },
     /// Serving controller → phonebook: one message concluding a serve —
     /// the ledger write-back and the availability re-announce folded
-    /// together. `session` echoes the lease's session seed so the
-    /// phonebook can drop write-backs from dead session generations. It
-    /// carries what the write-back reads; the proposal goes to the
-    /// requester alone.
+    /// together. It carries what the write-back reads; the proposal goes
+    /// to the requester alone.
     ServeDone {
         requester: usize,
         level: usize,
-        session: u64,
         /// Session stream position after this serve (`lease.serves + 1`).
         serves: u64,
         /// The pairing track's end state (the session's next `pairing`);
@@ -76,8 +73,6 @@ pub enum Msg {
         /// The pairing leg ran separately from the proposal leg.
         diverged: bool,
     },
-    /// Teardown answer to a request that can no longer be served.
-    Poison,
     /// Controller → phonebook: a fresh subsampled state is available.
     SampleReady { level: usize },
     /// Controller → collector: one telescoping-term sample. Only `y`
@@ -101,9 +96,8 @@ pub enum Msg {
     Reassign { level: usize },
     /// Root → everyone: tear down.
     Shutdown,
-    /// Phonebook → root: shutdown acknowledged, no more forwards.
-    PhonebookDown,
-    /// Phonebook → root at shutdown: routing/batching statistics.
+    /// Phonebook → root at shutdown: routing/batching statistics, and the
+    /// acknowledgement that it forwards nothing more.
     PhonebookReport(Box<crate::roles::PhonebookStats>),
     /// Collector → root at shutdown: the level's final state, the same
     /// value a checkpoint cuts.
@@ -321,12 +315,6 @@ impl ParallelReport {
     pub fn total_evaluations(&self) -> usize {
         self.levels.iter().map(|l| l.evaluations).sum()
     }
-}
-
-/// Sentinel sample returned during teardown; its `-∞` density forces a
-/// rejection, so the chain state stays valid.
-pub(crate) fn poison_sample() -> CoarseSample {
-    CoarseSample::plain(Vec::new(), f64::NEG_INFINITY, Vec::new())
 }
 
 #[cfg(test)]

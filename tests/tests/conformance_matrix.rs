@@ -798,8 +798,8 @@ impl Row {
         if self.traced {
             // what the ledger dispatched and what came back differ only by
             // serves still running when the phonebook exited (one per
-            // controller at most) and by serves for a chain that was
-            // reassigned meanwhile
+            // controller at most): a chain's sessions outlive its
+            // reassignment, so every write-back that arrives commits
             let (ledger, controllers) = (
                 run.phonebook.ledger,
                 self.config.chains.iter().sum::<usize>(),
@@ -807,8 +807,8 @@ impl Row {
             let (dispatched, returned) = (ledger.serves, out.tracer.counter(Counter::WriteBacks));
             let returned = returned as usize;
             assert!(
-                dispatched <= returned + controllers && returned <= dispatched + reassigned,
-                "{label}: {returned} write-backs for {ledger:?}, {reassigned} reassigned"
+                dispatched <= returned + controllers && returned <= dispatched,
+                "{label}: {returned} write-backs for {ledger:?}"
             );
         }
         if let At::Instant(..) = at {
@@ -925,13 +925,7 @@ impl Row {
         };
         let (config, factory) = (self.config.runtime(self.run_seed(0)), self.config.factory());
         let off = Tracer::disabled();
-        // on more than one worker a run can end short of snapshot `k`: a
-        // collector that handles a backlog sends its ticks at once, and the
-        // root starts one barrier for all of them. Such a run crashes
-        // nowhere; it is run again on a fresh store, a few times at most
-        let attempts = if role == "crash" { 5 } else { 0 };
-        for _ in 0..attempts {
-            let _ = fs::remove_dir_all(dir.join("store"));
+        if role == "crash" {
             let store = RunStore::open(dir.join("store")).expect("open store");
             let snaps = AtomicUsize::new(0);
             let hook = |_done: usize, _hash: &str| {
@@ -947,11 +941,9 @@ impl Row {
                 stop: None,
             };
             place(factory, &config, at, 0, &off, Some(&ckpt), None, vec![]);
+            panic!("the crash child must abort before its run completes");
         }
-        assert_eq!(
-            role, "resume",
-            "the crash child must abort before its runs complete"
-        );
+        assert_eq!(role, "resume");
         let store = RunStore::open(dir.join("store")).expect("open store");
         let cut = store.latest_snapshot(Some(CONFIG_HASH)).expect("manifest");
         let (_, cut) = cut.expect("the crashed run left a snapshot");

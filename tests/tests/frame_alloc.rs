@@ -85,7 +85,6 @@ fn a_lying_qoi_length_is_a_typed_error_and_sizes_no_allocation() {
             Msg::ServeDone {
                 requester: 7,
                 level: 0,
-                session: 0xDEAD_BEEF,
                 serves: 12,
                 pairing: outcome.pairing.map(Box::new),
                 diverged: outcome.diverged,

@@ -8,7 +8,7 @@
 //! turn the old one into a rejection fixture; silently re-interpreting
 //! frames across a version skew is the failure mode this suite catches.
 //! Frames are ephemeral, so exactly one version is ever decoded:
-//! `golden_frame_v7.bin` (the previous version's golden) is kept to prove
+//! `golden_frame_v8.bin` (the previous version's golden) is kept to prove
 //! that a skewed version is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
@@ -21,8 +21,8 @@ use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v8.bin");
-const GOLDEN_V7_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v7.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v9.bin");
+const GOLDEN_V8_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v8.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
@@ -109,7 +109,6 @@ fn golden() -> Vec<Frame> {
             Msg::ServeDone {
                 requester: 5,
                 level: 0,
-                session: 0xDEAD_BEEF,
                 serves: 42,
                 pairing: Some(Box::new(bare(-0.9375, -1.75))),
                 diverged: true,
@@ -120,7 +119,6 @@ fn golden() -> Vec<Frame> {
             Msg::ServeDone {
                 requester: 5,
                 level: 0,
-                session: 0xDEAD_BEEF,
                 serves: 43,
                 pairing: None,
                 diverged: false,
@@ -167,7 +165,7 @@ fn committed_golden_frame_still_decodes() {
         let payload = u64::from_le_bytes(rest[12..20].try_into().unwrap());
         let (one, after) = rest.split_at(28 + payload as usize);
         let frame = decode_frame(one)
-            .expect("protocol break: a committed v8 golden frame no longer decodes");
+            .expect("protocol break: a committed v9 golden frame no longer decodes");
         // Frame carries no PartialEq (Msg is not comparable); byte equality
         // after re-encode is the invariant the transport relies on anyway
         assert_eq!(
@@ -184,16 +182,16 @@ fn committed_golden_frame_still_decodes() {
     );
 }
 
-/// The v7 fixture is the golden of the version before (a `CoarseRequest`
-/// and a lease carried no `mate` flag, and `ServeDone` always carried a
-/// pairing state). It must be refused at the version field — before its
-/// check or a single payload byte is looked at — never decoded into a
-/// frame.
+/// The v8 fixture is the golden of the version before (a `ServeDone`
+/// echoed its lease's session seed, and the message tags counted a
+/// teardown poison and a second shutdown ack). It must be refused at the
+/// version field — before its check or a single payload byte is looked
+/// at — never decoded into a frame.
 #[test]
-fn committed_v7_frame_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V7_PATH).expect("committed v7 frame missing");
+fn committed_v8_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V8_PATH).expect("committed v8 frame missing");
     assert!(matches!(
         decode_frame(&bytes),
-        Err(StoreError::BadVersion { found: 7 })
+        Err(StoreError::BadVersion { found: 8 })
     ));
 }

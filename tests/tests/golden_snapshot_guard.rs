@@ -1,11 +1,11 @@
 //! Format-version compatibility guard: a snapshot committed to the
-//! repository at format version 4 must keep decoding — bit-for-bit —
+//! repository at format version 5 must keep decoding — bit-for-bit —
 //! on every future revision of the codec. Any change to the wire
 //! layout must either keep these bytes valid or bump
 //! `store::FORMAT_VERSION`, add a new golden alongside this one and
 //! turn this one into the rejection fixture; silently re-interpreting
 //! old snapshots is the failure mode this test exists to catch. There
-//! is one reader: `golden_v3.snap`, the previous format's golden, must
+//! is one reader: `golden_v4.snap`, the previous format's golden, must
 //! be refused at its version field.
 //!
 //! Regenerate (only after an *intentional* format bump) with:
@@ -19,8 +19,8 @@ use uq_mlmcmc::store::{
     decode_snapshot, encode_snapshot, fnv1a, ChainCkpt, CollectorCkpt, RunSnapshot, StoreError,
 };
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v4.snap");
-const GOLDEN_V3_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v3.snap");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v5.snap");
+const GOLDEN_V4_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v4.snap");
 const GOLDEN_CONFIG: u64 = 0x5EED_CAFE_F00D_0001;
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
@@ -101,7 +101,6 @@ fn golden() -> RunSnapshot {
                     pairing: Some(cs(0.875, -1.5)),
                 },
             )]),
-            generations: HashMap::from([((5, 0), 2)]),
             stats: LedgerStats {
                 sessions: 1,
                 serves: 41,
@@ -122,7 +121,7 @@ fn committed_golden_snapshot_still_decodes() {
     let bytes = std::fs::read(GOLDEN_PATH)
         .expect("committed golden snapshot missing — see module docs to regenerate");
     let (snap, config) = decode_snapshot(&bytes)
-        .expect("format break: the committed v4 golden snapshot no longer decodes");
+        .expect("format break: the committed v5 golden snapshot no longer decodes");
     assert_eq!(config, GOLDEN_CONFIG, "golden header config hash drifted");
     assert_eq!(snap, expected, "golden snapshot decoded to different state");
     // the codec must also still *produce* the identical bytes, or every
@@ -139,15 +138,15 @@ fn committed_golden_snapshot_still_decodes() {
     );
 }
 
-/// The v3 golden is the format before (every snapshot carried a stamp
-/// saying whose state it held, the ledger was optional, and a
-/// sequential driver's cursor could ride along). It must be refused at
-/// the version field, never decoded into a snapshot.
+/// The v4 golden is the format before (the ledger book carried a
+/// generation counter per session key, a map no checkpointable run could
+/// fill). It must be refused at the version field, never decoded into a
+/// snapshot.
 #[test]
-fn committed_v3_snapshot_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V3_PATH).expect("committed v3 snapshot missing");
+fn committed_v4_snapshot_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V4_PATH).expect("committed v4 snapshot missing");
     assert!(matches!(
         decode_snapshot(&bytes),
-        Err(StoreError::BadVersion { found: 3 })
+        Err(StoreError::BadVersion { found: 4 })
     ));
 }

@@ -8,11 +8,13 @@
 //!   advance by exactly one per write-back, every lease is issued at the
 //!   current position, and a write-back replayed after its position was
 //!   committed changes nothing;
-//! * **never drop a session** — write-backs of the live generation are
-//!   always applied, stale/dead-generation messages are always no-ops,
-//!   and a migrated-away requester re-opens cleanly at position 0;
-//! * **generations never share substreams** — each re-opened session
-//!   derives a seed never seen before;
+//! * **never drop a session** — every first write-back of a position is
+//!   applied, a stale one is a no-op, and a requester whose chain the
+//!   balancer moves away and back keeps its session: the move leaves it
+//!   untouched, a write-back in flight across the move is applied, and
+//!   the next lease continues at the next position under the same seed;
+//! * **sessions never share substreams** — each session derives a seed
+//!   of its own, once;
 //! * **only a mate moves the pairing track** — a lease without a mate
 //!   carries no pairing state, its serve runs one leg and returns none,
 //!   and its write-back advances the stream position but leaves the
@@ -70,9 +72,9 @@ fn serving_chain() -> ChainStack {
 /// the book.
 #[derive(Default)]
 struct Mirror {
-    /// Commits in the current generation (the expected stream position).
+    /// Commits so far (the expected stream position).
     committed: u64,
-    /// Session seed of the current generation (set at its first lease).
+    /// The session's seed (set at its first lease).
     cur_seed: Option<u64>,
     /// The session's pairing state: what the last applied write-back
     /// with a mate stored.
@@ -93,14 +95,7 @@ fn encoded(book: &LedgerBook) -> Vec<u8> {
 /// applies a `ServeDone`.
 fn write_back(book: &mut LedgerBook, r: usize, lease: &LedgerLease, outcome: &ServeOutcome) {
     let pairing = outcome.pairing.clone();
-    book.write_back(
-        r,
-        LEVEL,
-        lease.session_seed,
-        lease.serves + 1,
-        pairing,
-        outcome.diverged,
-    );
+    book.write_back(r, LEVEL, lease.serves + 1, pairing, outcome.diverged);
 }
 
 proptest! {
@@ -143,13 +138,13 @@ proptest! {
                     let carried = m.pairing.as_ref().filter(|_| mate);
                     prop_assert_eq!(lease.pairing.as_ref(), carried);
                     match m.cur_seed {
-                        // one generation, one seed
+                        // one session, one seed, for good
                         Some(seed) => prop_assert_eq!(seed, lease.session_seed),
                         None => {
                             m.cur_seed = Some(lease.session_seed);
                             prop_assert!(
                                 seeds_seen.insert(lease.session_seed),
-                                "generations must never share a session seed"
+                                "sessions must never share a seed"
                             );
                         }
                     }
@@ -168,39 +163,30 @@ proptest! {
                         continue;
                     };
                     write_back(&mut book, r, &lease, &outcome);
-                    if m.cur_seed == Some(lease.session_seed) {
-                        // live generation: the write-back must be applied,
-                        // and only a serve with a mate moves the pairing
-                        m.committed = lease.serves + 1;
-                        if let Some(pairing) = &outcome.pairing {
-                            m.pairing = Some(pairing.clone());
-                        }
-                        applied += 1;
-                        // live write-back must advance the session
-                        prop_assert_eq!(book.session_serves(r, LEVEL), Some(m.committed));
-                    } else {
-                        // dead generation: must be a no-op (no resurrect,
-                        // no position corruption)
-                        // dead-generation write-back must not touch the session
-                        prop_assert_eq!(
-                            book.session_serves(r, LEVEL),
-                            m.cur_seed.map(|_| m.committed)
-                        );
+                    // the write-back must be applied and advance the
+                    // session, and only a serve with a mate moves the
+                    // pairing
+                    m.committed = lease.serves + 1;
+                    if let Some(pairing) = &outcome.pairing {
+                        m.pairing = Some(pairing.clone());
                     }
+                    applied += 1;
+                    prop_assert_eq!(book.session_serves(r, LEVEL), Some(m.committed));
                     m.delivered = Some((lease, outcome));
                 }
-                // migrate the requester away (sessions dropped, new
-                // generation on re-contact)
+                // the balancer moves the requester's chain one level up
+                // (its serve, if any, still in flight): it leases from a
+                // session of its own there, and the one here stays as it
+                // is, to be continued when the chain returns
                 2 => {
-                    book.forget_requester(r);
-                    let m = &mut mirrors[who as usize];
-                    m.committed = 0;
-                    m.cur_seed = None;
-                    m.pairing = None;
-                    prop_assert_eq!(book.session_serves(r, LEVEL), None);
+                    let before = book.sessions.get(&(r, LEVEL)).cloned();
+                    let anchor = CoarseSample::at(&mut target(), &[f64::from(salt) * 0.1]);
+                    let elsewhere = book.lease(BASE_SEED, LEVEL + 1, r, anchor, true);
+                    prop_assert_ne!(Some(elsewhere.session_seed), mirrors[who as usize].cur_seed);
+                    prop_assert_eq!(book.sessions.get(&(r, LEVEL)).cloned(), before);
                 }
                 // replay the last delivered write-back: its position
-                // is committed or its generation dead, so it is a no-op
+                // is committed, so it is a no-op
                 _ => {
                     let m = &mirrors[who as usize];
                     let Some((lease, outcome)) = &m.delivered else {
@@ -227,7 +213,8 @@ proptest! {
             let r = 1 + who;
             if m.cur_seed.is_some() {
                 prop_assert_eq!(book.session_serves(r, LEVEL), Some(m.committed));
-                prop_assert_eq!(book.session_seed_of(r, LEVEL), m.cur_seed);
+                let seed = book.sessions.get(&(r, LEVEL)).map(|s| s.seed);
+                prop_assert_eq!(seed, m.cur_seed);
             }
         }
         // accounting: the book counts exactly the write-backs it applied

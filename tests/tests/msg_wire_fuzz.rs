@@ -72,7 +72,6 @@ fn ledger_book(theta: &[f64], seed: u64) -> LedgerBook {
                 pairing: Some(sample(theta, -0.75, 1)),
             },
         )]),
-        generations: HashMap::from([((4, 0), seed % 3)]),
         stats: LedgerStats {
             sessions: 1,
             serves: (seed % 97) as usize,
@@ -114,27 +113,24 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
         3 => Msg::ServeDone {
             requester: a,
             level: b,
-            session: seed,
             serves: seed % 103,
             pairing: mate.then(|| Box::new(sample(theta, x + 0.5, 1))),
             // a serve without a mate runs one leg
             diverged: mate && flag,
         },
-        4 => Msg::Poison,
-        5 => Msg::SampleReady { level: a },
-        6 => Msg::Correction {
+        4 => Msg::SampleReady { level: a },
+        5 => Msg::Correction {
             level: a,
             y: theta.to_vec(),
             theta: theta.to_vec(),
             fine_qoi: vec![x],
             coarse_qoi: flag.then(|| vec![x - 0.25]),
         },
-        7 => Msg::LevelDone { level: a },
-        8 => Msg::StopProducing { level: a },
-        9 => Msg::Reassign { level: a },
-        10 => Msg::Shutdown,
-        11 => Msg::PhonebookDown,
-        12 => Msg::PhonebookReport(Box::new(PhonebookStats {
+        6 => Msg::LevelDone { level: a },
+        7 => Msg::StopProducing { level: a },
+        8 => Msg::Reassign { level: a },
+        9 => Msg::Shutdown,
+        10 => Msg::PhonebookReport(Box::new(PhonebookStats {
             wakeups: a,
             messages: a + b,
             max_batch: b,
@@ -147,30 +143,30 @@ fn msg(tag: u8, a: usize, b: usize, seed: u64, flag: bool, theta: &[f64], x: f64
                 ..LedgerStats::default()
             },
         })),
-        13 => Msg::CollectorReport(Box::new(CollectorCkpt {
+        11 => Msg::CollectorReport(Box::new(CollectorCkpt {
             level: a,
             count: b,
             moments: Some(VectorMoments::from_parts(&[(b, x, x * x), (b, -x, 0.5)])),
             theta_samples: vec![theta.to_vec(), theta.to_vec()],
             correction_pairs: vec![(theta.to_vec(), vec![x])],
         })),
-        14 => Msg::ControllerReport {
+        12 => Msg::ControllerReport {
             evals: vec![a, b],
             eval_secs: vec![x, x / 2.0],
         },
-        15 => Msg::CheckpointTick,
-        16 => Msg::Checkpoint,
-        17 => Msg::CheckpointFlush,
-        18 => Msg::ControllerCkpt(Box::new(chain_ckpt(a, b % 2, theta, seed))),
-        19 => Msg::CollectorCkpt(Box::new(CollectorCkpt {
+        13 => Msg::CheckpointTick,
+        14 => Msg::Checkpoint,
+        15 => Msg::CheckpointFlush,
+        16 => Msg::ControllerCkpt(Box::new(chain_ckpt(a, b % 2, theta, seed))),
+        17 => Msg::CollectorCkpt(Box::new(CollectorCkpt {
             level: a,
             count: a + b,
             moments: flag.then(|| VectorMoments::from_parts(&[(a, x, x * 2.0)])),
             theta_samples: vec![theta.to_vec()],
             correction_pairs: vec![],
         })),
-        20 => Msg::LedgerCkpt(Box::new(ledger_book(theta, seed))),
-        21 => Msg::CheckpointDone,
+        18 => Msg::LedgerCkpt(Box::new(ledger_book(theta, seed))),
+        19 => Msg::CheckpointDone,
         _ => unreachable!("tag out of range"),
     }
 }
@@ -198,7 +194,7 @@ fn assert_roundtrip(m: &Msg) {
 proptest! {
     #[test]
     fn every_msg_variant_roundtrips(
-        tag in 0u8..22,
+        tag in 0u8..20,
         a in 0usize..1000,
         seed in 0u64..u64::MAX,
         theta in prop::collection::vec(-1e6f64..1e6, 1..4),
@@ -213,7 +209,7 @@ proptest! {
 
     #[test]
     fn framed_msgs_roundtrip(
-        tag in 0u8..22,
+        tag in 0u8..20,
         a in 0usize..1000,
         seed in 0u64..u64::MAX,
         theta in prop::collection::vec(-1e6f64..1e6, 1..3),
@@ -234,7 +230,7 @@ proptest! {
 
     #[test]
     fn truncated_frames_are_rejected(
-        tag in 0u8..22,
+        tag in 0u8..20,
         seed in 0u64..u64::MAX,
         cut in 0usize..100_000,
     ) {
@@ -246,7 +242,7 @@ proptest! {
 
     #[test]
     fn bit_flipped_frames_are_rejected(
-        tag in 0u8..22,
+        tag in 0u8..20,
         seed in 0u64..u64::MAX,
         pos in 0usize..100_000,
         bit in 0u8..8,
@@ -263,7 +259,7 @@ proptest! {
 
     #[test]
     fn trailing_garbage_is_rejected(
-        tag in 0u8..22,
+        tag in 0u8..20,
         seed in 0u64..u64::MAX,
         pad in 1usize..64,
     ) {

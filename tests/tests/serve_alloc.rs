@@ -240,8 +240,8 @@ fn burn_in_evaluates_no_qoi_and_the_first_read_one() {
         let anchor = coupled.anchor().expect("a coupled chain").clone();
         let lease = book.lease(0x5EED, 0, 1, anchor, true);
         let outcome = twin.serve(RHO, &lease);
-        let (session, serves) = (lease.session_seed, lease.serves + 1);
-        book.write_back(1, 0, session, serves, outcome.pairing, outcome.diverged);
+        let serves = lease.serves + 1;
+        book.write_back(1, 0, serves, outcome.pairing, outcome.diverged);
         let coarse = outcome.proposal;
         let (qois, _, _) = factory.measure(|| coupled.resume_step(&mut rng, coarse));
         assert_eq!(qois, 0, "level 1");
@@ -389,8 +389,8 @@ fn the_ledger_book_shares_what_it_is_handed() {
     let mut book = LedgerBook::default();
     let (qois, large, state) = factory.measure(|| {
         let lease = book.lease(seed, level, requester, diverged.anchor.clone(), true);
-        let (session, handed) = (lease.session_seed, Some(pairing.clone()));
-        book.write_back(requester, level, session, 1, handed, outcome.diverged);
+        let handed = Some(pairing.clone());
+        book.write_back(requester, level, lease.serves + 1, handed, outcome.diverged);
         // the requester accepted: its next anchor is the proposal
         let next = book.lease(seed, level, requester, proposal.clone(), true);
         assert!(shared(&next.anchor, &proposal));
@@ -422,8 +422,8 @@ fn a_requesters_correction_evaluates_at_most_the_coarse_qoi_it_pairs_with() {
         let lease = book.lease(0x5EED, 0, 1, anchor, true);
         let outcome = twin.serve(RHO, &lease);
         let mate = outcome.pairing.as_ref().expect("a mate").theta.clone();
-        let (session, serves) = (lease.session_seed, lease.serves + 1);
-        book.write_back(1, 0, session, serves, outcome.pairing, outcome.diverged);
+        let serves = lease.serves + 1;
+        book.write_back(1, 0, serves, outcome.pairing, outcome.diverged);
         chain.resume_step(&mut rng, outcome.proposal);
         let fine_unread = u64::from(chain.state().qoi.is_none());
         let (qois, _, msg) = factory.measure(|| {

@@ -61,7 +61,6 @@ fn session(seed: u64, flags: u8, theta: &[f64]) -> Session {
 /// A book of `sessions`, keyed by `(requester, level)`.
 fn ledger(sessions: Vec<((usize, usize), Session)>, seed: u64) -> LedgerBook {
     LedgerBook {
-        generations: sessions.iter().map(|(key, s)| (*key, s.serves)).collect(),
         stats: LedgerStats {
             sessions: sessions.len(),
             serves: (seed % 10_000) as usize,
@@ -115,13 +114,9 @@ fn snapshot(tag: u8, seed: u64, steps: usize, theta: &[f64]) -> RunSnapshot {
 
 /// A book's bytes in the codec's layout with its entries in the order
 /// given, sorted or not.
-fn book_bytes(
-    sessions: &[((usize, usize), Session)],
-    generations: &[((usize, usize), u64)],
-) -> Vec<u8> {
+fn book_bytes(sessions: &[((usize, usize), Session)]) -> Vec<u8> {
     let mut enc = Enc::new();
     sessions.to_vec().encode(&mut enc);
-    generations.to_vec().encode(&mut enc);
     LedgerStats::default().encode(&mut enc);
     enc.into_bytes()
 }
@@ -191,19 +186,15 @@ proptest! {
     ) {
         let (a, b) = (((3, 0), session(seed, flags, &theta)), ((5, 1), session(!seed, flags / 2, &theta)));
         let sessions = [a.clone(), b.clone()];
-        let generations = [((3, 0), 1u64), ((5, 1), 2)];
         let decoded = |bytes: Vec<u8>| LedgerBook::decode(&mut Dec::new(&bytes));
         let refused = |bytes| matches!(decoded(bytes), Err(StoreError::Corrupt(_)));
         // the canonical layout decodes, and is what the book encodes
-        let canonical = book_bytes(&sessions, &generations);
+        let canonical = book_bytes(&sessions);
         let book = decoded(canonical.clone()).expect("canonical bytes decode");
         prop_assert_eq!(value_roundtrip(&book).1, canonical);
         // two sessions swapped, a session duplicated
-        prop_assert!(refused(book_bytes(&[b, a.clone()], &generations)));
-        prop_assert!(refused(book_bytes(&[a.clone(), a], &generations)));
-        // generations out of order
-        let swapped = [generations[1], generations[0]];
-        prop_assert!(refused(book_bytes(&sessions, &swapped)));
+        prop_assert!(refused(book_bytes(&[b, a.clone()])));
+        prop_assert!(refused(book_bytes(&[a.clone(), a])));
         // moments whose per-component counts disagree
         let parts: Vec<(usize, f64, f64)> =
             theta.iter().enumerate().map(|(i, t)| (count + i, *t, t.abs())).collect();
