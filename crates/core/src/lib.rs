@@ -24,9 +24,10 @@
 //! * [`counting`] — the one factory decorator (every `log_density`
 //!   of level `l` goes through a hook) and its counting hook: model
 //!   evaluations and wall-clock cost per level (the `t_l` columns);
-//! * [`wire`] — the shared hand-rolled binary codec (LE ints, `f64`
-//!   via `to_bits`, length-validated decodes) used by both the run
-//!   store's snapshot format and `uq_parallel::net`'s frame format;
+//! * [`wire`] — the one wire layer: the binary codec (LE ints, `f64`
+//!   via `to_bits`, length-validated decodes), each wire type's layout
+//!   declared once ([`codec!`]), and the framer that the run store's
+//!   snapshot files and `uq_parallel`'s socket frames share;
 //! * [`store`] — the content-addressed run store: versioned,
 //!   integrity-checked snapshots of a parallel run's consistent cut
 //!   (chains, collectors, ledger sessions, RNG streams) enabling

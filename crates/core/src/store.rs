@@ -3,28 +3,31 @@
 //!
 //! ## Snapshot format
 //!
-//! A snapshot file is self-describing and integrity-checked:
+//! A snapshot file is one frame of the shared framer
+//! ([`crate::wire::frame_encode`]) under its own magic and version, and
+//! its payload is the config hash followed by the [`RunSnapshot`]:
 //!
 //! ```text
 //! magic    8 bytes  b"UQSNAP\0\0"
 //! version  u32 LE   FORMAT_VERSION
+//! len      u64 LE   payload length in bytes (8 + the snapshot's)
 //! config   u64 LE   caller-supplied config hash (resume refuses a
 //!                   snapshot taken under a different configuration)
-//! len      u64 LE   payload length in bytes
-//! payload  len bytes (hand-rolled little-endian codec, below)
-//! check    u64 LE   FNV-1a over everything before it
+//! payload  the encoded RunSnapshot (the codecs below)
+//! check    u64 LE   frame_check over everything before it
 //! ```
 //!
 //! Any truncation fails the length check and any bit flip fails either a
-//! structured decode check or the trailing FNV check — a damaged
-//! snapshot is *rejected with an error*, never mis-decoded (fuzzed by
+//! structured decode check or the trailing check — a damaged snapshot is
+//! *rejected with an error*, never mis-decoded (fuzzed by
 //! `tests/snapshot_roundtrip_fuzz.rs`).
 //!
 //! ## Content addressing
 //!
-//! The object name is the hex of the same FNV-1a hash, so identical
-//! logical states produce identical files at identical addresses. The
-//! hash-map-backed state ([`crate::ledger::LedgerBook`]) is written
+//! The object name is the hex of the frame's trailing check
+//! ([`crate::wire::frame_id`]), so identical logical states produce
+//! identical files at identical addresses, and the bytes are hashed once.
+//! The hash-map-backed state ([`crate::ledger::LedgerBook`]) is written
 //! sorted by key for exactly this reason, and keys that are not strictly
 //! increasing are refused as corrupt. Objects are written to
 //! `objects/<hex>.snap` via a temp file + rename, so a crash mid-write
@@ -39,8 +42,11 @@
 //! ([`manifest_field`]) keeps querying dependency-free.
 
 use crate::coupled::{ChainState, CoarseSample};
-use crate::ledger::{LedgerBook, LedgerStats, Session};
-use crate::wire::{decode_qoi, encode_qoi};
+use crate::ledger::{LedgerBook, LedgerLease, LedgerStats, PairingMode, Session};
+use crate::wire::{
+    codec, decode_qoi, encode_qoi, frame_decode, frame_encode, frame_id, FrameFormat,
+};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs;
 use std::hash::Hash;
@@ -48,19 +54,24 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use uq_mcmc::stats::VectorMoments;
 
-// The codec primitives were hoisted into [`crate::wire`] when the net
-// transport became a second consumer; re-exported here so every
-// existing `store::` path keeps working.
 pub use crate::wire::{fnv1a, Codec, Dec, Enc, StoreError};
 
-/// Version of the snapshot byte format. Bump on any layout change; the
+/// Version of the snapshot format. Bump on any layout change; the
 /// decoder refuses other versions (the committed golden snapshot in
 /// `tests/fixtures/` pins readability of the current one, and the
 /// previous one's golden that it is refused).
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
-const MAGIC: &[u8; 8] = b"UQSNAP\0\0";
+/// The snapshot file's frame. A snapshot is read whole into memory, so
+/// the cap only has to refuse a length no file can have: 1 TiB, far
+/// above any cut a run holds (a `service_mix` cut is about 80 KB).
+const SNAP_FORMAT: FrameFormat = FrameFormat {
+    magic: b"UQSNAP\0\0",
+    version: FORMAT_VERSION,
+    max_len: 1 << 40,
+};
 
+/// Hand-written: the QOI slot has no tag byte (`encode_qoi`).
 impl Codec for CoarseSample {
     fn encode(&self, enc: &mut Enc) {
         self.theta.encode(enc);
@@ -80,47 +91,17 @@ impl Codec for CoarseSample {
     }
 }
 
-impl Codec for ChainState {
-    fn encode(&self, enc: &mut Enc) {
-        self.steps.encode(enc);
-        self.accepted.encode(enc);
-        self.theta.encode(enc);
-        self.log_density.encode(enc);
-        self.qoi.encode(enc);
-        self.anchor.encode(enc);
-        self.last_coarse.encode(enc);
-        self.last_pairing.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(ChainState {
-            steps: usize::decode(dec)?,
-            accepted: usize::decode(dec)?,
-            theta: Vec::decode(dec)?,
-            log_density: f64::decode(dec)?,
-            qoi: Codec::decode(dec)?,
-            anchor: Option::decode(dec)?,
-            last_coarse: Option::decode(dec)?,
-            last_pairing: Option::decode(dec)?,
-        })
-    }
-}
+codec! { struct ChainState {
+    steps, accepted, theta, log_density, qoi, anchor, last_coarse, last_pairing,
+} }
 
-impl Codec for Session {
-    fn encode(&self, enc: &mut Enc) {
-        self.seed.encode(enc);
-        self.serves.encode(enc);
-        self.pairing.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(Session {
-            seed: u64::decode(dec)?,
-            serves: u64::decode(dec)?,
-            pairing: Option::decode(dec)?,
-        })
-    }
-}
+codec! { struct Session { seed, serves, pairing } }
 
-/// The always-zero `spec_*` fields are not written.
+codec! { struct LedgerLease { session_seed, serves, mate, pairing, anchor } }
+
+codec! { enum PairingMode { 0 => Proposal, 1 => Ledger } }
+
+/// Hand-written: the always-zero `spec_*` fields are not written.
 impl Codec for LedgerStats {
     fn encode(&self, enc: &mut Enc) {
         self.sessions.encode(enc);
@@ -162,8 +143,8 @@ fn decode_sorted<K: Codec + Ord + Hash, V: Codec>(
     Ok(entries.into_iter().collect())
 }
 
-/// Sessions as `(requester, level, session)` sorted by key, then the
-/// statistics.
+/// Hand-written: sessions as `(requester, level, session)` sorted by key,
+/// and out-of-order keys refused; then the statistics.
 impl Codec for LedgerBook {
     fn encode(&self, enc: &mut Enc) {
         encode_sorted(&self.sessions, enc);
@@ -177,8 +158,8 @@ impl Codec for LedgerBook {
     }
 }
 
-/// The per-component `(count, mean, m2)` parts; parts whose counts
-/// disagree are refused (no accumulator has them).
+/// Hand-written: the per-component `(count, mean, m2)` parts, and parts
+/// whose counts disagree refused (no accumulator has them).
 impl Codec for VectorMoments {
     fn encode(&self, enc: &mut Enc) {
         self.parts().encode(enc);
@@ -189,25 +170,6 @@ impl Codec for VectorMoments {
             return Err(StoreError::Corrupt("moment counts disagree"));
         }
         Ok(VectorMoments::from_parts(&parts))
-    }
-}
-
-impl Codec for crate::ledger::LedgerLease {
-    fn encode(&self, enc: &mut Enc) {
-        self.session_seed.encode(enc);
-        self.serves.encode(enc);
-        self.mate.encode(enc);
-        self.pairing.encode(enc);
-        self.anchor.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(crate::ledger::LedgerLease {
-            session_seed: u64::decode(dec)?,
-            serves: u64::decode(dec)?,
-            mate: bool::decode(dec)?,
-            pairing: Option::decode(dec)?,
-            anchor: CoarseSample::decode(dec)?,
-        })
     }
 }
 
@@ -232,28 +194,7 @@ pub struct ChainCkpt {
     pub chain: ChainState,
 }
 
-impl Codec for ChainCkpt {
-    fn encode(&self, enc: &mut Enc) {
-        self.rank.encode(enc);
-        self.level.encode(enc);
-        self.burnin_left.encode(enc);
-        self.producing.encode(enc);
-        self.done_levels.encode(enc);
-        self.rng.encode(enc);
-        self.chain.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(ChainCkpt {
-            rank: usize::decode(dec)?,
-            level: usize::decode(dec)?,
-            burnin_left: usize::decode(dec)?,
-            producing: bool::decode(dec)?,
-            done_levels: Vec::decode(dec)?,
-            rng: <[u64; 4]>::decode(dec)?,
-            chain: ChainState::decode(dec)?,
-        })
-    }
-}
+codec! { struct ChainCkpt { rank, level, burnin_left, producing, done_levels, rng, chain } }
 
 /// One level's collector state — what the collector accumulates, what a
 /// checkpoint cuts and what it reports at shutdown: streaming moments
@@ -269,24 +210,7 @@ pub struct CollectorCkpt {
     pub correction_pairs: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
-impl Codec for CollectorCkpt {
-    fn encode(&self, enc: &mut Enc) {
-        self.level.encode(enc);
-        self.count.encode(enc);
-        self.moments.encode(enc);
-        self.theta_samples.encode(enc);
-        self.correction_pairs.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(CollectorCkpt {
-            level: usize::decode(dec)?,
-            count: usize::decode(dec)?,
-            moments: Option::decode(dec)?,
-            theta_samples: Vec::decode(dec)?,
-            correction_pairs: Vec::decode(dec)?,
-        })
-    }
-}
+codec! { struct CollectorCkpt { level, count, moments, theta_samples, correction_pairs } }
 
 /// A whole run's consistent cut: one snapshot per checkpoint barrier,
 /// written by the root of the role machines on every placement.
@@ -304,89 +228,25 @@ pub struct RunSnapshot {
     pub ledger: LedgerBook,
 }
 
-impl Codec for RunSnapshot {
-    fn encode(&self, enc: &mut Enc) {
-        self.seed.encode(enc);
-        self.samples_done.encode(enc);
-        self.chains.encode(enc);
-        self.collectors.encode(enc);
-        self.ledger.encode(enc);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(RunSnapshot {
-            seed: u64::decode(dec)?,
-            samples_done: usize::decode(dec)?,
-            chains: Vec::decode(dec)?,
-            collectors: Vec::decode(dec)?,
-            ledger: LedgerBook::decode(dec)?,
-        })
-    }
-}
+codec! { struct RunSnapshot { seed, samples_done, chains, collectors, ledger } }
 
 // ---------------------------------------------------------------------
-// snapshot file framing
+// snapshot files
 // ---------------------------------------------------------------------
 
-/// Serialize a snapshot into the self-describing, integrity-checked
-/// file format (see the module docs for the layout).
+/// Serialize a snapshot into its file: the frame of `(config_hash,
+/// snapshot)` (see the module docs for the layout).
 pub fn encode_snapshot(snapshot: &RunSnapshot, config_hash: u64) -> Vec<u8> {
-    let mut payload = Enc::new();
-    snapshot.encode(&mut payload);
-    let payload = payload.into_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 36);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&config_hash.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let check = fnv1a(&out);
-    out.extend_from_slice(&check.to_le_bytes());
-    out
+    frame_encode(&SNAP_FORMAT, &(config_hash, Cow::Borrowed(snapshot)))
 }
 
 /// Parse and verify a snapshot file; returns the snapshot and the
-/// config hash recorded in its header. Rejects bad magic, unknown
-/// format versions, truncation, trailing bytes and any bit corruption.
+/// config hash recorded with it. Rejects bad magic, other format
+/// versions, absurd lengths, truncation, trailing bytes and any bit
+/// corruption.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(RunSnapshot, u64), StoreError> {
-    let header_len = MAGIC.len() + 4 + 8 + 8;
-    if bytes.len() < header_len + 8 {
-        return Err(StoreError::Truncated {
-            needed: header_len + 8,
-            available: bytes.len(),
-        });
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(StoreError::BadVersion { found: version });
-    }
-    let config_hash = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let payload_len = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let payload_len =
-        usize::try_from(payload_len).map_err(|_| StoreError::Corrupt("payload length"))?;
-    let total = header_len + payload_len + 8;
-    if bytes.len() < total {
-        return Err(StoreError::Truncated {
-            needed: total,
-            available: bytes.len(),
-        });
-    }
-    if bytes.len() > total {
-        return Err(StoreError::TrailingBytes(bytes.len() - total));
-    }
-    let expected = fnv1a(&bytes[..total - 8]);
-    let found = u64::from_le_bytes(bytes[total - 8..].try_into().unwrap());
-    if expected != found {
-        return Err(StoreError::ChecksumMismatch { expected, found });
-    }
-    let mut dec = Dec::new(&bytes[header_len..total - 8]);
-    let snapshot = RunSnapshot::decode(&mut dec)?;
-    if dec.remaining() != 0 {
-        return Err(StoreError::TrailingBytes(dec.remaining()));
-    }
-    Ok((snapshot, config_hash))
+    let (config_hash, snapshot) = frame_decode::<(u64, Cow<RunSnapshot>)>(&SNAP_FORMAT, bytes)?;
+    Ok((snapshot.into_owned(), config_hash))
 }
 
 // ---------------------------------------------------------------------
@@ -509,7 +369,7 @@ impl RunStore {
         config_hash: u64,
     ) -> Result<String, StoreError> {
         let bytes = encode_snapshot(snapshot, config_hash);
-        let hash = format!("{:016x}", fnv1a(&bytes));
+        let hash = format!("{:016x}", frame_id(&bytes));
         let path = self.object_path(&hash);
         if !path.exists() {
             let tmp = self.root.join("objects").join(format!("{hash}.tmp"));
@@ -701,9 +561,10 @@ mod tests {
     #[test]
     fn single_bit_flips_are_rejected() {
         let bytes = encode_snapshot(&snapshot(), 7);
-        // flip one bit in every byte position (magic/version/config
-        // errors surface as their own variants; everything else must
-        // fail the checksum or a structured check — never Ok)
+        // flip one bit in every byte position (magic and version errors
+        // surface as their own variants; everything else, the config
+        // hash included, must fail the length, the check or a structured
+        // check — never Ok)
         for pos in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[pos] ^= 0x10;
@@ -712,6 +573,17 @@ mod tests {
                 "bit flip at byte {pos} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn an_absurd_length_word_is_an_error_not_a_panic() {
+        // both words after the version carry u64::MAX − 8, so the test
+        // does not depend on which of them is the length
+        let mut bytes = encode_snapshot(&snapshot(), 7);
+        for word in bytes[12..28].chunks_exact_mut(8) {
+            word.copy_from_slice(&(u64::MAX - 8).to_le_bytes());
+        }
+        assert!(decode_snapshot(&bytes).is_err());
     }
 
     #[test]
@@ -724,6 +596,10 @@ mod tests {
         let (loaded, config) = store.get_snapshot(&hash).unwrap();
         assert_eq!(loaded, snap);
         assert_eq!(config, 42);
+        // the object's name is the check its frame ends with
+        let object = fs::read(store.object_path(&hash)).unwrap();
+        let (body, _) = object.split_at(object.len() - 8);
+        assert_eq!(hash, format!("{:016x}", crate::wire::frame_check(body)));
 
         let mut later = snap.clone();
         later.samples_done = 300;

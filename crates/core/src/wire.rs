@@ -1,20 +1,18 @@
-//! Shared wire-format primitives: the hand-rolled little-endian codec
-//! used by both the run store's snapshot format ([`crate::store`]) and
-//! the socket frames of `uq_parallel::net` / `uq_parallel::service`,
-//! and the one framer ([`frame_encode`] / [`frame_decode`] /
-//! [`frame_read`]) those two wires share.
+//! The one wire layer: the hand-rolled little-endian [`Codec`], the
+//! [`codec!`] macro that declares a type's layout once, and the one framer
+//! ([`frame_encode`] / [`frame_decode`] / [`frame_read`]). Every byte
+//! that leaves a process goes through it: the socket frames of
+//! `uq_parallel::net` and `uq_parallel::service`, and the run store's
+//! snapshot files ([`crate::store`]), which are frames of their own
+//! [`FrameFormat`].
 //!
-//! Everything here was hoisted out of `store.rs` once a second consumer
-//! appeared; the public names are re-exported from [`crate::store`] so
-//! existing paths keep working.
-//!
-//! Two integrity checks, on purpose. Socket frames live for one hop
-//! between two peers of the same build (the version field rejects any
-//! other), so they carry the word-parallel [`frame_check`], which costs
-//! what reading the bytes costs. `UQSNAP` snapshot files and content
-//! addresses are durable: their bytes outlive the build that wrote
-//! them, so they keep byte-serial [`fnv1a`] and the store keeps its own
-//! framing (its header also carries a config hash).
+//! One framer, so one integrity check: the word-parallel
+//! [`frame_check`], which costs what reading the bytes costs. A frame
+//! states its format's version, and each format decodes exactly one, so
+//! changing the check bumps every format's version (the socket
+//! protocols' and the snapshot format's) and turns their goldens into
+//! rejection fixtures. [`fnv1a`] stays for digests that are not frames
+//! (report digests, config hashes, golden constants).
 //!
 //! Design rules, shared by every consumer:
 //!
@@ -25,15 +23,18 @@
 //!   validated against the remaining bytes **before** allocation, so a
 //!   corrupt length fails cleanly instead of attempting an absurd
 //!   allocation;
-//! * encoding is deterministic: equal values produce equal bytes.
+//! * encoding is deterministic: equal values produce equal bytes;
+//! * a type's layout is stated once, by [`codec!`]; a hand-written
+//!   [`Codec`] impl is one that validates or skips a field, and says so
+//!   at the impl.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Read};
 use std::sync::Arc;
 
-/// Errors raised by the wire codec, the snapshot format and the run
-/// store. (Named for its original home in `store`; the net transport
-/// reuses it for frame decoding, where "snapshot" reads as "frame".)
+/// Errors raised by the wire codec, the framer (socket frames and
+/// snapshot files alike) and the run store.
 #[derive(Debug)]
 pub enum StoreError {
     /// Fewer bytes than the format requires (torn/truncated input).
@@ -101,8 +102,9 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// FNV-1a 64-bit hash — content address and snapshot integrity check
-/// (durable bytes only; socket frames use [`frame_check`]).
+/// FNV-1a 64-bit hash — the digest of bytes that are not a frame (run
+/// reports, config hashes, golden constants); frames and snapshot files
+/// carry [`frame_check`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -411,12 +413,82 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
     }
 }
 
+/// A borrowed value writes its own bytes and decodes to an owned one, so
+/// a frame can carry a value it does not own.
+impl<T: Codec + Clone> Codec for Cow<'_, T> {
+    fn encode(&self, enc: &mut Enc) {
+        (**self).encode(enc);
+    }
+    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
+        Ok(Cow::Owned(T::decode(dec)?))
+    }
+}
+
+/// Implement [`Codec`] from one declaration of a type's wire layout, so
+/// its encode and its decode cannot disagree.
+///
+/// * `codec! { struct Name { a, b, c } }` — every field, in wire order.
+/// * `codec! { enum Name { 0 => A { x, y }, 1 => B(z), 2 => C } }` — every
+///   variant: a tag byte, then the variant's fields in order. A tag the
+///   declaration does not list is refused as `Corrupt("invalid Name tag")`.
+///
+/// A field or a variant left out does not compile: encode destructures
+/// the value and matches every variant, decode builds it whole.
+#[macro_export]
+macro_rules! codec {
+    (struct $name:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Codec for $name {
+            fn encode(&self, enc: &mut $crate::wire::Enc) {
+                let $name { $($field),+ } = self;
+                $($crate::wire::Codec::encode($field, enc);)+
+            }
+            fn decode(dec: &mut $crate::wire::Dec) -> Result<Self, $crate::wire::StoreError> {
+                Ok($name { $($field: $crate::wire::Codec::decode(dec)?),+ })
+            }
+        }
+    };
+    (enum $name:ident {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident),+ $(,)? })?
+            $(( $($item:ident),+ $(,)? ))?
+        ),+ $(,)?
+    }) => {
+        impl $crate::wire::Codec for $name {
+            fn encode(&self, enc: &mut $crate::wire::Enc) {
+                match self {
+                    $($name::$variant $({ $($field),+ })? $(( $($item),+ ))? => {
+                        <u8 as $crate::wire::Codec>::encode(&$tag, enc);
+                        $($($crate::wire::Codec::encode($field, enc);)+)?
+                        $($($crate::wire::Codec::encode($item, enc);)+)?
+                    })+
+                }
+            }
+            fn decode(dec: &mut $crate::wire::Dec) -> Result<Self, $crate::wire::StoreError> {
+                match <u8 as $crate::wire::Codec>::decode(dec)? {
+                    $($tag => {
+                        $($(let $field = $crate::wire::Codec::decode(dec)?;)+)?
+                        $($(let $item = $crate::wire::Codec::decode(dec)?;)+)?
+                        Ok($name::$variant $({ $($field),+ })? $(( $($item),+ ))?)
+                    })+
+                    _ => Err($crate::wire::StoreError::Corrupt(concat!(
+                        "invalid ",
+                        stringify!($name),
+                        " tag"
+                    ))),
+                }
+            }
+        }
+    };
+}
+pub use crate::codec;
+
 // ---------------------------------------------------------------------
-// socket frames
+// frames: socket messages and snapshot files
 // ---------------------------------------------------------------------
 
-/// One socket wire: its magic, the single version this build speaks,
-/// and the largest payload a peer may claim.
+/// One framed format — a socket wire or the snapshot file: its magic,
+/// the single version this build reads, and the largest payload a
+/// header may claim.
 pub struct FrameFormat {
     pub magic: &'static [u8; 8],
     pub version: u32,
@@ -501,10 +573,12 @@ fn frame_total_len(format: &FrameFormat, bytes: &[u8]) -> Result<usize, StoreErr
         return Err(StoreError::BadVersion { found: version });
     }
     let len = u64::decode(&mut header)?;
-    match usize::try_from(len) {
-        Ok(len) if len as u64 <= format.max_len => Ok(FRAME_OVERHEAD + len),
-        _ => Err(StoreError::Corrupt("frame length exceeds cap")),
-    }
+    // checked: no cap may make the frame's size overflow
+    usize::try_from(len)
+        .ok()
+        .filter(|&len| len as u64 <= format.max_len)
+        .and_then(|len| FRAME_OVERHEAD.checked_add(len))
+        .ok_or(StoreError::Corrupt("frame length exceeds cap"))
 }
 
 /// Decode one full on-wire frame (the exact inverse of
@@ -565,6 +639,14 @@ pub fn frame_read<T: Codec>(
     frame_decode(format, &buf)
         .map(|value| Some((value, total)))
         .map_err(invalid)
+}
+
+/// The check a frame ends with (what [`frame_decode`] verifies it
+/// against): a name for the frame's bytes, read without hashing them
+/// again. Panics on fewer than 8 bytes, which no encoded frame has.
+pub fn frame_id(frame: &[u8]) -> u64 {
+    let trailer = frame.len() - 8;
+    u64::from_le_bytes(frame[trailer..].try_into().expect("8-byte check"))
 }
 
 #[cfg(test)]
@@ -833,6 +915,57 @@ mod tests {
             let mut dec = Dec::new(&bytes[1..bytes.len() - 1]);
             assert!(len == 0 || Arc::<[f64]>::decode(&mut dec).is_err());
         }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        a: u8,
+        b: Vec<f64>,
+    }
+
+    codec! { struct Pair { a, b } }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Named { x: u64, pair: Pair },
+        Tuple(bool, u8),
+        Unit,
+    }
+
+    codec! { enum Shape { 0 => Named { x, pair }, 7 => Tuple(p, q), 2 => Unit } }
+
+    #[test]
+    fn a_declaration_is_its_layout() {
+        let bytes = |value: &Shape| {
+            let mut enc = Enc::new();
+            value.encode(&mut enc);
+            enc.into_bytes()
+        };
+        let named = Shape::Named {
+            x: 5,
+            pair: Pair { a: 9, b: vec![1.5] },
+        };
+        // the tag byte, then the fields in declared order
+        let mut expected = vec![0];
+        expected.extend(5u64.to_le_bytes());
+        expected.push(9);
+        expected.extend(1u64.to_le_bytes());
+        expected.extend(1.5f64.to_bits().to_le_bytes());
+        for (value, expected) in [
+            (named, expected),
+            (Shape::Tuple(true, 3), vec![7, 1, 3]),
+            (Shape::Unit, vec![2]),
+        ] {
+            assert_eq!(bytes(&value), expected);
+            let mut dec = Dec::new(&expected);
+            assert_eq!(Shape::decode(&mut dec).unwrap(), value);
+            assert_eq!(dec.remaining(), 0);
+        }
+        // a tag the declaration does not list
+        assert!(matches!(
+            Shape::decode(&mut Dec::new(&[1, 0, 0])),
+            Err(StoreError::Corrupt("invalid Shape tag"))
+        ));
     }
 
     #[test]

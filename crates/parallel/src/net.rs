@@ -43,13 +43,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use uq_mlmcmc::ledger::PairingMode;
-use uq_mlmcmc::store::{fnv1a, ChainCkpt, Codec, Dec, Enc, RunSnapshot, RunStore, StoreError};
-use uq_mlmcmc::wire::{frame_decode, frame_encode, frame_read, FrameFormat};
+use uq_mlmcmc::store::{fnv1a, ChainCkpt, Codec, Enc, RunSnapshot, RunStore, StoreError};
+use uq_mlmcmc::wire::{codec, frame_decode, frame_encode, frame_read, FrameFormat};
 use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
-/// [`Msg`] or [`Frame`] encodings or to the frame layout — the committed
+/// [`Msg`] or [`Frame`] declarations below (a tag or a field's place) or
+/// to the frame layout — the committed
 /// golden frame fixture (`tests/fixtures/golden_frame_v9.bin`) trips
 /// when the bytes drift without a bump. Exactly one version is spoken:
 /// v8 (which had a teardown poison, a second shutdown ack beside
@@ -67,235 +67,37 @@ const NET_FORMAT: FrameFormat = FrameFormat {
 };
 
 // ---------------------------------------------------------------------
-// Msg wire codec
+// Msg wire codec: each type's layout, stated once
 // ---------------------------------------------------------------------
 
-// `PairingMode` and the `Codec` trait are both foreign here, so the tag
-// is folded into `ParallelConfig`'s own codec instead of an orphan impl.
-fn encode_pairing(p: PairingMode, enc: &mut Enc) {
-    let tag: u8 = match p {
-        PairingMode::Proposal => 0,
-        PairingMode::Ledger => 1,
-    };
-    tag.encode(enc);
-}
+codec! { struct ParallelConfig {
+    samples_per_level, burn_in, chains_per_level, load_balancing, record_samples, seed, pairing,
+} }
 
-fn decode_pairing(dec: &mut Dec) -> Result<PairingMode, StoreError> {
-    match u8::decode(dec)? {
-        0 => Ok(PairingMode::Proposal),
-        1 => Ok(PairingMode::Ledger),
-        _ => Err(StoreError::Corrupt("invalid PairingMode tag")),
-    }
-}
+codec! { struct PhonebookStats { wakeups, messages, max_batch, routed, reassignments, ledger } }
 
-impl Codec for ParallelConfig {
-    fn encode(&self, enc: &mut Enc) {
-        self.samples_per_level.encode(enc);
-        self.burn_in.encode(enc);
-        self.chains_per_level.encode(enc);
-        self.load_balancing.encode(enc);
-        self.record_samples.encode(enc);
-        self.seed.encode(enc);
-        encode_pairing(self.pairing, enc);
-    }
-
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(Self {
-            samples_per_level: Codec::decode(dec)?,
-            burn_in: Codec::decode(dec)?,
-            chains_per_level: Codec::decode(dec)?,
-            load_balancing: Codec::decode(dec)?,
-            record_samples: Codec::decode(dec)?,
-            seed: Codec::decode(dec)?,
-            pairing: decode_pairing(dec)?,
-        })
-    }
-}
-
-impl Codec for PhonebookStats {
-    fn encode(&self, enc: &mut Enc) {
-        self.wakeups.encode(enc);
-        self.messages.encode(enc);
-        self.max_batch.encode(enc);
-        self.routed.encode(enc);
-        self.reassignments.encode(enc);
-        self.ledger.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(Self {
-            wakeups: Codec::decode(dec)?,
-            messages: Codec::decode(dec)?,
-            max_batch: Codec::decode(dec)?,
-            routed: Codec::decode(dec)?,
-            reassignments: Codec::decode(dec)?,
-            ledger: Codec::decode(dec)?,
-        })
-    }
-}
-
-impl Codec for Msg {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            Msg::CoarseRequest {
-                level,
-                reply_to,
-                anchor,
-                mate,
-            } => {
-                0u8.encode(enc);
-                level.encode(enc);
-                reply_to.encode(enc);
-                anchor.encode(enc);
-                mate.encode(enc);
-            }
-            Msg::Serve { reply_to, lease } => {
-                1u8.encode(enc);
-                reply_to.encode(enc);
-                lease.encode(enc);
-            }
-            Msg::CoarseSample { level, sample } => {
-                2u8.encode(enc);
-                level.encode(enc);
-                sample.encode(enc);
-            }
-            Msg::ServeDone {
-                requester,
-                level,
-                serves,
-                pairing,
-                diverged,
-            } => {
-                3u8.encode(enc);
-                requester.encode(enc);
-                level.encode(enc);
-                serves.encode(enc);
-                pairing.encode(enc);
-                diverged.encode(enc);
-            }
-            Msg::SampleReady { level } => {
-                4u8.encode(enc);
-                level.encode(enc);
-            }
-            Msg::Correction {
-                level,
-                y,
-                theta,
-                fine_qoi,
-                coarse_qoi,
-            } => {
-                5u8.encode(enc);
-                level.encode(enc);
-                y.encode(enc);
-                theta.encode(enc);
-                fine_qoi.encode(enc);
-                coarse_qoi.encode(enc);
-            }
-            Msg::LevelDone { level } => {
-                6u8.encode(enc);
-                level.encode(enc);
-            }
-            Msg::StopProducing { level } => {
-                7u8.encode(enc);
-                level.encode(enc);
-            }
-            Msg::Reassign { level } => {
-                8u8.encode(enc);
-                level.encode(enc);
-            }
-            Msg::Shutdown => 9u8.encode(enc),
-            Msg::PhonebookReport(stats) => {
-                10u8.encode(enc);
-                stats.encode(enc);
-            }
-            Msg::CollectorReport(data) => {
-                11u8.encode(enc);
-                data.encode(enc);
-            }
-            Msg::ControllerReport { evals, eval_secs } => {
-                12u8.encode(enc);
-                evals.encode(enc);
-                eval_secs.encode(enc);
-            }
-            Msg::CheckpointTick => 13u8.encode(enc),
-            Msg::Checkpoint => 14u8.encode(enc),
-            Msg::CheckpointFlush => 15u8.encode(enc),
-            Msg::ControllerCkpt(ckpt) => {
-                16u8.encode(enc);
-                ckpt.encode(enc);
-            }
-            Msg::CollectorCkpt(ckpt) => {
-                17u8.encode(enc);
-                ckpt.encode(enc);
-            }
-            Msg::LedgerCkpt(state) => {
-                18u8.encode(enc);
-                state.encode(enc);
-            }
-            Msg::CheckpointDone => 19u8.encode(enc),
-        }
-    }
-
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(match u8::decode(dec)? {
-            0 => Msg::CoarseRequest {
-                level: Codec::decode(dec)?,
-                reply_to: Codec::decode(dec)?,
-                anchor: Codec::decode(dec)?,
-                mate: Codec::decode(dec)?,
-            },
-            1 => Msg::Serve {
-                reply_to: Codec::decode(dec)?,
-                lease: Codec::decode(dec)?,
-            },
-            2 => Msg::CoarseSample {
-                level: Codec::decode(dec)?,
-                sample: Codec::decode(dec)?,
-            },
-            3 => Msg::ServeDone {
-                requester: Codec::decode(dec)?,
-                level: Codec::decode(dec)?,
-                serves: Codec::decode(dec)?,
-                pairing: Codec::decode(dec)?,
-                diverged: Codec::decode(dec)?,
-            },
-            4 => Msg::SampleReady {
-                level: Codec::decode(dec)?,
-            },
-            5 => Msg::Correction {
-                level: Codec::decode(dec)?,
-                y: Codec::decode(dec)?,
-                theta: Codec::decode(dec)?,
-                fine_qoi: Codec::decode(dec)?,
-                coarse_qoi: Codec::decode(dec)?,
-            },
-            6 => Msg::LevelDone {
-                level: Codec::decode(dec)?,
-            },
-            7 => Msg::StopProducing {
-                level: Codec::decode(dec)?,
-            },
-            8 => Msg::Reassign {
-                level: Codec::decode(dec)?,
-            },
-            9 => Msg::Shutdown,
-            10 => Msg::PhonebookReport(Codec::decode(dec)?),
-            11 => Msg::CollectorReport(Codec::decode(dec)?),
-            12 => Msg::ControllerReport {
-                evals: Codec::decode(dec)?,
-                eval_secs: Codec::decode(dec)?,
-            },
-            13 => Msg::CheckpointTick,
-            14 => Msg::Checkpoint,
-            15 => Msg::CheckpointFlush,
-            16 => Msg::ControllerCkpt(Codec::decode(dec)?),
-            17 => Msg::CollectorCkpt(Codec::decode(dec)?),
-            18 => Msg::LedgerCkpt(Codec::decode(dec)?),
-            19 => Msg::CheckpointDone,
-            _ => return Err(StoreError::Corrupt("invalid Msg tag")),
-        })
-    }
-}
+codec! { enum Msg {
+    0 => CoarseRequest { level, reply_to, anchor, mate },
+    1 => Serve { reply_to, lease },
+    2 => CoarseSample { level, sample },
+    3 => ServeDone { requester, level, serves, pairing, diverged },
+    4 => SampleReady { level },
+    5 => Correction { level, y, theta, fine_qoi, coarse_qoi },
+    6 => LevelDone { level },
+    7 => StopProducing { level },
+    8 => Reassign { level },
+    9 => Shutdown,
+    10 => PhonebookReport(stats),
+    11 => CollectorReport(data),
+    12 => ControllerReport { evals, eval_secs },
+    13 => CheckpointTick,
+    14 => Checkpoint,
+    15 => CheckpointFlush,
+    16 => ControllerCkpt(ckpt),
+    17 => CollectorCkpt(ckpt),
+    18 => LedgerCkpt(state),
+    19 => CheckpointDone,
+} }
 
 // ---------------------------------------------------------------------
 // Frame layer
@@ -333,63 +135,13 @@ pub enum Frame {
     Bye,
 }
 
-impl Codec for Frame {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            Frame::Hello {
-                join,
-                leave_at_barrier,
-            } => {
-                0u8.encode(enc);
-                join.encode(enc);
-                leave_at_barrier.encode(enc);
-            }
-            Frame::Assign {
-                n_ranks,
-                ranks,
-                config,
-                ckpts,
-            } => {
-                1u8.encode(enc);
-                n_ranks.encode(enc);
-                ranks.encode(enc);
-                config.encode(enc);
-                ckpts.encode(enc);
-            }
-            Frame::Ready => 2u8.encode(enc),
-            Frame::Data { to, from, msg } => {
-                3u8.encode(enc);
-                to.encode(enc);
-                from.encode(enc);
-                msg.encode(enc);
-            }
-            Frame::Bye => 4u8.encode(enc),
-        }
-    }
-
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(match u8::decode(dec)? {
-            0 => Frame::Hello {
-                join: Codec::decode(dec)?,
-                leave_at_barrier: Codec::decode(dec)?,
-            },
-            1 => Frame::Assign {
-                n_ranks: Codec::decode(dec)?,
-                ranks: Codec::decode(dec)?,
-                config: Codec::decode(dec)?,
-                ckpts: Codec::decode(dec)?,
-            },
-            2 => Frame::Ready,
-            3 => Frame::Data {
-                to: Codec::decode(dec)?,
-                from: Codec::decode(dec)?,
-                msg: Codec::decode(dec)?,
-            },
-            4 => Frame::Bye,
-            _ => return Err(StoreError::Corrupt("invalid Frame tag")),
-        })
-    }
-}
+codec! { enum Frame {
+    0 => Hello { join, leave_at_barrier },
+    1 => Assign { n_ranks, ranks, config, ckpts },
+    2 => Ready,
+    3 => Data { to, from, msg },
+    4 => Bye,
+} }
 
 /// Encode one frame into its full on-wire byte form
 /// ([`uq_mlmcmc::wire::frame_encode`] under `NET_FORMAT`).

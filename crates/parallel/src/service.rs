@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 use uq_mlmcmc::allocate::fair_share_split;
 use uq_mlmcmc::ledger::tenant_seed;
 use uq_mlmcmc::store::{fnv1a, Codec, Dec, Enc, RunStore, StoreError};
-use uq_mlmcmc::wire::{frame_decode, frame_encode, frame_read, FrameFormat};
+use uq_mlmcmc::wire::{codec, frame_decode, frame_encode, frame_read, FrameFormat};
 use uq_mlmcmc::LevelFactory;
 
 use crate::net::levels_digest;
@@ -882,32 +882,12 @@ pub enum ServiceFrame {
     Bye,
 }
 
-impl Codec for JobState {
-    fn encode(&self, enc: &mut Enc) {
-        let tag: u8 = match self {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Preempted => 2,
-            JobState::Completed => 3,
-            JobState::Cancelled => 4,
-        };
-        tag.encode(enc);
-    }
+codec! { enum JobState {
+    0 => Queued, 1 => Running, 2 => Preempted, 3 => Completed, 4 => Cancelled,
+} }
 
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(match u8::decode(dec)? {
-            0 => JobState::Queued,
-            1 => JobState::Running,
-            2 => JobState::Preempted,
-            3 => JobState::Completed,
-            4 => JobState::Cancelled,
-            _ => return Err(StoreError::Corrupt("invalid JobState tag")),
-        })
-    }
-}
-
-/// `collector_shards` is not written: every level has one collector, and
-/// decode sets 1.
+/// Hand-written: `collector_shards` is not written — every level has one
+/// collector, and decode sets 1.
 impl Codec for RuntimeConfig {
     fn encode(&self, enc: &mut Enc) {
         self.base.encode(enc);
@@ -923,131 +903,25 @@ impl Codec for RuntimeConfig {
     }
 }
 
-impl Codec for JobSpec {
-    fn encode(&self, enc: &mut Enc) {
-        self.tenant.encode(enc);
-        self.priority.encode(enc);
-        self.model.encode(enc);
-        self.config.encode(enc);
-        self.deadline.encode(enc);
-    }
+codec! { struct JobSpec { tenant, priority, model, config, deadline } }
 
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(Self {
-            tenant: Codec::decode(dec)?,
-            priority: Codec::decode(dec)?,
-            model: Codec::decode(dec)?,
-            config: Codec::decode(dec)?,
-            deadline: Codec::decode(dec)?,
-        })
-    }
-}
+codec! { struct JobStatus {
+    job, tenant, state, seed, snapshots, serves, digest, estimate, predicted_tte,
+} }
 
-impl Codec for JobStatus {
-    fn encode(&self, enc: &mut Enc) {
-        self.job.encode(enc);
-        self.tenant.encode(enc);
-        self.state.encode(enc);
-        self.seed.encode(enc);
-        self.snapshots.encode(enc);
-        self.serves.encode(enc);
-        self.digest.encode(enc);
-        self.estimate.encode(enc);
-        self.predicted_tte.encode(enc);
-    }
-
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(Self {
-            job: Codec::decode(dec)?,
-            tenant: Codec::decode(dec)?,
-            state: Codec::decode(dec)?,
-            seed: Codec::decode(dec)?,
-            snapshots: Codec::decode(dec)?,
-            serves: Codec::decode(dec)?,
-            digest: Codec::decode(dec)?,
-            estimate: Codec::decode(dec)?,
-            predicted_tte: Codec::decode(dec)?,
-        })
-    }
-}
-
-impl Codec for ServiceFrame {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            ServiceFrame::Submit(spec) => {
-                0u8.encode(enc);
-                spec.encode(enc);
-            }
-            ServiceFrame::Submitted { job, predicted_tte } => {
-                1u8.encode(enc);
-                job.encode(enc);
-                predicted_tte.encode(enc);
-            }
-            ServiceFrame::Denied { reason } => {
-                2u8.encode(enc);
-                reason.encode(enc);
-            }
-            ServiceFrame::Status { job } => {
-                3u8.encode(enc);
-                job.encode(enc);
-            }
-            ServiceFrame::StatusIs(status) => {
-                4u8.encode(enc);
-                status.encode(enc);
-            }
-            ServiceFrame::NoSuchJob => 5u8.encode(enc),
-            ServiceFrame::Cancel { job } => {
-                6u8.encode(enc);
-                job.encode(enc);
-            }
-            ServiceFrame::Preempt { job } => {
-                7u8.encode(enc);
-                job.encode(enc);
-            }
-            ServiceFrame::Resume { job } => {
-                8u8.encode(enc);
-                job.encode(enc);
-            }
-            ServiceFrame::Ack { ok } => {
-                9u8.encode(enc);
-                ok.encode(enc);
-            }
-            ServiceFrame::Bye => 10u8.encode(enc),
-        }
-    }
-
-    fn decode(dec: &mut Dec) -> Result<Self, StoreError> {
-        Ok(match u8::decode(dec)? {
-            0 => ServiceFrame::Submit(Codec::decode(dec)?),
-            1 => ServiceFrame::Submitted {
-                job: Codec::decode(dec)?,
-                predicted_tte: Codec::decode(dec)?,
-            },
-            2 => ServiceFrame::Denied {
-                reason: Codec::decode(dec)?,
-            },
-            3 => ServiceFrame::Status {
-                job: Codec::decode(dec)?,
-            },
-            4 => ServiceFrame::StatusIs(Codec::decode(dec)?),
-            5 => ServiceFrame::NoSuchJob,
-            6 => ServiceFrame::Cancel {
-                job: Codec::decode(dec)?,
-            },
-            7 => ServiceFrame::Preempt {
-                job: Codec::decode(dec)?,
-            },
-            8 => ServiceFrame::Resume {
-                job: Codec::decode(dec)?,
-            },
-            9 => ServiceFrame::Ack {
-                ok: Codec::decode(dec)?,
-            },
-            10 => ServiceFrame::Bye,
-            _ => return Err(StoreError::Corrupt("invalid ServiceFrame tag")),
-        })
-    }
-}
+codec! { enum ServiceFrame {
+    0 => Submit(spec),
+    1 => Submitted { job, predicted_tte },
+    2 => Denied { reason },
+    3 => Status { job },
+    4 => StatusIs(status),
+    5 => NoSuchJob,
+    6 => Cancel { job },
+    7 => Preempt { job },
+    8 => Resume { job },
+    9 => Ack { ok },
+    10 => Bye,
+} }
 
 /// Encode a frame in the shared wire layout
 /// ([`uq_mlmcmc::wire::frame_encode`] under `SVC_FORMAT`).

@@ -1,11 +1,11 @@
 //! Format-version compatibility guard: a snapshot committed to the
-//! repository at format version 5 must keep decoding — bit-for-bit —
+//! repository at format version 6 must keep decoding — bit-for-bit —
 //! on every future revision of the codec. Any change to the wire
 //! layout must either keep these bytes valid or bump
 //! `store::FORMAT_VERSION`, add a new golden alongside this one and
 //! turn this one into the rejection fixture; silently re-interpreting
 //! old snapshots is the failure mode this test exists to catch. There
-//! is one reader: `golden_v4.snap`, the previous format's golden, must
+//! is one reader: `golden_v5.snap`, the previous format's golden, must
 //! be refused at its version field.
 //!
 //! Regenerate (only after an *intentional* format bump) with:
@@ -16,12 +16,16 @@ use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample};
 use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, Session};
 use uq_mlmcmc::store::{
-    decode_snapshot, encode_snapshot, fnv1a, ChainCkpt, CollectorCkpt, RunSnapshot, StoreError,
+    decode_snapshot, encode_snapshot, ChainCkpt, CollectorCkpt, RunSnapshot, RunStore, StoreError,
 };
+use uq_mlmcmc::wire::frame_check;
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v5.snap");
-const GOLDEN_V4_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v4.snap");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v6.snap");
+const GOLDEN_V5_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_v5.snap");
 const GOLDEN_CONFIG: u64 = 0x5EED_CAFE_F00D_0001;
+/// The run store's name for the golden's bytes (the frame's check),
+/// recorded with the golden.
+const GOLDEN_ADDRESS: &str = "98341f83b2a7eaf5";
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
@@ -121,7 +125,7 @@ fn committed_golden_snapshot_still_decodes() {
     let bytes = std::fs::read(GOLDEN_PATH)
         .expect("committed golden snapshot missing — see module docs to regenerate");
     let (snap, config) = decode_snapshot(&bytes)
-        .expect("format break: the committed v5 golden snapshot no longer decodes");
+        .expect("format break: the committed v6 golden snapshot no longer decodes");
     assert_eq!(config, GOLDEN_CONFIG, "golden header config hash drifted");
     assert_eq!(snap, expected, "golden snapshot decoded to different state");
     // the codec must also still *produce* the identical bytes, or every
@@ -131,22 +135,26 @@ fn committed_golden_snapshot_still_decodes() {
         bytes,
         "re-encoding the golden state no longer reproduces the committed bytes"
     );
-    assert_eq!(
-        format!("{:016x}", fnv1a(&bytes)),
-        format!("{:016x}", fnv1a(&encode_snapshot(&expected, GOLDEN_CONFIG))),
-        "golden content address drifted"
-    );
+    // and the store must still file them under the same name
+    let dir = std::env::temp_dir().join(format!("uq-golden-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = RunStore::open(&dir).unwrap();
+    let address = store.put_snapshot(&expected, GOLDEN_CONFIG).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(address, GOLDEN_ADDRESS, "golden content address drifted");
+    let (body, _) = bytes.split_at(bytes.len() - 8);
+    assert_eq!(address, format!("{:016x}", frame_check(body)));
 }
 
-/// The v4 golden is the format before (the ledger book carried a
-/// generation counter per session key, a map no checkpointable run could
-/// fill). It must be refused at the version field, never decoded into a
+/// The v5 golden is the format before (a framer of its own: the config
+/// hash in the header, the payload length after it, an FNV-1a trailer).
+/// It must be refused at the version field, never decoded into a
 /// snapshot.
 #[test]
-fn committed_v4_snapshot_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V4_PATH).expect("committed v4 snapshot missing");
+fn committed_v5_snapshot_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V5_PATH).expect("committed v5 snapshot missing");
     assert!(matches!(
         decode_snapshot(&bytes),
-        Err(StoreError::BadVersion { found: 4 })
+        Err(StoreError::BadVersion { found: 5 })
     ));
 }

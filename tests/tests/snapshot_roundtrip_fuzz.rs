@@ -16,9 +16,10 @@ use uq_mcmc::stats::VectorMoments;
 use uq_mlmcmc::coupled::{ChainState, CoarseSample};
 use uq_mlmcmc::ledger::{LedgerBook, LedgerStats, Session};
 use uq_mlmcmc::store::{
-    decode_snapshot, encode_snapshot, fnv1a, ChainCkpt, Codec, CollectorCkpt, Dec, Enc,
-    RunSnapshot, StoreError,
+    decode_snapshot, encode_snapshot, ChainCkpt, Codec, CollectorCkpt, Dec, Enc, RunSnapshot,
+    StoreError,
 };
+use uq_mlmcmc::wire::frame_id;
 
 // ---------------------------------------------------------------------
 // builders: nested checkpoint state from flat drawn primitives
@@ -150,7 +151,7 @@ proptest! {
         // content addressing: equal state ⇒ equal bytes ⇒ equal hash
         let again = encode_snapshot(&back, hash);
         prop_assert_eq!(&again, &bytes);
-        prop_assert_eq!(fnv1a(&again), fnv1a(&bytes));
+        prop_assert_eq!(frame_id(&again), frame_id(&bytes));
     }
 
     #[test]
