@@ -504,8 +504,9 @@ impl MlChain {
     /// from a serve of that level — is rejected: the step counts, and
     /// neither the chain state nor the coupled correction bookkeeping
     /// moves. A proposal or mate without a QOI that is the previous
-    /// step's point, bit for bit, takes that sample's QOI, and an accepted
-    /// proposal at the chain's own point keeps the state's.
+    /// step's point, bit for bit, takes that sample's QOI; a proposal at
+    /// the chain's own point takes the state's density, evaluating
+    /// nothing and drawing nothing, and keeps the state's QOI.
     ///
     /// # Panics
     /// Panics on a level-0 chain.
@@ -553,7 +554,16 @@ impl MlChain {
                 let accepted = if coarse.log_density == f64::NEG_INFINITY {
                     false
                 } else {
-                    let cand_log_density = self.problem.log_density(&cand);
+                    // a proposal back at the current point (every coarse
+                    // step of the serve rejected) has the density and the
+                    // QOI read there: the ratio is exactly 1 and costs no
+                    // solve
+                    let unmoved = same_point(&cand, &self.state.theta);
+                    let cand_log_density = if unmoved {
+                        self.state.log_density
+                    } else {
+                        self.problem.log_density(&cand)
+                    };
                     if cand_log_density == f64::NEG_INFINITY {
                         false
                     } else {
@@ -567,10 +577,7 @@ impl MlChain {
                             rng.random::<f64>().ln() < log_alpha
                         };
                         if accept {
-                            // a proposal back at the current point (the
-                            // serve moved nowhere) keeps the QOI read there
-                            let qoi = self.state.qoi.take();
-                            let qoi = qoi.filter(|_| same_point(&cand, &self.state.theta));
+                            let qoi = self.state.qoi.take().filter(|_| unmoved);
                             self.state = SamplingState {
                                 theta: cand,
                                 log_density: cand_log_density,
@@ -787,6 +794,7 @@ pub(crate) mod tests {
     use crate::factory::test_support::GaussianHierarchy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use uq_linalg::prob::isotropic_gaussian_logpdf;
     use uq_mcmc::problem::GaussianTarget;
     use uq_mcmc::proposal::GaussianRandomWalk;
@@ -1062,6 +1070,81 @@ pub(crate) mod tests {
         assert_eq!(fine.state().theta, before);
         assert_eq!(fine.steps(), 1);
         assert!(fine.last_coarse().is_none());
+    }
+
+    /// A Gaussian target that counts its `log_density` calls.
+    struct Counted {
+        target: GaussianTarget,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl uq_mcmc::SamplingProblem for Counted {
+        fn dim(&self) -> usize {
+            self.target.dim()
+        }
+        fn log_density(&mut self, th: &[f64]) -> f64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.target.log_density(th)
+        }
+    }
+
+    #[test]
+    fn a_proposal_that_did_not_move_costs_no_fine_solve_and_no_draw() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = || Counted {
+            target: GaussianTarget::new(vec![1.0], 0.5),
+            calls: Arc::clone(&calls),
+        };
+        let coarse_at = |x: f64| CoarseSample::at(&mut GaussianTarget::new(vec![0.0], 1.0), &[x]);
+        let walk = || Box::new(GaussianRandomWalk::new(0.5));
+        let mut fine =
+            MlChain::coupled(1, Box::new(counted()), coarse_at(0.3), walk(), 1, vec![0.3]);
+        let qoi = Arc::clone(fine.current_qoi());
+        let before = fine.state().clone();
+        let built = calls.load(Ordering::Relaxed);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        // every coarse step of the serve rejected: it hands back its anchor
+        let mut rng = StdRng::seed_from_u64(12);
+        let untouched = rng.clone();
+        let unmoved = fine.anchor().expect("a coupled chain").clone();
+        assert_eq!(fine.poll_step(&mut rng), StepOutcome::NeedCoarse);
+        assert!(fine.resume_step(&mut rng, unmoved), "a ratio of 1 accepts");
+        assert_eq!(calls.load(Ordering::Relaxed), built, "a fine solve ran");
+        let draws = |mut r: StdRng| [r.next_u64(), r.next_u64()];
+        assert_eq!(draws(rng.clone()), draws(untouched), "the step drew");
+        let after = fine.state();
+        assert_eq!(bits(&after.theta), bits(&before.theta));
+        assert_eq!(after.log_density.to_bits(), before.log_density.to_bits());
+        let kept = after.qoi.as_ref().expect("the state's QOI is kept");
+        assert_eq!(bits(kept), bits(&qoi));
+
+        // the same step with a proposal that moved solves once
+        fine.resume_step(&mut rng, coarse_at(0.9));
+        assert_eq!(calls.load(Ordering::Relaxed), built + 1);
+
+        // through a serve: a coarse level with mass at one point rejects
+        // every move, so the fine chain above it never solves again
+        struct Point;
+        impl uq_mcmc::SamplingProblem for Point {
+            fn dim(&self) -> usize {
+                1
+            }
+            fn log_density(&mut self, th: &[f64]) -> f64 {
+                if th[0] == 0.0 {
+                    0.0
+                } else {
+                    f64::NEG_INFINITY
+                }
+            }
+        }
+        let point = MlChain::base(Box::new(Point), walk(), vec![0.0]);
+        let mut stack = two_level(point, Box::new(counted()), 0.5, 3, vec![0.0]);
+        let built = calls.load(Ordering::Relaxed);
+        for _ in 0..20 {
+            assert!(stack.step(&mut rng));
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), built);
     }
 
     #[test]

@@ -390,8 +390,21 @@ impl RunStore {
         decode_snapshot(&bytes)
     }
 
+    /// Load and verify the snapshot at `hash`, refusing one whose own
+    /// recorded config hash is not `config_hash`.
+    pub fn get_snapshot_of(&self, hash: &str, config_hash: u64) -> Result<RunSnapshot, StoreError> {
+        match self.get_snapshot(hash)? {
+            (snapshot, found) if found == config_hash => Ok(snapshot),
+            (_, found) => Err(StoreError::ConfigMismatch {
+                expected: config_hash,
+                found,
+            }),
+        }
+    }
+
     /// The most recently recorded snapshot (by manifest order),
-    /// optionally restricted to a config hash.
+    /// optionally restricted to a config hash: the manifest's record
+    /// selects it, and the snapshot's own recorded hash must agree.
     pub fn latest_snapshot(
         &self,
         config_hash: Option<u64>,
@@ -407,7 +420,10 @@ impl RunStore {
             .get("hash")
             .ok_or(StoreError::Corrupt("manifest snapshot record without hash"))?
             .to_string();
-        let (snapshot, _) = self.get_snapshot(&hash)?;
+        let snapshot = match config_hash {
+            Some(config_hash) => self.get_snapshot_of(&hash, config_hash)?,
+            None => self.get_snapshot(&hash)?.0,
+        };
         Ok(Some((hash, snapshot)))
     }
 
@@ -625,6 +641,34 @@ mod tests {
         assert_eq!(records[2].get("name"), Some("BENCH_PR6.json"));
         let (latest_hash, _) = store.latest_snapshot(None).unwrap().expect("latest");
         assert_eq!(latest_hash, hash2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_manifest_record_naming_another_config_is_refused() {
+        let dir = std::env::temp_dir().join(format!("uq-store-config-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = RunStore::open(&dir).unwrap();
+        let hash = store.put_snapshot(&snapshot(), 0xa).unwrap();
+        // the record says the cut is configuration 0xb's; the object says 0xa
+        let manifest = fs::read_to_string(store.manifest_path()).unwrap();
+        let record = |c: char| format!("\"config\":\"{:0>16}\"", c);
+        let edited = manifest.replace(&record('a'), &record('b'));
+        assert_ne!(edited, manifest);
+        fs::write(store.manifest_path(), edited).unwrap();
+        let latest = store.latest_snapshot(Some(0xb)).unwrap_err();
+        for err in [latest, store.get_snapshot_of(&hash, 0xb).unwrap_err()] {
+            let (expected, found) = match err {
+                StoreError::ConfigMismatch { expected, found } => (expected, found),
+                err => panic!("not a mismatch: {err}"),
+            };
+            assert_eq!((expected, found), (0xb, 0xa));
+        }
+        assert!(store.latest_snapshot(Some(0xa)).unwrap().is_none());
+        // unfiltered, the record is still the latest, and reads back as 0xa's
+        let (_, snap) = store.latest_snapshot(None).unwrap().expect("latest");
+        assert_eq!(snap, snapshot());
+        assert_eq!(store.get_snapshot_of(&hash, 0xa).unwrap(), snapshot());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -35,6 +35,13 @@ pub trait SamplingProblem: Send {
     /// Return `f64::NEG_INFINITY` for unphysical parameters — the kernel
     /// then rejects the proposal outright (the paper's tsunami model does
     /// this for displacements on dry land).
+    ///
+    /// Like [`qoi`](Self::qoi), a function of θ alone: a chain state
+    /// carries the density it was evaluated at, and a multilevel step
+    /// whose proposal is the chain's own point takes that density instead
+    /// of evaluating again. A model that warm-starts an iterative solver
+    /// (the Poisson MG-CG levels) agrees with itself to the solver's
+    /// tolerance, which is as far as such a model is a function of θ.
     fn log_density(&mut self, theta: &[f64]) -> f64;
 
     /// Quantity of interest at `theta`. Default: the parameter itself

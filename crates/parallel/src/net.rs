@@ -663,10 +663,10 @@ impl NetDriver {
             // a leaver's on this process, one joiner's share of `home` on it
             // unreachable: only the checkpoint hook records a change
             let caller = run.checkpoint.expect("a barrier has a checkpoint policy");
-            let snapshot = caller.store.get_snapshot(&hash);
-            // fail-stop until ROADMAP 1(b): the cut just persisted reads back broken
-            let (snapshot, _) = snapshot.expect("net driver: the barrier's cut is unreadable");
-            cut = Some(snapshot);
+            let snapshot = caller.store.get_snapshot_of(&hash, caller.config_hash);
+            // fail-stop until ROADMAP 1(b): the cut just persisted reads back
+            // broken, or as another configuration's
+            cut = Some(snapshot.expect("net driver: the barrier's cut is unreadable"));
             earlier = Some(report);
             let mut moved = 0;
             peers.retain(|peer| {

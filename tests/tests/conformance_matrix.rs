@@ -247,11 +247,11 @@ rows! {
         check: recording_moves_no_moment, ..ROW },
     ridge_leaves_a_net_worker: Row {
         config: ridge(&[600, 120], 11_2026), event: Event::Leave { join: false },
-        reference: Some(At::Host), exact: &[At::Net(2)], check: no_evaluation_lost, ..ROW },
+        reference: Some(At::Host), exact: &[At::Net(2)], check: no_step_lost, ..ROW },
     unrecorded_ridge_leaves_a_net_worker: Row {
         config: Config { record: false, ..ridge(&[600, 120], 11_2026) },
         event: Event::Leave { join: false },
-        reference: Some(At::Host), exact: &[At::Net(2)], check: no_evaluation_lost, ..ROW },
+        reference: Some(At::Host), exact: &[At::Net(2)], check: no_step_lost, ..ROW },
     ridge_leaves_and_joins_net_workers: Row {
         config: ridge(&[900, 150], 7_2026), event: Event::Leave { join: true },
         reference: Some(At::Host), exact: &[At::Net(2)], check: near_the_fine_mean::<10>, ..ROW },
@@ -389,18 +389,29 @@ fn recording_moves_no_moment(row: &Row, out: &[Outcome]) {
     );
 }
 
-/// No evaluation is lost with a move: a level's burn-in, its quota and the
+/// No step is lost with a move: a level's burn-in, its quota and the
 /// subsampled steps that serve the level above are a floor under any
-/// complete run's count (how far a run overshoots it depends on timing, so
-/// two runs' counts do not bound each other).
-fn no_evaluation_lost(row: &Row, out: &[Outcome]) {
+/// complete run's steps (how far a run overshoots it depends on timing, so
+/// two runs' counts do not bound each other). Level 0 solves at each of
+/// its steps, so its evaluations count them; level 1's steps are the
+/// ledger's serves, which the cut carries across the move, and its
+/// evaluations are at most those steps plus one chain build in each of
+/// the two segments — a step whose proposal did not move solves nothing.
+fn no_step_lost(row: &Row, out: &[Outcome]) {
     let floor = |l: usize| row.config.burn[l] + row.config.n[l];
-    let floors = [floor(0) + RHO * floor(1), floor(1)];
-    for (l, floor) in floors.into_iter().enumerate() {
-        for cell in out {
-            let evals = report(cell).report.levels[l].evaluations;
-            assert!(evals >= floor, "{}: {evals} level-{l} evals", cell.label);
-        }
+    for cell in out {
+        let run = report(cell);
+        let [e0, e1] = [0, 1].map(|l| run.report.levels[l].evaluations);
+        let (steps, label) = (run.phonebook.ledger.serves, &cell.label);
+        assert!(
+            e0 >= floor(0) + RHO * floor(1),
+            "{label}: {e0} level-0 evals"
+        );
+        assert!(steps >= floor(1), "{label}: {steps} level-1 steps");
+        assert!(
+            e1 <= steps + 2,
+            "{label}: {e1} level-1 evals, {steps} steps"
+        );
     }
 }
 
@@ -427,12 +438,15 @@ fn the_ridge_correction_stays_put(_: &Row, out: &[Outcome]) {
     );
 }
 
-/// The fine chain takes its quota plus burn-in in steps — a fine
-/// evaluation and a serve each, plus one evaluation to build the chain —
+/// The fine chain takes its quota plus burn-in in steps — a serve each —
 /// and steps on until `StopProducing` reaches it: once more under some
-/// deliveries, not under others (nor on the pool). Level 0 serves until
-/// `Shutdown`: ROADMAP's overshoot. A delivery seed run again is the same
-/// run, clocks included.
+/// deliveries, not under others (nor on the pool). It solves once to
+/// build the chain and once at each step whose proposal moved, so a cell
+/// that takes no extra serve solves as often as the pool, which runs the
+/// same trajectory, and one that does at most once more: only when the
+/// chain resumes from that serve and its proposal moved, as under some
+/// deliveries it does. Level 0 serves until `Shutdown`: ROADMAP's
+/// overshoot. A delivery seed run again is the same run, clocks included.
 fn simulated_steps_bracket_the_live_ones(row: &Row, out: &[Outcome]) {
     let steps = row.config.n[1] + row.config.burn[1];
     let counts = |cell: &Outcome| {
@@ -449,9 +463,16 @@ fn simulated_steps_bracket_the_live_ones(row: &Row, out: &[Outcome]) {
         }
     }
     println!("[evals l0, evals l1, serves]: live {live:?}, simulated {least:?}..={most:?}");
-    assert_eq!((least[1], most[1]), (steps + 1, steps + 2), "evals l1");
     assert_eq!((least[2], most[2]), (steps, steps + 1), "ledger serves");
-    assert_eq!(live[1..], [steps + 1, steps], "the pool does not overstep");
+    assert_eq!(live[2], steps, "the pool does not overstep");
+    assert!(live[1] <= steps + 1, "live {live:?}");
+    assert_eq!((least[1], most[1]), (live[1], live[1] + 1), "evals l1");
+    for cell in sims {
+        let [_, evals, serves] = counts(cell);
+        if serves == steps {
+            assert_eq!(evals, live[1], "{}: evals l1", cell.label);
+        }
+    }
     assert!(least[0] <= live[0] && live[0] <= most[0], "live {live:?}");
     for cell in sims.iter().step_by(100) {
         let again = row.cell("again", At::Sim(0, 0), cell.seed, Event::None, false, None);

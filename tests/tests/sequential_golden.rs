@@ -1,9 +1,10 @@
 //! Golden bit-identity fixture for the sequential driver.
 //!
-//! Every word `run_sequential` reports per level — the correction mean
-//! and variance of each QOI component, the acceptance rate, the IACT,
-//! `N_l` and the evaluation count — goes through one FNV-1a per run, on
-//! three hierarchies × seeds 7 and 11 × both pairing modes:
+//! Every word `run_sequential` reports per level is pinned, on three
+//! hierarchies × seeds 7 and 11 × both pairing modes, by two pins per
+//! run: one FNV-1a over its values — the correction mean and variance of
+//! each QOI component, the acceptance rate, the IACT and `N_l` — and its
+//! evaluation counts per level as a literal array. The hierarchies:
 //!
 //! * the tight ridge of the ledger suites (two levels, `ρ = 2`);
 //! * a three-level two-dimensional Gaussian like `parallel_vs_sequential`'s
@@ -13,21 +14,24 @@
 //!   from their previous solution — so its digests also pin which model
 //!   instance evaluates which point, in which order.
 //!
-//! The constants were recorded before the serving stack became a flat
-//! `ChainStack`; no old code path is kept to compare against. Since a
-//! serve runs its pairing leg only where the mate is read (the top
-//! chain's own steps under `Ledger`), the `Proposal` digests and the
-//! three-level `Ledger` digests are re-recorded:
-//! * two-level `Proposal` (ridge): every word but the level-0 evaluation
-//!   count is the code before's, and that count is the one-leg closed
-//!   form (1 907 → 1 273 at seed 7, 1 905 → 1 273 at seed 11);
-//! * three-level `Ledger`: every word but the level-0 evaluation count is
-//!   the code before's (the nested level-0 serves only lost their
-//!   pairing legs, which draw from their own substreams);
-//! * three-level `Proposal`: the level-1 serves lost their pairing legs
-//!   and with them the nested level-0 serves those legs made, so the
-//!   level-0 sessions sit at other stream positions and the values move;
-//! * the two-level `Ledger` digests (ridge) did not move.
+//! The combined digests were recorded before the serving stack became a
+//! flat `ChainStack`, re-recorded where a serve stopped running its
+//! pairing leg unless the mate is read, and split into the two pins
+//! before a coupled step whose proposal did not move (every coarse step
+//! of its serve rejected) stopped solving its fine model. That change
+//! removes evaluations only:
+//! * ridge and Gaussian: their models are pure functions of θ, so the
+//!   skipped solve would have returned the density the chain holds, bit
+//!   for bit; the value digests are the ones recorded before it, and only
+//!   the coupled levels' counts fell (ridge level 1: 321 → 280 at seed 7,
+//!   321 → 277 at seed 11);
+//! * Poisson: an MG-CG level starts each solve from its previous
+//!   solution, so a re-solve at the chain's own point agreed with the
+//!   held density only to the solver's tolerance — the ratio was 1 up to
+//!   that, and could draw. Taking the held density makes the ratio
+//!   exactly 1 and draws nothing, and every later warm start begins
+//!   elsewhere, so the trajectories move while the chain's law does not;
+//!   its value digests and counts are re-recorded.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,9 +86,9 @@ impl LevelFactory for Gaussian3 {
     }
 }
 
-/// FNV-1a over every reported word of every level (wall-clock columns
-/// excluded).
-fn digest(report: &MlmcmcReport) -> u64 {
+/// FNV-1a over every reported value word of every level — everything
+/// but the evaluation count and the wall-clock columns.
+fn values_digest(report: &MlmcmcReport) -> u64 {
     let mut words: Vec<u64> = Vec::new();
     for level in &report.levels {
         words.extend(level.mean_correction.iter().map(|x| x.to_bits()));
@@ -92,7 +96,6 @@ fn digest(report: &MlmcmcReport) -> u64 {
         words.push(level.acceptance_rate.to_bits());
         words.push(level.iact.to_bits());
         words.push(level.n_samples as u64);
-        words.push(level.evaluations as u64);
     }
     let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     fnv1a(&bytes)
@@ -107,23 +110,30 @@ fn gaussian_config() -> MlmcmcConfig {
     MlmcmcConfig::new(vec![1_500, 300, 120]).with_burn_in(vec![100, 40, 20])
 }
 
-/// `(seed, Proposal digest, Ledger digest)` per seed.
-type Digests = [(u64, u64, u64); 2];
+/// One run's two pins: the digest of its values and its evaluations per
+/// level, coarse to fine.
+type Pin = (u64, &'static [usize]);
 
-fn check(name: &str, factory: &dyn LevelFactory, config: MlmcmcConfig, golden: Digests) {
+/// `(seed, Proposal pin, Ledger pin)` per seed.
+type Pins = [(u64, Pin, Pin); 2];
+
+fn check(name: &str, factory: &dyn LevelFactory, config: MlmcmcConfig, golden: Pins) {
     for (seed, proposal, ledger) in golden {
-        for (pairing, expected) in [
+        for (pairing, (values, evaluations)) in [
             (PairingMode::Proposal, proposal),
             (PairingMode::Ledger, ledger),
         ] {
             let config = config.clone().with_pairing(pairing);
             let report = run_sequential(factory, &config, &mut StdRng::seed_from_u64(seed));
+            let counted: Vec<usize> = report.levels.iter().map(|l| l.evaluations).collect();
+            let at = format!("{name}, seed {seed}, {pairing:?}");
             assert_eq!(
-                digest(&report),
-                expected,
-                "{name}, seed {seed}, {pairing:?}: got {:#018x}",
-                digest(&report)
+                values_digest(&report),
+                values,
+                "{at}: values digest {:#018x}",
+                values_digest(&report)
             );
+            assert_eq!(counted, evaluations, "{at}: evaluations per level");
         }
     }
 }
@@ -136,8 +146,16 @@ fn ridge_reports_are_bit_identical() {
         &Ridge,
         config,
         [
-            (7, 0x405a0171a05638a8, 0xcd3b4c25295bd4f4),
-            (11, 0x96014ab97fbd7f4a, 0x6d3bbcea2855ed3b),
+            (
+                7,
+                (0x8dd6b70b6f35456b, &[1273, 280]),
+                (0xcbea0dfc2f89ac64, &[1907, 280]),
+            ),
+            (
+                11,
+                (0xf2b7929525cefc75, &[1273, 277]),
+                (0xf4c8721219d13a95, &[1905, 277]),
+            ),
         ],
     );
 }
@@ -149,8 +167,16 @@ fn three_level_gaussian_reports_are_bit_identical() {
         &Gaussian3,
         gaussian_config(),
         [
-            (7, 0x0dc0cc503f0f58ab, 0xfa7c96801217be99),
-            (11, 0xd40140b358e5bb06, 0x6a63e863f8a91ab4),
+            (
+                7,
+                (0xa7acbe0a3da1ff3a, &[42006, 2023, 141]),
+                (0x0fc413a9a6c6751d, &[81166, 3643, 140]),
+            ),
+            (
+                11,
+                (0x7209ec03ad69886b, &[42006, 2023, 138]),
+                (0xa2428b40bf593fbb, &[80946, 3631, 138]),
+            ),
         ],
     );
 }
@@ -163,8 +189,16 @@ fn warm_started_poisson_reports_are_bit_identical() {
         &poisson(),
         config,
         [
-            (7, 0xf1e13443b9cd00ba, 0x94333a50323a0233),
-            (11, 0x3558ef59a581f25b, 0xbb96642d79a72d16),
+            (
+                7,
+                (0x455b780be515c482, &[596, 50, 5]),
+                (0x2b27c7f63e029802, &[826, 50, 5]),
+            ),
+            (
+                11,
+                (0x3f04fd1fd135e411, &[596, 41, 4]),
+                (0xe1e05906ae3f182e, &[826, 41, 4]),
+            ),
         ],
     );
 }
