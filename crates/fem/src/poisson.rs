@@ -20,7 +20,8 @@
 //! 3. the system is solved **directly** by a band LDLᵀ
 //!    ([`BandedSolver`]) where that is cheap — every mesh whose
 //!    factorisation costs at most [`DIRECT_MAX_MADDS`] multiply-adds
-//!    (`n ≤ 24`; of the meshes used here, `n ≤ 16`), and every mesh that cannot be coarsened — and
+//!    (`n ≤ 33`; of the meshes used here, `n ≤ 32`), and every mesh that
+//!    cannot be coarsened — and
 //!    otherwise by conjugate gradients preconditioned with a geometric
 //!    multigrid V-cycle whose coarse operators are re-discretizations
 //!    on the coarsened `κ` (cached and refilled the same way);
@@ -163,8 +164,9 @@ pub fn build_mg_hierarchy(fine_n: usize, kappa: &[f64]) -> Option<GmgHierarchy> 
 /// [`PoissonModel`] solves directly rather than by MG-CG. A forward
 /// evaluation measured 4× faster direct at `n = 16` (33 k), 1.7× at
 /// `n = 24` (166 k), 0.73–0.81× of MG-CG's time at `n = 32` (524 k) and
-/// 1.8× slower at `n = 64` (8.4 M); DESIGN §1.1 has the table.
-pub const DIRECT_MAX_MADDS: usize = 250_000;
+/// 1.8× slower at `n = 64` (8.4 M); DESIGN §1.1 has the table. The bound
+/// sits just past `n = 32`, the largest mesh measured faster direct.
+pub const DIRECT_MAX_MADDS: usize = 600_000;
 
 /// Multiply-adds of the band factorisation on `grid`: `(n − 1)(n + 1)`
 /// free nodes, whose couplings span one grid row of them plus one (`n`).
@@ -575,12 +577,10 @@ mod tests {
     #[test]
     fn backend_selection_by_mesh_size() {
         let field = small_field();
-        for n in [4, 7, 8, 16] {
+        for n in [4, 7, 8, 16, 32] {
             assert_eq!(PoissonModel::new(n, &field).solver_name(), "direct");
         }
-        for n in [32, 64] {
-            assert_eq!(PoissonModel::new(n, &field).solver_name(), "mg-cg");
-        }
+        assert_eq!(PoissonModel::new(64, &field).solver_name(), "mg-cg");
     }
 
     #[test]
@@ -604,7 +604,7 @@ mod tests {
         // the full pipeline (refill + MG-CG) against a from-scratch
         // assemble + plain CG, on a non-trivial κ
         let field = small_field();
-        let mut model = PoissonModel::new(32, &field);
+        let mut model = PoissonModel::new(64, &field);
         assert_eq!(model.solver_name(), "mg-cg");
         let theta: Vec<f64> = (0..16).map(|i| 0.4 * ((i as f64 * 2.3).cos())).collect();
         let u = model.solve(&theta);
@@ -622,7 +622,7 @@ mod tests {
         // κ spans several decades), re-solving through one model so a
         // stale band entry would show
         let field = small_field();
-        for n in [4, 7, 8, 16] {
+        for n in [4, 7, 8, 16, 32] {
             let mut model = PoissonModel::new(n, &field);
             assert_eq!(model.solver_name(), "direct");
             for scale in [0.3, 1.0, 2.5] {
@@ -638,12 +638,12 @@ mod tests {
     fn direct_forward_is_a_pure_function_of_theta() {
         // a band solve keeps nothing between solves: forward(θ₁) after an
         // arbitrary forward(θ₀) is, to the bit, forward(θ₁) on a fresh
-        // model. n = 32 is NOT pure, by design: MG-CG warm-starts from the
+        // model. n = 64 is NOT pure, by design: MG-CG warm-starts from the
         // previous solution, so its result moves at the 1e-8 level with
         // the chain's history.
         let field = small_field();
         let (theta0, theta1) = (theta_at(2.5, 0.4), theta_at(1.0, 2.0));
-        for n in [8, 16] {
+        for n in [8, 16, 32] {
             let mut used = PoissonModel::new(n, &field);
             used.forward(&theta0);
             let after = used.forward(&theta1);
@@ -656,7 +656,7 @@ mod tests {
     #[test]
     fn solve_records_iteration_stats() {
         let field = small_field();
-        let mut model = PoissonModel::new(32, &field);
+        let mut model = PoissonModel::new(64, &field);
         assert_eq!(model.last_iterations(), 0);
         model.forward(&[0.1; 16]);
         assert!(model.last_iterations() > 0);
@@ -678,7 +678,7 @@ mod tests {
     #[should_panic(expected = "CG stalled")]
     fn stalled_solve_panics_in_all_profiles() {
         let field = small_field();
-        let mut model = PoissonModel::new(32, &field);
+        let mut model = PoissonModel::new(64, &field);
         model.opts = SolverOptions {
             rel_tol: 1e-14,
             abs_tol: 1e-300,
@@ -701,11 +701,11 @@ mod tests {
         // internal solve exactly: same fine operator, same coarse
         // operators, hence the same CG iteration count from a cold start
         let field = small_field();
-        let mut model = PoissonModel::new(32, &field);
+        let mut model = PoissonModel::new(64, &field);
         let theta: Vec<f64> = (0..16).map(|i| 0.3 * ((i as f64 * 1.1).sin())).collect();
         model.forward(&theta); // first solve: cold start from zeros
         let kappa = model.kappa_elements(&theta);
-        let h = build_mg_hierarchy(32, &kappa).expect("n = 32 supports MG");
+        let h = build_mg_hierarchy(64, &kappa).expect("n = 64 supports MG");
         let sys = assemble(model.grid(), &kappa);
         assert_eq!(h.matrix(0).values(), sys.matrix.values());
         let r = cg(

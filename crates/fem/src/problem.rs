@@ -104,8 +104,15 @@ impl SamplingProblem for PoissonProblem {
 ///
 /// The KL basis tabulations (`Φ_e` per level, `Φ_q` once) are computed
 /// here a single time and handed to every model via `Arc`, so spawning a
-/// per-chain/per-worker [`PoissonProblem`] costs only the (cheap)
-/// solver-pipeline setup instead of re-tabulating the random field.
+/// per-chain/per-worker [`PoissonProblem`] does not re-tabulate the
+/// random field. It still builds the level's solver pipeline, which is
+/// not cheap: a [`problem`](Self::problem) at `m = 113` measured
+/// 0.2–0.4 ms at `n = 16`, 0.8–2.6 ms at `n = 32` and 5–11 ms at
+/// `n = 64` (x86-64, release build; the range is the host's drift). Most
+/// of it is [`StiffnessPattern::new`](crate::StiffnessPattern::new),
+/// which assembles a prototype system and sorts it from COO to CSR: at
+/// `n = 64` the fine pattern alone is about 70 % of the build, its
+/// coarse multigrid levels' patterns another 20 %.
 pub struct PoissonHierarchy {
     field: KlField2d,
     truth: Vec<f64>,

@@ -85,10 +85,12 @@ impl DenseMatrix {
         y
     }
 
-    /// Transposed matrix–vector product into a caller-provided buffer, as
-    /// one [`vector::axpy`] along each row: `y ← y + x_i · row_i`. Every
-    /// entry is summed in row order from `-0.0`, which is the order and
-    /// start of [`vector::dot`], so the result equals
+    /// Transposed matrix–vector product into a caller-provided buffer:
+    /// `y ← y + x_i · row_i` for each row, four rows per sweep over `y`
+    /// (`y_j ← (((y_j + x₀r₀_j) + x₁r₁_j) + x₂r₂_j) + x₃r₃_j`, so `y` is
+    /// loaded and stored once per four rows) and one [`vector::axpy`] per
+    /// leftover row. Every entry is summed in row order from `-0.0`, which
+    /// is the order and start of [`vector::dot`], so the result equals
     /// `self.transpose().matvec(x)` to the bit; unlike that column dot, a
     /// dependent chain of adds, the sweep vectorises across `y`. Keeps
     /// the per-step `κ = exp(Φθ)` evaluation, with `Φ` stored
@@ -101,8 +103,23 @@ impl DenseMatrix {
             "matvec_t_into: output dimension mismatch"
         );
         y.fill(-0.0);
-        for (i, &xi) in x.iter().enumerate() {
-            vector::axpy(xi, self.row(i), y);
+        let cols = self.cols;
+        if cols == 0 {
+            return;
+        }
+        let mut blocks = self.data.chunks_exact(4 * cols);
+        let mut xs = x.chunks_exact(4);
+        for (block, xb) in blocks.by_ref().zip(xs.by_ref()) {
+            let (r0, rest) = block.split_at(cols);
+            let (r1, rest) = rest.split_at(cols);
+            let (r2, r3) = rest.split_at(cols);
+            let (x0, x1, x2, x3) = (xb[0], xb[1], xb[2], xb[3]);
+            for ((((yj, a), b), c), d) in y.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+                *yj = (((*yj + x0 * a) + x1 * b) + x2 * c) + x3 * d;
+            }
+        }
+        for (row, &xi) in blocks.remainder().chunks_exact(cols).zip(xs.remainder()) {
+            vector::axpy(xi, row, y);
         }
     }
 
@@ -295,6 +312,24 @@ mod tests {
         let mut y = vec![f64::NAN; 257];
         a.matvec_t_into(&x, &mut y);
         assert_eq!(bits(&y), bits(&a.transpose().matvec(&x)));
+
+        // every split into four-row sweeps and leftover rows (none, a
+        // sweep only, leftovers only, both), signed zeros included, and
+        // the empty shapes
+        for rows in 0..=9 {
+            for cols in [0, 1, 7] {
+                let a = DenseMatrix::from_fn(rows, cols, |i, j| match (i + j) % 3 {
+                    0 => -0.0,
+                    1 => rng.random::<f64>() - 0.5,
+                    _ => 0.0,
+                });
+                let x: Vec<f64> = (0..rows).map(|i| [1.0, -1.0, 0.5][i % 3]).collect();
+                let mut y = vec![f64::NAN; cols];
+                a.matvec_t_into(&x, &mut y);
+                let want = a.transpose().matvec(&x);
+                assert_eq!(bits(&y), bits(&want), "{rows} x {cols}");
+            }
+        }
     }
 
     #[test]

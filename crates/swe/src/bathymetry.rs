@@ -86,8 +86,13 @@ pub fn depth_average() -> f64 {
     sum / count as f64
 }
 
-/// Tabulate a bathymetry variant on a grid (cell centers).
+/// Tabulate a bathymetry variant on a grid (cell centers). The
+/// depth-averaged variant is one constant, so its quadrature
+/// ([`depth_average`]) runs once, not once per cell.
 pub fn tabulate(grid: &Grid2d, fidelity: Fidelity) -> Vec<f64> {
+    if fidelity == Fidelity::DepthAveraged {
+        return vec![depth_average(); grid.n_cells()];
+    }
     let mut out = Vec::with_capacity(grid.n_cells());
     for j in 0..grid.ny() {
         for i in 0..grid.nx() {
@@ -177,6 +182,15 @@ mod tests {
         let b = tabulate(&grid, Fidelity::Full);
         let (x, y) = grid.center(3, 5);
         assert_eq!(b[grid.idx(3, 5)], evaluate(Fidelity::Full, x, y));
+    }
+
+    #[test]
+    fn tabulated_depth_average_is_the_average_at_every_cell() {
+        let grid = Grid2d::new(8, 6, DOMAIN.0, DOMAIN.1);
+        let b = tabulate(&grid, Fidelity::DepthAveraged);
+        assert_eq!(b.len(), grid.n_cells());
+        let avg = depth_average().to_bits();
+        assert!(b.iter().all(|d| d.to_bits() == avg));
     }
 
     #[test]

@@ -15,7 +15,8 @@ use uq_mcmc::SamplingProblem;
 
 #[test]
 fn a_warm_log_density_allocates_nothing_on_either_backend() {
-    let hierarchy = PoissonHierarchy::new(12, vec![16, 32], 5);
+    // level 1 on n = 64: the largest mesh the band solve takes is n = 32
+    let hierarchy = PoissonHierarchy::new(12, vec![16, 64], 5);
     for (level, backend) in [(0, "direct"), (1, "mg-cg")] {
         let mut problem = hierarchy.problem(level);
         assert_eq!(problem.model().solver_name(), backend);

@@ -10,9 +10,14 @@
 //! * a three-level two-dimensional Gaussian like `parallel_vs_sequential`'s
 //!   (`ρ = 20, 12`);
 //! * the benchmark's Poisson hierarchy `m = 113`, `n = 16 / 32 / 64`,
-//!   `ρ = 10, 4`, whose two finer levels are MG-CG solves that warm-start
-//!   from their previous solution — so its digests also pin which model
-//!   instance evaluates which point, in which order.
+//!   `ρ = 10, 4`. Levels 0 and 1 (`n = 16, 32`) are band solves, pure
+//!   functions of θ; level 2 (`n = 64`) is an MG-CG solve that
+//!   warm-starts from its previous solution — so its digests also pin
+//!   which model instance evaluates which point, in which order. Level 1
+//!   was a warm-started MG-CG level too until it moved to the band solve;
+//!   its densities moved by MG-CG's tolerance, no MH decision flipped,
+//!   and its QOIs (κ on the QOI grid) involve no solve, so these pins
+//!   passed unedited across that switch.
 //!
 //! The combined digests were recorded before the serving stack became a
 //! flat `ChainStack`, re-recorded where a serve stopped running its
