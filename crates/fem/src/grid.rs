@@ -73,21 +73,10 @@ impl StructuredGrid {
         ]
     }
 
-    /// Center coordinates of element `(ex, ey)`.
-    #[inline]
-    pub fn element_center(&self, ex: usize, ey: usize) -> (f64, f64) {
-        ((ex as f64 + 0.5) * self.h, (ey as f64 + 0.5) * self.h)
-    }
-
-    /// Centers of all elements, in element-index order.
-    pub fn element_centers(&self) -> Vec<(f64, f64)> {
-        let mut out = Vec::with_capacity(self.n_elements());
-        for ey in 0..self.n {
-            for ex in 0..self.n {
-                out.push(self.element_center(ex, ey));
-            }
-        }
-        out
+    /// Center coordinate of every element along one axis, `(e + ½)·h`:
+    /// element `(ex, ey)` is centred at `(axis[ex], axis[ey])`.
+    pub fn element_axis(&self) -> Vec<f64> {
+        (0..self.n).map(|e| (e as f64 + 0.5) * self.h).collect()
     }
 
     /// Whether node `idx` lies on the left boundary `x = 0`.
@@ -273,11 +262,10 @@ mod tests {
 
     #[test]
     fn element_centers_ordering() {
-        let g = StructuredGrid::new(2);
-        let c = g.element_centers();
-        assert_eq!(c.len(), 4);
-        assert_eq!(c[0], (0.25, 0.25));
-        assert_eq!(c[1], (0.75, 0.25));
-        assert_eq!(c[3], (0.75, 0.75));
+        assert_eq!(StructuredGrid::new(2).element_axis(), [0.25, 0.75]);
+        assert_eq!(
+            StructuredGrid::new(4).element_axis(),
+            [0.125, 0.375, 0.625, 0.875]
+        );
     }
 }

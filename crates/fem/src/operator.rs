@@ -22,6 +22,7 @@
 
 use crate::assembly::{assemble, reference_stiffness};
 use crate::grid::StructuredGrid;
+use std::sync::Arc;
 use uq_linalg::sparse::CsrMatrix;
 
 /// Skip marker in the value scatter map (entry eliminated by a
@@ -227,18 +228,18 @@ impl StiffnessPattern {
     }
 }
 
-/// A single-level convenience wrapper owning the matrix and rhs: the
-/// drop-in replacement for calling [`assemble`] per solve.
+/// A single-level operator: a (shared) pattern with the matrix and rhs
+/// it refills — the drop-in replacement for calling [`assemble`] per
+/// solve.
 pub struct StiffnessOperator {
-    pattern: StiffnessPattern,
+    pattern: Arc<StiffnessPattern>,
     matrix: CsrMatrix,
     rhs: Vec<f64>,
 }
 
 impl StiffnessOperator {
-    /// Build the pattern and a matrix/rhs pair for `κ ≡ 1`.
-    pub fn new(grid: &StructuredGrid) -> Self {
-        let pattern = StiffnessPattern::new(grid);
+    /// A matrix/rhs pair of `pattern` for `κ ≡ 1`.
+    pub fn new(pattern: Arc<StiffnessPattern>) -> Self {
         let matrix = pattern.build_matrix();
         let mut rhs = vec![0.0; pattern.n_nodes()];
         pattern.refill_rhs(&vec![1.0; pattern.n_elements()], &mut rhs);
@@ -287,7 +288,7 @@ mod tests {
             let grid = StructuredGrid::new(n);
             let kappa = varied_kappa(grid.n_elements());
             let reference = assemble(&grid, &kappa);
-            let mut op = StiffnessOperator::new(&grid);
+            let mut op = StiffnessOperator::new(Arc::new(StiffnessPattern::new(&grid)));
             op.refill(&kappa);
             assert_eq!(op.matrix().nnz(), reference.matrix.nnz());
             // bit-identical, not just close: same summation order
@@ -301,7 +302,7 @@ mod tests {
         let grid = StructuredGrid::new(8);
         let k1 = varied_kappa(grid.n_elements());
         let k2: Vec<f64> = k1.iter().map(|k| 2.0 * k).collect();
-        let mut op = StiffnessOperator::new(&grid);
+        let mut op = StiffnessOperator::new(Arc::new(StiffnessPattern::new(&grid)));
         op.refill(&k2);
         op.refill(&k1);
         // going through a different kappa must leave no residue
@@ -326,7 +327,7 @@ mod tests {
     #[should_panic(expected = "one kappa per element")]
     fn refill_rejects_wrong_kappa_length() {
         let grid = StructuredGrid::new(4);
-        let mut op = StiffnessOperator::new(&grid);
+        let mut op = StiffnessOperator::new(Arc::new(StiffnessPattern::new(&grid)));
         op.refill(&[1.0; 3]);
     }
 }

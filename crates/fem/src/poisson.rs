@@ -13,10 +13,14 @@
 //! observation vector [`PoissonModel::forward`] returns (the likelihood
 //! reads it from a model-owned buffer instead):
 //!
-//! 1. `κ = exp(Φ_e θ)` is evaluated into a reusable buffer, one sweep
-//!    per mode over the basis stored transposed;
-//! 2. a [`StiffnessPattern`] per mesh level refills CSR values and rhs
-//!    in place (no COO rebuild, no sort);
+//! 1. `log κ` is evaluated on the element centres into a reusable
+//!    buffer, by sum factorisation over the KL field's 1-D tables
+//!    ([`KlTensorGrid`]) or, where that costs at most
+//!    [`DENSE_KAPPA_MAX_MADDS`], as the row sum over a tabulated basis,
+//!    then exponentiated in place;
+//! 2. a [`StiffnessPattern`] per mesh level, shared by every model of
+//!    that mesh in a [`PoissonHierarchy`](crate::PoissonHierarchy),
+//!    refills CSR values and rhs in place (no COO rebuild, no sort);
 //! 3. the system is solved **directly** by a band LDLᵀ
 //!    ([`BandedSolver`]) where that is cheap — every mesh whose
 //!    factorisation costs at most [`DIRECT_MAX_MADDS`] multiply-adds
@@ -37,12 +41,13 @@
 
 use crate::grid::{Stencil, StructuredGrid};
 use crate::operator::{StiffnessOperator, StiffnessPattern};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use uq_linalg::banded::BandedSolver;
 use uq_linalg::dense::DenseMatrix;
 use uq_linalg::mg::{GmgHierarchy, GmgLevelSpec};
 use uq_linalg::solvers::{cg_into, SolveStats, SolverOptions, SolverWorkspace};
-use uq_randfield::KlField2d;
+use uq_randfield::{KlField2d, KlTensorGrid};
 
 /// The paper's 36 observation points `{2/32, 7/32, 13/32, 19/32, 25/32,
 /// 3/32}²` (used verbatim, including the likely-typo `3/32`).
@@ -67,13 +72,15 @@ pub fn paper_observation_points() -> Vec<(f64, f64)> {
 /// QOI evaluation grid of width 1/32 (33×33 points) from the paper:
 /// `Q(θ)_k = κ(x_k, θ)`.
 pub fn paper_qoi_points() -> Vec<(f64, f64)> {
-    let mut pts = Vec::with_capacity(33 * 33);
-    for j in 0..33 {
-        for i in 0..33 {
-            pts.push((i as f64 / 32.0, j as f64 / 32.0));
-        }
-    }
-    pts
+    let axis = qoi_axis();
+    axis.iter()
+        .flat_map(|&y| axis.iter().map(move |&x| (x, y)))
+        .collect()
+}
+
+/// The QOI grid's coordinates along one axis, `i / 32`.
+fn qoi_axis() -> Vec<f64> {
+    (0..33).map(|i| i as f64 / 32.0).collect()
 }
 
 /// Average the four fine child elements of each coarse element
@@ -112,23 +119,24 @@ pub fn mg_level_sizes(fine_n: usize) -> Vec<usize> {
     sizes
 }
 
-/// Patterns and level specs (values filled for `κ ≡ 1`) for the given
-/// level sizes — the single construction path shared by the model, the
-/// benches and the regression tests.
-fn mg_components(level_sizes: &[usize]) -> (Vec<StiffnessPattern>, Vec<GmgLevelSpec>) {
-    let mut patterns = Vec::with_capacity(level_sizes.len());
-    let mut specs = Vec::with_capacity(level_sizes.len());
-    for &n in level_sizes {
-        let level_grid = StructuredGrid::new(n);
-        let pattern = StiffnessPattern::new(&level_grid);
-        specs.push(GmgLevelSpec {
+/// Level specs (values filled for `κ ≡ 1`) of the multigrid levels
+/// `patterns`, finest first — the single construction path shared by
+/// the model, the benches and the regression tests.
+fn mg_specs(patterns: &[Arc<StiffnessPattern>], level_sizes: &[usize]) -> Vec<GmgLevelSpec> {
+    patterns
+        .iter()
+        .zip(level_sizes)
+        .map(|(pattern, &n)| GmgLevelSpec {
             n,
             matrix: pattern.build_matrix(),
             fixed: pattern.fixed_mask().to_vec(),
-        });
-        patterns.push(pattern);
-    }
-    (patterns, specs)
+        })
+        .collect()
+}
+
+/// A fresh pattern of the `n × n` mesh.
+fn pattern_of(n: usize) -> Arc<StiffnessPattern> {
+    Arc::new(StiffnessPattern::new(&StructuredGrid::new(n)))
 }
 
 /// Build exactly the multigrid hierarchy [`PoissonModel`] solves with
@@ -147,7 +155,8 @@ pub fn build_mg_hierarchy(fine_n: usize, kappa: &[f64]) -> Option<GmgHierarchy> 
         fine_n * fine_n,
         "build_mg_hierarchy: one kappa per fine element required"
     );
-    let (patterns, mut specs) = mg_components(&sizes);
+    let patterns: Vec<_> = sizes.iter().map(|&n| pattern_of(n)).collect();
+    let mut specs = mg_specs(&patterns, &sizes);
     let mut current = kappa.to_vec();
     for (l, (pattern, spec)) in patterns.iter().zip(&mut specs).enumerate() {
         if l > 0 {
@@ -175,6 +184,18 @@ fn band_factor_madds(grid: &StructuredGrid) -> usize {
     (n - 1) * (n + 1) * n * n / 2
 }
 
+/// The meshes the solver of an `n × n` model assembles on, finest
+/// first: `[n]` for a band solve (within [`DIRECT_MAX_MADDS`], or a mesh
+/// that cannot be coarsened), the multigrid levels otherwise.
+fn solver_mesh_sizes(n: usize) -> Vec<usize> {
+    let sizes = mg_level_sizes(n);
+    if sizes.len() < 2 || band_factor_madds(&StructuredGrid::new(n)) <= DIRECT_MAX_MADDS {
+        vec![n]
+    } else {
+        sizes
+    }
+}
+
 /// Reusable solve machinery, constructed once per model.
 enum SolverBackend {
     /// Geometric multigrid V(1,1)-preconditioned CG, warm-started; needs
@@ -182,7 +203,7 @@ enum SolverBackend {
     Multigrid {
         gmg: GmgHierarchy,
         /// Symbolic assembly patterns per level, finest first.
-        patterns: Vec<StiffnessPattern>,
+        patterns: Vec<Arc<StiffnessPattern>>,
         /// Elements per direction per level, finest first.
         level_n: Vec<usize>,
         /// Coarsened-κ buffers for levels `1..` (level `l` at `l − 1`).
@@ -197,19 +218,19 @@ enum SolverBackend {
 }
 
 impl SolverBackend {
-    fn build(grid: &StructuredGrid) -> Self {
-        let level_n = mg_level_sizes(grid.n());
-        if level_n.len() < 2 || band_factor_madds(grid) <= DIRECT_MAX_MADDS {
-            let op = Box::new(StiffnessOperator::new(grid));
+    /// The backend on the meshes of [`solver_mesh_sizes`], one pattern
+    /// each: a band solve on one, MG-CG on more.
+    fn build(patterns: &[Arc<StiffnessPattern>], level_n: Vec<usize>) -> Self {
+        if let [pattern] = patterns {
+            let op = Box::new(StiffnessOperator::new(Arc::clone(pattern)));
             let band = BandedSolver::new(op.matrix(), op.pattern().fixed_mask());
             return Self::Direct { op, band };
         }
-        let (patterns, specs) = mg_components(&level_n);
-        let gmg = GmgHierarchy::new(specs);
+        let gmg = GmgHierarchy::new(mg_specs(patterns, &level_n));
         let coarse_kappa = level_n[1..].iter().map(|&n| vec![0.0; n * n]).collect();
         Self::Multigrid {
             gmg,
-            patterns,
+            patterns: patterns.to_vec(),
             level_n,
             coarse_kappa,
         }
@@ -224,22 +245,145 @@ impl SolverBackend {
     }
 }
 
-/// The KL basis of `field` tabulated at `points`, stored transposed
-/// (`m × points`, row `k` is mode `k` at every point) as
-/// [`PoissonModel::with_tabulated`] takes it.
-pub fn tabulate_transposed(field: &KlField2d, points: &[(f64, f64)]) -> Arc<DenseMatrix> {
-    Arc::new(field.tabulate(points).transpose())
+/// Largest row sum `log κ = Σ_k θ_k √λ_k φ_k` over the element centres,
+/// in multiply-adds (`m · n²`), that [`PoissonModel`] evaluates as that
+/// sum over a basis tabulated at every centre rather than by sum
+/// factorisation ([`KlTensorGrid`]). Below it the factorisation's short
+/// loops cost more than the products they save: best of 15, x86-64, the
+/// tensor form took 3.2× the row sum's time at 128 (`m = 8, n = 4`),
+/// 2.0× at 512, 1.4× at 1 536 and 2 048, and 0.78× at 6 144 (`m = 24,
+/// n = 16`), 0.73× at 7 232 (`m = 113, n = 8`), 0.10× at 462 848
+/// (`m = 113, n = 64`). The bound sits between 2 048 and 6 144. The QOI
+/// grid always takes the tensor form.
+pub const DENSE_KAPPA_MAX_MADDS: usize = 4_096;
+
+/// The KL field on a grid of points, as a model evaluates it: on the
+/// element centres in the form [`DENSE_KAPPA_MAX_MADDS`] picks, on the
+/// QOI grid always by sum factorisation.
+enum FieldOnGrid {
+    /// The λ-scaled basis at every point, stored transposed (`m ×
+    /// points`, row `k` is mode `k`), summed by
+    /// [`DenseMatrix::matvec_t_into`]: the row sum
+    /// [`KlField2d::log_kappa`], to the bit.
+    RowSum(DenseMatrix),
+    /// Sum factorisation over the field's 1-D tables.
+    Tensor(KlTensorGrid),
+}
+
+impl FieldOnGrid {
+    /// The field on the centres of the `n × n` mesh's elements, in
+    /// element order.
+    fn on_elements(field: &KlField2d, n: usize) -> Self {
+        let axis = StructuredGrid::new(n).element_axis();
+        if field.dim() * n * n > DENSE_KAPPA_MAX_MADDS {
+            return Self::Tensor(field.tensor_grid(&axis, &axis));
+        }
+        Self::RowSum(DenseMatrix::from_fn(field.dim(), n * n, |k, e| {
+            field.basis(k, axis[e % n], axis[e / n])
+        }))
+    }
+
+    /// The field on the QOI grid, in [`paper_qoi_points`] order.
+    fn on_qoi_grid(field: &KlField2d) -> Self {
+        let axis = qoi_axis();
+        Self::Tensor(field.tensor_grid(&axis, &axis))
+    }
+
+    fn dim(&self) -> usize {
+        match self {
+            Self::RowSum(phi) => phi.rows(),
+            Self::Tensor(tables) => tables.dim(),
+        }
+    }
+
+    fn n_points(&self) -> usize {
+        match self {
+            Self::RowSum(phi) => phi.cols(),
+            Self::Tensor(tables) => tables.n_points(),
+        }
+    }
+
+    fn scratch_len(&self) -> usize {
+        match self {
+            Self::RowSum(_) => 0,
+            Self::Tensor(tables) => tables.scratch_len(),
+        }
+    }
+
+    /// `out = κ = exp(log κ)` at every point, allocation-free.
+    fn kappa_into(&self, theta: &[f64], scratch: &mut [f64], out: &mut [f64]) {
+        match self {
+            Self::RowSum(phi) => phi.matvec_t_into(theta, out),
+            Self::Tensor(tables) => tables.log_kappa_into(theta, scratch, out),
+        }
+        for k in out {
+            *k = k.exp();
+        }
+    }
+
+    /// `κ` at every point, in a fresh vector.
+    fn kappa(&self, theta: &[f64]) -> Vec<f64> {
+        let mut kappa = vec![0.0; self.n_points()];
+        self.kappa_into(theta, &mut vec![0.0; self.scratch_len()], &mut kappa);
+        kappa
+    }
+}
+
+/// Everything θ-independent that the models of one `n × n` mesh and
+/// one KL field share: the field on the element centres and its tables
+/// on the QOI grid, and one pattern per mesh the solver assembles on.
+pub(crate) struct MeshParts {
+    n: usize,
+    kl_elements: Arc<FieldOnGrid>,
+    kl_qoi: Arc<FieldOnGrid>,
+    /// Finest first, one per entry of [`solver_mesh_sizes`]`(n)`.
+    patterns: Vec<Arc<StiffnessPattern>>,
+}
+
+impl MeshParts {
+    /// The parts of a model on each mesh of `sizes` under `field`. Each
+    /// distinct mesh's pattern and table set is built once and handed
+    /// out by `Arc`, so a band-solved level and a multigrid coarse level
+    /// of the same `n` share one pattern, and every level shares the QOI
+    /// tables.
+    pub(crate) fn build(field: &KlField2d, sizes: &[usize]) -> Vec<Self> {
+        let kl_qoi = Arc::new(FieldOnGrid::on_qoi_grid(field));
+        let mut tables = BTreeMap::new();
+        let mut patterns = BTreeMap::new();
+        sizes
+            .iter()
+            .map(|&n| {
+                let kl_elements = tables
+                    .entry(n)
+                    .or_insert_with(|| Arc::new(FieldOnGrid::on_elements(field, n)));
+                Self {
+                    n,
+                    kl_elements: Arc::clone(kl_elements),
+                    kl_qoi: Arc::clone(&kl_qoi),
+                    patterns: solver_mesh_sizes(n)
+                        .into_iter()
+                        .map(|s| Arc::clone(patterns.entry(s).or_insert_with(|| pattern_of(s))))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// The QOI `κ(x_k, θ)` on the QOI grid, from the field alone.
+    pub(crate) fn qoi(&self, theta: &[f64]) -> Vec<f64> {
+        self.kl_qoi.kappa(theta)
+    }
 }
 
 /// One level of the Poisson forward-model hierarchy.
 pub struct PoissonModel {
     grid: StructuredGrid,
-    /// Tabulated KL basis at element centers, stored transposed (`m ×
-    /// elements`, row `k` is mode `k`): `log κ = Σ_k θ_k · row_k`.
-    phi_elements: Arc<DenseMatrix>,
-    /// Tabulated KL basis at QOI points, stored transposed (`m ×
-    /// points`): `Q(θ) = exp(Σ_k θ_k · row_k)`.
-    phi_qoi: Arc<DenseMatrix>,
+    /// The KL field on the element centres: `κ = exp(log κ)`.
+    kl_elements: Arc<FieldOnGrid>,
+    /// The KL field on the QOI grid: `Q(θ) = exp(log κ)`.
+    kl_qoi: Arc<FieldOnGrid>,
+    /// Scratch of either table set's `log κ` evaluation.
+    kl_scratch: Vec<f64>,
     obs_points: Vec<(f64, f64)>,
     /// Interpolation stencil of every observation point, built once.
     obs_stencils: Vec<Stencil>,
@@ -264,44 +408,24 @@ pub struct PoissonModel {
 impl PoissonModel {
     /// Build a model on an `n × n` grid with the given KL field.
     pub fn new(n: usize, field: &KlField2d) -> Self {
-        let grid = StructuredGrid::new(n);
-        let phi_elements = tabulate_transposed(field, &grid.element_centers());
-        let phi_qoi = tabulate_transposed(field, &paper_qoi_points());
-        Self::with_tabulated(n, phi_elements, phi_qoi)
+        Self::from_parts(&MeshParts::build(field, &[n])[0])
     }
 
-    /// Build a model from pre-tabulated KL bases (shared via `Arc`
-    /// across the chains/workers of a hierarchy so each worker skips the
-    /// expensive tabulation), both stored transposed: `m × points`, one
-    /// row per mode ([`tabulate_transposed`]).
-    ///
-    /// # Panics
-    /// Panics if `phi_elements` does not have one column per element of
-    /// the `n × n` grid, or `phi_qoi` not one row per mode of
-    /// `phi_elements`.
-    pub fn with_tabulated(
-        n: usize,
-        phi_elements: Arc<DenseMatrix>,
-        phi_qoi: Arc<DenseMatrix>,
-    ) -> Self {
-        let grid = StructuredGrid::new(n);
-        assert_eq!(
-            phi_elements.cols(),
-            grid.n_elements(),
-            "PoissonModel: tabulated basis (modes × elements) does not match the grid"
-        );
-        assert_eq!(
-            phi_qoi.rows(),
-            phi_elements.rows(),
-            "PoissonModel: QOI basis (modes × points) has another mode count"
-        );
-        let backend = SolverBackend::build(&grid);
+    /// Build a model from parts shared with the other models of its mesh
+    /// (the chains and workers of a hierarchy): only the solver's own
+    /// matrices, factorisation and scratch are new.
+    pub(crate) fn from_parts(parts: &MeshParts) -> Self {
+        let grid = StructuredGrid::new(parts.n);
+        let level_n = solver_mesh_sizes(parts.n);
+        let backend = SolverBackend::build(&parts.patterns, level_n);
         let n_nodes = grid.n_nodes();
         let n_elements = grid.n_elements();
         let obs_points = paper_observation_points();
+        let scratch_len = parts.kl_elements.scratch_len();
         Self {
-            phi_elements,
-            phi_qoi,
+            kl_scratch: vec![0.0; scratch_len.max(parts.kl_qoi.scratch_len())],
+            kl_elements: Arc::clone(&parts.kl_elements),
+            kl_qoi: Arc::clone(&parts.kl_qoi),
             prediction: vec![0.0; obs_points.len()],
             obs_stencils: obs_points
                 .iter()
@@ -326,7 +450,7 @@ impl PoissonModel {
 
     /// Parameter dimension `m`.
     pub fn dim(&self) -> usize {
-        self.phi_elements.rows()
+        self.kl_elements.dim()
     }
 
     pub fn grid(&self) -> &StructuredGrid {
@@ -365,17 +489,10 @@ impl PoissonModel {
         self.backend.name()
     }
 
-    /// Element-wise diffusion coefficients `κ = exp(Φ_e θ)`.
+    /// Element-wise diffusion coefficients `κ = exp(log κ)`, in element
+    /// order — the values a solve assembles with.
     pub fn kappa_elements(&self, theta: &[f64]) -> Vec<f64> {
-        exp_of(self.phi_elements.matvec_t(theta))
-    }
-
-    /// Evaluate `κ` into the reusable buffer.
-    fn update_kappa(&mut self, theta: &[f64]) {
-        self.phi_elements.matvec_t_into(theta, &mut self.kappa);
-        for k in &mut self.kappa {
-            *k = k.exp();
-        }
+        self.kl_elements.kappa(theta)
     }
 
     /// Refill the per-level operators and solve; the solution lands in
@@ -387,7 +504,8 @@ impl PoissonModel {
     /// is fatal in every build profile.
     fn solve_in_place(&mut self, theta: &[f64]) {
         assert_eq!(theta.len(), self.dim(), "PoissonModel::solve: wrong dim");
-        self.update_kappa(theta);
+        self.kl_elements
+            .kappa_into(theta, &mut self.kl_scratch, &mut self.kappa);
         let outcome = match &mut self.backend {
             SolverBackend::Multigrid {
                 gmg,
@@ -465,18 +583,13 @@ impl PoissonModel {
     }
 
     /// The paper's QOI: the diffusion field `κ(x_k, θ)` on the 33×33 QOI
-    /// grid. Does not require a PDE solve.
-    pub fn qoi(&self, theta: &[f64]) -> Vec<f64> {
-        exp_of(self.phi_qoi.matvec_t(theta))
+    /// grid. Does not require a PDE solve; allocates only the vector it
+    /// returns.
+    pub fn qoi(&mut self, theta: &[f64]) -> Vec<f64> {
+        let mut q = vec![0.0; self.kl_qoi.n_points()];
+        self.kl_qoi.kappa_into(theta, &mut self.kl_scratch, &mut q);
+        q
     }
-}
-
-/// `exp` of every entry, in place.
-fn exp_of(mut v: Vec<f64>) -> Vec<f64> {
-    for x in &mut v {
-        *x = x.exp();
-    }
-    v
 }
 
 #[cfg(test)]
@@ -528,7 +641,7 @@ mod tests {
     #[test]
     fn qoi_at_zero_theta_is_one() {
         let field = small_field();
-        let model = PoissonModel::new(16, &field);
+        let mut model = PoissonModel::new(16, &field);
         for q in model.qoi(&[0.0; 16]) {
             assert!((q - 1.0).abs() < 1e-12);
         }
@@ -589,7 +702,7 @@ mod tests {
         // must agree on what a factorisation costs
         for n in [1, 4, 7, 8, 16, 32] {
             let grid = StructuredGrid::new(n);
-            let op = StiffnessOperator::new(&grid);
+            let op = StiffnessOperator::new(pattern_of(n));
             let band = BandedSolver::new(op.matrix(), op.pattern().fixed_mask());
             assert_eq!(band.n_free(), (n - 1) * (n + 1));
             let bw = band.half_bandwidth();
@@ -723,6 +836,46 @@ mod tests {
             r.iterations,
             model.last_iterations(),
             "helper hierarchy diverged from the model's"
+        );
+    }
+
+    /// The address of each pattern `model`'s solver assembles on.
+    fn patterns_of(model: &PoissonModel) -> Vec<*const StiffnessPattern> {
+        match &model.backend {
+            SolverBackend::Direct { op, .. } => vec![op.pattern() as *const _],
+            SolverBackend::Multigrid { patterns, .. } => patterns.iter().map(Arc::as_ptr).collect(),
+        }
+    }
+
+    #[test]
+    fn a_hierarchy_shares_each_mesh_and_moves_no_bit() {
+        // n = 8 evaluates the row sum, n = 32 and 64 the tensor form;
+        // n = 64's multigrid levels are 64, 32, 16 and 8
+        let h = crate::PoissonHierarchy::new(24, vec![8, 32, 64], 3);
+        let (a, b) = (h.problem(2), h.problem(2));
+        let (a, b) = (a.model(), b.model());
+        assert_eq!(patterns_of(a), patterns_of(b));
+        assert!(Arc::ptr_eq(&a.kl_elements, &b.kl_elements));
+        assert!(Arc::ptr_eq(&a.kl_qoi, &b.kl_qoi));
+        let (direct_8, direct_32) = (h.problem(0), h.problem(1));
+        assert_eq!(patterns_of(direct_8.model()), [patterns_of(a)[3]]);
+        assert_eq!(patterns_of(direct_32.model()), [patterns_of(a)[1]]);
+        assert!(Arc::ptr_eq(&direct_8.model().kl_qoi, &a.kl_qoi));
+        // sharing changes no bit: each level's forward and QOI are those
+        // of a model built on its own
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (level, n) in [8, 32, 64].into_iter().enumerate() {
+            let theta: Vec<f64> = (0..24).map(|i| (0.9 * i as f64 + 0.2).sin()).collect();
+            let mut shared = h.problem(level);
+            let mut alone = PoissonModel::new(n, h.field());
+            let forward = shared.model_mut().forward(&theta);
+            assert_eq!(bits(&forward), bits(&alone.forward(&theta)), "n = {n}");
+            let qoi = shared.model_mut().qoi(&theta);
+            assert_eq!(bits(&qoi), bits(&alone.qoi(&theta)), "n = {n}");
+        }
+        assert_eq!(
+            bits(&h.true_qoi()),
+            bits(&PoissonModel::new(8, h.field()).qoi(h.truth()))
         );
     }
 

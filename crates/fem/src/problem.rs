@@ -5,12 +5,9 @@
 //! `θ ~ N(0, 4I)`; synthetic data generated from a fixed draw
 //! `θ̂ ~ N(0, I)` (the paper's deliberate "inverse crime", Sec. 3.1).
 
-use crate::grid::StructuredGrid;
-use crate::poisson::{paper_qoi_points, tabulate_transposed, PoissonModel};
+use crate::poisson::{MeshParts, PoissonModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-use uq_linalg::dense::DenseMatrix;
 use uq_linalg::prob::{centered_gaussian_logpdf, isotropic_gaussian_logpdf, standard_normal_vec};
 use uq_mcmc::SamplingProblem;
 use uq_randfield::KlField2d;
@@ -102,28 +99,26 @@ impl SamplingProblem for PoissonProblem {
 /// The paper's three-level Poisson hierarchy (mesh widths 1/16, 1/64,
 /// 1/256) sharing one KL field, one synthetic truth and one data vector.
 ///
-/// The KL basis tabulations (`Φ_e` per level, `Φ_q` once) are computed
-/// here a single time and handed to every model via `Arc`, so spawning a
-/// per-chain/per-worker [`PoissonProblem`] does not re-tabulate the
-/// random field. It still builds the level's solver pipeline, which is
-/// not cheap: a [`problem`](Self::problem) at `m = 113` measured
-/// 0.2–0.4 ms at `n = 16`, 0.8–2.6 ms at `n = 32` and 5–11 ms at
-/// `n = 64` (x86-64, release build; the range is the host's drift). Most
-/// of it is [`StiffnessPattern::new`](crate::StiffnessPattern::new),
-/// which assembles a prototype system and sorts it from COO to CSR: at
-/// `n = 64` the fine pattern alone is about 70 % of the build, its
-/// coarse multigrid levels' patterns another 20 %.
+/// Everything θ-independent is built here once and handed to every
+/// model by `Arc`: the KL field on each distinct mesh's element centres
+/// (its 1-D tables, or on the smallest meshes a tabulated basis), its
+/// tables on the QOI grid, and each distinct mesh size's
+/// [`StiffnessPattern`](crate::StiffnessPattern) — a band-solved level
+/// and a multigrid coarse level of the same `n` share one. A
+/// [`problem`](Self::problem) builds only its solver's own matrices,
+/// band factorisation or multigrid levels, and scratch: at `m = 113` it
+/// measured 0.015–0.03 ms at `n = 16`, 0.06–0.11 ms at `n = 32` and
+/// 0.18–0.34 ms at `n = 64` (x86-64, release build, best of 7 in three
+/// runs; the range is the host's drift), where building its own
+/// patterns cost 0.2 / 0.9 / 6 ms. `new` itself (`m = 113`, `n = 16,
+/// 32, 64`) measured 10–18 ms, the patterns of `n = 64, 32, 16, 8` and
+/// the data solve included.
 pub struct PoissonHierarchy {
     field: KlField2d,
     truth: Vec<f64>,
     data: Vec<f64>,
-    level_n: Vec<usize>,
-    /// Tabulated KL basis at element centers, one per level, stored
-    /// transposed (`m × elements`).
-    phi_elements: Vec<Arc<DenseMatrix>>,
-    /// Tabulated KL basis at the (level-independent) QOI points, stored
-    /// transposed (`m × points`).
-    phi_qoi: Arc<DenseMatrix>,
+    /// The shared parts of each level's models, coarse to fine.
+    levels: Vec<MeshParts>,
 }
 
 impl PoissonHierarchy {
@@ -146,31 +141,19 @@ impl PoissonHierarchy {
         let field = KlField2d::new(constants::CORR_LEN, constants::FIELD_VARIANCE, param_dim);
         let mut rng = StdRng::seed_from_u64(truth_seed);
         let truth = standard_normal_vec(&mut rng, param_dim);
-        let phi_elements: Vec<Arc<DenseMatrix>> = level_n
-            .iter()
-            .map(|&n| tabulate_transposed(&field, &StructuredGrid::new(n).element_centers()))
-            .collect();
-        let phi_qoi = tabulate_transposed(&field, &paper_qoi_points());
-        let finest = *level_n.last().unwrap();
-        let mut data_model = PoissonModel::with_tabulated(
-            finest,
-            Arc::clone(phi_elements.last().unwrap()),
-            Arc::clone(&phi_qoi),
-        );
-        let data = data_model.forward(&truth);
+        let levels = MeshParts::build(&field, &level_n);
+        let data = PoissonModel::from_parts(levels.last().expect("a level")).forward(&truth);
         Self {
             field,
             truth,
             data,
-            level_n,
-            phi_elements,
-            phi_qoi,
+            levels,
         }
     }
 
     /// Number of levels `L + 1`.
     pub fn n_levels(&self) -> usize {
-        self.level_n.len()
+        self.levels.len()
     }
 
     /// Stochastic dimension `m`.
@@ -193,27 +176,20 @@ impl PoissonHierarchy {
     }
 
     /// Build the sampling problem for level `l` (fresh model instance, so
-    /// independent chains/workers can own one each; the heavy KL
-    /// tabulations are shared, each worker only builds its own solver
-    /// pipeline and warm-start state).
+    /// independent chains/workers can own one each; the KL tables and
+    /// the stiffness patterns are shared, each worker only builds its own
+    /// solver pipeline and warm-start state).
     pub fn problem(&self, level: usize) -> PoissonProblem {
-        let model = PoissonModel::with_tabulated(
-            self.level_n[level],
-            Arc::clone(&self.phi_elements[level]),
-            Arc::clone(&self.phi_qoi),
-        );
-        PoissonProblem::new(model, self.data.clone())
+        PoissonProblem::new(
+            PoissonModel::from_parts(&self.levels[level]),
+            self.data.clone(),
+        )
     }
 
     /// The true QOI field `κ(x_k, θ̂)` on the QOI grid (for Fig. 10-style
-    /// recovery-error reporting).
+    /// recovery-error reporting), from the QOI tables alone.
     pub fn true_qoi(&self) -> Vec<f64> {
-        let model = PoissonModel::with_tabulated(
-            self.level_n[0],
-            Arc::clone(&self.phi_elements[0]),
-            Arc::clone(&self.phi_qoi),
-        );
-        model.qoi(&self.truth)
+        self.levels[0].qoi(&self.truth)
     }
 }
 

@@ -3,9 +3,10 @@
 //! iteration-count regression guarding MG-CG's mesh independence.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use uq_fem::assembly::assemble;
 use uq_fem::poisson::build_mg_hierarchy;
-use uq_fem::{StiffnessOperator, StructuredGrid};
+use uq_fem::{StiffnessOperator, StiffnessPattern, StructuredGrid};
 use uq_linalg::solvers::{cg, SolverOptions};
 
 proptest! {
@@ -22,7 +23,7 @@ proptest! {
             .map(|e| seed_vals[e % seed_vals.len()])
             .collect();
         let reference = assemble(&grid, &kappa);
-        let mut op = StiffnessOperator::new(&grid);
+        let mut op = StiffnessOperator::new(Arc::new(StiffnessPattern::new(&grid)));
         op.refill(&kappa);
         prop_assert_eq!(op.matrix().nnz(), reference.matrix.nnz());
         // exact equality on purpose: bitwise, not within-tolerance
@@ -37,7 +38,7 @@ proptest! {
         b in prop::collection::vec(0.2f64..5.0, 16),
     ) {
         let grid = StructuredGrid::new(4);
-        let mut op = StiffnessOperator::new(&grid);
+        let mut op = StiffnessOperator::new(Arc::new(StiffnessPattern::new(&grid)));
         op.refill(&b);
         op.refill(&a);
         let reference = assemble(&grid, &a);
@@ -48,9 +49,12 @@ proptest! {
 
 /// Smooth positive diffusion field evaluated at element centers.
 fn smooth_kappa(grid: &StructuredGrid) -> Vec<f64> {
-    grid.element_centers()
-        .iter()
-        .map(|&(x, y)| (0.8 * (3.0 * x + 1.0).sin() * (2.0 * y).cos()).exp())
+    let axis = grid.element_axis();
+    axis.iter()
+        .flat_map(|&y| {
+            axis.iter()
+                .map(move |&x| (0.8 * (3.0 * x + 1.0).sin() * (2.0 * y).cos()).exp())
+        })
         .collect()
 }
 

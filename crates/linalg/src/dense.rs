@@ -1,7 +1,7 @@
 //! Dense row-major matrices with the one factorization the UQ stack
 //! needs: Cholesky (Gaussian proposal covariances and the multigrid
-//! coarse-level solve). Dense matrices also hold the tabulated KL basis
-//! (`κ = exp(Φθ)`).
+//! coarse-level solve). Dense matrices also hold the KL field's 1-D
+//! tables and, on the smallest meshes, its tabulated basis.
 
 use crate::vector;
 
@@ -78,23 +78,17 @@ impl DenseMatrix {
             .collect()
     }
 
-    /// Transposed matrix–vector product `Aᵀ x`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.cols];
-        self.matvec_t_into(x, &mut y);
-        y
-    }
-
-    /// Transposed matrix–vector product into a caller-provided buffer:
+    /// Transposed matrix–vector product `Aᵀ x` into a caller-provided buffer:
     /// `y ← y + x_i · row_i` for each row, four rows per sweep over `y`
     /// (`y_j ← (((y_j + x₀r₀_j) + x₁r₁_j) + x₂r₂_j) + x₃r₃_j`, so `y` is
     /// loaded and stored once per four rows) and one [`vector::axpy`] per
     /// leftover row. Every entry is summed in row order from `-0.0`, which
     /// is the order and start of [`vector::dot`], so the result equals
     /// `self.transpose().matvec(x)` to the bit; unlike that column dot, a
-    /// dependent chain of adds, the sweep vectorises across `y`. Keeps
-    /// the per-step `κ = exp(Φθ)` evaluation, with `Φ` stored
-    /// transposed, allocation-free.
+    /// dependent chain of adds, the sweep vectorises across `y`. It is
+    /// the second pass of the KL field's sum factorisation (four x-modes
+    /// per sweep over a row of grid points) and, on the smallest meshes,
+    /// the row sum over the tabulated basis; allocation-free.
     pub fn matvec_t_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "matvec_t_into: dimension mismatch");
         assert_eq!(
@@ -302,7 +296,9 @@ mod tests {
         let want = a.transpose().matvec(&x);
         assert_eq!(want[0].to_bits(), (-0.0f64).to_bits());
         assert_eq!(want[2].to_bits(), 0.0f64.to_bits());
-        assert_eq!(bits(&a.matvec_t(&x)), bits(&want));
+        let mut y = vec![f64::NAN; 3];
+        a.matvec_t_into(&x, &mut y);
+        assert_eq!(bits(&y), bits(&want));
 
         // a KL-shaped basis (modes × points): long sums whose rounding
         // depends on their order

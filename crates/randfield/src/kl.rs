@@ -17,6 +17,7 @@
 
 use uq_linalg::dense::DenseMatrix;
 use uq_linalg::roots::bisect_refine;
+use uq_linalg::vector;
 
 /// Parity of a 1-D KL mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -218,21 +219,111 @@ impl KlField2d {
         self.log_kappa(theta, x, y).exp()
     }
 
-    /// Tabulate the λ-scaled basis at a list of points, returning the
-    /// `n_points × m` matrix `Φ` with `Φ θ = log κ` at those points.
-    ///
-    /// This is the fast path used by the FEM forward model: the basis is
-    /// tabulated once per mesh, and each sample costs one mat-vec.
-    pub fn tabulate(&self, points: &[(f64, f64)]) -> DenseMatrix {
-        DenseMatrix::from_fn(points.len(), self.dim(), |p, k| {
-            self.basis(k, points[p].0, points[p].1)
-        })
+    /// Tabulate the field's 1-D factors on the tensor grid `xs × ys`
+    /// for [`KlTensorGrid::log_kappa_into`].
+    pub fn tensor_grid(&self, xs: &[f64], ys: &[f64]) -> KlTensorGrid {
+        // the retained modes are a down-closed set of index pairs (λ
+        // strictly decreases in each 1-D index), so the x-modes that occur
+        // are 0..I and the y-modes 0..J
+        let n_x = 1 + self.modes.iter().map(|m| m.i).max().expect("m > 0");
+        let n_y = 1 + self.modes.iter().map(|m| m.j).max().expect("m > 0");
+        let table = |n_modes: usize, at: &[f64]| {
+            DenseMatrix::from_fn(n_modes, at.len(), |i, a| self.kl1d.eval(i, at[a]))
+        };
+        KlTensorGrid {
+            modes: self
+                .modes
+                .iter()
+                .map(|m| (m.i, m.j, m.lambda.sqrt()))
+                .collect(),
+            phi_x: table(n_x, xs),
+            phi_y: table(n_y, ys),
+        }
     }
 
     /// Truncated pointwise variance `Σ_k λ_k φ_k(x,y)²` — approaches
     /// `variance` as `m → ∞` (used to quantify truncation error).
     pub fn truncated_variance(&self, x: f64, y: f64) -> f64 {
         (0..self.dim()).map(|k| self.basis(k, x, y).powi(2)).sum()
+    }
+}
+
+/// A [`KlField2d`] on a tensor grid `xs × ys`, evaluated by sum
+/// factorisation (Orszag 1980): `log κ(x_a, y_b) = Σ_k √λ_k θ_k
+/// φ_{i_k}(x_a) φ_{j_k}(y_b)` is, grouped by x-mode,
+///
+/// * `H[i][b] = Σ_{k : i_k = i} (√λ_k θ_k) φ_{j_k}(y_b)`, then
+/// * `out[b][a] = Σ_i H[i][b] φ_i(x_a)`,
+///
+/// `m·ny + I·nx·ny` multiply-adds for `I` distinct x-modes, instead of
+/// the `m·nx·ny` of the row sum [`KlField2d::log_kappa`] (`m = 113` has
+/// `I = 19`). It holds the 1-D tables `φ_i(x_a)` and `φ_j(y_b)` and each
+/// mode's `(i_k, j_k, √λ_k)`, built once by [`KlField2d::tensor_grid`].
+#[derive(Clone, Debug)]
+pub struct KlTensorGrid {
+    /// Per retained mode `k`: `(i_k, j_k, √λ_k)`.
+    modes: Vec<(usize, usize, f64)>,
+    /// `φ_i(x_a)`: row `i` holds x-mode `i` at every `x` (`I × nx`).
+    phi_x: DenseMatrix,
+    /// `φ_j(y_b)`: row `j` holds y-mode `j` at every `y` (`J × ny`).
+    phi_y: DenseMatrix,
+}
+
+impl KlTensorGrid {
+    /// Number of retained modes `m`.
+    pub fn dim(&self) -> usize {
+        self.modes.len()
+    }
+
+    /// Number of grid points `nx · ny`.
+    pub fn n_points(&self) -> usize {
+        self.phi_x.cols() * self.phi_y.cols()
+    }
+
+    /// Length of the scratch [`log_kappa_into`](Self::log_kappa_into)
+    /// works in: `H` (`I × ny`) and one of its columns.
+    pub fn scratch_len(&self) -> usize {
+        self.phi_x.rows() * (self.phi_y.cols() + 1)
+    }
+
+    /// `out[b·nx + a] = log κ(x_a, y_b; θ)` (x fastest), allocation-free.
+    ///
+    /// The summation order, fixed: `c_k = √λ_k · θ_k`; each `H[i][b]`
+    /// adds `c_k · φ_{j_k}(y_b)` over its modes in ascending `k`, from
+    /// `−0.0`, one [`vector::axpy`] over `y` per mode; each `out[b][a]`
+    /// adds `H[i][b] · φ_i(x_a)` in ascending `i`, from `−0.0`, by
+    /// [`DenseMatrix::matvec_t_into`] (one sweep over the row per four
+    /// x-modes, the same order as one at a time). No product is fused.
+    /// This is not the row sum's order, so the two agree to rounding:
+    /// within `8 ε Σ_k |√λ_k θ_k φ_k(x_a, y_b)|`.
+    ///
+    /// # Panics
+    /// Panics if `theta` has not one entry per mode, `scratch` is shorter
+    /// than [`scratch_len`](Self::scratch_len) or `out` has not one entry
+    /// per grid point.
+    pub fn log_kappa_into(&self, theta: &[f64], scratch: &mut [f64], out: &mut [f64]) {
+        assert_eq!(theta.len(), self.dim(), "log_kappa_into: wrong dimension");
+        assert_eq!(
+            out.len(),
+            self.n_points(),
+            "log_kappa_into: wrong output length"
+        );
+        let (nx, ny) = (self.phi_x.cols(), self.phi_y.cols());
+        let (h, rest) = scratch[..self.scratch_len()].split_at_mut(self.phi_x.rows() * ny);
+        h.fill(-0.0);
+        for (&(i, j, sqrt_lambda), &t) in self.modes.iter().zip(theta) {
+            vector::axpy(
+                sqrt_lambda * t,
+                self.phi_y.row(j),
+                &mut h[i * ny..(i + 1) * ny],
+            );
+        }
+        for (b, row) in out.chunks_exact_mut(nx).enumerate() {
+            for (c, h_i) in rest.iter_mut().zip(h.chunks_exact(ny)) {
+                *c = h_i[b];
+            }
+            self.phi_x.matvec_t_into(rest, row);
+        }
     }
 }
 
@@ -355,16 +446,93 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-12);
     }
 
+    /// The three parameters of the Poisson golden fixture: a smooth
+    /// one, a larger smooth one and a rough one whose `κ` spans several
+    /// decades.
+    fn golden_theta(m: usize, k: usize) -> Vec<f64> {
+        (0..m)
+            .map(|i| match k {
+                0 => 0.5 * ((i + 1) as f64).sin(),
+                1 => 1.5 * (0.7 * i as f64 + 0.3).cos(),
+                _ => -2.0 * ((i * i) as f64 * 0.37 + 1.0).sin(),
+            })
+            .collect()
+    }
+
     #[test]
     fn tabulate_matches_pointwise_eval() {
         let f = KlField2d::new(CORR_LEN, 1.0, 20);
-        let pts = vec![(0.1, 0.2), (0.5, 0.5), (0.9, 0.3)];
-        let phi = f.tabulate(&pts);
+        let (xs, ys) = ([0.1, 0.5, 0.9], [0.2, 0.5, 0.3]);
+        let grid = f.tensor_grid(&xs, &ys);
         let theta: Vec<f64> = (0..20).map(|i| 0.1 * i as f64 - 1.0).collect();
-        let by_matvec = phi.matvec(&theta);
-        for (p, &(x, y)) in pts.iter().enumerate() {
-            assert!((by_matvec[p] - f.log_kappa(&theta, x, y)).abs() < 1e-12);
+        let mut scratch = vec![0.0; grid.scratch_len()];
+        let mut out = vec![0.0; 9];
+        grid.log_kappa_into(&theta, &mut scratch, &mut out);
+        for (p, got) in out.iter().enumerate() {
+            let (x, y) = (xs[p % 3], ys[p / 3]);
+            assert!(
+                (got - f.log_kappa(&theta, x, y)).abs() < 1e-12,
+                "({x}, {y})"
+            );
         }
+    }
+
+    #[test]
+    fn tensor_log_kappa_is_the_row_sum_to_rounding() {
+        // every element centre of the n × n meshes, n = 4 … 64, and the
+        // 33 × 33 QOI grid: |tensor − row sum| ≤ 8 ε Σ_k |√λ_k θ_k φ_k|
+        let centres =
+            |n: usize| -> Vec<f64> { (0..n).map(|a| (a as f64 + 0.5) / n as f64).collect() };
+        let qoi: Vec<f64> = (0..33).map(|a| a as f64 / 32.0).collect();
+        let grids: Vec<Vec<f64>> = (4..=64).map(centres).chain([qoi]).collect();
+        let mut worst = 0.0f64;
+        for m in [8, 24, 113] {
+            let f = KlField2d::new(CORR_LEN, 1.0, m);
+            for axis in &grids {
+                let grid = f.tensor_grid(axis, axis);
+                let mut scratch = vec![f64::NAN; grid.scratch_len()];
+                let mut out = vec![f64::NAN; grid.n_points()];
+                for k in 0..3 {
+                    let theta = golden_theta(m, k);
+                    grid.log_kappa_into(&theta, &mut scratch, &mut out);
+                    for (p, got) in out.iter().enumerate() {
+                        let (x, y) = (axis[p % axis.len()], axis[p / axis.len()]);
+                        let scale: f64 = (0..m).map(|k| (f.basis(k, x, y) * theta[k]).abs()).sum();
+                        let err = (got - f.log_kappa(&theta, x, y)).abs();
+                        assert!(
+                            err <= 8.0 * f64::EPSILON * scale,
+                            "m = {m}, {} points, θ {k}, ({x}, {y}): |Δ| = {err:e}, scale {scale:e}",
+                            axis.len()
+                        );
+                        worst = worst.max(err / (f64::EPSILON * scale));
+                    }
+                }
+            }
+        }
+        println!("largest |Δ| / (ε Σ_k |√λ_k θ_k φ_k|): {worst:.2}");
+    }
+
+    #[test]
+    fn tensor_grid_counts_and_reuses_its_scratch() {
+        // m = 113 spans 19 x-modes; a second θ through the same scratch
+        // leaves no residue of the first
+        let f = KlField2d::new(CORR_LEN, 1.0, 113);
+        let xs = [0.1, 0.4, 0.9];
+        let ys = [0.2, 0.7];
+        let grid = f.tensor_grid(&xs, &ys);
+        assert_eq!((grid.dim(), grid.n_points()), (113, 6));
+        assert_eq!(grid.scratch_len(), 19 * 3);
+        let mut scratch = vec![0.0; grid.scratch_len()];
+        let (mut first, mut again) = (vec![0.0; 6], vec![0.0; 6]);
+        grid.log_kappa_into(&golden_theta(113, 1), &mut scratch, &mut first);
+        grid.log_kappa_into(&golden_theta(113, 2), &mut scratch, &mut again);
+        let mut fresh = vec![0.0; grid.scratch_len()];
+        grid.log_kappa_into(&golden_theta(113, 2), &mut fresh, &mut first);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again), bits(&first));
+        let at_zero = vec![0.0; 113];
+        grid.log_kappa_into(&at_zero, &mut scratch, &mut first);
+        assert!(first.iter().all(|v| *v == 0.0));
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn qoi_field_is_log_normal_consistent() {
     // QOI = exp(Phi theta): for theta ~ N(0, I) the log-QOI mean tends to
     // zero and its variance to the truncated field variance
     let field = KlField2d::new(0.15, 1.0, 64);
-    let model = PoissonModel::new(8, &field);
+    let mut model = PoissonModel::new(8, &field);
     let mut rng = StdRng::seed_from_u64(3);
     let n_rep = 2000;
     let center = 16 * 33 + 16;

@@ -19,6 +19,22 @@
 //! every other level and every run digest kept their bits.
 //! `direct_level_one_agrees_with_mg_cg` checks the argument: the direct
 //! forward and an MG-CG solve of the same system agree to 1e-7.
+//!
+//! A second deliberate re-record: `log κ` moved from the row sum over a
+//! tabulated basis to sum factorisation over the field's 1-D tables
+//! (`uq_randfield::KlTensorGrid`) on the QOI grid and on every mesh
+//! whose row sum costs more than `uq_fem::poisson::DENSE_KAPPA_MAX_MADDS`.
+//! That is a change of formula: the same terms summed in another order,
+//! within `8 ε Σ_k |√λ_k θ_k φ_k|` of the row sum (checked point by point
+//! by `uq-randfield`'s `tensor_log_kappa_is_the_row_sum_to_rounding`). It
+//! moved forward outputs by at most 1.52e-14 relative, log-densities by at
+//! most 4.70e-14, every QOI hash and every run digest (a run's means are
+//! over the QOI). The `m = 8` meshes (`n = 4, 8`) keep the row sum, so
+//! their forward outputs and log-densities kept their bits; `m = 24`
+//! level 0 (`n = 8`) kept its forward outputs, and its log-densities
+//! moved only through the data, which the finest level computes. Like a
+//! solver switch, a change of formula re-records; a kernel change that
+//! keeps the formula's order never does.
 
 use uq_fem::assembly::assemble;
 use uq_fem::poisson::build_mg_hierarchy;
@@ -69,7 +85,7 @@ const GOLDEN: [Golden; 3] = [
     Golden {
         m: 8,
         levels: &[4, 8],
-        qoi: [0x38b0c9403797b53f, 0x7dc0946268b21c95, 0x73c4baa6ae5e6aab],
+        qoi: [0x957ebaac76267cf7, 0xd5a0383c8b18e4fb, 0x119c7a183f9f4aba],
         evals: &[
             [
                 (0xc083171d07e9de03, [
@@ -146,10 +162,10 @@ const GOLDEN: [Golden; 3] = [
     Golden {
         m: 24,
         levels: &[8, 16],
-        qoi: [0xccf64df38c6e96b9, 0xfde66ae20d5998cc, 0x951ca55659726f11],
+        qoi: [0x9e5f1a2800779680, 0x7ffd8ca62b9b7c56, 0x4ba80ed32b2221e5],
         evals: &[
             [
-                (0xc08db8a67994893e, [
+                (0xc08db8a6799489b6, [
                     0x3fb12d221ff523db, 0x3faec4e9535fd2be, 0x3fac76dc6846852d, 0x3fb01b02b86b4a14,
                     0x3fb2b2630240ffb0, 0x3fb0f5b4bf7ab348, 0x3fcef7b697ecce24, 0x3fcd1d6d3de9d792,
                     0x3fcb64bd1ff658d3, 0x3fccfe40edb1e302, 0x3fcf30500a31d470, 0x3fcec5086a4bb658,
@@ -160,7 +176,7 @@ const GOLDEN: [Golden; 3] = [
                     0x3fe7f39dc5685906, 0x3fe9db330a043f06, 0x3fb9c3b32fefb5c8, 0x3fb713aefe87de0e,
                     0x3fb559254e34e3e2, 0x3fb8288414a0ef1e, 0x3fbc0b9483617f88, 0x3fb9708f1f380ceb,
                 ]),
-                (0xc09e6f7695435438, [
+                (0xc09e6f769543548d, [
                     0x3fa46884ed7f74dc, 0x3fa441b7c8c3d376, 0x3fa62230f4bef6be, 0x3fad98c03bbbd18a,
                     0x3fad8e1b24cc0bc6, 0x3fa468dbac7561ce, 0x3fc25b952c9c8fa5, 0x3fc16528641dd5bf,
                     0x3fc267f9684b9eca, 0x3fc6ad550ef28ee2, 0x3fc6d267157ee605, 0x3fc224c7cce03524,
@@ -171,7 +187,7 @@ const GOLDEN: [Golden; 3] = [
                     0x3fe674a757e5f974, 0x3fe9a34708cd78ba, 0x3fae9cc7643f2f4a, 0x3fae6293ad25bd30,
                     0x3fb099a4b78f390e, 0x3fb632902cccdd27, 0x3fb62a945b9908d4, 0x3fae9d4982b012b4,
                 ]),
-                (0xc0b7daf29bedea70, [
+                (0xc0b7daf29bedea91, [
                     0x3fa914a6c863562e, 0x3fa30599292c8634, 0x3f9428b425c76336, 0x3f9117874790ca54,
                     0x3f9dc2c6aebdfd92, 0x3fa885bfb0a48d20, 0x3fc6da6bc4f863b8, 0x3fc518ee42c63cfe,
                     0x3fbf155460932780, 0x3fb94ec43dc21e9d, 0x3fc41bbdf9491486, 0x3fc6baa095cb769c,
@@ -184,38 +200,38 @@ const GOLDEN: [Golden; 3] = [
                 ]),
             ],
             [
-                (0xc08e0b647c877a3e, [
-                    0x3fb10498e5824bbe, 0x3fade761b3f60374, 0x3fabd628049b5770, 0x3fb0014c3945b4fc,
-                    0x3fb2c5256c9a8320, 0x3fb0acd085341fb2, 0x3fcf03a8b1827ec0, 0x3fccff22bb5057b5,
-                    0x3fcb3efc65db1774, 0x3fccf747b6aae434, 0x3fcf67d2bae57b70, 0x3fceba95b93c9378,
-                    0x3fdaf8033210c24c, 0x3fdac1305fb44930, 0x3fda8c0ef26f044c, 0x3fd9fd73aca65b3e,
-                    0x3fd9a7efd65d592d, 0x3fdaedbe1a342b34, 0x3fe2f904a0ca1b4e, 0x3fe367c875c6d082,
-                    0x3fe3c89340186de2, 0x3fe2e297d40d1a0c, 0x3fe21082ab6b53e2, 0x3fe304df97d848a5,
-                    0x3fe9caa41ad4ea70, 0x3fea39cf9e5876e8, 0x3fea0cb69b1309c2, 0x3fe8e6626f4cb0aa,
-                    0x3fe7efa8e7c9c5fd, 0x3fe9deea23db8349, 0x3fb9e01ebe12ad06, 0x3fb701dac02b1e12,
-                    0x3fb55901789747cb, 0x3fb8342896eba20e, 0x3fbc18f46207161a, 0x3fb969db43c02657,
+                (0xc08e0b647c877aba, [
+                    0x3fb10498e5824bc1, 0x3fade761b3f60378, 0x3fabd628049b5771, 0x3fb0014c3945b500,
+                    0x3fb2c5256c9a8322, 0x3fb0acd085341fb4, 0x3fcf03a8b1827ec2, 0x3fccff22bb5057bb,
+                    0x3fcb3efc65db1774, 0x3fccf747b6aae434, 0x3fcf67d2bae57b74, 0x3fceba95b93c937c,
+                    0x3fdaf8033210c24c, 0x3fdac1305fb44932, 0x3fda8c0ef26f044e, 0x3fd9fd73aca65b3f,
+                    0x3fd9a7efd65d5931, 0x3fdaedbe1a342b34, 0x3fe2f904a0ca1b4d, 0x3fe367c875c6d080,
+                    0x3fe3c89340186de0, 0x3fe2e297d40d1a0d, 0x3fe21082ab6b53e4, 0x3fe304df97d848a4,
+                    0x3fe9caa41ad4ea70, 0x3fea39cf9e5876e8, 0x3fea0cb69b1309c1, 0x3fe8e6626f4cb0aa,
+                    0x3fe7efa8e7c9c5fe, 0x3fe9deea23db8348, 0x3fb9e01ebe12ad0c, 0x3fb701dac02b1e17,
+                    0x3fb55901789747cc, 0x3fb8342896eba211, 0x3fbc18f46207161d, 0x3fb969db43c0265d,
                 ]),
-                (0xc09d84c7e2a04234, [
-                    0x3fa591b832712bc6, 0x3fa60cb72857dc06, 0x3fa6733c9ca96027, 0x3fb0310659161232,
-                    0x3fafae52ba24c11c, 0x3fa5bdab05e30959, 0x3fc2d0d07ded6cec, 0x3fc1a0a11551c5d7,
-                    0x3fc2a332875148fe, 0x3fc71697172eac7a, 0x3fc707f346be6b76, 0x3fc28748c3939df1,
-                    0x3fd9da9d1e6726da, 0x3fd8123042529317, 0x3fd5f65ad7726f62, 0x3fd443e1b1347e88,
-                    0x3fd44ac0634a1171, 0x3fd97ef655a1b6bc, 0x3fe6ccc2c48861bd, 0x3fe6cef273c8f346,
-                    0x3fe5455751287f87, 0x3fe151b782c0e44d, 0x3fe0d4a285c5b4b1, 0x3fe6d3e6e91248b0,
-                    0x3fe98ca781cf6f33, 0x3fe9551672be6772, 0x3fe8ac24e0b98746, 0x3fe648e247f47d24,
-                    0x3fe683780a731b0b, 0x3fe981a52f9e02a3, 0x3fafc6b8cbb18147, 0x3fafb6c3d2a22d28,
-                    0x3fb0a6bdf29b173e, 0x3fb70f17b3d81678, 0x3fb69f5ec3594482, 0x3fafcdd796689721,
+                (0xc09d84c7e2a04285, [
+                    0x3fa591b832712bcc, 0x3fa60cb72857dc08, 0x3fa6733c9ca96022, 0x3fb031065916122a,
+                    0x3fafae52ba24c109, 0x3fa5bdab05e3095f, 0x3fc2d0d07ded6cee, 0x3fc1a0a11551c5d9,
+                    0x3fc2a332875148f9, 0x3fc71697172eac6d, 0x3fc707f346be6b68, 0x3fc28748c3939df4,
+                    0x3fd9da9d1e6726e0, 0x3fd812304252931d, 0x3fd5f65ad7726f62, 0x3fd443e1b1347e7e,
+                    0x3fd44ac0634a1168, 0x3fd97ef655a1b6c1, 0x3fe6ccc2c48861c6, 0x3fe6cef273c8f351,
+                    0x3fe5455751287f8c, 0x3fe151b782c0e448, 0x3fe0d4a285c5b4ab, 0x3fe6d3e6e91248b9,
+                    0x3fe98ca781cf6f3c, 0x3fe9551672be677d, 0x3fe8ac24e0b9874d, 0x3fe648e247f47d20,
+                    0x3fe683780a731b06, 0x3fe981a52f9e02ac, 0x3fafc6b8cbb1814e, 0x3fafb6c3d2a22d2a,
+                    0x3fb0a6bdf29b173a, 0x3fb70f17b3d8166c, 0x3fb69f5ec3594475, 0x3fafcdd796689728,
                 ]),
-                (0xc0b75459520e1e1d, [
-                    0x3faa87bdb1e55d36, 0x3fa30f422ade47d4, 0x3f93db690513cdd8, 0x3f91aa91fac4b882,
-                    0x3f9a1f1de691c048, 0x3fa96a932693e76d, 0x3fc73496b4ed0d70, 0x3fc5109d3d595e7e,
-                    0x3fbdb641d262da6c, 0x3fb83b15827ac352, 0x3fc462c58074822d, 0x3fc6f7fab8c42382,
-                    0x3fd1a9d211b389aa, 0x3fd23393cc7c973d, 0x3fd30b390b522e60, 0x3fd6d8c54f07b997,
-                    0x3fdd20452b5fcb3b, 0x3fd1ba01d5bb455f, 0x3fd62e5b4ed7cd7a, 0x3fd5c60ab396bde1,
-                    0x3fd743232f448134, 0x3fe05cfe98bf61c0, 0x3fe4088496a814a8, 0x3fd6008922f64308,
-                    0x3fe7b453c0e0238a, 0x3fe6fc74308cb55f, 0x3fe58b75f130f21b, 0x3fe744b202c93d96,
-                    0x3fe875c854f64178, 0x3fe7b4a01acc9aac, 0x3fb3a67fa4f2d2b4, 0x3fad7c304f578486,
-                    0x3f9f57dbb973d924, 0x3f9acb8e1b58f662, 0x3fa5f701ef2883d2, 0x3fb2f3198cfb861e,
+                (0xc0b75459520e1e5d, [
+                    0x3faa87bdb1e55d23, 0x3fa30f422ade47c7, 0x3f93db690513cdca, 0x3f91aa91fac4b874,
+                    0x3f9a1f1de691c032, 0x3fa96a932693e75a, 0x3fc73496b4ed0d5d, 0x3fc5109d3d595e70,
+                    0x3fbdb641d262da59, 0x3fb83b15827ac340, 0x3fc462c58074821a, 0x3fc6f7fab8c42370,
+                    0x3fd1a9d211b3899c, 0x3fd23393cc7c9731, 0x3fd30b390b522e56, 0x3fd6d8c54f07b986,
+                    0x3fdd20452b5fcb21, 0x3fd1ba01d5bb4552, 0x3fd62e5b4ed7cd6a, 0x3fd5c60ab396bdd5,
+                    0x3fd743232f448127, 0x3fe05cfe98bf61b6, 0x3fe4088496a81499, 0x3fd6008922f642f8,
+                    0x3fe7b453c0e02383, 0x3fe6fc74308cb55c, 0x3fe58b75f130f218, 0x3fe744b202c93d8b,
+                    0x3fe875c854f6416d, 0x3fe7b4a01acc9aa6, 0x3fb3a67fa4f2d2a6, 0x3fad7c304f578472,
+                    0x3f9f57dbb973d910, 0x3f9acb8e1b58f64b, 0x3fa5f701ef2883be, 0x3fb2f3198cfb8611,
                 ]),
             ],
         ],
@@ -223,111 +239,111 @@ const GOLDEN: [Golden; 3] = [
     Golden {
         m: 113,
         levels: &[16, 32, 64],
-        qoi: [0x48a6b378c49329aa, 0x5c4ddf64531d76e0, 0x628ea1cf811c106f],
+        qoi: [0x9ced1ad82ad08ad7, 0x4f47d11a646fe526, 0x49d41ea7c615fe64],
         evals: &[
             [
-                (0xc08f68fb526bf7fa, [
-                    0x3fb3af65675d4d32, 0x3fb0b34e5445bddc, 0x3fac0e9b26671d2f, 0x3faef925ea549b0e,
-                    0x3fb33b0a510f21f5, 0x3fb35098ac97ca41, 0x3fcf84fcb5d70c08, 0x3fccac8e7f6d59ba,
-                    0x3fca72992bf323be, 0x3fcd6bab55617c88, 0x3fcf52292d1c0b77, 0x3fcf01125ed92424,
-                    0x3fdaa63069d882d8, 0x3fda8d08f77596e3, 0x3fdac9bdd559992c, 0x3fda617133b3db02,
-                    0x3fd9bb920e8d076c, 0x3fda94f2e8a8fab8, 0x3fe34ab127af8fe4, 0x3fe3a9ea38ed66da,
-                    0x3fe3a5b490a151f5, 0x3fe2c8dc9ec4dec1, 0x3fe22407da57ce85, 0x3fe356ee7ca84704,
-                    0x3fe982a418e7e1f6, 0x3fea03a4b64f9f24, 0x3fea0e27486d55d7, 0x3fe8bf09d4729bf0,
-                    0x3fe7fbf8dde305ef, 0x3fe9926b1f84ec57, 0x3fbcb586c3bcdf29, 0x3fb865b2f709a182,
-                    0x3fb53e96fb952b0a, 0x3fb803636b79263c, 0x3fbb81c3367507ad, 0x3fbc0c9134eee1f6,
+                (0xc08f68fb526bf68a, [
+                    0x3fb3af65675d4d38, 0x3fb0b34e5445bde3, 0x3fac0e9b26671d36, 0x3faef925ea549b10,
+                    0x3fb33b0a510f21f4, 0x3fb35098ac97ca48, 0x3fcf84fcb5d70c12, 0x3fccac8e7f6d59c4,
+                    0x3fca72992bf323c4, 0x3fcd6bab55617c8a, 0x3fcf52292d1c0b79, 0x3fcf01125ed9242e,
+                    0x3fdaa63069d882df, 0x3fda8d08f77596e9, 0x3fdac9bdd5599930, 0x3fda617133b3db03,
+                    0x3fd9bb920e8d076a, 0x3fda94f2e8a8fabf, 0x3fe34ab127af8fe8, 0x3fe3a9ea38ed66de,
+                    0x3fe3a5b490a151f8, 0x3fe2c8dc9ec4dec2, 0x3fe22407da57ce85, 0x3fe356ee7ca84707,
+                    0x3fe982a418e7e1fc, 0x3fea03a4b64f9f2a, 0x3fea0e27486d55d9, 0x3fe8bf09d4729bf0,
+                    0x3fe7fbf8dde305ed, 0x3fe9926b1f84ec5d, 0x3fbcb586c3bcdf33, 0x3fb865b2f709a18c,
+                    0x3fb53e96fb952b11, 0x3fb803636b79263e, 0x3fbb81c3367507ac, 0x3fbc0c9134eee201,
                 ]),
-                (0xc09e7848a6fa0a4d, [
-                    0x3fa8ba3801a53bf0, 0x3fb0c081e742b8a0, 0x3fa0d00e1b114e9a, 0x3fa15a79d87c6ffe,
-                    0x3fad0f6064a9c0da, 0x3fab8cdda74fe5e1, 0x3fc3ec75aaf88e35, 0x3fc17b9e8f1d1aca,
-                    0x3fc2f869bbe76fe9, 0x3fc399266103f7a8, 0x3fc6444138e00329, 0x3fc30b12746b1085,
-                    0x3fdbb9c32712343b, 0x3fd782e6ad9ded19, 0x3fd7050ac9b8c84a, 0x3fd4b69aa19c0374,
-                    0x3fd37d598e64c6fc, 0x3fda63f9ae890479, 0x3fe6ff470cfca9e7, 0x3fe6b6a2add6530c,
-                    0x3fe496dc4a380b7b, 0x3fe0ee05b54e0a4f, 0x3fe0a45f3d7e9da9, 0x3fe708158bca5476,
-                    0x3fe8f21e238c4b2d, 0x3fe974801834fc6c, 0x3fe8b6f189987e53, 0x3fe57d5cf2a63c5b,
-                    0x3fe5979e95422a8a, 0x3fe9070df2539082, 0x3fb06521eefaab4c, 0x3fb4b5d8cd962256,
-                    0x3fac685898c5a4de, 0x3faa74e83d657951, 0x3fb44b05549be156, 0x3fb1bd43adf6bb6d,
+                (0xc09e7848a6fa09aa, [
+                    0x3fa8ba3801a53bee, 0x3fb0c081e742b89e, 0x3fa0d00e1b114e96, 0x3fa15a79d87c6ffb,
+                    0x3fad0f6064a9c0da, 0x3fab8cdda74fe5df, 0x3fc3ec75aaf88e32, 0x3fc17b9e8f1d1ac8,
+                    0x3fc2f869bbe76fe4, 0x3fc399266103f7a6, 0x3fc6444138e00327, 0x3fc30b12746b1082,
+                    0x3fdbb9c32712342e, 0x3fd782e6ad9ded18, 0x3fd7050ac9b8c845, 0x3fd4b69aa19c036e,
+                    0x3fd37d598e64c6fe, 0x3fda63f9ae89046e, 0x3fe6ff470cfca9e1, 0x3fe6b6a2add65304,
+                    0x3fe496dc4a380b75, 0x3fe0ee05b54e0a4c, 0x3fe0a45f3d7e9da5, 0x3fe708158bca546f,
+                    0x3fe8f21e238c4b22, 0x3fe974801834fc62, 0x3fe8b6f189987e4e, 0x3fe57d5cf2a63c56,
+                    0x3fe5979e95422a88, 0x3fe9070df2539077, 0x3fb06521eefaab4a, 0x3fb4b5d8cd962253,
+                    0x3fac685898c5a4d8, 0x3faa74e83d65794c, 0x3fb44b05549be156, 0x3fb1bd43adf6bb6c,
                 ]),
-                (0xc0b7e6de31db92e2, [
-                    0x3f948d2f6e9c832d, 0x3f966ec3194be138, 0x3f868b11694ca818, 0x3f727c4cfac4f062,
-                    0x3f974bfe8afcf8f2, 0x3f93405a34ca8718, 0x3fcbca482ae6c730, 0x3fc625aecba4c01a,
-                    0x3fc000734e91a91d, 0x3fc0cd386e27290d, 0x3fc55e85cb34a707, 0x3fcadcc85c543c9e,
-                    0x3fd0d7e61fa434dd, 0x3fd1943f6e333a8e, 0x3fd34bb3a4b9b4a4, 0x3fd621762a57209c,
-                    0x3fdbb281ecedc2aa, 0x3fd0edc9e67492e8, 0x3fd5ca4d4651a485, 0x3fd611eff745dc91,
-                    0x3fd5b7e7c9f4fb96, 0x3fe0becf086aee0c, 0x3fe29361be06e48f, 0x3fd5e1b553bcaddd,
-                    0x3fe7cba45828c5ac, 0x3fe4a62da0bcb4f6, 0x3fe5334f035914d0, 0x3fe756bade25db62,
-                    0x3fe84c7755a0680f, 0x3fe6e1bdc498670e, 0x3fb2cf67a90c7c99, 0x3fb0349246c5b494,
-                    0x3f9d33d1c83e333b, 0x3f91c5fe7ea6f7c9, 0x3fae5c49e6e57883, 0x3fb232ed4abdeaa0,
-                ]),
-            ],
-            [
-                (0xc08fa7e43ca0869c, [
-                    0x3fb38ef6dbc9356a, 0x3fb0a6b92d199312, 0x3fac1c6b94384ba8, 0x3faf3b0490f40f39,
-                    0x3fb3154e5ee45072, 0x3fb34a3bbfff7f11, 0x3fcf865a80cc7ba7, 0x3fcc974a03b1c0a1,
-                    0x3fca5cab31d8cd1f, 0x3fcdb7288841754f, 0x3fcf88dce3a5a261, 0x3fcf100db332010f,
-                    0x3fdaaee0e4bdf10f, 0x3fda8fffa051c565, 0x3fdada6c179f21fe, 0x3fda77170706e7c8,
-                    0x3fd9c7fdd2897890, 0x3fda9b795fc426a4, 0x3fe33d6f9b5e2f0e, 0x3fe39feaf0c86164,
-                    0x3fe392832776b0ab, 0x3fe2b0d54e898f96, 0x3fe21f53c308bd01, 0x3fe346ea9ddad6c1,
-                    0x3fe97837ac1c7da2, 0x3fe9f6317552274e, 0x3fea0226e556f375, 0x3fe8ad209eed40c0,
-                    0x3fe7fee06d063f82, 0x3fe98577a71f59a6, 0x3fbd2a338e8eb56b, 0x3fb8d585a2e08c8c,
-                    0x3fb5603a4392b8cf, 0x3fb8006c8c93d95d, 0x3fbb649c178f2517, 0x3fbca87beaf8f104,
-                ]),
-                (0xc09e65e70c0d04ab, [
-                    0x3fa8979315ed2397, 0x3fb06e598727994e, 0x3fa0c7c94de041f3, 0x3fa1a5410f7d99b2,
-                    0x3facd3a34daf6812, 0x3faabb786341fa2a, 0x3fc3c62a9346a762, 0x3fc150ecac5710b6,
-                    0x3fc308a9ed4c0580, 0x3fc39fdb5fe22cdf, 0x3fc65c8ee26c82aa, 0x3fc2eae5bc602dae,
-                    0x3fdbb4a76955a993, 0x3fd7f35b2d4920d3, 0x3fd767d946512844, 0x3fd4b0491268db9f,
-                    0x3fd3417fbd54b606, 0x3fda9fe5e6bd41ed, 0x3fe712ef5ece5ba3, 0x3fe6cbf4246b5852,
-                    0x3fe4ade7df924009, 0x3fe0defbb4678f1e, 0x3fe08943ca9128c2, 0x3fe71e71de64efac,
-                    0x3fe8e707bfba8b0e, 0x3fe97e19ccc13473, 0x3fe8eaa0774ea681, 0x3fe56e9963ada123,
-                    0x3fe5664b35c2066d, 0x3fe8fa22b2662630, 0x3fb0867f17d41e49, 0x3fb4e6bbfc25a704,
-                    0x3fab1f4abd2f47f3, 0x3faa164b1edbcfbc, 0x3fb47be9e37befcb, 0x3fb1af219591a57a,
-                ]),
-                (0xc0b7b0511aabd566, [
-                    0x3f964a26e4526ed1, 0x3f9877977b66d4d4, 0x3f881e2e65a2409e, 0x3f73846f404a426c,
-                    0x3f99ea50a87d16bb, 0x3f9478f2045ecc4e, 0x3fcc42733513169e, 0x3fc62a82cce20c1f,
-                    0x3fbf73f5ea3a9280, 0x3fc126799f06b7ec, 0x3fc5ad95b2b9717d, 0x3fcb938a9169b490,
-                    0x3fd1173043ced13c, 0x3fd1b5f2c3a7c500, 0x3fd36a35e9a4cc82, 0x3fd670f371915c7d,
-                    0x3fdbcb2896b84ab8, 0x3fd12c4906d0f568, 0x3fd5f1f93ae3b519, 0x3fd6078867e04bf3,
-                    0x3fd5692c7e39c874, 0x3fe16e5da530aa42, 0x3fe2c00f4c5308ee, 0x3fd6176e9a8235f3,
-                    0x3fe851c92358c455, 0x3fe49a00ddd21688, 0x3fe56148d9c5b3cf, 0x3fe7a2eb1a4e448c,
-                    0x3fe886e772c9ac81, 0x3fe6fcdb6500fb5e, 0x3fac24c8e853bdc8, 0x3faa42055e10ddb6,
-                    0x3f9793b38f1cd7c2, 0x3f86279122e8ed1d, 0x3fab0c9f6d686dfe, 0x3faa7ec98881db2a,
+                (0xc0b7e6de31db929c, [
+                    0x3f948d2f6e9c8326, 0x3f966ec3194be12c, 0x3f868b11694ca80e, 0x3f727c4cfac4f059,
+                    0x3f974bfe8afcf8ee, 0x3f93405a34ca8711, 0x3fcbca482ae6c724, 0x3fc625aecba4c010,
+                    0x3fc000734e91a914, 0x3fc0cd386e272903, 0x3fc55e85cb34a6fe, 0x3fcadcc85c543c93,
+                    0x3fd0d7e61fa434d6, 0x3fd1943f6e333a87, 0x3fd34bb3a4b9b49a, 0x3fd621762a57208b,
+                    0x3fdbb281ecedc28f, 0x3fd0edc9e67492e2, 0x3fd5ca4d4651a47c, 0x3fd611eff745dc8a,
+                    0x3fd5b7e7c9f4fb8d, 0x3fe0becf086aee00, 0x3fe29361be06e47c, 0x3fd5e1b553bcadd5,
+                    0x3fe7cba45828c5aa, 0x3fe4a62da0bcb4f2, 0x3fe5334f035914ca, 0x3fe756bade25db55,
+                    0x3fe84c7755a06801, 0x3fe6e1bdc498670b, 0x3fb2cf67a90c7c90, 0x3fb0349246c5b48c,
+                    0x3f9d33d1c83e332c, 0x3f91c5fe7ea6f7bf, 0x3fae5c49e6e57876, 0x3fb232ed4abdea98,
                 ]),
             ],
             [
-                (0xc08fa97086369348, [
-                    0x3fb38705f2785c47, 0x3fb0a04967eb922a, 0x3fac23dfbdcf752b, 0x3faf4b63c8532d9e,
-                    0x3fb30d4f2093e466, 0x3fb342e29f974feb, 0x3fcf839275741d19, 0x3fcc956e7d35c712,
-                    0x3fca60d8d57768df, 0x3fcdb43da88f1d91, 0x3fcf8121d1158bb7, 0x3fcf0de63f79e31a,
-                    0x3fdaacdd58be1384, 0x3fda901175a5f192, 0x3fdad8cceec91f43, 0x3fda752481c0ebb8,
-                    0x3fd9c723b1f56a23, 0x3fda99228eb2f9fe, 0x3fe33ddc7e65c67f, 0x3fe3a02710348dca,
-                    0x3fe394139284ae1e, 0x3fe2b1e51a6c2aaa, 0x3fe2202a6b814e29, 0x3fe3476006606295,
-                    0x3fe97819ac37ca7c, 0x3fe9f5eb46fd9d30, 0x3fea02c21d164136, 0x3fe8adfb9b502f82,
-                    0x3fe7ff4b56304bf0, 0x3fe985a50dc9981d, 0x3fbd1a2cad7a9fd0, 0x3fb8c85443e4df83,
-                    0x3fb5614721a109e6, 0x3fb809896082d0e1, 0x3fbb658030e44534, 0x3fbc99d1f78a2974,
+                (0xc08fa7e43ca084fa, [
+                    0x3fb38ef6dbc93570, 0x3fb0a6b92d199318, 0x3fac1c6b94384ba7, 0x3faf3b0490f40f30,
+                    0x3fb3154e5ee4506c, 0x3fb34a3bbfff7f1a, 0x3fcf865a80cc7bac, 0x3fcc974a03b1c0a9,
+                    0x3fca5cab31d8cd21, 0x3fcdb72888417547, 0x3fcf88dce3a5a254, 0x3fcf100db3320118,
+                    0x3fdaaee0e4bdf118, 0x3fda8fffa051c56e, 0x3fdada6c179f2205, 0x3fda77170706e7c0,
+                    0x3fd9c7fdd2897884, 0x3fda9b795fc426ac, 0x3fe33d6f9b5e2f1e, 0x3fe39feaf0c8616f,
+                    0x3fe392832776b0af, 0x3fe2b0d54e898f93, 0x3fe21f53c308bcf7, 0x3fe346ea9ddad6d1,
+                    0x3fe97837ac1c7db9, 0x3fe9f6317552275e, 0x3fea0226e556f379, 0x3fe8ad209eed40bd,
+                    0x3fe7fee06d063f74, 0x3fe98577a71f59bd, 0x3fbd2a338e8eb574, 0x3fb8d585a2e08c96,
+                    0x3fb5603a4392b8cf, 0x3fb8006c8c93d956, 0x3fbb649c178f250d, 0x3fbca87beaf8f10d,
                 ]),
-                (0xc09e67b86a68bc0b, [
-                    0x3fa8988b048c2479, 0x3fb0573381e3affa, 0x3fa0ef3d77125e5c, 0x3fa1b6e18973648b,
-                    0x3facc8ae71f6e50e, 0x3faaaa95f36690b8, 0x3fc3cbe007f44c28, 0x3fc152a4d5e3df09,
-                    0x3fc3031dc8bbc004, 0x3fc39e124d35426e, 0x3fc65c6693d5eb6b, 0x3fc2f1d778212b28,
-                    0x3fdbad86bc06fae8, 0x3fd7e6d669e0c838, 0x3fd75e2d243717d5, 0x3fd4ae3ddbb51c1d,
-                    0x3fd3494bdde12423, 0x3fda9811cfabbaac, 0x3fe7123084a88354, 0x3fe6c99064a8b5b9,
-                    0x3fe4ab9cd2be4760, 0x3fe0e05db1b2bf48, 0x3fe08bdc55568420, 0x3fe71d864f2ad243,
-                    0x3fe8ea1c84bd40dd, 0x3fe97dbae8b2a083, 0x3fe8e3d0a5869e13, 0x3fe56f7ca487297c,
-                    0x3fe56b09e651f675, 0x3fe8fc754d1b3619, 0x3fb093cb9613bae7, 0x3fb4de54f9049b85,
-                    0x3fab58c339c31d61, 0x3faa3742dd80fd8e, 0x3fb47ce42a063bec, 0x3fb1b35bbffee5c2,
+                (0xc09e65e70c0d0464, [
+                    0x3fa8979315ed2364, 0x3fb06e598727992d, 0x3fa0c7c94de041e7, 0x3fa1a5410f7d99ba,
+                    0x3facd3a34daf682a, 0x3faabb786341f9f4, 0x3fc3c62a9346a737, 0x3fc150ecac57109a,
+                    0x3fc308a9ed4c0579, 0x3fc39fdb5fe22ce4, 0x3fc65c8ee26c82be, 0x3fc2eae5bc602d88,
+                    0x3fdbb4a76955a94b, 0x3fd7f35b2d4920a2, 0x3fd767d946512830, 0x3fd4b0491268dbab,
+                    0x3fd3417fbd54b617, 0x3fda9fe5e6bd41ab, 0x3fe712ef5ece5b5d, 0x3fe6cbf4246b5822,
+                    0x3fe4ade7df923ff6, 0x3fe0defbb4678f29, 0x3fe08943ca9128ce, 0x3fe71e71de64ef6b,
+                    0x3fe8e707bfba8ad8, 0x3fe97e19ccc1344c, 0x3fe8eaa0774ea66f, 0x3fe56e9963ada12c,
+                    0x3fe5664b35c2067c, 0x3fe8fa22b26625f9, 0x3fb0867f17d41e27, 0x3fb4e6bbfc25a6dc,
+                    0x3fab1f4abd2f47e1, 0x3faa164b1edbcfc6, 0x3fb47be9e37befd9, 0x3fb1af219591a557,
                 ]),
-                (0xc0b7a6ed290bd19e, [
-                    0x3f96edcfcfc96fb7, 0x3f98e98954892dea, 0x3f889b477c6c7ed8, 0x3f74290b42d01008,
-                    0x3f9a7c0deef95a13, 0x3f951d8d321db260, 0x3fcc385c961ea832, 0x3fc62cdd708efabe,
-                    0x3fbfb1a15974d324, 0x3fc12bd80926b18f, 0x3fc5b58f9e1eced4, 0x3fcb859551455e2b,
-                    0x3fd118643b01fe14, 0x3fd1b41b4e176cd4, 0x3fd369ca52661de3, 0x3fd673f279c797e9,
-                    0x3fdbce4c324f667a, 0x3fd12da38e2d9eda, 0x3fd5f135e5721183, 0x3fd60a9341a3ed5d,
-                    0x3fd5702eb2486a35, 0x3fe162e0e2ef6ad1, 0x3fe2c4a1c902fdf9, 0x3fd6150310e9c78d,
-                    0x3fe843ac84a3aa0e, 0x3fe4a038c4be2c60, 0x3fe5631d05f09b29, 0x3fe7a7ee5afa4acf,
-                    0x3fe888c382137a27, 0x3fe6f4bea614bb2a, 0x3face0e06868dbeb, 0x3faac7f5de2681b9,
-                    0x3f984c8c6cd0150e, 0x3f8761eaa74e203b, 0x3fab96788a7dcdc0, 0x3fab478dd447c77d,
+                (0xc0b7b0511aabd4fe, [
+                    0x3f964a26e4526ed3, 0x3f9877977b66d4d4, 0x3f881e2e65a240a6, 0x3f73846f404a4288,
+                    0x3f99ea50a87d16f3, 0x3f9478f2045ecc50, 0x3fcc427335131699, 0x3fc62a82cce20c20,
+                    0x3fbf73f5ea3a9294, 0x3fc126799f06b805, 0x3fc5ad95b2b971af, 0x3fcb938a9169b48e,
+                    0x3fd1173043ced13e, 0x3fd1b5f2c3a7c4fa, 0x3fd36a35e9a4cc88, 0x3fd670f371915c9f,
+                    0x3fdbcb2896b84af2, 0x3fd12c4906d0f567, 0x3fd5f1f93ae3b515, 0x3fd6078867e04bee,
+                    0x3fd5692c7e39c879, 0x3fe16e5da530aa61, 0x3fe2c00f4c53091d, 0x3fd6176e9a8235ee,
+                    0x3fe851c92358c44f, 0x3fe49a00ddd21687, 0x3fe56148d9c5b3d2, 0x3fe7a2eb1a4e44c1,
+                    0x3fe886e772c9acc0, 0x3fe6fcdb6500fb5a, 0x3fac24c8e853bdcb, 0x3faa42055e10ddb7,
+                    0x3f9793b38f1cd7cb, 0x3f86279122e8ed3f, 0x3fab0c9f6d686e3c, 0x3faa7ec98881db30,
+                ]),
+            ],
+            [
+                (0xc08fa970863692a4, [
+                    0x3fb38705f2785c2e, 0x3fb0a04967eb9218, 0x3fac23dfbdcf751d, 0x3faf4b63c8532d8b,
+                    0x3fb30d4f2093e45b, 0x3fb342e29f974fd4, 0x3fcf839275741cf5, 0x3fcc956e7d35c6f1,
+                    0x3fca60d8d57768cb, 0x3fcdb43da88f1d7a, 0x3fcf8121d1158ba4, 0x3fcf0de63f79e2f7,
+                    0x3fdaacdd58be136b, 0x3fda901175a5f17e, 0x3fdad8cceec91f2c, 0x3fda752481c0eba9,
+                    0x3fd9c723b1f56a1f, 0x3fda99228eb2f9e9, 0x3fe33ddc7e65c66f, 0x3fe3a02710348dc0,
+                    0x3fe394139284ae15, 0x3fe2b1e51a6c2aa9, 0x3fe2202a6b814e27, 0x3fe3476006606286,
+                    0x3fe97819ac37ca73, 0x3fe9f5eb46fd9d2a, 0x3fea02c21d16412e, 0x3fe8adfb9b502f86,
+                    0x3fe7ff4b56304bf4, 0x3fe985a50dc99816, 0x3fbd1a2cad7a9fa7, 0x3fb8c85443e4df67,
+                    0x3fb5614721a109d9, 0x3fb809896082d0d0, 0x3fbb658030e44523, 0x3fbc99d1f78a294f,
+                ]),
+                (0xc09e67b86a68ba80, [
+                    0x3fa8988b048c249c, 0x3fb0573381e3b012, 0x3fa0ef3d77125e80, 0x3fa1b6e1897364af,
+                    0x3facc8ae71f6e55a, 0x3faaaa95f36690e2, 0x3fc3cbe007f44c4c, 0x3fc152a4d5e3df26,
+                    0x3fc3031dc8bbc027, 0x3fc39e124d354296, 0x3fc65c6693d5eba6, 0x3fc2f1d778212b48,
+                    0x3fdbad86bc06fb16, 0x3fd7e6d669e0c85f, 0x3fd75e2d243717f2, 0x3fd4ae3ddbb51c49,
+                    0x3fd3494bdde12452, 0x3fda9811cfabbadb, 0x3fe7123084a88368, 0x3fe6c99064a8b5c5,
+                    0x3fe4ab9cd2be4775, 0x3fe0e05db1b2bf5b, 0x3fe08bdc55568444, 0x3fe71d864f2ad257,
+                    0x3fe8ea1c84bd40d8, 0x3fe97dbae8b2a09a, 0x3fe8e3d0a5869e2b, 0x3fe56f7ca487298e,
+                    0x3fe56b09e651f698, 0x3fe8fc754d1b361d, 0x3fb093cb9613bb02, 0x3fb4de54f9049ba6,
+                    0x3fab58c339c31d9a, 0x3faa3742dd80fdbf, 0x3fb47ce42a063c24, 0x3fb1b35bbffee5df,
+                ]),
+                (0xc0b7a6ed290bd108, [
+                    0x3f96edcfcfc96fce, 0x3f98e98954892e0e, 0x3f889b477c6c7ef5, 0x3f74290b42d01034,
+                    0x3f9a7c0deef95a73, 0x3f951d8d321db271, 0x3fcc385c961ea843, 0x3fc62cdd708efad6,
+                    0x3fbfb1a15974d35c, 0x3fc12bd80926b1b8, 0x3fc5b58f9e1ecf29, 0x3fcb859551455e3d,
+                    0x3fd118643b01fe1b, 0x3fd1b41b4e176ce9, 0x3fd369ca52661e0d, 0x3fd673f279c7982c,
+                    0x3fdbce4c324f66e7, 0x3fd12da38e2d9ee1, 0x3fd5f135e5721188, 0x3fd60a9341a3ed79,
+                    0x3fd5702eb2486a61, 0x3fe162e0e2ef6b11, 0x3fe2c4a1c902fe49, 0x3fd6150310e9c796,
+                    0x3fe843ac84a3aa09, 0x3fe4a038c4be2c60, 0x3fe5631d05f09b31, 0x3fe7a7ee5afa4b1c,
+                    0x3fe888c382137a72, 0x3fe6f4bea614bb2a, 0x3face0e06868dc02, 0x3faac7f5de2681df,
+                    0x3f984c8c6cd0152d, 0x3f8761eaa74e2074, 0x3fab96788a7dce21, 0x3fab478dd447c793,
                 ]),
             ],
         ],
@@ -357,17 +373,22 @@ struct GoldenRun {
 // mate, so its level-0 pairing track advances on its own steps only and
 // its serves take half the evaluations. The two-level runs (every request
 // reads its mate) did not move.
+// All six were re-recorded once more when `log κ` moved to sum
+// factorisation: the QOIs moved at rounding level and with them every
+// run's means, while the trajectories did not (`sequential_golden`'s
+// evaluation counts and acceptance rates, and `serve_alloc`'s QOI counts
+// and evaluations per level, kept their values).
 #[rustfmt::skip]
 const GOLDEN_RUNS: [GoldenRun; 3] = [
     GoldenRun { m: 8, levels: &[4, 8], rho: &[4], chains: &[64, 64], samples: &[4000, 1000],
                 // both: the code before, speculation off
-                digests: [(7, 0x3ff9193c42b9f2d0), (11, 0xb4c43436f6aa5f32)] },
+                digests: [(7, 0x72229949540d99ea), (11, 0x79338ae179a9d05a)] },
     GoldenRun { m: 24, levels: &[8, 16], rho: &[5], chains: &[1, 1], samples: &[400, 100],
-                digests: [(7, 0xeb47bc8e0ba204f1), (11, 0xac73898e9a171304)] },
+                digests: [(7, 0x1745db5094b9b24b), (11, 0x5a0517048071661e)] },
     GoldenRun { m: 113, levels: &[16, 32, 64], rho: &[10, 4], chains: &[2, 2, 2],
                 samples: &[100, 20, 4],
                 // both: serve legs lease without a mate
-                digests: [(7, 0xad02e5abf9cb445d), (11, 0xa35bda2f293bdf04)] },
+                digests: [(7, 0x5fa538d1d6cdfff9), (11, 0x8e1236624b400ab3)] },
 ];
 
 #[test]
