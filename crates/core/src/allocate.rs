@@ -1,69 +1,8 @@
-//! Optimal sample allocation across levels.
+//! Weighted max-min fair sharing of worker slots.
 //!
-//! Given per-level correction variances `V_l` and costs `C_l`, the
-//! MSE-minimizing allocation for a target sampling error `ε` is the
-//! classical MLMC result (Giles 2008, carried over to MLMCMC in Dodwell
-//! et al.):
-//!
-//! ```text
-//! N_l = ε⁻² √(V_l / C_l) · Σ_k √(V_k C_k)
-//! ```
-
-/// Compute the optimal `N_l` for target RMS sampling error `epsilon`.
-///
-/// Returns at least 1 sample per level.
-///
-/// # Panics
-/// Panics on empty/mismatched inputs, non-positive costs or negative
-/// variances.
-pub fn optimal_allocation(variances: &[f64], costs: &[f64], epsilon: f64) -> Vec<usize> {
-    assert!(!variances.is_empty(), "optimal_allocation: no levels");
-    assert_eq!(
-        variances.len(),
-        costs.len(),
-        "optimal_allocation: length mismatch"
-    );
-    assert!(
-        epsilon > 0.0,
-        "optimal_allocation: epsilon must be positive"
-    );
-    for (&v, &c) in variances.iter().zip(costs) {
-        assert!(v >= 0.0, "optimal_allocation: negative variance");
-        assert!(c > 0.0, "optimal_allocation: non-positive cost");
-    }
-    let total: f64 = variances
-        .iter()
-        .zip(costs)
-        .map(|(&v, &c)| (v * c).sqrt())
-        .sum();
-    variances
-        .iter()
-        .zip(costs)
-        .map(|(&v, &c)| {
-            let n = (v / c).sqrt() * total / (epsilon * epsilon);
-            n.ceil().max(1.0) as usize
-        })
-        .collect()
-}
-
-/// Total cost `Σ N_l C_l` of an allocation.
-pub fn allocation_cost(allocation: &[usize], costs: &[f64]) -> f64 {
-    allocation
-        .iter()
-        .zip(costs)
-        .map(|(&n, &c)| n as f64 * c)
-        .sum()
-}
-
-/// Predicted sampling variance `Σ V_l / N_l` of the telescoping estimator
-/// under an allocation.
-pub fn allocation_variance(allocation: &[usize], variances: &[f64]) -> f64 {
-    allocation
-        .iter()
-        .zip(variances)
-        .map(|(&n, &v)| v / n as f64)
-        .sum()
-}
+//! The multilevel sample allocation `N_l ∝ √(V_l / C_l)` (Giles 2008)
+//! is not here: a run takes its `N_l` from its configuration, and the
+//! τ-aware rule comes together with its one caller (ROADMAP 14).
 
 /// Weighted max-min fair split of an integer capacity across tenants.
 ///
@@ -78,8 +17,9 @@ pub fn allocation_variance(allocation: &[usize], variances: &[f64]) -> f64 {
 /// * deterministic: ties break toward the lower index.
 ///
 /// The multi-tenant service (`uq_parallel::service`) uses this to split
-/// its shared worker pool across concurrently running jobs, with the
-/// tenants' priorities as weights.
+/// its worker budget across concurrently running jobs, with the
+/// tenants' priorities as weights; each job's share is the width of the
+/// `Runtime` it runs on.
 ///
 /// # Panics
 /// Panics on mismatched lengths or non-positive/non-finite weights.
@@ -110,85 +50,9 @@ pub fn fair_share_split(capacity: usize, demands: &[usize], weights: &[f64]) -> 
     share
 }
 
-/// Derive subsampling rates from integrated autocorrelation times: the
-/// coarse chain should be subsampled at roughly `τ_l` so consecutive
-/// proposals served to the finer level are nearly independent.
-pub fn subsampling_from_iact(iacts: &[f64]) -> Vec<usize> {
-    iacts.iter().map(|&t| t.ceil().max(1.0) as usize).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allocation_puts_more_samples_on_cheap_levels() {
-        // classic MLMC shape: decaying variance, growing cost
-        let v = [1.0e-1, 1.0e-3, 1.0e-5];
-        let c = [3.0, 45.0, 930.0];
-        let n = optimal_allocation(&v, &c, 0.01);
-        assert!(n[0] > n[1], "{n:?}");
-        assert!(n[1] > n[2], "{n:?}");
-    }
-
-    #[test]
-    fn allocation_achieves_target_variance() {
-        let v = [0.2, 0.01, 0.001];
-        let c = [1.0, 10.0, 100.0];
-        let eps = 0.02;
-        let n = optimal_allocation(&v, &c, eps);
-        let var = allocation_variance(&n, &v);
-        assert!(var <= eps * eps * 1.01, "var {var} vs target {}", eps * eps);
-    }
-
-    #[test]
-    fn smaller_epsilon_costs_more() {
-        let v = [0.2, 0.01];
-        let c = [1.0, 10.0];
-        let loose = allocation_cost(&optimal_allocation(&v, &c, 0.05), &c);
-        let tight = allocation_cost(&optimal_allocation(&v, &c, 0.01), &c);
-        assert!(tight > 10.0 * loose, "tight {tight} vs loose {loose}");
-    }
-
-    #[test]
-    fn optimal_beats_naive_single_level() {
-        // achieving the same variance with only the finest level must cost
-        // more than the multilevel allocation
-        let v = [0.2, 0.01, 0.001];
-        let c = [1.0, 10.0, 100.0];
-        let eps = 0.02f64;
-        let ml = optimal_allocation(&v, &c, eps);
-        let ml_cost = allocation_cost(&ml, &c);
-        // single (finest) level: need V_fine_total/N ≤ ε²; the fine-level
-        // *QOI* variance is of order V_0 (not the correction variance)
-        let n_single = (v[0] / (eps * eps)).ceil();
-        let single_cost = n_single * c[2];
-        assert!(
-            ml_cost < single_cost,
-            "multilevel {ml_cost} should beat single level {single_cost}"
-        );
-    }
-
-    #[test]
-    fn every_level_gets_at_least_one_sample() {
-        let n = optimal_allocation(&[0.0, 0.0], &[1.0, 1.0], 0.1);
-        assert_eq!(n, vec![1, 1]);
-    }
-
-    #[test]
-    fn subsampling_tracks_iact() {
-        assert_eq!(
-            subsampling_from_iact(&[137.3, 11.2, 1.05]),
-            vec![138, 12, 2]
-        );
-        assert_eq!(subsampling_from_iact(&[0.5]), vec![1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-positive cost")]
-    fn rejects_zero_cost() {
-        optimal_allocation(&[1.0], &[0.0], 0.1);
-    }
 
     #[test]
     fn fair_share_conserves_capacity_and_caps_at_demand() {

@@ -20,7 +20,8 @@
 //!   exactness) while an autonomous pairing track continues from the
 //!   last served sample (unbiased `π_{l-1}` correction mate), executed
 //!   identically by the sequential stack and the parallel phonebooks;
-//! * [`allocate`] — optimal `N_l ∝ √(V_l/C_l)` sample allocation;
+//! * [`allocate`] — the weighted max-min fair split of worker slots
+//!   that the multi-tenant service gives its running jobs;
 //! * [`counting`] — the one factory decorator (every `log_density`
 //!   of level `l` goes through a hook) and its counting hook: model
 //!   evaluations and wall-clock cost per level (the `t_l` columns);
@@ -31,8 +32,8 @@
 //! * [`store`] — the content-addressed run store: versioned,
 //!   integrity-checked snapshots of a parallel run's consistent cut
 //!   (chains, collectors, ledger sessions, RNG streams) enabling
-//!   bit-identical checkpoint/resume, indexed by an append-only
-//!   manifest.
+//!   bit-identical checkpoint/resume, indexed by an append-only list
+//!   of their names.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

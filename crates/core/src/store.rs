@@ -1,5 +1,5 @@
 //! The content-addressed **run store**: versioned snapshots of a run's
-//! full logical state, plus a manifest of queryable run records.
+//! full logical state, plus an index that lists them.
 //!
 //! ## Snapshot format
 //!
@@ -33,13 +33,15 @@
 //! `objects/<hex>.snap` via a temp file + rename, so a crash mid-write
 //! can only lose the newest snapshot, never corrupt an older one.
 //!
-//! ## Manifest
+//! ## Index
 //!
-//! `manifest.jsonl` is an append-only JSON-lines index: one record per
-//! stored snapshot. Lines of another `kind` (older commits registered
-//! bench artifacts as `"kind":"bench"`) are kept and skipped.
-//! The format is a flat string→string object per line; a tiny extractor
-//! ([`manifest_field`]) keeps querying dependency-free.
+//! `index` lists the cuts: one object name (16 lowercase hex digits)
+//! per line, in the order they were written. It records nothing else —
+//! a cut's configuration, seed and progress are read from its own frame,
+//! so the index cannot disagree with an object about them. Each name is
+//! appended in one write that begins with its newline, so an append torn
+//! by a crash is a line that is not a name: it is skipped, and the next
+//! append starts a line of its own.
 
 use crate::coupled::{ChainState, CoarseSample};
 use crate::ledger::{LedgerBook, LedgerLease, LedgerStats, PairingMode, Session};
@@ -50,7 +52,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs;
 use std::hash::Hash;
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use uq_mcmc::stats::VectorMoments;
 
@@ -253,90 +255,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(RunSnapshot, u64), StoreError> {
 // the run store
 // ---------------------------------------------------------------------
 
-/// One line of the manifest, parsed to flat string pairs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ManifestRecord {
-    pub fields: Vec<(String, String)>,
-}
-
-impl ManifestRecord {
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Extract the string value of `key` from one flat JSON-object line —
-/// the manifest's dependency-free query primitive. Handles only the
-/// subset the manifest writes (string keys/values, `\"` and `\\`
-/// escapes), which is exactly enough.
-pub fn manifest_field(line: &str, key: &str) -> Option<String> {
-    let records = parse_flat_json(line)?;
-    records.into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn parse_flat_json(line: &str) -> Option<Vec<(String, String)>> {
-    let inner = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = Vec::new();
-    let mut chars = inner.chars().peekable();
-    loop {
-        // skip separators/whitespace to the next key
-        while matches!(chars.peek(), Some(c) if *c == ',' || c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.peek().is_none() {
-            return Some(fields);
-        }
-        let key = parse_json_string(&mut chars)?;
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.next() != Some(':') {
-            return None;
-        }
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        let value = if chars.peek() == Some(&'"') {
-            parse_json_string(&mut chars)?
-        } else {
-            // bare scalar (number/bool): read to the next comma
-            let mut v = String::new();
-            while matches!(chars.peek(), Some(c) if *c != ',') {
-                v.push(chars.next().unwrap());
-            }
-            v.trim().to_string()
-        };
-        fields.push((key, value));
-    }
-}
-
-fn parse_json_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<String> {
-    if chars.next() != Some('"') {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-}
-
 /// The on-disk run store: `objects/<hex>.snap` content-addressed
-/// snapshots plus the append-only `manifest.jsonl` index.
+/// snapshots plus `index`, the names of the cuts in the order they were
+/// written.
 pub struct RunStore {
     root: PathBuf,
+}
+
+/// Whether `line` is an object name: 16 lowercase hex digits.
+fn is_name(line: &[u8]) -> bool {
+    line.len() == 16 && line.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
 }
 
 impl RunStore {
@@ -351,8 +279,8 @@ impl RunStore {
         &self.root
     }
 
-    pub fn manifest_path(&self) -> PathBuf {
-        self.root.join("manifest.jsonl")
+    fn index_path(&self) -> PathBuf {
+        self.root.join("index")
     }
 
     fn object_path(&self, hash: &str) -> PathBuf {
@@ -360,9 +288,11 @@ impl RunStore {
     }
 
     /// Store a snapshot; returns its content address (hex hash). The
-    /// object write is atomic (temp file + rename) and the manifest
-    /// line is appended after the object exists, so a manifest entry
-    /// always points at a complete object.
+    /// object write is atomic (temp file + rename), and its name is
+    /// appended to the index after the object exists, so a listed cut
+    /// always names a complete object. The name goes out in one write
+    /// that begins with its newline: a torn earlier append ends where
+    /// this one begins.
     pub fn put_snapshot(
         &self,
         snapshot: &RunSnapshot,
@@ -376,12 +306,26 @@ impl RunStore {
             fs::write(&tmp, &bytes)?;
             fs::rename(&tmp, &path)?;
         }
-        self.append_manifest(&format!(
-            "{{\"kind\":\"snapshot\",\"hash\":\"{hash}\",\
-             \"config\":\"{config_hash:016x}\",\"seed\":\"{}\",\"samples\":\"{}\"}}",
-            snapshot.seed, snapshot.samples_done
-        ))?;
+        fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.index_path())?
+            .write_all(format!("\n{hash}").as_bytes())?;
         Ok(hash)
+    }
+
+    /// The names of the stored cuts, oldest first. A line that is not a
+    /// name is a torn append and is skipped.
+    pub fn cuts(&self) -> Result<Vec<String>, StoreError> {
+        let index = match fs::read(self.index_path()) {
+            Err(err) if err.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+            index => index?,
+        };
+        Ok(index
+            .split(|&b| b == b'\n')
+            .filter(|line| is_name(line))
+            .map(|line| String::from_utf8_lossy(line).into_owned())
+            .collect())
     }
 
     /// Load and verify the snapshot at `hash`.
@@ -402,52 +346,20 @@ impl RunStore {
         }
     }
 
-    /// The most recently recorded snapshot (by manifest order),
-    /// optionally restricted to a config hash: the manifest's record
-    /// selects it, and the snapshot's own recorded hash must agree.
+    /// The newest cut, optionally the newest whose own frame records
+    /// `config_hash`: the cuts are read newest first, and one that does
+    /// not read back is an error.
     pub fn latest_snapshot(
         &self,
         config_hash: Option<u64>,
     ) -> Result<Option<(String, RunSnapshot)>, StoreError> {
-        let want = config_hash.map(|h| format!("{h:016x}"));
-        let Some(record) = self.manifest_records()?.into_iter().rev().find(|r| {
-            r.get("kind") == Some("snapshot")
-                && want.as_deref().is_none_or(|w| r.get("config") == Some(w))
-        }) else {
-            return Ok(None);
-        };
-        let hash = record
-            .get("hash")
-            .ok_or(StoreError::Corrupt("manifest snapshot record without hash"))?
-            .to_string();
-        let snapshot = match config_hash {
-            Some(config_hash) => self.get_snapshot_of(&hash, config_hash)?,
-            None => self.get_snapshot(&hash)?.0,
-        };
-        Ok(Some((hash, snapshot)))
-    }
-
-    /// All manifest records, in append order.
-    pub fn manifest_records(&self) -> Result<Vec<ManifestRecord>, StoreError> {
-        let path = self.manifest_path();
-        if !path.exists() {
-            return Ok(Vec::new());
+        for hash in self.cuts()?.into_iter().rev() {
+            let (snapshot, found) = self.get_snapshot(&hash)?;
+            if config_hash.is_none_or(|want| want == found) {
+                return Ok(Some((hash, snapshot)));
+            }
         }
-        let text = fs::read_to_string(path)?;
-        Ok(text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .filter_map(|l| parse_flat_json(l).map(|fields| ManifestRecord { fields }))
-            .collect())
-    }
-
-    fn append_manifest(&self, line: &str) -> Result<(), StoreError> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.manifest_path())?;
-        writeln!(f, "{line}")?;
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -602,11 +514,27 @@ mod tests {
         assert!(decode_snapshot(&bytes).is_err());
     }
 
+    /// A fresh store in its own temp directory, removed on drop.
+    struct Scratch(PathBuf, RunStore);
+
+    impl Scratch {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("uq-store-{name}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            let store = RunStore::open(&dir).unwrap();
+            Self(dir, store)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn store_roundtrips_and_indexes_snapshots() {
-        let dir = std::env::temp_dir().join(format!("uq-store-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = RunStore::open(&dir).unwrap();
+        let Scratch(_, store) = &Scratch::new("roundtrip");
         let snap = snapshot();
         let hash = store.put_snapshot(&snap, 42).unwrap();
         let (loaded, config) = store.get_snapshot(&hash).unwrap();
@@ -621,83 +549,75 @@ mod tests {
         later.samples_done = 300;
         let hash2 = store.put_snapshot(&later, 42).unwrap();
         assert_ne!(hash, hash2, "different states must get different addresses");
+        assert_eq!(store.cuts().unwrap(), [hash.as_str(), &hash2]);
         let (latest_hash, latest) = store.latest_snapshot(Some(42)).unwrap().expect("latest");
         assert_eq!(latest_hash, hash2);
         assert_eq!(latest.samples_done, 300);
         assert!(store.latest_snapshot(Some(43)).unwrap().is_none());
-
-        // a line older commits appended for each bench artifact: still
-        // parsed, and skipped when looking for the latest snapshot
-        store
-            .append_manifest(
-                "{\"kind\":\"bench\",\"name\":\"BENCH_PR6.json\",\
-                 \"hash\":\"4cb2b2bb6b3b0f4d\",\"bytes\":\"7\"}",
-            )
-            .unwrap();
-        let records = store.manifest_records().unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[0].get("kind"), Some("snapshot"));
-        assert_eq!(records[2].get("kind"), Some("bench"));
-        assert_eq!(records[2].get("name"), Some("BENCH_PR6.json"));
         let (latest_hash, _) = store.latest_snapshot(None).unwrap().expect("latest");
         assert_eq!(latest_hash, hash2);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_manifest_record_naming_another_config_is_refused() {
-        let dir = std::env::temp_dir().join(format!("uq-store-config-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = RunStore::open(&dir).unwrap();
+    fn the_latest_cut_of_a_config_is_read_from_the_frames() {
+        let Scratch(_, store) = &Scratch::new("interleaved");
+        let cuts: Vec<String> = [0xa, 0xb, 0xa, 0xb]
+            .into_iter()
+            .enumerate()
+            .map(|(i, config)| {
+                let mut snap = snapshot();
+                snap.samples_done = i;
+                store.put_snapshot(&snap, config).unwrap()
+            })
+            .collect();
+        assert_eq!(store.cuts().unwrap(), cuts);
+        let (hash, snap) = store.latest_snapshot(Some(0xa)).unwrap().expect("a's");
+        assert_eq!((hash, snap.samples_done), (cuts[2].clone(), 2));
+        let (hash, snap) = store.latest_snapshot(None).unwrap().expect("the newest");
+        assert_eq!((hash, snap.samples_done), (cuts[3].clone(), 3));
+        assert!(store.latest_snapshot(Some(0xc)).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_put_after_a_torn_index_line_is_kept() {
+        let Scratch(_, store) = &Scratch::new("torn");
+        let first = store.put_snapshot(&snapshot(), 1).unwrap();
+        // a crash mid-append leaves the first bytes of a record
+        let torn = format!("\n{}", &first[..8]);
+        let index = fs::OpenOptions::new().append(true).open(store.index_path());
+        index.unwrap().write_all(torn.as_bytes()).unwrap();
+        assert_eq!(store.cuts().unwrap(), [first.as_str()]);
+        let mut later = snapshot();
+        later.samples_done = 300;
+        let second = store.put_snapshot(&later, 1).unwrap();
+        let (latest, _) = store.latest_snapshot(None).unwrap().expect("latest");
+        assert_eq!(latest, second);
+        assert_eq!(store.cuts().unwrap(), [first, second]);
+    }
+
+    #[test]
+    fn get_snapshot_of_refuses_another_config() {
+        let Scratch(_, store) = &Scratch::new("config");
         let hash = store.put_snapshot(&snapshot(), 0xa).unwrap();
-        // the record says the cut is configuration 0xb's; the object says 0xa
-        let manifest = fs::read_to_string(store.manifest_path()).unwrap();
-        let record = |c: char| format!("\"config\":\"{:0>16}\"", c);
-        let edited = manifest.replace(&record('a'), &record('b'));
-        assert_ne!(edited, manifest);
-        fs::write(store.manifest_path(), edited).unwrap();
-        let latest = store.latest_snapshot(Some(0xb)).unwrap_err();
-        for err in [latest, store.get_snapshot_of(&hash, 0xb).unwrap_err()] {
-            let (expected, found) = match err {
-                StoreError::ConfigMismatch { expected, found } => (expected, found),
-                err => panic!("not a mismatch: {err}"),
-            };
-            assert_eq!((expected, found), (0xb, 0xa));
+        match store.get_snapshot_of(&hash, 0xb) {
+            Err(StoreError::ConfigMismatch { expected, found }) => {
+                assert_eq!((expected, found), (0xb, 0xa))
+            }
+            other => panic!("not a mismatch: {other:?}"),
         }
-        assert!(store.latest_snapshot(Some(0xa)).unwrap().is_none());
-        // unfiltered, the record is still the latest, and reads back as 0xa's
-        let (_, snap) = store.latest_snapshot(None).unwrap().expect("latest");
-        assert_eq!(snap, snapshot());
         assert_eq!(store.get_snapshot_of(&hash, 0xa).unwrap(), snapshot());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_field_extracts_values() {
-        let line = "{\"kind\":\"bench\",\"name\":\"a \\\"b\\\".json\",\"bytes\":\"12\"}";
-        assert_eq!(manifest_field(line, "kind").as_deref(), Some("bench"));
-        assert_eq!(
-            manifest_field(line, "name").as_deref(),
-            Some("a \"b\".json")
-        );
-        assert_eq!(manifest_field(line, "bytes").as_deref(), Some("12"));
-        assert_eq!(manifest_field(line, "missing"), None);
-        assert_eq!(manifest_field("not json", "kind"), None);
     }
 
     #[test]
     fn idempotent_put_reuses_the_object() {
-        let dir = std::env::temp_dir().join(format!("uq-store-idem-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = RunStore::open(&dir).unwrap();
+        let Scratch(dir, store) = &Scratch::new("idem");
         let snap = snapshot();
         let h1 = store.put_snapshot(&snap, 1).unwrap();
         let h2 = store.put_snapshot(&snap, 1).unwrap();
         assert_eq!(h1, h2);
-        // two manifest lines, one object
-        assert_eq!(store.manifest_records().unwrap().len(), 2);
+        // two cuts listed, one object
+        assert_eq!(store.cuts().unwrap(), [h1, h2]);
         let objects = fs::read_dir(dir.join("objects")).unwrap().count();
         assert_eq!(objects, 1);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -310,7 +310,7 @@ mod tests {
         assert_eq!(bits(&y), bits(&a.transpose().matvec(&x)));
 
         // every split into four-row sweeps and leftover rows (none, a
-        // sweep only, leftovers only, both), signed zeros included, and
+        // sweep only, leftover rows only, both), signed zeros included, and
         // the empty shapes
         for rows in 0..=9 {
             for cols in [0, 1, 7] {

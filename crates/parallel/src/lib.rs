@@ -41,10 +41,10 @@
 //!   checkpoint barriers: the run stops at the barrier and resumes from
 //!   its cut on the new layout.
 //! * [`service`] — the always-on multi-tenant UQ service: many
-//!   concurrent inversion jobs multiplexed over one shared worker pool
-//!   with fair-share + priority dispatch, admission control by
-//!   simulating the job on measured load, per-tenant seed/ledger
-//!   isolation, and graceful
+//!   concurrent inversion jobs, each dispatch on a `Runtime` as wide as
+//!   its fair share of one worker budget, with priority dispatch,
+//!   admission control by simulating the job on measured load,
+//!   per-tenant seed/ledger isolation, and graceful
 //!   preemption through the quiesce-barrier snapshots (preempted jobs
 //!   resume bit-identically). Remote clients speak [`ServiceFrame`]s
 //!   in the `net` frame format.

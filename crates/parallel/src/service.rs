@@ -1,6 +1,8 @@
 //! The always-on **multi-tenant UQ service**: a long-lived server
-//! multiplexing many concurrent inversion jobs over one shared worker
-//! pool.
+//! running many concurrent inversion jobs within one worker budget
+//! ([`ServiceConfig::pool_workers`]). Each dispatch runs its job on a
+//! `Runtime` of its own, as wide as its fair share of that budget, and
+//! a `Runtime` is only a width: its threads are scoped to the one run.
 //!
 //! Every layer built so far is exactly the substrate of a shared
 //! inference service, and this module only composes them:
@@ -781,7 +783,7 @@ fn lane_loop(inner: &Arc<ServiceInner>) {
             Some(
                 store
                     .latest_snapshot(Some(config_hash))
-                    .expect("service: job store manifest unreadable")
+                    .expect("service: job store index unreadable")
                     .expect("service: resume without a snapshot")
                     .1,
             )

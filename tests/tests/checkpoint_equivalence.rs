@@ -32,12 +32,10 @@ fn a_cut_that_misfits_the_layout_is_refused_by_its_rung() {
         .expect("a live run");
 
     // a cut from the middle of the run
-    let records = store.manifest_records().expect("manifest readable");
-    let snapshots = records.iter().filter(|r| r.get("kind") == Some("snapshot"));
-    let hashes: Vec<&str> = snapshots.map(|r| r.get("hash").expect("hash")).collect();
+    let hashes = store.cuts().expect("index readable");
     assert!(hashes.len() >= 4, "{} snapshots", hashes.len());
     let (cut, _) = store
-        .get_snapshot(hashes[hashes.len() / 2])
+        .get_snapshot(&hashes[hashes.len() / 2])
         .expect("snapshot readable");
 
     let resume = |snap: &RunSnapshot| {

@@ -966,7 +966,7 @@ impl Row {
         }
         assert_eq!(role, "resume");
         let store = RunStore::open(dir.join("store")).expect("open store");
-        let cut = store.latest_snapshot(Some(CONFIG_HASH)).expect("manifest");
+        let cut = store.latest_snapshot(Some(CONFIG_HASH)).expect("index");
         let (_, cut) = cut.expect("the crashed run left a snapshot");
         assert!(!cut.ledger.sessions.is_empty(), "sessions in the cut");
         let (resumed, _) = place(factory, &config, at, 0, &off, None, Some(&cut), vec![]);
@@ -1000,9 +1000,8 @@ fn crash_cycle(row: &str, label: String, kill: usize) -> Outcome {
         printed(&crash)
     );
     let store = scratch.store();
-    let records = store.manifest_records().expect("manifest");
-    let snapshots = records.iter().filter(|r| r.get("kind") == Some("snapshot"));
-    assert_eq!(snapshots.count(), k, "{label}: snapshots before the crash");
+    let snapshots = store.cuts().expect("index");
+    assert_eq!(snapshots.len(), k, "{label}: snapshots before the crash");
     expect_success(child("resume"), "resume child");
     let digest = fs::read_to_string(scratch.0.join("digest")).expect("the resumed digest");
     Outcome::elsewhere(label, digest.parse().expect("a digest"), vec![])

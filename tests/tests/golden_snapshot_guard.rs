@@ -129,7 +129,7 @@ fn committed_golden_snapshot_still_decodes() {
     assert_eq!(config, GOLDEN_CONFIG, "golden header config hash drifted");
     assert_eq!(snap, expected, "golden snapshot decoded to different state");
     // the codec must also still *produce* the identical bytes, or every
-    // content address ever recorded in a manifest would silently dangle
+    // content address ever listed in a store's index would silently dangle
     assert_eq!(
         encode_snapshot(&snap, config),
         bytes,

@@ -123,7 +123,7 @@ fn a_caller_stop_at_a_barrier_where_a_leave_is_due_preempts_the_run() {
     assert_eq!(net.migrations, Some(0));
     assert!(worker_reports.iter().all(|r| !r.retired));
 
-    let cut = store.latest_snapshot(Some(0x23_e37)).expect("manifest");
+    let cut = store.latest_snapshot(Some(0x23_e37)).expect("index");
     let (_, cut) = cut.expect("the barrier's snapshot");
     let off = Tracer::disabled();
     let resumed = Run::new(&Ridge, &config, &off, None, Some(&cut))
@@ -170,10 +170,9 @@ fn the_snapshot_hook_sees_every_barrier_once_across_membership_changes() {
         seen.windows(2).all(|w| w[0].0 < w[1].0),
         "in order: {seen:?}"
     );
-    let records = store.manifest_records().expect("manifest");
-    let recorded = records.iter().filter_map(|r| r.get("hash"));
+    let recorded = store.cuts().expect("index");
     let hashes: Vec<&str> = seen.iter().map(|(_, hash)| hash.as_str()).collect();
-    assert_eq!(recorded.collect::<Vec<_>>(), hashes, "exactly once");
+    assert_eq!(recorded, hashes, "exactly once");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
