@@ -275,10 +275,6 @@ impl RunStore {
         Ok(Self { root })
     }
 
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn index_path(&self) -> PathBuf {
         self.root.join("index")
     }

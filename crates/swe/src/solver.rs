@@ -90,11 +90,23 @@ impl SweState {
         Cons::new(self.h[idx], self.hu[idx], self.hv[idx])
     }
 
-    #[inline]
-    pub fn set(&mut self, idx: usize, q: Cons) {
-        self.h[idx] = q.h;
-        self.hu[idx] = q.hu;
-        self.hv[idx] = q.hv;
+    /// The fields of the cells `cells`, `[h, hu, hv]`.
+    fn rows(&self, cells: Range<usize>) -> [&[f64]; 3] {
+        [
+            &self.h[cells.clone()],
+            &self.hu[cells.clone()],
+            &self.hv[cells],
+        ]
+    }
+
+    /// [`Self::rows`], writable.
+    fn rows_mut(&mut self, cells: Range<usize>) -> [&mut [f64]; 3] {
+        let Self { h, hu, hv } = self;
+        [
+            &mut h[cells.clone()],
+            &mut hu[cells.clone()],
+            &mut hv[cells],
+        ]
     }
 
     /// Total water volume divided by the (uniform) cell area.
@@ -197,10 +209,11 @@ impl Workspace {
 /// (η, u, v) of a block of cells: the one loop that divides by `h`.
 fn primitives(nx: usize, state: &SweState, bathy: &[f64], (rows, span): &Block, prim: &mut [Prim]) {
     for j in rows.clone() {
-        for idx in j * nx + span.start..j * nx + span.end {
-            let q = state.cons(idx);
-            let (u, v) = q.velocity();
-            prim[idx] = [q.h + bathy[idx], u, v];
+        let cells = j * nx + span.start..j * nx + span.end;
+        let ([h, hu, hv], bathy) = (state.rows(cells.clone()), &bathy[cells.clone()]);
+        for (k, prim) in prim[cells].iter_mut().enumerate() {
+            let (u, v) = Cons::new(h[k], hu[k], hv[k]).velocity();
+            *prim = [h[k] + bathy[k], u, v];
         }
     }
 }
@@ -216,11 +229,34 @@ fn minmod(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Piecewise-linear face values of (η, u, v) of one cell from the depths
+/// `h` and primitives `p` of the cell and its `[west, east, south, north]`
+/// neighbors, in that order. A cell that is nearly dry (or has a nearly
+/// dry neighbor) keeps its cell-centered values (local first-order
+/// fallback for robustness).
+#[inline(always)]
+fn cell_faces(h: [f64; 5], p: [Prim; 5]) -> [Prim; 4] {
+    let wet = h.map(|h| h > H_LINEAR);
+    let [c, w, e, s, n] = p;
+    let mut faces = [c; 4];
+    if wet[0] & wet[1] & wet[2] & wet[3] & wet[4] {
+        for k in 0..3 {
+            let sx = minmod(e[k] - c[k], c[k] - w[k]);
+            let sy = minmod(n[k] - c[k], c[k] - s[k]);
+            faces[0][k] = c[k] - 0.5 * sx; // west
+            faces[1][k] = c[k] + 0.5 * sx; // east
+            faces[2][k] = c[k] - 0.5 * sy; // south
+            faces[3][k] = c[k] + 0.5 * sy; // north
+        }
+    }
+    faces
+}
+
 /// Piecewise-linear face values of (η, u, v) for a block of cells, whose
-/// depths are `h`. Cells that are nearly dry (or have nearly dry
-/// neighbors) keep their cell-centered values (local first-order fallback
-/// for robustness). A neighbor beyond the boundary is the cell itself:
-/// zero slope, and its own wetness.
+/// depths are `h` (see [`cell_faces`]). A neighbor beyond the boundary is
+/// the cell itself: zero slope, and its own wetness. Each row's interior
+/// runs over neighbor rows sliced up front; its edge cells, and
+/// single-cell blocks at the edge, go one by one through the same formula.
 fn reconstruct(
     (nx, ny): (usize, usize),
     h: &[f64],
@@ -229,27 +265,30 @@ fn reconstruct(
     recon: &mut [[Prim; 4]],
 ) {
     assert!(span.end <= nx);
+    // the span's cells with both x-neighbors in the grid, between its edges
+    let start = span.start.max(1).min(span.end);
+    let inner = start..span.end.min(nx - 1).max(start);
+    let slices = |from: usize, len: usize| (&h[from..][..len], &prim[from..][..len]);
     for j in rows.clone() {
         let at = j * nx;
         let south = at - if j > 0 { nx } else { 0 };
         let north = at + if j + 1 < ny { nx } else { 0 };
-        for i in span.clone() {
-            let (c, w, e) = (at + i, at + i.saturating_sub(1), at + (i + 1).min(nx - 1));
-            let (s, n) = (south + i, north + i);
-            let wet = |idx: usize| h[idx] > H_LINEAR;
-            let p = prim[c];
-            let mut faces = [p; 4];
-            if wet(c) && wet(e) && wet(w) && wet(n) && wet(s) {
-                for k in 0..3 {
-                    let sx = minmod(prim[e][k] - p[k], p[k] - prim[w][k]);
-                    let sy = minmod(prim[n][k] - p[k], p[k] - prim[s][k]);
-                    faces[0][k] = p[k] - 0.5 * sx; // west
-                    faces[1][k] = p[k] + 0.5 * sx; // east
-                    faces[2][k] = p[k] - 0.5 * sy; // south
-                    faces[3][k] = p[k] + 0.5 * sy; // north
-                }
-            }
-            recon[c] = faces;
+        let ((hs, ps), (hc, pc), (hn, pn)) = (slices(south, nx), slices(at, nx), slices(north, nx));
+        for i in (span.start..inner.start).chain(inner.end..span.end) {
+            let (w, e) = (i.saturating_sub(1), (i + 1).min(nx - 1));
+            let h5 = [hc[i], hc[w], hc[e], hs[i], hn[i]];
+            recon[at + i] = cell_faces(h5, [pc[i], pc[w], pc[e], ps[i], pn[i]]);
+        }
+        // the row from the first cell's west neighbor to the last's east one
+        let (i, len) = (inner.start, inner.len());
+        if len == 0 {
+            continue;
+        }
+        let ((hs, ps), (hn, pn)) = (slices(south + i, len), slices(north + i, len));
+        let (hx, px) = slices(at + i - 1, len + 2);
+        for (k, out) in recon[at + i..][..len].iter_mut().enumerate() {
+            let h5 = [hx[k + 1], hx[k], hx[k + 2], hs[k], hn[k]];
+            *out = cell_faces(h5, [px[k + 1], px[k], px[k + 2], ps[k], pn[k]]);
         }
     }
 }
@@ -286,8 +325,32 @@ fn dry_clamp(h: f64, hu: f64, hv: f64) -> Cons {
     }
 }
 
+/// Forward-Euler update over `dt` of the cell `q` from its `[west, east,
+/// south, north]` faces.
+#[inline(always)]
+fn euler_cell(q: Cons, [fw, fe, fs, fn_]: [&FaceFlux; 4], (dx, dy, dt): (f64, f64, f64)) -> Cons {
+    let dh = -(fe.f.h - fw.f.h) / dx - (fn_.f.h - fs.f.h) / dy;
+    // hydrostatic source: east face uses this cell's left-side
+    // reconstruction, west face the right side; the face-value
+    // term telescopes with the cell-centered depth.
+    let src_x = 0.5 * G / dx
+        * ((fe.hl_star * fe.hl_star - fe.hl_cell * fe.hl_cell)
+            + (fe.hl_cell * fe.hl_cell - q.h * q.h)
+            - (fw.hr_star * fw.hr_star - fw.hr_cell * fw.hr_cell)
+            - (fw.hr_cell * fw.hr_cell - q.h * q.h));
+    let src_y = 0.5 * G / dy
+        * ((fn_.hl_star * fn_.hl_star - fn_.hl_cell * fn_.hl_cell)
+            + (fn_.hl_cell * fn_.hl_cell - q.h * q.h)
+            - (fs.hr_star * fs.hr_star - fs.hr_cell * fs.hr_cell)
+            - (fs.hr_cell * fs.hr_cell - q.h * q.h));
+    let dhu = -(fe.f.hu - fw.f.hu) / dx - (fn_.f.hu - fs.f.hu) / dy + src_x;
+    let dhv = -(fe.f.hv - fw.f.hv) / dx - (fn_.f.hv - fs.f.hv) / dy + src_y;
+    dry_clamp(q.h + dt * dh, q.hu + dt * dhu, q.hv + dt * dhv)
+}
+
 /// One forward-Euler stage of a block of cells from `state` using
-/// precomputed `[x, y]` flux arrays.
+/// precomputed `[x, y]` flux arrays, row by row over slices taken up front;
+/// the corrector's result is averaged with the step's initial state `heun`.
 fn euler(
     grid: &Grid2d,
     state: &SweState,
@@ -295,36 +358,23 @@ fn euler(
     dt: f64,
     (rows, span): &Block,
     out: &mut SweState,
+    heun: Option<&SweState>,
 ) {
-    let (nx, dx, dy) = (grid.nx(), grid.dx(), grid.dy());
+    let (nx, len, steps) = (grid.nx(), span.len(), (grid.dx(), grid.dy(), dt));
     for j in rows.clone() {
-        for i in span.clone() {
-            let idx = j * nx + i;
-            let q = state.cons(idx);
-            let fw = &fx[j * (nx + 1) + i];
-            let fe = &fx[j * (nx + 1) + i + 1];
-            let fs = &fy[j * nx + i];
-            let fn_ = &fy[(j + 1) * nx + i];
-            let dh = -(fe.f.h - fw.f.h) / dx - (fn_.f.h - fs.f.h) / dy;
-            // hydrostatic source: east face uses this cell's left-side
-            // reconstruction, west face the right side; the face-value
-            // term telescopes with the cell-centered depth.
-            let src_x = 0.5 * G / dx
-                * ((fe.hl_star * fe.hl_star - fe.hl_cell * fe.hl_cell)
-                    + (fe.hl_cell * fe.hl_cell - q.h * q.h)
-                    - (fw.hr_star * fw.hr_star - fw.hr_cell * fw.hr_cell)
-                    - (fw.hr_cell * fw.hr_cell - q.h * q.h));
-            let src_y = 0.5 * G / dy
-                * ((fn_.hl_star * fn_.hl_star - fn_.hl_cell * fn_.hl_cell)
-                    + (fn_.hl_cell * fn_.hl_cell - q.h * q.h)
-                    - (fs.hr_star * fs.hr_star - fs.hr_cell * fs.hr_cell)
-                    - (fs.hr_cell * fs.hr_cell - q.h * q.h));
-            let dhu = -(fe.f.hu - fw.f.hu) / dx - (fn_.f.hu - fs.f.hu) / dy + src_x;
-            let dhv = -(fe.f.hv - fw.f.hv) / dx - (fn_.f.hv - fs.f.hv) / dy + src_y;
-            out.set(
-                idx,
-                dry_clamp(q.h + dt * dh, q.hu + dt * dhu, q.hv + dt * dhv),
-            );
+        let (at, x_at) = (j * nx + span.start, j * (nx + 1) + span.start);
+        let (fx, fs) = (&fx[x_at..][..len + 1], &fy[at..][..len]);
+        let fn_ = &fy[at + nx..][..len];
+        let ([h, hu, hv], out) = (state.rows(at..at + len), out.rows_mut(at..at + len));
+        let start = heun.map(|start| start.rows(at..at + len));
+        for k in 0..len {
+            let q = Cons::new(h[k], hu[k], hv[k]);
+            let mut q = euler_cell(q, [&fx[k], &fx[k + 1], &fs[k], &fn_[k]], steps);
+            if let Some([h, hu, hv]) = start {
+                let (h, hu, hv) = (h[k] + q.h, hu[k] + q.hu, hv[k] + q.hv);
+                q = dry_clamp(0.5 * h, 0.5 * hu, 0.5 * hv);
+            }
+            (out[0][k], out[1][k], out[2][k]) = (q.h, q.hu, q.hv);
         }
     }
 }
@@ -465,12 +515,22 @@ impl SweSolver {
         let (nx, ny) = (self.grid.nx(), self.grid.ny());
         let prim = &mut self.ws.prim[0];
         primitives(nx, &self.state, &self.bathy, &(0..ny, 0..nx), prim);
-        let mut smax: f64 = 1e-8;
-        for (&[_, u, v], &h) in prim.iter().zip(&self.state.h) {
+        // independent running maxima, folded at the end: `max` is exact,
+        // so the order of the cells cannot change the result
+        let speed = |smax: f64, &[_, u, v]: &Prim, h: f64| {
             let c = Cons::new(h, 0.0, 0.0).wave_speed();
-            smax = smax.max(u.abs() + c).max(v.abs() + c);
+            smax.max(u.abs() + c).max(v.abs() + c)
+        };
+        let mut lanes = [1e-8; 4];
+        let (cells, depths) = (prim.chunks_exact(4), self.state.h.chunks_exact(4));
+        let rest = cells.remainder().iter().zip(depths.remainder());
+        for (p, h) in cells.zip(depths) {
+            for k in 0..4 {
+                lanes[k] = speed(lanes[k], &p[k], h[k]);
+            }
         }
-        self.smax = smax;
+        lanes[0] = rest.fold(lanes[0], |smax, (p, &h)| speed(smax, p, h));
+        self.smax = lanes.into_iter().fold(f64::MIN, f64::max);
         self.fresh = true;
     }
 
@@ -557,19 +617,12 @@ impl SweSolver {
     /// with the state, into `cand`.
     fn advance(&mut self, s: usize, dt: f64, block: &Block) {
         let (grid, state, ws) = (&self.grid, &self.state, &mut self.ws);
-        let nx = grid.nx();
         if s == 0 {
-            euler(grid, state, &ws.faces[0], dt, block, &mut ws.stage1);
-            primitives(nx, &ws.stage1, &self.bathy, block, &mut ws.prim[1]);
-            return;
-        }
-        euler(grid, &ws.stage1, &ws.faces[1], dt, block, &mut ws.cand);
-        for j in block.0.clone() {
-            for idx in j * nx + block.1.start..j * nx + block.1.end {
-                let (q0, q2) = (state.cons(idx), ws.cand.cons(idx));
-                let (h, hu, hv) = (q0.h + q2.h, q0.hu + q2.hu, q0.hv + q2.hv);
-                ws.cand.set(idx, dry_clamp(0.5 * h, 0.5 * hu, 0.5 * hv));
-            }
+            euler(grid, state, &ws.faces[0], dt, block, &mut ws.stage1, None);
+            primitives(grid.nx(), &ws.stage1, &self.bathy, block, &mut ws.prim[1]);
+        } else {
+            let (stage1, cand) = (&ws.stage1, &mut ws.cand);
+            euler(grid, stage1, &ws.faces[1], dt, block, cand, Some(state));
         }
     }
 
@@ -610,44 +663,46 @@ impl SweSolver {
         let ws = &mut self.ws;
         let [band_lo, band_hi] = &mut ws.band;
         for j in 0..ny {
-            for i in 0..nx {
-                let (idx, framed) = (j * nx + i, (j + 1) * frame + i + 1);
-                let wet = self.state.h[idx] > H_DRY;
-                let eta = ws.prim[0][idx][0];
-                band_lo[framed] = if wet { eta } else { f64::INFINITY };
-                band_hi[framed] = if wet { eta } else { f64::NEG_INFINITY };
+            let (cells, framed) = (j * nx..(j + 1) * nx, (j + 1) * frame + 1);
+            let (h, prim) = (&self.state.h[cells.clone()], &ws.prim[0][cells]);
+            let (lo, hi) = (&mut band_lo[framed..][..nx], &mut band_hi[framed..][..nx]);
+            for k in 0..nx {
+                let wet = h[k] > H_DRY;
+                let eta = prim[k][0];
+                lo[k] = if wet { eta } else { f64::INFINITY };
+                hi[k] = if wet { eta } else { f64::NEG_INFINITY };
             }
         }
         ws.cone.clear();
         for j in 0..ny {
             // bounds of a framed column over the rows below, of and above
             // row `j`; a cell's 3×3 bounds are those of three such columns
+            let rows = j * frame..(j + 3) * frame;
+            let (lo, hi) = (&band_lo[rows.clone()], &band_hi[rows]);
             let column = |k: usize| {
-                let [below, row, above] = [0, 1, 2].map(|r| (j + r) * frame + k);
-                (
-                    band_lo[below].min(band_lo[row]).min(band_lo[above]),
-                    band_hi[below].max(band_hi[row]).max(band_hi[above]),
-                )
+                let [b, r, a] = [k, k + frame, k + 2 * frame];
+                (lo[b].min(lo[r]).min(lo[a]), hi[b].max(hi[r]).max(hi[a]))
             };
+            let cells = j * nx..(j + 1) * nx;
+            let ([h, hu, hv], bathy) = (ws.cand.rows(cells.clone()), &self.bathy[cells]);
             let (mut before, mut here) = (column(0), column(1));
             for i in 0..nx {
                 let after = column(i + 2);
                 let lo = before.0.min(here.0).min(after.0);
                 let hi = before.1.max(here.1).max(after.1);
                 (before, here) = (here, after);
-                let idx = j * nx + i;
-                let (h, hu, hv) = (ws.cand.h[idx], ws.cand.hu[idx], ws.cand.hv[idx]);
-                let sane = h.is_finite() && hu.is_finite() && hv.is_finite() && h >= 0.0;
+                let (h, hu, hv) = (h[i], hu[i], hv[i]);
+                let sane = h.is_finite() & hu.is_finite() & hv.is_finite() & (h >= 0.0);
                 // discrete-maximum-principle check on the surface elevation
                 // with a relaxed tolerance (strict DMP over-triggers on
                 // smooth waves); a cell that emerged from a fully dry
                 // neighborhood has no bounds
                 let slack = 0.5 * (hi - lo) + 1e-3;
-                let eta = h + self.bathy[idx];
-                let bounded = !lo.is_finite() || (eta >= lo - slack && eta <= hi + slack);
-                if !(sane && (h <= H_DRY || bounded)) {
-                    ws.dist[idx] = 0;
-                    ws.cone.push(idx);
+                let eta = h + bathy[i];
+                let bounded = !lo.is_finite() | ((eta >= lo - slack) & (eta <= hi + slack));
+                if !(sane & ((h <= H_DRY) | bounded)) {
+                    ws.dist[j * nx + i] = 0;
+                    ws.cone.push(j * nx + i);
                 }
             }
         }
@@ -1155,6 +1210,126 @@ mod tests {
             "{on_edge} edge, {in_corner} corner"
         );
         assert!(saved > 0, "the cone must be smaller than the grid");
+    }
+
+    /// A basin of `nx × ny` cells, one in three of them land above the
+    /// resting surface, the water uneven and moving: tiny grids have an
+    /// empty or one-cell interior in each row.
+    fn tiny_basin(nx: usize, ny: usize, seed: u64) -> SweSolver {
+        let mut noise = Noise(seed);
+        let grid = Grid2d::new(nx, ny, (0.0, 100.0 * nx as f64), (0.0, 100.0 * ny as f64));
+        let bathy: Vec<f64> = (0..nx * ny)
+            .map(|_| match noise.below(3) {
+                0 => 0.5,
+                _ => -3.0 + noise.unit(),
+            })
+            .collect();
+        let mut state = SweState::lake_at_rest(&bathy, 0.0);
+        for idx in 0..nx * ny {
+            if state.h[idx] > 0.0 {
+                state.h[idx] += noise.unit();
+                state.hu[idx] = (noise.unit() - 0.5) * state.h[idx];
+                state.hv[idx] = (noise.unit() - 0.5) * state.h[idx];
+            }
+        }
+        let boundary = [Boundary::Reflective, Boundary::Outflow][(seed % 2) as usize];
+        let scheme = Scheme::SecondOrder { limiter: true };
+        SweSolver::new(grid, bathy, state, scheme, boundary)
+    }
+
+    #[test]
+    fn row_loops_equal_the_formulas_cell_by_cell() {
+        // every per-cell pass of a candidate step, and the CFL bound, against
+        // its formula applied one cell at a time with plain indexing and
+        // against single-cell blocks (the recompute's calls), bit for bit
+        let bits = |x: &[f64]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let state_bits = |s: &SweState| [bits(&s.h), bits(&s.hu), bits(&s.hv)];
+        let tiny = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)];
+        let tiny = tiny.into_iter().flat_map(|(nx, ny)| {
+            (0..6).map(move |seed| tiny_basin(nx, ny, seed + 100 * (nx + 10 * ny) as u64))
+        });
+        let (mut sloped, mut level, mut dry) = (0, 0, 0);
+        for (fixture, mut solver) in (0..8).map(rough_basin).chain(tiny).enumerate() {
+            let (grid, n) = (solver.grid.clone(), solver.grid.n_cells());
+            let (nx, ny, dx, dy) = (grid.nx(), grid.ny(), grid.dx(), grid.dy());
+            for step in 0..40 {
+                let at = format!("fixture {fixture} ({nx}×{ny}), step {step}");
+                let dt = solver.stable_dt();
+                let smax = solver.ws.prim[0].iter().zip(&solver.state.h).fold(
+                    1e-8_f64,
+                    |smax, (&[_, u, v], &h)| {
+                        let c = Cons::new(h, 0.0, 0.0).wave_speed();
+                        smax.max(u.abs() + c).max(v.abs() + c)
+                    },
+                );
+                assert_eq!(
+                    dt.to_bits(),
+                    (solver.cfl * dx.min(dy) / smax).to_bits(),
+                    "{at}"
+                );
+                solver.candidate(dt);
+                let (state, ws) = (&solver.state, &solver.ws);
+                for (s, from, to) in [(0, state, &ws.stage1), (1, &ws.stage1, &ws.cand)] {
+                    let mut recon = vec![[[f64::NAN; 3]; 4]; n];
+                    let mut out = SweState::lake_at_rest(&vec![f64::NAN; n], 0.0);
+                    for (j, i) in (0..ny).flat_map(|j| (0..nx).map(move |i| (j, i))) {
+                        let idx = j * nx + i;
+                        let q = from.cons(idx);
+                        let (u, v) = q.velocity();
+                        let prim = [q.h + solver.bathy[idx], u, v].map(f64::to_bits);
+                        assert_eq!(ws.prim[s][idx].map(f64::to_bits), prim, "{at}");
+                        // clamped neighbors: beyond the boundary, the cell itself
+                        let cells = [
+                            idx,
+                            j * nx + i.saturating_sub(1),
+                            j * nx + (i + 1).min(nx - 1),
+                            j.saturating_sub(1) * nx + i,
+                            (j + 1).min(ny - 1) * nx + i,
+                        ];
+                        let faces =
+                            cell_faces(cells.map(|c| from.h[c]), cells.map(|c| ws.prim[s][c]));
+                        let flat = faces.iter().flatten().map(|x| x.to_bits());
+                        let whole = ws.recon[s][idx].iter().flatten().map(|x| x.to_bits());
+                        assert!(flat.eq(whole), "{at}: reconstruction of cell {idx}");
+                        sloped += usize::from(faces != [ws.prim[s][idx]; 4]);
+                        level += usize::from(faces == [ws.prim[s][idx]; 4]);
+                        dry += usize::from(from.h[idx] <= H_DRY);
+                        let block = (j..j + 1, i..i + 1);
+                        reconstruct((nx, ny), &from.h, &ws.prim[s], &block, &mut recon);
+                        let [fx, fy] = &ws.faces[s];
+                        let near = [&fx[idx + j], &fx[idx + j + 1], &fy[idx], &fy[idx + nx]];
+                        let mut q = euler_cell(q, near, (dx, dy, dt));
+                        if s == 1 {
+                            let q0 = state.cons(idx);
+                            let (h, hu, hv) = (q0.h + q.h, q0.hu + q.hu, q0.hv + q.hv);
+                            q = dry_clamp(0.5 * h, 0.5 * hu, 0.5 * hv);
+                        }
+                        let [h, hu, hv] = [q.h, q.hu, q.hv].map(f64::to_bits);
+                        let whole = to.cons(idx);
+                        assert_eq!(
+                            [h, hu, hv],
+                            [whole.h, whole.hu, whole.hv].map(f64::to_bits),
+                            "{at}"
+                        );
+                        let heun = (s == 1).then_some(state);
+                        euler(&grid, from, &ws.faces[s], dt, &block, &mut out, heun);
+                    }
+                    let recon_bits = |r: &[[Prim; 4]]| bits(r.as_flattened().as_flattened());
+                    assert_eq!(
+                        recon_bits(&recon),
+                        recon_bits(&ws.recon[s]),
+                        "{at}: stage {s}"
+                    );
+                    assert_eq!(state_bits(&out), state_bits(to), "{at}: stage {s}");
+                }
+                solver.step_dt(dt);
+            }
+        }
+        // the fixtures do exercise what they are for
+        assert!(
+            sloped > 1000 && level > 1000 && dry > 1000,
+            "{sloped} {level} {dry}"
+        );
     }
 
     #[test]
