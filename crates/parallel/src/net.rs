@@ -50,12 +50,13 @@ use uq_mlmcmc::LevelFactory;
 /// Version stamped into every frame header. Bump on any change to the
 /// [`Msg`] or [`Frame`] declarations below (a tag or a field's place) or
 /// to the frame layout — the committed
-/// golden frame fixture (`tests/fixtures/golden_frame_v9.bin`) trips
-/// when the bytes drift without a bump. Exactly one version is spoken:
-/// v8 (which had a teardown poison, a second shutdown ack beside
-/// `PhonebookReport`, and a `ServeDone` echoing the lease's session seed)
-/// is rejected as `BadVersion`, never dual-decoded.
-pub const PROTOCOL_VERSION: u32 = 9;
+/// golden frame fixture (`tests/fixtures/golden_frame_v10.bin`) trips
+/// when the bytes drift without a bump, and on any change to what a
+/// message means. Exactly one version is spoken: v9 (whose collectors
+/// push every `Correction`'s `y` as it is, where v10's push a sender's
+/// kept `y` for an empty one) is rejected as `BadVersion`, never
+/// dual-decoded.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// The net wire: a magic distinct from the snapshot store's
 /// `b"UQSNAP\0\0"` so a frame can never be mistaken for a snapshot, and

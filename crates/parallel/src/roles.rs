@@ -38,7 +38,7 @@ use crate::scheduler::{
 use crate::sim::{Meter, Sim, SimError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use uq_mcmc::problem::GaussianTarget;
 use uq_mcmc::proposal::GaussianRandomWalk;
@@ -696,6 +696,10 @@ pub(crate) struct CollectorRank {
     ticker: bool,
     flushes: usize,
     done_sent: bool,
+    /// Each producer's last full `y`, by rank: what its empty `y` repeats.
+    /// Not part of the cut — a collector and its producers start empty
+    /// together (DESIGN §7.3).
+    kept: HashMap<usize, Vec<f64>>,
 }
 
 impl CollectorRank {
@@ -720,6 +724,7 @@ impl CollectorRank {
             ticker: ckpt_every > 0 && level + 1 == config.n_levels(),
             flushes: 0,
             done_sent: false,
+            kept: HashMap::new(),
         }
     }
 }
@@ -743,10 +748,20 @@ impl VirtualRank<Msg> for CollectorRank {
                     fine_qoi,
                     coarse_qoi,
                 } if level == state.level && state.count < self.quota => {
+                    // an empty `y` repeats its producer's last one (under
+                    // a QOI of dimension 0 every `y` is empty, as is the
+                    // default kept one). A repeat with nothing kept cannot
+                    // occur: a producer's first correction since this
+                    // collector was built from the cut, or since its chain
+                    // took its level, is full
+                    let kept = self.kept.entry(env.from).or_default();
+                    if !y.is_empty() {
+                        *kept = y;
+                    }
                     state
                         .moments
-                        .get_or_insert_with(|| VectorMoments::new(y.len()))
-                        .push(&y);
+                        .get_or_insert_with(|| VectorMoments::new(kept.len()))
+                        .push(kept);
                     state.count += 1;
                     if self.record_samples {
                         state.theta_samples.push(theta);
@@ -838,6 +853,10 @@ pub(crate) struct ControllerRank<'a> {
     paused: bool,
     /// Epoch time the quiesce pause began (span recorded on resume).
     pause_start: f64,
+    /// The fine and paired coarse QOI of the last full correction sent:
+    /// a step whose QOIs are these same allocations repeats its `y`.
+    /// Holding them keeps their addresses from being reused.
+    last_full: Option<StepQois>,
 }
 
 impl<'a> ControllerRank<'a> {
@@ -873,6 +892,7 @@ impl<'a> ControllerRank<'a> {
             await_since: 0.0,
             paused: false,
             pause_start: 0.0,
+            last_full: None,
         };
         this.reset_level_state();
         if let Some(r) = resume {
@@ -893,6 +913,7 @@ impl<'a> ControllerRank<'a> {
         self.serve_job = None;
         self.announced = false;
         self.awaiting = false;
+        self.last_full = None;
     }
 
     /// Trace span for the next kernel step: a serve's, else our own
@@ -918,16 +939,29 @@ impl<'a> ControllerRank<'a> {
             return;
         }
         if self.producing {
-            // the recorded triple travels only when recorded (`Msg::correction`)
+            // the recorded triple travels only when recorded (`Msg::correction`);
+            // a `y` that repeats the last one sent travels empty
             let base = &self.config.base;
-            let correction = Msg::correction(
-                self.level,
-                &mut self.chain,
-                self.coarse.as_deref_mut(),
-                base.pairing,
-                base.record_samples,
-            );
-            ctx.send(self.config.base.collector_rank(self.level), correction);
+            let fine = Arc::clone(self.chain.current_qoi());
+            let paired = self
+                .chain
+                .paired_qoi(base.pairing, self.coarse.as_deref_mut());
+            let repeat = self.last_full.as_ref().is_some_and(|(f, c)| {
+                Arc::ptr_eq(f, &fine)
+                    && match (c, &paired) {
+                        (Some(c), Some(p)) => Arc::ptr_eq(c, p),
+                        (c, p) => c.is_none() && p.is_none(),
+                    }
+            });
+            let (level, record) = (self.level, base.record_samples);
+            let coarse = self.coarse.as_deref_mut();
+            let correction = if repeat {
+                Msg::recorded_correction(level, Vec::new(), &mut self.chain, coarse, record)
+            } else {
+                self.last_full = Some((fine, paired));
+                Msg::correction(level, &mut self.chain, coarse, base.pairing, record)
+            };
+            ctx.send(base.collector_rank(level), correction);
         }
     }
 
@@ -1195,6 +1229,9 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
 }
 
 type Coarse = Option<Box<dyn SamplingProblem>>;
+
+/// A step's fine QOI and the coarse QOI its correction pairs with.
+type StepQois = (Arc<[f64]>, Option<Arc<[f64]>>);
 
 /// A controller's chain (its coarse proposals arrive through the
 /// phonebook) and the level below's problem it is anchored on and fills
@@ -2082,5 +2119,206 @@ mod tests {
         let busy: f64 = r.busy_per_level.expect("simulated").iter().sum();
         let fraction = busy / (5.0 * r.report.elapsed);
         assert!(fraction > 0.0 && fraction <= 1.0, "{fraction}");
+    }
+
+    /// A port for driving one machine by hand: a rank reads only what the
+    /// test put in its buffer, and what it sends is kept in order.
+    #[derive(Default)]
+    struct Outbox(std::cell::RefCell<Vec<(usize, Msg)>>);
+
+    impl crate::runtime::Port<Msg> for Outbox {
+        fn send(&self, to: usize, env: Envelope<Msg>) {
+            self.0.borrow_mut().push((to, env.msg));
+        }
+        fn pull(&self, _rank: usize, _buffer: &mut VecDeque<Envelope<Msg>>) {}
+        fn now(&self, _rank: usize) -> f64 {
+            0.0
+        }
+    }
+
+    impl Outbox {
+        /// The `y` of every correction sent so far, in order, emptied.
+        fn take_ys(&self) -> Vec<Vec<f64>> {
+            let sent = std::mem::take(&mut *self.0.borrow_mut());
+            let y = |(_, msg)| match msg {
+                Msg::Correction { y, .. } => Some(y),
+                _ => None,
+            };
+            sent.into_iter().filter_map(y).collect()
+        }
+    }
+
+    fn correction(y: &[f64]) -> Msg {
+        Msg::Correction {
+            level: 1,
+            y: y.to_vec(),
+            theta: Vec::new(),
+            fine_qoi: Vec::new(),
+            coarse_qoi: None,
+        }
+    }
+
+    #[test]
+    fn an_empty_y_pushes_its_producers_kept_one() {
+        let config = RuntimeConfig::new(vec![50, 50], vec![2, 2]);
+        let mut collector = CollectorRank::new(&config, 1, 0, None);
+        let (a, b) = (6, 7);
+        let ys: [&[f64]; 3] = [&[0.5, -1.0], &[2.0, 0.25], &[-0.75, 3.5]];
+        // (sender, what it sends, what that repeats or is)
+        let sent = [
+            (a, ys[0], ys[0]),
+            (b, ys[1], ys[1]),
+            (a, &[][..], ys[0]),
+            (b, &[], ys[1]),
+            (b, &[], ys[1]),
+            (a, ys[2], ys[2]),
+            (b, &[], ys[1]),
+            (a, &[], ys[2]),
+        ];
+        let mut buffer: VecDeque<_> = sent
+            .iter()
+            .map(|&(from, y, _)| Envelope {
+                from,
+                msg: correction(y),
+            })
+            .collect();
+        let port = Outbox::default();
+        let _ = collector.poll(&mut VCtx::new(3, 10, &port, &mut buffer));
+        let mut expected = VectorMoments::new(2);
+        for (_, _, y) in sent {
+            expected.push(y);
+        }
+        let got = collector.state.moments.as_ref().expect("pushed");
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(collector.state.count, sent.len());
+        assert_eq!(got.count(), sent.len());
+        assert_eq!(bits(got.mean()), bits(expected.mean()));
+        assert_eq!(bits(got.variance()), bits(expected.variance()));
+    }
+
+    /// A level-0 controller of the two-level stand-in, stepping on its own,
+    /// `burn_in` steps of burn-in per level it takes.
+    fn lone_controller<'a>(
+        model: &'a StandIn,
+        config: &'a RuntimeConfig,
+        off: &'a Tracer,
+        resume: Option<&ChainCkpt>,
+    ) -> ControllerRank<'a> {
+        let rank = config.base.first_controller_rank();
+        ControllerRank::new(model, config, off, rank, resume)
+    }
+
+    /// Poll `controller` once with `msgs` delivered.
+    fn poll_with(controller: &mut ControllerRank<'_>, port: &Outbox, msgs: Vec<Msg>) {
+        let rank = controller.rank;
+        let mut buffer: VecDeque<_> = msgs
+            .into_iter()
+            .map(|msg| Envelope { from: ROOT, msg })
+            .collect();
+        let _ = controller.poll(&mut VCtx::new(rank, rank + 2, port, &mut buffer));
+    }
+
+    #[test]
+    fn a_chains_first_correction_after_a_reassign_or_a_resume_is_full() {
+        let (model, off) = (GaussianHierarchy::two_level(), Tracer::disabled());
+        let mut config = RuntimeConfig::new(vec![1000, 100], vec![1, 1]);
+        config.base.burn_in = vec![3, 0];
+        let port = Outbox::default();
+        let mut controller = lone_controller(&model, &config, &off, None);
+        for _ in 0..40 {
+            poll_with(&mut controller, &port, Vec::new());
+        }
+        let ys = port.take_ys();
+        assert!(!ys[0].is_empty(), "the first correction of a run is full");
+        assert!(
+            ys.iter().any(Vec::is_empty),
+            "a rejected step repeats its y"
+        );
+
+        // a reassigned chain forgets what it sent before its burn-in
+        poll_with(&mut controller, &port, vec![Msg::Reassign { level: 0 }]);
+        assert!(
+            controller.last_full.is_none(),
+            "the record outlived the chain"
+        );
+        for _ in 0..12 {
+            poll_with(&mut controller, &port, Vec::new());
+        }
+        let ys = port.take_ys();
+        assert_eq!(ys.len(), 10, "three burn-in steps, then a correction each");
+        assert!(
+            !ys[0].is_empty(),
+            "the first correction after a reassign is full"
+        );
+
+        // a cut holds no record: at a step the running controller sends as
+        // a repeat, the controller resumed from that cut sends in full
+        let mut last_full = ys
+            .into_iter()
+            .rev()
+            .find(|y| !y.is_empty())
+            .expect("a full y");
+        for _ in 0..40 {
+            poll_with(
+                &mut controller,
+                &port,
+                vec![Msg::Checkpoint, Msg::CheckpointDone],
+            );
+            let sent = std::mem::take(&mut *port.0.borrow_mut());
+            let ckpt = sent.iter().find_map(|(_, msg)| match msg {
+                Msg::ControllerCkpt(ckpt) => Some(ckpt.as_ref().clone()),
+                _ => None,
+            });
+            port.0.borrow_mut().extend(sent);
+            let [running] = &port.take_ys()[..] else {
+                panic!("one correction per step")
+            };
+            if !running.is_empty() {
+                last_full = running.clone();
+                continue;
+            }
+            let mut resumed = lone_controller(&model, &config, &off, ckpt.as_ref());
+            poll_with(&mut resumed, &port, Vec::new());
+            assert_eq!(
+                port.take_ys(),
+                [last_full],
+                "the resumed controller's first y"
+            );
+            return;
+        }
+        panic!("no step in 40 repeated its y");
+    }
+
+    #[test]
+    fn the_moments_are_those_of_the_recorded_samples() {
+        // under proposal pairing a correction's `y` is its recorded fine
+        // QOI less its recorded coarse one (the QOI is θ itself), so an
+        // elided `y` that repeats the wrong one shows in the moments
+        let h = GaussianHierarchy::three_level();
+        for exec in EXECS {
+            let mut config = ParallelConfig::new(vec![400, 150, 60], vec![1, 2, 1]);
+            config.record_samples = true;
+            config.pairing = uq_mlmcmc::ledger::PairingMode::Proposal;
+            let report = exec.run(&h, &config);
+            for level in &report.levels {
+                let mut expected = VectorMoments::new(1);
+                if level.level == 0 {
+                    level.theta_samples.iter().for_each(|t| expected.push(t));
+                } else {
+                    for (c, f) in &level.correction_pairs {
+                        expected.push(&[f[0] - c[0]]);
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let at = format!("{exec:?}, level {}", level.level);
+                assert_eq!(expected.count(), level.n_samples, "{at}");
+                assert_eq!(bits(&level.mean_correction), bits(&expected.mean()), "{at}");
+                assert_eq!(
+                    bits(&level.var_correction),
+                    bits(&expected.variance()),
+                    "{at}"
+                );
+            }
+        }
     }
 }

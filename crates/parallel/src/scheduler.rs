@@ -76,10 +76,13 @@ pub enum Msg {
     /// Controller → phonebook: a fresh subsampled state is available.
     SampleReady { level: usize },
     /// Controller → collector: one telescoping-term sample. Only `y`
-    /// enters the estimator; the recorded triple (`theta`, `fine_qoi`,
-    /// `coarse_qoi`) travels only when it is recorded — without
-    /// `config.record_samples` it is empty / `None` (`Msg::correction`
-    /// builds this variant).
+    /// enters the estimator; an empty `y` repeats the last `y` this
+    /// sender sent its collector (the step's fine and paired coarse QOI
+    /// are the allocations of that correction's; a QOI of dimension 0
+    /// sends an empty `y` anyway). The recorded triple (`theta`,
+    /// `fine_qoi`, `coarse_qoi`) travels only when it is recorded —
+    /// without `config.record_samples` it is empty / `None`
+    /// (`Msg::correction` builds this variant).
     Correction {
         level: usize,
         y: Vec<f64>,
@@ -148,6 +151,19 @@ impl Msg {
         record: bool,
     ) -> Msg {
         let y = chain.correction(pairing, coarse.as_deref_mut());
+        Msg::recorded_correction(level, y, chain, coarse, record)
+    }
+
+    /// The [`Msg::Correction`] of `chain`'s just-completed producing step
+    /// carrying `y` as given, with the recorded triple filled as
+    /// [`Msg::correction`] fills it.
+    pub(crate) fn recorded_correction(
+        level: usize,
+        y: Vec<f64>,
+        chain: &mut MlChain,
+        coarse: Option<&mut (dyn SamplingProblem + 'static)>,
+        record: bool,
+    ) -> Msg {
         let recorded = |v: &[f64]| if record { v.to_vec() } else { Vec::new() };
         let fine_qoi = recorded(chain.current_qoi());
         let coarse_qoi = if record {

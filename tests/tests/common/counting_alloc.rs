@@ -2,10 +2,13 @@
 //! allocation (`swe_alloc`, `poisson_alloc`, `frame_alloc`,
 //! `serve_alloc`), included by `#[path]` so the
 //! other suites keep the system allocator. Counters are per thread, so
-//! the tests of one binary and the harness do not see each other.
+//! the tests of one binary and the harness do not see each other; one
+//! process-wide count of large requests covers work on threads a test
+//! does not own, read where nothing else runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 
@@ -19,11 +22,15 @@ thread_local! {
 /// `f64`, is 8712 bytes; a parameter vector or a boxed sample is far below.
 const LARGE_BYTES: usize = 8000;
 
+/// Every thread's requests of `LARGE_BYTES` or more.
+static LARGE_IN_PROCESS: AtomicU64 = AtomicU64::new(0);
+
 fn count(bytes: usize) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
     BYTES.with(|n| n.set(n.get() + bytes as u64));
     if bytes >= LARGE_BYTES {
         LARGE.with(|n| n.set(n.get() + 1));
+        LARGE_IN_PROCESS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -70,4 +77,15 @@ pub fn large_allocations_in<T>(work: impl FnOnce() -> T) -> (u64, T) {
     let before = LARGE.with(Cell::get);
     let out = work();
     (LARGE.with(Cell::get) - before, out)
+}
+
+/// How many requests of `LARGE_BYTES` or more every thread of the process
+/// made while this thread ran `work` — the threads `work` starts
+/// included. Exact only in a process that runs nothing else meanwhile (a
+/// test binary re-executed to run one test).
+#[allow(dead_code)] // not every suite that includes this file uses it
+pub fn large_allocations_in_process<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = LARGE_IN_PROCESS.load(Ordering::Relaxed);
+    let out = work();
+    (LARGE_IN_PROCESS.load(Ordering::Relaxed) - before, out)
 }

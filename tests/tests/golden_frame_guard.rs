@@ -8,7 +8,7 @@
 //! turn the old one into a rejection fixture; silently re-interpreting
 //! frames across a version skew is the failure mode this suite catches.
 //! Frames are ephemeral, so exactly one version is ever decoded:
-//! `golden_frame_v8.bin` (the previous version's golden) is kept to prove
+//! `golden_frame_v9.bin` (the previous version's golden) is kept to prove
 //! that a skewed version is refused.
 //!
 //! Regenerate (only after an *intentional* protocol bump) with:
@@ -21,8 +21,8 @@ use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, StoreError};
 use uq_parallel::scheduler::Msg;
 use uq_parallel::{decode_frame, encode_frame, Frame, ParallelConfig, PROTOCOL_VERSION};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v9.bin");
-const GOLDEN_V8_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v8.bin");
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v10.bin");
+const GOLDEN_V9_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/golden_frame_v9.bin");
 
 fn cs(theta: f64, ld: f64) -> CoarseSample {
     CoarseSample::plain(vec![theta], ld, vec![theta])
@@ -43,7 +43,8 @@ fn bare(theta: f64, ld: f64) -> CoarseSample {
 /// its pairing state; a `ServeDone` of a lease without a mate — their
 /// samples without a QOI, as a serve ships them — and `StopProducing`),
 /// then a level's collector state as the root receives it
-/// (`CollectorReport`).
+/// (`CollectorReport`), then a `Correction` that repeats its sender's
+/// last `y` (an empty `y`; recording off, so nothing else travels).
 fn golden() -> Vec<Frame> {
     let mut config = ParallelConfig::new(vec![400, 150], vec![1, 1]);
     config.burn_in = vec![30, 20];
@@ -139,6 +140,17 @@ fn golden() -> Vec<Frame> {
                 correction_pairs: vec![(vec![0.0, 0.25], vec![0.125, -0.25])],
             })),
         },
+        Frame::Data {
+            to: 3,
+            from: 4,
+            msg: Msg::Correction {
+                level: 1,
+                y: Vec::new(),
+                theta: Vec::new(),
+                fine_qoi: Vec::new(),
+                coarse_qoi: None,
+            },
+        },
     ]
 }
 
@@ -165,7 +177,7 @@ fn committed_golden_frame_still_decodes() {
         let payload = u64::from_le_bytes(rest[12..20].try_into().unwrap());
         let (one, after) = rest.split_at(28 + payload as usize);
         let frame = decode_frame(one)
-            .expect("protocol break: a committed v9 golden frame no longer decodes");
+            .expect("protocol break: a committed v10 golden frame no longer decodes");
         // Frame carries no PartialEq (Msg is not comparable); byte equality
         // after re-encode is the invariant the transport relies on anyway
         assert_eq!(
@@ -182,16 +194,16 @@ fn committed_golden_frame_still_decodes() {
     );
 }
 
-/// The v8 fixture is the golden of the version before (a `ServeDone`
-/// echoed its lease's session seed, and the message tags counted a
-/// teardown poison and a second shutdown ack). It must be refused at the
+/// The v9 fixture is the golden of the version before (its bytes decode
+/// under v10's layout, but a v9 collector pushes an empty `y` as it is,
+/// where v10's pushes its sender's kept one). It must be refused at the
 /// version field — before its check or a single payload byte is looked
 /// at — never decoded into a frame.
 #[test]
-fn committed_v8_frame_is_rejected_as_bad_version() {
-    let bytes = std::fs::read(GOLDEN_V8_PATH).expect("committed v8 frame missing");
+fn committed_v9_frame_is_rejected_as_bad_version() {
+    let bytes = std::fs::read(GOLDEN_V9_PATH).expect("committed v9 frame missing");
     assert!(matches!(
         decode_frame(&bytes),
-        Err(StoreError::BadVersion { found: 8 })
+        Err(StoreError::BadVersion { found: 9 })
     ));
 }

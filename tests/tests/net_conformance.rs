@@ -12,10 +12,14 @@
 //! * the static and the elastic case hold with every worker a separate
 //!   OS process (the test binary re-executing itself, an OS-assigned
 //!   port), and a worker process hosting 64 controllers runs as many
-//!   threads as its cores, not its ranks.
+//!   threads as its cores, not its ranks;
+//! * on a Poisson hierarchy with the paper's 1089-component QOI, a
+//!   correction that repeats its chain's last one crosses the socket
+//!   without its `y`, and the run keeps its in-process digest.
 //!
 //! Fixture: the tight-ridge two-level Gaussian hierarchy (fine
-//! `N(0.35, 0.12²)`, coarse `N(0, 0.15²)`, `ρ = 2`).
+//! `N(0.35, 0.12²)`, coarse `N(0, 0.15²)`, `ρ = 2`), and for the bytes
+//! `poisson_net`'s hierarchy.
 
 use std::env;
 use std::io::{Read, Write};
@@ -24,6 +28,8 @@ use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
+use uq_fem::problem::constants::TRUTH_SEED;
+use uq_fem::problem::{PoissonFactory, PoissonHierarchy};
 use uq_mcmc::{Proposal, SamplingProblem};
 use uq_mlmcmc::store::RunStore;
 use uq_mlmcmc::LevelFactory;
@@ -442,4 +448,56 @@ fn net_worker_processes_match_in_process_and_migrate() {
         "estimate {est} drifted from the fine mean {FINE_MEAN} across processes"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `poisson_net`'s hierarchy (Poisson, m = 24, n = 8 / 16, ρ = 5; its QOI
+/// is 1089 values, 8712 bytes) over one net worker on loopback, one chain
+/// per level. Level 0 accepts a few percent of its proposals, so most
+/// corrections repeat their chain's last `y` and travel without it: the
+/// run writes less than a quarter of what the corrections' `y`s alone
+/// would take (about 13 %; every `y` shipped, it wrote more than that
+/// whole), and its digest is the in-process run's. At N = [250, 60] the
+/// share read 0.25 and 0.32 in two runs: without burn-in the chains'
+/// first moves are a larger part of a short run, and level 0's surplus
+/// after its quota depends on timing.
+#[test]
+fn a_poisson_net_run_ships_a_repeated_y_as_nothing() {
+    let hierarchy = PoissonHierarchy::new(24, vec![8, 16], TRUTH_SEED);
+    let factory = PoissonFactory::new(hierarchy, vec![5]);
+    let n = [1000, 250];
+    let mut config = RuntimeConfig::new(n.to_vec(), vec![1, 1]);
+    config.base.load_balancing = false;
+    config.n_workers = 1;
+    let off = Tracer::disabled();
+    let pool = Run::new(&factory, &config, &off, None, None)
+        .on(Placement::Pool(&Runtime::new(1)))
+        .expect("a live run");
+
+    let driver = NetDriver::bind("127.0.0.1:0").expect("bind loopback");
+    let opts = NetWorkerOptions {
+        connect: driver.local_addr().to_string(),
+        ..worker()
+    };
+    let tracer = Tracer::new();
+    let net = std::thread::scope(|s| {
+        let (factory, tracer) = (&factory, &tracer);
+        let worker = s.spawn(move || net_worker(&Runtime::new(1), factory, &opts, tracer));
+        let net = Run::new(factory, &config, tracer, None, None).on(Placement::Net {
+            runtime: &Runtime::new(1),
+            driver,
+            workers: 1,
+        });
+        worker.join().expect("worker");
+        net.expect("a live run")
+    });
+    assert_eq!(
+        levels_digest(&net.report.levels),
+        levels_digest(&pool.report.levels)
+    );
+    let bytes = tracer.counter(Counter::NetBytesOut);
+    let y_bytes = 8712 * (n[0] + n[1]) as u64;
+    assert!(
+        bytes * 4 < y_bytes,
+        "{bytes} bytes written, {y_bytes} in the corrections' y alone"
+    );
 }

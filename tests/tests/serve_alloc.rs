@@ -9,7 +9,9 @@
 //! at most one evaluation, none when that sample did not move. Burn-in
 //! evaluates no QOI, and neither does a chain step nobody reads. A whole
 //! `ranks_runtime`-config run evaluates at most 55 % of the QOIs it did
-//! when every serve evaluated its leg ends, with the same digest.
+//! when every serve evaluated its leg ends, with the same digest, and
+//! requests at most 35 % of the large blocks it did when a correction
+//! that repeated its chain's last one still shipped a fresh `y`.
 //!
 //! `Hooked` sees `log_density` only, so the QOI evaluations are counted
 //! by a decorator of this file. Every count is of calls and allocator
@@ -20,10 +22,13 @@
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "common/reexec.rs"]
+mod reexec;
 
-use counting_alloc::large_allocations_in;
+use counting_alloc::{large_allocations_in, large_allocations_in_process};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reexec::{expect_success, spawn_self};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use uq_fem::problem::constants::TRUTH_SEED;
@@ -461,8 +466,10 @@ fn a_requesters_correction_evaluates_at_most_the_coarse_qoi_it_pairs_with() {
 
 /// `ranks_runtime`'s configuration (64 + 64 chains, N = 40 000 / 10 000,
 /// load balancing off) on one worker, whose run is deterministic: the
-/// QOI evaluations it makes and its `levels_digest`.
-fn ranks_runtime_run(seed: u64) -> (u64, u64) {
+/// QOI evaluations it makes, the large blocks the process requests
+/// meanwhile (the run's own where nothing else runs) and its
+/// `levels_digest`.
+fn ranks_runtime_run(seed: u64) -> (u64, u64, u64) {
     let factory = QoiCounted::on(TRUTH_SEED);
     let mut base = ParallelConfig::new(vec![40_000, 10_000], vec![64, 64]);
     base.seed = seed;
@@ -472,8 +479,10 @@ fn ranks_runtime_run(seed: u64) -> (u64, u64) {
         n_workers: 1,
         collector_shards: 1,
     };
-    let (qois, _, run) = factory.measure(|| run_runtime(&factory, &config, &Tracer::disabled()));
-    (qois, levels_digest(&run.report.levels))
+    let (large, (qois, _, run)) = large_allocations_in_process(|| {
+        factory.measure(|| run_runtime(&factory, &config, &Tracer::disabled()))
+    });
+    (qois, large, levels_digest(&run.report.levels))
 }
 
 #[test]
@@ -494,11 +503,39 @@ fn a_ranks_runtime_run_evaluates_at_most_55_percent_of_the_qois_it_did_when_serv
         // the same, seed 11: 5522 QOI evaluations; 120 792 / 6 639
         (11, 16_612, 0xe6e4_3c4a_707c_7121),
     ] {
-        let (qois, got) = ranks_runtime_run(seed);
+        let (qois, _, got) = ranks_runtime_run(seed);
         assert_eq!(got, digest, "seed {seed}: levels_digest moved");
         assert!(
             qois * 100 <= serves_evaluated * 55,
             "seed {seed}: {qois} QOI evaluations, {serves_evaluated} when serves evaluated them"
+        );
+    }
+}
+
+/// Set in the process that measures a whole run's large blocks.
+const MEASURE_ENV: &str = "UQ_SERVE_ALLOC_MEASURE";
+
+#[test]
+fn a_ranks_runtime_run_requests_at_most_35_percent_of_its_former_large_blocks() {
+    if std::env::var_os(MEASURE_ENV).is_none() {
+        // the run requests its blocks on the pool's worker threads: they
+        // are counted process-wide, in a process that runs this test alone
+        let test = "a_ranks_runtime_run_requests_at_most_35_percent_of_its_former_large_blocks";
+        expect_success(
+            spawn_self(test, &[(MEASURE_ENV, "1")]),
+            "the measuring process",
+        );
+        return;
+    }
+    // the bound was recorded when every correction shipped its `y`, a
+    // fresh 8712-byte vector even when it repeated its chain's last one:
+    // 60 771 / 61 235 requests of 8000 B or more at seeds 7 / 11. A
+    // repeat now travels empty and its collector pushes the `y` it kept
+    for (seed, repeats_shipped) in [(7, 60_771_u64), (11, 61_235)] {
+        let (_, large, _) = ranks_runtime_run(seed);
+        assert!(
+            large * 100 <= repeats_shipped * 35,
+            "seed {seed}: {large} large blocks, {repeats_shipped} when repeats shipped `y`"
         );
     }
 }
